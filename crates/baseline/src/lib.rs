@@ -19,9 +19,15 @@
 //! The `e5_baseline` benchmark runs the same filter+window+aggregate
 //! workload through MiniCep and through the SAQL engine to measure the cost
 //! of SAQL's added expressiveness.
+//!
+//! **[`NaiveScheduler`]** is the other comparison point: SAQL's own
+//! queries hosted the way such a system would host them — one scheduler
+//! and one copy of the data per query (`e4_concurrent`, `e11_parallel`).
 
 pub mod capability;
 pub mod cep;
+pub mod naive;
 
 pub use capability::Capability;
 pub use cep::{BaselineAgg, CepQuery, CepRecord, Filter, GroupBy, MiniCep};
+pub use naive::NaiveScheduler;

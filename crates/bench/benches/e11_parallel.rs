@@ -17,10 +17,10 @@
 //! work, with zero data copies and the alert multiset unchanged.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use saql_bench::{sharded_queries, stream};
+use saql_baseline::NaiveScheduler;
+use saql_bench::{batches, drive, scheduler, sharded_queries, stream};
 use saql_engine::query::QueryConfig;
 use saql_engine::runtime::{ParallelConfig, ParallelEngine};
-use saql_engine::scheduler::{NaiveScheduler, Scheduler};
 
 const GROUPS: usize = 16;
 const PER_GROUP: usize = 4;
@@ -28,26 +28,16 @@ const EVENTS: usize = 20_000;
 
 fn bench_parallel_scaling(c: &mut Criterion) {
     let events = stream(EVENTS, 11);
+    let batches = batches(&events);
     let mut group = c.benchmark_group("e11_parallel");
     group.sample_size(10);
     group.throughput(Throughput::Elements(events.len() as u64));
 
     group.bench_with_input(
         BenchmarkId::new("serial", GROUPS * PER_GROUP),
-        &events,
-        |b, events| {
-            b.iter(|| {
-                let mut s = Scheduler::new();
-                for q in sharded_queries(GROUPS, PER_GROUP) {
-                    s.add(q);
-                }
-                let mut alerts = 0usize;
-                for e in events {
-                    alerts += s.process(e).len();
-                }
-                alerts += s.finish().len();
-                alerts
-            });
+        &batches,
+        |b, batches| {
+            b.iter(|| drive(&mut scheduler(sharded_queries(GROUPS, PER_GROUP)), batches));
         },
     );
 
@@ -72,19 +62,18 @@ fn bench_parallel_scaling(c: &mut Criterion) {
 
     group.bench_with_input(
         BenchmarkId::new("naive", GROUPS * PER_GROUP),
-        &events,
-        |b, events| {
+        &batches,
+        |b, batches| {
             b.iter(|| {
                 let mut s = NaiveScheduler::new();
                 for q in sharded_queries(GROUPS, PER_GROUP) {
                     s.add(q);
                 }
                 let mut alerts = 0usize;
-                for e in events {
-                    alerts += s.process(e).len();
+                for batch in batches {
+                    alerts += s.process_batch(batch).len();
                 }
-                alerts += s.finish().len();
-                alerts
+                alerts + s.finish().len()
             });
         },
     );
@@ -96,15 +85,8 @@ fn bench_parallel_scaling(c: &mut Criterion) {
 /// Non-timed correctness audit: the 4-worker partition does the same total
 /// work as serial, split evenly, with the same alert count.
 fn partition_audit(events: &[saql_stream::SharedEvent]) {
-    let mut serial = Scheduler::new();
-    for q in sharded_queries(GROUPS, PER_GROUP) {
-        serial.add(q);
-    }
-    let mut serial_alerts = 0usize;
-    for e in events {
-        serial_alerts += serial.process(e).len();
-    }
-    serial_alerts += serial.finish().len();
+    let mut serial = scheduler(sharded_queries(GROUPS, PER_GROUP));
+    let serial_alerts = drive(&mut serial, &batches(events));
 
     let mut par = ParallelEngine::new(ParallelConfig::with_workers(4), QueryConfig::default());
     for q in sharded_queries(GROUPS, PER_GROUP) {

@@ -1,108 +1,61 @@
-//! E14 — vectorized batch execution: the batched scheduler spine vs the
-//! per-event compiled path (E13's winner) on identical streams.
+//! E14 — batch-size sweep over the engine's one execution path.
 //!
-//! Both sides run compiled register programs through the `Scheduler`; what
-//! changes is the drive granularity — `process` feeds one event at a time,
-//! `process_batch` feeds `EventBatch`es of `BATCH` events so predicate
-//! sets evaluate into bool columns once per batch, matcher probes are
-//! driven off those columns, and stateful group keys/fields precompute
-//! batch-at-a-time (`DESIGN.md` "Batched execution"). Alert streams are
-//! identical by construction (the differential proptest pins this).
+//! There is no per-event path to compare against any more: a single event
+//! is a one-row batch. What remains worth measuring is how the cost of
+//! `Scheduler::process_batch` moves with the batch size the stream is cut
+//! into — {1, 16, 256, 4096} rows, 256 being the engine default — on
+//! identical streams. Alert streams and counters are identical across the
+//! sweep by construction (`tests/batched_execution_differential.rs`).
 //!
-//! Families are E13's, plus a shared-compat-group workload (8 variants of
-//! one pattern shape) where the per-group `BatchCache` shares predicate
-//! columns across all members.
+//! Workloads are E3's heavier families, plus two shared-compat-group
+//! deployments: `shared-group` (8 variants of one pattern shape, no global
+//! constraint — predicate columns shared through the group's `BatchCache`)
+//! and `selective` (32 groups x 8 host-pinned members, Q-many-shaped: each
+//! member's global filter accepts under 1% of the rows its group admits —
+//! the deployment on which a batch must cost no more probes than its
+//! events one at a time; the ladder's `engine.scheduler.many_ns` is the
+//! same shape measured end to end).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use saql_bench::{compile_family, stream, variant_queries};
-use saql_engine::Scheduler;
-use saql_stream::{batched, EventBatch, SharedEvent};
+use saql_bench::{
+    compile_family, drive, scheduler, selective_queries, stream, stream_over_hosts, variant_queries,
+};
+use saql_engine::RunningQuery;
+use saql_stream::{batched, SharedEvent};
 
 const FAMILIES: [&str; 4] = ["rule", "rule-sequence", "time-series", "outlier"];
+const BATCH_SIZES: [usize; 4] = [1, 16, 256, 4096];
 
-/// The execution batch size under measurement (the engine default).
-const BATCH: usize = 256;
+/// Hosts the `selective` stream spreads over (each member pins one).
+const HOSTS: usize = 256;
 
-fn run_per_event(scheduler: &mut Scheduler, events: &[SharedEvent]) -> usize {
-    let mut alerts = 0usize;
-    for e in events {
-        alerts += scheduler.process(e).len();
-    }
-    alerts + scheduler.finish().len()
-}
-
-fn run_batched(scheduler: &mut Scheduler, batches: &[EventBatch]) -> usize {
-    let mut alerts = 0usize;
-    for batch in batches {
-        alerts += scheduler.process_batch(batch).len();
-    }
-    alerts + scheduler.finish().len()
-}
-
-fn bench_batched_families(c: &mut Criterion) {
-    let events = stream(50_000, 42);
-    let batches = batched(events.clone(), BATCH);
+fn sweep(
+    c: &mut Criterion,
+    workload: &str,
+    events: &[SharedEvent],
+    deploy: impl Fn() -> Vec<RunningQuery>,
+) {
     let mut group = c.benchmark_group("e14_batched");
     group.throughput(Throughput::Elements(events.len() as u64));
     group.sample_size(10);
-
-    for family in FAMILIES {
-        group.bench_with_input(
-            BenchmarkId::new(family, "per-event"),
-            &events,
-            |b, events| {
-                b.iter(|| {
-                    let mut s = Scheduler::new();
-                    s.add(compile_family(family));
-                    run_per_event(&mut s, events)
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(family, "batched"),
-            &batches,
-            |b, batches| {
-                b.iter(|| {
-                    let mut s = Scheduler::new();
-                    s.add(compile_family(family));
-                    run_batched(&mut s, batches)
-                });
-            },
-        );
+    for size in BATCH_SIZES {
+        let batches = batched(events.iter().cloned(), size);
+        group.bench_with_input(BenchmarkId::new(workload, size), &batches, |b, batches| {
+            b.iter(|| drive(&mut scheduler(deploy()), batches));
+        });
     }
-
-    // Shared compat group: 8 shape-compatible variants, one master. The
-    // batched path computes each distinct predicate column once per batch
-    // and shares it across all members via the group's BatchCache.
-    group.bench_with_input(
-        BenchmarkId::new("shared-group", "per-event"),
-        &events,
-        |b, events| {
-            b.iter(|| {
-                let mut s = Scheduler::new();
-                for q in variant_queries(8) {
-                    s.add(q);
-                }
-                run_per_event(&mut s, events)
-            });
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("shared-group", "batched"),
-        &batches,
-        |b, batches| {
-            b.iter(|| {
-                let mut s = Scheduler::new();
-                for q in variant_queries(8) {
-                    s.add(q);
-                }
-                run_batched(&mut s, batches)
-            });
-        },
-    );
-
     group.finish();
 }
 
-criterion_group!(benches, bench_batched_families);
+fn bench_batch_sizes(c: &mut Criterion) {
+    let events = stream(50_000, 42);
+    for family in FAMILIES {
+        sweep(c, family, &events, || vec![compile_family(family)]);
+    }
+    sweep(c, "shared-group", &events, || variant_queries(8));
+    let spread = stream_over_hosts(50_000, 42, HOSTS);
+    sweep(c, "selective", &spread, || selective_queries(32, 8, HOSTS));
+}
+
+criterion_group!(benches, bench_batch_sizes);
 criterion_main!(benches);

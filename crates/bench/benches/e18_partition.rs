@@ -23,9 +23,9 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use saql_bench::{batches, drive, scheduler};
 use saql_engine::query::{QueryConfig, RunningQuery};
 use saql_engine::runtime::{ParallelConfig, ParallelEngine};
-use saql_engine::scheduler::Scheduler;
 use saql_model::event::EventBuilder;
 use saql_model::{NetworkInfo, ProcessInfo};
 use saql_stream::SharedEvent;
@@ -75,18 +75,13 @@ fn bench_partitioned_scaling(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(events.len() as u64));
 
-    group.bench_with_input(BenchmarkId::new("serial", 1), &events, |b, events| {
-        b.iter(|| {
-            let mut s = Scheduler::new();
-            s.add(heavy_query());
-            let mut alerts = 0usize;
-            for e in events {
-                alerts += s.process(e).len();
-            }
-            alerts += s.finish().len();
-            alerts
-        });
-    });
+    group.bench_with_input(
+        BenchmarkId::new("serial", 1),
+        &batches(&events),
+        |b, batches| {
+            b.iter(|| drive(&mut scheduler([heavy_query()]), batches));
+        },
+    );
 
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
@@ -131,11 +126,10 @@ fn run_parallel(events: &[SharedEvent], workers: usize, key_partitioning: bool) 
 fn partition_audit(events: &[SharedEvent]) {
     const WORKERS: usize = 4;
 
-    let mut serial = Scheduler::new();
-    serial.add(heavy_query());
+    let mut serial = scheduler([heavy_query()]);
     let mut serial_alerts: Vec<String> = Vec::new();
-    for e in events {
-        serial_alerts.extend(serial.process(e).iter().map(|a| a.to_string()));
+    for batch in batches(events) {
+        serial_alerts.extend(serial.process_batch(&batch).iter().map(|a| a.to_string()));
     }
     serial_alerts.extend(serial.finish().iter().map(|a| a.to_string()));
     serial_alerts.sort();

@@ -4,25 +4,18 @@
 //! rules but stay within the same order of magnitude).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use saql_bench::{compile_family, family_queries, stream};
+use saql_bench::{batches, compile_family, drive, family_queries, scheduler, stream};
 
 fn bench_family_throughput(c: &mut Criterion) {
     let events = stream(50_000, 42);
+    let batches = batches(&events);
     let mut group = c.benchmark_group("e3_throughput");
     group.throughput(Throughput::Elements(events.len() as u64));
     group.sample_size(10);
 
     for (name, _) in family_queries() {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &events, |b, events| {
-            b.iter(|| {
-                let mut q = compile_family(name);
-                let mut alerts = 0usize;
-                for e in events {
-                    alerts += q.process(e).len();
-                }
-                alerts += q.finish().len();
-                alerts
-            });
+        group.bench_with_input(BenchmarkId::from_parameter(name), &batches, |b, batches| {
+            b.iter(|| drive(&mut scheduler([compile_family(name)]), batches));
         });
     }
     group.finish();
@@ -34,17 +27,15 @@ fn bench_event_rate_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("e3_rate_sweep");
     group.sample_size(10);
     for n in [10_000usize, 50_000, 100_000] {
-        let events = stream(n, 7);
+        let batches = batches(&stream(n, 7));
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("time-series", n), &events, |b, events| {
-            b.iter(|| {
-                let mut q = compile_family("time-series");
-                for e in events {
-                    q.process(e);
-                }
-                q.finish().len()
-            });
-        });
+        group.bench_with_input(
+            BenchmarkId::new("time-series", n),
+            &batches,
+            |b, batches| {
+                b.iter(|| drive(&mut scheduler([compile_family("time-series")]), batches));
+            },
+        );
     }
     group.finish();
 }

@@ -7,11 +7,12 @@
 //! linearly in both scans and copies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use saql_bench::{stream, variant_queries};
-use saql_engine::scheduler::{NaiveScheduler, Scheduler};
+use saql_baseline::NaiveScheduler;
+use saql_bench::{batches, drive, scheduler, stream, variant_queries};
 
 fn bench_scaling(c: &mut Criterion) {
     let events = stream(20_000, 11);
+    let batches = batches(&events);
     let mut group = c.benchmark_group("e4_concurrent");
     group.sample_size(10);
     group.throughput(Throughput::Elements(events.len() as u64));
@@ -19,36 +20,28 @@ fn bench_scaling(c: &mut Criterion) {
     for n in [1usize, 4, 16, 64] {
         group.bench_with_input(
             BenchmarkId::new("master-dependent", n),
-            &events,
-            |b, events| {
+            &batches,
+            |b, batches| {
+                b.iter(|| drive(&mut scheduler(variant_queries(n)), batches));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("naive-copies", n),
+            &batches,
+            |b, batches| {
                 b.iter(|| {
-                    let mut s = Scheduler::new();
+                    let mut s = NaiveScheduler::new();
                     for q in variant_queries(n) {
                         s.add(q);
                     }
                     let mut alerts = 0usize;
-                    for e in events {
-                        alerts += s.process(e).len();
+                    for batch in batches {
+                        alerts += s.process_batch(batch).len();
                     }
-                    alerts += s.finish().len();
-                    alerts
+                    alerts + s.finish().len()
                 });
             },
         );
-        group.bench_with_input(BenchmarkId::new("naive-copies", n), &events, |b, events| {
-            b.iter(|| {
-                let mut s = NaiveScheduler::new();
-                for q in variant_queries(n) {
-                    s.add(q);
-                }
-                let mut alerts = 0usize;
-                for e in events {
-                    alerts += s.process(e).len();
-                }
-                alerts += s.finish().len();
-                alerts
-            });
-        });
     }
     group.finish();
 }

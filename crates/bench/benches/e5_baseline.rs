@@ -9,8 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use saql_baseline::{BaselineAgg, CepQuery, Filter, GroupBy, MiniCep};
-use saql_bench::stream;
+use saql_bench::{batches, drive, scheduler, stream};
 use saql_engine::query::{QueryConfig, RunningQuery};
+use saql_engine::Scheduler;
 
 /// The shared workload, SAQL form.
 const SAQL_QUERY: &str = "proc p write ip i as evt #time(60 s)\nstate ss { amt := sum(evt.amount) } group by p\nalert ss[0].amt > 500000\nreturn p, ss[0].amt";
@@ -31,21 +32,18 @@ fn cep_query() -> CepQuery {
     }
 }
 
+fn saql_scheduler() -> Scheduler {
+    scheduler([RunningQuery::compile("saql", SAQL_QUERY, QueryConfig::default()).unwrap()])
+}
+
 fn bench_engines(c: &mut Criterion) {
     let events = stream(50_000, 23);
     let mut group = c.benchmark_group("e5_baseline");
     group.sample_size(10);
     group.throughput(Throughput::Elements(events.len() as u64));
 
-    group.bench_with_input("saql-engine", &events, |b, events| {
-        b.iter(|| {
-            let mut q = RunningQuery::compile("saql", SAQL_QUERY, QueryConfig::default()).unwrap();
-            let mut n = 0usize;
-            for e in events {
-                n += q.process(e).len();
-            }
-            n + q.finish().len()
-        });
+    group.bench_with_input("saql-engine", &batches(&events), |b, batches| {
+        b.iter(|| drive(&mut saql_scheduler(), batches));
     });
 
     group.bench_with_input("minicep-baseline", &events, |b, events| {
@@ -68,17 +66,14 @@ fn bench_engines(c: &mut Criterion) {
 #[allow(dead_code)]
 fn parity() {
     let events = stream(20_000, 23);
-    let mut q = RunningQuery::compile("saql", SAQL_QUERY, QueryConfig::default()).unwrap();
+    let mut q = saql_scheduler();
     let mut saql_hits: Vec<(String, f64)> = Vec::new();
-    for e in &events {
-        for a in q.process(e) {
-            saql_hits.push((
-                a.get("p").unwrap().to_string(),
-                a.get("ss[0].amt").unwrap().parse().unwrap(),
-            ));
-        }
+    let mut alerts = Vec::new();
+    for batch in batches(&events) {
+        alerts.extend(q.process_batch(&batch));
     }
-    for a in q.finish() {
+    alerts.extend(q.finish());
+    for a in alerts {
         saql_hits.push((
             a.get("p").unwrap().to_string(),
             a.get("ss[0].amt").unwrap().parse().unwrap(),

@@ -5,6 +5,7 @@
 //! group count (hash-map pressure at window close).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use saql_bench::{batches, drive, scheduler};
 use saql_collector::workload::{synthetic_stream, WorkloadConfig};
 use saql_engine::query::{QueryConfig, RunningQuery};
 
@@ -23,21 +24,16 @@ fn bench_window_size(c: &mut Criterion) {
         mean_gap_ms: 40,
         ..WorkloadConfig::default()
     }));
+    let batches = batches(&events);
     let mut group = c.benchmark_group("e6_window_size");
     group.sample_size(10);
     group.throughput(Throughput::Elements(events.len() as u64));
     for window_s in [1u64, 10, 60, 600] {
         group.bench_with_input(
             BenchmarkId::from_parameter(window_s),
-            &events,
-            |b, events| {
-                b.iter(|| {
-                    let mut q = windowed_query(window_s, false);
-                    for e in events {
-                        q.process(e);
-                    }
-                    q.finish().len()
-                });
+            &batches,
+            |b, batches| {
+                b.iter(|| drive(&mut scheduler([windowed_query(window_s, false)]), batches));
             },
         );
     }
@@ -61,15 +57,13 @@ fn bench_group_cardinality(c: &mut Criterion) {
             ..WorkloadConfig::default()
         }));
         group.throughput(Throughput::Elements(events.len() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &events, |b, events| {
-            b.iter(|| {
-                let mut q = windowed_query(60, false);
-                for e in events {
-                    q.process(e);
-                }
-                q.finish().len()
-            });
-        });
+        group.bench_with_input(
+            BenchmarkId::from_parameter(label),
+            &batches(&events),
+            |b, batches| {
+                b.iter(|| drive(&mut scheduler([windowed_query(60, false)]), batches));
+            },
+        );
     }
     group.finish();
 }

@@ -8,10 +8,11 @@
 
 use std::time::Instant;
 
-use saql_baseline::{BaselineAgg, Capability, CepQuery, Filter, GroupBy, MiniCep};
-use saql_bench::{compile_family, family_queries, stream, variant_queries};
+use saql_baseline::{BaselineAgg, Capability, CepQuery, Filter, GroupBy, MiniCep, NaiveScheduler};
+use saql_bench::{
+    batches, compile_family, drive, family_queries, scheduler, stream, variant_queries,
+};
 use saql_collector::{AttackConfig, SimConfig, Simulator};
-use saql_engine::scheduler::{NaiveScheduler, Scheduler};
 use saql_engine::{Engine, EngineConfig};
 use saql_lang::corpus;
 use saql_lang::semantic::QueryKind;
@@ -85,18 +86,15 @@ fn clean_alerts() -> usize {
 fn table_e3_throughput() {
     println!("== E3: single-query throughput by anomaly-model family ==");
     let events = stream(200_000, 42);
+    let batches = batches(&events);
     println!(
         "{:<16} {:>12} {:>14} {:>8}",
         "family", "events/s", "ns/event", "alerts"
     );
     for (name, _) in family_queries() {
-        let mut q = compile_family(name);
+        let mut q = scheduler([compile_family(name)]);
         let t0 = Instant::now();
-        let mut alerts = 0usize;
-        for e in &events {
-            alerts += q.process(e).len();
-        }
-        alerts += q.finish().len();
+        let alerts = drive(&mut q, &batches);
         let dt = t0.elapsed();
         println!(
             "{:<16} {:>12.0} {:>14.0} {:>8}",
@@ -113,21 +111,15 @@ fn table_e3_throughput() {
 fn table_e4_concurrent() {
     println!("== E4: concurrent compatible queries — master–dependent vs naive ==");
     let events = stream(50_000, 11);
+    let batches = batches(&events);
     println!(
         "{:>7} {:>16} {:>13} {:>16} {:>13} {:>9}",
         "queries", "shared ev/s", "shared copies", "naive ev/s", "naive copies", "speedup"
     );
     for n in [1usize, 4, 16, 64] {
-        let mut shared = Scheduler::new();
-        for q in variant_queries(n) {
-            shared.add(q);
-        }
+        let mut shared = scheduler(variant_queries(n));
         let t0 = Instant::now();
-        let mut a1 = 0usize;
-        for e in &events {
-            a1 += shared.process(e).len();
-        }
-        a1 += shared.finish().len();
+        let a1 = drive(&mut shared, &batches);
         let shared_dt = t0.elapsed();
 
         let mut naive = NaiveScheduler::new();
@@ -136,8 +128,8 @@ fn table_e4_concurrent() {
         }
         let t0 = Instant::now();
         let mut a2 = 0usize;
-        for e in &events {
-            a2 += naive.process(e).len();
+        for batch in &batches {
+            a2 += naive.process_batch(batch).len();
         }
         a2 += naive.finish().len();
         let naive_dt = t0.elapsed();
@@ -162,18 +154,15 @@ fn table_e5_baseline() {
     let events = stream(200_000, 23);
     let saql_src = "proc p write ip i as evt #time(60 s)\nstate ss { amt := sum(evt.amount) } group by p\nalert ss[0].amt > 500000\nreturn p, ss[0].amt";
 
-    let mut q = saql_engine::query::RunningQuery::compile(
+    let mut q = scheduler([saql_engine::query::RunningQuery::compile(
         "saql",
         saql_src,
         saql_engine::query::QueryConfig::default(),
     )
-    .unwrap();
+    .unwrap()]);
+    let batches = batches(&events);
     let t0 = Instant::now();
-    let mut saql_records = 0usize;
-    for e in &events {
-        saql_records += q.process(e).len();
-    }
-    saql_records += q.finish().len();
+    let saql_records = drive(&mut q, &batches);
     let saql_dt = t0.elapsed();
 
     let mut cep = MiniCep::new();

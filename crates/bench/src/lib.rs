@@ -7,18 +7,49 @@
 
 use saql_collector::workload::{synthetic_stream, WorkloadConfig};
 use saql_engine::query::{QueryConfig, RunningQuery};
-use saql_stream::SharedEvent;
+use saql_engine::Scheduler;
+use saql_stream::{batched, EventBatch, SharedEvent, DEFAULT_BATCH_SIZE};
 
 /// A synthetic stream of `n` events with default mix and ~5% matching the
 /// target pattern, spread over trace time so windows regularly close.
 pub fn stream(n: usize, seed: u64) -> Vec<SharedEvent> {
+    stream_over_hosts(n, seed, WorkloadConfig::default().hosts)
+}
+
+/// [`stream`] spread over `hosts` agents (`host-0` … `host-{hosts-1}`).
+pub fn stream_over_hosts(n: usize, seed: u64, hosts: usize) -> Vec<SharedEvent> {
     saql_stream::share(synthetic_stream(&WorkloadConfig {
         seed,
         events: n,
+        hosts,
         mean_gap_ms: 20, // ~50 events/s of trace time
         target_fraction: 0.05,
         ..WorkloadConfig::default()
     }))
+}
+
+/// `events` cut into batches of the engine's default size — how the
+/// session pump feeds a scheduler, and how every bench does.
+pub fn batches(events: &[SharedEvent]) -> Vec<EventBatch> {
+    batched(events.iter().cloned(), DEFAULT_BATCH_SIZE)
+}
+
+/// A scheduler hosting `queries`.
+pub fn scheduler(queries: impl IntoIterator<Item = RunningQuery>) -> Scheduler {
+    let mut s = Scheduler::new();
+    for q in queries {
+        s.add(q);
+    }
+    s
+}
+
+/// Push `batches` through `scheduler` and flush; returns the alert count.
+pub fn drive(scheduler: &mut Scheduler, batches: &[EventBatch]) -> usize {
+    let mut alerts = 0usize;
+    for batch in batches {
+        alerts += scheduler.process_batch(batch).len();
+    }
+    alerts + scheduler.finish().len()
 }
 
 /// One representative query per anomaly-model family, over the synthetic
@@ -50,21 +81,11 @@ pub fn family_queries() -> Vec<(&'static str, &'static str)> {
 
 /// Compile one of the family queries by name.
 pub fn compile_family(name: &str) -> RunningQuery {
-    compile_family_with_mode(name, saql_engine::query::ExecMode::Compiled)
-}
-
-/// Compile one of the family queries with an explicit execution mode (the
-/// E13 compiled-plan vs interpreter comparison).
-pub fn compile_family_with_mode(name: &str, exec: saql_engine::query::ExecMode) -> RunningQuery {
     let (_, src) = family_queries()
         .into_iter()
         .find(|(n, _)| *n == name)
         .unwrap_or_else(|| panic!("unknown family query `{name}`"));
-    let config = QueryConfig {
-        exec,
-        ..QueryConfig::default()
-    };
-    RunningQuery::compile(name, src, config).expect("family query compiles")
+    RunningQuery::compile(name, src, QueryConfig::default()).expect("family query compiles")
 }
 
 /// `n` shape-compatible rule-query variants (the concurrent-scaling
@@ -99,6 +120,30 @@ pub fn sharded_queries(groups: usize, per_group: usize) -> Vec<RunningQuery> {
             out.push(
                 RunningQuery::compile(format!("shard-g{g}-m{m}"), &src, QueryConfig::default())
                     .expect("sharded workload query compiles"),
+            );
+        }
+    }
+    out
+}
+
+/// `groups × per_group` *selective* stateful queries, shaped like the
+/// ladder's Q-many: groups differ by window length, and every member is
+/// pinned by a global constraint to its own host out of `hosts`, so with
+/// hundreds of hosts each member's predicates match well under 1% of the
+/// rows its group's master admits. The workload on which execution must
+/// not probe more than the admitted-and-accepted rows.
+pub fn selective_queries(groups: usize, per_group: usize, hosts: usize) -> Vec<RunningQuery> {
+    let mut out = Vec::with_capacity(groups * per_group);
+    for g in 0..groups {
+        for m in 0..per_group {
+            let src = format!(
+                "agentid = \"host-{}\"\nproc p write ip i as evt #time({} s)\nstate ss {{ amt := sum(evt.amount) }} group by p\nalert ss[0].amt > 10000\nreturn p, ss[0].amt",
+                (g * per_group + m) % hosts.max(1),
+                30 + g,
+            );
+            out.push(
+                RunningQuery::compile(format!("pinned-g{g}-m{m}"), &src, QueryConfig::default())
+                    .expect("selective workload query compiles"),
             );
         }
     }

@@ -36,11 +36,9 @@ fn create_writer(path: &str, durable: bool) -> Result<StoreWriter, String> {
 
 /// Parse `--workers N` into an engine config (0 = serial, the default).
 fn engine_config(flags: &Flags, record_latency: bool) -> Result<EngineConfig, String> {
-    let workers = flags.get_usize("workers", 0)?;
     Ok(EngineConfig {
-        // The parallel runtime reports no latency histogram.
-        record_latency: record_latency && workers == 0,
-        workers,
+        record_latency,
+        workers: flags.get_usize("workers", 0)?,
         ..EngineConfig::default()
     })
 }
@@ -1242,7 +1240,7 @@ fn print_stats(engine: &Engine) {
         println!("dropped alerts: {}", engine.dropped_alerts());
     }
     if let Some(latency) = engine.latency() {
-        println!("per-event latency (ns): {}", latency.summary());
+        println!("batch latency (ns/event): {}", latency.summary());
     }
     if engine.error_count() > 0 {
         println!("runtime errors: {}", engine.error_count());
@@ -1315,7 +1313,7 @@ pub fn serve(argv: &[String]) -> i32 {
 
 /// Parse `saql serve` flags into a [`saql_serve::ServeConfig`].
 fn serve_config(flags: &Flags) -> Result<saql_serve::ServeConfig, String> {
-    let engine = engine_config(flags, true)?;
+    let engine = engine_config(flags, false)?;
     let mut initial_queries: Vec<(String, String)> = Vec::new();
     if flags.switch("demo-queries") {
         for (name, src) in corpus::DEMO_QUERIES {

@@ -20,7 +20,9 @@
 //! "SAQLCKP1"                      magic, 8 bytes
 //! version: u8                     CHECKPOINT_VERSION
 //! offset, frontier_ms             stream position
-//! partial_match_cap, lateness_ms, exec: u8     QueryConfig (plan identity)
+//! partial_match_cap, lateness_ms               QueryConfig (plan identity)
+//! reserved: u8 = 0                             (was the exec mode; 1 = the
+//!                                              removed interpreter, rejected)
 //! n_rows, then per registry row:
 //!   status: u8 (0 active / 1 paused / 2 removed)
 //!   name, source: string          retained SAQL text for recompilation
@@ -49,7 +51,7 @@ use saql_model::{AttrValue, Timestamp};
 use crate::error::EngineError;
 use crate::invariant::{InvariantGroupSnapshot, InvariantSnapshot, Phase};
 use crate::matcher::{MatcherSnapshot, PartialSnapshot};
-use crate::query::{ExecMode, QueryConfig, QuerySnapshot, QueryStats};
+use crate::query::{QueryConfig, QuerySnapshot, QueryStats};
 use crate::state::{AccumSnapshot, GroupAccumSnapshot, GroupHistorySnapshot, StateSnapshot};
 use crate::value::Value;
 use crate::window::WindowSnapshot;
@@ -124,10 +126,7 @@ impl Checkpoint {
         put_u64(&mut buf, self.frontier.as_millis());
         put_u64(&mut buf, self.config.partial_match_cap as u64);
         put_u64(&mut buf, self.config.allowed_lateness.as_millis());
-        buf.put_u8(match self.config.exec {
-            ExecMode::Compiled => 0,
-            ExecMode::Interpreted => 1,
-        });
+        buf.put_u8(0); // reserved (formerly the exec mode)
         put_u64(&mut buf, self.rows.len() as u64);
         for row in &self.rows {
             buf.put_u8(match row.status {
@@ -759,12 +758,18 @@ fn decode_impl(mut buf: Bytes) -> Result<Checkpoint, String> {
         let config = QueryConfig {
             partial_match_cap: get_u64(buf)? as usize,
             allowed_lateness: saql_model::Duration::from_millis(get_u64(buf)?),
-            exec: match get_u8(buf)? {
-                0 => ExecMode::Compiled,
-                1 => ExecMode::Interpreted,
-                t => return Err(DecodeError::BadTag("exec mode", t)),
-            },
         };
+        // Reserved-zero. A `1` here was written under the interpreted
+        // execution mode, which no longer exists to resume into.
+        match get_u8(buf)? {
+            0 => {}
+            t => {
+                return Err(DecodeError::BadTag(
+                    "exec mode (reserved-zero: the interpreted mode was removed)",
+                    t,
+                ))
+            }
+        }
         let n_rows = get_len(buf)?;
         let mut rows = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
@@ -1004,6 +1009,28 @@ mod tests {
         let mut raw = data.to_vec();
         raw.push(0);
         assert!(Checkpoint::decode(Bytes::from(raw)).is_err());
+    }
+
+    /// The byte after the config varints used to carry the exec mode (0
+    /// compiled, 1 interpreted). It is reserved-zero now: what this build
+    /// writes (0) decodes and resumes; a checkpoint written under the
+    /// removed interpreted mode is refused, by name, before
+    /// `Engine::resume_from` could recompile it under different semantics.
+    #[test]
+    fn removed_exec_mode_is_refused_by_name() {
+        let ckpt = sample_checkpoint();
+        let mut head = BytesMut::new();
+        put_u64(&mut head, ckpt.offset);
+        put_u64(&mut head, ckpt.frontier.as_millis());
+        put_u64(&mut head, ckpt.config.partial_match_cap as u64);
+        put_u64(&mut head, ckpt.config.allowed_lateness.as_millis());
+        let at = CHECKPOINT_MAGIC.len() + 1 + head.len();
+        let mut raw = ckpt.encode().to_vec();
+        assert_eq!(raw[at], 0, "reserved byte");
+        raw[at] = 1;
+        let err = Checkpoint::decode(Bytes::from(raw)).unwrap_err();
+        assert!(matches!(err, EngineError::Checkpoint(_)), "{err:?}");
+        assert!(err.to_string().contains("interpreted mode"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use saql_analytics::{dbscan, kmeans, DbscanScratch, Metric};
 use saql_lang::ast::{ClusterMethod, ClusterSpec, Distance};
 
-use crate::eval::{eval, ClusterOutcome, Scope};
+use crate::eval::ClusterOutcome;
 
 /// Reusable buffers for the cluster stage, held per running query and
 /// recycled across window closes: the DBSCAN working set (visited flags,
@@ -40,16 +40,6 @@ pub fn metric_of(d: Distance) -> Metric {
         Distance::Euclidean => Metric::Euclidean,
         Distance::Manhattan => Metric::Manhattan,
     }
-}
-
-/// Evaluate a group's comparison point. `None` if any dimension is missing
-/// or non-numeric (the group then skips clustering and cannot be an
-/// outlier this window).
-pub fn point_of(spec: &ClusterSpec, scope: &Scope<'_>) -> Option<Vec<f64>> {
-    spec.points
-        .iter()
-        .map(|e| eval(e, scope).as_f64())
-        .collect()
 }
 
 /// Cluster the groups' points and produce one outcome per point, in input
@@ -214,13 +204,5 @@ mod tests {
     fn empty_points() {
         let spec = spec("DBSCAN(10, 2)");
         assert!(run_cluster(&spec, &[], 0).is_empty());
-    }
-
-    #[test]
-    fn point_of_requires_numeric_dimensions() {
-        let spec = spec("DBSCAN(10, 2)");
-        let scope = Scope::empty();
-        // `ss.amt` unresolvable in an empty scope → Missing → no point.
-        assert_eq!(point_of(&spec, &scope), None);
     }
 }

@@ -28,10 +28,11 @@ pub use crate::query::QueryId;
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     pub query: QueryConfig,
-    /// Track per-event end-to-end latency (one clock read pair per event).
-    /// On the parallel backend every shard records its own histogram and
-    /// they merge at [`Engine::finish`] (forces the per-event execution
-    /// path on the shards).
+    /// Track processing latency: one clock read pair per execution batch,
+    /// recorded as that batch's amortised nanoseconds per event — the same
+    /// measurement on both backends, and no influence on how events
+    /// execute. On the parallel backend every shard records its own
+    /// histogram and they merge at [`Engine::finish`].
     pub record_latency: bool,
     /// Worker threads for the parallel sharded runtime. `0` (the default)
     /// runs the serial scheduler on the calling thread; any other value
@@ -220,8 +221,8 @@ impl Engine {
         }
     }
 
-    /// Per-event latency histogram (ns), when
-    /// [`EngineConfig::record_latency`] is on.
+    /// Latency histogram — one sample per execution batch, its amortised
+    /// ns per event — when [`EngineConfig::record_latency`] is on.
     ///
     /// Serial execution exposes it live; on the parallel backend each shard
     /// records the *processing* latency of its own slice (shards overlap in
@@ -844,7 +845,8 @@ impl Engine {
     // Data plane
     // ------------------------------------------------------------------
 
-    /// Push one event through all registered queries. Serial execution
+    /// Push one event through all registered queries — a convenience for a
+    /// one-row [`process_batch`](Self::process_batch). Serial execution
     /// returns this event's alerts synchronously; the parallel runtime
     /// returns alerts as they arrive from the workers (everything is
     /// delivered by [`finish`](Self::finish)). Alerts buffered by
@@ -864,15 +866,14 @@ impl Engine {
         Ok(self.drain_pending(fresh))
     }
 
-    /// Push a run of consecutive events through all registered queries
-    /// batch-at-a-time. On the serial backend this is the vectorized path
-    /// (see [`crate::scheduler::Scheduler::process_batch`]): predicate
-    /// columns are computed once per batch and shared within compatibility
-    /// groups, and the alert stream is identical — ordered — to feeding
-    /// the same events through [`process`](Self::process) one at a time.
-    /// The parallel runtime re-batches internally at shard boundaries, so
-    /// events are forwarded to it individually; shards then run the same
-    /// vectorized path per dispatch batch.
+    /// Push a run of consecutive events through all registered queries —
+    /// the engine's one execution path (see
+    /// [`crate::scheduler::Scheduler::process_batch`]). On the serial
+    /// backend the ordered alert stream and every counter are independent
+    /// of how the stream is cut into batches. The parallel runtime
+    /// re-batches internally at shard boundaries, so events are forwarded
+    /// to it individually; shards then run the same path per dispatch
+    /// batch.
     ///
     /// Same [`EngineError::EngineFinished`] contract as
     /// [`process`](Self::process).
@@ -1316,22 +1317,27 @@ mod tests {
     }
 
     #[test]
-    fn latency_tracking_records_per_event() {
-        let mut e = Engine::new(EngineConfig {
-            record_latency: true,
-            ..Default::default()
-        });
-        e.register("q", "proc p start proc q as e\nreturn p")
+    fn latency_tracking_records_one_sample_per_batch_on_both_backends() {
+        // 50 events in batches of 16: four batches (the last one partial).
+        for (workers, samples) in [(0usize, 4u64), (2, 8)] {
+            let mut e = Engine::new(EngineConfig {
+                record_latency: true,
+                batch_size: 16,
+                workers,
+                ..Default::default()
+            });
+            e.register("q", "proc p start proc q as e\nreturn p")
+                .unwrap();
+            e.run(
+                (0..50)
+                    .map(|i| start(i, i * 10, "a.exe", "b.exe"))
+                    .collect::<Vec<_>>(),
+            )
             .unwrap();
-        e.run(
-            (0..50)
-                .map(|i| start(i, i * 10, "a.exe", "b.exe"))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let hist = e.latency().expect("tracking enabled");
-        assert_eq!(hist.count(), 50);
-        assert!(hist.quantile(0.5).unwrap() > 0);
+            let hist = e.latency().expect("tracking enabled");
+            assert_eq!(hist.count(), samples, "workers={workers}");
+            assert!(hist.quantile(0.5).unwrap() > 0);
+        }
         // Disabled by default.
         let e2 = Engine::new(EngineConfig::default());
         assert!(e2.latency().is_none());

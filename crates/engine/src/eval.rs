@@ -1,12 +1,14 @@
-//! Expression evaluation: the compiled-program loop and the tree-walking
-//! interpreter.
+//! Expression evaluation: the compiled-program loop, and the tree-walking
+//! reference evaluator tests compare it against.
 //!
-//! The hot path is [`run_program`]: a small loop over a flat [`Program`]
-//! that loads from the fixed slot arrays of an [`ExecCtx`]. The original
-//! tree-walking interpreter ([`eval`] over a [`Scope`]) survives as the
-//! differential-testing oracle; both paths dispatch binary operators
-//! through one shared kernel (`combine`), so they cannot disagree on
-//! operator semantics.
+//! The engine evaluates every expression with [`run_program`] /
+//! [`run_program_batch`]: a small loop over a flat [`Program`] that loads
+//! from the fixed slot arrays of an [`ExecCtx`]. The tree-walking
+//! interpreter ([`eval`] over a [`Scope`]) is the oracle: no engine code
+//! constructs a `Scope`; `tests/compiled_plans_differential.rs` evaluates
+//! every expression of every shipped query both ways. Both dispatch binary
+//! operators through one shared kernel (`combine`), so they cannot disagree
+//! on operator semantics.
 //!
 //! A [`Scope`] assembles whatever context is live when an expression is
 //! interpreted: matched events and entity bindings (rule queries), window
@@ -20,6 +22,7 @@ use std::collections::HashMap;
 use saql_lang::ast::{BinOp, CmpOp, Expr, UnaryOp};
 use saql_lang::resolve::ClusterField;
 use saql_model::{AttrValue, Entity, Event};
+use saql_stream::SharedEvent;
 
 use crate::plan::{ExecCtx, Op, Program};
 use crate::value::Value;
@@ -131,8 +134,8 @@ fn load_op(op: &Op, ctx: &ExecCtx<'_>, consts: &[Value]) -> Option<Value> {
     })
 }
 
-/// Execute a compiled program against a context — the per-event
-/// replacement for [`eval`] over a [`Scope`]. `regs` is a caller-owned
+/// Execute a compiled program against one context (rule matches,
+/// window-close groups). `regs` is a caller-owned
 /// scratch register file, reused across calls to keep the hot path
 /// allocation-free once warm.
 pub fn run_program(program: &Program, ctx: &ExecCtx<'_>, regs: &mut Vec<Value>) -> Value {
@@ -180,14 +183,16 @@ pub fn run_program(program: &Program, ctx: &ExecCtx<'_>, regs: &mut Vec<Value>) 
     regs.pop().unwrap_or(Value::Missing)
 }
 
-/// One row of a batched *event-context* evaluation: the event plus the
-/// alias/entity slots it fills. This is the whole context a state-field or
-/// rule-side program can see per event — everything else (states, group
-/// keys, invariants, cluster) is window-close context and loads `Missing`,
-/// exactly as the per-event path's empty slices do.
+/// One row of a batched *event-context* evaluation: which event of the
+/// batch, and the alias/entity slots it fills. This is the whole context a
+/// state-field program can see per event — everything else (states, group
+/// keys, invariants, cluster) is window-close context and loads `Missing`.
+/// Rows carry an index rather than a borrow so a query can keep its row
+/// list as reusable scratch across batches.
 #[derive(Debug, Clone, Copy)]
-pub struct EventRow<'a> {
-    pub event: &'a Event,
+pub struct EventRow {
+    /// Index of the event within the batch.
+    pub row: u32,
     /// Alias slot this event fills (`events[ev_slot] = Some(event)`).
     pub ev_slot: usize,
     /// Entity-variable slot bound to the event's subject process.
@@ -196,25 +201,24 @@ pub struct EventRow<'a> {
     pub object_slot: usize,
 }
 
-/// Evaluate a *load* op against one [`EventRow`]. `None` for
-/// register-consuming ops. Mirrors [`load_op`] over the row's implied
-/// context: the object binding is checked before the subject because the
-/// per-event path writes the subject slot first and the object slot
-/// second — on a slot collision the object wins.
-fn load_row(op: &Op, row: &EventRow<'_>, consts: &[Value]) -> Option<Value> {
+/// Evaluate a *load* op against `event` bound as [`EventRow`] `row`. `None`
+/// for register-consuming ops. Mirrors [`load_op`] over the row's implied
+/// context: the object binding is checked before the subject, so on a slot
+/// collision (`proc p start proc p`) the object wins.
+fn load_row(op: &Op, event: &Event, row: &EventRow, consts: &[Value]) -> Option<Value> {
     Some(match *op {
         Op::Const { idx, .. } => consts[idx as usize].clone(),
         Op::Missing { .. } => Value::Missing,
         Op::EventId { slot, .. } => {
             if slot as usize == row.ev_slot {
-                Value::int(row.event.id as i64)
+                Value::int(event.id as i64)
             } else {
                 Value::Missing
             }
         }
         Op::EventAttr { slot, attr, .. } => {
             let v = if slot as usize == row.ev_slot {
-                row.event.attr_value(attr)
+                event.attr_value(attr)
             } else {
                 None
             };
@@ -226,9 +230,9 @@ fn load_row(op: &Op, row: &EventRow<'_>, consts: &[Value]) -> Option<Value> {
         Op::EntityAttr { slot, attr, .. } => {
             let slot = slot as usize;
             let v = if slot == row.object_slot {
-                row.event.object.attr_value(attr)
+                event.object.attr_value(attr)
             } else if slot == row.subject_slot {
-                row.event.subject.attr_value(attr)
+                event.subject.attr_value(attr)
             } else {
                 None
             };
@@ -244,18 +248,19 @@ fn load_row(op: &Op, row: &EventRow<'_>, consts: &[Value]) -> Option<Value> {
     })
 }
 
-/// Execute a compiled program across a whole batch of event rows — the
+/// Execute a compiled program across the selected rows of a batch — the
 /// vectorized counterpart of [`run_program`] for event-context programs
-/// (state fields, rule-side expressions). Ops run *op-major* over register
-/// **columns** (`cols`, register-major: register `r`'s column occupies
-/// `cols[r*n .. (r+1)*n]`), so each op's dispatch is amortized over the
-/// batch. `out` receives the result column, one value per row, identical
-/// to `n` calls of `run_program` with the row's implied context.
+/// (state fields). Ops run *op-major* over register **columns** (`cols`,
+/// register-major: register `r`'s column occupies `cols[r*n .. (r+1)*n]`),
+/// so each op's dispatch is amortized over the selection. `out` receives
+/// the result column, one value per row of `rows`, identical to `n` calls
+/// of `run_program` with the row's implied context.
 ///
 /// Both scratch vectors are caller-owned and reused across batches.
 pub fn run_program_batch(
     program: &Program,
-    rows: &[EventRow<'_>],
+    events: &[SharedEvent],
+    rows: &[EventRow],
     cols: &mut Vec<Value>,
     out: &mut Vec<Value>,
 ) {
@@ -268,13 +273,14 @@ pub fn run_program_batch(
         out.resize(n, Value::Missing);
         return;
     }
+    let event_of = |row: &EventRow| events[row.row as usize].as_ref();
     // Single-op programs (a bare attribute load, a constant) skip the
     // column file entirely — the common shape of state-field arguments.
     if let [op] = program.ops.as_slice() {
-        if load_row(op, &rows[0], &program.consts).is_some() {
+        if load_row(op, event_of(&rows[0]), &rows[0], &program.consts).is_some() {
             out.extend(
                 rows.iter()
-                    .map(|row| load_row(op, row, &program.consts).expect("load op")),
+                    .map(|row| load_row(op, event_of(row), row, &program.consts).expect("load op")),
             );
             return;
         }
@@ -310,7 +316,7 @@ pub fn run_program_batch(
             Op::Bin { dst, op, lhs, rhs } => {
                 for i in 0..n {
                     // Straight-line registers are consumed once: take the
-                    // operands, as the per-event loop does.
+                    // operands, as `run_program` does.
                     let l = std::mem::replace(&mut cols[lhs as usize * n + i], Value::Missing);
                     let r = std::mem::replace(&mut cols[rhs as usize * n + i], Value::Missing);
                     cols[dst as usize * n + i] = combine(op, l, r);
@@ -319,8 +325,8 @@ pub fn run_program_batch(
             ref load => {
                 let dst = load.dst() as usize;
                 for (i, row) in rows.iter().enumerate() {
-                    cols[dst * n + i] =
-                        load_row(load, row, &program.consts).expect("load ops carry no registers");
+                    cols[dst * n + i] = load_row(load, event_of(row), row, &program.consts)
+                        .expect("load ops carry no registers");
                 }
             }
         }
@@ -681,26 +687,29 @@ mod tests {
 
     #[test]
     fn batched_programs_match_per_event_oracle() {
-        use crate::plan::{EntityBind, QueryPlan};
+        use crate::plan::QueryPlan;
         // Field programs exercise loads, arithmetic, and an entity attr.
         let checked = saql_lang::compile(
             "proc p write file f as evt #time(10 min)\nstate[3] ss { scaled := sum(evt.amount * 2 + 1); name := count(f.name) } group by p\nalert ss[0].scaled > 10\nreturn p",
         )
         .unwrap();
         let plan = QueryPlan::compile(&checked);
-        let events: Vec<saql_model::Event> = (0..5)
+        let events: Vec<SharedEvent> = (0..5)
             .map(|i| {
-                EventBuilder::new(i, "db-server", 100 * i)
-                    .subject(ProcessInfo::new(7, "sqlservr.exe", "svc"))
-                    .writes_file(FileInfo::new(format!("f{i}.dmp")))
-                    .amount(1000 * i)
-                    .build()
+                std::sync::Arc::new(
+                    EventBuilder::new(i, "db-server", 100 * i)
+                        .subject(ProcessInfo::new(7, "sqlservr.exe", "svc"))
+                        .writes_file(FileInfo::new(format!("f{i}.dmp")))
+                        .amount(1000 * i)
+                        .build(),
+                )
             })
             .collect();
-        let rows: Vec<EventRow<'_>> = events
-            .iter()
-            .map(|event| EventRow {
-                event,
+        // Rows select a strict subset, out of step with batch positions.
+        let rows: Vec<EventRow> = [0u32, 2, 3]
+            .into_iter()
+            .map(|row| EventRow {
+                row,
                 ev_slot: 0,
                 subject_slot: plan.pattern_slots[0].0,
                 object_slot: plan.pattern_slots[0].1,
@@ -712,14 +721,13 @@ mod tests {
             .iter()
             .chain(plan.ret.iter().map(|(_, p)| p))
         {
-            run_program_batch(program, &rows, &mut cols, &mut out);
+            run_program_batch(program, &events, &rows, &mut cols, &mut out);
             assert_eq!(out.len(), rows.len());
             for (row, got) in rows.iter().zip(&out) {
-                let events_slot = [Some(row.event)];
-                let entities = [
-                    Some(EntityBind::Subject(&row.event.subject)),
-                    Some(EntityBind::Entity(&row.event.object)),
-                ];
+                let event = events[row.row as usize].as_ref();
+                let events_slot = [Some(event)];
+                let subject = Entity::Process(event.subject.clone());
+                let entities = [Some(&subject), Some(&event.object)];
                 let expected = crate::eval::run_program(
                     program,
                     &ExecCtx {

@@ -14,13 +14,12 @@ use saql_lang::ast::{AttrConstraint, CmpOp, EventPattern, GlobalConstraint, Quer
 use saql_lang::resolve::entity_slot_names;
 use saql_model::glob::like_match;
 use saql_model::{
-    AttrId, AttrNs, AttrRef, AttrTable, AttrValue, Duration, Entity, Event, Operation, ProcessInfo,
-    Timestamp,
+    AttrId, AttrNs, AttrRef, AttrTable, AttrValue, Duration, Entity, Event, ProcessInfo, Timestamp,
 };
-use saql_stream::{BatchView, SharedEvent};
+use saql_stream::SharedEvent;
 
 /// FNV-1a over a byte run (fold more runs by passing the previous result).
-/// Used for the sub-plan fingerprints the batched scheduler shares on:
+/// Used for the sub-plan fingerprints the scheduler shares columns on:
 /// deterministic across runs and platforms, unlike `DefaultHasher`, so
 /// fingerprints can appear in explain output and golden fixtures.
 pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
@@ -139,29 +138,38 @@ impl Predicate {
 
 /// Compiled global constraints (`agentid = "db-server"`), checked against
 /// event-level attributes before any pattern work.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GlobalFilter {
     predicates: Vec<Predicate>,
+    /// See [`fingerprint`](Self::fingerprint); fixed at compile time.
+    fingerprint: u64,
 }
 
 impl GlobalFilter {
     pub fn compile(globals: &[GlobalConstraint]) -> GlobalFilter {
+        let predicates: Vec<Predicate> = globals
+            .iter()
+            .map(|g| {
+                Predicate::compile(
+                    &AttrConstraint {
+                        attr: Some(g.attr.clone()),
+                        op: g.op,
+                        value: g.value.clone(),
+                        span: g.span,
+                    },
+                    AttrNs::Event,
+                    g.attr.as_str(),
+                )
+            })
+            .collect();
+        let mut fingerprint = fnv1a(FNV_SEED, b"glob");
+        for pred in &predicates {
+            fingerprint = fnv1a(fingerprint, b"|");
+            fingerprint = fnv1a(fingerprint, pred.render().as_bytes());
+        }
         GlobalFilter {
-            predicates: globals
-                .iter()
-                .map(|g| {
-                    Predicate::compile(
-                        &AttrConstraint {
-                            attr: Some(g.attr.clone()),
-                            op: g.op,
-                            value: g.value.clone(),
-                            span: g.span,
-                        },
-                        AttrNs::Event,
-                        g.attr.as_str(),
-                    )
-                })
-                .collect(),
+            predicates,
+            fingerprint,
         }
     }
 
@@ -170,49 +178,11 @@ impl GlobalFilter {
         self.predicates.iter().all(|pred| pred.check_event(event))
     }
 
-    /// Batched acceptance over a whole [`BatchView`]:
-    /// `out[i] == self.accepts(&batch[i])`, computed predicate-major with a
-    /// shrinking selection vector — each predicate loads its attribute
-    /// column once and only re-tests rows that survived the earlier
-    /// predicates.
-    pub fn fill_accepts(&self, view: &BatchView<'_>, out: &mut Vec<bool>) {
-        out.clear();
-        if self.predicates.is_empty() {
-            out.resize(view.len(), true);
-            return;
-        }
-        out.resize(view.len(), false);
-        let mut sel: Vec<u32> = (0..view.len() as u32).collect();
-        let mut col = Vec::new();
-        for pred in &self.predicates {
-            match pred.attr {
-                Some(id) => {
-                    view.fill_event_attr(id, &mut col);
-                    sel.retain(|&i| pred.check(col[i as usize]));
-                }
-                // Unresolvable attribute: never matches (same as the
-                // per-event path).
-                None => sel.clear(),
-            }
-            if sel.is_empty() {
-                return;
-            }
-        }
-        for &i in &sel {
-            out[i as usize] = true;
-        }
-    }
-
     /// Deterministic fingerprint of the predicate set — equal fingerprints
     /// mean identical acceptance vectors, which is what the per-group
     /// sub-plan cache shares on.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(FNV_SEED, b"glob");
-        for pred in &self.predicates {
-            h = fnv1a(h, b"|");
-            h = fnv1a(h, pred.render().as_bytes());
-        }
-        h
+        self.fingerprint
     }
 
     /// The compiled predicates (explain listings).
@@ -231,15 +201,15 @@ pub struct PatternMatcher {
     /// Entity-variable slot the object binds.
     pub object_slot: usize,
     pub alias: String,
-    ops: Vec<Operation>,
-    object_type: saql_model::EntityType,
     /// Bitmask over event shape codes (see `saql_model::event::shape_code`):
     /// bit `shape_code(op, object_type)` is set for every accepted `op`.
-    /// `shape_matches` is a single mask test, and the batched path ANDs the
-    /// mask against a whole shape column.
+    /// `shape_matches` is a single mask test; the scheduler ANDs a group's
+    /// combined mask against the batch's shape column.
     shape_mask: u64,
     subject_preds: Vec<Predicate>,
     object_preds: Vec<Predicate>,
+    /// See [`fingerprint`](Self::fingerprint); fixed at compile time.
+    fingerprint: u64,
 }
 
 impl PatternMatcher {
@@ -254,37 +224,50 @@ impl PatternMatcher {
         let shape_mask = p.ops.iter().fold(0u64, |mask, &op| {
             mask | 1u64 << saql_model::event::shape_code(op, p.object.etype)
         });
+        let subject_preds: Vec<Predicate> = p
+            .subject
+            .constraints
+            .iter()
+            .map(|c| {
+                Predicate::compile(
+                    c,
+                    AttrNs::Process,
+                    saql_model::EntityType::Process.default_attr(),
+                )
+            })
+            .collect();
+        let object_preds: Vec<Predicate> = p
+            .object
+            .constraints
+            .iter()
+            .map(|c| {
+                Predicate::compile(
+                    c,
+                    AttrNs::of_entity(p.object.etype),
+                    p.object.etype.default_attr(),
+                )
+            })
+            .collect();
+        let mut fingerprint = fnv1a(FNV_SEED, b"pat");
+        fingerprint = fnv1a(fingerprint, &[p.object.etype as u8, p.ops.len() as u8]);
+        for &op in &p.ops {
+            fingerprint = fnv1a(fingerprint, &[op as u8]);
+        }
+        for (tag, preds) in [(&b"|s:"[..], &subject_preds), (b"|o:", &object_preds)] {
+            fingerprint = fnv1a(fingerprint, tag);
+            for pred in preds {
+                fingerprint = fnv1a(fingerprint, pred.render().as_bytes());
+                fingerprint = fnv1a(fingerprint, b";");
+            }
+        }
         PatternMatcher {
             subject_slot: slot_of(&p.subject.var),
             object_slot: slot_of(&p.object.var),
             alias: p.alias.clone(),
-            ops: p.ops.clone(),
-            object_type: p.object.etype,
             shape_mask,
-            subject_preds: p
-                .subject
-                .constraints
-                .iter()
-                .map(|c| {
-                    Predicate::compile(
-                        c,
-                        AttrNs::Process,
-                        saql_model::EntityType::Process.default_attr(),
-                    )
-                })
-                .collect(),
-            object_preds: p
-                .object
-                .constraints
-                .iter()
-                .map(|c| {
-                    Predicate::compile(
-                        c,
-                        AttrNs::of_entity(p.object.etype),
-                        p.object.etype.default_attr(),
-                    )
-                })
-                .collect(),
+            subject_preds,
+            object_preds,
+            fingerprint,
         }
     }
 
@@ -295,8 +278,8 @@ impl PatternMatcher {
         self.shape_mask & (1u64 << event.shape_code()) != 0
     }
 
-    /// The shape-code bitmask (batched admission ANDs it against a whole
-    /// shape column; see [`BatchView::shape`]).
+    /// The shape-code bitmask (group admission ANDs it against the batch's
+    /// shape column; see [`saql_stream::BatchView::shape`]).
     pub fn shape_mask(&self) -> u64 {
         self.shape_mask
     }
@@ -322,85 +305,13 @@ impl PatternMatcher {
         true
     }
 
-    /// Batched [`matches`](Self::matches) over a whole [`BatchView`]:
-    /// `out[i] == self.matches(&batch[i])`. The shape mask prunes the
-    /// selection vector first (one byte test per row). When most rows
-    /// survive, each predicate loads its attribute column once and narrows
-    /// the survivors; when the shape test leaves a sparse selection,
-    /// predicates probe the surviving rows directly instead of gathering
-    /// whole columns.
-    pub fn fill_matches(&self, view: &BatchView<'_>, out: &mut Vec<bool>) {
-        out.clear();
-        out.resize(view.len(), false);
-        let mut sel: Vec<u32> = Vec::with_capacity(view.len());
-        for (i, &code) in view.shape().iter().enumerate() {
-            if self.shape_mask & (1u64 << code) != 0 {
-                sel.push(i as u32);
-            }
-        }
-        if sel.is_empty() {
-            return;
-        }
-        let events = view.events();
-        let dense = sel.len() * 4 >= view.len();
-        let mut col = Vec::new();
-        for pred in &self.subject_preds {
-            match pred.attr() {
-                Some(id) if dense => {
-                    view.fill_subject_attr(id, &mut col);
-                    sel.retain(|&i| pred.check(col[i as usize]));
-                }
-                Some(id) => {
-                    sel.retain(|&i| pred.check(events[i as usize].subject.attr_ref(id)));
-                }
-                None => sel.clear(),
-            }
-            if sel.is_empty() {
-                return;
-            }
-        }
-        for pred in &self.object_preds {
-            match pred.attr() {
-                Some(id) if dense => {
-                    view.fill_object_attr(id, &mut col);
-                    sel.retain(|&i| pred.check(col[i as usize]));
-                }
-                Some(_) => {
-                    sel.retain(|&i| pred.check_entity(&events[i as usize].object));
-                }
-                None => sel.clear(),
-            }
-            if sel.is_empty() {
-                return;
-            }
-        }
-        for &i in &sel {
-            out[i as usize] = true;
-        }
-    }
-
     /// Deterministic fingerprint of everything [`matches`](Self::matches)
     /// depends on (shape + predicate sets; slots and alias are excluded —
     /// they don't affect the match column). Equal fingerprints across
-    /// queries in a compatibility group mean the batched match vector can
-    /// be computed once and shared.
+    /// queries in a compatibility group mean the match column over the same
+    /// rows can be computed once and shared.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(FNV_SEED, b"pat");
-        h = fnv1a(h, &[self.object_type as u8, self.ops.len() as u8]);
-        for &op in &self.ops {
-            h = fnv1a(h, &[op as u8]);
-        }
-        h = fnv1a(h, b"|s:");
-        for pred in &self.subject_preds {
-            h = fnv1a(h, pred.render().as_bytes());
-            h = fnv1a(h, b";");
-        }
-        h = fnv1a(h, b"|o:");
-        for pred in &self.object_preds {
-            h = fnv1a(h, pred.render().as_bytes());
-            h = fnv1a(h, b";");
-        }
-        h
+        self.fingerprint
     }
 
     /// Compiled predicate sets, `(subject, object)` (explain listings).
@@ -606,9 +517,10 @@ impl MultiMatcher {
 
     /// [`feed`](Self::feed) with the per-pattern match decisions already
     /// made: `hits[i]` must equal `self.patterns()[i].matches(event)`
-    /// (declaration order). The batched path computes those columns once
-    /// per batch via [`PatternMatcher::fill_matches`] — possibly shared
-    /// across a compatibility group — and drives the matcher row by row.
+    /// (declaration order). The scheduler computes those columns once per
+    /// batch over the rows the query's global filter accepted — shared
+    /// across a compatibility group where fingerprints agree — and drives
+    /// the matcher row by row.
     pub fn feed_with_hits(&mut self, event: &SharedEvent, hits: &[bool]) -> Vec<FullMatch> {
         debug_assert_eq!(hits.len(), self.patterns.len());
         let mut completed = Vec::new();

@@ -8,9 +8,9 @@
 //! [`ExecCtx`] of fixed slot arrays: no per-evaluation `HashMap`s, no
 //! string probing, no AST recursion on the per-event path.
 //!
-//! The tree-walking interpreter ([`crate::eval::eval`]) stays alive as the
-//! differential-testing oracle; both execution paths share one binary-op
-//! kernel ([`crate::eval`]'s `combine`), so they cannot drift on operator
+//! The tree-walking interpreter ([`crate::eval::eval`]) is the reference
+//! tests compare programs against; both share one binary-op kernel
+//! ([`crate::eval`]'s `combine`), so they cannot drift on operator
 //! semantics.
 
 use std::fmt::Write as _;
@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use saql_lang::ast::BinOp;
 use saql_lang::resolve::{Binding, ClusterField, ResolvedExpr, ResolvedGroupKey, ResolvedQuery};
 use saql_lang::semantic::CheckedQuery;
-use saql_model::{AttrId, AttrValue, Entity, EntityType, Event, ProcessInfo};
+use saql_model::{AttrId, AttrValue, Entity, EntityType, Event};
 
 use crate::eval::{ClusterOutcome, StateSlots};
 use crate::value::Value;
@@ -271,24 +271,6 @@ impl Program {
     }
 }
 
-/// A bound entity in an execution context. The stateful per-event path
-/// binds the subject directly from the event (no `Entity::Process` clone).
-#[derive(Debug, Clone, Copy)]
-pub enum EntityBind<'a> {
-    Entity(&'a Entity),
-    Subject(&'a ProcessInfo),
-}
-
-impl EntityBind<'_> {
-    /// Owned attribute by id (strings clone the shared `Arc` handle).
-    pub fn attr_value(&self, id: AttrId) -> Option<AttrValue> {
-        match self {
-            EntityBind::Entity(e) => e.attr_value(id),
-            EntityBind::Subject(p) => p.attr_value(id),
-        }
-    }
-}
-
 /// The fixed slot arrays a program executes against — the compiled
 /// counterpart of [`crate::eval::Scope`]. Slices a context does not supply
 /// stay empty; loads from them yield `Missing`, exactly like the
@@ -297,7 +279,7 @@ pub struct ExecCtx<'a> {
     /// Matched events by alias slot.
     pub events: &'a [Option<&'a Event>],
     /// Bound entities by variable slot.
-    pub entities: &'a [Option<EntityBind<'a>>],
+    pub entities: &'a [Option<&'a Entity>],
     /// Group-key values by key slot (window-close contexts).
     pub group_keys: &'a [AttrValue],
     /// State history by `(back, field)` index.
@@ -390,7 +372,7 @@ impl QueryPlan {
     /// stateful evaluation this plan performs is scoped to a single group,
     /// so the group population can be hash-sharded across workers with no
     /// cross-shard state. `Err` names the coupling that forbids it.
-    /// Query-level conditions (kind, distinct, pipeline role, exec mode)
+    /// Query-level conditions (kind, distinct, pipeline role)
     /// are layered on top by `RunningQuery::partition_decision`.
     pub fn key_partition_safe(&self) -> Result<(), &'static str> {
         if self.group_keys.is_empty() {

@@ -4,29 +4,26 @@
 //!
 //! Queries compile **once at registration**: names resolve to slots
 //! ([`saql_lang::resolve`]), expressions lower to register programs
-//! ([`crate::plan`]), and attribute constraints bind [`saql_model::AttrId`]s
-//! — the per-event path then runs programs over fixed slot arrays. The
-//! original tree-walking interpreter survives behind
-//! [`ExecMode::Interpreted`] as the differential-testing oracle
-//! (`compiled_plans_match_interpreter` pins the equivalence).
+//! ([`crate::plan`]), and attribute constraints bind [`saql_model::AttrId`]s.
+//! Execution is batch-at-a-time and selection-driven: per batch a query
+//! *prepares* over the rows its group's master admitted
+//! ([`RunningQuery::prepare_batch`]), then the scheduler *drives* it row by
+//! row in stream order ([`RunningQuery::process_row`]).
 
 use std::collections::HashSet;
 
-use saql_lang::ast::{Expr, Query, Ref};
 use saql_lang::semantic::{CheckedQuery, QueryKind};
-use saql_model::{Entity, Timestamp};
+use saql_model::Timestamp;
 use saql_stream::{BatchView, SharedEvent};
 
 use crate::alert::{Alert, AlertOrigin};
 use crate::cluster::{run_cluster_with, ClusterScratch};
 use crate::error::{EngineError, ErrorReporter};
-use crate::eval::{eval, run_program, run_program_batch, ClusterOutcome, EventRow, NoSlots, Scope};
+use crate::eval::{run_program, run_program_batch, ClusterOutcome, EventRow};
 use crate::invariant::{InvariantRuntime, InvariantSnapshot};
 use crate::matcher::{FullMatch, GlobalFilter, MatcherSnapshot, MultiMatcher, PatternMatcher};
-use crate::plan::{EntityBind, ExecCtx, QueryPlan};
-use crate::state::{
-    partition_of, ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView,
-};
+use crate::plan::{ExecCtx, QueryPlan};
+use crate::state::{partition_of, ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView};
 use crate::value::Value;
 use crate::window::{WindowDriver, WindowSnapshot};
 
@@ -65,17 +62,6 @@ impl std::fmt::Display for QueryId {
     }
 }
 
-/// How a query evaluates its expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Compiled register programs over fixed slot arrays (the default).
-    #[default]
-    Compiled,
-    /// The tree-walking interpreter over per-evaluation scopes — kept as
-    /// the differential-testing oracle.
-    Interpreted,
-}
-
 /// Tuning knobs for a running query.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryConfig {
@@ -84,8 +70,6 @@ pub struct QueryConfig {
     /// Out-of-order tolerance: windows stay open this long past their end
     /// so skewed agent feeds still land in their windows.
     pub allowed_lateness: saql_model::Duration,
-    /// Expression execution strategy (see [`ExecMode`]).
-    pub exec: ExecMode,
 }
 
 impl Default for QueryConfig {
@@ -93,7 +77,6 @@ impl Default for QueryConfig {
         QueryConfig {
             partial_match_cap: 65_536,
             allowed_lateness: saql_model::Duration::ZERO,
-            exec: ExecMode::Compiled,
         }
     }
 }
@@ -231,116 +214,146 @@ impl QuerySnapshot {
     }
 }
 
-/// Per-compatibility-group **shared sub-plan cache** for batched
-/// execution: predicate-set columns (global-filter acceptance, per-pattern
-/// match vectors) computed once per batch and shared by every member whose
-/// predicate set has the same deterministic fingerprint. Dependent queries
-/// in a group typically share their master's shapes and often whole
-/// predicate sets — with the cache, those prefixes are evaluated once per
-/// batch instead of once per member.
+/// Per-compatibility-group batch state: the **selection vector** of rows
+/// the group's master admitted, plus predicate columns computed over it and
+/// shared by every member whose predicate set has the same deterministic
+/// fingerprint ([`GlobalFilter::fingerprint`] /
+/// [`PatternMatcher::fingerprint`]).
 ///
-/// The cache is keyed by content fingerprint ([`GlobalFilter::fingerprint`]
-/// / [`PatternMatcher::fingerprint`]), so equal fingerprints imply equal
-/// columns; hits are linear scans over a handful of entries. Column buffers
-/// recycle across batches.
+/// Everything is selection-driven, so a batch costs no more probes than
+/// feeding its events one at a time would: a global filter is tested only
+/// on shape-admitted rows, a pattern only on rows its query's global
+/// filter accepted. Pattern columns are therefore keyed by *(global-filter
+/// column, pattern fingerprint)* — members share one when both agree (the
+/// common case: no global constraints at all). Hits are linear scans over
+/// a handful of entries; buffers recycle across batches.
 #[derive(Debug, Default)]
 pub struct BatchCache {
-    globs: Vec<(u64, Vec<bool>)>,
-    pats: Vec<(u64, Vec<bool>)>,
-    /// Retired column buffers, recycled to keep batches allocation-free
-    /// once warm.
-    spare: Vec<Vec<bool>>,
-    /// Cache hits this batch (columns reused instead of recomputed).
-    shared_hits: u64,
+    /// Batch rows whose shape the group admits, ascending.
+    sel: Vec<u32>,
+    /// Next unconsumed entry of `sel` during the drive loop.
+    cursor: usize,
+    /// `(filter fingerprint, rows of sel the filter accepts, ascending)`.
+    globs: Vec<(u64, Vec<u32>)>,
+    /// `(glob column, pattern fingerprint, match flags aligned with that
+    /// glob column's rows)`.
+    pats: Vec<(usize, u64, Vec<bool>)>,
+    spare_rows: Vec<Vec<u32>>,
+    spare_flags: Vec<Vec<bool>>,
 }
 
 impl BatchCache {
-    /// Invalidate all columns (call once per incoming batch, before any
-    /// member prepares).
-    pub fn begin_batch(&mut self) {
-        self.spare.extend(self.globs.drain(..).map(|(_, col)| col));
-        self.spare.extend(self.pats.drain(..).map(|(_, col)| col));
+    /// Start a batch: drop the previous batch's columns and select the rows
+    /// whose shape code is in `mask`. Returns the number selected — zero
+    /// means no member has anything to prepare.
+    pub(crate) fn begin_batch(&mut self, view: &BatchView<'_>, mask: u64) -> usize {
+        self.clear();
+        let admitted = view
+            .shape()
+            .iter()
+            .enumerate()
+            .filter(|(_, &code)| mask & (1u64 << code) != 0)
+            .map(|(row, _)| row as u32);
+        self.sel.extend(admitted);
+        self.sel.len()
     }
 
-    /// Columns reused across members since the cache was created.
-    pub fn shared_hits(&self) -> u64 {
-        self.shared_hits
+    /// Select nothing (a fully paused group): no row is admitted.
+    pub(crate) fn clear(&mut self) {
+        self.sel.clear();
+        self.cursor = 0;
+        self.spare_rows
+            .extend(self.globs.drain(..).map(|(_, rows)| rows));
+        self.spare_flags
+            .extend(self.pats.drain(..).map(|(_, _, flags)| flags));
     }
 
-    fn buffer(&mut self) -> Vec<bool> {
-        self.spare.pop().unwrap_or_default()
+    /// Drive-loop admission: whether `row` is the next selected row
+    /// (consuming it). Rows must be offered in ascending order.
+    pub(crate) fn admits(&mut self, row: usize) -> bool {
+        let hit = self.sel.get(self.cursor) == Some(&(row as u32));
+        self.cursor += hit as usize;
+        hit
     }
 
-    /// Index of the acceptance column for this global filter, computing it
-    /// on first demand within the batch.
+    /// Index of the column of selected rows this global filter accepts,
+    /// computing it on first demand within the batch.
     fn glob_column(&mut self, filter: &GlobalFilter, view: &BatchView<'_>) -> usize {
         let fp = filter.fingerprint();
         if let Some(i) = self.globs.iter().position(|(k, _)| *k == fp) {
-            self.shared_hits += 1;
             return i;
         }
-        let mut col = self.buffer();
-        filter.fill_accepts(view, &mut col);
-        self.globs.push((fp, col));
+        let events = view.events();
+        let mut rows = self.spare_rows.pop().unwrap_or_default();
+        rows.clear();
+        rows.extend(
+            self.sel
+                .iter()
+                .filter(|&&row| filter.accepts(&events[row as usize])),
+        );
+        self.globs.push((fp, rows));
         self.globs.len() - 1
     }
 
-    /// Index of the match column for this pattern, computing it on first
-    /// demand within the batch.
-    fn pat_column(&mut self, pattern: &PatternMatcher, view: &BatchView<'_>) -> usize {
+    /// Index of this pattern's match column over the rows of glob column
+    /// `glob`, computing it on first demand within the batch.
+    fn pat_column(&mut self, glob: usize, pattern: &PatternMatcher, view: &BatchView<'_>) -> usize {
         let fp = pattern.fingerprint();
-        if let Some(i) = self.pats.iter().position(|(k, _)| *k == fp) {
-            self.shared_hits += 1;
+        if let Some(i) = self
+            .pats
+            .iter()
+            .position(|(g, k, _)| *g == glob && *k == fp)
+        {
             return i;
         }
-        let mut col = self.buffer();
-        pattern.fill_matches(view, &mut col);
-        self.pats.push((fp, col));
+        let events = view.events();
+        let mut flags = self.spare_flags.pop().unwrap_or_default();
+        flags.clear();
+        flags.extend(
+            self.globs[glob]
+                .1
+                .iter()
+                .map(|&row| pattern.matches(&events[row as usize])),
+        );
+        self.pats.push((glob, fp, flags));
         self.pats.len() - 1
     }
 
-    fn glob(&self, idx: usize) -> &[bool] {
+    fn glob(&self, idx: usize) -> &[u32] {
         &self.globs[idx].1
     }
 
     fn pat(&self, idx: usize) -> &[bool] {
-        &self.pats[idx].1
+        &self.pats[idx].2
     }
 }
 
-/// Stateful-query batch precomputation: everything watermark-independent
-/// about the rows (pattern dispatch, group keys, field-program values),
-/// evaluated column-wise in [`RunningQuery::prepare_batch`]. Window
-/// assignment and `state.observe` stay in the per-row drive loop — the
-/// watermark advances mid-batch, so window membership cannot be hoisted.
-#[derive(Debug, Default)]
-struct StatefulPre {
-    /// Per row: first matching pattern index, `u32::MAX` when none.
-    slot: Vec<u32>,
-    /// Per row: index into the compact arrays below (`u32::MAX` when the
-    /// row didn't survive glob + pattern dispatch).
-    pos: Vec<u32>,
-    /// Compact, row-major group-key atoms (`n_keys` per surviving row).
-    keys: Vec<KeyAtom>,
-    /// Per surviving row: whether every group key resolved.
-    key_ok: Vec<bool>,
-    /// Compact, row-major field-program values (`n_fields` per row).
-    fields: Vec<Value>,
-    /// Per row (partitioned replicas only): which partition owns it —
-    /// `hash(key) % of` for rows with a resolved key, 0 otherwise. The
-    /// scheduler consults this through [`RunningQuery::owns_row`] before
-    /// counting a delivery, so partitioned deliveries are disjoint.
-    owner: Vec<u32>,
-}
-
-/// Per-query batched-execution state: resolved cache column indices plus
-/// the stateful precomputation. Valid for the current batch only.
+/// Per-query batch state, valid for the current batch only: the query's
+/// columns in its group's [`BatchCache`], and — for stateful queries —
+/// everything watermark-independent about the rows it will fold (pattern
+/// dispatch, group keys, field-program values). Window assignment and
+/// `state.observe` stay in the drive loop: the watermark advances
+/// mid-batch, so window membership cannot be hoisted.
 #[derive(Debug, Default)]
 struct BatchState {
     glob_idx: usize,
     /// Cache column index per pattern, declaration order.
     pat_idx: Vec<usize>,
-    pre: StatefulPre,
+    /// Next unconsumed entry of this query's work list — the glob column
+    /// for rule queries (every accepted row feeds the matcher), `rows` for
+    /// stateful ones.
+    cursor: usize,
+    /// Stateful work list, ascending by row: rows the global filter
+    /// accepted, some pattern matched, and (on a partitioned replica) this
+    /// replica owns, bound to the first matching pattern's slots.
+    rows: Vec<EventRow>,
+    /// Row-major group-key atoms, `n_keys` per entry of `rows` (padded when
+    /// unresolvable so indexing stays aligned).
+    keys: Vec<KeyAtom>,
+    /// Per entry of `rows`: whether every group key resolved.
+    key_ok: Vec<bool>,
+    /// Row-major field-program values, `n_fields` per entry of `rows`.
+    fields: Vec<Value>,
     /// Per-row pattern-hit scratch handed to the matcher.
     hits_buf: Vec<bool>,
     /// Register-column scratch for `run_program_batch`.
@@ -354,7 +367,6 @@ pub struct RunningQuery {
     name: String,
     id: QueryId,
     paused: bool,
-    mode: ExecMode,
     /// Retained build config, so [`Self::replicas`] can reconstruct
     /// plan-identical instances for the key-partitioned runtime.
     config: QueryConfig,
@@ -370,21 +382,17 @@ pub struct RunningQuery {
     patterns: Vec<PatternMatcher>,
     state: Option<StateMaintainer>,
     invariant: Option<InvariantRuntime>,
-    /// Interpreter-mode group-key expressions (pre-built once).
-    interp_keys: Vec<Expr>,
     distinct_seen: HashSet<Vec<String>>,
     errors: ErrorReporter,
     overflow_reported: bool,
     stats: QueryStats,
     /// Reusable register file for program execution.
     scratch: Vec<Value>,
-    /// Reusable per-event buffers (window ids, key atoms, field values) —
-    /// the stateful hot path allocates nothing once warm.
+    /// Reusable buffers (window ids, key atoms) — the stateful hot path
+    /// allocates nothing once warm.
     windows_buf: Vec<u64>,
     key_buf: Vec<KeyAtom>,
-    fold_buf: Vec<Value>,
-    /// Batched-execution state for the current batch (column indices into
-    /// the group's [`BatchCache`] plus stateful precomputation).
+    /// Prepared state for the current batch.
     batch: BatchState,
     /// Cluster-stage buffers (DBSCAN working set, comparison points)
     /// recycled across window closes.
@@ -422,29 +430,10 @@ impl RunningQuery {
                 checked.resolved.invariant_vars.len(),
             )
         });
-        let interp_keys: Vec<Expr> = checked
-            .ast
-            .states
-            .first()
-            .map(|s| {
-                s.group_by
-                    .iter()
-                    .map(|gk| {
-                        Expr::Ref(Ref {
-                            base: gk.var.clone(),
-                            index: None,
-                            attr: gk.attr.clone(),
-                            span: gk.span,
-                        })
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
         RunningQuery {
             name: name.into(),
             id: QueryId::UNASSIGNED,
             paused: false,
-            mode: config.exec,
             config,
             partition: None,
             checked,
@@ -455,7 +444,6 @@ impl RunningQuery {
             patterns,
             state,
             invariant,
-            interp_keys,
             distinct_seen: HashSet::new(),
             errors: ErrorReporter::default(),
             overflow_reported: false,
@@ -465,7 +453,6 @@ impl RunningQuery {
             scratch: Vec::with_capacity(plan_scratch),
             windows_buf: Vec::new(),
             key_buf: Vec::new(),
-            fold_buf: Vec::new(),
             batch: BatchState::default(),
             cluster_scratch: ClusterScratch::default(),
         }
@@ -509,11 +496,6 @@ impl RunningQuery {
 
     pub fn kind(&self) -> QueryKind {
         self.checked.kind
-    }
-
-    /// The execution strategy this instance runs with.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// The compiled execution plan (slot tables + programs).
@@ -572,8 +554,7 @@ impl RunningQuery {
     ///
     /// The plan-shape half of the analysis lives with the plan
     /// ([`QueryPlan::key_partition_safe`]); this adds the query-level
-    /// conditions the plan cannot see (kind, distinct, pipeline role,
-    /// execution mode).
+    /// conditions the plan cannot see (kind, distinct, pipeline role).
     pub fn partition_decision(&self) -> Result<(), &'static str> {
         if self.checked.kind == QueryKind::Rule {
             return Err("rule queries key partial matches by bindings, not group key");
@@ -583,9 +564,6 @@ impl RunningQuery {
         }
         if self.checked.ast.ret.as_ref().is_some_and(|r| r.distinct) {
             return Err("`return distinct` dedups across all groups");
-        }
-        if self.mode == ExecMode::Interpreted {
-            return Err("interpreter oracle runs per event, unpartitioned");
         }
         self.plan.key_partition_safe()
     }
@@ -622,49 +600,6 @@ impl RunningQuery {
                 replica
             })
             .collect()
-    }
-
-    /// Whether this instance owns batch row `row` (valid after
-    /// [`prepare_batch`](Self::prepare_batch)). Non-partitioned queries own
-    /// every row; a partitioned replica owns exactly the rows whose group
-    /// key hashes to its slice — the scheduler skips delivery (and the
-    /// delivery counter) for the rest, so each row folds on one shard.
-    pub(crate) fn owns_row(&self, row: usize) -> bool {
-        match self.partition {
-            None => true,
-            Some(p) => self
-                .batch
-                .pre
-                .owner
-                .get(row)
-                .map_or(p.index == 0, |&o| o == p.index),
-        }
-    }
-
-    /// Per-event counterpart of [`owns_row`](Self::owns_row) for the
-    /// unbatched path (latency tracking): resolve the event's group key and
-    /// test the routing hash. Events that fail the global gate, match no
-    /// pattern, or have an unresolvable key belong to replica 0, mirroring
-    /// the batched owner column.
-    pub(crate) fn owns_event(&mut self, event: &SharedEvent) -> bool {
-        let Some(p) = self.partition else { return true };
-        if !self.globals.accepts(event) {
-            return p.index == 0;
-        }
-        let Some(idx) = self.patterns.iter().position(|pat| pat.matches(event)) else {
-            return p.index == 0;
-        };
-        let plan = &self.plan;
-        let mut ev_slots: Vec<Option<&saql_model::Event>> = vec![None; plan.aliases.len()];
-        let mut ent_slots: Vec<Option<EntityBind<'_>>> = vec![None; plan.entity_vars.len()];
-        ev_slots[idx] = Some(event.as_ref());
-        let (subject_slot, object_slot) = plan.pattern_slots[idx];
-        ent_slots[subject_slot] = Some(EntityBind::Subject(&event.subject));
-        ent_slots[object_slot] = Some(EntityBind::Entity(&event.object));
-        if !extract_keys(plan, &ev_slots, &ent_slots, &mut self.key_buf) {
-            return p.index == 0;
-        }
-        partition_of(&self.key_buf, p.of as usize) as u32 == p.index
     }
 
     pub fn errors(&self) -> &ErrorReporter {
@@ -714,16 +649,10 @@ impl RunningQuery {
         self.overflow_reported = snap.overflow_reported;
     }
 
-    /// Whether the event matches any of this query's pattern shapes —
-    /// what the scheduler's master check performs once per group
-    /// (constraint-free: dependents apply their own constraints).
-    pub fn shape_matches(&self, event: &saql_model::Event) -> bool {
-        self.patterns.iter().any(|p| p.shape_matches(event))
-    }
-
     /// Combined shape mask over all patterns: bit `c` set iff an event with
-    /// shape code `c` would pass [`Self::shape_matches`]. The batched master
-    /// check tests this against the view's shape column.
+    /// shape code `c` matches some pattern's shape, constraints aside
+    /// (dependents apply their own). The group's master check tests this
+    /// against the batch's shape column.
     pub fn shape_mask(&self) -> u64 {
         self.patterns.iter().fold(0, |m, p| m | p.shape_mask())
     }
@@ -742,198 +671,155 @@ impl RunningQuery {
         alerts
     }
 
-    /// Process the event payload (global constraints, pattern matching,
-    /// state folding). Does *not* advance time — callers pair this with
-    /// [`Self::advance_time`] (the scheduler advances time for every event
-    /// but offers payloads only to shape-matching groups).
-    pub fn process_payload(&mut self, event: &SharedEvent) -> Vec<Alert> {
-        self.stats.events_seen += 1;
-        if !self.globals.accepts(event) {
-            return Vec::new();
-        }
-        match self.checked.kind {
-            QueryKind::Rule => self.process_rule(event),
-            _ => {
-                self.process_stateful(event);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Full per-event processing: time then payload.
-    pub fn process(&mut self, event: &SharedEvent) -> Vec<Alert> {
-        let mut alerts = self.advance_time(event.ts);
-        alerts.extend(self.process_payload(event));
-        alerts
-    }
-
     // ------------------------------------------------------------------
-    // Batched execution
+    // Batch execution
     // ------------------------------------------------------------------
 
-    /// Resolve this query's predicate columns against the group's shared
-    /// [`BatchCache`] (computing any missing ones) and precompute the
-    /// watermark-independent stateful work for the batch: pattern dispatch,
-    /// group keys, and field-program values, all evaluated column-wise.
+    /// Prepare this query for one batch, over the rows `cache` selected for
+    /// its group: resolve its predicate columns (computing any the group
+    /// has not already), and for stateful queries precompute everything
+    /// watermark-independent about the rows it will fold — pattern
+    /// dispatch, group keys, ownership on a partitioned replica, and
+    /// field-program values, evaluated column-wise over the survivors only.
     ///
-    /// Must be called once per batch, after [`BatchCache::begin_batch`] and
-    /// before any [`Self::process_payload_row`] for that batch.
-    pub(crate) fn prepare_batch(&mut self, view: &BatchView<'_>, cache: &mut BatchCache) {
-        self.batch.glob_idx = cache.glob_column(&self.globals, view);
-        self.batch.pat_idx.clear();
+    /// Returns the number of rows *delivered* to this query: every selected
+    /// row, except that a key-partitioned replica is delivered only the
+    /// rows it owns — `hash(key) % of` for rows with a resolved key, replica
+    /// 0 for everything else — so deliveries stay disjoint across shards.
+    ///
+    /// Call once per batch, after [`BatchCache::begin_batch`] selected at
+    /// least one row and before any [`Self::process_row`] of that batch.
+    pub(crate) fn prepare_batch(&mut self, view: &BatchView<'_>, cache: &mut BatchCache) -> u64 {
+        let batch = &mut self.batch;
+        batch.cursor = 0;
+        batch.glob_idx = cache.glob_column(&self.globals, view);
+        batch.pat_idx.clear();
         for p in &self.patterns {
-            self.batch.pat_idx.push(cache.pat_column(p, view));
+            batch
+                .pat_idx
+                .push(cache.pat_column(batch.glob_idx, p, view));
         }
-        if self.checked.kind == QueryKind::Rule || self.mode == ExecMode::Interpreted {
-            return;
+        let selected = cache.sel.len() as u64;
+        if self.checked.kind == QueryKind::Rule {
+            self.stats.events_seen += selected;
+            return selected;
         }
 
-        // Stateful compiled path: precompute everything the per-row drive
-        // loop needs except window assignment (which depends on the
-        // watermark advancing mid-batch).
-        let n = view.len();
+        // Dispatch each accepted row to its first matching pattern and
+        // extract its group key. A partitioned replica keeps only the rows
+        // it owns, so field programs and state folding below pay ~1/N of
+        // the serial work — this early exclusion *is* the data parallelism.
+        // Unresolvable keys are padded so row-major indexing stays aligned;
+        // such rows report instead of observing, and belong to replica 0 so
+        // the serial run's single error is reported exactly once.
         let plan = &self.plan;
-        let pre = &mut self.batch.pre;
-        pre.slot.clear();
-        pre.slot.resize(n, u32::MAX);
-        for (k, &ci) in self.batch.pat_idx.iter().enumerate() {
-            let col = cache.pat(ci);
-            for (row, s) in pre.slot.iter_mut().enumerate() {
-                if *s == u32::MAX && col[row] {
-                    *s = k as u32;
-                }
-            }
-        }
-
-        // Compact the surviving rows (glob-accepted, some pattern matched),
-        // extracting group keys as we go. A partitioned replica resolves
-        // every row's owner here and keeps only its own rows, so field
-        // programs and state folding below pay ~1/N of the serial work —
-        // this early exclusion *is* the data parallelism. Keys are padded
-        // when unresolvable so row-major indexing stays aligned; such rows
-        // report instead of observing, and belong to replica 0 so the
-        // serial run's single error is reported exactly once.
-        let glob = cache.glob(self.batch.glob_idx);
         let events = view.events();
         let nk = plan.group_keys.len();
-        let n_ev = plan.aliases.len();
-        let n_ent = plan.entity_vars.len();
-        let mut ev_slots: Vec<Option<&saql_model::Event>> = vec![None; n_ev];
-        let mut ent_slots: Vec<Option<EntityBind<'_>>> = vec![None; n_ent];
-        let part = self.partition;
-        let mut rows: Vec<EventRow<'_>> = Vec::new();
-        pre.pos.clear();
-        pre.keys.clear();
-        pre.key_ok.clear();
-        pre.owner.clear();
-        for (row, s) in pre.slot.iter().enumerate() {
-            if *s == u32::MAX || !glob[row] {
-                pre.pos.push(u32::MAX);
-                pre.owner.push(0);
+        batch.rows.clear();
+        batch.keys.clear();
+        batch.key_ok.clear();
+        let mut unowned = 0u64;
+        for (j, &row) in cache.glob(batch.glob_idx).iter().enumerate() {
+            let Some(idx) = batch.pat_idx.iter().position(|&ci| cache.pat(ci)[j]) else {
                 continue;
-            }
-            let idx = *s as usize;
+            };
             let (subject_slot, object_slot) = plan.pattern_slots[idx];
-            let event = events[row].as_ref();
-            ev_slots.iter_mut().for_each(|s| *s = None);
-            ent_slots.iter_mut().for_each(|s| *s = None);
-            ev_slots[idx] = Some(event);
-            ent_slots[subject_slot] = Some(EntityBind::Subject(&event.subject));
-            ent_slots[object_slot] = Some(EntityBind::Entity(&event.object));
-            let ok = extract_keys(plan, &ev_slots, &ent_slots, &mut self.key_buf);
-            if let Some(p) = part {
+            let bound = EventRow {
+                row,
+                ev_slot: idx,
+                subject_slot,
+                object_slot,
+            };
+            let ok = extract_keys(plan, &events[row as usize], &bound, &mut self.key_buf);
+            if let Some(p) = self.partition {
                 let owner = if ok {
                     partition_of(&self.key_buf, p.of as usize) as u32
                 } else {
                     0
                 };
-                pre.owner.push(owner);
                 if owner != p.index {
-                    pre.pos.push(u32::MAX);
+                    unowned += 1;
                     continue;
                 }
-            } else {
-                pre.owner.push(0);
             }
-            pre.pos.push(rows.len() as u32);
-            rows.push(EventRow {
-                event,
-                ev_slot: idx,
-                subject_slot,
-                object_slot,
-            });
-            pre.key_ok.push(ok);
+            batch.rows.push(bound);
+            batch.key_ok.push(ok);
             if ok {
-                pre.keys.append(&mut self.key_buf);
+                batch.keys.append(&mut self.key_buf);
             } else {
-                pre.keys
+                batch
+                    .keys
                     .extend(std::iter::repeat_with(|| KeyAtom::Int(0)).take(nk));
             }
         }
+        let delivered = match self.partition {
+            Some(p) if p.index != 0 => batch.rows.len() as u64,
+            _ => selected - unowned,
+        };
+        self.stats.events_seen += delivered;
 
-        // Field programs, batch-at-a-time over the compact rows, scattered
+        // Field programs, column-wise over the work list, scattered
         // row-major.
         let nf = plan.field_programs.len();
-        pre.fields.clear();
-        pre.fields.resize(rows.len() * nf, Value::Missing);
+        batch.fields.clear();
+        batch.fields.resize(batch.rows.len() * nf, Value::Missing);
         for (f, prog) in plan.field_programs.iter().enumerate() {
             run_program_batch(
                 prog,
-                &rows,
-                &mut self.batch.cols_buf,
-                &mut self.batch.out_buf,
+                events,
+                &batch.rows,
+                &mut batch.cols_buf,
+                &mut batch.out_buf,
             );
-            for (r, v) in self.batch.out_buf.drain(..).enumerate() {
-                pre.fields[r * nf + f] = v;
+            for (r, v) in batch.out_buf.drain(..).enumerate() {
+                batch.fields[r * nf + f] = v;
             }
         }
+        delivered
     }
 
-    /// Batched counterpart of [`Self::process_payload`]: process row `row`
-    /// of the batch this query was [prepared](Self::prepare_batch) for,
-    /// reading predicate columns from the group's shared cache instead of
-    /// re-probing the event.
-    pub(crate) fn process_payload_row(
+    /// Drive step: process batch row `row` (an admitted row of the batch
+    /// this query was [prepared](Self::prepare_batch) for; rows arrive in
+    /// ascending order). Does *not* advance time — the scheduler advances
+    /// time for every event but offers payloads only to admitted rows.
+    /// Rows this query has no work on (global filter rejected, no pattern
+    /// matched, not owned) cost one comparison.
+    pub(crate) fn process_row(
         &mut self,
         event: &SharedEvent,
         row: usize,
         cache: &BatchCache,
     ) -> Vec<Alert> {
-        self.stats.events_seen += 1;
-        if !cache.glob(self.batch.glob_idx)[row] {
-            return Vec::new();
-        }
+        let pos = self.batch.cursor;
         match self.checked.kind {
             QueryKind::Rule => {
+                // Every accepted row feeds the matcher, hit or not: feeding
+                // is also what expires idle partial matches.
+                if cache.glob(self.batch.glob_idx).get(pos) != Some(&(row as u32)) {
+                    return Vec::new();
+                }
+                self.batch.cursor += 1;
                 let mut hits = std::mem::take(&mut self.batch.hits_buf);
                 hits.clear();
-                hits.extend(self.batch.pat_idx.iter().map(|&ci| cache.pat(ci)[row]));
+                hits.extend(self.batch.pat_idx.iter().map(|&ci| cache.pat(ci)[pos]));
                 let matcher = self.matcher.as_mut().expect("rule queries have a matcher");
                 let fulls = matcher.feed_with_hits(event, &hits);
                 self.batch.hits_buf = hits;
-                self.process_rule_core(fulls)
+                self.emit_matches(fulls)
             }
             _ => {
-                match self.mode {
-                    ExecMode::Compiled => self.process_stateful_row(event, row),
-                    // Interpreter oracle: no columnar programs, fall back
-                    // per event past the cached global gate.
-                    ExecMode::Interpreted => self.process_stateful(event),
+                if self.batch.rows.get(pos).map(|r| r.row) == Some(row as u32) {
+                    self.batch.cursor += 1;
+                    self.fold_row(event, pos);
                 }
                 Vec::new()
             }
         }
     }
 
-    /// Stateful drive step for one batch row: window assignment and state
-    /// folding off the precomputed dispatch/keys/fields.
-    fn process_stateful_row(&mut self, event: &SharedEvent, row: usize) {
-        // `pos == MAX` covers rows that matched no pattern *and* rows a
-        // partitioned replica does not own (the scheduler skips the latter
-        // via `owns_row`; this guard keeps direct callers safe too).
-        if self.batch.pre.pos[row] == u32::MAX {
-            return;
-        }
+    /// Stateful drive step for work-list entry `pos`: window assignment and
+    /// state folding off the precomputed dispatch/keys/fields.
+    fn fold_row(&mut self, event: &SharedEvent, pos: usize) {
         self.stats.events_matched += 1;
         let Some(driver) = &mut self.window else {
             return;
@@ -944,15 +830,14 @@ impl RunningQuery {
             return;
         }
         let Some(state) = &mut self.state else { return };
-        let pre = &self.batch.pre;
-        let pos = pre.pos[row] as usize;
-        if pre.key_ok[pos] {
+        let batch = &self.batch;
+        if batch.key_ok[pos] {
             let nk = self.plan.group_keys.len();
             let nf = self.plan.field_programs.len();
             state.observe(
                 &self.windows_buf,
-                &pre.keys[pos * nk..(pos + 1) * nk],
-                &pre.fields[pos * nf..(pos + 1) * nf],
+                &batch.keys[pos * nk..(pos + 1) * nk],
+                &batch.fields[pos * nf..(pos + 1) * nf],
             );
         } else {
             self.errors.report(EngineError::Eval(format!(
@@ -978,16 +863,9 @@ impl RunningQuery {
     // Rule pipeline
     // ------------------------------------------------------------------
 
-    fn process_rule(&mut self, event: &SharedEvent) -> Vec<Alert> {
-        let matcher = self.matcher.as_mut().expect("rule queries have a matcher");
-        let fulls = matcher.feed(event);
-        self.process_rule_core(fulls)
-    }
-
-    /// Everything after the matcher probe — shared by the per-event path
-    /// ([`Self::process_rule`]) and the batched path, which feeds the
-    /// matcher off precomputed pattern columns.
-    fn process_rule_core(&mut self, fulls: Vec<FullMatch>) -> Vec<Alert> {
+    /// Everything after the matcher probe: overflow reporting, alert
+    /// condition, return rows, distinct.
+    fn emit_matches(&mut self, fulls: Vec<FullMatch>) -> Vec<Alert> {
         let (overflowed, live) = {
             let matcher = self.matcher.as_ref().expect("rule queries have a matcher");
             (matcher.overflowed(), matcher.live_partials())
@@ -1014,57 +892,31 @@ impl RunningQuery {
     }
 
     fn alert_from_match(&mut self, full: &FullMatch) -> Option<Alert> {
-        let rows = match self.mode {
-            ExecMode::Compiled => {
-                let events: Vec<Option<&saql_model::Event>> =
-                    full.events.iter().map(|e| Some(e.as_ref())).collect();
-                let entities: Vec<Option<EntityBind<'_>>> = full
-                    .bindings
-                    .iter()
-                    .map(|b| b.as_ref().map(EntityBind::Entity))
-                    .collect();
-                let ctx = ExecCtx {
-                    events: &events,
-                    entities: &entities,
-                    group_keys: &[],
-                    states: &NoSlots,
-                    invariants: &[],
-                    cluster: None,
-                };
-                if let Some(prog) = &self.plan.alert {
-                    if !run_program(prog, &ctx, &mut self.scratch).truthy() {
-                        return None;
-                    }
-                }
-                self.plan
-                    .ret
-                    .iter()
-                    .map(|(label, prog)| {
-                        (
-                            label.clone(),
-                            run_program(prog, &ctx, &mut self.scratch).to_string(),
-                        )
-                    })
-                    .collect()
-            }
-            ExecMode::Interpreted => {
-                let mut scope = Scope::empty();
-                for (pattern, event) in self.checked.ast.patterns.iter().zip(&full.events) {
-                    scope.events.insert(pattern.alias.as_str(), event);
-                }
-                for ((var, _), entity) in self.plan.entity_vars.iter().zip(&full.bindings) {
-                    if let Some(entity) = entity {
-                        scope.entities.insert(var.as_str(), entity);
-                    }
-                }
-                if let Some(alert_expr) = &self.checked.ast.alert {
-                    if !eval(alert_expr, &scope).truthy() {
-                        return None;
-                    }
-                }
-                eval_return_in(&self.checked.ast.ret, &scope, "")
-            }
+        let events: Vec<Option<&saql_model::Event>> =
+            full.events.iter().map(|e| Some(e.as_ref())).collect();
+        let entities: Vec<Option<&saql_model::Entity>> =
+            full.bindings.iter().map(Option::as_ref).collect();
+        let ctx = ExecCtx {
+            events: &events,
+            entities: &entities,
+            ..ExecCtx::empty()
         };
+        if let Some(prog) = &self.plan.alert {
+            if !run_program(prog, &ctx, &mut self.scratch).truthy() {
+                return None;
+            }
+        }
+        let rows: Vec<(String, String)> = self
+            .plan
+            .ret
+            .iter()
+            .map(|(label, prog)| {
+                (
+                    label.clone(),
+                    run_program(prog, &ctx, &mut self.scratch).to_string(),
+                )
+            })
+            .collect();
         if !pass_distinct_in(
             &mut self.distinct_seen,
             self.checked.ast.ret.as_ref(),
@@ -1093,123 +945,6 @@ impl RunningQuery {
     // Stateful pipeline
     // ------------------------------------------------------------------
 
-    fn process_stateful(&mut self, event: &SharedEvent) {
-        /// Slot counts up to this bind on the stack; larger queries fall
-        /// back to a heap array (rare: >8 aliases or variables).
-        const SLOT_STACK: usize = 8;
-
-        let Some(idx) = self.patterns.iter().position(|p| p.matches(event)) else {
-            return;
-        };
-        self.stats.events_matched += 1;
-        let Some(driver) = &mut self.window else {
-            return;
-        };
-        driver.observe_into(event.ts, &mut self.windows_buf);
-        if self.windows_buf.is_empty() {
-            self.stats.late_events += 1;
-            return;
-        }
-        let Some(state) = &mut self.state else { return };
-        let plan = &self.plan;
-        let scratch = &mut self.scratch;
-        let key_buf = &mut self.key_buf;
-        let fold_buf = &mut self.fold_buf;
-        let resolved = match self.mode {
-            ExecMode::Compiled => {
-                // Fixed slot arrays (stack-allocated for typical sizes);
-                // the subject binds straight from the event — no `Entity`
-                // clone, no `HashMap`, no string on the hot path.
-                let (n_ev, n_ent) = (plan.aliases.len(), plan.entity_vars.len());
-                let mut ev_stack: [Option<&saql_model::Event>; SLOT_STACK] = [None; SLOT_STACK];
-                let mut ent_stack: [Option<EntityBind<'_>>; SLOT_STACK] = [None; SLOT_STACK];
-                let mut ev_heap: Vec<Option<&saql_model::Event>>;
-                let mut ent_heap: Vec<Option<EntityBind<'_>>>;
-                let (events, entities) = if n_ev <= SLOT_STACK && n_ent <= SLOT_STACK {
-                    (&mut ev_stack[..n_ev], &mut ent_stack[..n_ent])
-                } else {
-                    ev_heap = vec![None; n_ev];
-                    ent_heap = vec![None; n_ent];
-                    (ev_heap.as_mut_slice(), ent_heap.as_mut_slice())
-                };
-                events[idx] = Some(event.as_ref());
-                let (subject_slot, object_slot) = plan.pattern_slots[idx];
-                entities[subject_slot] = Some(EntityBind::Subject(&event.subject));
-                entities[object_slot] = Some(EntityBind::Entity(&event.object));
-                let ok = extract_keys(plan, events, entities, key_buf);
-                if ok {
-                    let ctx = ExecCtx {
-                        events,
-                        entities,
-                        group_keys: &[],
-                        states: &NoSlots,
-                        invariants: &[],
-                        cluster: None,
-                    };
-                    fold_buf.clear();
-                    for prog in &plan.field_programs {
-                        let v = run_program(prog, &ctx, scratch);
-                        fold_buf.push(v);
-                    }
-                }
-                ok
-            }
-            ExecMode::Interpreted => {
-                let pattern = &self.checked.ast.patterns[idx];
-                let subject_entity = Entity::Process(event.subject.clone());
-                let mut scope = Scope::empty();
-                scope.events.insert(pattern.alias.as_str(), event);
-                scope
-                    .entities
-                    .insert(pattern.subject.var.as_str(), &subject_entity);
-                scope
-                    .entities
-                    .insert(pattern.object.var.as_str(), &event.object);
-                key_buf.clear();
-                let mut ok = true;
-                for expr in &self.interp_keys {
-                    match eval(expr, &scope) {
-                        Value::Attr(a) => key_buf.push(KeyAtom::of_owned(a)),
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    fold_buf.clear();
-                    let block = self
-                        .checked
-                        .ast
-                        .states
-                        .first()
-                        .expect("stateful queries have a state block");
-                    for field in &block.fields {
-                        fold_buf.push(eval(&field.arg, &scope));
-                    }
-                }
-                ok
-            }
-        };
-        if resolved {
-            // A partitioned replica folds only the groups it owns (the
-            // scheduler already gates delivery via `owns_event`; this keeps
-            // direct per-event callers consistent too).
-            if let Some(p) = self.partition {
-                if partition_of(key_buf, p.of as usize) as u32 != p.index {
-                    return;
-                }
-            }
-            state.observe(&self.windows_buf, key_buf, fold_buf);
-        } else if self.partition.map_or(true, |p| p.index == 0) {
-            self.errors.report(EngineError::Eval(format!(
-                "group key of state `{}` unresolvable for event {}",
-                state.name(),
-                event.id
-            )));
-        }
-    }
-
     fn close_window(&mut self, k: u64, alerts: &mut Vec<Alert>) {
         self.stats.windows_closed += 1;
         let Some(state) = &mut self.state else { return };
@@ -1225,7 +960,6 @@ impl RunningQuery {
             .assigner();
         let (w_start, w_end) = assigner.bounds(k);
 
-        let mode = self.mode;
         let plan = &self.plan;
         let ast = &self.checked.ast;
         let scratch = &mut self.scratch;
@@ -1240,7 +974,7 @@ impl RunningQuery {
         if let Some(spec) = &ast.cluster {
             cluster_scratch.begin_close();
             for (i, group) in closed.iter().enumerate() {
-                let ge = GroupEval::new(mode, plan, ast, state, k, group, None);
+                let ge = GroupEval::new(plan, state, k, group, None);
                 if let Some(p) = ge.cluster_point(scratch) {
                     cluster_scratch.point_groups.push(i);
                     cluster_scratch.points.push(p);
@@ -1253,7 +987,7 @@ impl RunningQuery {
         }
 
         for (i, group) in closed.iter().enumerate() {
-            let ge = GroupEval::new(mode, plan, ast, state, k, group, outcomes[i]);
+            let ge = GroupEval::new(plan, state, k, group, outcomes[i]);
 
             // Invariant bookkeeping (training windows never alert).
             let (ready, inv_vars): (bool, Vec<Value>) = match inv_rt.as_deref_mut() {
@@ -1434,20 +1168,14 @@ impl RunningQuery {
                 pattern.fingerprint()
             );
         }
-        match (self.checked.kind, self.mode) {
-            (QueryKind::Rule, _) => {
-                let _ = writeln!(out, "  matcher: probes driven off pattern columns");
-            }
-            (_, ExecMode::Compiled) => {
-                let _ = writeln!(
-                    out,
-                    "  state: group keys + {} field program(s) batch-at-a-time",
-                    plan.field_programs.len()
-                );
-            }
-            (_, ExecMode::Interpreted) => {
-                let _ = writeln!(out, "  state: per-event interpreter (oracle mode)");
-            }
+        if self.checked.kind == QueryKind::Rule {
+            let _ = writeln!(out, "  matcher: probes driven off pattern columns");
+        } else {
+            let _ = writeln!(
+                out,
+                "  state: group keys + {} field program(s) batch-at-a-time",
+                plan.field_programs.len()
+            );
         }
         match self.partition_decision() {
             Ok(()) => {
@@ -1466,33 +1194,32 @@ impl RunningQuery {
     }
 }
 
-/// Extract the group-key values of a matched event from compiled slot
-/// arrays into `out` (cleared first). `false` when any key is unresolvable
-/// (unknown attribute, or a key variable this pattern does not bind) — the
-/// event cannot be grouped.
+/// Extract the group-key values of `event`, bound as `bound`, into `out`
+/// (cleared first). `false` when any key is unresolvable (unknown
+/// attribute, or a key variable this pattern does not bind) — the event
+/// cannot be grouped. On an entity-slot collision the object binding wins,
+/// as in program loads.
 fn extract_keys(
     plan: &QueryPlan,
-    events: &[Option<&saql_model::Event>],
-    entities: &[Option<EntityBind<'_>>],
+    event: &saql_model::Event,
+    bound: &EventRow,
     out: &mut Vec<KeyAtom>,
 ) -> bool {
     out.clear();
     for key in &plan.group_keys {
         let value = match key.source {
             saql_lang::resolve::KeySource::Entity { slot, attr } => attr.and_then(|id| {
-                entities
-                    .get(slot)
-                    .copied()
-                    .flatten()
-                    .and_then(|e| e.attr_value(id))
+                if slot == bound.object_slot {
+                    event.object.attr_value(id)
+                } else if slot == bound.subject_slot {
+                    event.subject.attr_value(id)
+                } else {
+                    None
+                }
             }),
-            saql_lang::resolve::KeySource::Event { slot, attr } => attr.and_then(|id| {
-                events
-                    .get(slot)
-                    .copied()
-                    .flatten()
-                    .and_then(|e| e.attr_value(id))
-            }),
+            saql_lang::resolve::KeySource::Event { slot, attr } => attr
+                .filter(|_| slot == bound.ev_slot)
+                .and_then(|id| event.attr_value(id)),
         };
         match value {
             Some(v) => out.push(KeyAtom::of_owned(v)),
@@ -1502,12 +1229,9 @@ fn extract_keys(
     true
 }
 
-/// Close-time evaluation of one group, dispatching to compiled programs or
-/// the interpreter oracle.
+/// Close-time evaluation of one group against the compiled programs.
 struct GroupEval<'a> {
-    mode: ExecMode,
     plan: &'a QueryPlan,
-    ast: &'a Query,
     view: StateView<'a>,
     group: &'a ClosedGroup,
     cluster: Option<ClusterOutcome>,
@@ -1515,18 +1239,14 @@ struct GroupEval<'a> {
 
 impl<'a> GroupEval<'a> {
     fn new(
-        mode: ExecMode,
         plan: &'a QueryPlan,
-        ast: &'a Query,
         state: &'a StateMaintainer,
         k: u64,
         group: &'a ClosedGroup,
         cluster: Option<ClusterOutcome>,
     ) -> GroupEval<'a> {
         GroupEval {
-            mode,
             plan,
-            ast,
             view: StateView {
                 maintainer: state,
                 group: &group.key,
@@ -1548,133 +1268,45 @@ impl<'a> GroupEval<'a> {
         }
     }
 
-    /// The interpreter's close-time scope: group-key spellings, the state
-    /// view, invariant variables by name, and the cluster outcome.
-    fn scope<'b>(&'b self, inv_vars: &[Value], with_cluster: bool) -> Scope<'b> {
-        let mut scope = Scope::empty();
-        scope.states = &self.view;
-        for (key, value) in self.plan.group_keys.iter().zip(&self.group.key_vals) {
-            for spelling in &key.spellings {
-                scope.group_keys.insert(spelling.clone(), value.clone());
-            }
-        }
-        scope.invariants = self
-            .plan
-            .invariant_vars
-            .iter()
-            .cloned()
-            .zip(inv_vars.iter().cloned())
-            .collect();
-        scope.cluster = if with_cluster { self.cluster } else { None };
-        scope
-    }
-
-    /// Evaluate invariant statement `i` with `vars` in scope.
+    /// Evaluate invariant statement `i` with `vars` in scope (initializers
+    /// see an empty context).
     fn stmt(&self, i: usize, vars: &[Value], scratch: &mut Vec<Value>) -> Value {
-        match self.mode {
-            ExecMode::Compiled => {
-                let (_, init, prog) = &self.plan.invariant_programs[i];
-                if *init {
-                    run_program(prog, &ExecCtx::empty(), scratch)
-                } else {
-                    run_program(prog, &self.ctx(vars), scratch)
-                }
-            }
-            ExecMode::Interpreted => {
-                let stmt = &self.ast.invariants[0].stmts[i];
-                if stmt.init {
-                    eval(&stmt.expr, &Scope::empty())
-                } else {
-                    eval(&stmt.expr, &self.scope(vars, true))
-                }
-            }
+        let (_, init, prog) = &self.plan.invariant_programs[i];
+        if *init {
+            run_program(prog, &ExecCtx::empty(), scratch)
+        } else {
+            run_program(prog, &self.ctx(vars), scratch)
         }
     }
 
     /// Evaluate the cluster point (no invariants or outcomes in scope yet).
     fn cluster_point(&self, scratch: &mut Vec<Value>) -> Option<Vec<f64>> {
-        match self.mode {
-            ExecMode::Compiled => self
-                .plan
-                .cluster_programs
-                .iter()
-                .map(|prog| run_program(prog, &self.ctx(&[]), scratch).as_f64())
-                .collect(),
-            ExecMode::Interpreted => {
-                let scope = self.scope(&[], false);
-                self.ast
-                    .cluster
-                    .as_ref()
-                    .expect("cluster point evaluation implies a cluster spec")
-                    .points
-                    .iter()
-                    .map(|e| eval(e, &scope).as_f64())
-                    .collect()
-            }
-        }
+        self.plan
+            .cluster_programs
+            .iter()
+            .map(|prog| run_program(prog, &self.ctx(&[]), scratch).as_f64())
+            .collect()
     }
 
     /// Evaluate the alert condition; `None` when the query declares none.
     fn alert(&self, inv_vars: &[Value], scratch: &mut Vec<Value>) -> Option<bool> {
-        match self.mode {
-            ExecMode::Compiled => self
-                .plan
-                .alert
-                .as_ref()
-                .map(|prog| run_program(prog, &self.ctx(inv_vars), scratch).truthy()),
-            ExecMode::Interpreted => self
-                .ast
-                .alert
-                .as_ref()
-                .map(|expr| eval(expr, &self.scope(inv_vars, true)).truthy()),
-        }
+        self.plan
+            .alert
+            .as_ref()
+            .map(|prog| run_program(prog, &self.ctx(inv_vars), scratch).truthy())
     }
 
     /// Evaluate the return rows (the group label when no clause exists).
     fn ret_rows(&self, inv_vars: &[Value], scratch: &mut Vec<Value>) -> Vec<(String, String)> {
-        match self.mode {
-            ExecMode::Compiled => {
-                if self.plan.ret.is_empty() {
-                    return vec![("group".to_string(), self.group.label.clone())];
-                }
-                let ctx = self.ctx(inv_vars);
-                self.plan
-                    .ret
-                    .iter()
-                    .map(|(label, prog)| {
-                        (label.clone(), run_program(prog, &ctx, scratch).to_string())
-                    })
-                    .collect()
-            }
-            ExecMode::Interpreted => eval_return_in(
-                &self.ast.ret,
-                &self.scope(inv_vars, true),
-                &self.group.label,
-            ),
+        if self.plan.ret.is_empty() {
+            return vec![("group".to_string(), self.group.label.clone())];
         }
-    }
-}
-
-fn eval_return_in(
-    ret: &Option<saql_lang::ast::ReturnClause>,
-    scope: &Scope<'_>,
-    group: &str,
-) -> Vec<(String, String)> {
-    match ret {
-        Some(clause) => clause
-            .items
+        let ctx = self.ctx(inv_vars);
+        self.plan
+            .ret
             .iter()
-            .map(|item| {
-                let value = eval(&item.expr, scope);
-                let label = match &item.alias {
-                    Some(a) => a.clone(),
-                    None => saql_lang::pretty::print_expr(&item.expr),
-                };
-                (label, value.to_string())
-            })
-            .collect(),
-        None if !group.is_empty() => vec![("group".to_string(), group.to_string())],
-        None => Vec::new(),
+            .map(|(label, prog)| (label.clone(), run_program(prog, &ctx, scratch).to_string()))
+            .collect()
     }
 }
 
@@ -1693,24 +1325,29 @@ fn pass_distinct_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::Scheduler;
     use saql_model::event::EventBuilder;
     use saql_model::{NetworkInfo, ProcessInfo};
     use std::sync::Arc;
 
-    fn q(src: &str) -> RunningQuery {
-        RunningQuery::compile("test-query", src, QueryConfig::default()).unwrap()
+    fn compile(name: &str, src: &str, config: QueryConfig) -> RunningQuery {
+        RunningQuery::compile(name, src, config).unwrap()
     }
 
-    fn q_interp(src: &str) -> RunningQuery {
-        RunningQuery::compile(
-            "test-query",
-            src,
-            QueryConfig {
-                exec: ExecMode::Interpreted,
-                ..QueryConfig::default()
-            },
-        )
-        .unwrap()
+    /// A query driven the way the engine drives it: as the only member of
+    /// a scheduler, one event per batch.
+    fn solo(query: RunningQuery) -> Scheduler {
+        let mut s = Scheduler::new();
+        s.add(query);
+        s
+    }
+
+    fn q(src: &str) -> Scheduler {
+        solo(compile("test-query", src, QueryConfig::default()))
+    }
+
+    fn stats(s: &Scheduler) -> QueryStats {
+        s.queries().next().unwrap().stats()
     }
 
     fn start(id: u64, ts: u64, host: &str, parent: (u32, &str), child: (u32, &str)) -> SharedEvent {
@@ -1774,20 +1411,13 @@ mod tests {
 
     #[test]
     fn rule_query_emits_alert_with_rows() {
-        for mut rq in [
-            q(r#"proc p1["%cmd.exe"] start proc p2["%osql.exe"] as e1
-return distinct p1, p2"#),
-            q_interp(
-                r#"proc p1["%cmd.exe"] start proc p2["%osql.exe"] as e1
-return distinct p1, p2"#,
-            ),
-        ] {
-            let alerts = rq.process(&start(1, 10, "db", (1, "cmd.exe"), (2, "osql.exe")));
-            assert_eq!(alerts.len(), 1, "{:?}", rq.exec_mode());
-            assert_eq!(alerts[0].get("p1"), Some("cmd.exe"));
-            assert_eq!(alerts[0].get("p2"), Some("osql.exe"));
-            assert!(matches!(alerts[0].origin, AlertOrigin::Match { .. }));
-        }
+        let mut rq = q(r#"proc p1["%cmd.exe"] start proc p2["%osql.exe"] as e1
+return distinct p1, p2"#);
+        let alerts = rq.process(&start(1, 10, "db", (1, "cmd.exe"), (2, "osql.exe")));
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].get("p1"), Some("cmd.exe"));
+        assert_eq!(alerts[0].get("p2"), Some("osql.exe"));
+        assert!(matches!(alerts[0].origin, AlertOrigin::Match { .. }));
     }
 
     #[test]
@@ -1826,8 +1456,7 @@ return distinct p1, p2"#);
         );
     }
 
-    /// The paper's Query 2 (SMA spike) end to end on a synthetic stream —
-    /// on both execution paths.
+    /// The paper's Query 2 (SMA spike) end to end on a synthetic stream.
     #[test]
     fn time_series_query_detects_spike() {
         let src = r#"proc p write ip i as evt #time(10 min)
@@ -1836,34 +1465,31 @@ state[3] ss {
 } group by p
 alert (ss[0].avg_amount > (ss[0].avg_amount + ss[1].avg_amount + ss[2].avg_amount) / 3) && (ss[0].avg_amount > 10000)
 return p, ss[0].avg_amount"#;
-        for mut rq in [q(src), q_interp(src)] {
-            let min = 60_000u64;
-            let mut alerts = Vec::new();
-            let mut id = 0;
-            // Three quiet windows then a spike window for sqlservr.exe.
-            for w in 0..4u64 {
-                let amount = if w == 3 { 5_000_000 } else { 2_000 };
-                for j in 0..5 {
-                    id += 1;
-                    alerts.extend(rq.process(&send(
-                        id,
-                        w * 10 * min + j * min,
-                        "db",
-                        (10, "sqlservr.exe"),
-                        "10.0.0.9",
-                        amount,
-                    )));
-                }
+        let mut rq = q(src);
+        let min = 60_000u64;
+        let mut alerts = Vec::new();
+        let mut id = 0;
+        // Three quiet windows then a spike window for sqlservr.exe.
+        for w in 0..4u64 {
+            let amount = if w == 3 { 5_000_000 } else { 2_000 };
+            for j in 0..5 {
+                id += 1;
+                alerts.extend(rq.process(&send(
+                    id,
+                    w * 10 * min + j * min,
+                    "db",
+                    (10, "sqlservr.exe"),
+                    "10.0.0.9",
+                    amount,
+                )));
             }
-            alerts.extend(rq.finish());
-            assert_eq!(alerts.len(), 1, "{:?}: {alerts:?}", rq.exec_mode());
-            let a = &alerts[0];
-            assert!(
-                matches!(&a.origin, AlertOrigin::Window { group, .. } if group == "sqlservr.exe")
-            );
-            assert_eq!(a.get("p"), Some("sqlservr.exe"));
-            assert_eq!(a.get("ss[0].avg_amount"), Some("5000000.0"));
         }
+        alerts.extend(rq.finish());
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        let a = &alerts[0];
+        assert!(matches!(&a.origin, AlertOrigin::Window { group, .. } if group == "sqlservr.exe"));
+        assert_eq!(a.get("p"), Some("sqlservr.exe"));
+        assert_eq!(a.get("ss[0].avg_amount"), Some("5000000.0"));
     }
 
     #[test]
@@ -1890,7 +1516,7 @@ return p"#);
         assert!(alerts.is_empty(), "{alerts:?}");
     }
 
-    /// The paper's Query 3 (invariant) end to end — both execution paths.
+    /// The paper's Query 3 (invariant) end to end.
     #[test]
     fn invariant_query_detects_unseen_child() {
         let src = r#"proc p1["%apache.exe"] start proc p2 as evt #time(10 s)
@@ -1901,48 +1527,47 @@ invariant[3][offline] {
 }
 alert |ss.set_proc diff a| > 0
 return p1, ss.set_proc"#;
-        for mut rq in [q(src), q_interp(src)] {
-            let sec = 1_000u64;
-            let mut alerts = Vec::new();
-            let mut id = 0;
-            // Training: 3 windows of normal children.
-            for w in 0..3u64 {
-                for child in ["php-cgi.exe", "rotatelogs.exe"] {
-                    id += 1;
-                    alerts.extend(rq.process(&start(
-                        id,
-                        w * 10 * sec + sec,
-                        "web",
-                        (80, "apache.exe"),
-                        (100 + id as u32, child),
-                    )));
-                }
+        let mut rq = q(src);
+        let sec = 1_000u64;
+        let mut alerts = Vec::new();
+        let mut id = 0;
+        // Training: 3 windows of normal children.
+        for w in 0..3u64 {
+            for child in ["php-cgi.exe", "rotatelogs.exe"] {
+                id += 1;
+                alerts.extend(rq.process(&start(
+                    id,
+                    w * 10 * sec + sec,
+                    "web",
+                    (80, "apache.exe"),
+                    (100 + id as u32, child),
+                )));
             }
-            // Detection window with a normal child: quiet.
-            id += 1;
-            alerts.extend(rq.process(&start(
-                id,
-                3 * 10 * sec + sec,
-                "web",
-                (80, "apache.exe"),
-                (900, "php-cgi.exe"),
-            )));
-            // Next window: the webshell.
-            id += 1;
-            alerts.extend(rq.process(&start(
-                id,
-                4 * 10 * sec + sec,
-                "web",
-                (80, "apache.exe"),
-                (999, "cmd.exe"),
-            )));
-            alerts.extend(rq.finish());
-            assert_eq!(alerts.len(), 1, "{:?}: {alerts:?}", rq.exec_mode());
-            assert!(alerts[0].get("ss.set_proc").unwrap().contains("cmd.exe"));
         }
+        // Detection window with a normal child: quiet.
+        id += 1;
+        alerts.extend(rq.process(&start(
+            id,
+            3 * 10 * sec + sec,
+            "web",
+            (80, "apache.exe"),
+            (900, "php-cgi.exe"),
+        )));
+        // Next window: the webshell.
+        id += 1;
+        alerts.extend(rq.process(&start(
+            id,
+            4 * 10 * sec + sec,
+            "web",
+            (80, "apache.exe"),
+            (999, "cmd.exe"),
+        )));
+        alerts.extend(rq.finish());
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert!(alerts[0].get("ss.set_proc").unwrap().contains("cmd.exe"));
     }
 
-    /// The paper's Query 4 (DBSCAN outlier) end to end — both paths.
+    /// The paper's Query 4 (DBSCAN outlier) end to end.
     #[test]
     fn outlier_query_flags_exfiltration_ip() {
         let src = r#"proc p["%sqlservr.exe"] read || write ip i as evt #time(10 min)
@@ -1950,35 +1575,34 @@ state ss { amt := sum(evt.amount) } group by i.dstip
 cluster(points=all(ss.amt), distance="ed", method="DBSCAN(100000, 5)")
 alert cluster.outlier && ss.amt > 1000000
 return i.dstip, ss.amt"#;
-        for mut rq in [q(src), q_interp(src)] {
-            let min = 60_000u64;
-            let mut alerts = Vec::new();
-            let mut id = 0;
-            // 8 ordinary client ips with ~50KB each, one attacker with 2GB.
-            for c in 0..8u32 {
-                id += 1;
-                alerts.extend(rq.process(&send(
-                    id,
-                    c as u64 * min,
-                    "db",
-                    (10, "sqlservr.exe"),
-                    &format!("10.0.0.{}", 50 + c),
-                    50_000,
-                )));
-            }
+        let mut rq = q(src);
+        let min = 60_000u64;
+        let mut alerts = Vec::new();
+        let mut id = 0;
+        // 8 ordinary client ips with ~50KB each, one attacker with 2GB.
+        for c in 0..8u32 {
             id += 1;
             alerts.extend(rq.process(&send(
                 id,
-                9 * min,
+                c as u64 * min,
                 "db",
                 (10, "sqlservr.exe"),
-                "172.16.9.129",
-                2_000_000_000,
+                &format!("10.0.0.{}", 50 + c),
+                50_000,
             )));
-            alerts.extend(rq.finish());
-            assert_eq!(alerts.len(), 1, "{:?}: {alerts:?}", rq.exec_mode());
-            assert_eq!(alerts[0].get("i.dstip"), Some("172.16.9.129"));
         }
+        id += 1;
+        alerts.extend(rq.process(&send(
+            id,
+            9 * min,
+            "db",
+            (10, "sqlservr.exe"),
+            "172.16.9.129",
+            2_000_000_000,
+        )));
+        alerts.extend(rq.finish());
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(alerts[0].get("i.dstip"), Some("172.16.9.129"));
     }
 
     #[test]
@@ -2007,13 +1631,13 @@ return i.dstip, ss.amt"#;
             send(3, 50_000, "h", (1, "x.exe"), "1.1.1.1", 5),
         ];
         // Without lateness the straggler is dropped.
-        let mut strict = RunningQuery::compile("strict", src, QueryConfig::default()).unwrap();
+        let mut strict = solo(compile("strict", src, QueryConfig::default()));
         let mut strict_alerts = Vec::new();
         for e in &events {
             strict_alerts.extend(strict.process(e));
         }
         strict_alerts.extend(strict.finish());
-        assert_eq!(strict.stats().late_events, 1);
+        assert_eq!(stats(&strict).late_events, 1);
         let w0 = strict_alerts
             .iter()
             .find(|a| a.ts == Timestamp::from_secs(60))
@@ -2021,13 +1645,13 @@ return i.dstip, ss.amt"#;
         assert_eq!(w0.get("ss[0].n"), Some("1"));
 
         // With 30s lateness the first window is still open at watermark 70s.
-        let mut tolerant = RunningQuery::compile("tolerant", src, config).unwrap();
+        let mut tolerant = solo(compile("tolerant", src, config));
         let mut tolerant_alerts = Vec::new();
         for e in &events {
             tolerant_alerts.extend(tolerant.process(e));
         }
         tolerant_alerts.extend(tolerant.finish());
-        assert_eq!(tolerant.stats().late_events, 0);
+        assert_eq!(stats(&tolerant).late_events, 0);
         let w0 = tolerant_alerts
             .iter()
             .find(|a| a.ts == Timestamp::from_secs(60))
@@ -2041,7 +1665,7 @@ return i.dstip, ss.amt"#;
         rq.process(&send(1, 10, "db", (1, "x.exe"), "1.1.1.1", 10));
         rq.process(&send(2, 20, "other", (1, "x.exe"), "1.1.1.1", 10));
         rq.finish();
-        let s = rq.stats();
+        let s = stats(&rq);
         assert_eq!(s.events_seen, 2);
         assert_eq!(s.events_matched, 1);
         assert_eq!(s.windows_closed, 1);
@@ -2049,22 +1673,37 @@ return i.dstip, ss.amt"#;
     }
 
     #[test]
-    fn shape_match_is_constraint_free() {
-        let rq = q(r#"proc p1["%cmd.exe"] start proc p2["%osql.exe"] as e1
-return p1"#);
+    fn shape_mask_is_constraint_free() {
+        let rq = compile(
+            "test-query",
+            r#"proc p1["%cmd.exe"] start proc p2["%osql.exe"] as e1
+return p1"#,
+            QueryConfig::default(),
+        );
+        let admits = |e: &SharedEvent| rq.shape_mask() & (1u64 << e.shape_code()) != 0;
         // Shape (proc start proc) matches even with different names...
-        assert!(rq.shape_matches(&start(1, 1, "h", (1, "anything.exe"), (2, "else.exe"))));
+        assert!(admits(&start(
+            1,
+            1,
+            "h",
+            (1, "anything.exe"),
+            (2, "else.exe")
+        )));
         // ...but a different object type does not.
-        assert!(!rq.shape_matches(&send(2, 2, "h", (1, "cmd.exe"), "1.1.1.1", 5)));
+        assert!(!admits(&send(2, 2, "h", (1, "cmd.exe"), "1.1.1.1", 5)));
     }
 
     #[test]
     fn explain_lists_slots_predicates_and_programs() {
-        let rq = q(r#"agentid = "db-server"
+        let rq = compile(
+            "test-query",
+            r#"agentid = "db-server"
 proc p write ip i as evt #time(10 min)
 state[3] ss { avg_amount := avg(evt.amount) } group by p
 alert ss[0].avg_amount > 10000
-return p, ss[0].avg_amount"#);
+return p, ss[0].avg_amount"#,
+            QueryConfig::default(),
+        );
         let shown = rq.explain();
         assert!(shown.contains("kind: time-series"), "{shown}");
         assert!(shown.contains("agentid LIKE \"db-server\""), "{shown}");

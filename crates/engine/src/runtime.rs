@@ -82,9 +82,8 @@ pub struct ParallelConfig {
     pub batch_backlog: usize,
     /// Alerts buffered in the merged channel before workers block.
     pub alert_backlog: usize,
-    /// Track per-event processing latency on every shard (forces the
-    /// per-event execution path there; histograms merge at
-    /// [`ParallelEngine::finish`]).
+    /// Track per-batch processing latency on every shard (histograms merge
+    /// at [`ParallelEngine::finish`]).
     pub record_latency: bool,
     /// Replicate partitionable queries across all shards, each replica
     /// owning the groups whose key tuple hashes to its shard index — one
@@ -707,7 +706,7 @@ impl ParallelEngine {
         out
     }
 
-    /// Per-event latency histogram merged across shards, after
+    /// Per-batch latency histogram merged across shards, after
     /// [`finish`](Self::finish), when [`ParallelConfig::record_latency`]
     /// was on and events were seen.
     pub fn latency(&self) -> Option<&saql_analytics::Histogram> {

@@ -9,14 +9,14 @@
 //! stream. This is how SAQL keeps per-event work and data copies sublinear
 //! in the number of concurrent queries.
 //!
-//! For the benchmark comparison, [`NaiveScheduler`] models how a generic
-//! stream engine hosts the same queries: every query scans every event and
-//! receives its **own deep copy** of the payload (the "multiple copies of
-//! the data" the paper calls out).
+//! Execution is batch-at-a-time ([`Scheduler::process_batch`]) and there is
+//! no second path: a single event is a one-row batch.
+//!
+//! (The no-sharing comparison point — one scheduler and one data copy per
+//! query — lives in `saql-baseline`.)
 
 use std::collections::HashMap;
 
-use saql_model::Timestamp;
 use saql_stream::{BatchView, EventBatch, SharedEvent};
 
 use crate::alert::Alert;
@@ -73,9 +73,8 @@ impl SchedulerStats {
 struct Group {
     key: String,
     members: Vec<RunningQuery>,
-    /// Shared sub-plan cache for batched execution: predicate columns
-    /// computed once per batch and reused by every member whose predicate
-    /// set fingerprints equal (see [`BatchCache`]).
+    /// The batch's shape-admitted row selection and the predicate columns
+    /// members share over it (see [`BatchCache`]).
     cache: BatchCache,
 }
 
@@ -84,7 +83,8 @@ pub struct Scheduler {
     groups: Vec<Group>,
     by_key: HashMap<String, usize>,
     stats: SchedulerStats,
-    /// Per-event end-to-end latency in nanoseconds, when enabled.
+    /// Per-batch processing latency, amortised to nanoseconds per event,
+    /// when enabled.
     latency: Option<saql_analytics::Histogram>,
 }
 
@@ -98,14 +98,15 @@ impl Scheduler {
         }
     }
 
-    /// Record per-event processing latency (adds one `Instant::now()` pair
-    /// per event; off by default).
+    /// Record processing latency: one clock pair per batch, recorded as
+    /// that batch's amortised nanoseconds per event (off by default).
     pub fn enable_latency_tracking(&mut self) {
         self.latency
             .get_or_insert_with(saql_analytics::Histogram::new);
     }
 
-    /// The latency histogram, if tracking is enabled and events were seen.
+    /// The latency histogram (one sample per non-empty batch), if tracking
+    /// is enabled.
     pub fn latency(&self) -> Option<&saql_analytics::Histogram> {
         self.latency.as_ref()
     }
@@ -221,146 +222,73 @@ impl Scheduler {
         self.queries().map(|q| (q.id(), q.snapshot())).collect()
     }
 
-    /// Push one event through every group.
+    /// Push one event through every group: a one-row batch.
     pub fn process(&mut self, event: &SharedEvent) -> Vec<Alert> {
-        let started = self.latency.is_some().then(std::time::Instant::now);
-        let alerts = self.process_inner(event);
-        if let (Some(started), Some(hist)) = (started, self.latency.as_mut()) {
-            hist.record(started.elapsed().as_nanos() as u64);
-        }
-        alerts
+        self.process_batch(&EventBatch::from_events(vec![event.clone()]))
     }
 
-    fn process_inner(&mut self, event: &SharedEvent) -> Vec<Alert> {
-        self.stats.events += 1;
-        let mut alerts = Vec::new();
-        for group in &mut self.groups {
-            // Time advances for every attached member regardless of shape
-            // (windows close on stream time, not on matching events).
-            // Paused members are detached: their stream is frozen until
-            // resume.
-            let mut attached = 0usize;
-            for q in &mut group.members {
-                if q.is_paused() {
-                    continue;
-                }
-                attached += 1;
-                // Pipeline stages run on their upstream's clock
-                // (`accepts_time`); everything else on stream time.
-                if q.accepts_time(event) {
-                    alerts.extend(q.advance_time(event.ts));
-                }
-            }
-            // A fully-paused group has no one to deliver to, so its master
-            // check would be pure waste.
-            if attached == 0 {
-                continue;
-            }
-            // Master check: one shape test per group, performed against the
-            // group's first member (all members share the shape by
-            // construction, so a paused master still answers for the group).
-            self.stats.master_checks += 1;
-            let admit = group
-                .members
-                .first()
-                .map(|m| m.shape_matches(event))
-                .unwrap_or(false);
-            if !admit {
-                continue;
-            }
-            for q in &mut group.members {
-                if q.is_paused() {
-                    continue;
-                }
-                // A key-partitioned replica receives only the rows it owns
-                // (always true for unpartitioned members), keeping
-                // deliveries disjoint across shards.
-                if !q.owns_event(event) {
-                    continue;
-                }
-                self.stats.deliveries += 1;
-                alerts.extend(q.process_payload(event));
-            }
-        }
-        alerts
-    }
-
-    /// Push a whole batch through every group, batch-at-a-time.
+    /// Push a batch through every group.
     ///
-    /// Phase one (prepare) computes each group's predicate columns once
-    /// per batch — shared across members through the group's
-    /// [`BatchCache`] — and each member's program prefixes column-wise.
-    /// Phase two (drive) replays the exact event-major/group-major order of
-    /// [`Self::process`], so the alert stream and stats are identical to
-    /// feeding the events one at a time; only the probe count shrinks.
-    ///
-    /// Latency tracking needs one timestamp pair per event, so it falls
-    /// back to the per-event path.
+    /// Phase one (prepare) is selection-driven: each group with an
+    /// attached member selects the rows its master's shape mask admits —
+    /// the master check, one byte test per row — and, unless that
+    /// selection is empty, each attached member resolves its predicate
+    /// columns over it (shared through the group's [`BatchCache`] where
+    /// fingerprints agree) and precomputes its stateful work over the
+    /// survivors. Phase two (drive) walks the batch in stream order,
+    /// event-major then group-major then member-major, advancing every
+    /// attached member's clock on every event and offering payloads on
+    /// admitted rows only — so the ordered alert stream and every counter
+    /// are independent of how the stream is cut into batches.
     pub fn process_batch(&mut self, batch: &EventBatch) -> Vec<Alert> {
-        if self.latency.is_some() {
-            let mut alerts = Vec::new();
-            for event in batch {
-                alerts.extend(self.process(event));
-            }
-            return alerts;
-        }
+        let started = self.latency.is_some().then(std::time::Instant::now);
         let view = BatchView::new(batch);
+        let n = view.len() as u64;
+        self.stats.events += n;
         for group in &mut self.groups {
             let Group { members, cache, .. } = group;
-            cache.begin_batch();
-            // Fully-paused groups are skipped per event anyway; paused
-            // members never receive payloads, so only attached ones
-            // prepare. Pause state cannot change mid-batch (control-plane
-            // operations land between engine calls).
-            for q in members.iter_mut() {
-                if !q.is_paused() {
-                    q.prepare_batch(&view, cache);
-                }
+            // Paused members are detached: no events, no time. Pause state
+            // cannot change mid-batch (control-plane operations land
+            // between engine calls), and a fully-paused group has no one to
+            // deliver to, so its master check would be pure waste.
+            if members.iter().all(|q| q.is_paused()) {
+                cache.clear();
+                continue;
+            }
+            // All members share the shape by construction, so a paused
+            // master still answers for the group.
+            self.stats.master_checks += n;
+            if cache.begin_batch(&view, members[0].shape_mask()) == 0 {
+                continue;
+            }
+            for q in members.iter_mut().filter(|q| !q.is_paused()) {
+                self.stats.deliveries += q.prepare_batch(&view, cache);
             }
         }
-        // Master admission masks are constant across the batch: one fold
-        // per group instead of one shape probe per group per event.
-        let masks: Vec<u64> = self
-            .groups
-            .iter()
-            .map(|g| g.members.first().map(|m| m.shape_mask()).unwrap_or(0))
-            .collect();
-        let shapes = view.shape();
         let mut alerts = Vec::new();
         for (row, event) in view.events().iter().enumerate() {
-            self.stats.events += 1;
-            for (gi, group) in self.groups.iter_mut().enumerate() {
-                let mut attached = 0usize;
-                for q in &mut group.members {
-                    if q.is_paused() {
-                        continue;
-                    }
-                    attached += 1;
-                    if q.accepts_time(event) {
+            for group in &mut self.groups {
+                let Group { members, cache, .. } = group;
+                // Time advances for every attached member regardless of
+                // shape (windows close on stream time, not on matching
+                // events). Pipeline stages run on their upstream's clock
+                // (`accepts_time`); everything else on stream time.
+                for q in members.iter_mut() {
+                    if !q.is_paused() && q.accepts_time(event) {
                         alerts.extend(q.advance_time(event.ts));
                     }
                 }
-                if attached == 0 {
+                if !cache.admits(row) {
                     continue;
                 }
-                self.stats.master_checks += 1;
-                if masks[gi] & (1u64 << shapes[row]) == 0 {
-                    continue;
+                for q in members.iter_mut().filter(|q| !q.is_paused()) {
+                    alerts.extend(q.process_row(event, row, cache));
                 }
-                let Group { members, cache, .. } = group;
-                for q in members.iter_mut() {
-                    if q.is_paused() {
-                        continue;
-                    }
-                    // Partitioned replicas own a disjoint row slice (the
-                    // owner column was resolved in `prepare_batch`);
-                    // unpartitioned members own every row.
-                    if !q.owns_row(row) {
-                        continue;
-                    }
-                    self.stats.deliveries += 1;
-                    alerts.extend(q.process_payload_row(event, row, cache));
-                }
+            }
+        }
+        if let (Some(started), Some(hist)) = (started, self.latency.as_mut()) {
+            if let Some(per_event) = (started.elapsed().as_nanos() as u64).checked_div(n) {
+                hist.record(per_event);
             }
         }
         alerts
@@ -394,78 +322,6 @@ impl Scheduler {
 impl Default for Scheduler {
     fn default() -> Self {
         Scheduler::new()
-    }
-}
-
-/// Baseline scheduler without sharing: every query checks every event and
-/// gets a private deep copy of the payload, as a generic CEP engine hosting
-/// independent queries would. Exists for the E4 benchmark comparison.
-pub struct NaiveScheduler {
-    queries: Vec<RunningQuery>,
-    stats: SchedulerStats,
-}
-
-impl NaiveScheduler {
-    pub fn new() -> Self {
-        NaiveScheduler {
-            queries: Vec::new(),
-            stats: SchedulerStats::default(),
-        }
-    }
-
-    pub fn add(&mut self, query: RunningQuery) {
-        self.queries.push(query);
-    }
-
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
-    pub fn stats(&self) -> SchedulerStats {
-        self.stats
-    }
-
-    pub fn queries(&self) -> impl Iterator<Item = &RunningQuery> {
-        self.queries.iter()
-    }
-
-    /// Push one event: per query, deep-copy the payload (the per-query data
-    /// copy the master–dependent scheme eliminates) and process it.
-    pub fn process(&mut self, event: &SharedEvent) -> Vec<Alert> {
-        self.stats.events += 1;
-        let mut alerts = Vec::new();
-        for q in &mut self.queries {
-            self.stats.master_checks += 1; // every query scans every event
-            let copy = std::sync::Arc::new(saql_model::Event::clone(event));
-            self.stats.data_copies += 1;
-            self.stats.deliveries += 1;
-            alerts.extend(q.advance_time(event.ts));
-            alerts.extend(q.process_payload(&copy));
-        }
-        alerts
-    }
-
-    pub fn finish(&mut self) -> Vec<Alert> {
-        let mut alerts = Vec::new();
-        for q in &mut self.queries {
-            alerts.extend(q.finish());
-        }
-        alerts
-    }
-
-    /// Advance time only (parity with [`Scheduler`], used by benches).
-    pub fn advance_time(&mut self, ts: Timestamp) -> Vec<Alert> {
-        let mut alerts = Vec::new();
-        for q in &mut self.queries {
-            alerts.extend(q.advance_time(ts));
-        }
-        alerts
-    }
-}
-
-impl Default for NaiveScheduler {
-    fn default() -> Self {
-        NaiveScheduler::new()
     }
 }
 
@@ -555,11 +411,12 @@ mod tests {
 
         let mut standalone_alerts = Vec::new();
         for (name, src) in sources {
-            let mut q = rq(name, src);
+            let mut alone = Scheduler::new();
+            alone.add(rq(name, src));
             for e in &events {
-                standalone_alerts.extend(q.process(e));
+                standalone_alerts.extend(alone.process(e));
             }
-            standalone_alerts.extend(q.finish());
+            standalone_alerts.extend(alone.finish());
         }
 
         let mut s = Scheduler::new();
@@ -579,25 +436,6 @@ mod tests {
             v.into_iter().map(|a| a.to_string()).collect::<Vec<_>>()
         };
         assert_eq!(norm(standalone_alerts), norm(sched_alerts));
-    }
-
-    #[test]
-    fn naive_scheduler_copies_per_query() {
-        let mut n = NaiveScheduler::new();
-        for i in 0..4 {
-            n.add(rq(&format!("q{i}"), "proc p start proc q as e\nreturn p"));
-        }
-        n.process(&start(1, 10, "a.exe", "b.exe"));
-        assert_eq!(n.stats().data_copies, 4);
-        assert_eq!(n.stats().master_checks, 4);
-        // Master–dependent makes zero copies for the same workload.
-        let mut s = Scheduler::new();
-        for i in 0..4 {
-            s.add(rq(&format!("q{i}"), "proc p start proc q as e\nreturn p"));
-        }
-        s.process(&start(1, 10, "a.exe", "b.exe"));
-        assert_eq!(s.stats().data_copies, 0);
-        assert_eq!(s.stats().master_checks, 1);
     }
 
     fn rq_id(name: &str, src: &str, id: usize) -> RunningQuery {
@@ -704,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_processing_matches_per_event() {
+    fn batch_size_changes_neither_alerts_nor_stats() {
         let sources = [
             ("q1", "proc p1[\"%cmd.exe\"] start proc p2[\"%osql.exe\"] as e\nreturn distinct p1, p2"),
             ("q2", "proc p1[\"%excel.exe\"] start proc p2 as e\nreturn distinct p1, p2"),
@@ -758,10 +596,11 @@ mod tests {
             "proc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n",
         ));
         s.add(rq("r", "proc p start proc q as e\nreturn p"));
-        let mut alerts = Vec::new();
-        alerts.extend(s.process(&send(1, 1_000, "x.exe", "1.1.1.1", 5)));
-        // 10 minutes later, only process events.
-        alerts.extend(s.process(&start(2, 600_000, "a.exe", "b.exe")));
+        // One batch: the write, then — 10 minutes later — a process event.
+        let alerts = s.process_batch(&EventBatch::from_events(vec![
+            send(1, 1_000, "x.exe", "1.1.1.1", 5),
+            start(2, 600_000, "a.exe", "b.exe"),
+        ]));
         let w_alerts: Vec<_> = alerts.iter().filter(|a| a.query == "w").collect();
         assert_eq!(w_alerts.len(), 1, "window should have closed: {alerts:?}");
     }

@@ -105,7 +105,8 @@ pub struct ShardReport {
     pub dropped_alerts: u64,
     /// Forwarding drops attributed to the emitting query.
     pub dropped_by_query: Vec<(QueryId, u64)>,
-    /// Per-event latency histogram (ns), when tracking was enabled.
+    /// Per-batch latency histogram (amortised ns/event), when tracking was
+    /// enabled.
     pub latency: Option<saql_analytics::Histogram>,
 }
 
@@ -121,8 +122,7 @@ impl Shard {
         self.id
     }
 
-    /// Record per-event processing latency on this shard's scheduler
-    /// (forces the per-event execution path; see
+    /// Record per-batch processing latency on this shard's scheduler (see
     /// [`Scheduler::enable_latency_tracking`]).
     pub fn enable_latency_tracking(&mut self) {
         self.scheduler.enable_latency_tracking();
@@ -144,7 +144,7 @@ impl Shard {
         self.scheduler.query_count()
     }
 
-    /// Push one batch through the shard's groups batch-at-a-time (see
+    /// Push one batch through the shard's groups (see
     /// [`Scheduler::process_batch`]), forwarding every alert.
     pub fn process_batch(&mut self, batch: &EventBatch, sink: &mut dyn AlertSink) {
         for alert in self.scheduler.process_batch(batch) {

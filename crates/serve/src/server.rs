@@ -131,10 +131,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             listen: "127.0.0.1:7878".to_string(),
-            engine: EngineConfig {
-                record_latency: true,
-                ..EngineConfig::default()
-            },
+            engine: EngineConfig::default(),
             lateness: Duration::from_secs(1),
             pull_batch: 256,
             ingest_buffer: 4096,

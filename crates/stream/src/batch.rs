@@ -8,8 +8,6 @@
 //! This preserves the master–dependent-query invariant that every consumer
 //! observes the *same allocation* of every event.
 
-use saql_model::{AttrId, AttrRef, Timestamp};
-
 use crate::SharedEvent;
 
 /// Default number of events per batch when callers don't specify one.
@@ -133,24 +131,18 @@ impl IntoIterator for EventBatch {
     }
 }
 
-/// A columnar view over one [`EventBatch`]: the per-event scalars the
-/// batched execution path probes on every row — timestamps and shape codes
-/// — materialized once as dense columns, plus on-demand fillers for
-/// attribute columns (borrowed [`AttrRef`] views resolved through the
-/// deploy-time [`AttrId`] tables, so batched predicate evaluation never
-/// re-probes attribute names or clones values).
-///
-/// The view borrows the batch; columns of `AttrRef`s therefore borrow the
-/// events and stay valid for the whole batch dispatch.
+/// A view over one [`EventBatch`] for the engine's execution path: the
+/// events plus the one per-event scalar every compatibility group probes
+/// on every row — the shape code — materialized once as a dense column.
+/// Everything else is probed per selected row, on the event itself.
 #[derive(Debug)]
 pub struct BatchView<'a> {
     events: &'a [SharedEvent],
-    ts: Vec<Timestamp>,
     shape: Vec<u8>,
 }
 
 impl<'a> BatchView<'a> {
-    /// Materialize the scalar columns (one pass over the batch).
+    /// Materialize the shape column (one pass over the batch).
     pub fn new(batch: &'a EventBatch) -> BatchView<'a> {
         Self::over(batch.events())
     }
@@ -160,7 +152,6 @@ impl<'a> BatchView<'a> {
     pub fn over(events: &'a [SharedEvent]) -> BatchView<'a> {
         BatchView {
             events,
-            ts: events.iter().map(|e| e.ts).collect(),
             shape: events.iter().map(|e| e.shape_code()).collect(),
         }
     }
@@ -178,35 +169,10 @@ impl<'a> BatchView<'a> {
         self.events
     }
 
-    /// Event-time column.
-    pub fn ts(&self) -> &[Timestamp] {
-        &self.ts
-    }
-
-    /// Shape-code column (see `saql_model::event::shape_code`): the batched
-    /// counterpart of per-event shape tests — admission masks AND against
-    /// `1 << shape[i]`.
+    /// Shape-code column (see `saql_model::event::shape_code`): admission
+    /// masks AND against `1 << shape[i]`.
     pub fn shape(&self) -> &[u8] {
         &self.shape
-    }
-
-    /// Fill `out` with the *event-level* attribute column for `id`
-    /// (`None` where the event does not supply it).
-    pub fn fill_event_attr(&self, id: AttrId, out: &mut Vec<Option<AttrRef<'a>>>) {
-        out.clear();
-        out.extend(self.events.iter().map(|e| e.attr_ref(id)));
-    }
-
-    /// Fill `out` with the *subject process* attribute column for `id`.
-    pub fn fill_subject_attr(&self, id: AttrId, out: &mut Vec<Option<AttrRef<'a>>>) {
-        out.clear();
-        out.extend(self.events.iter().map(|e| e.subject.attr_ref(id)));
-    }
-
-    /// Fill `out` with the *object entity* attribute column for `id`.
-    pub fn fill_object_attr(&self, id: AttrId, out: &mut Vec<Option<AttrRef<'a>>>) {
-        out.clear();
-        out.extend(self.events.iter().map(|e| e.object.attr_ref(id)));
     }
 }
 
@@ -338,41 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn view_materializes_scalar_columns() {
+    fn view_materializes_the_shape_column() {
         let mut b = EventBatch::with_capacity(4);
         b.push(ev(1));
         b.push(ev(2));
         let view = BatchView::new(&b);
         assert_eq!(view.len(), 2);
-        assert_eq!(
-            view.ts().iter().map(|t| t.as_millis()).collect::<Vec<_>>(),
-            vec![10, 20]
-        );
         // Both events are `start proc`: one shape code, matching per-event.
         assert_eq!(view.shape()[0], b.events()[0].shape_code());
         assert_eq!(view.shape()[0], view.shape()[1]);
-    }
-
-    #[test]
-    fn view_attr_columns_match_per_event_probes() {
-        use saql_model::AttrId;
-        let mut b = EventBatch::with_capacity(2);
-        b.push(ev(3));
-        let view = BatchView::new(&b);
-        let mut col = Vec::new();
-        view.fill_event_attr(AttrId::Amount, &mut col);
-        assert_eq!(col, vec![b.events()[0].attr_ref(AttrId::Amount)]);
-        view.fill_subject_attr(AttrId::ExeName, &mut col);
-        assert_eq!(
-            col[0].and_then(|r| r.as_str().map(String::from)),
-            Some("a.exe".into())
-        );
-        view.fill_object_attr(AttrId::ExeName, &mut col);
-        assert_eq!(
-            col[0].and_then(|r| r.as_str().map(String::from)),
-            Some("b.exe".into())
-        );
-        view.fill_object_attr(AttrId::DstIp, &mut col);
-        assert_eq!(col, vec![None], "process object has no dstip");
     }
 }

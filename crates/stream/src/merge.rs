@@ -733,6 +733,31 @@ mod tests {
         assert_eq!(merge.poll(&mut out, usize::MAX), MergeStatus::Done);
     }
 
+    /// Two push sources with everything enqueued up front, pulled two
+    /// events a round: a source's watermark must cover only what the merge
+    /// has dequeued from it. (Counted at enqueue, `a`'s watermark was 6
+    /// after the first round and `b`'s event 5 overtook 3 and 4.)
+    #[test]
+    fn push_source_watermark_trails_its_own_queue() {
+        let (push_a, a) = push_source("a", 16);
+        let (push_b, b) = push_source("b", 16);
+        let mut merge = WatermarkMerge::new(MergeConfig {
+            lateness: Duration::ZERO,
+            pull_batch: 2,
+        });
+        merge.attach(Box::new(a));
+        merge.attach(Box::new(b));
+        for ts in [1, 2, 3, 4, 6] {
+            assert!(push_a.push(ev(ts, "h1", ts)));
+        }
+        assert!(push_b.push(ev(5, "h2", 5)));
+        drop((push_a, push_b));
+        let mut out = Vec::new();
+        while merge.poll(&mut out, usize::MAX) != MergeStatus::Done {}
+        let merged: Vec<u64> = out.iter().map(|e| e.ts.as_millis()).collect();
+        assert_eq!(merged, vec![1, 2, 3, 4, 5, 6], "the single-source order");
+    }
+
     #[test]
     fn detach_stops_gating_and_reports_stats() {
         let (push, source) = push_source("stalled", 4);

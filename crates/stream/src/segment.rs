@@ -1,13 +1,14 @@
-//! Segmented event store with pruned reads.
+//! Immutable event segments: the sealed files of the segmented store.
 //!
-//! [`crate::store::EventStore`] is a single append-only file — fine for
-//! demos, but every read scans everything. Deployments that retain weeks of
-//! monitoring data (the paper: ~50 GB/day per 100 hosts) need reads that
-//! touch only the relevant slices. `SegmentedStore` writes immutable
-//! *segments* (one file per flush, bounded event count) whose headers carry
-//! the segment's time range and host set; a selection read first plans over
-//! headers and decodes only intersecting segments — the classic LSM/
-//! data-skipping layout, minimally.
+//! Deployments that retain weeks of monitoring data (the paper: ~50 GB/day
+//! per 100 hosts) need reads that touch only the relevant slices. The
+//! segmented layout of [`crate::durable`] seals bounded runs of events
+//! into immutable *segment* files whose headers carry the segment's time
+//! range and host set; a selection read first plans over headers
+//! ([`SegmentMeta::intersects`]) and decodes only intersecting segments —
+//! the classic LSM/data-skipping layout, minimally. This module is the
+//! segment file format; [`crate::durable::StoreWriter`] and
+//! [`crate::durable::StoreReader`] are the store.
 //!
 //! Segment file layout:
 //! `SAQLSEG1 | count:u32 | min_ts:u64 | max_ts:u64 | n_hosts:u32 |
@@ -15,7 +16,7 @@
 //! `saql_model::codec` format).
 
 use std::collections::BTreeSet;
-use std::fs::{self, File};
+use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -53,111 +54,6 @@ impl SegmentMeta {
             return false;
         }
         true
-    }
-}
-
-/// Outcome counters of one pruned read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadStats {
-    pub segments_total: usize,
-    pub segments_scanned: usize,
-    pub segments_skipped: usize,
-    pub events_decoded: usize,
-    pub events_returned: usize,
-}
-
-/// A directory of immutable event segments.
-#[derive(Debug)]
-pub struct SegmentedStore {
-    dir: PathBuf,
-    /// Maximum events per segment file.
-    segment_events: usize,
-}
-
-impl SegmentedStore {
-    /// Create a fresh store directory (must be empty or absent).
-    pub fn create(dir: impl AsRef<Path>, segment_events: usize) -> Result<Self, StoreError> {
-        assert!(segment_events > 0, "segments must hold at least one event");
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        Ok(SegmentedStore {
-            dir,
-            segment_events,
-        })
-    }
-
-    /// Open an existing store directory.
-    pub fn open(dir: impl AsRef<Path>, segment_events: usize) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        if !dir.is_dir() {
-            return Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("{} is not a directory", dir.display()),
-            )));
-        }
-        Ok(SegmentedStore {
-            dir,
-            segment_events,
-        })
-    }
-
-    /// Append a batch, flushing one or more immutable segments.
-    pub fn append(&self, events: &[Event]) -> Result<(), StoreError> {
-        let first = self.segment_paths()?.len();
-        for (i, chunk) in events.chunks(self.segment_events).enumerate() {
-            let path = self.dir.join(format!("seg-{:06}.saqlseg", first + i));
-            write_segment(&path, chunk)?;
-        }
-        Ok(())
-    }
-
-    /// Headers of all segments, in file order.
-    pub fn segments(&self) -> Result<Vec<SegmentMeta>, StoreError> {
-        self.segment_paths()?
-            .into_iter()
-            .map(|p| read_meta(&p))
-            .collect()
-    }
-
-    /// Read all events matching `selection`, pruning non-intersecting
-    /// segments by header. Returns the events (in stored order) and the
-    /// pruning statistics.
-    pub fn read(&self, selection: &Selection) -> Result<(Vec<Event>, ReadStats), StoreError> {
-        let mut stats = ReadStats::default();
-        let mut out = Vec::new();
-        for path in self.segment_paths()? {
-            stats.segments_total += 1;
-            let meta = read_meta(&path)?;
-            if !meta.intersects(selection) {
-                stats.segments_skipped += 1;
-                continue;
-            }
-            stats.segments_scanned += 1;
-            let events = read_segment_events(&path)?;
-            stats.events_decoded += events.len();
-            out.extend(events.into_iter().filter(|e| selection.matches(e)));
-        }
-        stats.events_returned = out.len();
-        Ok((out, stats))
-    }
-
-    /// Total stored events (headers only — no record decoding).
-    pub fn len(&self) -> Result<usize, StoreError> {
-        Ok(self.segments()?.iter().map(|m| m.events as usize).sum())
-    }
-
-    /// True when no segments exist.
-    pub fn is_empty(&self) -> Result<bool, StoreError> {
-        Ok(self.segment_paths()?.is_empty())
-    }
-
-    fn segment_paths(&self) -> Result<Vec<PathBuf>, StoreError> {
-        let mut paths: Vec<PathBuf> = fs::read_dir(&self.dir)?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|e| e == "saqlseg"))
-            .collect();
-        paths.sort();
-        Ok(paths)
     }
 }
 
@@ -261,109 +157,59 @@ mod tests {
             .build()
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
+    fn tmp_file(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("saql-segstore-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&p);
+        p.push(format!("saql-segment-{}-{tag}.saqlseg", std::process::id()));
+        let _ = std::fs::remove_file(&p);
         p
     }
 
     #[test]
-    fn roundtrip_across_segments() {
-        let dir = tmp_dir("roundtrip");
-        let store = SegmentedStore::create(&dir, 10).unwrap();
-        let events: Vec<Event> = (0..35).map(|i| ev(i, "h1", i * 100)).collect();
-        store.append(&events).unwrap();
-        assert_eq!(store.segments().unwrap().len(), 4);
-        assert_eq!(store.len().unwrap(), 35);
-        let (back, stats) = store.read(&Selection::all()).unwrap();
-        assert_eq!(back, events);
-        assert_eq!(stats.segments_scanned, 4);
-        assert_eq!(stats.segments_skipped, 0);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn time_range_prunes_segments() {
-        let dir = tmp_dir("time-prune");
-        let store = SegmentedStore::create(&dir, 10).unwrap();
-        // 4 segments covering ts 0..3500 in slabs.
-        let events: Vec<Event> = (0..40).map(|i| ev(i, "h1", i * 100)).collect();
-        store.append(&events).unwrap();
-        let sel = Selection::all().between(Timestamp::from_millis(0), Timestamp::from_millis(500));
-        let (got, stats) = store.read(&sel).unwrap();
-        assert_eq!(got.len(), 5);
-        assert_eq!(stats.segments_scanned, 1, "{stats:?}");
-        assert_eq!(stats.segments_skipped, 3, "{stats:?}");
-        // Only one segment's events were decoded.
-        assert_eq!(stats.events_decoded, 10, "{stats:?}");
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn host_set_prunes_segments() {
-        let dir = tmp_dir("host-prune");
-        let store = SegmentedStore::create(&dir, 5).unwrap();
-        // Per-host appends produce per-host segments.
-        store
-            .append(&(0..5).map(|i| ev(i, "web", i * 10)).collect::<Vec<_>>())
-            .unwrap();
-        store
-            .append(&(5..10).map(|i| ev(i, "db", i * 10)).collect::<Vec<_>>())
-            .unwrap();
-        let (got, stats) = store.read(&Selection::host("db")).unwrap();
-        assert_eq!(got.len(), 5);
-        assert_eq!(stats.segments_skipped, 1, "{stats:?}");
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn multiple_appends_extend_segment_sequence() {
-        let dir = tmp_dir("appends");
-        let store = SegmentedStore::create(&dir, 100).unwrap();
-        store.append(&[ev(1, "h", 1)]).unwrap();
-        store.append(&[ev(2, "h", 2)]).unwrap();
-        assert_eq!(store.segments().unwrap().len(), 2);
-        let reopened = SegmentedStore::open(&dir, 100).unwrap();
-        assert_eq!(reopened.len().unwrap(), 2);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn meta_carries_time_and_hosts() {
-        let dir = tmp_dir("meta");
-        let store = SegmentedStore::create(&dir, 100).unwrap();
-        store
-            .append(&[ev(1, "web", 500), ev(2, "db", 900), ev(3, "web", 100)])
-            .unwrap();
-        let metas = store.segments().unwrap();
-        assert_eq!(metas.len(), 1);
-        assert_eq!(metas[0].min_ts, Timestamp::from_millis(100));
-        assert_eq!(metas[0].max_ts, Timestamp::from_millis(900));
+    fn segment_roundtrips_events_and_header() {
+        let path = tmp_file("roundtrip");
+        let events = vec![ev(1, "web", 500), ev(2, "db", 900), ev(3, "web", 100)];
+        write_segment(&path, &events).unwrap();
+        assert_eq!(read_segment_events(&path).unwrap(), events);
+        let meta = read_meta(&path).unwrap();
+        assert_eq!(meta.events, 3);
+        assert_eq!(meta.min_ts, Timestamp::from_millis(100));
+        assert_eq!(meta.max_ts, Timestamp::from_millis(900));
         assert_eq!(
-            metas[0].hosts.iter().cloned().collect::<Vec<_>>(),
+            meta.hosts.iter().cloned().collect::<Vec<_>>(),
             vec!["db".to_string(), "web".to_string()]
         );
-        fs::remove_dir_all(dir).unwrap();
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn header_prunes_by_time_range_and_host_set() {
+        let path = tmp_file("prune");
+        // One segment covering ts 1000..1900 on host `web`.
+        let events: Vec<Event> = (0..10).map(|i| ev(i, "web", 1_000 + i * 100)).collect();
+        write_segment(&path, &events).unwrap();
+        let meta = read_meta(&path).unwrap();
+        let between = |from, until| {
+            Selection::all().between(Timestamp::from_millis(from), Timestamp::from_millis(until))
+        };
+        assert!(meta.intersects(&Selection::all()));
+        assert!(
+            meta.intersects(&between(1_900, 5_000)),
+            "max_ts is inclusive"
+        );
+        assert!(!meta.intersects(&between(1_901, 5_000)));
+        assert!(!meta.intersects(&between(0, 1_000)), "until is exclusive");
+        assert!(meta.intersects(&between(0, 1_001)));
+        assert!(meta.intersects(&Selection::host("web")));
+        assert!(!meta.intersects(&Selection::host("db")));
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn corrupt_segment_is_an_error() {
-        let dir = tmp_dir("corrupt");
-        let store = SegmentedStore::create(&dir, 100).unwrap();
-        fs::write(dir.join("seg-000000.saqlseg"), b"garbage").unwrap();
-        assert!(store.read(&Selection::all()).is_err());
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn empty_store() {
-        let dir = tmp_dir("empty");
-        let store = SegmentedStore::create(&dir, 100).unwrap();
-        assert!(store.is_empty().unwrap());
-        let (got, stats) = store.read(&Selection::all()).unwrap();
-        assert!(got.is_empty());
-        assert_eq!(stats.segments_total, 0);
-        fs::remove_dir_all(dir).unwrap();
+        let path = tmp_file("corrupt");
+        std::fs::write(&path, b"garbage").unwrap();
+        assert!(read_meta(&path).is_err());
+        assert!(read_segment_events(&path).is_err());
+        std::fs::remove_file(path).unwrap();
     }
 }

@@ -137,26 +137,20 @@ pub struct PushHandle {
 }
 
 impl PushHandle {
-    /// Blocking push; `false` once the consuming session is gone.
+    /// Blocking push; `false` once the consuming session is gone. The
+    /// source's watermark follows the event when the merge *dequeues* it
+    /// (see [`ChannelSource`]), not here: an event still sitting in the
+    /// queue must keep gating the other sources.
     pub fn push(&self, event: SharedEvent) -> bool {
-        let ts = event.ts.as_millis();
-        if self.tx.send(event) {
-            self.watermark.fetch_max(ts, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+        self.tx.send(event)
     }
 
     /// Non-blocking push; [`PushError`] says whether the event was shed by
     /// a full channel (consumer alive, retry or drop as policy dictates) or
-    /// refused because the session is gone. The watermark only advances on
-    /// delivery — a shed event makes no ordering promise.
+    /// refused because the session is gone. A shed event makes no ordering
+    /// promise.
     pub fn try_push(&self, event: SharedEvent) -> Result<(), PushError> {
-        let ts = event.ts.as_millis();
-        self.tx.try_send(event)?;
-        self.watermark.fetch_max(ts, Ordering::Relaxed);
-        Ok(())
+        self.tx.try_send(event)
     }
 
     /// Advance the source's watermark without sending data: "nothing
@@ -180,7 +174,14 @@ impl PushHandle {
 pub struct ChannelSource {
     name: String,
     rx: EventReceiver,
+    /// Explicit punctuation from the paired [`PushHandle`], if any.
     watermark: Arc<AtomicU64>,
+    /// [`push_source`]s only: the highest timestamp *dequeued* so far. A
+    /// push producer feeds in timestamp order, so everything it has handed
+    /// the merge is a watermark promise — but only what the merge has
+    /// actually pulled: counting events still in the queue would let the
+    /// merge release another source's later events ahead of them.
+    dequeued_ms: Option<u64>,
     failure: Arc<std::sync::Mutex<Option<String>>>,
     ended: bool,
 }
@@ -191,6 +192,7 @@ impl ChannelSource {
             name: name.into(),
             rx,
             watermark: Arc::new(AtomicU64::new(0)),
+            dequeued_ms: None,
             failure: Arc::new(std::sync::Mutex::new(None)),
             ended: false,
         }
@@ -223,6 +225,9 @@ impl EventSource for ChannelSource {
         while got < max {
             match self.rx.try_recv() {
                 Ok(Some(event)) => {
+                    if let Some(seen) = &mut self.dequeued_ms {
+                        *seen = (*seen).max(event.ts.as_millis());
+                    }
                     out.push(event);
                     got += 1;
                 }
@@ -241,7 +246,8 @@ impl EventSource for ChannelSource {
     }
 
     fn watermark(&self) -> Option<Timestamp> {
-        match self.watermark.load(Ordering::Relaxed) {
+        let punctuated = self.watermark.load(Ordering::Relaxed);
+        match punctuated.max(self.dequeued_ms.unwrap_or(0)) {
             0 => None,
             ms => Some(Timestamp::from_millis(ms)),
         }
@@ -257,8 +263,8 @@ impl EventSource for ChannelSource {
 pub fn push_source(name: impl Into<String>, capacity: usize) -> (PushHandle, ChannelSource) {
     let (tx, rx) = event_channel(capacity);
     let mut source = ChannelSource::new(name, rx);
-    let watermark = Arc::new(AtomicU64::new(0));
-    source.watermark = Arc::clone(&watermark);
+    let watermark = Arc::clone(&source.watermark);
+    source.dequeued_ms = Some(0);
     let failure = Arc::clone(&source.failure);
     (
         PushHandle {
@@ -524,6 +530,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(source.poll(&mut out, 4), SourcePoll::Idle);
         assert!(push.push(Arc::new(ev(1, "h", 250))));
+        assert_eq!(source.watermark(), None, "still queued: no promise yet");
         assert_eq!(source.poll(&mut out, 4), SourcePoll::Ready);
         assert_eq!(out.len(), 1);
         assert_eq!(source.watermark(), Some(Timestamp::from_millis(250)));

@@ -12,10 +12,11 @@
 
 use std::time::Instant;
 
+use saql::baseline::NaiveScheduler;
 use saql::collector::workload::{synthetic_stream, WorkloadConfig};
 use saql::engine::query::{QueryConfig, RunningQuery};
-use saql::engine::scheduler::{NaiveScheduler, Scheduler};
-use saql::stream::{share, SharedEvent};
+use saql::engine::scheduler::Scheduler;
+use saql::stream::{batched, share, SharedEvent, DEFAULT_BATCH_SIZE};
 use saql::{Engine, EngineConfig};
 
 fn queries(n: usize) -> Vec<(String, String)> {
@@ -56,6 +57,7 @@ fn main() {
         ..WorkloadConfig::default()
     }));
     println!("workload: {} events, 32 concurrent queries\n", events.len());
+    let batches = batched(events.iter().cloned(), DEFAULT_BATCH_SIZE);
 
     // Master–dependent scheduler.
     let mut shared = Scheduler::new();
@@ -72,8 +74,8 @@ fn main() {
 
     let t0 = Instant::now();
     let mut shared_alerts = 0usize;
-    for e in &events {
-        shared_alerts += shared.process(e).len();
+    for batch in &batches {
+        shared_alerts += shared.process_batch(batch).len();
     }
     shared_alerts += shared.finish().len();
     let shared_time = t0.elapsed();
@@ -85,8 +87,8 @@ fn main() {
     }
     let t0 = Instant::now();
     let mut naive_alerts = 0usize;
-    for e in &events {
-        naive_alerts += naive.process(e).len();
+    for batch in &batches {
+        naive_alerts += naive.process_batch(batch).len();
     }
     naive_alerts += naive.finish().len();
     let naive_time = t0.elapsed();

@@ -1,32 +1,33 @@
-//! Differential property suite for the vectorized batch-execution spine:
-//! on random corpus deployments over random streams, **batched execution
-//! must produce alerts identical to the per-event path** — at every batch
-//! size, in both execution modes, on both backends.
+//! Batch-size invariance of the engine's one execution path: the same
+//! stream cut into batches of {1, 2, 7, 64, 1024} events must yield
 //!
-//! * Serial backend: `Engine::run` (which pumps the stream through
-//!   `process_batch` in `EngineConfig::batch_size` chunks) is compared
-//!   against feeding the same engine one event at a time — full alert
-//!   *sequences*, order included — for the compiled path and the
-//!   interpreter oracle, across batch sizes {1, 2, 7, 64, 1024}.
-//! * Parallel backend (1–8 workers): shards re-batch internally, so
-//!   batched parallel runs are compared against the serial per-event
-//!   stream as sorted sequences of fully rendered alerts (multiset
-//!   equality over every field of every alert).
+//! * on the serial backend the identical **ordered** alert stream — every
+//!   field of every alert — and identical `SchedulerStats` / `QueryStats`;
+//! * on the parallel backend (1–8 workers, which re-batch internally) the
+//!   identical alert multiset, with nothing dropped;
 //!
-//! The deployments are drawn from `saql_lang::corpus` (the paper's demo
-//! queries — all four anomaly models), and the generated streams speak the
-//! corpus vocabulary (its hosts, processes, files, and the attacker ip),
-//! so predicate columns, matcher probes, window states, and the cluster
-//! stage all genuinely exercise the batched code.
+//! with pause / resume / deregister operations landing between batches at
+//! fixed stream positions. Batch size 1 is the reference: it is what
+//! `Engine::process(&event)` does.
+//!
+//! Two kinds of deployment are drawn. Random subsets of `saql_lang::corpus`
+//! (the paper's demo queries — all four anomaly models) over streams in the
+//! corpus vocabulary, so predicate columns, matcher probes, window states
+//! and the cluster stage all genuinely run. And a **Q-many-shaped**
+//! deployment — 32 host-pinned selective queries, 4 event shapes x 2
+//! windows = 8 compatibility groups of 4, most members matching under 1% of
+//! the rows their group admits, over a stream with a 64-event stretch that
+//! holds no process start at all (so at batch size 64 a whole batch admits
+//! zero rows for two groups) — which is what selection-driven prepare
+//! exists for.
 
 use proptest::prelude::*;
 
-use saql::engine::query::{ExecMode, QueryConfig};
 use saql::engine::{Alert, Engine, EngineConfig};
 use saql::lang::corpus::DEMO_QUERIES;
 use saql::model::event::EventBuilder;
 use saql::model::{FileInfo, NetworkInfo, ProcessInfo};
-use saql::stream::SharedEvent;
+use saql::stream::{batched, SharedEvent};
 use std::sync::Arc;
 
 /// Batch sizes under test: degenerate (1), tiny, prime-odd, mid, and
@@ -44,11 +45,11 @@ struct Step {
     gap_ms: u32,
 }
 
-fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+fn arb_steps(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
         (
             0u8..5,
-            0u8..3,
+            any::<u8>(),
             0u8..8,
             0u8..8,
             0u32..3_000_000,
@@ -62,23 +63,56 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
                 amount,
                 gap_ms,
             }),
-        1..120,
+        len,
     )
 }
 
 /// A non-empty random subset of the demo corpus.
-fn arb_deployment() -> impl Strategy<Value = Vec<usize>> {
+fn arb_deployment() -> impl Strategy<Value = Vec<(String, String)>> {
     proptest::collection::vec(0usize..DEMO_QUERIES.len(), 1..DEMO_QUERIES.len() + 1).prop_map(
         |mut picks| {
             picks.sort_unstable();
             picks.dedup();
-            picks
+            let query = |i: usize| (DEMO_QUERIES[i].0.to_string(), DEMO_QUERIES[i].1.to_string());
+            picks.into_iter().map(query).collect()
         },
     )
 }
 
+/// Hosts of the Q-many-shaped stream: a quarter of the events land on
+/// `host-000`, the rest spread over the other 127.
+const MANY_HOSTS: usize = 128;
+
+/// The Q-many-shaped deployment (see the module docs): per shape and
+/// window, one member watches the busy host and three a tail host each.
+fn many_deployment() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (shape, body) in [
+        ("a", "proc p write file f as evt #time(W s)\nstate ss { amt := sum(evt.amount) } group by p\nalert ss.amt > 1000\nreturn p, ss.amt"),
+        ("b", "proc p read ip i as evt #time(W s)\nstate ss { n := count() } group by i.dstip\nalert ss.n > 0\nreturn i.dstip, ss.n"),
+        ("c", "proc p start proc c as evt #time(W s)\nstate ss { kids := distinct_count(c.exe_name) } group by p\nalert ss.kids > 0\nreturn p, ss.kids"),
+        ("d", "proc p read file f[\"%.dmp\"] as evt #time(W s)\nstate ss { amt := sum(evt.amount) } group by p\nalert ss.amt > 1000\nreturn p, ss.amt"),
+    ] {
+        for window in [4, 9] {
+            for member in 0..4 {
+                let host = match member {
+                    0 => 0,
+                    m => 1 + (out.len() * 7 + m) % (MANY_HOSTS - 1),
+                };
+                out.push((
+                    format!("{shape}-w{window}-m{member}"),
+                    format!("agentid = \"host-{host:03}\"\n{}\n", body.replace('W', &window.to_string())),
+                ));
+            }
+        }
+    }
+    out
+}
+
 /// Materialize steps in the corpus vocabulary so its constraints can match.
-fn materialize(steps: &[Step]) -> Vec<SharedEvent> {
+/// With `many_hosts` the events spread over [`MANY_HOSTS`] hosts instead of
+/// the corpus's three, and steps 64..128 hold no process start.
+fn materialize(steps: &[Step], many_hosts: bool) -> Vec<SharedEvent> {
     const HOSTS: [&str; 3] = ["client-3", "db-server", "web-server"];
     const PROCS: [&str; 8] = [
         "outlook.exe",
@@ -127,9 +161,17 @@ fn materialize(steps: &[Step]) -> Vec<SharedEvent> {
         .map(|(i, s)| {
             ts += s.gap_ms as u64;
             let subject = ProcessInfo::new(100 + s.actor as u32, PROCS[s.actor as usize], "user");
-            let builder =
-                EventBuilder::new(i as u64 + 1, HOSTS[s.host as usize], ts).subject(subject);
-            let event = match s.kind {
+            let host = match (many_hosts, s.host as usize) {
+                (false, h) => HOSTS[h % HOSTS.len()].to_string(),
+                (true, h) if h < 64 => "host-000".to_string(),
+                (true, h) => format!("host-{:03}", h % MANY_HOSTS),
+            };
+            let builder = EventBuilder::new(i as u64 + 1, host, ts).subject(subject);
+            let kind = match s.kind {
+                0 if many_hosts && (64..128).contains(&i) => 1,
+                kind => kind,
+            };
+            let event = match kind {
                 0 => builder.starts_process(ProcessInfo::new(
                     200 + s.peer as u32,
                     CHILDREN[s.peer as usize],
@@ -165,107 +207,157 @@ fn materialize(steps: &[Step]) -> Vec<SharedEvent> {
         .collect()
 }
 
-fn engine(mode: ExecMode, workers: usize, batch_size: usize, deployment: &[usize]) -> Engine {
+/// A control-plane operation applied once `at` events have been fed, to
+/// the `target`-th query of the deployment.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    at: usize,
+    kind: u8,
+    target: usize,
+}
+
+fn arb_schedule() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
+        (0usize..400, 0u8..3, 0usize..64).prop_map(|(at, kind, target)| Op { at, kind, target }),
+        0..6,
+    )
+    .prop_map(|mut ops| {
+        ops.sort_by_key(|op| op.at);
+        ops
+    })
+}
+
+/// Everything a run produces that must not depend on the batch size.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    /// Fully rendered alerts in emission order: query id, name, origin,
+    /// timestamps, every returned row.
+    alerts: Vec<String>,
+    scheduler: String,
+    queries: Vec<String>,
+    dropped: u64,
+}
+
+/// Feed `events` in batches of `batch_size`, never letting a batch span a
+/// scheduled operation: it lands between two batches, at its position.
+fn run(
+    deployment: &[(String, String)],
+    events: &[SharedEvent],
+    schedule: &[Op],
+    workers: usize,
+    batch_size: usize,
+) -> Outcome {
     let mut engine = Engine::new(EngineConfig {
-        query: QueryConfig {
-            exec: mode,
-            ..QueryConfig::default()
-        },
         workers,
         batch_size,
         ..EngineConfig::default()
     });
-    for &slot in deployment {
-        let (name, src) = DEMO_QUERIES[slot];
-        engine.register(name, src).unwrap();
-    }
-    engine
-}
-
-/// The per-event reference: one `process` call per event, then the flush —
-/// exactly what `Engine::run` does minus the batching.
-fn run_per_event(engine: &mut Engine, events: &[SharedEvent]) -> Vec<Alert> {
-    let mut alerts = Vec::new();
-    for event in events {
-        alerts.extend(engine.process(event).unwrap());
+    let ids: Vec<_> = deployment
+        .iter()
+        .map(|(name, src)| engine.register(name, src).unwrap())
+        .collect();
+    let mut alerts: Vec<Alert> = Vec::new();
+    let mut fed = 0;
+    let stops = schedule
+        .iter()
+        .map(|op| (op.at.min(events.len()), Some(op)));
+    for (stop, op) in stops.chain([(events.len(), None)]) {
+        for batch in batched(events[fed..stop].iter().cloned(), batch_size) {
+            alerts.extend(engine.process_batch(&batch).unwrap());
+        }
+        fed = stop;
+        if let Some(op) = op {
+            // Targets may already be gone: the refusal is as deterministic
+            // as the operation.
+            let id = ids[op.target % ids.len()];
+            let _ = match op.kind {
+                0 => engine.pause(id),
+                1 => engine.resume(id),
+                _ => engine.deregister(id),
+            };
+        }
     }
     alerts.extend(engine.finish());
-    alerts
+    let mut queries: Vec<String> = engine
+        .query_stats()
+        .iter()
+        .map(|(name, stats)| format!("{name}: {stats:?}"))
+        .collect();
+    queries.sort();
+    Outcome {
+        alerts: alerts
+            .iter()
+            .map(|a| format!("{}|{}|{a}", a.query_id, a.query))
+            .collect(),
+        scheduler: format!("{:?}", engine.scheduler_stats()),
+        queries,
+        dropped: engine.dropped_alerts(),
+    }
 }
 
-/// Fully rendered alert lines, in emission order: query id, name, origin,
-/// timestamps, and every returned row.
-fn rendered(alerts: &[Alert]) -> Vec<String> {
-    alerts
-        .iter()
-        .map(|a| format!("{}|{}|{a}", a.query_id, a.query))
-        .collect()
+/// The property, for one deployment over one stream.
+fn assert_batch_size_invariant(
+    deployment: &[(String, String)],
+    events: &[SharedEvent],
+    schedule: &[Op],
+) {
+    let reference = run(deployment, events, schedule, 0, 1);
+    for batch_size in BATCH_SIZES {
+        let got = run(deployment, events, schedule, 0, batch_size);
+        prop_assert_eq!(
+            &got,
+            &reference,
+            "serial run at batch size {} diverged from batch size 1 ({} events, schedule {:?})",
+            batch_size,
+            events.len(),
+            schedule
+        );
+    }
+    let mut expected = reference.alerts;
+    expected.sort();
+    for workers in 1usize..=8 {
+        // The batch size also sets the shard dispatch unit; vary it with
+        // the worker count.
+        let batch_size = BATCH_SIZES[workers % BATCH_SIZES.len()];
+        let mut got = run(deployment, events, schedule, workers, batch_size);
+        got.alerts.sort();
+        prop_assert_eq!(
+            &got.alerts,
+            &expected,
+            "alert multiset diverged at {} workers, batch size {} ({} events, schedule {:?})",
+            workers,
+            batch_size,
+            events.len(),
+            schedule
+        );
+        prop_assert_eq!(got.dropped, 0);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Serial backend, both execution modes: batched runs at every batch
-    /// size must emit alert sequences **identical** — order included — to
-    /// the per-event path.
+    /// Random corpus deployments over corpus-vocabulary streams.
     #[test]
-    fn batched_matches_per_event_serial(
-        steps in arb_steps(),
+    fn corpus_deployments_are_batch_size_invariant(
+        steps in arb_steps(1..120),
         deployment in arb_deployment(),
+        schedule in arb_schedule(),
     ) {
-        let events = materialize(&steps);
-
-        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            let mut reference = engine(mode, 0, 1, &deployment);
-            let expected = rendered(&run_per_event(&mut reference, &events));
-
-            for batch_size in BATCH_SIZES {
-                let mut batched = engine(mode, 0, batch_size, &deployment);
-                let got = rendered(&batched.run(events.clone()).unwrap());
-                prop_assert_eq!(
-                    &got,
-                    &expected,
-                    "batched ({:?}, batch_size {}) diverged from per-event over {} events, deployment {:?}",
-                    mode,
-                    batch_size,
-                    steps.len(),
-                    &deployment
-                );
-            }
-        }
+        assert_batch_size_invariant(&deployment, &materialize(&steps, false), &schedule);
     }
+}
 
-    /// Parallel backend, 1–8 workers: batched dispatch through the sharded
-    /// runtime must match the serial per-event stream as a sorted multiset
-    /// of fully rendered alerts, with nothing dropped.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The Q-many-shaped deployment: shared groups, selective members, a
+    /// batch with an empty selection.
     #[test]
-    fn batched_matches_per_event_parallel(
-        steps in arb_steps(),
-        deployment in arb_deployment(),
+    fn selective_shared_groups_are_batch_size_invariant(
+        steps in arb_steps(200..400),
+        schedule in arb_schedule(),
     ) {
-        let events = materialize(&steps);
-
-        let mut reference = engine(ExecMode::Compiled, 0, 1, &deployment);
-        let mut expected = rendered(&run_per_event(&mut reference, &events));
-        expected.sort();
-
-        for workers in 1usize..=8 {
-            // Batch size also feeds ParallelConfig::batch_size (the shard
-            // dispatch unit); vary it with the worker count.
-            let batch_size = BATCH_SIZES[workers % BATCH_SIZES.len()];
-            let mut batched = engine(ExecMode::Compiled, workers, batch_size, &deployment);
-            let mut got = rendered(&batched.run(events.clone()).unwrap());
-            got.sort();
-            prop_assert_eq!(
-                &got,
-                &expected,
-                "batched parallel alerts diverged at {} workers (batch_size {}) over {} events, deployment {:?}",
-                workers,
-                batch_size,
-                steps.len(),
-                &deployment
-            );
-            prop_assert_eq!(batched.dropped_alerts(), 0);
-        }
+        assert_batch_size_invariant(&many_deployment(), &materialize(&steps, true), &schedule);
     }
 }

@@ -2,10 +2,11 @@
 //! grouping, master-check sharing, copy elimination, and correctness parity
 //! with the naive per-query execution model.
 
+use saql::baseline::NaiveScheduler;
 use saql::collector::workload::{synthetic_stream, WorkloadConfig};
 use saql::engine::query::{QueryConfig, RunningQuery};
-use saql::engine::scheduler::{NaiveScheduler, Scheduler};
-use saql::stream::share;
+use saql::engine::scheduler::Scheduler;
+use saql::stream::{batched, share, DEFAULT_BATCH_SIZE};
 
 /// N rule-query variants over the same shape, different constraints — the
 /// realistic "many analysts watch process-start events" deployment.
@@ -47,8 +48,8 @@ fn master_checks_stay_constant_as_queries_grow() {
         for (name, src) in variant_queries(n) {
             s.add(running(&name, &src));
         }
-        for e in &events {
-            s.process(e);
+        for batch in batched(events.clone(), DEFAULT_BATCH_SIZE) {
+            s.process_batch(&batch);
         }
         checks_at.push(s.stats().master_checks);
     }
@@ -68,8 +69,8 @@ fn naive_scheduler_scales_checks_and_copies_linearly() {
     for (name, src) in variant_queries(8) {
         n8.add(running(&name, &src));
     }
-    for e in &events {
-        n8.process(e);
+    for batch in batched(events.clone(), DEFAULT_BATCH_SIZE) {
+        n8.process_batch(&batch);
     }
     assert_eq!(n8.stats().master_checks, 8 * events.len() as u64);
     assert_eq!(n8.stats().data_copies, 8 * events.len() as u64);
@@ -113,9 +114,9 @@ fn scheduler_matches_naive_results_across_mixed_queries() {
 
     let mut shared_alerts = Vec::new();
     let mut naive_alerts = Vec::new();
-    for e in &events {
-        shared_alerts.extend(shared.process(e));
-        naive_alerts.extend(naive.process(e));
+    for batch in batched(events, DEFAULT_BATCH_SIZE) {
+        shared_alerts.extend(shared.process_batch(&batch));
+        naive_alerts.extend(naive.process_batch(&batch));
     }
     shared_alerts.extend(shared.finish());
     naive_alerts.extend(naive.finish());

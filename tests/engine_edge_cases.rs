@@ -4,6 +4,7 @@
 //! runs unattended over untrusted monitoring data.
 
 use saql::engine::query::{QueryConfig, RunningQuery};
+use saql::engine::Scheduler;
 use saql::engine::{Engine, EngineConfig};
 use saql::model::event::EventBuilder;
 use saql::model::{FileInfo, NetworkInfo, ProcessInfo};
@@ -79,7 +80,8 @@ fn partial_match_cap_degrades_gracefully() {
         partial_match_cap: 8,
         ..QueryConfig::default()
     };
-    let mut q = RunningQuery::compile("capped", src, config).unwrap();
+    let mut q = Scheduler::new();
+    q.add(RunningQuery::compile("capped", src, config).unwrap());
     for i in 0..100u64 {
         let e = Arc::new(
             EventBuilder::new(i, "h", i * 10)
@@ -89,7 +91,8 @@ fn partial_match_cap_degrades_gracefully() {
         );
         assert!(q.process(&e).is_empty());
     }
-    assert!(q.errors().total() > 0, "overflow must be reported");
+    let errors = q.queries().next().unwrap().errors().total();
+    assert!(errors > 0, "overflow must be reported");
     // A fresh pair still matches end to end.
     let w = Arc::new(
         EventBuilder::new(200, "h", 5_000)
@@ -146,7 +149,8 @@ fn self_spawning_process_pattern() {
     // `proc p start proc p` — subject and object share a variable; only an
     // event whose child equals its parent identity can match.
     let src = "proc p start proc p as e\nreturn p";
-    let mut q = RunningQuery::compile("selfjoin", src, QueryConfig::default()).unwrap();
+    let mut q = Scheduler::new();
+    q.add(RunningQuery::compile("selfjoin", src, QueryConfig::default()).unwrap());
     assert!(q
         .process(&start(1, 10, (5, "a.exe"), (6, "a.exe")))
         .is_empty());

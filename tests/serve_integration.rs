@@ -197,6 +197,114 @@ fn two_tenants_over_sockets_match_offline_engine() {
     assert_eq!(summary.alerts, 400);
 }
 
+/// An ingest body held back until `gate` opens. `ingest_reader` completes
+/// its hello — which the server acknowledges only once the connection's
+/// source is attached to the merge — before it first reads its input, so
+/// gating the first read on a barrier guarantees every connection is
+/// attached before any of them sends an event.
+///
+/// A `bursty` body then arrives in 4 KiB bursts a millisecond apart, so its
+/// queue keeps running empty and refilling while the other connection
+/// streams flat out — the interleaving under which a watermark counted at
+/// enqueue runs ahead of the queue it describes.
+struct Gated {
+    gate: std::sync::Arc<std::sync::Barrier>,
+    open: bool,
+    bursty: bool,
+    body: Cursor<String>,
+}
+
+impl std::io::Read for Gated {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if !self.open {
+            self.gate.wait();
+            self.open = true;
+        }
+        if !self.bursty {
+            return self.body.read(buf);
+        }
+        thread::sleep(std::time::Duration::from_millis(1));
+        let burst = buf.len().min(4096);
+        self.body.read(&mut buf[..burst])
+    }
+}
+
+/// Two live ingest connections into one watermarked merge raise exactly the
+/// alerts `saql replay` raises over the same events: a connection's
+/// watermark covers only what the merge has pulled from it, so one
+/// connection's events can never be released past events still queued on
+/// the other. Here every write arrives on one connection and the read that
+/// completes its sequence, 10 ms later, on the other.
+#[test]
+fn two_ingest_connections_match_offline_replay() {
+    const PAIRS: u64 = 4_000;
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let query = "proc p1 write file f1 as evt1\nproc p2 read file f1 as evt2\n\
+                 with evt1 -> evt2\nreturn distinct p1, p2, f1";
+    assert!(ctl(&addr, "t", &register_line("q", query))
+        .unwrap()
+        .contains("\"ok\":true"));
+    let tail = {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            let mut buf = Vec::new();
+            tail_alerts(&addr, "t", "q", &mut buf, None).unwrap();
+            String::from_utf8(buf).unwrap()
+        })
+    };
+    thread::sleep(std::time::Duration::from_millis(100));
+
+    let writes: Vec<Event> = (0..PAIRS).map(|i| event(i, 1_000 + i * 20, "h")).collect();
+    let reads: Vec<Event> = (0..PAIRS)
+        .map(|i| {
+            EventBuilder::new(PAIRS + i, "h", 1_010 + i * 20)
+                .subject(ProcessInfo::new(8, "reader.exe", "svc"))
+                .reads_file(FileInfo::new(format!("/data/out-{i}.dat")))
+                .build()
+        })
+        .collect();
+
+    let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let ingests: Vec<_> = [("writes", jsonl(&writes)), ("reads", jsonl(&reads))]
+        .into_iter()
+        .map(|(source, body)| {
+            let (addr, gate) = (addr.clone(), gate.clone());
+            thread::spawn(move || {
+                let mut input = Gated {
+                    gate,
+                    open: false,
+                    bursty: source == "writes",
+                    body: Cursor::new(body),
+                };
+                // Lossless, and *not* arrival order: the watermarked merge.
+                ingest_reader(&addr, "t", source, &mut input, true, false).unwrap()
+            })
+        })
+        .collect();
+    for handle in ingests {
+        let report = handle.join().unwrap();
+        assert_eq!(report.field("released"), Some(PAIRS), "{}", report.summary);
+        assert_eq!(report.field("dropped_late"), Some(0), "{}", report.summary);
+    }
+    assert!(ctl(&addr, "t", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"draining\":true"));
+    server.wait().unwrap();
+
+    let mut merged = writes;
+    merged.extend(reads);
+    merged.sort_by_key(|e| (e.ts, e.id));
+    let offline = offline_alert_lines(&[("t/q".to_string(), query.to_string())], merged);
+    assert_eq!(offline.len() as u64, PAIRS);
+    let served: Vec<String> = tail.join().unwrap().lines().map(str::to_string).collect();
+    assert_eq!(sorted(served), sorted(offline));
+}
+
 #[test]
 fn quota_sheds_deterministically_and_never_wedges_the_pump() {
     let clock = ManualClock::new();

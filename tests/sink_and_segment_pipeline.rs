@@ -6,8 +6,8 @@ use saql::collector::{AttackConfig, SimConfig, Simulator};
 use saql::engine::sink::{ChannelSink, CollectSink, JsonLinesSink, TeeSink};
 use saql::engine::{Engine, EngineConfig};
 use saql::model::Timestamp;
-use saql::stream::segment::SegmentedStore;
 use saql::stream::store::Selection;
+use saql::stream::{StoreReader, StoreWriter};
 
 fn small_attack_trace() -> saql::collector::Trace {
     Simulator::generate(&SimConfig {
@@ -79,24 +79,46 @@ fn json_lines_export_round_trips_key_fields() {
     assert!(exfil.contains("172.16.9.129"), "{exfil}");
 }
 
+/// The trace in a sealed segmented store at `dir`, `segment_events` per
+/// segment.
+fn segmented_store(dir: &std::path::Path, segment_events: usize) -> StoreReader {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut writer = StoreWriter::create_segmented_with(dir, segment_events).unwrap();
+    writer.append(&small_attack_trace().events).unwrap();
+    writer.seal().unwrap();
+    StoreReader::open(dir).unwrap()
+}
+
 #[test]
 fn segmented_store_prunes_and_detects() {
     let trace = small_attack_trace();
     let mut dir = std::env::temp_dir();
     dir.push(format!("saql-seg-pipeline-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = SegmentedStore::create(&dir, 4096).unwrap();
-    store.append(&trace.events).unwrap();
+    let store = segmented_store(&dir, 4096);
 
-    // Select only the attack tail on the DB server: most segments skip.
+    // Select only the attack tail on the DB server: the header index
+    // rules most segments out before any record is decoded.
     let selection = Selection::host("db-server").between(
         Timestamp::from_millis(25 * 60_000),
         Timestamp::from_millis(45 * 60_000),
     );
-    let (events, stats) = store.read(&selection).unwrap();
-    assert!(stats.segments_skipped > 0, "{stats:?}");
-    assert!(stats.events_decoded < trace.events.len(), "{stats:?}");
+    let (scanned, skipped): (Vec<_>, Vec<_>) = store
+        .segments()
+        .iter()
+        .partition(|m| m.intersects(&selection));
+    assert!(
+        !skipped.is_empty(),
+        "{} segments, none pruned",
+        scanned.len()
+    );
+    let decoded: usize = scanned.iter().map(|m| m.events as usize).sum();
+    assert!(decoded < trace.events.len());
+    let events = store.read(&selection).unwrap();
     assert!(!events.is_empty());
+    assert!(
+        events.len() <= decoded,
+        "reads decode only intersecting segments"
+    );
 
     // The selected slice still powers the exfiltration detection.
     let mut engine = Engine::new(EngineConfig::default());
@@ -123,14 +145,16 @@ fn segmented_and_flat_store_agree() {
 
     let mut dir = std::env::temp_dir();
     dir.push(format!("saql-seg-agree-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let seg = SegmentedStore::create(&dir, 1000).unwrap();
-    seg.append(&trace.events).unwrap();
+    let seg = segmented_store(&dir, 1000);
+    assert!(seg.segments().len() > 1);
 
     let mut flat_path = std::env::temp_dir();
     flat_path.push(format!("saql-flat-agree-{}.bin", std::process::id()));
-    let flat = saql::stream::store::EventStore::create(&flat_path).unwrap();
+    let _ = std::fs::remove_file(&flat_path);
+    let mut flat = StoreWriter::create(&flat_path).unwrap();
     flat.append(&trace.events).unwrap();
+    flat.sync().unwrap();
+    let flat = StoreReader::open(&flat_path).unwrap();
 
     for selection in [
         Selection::all(),
@@ -140,7 +164,7 @@ fn segmented_and_flat_store_agree() {
             Timestamp::from_millis(10 * 60_000),
         ),
     ] {
-        let (mut a, _) = seg.read(&selection).unwrap();
+        let mut a = seg.read(&selection).unwrap();
         let mut b = flat.read(&selection).unwrap();
         a.sort_by_key(|e| e.id);
         b.sort_by_key(|e| e.id);
