@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use saql_engine::scheduler::{SchedulerStats, ShardMerge};
+use saql_engine::scheduler::SchedulerStats;
 use saql_engine::{Alert, RunningQuery, Scheduler};
 use saql_model::Event;
 use saql_stream::EventBatch;
@@ -46,7 +46,7 @@ impl NaiveScheduler {
             ..SchedulerStats::default()
         };
         for s in &self.queries {
-            total.absorb_shard(s.stats(), ShardMerge::Broadcast);
+            total.absorb_shard(s.stats());
         }
         total
     }

@@ -1,5 +1,5 @@
-//! E11 — parallel sharded runtime scaling: the serial master–dependent
-//! scheduler vs [`ParallelEngine`] at 1/2/4/8 workers, plus the
+//! E11 — worker scaling: the master–dependent scheduler on one thread vs
+//! an [`Engine`](saql_engine::Engine) on 1/2/4/8 workers, plus the
 //! `NaiveScheduler` floor, on a multi-group concurrent-query workload.
 //!
 //! Expected shape: 1 worker tracks serial throughput (batching overhead is
@@ -18,9 +18,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use saql_baseline::NaiveScheduler;
-use saql_bench::{batches, drive, scheduler, sharded_queries, stream};
-use saql_engine::query::QueryConfig;
-use saql_engine::runtime::{ParallelConfig, ParallelEngine};
+use saql_bench::{
+    batches, drive, drive_engine, engine, scheduler, sharded_queries, sharded_sources, stream,
+};
 
 const GROUPS: usize = 16;
 const PER_GROUP: usize = 4;
@@ -44,17 +44,11 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("parallel", workers),
-            &events,
-            |b, events| {
+            &batches,
+            |b, batches| {
                 b.iter(|| {
-                    let mut engine = ParallelEngine::new(
-                        ParallelConfig::with_workers(workers),
-                        QueryConfig::default(),
-                    );
-                    for q in sharded_queries(GROUPS, PER_GROUP) {
-                        engine.add(q).unwrap();
-                    }
-                    engine.run(events.iter().cloned()).unwrap().len()
+                    let mut engine = engine(workers, false, sharded_sources(GROUPS, PER_GROUP));
+                    drive_engine(&mut engine, batches).len()
                 });
             },
         );
@@ -88,13 +82,10 @@ fn partition_audit(events: &[saql_stream::SharedEvent]) {
     let mut serial = scheduler(sharded_queries(GROUPS, PER_GROUP));
     let serial_alerts = drive(&mut serial, &batches(events));
 
-    let mut par = ParallelEngine::new(ParallelConfig::with_workers(4), QueryConfig::default());
-    for q in sharded_queries(GROUPS, PER_GROUP) {
-        par.add(q).unwrap();
-    }
-    let par_alerts = par.run(events.iter().cloned()).unwrap().len();
+    let mut par = engine(4, false, sharded_sources(GROUPS, PER_GROUP));
+    let par_alerts = drive_engine(&mut par, &batches(events)).len();
 
-    let merged = par.stats();
+    let merged = par.scheduler_stats();
     println!(
         "audit e11: serial checks={} deliveries={} alerts={}",
         serial.stats().master_checks,

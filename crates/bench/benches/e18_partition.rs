@@ -1,6 +1,6 @@
 //! E18 — key-partitioned execution: one heavy stateful-aggregation query
-//! (>1M groups) on the serial scheduler, the group-sharded parallel
-//! runtime, and the key-partitioned parallel runtime at 1/2/4/8 workers.
+//! (>1M groups) on one scheduler, on group-sharded workers, and on
+//! key-partitioned workers at 1/2/4/8 workers.
 //!
 //! Group sharding cannot help here: the whole workload is *one* query, so
 //! every event lands on the single shard that owns it and the other
@@ -23,12 +23,11 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use saql_bench::{batches, drive, scheduler};
+use saql_bench::{batches, drive, drive_engine, engine, scheduler};
 use saql_engine::query::{QueryConfig, RunningQuery};
-use saql_engine::runtime::{ParallelConfig, ParallelEngine};
 use saql_model::event::EventBuilder;
 use saql_model::{NetworkInfo, ProcessInfo};
-use saql_stream::SharedEvent;
+use saql_stream::{EventBatch, SharedEvent};
 
 /// Distinct group count — every group is one process exe name, and the
 /// acceptance floor is "1M+ groups".
@@ -71,24 +70,21 @@ fn partition_stream() -> Vec<SharedEvent> {
 
 fn bench_partitioned_scaling(c: &mut Criterion) {
     let events = partition_stream();
+    let batches = batches(&events);
     let mut group = c.benchmark_group("e18_partition");
     group.sample_size(10);
     group.throughput(Throughput::Elements(events.len() as u64));
 
-    group.bench_with_input(
-        BenchmarkId::new("serial", 1),
-        &batches(&events),
-        |b, batches| {
-            b.iter(|| drive(&mut scheduler([heavy_query()]), batches));
-        },
-    );
+    group.bench_with_input(BenchmarkId::new("serial", 1), &batches, |b, batches| {
+        b.iter(|| drive(&mut scheduler([heavy_query()]), batches));
+    });
 
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("group_sharded", workers),
-            &events,
-            |b, events| {
-                b.iter(|| run_parallel(events, workers, false));
+            &batches,
+            |b, batches| {
+                b.iter(|| run_on_workers(batches, workers, false));
             },
         );
     }
@@ -96,56 +92,40 @@ fn bench_partitioned_scaling(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("partitioned", workers),
-            &events,
-            |b, events| {
-                b.iter(|| run_parallel(events, workers, true));
+            &batches,
+            |b, batches| {
+                b.iter(|| run_on_workers(batches, workers, true));
             },
         );
     }
     group.finish();
 
-    partition_audit(&events);
+    partition_audit(&batches);
 }
 
-fn run_parallel(events: &[SharedEvent], workers: usize, key_partitioning: bool) -> usize {
-    let mut engine = ParallelEngine::new(
-        ParallelConfig {
-            key_partitioning,
-            ..ParallelConfig::with_workers(workers)
-        },
-        QueryConfig::default(),
-    );
-    engine.add(heavy_query()).unwrap();
-    engine.run(events.iter().cloned()).unwrap().len()
+fn run_on_workers(batches: &[EventBatch], workers: usize, key_partitioning: bool) -> usize {
+    let mut engine = engine(workers, key_partitioning, [("e18-heavy", HEAVY)]);
+    drive_engine(&mut engine, batches).len()
 }
 
 /// Non-timed work-partition audit, the 1-CPU acceptance path: at 4
 /// workers, each replica observes ~¼ of the rows, the replica deliveries
 /// sum to exactly the serial count (every row folds on exactly one
 /// shard), the alert multiset is unchanged, and no payload is copied.
-fn partition_audit(events: &[SharedEvent]) {
+fn partition_audit(batches: &[EventBatch]) {
     const WORKERS: usize = 4;
 
     let mut serial = scheduler([heavy_query()]);
     let mut serial_alerts: Vec<String> = Vec::new();
-    for batch in batches(events) {
-        serial_alerts.extend(serial.process_batch(&batch).iter().map(|a| a.to_string()));
+    for batch in batches {
+        serial_alerts.extend(serial.process_batch(batch).iter().map(|a| a.to_string()));
     }
     serial_alerts.extend(serial.finish().iter().map(|a| a.to_string()));
     serial_alerts.sort();
     let serial_stats = serial.stats();
 
-    let mut par = ParallelEngine::new(
-        ParallelConfig {
-            key_partitioning: true,
-            ..ParallelConfig::with_workers(WORKERS)
-        },
-        QueryConfig::default(),
-    );
-    par.add(heavy_query()).unwrap();
-    let mut par_alerts: Vec<String> = par
-        .run(events.iter().cloned())
-        .unwrap()
+    let mut par = engine(WORKERS, true, [("e18-heavy", HEAVY)]);
+    let mut par_alerts: Vec<String> = drive_engine(&mut par, batches)
         .iter()
         .map(|a| a.to_string())
         .collect();
@@ -174,12 +154,18 @@ fn partition_audit(events: &[SharedEvent]) {
             s.deliveries
         );
     }
-    let merged = par.stats();
-    assert_eq!(delivered, serial_stats.deliveries, "0 duplicated deliveries");
+    let merged = par.scheduler_stats();
+    assert_eq!(
+        delivered, serial_stats.deliveries,
+        "0 duplicated deliveries"
+    );
     assert_eq!(merged.deliveries, serial_stats.deliveries);
     assert_eq!(merged.data_copies, 0, "broadcast shares payload handles");
     // The replication price: every replica master-checks every event.
-    assert_eq!(merged.master_checks, serial_stats.master_checks * WORKERS as u64);
+    assert_eq!(
+        merged.master_checks,
+        serial_stats.master_checks * WORKERS as u64
+    );
     assert!(!serial_alerts.is_empty(), "audit needs a live alert stream");
     assert_eq!(par_alerts, serial_alerts, "alert multiset unchanged");
 }

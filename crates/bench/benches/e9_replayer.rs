@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use saql_collector::workload::{synthetic_stream, WorkloadConfig};
 use saql_stream::replayer::Replayer;
-use saql_stream::store::{EventStore, Selection};
+use saql_stream::store::Selection;
+use saql_stream::StoreWriter;
 
 fn bench_store_roundtrip(c: &mut Criterion) {
     let events = synthetic_stream(&WorkloadConfig {
@@ -22,14 +23,14 @@ fn bench_store_roundtrip(c: &mut Criterion) {
     group.bench_function("store-append-50k", |b| {
         b.iter(|| {
             let path = dir.join(format!("saql-bench-store-{}.bin", std::process::id()));
-            let store = EventStore::create(&path).unwrap();
+            let mut store = StoreWriter::create(&path).unwrap();
             store.append(&events).unwrap();
             let _ = std::fs::remove_file(&path);
         });
     });
 
     let path = dir.join(format!("saql-bench-replay-{}.bin", std::process::id()));
-    let store = EventStore::create(&path).unwrap();
+    let mut store = StoreWriter::create(&path).unwrap();
     store.append(&events).unwrap();
 
     group.bench_function("replay-all-50k", |b| {

@@ -7,7 +7,7 @@
 
 use saql_collector::workload::{synthetic_stream, WorkloadConfig};
 use saql_engine::query::{QueryConfig, RunningQuery};
-use saql_engine::Scheduler;
+use saql_engine::{Alert, Engine, EngineConfig, Scheduler};
 use saql_stream::{batched, EventBatch, SharedEvent, DEFAULT_BATCH_SIZE};
 
 /// A synthetic stream of `n` events with default mix and ~5% matching the
@@ -50,6 +50,37 @@ pub fn drive(scheduler: &mut Scheduler, batches: &[EventBatch]) -> usize {
         alerts += scheduler.process_batch(batch).len();
     }
     alerts + scheduler.finish().len()
+}
+
+/// An engine on `workers` threads hosting `queries` (compiled on
+/// registration, like [`scheduler`]'s are before it is built).
+pub fn engine(
+    workers: usize,
+    key_partitioning: bool,
+    queries: impl IntoIterator<Item = (impl AsRef<str>, impl AsRef<str>)>,
+) -> Engine {
+    let mut engine = Engine::new(EngineConfig {
+        workers,
+        key_partitioning,
+        ..EngineConfig::default()
+    });
+    for (name, src) in queries {
+        engine
+            .register(name.as_ref(), src.as_ref())
+            .expect("workload query compiles");
+    }
+    engine
+}
+
+/// [`drive`] for an [`Engine`]: push `batches` through and flush; returns
+/// the alerts.
+pub fn drive_engine(engine: &mut Engine, batches: &[EventBatch]) -> Vec<Alert> {
+    let mut alerts = Vec::new();
+    for batch in batches {
+        alerts.extend(engine.process_batch(batch).expect("engine is live"));
+    }
+    alerts.extend(engine.finish());
+    alerts
 }
 
 /// One representative query per anomaly-model family, over the synthetic
@@ -109,6 +140,18 @@ pub fn variant_queries(n: usize) -> Vec<RunningQuery> {
 /// dependents of one master. Stateful queries keep per-event work high
 /// enough that sharding, not channel overhead, dominates.
 pub fn sharded_queries(groups: usize, per_group: usize) -> Vec<RunningQuery> {
+    sharded_sources(groups, per_group)
+        .into_iter()
+        .map(|(name, src)| {
+            RunningQuery::compile(name, &src, QueryConfig::default())
+                .expect("sharded workload query compiles")
+        })
+        .collect()
+}
+
+/// [`sharded_queries`] as `(name, SAQL text)`, for engines that compile on
+/// registration.
+pub fn sharded_sources(groups: usize, per_group: usize) -> Vec<(String, String)> {
     let mut out = Vec::with_capacity(groups * per_group);
     for g in 0..groups {
         for m in 0..per_group {
@@ -117,10 +160,7 @@ pub fn sharded_queries(groups: usize, per_group: usize) -> Vec<RunningQuery> {
                 30 + g,
                 10_000 * (m + 1),
             );
-            out.push(
-                RunningQuery::compile(format!("shard-g{g}-m{m}"), &src, QueryConfig::default())
-                    .expect("sharded workload query compiles"),
-            );
+            out.push((format!("shard-g{g}-m{m}"), src));
         }
     }
     out

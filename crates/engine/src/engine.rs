@@ -3,12 +3,12 @@
 //! [`Engine::register`] attaches a SAQL query to a live engine and returns a
 //! [`QueryId`] handle; [`deregister`](Engine::deregister),
 //! [`pause`](Engine::pause)/[`resume`](Engine::resume), and
-//! [`subscribe`](Engine::subscribe) operate on that handle **mid-stream on
-//! both backends** — the serial scheduler applies them immediately, the
-//! parallel runtime ships them as control messages applied at batch
-//! boundaries (see [`crate::runtime`]). This is the analyst-session model of
-//! the paper: queries are submitted, tuned, and retired against a stream
-//! that never stops.
+//! [`subscribe`](Engine::subscribe) operate on that handle **mid-stream**,
+//! whatever [`EngineConfig::workers`] is: each is one control message to
+//! the engine's runtime, applied in place when the engine runs on the
+//! caller's thread and shipped in-band, at a batch boundary, when it runs on
+//! workers. This is the analyst-session model of the paper: queries are
+//! submitted, tuned, and retired against a stream that never stops.
 
 use std::collections::HashMap;
 
@@ -19,8 +19,9 @@ use saql_stream::{EventBatch, SharedEvent, DEFAULT_BATCH_SIZE};
 use crate::alert::Alert;
 use crate::error::EngineError;
 use crate::query::{QueryConfig, QueryStats, RunningQuery};
-use crate::runtime::{ParallelConfig, ParallelEngine};
-use crate::scheduler::{Scheduler, SchedulerStats};
+use crate::runtime::Runtime;
+use crate::scheduler::SchedulerStats;
+use crate::shard::ControlMsg;
 
 pub use crate::query::QueryId;
 
@@ -29,15 +30,14 @@ pub use crate::query::QueryId;
 pub struct EngineConfig {
     pub query: QueryConfig,
     /// Track processing latency: one clock read pair per execution batch,
-    /// recorded as that batch's amortised nanoseconds per event — the same
-    /// measurement on both backends, and no influence on how events
-    /// execute. On the parallel backend every shard records its own
-    /// histogram and they merge at [`Engine::finish`].
+    /// recorded as that batch's amortised nanoseconds per event, with no
+    /// influence on how events execute. Every shard records its own
+    /// histogram; [`Engine::latency`] merges them.
     pub record_latency: bool,
-    /// Worker threads for the parallel sharded runtime. `0` (the default)
-    /// runs the serial scheduler on the calling thread; any other value
-    /// shards scheduler groups across that many workers (see
-    /// [`crate::runtime`]).
+    /// Worker threads. `0` (the default) runs every scheduler group on the
+    /// calling thread; any other value deals the groups across that many
+    /// workers, each fed every batch over a bounded channel. Same queries,
+    /// same alerts — in emission order at `0`, as a multiset otherwise.
     pub workers: usize,
     /// Alerts buffered per [`Engine::subscribe`] channel before further
     /// alerts for that subscriber are dropped (and counted in
@@ -45,16 +45,17 @@ pub struct EngineConfig {
     pub subscription_backlog: usize,
     /// Events per execution batch — the **one knob** governing batch
     /// sizing end to end: the session pump chunks merged events into
-    /// [`EventBatch`]es of this size for [`Engine::process_batch`], and the
-    /// parallel runtime dispatches worker batches of the same size. Zero
-    /// clamps to one.
+    /// [`EventBatch`]es of this size for [`Engine::process_batch`], and a
+    /// batch reaches every shard exactly as it was handed in. Zero clamps
+    /// to one.
     pub batch_size: usize,
-    /// Key-partitioned execution on the parallel backend: partitionable
-    /// queries (state keyed purely by group key) are replicated across all
-    /// shards, each replica owning the groups whose key tuple hashes to
-    /// its shard — one heavy query's work splits ~1/N per worker. Ignored
-    /// on the serial backend (`workers == 0`). Off by default; see
-    /// [`crate::runtime::ParallelConfig::key_partitioning`].
+    /// Key-partitioned execution across workers: partitionable queries
+    /// (state keyed purely by group key) are replicated to every worker,
+    /// each replica owning the groups whose key tuple hashes to it — one
+    /// heavy query's work splits ~1/N per worker. Off by default:
+    /// replicated groups run one master check per worker, so merged
+    /// `master_checks` exceed the unpartitioned count. Ignored when
+    /// `workers == 0`.
     pub key_partitioning: bool,
 }
 
@@ -115,17 +116,12 @@ struct QueryEntry {
 /// assert_eq!(alerts[0].query, "osql-start");
 /// ```
 pub struct Engine {
-    backend: Backend,
+    runtime: Runtime,
     /// Registry of every query ever registered; row index == `QueryId`.
     /// Ids are never reused, so deregistered rows stay as tombstones.
     registry: Vec<QueryEntry>,
     /// Per-query subscription routing table.
     subscriptions: HashMap<QueryId, Vec<Sender<Alert>>>,
-    /// Subscriptions of deregistered queries awaiting closure: on the
-    /// parallel backend the final window flush arrives asynchronously, so
-    /// the channel must stay routable until [`finish`](Self::finish) has
-    /// delivered everything. (Serial deregistration closes immediately.)
-    retired_subscriptions: Vec<QueryId>,
     /// Alerts dropped because a subscription channel was full.
     subscription_drops: u64,
     /// Subscription drops attributed to the emitting query.
@@ -135,10 +131,6 @@ pub struct Engine {
     /// [`process`](Self::process)/[`finish`](Self::finish) call. Already
     /// routed to subscribers.
     pending: Vec<Alert>,
-    /// Whether [`finish`](Self::finish) has run. The serial backend stays
-    /// fully operable afterwards; the parallel backend's workers are gone,
-    /// so its control plane rejects further changes.
-    finished: bool,
     /// Facade-level observer invoked for every alert as it is routed —
     /// the metrics tap serving layers hang per-query counters and
     /// delivery-latency histograms on. See [`set_alert_hook`](Self::set_alert_hook).
@@ -150,42 +142,15 @@ pub struct Engine {
 /// alert, in emission order, on the engine thread.
 pub type AlertHook = Box<dyn FnMut(&Alert) + Send>;
 
-/// Execution strategy behind the facade: the single-threaded scheduler, or
-/// the sharded multi-threaded runtime.
-enum Backend {
-    Serial(Scheduler),
-    // Boxed: the runtime's coordinator state dwarfs the serial scheduler.
-    Parallel(Box<ParallelEngine>),
-}
-
 impl Engine {
     pub fn new(config: EngineConfig) -> Self {
-        let backend = if config.workers == 0 {
-            let mut scheduler = Scheduler::new();
-            if config.record_latency {
-                scheduler.enable_latency_tracking();
-            }
-            Backend::Serial(scheduler)
-        } else {
-            Backend::Parallel(Box::new(ParallelEngine::new(
-                ParallelConfig {
-                    batch_size: config.batch_size.max(1),
-                    record_latency: config.record_latency,
-                    key_partitioning: config.key_partitioning,
-                    ..ParallelConfig::with_workers(config.workers)
-                },
-                config.query,
-            )))
-        };
         Engine {
-            backend,
+            runtime: Runtime::new(&config),
             registry: Vec::new(),
             subscriptions: HashMap::new(),
-            retired_subscriptions: Vec::new(),
             subscription_drops: 0,
             subscription_drops_by_query: HashMap::new(),
             pending: Vec::new(),
-            finished: false,
             alert_hook: None,
             config,
         }
@@ -207,33 +172,26 @@ impl Engine {
         self.alert_hook = None;
     }
 
-    /// An engine on the parallel sharded runtime with `workers` threads
-    /// (`0` falls back to serial execution).
+    /// An engine running on `workers` threads (`0` = on the caller's).
     pub fn with_workers(config: EngineConfig, workers: usize) -> Self {
         Engine::new(EngineConfig { workers, ..config })
     }
 
-    /// Worker threads in use (`0` = serial execution on the caller).
+    /// Worker threads in use (`0` = execution on the caller's thread).
     pub fn workers(&self) -> usize {
-        match &self.backend {
-            Backend::Serial(_) => 0,
-            Backend::Parallel(runtime) => runtime.workers(),
-        }
+        self.runtime.workers()
     }
 
     /// Latency histogram — one sample per execution batch, its amortised
     /// ns per event — when [`EngineConfig::record_latency`] is on.
     ///
-    /// Serial execution exposes it live; on the parallel backend each shard
-    /// records the *processing* latency of its own slice (shards overlap in
-    /// wall-clock time, so the merged histogram measures per-shard work,
-    /// not end-to-end delivery) and the merge surfaces after
-    /// [`finish`](Self::finish).
-    pub fn latency(&self) -> Option<&saql_analytics::Histogram> {
-        match &self.backend {
-            Backend::Serial(scheduler) => scheduler.latency(),
-            Backend::Parallel(runtime) => runtime.latency(),
-        }
+    /// Like every counter, it is live at `workers == 0` and surfaces after
+    /// [`finish`](Self::finish) otherwise. Each worker records the
+    /// *processing* latency of its own groups (workers overlap in
+    /// wall-clock time, so the merged histogram measures per-worker work,
+    /// not end-to-end delivery).
+    pub fn latency(&self) -> Option<saql_analytics::Histogram> {
+        self.runtime.latency()
     }
 
     // ------------------------------------------------------------------
@@ -287,11 +245,8 @@ impl Engine {
     /// assert_eq!(alerts[0].query_id, id2);
     /// ```
     pub fn register(&mut self, name: &str, source: &str) -> Result<QueryId, LangError> {
-        if self.parallel_finished() {
-            return Err(LangError::semantic(
-                EngineError::EngineFinished.to_string(),
-                Span::default(),
-            ));
+        if let Err(finished) = self.runtime.live() {
+            return Err(LangError::semantic(finished.to_string(), Span::default()));
         }
         if self
             .registry
@@ -322,17 +277,8 @@ impl Engine {
         let input = query.pipeline_input().map(str::to_string);
         let id = QueryId::new(self.registry.len());
         query.set_id(id);
-        let drained = match &mut self.backend {
-            Backend::Serial(scheduler) => {
-                scheduler.add(query);
-                Vec::new()
-            }
-            // `parallel_finished` was checked above, so the runtime is live.
-            Backend::Parallel(runtime) => runtime
-                .add(query)
-                .expect("runtime is live: finished engines reject register"),
-        };
-        self.absorb(drained);
+        self.control(|runtime, arrived| runtime.add(query, arrived))
+            .expect("runtime is live: finished engines reject register above");
         self.registry.push(QueryEntry {
             name: name.to_string(),
             source: source.to_string(),
@@ -345,11 +291,12 @@ impl Engine {
     /// Detach a query from the engine at the current stream position. Its
     /// open windows are flushed — those final alerts surface through the
     /// normal delivery path (the next [`process`](Self::process) /
-    /// [`finish`](Self::finish) return, and any subscribers) — then the
-    /// query, its stats, and its compatibility-group membership are gone.
-    /// The id is retired, never reused; the name becomes available again.
+    /// [`finish`](Self::finish) return, and any subscribers, whose channels
+    /// then close) — then the query, its stats, and its compatibility-group
+    /// membership are gone. The id is retired, never reused; the name
+    /// becomes available again.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), EngineError> {
-        self.expect_mutable()?;
+        self.runtime.live()?;
         self.expect_live(id)?;
         let name = &self.registry[id.index()].name;
         let dependents: Vec<&str> = self
@@ -364,27 +311,13 @@ impl Engine {
                 dependents: dependents.iter().map(|d| d.to_string()).collect(),
             });
         }
-        let serial = matches!(self.backend, Backend::Serial(_));
-        let drained = match &mut self.backend {
-            Backend::Serial(scheduler) => {
-                let mut query = scheduler
-                    .remove(id)
-                    .expect("facade registry and scheduler agree on live ids");
-                query.finish()
-            }
-            Backend::Parallel(runtime) => runtime.remove(id)?,
-        };
-        self.absorb(drained);
+        let flushed = self.control(|runtime, arrived| runtime.remove(id, arrived))?;
+        self.absorb(flushed);
         self.registry[id.index()].status = QueryStatus::Removed;
-        // Close the query's subscriptions once the final flush is routed:
-        // serial flushes synchronously (routed by `absorb` just above); the
-        // parallel flush arrives asynchronously, so its channels stay
-        // routable until `finish` has delivered everything.
-        if serial {
-            self.subscriptions.remove(&id);
-        } else {
-            self.retired_subscriptions.push(id);
-        }
+        // Everything the query ever emitted is routed now — what it raised
+        // before this point arrived ahead of the removal's reply, the flush
+        // just above — so its subscribers can see the disconnect.
+        self.subscriptions.remove(&id);
         Ok(())
     }
 
@@ -395,18 +328,7 @@ impl Engine {
     /// returned, and also routed to subscribers and buffered for the next
     /// data-plane call like any control-plane alert.
     pub fn flush_query(&mut self, id: QueryId) -> Result<Vec<Alert>, EngineError> {
-        self.expect_mutable()?;
-        self.expect_live(id)?;
-        let flushed = match &mut self.backend {
-            Backend::Serial(scheduler) => scheduler
-                .flush_member(id)
-                .expect("facade registry and scheduler agree on live ids"),
-            Backend::Parallel(runtime) => {
-                let (flushed, drained) = runtime.flush_query(id)?;
-                self.absorb(drained);
-                flushed
-            }
-        };
+        let flushed = self.query_control(id, ControlMsg::Flush)?;
         self.absorb(flushed.clone());
         Ok(flushed)
     }
@@ -414,33 +336,18 @@ impl Engine {
     /// Synchronize with the data plane: when this returns, every event fed
     /// so far has been fully processed and every alert it produced has been
     /// routed (to subscribers) and buffered for the next data-plane call.
-    /// The serial backend is always synchronous, so this is a no-op there;
-    /// the parallel backend runs a worker barrier. The pipeline wiring
-    /// syncs before punctuating a derived stream, so a punctuation can
-    /// never outrun an upstream alert still being computed on a worker.
+    /// Execution on the caller's thread is always synchronous, so this
+    /// costs nothing there; with workers it is a barrier. The pipeline
+    /// wiring syncs before punctuating a derived stream, so a punctuation
+    /// can never outrun an upstream alert still being computed on a worker.
     pub fn sync(&mut self) -> Result<(), EngineError> {
-        self.expect_mutable()?;
-        let drained = match &mut self.backend {
-            Backend::Serial(_) => Vec::new(),
-            Backend::Parallel(runtime) => runtime.sync()?,
-        };
-        self.absorb(drained);
-        Ok(())
+        self.control(|runtime, arrived| runtime.sync(arrived))
     }
 
     /// Detach a query from the stream without removing it: while paused it
     /// sees no events and no time, and emits nothing. Idempotent.
     pub fn pause(&mut self, id: QueryId) -> Result<(), EngineError> {
-        self.expect_mutable()?;
-        self.expect_live(id)?;
-        let drained = match &mut self.backend {
-            Backend::Serial(scheduler) => {
-                scheduler.pause(id);
-                Vec::new()
-            }
-            Backend::Parallel(runtime) => runtime.pause(id)?,
-        };
-        self.absorb(drained);
+        self.query_control(id, ControlMsg::Pause)?;
         self.registry[id.index()].status = QueryStatus::Paused;
         Ok(())
     }
@@ -449,16 +356,7 @@ impl Engine {
     /// that arrived during the pause are gone for this query; stream time
     /// catches up on the next event. Idempotent.
     pub fn resume(&mut self, id: QueryId) -> Result<(), EngineError> {
-        self.expect_mutable()?;
-        self.expect_live(id)?;
-        let drained = match &mut self.backend {
-            Backend::Serial(scheduler) => {
-                scheduler.resume(id);
-                Vec::new()
-            }
-            Backend::Parallel(runtime) => runtime.resume(id)?,
-        };
-        self.absorb(drained);
+        self.query_control(id, ControlMsg::Resume)?;
         self.registry[id.index()].status = QueryStatus::Active;
         Ok(())
     }
@@ -469,9 +367,8 @@ impl Engine {
     /// other query. Alerts still flow through the normal
     /// [`process`](Self::process)/[`run`](Self::run) returns — subscribers
     /// are an additional fan-out, the per-user delivery path. The channel
-    /// closes (the receiver disconnects) once its query is deregistered
-    /// and the flush is delivered — immediately on the serial backend, at
-    /// [`finish`](Self::finish) on the parallel one.
+    /// closes (the receiver disconnects) when its query is deregistered,
+    /// after the flush is delivered.
     ///
     /// The channel buffers [`EngineConfig::subscription_backlog`] alerts; a
     /// full channel drops further alerts for that subscriber (counted in
@@ -488,9 +385,9 @@ impl Engine {
         id: QueryId,
         capacity: usize,
     ) -> Result<Receiver<Alert>, EngineError> {
-        // A subscription opened after the parallel drain could never close
+        // A subscription opened after the workers drained could never close
         // or deliver; reject it rather than hand out a dead channel.
-        self.expect_mutable()?;
+        self.runtime.live()?;
         self.expect_live(id)?;
         let (tx, rx) = bounded(capacity.max(1));
         self.subscriptions.entry(id).or_default().push(tx);
@@ -583,18 +480,29 @@ impl Engine {
         }
     }
 
-    /// Whether the deployment can still change: always on the serial
-    /// backend, and until [`finish`](Self::finish) on the parallel one.
-    fn parallel_finished(&self) -> bool {
-        self.finished && matches!(self.backend, Backend::Parallel(_))
+    /// Run one control-plane operation on the runtime, absorbing the
+    /// alerts that arrived from the workers while it waited.
+    fn control<T>(
+        &mut self,
+        op: impl FnOnce(&mut Runtime, &mut Vec<Alert>) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let mut arrived = Vec::new();
+        let out = op(&mut self.runtime, &mut arrived);
+        self.absorb(arrived);
+        out
     }
 
-    fn expect_mutable(&self) -> Result<(), EngineError> {
-        if self.parallel_finished() {
-            Err(EngineError::EngineFinished)
-        } else {
-            Ok(())
-        }
+    /// Apply one per-query control message to a live query and return the
+    /// alerts it answered with.
+    fn query_control(
+        &mut self,
+        id: QueryId,
+        msg: fn(QueryId) -> ControlMsg,
+    ) -> Result<Vec<Alert>, EngineError> {
+        self.runtime.live()?;
+        self.expect_live(id)?;
+        let reply = self.control(|runtime, arrived| runtime.control(id, msg, arrived))?;
+        Ok(reply.alerts)
     }
 
     // ------------------------------------------------------------------
@@ -603,95 +511,58 @@ impl Engine {
 
     /// Number of scheduler compatibility groups currently formed.
     pub fn group_count(&self) -> usize {
-        match &self.backend {
-            Backend::Serial(scheduler) => scheduler.group_count(),
-            Backend::Parallel(runtime) => runtime.group_count(),
-        }
+        self.runtime.group_count()
     }
 
-    /// Execution counters. In parallel mode these are the merged per-shard
-    /// counters and are complete once [`finish`](Self::finish) ran.
+    /// Execution counters, merged across shards. Like every counter below
+    /// they are read from the shards themselves: live at `workers == 0`;
+    /// with workers, zero while the stream runs and complete once
+    /// [`finish`](Self::finish) has brought the shards home.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        match &self.backend {
-            Backend::Serial(scheduler) => scheduler.stats(),
-            Backend::Parallel(runtime) => runtime.stats(),
-        }
+        self.runtime.stats()
     }
 
-    /// Per-shard `(shard id, counters)` — the work-partition view of the
-    /// parallel runtime, available after [`finish`](Self::finish). Serial
-    /// execution has no shards, so this is empty there (use
-    /// [`scheduler_stats`](Self::scheduler_stats)).
+    /// Per-worker `(shard id, counters)` — the work-partition view, after
+    /// [`finish`](Self::finish). Empty at `workers == 0`, where
+    /// [`scheduler_stats`](Self::scheduler_stats) is the whole engine.
     pub fn shard_stats(&self) -> Vec<(usize, SchedulerStats)> {
-        match &self.backend {
-            Backend::Serial(_) => Vec::new(),
-            Backend::Parallel(runtime) => runtime.shard_stats(),
-        }
+        self.runtime.shard_stats()
     }
 
-    /// Alerts dropped on their way to a consumer: full per-query
-    /// subscription channels (both backends, counted live), plus parallel
-    /// worker sinks whose receiver hung up (complete after
-    /// [`finish`](Self::finish); 0 in normal runs).
+    /// Alerts dropped on their way to a consumer: a full per-query
+    /// subscription channel drops (and counts, live) rather than stalling
+    /// the stream.
     pub fn dropped_alerts(&self) -> u64 {
-        let backend = match &self.backend {
-            Backend::Serial(_) => 0,
-            Backend::Parallel(runtime) => runtime.dropped_alerts(),
-        };
-        backend + self.subscription_drops
+        self.subscription_drops
     }
 
     /// [`dropped_alerts`](Self::dropped_alerts) attributed to the emitting
-    /// query, `(id, drops)` sorted by id. Subscription-channel drops count
-    /// live on both backends; parallel worker-sink drops join after
-    /// [`finish`](Self::finish). Queries with no drops are absent.
+    /// query, `(id, drops)` sorted by id. Queries with no drops are absent.
     pub fn dropped_alerts_by_query(&self) -> Vec<(QueryId, u64)> {
-        let mut merged: HashMap<QueryId, u64> = self.subscription_drops_by_query.clone();
-        if let Backend::Parallel(runtime) = &self.backend {
-            for (id, n) in runtime.dropped_alerts_by_query() {
-                *merged.entry(id).or_insert(0) += n;
-            }
-        }
-        let mut out: Vec<(QueryId, u64)> = merged.into_iter().collect();
+        let mut out: Vec<(QueryId, u64)> = self
+            .subscription_drops_by_query
+            .iter()
+            .map(|(id, n)| (*id, *n))
+            .collect();
         out.sort_by_key(|(id, _)| id.index());
         out
     }
 
     /// Per-query execution stats, `(name, stats)` in arbitrary order, for
-    /// live queries (deregistered queries leave with their stats). In
-    /// parallel mode the shards own the queries while the stream is live,
-    /// so stats surface after [`finish`](Self::finish).
+    /// live queries (deregistered queries leave with their stats).
     pub fn query_stats(&self) -> Vec<(String, QueryStats)> {
-        match &self.backend {
-            Backend::Serial(scheduler) => scheduler
-                .queries()
-                .map(|q| (q.name().to_string(), q.stats()))
-                .collect(),
-            Backend::Parallel(runtime) => runtime.query_stats(),
-        }
+        self.runtime.query_stats()
     }
 
-    /// Total runtime errors across queries (the error reporter).
+    /// Total runtime errors across queries (the error reporter), plus
+    /// workers that died.
     pub fn error_count(&self) -> u64 {
-        match &self.backend {
-            Backend::Serial(scheduler) => scheduler.queries().map(|q| q.errors().total()).sum(),
-            Backend::Parallel(runtime) => runtime.error_count(),
-        }
+        self.runtime.error_count()
     }
 
     /// Recent runtime error messages across queries.
     pub fn recent_errors(&self) -> Vec<String> {
-        match &self.backend {
-            Backend::Serial(scheduler) => scheduler
-                .queries()
-                .flat_map(|q| {
-                    q.errors()
-                        .recent()
-                        .map(move |e| format!("{}: {e}", q.name()))
-                })
-                .collect(),
-            Backend::Parallel(runtime) => runtime.recent_errors(),
-        }
+        self.runtime.recent_errors()
     }
 
     // ------------------------------------------------------------------
@@ -709,12 +580,11 @@ impl Engine {
     /// where this run left off.
     ///
     /// Must be taken at a batch boundary (between `process*` calls —
-    /// [`crate::RunSession`] checkpoints there). On the parallel backend
-    /// the partial dispatch batch is flushed and the snapshot request rides
-    /// the shard channels in-band, so the captured state is identical to
-    /// the serial scheduler's at the same position. Alerts arriving during
-    /// the barrier surface on the next data-plane call, as with any
-    /// control-plane operation.
+    /// [`crate::RunSession`] checkpoints there). With workers the snapshot
+    /// request rides the shard channels in-band, so the captured state is
+    /// the same at every worker count. Alerts arriving during the barrier
+    /// surface on the next data-plane call, as with any control-plane
+    /// operation.
     ///
     /// Subscriptions are not part of a checkpoint (channels cannot outlive
     /// the process); resumed engines start with none.
@@ -724,22 +594,15 @@ impl Engine {
         frontier: saql_model::Timestamp,
     ) -> Result<crate::checkpoint::Checkpoint, EngineError> {
         use crate::checkpoint::{Checkpoint, CheckpointRow, RowStatus};
-        self.expect_mutable()?;
-        let (snaps, drained) = match &mut self.backend {
-            Backend::Serial(scheduler) => (scheduler.query_snapshots(), Vec::new()),
-            Backend::Parallel(runtime) => runtime.query_snapshots()?,
-        };
-        self.absorb(drained);
-        let mut by_id: HashMap<usize, crate::query::QuerySnapshot> =
-            snaps.into_iter().map(|(id, s)| (id.index(), s)).collect();
+        let mut by_id = self.control(|runtime, arrived| runtime.snapshots(arrived))?;
         let mut rows = Vec::with_capacity(self.registry.len());
         for (i, entry) in self.registry.iter().enumerate() {
             let (status, snapshot) = match entry.status {
                 QueryStatus::Removed => (RowStatus::Removed, None),
                 live => {
-                    let snap = by_id.remove(&i).ok_or_else(|| {
+                    let snap = by_id.remove(&QueryId::new(i)).ok_or_else(|| {
                         EngineError::Checkpoint(format!(
-                            "state for query `{}` is missing from the backend \
+                            "state for query `{}` is missing from the runtime \
                              (a shard worker died?)",
                             entry.name
                         ))
@@ -777,12 +640,11 @@ impl Engine {
     /// index (tombstones are replayed so ids align). Feeding the resumed
     /// engine the event suffix from the checkpoint's `offset` yields the
     /// same alerts the uninterrupted run would have produced from that
-    /// position — ordered on the serial backend, as a multiset on the
-    /// parallel one.
+    /// position — in order at `workers == 0`, as a multiset otherwise.
     ///
     /// `config.query` is ignored in favor of the checkpoint's (changing
     /// execution semantics mid-resume would fork the alert stream); the
-    /// backend choice (`workers`), batch size, and other knobs are free.
+    /// worker count, batch size, and other knobs are free.
     pub fn resume_from(
         checkpoint: crate::checkpoint::Checkpoint,
         config: EngineConfig,
@@ -820,16 +682,7 @@ impl Engine {
                 if status == QueryStatus::Paused {
                     query.set_paused(true);
                 }
-                match &mut engine.backend {
-                    Backend::Serial(scheduler) => {
-                        scheduler.add(query);
-                    }
-                    Backend::Parallel(runtime) => {
-                        runtime
-                            .add(query)
-                            .expect("fresh runtime: workers not started, add cannot fail");
-                    }
-                }
+                engine.control(|runtime, arrived| runtime.add(query, arrived))?;
             }
             engine.registry.push(QueryEntry {
                 name: row.name,
@@ -845,49 +698,30 @@ impl Engine {
     // Data plane
     // ------------------------------------------------------------------
 
-    /// Push one event through all registered queries — a convenience for a
-    /// one-row [`process_batch`](Self::process_batch). Serial execution
-    /// returns this event's alerts synchronously; the parallel runtime
-    /// returns alerts as they arrive from the workers (everything is
-    /// delivered by [`finish`](Self::finish)). Alerts buffered by
-    /// control-plane operations (a deregistration's window flush) are
-    /// prepended.
-    ///
-    /// Returns [`EngineError::EngineFinished`] on a finished *parallel*
-    /// engine (its workers are gone, so the event would be silently lost);
-    /// the serial backend stays operable after [`finish`](Self::finish)
-    /// and never fails here.
+    /// Push one event through all registered queries: a one-row
+    /// [`process_batch`](Self::process_batch), with the same contract.
     pub fn process(&mut self, event: &SharedEvent) -> Result<Vec<Alert>, EngineError> {
-        let fresh = match &mut self.backend {
-            Backend::Serial(scheduler) => scheduler.process(event),
-            Backend::Parallel(runtime) => runtime.process(event)?,
-        };
-        self.route(&fresh);
-        Ok(self.drain_pending(fresh))
+        self.process_batch(&EventBatch::from_events(vec![event.clone()]))
     }
 
     /// Push a run of consecutive events through all registered queries —
     /// the engine's one execution path (see
-    /// [`crate::scheduler::Scheduler::process_batch`]). On the serial
-    /// backend the ordered alert stream and every counter are independent
-    /// of how the stream is cut into batches. The parallel runtime
-    /// re-batches internally at shard boundaries, so events are forwarded
-    /// to it individually; shards then run the same path per dispatch
-    /// batch.
+    /// [`crate::scheduler::Scheduler::process_batch`]). The alerts and
+    /// every counter are independent of how the stream is cut into batches.
     ///
-    /// Same [`EngineError::EngineFinished`] contract as
-    /// [`process`](Self::process).
+    /// At `workers == 0` the return is this batch's alerts, in emission
+    /// order. With workers the batch is broadcast as given and the return
+    /// is whatever alerts have arrived from them so far (everything is in
+    /// by [`finish`](Self::finish)); an empty batch just collects. Alerts
+    /// buffered by control-plane operations (a deregistration's window
+    /// flush) are prepended either way.
+    ///
+    /// Returns [`EngineError::EngineFinished`] on a finished worker-backed
+    /// engine (its workers are gone, so the events would be silently
+    /// lost); at `workers == 0` the engine stays operable after
+    /// [`finish`](Self::finish) and never fails here.
     pub fn process_batch(&mut self, batch: &EventBatch) -> Result<Vec<Alert>, EngineError> {
-        let fresh = match &mut self.backend {
-            Backend::Serial(scheduler) => scheduler.process_batch(batch),
-            Backend::Parallel(runtime) => {
-                let mut alerts = Vec::new();
-                for event in batch {
-                    alerts.extend(runtime.process(event)?);
-                }
-                alerts
-            }
-        };
+        let fresh = self.runtime.process_batch(batch)?;
         self.route(&fresh);
         Ok(self.drain_pending(fresh))
     }
@@ -899,9 +733,9 @@ impl Engine {
         self.config.batch_size.max(1)
     }
 
-    /// Drive an entire stream and flush; returns all alerts. Serial
-    /// execution yields emission order; parallel yields the same alerts as
-    /// a multiset, interleaved across shards.
+    /// Drive an entire stream and flush; returns all alerts — in emission
+    /// order at `workers == 0`, the same alerts as a multiset (interleaved
+    /// across workers) otherwise.
     ///
     /// A thin wrapper over [`session`](Self::session): one
     /// [arrival-order](saql_stream::Lateness::ArrivalOrder) iterator source,
@@ -909,14 +743,14 @@ impl Engine {
     /// no late drops). Multi-source or live ingestion goes through
     /// [`Engine::session`] directly.
     ///
-    /// Like [`process`](Self::process), returns
-    /// [`EngineError::EngineFinished`] on a finished *parallel* engine —
+    /// Like [`process_batch`](Self::process_batch), returns
+    /// [`EngineError::EngineFinished`] on a finished worker-backed engine —
     /// its workers are gone, so the stream would be silently lost.
     pub fn run(
         &mut self,
         stream: impl IntoIterator<Item = SharedEvent>,
     ) -> Result<Vec<Alert>, EngineError> {
-        self.expect_mutable()?;
+        self.runtime.live()?;
         let mut session = self.session();
         session.attach_with(
             saql_stream::source::IterSource::new("run", stream),
@@ -937,7 +771,7 @@ impl Engine {
         stream: impl IntoIterator<Item = SharedEvent>,
         sink: &mut dyn crate::sink::AlertSink,
     ) -> Result<u64, EngineError> {
-        self.expect_mutable()?;
+        self.runtime.live()?;
         let mut session = self.session();
         session.attach_with(
             saql_stream::source::IterSource::new("run", stream),
@@ -946,20 +780,11 @@ impl Engine {
         Ok(session.drain_into(sink))
     }
 
-    /// Flush end-of-stream state (close remaining windows; in parallel
-    /// mode, drain and join the workers).
+    /// Flush end-of-stream state: close remaining windows, and drain and
+    /// join the workers if there are any.
     pub fn finish(&mut self) -> Vec<Alert> {
-        let fresh = match &mut self.backend {
-            Backend::Serial(scheduler) => scheduler.finish(),
-            Backend::Parallel(runtime) => runtime.finish(),
-        };
-        self.finished = true;
+        let fresh = self.runtime.finish();
         self.route(&fresh);
-        // Every deregistered query's flush is now delivered: close the
-        // subscriptions that were kept routable for it.
-        for id in self.retired_subscriptions.drain(..) {
-            self.subscriptions.remove(&id);
-        }
         self.drain_pending(fresh)
     }
 
@@ -1123,8 +948,7 @@ mod tests {
         assert!(err.message.contains("already finished"), "{err:?}");
         // Locationless: no caret blaming the (valid) query text.
         assert!(!err.render(src).contains('^'), "{}", err.render(src));
-        // The data plane reports the finished engine too (the PR 3 wart
-        // was a panic inside the parallel runtime here).
+        // The data plane reports the finished engine too.
         assert!(matches!(
             e.process(&start(2, 20, "a.exe", "b.exe")),
             Err(EngineError::EngineFinished)
@@ -1140,7 +964,7 @@ mod tests {
             Err(EngineError::EngineFinished)
         ));
         assert!(sink.alerts.is_empty());
-        // Serial engines stay fully operable after finish.
+        // Without workers the engine stays fully operable after finish.
         let mut s = Engine::new(EngineConfig::default());
         let sid = s.register("q", src).unwrap();
         s.run(vec![start(1, 10, "a.exe", "b.exe")]).unwrap();
@@ -1222,68 +1046,38 @@ mod tests {
 
     #[test]
     fn deregister_flushes_open_windows_through_normal_delivery() {
-        let mut e = Engine::new(EngineConfig::default());
-        let id = e
-            .register(
-                "w",
-                "proc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n",
-            )
-            .unwrap();
-        let inbox = e.subscribe(id).unwrap();
-        let write = Arc::new(
-            EventBuilder::new(1, "h", 1_000)
-                .subject(ProcessInfo::new(1, "x.exe", "u"))
-                .sends(saql_model::NetworkInfo::new(
-                    "10.0.0.2", 44000, "1.1.1.1", 443, "tcp",
-                ))
-                .amount(5)
-                .build(),
-        );
-        assert!(e.process(&write).unwrap().is_empty(), "window still open");
-        e.deregister(id).unwrap();
-        // The flush alert surfaces on the next data-plane call and reached
-        // the subscriber.
-        let alerts = e.process(&start(2, 2_000, "a.exe", "b.exe")).unwrap();
-        assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].query_id, id);
-        assert_eq!(inbox.try_iter().count(), 1);
-        assert!(e.query_stats().is_empty(), "stats left with the query");
-        // Serial deregistration closes the subscription immediately (the
-        // flush was routed synchronously): no channel lingers, and the
-        // receiver observes the disconnect.
-        assert!(e.subscriptions.is_empty(), "subscription closed");
-        assert!(inbox.try_recv().is_err());
-    }
-
-    #[test]
-    fn parallel_deregister_keeps_subscription_routable_until_finish() {
-        let mut e = Engine::with_workers(EngineConfig::default(), 2);
-        let id = e
-            .register(
-                "w",
-                "proc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n",
-            )
-            .unwrap();
-        let inbox = e.subscribe(id).unwrap();
-        let write = Arc::new(
-            EventBuilder::new(1, "h", 1_000)
-                .subject(ProcessInfo::new(1, "x.exe", "u"))
-                .sends(saql_model::NetworkInfo::new(
-                    "10.0.0.2", 44000, "1.1.1.1", 443, "tcp",
-                ))
-                .amount(5)
-                .build(),
-        );
-        e.process(&write).unwrap();
-        e.deregister(id).unwrap();
-        assert!(
-            !e.subscriptions.is_empty(),
-            "parallel flush is asynchronous: channel stays routable"
-        );
-        e.finish();
-        assert!(e.subscriptions.is_empty(), "closed once flush delivered");
-        assert_eq!(inbox.try_iter().count(), 1, "flush reached subscriber");
-        assert!(inbox.try_recv().is_err(), "receiver sees the disconnect");
+        for workers in [0usize, 2] {
+            let mut e = Engine::with_workers(EngineConfig::default(), workers);
+            let id = e
+                .register(
+                    "w",
+                    "proc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n",
+                )
+                .unwrap();
+            let inbox = e.subscribe(id).unwrap();
+            let write = Arc::new(
+                EventBuilder::new(1, "h", 1_000)
+                    .subject(ProcessInfo::new(1, "x.exe", "u"))
+                    .sends(saql_model::NetworkInfo::new(
+                        "10.0.0.2", 44000, "1.1.1.1", 443, "tcp",
+                    ))
+                    .amount(5)
+                    .build(),
+            );
+            assert!(e.process(&write).unwrap().is_empty(), "window still open");
+            e.deregister(id).unwrap();
+            // The flush came back with the removal, on every worker count:
+            // it reached the subscriber before the subscription closed (no
+            // channel lingers, the receiver observes the disconnect)...
+            assert_eq!(inbox.try_iter().count(), 1, "workers={workers}");
+            assert!(e.subscriptions.is_empty(), "subscription closed");
+            assert!(inbox.try_recv().is_err());
+            // ...and surfaces on the next data-plane call.
+            let alerts = e.process(&start(2, 2_000, "a.exe", "b.exe")).unwrap();
+            assert_eq!(alerts.len(), 1, "workers={workers}");
+            assert_eq!(alerts[0].query_id, id);
+            assert!(e.query_stats().is_empty(), "stats left with the query");
+        }
     }
 
     #[test]
@@ -1317,7 +1111,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_tracking_records_one_sample_per_batch_on_both_backends() {
+    fn latency_tracking_records_one_sample_per_batch_per_shard() {
         // 50 events in batches of 16: four batches (the last one partial).
         for (workers, samples) in [(0usize, 4u64), (2, 8)] {
             let mut e = Engine::new(EngineConfig {
@@ -1393,7 +1187,7 @@ mod tests {
             shards.iter().map(|(_, s)| s.master_checks).sum::<u64>(),
             serial.scheduler_stats().master_checks
         );
-        assert!(serial.shard_stats().is_empty(), "serial has no shards");
+        assert!(serial.shard_stats().is_empty(), "no worker rows inline");
         assert_eq!(parallel.dropped_alerts(), 0);
     }
 

@@ -24,9 +24,9 @@ pub enum EngineError {
     /// A session operation named a source id that is not attached (never
     /// attached, or already detached).
     UnknownSource(saql_stream::SourceId),
-    /// A control-plane operation arrived after `finish()` on the parallel
-    /// backend: the worker threads have shut down, so the deployment can
-    /// no longer change (create a fresh engine to run again).
+    /// An event or control-plane operation arrived after `finish()` on a
+    /// worker-backed engine: the worker threads have shut down, so the
+    /// deployment can no longer change (create a fresh engine to run again).
     EngineFinished,
     /// Deregistration refused: the query is a pipeline upstream whose
     /// alert stream still feeds live dependent stages.

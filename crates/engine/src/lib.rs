@@ -21,9 +21,11 @@
 //! * **concurrent query scheduler** ([`scheduler`]) — the master–dependent-
 //!   query scheme: semantically compatible queries share one copy of the
 //!   stream; only group masters touch raw events;
-//! * **parallel runtime** ([`runtime`], [`shard`]) — scheduler groups
-//!   partitioned across worker threads with batched event dispatch over
-//!   bounded channels and a merged alert channel;
+//! * **runtime** (crate-private `runtime` / `shard`) — the one execution
+//!   path under [`Engine`]: scheduler groups dealt onto shards, driven in
+//!   place on the caller's thread ([`EngineConfig::workers`]` == 0`) or on
+//!   worker threads fed every batch over bounded channels, with one
+//!   control-message path for every lifecycle operation either way;
 //! * **run sessions** ([`session`]) — pump-driven ingestion from pluggable
 //!   [`saql_stream::EventSource`]s fused by a watermarked K-way merge, with
 //!   mid-stream source attach/detach and per-source stats;
@@ -35,7 +37,7 @@
 //! facade that wires parsing, scheduling and alert collection together —
 //! including the live query control plane ([`Engine::register`] /
 //! [`Engine::deregister`] / [`Engine::pause`] / [`Engine::subscribe`]),
-//! which attaches and detaches queries mid-stream on both backends.
+//! which attaches and detaches queries mid-stream at every worker count.
 
 pub mod alert;
 pub mod checkpoint;
@@ -48,10 +50,10 @@ pub mod matcher;
 pub mod pipeline;
 pub mod plan;
 pub mod query;
-pub mod runtime;
+mod runtime;
 pub mod scheduler;
 pub mod session;
-pub mod shard;
+mod shard;
 pub mod sink;
 pub mod state;
 pub mod value;
@@ -65,7 +67,6 @@ pub use pipeline::{
     deregister_pipeline, register_pipeline, register_pipeline_scoped, AlertAdapter, PipelineWiring,
 };
 pub use query::{QueryId, RunningQuery};
-pub use runtime::{ParallelConfig, ParallelEngine};
 pub use scheduler::Scheduler;
 pub use session::{CheckpointConfig, Pump, RunSession, SessionStatus};
 pub use sink::render_alert_json;

@@ -14,7 +14,7 @@
 //!    an ordinary [`Event`] with `op = alert` — the emitting query becomes
 //!    the *subject* (`exe_name` = query name), the alert's group label the
 //!    *object*, and labeled return rows map onto the event schema through
-//!    the global [`AttrTable`](saql_model::AttrTable) (`agentid`- and
+//!    the global [`saql_model::AttrTable`] (`agentid`- and
 //!    `amount`-labeled rows surface as `_in.agentid` / `_in.amount`);
 //! 3. a `push_source` channel per upstream feeds those derived events back
 //!    into the session's watermarked merge, where every downstream stage
@@ -27,7 +27,7 @@
 //! hand-chaining two engines. Silent upstreams cannot stall a stage
 //! forever: each transfer round punctuates every edge with a **watermark
 //! event** (`op = alert`, object `user` = the reserved
-//! [`PIPELINE_WM_USER`](saql_lang::semantic::PIPELINE_WM_USER) marker) at
+//! [`saql_lang::semantic::PIPELINE_WM_USER`] marker) at
 //! the session frontier minus a lateness margin. Punctuations advance the
 //! stage clock but are excluded by the injected `_in` pattern, so they
 //! never count as payload. The margin is `(depth+1) × allowed_lateness`
@@ -609,7 +609,7 @@ impl PipelineWiring {
     /// watermark at the session frontier minus its lateness margin.
     /// Returns the number of derived events pushed.
     pub fn transfer(&mut self, session: &mut RunSession) -> u64 {
-        // Barrier first (parallel backend; serial is a no-op): the
+        // Barrier first (free without workers): the
         // punctuations below assert "every upstream has processed every
         // event up to the frontier", which is only true once the workers
         // have caught up and their alerts are routed. Without this, a

@@ -7,8 +7,8 @@
 //! ([`crate::plan`]), and attribute constraints bind [`saql_model::AttrId`]s.
 //! Execution is batch-at-a-time and selection-driven: per batch a query
 //! *prepares* over the rows its group's master admitted
-//! ([`RunningQuery::prepare_batch`]), then the scheduler *drives* it row by
-//! row in stream order ([`RunningQuery::process_row`]).
+//! (`RunningQuery::prepare_batch`), then the scheduler *drives* it row by
+//! row in stream order (`RunningQuery::process_row`).
 
 use std::collections::HashSet;
 
@@ -137,7 +137,7 @@ pub struct QuerySnapshot {
 pub struct Partition {
     /// This replica's slice, `0..of`.
     pub index: u32,
-    /// Total partition count (the parallel runtime's worker count).
+    /// Total partition count (the engine's worker count).
     pub of: u32,
 }
 
@@ -569,7 +569,7 @@ impl RunningQuery {
     }
 
     /// Mark this instance as one replica of a key-partitioned query (the
-    /// parallel runtime hosts one replica per worker). Only meaningful when
+    /// runtime hosts one replica per worker). Only meaningful when
     /// [`partition_decision`](Self::partition_decision) allows it.
     pub fn set_partition(&mut self, index: u32, of: u32) {
         self.partition = Some(Partition { index, of });

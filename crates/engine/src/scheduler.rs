@@ -35,35 +35,15 @@ pub struct SchedulerStats {
     pub data_copies: u64,
 }
 
-/// How a shard's counters relate to the whole stream's, for
-/// [`SchedulerStats::absorb_shard`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardMerge {
-    /// Every shard observed the full event stream (the parallel runtime's
-    /// dispatch, including key-partitioned mode — full batches broadcast so
-    /// every replica's watermark evolves exactly as serial): `events`
-    /// merges as a maximum.
-    Broadcast,
-    /// Each shard observed a disjoint slice of the stream (schedulers fed
-    /// pre-routed sub-batches, e.g. via
-    /// [`EventBatch::split_by_owner`](saql_stream::EventBatch::split_by_owner)):
-    /// `events` sums, like the work counters.
-    Disjoint,
-}
-
 impl SchedulerStats {
-    /// Fold one shard's counters into an engine-wide view. The per-group
-    /// work counters — checks, deliveries, copies — always add up across
-    /// shards (group subsets and partitioned row slices are disjoint), but
-    /// `events` depends on what each shard *saw*: the max under
-    /// [`ShardMerge::Broadcast`], the sum under [`ShardMerge::Disjoint`].
-    /// Taking the max over disjoint sub-streams would undercount the
-    /// stream, which is exactly what a mode-unaware merge used to do.
-    pub fn absorb_shard(&mut self, shard: SchedulerStats, mode: ShardMerge) {
-        self.events = match mode {
-            ShardMerge::Broadcast => self.events.max(shard.events),
-            ShardMerge::Disjoint => self.events + shard.events,
-        };
+    /// Fold one shard's counters into an engine-wide view. Every shard
+    /// observes the full event stream (batches are broadcast, also in
+    /// key-partitioned mode, so every replica's watermark evolves as one
+    /// scheduler's would), so `events` merges as a maximum; the per-group
+    /// work counters — checks, deliveries, copies — add up across shards
+    /// (group subsets and partitioned row slices are disjoint).
+    pub fn absorb_shard(&mut self, shard: SchedulerStats) {
+        self.events = self.events.max(shard.events);
         self.master_checks += shard.master_checks;
         self.deliveries += shard.deliveries;
         self.data_copies += shard.data_copies;
@@ -512,33 +492,23 @@ mod tests {
     }
 
     #[test]
-    fn absorb_shard_merges_events_by_mode() {
-        let a = SchedulerStats {
+    fn absorb_shard_takes_max_events_and_sums_work() {
+        let mut merged = SchedulerStats {
             events: 100,
             master_checks: 10,
             deliveries: 5,
             data_copies: 0,
         };
-        let b = SchedulerStats {
+        merged.absorb_shard(SchedulerStats {
             events: 40,
             master_checks: 7,
             deliveries: 3,
             data_copies: 1,
-        };
-        let mut broadcast = a;
-        broadcast.absorb_shard(b, ShardMerge::Broadcast);
-        assert_eq!(broadcast.events, 100, "every shard saw the full stream");
-        let mut disjoint = a;
-        disjoint.absorb_shard(b, ShardMerge::Disjoint);
-        assert_eq!(
-            disjoint.events, 140,
-            "disjoint sub-streams sum; a max would undercount"
-        );
-        for merged in [broadcast, disjoint] {
-            assert_eq!(merged.master_checks, 17);
-            assert_eq!(merged.deliveries, 8);
-            assert_eq!(merged.data_copies, 1);
-        }
+        });
+        assert_eq!(merged.events, 100, "every shard saw the full stream");
+        assert_eq!(merged.master_checks, 17);
+        assert_eq!(merged.deliveries, 8);
+        assert_eq!(merged.data_copies, 1);
     }
 
     #[test]

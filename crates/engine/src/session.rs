@@ -9,12 +9,12 @@
 //! pipes, push-handle channels — and **pumps** the engine from them:
 //! sources attach and detach mid-stream, per-source progress (events, lag,
 //! dropped-late) is observable, and the merged order is a deterministic
-//! function of the per-source event sequences, so serial and parallel
-//! backends agree on multi-source runs.
+//! function of the per-source event sequences, so engines agree on
+//! multi-source runs whatever their worker count.
 //!
 //! **[`RunSession`] is the primary run entry point.** The classic entry
 //! points survive as thin wrappers with the same `Result<_, EngineError>`
-//! contract on both backends: `Engine::run` and `run_with_sink` are a
+//! contract at every worker count: `Engine::run` and `run_with_sink` are a
 //! session with one [`Lateness::ArrivalOrder`] iterator source, which is an
 //! exact pass-through — existing callers see identical behavior — and
 //! `Engine::process`/`process_batch` are the single-step data-plane calls
@@ -77,9 +77,10 @@ pub enum SessionStatus {
 /// What one pump round produced.
 #[derive(Debug)]
 pub struct Pump {
-    /// Alerts raised by the events processed this round (on the parallel
-    /// backend, alerts surface as workers deliver them — everything is in
-    /// once [`Engine::finish`] ran, which [`RunSession::drain`] does).
+    /// Alerts raised by the events processed this round (on a
+    /// worker-backed engine alerts surface as the workers deliver them,
+    /// idle rounds included — everything is in once [`Engine::finish`]
+    /// ran, which [`RunSession::drain`] does).
     pub alerts: Vec<Alert>,
     /// Events fed to the engine this round.
     pub events: u64,
@@ -212,7 +213,7 @@ impl<'e> RunSession<'e> {
     /// the vectorized execution path agree on chunking.
     ///
     /// If the engine was explicitly finished mid-session (via
-    /// [`engine`](Self::engine) on a parallel backend), the round ends
+    /// [`engine`](Self::engine) on a worker-backed engine), the round ends
     /// immediately with [`SessionStatus::Done`] — a finished engine can
     /// absorb no more events.
     pub fn pump_max(&mut self, max: usize) -> Pump {
@@ -230,10 +231,17 @@ impl<'e> RunSession<'e> {
     pub fn pump_tapped(&mut self, max: usize, tap: &mut dyn FnMut(u64, &[SharedEvent])) -> Pump {
         self.batch.clear();
         let status = self.merge.poll(&mut self.batch, max);
-        if !self.batch.is_empty() {
+        let mut alerts = if self.batch.is_empty() {
+            // An idle round still visits the engine, with an empty batch: a
+            // worker-backed engine hands over the alerts it has finished
+            // since the last round, so a quiet stream's tail is not held
+            // back until more traffic arrives.
+            let idle = EventBatch::from_events(Vec::new());
+            self.engine.process_batch(&idle).unwrap_or_default()
+        } else {
             tap(self.base_offset + self.processed, &self.batch);
-        }
-        let mut alerts = Vec::new();
+            Vec::new()
+        };
         let mut fed = 0u64;
         for chunk in self.batch.chunks(self.engine.batch_size()) {
             match self
@@ -564,6 +572,34 @@ mod tests {
         ));
         let alerts = session.drain();
         assert_eq!(alerts.len(), 1);
+        drop(push);
+    }
+
+    #[test]
+    fn idle_rounds_surface_worker_alerts_on_a_quiet_stream() {
+        let mut engine = Engine::with_workers(EngineConfig::default(), 2);
+        engine.register("watch", WATCH).unwrap();
+        let mut session = engine.session_with(MergeConfig {
+            lateness: Duration::ZERO,
+            ..MergeConfig::default()
+        });
+        let (push, live) = push_source("live", 8);
+        session.attach(live);
+        // Far fewer events than one execution batch, then silence: only
+        // pump rounds from here on — no more events, no sync(), no finish().
+        for i in 1..=3u64 {
+            push.push(start(i, "h", i * 10, "cmd.exe", "x.exe"));
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let mut alerts = 0;
+        while alerts < 3 && std::time::Instant::now() < deadline {
+            let round = session.pump();
+            alerts += round.alerts.len();
+            if round.events == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        assert_eq!(alerts, 3, "workers must not sit on a quiet stream's tail");
         drop(push);
     }
 

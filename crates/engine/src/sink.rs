@@ -36,14 +36,10 @@ impl AlertSink for CollectSink {
 }
 
 /// Forwards alerts into a bounded channel (blocking when full, dropping
-/// when all receivers hung up). Cloning yields another producer into the
-/// *same* channel (with its own `dropped` counters) — the parallel runtime
-/// hands one clone to each shard worker to merge their alerts.
+/// when all receivers hung up).
 pub struct ChannelSink {
     tx: Sender<Alert>,
     pub dropped: u64,
-    /// Drops attributed to the query that emitted the lost alert.
-    pub dropped_by_query: std::collections::HashMap<crate::query::QueryId, u64>,
 }
 
 impl ChannelSink {
@@ -51,24 +47,7 @@ impl ChannelSink {
     /// (the vendored crossbeam has no rendezvous channels).
     pub fn new(capacity: usize) -> (ChannelSink, Receiver<Alert>) {
         let (tx, rx) = bounded(capacity.max(1));
-        (
-            ChannelSink {
-                tx,
-                dropped: 0,
-                dropped_by_query: std::collections::HashMap::new(),
-            },
-            rx,
-        )
-    }
-}
-
-impl Clone for ChannelSink {
-    fn clone(&self) -> Self {
-        ChannelSink {
-            tx: self.tx.clone(),
-            dropped: 0,
-            dropped_by_query: std::collections::HashMap::new(),
-        }
+        (ChannelSink { tx, dropped: 0 }, rx)
     }
 }
 
@@ -76,7 +55,6 @@ impl AlertSink for ChannelSink {
     fn deliver(&mut self, alert: &Alert) {
         if self.tx.send(alert.clone()).is_err() {
             self.dropped += 1;
-            *self.dropped_by_query.entry(alert.query_id).or_insert(0) += 1;
         }
     }
 }

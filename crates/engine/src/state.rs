@@ -816,7 +816,11 @@ mod tests {
         for k in 0..3u64 {
             for g in 0..16i64 {
                 let name = format!("p{g}.exe");
-                m.observe(&[k], &atoms(&[name.as_str()]), &[Value::int(g * 10 + k as i64)]);
+                m.observe(
+                    &[k],
+                    &atoms(&[name.as_str()]),
+                    &[Value::int(g * 10 + k as i64)],
+                );
             }
             m.close(k);
         }

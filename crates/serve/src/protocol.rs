@@ -134,7 +134,7 @@ pub fn parse_control(line: &str) -> Result<ControlCmd, String> {
 // ---------------------------------------------------------------------
 
 /// Incremental single-line JSON object writer (no nesting bookkeeping —
-/// nested values go in through [`field_raw`](Self::field_raw)).
+/// nested values go in through [`raw`](Self::raw)).
 pub struct JsonObj {
     out: String,
     first: bool,

@@ -1454,7 +1454,7 @@ fn run_ingest(
             (&accepted, &decode_failed, &shed_quota, &shed_buffer);
         let tenant_gov = &tenant_gov;
         scope.spawn(move || {
-            let mut pending: HashMap<u64, Vec<(u64, Result<Event, String>)>> = HashMap::new();
+            let mut pending: HashMap<u64, _> = HashMap::new();
             let mut next_chunk: u64 = 0;
             let mut first_decode_err: Option<(u64, String)> = None;
             while let Ok((chunk_no, decoded)) = done_rx.recv() {
@@ -1468,7 +1468,7 @@ fn run_ingest(
                                 stat.decode_errors.fetch_add(1, Ordering::Relaxed);
                                 decode_failed.fetch_add(1, Ordering::Relaxed);
                                 let (first_line, first_msg) =
-                                    first_decode_err.get_or_insert_with(|| (line_no, e));
+                                    first_decode_err.get_or_insert((line_no, e));
                                 // Live degradation surface: the paired
                                 // ChannelSource's failure() — and so the
                                 // session's per-source stats — reports this
@@ -1534,10 +1534,7 @@ fn run_ingest(
             // Flush when full, or as soon as the buffered input drains —
             // never hold decoded work hostage to a quiet socket.
             if chunk.len() >= DECODE_CHUNK || (reader.buffer().is_empty() && !chunk.is_empty()) {
-                if job_tx
-                    .send((chunk_no, std::mem::take(&mut chunk)))
-                    .is_err()
-                {
+                if job_tx.send((chunk_no, std::mem::take(&mut chunk))).is_err() {
                     break;
                 }
                 chunk_no += 1;

@@ -3,7 +3,7 @@
 //!
 //! Two on-disk layouts hide behind one opening surface:
 //!
-//! * **single file** — the classic [`EventStore`] layout (`SAQLSTO1` header
+//! * **single file** — the classic [`crate::store`] layout (`SAQLSTO1` header
 //!   plus back-to-back codec records); fine for demos and exports;
 //! * **segmented directory** — the durable layout: immutable, atomically
 //!   sealed segment files (`seg-NNNNNN.saqlseg`, the [`crate::segment`]

@@ -5,20 +5,21 @@
 //!
 //! * [`channel`] — bounded multi-producer event channels (crossbeam-backed)
 //!   carrying `Arc<Event>` so concurrent queries share payloads;
-//! * [`batch`] — fixed-capacity event batches, the dispatch unit of the
-//!   parallel engine runtime (amortizes channel overhead);
+//! * [`batch`] — event batches, the engine's unit of execution and of
+//!   dispatch to its workers (amortizes channel overhead);
 //! * [`merge`] — k-way, timestamp-ordered merging of per-host agent feeds
 //!   into the single enterprise-wide stream, including the watermarked
 //!   [`merge::WatermarkMerge`] over pull-based sources;
 //! * [`source`] — the [`EventSource`] ingestion contract and its adapters:
 //!   streamed store selections, paced replays, JSON-lines readers, and
 //!   push-handle channels;
-//! * [`store`] — a file-backed event store (the databases behind the demo's
-//!   replayer), using the compact binary codec from `saql-model`;
-//! * [`durable`] — the [`StoreWriter`]/[`StoreReader`] split over both store
-//!   layouts: WAL-disciplined segmented appends, recovery-on-open that
+//! * [`durable`] — the event store (the databases behind the demo's
+//!   replayer): the [`StoreWriter`]/[`StoreReader`] pair over both on-disk
+//!   layouts, with WAL-disciplined segmented appends, recovery-on-open that
 //!   truncates a torn tail, and global-offset reads for exact session
 //!   resume;
+//! * [`store`] — the single-file layout behind that pair, plus the
+//!   [`store::Selection`] and [`store::StoreError`] every store shares;
 //! * [`replayer`] — the stream replayer (paper Fig. 4): select hosts and a
 //!   time range, then replay stored data as a stream at a configurable
 //!   speed.

@@ -315,8 +315,8 @@ impl Slot<'_> {
 /// global `(timestamp, source, seq)` order once no live source could still
 /// produce anything earlier. The output order is a pure function of the
 /// per-source event sequences — independent of pull interleaving — which is
-/// what makes serial and parallel engine backends agree on multi-source
-/// runs.
+/// what makes engines agree on multi-source runs whatever their worker
+/// count.
 ///
 /// [`poll`]: WatermarkMerge::poll
 pub struct WatermarkMerge<'a> {

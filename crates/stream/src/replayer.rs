@@ -113,7 +113,6 @@ impl Replayer {
 mod tests {
     use super::*;
     use crate::durable::StoreWriter;
-    use crate::store::EventStore;
     use saql_model::event::EventBuilder;
     use saql_model::{ProcessInfo, Timestamp};
     use std::path::PathBuf;
@@ -125,13 +124,13 @@ mod tests {
             .build()
     }
 
-    fn store_with(name: &str, events: &[Event]) -> (EventStore, PathBuf) {
+    fn store_with(name: &str, events: &[Event]) -> (StoreWriter, PathBuf) {
         let mut p = std::env::temp_dir();
         p.push(format!(
             "saql-replayer-test-{}-{name}.bin",
             std::process::id()
         ));
-        let store = EventStore::create(&p).unwrap();
+        let mut store = StoreWriter::create(&p).unwrap();
         store.append(events).unwrap();
         (store, p)
     }
@@ -235,14 +234,14 @@ mod tests {
                 .map(|e| (e.agent_id.to_string(), e.id))
                 .collect()
         };
-        let (store_a, path_a) = store_with("hoststable-a", &batch_h1);
+        let (mut store_a, path_a) = store_with("hoststable-a", &batch_h1);
         store_a.append(&batch_h2).unwrap();
         let a: Vec<SharedEvent> = Replayer::open(&path_a)
             .unwrap()
             .replay_iter(&Selection::all())
             .unwrap()
             .collect();
-        let (store_b, path_b) = store_with("hoststable-b", &batch_h2);
+        let (mut store_b, path_b) = store_with("hoststable-b", &batch_h2);
         store_b.append(&batch_h1).unwrap();
         let b: Vec<SharedEvent> = Replayer::open(&path_b)
             .unwrap()

@@ -3,12 +3,11 @@
 //! The paper's architecture feeds the query engine from monitoring agents
 //! deployed across an enterprise; this module is that boundary's contract.
 //! An [`EventSource`] is anything the engine can *pull* batches of events
-//! from — a streamed [`EventStore`] selection, a paced [`Replayer`], a
+//! from — a streamed [`StoreReader`] selection, a paced [`Replayer`], a
 //! JSON-lines file or pipe, a push-handle channel fed by another thread —
 //! and the watermarked K-way merge ([`crate::merge::WatermarkMerge`]) fuses
 //! any number of them into one deterministic enterprise-wide stream.
 //!
-//! [`EventStore`]: crate::store::EventStore
 //! [`Replayer`]: crate::replayer::Replayer
 
 use std::io::BufRead;
@@ -282,9 +281,7 @@ pub fn push_source(name: impl Into<String>, capacity: usize) -> (PushHandle, Cha
 
 /// Streams a [`StoreReader`] selection in stored order without ever
 /// materializing the store — the streaming replacement for
-/// `EventStore::read` in ingestion paths, over either store layout.
-///
-/// [`EventStore`]: crate::store::EventStore
+/// [`StoreReader::read`] in ingestion paths, over either store layout.
 pub struct StoreSource {
     name: String,
     iter: Option<StoreIter>,
@@ -575,7 +572,7 @@ mod tests {
     fn store_source_streams_a_selection() {
         let mut path = std::env::temp_dir();
         path.push(format!("saql-source-store-{}.bin", std::process::id()));
-        crate::store::EventStore::create(&path)
+        crate::durable::StoreWriter::create(&path)
             .unwrap()
             .append(&[ev(1, "h1", 10), ev(2, "h2", 20), ev(3, "h1", 30)])
             .unwrap();

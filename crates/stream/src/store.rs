@@ -1,18 +1,22 @@
-//! File-backed event store.
+//! The single-file store layout, and the selection and error types every
+//! store shares.
 //!
 //! The demo stores collected monitoring data "in databases" so the stream
-//! replayer can re-create the attack stream on demand. This store is the
-//! functional equivalent: an append-only file of codec-encoded records plus
-//! query helpers for host/time-range selection.
+//! replayer can re-create the attack stream on demand. This layout is the
+//! simplest functional equivalent: an append-only file of codec-encoded
+//! records. It is read and written through
+//! [`StoreWriter`](crate::durable::StoreWriter) /
+//! [`StoreReader`](crate::durable::StoreReader), like the segmented layout;
+//! [`Selection`] is the host/time-range query both answer.
 //!
 //! Layout: a fixed 8-byte header (`SAQLSTO1`) followed by back-to-back
 //! records in `saql_model::codec` format.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use saql_model::codec::{self, DecodeError};
 use saql_model::{Event, Timestamp};
 
@@ -55,9 +59,10 @@ impl From<DecodeError> for StoreError {
     }
 }
 
-/// An append-only, file-backed event store.
+/// A single-file store: the header check and the streaming read path
+/// behind the `File` arms of the store writer and reader.
 #[derive(Debug)]
-pub struct EventStore {
+pub(crate) struct EventStore {
     path: PathBuf,
 }
 
@@ -114,7 +119,7 @@ impl Selection {
 
 impl EventStore {
     /// Create a new store file (truncating any existing one).
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
+    pub(crate) fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut f = File::create(&path)?;
         f.write_all(MAGIC)?;
@@ -122,7 +127,7 @@ impl EventStore {
     }
 
     /// Open an existing store, validating the header.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
+    pub(crate) fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut f = File::open(&path)?;
         let mut magic = [0u8; 8];
@@ -133,30 +138,11 @@ impl EventStore {
         Ok(EventStore { path })
     }
 
-    /// Append a batch of events.
-    pub fn append(&self, events: &[Event]) -> Result<(), StoreError> {
-        let mut f = OpenOptions::new().append(true).open(&self.path)?;
-        let mut buf = BytesMut::with_capacity(events.len() * 96);
-        for e in events {
-            codec::encode_event(&mut buf, e);
-        }
-        f.write_all(&buf)?;
-        Ok(())
-    }
-
-    /// Read every stored event matching `selection`, in stored order.
-    ///
-    /// Materializes the whole selection; ingestion paths should prefer the
-    /// streaming [`iter`](Self::iter), which holds one read chunk at a time.
-    pub fn read(&self, selection: &Selection) -> Result<Vec<Event>, StoreError> {
-        self.iter(selection)?.collect()
-    }
-
     /// Stream every stored event matching `selection`, in stored order,
     /// decoding incrementally from fixed-size read chunks — memory stays
     /// flat no matter how large the store is. The header is validated
     /// eagerly; per-record IO/decode failures surface as iterator items.
-    pub fn iter(&self, selection: &Selection) -> Result<EventIter, StoreError> {
+    pub(crate) fn iter(&self, selection: &Selection) -> Result<EventIter, StoreError> {
         let mut f = File::open(&self.path)?;
         let mut magic = [0u8; 8];
         f.read_exact(&mut magic).map_err(|_| StoreError::BadMagic)?;
@@ -171,7 +157,7 @@ impl EventStore {
     }
 
     /// Total number of stored events (full streaming scan).
-    pub fn len(&self) -> Result<usize, StoreError> {
+    pub(crate) fn len(&self) -> Result<usize, StoreError> {
         let mut n = 0;
         for event in self.iter(&Selection::all())? {
             event?;
@@ -180,17 +166,8 @@ impl EventStore {
         Ok(n)
     }
 
-    /// Whether the store holds no events.
-    pub fn is_empty(&self) -> Result<bool, StoreError> {
-        match self.iter(&Selection::all())?.next() {
-            None => Ok(true),
-            Some(Ok(_)) => Ok(false),
-            Some(Err(e)) => Err(e),
-        }
-    }
-
     /// Distinct host ids present in the store, sorted.
-    pub fn hosts(&self) -> Result<Vec<String>, StoreError> {
+    pub(crate) fn hosts(&self) -> Result<Vec<String>, StoreError> {
         let mut hosts: Vec<String> = Vec::new();
         for event in self.iter(&Selection::all())? {
             hosts.push(event?.agent_id.to_string());
@@ -201,7 +178,7 @@ impl EventStore {
     }
 
     /// Path of the backing file.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 }
@@ -215,7 +192,7 @@ const READ_CHUNK: usize = 64 * 1024;
 /// split across chunk boundaries is retried after the next refill, so only
 /// `READ_CHUNK` bytes plus one partial record are ever resident.
 #[derive(Debug)]
-pub struct EventIter {
+pub(crate) struct EventIter {
     /// `None` once EOF was reached (or an error ended the stream).
     file: Option<File>,
     /// Undecoded bytes carried between refills.
@@ -308,8 +285,21 @@ impl Iterator for EventIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::StoreWriter;
     use saql_model::event::EventBuilder;
     use saql_model::ProcessInfo;
+
+    /// A fresh single-file store at `path` holding `events`.
+    fn store_with(path: &Path, events: &[Event]) -> EventStore {
+        let mut writer = StoreWriter::create(path).unwrap();
+        writer.append(events).unwrap();
+        EventStore::open(path).unwrap()
+    }
+
+    fn read(store: &EventStore, selection: &Selection) -> Vec<Event> {
+        let events: Result<Vec<Event>, StoreError> = store.iter(selection).unwrap().collect();
+        events.unwrap()
+    }
 
     fn ev(id: u64, host: &str, ts: u64) -> Event {
         EventBuilder::new(id, host, ts)
@@ -327,31 +317,29 @@ mod tests {
     #[test]
     fn roundtrip_append_read() {
         let path = tmp("roundtrip");
-        let store = EventStore::create(&path).unwrap();
         let events = vec![ev(1, "h1", 10), ev(2, "h2", 20), ev(3, "h1", 30)];
-        store.append(&events).unwrap();
-        let back = store.read(&Selection::all()).unwrap();
-        assert_eq!(back, events);
+        let store = store_with(&path, &events);
+        assert_eq!(read(&store, &Selection::all()), events);
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn selection_by_host_and_time() {
         let path = tmp("selection");
-        let store = EventStore::create(&path).unwrap();
-        store
-            .append(&[
+        let store = store_with(
+            &path,
+            &[
                 ev(1, "h1", 10),
                 ev(2, "h2", 20),
                 ev(3, "h1", 30),
                 ev(4, "h1", 40),
-            ])
-            .unwrap();
-        let h1 = store.read(&Selection::host("h1")).unwrap();
+            ],
+        );
+        let h1 = read(&store, &Selection::host("h1"));
         assert_eq!(h1.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 3, 4]);
         let sel =
             Selection::host("h1").between(Timestamp::from_millis(20), Timestamp::from_millis(40));
-        let ranged = store.read(&sel).unwrap();
+        let ranged = read(&store, &sel);
         assert_eq!(ranged.iter().map(|e| e.id).collect::<Vec<_>>(), vec![3]);
         std::fs::remove_file(path).unwrap();
     }
@@ -359,32 +347,29 @@ mod tests {
     #[test]
     fn multiple_appends_accumulate() {
         let path = tmp("appends");
-        let store = EventStore::create(&path).unwrap();
-        store.append(&[ev(1, "h", 1)]).unwrap();
-        store.append(&[ev(2, "h", 2)]).unwrap();
-        assert_eq!(store.len().unwrap(), 2);
+        let mut writer = StoreWriter::create(&path).unwrap();
+        writer.append(&[ev(1, "h", 1)]).unwrap();
+        writer.append(&[ev(2, "h", 2)]).unwrap();
+        assert_eq!(EventStore::open(&path).unwrap().len().unwrap(), 2);
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn reopen_preserves_data() {
         let path = tmp("reopen");
-        {
-            let store = EventStore::create(&path).unwrap();
-            store.append(&[ev(7, "h", 70)]).unwrap();
-        }
+        drop(store_with(&path, &[ev(7, "h", 70)]));
         let store = EventStore::open(&path).unwrap();
-        assert_eq!(store.read(&Selection::all()).unwrap()[0].id, 7);
+        assert_eq!(read(&store, &Selection::all())[0].id, 7);
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn hosts_listing() {
         let path = tmp("hosts");
-        let store = EventStore::create(&path).unwrap();
-        store
-            .append(&[ev(1, "zeta", 1), ev(2, "alpha", 2), ev(3, "zeta", 3)])
-            .unwrap();
+        let store = store_with(
+            &path,
+            &[ev(1, "zeta", 1), ev(2, "alpha", 2), ev(3, "zeta", 3)],
+        );
         assert_eq!(
             store.hosts().unwrap(),
             vec!["alpha".to_string(), "zeta".to_string()]
@@ -404,11 +389,10 @@ mod tests {
     fn iter_streams_across_chunk_boundaries() {
         // Enough events that records straddle several 64 KiB read chunks.
         let path = tmp("iterchunks");
-        let store = EventStore::create(&path).unwrap();
         let events: Vec<Event> = (0..4_000)
             .map(|i| ev(i, if i % 2 == 0 { "h-even" } else { "h-odd" }, i * 3))
             .collect();
-        store.append(&events).unwrap();
+        let store = store_with(&path, &events);
         let streamed: Vec<Event> = store
             .iter(&Selection::all())
             .unwrap()
@@ -428,8 +412,7 @@ mod tests {
     #[test]
     fn iter_reports_truncated_tail() {
         let path = tmp("itertrunc");
-        let store = EventStore::create(&path).unwrap();
-        store.append(&[ev(1, "h", 10), ev(2, "h", 20)]).unwrap();
+        drop(store_with(&path, &[ev(1, "h", 10), ev(2, "h", 20)]));
         // Chop the last record in half.
         let raw = std::fs::read(&path).unwrap();
         std::fs::write(&path, &raw[..raw.len() - 5]).unwrap();
@@ -446,8 +429,8 @@ mod tests {
     #[test]
     fn empty_store() {
         let path = tmp("empty");
-        let store = EventStore::create(&path).unwrap();
-        assert!(store.is_empty().unwrap());
+        let store = store_with(&path, &[]);
+        assert_eq!(store.len().unwrap(), 0);
         assert!(store.hosts().unwrap().is_empty());
         std::fs::remove_file(path).unwrap();
     }

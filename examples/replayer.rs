@@ -8,7 +8,8 @@
 use saql::collector::{AttackConfig, SimConfig, Simulator};
 use saql::model::Timestamp;
 use saql::stream::replayer::{Replayer, Speed};
-use saql::stream::store::{EventStore, Selection};
+use saql::stream::store::Selection;
+use saql::stream::{StoreReader, StoreWriter};
 use saql::SaqlSystem;
 
 fn main() {
@@ -21,12 +22,13 @@ fn main() {
     });
     let mut path = std::env::temp_dir();
     path.push(format!("saql-replayer-example-{}.bin", std::process::id()));
-    let store = EventStore::create(&path).expect("create store");
+    let mut store = StoreWriter::create(&path).expect("create store");
     store.append(&trace.events).expect("append trace");
+    let hosts = StoreReader::open(&path).and_then(|r| r.hosts());
     println!(
         "stored {} events from {} hosts at {}",
         trace.events.len(),
-        store.hosts().unwrap().len(),
+        hosts.unwrap().len(),
         path.display()
     );
 

@@ -151,12 +151,12 @@ impl SaqlSystem {
 
     /// Stream events through and flush; returns every alert.
     ///
-    /// The default system runs the serial backend, which cannot be in the
-    /// finished state [`Engine::run`] rejects — so this stays infallible.
+    /// The default system runs without workers, so it cannot be in the
+    /// finished state [`Engine::run`] rejects — this stays infallible.
     pub fn run_events(&mut self, events: Vec<stream::SharedEvent>) -> Vec<Alert> {
         self.engine
             .run(events)
-            .expect("serial backend never reports EngineFinished")
+            .expect("an engine without workers never reports EngineFinished")
     }
 }
 

@@ -1,10 +1,10 @@
 //! Batch-size invariance of the engine's one execution path: the same
 //! stream cut into batches of {1, 2, 7, 64, 1024} events must yield
 //!
-//! * on the serial backend the identical **ordered** alert stream — every
-//!   field of every alert — and identical `SchedulerStats` / `QueryStats`;
-//! * on the parallel backend (1–8 workers, which re-batch internally) the
-//!   identical alert multiset, with nothing dropped;
+//! * without workers the identical **ordered** alert stream — every field
+//!   of every alert — and identical `SchedulerStats` / `QueryStats`;
+//! * on 1–8 workers (each batch broadcast as cut) the identical alert
+//!   multiset, with nothing dropped;
 //!
 //! with pause / resume / deregister operations landing between batches at
 //! fixed stream positions. Batch size 1 is the reference: it is what

@@ -1,6 +1,6 @@
-//! Property tests for the parallel sharded runtime: on random event
-//! streams, [`ParallelEngine`] emits exactly the same alert *multiset* as
-//! the serial [`Engine`], for every worker count from 1 to 8 — both for a
+//! Property tests for worker-backed execution: on random event streams, an
+//! [`Engine`] on workers emits exactly the same alert *multiset* as one on
+//! the caller's thread, for every worker count from 1 to 8 — both for a
 //! fixed deployment and under random mid-stream register / deregister /
 //! pause / resume schedules driven through the engine control plane.
 //!
@@ -11,8 +11,6 @@
 
 use proptest::prelude::*;
 
-use saql::engine::query::QueryConfig;
-use saql::engine::runtime::{ParallelConfig, ParallelEngine};
 use saql::engine::{Alert, Engine, EngineConfig, QueryId};
 use saql::model::event::EventBuilder;
 use saql::model::{NetworkInfo, ProcessInfo};
@@ -329,15 +327,14 @@ proptest! {
         let expected = multiset(serial.run(events.clone()).unwrap());
 
         for workers in 1usize..=8 {
-            let mut parallel = ParallelEngine::new(
+            let mut parallel = Engine::new(
                 // A small batch size forces mid-stream dispatches even on
                 // short generated streams.
-                ParallelConfig {
+                EngineConfig {
                     workers,
                     batch_size: 7,
-                    ..ParallelConfig::default()
+                    ..EngineConfig::default()
                 },
-                QueryConfig::default(),
             );
             for (name, src) in query_set() {
                 parallel.register(name, src).unwrap();
@@ -403,15 +400,12 @@ proptest! {
         let serial_deliveries = serial.scheduler_stats().deliveries;
 
         for workers in 1usize..=8 {
-            let mut parallel = ParallelEngine::new(
-                ParallelConfig {
-                    workers,
-                    batch_size: 7,
-                    key_partitioning: true,
-                    ..ParallelConfig::default()
-                },
-                QueryConfig::default(),
-            );
+            let mut parallel = Engine::new(EngineConfig {
+                workers,
+                batch_size: 7,
+                key_partitioning: true,
+                ..EngineConfig::default()
+            });
             for (name, src) in query_set() {
                 parallel.register(name, src).unwrap();
             }
@@ -424,7 +418,7 @@ proptest! {
                 events.len()
             );
             prop_assert_eq!(
-                parallel.stats().deliveries,
+                parallel.scheduler_stats().deliveries,
                 serial_deliveries,
                 "deliveries not disjoint at {} workers",
                 workers
@@ -473,7 +467,7 @@ proptest! {
 /// so the partitioned runs above genuinely mix both execution modes.
 #[test]
 fn query_set_splits_into_partitionable_and_not() {
-    use saql::engine::query::RunningQuery;
+    use saql::engine::query::{QueryConfig, RunningQuery};
     let decide = |name: &str, src: &str| {
         RunningQuery::compile(name, src, QueryConfig::default())
             .unwrap()

@@ -264,10 +264,11 @@ proptest! {
         pick_host in any::<bool>(),
     ) {
         use saql::stream::replayer::Replayer;
-        use saql::stream::store::{EventStore, Selection};
+        use saql::stream::store::Selection;
+        use saql::stream::StoreWriter;
         let mut path = std::env::temp_dir();
         path.push(format!("saql-prop-replayer-{}-{}.bin", std::process::id(), events.len()));
-        let store = EventStore::create(&path).unwrap();
+        let mut store = StoreWriter::create(&path).unwrap();
         store.append(&events).unwrap();
         let selection = if pick_host {
             Selection::host(events[0].agent_id.to_string())

@@ -6,7 +6,8 @@
 use saql::collector::{AttackConfig, SimConfig, Simulator};
 use saql::engine::{Engine, EngineConfig};
 use saql::stream::replayer::{Replayer, Speed};
-use saql::stream::store::{EventStore, Selection};
+use saql::stream::store::Selection;
+use saql::stream::StoreWriter;
 use saql::SaqlSystem;
 
 fn trace() -> saql::collector::Trace {
@@ -43,7 +44,7 @@ fn live_and_replayed_streams_produce_identical_alerts() {
 
     // Store, then replay through the replayer.
     let path = store_path("identical");
-    let store = EventStore::create(&path).unwrap();
+    let mut store = StoreWriter::create(&path).unwrap();
     store.append(&trace.events).unwrap();
     let replayer = Replayer::open(&path).unwrap();
     let replayed: Vec<_> = replayer.replay_iter(&Selection::all()).unwrap().collect();
@@ -65,7 +66,7 @@ fn live_and_replayed_streams_produce_identical_alerts() {
 fn host_selection_replays_only_that_hosts_detections() {
     let trace = trace();
     let path = store_path("host-sel");
-    let store = EventStore::create(&path).unwrap();
+    let mut store = StoreWriter::create(&path).unwrap();
     store.append(&trace.events).unwrap();
 
     // Replay only the DB server: the c5 rule query still fires, the
@@ -91,7 +92,7 @@ fn time_range_selection_cuts_the_attack_out() {
     let trace = trace();
     let attack_start = trace.attack_spans[0].1;
     let path = store_path("time-sel");
-    let store = EventStore::create(&path).unwrap();
+    let mut store = StoreWriter::create(&path).unwrap();
     store.append(&trace.events).unwrap();
 
     // Replay only the pre-attack prefix: everything must stay quiet.
@@ -115,7 +116,7 @@ fn time_range_selection_cuts_the_attack_out() {
 fn channel_replay_feeds_engine_across_threads() {
     let trace = trace();
     let path = store_path("channel");
-    let store = EventStore::create(&path).unwrap();
+    let mut store = StoreWriter::create(&path).unwrap();
     store.append(&trace.events).unwrap();
 
     let replayer = Replayer::open(&path).unwrap();
