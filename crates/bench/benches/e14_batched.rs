@@ -9,7 +9,7 @@
 //!
 //! Workloads are E3's heavier families, plus two shared-compat-group
 //! deployments: `shared-group` (8 variants of one pattern shape, no global
-//! constraint — predicate columns shared through the group's `BatchCache`)
+//! constraint — predicate columns shared through the group's `GroupRouter`)
 //! and `selective` (32 groups x 8 host-pinned members, Q-many-shaped: each
 //! member's global filter accepts under 1% of the rows its group admits —
 //! the deployment on which a batch must cost no more probes than its

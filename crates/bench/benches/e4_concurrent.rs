@@ -5,13 +5,22 @@
 //! Expected shape (paper): shared execution keeps per-event work roughly
 //! constant as compatible queries grow, while the naive scheme scales
 //! linearly in both scans and copies.
+//!
+//! The `host-pinned` rows take the shared scheme to 256 / 1,024 / 4,096
+//! registered queries of one group, each pinned to a host by a global
+//! constraint with a skewed match rate (`saql_bench::host_pinned_queries`):
+//! the scale at which dispatch has to route a row to the queries that can
+//! match it instead of asking every query.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use saql_baseline::NaiveScheduler;
-use saql_bench::{batches, drive, scheduler, stream, variant_queries};
+use saql_bench::{
+    batches, drive, host_pinned_queries, scheduler, skewed_stream, stream, variant_queries,
+};
 
 fn bench_scaling(c: &mut Criterion) {
     let events = stream(20_000, 11);
+    let skewed = batches(&skewed_stream(events.len(), 11));
     let batches = batches(&events);
     let mut group = c.benchmark_group("e4_concurrent");
     group.sample_size(10);
@@ -42,6 +51,17 @@ fn bench_scaling(c: &mut Criterion) {
                 });
             },
         );
+    }
+    for n in [256usize, 1_024, 4_096] {
+        group.bench_with_input(BenchmarkId::new("host-pinned", n), &skewed, |b, skewed| {
+            // Registration stays outside the timing: at this scale
+            // compiling the queries costs more than a pass over 20k events.
+            b.iter_batched(
+                || scheduler(host_pinned_queries(n)),
+                |mut s| drive(&mut s, skewed),
+                BatchSize::LargeInput,
+            );
+        });
     }
     group.finish();
 }

@@ -10,7 +10,8 @@ use std::time::Instant;
 
 use saql_baseline::{BaselineAgg, Capability, CepQuery, Filter, GroupBy, MiniCep, NaiveScheduler};
 use saql_bench::{
-    batches, compile_family, drive, family_queries, scheduler, stream, variant_queries,
+    batches, compile_family, drive, family_queries, host_pinned_queries, scheduler, skewed_stream,
+    stream, variant_queries,
 };
 use saql_collector::{AttackConfig, SimConfig, Simulator};
 use saql_engine::{Engine, EngineConfig};
@@ -143,6 +144,34 @@ fn table_e4_concurrent() {
             events.len() as f64 / naive_dt.as_secs_f64(),
             naive.stats().data_copies,
             naive_dt.as_secs_f64() / shared_dt.as_secs_f64(),
+        );
+    }
+    println!();
+
+    // The same scheme at the scale a deployment registers: one group of
+    // host-pinned queries, one in ten on a busy host.
+    println!("-- E4: host-pinned queries of one group, skewed match rate --");
+    let events = skewed_stream(50_000, 11);
+    let batches = saql_bench::batches(&events);
+    println!(
+        "{:>7} {:>12} {:>10} {:>15} {:>12} {:>8}",
+        "queries", "shared ev/s", "ns/event", "deliveries/ev", "matched/ev", "alerts"
+    );
+    for n in [256usize, 1_024, 4_096] {
+        let mut shared = scheduler(host_pinned_queries(n));
+        let t0 = Instant::now();
+        let alerts = drive(&mut shared, &batches);
+        let dt = t0.elapsed();
+        let matched: u64 = shared.queries().map(|q| q.stats().events_matched).sum();
+        let per_event = |count: u64| count as f64 / events.len() as f64;
+        println!(
+            "{:>7} {:>12.0} {:>10.0} {:>15.1} {:>12.2} {:>8}",
+            n,
+            events.len() as f64 / dt.as_secs_f64(),
+            dt.as_nanos() as f64 / events.len() as f64,
+            per_event(shared.stats().deliveries),
+            per_event(matched),
+            alerts
         );
     }
     println!();

@@ -133,6 +133,54 @@ pub fn variant_queries(n: usize) -> Vec<RunningQuery> {
         .collect()
 }
 
+/// `n` host-pinned stateful queries of ONE compatibility group with a
+/// skewed match rate over [`skewed_stream`]: every tenth watches one of its
+/// four busy hosts in turn (an eighth of the events each), the rest a host
+/// from the tail (a thousandth of the events each, at most) — ROADMAP 3's
+/// "1k–10k registered queries with skewed match rates". What the scheduler
+/// must not do on it is test every member's filter on every row.
+pub fn host_pinned_queries(n: usize) -> Vec<RunningQuery> {
+    (0..n)
+        .map(|i| {
+            let host = match i % 10 {
+                0 => i / 10 % BUSY_HOSTS,
+                _ => SKEWED_HOSTS / 2 + (i * 7) % (SKEWED_HOSTS / 2),
+            };
+            let src = format!(
+                "agentid = \"host-{host}\"\nproc p write ip i as evt #time(30 s)\nstate ss {{ amt := sum(evt.amount) }} group by p\nalert ss[0].amt > 150000\nreturn p, ss[0].amt"
+            );
+            RunningQuery::compile(format!("pinned-{i}"), &src, QueryConfig::default())
+                .expect("host-pinned workload query compiles")
+        })
+        .collect()
+}
+
+/// Hosts of [`skewed_stream`], and how many of them are busy.
+const SKEWED_HOSTS: usize = 1_000;
+const BUSY_HOSTS: usize = 4;
+
+/// [`stream`] with a skewed host distribution: half the events come from
+/// four busy hosts (`host-0`…`host-3`), the other half spread evenly over
+/// 500 tail hosts (`host-500`…`host-999`).
+pub fn skewed_stream(n: usize, seed: u64) -> Vec<SharedEvent> {
+    let mut events = synthetic_stream(&WorkloadConfig {
+        seed,
+        events: n,
+        hosts: SKEWED_HOSTS,
+        mean_gap_ms: 20,
+        ..WorkloadConfig::default()
+    });
+    for event in &mut events {
+        let host: usize = event.agent_id["host-".len()..]
+            .parse()
+            .expect("synthetic hosts are `host-N`");
+        if host < SKEWED_HOSTS / 2 {
+            event.agent_id = format!("host-{}", host % BUSY_HOSTS).into();
+        }
+    }
+    saql_stream::share(events)
+}
+
 /// `groups × per_group` stateful queries spanning `groups` distinct
 /// compatibility groups, the multi-query workload for the E11 parallel
 /// scaling bench. Groups differ by window length (part of the compat key);
@@ -215,6 +263,21 @@ mod tests {
         let vs = variant_queries(8);
         let key = vs[0].compat_key().to_string();
         assert!(vs.iter().all(|q| q.compat_key() == key));
+    }
+
+    #[test]
+    fn host_pinned_queries_share_a_group_and_match_skewed() {
+        let qs = host_pinned_queries(40);
+        assert!(qs.iter().all(|q| q.compat_key() == qs[0].compat_key()));
+        let events = skewed_stream(4_000, 5);
+        let on = |host: &str| events.iter().filter(|e| &*e.agent_id == host).count();
+        assert!(on("host-0") > 400, "busy hosts carry an eighth each");
+        assert!(on("host-700") < 20, "tail hosts a thousandth each");
+        let mut s = scheduler(qs);
+        assert!(
+            drive(&mut s, &batches(&events)) > 0,
+            "busy-host queries alert"
+        );
     }
 
     #[test]

@@ -119,6 +119,42 @@ impl Bencher {
     }
 }
 
+/// How much input [`Bencher::iter_batched`] may set up ahead of time
+/// upstream. The shim always sets up one input per timed call; the type
+/// exists so call sites read as they would against upstream criterion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    LargeInput,
+}
+
+impl Bencher {
+    /// Time `routine` on a fresh `setup()` value per call; the setup (and
+    /// the drop of the routine's output) stay outside the timing.
+    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
+        &mut self,
+        mut setup: S,
+        mut routine: R,
+        _size: BatchSize,
+    ) {
+        black_box(routine(setup()));
+        let (mut best, mut total) = (Duration::MAX, Duration::ZERO);
+        for _ in 0..self.samples {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            let took = start.elapsed();
+            drop(output);
+            best = best.min(took);
+            total += took;
+        }
+        self.elapsed_per_iter = if self.min_of_samples {
+            best
+        } else {
+            total / (self.samples as u32)
+        };
+    }
+}
+
 /// Top-level harness state; one per bench binary.
 pub struct Criterion {
     sample_size: u64,

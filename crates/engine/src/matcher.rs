@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 
 use saql_lang::ast::{AttrConstraint, CmpOp, EventPattern, GlobalConstraint, Query};
 use saql_lang::resolve::entity_slot_names;
-use saql_model::glob::like_match;
+use saql_model::glob::{is_exact, like_match};
 use saql_model::{
     AttrId, AttrNs, AttrRef, AttrTable, AttrValue, Duration, Entity, Event, ProcessInfo, Timestamp,
 };
@@ -178,9 +178,25 @@ impl GlobalFilter {
         self.predicates.iter().all(|pred| pred.check_event(event))
     }
 
+    /// The first constraint of the form `attr = "value"` with a
+    /// wildcard-free value, if any: the filter accepts only events whose
+    /// `attr` equals `value` under ASCII case folding, so the scheduler
+    /// indexes the filter under that pair instead of testing it on every
+    /// row.
+    pub fn exact_key(&self) -> Option<(AttrId, &str)> {
+        self.predicates
+            .iter()
+            .find_map(|pred| match (&pred.test, pred.attr) {
+                (PredTest::Like(pattern), Some(attr)) if is_exact(pattern) => {
+                    Some((attr, pattern.as_str()))
+                }
+                _ => None,
+            })
+    }
+
     /// Deterministic fingerprint of the predicate set — equal fingerprints
     /// mean identical acceptance vectors, which is what the per-group
-    /// sub-plan cache shares on.
+    /// filter slots share on.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }

@@ -21,7 +21,7 @@
 //!    (compiled with the injected `_in` pattern) picks them up.
 //!
 //! **Time.** A stage's clock ticks only on its own upstream's adapted
-//! events ([`RunningQuery::accepts_time`](crate::RunningQuery)), so its
+//! events (the scheduler gates each group of stages on that clock), so its
 //! windows close exactly as they would in a dedicated engine fed only the
 //! upstream's alerts — this is what makes pipeline execution equivalent to
 //! hand-chaining two engines. Silent upstreams cannot stall a stage

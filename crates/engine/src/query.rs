@@ -5,15 +5,16 @@
 //! Queries compile **once at registration**: names resolve to slots
 //! ([`saql_lang::resolve`]), expressions lower to register programs
 //! ([`crate::plan`]), and attribute constraints bind [`saql_model::AttrId`]s.
-//! Execution is batch-at-a-time and selection-driven: per batch a query
-//! *prepares* over the rows its group's master admitted
-//! (`RunningQuery::prepare_batch`), then the scheduler *drives* it row by
-//! row in stream order (`RunningQuery::process_row`).
+//! Execution is batch-at-a-time and routed: per batch a query *prepares*
+//! over the rows its group's master admitted and its global filter's slot
+//! accepted (`GroupRouter`, `RunningQuery::prepare_batch`), then the
+//! scheduler *drives* it over those rows in stream order
+//! (`RunningQuery::process_row`).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use saql_lang::semantic::{CheckedQuery, QueryKind};
-use saql_model::Timestamp;
+use saql_model::{AttrId, Timestamp};
 use saql_stream::{BatchView, SharedEvent};
 
 use crate::alert::{Alert, AlertOrigin};
@@ -21,11 +22,13 @@ use crate::cluster::{run_cluster_with, ClusterScratch};
 use crate::error::{EngineError, ErrorReporter};
 use crate::eval::{run_program, run_program_batch, ClusterOutcome, EventRow};
 use crate::invariant::{InvariantRuntime, InvariantSnapshot};
-use crate::matcher::{FullMatch, GlobalFilter, MatcherSnapshot, MultiMatcher, PatternMatcher};
+use crate::matcher::{
+    fnv1a, FullMatch, GlobalFilter, MatcherSnapshot, MultiMatcher, PatternMatcher, FNV_SEED,
+};
 use crate::plan::{ExecCtx, QueryPlan};
 use crate::state::{partition_of, ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView};
 use crate::value::Value;
-use crate::window::{WindowDriver, WindowSnapshot};
+use crate::window::{Gate, WindowDriver, WindowSnapshot};
 
 /// Handle to a registered query: the key of the engine's control plane.
 ///
@@ -214,132 +217,207 @@ impl QuerySnapshot {
     }
 }
 
-/// Per-compatibility-group batch state: the **selection vector** of rows
-/// the group's master admitted, plus predicate columns computed over it and
-/// shared by every member whose predicate set has the same deterministic
-/// fingerprint ([`GlobalFilter::fingerprint`] /
-/// [`PatternMatcher::fingerprint`]).
+/// Per-compatibility-group routing state: which member can want a row.
 ///
-/// Everything is selection-driven, so a batch costs no more probes than
-/// feeding its events one at a time would: a global filter is tested only
-/// on shape-admitted rows, a pattern only on rows its query's global
-/// filter accepted. Pattern columns are therefore keyed by *(global-filter
-/// column, pattern fingerprint)* — members share one when both agree (the
-/// common case: no global constraints at all). Hits are linear scans over
-/// a handful of entries; buffers recycle across batches.
+/// **At registration** ([`RunningQuery::attach`]) a member's
+/// [`GlobalFilter`] is interned into a *slot* shared by every member with
+/// the same filter fingerprint, and its patterns into that slot's pattern
+/// columns (shared on [`PatternMatcher::fingerprint`]). A filter demanding
+/// `attr = "value"` with a wildcard-free value
+/// ([`GlobalFilter::exact_key`] — the paper's `agentid = xxx`) is indexed
+/// under a hash of the attribute and the ASCII-case-folded value; every
+/// other filter is a candidate on every row.
+///
+/// **Per batch** the scheduler selects the rows the group's shape mask
+/// admits, and [`route`](Self::route) makes one pass over that selection:
+/// look the row's value up, test only the candidate filters, and append the
+/// row — with its pattern flags — to each accepting slot. So a row costs a
+/// hash probe plus the filters that can accept it, however many members the
+/// group has, and a member whose slot received no row has nothing to
+/// prepare. Buffers recycle across batches.
 #[derive(Debug, Default)]
-pub struct BatchCache {
+pub(crate) struct GroupRouter {
+    slots: Vec<FilterSlot>,
+    /// Filter fingerprint → slot.
+    by_filter: HashMap<u64, usize>,
+    /// [`key_hash`] of a slot's exact-match predicate → the slots demanding
+    /// it (colliding keys share a list; `accepts` settles it).
+    keyed: HashMap<u64, Vec<usize>>,
+    /// The attributes `keyed` predicates test: one probe each per row.
+    key_attrs: Vec<AttrId>,
+    /// Slots with no exact-match predicate: candidates on every row.
+    unkeyed: Vec<usize>,
     /// Batch rows whose shape the group admits, ascending.
     sel: Vec<u32>,
-    /// Next unconsumed entry of `sel` during the drive loop.
+    /// `(row, accepting slot)`, ascending by row: the drive loop's work list.
+    hits: Vec<(u32, usize)>,
+    /// Next unconsumed entry of `hits` during the drive loop.
     cursor: usize,
-    /// `(filter fingerprint, rows of sel the filter accepts, ascending)`.
-    globs: Vec<(u64, Vec<u32>)>,
-    /// `(glob column, pattern fingerprint, match flags aligned with that
-    /// glob column's rows)`.
-    pats: Vec<(usize, u64, Vec<bool>)>,
-    spare_rows: Vec<Vec<u32>>,
-    spare_flags: Vec<Vec<bool>>,
 }
 
-impl BatchCache {
-    /// Start a batch: drop the previous batch's columns and select the rows
-    /// whose shape code is in `mask`. Returns the number selected — zero
-    /// means no member has anything to prepare.
-    pub(crate) fn begin_batch(&mut self, view: &BatchView<'_>, mask: u64) -> usize {
-        self.clear();
-        let admitted = view
-            .shape()
+/// One interned global filter and what its members share.
+#[derive(Debug)]
+struct FilterSlot {
+    filter: GlobalFilter,
+    /// Positions in the group's member list of the members with this
+    /// filter, ascending.
+    members: Vec<usize>,
+    /// Those members' distinct patterns, each with its match flags aligned
+    /// with `rows`.
+    pats: Vec<(PatternMatcher, Vec<bool>)>,
+    /// Selected rows the filter accepted this batch, ascending.
+    rows: Vec<u32>,
+}
+
+/// Index key of `attr = "value"`: FNV-1a over the attribute and the
+/// ASCII-lowercased value, so every spelling `like_match` treats as equal
+/// lands on one key.
+fn key_hash(attr: AttrId, value: &str) -> u64 {
+    value.bytes().fold(fnv1a(FNV_SEED, &[attr as u8]), |h, b| {
+        fnv1a(h, &[b.to_ascii_lowercase()])
+    })
+}
+
+impl GroupRouter {
+    /// Intern a member's filter and patterns; returns its slot and, per
+    /// pattern in declaration order, the pattern's column within the slot.
+    fn intern(
+        &mut self,
+        member: usize,
+        filter: &GlobalFilter,
+        patterns: &[PatternMatcher],
+    ) -> (usize, Vec<usize>) {
+        let fresh = self.slots.len();
+        let slot = *self.by_filter.entry(filter.fingerprint()).or_insert(fresh);
+        if slot == fresh {
+            match filter.exact_key() {
+                Some((attr, value)) => {
+                    self.keyed
+                        .entry(key_hash(attr, value))
+                        .or_default()
+                        .push(slot);
+                    if !self.key_attrs.contains(&attr) {
+                        self.key_attrs.push(attr);
+                    }
+                }
+                None => self.unkeyed.push(slot),
+            }
+            self.slots.push(FilterSlot {
+                filter: filter.clone(),
+                members: Vec::new(),
+                pats: Vec::new(),
+                rows: Vec::new(),
+            });
+        }
+        let FilterSlot { members, pats, .. } = &mut self.slots[slot];
+        members.push(member);
+        let columns = patterns
             .iter()
-            .enumerate()
-            .filter(|(_, &code)| mask & (1u64 << code) != 0)
-            .map(|(row, _)| row as u32);
-        self.sel.extend(admitted);
+            .map(|p| {
+                let known = pats
+                    .iter()
+                    .position(|(q, _)| q.fingerprint() == p.fingerprint());
+                known.unwrap_or_else(|| {
+                    pats.push((p.clone(), Vec::new()));
+                    pats.len() - 1
+                })
+            })
+            .collect();
+        (slot, columns)
+    }
+
+    /// Start a batch: drop the previous batch's selection and columns.
+    pub(crate) fn clear(&mut self) {
+        for &(_, slot) in &self.hits {
+            let slot = &mut self.slots[slot];
+            slot.rows.clear();
+            slot.pats.iter_mut().for_each(|(_, flags)| flags.clear());
+        }
+        self.sel.clear();
+        self.hits.clear();
+        self.cursor = 0;
+    }
+
+    /// Select batch row `row` (the scheduler offers rows in ascending
+    /// order, and only rows whose shape the group's mask admits).
+    pub(crate) fn select(&mut self, row: usize) {
+        self.sel.push(row as u32);
+    }
+
+    /// Number of rows selected so far this batch — zero means no member has
+    /// anything to prepare.
+    pub(crate) fn selected(&self) -> usize {
         self.sel.len()
     }
 
-    /// Select nothing (a fully paused group): no row is admitted.
-    pub(crate) fn clear(&mut self) {
-        self.sel.clear();
-        self.cursor = 0;
-        self.spare_rows
-            .extend(self.globs.drain(..).map(|(_, rows)| rows));
-        self.spare_flags
-            .extend(self.pats.drain(..).map(|(_, _, flags)| flags));
-    }
-
-    /// Drive-loop admission: whether `row` is the next selected row
-    /// (consuming it). Rows must be offered in ascending order.
-    pub(crate) fn admits(&mut self, row: usize) -> bool {
-        let hit = self.sel.get(self.cursor) == Some(&(row as u32));
-        self.cursor += hit as usize;
-        hit
-    }
-
-    /// Index of the column of selected rows this global filter accepts,
-    /// computing it on first demand within the batch.
-    fn glob_column(&mut self, filter: &GlobalFilter, view: &BatchView<'_>) -> usize {
-        let fp = filter.fingerprint();
-        if let Some(i) = self.globs.iter().position(|(k, _)| *k == fp) {
-            return i;
+    /// Route the selection: one pass, each row tested against the filters
+    /// that can accept it and appended to those that do.
+    pub(crate) fn route(&mut self, view: &BatchView<'_>) {
+        let GroupRouter {
+            slots,
+            keyed,
+            key_attrs,
+            unkeyed,
+            sel,
+            hits,
+            ..
+        } = self;
+        for &row in sel.iter() {
+            let event = &view.events()[row as usize];
+            let demanded = key_attrs.iter().filter_map(|&attr| {
+                let value = event.attr_ref(attr)?;
+                keyed.get(&key_hash(attr, value.as_str()?))
+            });
+            for &s in unkeyed.iter().chain(demanded.flatten()) {
+                let slot = &mut slots[s];
+                if slot.filter.accepts(event) {
+                    slot.rows.push(row);
+                    for (pattern, flags) in &mut slot.pats {
+                        flags.push(pattern.matches(event));
+                    }
+                    hits.push((row, s));
+                }
+            }
         }
-        let events = view.events();
-        let mut rows = self.spare_rows.pop().unwrap_or_default();
-        rows.clear();
-        rows.extend(
-            self.sel
-                .iter()
-                .filter(|&&row| filter.accepts(&events[row as usize])),
-        );
-        self.globs.push((fp, rows));
-        self.globs.len() - 1
     }
 
-    /// Index of this pattern's match column over the rows of glob column
-    /// `glob`, computing it on first demand within the batch.
-    fn pat_column(&mut self, glob: usize, pattern: &PatternMatcher, view: &BatchView<'_>) -> usize {
-        let fp = pattern.fingerprint();
-        if let Some(i) = self
-            .pats
-            .iter()
-            .position(|(g, k, _)| *g == glob && *k == fp)
+    /// Consume the hits on `row`: the range of [`hit_members`](Self::hit_members)
+    /// indices of the slots that accepted it. Rows must be asked for in
+    /// ascending order.
+    pub(crate) fn take_hits(&mut self, row: usize) -> std::ops::Range<usize> {
+        let start = self.cursor;
+        while self
+            .hits
+            .get(self.cursor)
+            .is_some_and(|h| h.0 == row as u32)
         {
-            return i;
+            self.cursor += 1;
         }
-        let events = view.events();
-        let mut flags = self.spare_flags.pop().unwrap_or_default();
-        flags.clear();
-        flags.extend(
-            self.globs[glob]
-                .1
-                .iter()
-                .map(|&row| pattern.matches(&events[row as usize])),
-        );
-        self.pats.push((glob, fp, flags));
-        self.pats.len() - 1
+        start..self.cursor
     }
 
-    fn glob(&self, idx: usize) -> &[u32] {
-        &self.globs[idx].1
+    /// Member positions of the slot behind hit `hit`, ascending.
+    pub(crate) fn hit_members(&self, hit: usize) -> &[usize] {
+        &self.slots[self.hits[hit].1].members
     }
 
-    fn pat(&self, idx: usize) -> &[bool] {
-        &self.pats[idx].2
+    fn rows(&self, slot: usize) -> &[u32] {
+        &self.slots[slot].rows
+    }
+
+    fn flags(&self, slot: usize, column: usize) -> &[bool] {
+        &self.slots[slot].pats[column].1
     }
 }
 
-/// Per-query batch state, valid for the current batch only: the query's
-/// columns in its group's [`BatchCache`], and — for stateful queries —
-/// everything watermark-independent about the rows it will fold (pattern
-/// dispatch, group keys, field-program values). Window assignment and
+/// Per-query batch state, valid for the current batch only: for stateful
+/// queries, everything watermark-independent about the rows it will fold
+/// (pattern dispatch, group keys, field-program values). Window assignment and
 /// `state.observe` stay in the drive loop: the watermark advances
 /// mid-batch, so window membership cannot be hoisted.
 #[derive(Debug, Default)]
 struct BatchState {
-    glob_idx: usize,
-    /// Cache column index per pattern, declaration order.
-    pat_idx: Vec<usize>,
-    /// Next unconsumed entry of this query's work list — the glob column
+    /// Next unconsumed entry of this query's work list — its slot's rows
     /// for rule queries (every accepted row feeds the matcher), `rows` for
     /// stateful ones.
     cursor: usize,
@@ -377,6 +455,11 @@ pub struct RunningQuery {
     checked: CheckedQuery,
     plan: QueryPlan,
     globals: GlobalFilter,
+    /// This query's filter slot in its group's [`GroupRouter`], and its
+    /// patterns' columns within that slot (declaration order) — assigned by
+    /// [`attach`](Self::attach) when the scheduler hosts the query.
+    slot: usize,
+    pat_cols: Vec<usize>,
     matcher: Option<MultiMatcher>,
     window: Option<WindowDriver>,
     patterns: Vec<PatternMatcher>,
@@ -439,6 +522,8 @@ impl RunningQuery {
             checked,
             plan,
             globals,
+            slot: 0,
+            pat_cols: Vec::new(),
             matcher,
             window,
             patterns,
@@ -522,21 +607,6 @@ impl RunningQuery {
     /// error reporting against the stage text.
     pub fn pipeline_input_span(&self) -> Option<saql_lang::Span> {
         self.checked.pipeline_input.as_ref().map(|(_, s)| *s)
-    }
-
-    /// Whether `event` advances this query's clock. Base queries run on
-    /// stream time (every event). A pipeline stage runs on *its upstream's*
-    /// time: only that upstream's adapted alert events (including watermark
-    /// punctuations) tick the clock, so its windows close exactly as they
-    /// would in a dedicated engine fed only the upstream's alerts —
-    /// interleaved raw events never close a stage window early.
-    pub fn accepts_time(&self, event: &saql_model::Event) -> bool {
-        match &self.checked.pipeline_input {
-            None => true,
-            Some((up, _)) => {
-                event.op == saql_model::Operation::Alert && &*event.subject.exe_name == up.as_str()
-            }
-        }
     }
 
     pub fn stats(&self) -> QueryStats {
@@ -657,8 +727,22 @@ impl RunningQuery {
         self.patterns.iter().fold(0, |m, p| m | p.shape_mask())
     }
 
+    /// When this query's earliest open window closes, if any is open (the
+    /// scheduler's window gate watches the minimum over a group).
+    pub(crate) fn next_close(&self) -> Option<Timestamp> {
+        self.window.as_ref().and_then(WindowDriver::next_close)
+    }
+
+    /// Raise the window watermark to `now`, which the caller knows to be
+    /// before [`next_close`](Self::next_close) — [`advance_time`](Self::advance_time)
+    /// minus the search for due windows.
+    pub(crate) fn catch_up(&mut self, now: Timestamp) {
+        if let Some(driver) = &mut self.window {
+            driver.catch_up(now);
+        }
+    }
+
     /// Advance event time: closes due windows and may emit window alerts.
-    /// Cheap when no window is due (one comparison).
     pub fn advance_time(&mut self, ts: Timestamp) -> Vec<Alert> {
         let Some(driver) = &mut self.window else {
             return Vec::new();
@@ -675,34 +759,39 @@ impl RunningQuery {
     // Batch execution
     // ------------------------------------------------------------------
 
-    /// Prepare this query for one batch, over the rows `cache` selected for
-    /// its group: resolve its predicate columns (computing any the group
-    /// has not already), and for stateful queries precompute everything
-    /// watermark-independent about the rows it will fold — pattern
-    /// dispatch, group keys, ownership on a partitioned replica, and
-    /// field-program values, evaluated column-wise over the survivors only.
+    /// Join a group: intern this query's global filter and patterns into the
+    /// group's routing state as member number `member`.
+    pub(crate) fn attach(&mut self, member: usize, router: &mut GroupRouter) {
+        (self.slot, self.pat_cols) = router.intern(member, &self.globals, &self.patterns);
+    }
+
+    /// Prepare this query for one batch its group [routed](GroupRouter::route):
+    /// for stateful queries, precompute everything watermark-independent
+    /// about the rows it will fold — pattern dispatch, group keys,
+    /// ownership on a partitioned replica, and field-program values,
+    /// evaluated column-wise over the survivors only. A query whose filter
+    /// slot received no row has nothing to do.
     ///
     /// Returns the number of rows *delivered* to this query: every selected
     /// row, except that a key-partitioned replica is delivered only the
     /// rows it owns — `hash(key) % of` for rows with a resolved key, replica
     /// 0 for everything else — so deliveries stay disjoint across shards.
     ///
-    /// Call once per batch, after [`BatchCache::begin_batch`] selected at
-    /// least one row and before any [`Self::process_row`] of that batch.
-    pub(crate) fn prepare_batch(&mut self, view: &BatchView<'_>, cache: &mut BatchCache) -> u64 {
+    /// Call once per batch, after the group selected at least one row and
+    /// before any [`Self::process_row`] of that batch.
+    pub(crate) fn prepare_batch(&mut self, view: &BatchView<'_>, router: &GroupRouter) -> u64 {
         let batch = &mut self.batch;
         batch.cursor = 0;
-        batch.glob_idx = cache.glob_column(&self.globals, view);
-        batch.pat_idx.clear();
-        for p in &self.patterns {
-            batch
-                .pat_idx
-                .push(cache.pat_column(batch.glob_idx, p, view));
-        }
-        let selected = cache.sel.len() as u64;
-        if self.checked.kind == QueryKind::Rule {
-            self.stats.events_seen += selected;
-            return selected;
+        batch.rows.clear();
+        let selected = router.selected() as u64;
+        let accepted = router.rows(self.slot);
+        if self.checked.kind == QueryKind::Rule || accepted.is_empty() {
+            let delivered = match self.partition {
+                Some(p) if p.index != 0 => 0,
+                _ => selected,
+            };
+            self.stats.events_seen += delivered;
+            return delivered;
         }
 
         // Dispatch each accepted row to its first matching pattern and
@@ -715,12 +804,12 @@ impl RunningQuery {
         let plan = &self.plan;
         let events = view.events();
         let nk = plan.group_keys.len();
-        batch.rows.clear();
         batch.keys.clear();
         batch.key_ok.clear();
         let mut unowned = 0u64;
-        for (j, &row) in cache.glob(batch.glob_idx).iter().enumerate() {
-            let Some(idx) = batch.pat_idx.iter().position(|&ci| cache.pat(ci)[j]) else {
+        for (j, &row) in accepted.iter().enumerate() {
+            let hit = |&column: &usize| router.flags(self.slot, column)[j];
+            let Some(idx) = self.pat_cols.iter().position(hit) else {
                 continue;
             };
             let (subject_slot, object_slot) = plan.pattern_slots[idx];
@@ -778,30 +867,30 @@ impl RunningQuery {
         delivered
     }
 
-    /// Drive step: process batch row `row` (an admitted row of the batch
-    /// this query was [prepared](Self::prepare_batch) for; rows arrive in
-    /// ascending order). Does *not* advance time — the scheduler advances
-    /// time for every event but offers payloads only to admitted rows.
-    /// Rows this query has no work on (global filter rejected, no pattern
-    /// matched, not owned) cost one comparison.
+    /// Drive step: process batch row `row`, one of the rows this query's
+    /// filter slot accepted in the batch it was [prepared](Self::prepare_batch)
+    /// for (the scheduler offers exactly those, in ascending order). Does
+    /// *not* close windows — that is the scheduler's job, through `gate`. Rows a
+    /// stateful query has no work on (no pattern matched, not owned) cost
+    /// one comparison.
     pub(crate) fn process_row(
         &mut self,
         event: &SharedEvent,
         row: usize,
-        cache: &BatchCache,
+        router: &GroupRouter,
+        gate: &mut Gate,
     ) -> Vec<Alert> {
         let pos = self.batch.cursor;
         match self.checked.kind {
             QueryKind::Rule => {
                 // Every accepted row feeds the matcher, hit or not: feeding
                 // is also what expires idle partial matches.
-                if cache.glob(self.batch.glob_idx).get(pos) != Some(&(row as u32)) {
-                    return Vec::new();
-                }
+                debug_assert_eq!(router.rows(self.slot)[pos], row as u32);
                 self.batch.cursor += 1;
                 let mut hits = std::mem::take(&mut self.batch.hits_buf);
                 hits.clear();
-                hits.extend(self.batch.pat_idx.iter().map(|&ci| cache.pat(ci)[pos]));
+                let flags = |&column: &usize| router.flags(self.slot, column)[pos];
+                hits.extend(self.pat_cols.iter().map(flags));
                 let matcher = self.matcher.as_mut().expect("rule queries have a matcher");
                 let fulls = matcher.feed_with_hits(event, &hits);
                 self.batch.hits_buf = hits;
@@ -810,7 +899,7 @@ impl RunningQuery {
             _ => {
                 if self.batch.rows.get(pos).map(|r| r.row) == Some(row as u32) {
                     self.batch.cursor += 1;
-                    self.fold_row(event, pos);
+                    self.fold_row(event, pos, gate);
                 }
                 Vec::new()
             }
@@ -818,17 +907,21 @@ impl RunningQuery {
     }
 
     /// Stateful drive step for work-list entry `pos`: window assignment and
-    /// state folding off the precomputed dispatch/keys/fields.
-    fn fold_row(&mut self, event: &SharedEvent, pos: usize) {
+    /// state folding off the precomputed dispatch/keys/fields. The gate
+    /// supplies the clock the windows are judged late against, and learns
+    /// the close time of the earliest window the event lands in.
+    fn fold_row(&mut self, event: &SharedEvent, pos: usize, gate: &mut Gate) {
         self.stats.events_matched += 1;
         let Some(driver) = &mut self.window else {
             return;
         };
+        driver.catch_up(gate.now);
         driver.observe_into(event.ts, &mut self.windows_buf);
-        if self.windows_buf.is_empty() {
+        let Some(&earliest) = self.windows_buf.first() else {
             self.stats.late_events += 1;
             return;
-        }
+        };
+        gate.watch(Some(driver.close_at(earliest)));
         let Some(state) = &mut self.state else { return };
         let batch = &self.batch;
         if batch.key_ok[pos] {

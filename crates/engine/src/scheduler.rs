@@ -9,6 +9,14 @@
 //! stream. This is how SAQL keeps per-event work and data copies sublinear
 //! in the number of concurrent queries.
 //!
+//! Dispatch routes, it does not broadcast: an event is offered to the
+//! groups its shape is indexed under, within a group to the members whose
+//! global filter can accept it (`GroupRouter`), and member windows are
+//! probed for closing only when the group's deadline gate
+//! ([`crate::window`]) says one may be due. The counters keep the
+//! broadcast definitions — a master check per attached group per event, a
+//! delivery per admitted row per attached member.
+//!
 //! Execution is batch-at-a-time ([`Scheduler::process_batch`]) and there is
 //! no second path: a single event is a one-row batch.
 //!
@@ -17,10 +25,12 @@
 
 use std::collections::HashMap;
 
+use saql_model::{Operation, Timestamp};
 use saql_stream::{BatchView, EventBatch, SharedEvent};
 
 use crate::alert::Alert;
-use crate::query::{BatchCache, QueryId, QuerySnapshot, RunningQuery};
+use crate::query::{GroupRouter, QueryId, QuerySnapshot, RunningQuery};
+use crate::window::{Gate, NEVER};
 
 /// Scheduler execution counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,15 +63,123 @@ impl SchedulerStats {
 struct Group {
     key: String,
     members: Vec<RunningQuery>,
-    /// The batch's shape-admitted row selection and the predicate columns
-    /// members share over it (see [`BatchCache`]).
-    cache: BatchCache,
+    /// The master check: shape codes the group admits (every member's
+    /// [`RunningQuery::shape_mask`] is equal by construction of the key).
+    mask: u64,
+    /// `Some(upstream)` for a group of pipeline stages (the compat key
+    /// isolates stages by upstream): its clock ticks on that upstream's
+    /// adapted alerts only, so its windows close exactly as in a dedicated
+    /// engine fed nothing else — interleaved raw events never close a
+    /// stage window early. `None`: the group runs on stream time.
+    upstream: Option<String>,
+    /// Whether any member is attached (not paused) this batch. Paused
+    /// members are detached — no events, no time — and pause state cannot
+    /// change mid-batch (control-plane operations land between batches).
+    active: bool,
+    /// The group's clock this batch and its members' earliest window close.
+    gate: Gate,
+    /// This batch's selection and its routing to members (see [`GroupRouter`]).
+    router: GroupRouter,
+    /// Scratch: the members a row is offered to.
+    targets: Vec<usize>,
+}
+
+impl Group {
+    fn attached(&mut self) -> impl Iterator<Item = &mut RunningQuery> {
+        self.members.iter_mut().filter(|q| !q.is_paused())
+    }
+
+    /// Start a batch: nothing selected, no time seen, the gate watching the
+    /// attached members' open windows. Returns the group's deadline on
+    /// stream time ([`NEVER`] for a stage group, whose own clock gates it).
+    fn begin_batch(&mut self) -> Timestamp {
+        self.router.clear();
+        let mut gate = Gate::idle();
+        let mut active = false;
+        for q in self.attached() {
+            active = true;
+            gate.watch(q.next_close());
+        }
+        (self.gate, self.active) = (gate, active);
+        self.stream_deadline()
+    }
+
+    fn stream_deadline(&self) -> Timestamp {
+        match self.upstream {
+            None => self.gate.deadline,
+            Some(_) => NEVER,
+        }
+    }
+
+    /// One event, stream time `now`: tick the group's clock, close what
+    /// came due, and — when the event is `routed` here — offer its payload
+    /// to the members whose filter slot accepted it. Returns the group's
+    /// deadline on stream time afterwards.
+    fn step(
+        &mut self,
+        event: &SharedEvent,
+        row: usize,
+        now: Timestamp,
+        routed: bool,
+        alerts: &mut Vec<Alert>,
+    ) -> Timestamp {
+        match &self.upstream {
+            None => self.gate.now = now,
+            // An upstream's adapted alerts always carry the `alert proc`
+            // shape the stage's `_in` pattern admits, so every tick of a
+            // stage clock arrives routed.
+            Some(up) if event.op == Operation::Alert && *event.subject.exe_name == **up => {
+                self.gate.now = self.gate.now.max(event.ts);
+            }
+            Some(_) => {}
+        }
+        if self.gate.due() {
+            let mut gate = Gate {
+                deadline: NEVER,
+                ..self.gate
+            };
+            for q in self.attached() {
+                alerts.extend(q.advance_time(gate.now));
+                gate.watch(q.next_close());
+            }
+            self.gate = gate;
+        }
+        if routed {
+            let Group {
+                members,
+                router,
+                targets,
+                gate,
+                ..
+            } = self;
+            // Member order, so the alert stream does not depend on how
+            // members share slots.
+            let hits = router.take_hits(row);
+            targets.clear();
+            for hit in hits.clone() {
+                targets.extend_from_slice(router.hit_members(hit));
+            }
+            if hits.len() > 1 {
+                targets.sort_unstable();
+            }
+            for &mi in targets.iter() {
+                let q = &mut members[mi];
+                if !q.is_paused() {
+                    alerts.extend(q.process_row(event, row, router, gate));
+                }
+            }
+        }
+        self.stream_deadline()
+    }
 }
 
 /// Master–dependent concurrent query scheduler.
 pub struct Scheduler {
     groups: Vec<Group>,
     by_key: HashMap<String, usize>,
+    /// Shape code → indices of the groups whose mask admits it, ascending:
+    /// an event is offered only to these. Maintained by `add`/`remove`.
+    by_shape: Vec<Vec<usize>>,
     stats: SchedulerStats,
     /// Per-batch processing latency, amortised to nanoseconds per event,
     /// when enabled.
@@ -73,6 +191,7 @@ impl Scheduler {
         Scheduler {
             groups: Vec::new(),
             by_key: HashMap::new(),
+            by_shape: vec![Vec::new(); u64::BITS as usize],
             stats: SchedulerStats::default(),
             latency: None,
         }
@@ -93,23 +212,36 @@ impl Scheduler {
 
     /// Register a running query, grouping it with compatible ones.
     /// Returns `(group index, member index)`.
-    pub fn add(&mut self, query: RunningQuery) -> (usize, usize) {
+    pub fn add(&mut self, mut query: RunningQuery) -> (usize, usize) {
         let key = query.compat_key().to_string();
         let gi = match self.by_key.get(&key) {
             Some(&gi) => gi,
             None => {
                 let gi = self.groups.len();
+                let mask = query.shape_mask();
                 self.groups.push(Group {
                     key: key.clone(),
                     members: Vec::new(),
-                    cache: BatchCache::default(),
+                    mask,
+                    upstream: query.pipeline_input().map(str::to_string),
+                    active: false,
+                    gate: Gate::idle(),
+                    router: GroupRouter::default(),
+                    targets: Vec::new(),
                 });
                 self.by_key.insert(key, gi);
+                for routed in admitted_by(&mut self.by_shape, mask) {
+                    routed.push(gi);
+                }
                 gi
             }
         };
-        self.groups[gi].members.push(query);
-        (gi, self.groups[gi].members.len() - 1)
+        let Group {
+            members, router, ..
+        } = &mut self.groups[gi];
+        query.attach(members.len(), router);
+        members.push(query);
+        (gi, members.len() - 1)
     }
 
     /// Deregister a query by id, returning it (with its pending window
@@ -125,13 +257,26 @@ impl Scheduler {
             let Some(mi) = self.groups[gi].members.iter().position(|q| q.id() == id) else {
                 continue;
             };
-            let query = self.groups[gi].members.remove(mi);
-            if self.groups[gi].members.is_empty() {
+            let Group {
+                members, router, ..
+            } = &mut self.groups[gi];
+            let query = members.remove(mi);
+            // Later members moved up one position: intern them afresh, so
+            // no slot keeps a stale position or the departed filter.
+            *router = GroupRouter::default();
+            for (i, q) in members.iter_mut().enumerate() {
+                q.attach(i, router);
+            }
+            if members.is_empty() {
                 let dissolved = self.groups.remove(gi);
                 self.by_key.remove(&dissolved.key);
                 // Groups after the dissolved one shifted down by one.
-                for (i, group) in self.groups.iter().enumerate().skip(gi) {
+                self.by_shape.iter_mut().for_each(Vec::clear);
+                for (i, group) in self.groups.iter().enumerate() {
                     self.by_key.insert(group.key.clone(), i);
+                    for routed in admitted_by(&mut self.by_shape, group.mask) {
+                        routed.push(i);
+                    }
                 }
             }
             return Some(query);
@@ -207,64 +352,89 @@ impl Scheduler {
         self.process_batch(&EventBatch::from_events(vec![event.clone()]))
     }
 
-    /// Push a batch through every group.
+    /// Push a batch through the groups that can want it.
     ///
-    /// Phase one (prepare) is selection-driven: each group with an
-    /// attached member selects the rows its master's shape mask admits —
-    /// the master check, one byte test per row — and, unless that
-    /// selection is empty, each attached member resolves its predicate
-    /// columns over it (shared through the group's [`BatchCache`] where
-    /// fingerprints agree) and precomputes its stateful work over the
-    /// survivors. Phase two (drive) walks the batch in stream order,
-    /// event-major then group-major then member-major, advancing every
-    /// attached member's clock on every event and offering payloads on
-    /// admitted rows only — so the ordered alert stream and every counter
-    /// are independent of how the stream is cut into batches.
+    /// **Prepare** is one pass per level: the batch's shape column is read
+    /// once, each row selected into the groups whose mask admits it (the
+    /// master check); each group with a selection routes it through its
+    /// filter slots (`GroupRouter::route`) and each attached member
+    /// precomputes its stateful work over the rows its slot received.
+    ///
+    /// **Drive** walks the batch in stream order. A row is offered only to
+    /// the groups its shape routes to, and within a group only to the
+    /// members of the slots that accepted it. Time is gated: `now` is the
+    /// batch's running maximum event time, and while it stays below the
+    /// earliest window deadline of every stream-time group no window can be
+    /// due, so an event costs the routed groups and nothing else; when it
+    /// reaches that deadline, every group is visited in order so closes
+    /// land where they always did in the alert stream. Order within an
+    /// event is group-major, then closes before payloads, then member
+    /// order — so the ordered alert stream and every counter are
+    /// independent of how the stream is cut into batches.
     pub fn process_batch(&mut self, batch: &EventBatch) -> Vec<Alert> {
         let started = self.latency.is_some().then(std::time::Instant::now);
         let view = BatchView::new(batch);
         let n = view.len() as u64;
         self.stats.events += n;
+        let mut deadline = NEVER;
         for group in &mut self.groups {
-            let Group { members, cache, .. } = group;
-            // Paused members are detached: no events, no time. Pause state
-            // cannot change mid-batch (control-plane operations land
-            // between engine calls), and a fully-paused group has no one to
-            // deliver to, so its master check would be pure waste.
-            if members.iter().all(|q| q.is_paused()) {
-                cache.clear();
-                continue;
-            }
+            deadline = deadline.min(group.begin_batch());
             // All members share the shape by construction, so a paused
-            // master still answers for the group.
-            self.stats.master_checks += n;
-            if cache.begin_batch(&view, members[0].shape_mask()) == 0 {
+            // master still answers for the group — but a fully-paused group
+            // has no one to deliver to: its master check would be waste.
+            if group.active {
+                self.stats.master_checks += n;
+            }
+        }
+        for (row, &code) in view.shape().iter().enumerate() {
+            for &gi in &self.by_shape[code as usize] {
+                let group = &mut self.groups[gi];
+                if group.active {
+                    group.router.select(row);
+                }
+            }
+        }
+        for group in &mut self.groups {
+            let Group {
+                members, router, ..
+            } = group;
+            if router.selected() == 0 {
                 continue;
             }
+            router.route(&view);
             for q in members.iter_mut().filter(|q| !q.is_paused()) {
-                self.stats.deliveries += q.prepare_batch(&view, cache);
+                self.stats.deliveries += q.prepare_batch(&view, router);
             }
         }
         let mut alerts = Vec::new();
+        let mut now = Timestamp::ZERO;
         for (row, event) in view.events().iter().enumerate() {
-            for group in &mut self.groups {
-                let Group { members, cache, .. } = group;
-                // Time advances for every attached member regardless of
-                // shape (windows close on stream time, not on matching
-                // events). Pipeline stages run on their upstream's clock
-                // (`accepts_time`); everything else on stream time.
-                for q in members.iter_mut() {
-                    if !q.is_paused() && q.accepts_time(event) {
-                        alerts.extend(q.advance_time(event.ts));
-                    }
+            now = now.max(event.ts);
+            let routed = &self.by_shape[view.shape()[row] as usize];
+            if now < deadline {
+                for &gi in routed {
+                    let group = &mut self.groups[gi];
+                    deadline = deadline.min(group.step(event, row, now, true, &mut alerts));
                 }
-                if !cache.admits(row) {
-                    continue;
-                }
-                for q in members.iter_mut().filter(|q| !q.is_paused()) {
-                    alerts.extend(q.process_row(event, row, cache));
+            } else {
+                deadline = NEVER;
+                let mut next = 0;
+                for (gi, group) in self.groups.iter_mut().enumerate() {
+                    let hit = routed.get(next) == Some(&gi);
+                    next += hit as usize;
+                    deadline = deadline.min(group.step(event, row, now, hit, &mut alerts));
                 }
             }
+        }
+        // Batch boundary: control-plane operations and snapshots land here,
+        // and must find every attached member's watermark where advancing
+        // it on every event would have left it.
+        for group in &mut self.groups {
+            if group.upstream.is_none() {
+                group.gate.now = now;
+            }
+            let clock = group.gate.now;
+            group.attached().for_each(|q| q.catch_up(clock));
         }
         if let (Some(started), Some(hist)) = (started, self.latency.as_mut()) {
             if let Some(per_event) = (started.elapsed().as_nanos() as u64).checked_div(n) {
@@ -297,6 +467,15 @@ impl Scheduler {
         }
         alerts
     }
+}
+
+/// The routing lists of the shape codes set in `mask`.
+fn admitted_by(by_shape: &mut [Vec<usize>], mask: u64) -> impl Iterator<Item = &mut Vec<usize>> {
+    by_shape
+        .iter_mut()
+        .enumerate()
+        .filter(move |(code, _)| mask & (1u64 << code) != 0)
+        .map(|(_, routed)| routed)
 }
 
 impl Default for Scheduler {
@@ -476,6 +655,132 @@ mod tests {
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert_eq!(alerts[0].get("ss[0].n"), Some("1"));
         assert!(!s.pause(QueryId::new(9)), "unknown id");
+    }
+
+    const COUNT_10S: &str = "proc p write ip i as evt #time(10 s)\nstate ss { n := count() } group by p\nreturn p, ss.n";
+
+    fn render(alerts: &[Alert]) -> Vec<String> {
+        alerts.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// The window gate must follow a window that opens *behind* every open
+    /// one: inside the allowed lateness an event lands in an older window,
+    /// whose close time is now the group's deadline.
+    #[test]
+    fn late_event_opening_an_older_window_lowers_the_gate_deadline() {
+        let lenient = QueryConfig {
+            allowed_lateness: saql_model::Duration::from_secs(5),
+            ..QueryConfig::default()
+        };
+        let events = [
+            send(1, 21_000, "x.exe", "1.1.1.1", 5), // opens [20 s, 30 s): due at 35 s
+            send(2, 12_000, "y.exe", "1.1.1.1", 5), // opens [10 s, 20 s): due at 25 s
+            start(3, 26_000, "a.exe", "b.exe"),     // other shape: closes [10 s, 20 s)
+            start(4, 36_000, "a.exe", "b.exe"),     // closes [20 s, 30 s)
+        ];
+        let scheduler = || {
+            let mut s = Scheduler::new();
+            s.add(RunningQuery::compile("w", COUNT_10S, lenient).unwrap());
+            s
+        };
+        let mut one_batch = scheduler();
+        let batched = one_batch.process_batch(&EventBatch::from_events(events.to_vec()));
+        assert_eq!(batched.len(), 2, "{batched:?}");
+        assert!(batched[0].to_string().contains("y.exe"), "{batched:?}");
+        assert!(batched[1].to_string().contains("x.exe"), "{batched:?}");
+        let mut per_event = scheduler();
+        let mut expected = Vec::new();
+        for (i, e) in events.iter().enumerate() {
+            let alerts = per_event.process(e);
+            assert_eq!(
+                alerts.len(),
+                usize::from(i >= 2),
+                "one close per later event"
+            );
+            expected.extend(alerts);
+        }
+        assert_eq!(render(&batched), render(&expected));
+    }
+
+    /// A member paused across its window's end keeps the window while the
+    /// rest of its group goes on closing theirs, and closes it on the first
+    /// event after `resume` — holding only what it saw before the pause.
+    #[test]
+    fn pause_across_a_window_boundary_with_the_group_still_running() {
+        let mut s = Scheduler::new();
+        s.add(rq_id("held", COUNT_10S, 0));
+        s.add(rq_id("live", COUNT_10S, 1));
+        assert!(s.process(&send(1, 1_000, "x.exe", "1.1.1.1", 5)).is_empty());
+        s.pause(QueryId::new(0));
+        // Two window ends pass: only `live` closes, and counts, anything.
+        let alerts = s.process_batch(&EventBatch::from_events(vec![
+            send(2, 2_000, "x.exe", "1.1.1.1", 5),
+            send(3, 12_000, "x.exe", "1.1.1.1", 5),
+            send(4, 25_000, "x.exe", "1.1.1.1", 5),
+        ]));
+        assert_eq!(alerts.len(), 2, "{alerts:?}");
+        assert!(alerts.iter().all(|a| a.query == "live"));
+        assert_eq!(alerts[0].get("ss.n"), Some("2"));
+        s.resume(QueryId::new(0));
+        let alerts = s.process(&start(5, 26_000, "a.exe", "b.exe"));
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(alerts[0].query, "held");
+        assert_eq!(alerts[0].get("ss.n"), Some("1"), "event 2 was never seen");
+        let held = s.queries().find(|q| q.name() == "held").unwrap();
+        assert_eq!(held.stats().windows_closed, 1);
+        assert_eq!(held.stats().events_seen, 1);
+    }
+
+    /// A pipeline stage's clock is its upstream's alerts (punctuations
+    /// included) and nothing else: raw events and other queries' alerts,
+    /// however far ahead, never close a stage window — also when the
+    /// stream-time groups beside it are closing theirs in the same batch.
+    #[test]
+    fn stage_windows_close_on_upstream_alert_time_only() {
+        use crate::alert::AlertOrigin;
+        use crate::pipeline::AlertAdapter;
+        let upstream_alert = |ts: u64, host: &str| Alert {
+            query: "burst".into(),
+            query_id: QueryId::new(7),
+            ts: Timestamp::from_millis(ts),
+            origin: AlertOrigin::Window {
+                start: Timestamp::ZERO,
+                end: Timestamp::from_millis(ts),
+                group: host.into(),
+            },
+            rows: vec![("host".into(), host.into())],
+        };
+        let mut burst = AlertAdapter::new("burst", QueryId::new(7));
+        let mut other = AlertAdapter::new("other", QueryId::new(8));
+        let mut s = Scheduler::new();
+        s.add(rq(
+            "corr",
+            "from query burst #time(10 s)\nstate es { hosts := distinct_count(_in.agentid) }\nreturn es.hosts",
+        ));
+        s.add(rq("w", COUNT_10S));
+        let alerts = s.process_batch(&EventBatch::from_events(vec![
+            burst.adapt(&upstream_alert(1_000, "web-1")),
+            burst.adapt(&upstream_alert(2_000, "web-2")),
+            send(1, 3_000, "x.exe", "1.1.1.1", 5),
+            send(2, 50_000, "x.exe", "1.1.1.1", 5), // closes `w`'s first window
+            other.adapt(&upstream_alert(60_000, "web-3")), // and its second
+            other.punctuation(Timestamp::from_millis(70_000)),
+        ]));
+        assert_eq!(alerts.len(), 2, "{alerts:?}");
+        assert!(alerts.iter().all(|a| a.query == "w"), "{alerts:?}");
+        let corr = |s: &Scheduler| s.queries().find(|q| q.name() == "corr").unwrap().snapshot();
+        let window = corr(&s).window.unwrap();
+        assert_eq!(window.watermark, Timestamp::from_millis(2_000));
+        assert_eq!((window.open, window.closed), (vec![0], 0));
+        // Its own upstream's punctuation is what closes it.
+        let alerts = s.process(&burst.punctuation(Timestamp::from_millis(10_000)));
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(alerts[0].query, "corr");
+        assert_eq!(alerts[0].get("es.hosts"), Some("2"));
+        assert_eq!(
+            corr(&s).window.unwrap().watermark,
+            Timestamp::from_millis(10_000)
+        );
     }
 
     #[test]

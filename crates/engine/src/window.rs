@@ -57,6 +57,43 @@ impl WindowAssigner {
     }
 }
 
+/// A compatibility group's view of its members' window clocks, so that an
+/// event which closes nothing costs the group one comparison instead of a
+/// probe of every member's [`WindowDriver`]: `now` is the group's clock —
+/// the maximum event time this batch among the events that tick it — and
+/// `deadline` the earliest [`WindowDriver::next_close`] of any attached
+/// member. While `now < deadline` no member has a window due, and raising
+/// a member's watermark to `now` ([`WindowDriver::catch_up`]) is all that
+/// [`WindowDriver::advance`] would have done.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Gate {
+    pub now: Timestamp,
+    pub deadline: Timestamp,
+}
+
+/// A deadline no clock reaches: nothing is open.
+pub(crate) const NEVER: Timestamp = Timestamp::from_millis(u64::MAX);
+
+impl Gate {
+    /// A batch's starting state: no time seen, nothing open.
+    pub fn idle() -> Gate {
+        Gate {
+            now: Timestamp::ZERO,
+            deadline: NEVER,
+        }
+    }
+
+    /// Whether some member may have a window to close.
+    pub fn due(&self) -> bool {
+        self.now >= self.deadline
+    }
+
+    /// Account for a member window closing at `close`.
+    pub fn watch(&mut self, close: Option<Timestamp>) {
+        self.deadline = self.deadline.min(close.unwrap_or(NEVER));
+    }
+}
+
 /// Tracks open windows and the stream watermark for one query.
 ///
 /// `allowed_lateness` delays window closing: a window closes only once the
@@ -94,18 +131,32 @@ impl WindowDriver {
         &self.assigner
     }
 
+    /// When window `k` closes: its end plus the allowed lateness.
+    pub fn close_at(&self, k: u64) -> Timestamp {
+        self.assigner.bounds(k).1 + saql_model::Duration::from_millis(self.lateness_ms)
+    }
+
     fn due(&self, k: u64) -> bool {
-        let close_at =
-            self.assigner.bounds(k).1 + saql_model::Duration::from_millis(self.lateness_ms);
-        close_at <= self.watermark
+        self.close_at(k) <= self.watermark
+    }
+
+    /// Close time of the earliest open window, if any: until the watermark
+    /// reaches it, [`advance`](Self::advance) has nothing to close.
+    pub fn next_close(&self) -> Option<Timestamp> {
+        self.open.first().map(|&k| self.close_at(k))
+    }
+
+    /// Raise the watermark to `now` (monotone) without looking for due
+    /// windows — for callers that know `now` is before
+    /// [`next_close`](Self::next_close), where it equals `advance(now)`.
+    pub fn catch_up(&mut self, now: Timestamp) {
+        self.watermark = self.watermark.max(now);
     }
 
     /// Advance the watermark (monotone) and return the window ids that are
     /// now due to close, in ascending order.
     pub fn advance(&mut self, ts: Timestamp) -> Vec<u64> {
-        if ts > self.watermark {
-            self.watermark = ts;
-        }
+        self.catch_up(ts);
         let mut due = Vec::new();
         while let Some(&k) = self.open.first() {
             if self.due(k) {

@@ -12,38 +12,37 @@
 /// * `_` — exactly one character;
 /// * everything else matches itself, ASCII case-insensitively.
 ///
-/// The implementation is the classic two-pointer algorithm with backtracking
-/// to the most recent `%`; it runs in O(|text| · |pattern|) worst case and
-/// O(|text|) for patterns with a single `%`, and allocates nothing.
+/// The classic two-pointer walk with backtracking to the most recent `%`,
+/// over the two strings' `chars()` in place: O(|text| · |pattern|) worst
+/// case, O(|text|) for patterns with a single `%`, and no allocation — the
+/// scheduler calls this once per candidate predicate per event.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-
-    let (mut pi, mut ti) = (0usize, 0usize);
-    // Position of the last `%` seen in the pattern, and the text position the
-    // star is currently assumed to cover up to.
-    let mut star: Option<usize> = None;
-    let mut star_ti = 0usize;
-
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || eq_ci(p[pi], t[ti])) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some(pi);
-            star_ti = ti;
-            pi += 1;
-        } else if let Some(sp) = star {
-            // Grow the region the star covers by one character and retry.
-            pi = sp + 1;
-            star_ti += 1;
-            ti = star_ti;
-        } else {
-            return false;
+    let (mut p, mut t) = (pattern.chars(), text.chars());
+    // Where to resume after the most recent `%`: the pattern just past it,
+    // and the text from the first character the star does not yet cover.
+    let mut star: Option<(std::str::Chars<'_>, std::str::Chars<'_>)> = None;
+    loop {
+        let mut t_next = t.clone();
+        let Some(tc) = t_next.next() else { break };
+        let mut p_next = p.clone();
+        match p_next.next() {
+            Some(pc) if pc == '_' || eq_ci(pc, tc) => (p, t) = (p_next, t_next),
+            Some('%') => {
+                star = Some((p_next.clone(), t.clone()));
+                p = p_next;
+            }
+            _ => match &mut star {
+                // Grow the region the star covers by one character and retry.
+                Some((star_p, star_t)) => {
+                    star_t.next();
+                    (p, t) = (star_p.clone(), star_t.clone());
+                }
+                None => return false,
+            },
         }
     }
     // Remaining pattern must be all `%`.
-    p[pi..].iter().all(|&c| c == '%')
+    p.all(|c| c == '%')
 }
 
 #[inline]
@@ -52,8 +51,10 @@ fn eq_ci(a: char, b: char) -> bool {
 }
 
 /// Returns `true` if the pattern contains no wildcard characters, i.e. it is
-/// an exact (case-insensitive) string constraint. The query compiler uses
-/// this to pick a cheaper comparison.
+/// an exact (ASCII case-insensitive) string constraint. The scheduler's
+/// global-filter index keys exactly these (`agentid = "db-server"`): an
+/// exact pattern matches a text iff the two are equal under ASCII case
+/// folding, so a hash lookup finds every filter that can accept the row.
 pub fn is_exact(pattern: &str) -> bool {
     !pattern.contains(['%', '_'])
 }
@@ -61,6 +62,62 @@ pub fn is_exact(pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The implementation `like_match` replaced (it collected both strings
+    /// into `Vec<char>` on every call), kept as the oracle.
+    fn like_match_indexed(pattern: &str, text: &str) -> bool {
+        let p: Vec<char> = pattern.chars().collect();
+        let t: Vec<char> = text.chars().collect();
+        let (mut pi, mut ti) = (0usize, 0usize);
+        let mut star: Option<usize> = None;
+        let mut star_ti = 0usize;
+        while ti < t.len() {
+            if pi < p.len() && (p[pi] == '_' || eq_ci(p[pi], t[ti])) {
+                pi += 1;
+                ti += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star = Some(pi);
+                star_ti = ti;
+                pi += 1;
+            } else if let Some(sp) = star {
+                pi = sp + 1;
+                star_ti += 1;
+                ti = star_ti;
+            } else {
+                return false;
+            }
+        }
+        p[pi..].iter().all(|&c| c == '%')
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// Random patterns and texts over a small alphabet that includes
+        /// both wildcards (in the text too), mixed case and multi-byte
+        /// characters, so `%%`, leading/trailing `_`, empty strings and
+        /// backtracking across non-ASCII all occur.
+        #[test]
+        fn like_match_equals_the_indexed_implementation(
+            pattern in proptest::string::string_regex("[aAbé%_]{0,8}").unwrap(),
+            text in proptest::string::string_regex("[aAbBéÉ%_]{0,10}").unwrap(),
+        ) {
+            prop_assert_eq!(
+                like_match(&pattern, &text),
+                like_match_indexed(&pattern, &text),
+                "pattern={:?} text={:?}", pattern, text
+            );
+        }
+
+        #[test]
+        fn exact_patterns_match_by_ascii_case_folded_equality(
+            pattern in proptest::string::string_regex("[aAbBé-]{0,6}").unwrap(),
+            text in proptest::string::string_regex("[aAbBéÉ-]{0,6}").unwrap(),
+        ) {
+            prop_assert!(is_exact(&pattern));
+            prop_assert_eq!(like_match(&pattern, &text), pattern.eq_ignore_ascii_case(&text));
+        }
+    }
 
     #[test]
     fn exact_match_case_insensitive() {

@@ -15,7 +15,7 @@ pub struct Timestamp(u64);
 impl Timestamp {
     pub const ZERO: Timestamp = Timestamp(0);
 
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Timestamp(ms)
     }
 

@@ -62,9 +62,10 @@ impl IntoIterator for EventBatch {
 }
 
 /// A view over one [`EventBatch`] for the engine's execution path: the
-/// events plus the one per-event scalar every compatibility group probes
-/// on every row — the shape code — materialized once as a dense column.
-/// Everything else is probed per selected row, on the event itself.
+/// events plus the one per-event scalar dispatch needs of every row — the
+/// shape code, which routes a row to the compatibility groups that admit
+/// it — materialized once as a dense column. Everything else is probed per
+/// selected row, on the event itself.
 #[derive(Debug)]
 pub struct BatchView<'a> {
     events: &'a [SharedEvent],

@@ -7,8 +7,12 @@
 //!   multiset, with nothing dropped;
 //!
 //! with pause / resume / deregister operations landing between batches at
-//! fixed stream positions. Batch size 1 is the reference: it is what
-//! `Engine::process(&event)` does.
+//! fixed stream positions, and — without workers — an engine checkpoint
+//! taken at each of those positions byte-identical (so every query's
+//! `WindowSnapshot`: watermark, open set, closed count). Batch size 1 is
+//! the reference: it is what `Engine::process(&event)` does, and there the
+//! scheduler's window gate is re-armed from the window drivers on every
+//! event.
 //!
 //! Two kinds of deployment are drawn. Random subsets of `saql_lang::corpus`
 //! (the paper's demo queries — all four anomaly models) over streams in the
@@ -18,15 +22,18 @@
 //! windows = 8 compatibility groups of 4, most members matching under 1% of
 //! the rows their group admits, over a stream with a 64-event stretch that
 //! holds no process start at all (so at batch size 64 a whole batch admits
-//! zero rows for two groups) — which is what selection-driven prepare
-//! exists for.
+//! zero rows for two groups) — which is what routed prepare exists for. The same deployment also runs over a stream whose events
+//! arrive up to 3 s out of timestamp order, under an allowed lateness that
+//! covers it (an event opens a window *older* than any open one, mid-batch)
+//! and one that does not (events come late).
 
 use proptest::prelude::*;
 
+use saql::engine::query::QueryConfig;
 use saql::engine::{Alert, Engine, EngineConfig};
 use saql::lang::corpus::DEMO_QUERIES;
 use saql::model::event::EventBuilder;
-use saql::model::{FileInfo, NetworkInfo, ProcessInfo};
+use saql::model::{Duration, FileInfo, NetworkInfo, ProcessInfo, Timestamp};
 use saql::stream::{batched, SharedEvent};
 use std::sync::Arc;
 
@@ -111,8 +118,9 @@ fn many_deployment() -> Vec<(String, String)> {
 
 /// Materialize steps in the corpus vocabulary so its constraints can match.
 /// With `many_hosts` the events spread over [`MANY_HOSTS`] hosts instead of
-/// the corpus's three, and steps 64..128 hold no process start.
-fn materialize(steps: &[Step], many_hosts: bool) -> Vec<SharedEvent> {
+/// the corpus's three, and steps 64..128 hold no process start. Each
+/// event's timestamp falls up to `disorder_ms` behind the stream's clock.
+fn materialize(steps: &[Step], many_hosts: bool, disorder_ms: u64) -> Vec<SharedEvent> {
     const HOSTS: [&str; 3] = ["client-3", "db-server", "web-server"];
     const PROCS: [&str; 8] = [
         "outlook.exe",
@@ -154,12 +162,13 @@ fn materialize(steps: &[Step], many_hosts: bool) -> Vec<SharedEvent> {
         "10.0.0.52",
         "1.1.1.1",
     ];
-    let mut ts = 0u64;
+    let mut clock = 0u64;
     steps
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            ts += s.gap_ms as u64;
+            clock += s.gap_ms as u64;
+            let ts = clock.saturating_sub(s.amount as u64 % (disorder_ms + 1));
             let subject = ProcessInfo::new(100 + s.actor as u32, PROCS[s.actor as usize], "user");
             let host = match (many_hosts, s.host as usize) {
                 (false, h) => HOSTS[h % HOSTS.len()].to_string(),
@@ -236,6 +245,9 @@ struct Outcome {
     scheduler: String,
     queries: Vec<String>,
     dropped: u64,
+    /// The engine checkpoint, encoded, at every scheduled stop and at the
+    /// end of the stream (compared between serial runs only).
+    checkpoints: Vec<Vec<u8>>,
 }
 
 /// Feed `events` in batches of `batch_size`, never letting a batch span a
@@ -244,10 +256,15 @@ fn run(
     deployment: &[(String, String)],
     events: &[SharedEvent],
     schedule: &[Op],
+    lateness_ms: u64,
     workers: usize,
     batch_size: usize,
 ) -> Outcome {
     let mut engine = Engine::new(EngineConfig {
+        query: QueryConfig {
+            allowed_lateness: Duration::from_millis(lateness_ms),
+            ..QueryConfig::default()
+        },
         workers,
         batch_size,
         ..EngineConfig::default()
@@ -257,6 +274,7 @@ fn run(
         .map(|(name, src)| engine.register(name, src).unwrap())
         .collect();
     let mut alerts: Vec<Alert> = Vec::new();
+    let mut checkpoints = Vec::new();
     let mut fed = 0;
     let stops = schedule
         .iter()
@@ -266,6 +284,8 @@ fn run(
             alerts.extend(engine.process_batch(&batch).unwrap());
         }
         fed = stop;
+        let checkpoint = engine.checkpoint(fed as u64, Timestamp::ZERO).unwrap();
+        checkpoints.push(checkpoint.encode().to_vec());
         if let Some(op) = op {
             // Targets may already be gone: the refusal is as deterministic
             // as the operation.
@@ -292,6 +312,7 @@ fn run(
         scheduler: format!("{:?}", engine.scheduler_stats()),
         queries,
         dropped: engine.dropped_alerts(),
+        checkpoints,
     }
 }
 
@@ -300,10 +321,11 @@ fn assert_batch_size_invariant(
     deployment: &[(String, String)],
     events: &[SharedEvent],
     schedule: &[Op],
+    lateness_ms: u64,
 ) {
-    let reference = run(deployment, events, schedule, 0, 1);
+    let reference = run(deployment, events, schedule, lateness_ms, 0, 1);
     for batch_size in BATCH_SIZES {
-        let got = run(deployment, events, schedule, 0, batch_size);
+        let got = run(deployment, events, schedule, lateness_ms, 0, batch_size);
         prop_assert_eq!(
             &got,
             &reference,
@@ -319,7 +341,14 @@ fn assert_batch_size_invariant(
         // The batch size also sets the shard dispatch unit; vary it with
         // the worker count.
         let batch_size = BATCH_SIZES[workers % BATCH_SIZES.len()];
-        let mut got = run(deployment, events, schedule, workers, batch_size);
+        let mut got = run(
+            deployment,
+            events,
+            schedule,
+            lateness_ms,
+            workers,
+            batch_size,
+        );
         got.alerts.sort();
         prop_assert_eq!(
             &got.alerts,
@@ -344,7 +373,7 @@ proptest! {
         deployment in arb_deployment(),
         schedule in arb_schedule(),
     ) {
-        assert_batch_size_invariant(&deployment, &materialize(&steps, false), &schedule);
+        assert_batch_size_invariant(&deployment, &materialize(&steps, false, 0), &schedule, 0);
     }
 }
 
@@ -358,6 +387,20 @@ proptest! {
         steps in arb_steps(200..400),
         schedule in arb_schedule(),
     ) {
-        assert_batch_size_invariant(&many_deployment(), &materialize(&steps, true), &schedule);
+        assert_batch_size_invariant(&many_deployment(), &materialize(&steps, true, 0), &schedule, 0);
+    }
+
+    /// The same deployment over a stream up to 3 s out of order: inside a
+    /// 3 s lateness (no event is late; windows older than every open one
+    /// open mid-batch, which must pull the window gate's deadline back)
+    /// and beyond a 1 s one (late events, counted in `QueryStats`).
+    #[test]
+    fn out_of_order_streams_are_batch_size_invariant(
+        steps in arb_steps(200..400),
+        schedule in arb_schedule(),
+        lateness_ms in prop_oneof![Just(3_000u64), Just(1_000u64)],
+    ) {
+        let events = materialize(&steps, true, 3_000);
+        assert_batch_size_invariant(&many_deployment(), &events, &schedule, lateness_ms);
     }
 }

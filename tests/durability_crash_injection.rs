@@ -16,9 +16,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use saql::engine::window::WindowSnapshot;
 use saql::engine::{Checkpoint, CheckpointConfig, Engine, EngineConfig};
 use saql::model::event::EventBuilder;
-use saql::model::{Event, NetworkInfo, ProcessInfo};
+use saql::model::{Event, NetworkInfo, ProcessInfo, Timestamp};
 use saql::stream::source::StoreSource;
 use saql::stream::store::Selection;
 use saql::stream::{SharedEvent, StoreReader, StoreWriter};
@@ -106,10 +107,11 @@ fn write_and_tear(
     recovered
 }
 
-/// Serial reference: feed `events` one engine, splitting the alert stream
-/// at position `k`. Returns (alerts before k, alerts from k through
-/// finish) — by serial determinism this IS the uninterrupted run.
-fn serial_reference(events: &[Event], k: usize) -> (Vec<String>, Vec<String>) {
+/// Serial reference: feed `events` one engine, one event a batch,
+/// splitting the alert stream at position `k`. Returns (alerts before k,
+/// alerts from k through finish) — by serial determinism this IS the
+/// uninterrupted run — and the query's window state at `k`.
+fn serial_reference(events: &[Event], k: usize) -> (Vec<String>, Vec<String>, WindowSnapshot) {
     let shared: Vec<SharedEvent> = events.iter().cloned().map(Arc::new).collect();
     let mut engine = Engine::new(EngineConfig::default());
     engine.register("w", STATEFUL).unwrap();
@@ -121,22 +123,30 @@ fn serial_reference(events: &[Event], k: usize) -> (Vec<String>, Vec<String>) {
         out
     };
     let pre = collect(&mut engine, &shared[..k]);
+    let window = window_of(&engine.checkpoint(k as u64, Timestamp::ZERO).unwrap());
     let mut post = collect(&mut engine, &shared[k..]);
     post.extend(engine.finish().iter().map(|a| a.to_string()));
-    (pre, post)
+    (pre, post, window)
+}
+
+/// The one query's window state — watermark, open windows, closed count —
+/// as a checkpoint holds it.
+fn window_of(ckpt: &Checkpoint) -> WindowSnapshot {
+    let snapshot = ckpt.rows[0].snapshot.as_ref().expect("live query");
+    snapshot.window.clone().expect("windowed query")
 }
 
 /// Run a checkpointing session over the store up to exactly `k` events,
 /// write a checkpoint, "crash" (drop engine and session unfinished), then
 /// resume from disk and drain the store suffix. Returns the resumed alert
-/// stream.
+/// stream and the window state the checkpoint held.
 fn crash_and_resume(
     store_dir: &Path,
     ckpt_dir: &Path,
     k: usize,
     run_config: EngineConfig,
     resume_config: EngineConfig,
-) -> Vec<String> {
+) -> (Vec<String>, WindowSnapshot) {
     let reader = StoreReader::open(store_dir).unwrap();
     let mut engine = Engine::new(run_config);
     engine.register("w", STATEFUL).unwrap();
@@ -163,7 +173,8 @@ fn crash_and_resume(
     let mut session = resumed.session();
     session.resume_at(&ckpt);
     session.attach(StoreSource::open_at("store", &reader, ckpt.offset).unwrap());
-    session.drain().iter().map(|a| a.to_string()).collect()
+    let resumed = session.drain().iter().map(|a| a.to_string()).collect();
+    (resumed, window_of(&ckpt))
 }
 
 proptest! {
@@ -192,8 +203,8 @@ proptest! {
         let recovered = write_and_tear(&store_dir, &events, n_acked, seg, cut_seed);
 
         let k = (k_seed % (recovered.len() as u64 + 1)) as usize;
-        let (_, suffix) = serial_reference(&recovered, k);
-        let resumed = crash_and_resume(
+        let (_, suffix, window) = serial_reference(&recovered, k);
+        let (resumed, checkpointed) = crash_and_resume(
             &store_dir,
             &ckpt_dir,
             k,
@@ -201,6 +212,9 @@ proptest! {
             EngineConfig::default(),
         );
         prop_assert_eq!(resumed, suffix, "resumed alerts diverge at offset {}", k);
+        // The session pumped the prefix as ONE batch; the reference fed it
+        // an event at a time: the checkpoint must not be able to tell.
+        prop_assert_eq!(checkpointed, window, "window state at offset {}", k);
 
         let _ = std::fs::remove_dir_all(&store_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
@@ -231,8 +245,8 @@ proptest! {
         let recovered = write_and_tear(&store_dir, &events, n_acked, seg, cut_seed);
 
         let k = (k_seed % (recovered.len() as u64 + 1)) as usize;
-        let (_, suffix) = serial_reference(&recovered, k);
-        let resumed = crash_and_resume(
+        let (_, suffix, _) = serial_reference(&recovered, k);
+        let (resumed, _) = crash_and_resume(
             &store_dir,
             &ckpt_dir,
             k,
@@ -273,8 +287,8 @@ proptest! {
         let recovered = write_and_tear(&store_dir, &events, n_acked, seg, cut_seed);
 
         let k = (k_seed % (recovered.len() as u64 + 1)) as usize;
-        let (_, suffix) = serial_reference(&recovered, k);
-        let resumed = crash_and_resume(
+        let (_, suffix, _) = serial_reference(&recovered, k);
+        let (resumed, _) = crash_and_resume(
             &store_dir,
             &ckpt_dir,
             k,
