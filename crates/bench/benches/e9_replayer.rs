@@ -22,15 +22,17 @@ fn bench_store_roundtrip(c: &mut Criterion) {
 
     group.bench_function("store-append-50k", |b| {
         b.iter(|| {
-            let path = dir.join(format!("saql-bench-store-{}.bin", std::process::id()));
-            let mut store = StoreWriter::create(&path).unwrap();
+            let path = dir.join(format!("saql-bench-store-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&path);
+            let mut store = StoreWriter::create_segmented(&path).unwrap();
             store.append(&events).unwrap();
-            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_dir_all(&path);
         });
     });
 
-    let path = dir.join(format!("saql-bench-replay-{}.bin", std::process::id()));
-    let mut store = StoreWriter::create(&path).unwrap();
+    let path = dir.join(format!("saql-bench-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
+    let mut store = StoreWriter::create_segmented(&path).unwrap();
     store.append(&events).unwrap();
 
     group.bench_function("replay-all-50k", |b| {
@@ -64,7 +66,7 @@ fn bench_store_roundtrip(c: &mut Criterion) {
     });
 
     group.finish();
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 criterion_group!(benches, bench_store_roundtrip);

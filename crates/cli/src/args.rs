@@ -17,7 +17,6 @@ const SWITCHES: &[&str] = &[
     "demo-queries",
     "pipeline",
     "follow",
-    "durable-store",
     "resume",
     "quiet",
     "lossless",

@@ -10,28 +10,15 @@ use saql_model::Timestamp;
 use saql_stream::replayer::{Replayer, Speed};
 use saql_stream::source::{ChannelSource, EventSource, JsonLinesSource, StoreSource};
 use saql_stream::store::Selection;
-use saql_stream::{StoreFormat, StoreReader, StoreWriter};
+use saql_stream::{StoreReader, StoreWriter};
 
 use crate::args::Flags;
 
 /// The one store-opening surface for reads: every command that consumes a
-/// store — `--source store:F`, `replay --store F`, `export --store F`,
-/// `repl --store F` — resolves its path here, so both on-disk layouts
-/// (single file, durable segment directory) work everywhere.
+/// store — `--source store:DIR`, `replay --store DIR`, `export --store DIR`,
+/// `repl --store DIR` — opens its segment directory here.
 fn open_reader(path: &str) -> Result<StoreReader, String> {
     StoreReader::open(path).map_err(|e| format!("cannot open store {path}: {e}"))
-}
-
-/// The matching writing surface: `--durable-store` selects the segmented
-/// WAL-backed layout (path is a directory), default is the classic single
-/// file.
-fn create_writer(path: &str, durable: bool) -> Result<StoreWriter, String> {
-    let writer = if durable {
-        StoreWriter::create_segmented(path)
-    } else {
-        StoreWriter::create(path)
-    };
-    writer.map_err(|e| format!("cannot create store {path}: {e}"))
 }
 
 /// Parse `--workers N` into an engine config (0 = serial, the default).
@@ -246,7 +233,7 @@ fn speed_from_flags(flags: &Flags) -> Result<Speed, String> {
 
 /// Build one event source from a `--source` spec:
 ///
-/// * `store:FILE` — stream a stored selection (with `--follow`, replay it
+/// * `store:DIR` — stream a stored selection (with `--follow`, replay it
 ///   paced through the replayer at `--speed` instead);
 /// * `jsonl:FILE` / `jsonl:-` — read JSON-lines events from a file/stdin;
 /// * `sim:KEY=VAL,...` — generate a deterministic trace live
@@ -550,23 +537,23 @@ pub fn demo(argv: &[String]) -> i32 {
     0
 }
 
-/// `saql simulate --out FILE` — generate a trace into an event store.
+/// `saql simulate --out DIR` — generate a trace into a new event store.
 pub fn simulate(argv: &[String]) -> i32 {
     let flags = match Flags::parse(argv) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
     let Some(out) = flags.get("out") else {
-        return fail("simulate requires --out FILE");
+        return fail("simulate requires --out DIR");
     };
     let config = match sim_config(&flags) {
         Ok(c) => c,
         Err(e) => return fail(&e),
     };
     let trace = Simulator::generate(&config);
-    let mut store = match create_writer(out, flags.switch("durable-store")) {
+    let mut store = match StoreWriter::create_segmented(out) {
         Ok(s) => s,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&format!("cannot create store {out}: {e}")),
     };
     let written = store
         .append(&trace.events)
@@ -576,14 +563,10 @@ pub fn simulate(argv: &[String]) -> i32 {
         return fail(&format!("write failed: {e}"));
     }
     println!(
-        "wrote {} events ({} hosts, attack: {}) to {out}{}",
+        "wrote {} events ({} hosts, attack: {}) to {out}",
         trace.events.len(),
         trace.topology.hosts.len(),
         if config.attack.is_some() { "yes" } else { "no" },
-        match store.format() {
-            StoreFormat::Segmented => " (segmented, durable)",
-            StoreFormat::File => "",
-        },
     );
     print!(
         "{}",
@@ -600,7 +583,7 @@ pub fn simulate(argv: &[String]) -> i32 {
 /// every `--checkpoint-every N` events (default 4096); `--resume` restarts
 /// from the checkpoint in that directory, replaying only the store suffix.
 /// Checkpoints address events by stored-order offset, so a checkpointed or
-/// resumed run takes exactly one `--store FILE` input, streamed in stored
+/// resumed run takes exactly one `--store DIR` input, streamed in stored
 /// order (no `--follow` pacing, no `--host`/`--from`/`--until` selection).
 pub fn replay(argv: &[String]) -> i32 {
     let flags = match Flags::parse(argv) {
@@ -635,7 +618,7 @@ pub fn replay(argv: &[String]) -> i32 {
     if durable_run {
         if flags.get("store").is_none() || !flags.get_all("source").is_empty() {
             return fail(
-                "checkpointed runs take exactly one --store FILE input \
+                "checkpointed runs take exactly one --store DIR input \
                  (offsets are per-store, not per-merge)",
             );
         }
@@ -661,7 +644,7 @@ pub fn replay(argv: &[String]) -> i32 {
     };
     let resume_offset = checkpoint.as_ref().map(|c| c.offset).unwrap_or(0);
 
-    // `--store FILE` is the classic single-store form: replayed through the
+    // `--store DIR` is the one-store form: replayed through the
     // sorting replayer, paced by `--speed` — or, on a checkpointed run,
     // streamed directly in stored order so offsets are replayable.
     // `--source KIND:...` attaches additional (or alternative) feeds.
@@ -696,7 +679,7 @@ pub fn replay(argv: &[String]) -> i32 {
         }
     }
     if sources.is_empty() {
-        return fail("replay requires --store FILE or --source KIND:... (store, jsonl, sim)");
+        return fail("replay requires --store DIR or --source KIND:... (store, jsonl, sim)");
     }
 
     let engine_cfg = match engine_config(&flags, false) {
@@ -830,7 +813,7 @@ pub fn replay(argv: &[String]) -> i32 {
     i32::from(degraded)
 }
 
-/// `saql export --store FILE [--out FILE|-]` — write a stored selection as
+/// `saql export --store DIR [--out FILE|-]` — write a stored selection as
 /// JSON-lines events (the interchange format `--source jsonl:` re-ingests),
 /// streaming record by record.
 pub fn export(argv: &[String]) -> i32 {
@@ -839,7 +822,7 @@ pub fn export(argv: &[String]) -> i32 {
         Err(e) => return fail(&e),
     };
     let Some(path) = flags.get("store") else {
-        return fail("export requires --store FILE");
+        return fail("export requires --store DIR");
     };
     let selection = match selection_from_flags(&flags) {
         Ok(s) => s,
@@ -1106,7 +1089,7 @@ pub fn repl_loop(input: &mut dyn BufRead, out: &mut dyn Write, store: Option<Sto
             }
             "run" => match &store {
                 None => {
-                    let _ = writeln!(out, "no store attached (start with --store FILE)");
+                    let _ = writeln!(out, "no store attached (start with --store DIR)");
                 }
                 Some(store) => {
                     // Re-open so a `run` sees events appended since attach.
@@ -1656,8 +1639,9 @@ mod tests {
             }),
         });
         let mut path = std::env::temp_dir();
-        path.push(format!("saql-cli-repl-{}.bin", std::process::id()));
-        let mut store = StoreWriter::create(path.to_str().unwrap()).unwrap();
+        path.push(format!("saql-cli-repl-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let mut store = StoreWriter::create_segmented(&path).unwrap();
         store.append(&trace.events).unwrap();
         store.sync().unwrap();
         drop(store);
@@ -1673,6 +1657,6 @@ mod tests {
         let shown = String::from_utf8(out).unwrap();
         assert!(shown.contains("ALERT c5-exfiltration"), "{shown}");
         assert!(shown.contains("alerts="), "{shown}");
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(path).unwrap();
     }
 }

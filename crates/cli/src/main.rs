@@ -4,14 +4,14 @@
 //!
 //! * `saql demo` — run the full APT demonstration: simulate the enterprise,
 //!   deploy the 8 demo queries, stream the trace, print alerts live;
-//! * `saql simulate --out FILE [...]` — generate a trace into an event store;
-//! * `saql replay --store FILE [...]` — replay a stored trace (host and
+//! * `saql simulate --out DIR [...]` — generate a trace into an event store;
+//! * `saql replay --store DIR [...]` — replay a stored trace (host and
 //!   time-range selection, optional compression) through deployed queries;
 //! * `saql check FILE...` — parse + semantically check query files, printing
 //!   canonical form or spanned errors;
 //! * `saql explain FILE...` — print the compiled execution plan (resolved
 //!   slots, predicate sets, register-program listings) of query files;
-//! * `saql repl [--store FILE]` — interactive session: type a query (blank
+//! * `saql repl [--store DIR]` — interactive session: type a query (blank
 //!   line to finish), `run` to stream the store through deployed queries.
 
 use std::io::{BufRead, Write};
@@ -57,14 +57,13 @@ SAQL — stream-based anomaly query system over system monitoring data
 USAGE:
     saql demo       [--clients N] [--minutes M] [--seed S] [--workers W]
                     [--pipeline] [LIFECYCLE]...
-    saql simulate   --out FILE [--clients N] [--minutes M] [--seed S] [--no-attack]
-                    [--durable-store]
-    saql replay     [--store FILE] [--source KIND:...]... [--follow]
+    saql simulate   --out DIR [--clients N] [--minutes M] [--seed S] [--no-attack]
+    saql replay     [--store DIR] [--source KIND:...]... [--follow]
                     [--host H]... [--from MS] [--until MS] [--lateness MS]
                     [--speed FACTOR|max] [--demo-queries] [--query FILE]...
                     [--workers W] [--checkpoint-dir DIR] [--checkpoint-every N]
                     [--resume] [LIFECYCLE]...
-    saql export     --store FILE [--out FILE|-] [--host H]... [--from MS] [--until MS]
+    saql export     --store DIR [--out FILE|-] [--host H]... [--from MS] [--until MS]
     saql serve      [--listen ADDR] [--query FILE]... [--demo-queries] [--workers W]
                     [--lateness MS] [--ingest-buffer N] [--store PATH]
                     [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
@@ -76,7 +75,7 @@ USAGE:
     saql client     ctl    [--addr A] [--tenant T] CMD [NAME] [FILE]
     saql check      FILE...
     saql explain    FILE...
-    saql repl       [--store FILE]
+    saql repl       [--store DIR]
     saql help
 
 `explain` prints the compiled execution plan of each query: resolved slot
@@ -89,9 +88,9 @@ threads (default 0 = serial execution on one thread).
 
 SOURCES (repeatable; all feeds are fused by a watermarked K-way merge into
 one event-time-ordered stream, so `replay` ingests any mix of):
-    --store FILE                 the classic single store, sorted and paced
-                                 by --speed through the replayer
-    --source store:FILE          stream a store selection record by record
+    --store DIR                  one store, sorted and paced by --speed
+                                 through the replayer
+    --source store:DIR           stream a store selection record by record
                                  (with --follow: replay it paced instead)
     --source jsonl:FILE|-        JSON-lines events from a file or stdin
                                  (the format `saql export` writes)
@@ -102,9 +101,9 @@ are dropped and counted per source; a source that fails mid-stream
 (corrupt record, read error) finishes the run on partial data, warns on
 stderr, and exits 1.
 
-DURABILITY (store paths accept both layouts everywhere: a single file, or
-the segmented WAL-backed directory `simulate --durable-store` writes):
-    --durable-store              simulate: write a segmented store (DIR)
+DURABILITY (a store is a directory of sealed segment files plus a
+write-ahead log; `simulate --out DIR` and `serve --store DIR` write one,
+every `--store` / `store:` input reads one):
     --checkpoint-dir DIR         replay: checkpoint engine state into DIR
     --checkpoint-every N         checkpoint cadence in events (default 4096)
     --resume                     replay: restore from DIR's checkpoint and
@@ -168,12 +167,11 @@ EXAMPLES:
     saql demo --clients 8 --minutes 60
     saql demo --workers 4
     saql demo --register-at 5000:exfil=my-query.saql --deregister-at 20000:exfil
-    saql simulate --out /tmp/trace.saql --minutes 45
-    saql replay --store /tmp/trace.saql --host db-server --demo-queries
-    saql replay --source store:/tmp/a.bin --source jsonl:/tmp/b.jsonl --demo-queries
-    saql replay --source store:/tmp/trace.saql --follow --speed 60 --demo-queries
-    saql export --store /tmp/trace.saql --out /tmp/trace.jsonl
-    saql simulate --out /tmp/trace.d --durable-store
+    saql simulate --out /tmp/trace.d --minutes 45
+    saql replay --store /tmp/trace.d --host db-server --demo-queries
+    saql replay --source store:/tmp/a.d --source jsonl:/tmp/b.jsonl --demo-queries
+    saql replay --source store:/tmp/trace.d --follow --speed 60 --demo-queries
+    saql export --store /tmp/trace.d --out /tmp/trace.jsonl
     saql replay --store /tmp/trace.d --demo-queries --checkpoint-dir /tmp/ckpt
     saql replay --store /tmp/trace.d --checkpoint-dir /tmp/ckpt --resume
     saql demo --pipeline

@@ -2,8 +2,9 @@
 //! `saql check` on corpus query files (OK and error paths), and the
 //! hand-rolled flag parser's failure modes as seen from the command line.
 
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn saql(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_saql"))
@@ -202,7 +203,8 @@ fn alert_lines(stdout: &[u8]) -> Vec<String> {
 
 fn simulate_store(name: &str) -> PathBuf {
     let mut store = std::env::temp_dir();
-    store.push(format!("saql-cli-smoke-{}-{name}.bin", std::process::id()));
+    store.push(format!("saql-cli-smoke-{}-{name}.d", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
     let out = saql(&[
         "simulate",
         "--out",
@@ -256,7 +258,7 @@ fn jsonl_round_trip_reproduces_replay_alerts() {
     assert!(!store_alerts.is_empty(), "attack trace must alert");
     assert_eq!(store_alerts, jsonl_alerts, "round trip changed alerts");
 
-    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_file(&jsonl);
 }
 
@@ -284,7 +286,7 @@ fn replay_merges_multiple_sources() {
         assert!(text.contains("store:"), "per-source stats missing: {text}");
         assert!(text.contains("[ALERT "), "attack store must alert: {text}");
     }
-    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -304,17 +306,24 @@ fn replay_follow_paces_a_store_source() {
     assert!(out.status.success(), "follow replay failed: {out:?}");
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("replayed"), "{text}");
-    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
 fn truncated_store_source_degrades_with_warning_and_exit_one() {
-    // A store chopped mid-record: the streaming source stops at the last
-    // clean event, the run completes on partial data, a warning names the
-    // source on stderr, and the exit code says "degraded".
+    // A store whose last segment is chopped mid-record: the streaming
+    // source stops at the last clean event, the run completes on partial
+    // data, a warning names the source on stderr, and the exit code says
+    // "degraded".
     let store = simulate_store("truncated");
-    let raw = std::fs::read(&store).unwrap();
-    std::fs::write(&store, &raw[..raw.len() - 7]).unwrap();
+    let last_segment = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "saqlseg"))
+        .max()
+        .expect("simulate seals its trace into segments");
+    let raw = std::fs::read(&last_segment).unwrap();
+    std::fs::write(&last_segment, &raw[..raw.len() - 7]).unwrap();
     let spec = format!("store:{}", store.to_str().unwrap());
     let out = saql(&["replay", "--source", &spec, "--demo-queries"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
@@ -328,7 +337,7 @@ fn truncated_store_source_degrades_with_warning_and_exit_one() {
     assert_eq!(exported.status.code(), Some(2));
     let err = String::from_utf8(exported.stderr).unwrap();
     assert!(err.contains("corrupt store"), "{err}");
-    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -347,13 +356,12 @@ fn replay_rejects_unknown_source_specs() {
     let out = saql(&["replay", "--demo-queries"]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--store FILE or --source"), "{err}");
+    assert!(err.contains("--store DIR or --source"), "{err}");
 }
 
 #[test]
 fn durable_store_checkpoint_and_resume_round_trip() {
-    // simulate --durable-store writes a segmented directory store; a
-    // checkpointed replay streams it in stored order and records progress;
+    // simulate writes a segment-directory store; a checkpointed replay streams it in stored order and records progress;
     // --resume restores the engine and replays only the suffix.
     let mut store = std::env::temp_dir();
     store.push(format!("saql-cli-smoke-{}-durable.d", std::process::id()));
@@ -373,12 +381,8 @@ fn durable_store_checkpoint_and_resume_round_trip() {
         "30",
         "--seed",
         "77",
-        "--durable-store",
     ]);
-    assert!(out.status.success(), "simulate --durable-store: {out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("(segmented, durable)"), "{text}");
-    assert!(store.is_dir(), "durable store must be a directory");
+    assert!(out.status.success(), "simulate: {out:?}");
 
     let ckpted = saql(&[
         "replay",
@@ -480,24 +484,62 @@ fn replay_rejects_inconsistent_durability_flags() {
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains(needle), "{args:?}: {err}");
     }
-    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
-fn simulate_then_check_store_exists() {
-    let mut store = std::env::temp_dir();
-    store.push(format!("saql-cli-smoke-{}-trace.bin", std::process::id()));
-    let out = saql(&[
-        "simulate",
-        "--out",
-        store.to_str().unwrap(),
-        "--clients",
-        "2",
-        "--minutes",
-        "1",
-    ]);
-    let written = std::fs::metadata(&store).map(|m| m.len()).unwrap_or(0);
-    let _ = std::fs::remove_file(&store);
-    assert!(out.status.success(), "simulate failed: {out:?}");
-    assert!(written > 0, "simulate produced an empty store");
+fn simulate_writes_a_store_directory_every_reader_opens() {
+    let store = simulate_store("everyreader");
+    assert!(store.is_dir(), "a store is a directory");
+    assert!(store.join("wal.saqlwal").is_file());
+    let path = store.to_str().unwrap();
+
+    let replayed = saql(&["replay", "--store", path, "--demo-queries"]);
+    assert!(replayed.status.success(), "{replayed:?}");
+    assert!(!alert_lines(&replayed.stdout).is_empty());
+
+    let exported = saql(&["export", "--store", path]);
+    assert!(exported.status.success(), "{exported:?}");
+    assert!(exported.stdout.starts_with(b"{"), "JSONL on stdout");
+
+    let mut repl = Command::new(env!("CARGO_BIN_EXE_saql"))
+        .args(["repl", "--store", path])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn saql repl");
+    repl.stdin
+        .take()
+        .unwrap()
+        .write_all(b"deploy-demo\nrun\nquit\n")
+        .unwrap();
+    let out = repl.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let shown = String::from_utf8_lossy(&out.stdout);
+    assert!(shown.contains("ALERT c5-exfiltration"), "{shown}");
+
+    // A second simulate into the same directory refuses to overwrite it.
+    let again = saql(&["simulate", "--out", path, "--minutes", "1"]);
+    assert_eq!(again.status.code(), Some(2), "{again:?}");
+    let err = String::from_utf8_lossy(&again.stderr);
+    assert!(err.contains("already holds a store"), "{err}");
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn single_file_store_paths_are_refused_with_the_removal_message() {
+    let file = temp_file("legacy.bin", "SAQLSTO1");
+    let path = file.to_str().unwrap();
+    for args in [
+        vec!["replay", "--store", path, "--demo-queries"],
+        vec!["export", "--store", path],
+        vec!["repl", "--store", path],
+    ] {
+        let out = saql(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("single-file"), "{args:?}: {err}");
+        assert!(err.contains("removed"), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_file(&file);
 }

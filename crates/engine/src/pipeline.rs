@@ -476,6 +476,21 @@ impl Default for PipelineWiring {
     }
 }
 
+/// Pipeline depth of a live query (0 = reads raw events), memoized in
+/// `depth`.
+fn depth_of(engine: &Engine, id: QueryId, depth: &mut HashMap<QueryId, u64>) -> u64 {
+    if let Some(&d) = depth.get(&id) {
+        return d;
+    }
+    let d = match engine.input_of(id).and_then(|up| engine.find(up)) {
+        // Validation rejects cycles, so recursion terminates.
+        Some(up_id) => depth_of(engine, up_id, depth) + 1,
+        None => 0,
+    };
+    depth.insert(id, d);
+    d
+}
+
 impl PipelineWiring {
     /// Wire every pipeline edge of the session's engine. Fresh adapters
     /// start at sequence 0.
@@ -493,18 +508,6 @@ impl PipelineWiring {
         let edges_spec = engine.pipeline_edges();
         // depth of every live query (0 = base).
         let mut depth: HashMap<QueryId, u64> = HashMap::new();
-        fn depth_of(engine: &Engine, id: QueryId, depth: &mut HashMap<QueryId, u64>) -> u64 {
-            if let Some(&d) = depth.get(&id) {
-                return d;
-            }
-            let d = match engine.input_of(id).and_then(|up| engine.find(up)) {
-                // Validation rejects cycles, so recursion terminates.
-                Some(up_id) => depth_of(engine, up_id, depth) + 1,
-                None => 0,
-            };
-            depth.insert(id, d);
-            d
-        }
         let mut upstreams: Vec<QueryId> = edges_spec.iter().map(|(_, up)| *up).collect();
         upstreams.sort_by_key(|id| id.index());
         upstreams.dedup();
@@ -722,17 +725,6 @@ impl PipelineWiring {
         {
             let engine = session.engine();
             let mut depth: HashMap<QueryId, u64> = HashMap::new();
-            fn depth_of(engine: &Engine, id: QueryId, depth: &mut HashMap<QueryId, u64>) -> u64 {
-                if let Some(&d) = depth.get(&id) {
-                    return d;
-                }
-                let d = match engine.input_of(id).and_then(|up| engine.find(up)) {
-                    Some(up_id) => depth_of(engine, up_id, depth) + 1,
-                    None => 0,
-                };
-                depth.insert(id, d);
-                d
-            }
             for (_, up) in engine.pipeline_edges() {
                 let d = depth_of(engine, up, &mut depth);
                 if !flush.iter().any(|(_, id)| *id == up) {

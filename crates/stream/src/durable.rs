@@ -1,46 +1,43 @@
-//! Durable event store: the [`StoreWriter`]/[`StoreReader`] split over both
-//! store layouts, with WAL-disciplined appends and recovery-on-open.
+//! The event store: a directory of sealed segments plus a WAL tail, written
+//! through [`StoreWriter`] and read through [`StoreReader`], with
+//! WAL-disciplined appends and recovery-on-open.
 //!
-//! Two on-disk layouts hide behind one opening surface:
+//! A store is a directory holding immutable, atomically sealed segment
+//! files (`seg-NNNNNN.saqlseg`, the [`crate::segment`] format whose header
+//! carries the per-segment index: event count, time range, host set) and
+//! one append-only WAL tail (`wal.saqlwal`). It is the only on-disk layout;
+//! opening a regular file is an error.
 //!
-//! * **single file** — the classic [`crate::store`] layout (`SAQLSTO1` header
-//!   plus back-to-back codec records); fine for demos and exports;
-//! * **segmented directory** — the durable layout: immutable, atomically
-//!   sealed segment files (`seg-NNNNNN.saqlseg`, the [`crate::segment`]
-//!   format whose header carries the per-segment index: event count, time
-//!   range, host set) plus one append-only WAL tail (`wal.saqlwal`).
+//! Append discipline: every appended event first lands in the WAL
+//! (`append` + [`StoreWriter::sync`] = durable ack). When the WAL holds a
+//! full segment it is sealed into a fresh segment file — written to a temp
+//! file, fsynced, renamed — and the WAL is atomically replaced by an empty
+//! one. The WAL header records `base`, the number of events already sealed
+//! when that WAL generation was written, so a crash *between* the segment
+//! rename and the WAL rewrite is recoverable: recovery sees `base < sealed`
+//! and skips the first `sealed - base` WAL events as duplicates of the
+//! freshly sealed segment.
 //!
-//! Append discipline for the segmented layout: every appended event first
-//! lands in the WAL (`append` + [`StoreWriter::sync`] = durable ack). When
-//! the WAL reaches the segment size, its head is sealed into a fresh
-//! segment — written to a temp file, fsynced, renamed — and the WAL is
-//! atomically rewritten to hold only the unsealed tail. The WAL header
-//! records `base`, the number of events already sealed when that WAL
-//! generation was written, so a crash *between* the segment rename and the
-//! WAL rewrite is recoverable: recovery sees `base < sealed` and skips the
-//! first `sealed - base` WAL events as duplicates of the freshly sealed
-//! segment.
-//!
-//! Recovery-on-open ([`StoreWriter::open`]) truncates a torn tail: records
-//! are decoded up to the first decode failure and the file is rewritten at
-//! the last whole-record boundary. Everything appended before the last
-//! successful [`sync`](StoreWriter::sync) survives any crash; a torn tail
-//! can only lose the unsynced suffix. [`StoreReader`] applies the same scan
-//! read-only (it tolerates a torn tail without repairing it), and addresses
-//! events by **global offset** — the index of a record in append order
-//! across all segments plus the WAL — which is what engine checkpoints
-//! record and [`StoreReader::iter_from`] resumes from.
+//! Recovery-on-open ([`StoreWriter::open`]) truncates a torn tail: WAL
+//! records are decoded up to the first decode failure and the WAL is
+//! rewritten at the last whole-record boundary. Everything appended before
+//! the last successful [`sync`](StoreWriter::sync) survives any crash; a
+//! torn tail can only lose the unsynced suffix. [`StoreReader`] applies the
+//! same scan read-only (it tolerates a torn tail without repairing it), and
+//! addresses events by **global offset** — the index of a record in append
+//! order across all segments plus the WAL — which is what engine
+//! checkpoints record and [`StoreReader::iter_from`] resumes from.
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use saql_model::{codec, Event};
 
-use crate::segment::{read_meta, read_segment_events, write_segment, SegmentMeta};
-use crate::store::{EventIter, EventStore, Selection, StoreError};
+use crate::segment::{read_meta, write_segment, SegmentMeta, SegmentRecords};
+use crate::store::{Selection, StoreError};
 
 const WAL_MAGIC: &[u8; 8] = b"SAQLWAL1";
 /// WAL header: magic + little-endian `base` (events sealed when written).
@@ -49,21 +46,28 @@ const WAL_HEADER_LEN: usize = 16;
 /// Default events per sealed segment.
 pub const DEFAULT_SEGMENT_EVENTS: usize = 4096;
 
-/// Which on-disk layout a store path resolved to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreFormat {
-    /// Single `SAQLSTO1` file.
-    File,
-    /// Segment directory with a WAL tail.
-    Segmented,
-}
-
 fn wal_path(dir: &Path) -> PathBuf {
     dir.join("wal.saqlwal")
 }
 
 fn segment_file(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("seg-{index:06}.saqlseg"))
+}
+
+/// An existing store path must be a directory. A regular file there is
+/// what the single-file layout used to be, so the error says where it went.
+fn existing_store_dir(path: &Path) -> Result<PathBuf, StoreError> {
+    if fs::metadata(path)?.is_dir() {
+        return Ok(path.to_path_buf());
+    }
+    Err(StoreError::Io(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(
+            "{} is a regular file: single-file (`SAQLSTO1`) stores were removed, \
+             a store is a segment directory (`saql simulate --out DIR` writes one)",
+            path.display()
+        ),
+    )))
 }
 
 fn sorted_segment_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
@@ -139,33 +143,6 @@ fn rewrite_wal(dir: &Path, base: u64, tail: &[Event]) -> Result<(), StoreError> 
     Ok(())
 }
 
-/// Scan a single-file store, counting whole records up to a torn tail.
-/// Returns `(events, valid_len, file_len)`.
-fn scan_file_store(path: &Path) -> Result<(u64, u64, u64), StoreError> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    let file_len = raw.len() as u64;
-    if raw.len() < 8 || &raw[..8] != b"SAQLSTO1" {
-        return Err(StoreError::BadMagic);
-    }
-    let mut buf = Bytes::from(raw);
-    buf.advance(8);
-    let mut n = 0u64;
-    let mut valid_len = 8u64;
-    while buf.has_remaining() {
-        let mut attempt = buf.clone();
-        match codec::decode_event(&mut attempt) {
-            Ok(_) => {
-                valid_len += (buf.len() - attempt.len()) as u64;
-                buf = attempt;
-                n += 1;
-            }
-            Err(_) => break,
-        }
-    }
-    Ok((n, valid_len, file_len))
-}
-
 /// The WAL tail a reader reconstructs: events not yet sealed into segments.
 /// `sealed` is the segment event total; duplicates of a seal that crashed
 /// before its WAL rewrite are skipped via the header `base` (see module
@@ -200,23 +177,10 @@ fn wal_tail(dir: &Path, sealed: u64) -> Result<Vec<Event>, StoreError> {
 // StoreWriter
 // ---------------------------------------------------------------------
 
-/// The single writing surface over both store layouts: create or recover a
-/// store, append events, `sync` for a durable ack, and (segmented layout)
-/// seal WAL head into immutable segments as it fills.
+/// The store's writing surface: create or recover a store, append events,
+/// `sync` for a durable ack; the WAL is sealed into an immutable segment
+/// each time it fills.
 pub struct StoreWriter {
-    inner: WriterInner,
-}
-
-enum WriterInner {
-    File {
-        store: EventStore,
-        handle: File,
-        len: u64,
-    },
-    Segmented(SegWriter),
-}
-
-struct SegWriter {
     dir: PathBuf,
     segment_events: usize,
     wal: File,
@@ -229,170 +193,136 @@ struct SegWriter {
 }
 
 impl StoreWriter {
-    /// Create a fresh single-file store (truncating any existing file).
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let store = EventStore::create(&path)?;
-        let handle = OpenOptions::new().append(true).open(path.as_ref())?;
-        Ok(StoreWriter {
-            inner: WriterInner::File {
-                store,
-                handle,
-                len: 0,
-            },
-        })
-    }
-
-    /// Create a fresh segmented store directory with the default segment
-    /// size. Fails if the directory already holds a store.
+    /// Create a fresh store directory with the default segment size. Fails
+    /// if the directory already holds a store.
     pub fn create_segmented(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::create_segmented_with(dir, DEFAULT_SEGMENT_EVENTS)
     }
 
-    /// Create a fresh segmented store with an explicit segment size.
+    /// Create a fresh store with an explicit segment size.
     pub fn create_segmented_with(
         dir: impl AsRef<Path>,
         segment_events: usize,
     ) -> Result<Self, StoreError> {
-        assert!(segment_events > 0, "segments must hold at least one event");
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         if wal_path(&dir).exists() || !sorted_segment_paths(&dir)?.is_empty() {
-            return Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::AlreadyExists,
+            return Err(StoreError::Io(io::Error::new(
+                io::ErrorKind::AlreadyExists,
                 format!("{} already holds a store", dir.display()),
             )));
         }
-        rewrite_wal(&dir, 0, &[])?;
-        let wal = OpenOptions::new().append(true).open(wal_path(&dir))?;
-        Ok(StoreWriter {
-            inner: WriterInner::Segmented(SegWriter {
-                dir,
-                segment_events,
-                wal,
-                tail: Vec::new(),
-                sealed: 0,
-                next_segment: 0,
-                buf: BytesMut::with_capacity(64 * 1024),
-            }),
-        })
+        Self::start(dir, segment_events, Vec::new(), 0, 0)
     }
 
     /// Open an existing store for appending, recovering on open: a torn
-    /// tail (crash mid-write) is truncated back to the last whole-record
-    /// boundary, so every previously synced event survives. Directories
-    /// open as segmented stores, files as single-file stores.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            return Self::open_segmented(path, DEFAULT_SEGMENT_EVENTS);
-        }
-        let (len, valid_len, file_len) = scan_file_store(path)?;
-        if valid_len < file_len {
-            OpenOptions::new()
-                .write(true)
-                .open(path)?
-                .set_len(valid_len)?;
-        }
-        let store = EventStore::open(path)?;
-        let handle = OpenOptions::new().append(true).open(path)?;
-        Ok(StoreWriter {
-            inner: WriterInner::File { store, handle, len },
-        })
+    /// WAL tail (crash mid-write) is truncated back to the last
+    /// whole-record boundary, so every previously synced event survives.
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        Self::open_segmented(dir, DEFAULT_SEGMENT_EVENTS)
     }
 
-    /// Open (or recover) a segmented store with an explicit segment size.
+    /// Open (or recover) a store with an explicit segment size.
     pub fn open_segmented(
         dir: impl AsRef<Path>,
         segment_events: usize,
     ) -> Result<Self, StoreError> {
+        // What a reader sees is what recovery keeps.
+        let seen = StoreReader::open(dir)?;
+        let next_segment = seen
+            .segments
+            .iter()
+            .filter_map(|m| segment_index(&m.path))
+            .max()
+            .map_or(0, |last| last + 1);
+        Self::start(
+            seen.dir,
+            segment_events,
+            seen.tail,
+            seen.sealed,
+            next_segment,
+        )
+    }
+
+    /// Write the WAL generation `(base = sealed, tail)` and open it for
+    /// appending. For a recovered store this is the normalizing rewrite
+    /// that drops the torn suffix and any crash-duplicated head.
+    fn start(
+        dir: PathBuf,
+        segment_events: usize,
+        tail: Vec<Event>,
+        sealed: u64,
+        next_segment: usize,
+    ) -> Result<Self, StoreError> {
         assert!(segment_events > 0, "segments must hold at least one event");
-        let dir = dir.as_ref().to_path_buf();
-        let paths = sorted_segment_paths(&dir)?;
-        let mut sealed = 0u64;
-        let mut next_segment = 0usize;
-        for p in &paths {
-            sealed += read_meta(p)?.events as u64;
-            if let Some(idx) = segment_index(p) {
-                next_segment = next_segment.max(idx + 1);
-            }
-        }
-        let tail = wal_tail(&dir, sealed)?;
-        // Normalize: drop the torn suffix and any crash-duplicated head by
-        // rewriting the WAL as (base = sealed, tail).
         rewrite_wal(&dir, sealed, &tail)?;
         let wal = OpenOptions::new().append(true).open(wal_path(&dir))?;
         Ok(StoreWriter {
-            inner: WriterInner::Segmented(SegWriter {
-                dir,
-                segment_events,
-                wal,
-                tail,
-                sealed,
-                next_segment,
-                buf: BytesMut::with_capacity(64 * 1024),
-            }),
+            dir,
+            segment_events,
+            wal,
+            tail,
+            sealed,
+            next_segment,
+            buf: BytesMut::with_capacity(64 * 1024),
         })
     }
 
     /// Append a batch of events, returning the store's new event count.
     /// Appends are buffered by the OS until [`sync`](Self::sync); sealing
-    /// is automatic once the WAL holds a full segment.
-    pub fn append(&mut self, events: &[Event]) -> Result<u64, StoreError> {
-        match &mut self.inner {
-            WriterInner::File { handle, len, .. } => {
-                let mut buf = BytesMut::with_capacity(events.len() * 96);
-                for e in events {
-                    codec::encode_event(&mut buf, e);
-                }
-                handle.write_all(&buf)?;
-                *len += events.len() as u64;
-                Ok(*len)
+    /// is automatic each time the WAL holds a full segment. The batch is
+    /// fed in chunks cut at the segment boundary, so the unsealed tail never
+    /// outgrows one segment and the WAL rewrite after a seal is header-only.
+    pub fn append(&mut self, mut events: &[Event]) -> Result<u64, StoreError> {
+        while !events.is_empty() {
+            // A store reopened with a smaller segment size can start with
+            // an over-full tail: no room, so the first turn only seals.
+            let room = self.segment_events.saturating_sub(self.tail.len());
+            let (chunk, rest) = events.split_at(room.min(events.len()));
+            self.buf.clear();
+            for e in chunk {
+                codec::encode_event(&mut self.buf, e);
             }
-            WriterInner::Segmented(w) => {
-                w.buf.clear();
-                for e in events {
-                    codec::encode_event(&mut w.buf, e);
-                }
-                w.wal.write_all(&w.buf)?;
-                w.tail.extend_from_slice(events);
-                while w.tail.len() >= w.segment_events {
-                    w.seal_head()?;
-                }
-                Ok(w.sealed + w.tail.len() as u64)
+            self.wal.write_all(&self.buf)?;
+            self.tail.extend_from_slice(chunk);
+            if self.tail.len() >= self.segment_events {
+                self.seal()?;
             }
+            events = rest;
         }
+        Ok(self.len())
     }
 
     /// Durably ack everything appended so far (fsync). Events appended
     /// before a successful `sync` survive any crash or torn tail.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        match &mut self.inner {
-            WriterInner::File { handle, .. } => handle.sync_data()?,
-            WriterInner::Segmented(w) => w.wal.sync_data()?,
-        }
+        self.wal.sync_data()?;
         Ok(())
     }
 
-    /// Seal the WAL tail into a final (possibly short) segment. No-op on
-    /// single-file stores and empty tails.
+    /// Seal the WAL tail into a (possibly short) segment. No-op on an
+    /// empty tail.
     pub fn seal(&mut self) -> Result<(), StoreError> {
-        if let WriterInner::Segmented(w) = &mut self.inner {
-            while w.tail.len() >= w.segment_events {
-                w.seal_head()?;
-            }
-            if !w.tail.is_empty() {
-                w.seal_all()?;
-            }
+        if self.tail.is_empty() {
+            return Ok(());
         }
+        let path = segment_file(&self.dir, self.next_segment);
+        let tmp = path.with_extension("saqlseg.tmp");
+        write_segment(&tmp, &self.tail)?;
+        fs::rename(&tmp, &path)?;
+        self.next_segment += 1;
+        self.sealed += self.tail.len() as u64;
+        self.tail.clear();
+        // Crash before this rewrite is safe: recovery skips the WAL head
+        // that duplicates the just-sealed segment (header base < sealed).
+        rewrite_wal(&self.dir, self.sealed, &[])?;
+        self.wal = OpenOptions::new().append(true).open(wal_path(&self.dir))?;
         Ok(())
     }
 
     /// Total events in the store (sealed + WAL tail).
     pub fn len(&self) -> u64 {
-        match &self.inner {
-            WriterInner::File { len, .. } => *len,
-            WriterInner::Segmented(w) => w.sealed + w.tail.len() as u64,
-        }
+        self.sealed + self.tail.len() as u64
     }
 
     /// Whether the store holds no events.
@@ -400,48 +330,9 @@ impl StoreWriter {
         self.len() == 0
     }
 
-    /// The store's path (file or directory).
+    /// The store directory.
     pub fn path(&self) -> &Path {
-        match &self.inner {
-            WriterInner::File { store, .. } => store.path(),
-            WriterInner::Segmented(w) => &w.dir,
-        }
-    }
-
-    /// The layout this writer writes.
-    pub fn format(&self) -> StoreFormat {
-        match &self.inner {
-            WriterInner::File { .. } => StoreFormat::File,
-            WriterInner::Segmented(_) => StoreFormat::Segmented,
-        }
-    }
-}
-
-impl SegWriter {
-    /// Seal the first `segment_events` WAL events into a segment.
-    fn seal_head(&mut self) -> Result<(), StoreError> {
-        let chunk: Vec<Event> = self.tail.drain(..self.segment_events).collect();
-        self.seal_chunk(&chunk)
-    }
-
-    /// Seal the entire remaining tail into one segment.
-    fn seal_all(&mut self) -> Result<(), StoreError> {
-        let chunk: Vec<Event> = std::mem::take(&mut self.tail);
-        self.seal_chunk(&chunk)
-    }
-
-    fn seal_chunk(&mut self, chunk: &[Event]) -> Result<(), StoreError> {
-        let path = segment_file(&self.dir, self.next_segment);
-        let tmp = path.with_extension("saqlseg.tmp");
-        write_segment(&tmp, chunk)?;
-        fs::rename(&tmp, &path)?;
-        self.next_segment += 1;
-        self.sealed += chunk.len() as u64;
-        // Crash before this rewrite is safe: recovery skips the WAL head
-        // that duplicates the just-sealed segment (header base < sealed).
-        rewrite_wal(&self.dir, self.sealed, &self.tail)?;
-        self.wal = OpenOptions::new().append(true).open(wal_path(&self.dir))?;
-        Ok(())
+        &self.dir
     }
 }
 
@@ -449,88 +340,67 @@ impl SegWriter {
 // StoreReader
 // ---------------------------------------------------------------------
 
-/// The single reading surface over both store layouts. Opening is
-/// non-destructive: a torn tail is tolerated (ignored) but never repaired.
-/// Segmented reads prune non-intersecting segments by header, and
+/// The store's reading surface. Opening is non-destructive: a torn WAL
+/// tail is tolerated (ignored) but never repaired. Reads prune
+/// non-intersecting segments by header, and
 /// [`iter_from`](Self::iter_from) skips whole segments by their counted
 /// events when resuming from a global offset.
 #[derive(Debug)]
 pub struct StoreReader {
-    inner: ReaderInner,
-}
-
-#[derive(Debug)]
-enum ReaderInner {
-    File {
-        store: EventStore,
-    },
-    Segmented {
-        dir: PathBuf,
-        segments: Vec<SegmentMeta>,
-        /// Unsealed WAL events (decoded eagerly; bounded by segment size).
-        tail: Vec<Event>,
-        sealed: u64,
-    },
+    dir: PathBuf,
+    segments: Vec<SegmentMeta>,
+    /// Unsealed WAL events (decoded eagerly; bounded by segment size).
+    tail: Vec<Event>,
+    sealed: u64,
 }
 
 impl StoreReader {
-    /// Open a store for reading: directories resolve to the segmented
-    /// layout, files to the single-file layout (validated by magic).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            let dir = path.to_path_buf();
-            let mut segments = Vec::new();
-            let mut sealed = 0u64;
-            for p in sorted_segment_paths(&dir)? {
-                let meta = read_meta(&p)?;
-                sealed += meta.events as u64;
-                segments.push(meta);
-            }
-            let tail = wal_tail(&dir, sealed)?;
-            return Ok(StoreReader {
-                inner: ReaderInner::Segmented {
-                    dir,
-                    segments,
-                    tail,
-                    sealed,
-                },
-            });
+    /// Open a store directory for reading (segment headers and the WAL are
+    /// validated eagerly).
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        let dir = existing_store_dir(dir.as_ref())?;
+        let mut segments = Vec::new();
+        let mut sealed = 0u64;
+        for p in sorted_segment_paths(&dir)? {
+            let meta = read_meta(&p)?;
+            sealed += meta.events as u64;
+            segments.push(meta);
         }
+        let tail = wal_tail(&dir, sealed)?;
         Ok(StoreReader {
-            inner: ReaderInner::File {
-                store: EventStore::open(path)?,
-            },
+            dir,
+            segments,
+            tail,
+            sealed,
         })
     }
 
-    /// Stream events matching `selection`, in stored order. Segmented
-    /// stores prune by segment header first.
-    pub fn iter(&self, selection: &Selection) -> Result<StoreIter, StoreError> {
-        match &self.inner {
-            ReaderInner::File { store } => Ok(StoreIter {
-                inner: IterInner::File(store.iter(selection)?),
-                selection: Selection::all(),
-                skip: 0,
-            }),
-            ReaderInner::Segmented { segments, tail, .. } => {
-                let pending: VecDeque<SegmentMeta> = segments
-                    .iter()
-                    .filter(|m| m.intersects(selection))
-                    .cloned()
-                    .collect();
-                Ok(StoreIter {
-                    inner: IterInner::Segments(SegIter {
-                        pending,
-                        current: Vec::new().into_iter(),
-                        tail: Some(tail.clone()),
-                        failed: false,
-                    }),
-                    selection: selection.clone(),
-                    skip: 0,
-                })
-            }
+    fn iter_over(
+        &self,
+        pending: VecDeque<SegmentMeta>,
+        selection: Selection,
+        skip: u64,
+    ) -> StoreIter {
+        StoreIter {
+            pending,
+            current: None,
+            tail: self.tail.clone().into_iter(),
+            failed: false,
+            selection,
+            skip,
         }
+    }
+
+    /// Stream events matching `selection`, in stored order, pruning
+    /// segments by header first.
+    pub fn iter(&self, selection: &Selection) -> Result<StoreIter, StoreError> {
+        let pending = self
+            .segments
+            .iter()
+            .filter(|m| m.intersects(selection))
+            .cloned()
+            .collect();
+        Ok(self.iter_over(pending, selection.clone(), 0))
     }
 
     /// Stream every event from global offset `offset` (0-based index in
@@ -538,34 +408,16 @@ impl StoreReader {
     /// records the offset it was taken at, and the replacement session
     /// re-attaches here.
     pub fn iter_from(&self, offset: u64) -> Result<StoreIter, StoreError> {
-        match &self.inner {
-            ReaderInner::File { store } => Ok(StoreIter {
-                inner: IterInner::File(store.iter(&Selection::all())?),
-                selection: Selection::all(),
-                skip: offset,
-            }),
-            ReaderInner::Segmented { segments, tail, .. } => {
-                let mut skip = offset;
-                let mut pending = VecDeque::new();
-                for meta in segments {
-                    if pending.is_empty() && skip >= meta.events as u64 {
-                        skip -= meta.events as u64;
-                        continue;
-                    }
-                    pending.push_back(meta.clone());
-                }
-                Ok(StoreIter {
-                    inner: IterInner::Segments(SegIter {
-                        pending,
-                        current: Vec::new().into_iter(),
-                        tail: Some(tail.clone()),
-                        failed: false,
-                    }),
-                    selection: Selection::all(),
-                    skip,
-                })
+        let mut skip = offset;
+        let mut pending = VecDeque::new();
+        for meta in &self.segments {
+            if pending.is_empty() && skip >= meta.events as u64 {
+                skip -= meta.events as u64;
+                continue;
             }
+            pending.push_back(meta.clone());
         }
+        Ok(self.iter_over(pending, Selection::all(), skip))
     }
 
     /// Read every event matching `selection` into memory.
@@ -573,110 +425,80 @@ impl StoreReader {
         self.iter(selection)?.collect()
     }
 
-    /// Total stored events. Segmented stores answer from headers + WAL
-    /// tail; single-file stores scan.
-    pub fn len(&self) -> Result<u64, StoreError> {
-        match &self.inner {
-            ReaderInner::File { store } => Ok(store.len()? as u64),
-            ReaderInner::Segmented { tail, sealed, .. } => Ok(sealed + tail.len() as u64),
-        }
+    /// Total stored events, from segment headers plus the WAL tail.
+    pub fn len(&self) -> u64 {
+        self.sealed + self.tail.len() as u64
     }
 
     /// Whether the store holds no events.
-    pub fn is_empty(&self) -> Result<bool, StoreError> {
-        Ok(self.len()? == 0)
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Distinct host ids present, sorted. Segmented stores answer from
-    /// segment headers plus the WAL tail.
-    pub fn hosts(&self) -> Result<Vec<String>, StoreError> {
-        match &self.inner {
-            ReaderInner::File { store } => store.hosts(),
-            ReaderInner::Segmented { segments, tail, .. } => {
-                let mut hosts: Vec<String> = segments
-                    .iter()
-                    .flat_map(|m| m.hosts.iter().cloned())
-                    .chain(tail.iter().map(|e| e.agent_id.to_string()))
-                    .collect();
-                hosts.sort();
-                hosts.dedup();
-                Ok(hosts)
-            }
-        }
+    /// Distinct host ids present, sorted — from segment headers plus the
+    /// WAL tail.
+    pub fn hosts(&self) -> Vec<String> {
+        let mut hosts: Vec<String> = self
+            .segments
+            .iter()
+            .flat_map(|m| m.hosts.iter().cloned())
+            .chain(self.tail.iter().map(|e| e.agent_id.to_string()))
+            .collect();
+        hosts.sort();
+        hosts.dedup();
+        hosts
     }
 
-    /// The store's path (file or directory).
+    /// The store directory.
     pub fn path(&self) -> &Path {
-        match &self.inner {
-            ReaderInner::File { store } => store.path(),
-            ReaderInner::Segmented { dir, .. } => dir,
-        }
+        &self.dir
     }
 
-    /// The layout this reader resolved.
-    pub fn format(&self) -> StoreFormat {
-        match &self.inner {
-            ReaderInner::File { .. } => StoreFormat::File,
-            ReaderInner::Segmented { .. } => StoreFormat::Segmented,
-        }
-    }
-
-    /// Sealed segment headers (empty for single-file stores).
+    /// Sealed segment headers.
     pub fn segments(&self) -> &[SegmentMeta] {
-        match &self.inner {
-            ReaderInner::File { .. } => &[],
-            ReaderInner::Segmented { segments, .. } => segments,
-        }
+        &self.segments
     }
 }
 
-/// Streaming iterator over a [`StoreReader`] (both layouts): applies the
-/// selection, skips the global-offset prefix, and surfaces per-record
-/// decode failures as items.
+/// Streaming iterator over a [`StoreReader`]: decodes the pending segments
+/// record by record, then yields the WAL tail; applies the selection, skips
+/// the global-offset prefix, and surfaces a segment's read failure as the
+/// stream's last item.
 pub struct StoreIter {
-    inner: IterInner,
+    pending: VecDeque<SegmentMeta>,
+    current: Option<SegmentRecords>,
+    tail: std::vec::IntoIter<Event>,
+    failed: bool,
     selection: Selection,
     skip: u64,
 }
 
-enum IterInner {
-    File(EventIter),
-    Segments(SegIter),
-}
-
-struct SegIter {
-    pending: VecDeque<SegmentMeta>,
-    current: std::vec::IntoIter<Event>,
-    tail: Option<Vec<Event>>,
-    failed: bool,
-}
-
-impl SegIter {
+impl StoreIter {
+    /// The next stored event, before skip and selection.
     fn next_raw(&mut self) -> Option<Result<Event, StoreError>> {
         if self.failed {
             return None;
         }
         loop {
-            if let Some(e) = self.current.next() {
-                return Some(Ok(e));
-            }
-            if let Some(meta) = self.pending.pop_front() {
-                match read_segment_events(&meta.path) {
-                    Ok(events) => {
-                        self.current = events.into_iter();
-                        continue;
+            if let Some(records) = &mut self.current {
+                match records.next() {
+                    Some(item) => {
+                        self.failed = item.is_err();
+                        return Some(item);
                     }
+                    None => self.current = None,
+                }
+            }
+            match self.pending.pop_front() {
+                Some(meta) => match SegmentRecords::open(&meta.path) {
+                    Ok(records) => self.current = Some(records),
                     Err(e) => {
                         self.failed = true;
                         return Some(Err(e));
                     }
-                }
+                },
+                None => return self.tail.next().map(Ok),
             }
-            if let Some(tail) = self.tail.take() {
-                self.current = tail.into_iter();
-                continue;
-            }
-            return None;
         }
     }
 }
@@ -686,11 +508,7 @@ impl Iterator for StoreIter {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let item = match &mut self.inner {
-                IterInner::File(iter) => iter.next()?,
-                IterInner::Segments(iter) => iter.next_raw()?,
-            };
-            let event = match item {
+            let event = match self.next_raw()? {
                 Ok(e) => e,
                 Err(e) => return Some(Err(e)),
             };
@@ -709,7 +527,7 @@ impl Iterator for StoreIter {
 mod tests {
     use super::*;
     use saql_model::event::EventBuilder;
-    use saql_model::ProcessInfo;
+    use saql_model::{ProcessInfo, Timestamp};
 
     fn ev(id: u64, host: &str, ts: u64) -> Event {
         EventBuilder::new(id, host, ts)
@@ -729,10 +547,12 @@ mod tests {
     fn read_all(path: &Path) -> Vec<Event> {
         StoreReader::open(path)
             .unwrap()
-            .iter(&Selection::all())
+            .read(&Selection::all())
             .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap()
+    }
+
+    fn ids(events: &[Event]) -> Vec<u64> {
+        events.iter().map(|e| e.id).collect()
     }
 
     #[test]
@@ -745,7 +565,7 @@ mod tests {
         // 3 sealed segments of 10, 5 in the WAL tail.
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.segments().len(), 3);
-        assert_eq!(reader.len().unwrap(), 35);
+        assert_eq!(reader.len(), 35);
         assert_eq!(read_all(&dir), events);
         fs::remove_dir_all(dir).unwrap();
     }
@@ -768,6 +588,104 @@ mod tests {
     }
 
     #[test]
+    fn multiple_appends_accumulate() {
+        let dir = tmp_dir("appends");
+        let mut w = StoreWriter::create_segmented(&dir).unwrap();
+        assert_eq!(w.append(&[ev(1, "h", 1)]).unwrap(), 1);
+        assert_eq!(w.append(&[ev(2, "h", 2)]).unwrap(), 2);
+        assert_eq!(StoreReader::open(&dir).unwrap().len(), 2);
+        assert_eq!(ids(&read_all(&dir)), vec![1, 2]);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn selection_by_host_and_time_across_segments_and_tail() {
+        // 10 events alternating hosts: two sealed segments of 4, 2 in the WAL.
+        let dir = tmp_dir("selection");
+        let events: Vec<Event> = (0..10)
+            .map(|i| ev(i, if i % 2 == 0 { "h1" } else { "h2" }, i * 10))
+            .collect();
+        StoreWriter::create_segmented_with(&dir, 4)
+            .unwrap()
+            .append(&events)
+            .unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        assert_eq!(reader.segments().len(), 2);
+        let h1 = reader.read(&Selection::host("h1")).unwrap();
+        assert_eq!(ids(&h1), vec![0, 2, 4, 6, 8]);
+        let sel =
+            Selection::host("h1").between(Timestamp::from_millis(20), Timestamp::from_millis(80));
+        assert_eq!(ids(&reader.read(&sel).unwrap()), vec![2, 4, 6]);
+        assert!(reader.read(&Selection::host("h9")).unwrap().is_empty());
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn hosts_listing_is_sorted_and_spans_segments_and_tail() {
+        let dir = tmp_dir("hosts");
+        StoreWriter::create_segmented_with(&dir, 2)
+            .unwrap()
+            .append(&[ev(1, "zeta", 1), ev(2, "alpha", 2), ev(3, "mid", 3)])
+            .unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        assert_eq!(reader.segments().len(), 1, "`mid` is only in the WAL");
+        assert_eq!(reader.hosts(), vec!["alpha", "mid", "zeta"]);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn empty_store() {
+        let dir = tmp_dir("empty");
+        let w = StoreWriter::create_segmented(&dir).unwrap();
+        assert!(w.is_empty());
+        let reader = StoreReader::open(&dir).unwrap();
+        assert!(reader.is_empty());
+        assert!(reader.hosts().is_empty());
+        assert!(reader.read(&Selection::all()).unwrap().is_empty());
+        assert_eq!(reader.iter_from(0).unwrap().count(), 0);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn bad_magic_rejected() {
+        let dir = tmp_dir("badmagic");
+        drop(StoreWriter::create_segmented(&dir).unwrap());
+        fs::write(wal_path(&dir), b"NOTASTORE-NOTASTORE").unwrap();
+        assert!(matches!(StoreReader::open(&dir), Err(StoreError::BadMagic)));
+        assert!(matches!(StoreWriter::open(&dir), Err(StoreError::BadMagic)));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn regular_file_is_rejected_with_the_removal_message() {
+        // Both an arbitrary file and one carrying the removed layout's
+        // magic: an error that says where single-file stores went — not a
+        // panic, not an empty store.
+        for (tag, content) in [
+            ("plainfile", &b"hello"[..]),
+            ("legacyfile", &b"SAQLSTO1"[..]),
+        ] {
+            let path = tmp_dir(tag);
+            fs::write(&path, content).unwrap();
+            for err in [
+                StoreReader::open(&path).map(drop).unwrap_err(),
+                StoreWriter::open(&path).map(drop).unwrap_err(),
+            ] {
+                let msg = err.to_string();
+                assert!(msg.contains("single-file"), "{msg}");
+                assert!(msg.contains("removed"), "{msg}");
+            }
+            assert_eq!(fs::read(&path).unwrap(), content, "file left untouched");
+            fs::remove_file(path).unwrap();
+        }
+        let missing = tmp_dir("missing");
+        assert!(matches!(
+            StoreReader::open(&missing),
+            Err(StoreError::Io(e)) if e.kind() == io::ErrorKind::NotFound
+        ));
+    }
+
+    #[test]
     fn torn_wal_tail_is_truncated_on_open() {
         let dir = tmp_dir("torn");
         let events: Vec<Event> = (0..4).map(|i| ev(i, "h", i)).collect();
@@ -781,7 +699,7 @@ mod tests {
         let raw = fs::read(&wal).unwrap();
         fs::write(&wal, &raw[..raw.len() - 7]).unwrap();
         // Reader tolerates the tear (loses only the torn record) …
-        assert_eq!(StoreReader::open(&dir).unwrap().len().unwrap(), 3);
+        assert_eq!(StoreReader::open(&dir).unwrap().len(), 3);
         // … writer repairs it and appends cleanly after the tear.
         let mut w = StoreWriter::open_segmented(&dir, 100).unwrap();
         assert_eq!(w.len(), 3);
@@ -804,7 +722,7 @@ mod tests {
         write_segment(&segment_file(&dir, 0), &events[..4]).unwrap();
         drop(w);
         let reader = StoreReader::open(&dir).unwrap();
-        assert_eq!(reader.len().unwrap(), 6, "no duplicates, no losses");
+        assert_eq!(reader.len(), 6, "no duplicates, no losses");
         assert_eq!(read_all(&dir), events);
         let w = StoreWriter::open_segmented(&dir, 100).unwrap();
         assert_eq!(w.len(), 6);
@@ -826,51 +744,6 @@ mod tests {
                 .unwrap();
             assert_eq!(got, events[offset as usize..], "offset {offset}");
         }
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn file_store_recovery_truncates_torn_tail() {
-        let path = tmp_dir("filetear");
-        {
-            let mut w = StoreWriter::create(&path).unwrap();
-            w.append(&[ev(1, "h", 1), ev(2, "h", 2)]).unwrap();
-            w.sync().unwrap();
-        }
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() - 3]).unwrap();
-        let mut w = StoreWriter::open(&path).unwrap();
-        assert_eq!(w.len(), 1);
-        w.append(&[ev(3, "h", 3)]).unwrap();
-        let back = read_all(&path);
-        assert_eq!(
-            back.iter().map(|e| e.id).collect::<Vec<_>>(),
-            vec![1, 3],
-            "torn record dropped, append lands after the repair"
-        );
-        fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn reader_resolves_both_layouts() {
-        let file = tmp_dir("asfile");
-        StoreWriter::create(&file)
-            .unwrap()
-            .append(&[ev(1, "h", 1)])
-            .unwrap();
-        assert_eq!(
-            StoreReader::open(&file).unwrap().format(),
-            StoreFormat::File
-        );
-        let dir = tmp_dir("asdir");
-        StoreWriter::create_segmented(&dir)
-            .unwrap()
-            .append(&[ev(2, "h", 2)])
-            .unwrap();
-        let r = StoreReader::open(&dir).unwrap();
-        assert_eq!(r.format(), StoreFormat::Segmented);
-        assert_eq!(r.hosts().unwrap(), vec!["h".to_string()]);
-        fs::remove_file(file).unwrap();
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -897,7 +770,131 @@ mod tests {
         w.seal().unwrap();
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.segments().len(), 1);
-        assert_eq!(reader.len().unwrap(), 2);
+        assert_eq!(reader.len(), 2);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_segment_is_reported_and_ends_the_stream() {
+        let dir = tmp_dir("truncseg");
+        let events: Vec<Event> = (0..4).map(|i| ev(i, "h", i)).collect();
+        StoreWriter::create_segmented_with(&dir, 2)
+            .unwrap()
+            .append(&events)
+            .unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        // Chop the second segment's last record in half.
+        let second = segment_file(&dir, 1);
+        let raw = fs::read(&second).unwrap();
+        fs::write(&second, &raw[..raw.len() - 5]).unwrap();
+        // Everything before the tear streams out, then the error.
+        let mut iter = reader.iter(&Selection::all()).unwrap();
+        for id in 0..3 {
+            assert_eq!(iter.next().unwrap().unwrap().id, id);
+        }
+        match iter.next() {
+            Some(Err(StoreError::Corrupt(msg))) => {
+                assert!(msg.contains("seg-000001"), "names the file: {msg}")
+            }
+            other => panic!("expected a corrupt-segment error, got {other:?}"),
+        }
+        assert!(iter.next().is_none(), "stream ends after the error");
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn forged_segment_count_is_an_error_not_an_abort() {
+        // A header claiming u32::MAX events must not size an allocation: the
+        // segment's real records stream out, then the count mismatch.
+        // Forged after `open` (which cross-checks counts against the WAL),
+        // and again with the WAL gone so `open` itself accepts the header.
+        let dir = tmp_dir("forged");
+        let events: Vec<Event> = (0..6).map(|i| ev(i, "h", i)).collect();
+        StoreWriter::create_segmented_with(&dir, 3)
+            .unwrap()
+            .append(&events)
+            .unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        let first = segment_file(&dir, 0);
+        let mut raw = fs::read(&first).unwrap();
+        raw[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(&first, &raw).unwrap();
+        fs::remove_file(wal_path(&dir)).unwrap();
+        for reader in [reader, StoreReader::open(&dir).unwrap()] {
+            assert!(matches!(
+                reader.read(&Selection::all()),
+                Err(StoreError::Corrupt(_))
+            ));
+            let mut iter = reader.iter_from(0).unwrap();
+            for id in 0..3 {
+                assert_eq!(iter.next().unwrap().unwrap().id, id);
+            }
+            assert!(matches!(iter.next(), Some(Err(StoreError::Corrupt(_)))));
+            assert!(iter.next().is_none(), "stream ends after the error");
+        }
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn one_append_spanning_segments_equals_one_append_per_segment() {
+        const SEG: usize = 16;
+        let events: Vec<Event> = (0..10 * SEG as u64 + 5)
+            .map(|i| ev(i, if i % 3 == 0 { "web" } else { "db" }, i * 7))
+            .collect();
+        let at_once = tmp_dir("span-once");
+        let mut w = StoreWriter::create_segmented_with(&at_once, SEG).unwrap();
+        assert_eq!(w.append(&events).unwrap(), events.len() as u64);
+        w.sync().unwrap();
+        // The tail is fed a segment at a time: it never held the batch.
+        assert_eq!(w.tail.len(), 5);
+        assert!(w.tail.capacity() <= 2 * SEG, "{}", w.tail.capacity());
+        drop(w);
+        let stepwise = tmp_dir("span-steps");
+        let mut w = StoreWriter::create_segmented_with(&stepwise, SEG).unwrap();
+        for chunk in events.chunks(SEG) {
+            w.append(chunk).unwrap();
+        }
+        w.sync().unwrap();
+        drop(w);
+        // Same files on disk, byte for byte — segments and WAL.
+        let names = |dir: &Path| -> Vec<PathBuf> {
+            let mut names: Vec<PathBuf> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| PathBuf::from(e.unwrap().file_name()))
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(&at_once), names(&stepwise));
+        assert_eq!(names(&at_once).len(), 11, "10 segments + the WAL");
+        for name in names(&at_once) {
+            assert_eq!(
+                fs::read(at_once.join(&name)).unwrap(),
+                fs::read(stepwise.join(&name)).unwrap(),
+                "{name:?}"
+            );
+        }
+        assert_eq!(read_all(&at_once), events);
+        // Crash recovery after the spanning append sees no duplicates.
+        let w = StoreWriter::open_segmented(&at_once, SEG).unwrap();
+        assert_eq!(w.len(), events.len() as u64);
+        drop(w);
+        assert_eq!(read_all(&at_once), events);
+        fs::remove_dir_all(at_once).unwrap();
+        fs::remove_dir_all(stepwise).unwrap();
+    }
+
+    #[test]
+    fn reopening_with_a_smaller_segment_size_seals_the_over_full_tail() {
+        let dir = tmp_dir("shrink");
+        let events: Vec<Event> = (0..8).map(|i| ev(i, "h", i)).collect();
+        StoreWriter::create_segmented_with(&dir, 100)
+            .unwrap()
+            .append(&events[..7])
+            .unwrap();
+        let mut w = StoreWriter::open_segmented(&dir, 3).unwrap();
+        assert_eq!(w.append(&events[7..]).unwrap(), 8);
+        assert_eq!(read_all(&dir), events);
         fs::remove_dir_all(dir).unwrap();
     }
 }

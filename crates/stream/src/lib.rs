@@ -14,12 +14,12 @@
 //!   streamed store selections, paced replays, JSON-lines readers, and
 //!   push-handle channels;
 //! * [`durable`] — the event store (the databases behind the demo's
-//!   replayer): the [`StoreWriter`]/[`StoreReader`] pair over both on-disk
-//!   layouts, with WAL-disciplined segmented appends, recovery-on-open that
-//!   truncates a torn tail, and global-offset reads for exact session
-//!   resume;
-//! * [`store`] — the single-file layout behind that pair, plus the
-//!   [`store::Selection`] and [`store::StoreError`] every store shares;
+//!   replayer): the [`StoreWriter`]/[`StoreReader`] pair over a directory
+//!   of sealed [`segment`]s plus a WAL tail, with WAL-disciplined appends,
+//!   recovery-on-open that truncates a torn tail, and global-offset reads
+//!   for exact session resume;
+//! * [`store`] — the [`store::Selection`] a store read takes and the
+//!   [`store::StoreError`] store operations fail with;
 //! * [`replayer`] — the stream replayer (paper Fig. 4): select hosts and a
 //!   time range, then replay stored data as a stream at a configurable
 //!   speed.
@@ -42,7 +42,7 @@ pub type SharedEvent = Arc<Event>;
 
 pub use batch::{batched, BatchView, EventBatch, DEFAULT_BATCH_SIZE};
 pub use channel::PushError;
-pub use durable::{StoreFormat, StoreIter, StoreReader, StoreWriter};
+pub use durable::{StoreIter, StoreReader, StoreWriter};
 pub use merge::{Lateness, MergeConfig, MergeStatus, SourceId, SourceStats, WatermarkMerge};
 pub use source::{EventSource, SourcePoll};
 

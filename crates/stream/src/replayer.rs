@@ -33,8 +33,7 @@ impl Speed {
     }
 }
 
-/// Replays events from a store as a stream — either layout a
-/// [`StoreReader`] resolves (single file or segmented directory).
+/// Replays events from a store as a stream.
 #[derive(Debug)]
 pub struct Replayer {
     reader: StoreReader,
@@ -126,33 +125,12 @@ mod tests {
 
     fn store_with(name: &str, events: &[Event]) -> (StoreWriter, PathBuf) {
         let mut p = std::env::temp_dir();
-        p.push(format!(
-            "saql-replayer-test-{}-{name}.bin",
-            std::process::id()
-        ));
-        let mut store = StoreWriter::create(&p).unwrap();
+        p.push(format!("saql-replayer-test-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&p);
+        // Two events per segment: every test reads across sealed segments.
+        let mut store = StoreWriter::create_segmented_with(&p, 2).unwrap();
         store.append(events).unwrap();
         (store, p)
-    }
-
-    #[test]
-    fn segmented_store_replays_sorted() {
-        // The replayer rides the unified reader, so a segmented directory
-        // store replays exactly like the classic single file.
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("saql-replayer-test-{}-segdir", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut w = StoreWriter::create_segmented_with(&dir, 2).unwrap();
-        w.append(&[ev(2, "h2", 200), ev(1, "h1", 100), ev(3, "h1", 300)])
-            .unwrap();
-        let r = Replayer::open(&dir).unwrap();
-        let ids: Vec<u64> = r
-            .replay_iter(&Selection::all())
-            .unwrap()
-            .map(|e| e.id)
-            .collect();
-        assert_eq!(ids, vec![1, 2, 3]);
-        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -169,7 +147,7 @@ mod tests {
             .map(|e| e.id)
             .collect();
         assert_eq!(ids, vec![1, 2, 3]);
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(path).unwrap();
     }
 
     #[test]
@@ -183,7 +161,7 @@ mod tests {
             Selection::host("h1").between(Timestamp::from_millis(0), Timestamp::from_millis(250));
         let ids: Vec<u64> = r.replay_iter(&sel).unwrap().map(|e| e.id).collect();
         assert_eq!(ids, vec![1]);
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(path).unwrap();
     }
 
     #[test]
@@ -197,7 +175,7 @@ mod tests {
         let got: Vec<u64> = rx.into_iter().map(|e| e.id).collect();
         assert_eq!(got.len(), 50);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(path).unwrap();
     }
 
     #[test]
@@ -217,7 +195,7 @@ mod tests {
             elapsed >= WallDuration::from_millis(15),
             "too fast: {elapsed:?}"
         );
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(path).unwrap();
     }
 
     #[test]
@@ -256,8 +234,8 @@ mod tests {
         ];
         assert_eq!(key(&a), expected, "hosts grouped, per-host order kept");
         assert_eq!(key(&a), key(&b), "replay order independent of append order");
-        std::fs::remove_file(path_a).unwrap();
-        std::fs::remove_file(path_b).unwrap();
+        std::fs::remove_dir_all(path_a).unwrap();
+        std::fs::remove_dir_all(path_b).unwrap();
     }
 
     #[test]
@@ -268,6 +246,6 @@ mod tests {
             .replay_channel(&Selection::host("h9"), Speed::Unlimited, 4)
             .unwrap();
         assert_eq!(rx.into_iter().count(), 0);
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(path).unwrap();
     }
 }

@@ -94,14 +94,17 @@ fn read_file(path: &Path) -> Result<Bytes, StoreError> {
     Ok(Bytes::from(raw))
 }
 
+fn corrupt(path: &Path, what: impl std::fmt::Display) -> StoreError {
+    StoreError::Corrupt(format!("{}: {what}", path.display()))
+}
+
 fn parse_header(data: &mut Bytes, path: &Path) -> Result<SegmentMeta, StoreError> {
-    if data.remaining() < SEG_MAGIC.len() + 4 + 8 + 8 + 4 {
+    if data.remaining() < SEG_MAGIC.len() || &data.chunk()[..SEG_MAGIC.len()] != SEG_MAGIC {
         return Err(StoreError::BadMagic);
     }
-    let mut magic = [0u8; 8];
-    data.copy_to_slice(&mut magic);
-    if &magic != SEG_MAGIC {
-        return Err(StoreError::BadMagic);
+    data.advance(SEG_MAGIC.len());
+    if data.remaining() < 4 + 8 + 8 + 4 {
+        return Err(corrupt(path, "truncated segment header"));
     }
     let events = data.get_u32_le();
     let min_ts = Timestamp::from_millis(data.get_u64_le());
@@ -110,14 +113,14 @@ fn parse_header(data: &mut Bytes, path: &Path) -> Result<SegmentMeta, StoreError
     let mut hosts = BTreeSet::new();
     for _ in 0..n_hosts {
         if data.remaining() < 4 {
-            return Err(StoreError::BadMagic);
+            return Err(corrupt(path, "truncated host table"));
         }
         let len = data.get_u32_le() as usize;
         if data.remaining() < len {
-            return Err(StoreError::BadMagic);
+            return Err(corrupt(path, "truncated host table"));
         }
         let raw = data.copy_to_bytes(len);
-        let host = std::str::from_utf8(&raw).map_err(|_| StoreError::BadMagic)?;
+        let host = std::str::from_utf8(&raw).map_err(|_| corrupt(path, "host is not UTF-8"))?;
         hosts.insert(host.to_string());
     }
     Ok(SegmentMeta {
@@ -134,14 +137,58 @@ pub(crate) fn read_meta(path: &Path) -> Result<SegmentMeta, StoreError> {
     parse_header(&mut data, path)
 }
 
-pub(crate) fn read_segment_events(path: &Path) -> Result<Vec<Event>, StoreError> {
-    let mut data = read_file(path)?;
-    let meta = parse_header(&mut data, path)?;
-    let mut out = Vec::with_capacity(meta.events as usize);
-    for _ in 0..meta.events {
-        out.push(codec::decode_event(&mut data)?);
+/// Streams one segment's records in stored order, decoding each on demand.
+/// The header's event count is untrusted input: it sizes no allocation, and
+/// a segment whose records do not add up to exactly that count ends in one
+/// [`StoreError::Corrupt`] naming the file.
+pub(crate) struct SegmentRecords {
+    path: PathBuf,
+    data: Bytes,
+    claimed: u32,
+    decoded: u32,
+}
+
+impl SegmentRecords {
+    pub(crate) fn open(path: &Path) -> Result<Self, StoreError> {
+        let mut data = read_file(path)?;
+        let meta = parse_header(&mut data, path)?;
+        Ok(SegmentRecords {
+            path: meta.path,
+            data,
+            claimed: meta.events,
+            decoded: 0,
+        })
     }
-    Ok(out)
+
+    /// The error that ends the stream: nothing is yielded after it.
+    fn fail(&mut self, what: String) -> Option<Result<Event, StoreError>> {
+        self.data = Bytes::new();
+        self.claimed = self.decoded;
+        Some(Err(corrupt(&self.path, what)))
+    }
+}
+
+impl Iterator for SegmentRecords {
+    type Item = Result<Event, StoreError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (claimed, decoded) = (self.claimed, self.decoded);
+        if decoded == claimed {
+            return match self.data.remaining() {
+                0 => None,
+                left => self.fail(format!("{left} bytes after the header's {claimed} events")),
+            };
+        }
+        match codec::decode_event(&mut self.data) {
+            Ok(event) => {
+                self.decoded += 1;
+                Some(Ok(event))
+            }
+            Err(e) => self.fail(format!(
+                "header claims {claimed} events, record {decoded} is unreadable ({e})"
+            )),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -155,6 +202,10 @@ mod tests {
             .subject(ProcessInfo::new(1, "a.exe", "u"))
             .starts_process(ProcessInfo::new(2, "b.exe", "u"))
             .build()
+    }
+
+    fn read_segment_events(path: &Path) -> Result<Vec<Event>, StoreError> {
+        SegmentRecords::open(path)?.collect()
     }
 
     fn tmp_file(tag: &str) -> PathBuf {
@@ -208,8 +259,42 @@ mod tests {
     fn corrupt_segment_is_an_error() {
         let path = tmp_file("corrupt");
         std::fs::write(&path, b"garbage").unwrap();
-        assert!(read_meta(&path).is_err());
-        assert!(read_segment_events(&path).is_err());
+        assert!(matches!(read_meta(&path), Err(StoreError::BadMagic)));
+        assert!(matches!(
+            read_segment_events(&path),
+            Err(StoreError::BadMagic)
+        ));
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn header_that_disagrees_with_the_records_is_corrupt() {
+        let path = tmp_file("forged");
+        let events = vec![ev(1, "web", 500), ev(2, "db", 900)];
+        write_segment(&path, &events).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let corrupt_naming_the_file = |raw: &[u8]| {
+            std::fs::write(&path, raw).unwrap();
+            match read_segment_events(&path) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert!(msg.contains("saql-segment-"), "names the file: {msg}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        };
+        // Count forged up (to the maximum: must not size an allocation),
+        // forged down (records left over), and a torn last record.
+        for count in [u32::MAX, 3, 1] {
+            let mut raw = good.clone();
+            raw[8..12].copy_from_slice(&count.to_le_bytes());
+            corrupt_naming_the_file(&raw);
+        }
+        corrupt_naming_the_file(&good[..good.len() - 4]);
+        // Header torn inside the fixed fields and inside the host table.
+        for cut in [20, 8 + 4 + 8 + 8 + 4 + 2] {
+            std::fs::write(&path, &good[..cut]).unwrap();
+            assert!(matches!(read_meta(&path), Err(StoreError::Corrupt(_))));
+        }
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -281,7 +281,7 @@ pub fn push_source(name: impl Into<String>, capacity: usize) -> (PushHandle, Cha
 
 /// Streams a [`StoreReader`] selection in stored order without ever
 /// materializing the store — the streaming replacement for
-/// [`StoreReader::read`] in ingestion paths, over either store layout.
+/// [`StoreReader::read`] in ingestion paths.
 pub struct StoreSource {
     name: String,
     iter: Option<StoreIter>,
@@ -289,7 +289,7 @@ pub struct StoreSource {
 }
 
 impl StoreSource {
-    /// Open a streaming source over `reader` (headers validated eagerly).
+    /// Open a streaming source over `reader`.
     pub fn open(
         name: impl Into<String>,
         reader: &StoreReader,
@@ -571,8 +571,9 @@ mod tests {
     #[test]
     fn store_source_streams_a_selection() {
         let mut path = std::env::temp_dir();
-        path.push(format!("saql-source-store-{}.bin", std::process::id()));
-        crate::durable::StoreWriter::create(&path)
+        path.push(format!("saql-source-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        crate::durable::StoreWriter::create_segmented_with(&path, 2)
             .unwrap()
             .append(&[ev(1, "h1", 10), ev(2, "h2", 20), ev(3, "h1", 30)])
             .unwrap();
@@ -584,6 +585,6 @@ mod tests {
         let mut resumed = StoreSource::open_at("store", &reader, 1).unwrap();
         let rest = drain(&mut resumed);
         assert_eq!(rest.iter().map(|e| e.id).collect::<Vec<_>>(), vec![2, 3]);
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(path).unwrap();
     }
 }

@@ -21,14 +21,15 @@ fn main() {
         attack: Some(AttackConfig::default()),
     });
     let mut path = std::env::temp_dir();
-    path.push(format!("saql-replayer-example-{}.bin", std::process::id()));
-    let mut store = StoreWriter::create(&path).expect("create store");
+    path.push(format!("saql-replayer-example-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
+    let mut store = StoreWriter::create_segmented(&path).expect("create store");
     store.append(&trace.events).expect("append trace");
-    let hosts = StoreReader::open(&path).and_then(|r| r.hosts());
+    let hosts = StoreReader::open(&path).expect("open store").hosts();
     println!(
         "stored {} events from {} hosts at {}",
         trace.events.len(),
-        hosts.unwrap().len(),
+        hosts.len(),
         path.display()
     );
 
@@ -78,5 +79,5 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }

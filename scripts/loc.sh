@@ -7,6 +7,9 @@
 # stand-ins).
 #
 #   scripts/loc.sh            # the table
+#   scripts/loc.sh --check    # the table; fails if the total exceeds
+#                             # scripts/loc.ceiling (CI's ratchet: a PR that
+#                             # shrinks the code lowers the ceiling with it)
 #   scripts/loc.sh FILE...    # the same count for the given files only
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -24,7 +27,7 @@ count() { # files... -> production lines
     ' "$@"
 }
 
-if [ $# -gt 0 ]; then
+if [ $# -gt 0 ] && [ "$1" != --check ]; then
     count "$@"
     exit
 fi
@@ -41,3 +44,11 @@ for dir in src crates/*/src; do
     total=$((total + lines))
 done
 printf '%-16s %8d\n' total "$total"
+
+if [ "${1:-}" = --check ]; then
+    ceiling=$(cat scripts/loc.ceiling)
+    if [ "$total" -gt "$ceiling" ]; then
+        echo "production line count $total exceeds scripts/loc.ceiling ($ceiling)" >&2
+        exit 1
+    fi
+fi

@@ -33,9 +33,8 @@ alert es[0].hosts >= 3
 return es[0].hosts as hosts
 EOF
 
-echo "== simulate a durable segmented store"
-"$BIN" simulate --out "$TMP/trace.d" --minutes 90 --clients 10 --seed 11 \
-    --durable-store
+echo "== simulate a store"
+"$BIN" simulate --out "$TMP/trace.d" --minutes 90 --clients 10 --seed 11
 
 echo "== uninterrupted checkpointed pipeline run"
 "$BIN" replay --store "$TMP/trace.d" --query "$TMP/tiered.saql" \

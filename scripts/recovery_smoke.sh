@@ -17,8 +17,8 @@ alerts() { grep '^\[ALERT ' "$1" > "$2" || true; }
 
 fail() { echo "recovery smoke FAILED: $*" >&2; exit 1; }
 
-echo "== simulate a durable segmented store"
-"$BIN" simulate --out "$TMP/trace.d" --minutes 30 --seed 7 --durable-store
+echo "== simulate a store"
+"$BIN" simulate --out "$TMP/trace.d" --minutes 30 --seed 7
 
 echo "== tear the WAL tail mid-record"
 wal="$TMP/trace.d/wal.saqlwal"

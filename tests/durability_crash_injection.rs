@@ -1,4 +1,4 @@
-//! Crash-injection properties for the durable pipeline: torn WAL/store
+//! Crash-injection properties for the durable pipeline: torn WAL
 //! tails never lose a durably acked (synced) event, and an engine resumed
 //! from a checkpoint reproduces exactly the alerts the uninterrupted run
 //! would have produced from the checkpoint position on — ordered on the
@@ -316,42 +316,34 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Single-file layout: a tear anywhere in the unsynced suffix leaves a
-    /// clean, loss-free prefix, and the writer repairs it on reopen so
-    /// appends continue where the tear left off.
+    /// A tear anywhere in the unsynced suffix leaves a clean, loss-free
+    /// prefix, and the writer repairs it on reopen so appends continue
+    /// where the tear left off — also when the acked prefix was one append
+    /// spanning several segments.
     #[test]
-    fn torn_file_store_never_loses_acked_events(
+    fn torn_wal_reopens_for_append_where_the_tear_left_off(
         seed in any::<u64>(),
-        n_acked in 1usize..32,
-        n_unsynced in 0usize..8,
+        n_acked in 1usize..40,
+        extra in 0usize..8,
+        seg in 1usize..8,
         cut_seed in any::<u64>(),
     ) {
+        // As above: the unsynced tail stays inside the current WAL generation.
+        let n_unsynced = extra.min(seg - 1 - (n_acked % seg).min(seg - 1));
         let events = stream(seed, n_acked + n_unsynced + 1);
-        let path = scratch("file-tear");
-        let mut w = StoreWriter::create(&path).unwrap();
-        w.append(&events[..n_acked]).unwrap();
-        w.sync().unwrap();
-        let synced_len = std::fs::metadata(&path).unwrap().len();
-        w.append(&events[n_acked..n_acked + n_unsynced]).unwrap();
-        drop(w);
-        let full_len = std::fs::metadata(&path).unwrap().len();
-        let keep = synced_len + cut_seed % (full_len - synced_len + 1);
-        let raw = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &raw[..keep as usize]).unwrap();
+        let (body, sentinel) = events.split_at(n_acked + n_unsynced);
+        let dir = scratch("reopen-tear");
+        let recovered = write_and_tear(&dir, body, n_acked, seg, cut_seed);
 
-        // Reopen-for-append recovers: acked prefix intact, tail truncated
-        // at a whole-record boundary, and the next append lands cleanly.
-        let mut w = StoreWriter::open(&path).unwrap();
-        let recovered = w.len() as usize;
-        prop_assert!(recovered >= n_acked, "lost acked events");
-        let sentinel = &events[n_acked + n_unsynced..];
+        let mut w = StoreWriter::open_segmented(&dir, seg).unwrap();
+        prop_assert_eq!(w.len() as usize, recovered.len());
         w.append(sentinel).unwrap();
         drop(w);
-        let back = StoreReader::open(&path).unwrap().read(&Selection::all()).unwrap();
-        let mut expected: Vec<Event> = events[..recovered].to_vec();
+        let back = StoreReader::open(&dir).unwrap().read(&Selection::all()).unwrap();
+        let mut expected = recovered;
         expected.extend_from_slice(sentinel);
         prop_assert_eq!(back, expected);
 
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -267,8 +267,10 @@ proptest! {
         use saql::stream::store::Selection;
         use saql::stream::StoreWriter;
         let mut path = std::env::temp_dir();
-        path.push(format!("saql-prop-replayer-{}-{}.bin", std::process::id(), events.len()));
-        let mut store = StoreWriter::create(&path).unwrap();
+        path.push(format!("saql-prop-replayer-{}-{}", std::process::id(), events.len()));
+        let _ = std::fs::remove_dir_all(&path);
+        // Small segments: most cases read across sealed segments and the WAL.
+        let mut store = StoreWriter::create_segmented_with(&path, 8).unwrap();
         store.append(&events).unwrap();
         let selection = if pick_host {
             Selection::host(events[0].agent_id.to_string())
@@ -282,7 +284,7 @@ proptest! {
             .unwrap()
             .map(|e| (*e).clone())
             .collect();
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&path);
         // Sorted by (ts, id) and exactly the matching subset.
         prop_assert!(replayed.windows(2).all(|w| (w[0].ts, w[0].id) <= (w[1].ts, w[1].id)));
         let expected = events.iter().filter(|e| selection.matches(e)).count();

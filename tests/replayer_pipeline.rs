@@ -24,7 +24,8 @@ fn trace() -> saql::collector::Trace {
 
 fn store_path(tag: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("saql-replay-test-{}-{tag}.bin", std::process::id()));
+    p.push(format!("saql-replay-test-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&p);
     p
 }
 
@@ -44,7 +45,7 @@ fn live_and_replayed_streams_produce_identical_alerts() {
 
     // Store, then replay through the replayer.
     let path = store_path("identical");
-    let mut store = StoreWriter::create(&path).unwrap();
+    let mut store = StoreWriter::create_segmented(&path).unwrap();
     store.append(&trace.events).unwrap();
     let replayer = Replayer::open(&path).unwrap();
     let replayed: Vec<_> = replayer.replay_iter(&Selection::all()).unwrap().collect();
@@ -59,14 +60,14 @@ fn live_and_replayed_streams_produce_identical_alerts() {
     replay_alerts.sort();
 
     assert_eq!(live_alerts, replay_alerts);
-    std::fs::remove_file(path).unwrap();
+    std::fs::remove_dir_all(path).unwrap();
 }
 
 #[test]
 fn host_selection_replays_only_that_hosts_detections() {
     let trace = trace();
     let path = store_path("host-sel");
-    let mut store = StoreWriter::create(&path).unwrap();
+    let mut store = StoreWriter::create_segmented(&path).unwrap();
     store.append(&trace.events).unwrap();
 
     // Replay only the DB server: the c5 rule query still fires, the
@@ -84,7 +85,7 @@ fn host_selection_replays_only_that_hosts_detections() {
     assert!(alerts.iter().any(|a| a.query == "c5-exfiltration"));
     assert!(!alerts.iter().any(|a| a.query == "c1-initial-compromise"));
     assert!(!alerts.iter().any(|a| a.query == "c2-malware-infection"));
-    std::fs::remove_file(path).unwrap();
+    std::fs::remove_dir_all(path).unwrap();
 }
 
 #[test]
@@ -92,7 +93,7 @@ fn time_range_selection_cuts_the_attack_out() {
     let trace = trace();
     let attack_start = trace.attack_spans[0].1;
     let path = store_path("time-sel");
-    let mut store = StoreWriter::create(&path).unwrap();
+    let mut store = StoreWriter::create_segmented(&path).unwrap();
     store.append(&trace.events).unwrap();
 
     // Replay only the pre-attack prefix: everything must stay quiet.
@@ -109,14 +110,14 @@ fn time_range_selection_cuts_the_attack_out() {
         "{:?}",
         alerts.iter().take(3).collect::<Vec<_>>()
     );
-    std::fs::remove_file(path).unwrap();
+    std::fs::remove_dir_all(path).unwrap();
 }
 
 #[test]
 fn channel_replay_feeds_engine_across_threads() {
     let trace = trace();
     let path = store_path("channel");
-    let mut store = StoreWriter::create(&path).unwrap();
+    let mut store = StoreWriter::create_segmented(&path).unwrap();
     store.append(&trace.events).unwrap();
 
     let replayer = Replayer::open(&path).unwrap();
@@ -134,5 +135,5 @@ fn channel_replay_feeds_engine_across_threads() {
     }
     alerts.extend(engine.finish());
     assert!(alerts.iter().any(|a| a.query == "c5"));
-    std::fs::remove_file(path).unwrap();
+    std::fs::remove_dir_all(path).unwrap();
 }

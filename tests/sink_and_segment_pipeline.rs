@@ -140,21 +140,13 @@ fn segmented_store_prunes_and_detects() {
 }
 
 #[test]
-fn segmented_and_flat_store_agree() {
+fn segmented_reads_agree_with_the_in_memory_trace() {
     let trace = small_attack_trace();
 
     let mut dir = std::env::temp_dir();
     dir.push(format!("saql-seg-agree-{}", std::process::id()));
     let seg = segmented_store(&dir, 1000);
     assert!(seg.segments().len() > 1);
-
-    let mut flat_path = std::env::temp_dir();
-    flat_path.push(format!("saql-flat-agree-{}.bin", std::process::id()));
-    let _ = std::fs::remove_file(&flat_path);
-    let mut flat = StoreWriter::create(&flat_path).unwrap();
-    flat.append(&trace.events).unwrap();
-    flat.sync().unwrap();
-    let flat = StoreReader::open(&flat_path).unwrap();
 
     for selection in [
         Selection::all(),
@@ -164,12 +156,16 @@ fn segmented_and_flat_store_agree() {
             Timestamp::from_millis(10 * 60_000),
         ),
     ] {
-        let mut a = seg.read(&selection).unwrap();
-        let mut b = flat.read(&selection).unwrap();
-        a.sort_by_key(|e| e.id);
-        b.sort_by_key(|e| e.id);
-        assert_eq!(a, b);
+        // The oracle is the trace itself, filtered in memory: header
+        // pruning may skip segments but never changes what a read returns.
+        let expected: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| selection.matches(e))
+            .cloned()
+            .collect();
+        assert!(!expected.is_empty());
+        assert_eq!(seg.read(&selection).unwrap(), expected);
     }
     std::fs::remove_dir_all(dir).unwrap();
-    std::fs::remove_file(flat_path).unwrap();
 }
