@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use saql_bench::stream;
 use saql_engine::alert::AlertOrigin;
-use saql_engine::pipeline::{register_pipeline, AlertAdapter, PipelineWiring};
-use saql_engine::{Alert, Engine, EngineConfig, QueryId, SessionStatus};
+use saql_engine::pipeline::{register_pipeline, AlertAdapter};
+use saql_engine::{Alert, Engine, EngineConfig, QueryId};
 use saql_model::time::Timestamp;
 use saql_stream::merge::Lateness;
 use saql_stream::source::IterSource;
@@ -93,19 +93,7 @@ fn bench_pipeline(c: &mut Criterion) {
                 IterSource::new("trace", events.clone()),
                 Lateness::ArrivalOrder,
             );
-            let mut wiring = PipelineWiring::connect(&mut session).expect("wires");
-            let mut alerts = 0usize;
-            loop {
-                let round = session.pump_max(4096);
-                alerts += round.alerts.len();
-                let moved = wiring.transfer(&mut session);
-                if round.events == 0 && moved == 0 && round.status != SessionStatus::Active {
-                    break;
-                }
-            }
-            alerts += wiring.finish_stages(&mut session).len();
-            alerts += session.drain().len();
-            alerts
+            session.drain().len()
         });
     });
 

@@ -319,111 +319,40 @@ fn source_from_spec(
     }
 }
 
-/// Manual checkpoint cadence for pipeline runs (the session's built-in
-/// `enable_checkpoints` counts derived events and knows nothing about
-/// adapter positions, so wired runs drive [`PipelineWiring::checkpoint`]
-/// themselves).
-struct PipelineCadence<'a> {
-    dir: &'a Path,
-    every: u64,
-    /// Base-stream offset of the last checkpoint written.
-    last: u64,
-    written: Option<u64>,
-}
-
 /// Drive a session to completion: staged lifecycle operations land at
-/// their exact event positions, pipeline edges transfer between pump
-/// rounds, alerts print as they fire, and the engine is flushed at the end
-/// (stages layer-by-layer first, then everything). Returns the alert count
-/// and the offset of the last pipeline checkpoint written, if any.
-fn pump_to_end(
-    session: &mut RunSession<'_>,
-    schedule: &mut Schedule,
-    wiring: &mut saql_engine::PipelineWiring,
-    mut cadence: Option<PipelineCadence<'_>>,
-) -> Result<(u64, Option<u64>), String> {
+/// their exact base-stream positions, alerts print as they fire, and the
+/// session finishes the stream (pipeline stages layer by layer, then the
+/// engine). Returns the alert count.
+fn run_to_end(session: &mut RunSession<'_>, schedule: &mut Schedule) -> Result<u64, String> {
     let mut alerts = 0u64;
-    let print = |batch: &[saql_engine::Alert], alerts: &mut u64| {
+    let mut print = |batch: Vec<saql_engine::Alert>| {
         for alert in batch {
-            *alerts += 1;
+            alerts += 1;
             println!("{alert}");
         }
     };
+    // Positions count this session's base events.
+    let start = session.offset();
     loop {
-        schedule.apply_due(session.processed(), session.engine())?;
-        // A staged register/deregister may have changed the pipeline
-        // topology; rewire so new `from query` edges flow.
-        if wiring.stale(session) {
-            let drained = wiring.quiesce(session);
-            print(&drained, &mut alerts);
-            wiring
-                .reconnect(session)
-                .map_err(|e| format!("pipeline rewire failed: {e}"))?;
-        }
-        let moved = if wiring.is_empty() {
-            0
-        } else {
-            wiring.transfer(session)
-        };
+        let at = session.offset() - start;
+        schedule.apply_due(at, session.engine())?;
         // Never pump past the next staged operation.
-        let budget = match schedule.next_position() {
-            Some(at) => (at.saturating_sub(session.processed())).max(1) as usize,
-            None => usize::MAX,
-        };
+        let budget = schedule
+            .next_position()
+            .map_or(usize::MAX, |next| next.saturating_sub(at).max(1) as usize);
         let round = session.pump_max(budget);
-        print(&round.alerts, &mut alerts);
-        if let Some(c) = cadence.as_mut() {
-            let base = session.offset().saturating_sub(wiring.derived_pushed());
-            if base >= c.last + c.every {
-                let (ckpt, drained) = wiring
-                    .checkpoint(session)
-                    .map_err(|e| format!("pipeline checkpoint failed: {e}"))?;
-                print(&drained, &mut alerts);
-                ckpt.write_atomic(c.dir)
-                    .map_err(|e| format!("cannot write checkpoint: {e}"))?;
-                c.last = ckpt.offset;
-                c.written = Some(ckpt.offset);
-            }
-        }
-        match round.status {
+        let status = round.status;
+        print(round.alerts);
+        match status {
             SessionStatus::Done => break,
             SessionStatus::Active => {}
-            SessionStatus::Idle => {
-                // A wired session never reports Done while the derived
-                // channels are open; the run is over once the *base*
-                // sources are exhausted and a full round moved nothing.
-                let base_done = !wiring.is_empty()
-                    && moved == 0
-                    && round.events == 0
-                    && session
-                        .source_stats()
-                        .iter()
-                        .all(|(_, s)| s.done || s.name.starts_with("pipe:"));
-                if base_done {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
+            SessionStatus::Idle => std::thread::sleep(std::time::Duration::from_millis(2)),
         }
     }
     // Operations staged past the end of the stream apply before the flush.
     schedule.apply_due(u64::MAX, session.engine())?;
-    if !wiring.is_empty() {
-        // Layered drain: upstream stages flush first, their final window
-        // alerts cascade to dependents, then the channels close.
-        let drained = wiring.finish_stages(session);
-        print(&drained, &mut alerts);
-        loop {
-            let round = session.pump();
-            print(&round.alerts, &mut alerts);
-            if matches!(round.status, SessionStatus::Done) || round.events == 0 {
-                break;
-            }
-        }
-    }
-    let finished = session.engine().finish();
-    print(&finished, &mut alerts);
-    Ok((alerts, cadence.and_then(|c| c.written)))
+    print(session.finish());
+    Ok(alerts)
 }
 
 /// Print per-source stats; failures and late drops also go to stderr.
@@ -455,14 +384,12 @@ fn report_sources(session: &RunSession<'_>) -> bool {
 
 /// `saql demo` — the end-to-end demonstration.
 pub fn demo(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let config = match sim_config(&flags) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
+    run_demo(argv).unwrap_or_else(|e| fail(&e))
+}
+
+fn run_demo(argv: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(argv)?;
+    let config = sim_config(&flags)?;
 
     println!(
         "simulating enterprise: {} clients, {} min of monitoring data...",
@@ -479,35 +406,25 @@ pub fn demo(argv: &[String]) -> i32 {
         println!("  attack {}: {} .. {}", step.label(), first, last);
     }
 
-    let engine_cfg = match engine_config(&flags, true) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let mut schedule = match Schedule::parse(&flags) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let mut engine = Engine::new(engine_cfg);
+    let mut engine = Engine::new(engine_config(&flags, true)?);
+    let mut schedule = Schedule::parse(&flags)?;
     for (name, src) in corpus::DEMO_QUERIES {
-        if let Err(e) = engine.register(name, src) {
-            return fail(&format!("demo query {name}: {e}"));
-        }
+        engine
+            .register(name, src)
+            .map_err(|e| format!("demo query {name}: {e}"))?;
     }
     if flags.switch("pipeline") {
-        let name = corpus::DEMO_TIERED_PIPELINE_NAME;
-        match saql_engine::register_pipeline(&mut engine, name, corpus::DEMO_TIERED_PIPELINE) {
-            Ok(stages) => println!(
-                "deployed tiered pipeline `{name}` ({} stages: per-host bursts |> \
-                 cross-host correlation)",
-                stages.len()
-            ),
-            Err(e) => {
-                return fail(&format!(
-                    "demo pipeline {name}:\n{}",
-                    e.render(corpus::DEMO_TIERED_PIPELINE)
-                ))
-            }
-        }
+        let (name, text) = (
+            corpus::DEMO_TIERED_PIPELINE_NAME,
+            corpus::DEMO_TIERED_PIPELINE,
+        );
+        let stages = saql_engine::register_pipeline(&mut engine, name, text)
+            .map_err(|e| format!("demo pipeline {name}:\n{}", e.render(text)))?;
+        println!(
+            "deployed tiered pipeline `{name}` ({} stages: per-host bursts |> \
+             cross-host correlation)",
+            stages.len()
+        );
     }
     println!(
         "deployed {} queries in {} scheduler group(s){}\n",
@@ -521,20 +438,12 @@ pub fn demo(argv: &[String]) -> i32 {
 
     let mut session = engine.session();
     session.attach(TraceSource::whole(&trace));
-    let mut wiring = match saql_engine::PipelineWiring::connect(&mut session) {
-        Ok(w) => w,
-        Err(e) => return fail(&format!("pipeline wiring failed: {e}")),
-    };
-    let (alert_count, _) = match pump_to_end(&mut session, &mut schedule, &mut wiring, None) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
-    drop(wiring);
+    let alert_count = run_to_end(&mut session, &mut schedule)?;
     drop(session);
 
     println!("\n{alert_count} alert(s) total");
     print_stats(&engine);
-    0
+    Ok(0)
 }
 
 /// `saql simulate --out DIR` — generate a trace into a new event store.
@@ -586,63 +495,48 @@ pub fn simulate(argv: &[String]) -> i32 {
 /// resumed run takes exactly one `--store DIR` input, streamed in stored
 /// order (no `--follow` pacing, no `--host`/`--from`/`--until` selection).
 pub fn replay(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let selection = match selection_from_flags(&flags) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let speed = match speed_from_flags(&flags) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+    run_replay(argv).unwrap_or_else(|e| fail(&e))
+}
+
+fn run_replay(argv: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(argv)?;
+    let selection = selection_from_flags(&flags)?;
+    let speed = speed_from_flags(&flags)?;
     let follow = flags.switch("follow");
-    let lateness_ms = match flags.get_u64("lateness", 1_000) {
-        Ok(ms) => ms,
-        Err(e) => return fail(&e),
-    };
+    let lateness_ms = flags.get_u64("lateness", 1_000)?;
 
     // Durable-run flags (see the command docs for the offset contract).
     let ckpt_dir = flags.get("checkpoint-dir");
     let resume = flags.switch("resume");
-    let ckpt_every = match flags.get_u64("checkpoint-every", 4096) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
+    let ckpt_every = flags.get_u64("checkpoint-every", 4096)?;
     if resume && ckpt_dir.is_none() {
-        return fail("--resume requires --checkpoint-dir DIR");
+        return Err("--resume requires --checkpoint-dir DIR".into());
     }
     let durable_run = ckpt_dir.is_some();
     if durable_run {
         if flags.get("store").is_none() || !flags.get_all("source").is_empty() {
-            return fail(
-                "checkpointed runs take exactly one --store DIR input \
-                 (offsets are per-store, not per-merge)",
-            );
+            return Err("checkpointed runs take exactly one --store DIR input \
+                        (offsets are per-store, not per-merge)"
+                .into());
         }
         if follow {
-            return fail(
-                "--follow replays in time-sorted order; checkpoint offsets \
-                 are stored-order — drop --follow",
-            );
+            return Err("--follow replays in time-sorted order; checkpoint offsets \
+                        are stored-order — drop --follow"
+                .into());
         }
         if !selection.hosts.is_empty() || selection.from.is_some() || selection.until.is_some() {
-            return fail(
-                "--host/--from/--until change stream offsets; checkpointed \
-                 runs replay the whole store",
-            );
+            return Err("--host/--from/--until change stream offsets; checkpointed \
+                        runs replay the whole store"
+                .into());
         }
     }
     let checkpoint = match ckpt_dir {
-        Some(dir) if resume => match Checkpoint::load(Path::new(dir)) {
-            Ok(c) => Some(c),
-            Err(e) => return fail(&format!("cannot resume from {dir}: {e}")),
-        },
+        Some(dir) if resume => Some(
+            Checkpoint::load(Path::new(dir))
+                .map_err(|e| format!("cannot resume from {dir}: {e}"))?,
+        ),
         _ => None,
     };
-    let resume_offset = checkpoint.as_ref().map(|c| c.offset).unwrap_or(0);
 
     // `--store DIR` is the one-store form: replayed through the
     // sorting replayer, paced by `--speed` — or, on a checkpointed run,
@@ -650,68 +544,39 @@ pub fn replay(argv: &[String]) -> i32 {
     // `--source KIND:...` attaches additional (or alternative) feeds.
     let mut sources: Vec<Box<dyn EventSource>> = Vec::new();
     if let Some(path) = flags.get("store") {
-        let reader = match open_reader(path) {
-            Ok(r) => r,
-            Err(e) => return fail(&e),
-        };
+        let reader = open_reader(path)?;
+        let name = format!("replay:{path}");
         if durable_run {
-            match StoreSource::open_at(format!("replay:{path}"), &reader, resume_offset) {
-                Ok(source) => sources.push(Box::new(source)),
-                Err(e) => return fail(&format!("cannot read {path}: {e}")),
-            }
+            let offset = checkpoint.as_ref().map_or(0, |c| c.offset);
+            let source = StoreSource::open_at(name, &reader, offset)
+                .map_err(|e| format!("cannot read {path}: {e}"))?;
+            sources.push(Box::new(source));
         } else {
-            match ChannelSource::replay(
-                format!("replay:{path}"),
-                &Replayer::new(reader),
-                &selection,
-                speed,
-                4096,
-            ) {
-                Ok(source) => sources.push(Box::new(source)),
-                Err(e) => return fail(&format!("replay failed: {e}")),
-            }
+            let replayer = Replayer::new(reader);
+            let source = ChannelSource::replay(name, &replayer, &selection, speed, 4096)
+                .map_err(|e| format!("replay failed: {e}"))?;
+            sources.push(Box::new(source));
         }
     }
     for spec in flags.get_all("source") {
-        match source_from_spec(spec, &selection, follow, speed) {
-            Ok(source) => sources.push(source),
-            Err(e) => return fail(&e),
-        }
+        sources.push(source_from_spec(spec, &selection, follow, speed)?);
     }
     if sources.is_empty() {
-        return fail("replay requires --store DIR or --source KIND:... (store, jsonl, sim)");
+        return Err("replay requires --store DIR or --source KIND:... (store, jsonl, sim)".into());
     }
 
-    let engine_cfg = match engine_config(&flags, false) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let mut schedule = match Schedule::parse(&flags) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let base = checkpoint.as_ref().map(|c| (c.offset, c.frontier));
-    // Adapter positions survive into the rebuilt wiring (the engine's
-    // checkpoint machinery only transports them).
-    let adapters = checkpoint
-        .as_ref()
-        .map(|c| c.adapters.clone())
-        .unwrap_or_default();
-    let mut engine = match checkpoint {
-        Some(ckpt) => {
-            // The checkpoint carries the query set and its exact state;
-            // a fresh registration would fork the resumed alert stream.
-            if flags.switch("demo-queries") || !flags.get_all("query").is_empty() {
-                return fail(
-                    "--resume restores the checkpointed query set; \
-                     drop --demo-queries/--query",
-                );
-            }
-            match Engine::resume_from(ckpt, engine_cfg) {
-                Ok(e) => e,
-                Err(e) => return fail(&format!("cannot resume: {e}")),
-            }
+    let engine_cfg = engine_config(&flags, false)?;
+    let mut schedule = Schedule::parse(&flags)?;
+    let mut engine = match &checkpoint {
+        // The checkpoint carries the query set and its exact state; a
+        // fresh registration would fork the resumed alert stream.
+        Some(_) if flags.switch("demo-queries") || !flags.get_all("query").is_empty() => {
+            return Err("--resume restores the checkpointed query set; \
+                        drop --demo-queries/--query"
+                .into())
         }
+        Some(ckpt) => Engine::resume_from(ckpt.clone(), engine_cfg)
+            .map_err(|e| format!("cannot resume: {e}"))?,
         None => Engine::new(engine_cfg),
     };
     if flags.switch("demo-queries") {
@@ -720,10 +585,7 @@ pub fn replay(argv: &[String]) -> i32 {
         }
     }
     for file in flags.get_all("query") {
-        let src = match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => return fail(&format!("cannot read {file}: {e}")),
-        };
+        let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
         // Multi-stage (`|>`) files deploy as pipelines under the file stem,
         // so auto-generated stage names don't carry temp paths.
         let name = if src.contains("|>") {
@@ -736,16 +598,19 @@ pub fn replay(argv: &[String]) -> i32 {
         };
         if let Err(e) = saql_engine::register_pipeline(&mut engine, name, &src) {
             eprintln!("{}", e.render(&src));
-            return 1;
+            return Ok(1);
         }
     }
     if engine.query_names().is_empty() && schedule.is_empty() {
-        return fail("no queries deployed (use --demo-queries, --query FILE, or --register-at)");
+        return Err(
+            "no queries deployed (use --demo-queries, --query FILE, or --register-at)".into(),
+        );
     }
-    match base {
-        Some((offset, _)) => println!(
-            "resuming {} queries at offset {offset} ({} group(s))...",
+    match &checkpoint {
+        Some(ckpt) => println!(
+            "resuming {} queries at offset {} ({} group(s))...",
             engine.query_names().len(),
+            ckpt.offset,
             engine.group_count()
         ),
         None => println!(
@@ -760,44 +625,23 @@ pub fn replay(argv: &[String]) -> i32 {
         lateness: saql_model::Duration::from_millis(lateness_ms),
         ..saql_stream::MergeConfig::default()
     });
-    if let Some((offset, frontier)) = base {
-        session.resume_at_position(offset, frontier);
-    }
     for source in sources {
         session.attach(source);
     }
-    let mut wiring = match saql_engine::PipelineWiring::connect_with(&mut session, &adapters) {
-        Ok(w) => w,
-        Err(e) => return fail(&format!("pipeline wiring failed: {e}")),
-    };
-    // Pipeline runs checkpoint through the wiring (base-stream offsets,
-    // adapter positions); plain runs keep the session's exact-position
-    // cadence.
-    let mut cadence = None;
-    if let Some(dir) = ckpt_dir {
-        if wiring.is_empty() {
-            session.enable_checkpoints(CheckpointConfig {
-                dir: PathBuf::from(dir),
-                every_events: ckpt_every,
-            });
-        } else {
-            cadence = Some(PipelineCadence {
-                dir: Path::new(dir),
-                every: ckpt_every,
-                last: resume_offset,
-                written: None,
-            });
-        }
+    if let Some(ckpt) = &checkpoint {
+        session.resume_at(ckpt);
     }
-    let (alerts, pipeline_ckpt) =
-        match pump_to_end(&mut session, &mut schedule, &mut wiring, cadence) {
-            Ok(n) => n,
-            Err(e) => return fail(&e),
-        };
+    if let Some(dir) = ckpt_dir {
+        session.enable_checkpoints(CheckpointConfig {
+            dir: PathBuf::from(dir),
+            every_events: ckpt_every,
+        });
+    }
+    let alerts = run_to_end(&mut session, &mut schedule)?;
     let events = session.processed();
     println!("\nreplayed {events} events, {alerts} alert(s)");
     let mut degraded = report_sources(&session);
-    if let Some(offset) = session.last_checkpoint().or(pipeline_ckpt) {
+    if let Some(offset) = session.last_checkpoint() {
         println!(
             "last checkpoint at offset {offset} in {}",
             ckpt_dir.unwrap_or("?")
@@ -810,7 +654,7 @@ pub fn replay(argv: &[String]) -> i32 {
     drop(session);
     print_stats(&engine);
     // A failed source means the run completed on partial data.
-    i32::from(degraded)
+    Ok(i32::from(degraded))
 }
 
 /// `saql export --store DIR [--out FILE|-]` — write a stored selection as
@@ -1658,5 +1502,53 @@ mod tests {
         assert!(shown.contains("ALERT c5-exfiltration"), "{shown}");
         assert!(shown.contains("alerts="), "{shown}");
         std::fs::remove_dir_all(path).unwrap();
+    }
+
+    #[test]
+    fn staged_positions_count_base_events_on_a_pipelined_run() {
+        // Adapted alerts and punctuations flow through the same session;
+        // a staged operation at N must still land after exactly N events
+        // of the stream — here `q` is paused for events [100, 200).
+        use saql_model::event::EventBuilder;
+        use saql_model::{NetworkInfo, ProcessInfo};
+        use std::sync::Arc;
+        let tiered = "proc p write ip i as evt #time(10 s)\n\
+                      state ss { writes := count() } group by evt.agentid\n\
+                      alert ss[0].writes >= 3\n\
+                      return evt.agentid as host, ss[0].writes as amount\n\
+                      |>\n\
+                      from #time(30 s)\n\
+                      state es { hosts := distinct_count(_in.agentid) }\n\
+                      alert es[0].hosts >= 2\n\
+                      return es[0].hosts as hosts";
+        let events: Vec<saql_stream::SharedEvent> = (0..300u64)
+            .map(|i| {
+                Arc::new(
+                    EventBuilder::new(i + 1, format!("web-{}", i % 3), 1_000 + i * 700)
+                        .subject(ProcessInfo::new(100, "worker", "svc"))
+                        .sends(NetworkInfo::new("10.0.0.1", 9999, "172.16.0.9", 443, "tcp"))
+                        .amount(1024)
+                        .build(),
+                )
+            })
+            .collect();
+        let mut engine = Engine::new(EngineConfig::default());
+        saql_engine::register_pipeline(&mut engine, "tiered", tiered).unwrap();
+        engine
+            .register("q", "proc p write ip i as evt\nreturn p, i")
+            .unwrap();
+        let argv: Vec<String> = ["--pause-at", "100:q", "--resume-at", "200:q"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let mut schedule = Schedule::parse(&Flags::parse(&argv).unwrap()).unwrap();
+        let mut session = engine.session();
+        session.attach(saql_stream::source::IterSource::new("trace", events));
+        run_to_end(&mut session, &mut schedule).unwrap();
+        assert!(session.processed() > 300, "the pipeline derived events");
+        drop(session);
+        let stats = engine.query_stats();
+        let (_, q) = stats.iter().find(|(name, _)| name == "q").unwrap();
+        assert_eq!(q.events_seen, 200);
     }
 }

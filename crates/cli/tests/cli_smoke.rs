@@ -543,3 +543,48 @@ fn single_file_store_paths_are_refused_with_the_removal_message() {
     }
     let _ = std::fs::remove_file(&file);
 }
+
+#[test]
+fn a_failing_checkpoint_dir_warns_and_finishes_the_run() {
+    // One checkpoint-failure policy for plain and `|>` runs alike: the
+    // cadence stops with a warning, every alert still prints, exit 1.
+    let store = simulate_store("ckpt-fail");
+    let not_a_dir = temp_file("ckpt-fail-regular-file", "not a directory\n");
+    let stage1 = "proc p write ip i as evt #time(10 min)\n\
+                  state ss { writes := count() } group by evt.agentid\n\
+                  alert ss[0].writes >= 5\n\
+                  return evt.agentid as host, ss[0].writes as amount\n";
+    let tiered = format!(
+        "{stage1}|>\nfrom #time(30 min)\n\
+         state es {{ hosts := distinct_count(_in.agentid) }}\n\
+         alert es[0].hosts >= 2\n\
+         return es[0].hosts as hosts\n"
+    );
+    for (name, text) in [("plain", stage1.to_string()), ("tiered", tiered)] {
+        let query = temp_file(&format!("ckpt-fail-{name}.saql"), &text);
+        let args = ["replay", "--store", store.to_str().unwrap()];
+        let args = [&args[..], &["--query", query.to_str().unwrap()]].concat();
+        let reference = saql(&args);
+        assert!(reference.status.success(), "{name}: {reference:?}");
+        let expected = alert_lines(&reference.stdout);
+        assert!(!expected.is_empty(), "{name}: the trace must alert");
+
+        let failing = [
+            &args[..],
+            &["--checkpoint-dir", not_a_dir.to_str().unwrap()],
+            &["--checkpoint-every", "500"],
+        ]
+        .concat();
+        let out = saql(&failing);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
+        assert!(
+            stderr.contains("warning: checkpointing stopped"),
+            "{name}: {stderr}"
+        );
+        assert_eq!(alert_lines(&out.stdout), expected, "{name}: alerts lost");
+        let _ = std::fs::remove_file(&query);
+    }
+    let _ = std::fs::remove_file(&not_a_dir);
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -740,7 +740,8 @@ impl Engine {
     /// A thin wrapper over [`session`](Self::session): one
     /// [arrival-order](saql_stream::Lateness::ArrivalOrder) iterator source,
     /// which passes the caller's stream through untouched (no reordering,
-    /// no late drops). Multi-source or live ingestion goes through
+    /// no late drops), drained like any session — registered `|>`
+    /// pipelines included. Multi-source or live ingestion goes through
     /// [`Engine::session`] directly.
     ///
     /// Like [`process_batch`](Self::process_batch), returns

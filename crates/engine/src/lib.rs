@@ -26,9 +26,10 @@
 //!   place on the caller's thread ([`EngineConfig::workers`]` == 0`) or on
 //!   worker threads fed every batch over bounded channels, with one
 //!   control-message path for every lifecycle operation either way;
-//! * **run sessions** ([`session`]) — pump-driven ingestion from pluggable
-//!   [`saql_stream::EventSource`]s fused by a watermarked K-way merge, with
-//!   mid-stream source attach/detach and per-source stats;
+//! * **run sessions** ([`session`]) — the one run loop: pluggable
+//!   [`saql_stream::EventSource`]s fused by a watermarked K-way merge, `|>`
+//!   pipeline stages wired and flushed, cadence checkpoints, and the
+//!   write-ahead store tap;
 //! * **error reporter** ([`error`]) — collects runtime anomalies (evaluation
 //!   failures, partial-match overflow) without aborting the stream.
 //!
@@ -68,6 +69,6 @@ pub use pipeline::{
 };
 pub use query::{QueryId, RunningQuery};
 pub use scheduler::Scheduler;
-pub use session::{CheckpointConfig, Pump, RunSession, SessionStatus};
+pub use session::{CheckpointConfig, Checkpointed, Pump, RunSession, SessionStatus};
 pub use sink::render_alert_json;
 pub use value::Value;

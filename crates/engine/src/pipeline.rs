@@ -35,13 +35,18 @@
 //! `d+1` lateness bounds behind the frontier, and a punctuation must never
 //! outrun an alert that is still coming.
 //!
+//! **Who drives it.** A [`RunSession`] owns the wiring: every pump round
+//! rewires when the registry's edge set changed, transfers, and pumps; its
+//! checkpoints quiesce the stages first; its end of stream flushes them
+//! layer by layer. Callers register stages and pump — nothing more.
+//!
 //! **Checkpoints.** Adapted event ids are deterministic —
 //! `(upstream_id+1) << 40 | seq` with a per-edge counter — and the counter
 //! travels in the engine checkpoint (`Checkpoint::adapters`, format v2),
 //! so a resumed pipeline keeps minting the ids the uninterrupted run would
-//! have. [`PipelineWiring::quiesce`] runs transfer+pump rounds until no
-//! alert is in flight between stages, which is what makes a checkpoint
-//! capture the *whole* pipeline state with nothing stuck in a channel.
+//! have. A session checkpoint first runs transfer+pump rounds until no
+//! alert is in flight between stages, which is what makes it capture the
+//! *whole* pipeline state with nothing stuck in a channel.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,8 +54,8 @@ use std::sync::Arc;
 use crossbeam::channel::Receiver;
 use saql_lang::{LangError, Stage};
 use saql_model::entity::{Entity, ProcessInfo};
-use saql_model::{AttrId, AttrNs, AttrTable, Event, Operation, Timestamp};
-use saql_stream::merge::Lateness;
+use saql_model::{AttrId, AttrNs, AttrTable, Duration, Event, Operation, Timestamp};
+use saql_stream::merge::{Lateness, WatermarkMerge};
 use saql_stream::source::{push_source, PushHandle};
 use saql_stream::SharedEvent;
 
@@ -192,7 +197,7 @@ impl AlertAdapter {
     /// session merge (PR 4's gating rule — a quiet live source otherwise
     /// holds the frontier), then push a [`punctuation`](Self::punctuation)
     /// so the downstream stage's *own* clock reaches `ts` and its windows
-    /// close. [`PipelineWiring::transfer`] calls this every round;
+    /// close. A session's pipeline transfer calls this every round;
     /// hand-wired topologies call it directly. Returns `false` once the
     /// consuming session is gone.
     pub fn advance_watermark(&self, push: &PushHandle, ts: Timestamp) -> bool {
@@ -437,7 +442,6 @@ pub fn deregister_pipeline(engine: &mut Engine, id: QueryId) -> Result<Vec<Strin
 
 /// One wired pipeline edge: an upstream query with at least one dependent.
 struct Edge {
-    upstream: String,
     /// Stage depth of the upstream (0 = reads raw events); sets the
     /// punctuation lateness margin.
     depth: u64,
@@ -447,33 +451,17 @@ struct Edge {
     last_punct: Option<Timestamp>,
 }
 
-/// The session-level pipeline topology: subscriptions, adapters, and push
-/// channels for every live `from query` edge of an engine.
-///
-/// Built *after* stages are registered (see [`register_pipeline`]) and
-/// after the session's base sources are attached:
-/// [`PipelineWiring::connect`] discovers the edges from the engine
-/// registry, subscribes to each upstream once (all dependents share the
-/// derived stream through the merge), and attaches one
-/// [`push_source`] per upstream. Drive the session with
-/// [`transfer`](Self::transfer) between pump rounds.
-pub struct PipelineWiring {
+/// A session's wired pipeline topology: one subscription, adapter, and
+/// `pipe:` push channel per live upstream, all dependents of an upstream
+/// sharing its derived stream through the merge. Owned by
+/// [`RunSession`], which rewires it whenever the registry's edge set
+/// changes.
+#[derive(Default)]
+pub(crate) struct Edges {
     edges: Vec<Edge>,
-    /// Derived events (adapted alerts + punctuations) pushed into the
-    /// merge over this wiring's lifetime — the session's processed-event
-    /// count minus this is the *base* stream position for checkpoints.
-    derived_pushed: u64,
-}
-
-impl Default for PipelineWiring {
-    /// A wiring with no edges — the engine has no pipelines (yet). Useful
-    /// as a placeholder where [`connect`](Self::connect) may fail.
-    fn default() -> Self {
-        PipelineWiring {
-            edges: Vec::new(),
-            derived_pushed: 0,
-        }
-    }
+    /// Set at end of stream: the derived channels are closed and the
+    /// topology is never rewired again.
+    closed: bool,
 }
 
 /// Pipeline depth of a live query (0 = reads raw events), memoized in
@@ -491,29 +479,27 @@ fn depth_of(engine: &Engine, id: QueryId, depth: &mut HashMap<QueryId, u64>) -> 
     d
 }
 
-impl PipelineWiring {
-    /// Wire every pipeline edge of the session's engine. Fresh adapters
-    /// start at sequence 0.
-    pub fn connect(session: &mut RunSession) -> Result<PipelineWiring, EngineError> {
-        PipelineWiring::connect_with(session, &[])
-    }
+/// The registry's upstream queries — those with at least one dependent —
+/// sorted by id.
+fn upstreams(engine: &Engine) -> Vec<QueryId> {
+    let mut ups: Vec<QueryId> = engine.pipeline_edges().iter().map(|(_, up)| *up).collect();
+    ups.sort_by_key(|id| id.index());
+    ups.dedup();
+    ups
+}
 
-    /// [`connect`](Self::connect) with adapter positions restored from a
-    /// checkpoint ([`Checkpoint::adapters`](crate::Checkpoint)).
-    pub fn connect_with(
-        session: &mut RunSession,
+impl Edges {
+    /// Wire every pipeline edge of `engine`, attaching one derived channel
+    /// per upstream to `merge`. Adapters resume at the position `seqs`
+    /// names for their upstream (first match wins), else at 0.
+    pub(crate) fn connect(
+        engine: &mut Engine,
+        merge: &mut WatermarkMerge<'_>,
         seqs: &[(String, u64)],
-    ) -> Result<PipelineWiring, EngineError> {
-        let engine = session.engine();
-        let edges_spec = engine.pipeline_edges();
-        // depth of every live query (0 = base).
+    ) -> Result<Edges, EngineError> {
         let mut depth: HashMap<QueryId, u64> = HashMap::new();
-        let mut upstreams: Vec<QueryId> = edges_spec.iter().map(|(_, up)| *up).collect();
-        upstreams.sort_by_key(|id| id.index());
-        upstreams.dedup();
-        let mut edges = Vec::with_capacity(upstreams.len());
-        for up_id in upstreams {
-            let engine = session.engine();
+        let mut edges = Vec::new();
+        for up_id in upstreams(engine) {
             let d = depth_of(engine, up_id, &mut depth);
             let name = engine
                 .name_of(up_id)
@@ -525,9 +511,8 @@ impl PipelineWiring {
                 adapter.set_seq(*seq);
             }
             let (push, source) = push_source(format!("pipe:{name}"), EDGE_CAPACITY);
-            session.attach_with(source, Lateness::ArrivalOrder);
+            merge.attach_with(Box::new(source), Lateness::ArrivalOrder);
             edges.push(Edge {
-                upstream: name,
                 depth: d,
                 rx,
                 push: Some(push),
@@ -535,41 +520,30 @@ impl PipelineWiring {
                 last_punct: None,
             });
         }
-        Ok(PipelineWiring {
+        Ok(Edges {
             edges,
-            derived_pushed: 0,
+            closed: false,
         })
     }
 
-    /// Whether the engine has any pipeline edges at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
 
-    /// Number of wired upstream edges — compare against
-    /// [`Engine::pipeline_edges`] (deduplicated by upstream) to detect a
-    /// topology change from a mid-run register/deregister.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
+    /// Derived channels still open — each one is a live merge source.
+    pub(crate) fn open(&self) -> usize {
+        self.edges.iter().filter(|e| e.push.is_some()).count()
     }
 
     /// Whether the live registry's edge set no longer matches this wiring
-    /// (a pipeline was registered or deregistered mid-run).
-    pub fn stale(&self, session: &mut RunSession) -> bool {
-        let mut ups: Vec<QueryId> = session
-            .engine()
-            .pipeline_edges()
-            .iter()
-            .map(|(_, up)| *up)
-            .collect();
-        ups.sort_by_key(|id| id.index());
-        ups.dedup();
-        // Compare the id *sets*, not just the counts: a deregister+register
-        // pair drained in one control round (replacing a pipeline under the
-        // same name) keeps the count equal while changing the upstream ids
-        // — the registry never reuses a retired id, so the id set always
-        // reflects such a swap. Edges are built sorted by upstream id
-        // (`connect_with`), so a positional compare is a set compare.
+    /// (a pipeline was registered or deregistered mid-run). Compares the
+    /// upstream id *sets*: replacing a pipeline under the same name keeps
+    /// the count but changes the ids, and the registry never reuses one.
+    pub(crate) fn stale(&self, engine: &Engine) -> bool {
+        if self.closed {
+            return false;
+        }
+        let ups = upstreams(engine);
         ups.len() != self.edges.len()
             || ups
                 .iter()
@@ -577,69 +551,22 @@ impl PipelineWiring {
                 .any(|(id, e)| e.adapter.upstream_id() != *id)
     }
 
-    /// Rebuild the edge set in place after a mid-run topology change,
-    /// carrying adapter positions (and the derived-event count) forward for
-    /// upstreams that survive. Dropping the stale edges closes their push
-    /// channels, so the merge retires the old `pipe:` sources. Call after a
-    /// [`quiesce`](Self::quiesce) so no in-flight alert is stranded in a
-    /// dropped subscription.
-    pub fn reconnect(&mut self, session: &mut RunSession) -> Result<(), EngineError> {
-        let seqs = self.adapter_seqs();
-        let fresh = PipelineWiring::connect_with(session, &seqs)?;
-        self.edges = fresh.edges;
-        Ok(())
-    }
-
-    /// Adapter checkpoint positions, `(upstream name, next seq)` — stamp
-    /// these into [`Checkpoint::adapters`](crate::Checkpoint) before
-    /// writing it.
-    pub fn adapter_seqs(&self) -> Vec<(String, u64)> {
+    /// Adapter positions, `(upstream name, next seq)` — what
+    /// [`Checkpoint::adapters`](crate::Checkpoint) records.
+    pub(crate) fn adapter_seqs(&self) -> Vec<(String, u64)> {
         self.edges
             .iter()
-            .map(|e| (e.upstream.clone(), e.adapter.seq()))
+            .map(|e| (e.adapter.upstream().to_string(), e.adapter.seq()))
             .collect()
     }
 
-    /// Derived events pushed into the merge so far (adapted alerts plus
-    /// watermark punctuations). `session.processed() - derived_processed`
-    /// is the base-stream position once the wiring is quiesced.
-    pub fn derived_pushed(&self) -> u64 {
-        self.derived_pushed
-    }
-
-    /// One transfer round: drain every upstream subscription, adapt and
-    /// push the alerts into the merge, then punctuate each edge's
-    /// watermark at the session frontier minus its lateness margin.
-    /// Returns the number of derived events pushed.
-    pub fn transfer(&mut self, session: &mut RunSession) -> u64 {
-        // Barrier first (free without workers): the
-        // punctuations below assert "every upstream has processed every
-        // event up to the frontier", which is only true once the workers
-        // have caught up and their alerts are routed. Without this, a
-        // punctuation can advance a downstream clock past alerts still
-        // being computed, and the stage would drop them as late.
-        let _ = session.engine().sync();
-        let frontier = session.frontier();
-        let lateness = session.engine().config().query.allowed_lateness;
-        // A derived channel's events *trail* processing: they can only be
-        // minted from base events the merge already released, so holding
-        // base traffic back for them deadlocks the feedback loop (the
-        // merge waits on the adapter, the adapter waits on alerts, alerts
-        // wait on events). Promise the merge the derived channels never
-        // gate anything at or below the lead of the real sources. The
-        // promise is deliberately optimistic — adapted alerts may carry
-        // older timestamps — which is sound because nothing orders against
-        // a derived event: pipeline stages clock on their own upstream's
-        // events only, and base queries never match `op = alert` traffic.
-        let lead = session
-            .source_stats()
-            .iter()
-            .map(|(_, s)| s.watermark.as_millis())
-            .max()
-            .unwrap_or(0)
-            .max(frontier.as_millis());
+    /// Drain every upstream subscription, adapt and push the alerts, then
+    /// punctuate each edge at `frontier` minus its lateness margin. `lead`
+    /// is the watermark every derived channel is raised to first, so none
+    /// of them gates the merge. Returns the derived events pushed.
+    pub(crate) fn transfer(&mut self, frontier: Timestamp, lead: u64, lateness: Duration) -> u64 {
         let mut pushed = 0u64;
-        for edge in &mut self.edges {
+        for edge in &self.edges {
             if let Some(push) = edge.push.as_ref() {
                 push.advance_watermark(Timestamp::from_millis(lead));
             }
@@ -649,8 +576,7 @@ impl PipelineWiring {
                 continue;
             };
             while let Ok(alert) = edge.rx.try_recv() {
-                let event = edge.adapter.adapt(&alert);
-                if push.push(event) {
+                if push.push(edge.adapter.adapt(&alert)) {
                     pushed += 1;
                 }
             }
@@ -666,96 +592,71 @@ impl PipelineWiring {
                 pushed += 1;
             }
         }
-        self.derived_pushed += pushed;
         pushed
     }
 
-    /// Run transfer+pump rounds until the pipeline is *quiet*: a full
-    /// round moves no alert and feeds no event. Because derived channels
-    /// are never gated (their watermarks are raised to the source lead on
-    /// every transfer), a round that pumps zero events proves the channels
-    /// are empty — at that point the engine's queries hold the complete
-    /// pipeline state, with nothing in flight between stages, and an
-    /// engine checkpoint taken now captures the pipeline exactly.
-    /// Returns the alerts produced while quiescing.
-    pub fn quiesce(&mut self, session: &mut RunSession) -> Vec<Alert> {
-        let mut out = Vec::new();
-        loop {
-            let moved = self.transfer(session);
-            let round = session.pump();
-            out.extend(round.alerts);
-            if moved == 0 && round.events == 0 {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Quiesce the pipeline and take a checkpoint that captures it whole.
-    ///
-    /// The engine snapshot is stamped with this wiring's adapter positions
-    /// ([`Checkpoint::adapters`](crate::Checkpoint)), and its offset is the
-    /// **base**-stream position — the session's offset minus the derived
-    /// events this wiring injected — so a resumed session re-attaches the
-    /// collector source at the right place and nothing is re-derived: the
-    /// pre-checkpoint alerts already live inside the restored query state.
-    /// Returns the checkpoint and any alerts produced while quiescing.
-    pub fn checkpoint(
-        &mut self,
-        session: &mut RunSession,
-    ) -> Result<(crate::Checkpoint, Vec<Alert>), EngineError> {
-        let alerts = self.quiesce(session);
-        let offset = session.offset().saturating_sub(self.derived_pushed);
-        let frontier = session.frontier();
-        let mut checkpoint = session.engine().checkpoint(offset, frontier)?;
-        checkpoint.adapters = self.adapter_seqs();
-        Ok((checkpoint, alerts))
-    }
-
-    /// Layered end-of-stream drain. Stages flush in topological order
-    /// (shallow first): each layer's final window alerts transfer to its
-    /// dependents *before* those flush in turn, so stage-2 sees stage-1's
-    /// last windows — exactly like hand-chained engines finishing in
-    /// sequence. Closes the derived-event channels at the end, so a
-    /// subsequent `session.drain()` terminates.
-    pub fn finish_stages(&mut self, session: &mut RunSession) -> Vec<Alert> {
-        let mut out = self.quiesce(session);
-        // Flush every query some dependent consumes, shallow first.
-        let mut flush: Vec<(u64, QueryId)> = Vec::new();
-        {
-            let engine = session.engine();
-            let mut depth: HashMap<QueryId, u64> = HashMap::new();
-            for (_, up) in engine.pipeline_edges() {
-                let d = depth_of(engine, up, &mut depth);
-                if !flush.iter().any(|(_, id)| *id == up) {
-                    flush.push((d, up));
-                }
-            }
-        }
+    /// Every query some dependent consumes, in end-of-stream flush order:
+    /// shallow first, so each layer's final windows reach its dependents
+    /// before those flush in turn.
+    pub(crate) fn flush_order(engine: &Engine) -> Vec<QueryId> {
+        let mut depth: HashMap<QueryId, u64> = HashMap::new();
+        let mut flush: Vec<(u64, QueryId)> = upstreams(engine)
+            .into_iter()
+            .map(|up| (depth_of(engine, up, &mut depth), up))
+            .collect();
         flush.sort_by_key(|(d, id)| (*d, id.index()));
-        for (_, id) in flush {
-            match session.engine().flush_query(id) {
-                Ok(_) => {}
-                Err(_) => continue,
-            }
-            // The flushed alerts are routed to the upstream's subscribers;
-            // move them through the adapter and let dependents process
-            // them (their own windows may close and cascade — quiesce).
-            out.extend(self.quiesce(session));
-        }
-        // End of derived streams: dropping the push handles lets the
-        // channel sources report done, so `session.drain()` terminates.
+        flush.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// Close the derived channels for good: the merge retires their
+    /// sources once drained, and the topology is never rewired again.
+    pub(crate) fn close(&mut self) {
         for edge in &mut self.edges {
             edge.push = None;
         }
-        out
+        self.closed = true;
+    }
+}
+
+/// A hand-driving handle on a session's `|>` stages.
+///
+/// A [`RunSession`] wires, transfers, quiesces, checkpoints, and flushes
+/// its pipeline stages itself — no caller needs this handle. It remains as
+/// the benchmark ladder's seam; each call forwards to the session.
+#[derive(Debug)]
+pub struct PipelineWiring;
+
+impl PipelineWiring {
+    /// Wire the session's pipeline edges now instead of at its next pump
+    /// round.
+    pub fn connect(session: &mut RunSession) -> Result<PipelineWiring, EngineError> {
+        session.wire()?;
+        Ok(PipelineWiring)
+    }
+
+    /// One transfer round: move upstream alerts into the derived channels
+    /// and punctuate them. Returns the derived events pushed (every pump
+    /// round transfers on its own as well).
+    pub fn transfer(&mut self, session: &mut RunSession) -> u64 {
+        session.transfer()
+    }
+
+    /// Flush the stages layer by layer and close the derived channels (the
+    /// first half of [`RunSession::finish`]).
+    pub fn finish_stages(&mut self, session: &mut RunSession) -> Vec<Alert> {
+        session.finish_stages()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
     use crate::query::QueryId;
+    use crate::session::SessionStatus;
+    use saql_model::event::EventBuilder;
+    use saql_model::NetworkInfo;
+    use saql_stream::source::IterSource;
 
     fn alert(query: &str, ts: u64, group: &str, rows: Vec<(String, String)>) -> Alert {
         Alert {
@@ -811,5 +712,83 @@ mod tests {
         }
         let _ = a.adapt(&alert("burst", 1, "g", vec![]));
         assert_eq!(a.seq(), before + 1);
+    }
+
+    /// Two-stage tiered burst detection and a trace on which both stages
+    /// fire (see `crates/engine/tests/pipeline.rs`).
+    const TIERED: &str = "\
+proc p write ip i as evt #time(10 s)
+state ss { writes := count() } group by evt.agentid
+alert ss[0].writes >= 3
+return evt.agentid as host, ss[0].writes as amount
+|>
+from #time(30 s)
+state es { hosts := distinct_count(_in.agentid) }
+alert es[0].hosts >= 2
+return es[0].hosts as hosts";
+
+    fn tiered_trace() -> Vec<SharedEvent> {
+        let mut stamps: Vec<(&str, u64)> = Vec::new();
+        for k in 0..4 {
+            stamps.push(("web-1", 1_000 + k * 2_000));
+            stamps.push(("web-2", 1_100 + k * 2_000));
+        }
+        stamps.extend([("web-1", 41_000), ("web-3", 95_000)]);
+        stamps
+            .into_iter()
+            .enumerate()
+            .map(|(i, (host, ts))| {
+                Arc::new(
+                    EventBuilder::new(i as u64 + 1, host, ts)
+                        .subject(ProcessInfo::new(100, "worker", "svc"))
+                        .sends(NetworkInfo::new("10.0.0.1", 9999, "172.16.0.9", 443, "tcp"))
+                        .amount(1024)
+                        .build(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_ladder_seam_equals_a_plain_drain() {
+        // `benchmark/ladder` drives stages through the handle: connect,
+        // then transfer + `pump_max` rounds, then `finish_stages`. The
+        // handle forwards to the session, so that sequence (plus the
+        // engine's own finish) must equal `drain` alert for alert.
+        let run = |by_hand: bool| -> Vec<String> {
+            let mut engine = Engine::new(EngineConfig::default());
+            register_pipeline(&mut engine, "tiered", TIERED).expect("registers");
+            let mut session = engine.session();
+            session.attach_with(
+                IterSource::new("all", tiered_trace()),
+                Lateness::ArrivalOrder,
+            );
+            let alerts = if by_hand {
+                let mut wiring = PipelineWiring::connect(&mut session).expect("wires");
+                let mut alerts = Vec::new();
+                loop {
+                    let moved = wiring.transfer(&mut session);
+                    let round = session.pump_max(4);
+                    alerts.extend(round.alerts);
+                    match round.status {
+                        SessionStatus::Done => break,
+                        SessionStatus::Idle if moved == 0 && round.events == 0 => break,
+                        _ => {}
+                    }
+                }
+                alerts.extend(wiring.finish_stages(&mut session));
+                alerts.extend(session.engine().finish());
+                alerts
+            } else {
+                session.drain()
+            };
+            alerts.iter().map(|a| a.to_string()).collect()
+        };
+        let drained = run(false);
+        assert!(
+            drained.iter().any(|a| a.starts_with("[ALERT tiered ")),
+            "stage 2 fires: {drained:?}"
+        );
+        assert_eq!(run(true), drained);
     }
 }

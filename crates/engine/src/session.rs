@@ -1,40 +1,55 @@
-//! Source-driven run sessions: the ingestion half of the engine's control
-//! plane.
+//! Run sessions: the one loop that drives an engine over a stream.
 //!
-//! PR 3 made *queries* first-class citizens of a running engine
-//! (register/deregister/pause/subscribe); a [`RunSession`] does the same for
-//! *inputs*. Instead of the caller pushing a pre-merged iterator into
-//! [`Engine::run`], the session owns a watermarked K-way merge of pluggable
-//! [`EventSource`]s — streamed store selections, paced replays, JSON-lines
-//! pipes, push-handle channels — and **pumps** the engine from them:
-//! sources attach and detach mid-stream, per-source progress (events, lag,
-//! dropped-late) is observable, and the merged order is a deterministic
-//! function of the per-source event sequences, so engines agree on
-//! multi-source runs whatever their worker count.
+//! A [`RunSession`] owns everything between event sources and the engine's
+//! data plane, so every caller — `Engine::run`, `saql demo` / `replay`,
+//! `saql serve` — runs the same loop:
 //!
-//! **[`RunSession`] is the primary run entry point.** The classic entry
-//! points survive as thin wrappers with the same `Result<_, EngineError>`
-//! contract at every worker count: `Engine::run` and `run_with_sink` are a
-//! session with one [`Lateness::ArrivalOrder`] iterator source, which is an
-//! exact pass-through — existing callers see identical behavior — and
-//! `Engine::process`/`process_batch` are the single-step data-plane calls
-//! the pump itself uses. Anything beyond a one-shot pre-merged stream —
-//! multi-source merges, live feeds, mid-stream control-plane changes, and
-//! durable checkpoints ([`RunSession::enable_checkpoints`]) — talks to the
-//! session directly.
+//! * **Sources.** A watermarked K-way merge of pluggable [`EventSource`]s
+//!   (streamed store selections, paced replays, JSON-lines pipes,
+//!   push-handle channels) that attach and detach mid-stream. The merged
+//!   order is a deterministic function of the per-source event sequences,
+//!   so engines agree on multi-source runs whatever their worker count.
+//! * **Pipelines.** The engine's `|>` edges ([`crate::pipeline`]): each pump
+//!   round rewires when the registry's edge set changed (quiescing the old
+//!   wiring first), moves upstream alerts into the derived channels, and
+//!   pumps. A session without edges does no pipeline work at all.
+//! * **Position.** [`offset`](RunSession::offset) counts *base* events —
+//!   everything but pipeline-derived `op = alert` events — from the
+//!   checkpoint a resumed session started at: it is the store offset of
+//!   the next event.
+//! * **Checkpoints.** One path, [`checkpoint_now`](RunSession::checkpoint_now):
+//!   quiesce the stages, snapshot at the base offset with the adapter
+//!   positions stamped in, write atomically. The cadence
+//!   ([`enable_checkpoints`](RunSession::enable_checkpoints)) calls it at a
+//!   round boundary every N base events; its first failure stops the
+//!   cadence, never the stream.
+//! * **Write-ahead.** With a store installed
+//!   ([`write_ahead`](RunSession::write_ahead)), every round the session
+//!   pumps — rewire, quiesce, checkpoint, and finish rounds included —
+//!   appends and syncs the base events whose offset is not yet on disk
+//!   *before* the engine consumes them. The first failure stops appends
+//!   and vetoes every later checkpoint, so no checkpoint claims an event
+//!   the store lacks.
+//! * **End of stream.** [`drain`](RunSession::drain) /
+//!   [`drain_into`](RunSession::drain_into) pump until every base source
+//!   ended, then [`finish`](RunSession::finish): stages flush layer by
+//!   layer, then [`Engine::finish`]. `Engine::run` / `run_with_sink` are a
+//!   one-source [`Lateness::ArrivalOrder`] session drained this way.
 
 use std::path::PathBuf;
 
+use saql_model::{Event, Operation, Timestamp};
 use saql_stream::merge::{
     Lateness, MergeConfig, MergeStatus, SourceId, SourceStats, WatermarkMerge,
 };
 use saql_stream::source::EventSource;
-use saql_stream::{EventBatch, SharedEvent};
+use saql_stream::{EventBatch, SharedEvent, StoreWriter};
 
 use crate::alert::Alert;
 use crate::checkpoint::Checkpoint;
 use crate::engine::Engine;
 use crate::error::EngineError;
+use crate::pipeline::Edges;
 use crate::sink::AlertSink;
 
 /// Cadence and destination for automatic checkpoints
@@ -44,8 +59,8 @@ pub struct CheckpointConfig {
     /// Directory the checkpoint file lives in (created if absent). Each
     /// checkpoint atomically replaces the previous one.
     pub dir: PathBuf,
-    /// Take a checkpoint after at least this many events since the last
-    /// one, at the next pump-round boundary. Zero disables the cadence
+    /// Take a checkpoint after at least this many base events since the
+    /// last one, at the next pump-round boundary. Zero disables the cadence
     /// (only explicit [`RunSession::checkpoint_now`] calls write).
     pub every_events: u64,
 }
@@ -53,13 +68,34 @@ pub struct CheckpointConfig {
 /// Checkpoint bookkeeping inside a session.
 struct CheckpointState {
     config: CheckpointConfig,
-    /// Events fed since the last checkpoint (cadence trigger).
+    /// Base events fed since the last checkpoint (cadence trigger).
     since_last: u64,
     /// Offset of the last checkpoint written, if any.
     last_offset: Option<u64>,
     /// The first cadence failure; auto-checkpointing stops on it (an
     /// explicit [`RunSession::checkpoint_now`] retries and clears it).
     failure: Option<EngineError>,
+}
+
+/// A checkpoint [`RunSession::checkpoint_now`] wrote.
+#[derive(Debug)]
+pub struct Checkpointed {
+    /// The checkpoint file.
+    pub path: PathBuf,
+    /// The base-stream offset it records.
+    pub offset: u64,
+    /// Alerts raised while quiescing the pipeline stages before the
+    /// snapshot.
+    pub alerts: Vec<Alert>,
+}
+
+/// The write-ahead store of a session ([`RunSession::write_ahead`]).
+struct WriteAhead {
+    store: StoreWriter,
+    /// Base offset up to which events are on disk.
+    persisted: u64,
+    /// The first append or sync failure: appends stop on it.
+    failure: Option<String>,
 }
 
 /// Progress of a [`RunSession::pump`] round.
@@ -70,7 +106,8 @@ pub enum SessionStatus {
     /// No source had anything to deliver; live feeds are waiting on
     /// external producers. Back off briefly before pumping again.
     Idle,
-    /// Every attached source reached end-of-stream and drained.
+    /// Every attached base source reached end-of-stream and drained, and
+    /// no alert is in flight between pipeline stages.
     Done,
 }
 
@@ -82,7 +119,8 @@ pub struct Pump {
     /// idle rounds included — everything is in once [`Engine::finish`]
     /// ran, which [`RunSession::drain`] does).
     pub alerts: Vec<Alert>,
-    /// Events fed to the engine this round.
+    /// Events fed to the engine by the call — rewire and checkpoint
+    /// quiesce rounds and pipeline-derived events included.
     pub events: u64,
     /// Session progress after the round.
     pub status: SessionStatus,
@@ -140,14 +178,29 @@ pub struct RunSession<'e> {
     engine: &'e mut Engine,
     merge: WatermarkMerge<'e>,
     batch: Vec<SharedEvent>,
+    /// Events fed to the engine, pipeline-derived ones included.
     processed: u64,
+    /// Base events fed to the engine.
+    base: u64,
     /// Stream offset this session started at: `0` for a fresh run, the
-    /// checkpoint's offset after [`resume_at`](Self::resume_at) — so
+    /// checkpoint's offset after [`resume_at`](Self::resume_at), the
+    /// store's length after [`write_ahead`](Self::write_ahead) — so
     /// [`offset`](Self::offset) is always a *global* store position.
     base_offset: u64,
     /// Merge frontier carried over from a resumed checkpoint.
-    base_frontier: saql_model::Timestamp,
+    base_frontier: Timestamp,
+    /// The position came from [`resume_at`](Self::resume_at).
+    resumed: bool,
     checkpoints: Option<CheckpointState>,
+    store: Option<WriteAhead>,
+    edges: Edges,
+    /// Adapter positions from [`resume_at`](Self::resume_at), consumed by
+    /// the first wiring.
+    adapters: Vec<(String, u64)>,
+    /// Alerts raised outside a round — quiescing for a rewire or for a
+    /// failed [`checkpoint_now`](Self::checkpoint_now); the next round
+    /// returns them.
+    held: Vec<Alert>,
 }
 
 impl Engine {
@@ -164,9 +217,15 @@ impl Engine {
             merge: WatermarkMerge::new(config),
             batch: Vec::new(),
             processed: 0,
+            base: 0,
             base_offset: 0,
-            base_frontier: saql_model::Timestamp::ZERO,
+            base_frontier: Timestamp::ZERO,
+            resumed: false,
             checkpoints: None,
+            store: None,
+            edges: Edges::default(),
+            adapters: Vec::new(),
+            held: Vec::new(),
         }
     }
 }
@@ -193,7 +252,7 @@ impl<'e> RunSession<'e> {
 
     /// The engine under the session — the query control plane stays fully
     /// available mid-pump (register/deregister/pause/resume/subscribe land
-    /// at the current stream position).
+    /// at the current stream position; the next round rewires pipelines).
     pub fn engine(&mut self) -> &mut Engine {
         self.engine
     }
@@ -203,9 +262,12 @@ impl<'e> RunSession<'e> {
         self.pump_max(usize::MAX)
     }
 
-    /// One pump round, feeding at most `max` merged events to the engine.
-    /// Bounding the budget lets callers interleave control-plane changes at
-    /// exact stream positions (see the CLI's staged lifecycle flags).
+    /// One pump round: rewire pipelines if the registry's edge set changed,
+    /// transfer stage alerts, feed at most `max` merged events to the
+    /// engine, and take a due cadence checkpoint. Bounding the budget lets
+    /// callers interleave control-plane changes at exact stream positions
+    /// (see the CLI's staged lifecycle flags); rewire and checkpoint
+    /// quiesce rounds are not bounded by it.
     ///
     /// Merged events are fed in [`EventBatch`]es of the engine's execution
     /// batch size ([`Engine::batch_size`] — the one
@@ -217,20 +279,44 @@ impl<'e> RunSession<'e> {
     /// immediately with [`SessionStatus::Done`] — a finished engine can
     /// absorb no more events.
     pub fn pump_max(&mut self, max: usize) -> Pump {
-        self.pump_tapped(max, &mut |_, _| {})
+        let before = self.processed;
+        let wired = self.wire();
+        let mut alerts = std::mem::take(&mut self.held);
+        if wired.is_err() {
+            return Pump {
+                alerts,
+                events: self.processed - before,
+                status: SessionStatus::Done,
+            };
+        }
+        let moved = self.transfer();
+        let round = self.round(max);
+        alerts.extend(round.alerts);
+        self.cadence(&mut alerts);
+        let events = self.processed - before;
+        // Derived channels never end while wired: the run is over once
+        // every base source has and a full round moved nothing.
+        let quiet = moved == 0 && events == 0 && self.live_sources() == 0;
+        let status = match round.status {
+            SessionStatus::Idle if quiet && !self.edges.is_empty() => SessionStatus::Done,
+            status => status,
+        };
+        Pump {
+            alerts,
+            events,
+            status,
+        }
     }
 
-    /// [`pump_max`](Self::pump_max) with a write-ahead tap: `tap` is called
-    /// once per non-empty round with the absolute stream offset of the
-    /// round's first event and the round's merged events, *before* any of
-    /// them reach the engine. This is the durable-serving hook — appending
-    /// the tapped slice to an event store persists exactly the engine's
-    /// consumption order, so a store offset and [`offset`](Self::offset)
-    /// denote the same position and checkpoints taken at round boundaries
-    /// line up with the store ahead of the state they describe.
-    pub fn pump_tapped(&mut self, max: usize, tap: &mut dyn FnMut(u64, &[SharedEvent])) -> Pump {
+    /// One merge-and-process round, write-ahead tap included: no rewiring,
+    /// no transfer, no cadence.
+    fn round(&mut self, max: usize) -> Pump {
         self.batch.clear();
-        let status = self.merge.poll(&mut self.batch, max);
+        let mut status = match self.merge.poll(&mut self.batch, max) {
+            MergeStatus::Active => SessionStatus::Active,
+            MergeStatus::Idle => SessionStatus::Idle,
+            MergeStatus::Done => SessionStatus::Done,
+        };
         let mut alerts = if self.batch.is_empty() {
             // An idle round still visits the engine, with an empty batch: a
             // worker-backed engine hands over the alerts it has finished
@@ -239,109 +325,224 @@ impl<'e> RunSession<'e> {
             let idle = EventBatch::from_events(Vec::new());
             self.engine.process_batch(&idle).unwrap_or_default()
         } else {
-            tap(self.base_offset + self.processed, &self.batch);
+            self.append_ahead();
             Vec::new()
         };
-        let mut fed = 0u64;
+        let mut fed = 0;
         for chunk in self.batch.chunks(self.engine.batch_size()) {
             match self
                 .engine
                 .process_batch(&EventBatch::from_events(chunk.to_vec()))
             {
                 Ok(fresh) => {
-                    fed += chunk.len() as u64;
+                    fed += chunk.len();
                     alerts.extend(fresh);
                 }
                 Err(_) => {
-                    self.processed += fed;
-                    return Pump {
-                        alerts,
-                        events: fed,
-                        status: SessionStatus::Done,
-                    };
+                    status = SessionStatus::Done;
+                    break;
                 }
             }
         }
-        let events = fed;
-        self.processed += events;
-        // Cadence checkpoints land here — a pump-round boundary, so the
-        // engine is between `process_batch` calls and the captured state
-        // corresponds exactly to `offset()` events consumed.
+        let base = self.batch[..fed]
+            .iter()
+            .filter(|e| e.op != Operation::Alert)
+            .count() as u64;
+        self.processed += fed as u64;
+        self.base += base;
         if let Some(ck) = self.checkpoints.as_mut() {
-            ck.since_last += events;
-            if ck.config.every_events > 0
-                && ck.since_last >= ck.config.every_events
-                && ck.failure.is_none()
-            {
-                if let Err(e) = self.checkpoint_now() {
-                    // Remember the first failure instead of failing the
-                    // pump: the stream keeps flowing, explicit
-                    // `checkpoint_now` retries.
-                    if let Some(ck) = self.checkpoints.as_mut() {
-                        ck.failure = Some(e);
-                    }
-                }
-            }
+            ck.since_last += base;
         }
         Pump {
             alerts,
-            events,
-            status: match status {
-                MergeStatus::Active => SessionStatus::Active,
-                MergeStatus::Idle => SessionStatus::Idle,
-                MergeStatus::Done => SessionStatus::Done,
-            },
+            events: fed as u64,
+            status,
         }
     }
 
-    /// Pump until every source ends, then flush the engine
-    /// ([`Engine::finish`]); returns all alerts. Idle rounds (live sources
-    /// waiting on producers) sleep briefly instead of spinning.
-    pub fn drain(mut self) -> Vec<Alert> {
-        let mut alerts = Vec::new();
+    /// The write-ahead tap: append and sync the round's base events whose
+    /// offset is not yet on disk, before the engine sees any of them.
+    /// Derived events never enter the store — a resume re-derives them
+    /// from the replayed base stream.
+    fn append_ahead(&mut self) {
+        let Some(ahead) = self.store.as_mut() else {
+            return;
+        };
+        if ahead.failure.is_some() {
+            return;
+        }
+        let mut offset = self.base_offset + self.base;
+        let mut fresh: Vec<Event> = Vec::new();
+        for event in &self.batch {
+            if event.op == Operation::Alert {
+                continue;
+            }
+            if offset >= ahead.persisted {
+                fresh.push(Event::clone(event));
+            }
+            offset += 1;
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        match ahead.store.append(&fresh).and_then(|_| ahead.store.sync()) {
+            Ok(()) => ahead.persisted = offset,
+            Err(e) => ahead.failure = Some(e.to_string()),
+        }
+    }
+
+    /// Rewire the pipeline edges if the registry's edge set changed,
+    /// settling in-flight alerts on the old wiring first (held for the next
+    /// round) so none is stranded in a dropped subscription.
+    pub(crate) fn wire(&mut self) -> Result<(), EngineError> {
+        if !self.edges.stale(self.engine) {
+            return Ok(());
+        }
+        if !self.edges.is_empty() {
+            let settled = self.quiesce();
+            self.held.extend(settled);
+        }
+        // Surviving upstreams keep their positions; a resumed session's
+        // first wiring takes them from the checkpoint.
+        let mut seqs = self.edges.adapter_seqs();
+        seqs.append(&mut self.adapters);
+        self.edges = Edges::connect(self.engine, &mut self.merge, &seqs)?;
+        Ok(())
+    }
+
+    /// One pipeline transfer: adapt the upstream alerts into the derived
+    /// channels and punctuate them. Returns the derived events pushed.
+    pub(crate) fn transfer(&mut self) -> u64 {
+        if self.edges.open() == 0 {
+            return 0;
+        }
+        // Barrier first (free without workers): the punctuations assert
+        // "every upstream has processed every event up to the frontier",
+        // which is only true once the workers have caught up and their
+        // alerts are routed — otherwise a punctuation could advance a
+        // downstream clock past alerts still being computed.
+        let _ = self.engine.sync();
+        let frontier = self.frontier();
+        let lateness = self.engine.config().query.allowed_lateness;
+        // A derived channel's events *trail* processing: they can only be
+        // minted from base events the merge already released, so holding
+        // base traffic back for them deadlocks the feedback loop. Promise
+        // the merge the derived channels never gate anything at or below
+        // the lead of the real sources. The promise is deliberately
+        // optimistic — adapted alerts may carry older timestamps — which
+        // is sound because nothing orders against a derived event: stages
+        // clock on their own upstream's events only, and base queries
+        // never match `op = alert` traffic.
+        let lead = self
+            .merge
+            .source_stats()
+            .iter()
+            .map(|(_, s)| s.watermark.as_millis())
+            .max()
+            .unwrap_or(0)
+            .max(frontier.as_millis());
+        self.edges.transfer(frontier, lead, lateness)
+    }
+
+    /// Run transfer+pump rounds until the pipeline is *quiet*: a full
+    /// round moves no alert and feeds no event. Derived channels never
+    /// gate the merge, so a round that feeds nothing proves they are
+    /// empty — the engine's queries then hold the complete pipeline state.
+    fn quiesce(&mut self) -> Vec<Alert> {
+        let mut out = Vec::new();
         loop {
-            let round = self.pump();
-            alerts.extend(round.alerts);
-            match round.status {
-                SessionStatus::Done => break,
-                SessionStatus::Active => {}
-                SessionStatus::Idle => std::thread::sleep(std::time::Duration::from_millis(1)),
+            let moved = self.transfer();
+            let round = self.round(usize::MAX);
+            out.extend(round.alerts);
+            if moved == 0 && round.events == 0 {
+                return out;
             }
         }
-        alerts.extend(self.engine.finish());
+    }
+
+    /// Flush the stages layer by layer — each upstream's final windows
+    /// transfer to its dependents before those flush in turn, exactly like
+    /// hand-chained engines finishing in sequence — then close the derived
+    /// channels for good.
+    pub(crate) fn finish_stages(&mut self) -> Vec<Alert> {
+        if self.edges.open() == 0 {
+            return Vec::new();
+        }
+        let mut out = self.quiesce();
+        for id in Edges::flush_order(self.engine) {
+            // The flushed alerts reach the upstream's subscription; the
+            // quiesce moves them through the adapter and lets dependents
+            // process them (their own windows may close and cascade).
+            if self.engine.flush_query(id).is_ok() {
+                out.extend(self.quiesce());
+            }
+        }
+        self.edges.close();
+        out
+    }
+
+    /// End the stream: flush pipeline stages layer by layer, then the
+    /// engine ([`Engine::finish`]). Returns the alerts that raised.
+    pub fn finish(&mut self) -> Vec<Alert> {
+        let mut out = std::mem::take(&mut self.held);
+        if !self.edges.is_empty() {
+            out.extend(self.finish_stages());
+            // The closed channels drain; nothing new is derived.
+            loop {
+                let round = self.round(usize::MAX);
+                out.extend(round.alerts);
+                if round.status == SessionStatus::Done || round.events == 0 {
+                    break;
+                }
+            }
+        }
+        out.extend(self.engine.finish());
+        out
+    }
+
+    /// Pump until every base source ends, then [`finish`](Self::finish);
+    /// returns all alerts. Idle rounds (live sources waiting on producers)
+    /// sleep briefly instead of spinning.
+    pub fn drain(mut self) -> Vec<Alert> {
+        let mut alerts = Vec::new();
+        self.run_to_end(&mut |batch| alerts.extend(batch));
         alerts
     }
 
-    /// Pump until every source ends, delivering each alert to `sink` as it
-    /// fires, then flush engine and sink; returns the alert count.
+    /// [`drain`](Self::drain), delivering each alert to `sink` as it
+    /// fires, then flushing the sink; returns the alert count.
     pub fn drain_into(mut self, sink: &mut dyn AlertSink) -> u64 {
         let mut n = 0u64;
-        loop {
-            let round = self.pump();
-            for alert in &round.alerts {
+        self.run_to_end(&mut |batch| {
+            for alert in &batch {
                 n += 1;
                 sink.deliver(alert);
             }
-            match round.status {
-                SessionStatus::Done => break,
-                SessionStatus::Active => {}
-                SessionStatus::Idle => std::thread::sleep(std::time::Duration::from_millis(1)),
-            }
-        }
-        for alert in self.engine.finish() {
-            n += 1;
-            sink.deliver(&alert);
-        }
+        });
         sink.flush();
         n
     }
 
+    fn run_to_end(&mut self, deliver: &mut dyn FnMut(Vec<Alert>)) {
+        loop {
+            let round = self.pump();
+            let status = round.status;
+            deliver(round.alerts);
+            match status {
+                SessionStatus::Done => break,
+                SessionStatus::Active => {}
+                SessionStatus::Idle => std::thread::sleep(std::time::Duration::from_millis(1)),
+            }
+        }
+        deliver(self.finish());
+    }
+
     // ------------------------------------------------------------------
-    // Checkpoint / resume
+    // Checkpoint / resume / write-ahead
     // ------------------------------------------------------------------
 
     /// Write a checkpoint into `config.dir` every `config.every_events`
-    /// events, at pump-round boundaries. Combine with a durable store
+    /// base events, at pump-round boundaries. Combine with a durable store
     /// source so the recorded offsets are replayable (see
     /// [`resume_at`](Self::resume_at) for the restart side).
     pub fn enable_checkpoints(&mut self, config: CheckpointConfig) {
@@ -353,31 +554,81 @@ impl<'e> RunSession<'e> {
         });
     }
 
-    /// Prime a resumed session with the stream position of the checkpoint
-    /// its engine was [restored from](Engine::resume_from): subsequent
+    /// Prime a resumed session with the position of the checkpoint its
+    /// engine was [restored from](Engine::resume_from): subsequent
     /// [`offset`](Self::offset)s, [`frontier`](Self::frontier)s, and
-    /// checkpoints continue the original run's numbering. Attach the event
-    /// suffix with
+    /// checkpoints continue the original run's numbering, and the pipeline
+    /// adapters continue its derived-event ids. Attach the event suffix
+    /// with
     /// [`StoreSource::open_at`](saql_stream::source::StoreSource::open_at)
     /// at `checkpoint.offset`.
     pub fn resume_at(&mut self, checkpoint: &Checkpoint) {
-        self.resume_at_position(checkpoint.offset, checkpoint.frontier);
+        self.base_offset = checkpoint.offset;
+        self.base_frontier = checkpoint.frontier;
+        self.adapters = checkpoint.adapters.clone();
+        self.resumed = true;
     }
 
-    /// [`resume_at`](Self::resume_at) from a bare position — for callers
-    /// that consumed the checkpoint in [`Engine::resume_from`] and kept
-    /// only its coordinates.
-    pub fn resume_at_position(&mut self, offset: u64, frontier: saql_model::Timestamp) {
-        self.base_offset = offset;
-        self.base_frontier = frontier;
+    /// Install the write-ahead store (before the first round): from now on
+    /// every round appends and syncs the base events whose offset is not
+    /// yet on disk before the engine consumes them, so a store offset and
+    /// [`offset`](Self::offset) denote the same position. A session not
+    /// [resumed](Self::resume_at) continues the store's offset space.
+    pub fn write_ahead(&mut self, store: StoreWriter) {
+        let persisted = store.len();
+        if !self.resumed {
+            self.base_offset = persisted;
+        }
+        self.store = Some(WriteAhead {
+            store,
+            persisted,
+            failure: None,
+        });
+    }
+
+    /// The write-ahead store, if one is installed.
+    pub fn store(&self) -> Option<&StoreWriter> {
+        self.store.as_ref().map(|ahead| &ahead.store)
+    }
+
+    /// The first write-ahead failure: appends stopped there, and every
+    /// checkpoint since is refused.
+    pub fn store_failure(&self) -> Option<&str> {
+        self.store
+            .as_ref()
+            .and_then(|ahead| ahead.failure.as_deref())
+    }
+
+    /// Remove the write-ahead store (to seal it at shutdown); later rounds
+    /// append nothing.
+    pub fn take_store(&mut self) -> Option<StoreWriter> {
+        self.store.take().map(|ahead| ahead.store)
     }
 
     /// Take a checkpoint right now (regardless of cadence) and write it
-    /// atomically into the configured directory. Requires
-    /// [`enable_checkpoints`](Self::enable_checkpoints); clears any
-    /// recorded cadence [`checkpoint_failure`](Self::checkpoint_failure)
-    /// on success.
-    pub fn checkpoint_now(&mut self) -> Result<std::path::PathBuf, EngineError> {
+    /// atomically into the configured directory: quiesce the pipeline
+    /// stages, snapshot the engine at the base offset, stamp the adapter
+    /// positions. Requires [`enable_checkpoints`](Self::enable_checkpoints);
+    /// refused after a write-ahead failure; clears any recorded cadence
+    /// [`checkpoint_failure`](Self::checkpoint_failure) on success.
+    pub fn checkpoint_now(&mut self) -> Result<Checkpointed, EngineError> {
+        let mut alerts = Vec::new();
+        match self.checkpoint(&mut alerts) {
+            Ok((path, offset)) => Ok(Checkpointed {
+                path,
+                offset,
+                alerts,
+            }),
+            Err(e) => {
+                self.held.extend(alerts);
+                Err(e)
+            }
+        }
+    }
+
+    /// The one checkpoint path; quiesce alerts land in `alerts` whether or
+    /// not the checkpoint is written.
+    fn checkpoint(&mut self, alerts: &mut Vec<Alert>) -> Result<(PathBuf, u64), EngineError> {
         let Some(ck) = self.checkpoints.as_ref() else {
             return Err(EngineError::Checkpoint(
                 "checkpoints are not enabled on this session \
@@ -386,15 +637,42 @@ impl<'e> RunSession<'e> {
             ));
         };
         let dir = ck.config.dir.clone();
+        if self.edges.open() > 0 {
+            alerts.extend(self.quiesce());
+        }
+        if let Some(e) = self.store_failure() {
+            return Err(EngineError::Checkpoint(format!(
+                "durable store write failed: {e}"
+            )));
+        }
         let offset = self.offset();
-        let frontier = self.frontier();
-        let checkpoint = self.engine.checkpoint(offset, frontier)?;
+        let mut checkpoint = self.engine.checkpoint(offset, self.frontier())?;
+        checkpoint.adapters = self.edges.adapter_seqs();
         let path = checkpoint.write_atomic(&dir)?;
         let ck = self.checkpoints.as_mut().expect("checked above");
         ck.since_last = 0;
         ck.last_offset = Some(offset);
         ck.failure = None;
-        Ok(path)
+        Ok((path, offset))
+    }
+
+    /// Take the cadence checkpoint if one is due.
+    fn cadence(&mut self, alerts: &mut Vec<Alert>) {
+        let due = self.checkpoints.as_ref().is_some_and(|ck| {
+            ck.config.every_events > 0
+                && ck.since_last >= ck.config.every_events
+                && ck.failure.is_none()
+        });
+        if due {
+            if let Err(e) = self.checkpoint(alerts) {
+                // Remember the first failure instead of failing the pump:
+                // the stream keeps flowing, explicit `checkpoint_now`
+                // retries.
+                if let Some(ck) = self.checkpoints.as_mut() {
+                    ck.failure = Some(e);
+                }
+            }
+        }
     }
 
     /// Stream offset of the last checkpoint written by this session.
@@ -410,40 +688,36 @@ impl<'e> RunSession<'e> {
         self.checkpoints.as_ref().and_then(|c| c.failure.as_ref())
     }
 
-    /// Events fed to the engine so far *by this session* (excludes events
-    /// a resumed run's predecessor processed; see [`offset`](Self::offset)
-    /// for the global position).
+    /// Events fed to the engine so far *by this session*, pipeline-derived
+    /// events included (see [`offset`](Self::offset) for the stream
+    /// position).
     pub fn processed(&self) -> u64 {
         self.processed
     }
 
-    /// Global stream position: events processed across this run and every
-    /// checkpointed predecessor — the index of the next unprocessed event
-    /// in the durable store.
+    /// Global base-stream position: base events processed across this run
+    /// and every checkpointed predecessor — the index of the next
+    /// unprocessed event in the durable store.
     pub fn offset(&self) -> u64 {
-        self.base_offset + self.processed
+        self.base_offset + self.base
     }
 
     /// Timestamp of the last event released by the merge — or, on a
     /// resumed session that hasn't passed it yet, the checkpoint's
     /// carried-over frontier.
-    pub fn frontier(&self) -> saql_model::Timestamp {
+    pub fn frontier(&self) -> Timestamp {
         self.merge.frontier().max(self.base_frontier)
     }
 
-    /// Whether every attached source has ended and drained.
-    pub fn is_done(&self) -> bool {
-        self.merge.is_done()
-    }
-
-    /// Sources still attached and not ended.
+    /// Sources still attached and not ended, the session's own pipeline
+    /// channels excluded.
     pub fn live_sources(&self) -> usize {
-        self.merge.live_sources()
+        self.merge.live_sources().saturating_sub(self.edges.open())
     }
 
     /// Per-source progress: events merged, watermark, lag behind the
     /// leading source, and dropped-late counts — in attach order, detached
-    /// sources included with their final counters.
+    /// sources and the session's `pipe:` channels included.
     pub fn source_stats(&self) -> Vec<(SourceId, SourceStats)> {
         self.merge.source_stats()
     }
@@ -629,7 +903,7 @@ mod tests {
         assert_eq!(alerts.len(), 2, "straggler re-sorted, too-late dropped");
         assert_eq!(session.processed(), 2);
         assert_eq!(session.frontier().as_millis(), 10_000);
-        assert!(session.is_done());
+        assert_eq!(session.live_sources(), 0);
         let stats = &session.source_stats()[id.index()].1;
         assert_eq!(stats.pulled, 3);
         assert_eq!(stats.events, 2);

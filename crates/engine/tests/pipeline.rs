@@ -7,9 +7,13 @@ use std::sync::Arc;
 
 use saql_engine::alert::AlertOrigin;
 use saql_engine::pipeline::{
-    deregister_pipeline, register_pipeline, register_pipeline_scoped, AlertAdapter, PipelineWiring,
+    deregister_pipeline, register_pipeline, register_pipeline_scoped, AlertAdapter,
 };
-use saql_engine::{Alert, Engine, EngineConfig, EngineError, SessionStatus};
+use saql_engine::sink::CollectSink;
+use saql_engine::{
+    Alert, Checkpoint, CheckpointConfig, Engine, EngineConfig, EngineError, RunSession,
+    SessionStatus,
+};
 use saql_model::event::EventBuilder;
 use saql_model::{NetworkInfo, ProcessInfo, Timestamp};
 use saql_stream::merge::Lateness;
@@ -79,24 +83,27 @@ fn key(a: &Alert) -> (String, u64, String, Vec<(String, String)>) {
     )
 }
 
+/// Pump `session` until its stream ends in rounds of at most `round`
+/// events; returns the alerts (no end-of-stream flush).
+fn pump_until_done(session: &mut RunSession<'_>, round: usize) -> Vec<Alert> {
+    let mut alerts = Vec::new();
+    loop {
+        let pumped = session.pump_max(round);
+        alerts.extend(pumped.alerts);
+        if pumped.status == SessionStatus::Done {
+            return alerts;
+        }
+    }
+}
+
 /// Run the pipeline inside one engine and return all alerts.
 fn run_pipeline(config: EngineConfig) -> Vec<Alert> {
     let mut engine = Engine::new(config);
     register_pipeline(&mut engine, "tiered", TIERED).expect("registers");
     let mut session = engine.session();
     session.attach_with(IterSource::new("trace", trace()), Lateness::ArrivalOrder);
-    let mut wiring = PipelineWiring::connect(&mut session).expect("wires");
-    let mut alerts = Vec::new();
-    loop {
-        let round = session.pump_max(64);
-        alerts.extend(round.alerts);
-        let moved = wiring.transfer(&mut session);
-        if round.events == 0 && moved == 0 && round.status != SessionStatus::Active {
-            break;
-        }
-    }
-    alerts.extend(wiring.finish_stages(&mut session));
-    alerts.extend(session.drain());
+    let mut alerts = pump_until_done(&mut session, 64);
+    alerts.extend(session.finish());
     alerts
 }
 
@@ -185,6 +192,42 @@ fn pipeline_matches_hand_chained_parallel() {
 }
 
 #[test]
+fn every_entry_point_runs_a_registered_pipeline() {
+    // `Engine::run` & co. take no wiring from the caller: the session they
+    // drain wires, transfers, and flushes the stages itself.
+    let (c1, c2) = per_stage(&run_hand_chained(EngineConfig::default()));
+    let fresh = || {
+        let mut engine = Engine::new(EngineConfig::default());
+        register_pipeline(&mut engine, "tiered", TIERED).expect("registers");
+        engine
+    };
+    let attached = |engine: &mut Engine| -> Vec<Alert> {
+        let mut session = engine.session();
+        session.attach_with(IterSource::new("trace", trace()), Lateness::ArrivalOrder);
+        session.drain()
+    };
+    let mut runs: Vec<(&str, Vec<Alert>)> = Vec::new();
+    runs.push(("Engine::run", fresh().run(trace()).expect("runs")));
+    let mut sink = CollectSink { alerts: Vec::new() };
+    let n = fresh().run_with_sink(trace(), &mut sink).expect("runs");
+    assert_eq!(n as usize, sink.alerts.len());
+    runs.push(("Engine::run_with_sink", sink.alerts));
+    runs.push(("RunSession::drain", attached(&mut fresh())));
+    let mut engine = fresh();
+    let mut session = engine.session();
+    session.attach_with(IterSource::new("trace", trace()), Lateness::ArrivalOrder);
+    let mut sink = CollectSink { alerts: Vec::new() };
+    session.drain_into(&mut sink);
+    runs.push(("RunSession::drain_into", sink.alerts));
+    for (entry, alerts) in runs {
+        let (p1, p2) = per_stage(&alerts);
+        assert_eq!(p1, c1, "{entry}: stage 1 diverged");
+        assert_eq!(p2, c2, "{entry}: stage 2 diverged");
+        assert_eq!(p2.len(), 1, "{entry}: the correlated burst fires stage 2");
+    }
+}
+
+#[test]
 fn stage2_windows_close_in_stream_via_punctuation() {
     // Without end-of-stream flushes, the correlation window must still
     // close: the trailing quiet event advances the frontier past the 30 s
@@ -193,16 +236,10 @@ fn stage2_windows_close_in_stream_via_punctuation() {
     register_pipeline(&mut engine, "tiered", TIERED).expect("registers");
     let mut session = engine.session();
     session.attach_with(IterSource::new("trace", trace()), Lateness::ArrivalOrder);
-    let mut wiring = PipelineWiring::connect(&mut session).expect("wires");
-    let mut stage2_before_drain = 0;
-    loop {
-        let round = session.pump_max(64);
-        stage2_before_drain += round.alerts.iter().filter(|a| a.query == "tiered").count();
-        let moved = wiring.transfer(&mut session);
-        if round.events == 0 && moved == 0 && round.status != SessionStatus::Active {
-            break;
-        }
-    }
+    let stage2_before_drain = pump_until_done(&mut session, 64)
+        .iter()
+        .filter(|a| a.query == "tiered")
+        .count();
     assert!(
         stage2_before_drain >= 1,
         "stage 2 should alert while the stream is still flowing"
@@ -300,34 +337,36 @@ fn pipeline_survives_checkpoint_crash_and_resume() {
     // drop everything — the "crash" — and resume into a fresh engine.
     let events = trace();
     let cut = 9;
+    let dir = std::env::temp_dir().join(format!("saql-pipeline-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let mut alerts: Vec<Alert> = Vec::new();
-    let checkpoint = {
+    {
         let mut engine = Engine::new(EngineConfig::default());
         register_pipeline(&mut engine, "tiered", TIERED).expect("registers");
         let mut session = engine.session();
+        session.enable_checkpoints(CheckpointConfig {
+            dir: dir.clone(),
+            every_events: 0,
+        });
         session.attach_with(
             IterSource::new("trace", events[..cut].to_vec()),
             Lateness::ArrivalOrder,
         );
-        let mut wiring = PipelineWiring::connect(&mut session).expect("wires");
-        loop {
-            let round = session.pump_max(4);
-            alerts.extend(round.alerts);
-            let moved = wiring.transfer(&mut session);
-            if round.events == 0 && moved == 0 && round.status != SessionStatus::Active {
-                break;
-            }
-        }
-        let (ck, more) = wiring.checkpoint(&mut session).expect("checkpoints");
-        alerts.extend(more);
+        alerts.extend(pump_until_done(&mut session, 4));
+        let written = session.checkpoint_now().expect("checkpoints");
+        alerts.extend(written.alerts);
         assert_eq!(
-            ck.offset, cut as u64,
+            written.offset, cut as u64,
             "checkpoint offset counts base events only, not derived ones"
         );
-        assert!(!ck.adapters.is_empty(), "adapter positions are stamped");
-        // Through the wire format, as a real restart would read it back.
-        saql_engine::Checkpoint::decode(ck.encode()).expect("roundtrips")
-    };
+    }
+    // Through the file, as a real restart would read it back.
+    let checkpoint = Checkpoint::load(&dir).expect("loads");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(
+        !checkpoint.adapters.is_empty(),
+        "adapter positions are stamped"
+    );
 
     let mut engine =
         Engine::resume_from(checkpoint.clone(), EngineConfig::default()).expect("resumes");
@@ -337,18 +376,8 @@ fn pipeline_survives_checkpoint_crash_and_resume() {
         IterSource::new("trace", events[checkpoint.offset as usize..].to_vec()),
         Lateness::ArrivalOrder,
     );
-    let mut wiring =
-        PipelineWiring::connect_with(&mut session, &checkpoint.adapters).expect("rewires");
-    loop {
-        let round = session.pump_max(4);
-        alerts.extend(round.alerts);
-        let moved = wiring.transfer(&mut session);
-        if round.events == 0 && moved == 0 && round.status != SessionStatus::Active {
-            break;
-        }
-    }
-    alerts.extend(wiring.finish_stages(&mut session));
-    alerts.extend(session.drain());
+    alerts.extend(pump_until_done(&mut session, 4));
+    alerts.extend(session.finish());
 
     let (r1, r2) = per_stage(&alerts);
     let (u1, u2) = per_stage(&uninterrupted);
@@ -478,26 +507,34 @@ fn scoped_register_confines_explicit_refs_to_the_scope() {
 }
 
 #[test]
-fn rewire_detects_same_count_pipeline_replacement() {
+fn session_rewires_a_same_count_pipeline_replacement() {
+    // Replace the pipeline under the same name mid-stream: the edge
+    // *count* is unchanged, but the upstream ids are new. The session must
+    // notice and rewire, or the new stage 2 would never see an alert. (A
+    // rewire first quiesces the old wiring over whatever the sources have
+    // delivered by then, so the rest of the trace arrives after it.)
+    let events = trace();
     let mut engine = Engine::new(EngineConfig::default());
     register_pipeline(&mut engine, "tiered", TIERED).expect("registers");
     let mut session = engine.session();
-    let mut wiring = PipelineWiring::connect(&mut session).expect("wires");
-    assert!(!wiring.stale(&mut session), "freshly wired");
-
-    // Replace the pipeline under the same name between wiring checks: the
-    // edge *count* is unchanged, but the upstream ids are new — the old
-    // wiring still subscribes to the removed queries.
+    let (push, live) = push_source("live", 64);
+    session.attach_with(live, Lateness::ArrivalOrder);
+    assert!(push.push(Arc::clone(&events[0])));
+    let mut alerts = Vec::new();
+    while session.offset() < 1 {
+        alerts.extend(session.pump().alerts);
+    }
     let head = session.engine().find("tiered").expect("head is live");
     deregister_pipeline(session.engine(), head).expect("deregisters");
     register_pipeline(session.engine(), "tiered", TIERED).expect("re-registers");
-    assert!(
-        wiring.stale(&mut session),
-        "a same-count replacement must be detected"
-    );
-    wiring.reconnect(&mut session).expect("rewires");
-    assert!(
-        !wiring.stale(&mut session),
-        "fresh edges match the registry"
-    );
+    alerts.extend(session.pump().alerts);
+    for event in &events[1..] {
+        assert!(push.push(Arc::clone(event)));
+    }
+    drop(push);
+    alerts.extend(pump_until_done(&mut session, 64));
+    alerts.extend(session.finish());
+    let stage2: Vec<_> = alerts.iter().filter(|a| a.query == "tiered").collect();
+    assert_eq!(stage2.len(), 1, "the replacement pipeline is wired");
+    assert!(stage2[0].rows.iter().any(|(l, v)| l == "hosts" && v == "2"));
 }

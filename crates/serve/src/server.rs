@@ -9,7 +9,7 @@
 //!        │                        │ control: Req over ctrl chan ──┤
 //!        │                        │ subscribe: Alert receiver ◀───┤
 //!        ▼                        ▼                               ▼
-//!                         core thread: drain ctrl → pump_tapped → repeat
+//!                         core thread: drain ctrl → session pump → repeat
 //! ```
 //!
 //! The core thread is the only one touching the [`Engine`] / [`RunSession`].
@@ -21,14 +21,14 @@
 //!
 //! ## Durability
 //!
-//! With a durable store configured, every pump round's merged batch is
-//! appended **and synced** before the engine consumes it (the
-//! [`RunSession::pump_tapped`] write-ahead tap), so the store offset equals
-//! the session offset at every round boundary and any checkpoint the
-//! session writes is covered by synced events. An ingest connection's final
+//! With a durable store configured, every pump round's base events are
+//! appended **and synced** before the engine consumes them (the session's
+//! [`RunSession::write_ahead`] tap), so the store offset equals the
+//! session offset at every round boundary and any checkpoint the session
+//! writes is covered by synced events. An ingest connection's final
 //! summary line (`"durable":true`) is therefore a real acknowledgement:
-//! those events survive a crash. On graceful shutdown the server seals the
-//! store and writes one final checkpoint — restart with `resume` and the
+//! those events survive a crash. On graceful shutdown the server writes one
+//! final checkpoint and seals the store — restart with `resume` and the
 //! session continues at the exact event it stopped at, open windows and
 //! matcher state included. A store write failure is treated as fatal: the
 //! server stops checkpointing, drains, and reports the error rather than
@@ -48,9 +48,9 @@ use saql_engine::{
     render_alert_json, Alert, Checkpoint, CheckpointConfig, Engine, EngineConfig, RunSession,
     SessionStatus,
 };
-use saql_model::event::{Event, Operation};
+use saql_model::event::Event;
 use saql_model::json::decode_event_json;
-use saql_model::time::{Duration, Timestamp};
+use saql_model::time::Duration;
 use saql_stream::merge::{Lateness, MergeConfig, SourceId, SourceStats};
 use saql_stream::source::{push_source, ChannelSource, StoreSource};
 use saql_stream::{PushError, StoreReader, StoreWriter};
@@ -105,8 +105,7 @@ pub struct ServeConfig {
     pub quota: TenantQuota,
     /// Per-tenant quota overrides.
     pub tenant_quotas: Vec<(String, TenantQuota)>,
-    /// Write-ahead event store path (file or segment directory); `None`
-    /// serves memory-only.
+    /// Write-ahead event store directory; `None` serves memory-only.
     pub durable_store: Option<PathBuf>,
     /// Checkpoint directory; enables cadence + shutdown checkpoints.
     pub checkpoint_dir: Option<PathBuf>,
@@ -272,13 +271,11 @@ struct DrainReport {
     durable: bool,
 }
 
-/// What a resume needs: where the checkpoint stopped, the store to replay
-/// the suffix from, and the pipeline adapter positions to restore.
+/// What a resume needs: the checkpoint's position and the store to replay
+/// the suffix from.
 struct ResumeState {
-    offset: u64,
-    frontier: Timestamp,
+    checkpoint: Checkpoint,
     reader: StoreReader,
-    adapters: Vec<(String, u64)>,
 }
 
 // ---------------------------------------------------------------------
@@ -315,13 +312,13 @@ impl Server {
                 .ok_or("resume requires a durable store")?;
             let ckpt = Checkpoint::load(&Checkpoint::path_in(dir)).map_err(|e| e.to_string())?;
             let reader = StoreReader::open(store_path).map_err(|e| e.to_string())?;
+            let engine =
+                Engine::resume_from(ckpt.clone(), cfg.engine).map_err(|e| e.to_string())?;
             resume_state = Some(ResumeState {
-                offset: ckpt.offset,
-                frontier: ckpt.frontier,
+                checkpoint: ckpt,
                 reader,
-                adapters: ckpt.adapters.clone(),
             });
-            Engine::resume_from(ckpt, cfg.engine).map_err(|e| e.to_string())?
+            engine
         } else {
             let mut engine = Engine::new(cfg.engine);
             for (name, text) in &cfg.initial_queries {
@@ -347,8 +344,9 @@ impl Server {
             None => None,
         };
         let persisted = store.as_ref().map_or(0, StoreWriter::len);
-        if let Some(ResumeState { offset, .. }) = &resume_state {
-            if *offset > persisted {
+        if let Some(ResumeState { checkpoint, .. }) = &resume_state {
+            let offset = checkpoint.offset;
+            if offset > persisted {
                 return Err(format!(
                     "checkpoint offset {offset} is ahead of the durable store ({persisted} events) — \
                      the store and checkpoint dir do not belong together"
@@ -392,7 +390,6 @@ impl Server {
                     let out = run_core(
                         engine,
                         store,
-                        persisted,
                         resume_state,
                         cfg,
                         &shared,
@@ -502,11 +499,19 @@ fn install_alert_hook(
 // Core thread
 // ---------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
+/// Count (and, with `print_alerts`, print) alerts the core produced.
+fn emit(summary: &mut ServeSummary, print: bool, alerts: &[Alert]) {
+    summary.alerts += alerts.len() as u64;
+    if print {
+        for alert in alerts {
+            println!("{alert}");
+        }
+    }
+}
+
 fn run_core(
     mut engine: Engine,
-    mut store: Option<StoreWriter>,
-    mut persisted: u64,
+    store: Option<StoreWriter>,
     resume: Option<ResumeState>,
     cfg: ServeConfig,
     sh: &Shared,
@@ -515,377 +520,147 @@ fn run_core(
 ) -> Result<ServeSummary, String> {
     let mut summary = ServeSummary::default();
     let mut fatal: Option<String> = None;
-    let checkpointing = cfg.checkpoint_dir.is_some();
-    // `finish()` flushes open windows to subscribers — correct when the
-    // stream truly ends here, wrong when a checkpoint means "to be
-    // continued": a resumed session must find those windows still open.
-    let finish_at_end = !checkpointing;
-
-    {
-        let mut session = engine.session_with(MergeConfig {
-            lateness: cfg.lateness,
-            pull_batch: cfg.pull_batch,
+    let print = cfg.print_alerts;
+    let mut session = engine.session_with(MergeConfig {
+        lateness: cfg.lateness,
+        pull_batch: cfg.pull_batch,
+    });
+    if let Some(dir) = &cfg.checkpoint_dir {
+        session.enable_checkpoints(CheckpointConfig {
+            dir: dir.clone(),
+            every_events: cfg.checkpoint_every,
         });
-        if let Some(dir) = &cfg.checkpoint_dir {
-            // Cadence 0: the core loop drives cadence itself so a store
-            // write failure can veto checkpoints before one is written.
-            session.enable_checkpoints(CheckpointConfig {
-                dir: dir.clone(),
-                every_events: 0,
-            });
-        }
+    }
+    // The session appends + syncs each round's base events before the
+    // engine consumes them, so every checkpoint it writes is covered.
+    if let Some(store) = store {
+        session.write_ahead(store);
+    }
 
-        // Durable write-ahead tap: append + sync each round's merged batch
-        // before the engine consumes it. `base_seen` counts *base* (non
-        // derived) events only — adapted pipeline alerts (`op = alert`)
-        // never enter the store, because a resume re-derives them from the
-        // replayed base stream; storing them too would double-feed every
-        // downstream stage. `persisted` (base events already on disk)
-        // makes replayed prefixes skip the append.
-        let mut store_err: Option<String> = None;
-        let mut base_seen: u64 = resume.as_ref().map(|r| r.offset).unwrap_or(persisted);
-        macro_rules! pump {
-            ($session:expr) => {{
-                round_anchor.store(sh.clock.now_ns().max(1), Ordering::Relaxed);
-                let store = &mut store;
-                let persisted = &mut persisted;
-                let store_err = &mut store_err;
-                let base_seen = &mut base_seen;
-                $session.pump_tapped(ROUND_BUDGET, &mut |_offset, events| {
-                    let mut fresh: Vec<Event> = Vec::new();
-                    for event in events {
-                        if event.op == Operation::Alert {
-                            continue;
-                        }
-                        *base_seen += 1;
-                        if *base_seen > *persisted {
-                            fresh.push(Event::clone(event));
-                        }
-                    }
-                    let Some(writer) = store.as_mut() else { return };
-                    if store_err.is_some() || fresh.is_empty() {
-                        return;
-                    }
-                    match writer.append(&fresh).and_then(|_| writer.sync()) {
-                        Ok(()) => *persisted = *base_seen,
-                        Err(e) => *store_err = Some(e.to_string()),
-                    }
-                })
-            }};
-        }
-
-        // Pipeline wiring: subscriptions + adapters + push channels for
-        // every `from query` edge, adapter positions restored from the
-        // checkpoint. Connected *before* the resume replay so downstream
-        // stages re-derive the post-checkpoint alert stream exactly.
-        let mut wiring = match saql_engine::PipelineWiring::connect_with(
-            &mut session,
-            resume
-                .as_ref()
-                .map(|r| r.adapters.as_slice())
-                .unwrap_or(&[]),
-        ) {
-            Ok(w) => w,
-            Err(e) => {
-                fatal = Some(format!("pipeline wiring failed: {e}"));
-                saql_engine::PipelineWiring::default()
-            }
-        };
-        // Tapped transfer+pump rounds until no alert is in flight between
-        // stages — the pipeline-aware quiet point a checkpoint needs.
-        macro_rules! pipeline_quiesce {
-            ($session:expr) => {{
+    // Resume: replay the store suffix past the checkpoint to exactly the
+    // pre-shutdown state *before* opening for live traffic (live attaches
+    // stay queued on the control channel meanwhile, so the replay cannot
+    // interleave with — or re-read — fresh appends).
+    if let Some(ResumeState { checkpoint, reader }) = resume {
+        session.resume_at(&checkpoint);
+        match StoreSource::open_at("_resume/store", &reader, checkpoint.offset) {
+            Ok(src) => {
+                session.attach_with(src, Lateness::ArrivalOrder);
                 loop {
-                    let moved = wiring.transfer(&mut $session);
-                    let round = pump!($session);
-                    summary.events += round.events;
-                    summary.alerts += round.alerts.len() as u64;
-                    if cfg.print_alerts {
-                        for alert in &round.alerts {
-                            println!("{alert}");
-                        }
-                    }
-                    if moved == 0 && round.events == 0 {
+                    round_anchor.store(sh.clock.now_ns().max(1), Ordering::Relaxed);
+                    let round = session.pump_max(ROUND_BUDGET);
+                    emit(&mut summary, print, &round.alerts);
+                    if round.status == SessionStatus::Done {
                         break;
                     }
                 }
-            }};
-        }
-        // Checkpoint capturing the whole pipeline: quiesce, then snapshot
-        // at the *base* offset (session offset minus derived events) with
-        // the adapter positions stamped in.
-        macro_rules! pipeline_checkpoint {
-            ($session:expr) => {{
-                pipeline_quiesce!($session);
-                let offset = $session.offset().saturating_sub(wiring.derived_pushed());
-                let frontier = $session.frontier();
-                match $session.engine().checkpoint(offset, frontier) {
-                    Ok(mut ckpt) => {
-                        ckpt.adapters = wiring.adapter_seqs();
-                        ckpt.write_atomic(cfg.checkpoint_dir.as_ref().expect("checkpointing on"))
-                            .map_err(|e| e.to_string())
-                            .map(|path| (path, offset))
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            }};
-        }
-        let mut waiters: Vec<(SourceId, Sender<DrainReport>)> = Vec::new();
-        // Control dispatch: `checkpoint` on a pipelined engine needs the
-        // tap and the wiring, so the core loop answers it in place;
-        // everything else goes through the plain handler.
-        macro_rules! dispatch_req {
-            ($req:expr) => {{
-                match $req {
-                    Req::Control {
-                        tenant: _,
-                        cmd: ControlCmd::Checkpoint,
-                        reply,
-                    } if checkpointing && !wiring.is_empty() => {
-                        let line = match pipeline_checkpoint!(session) {
-                            Ok((path, offset)) => JsonObj::new()
-                                .bool("ok", true)
-                                .str("path", &path.display().to_string())
-                                .u64("offset", offset)
-                                .finish(),
-                            Err(e) => err_line(&e),
-                        };
-                        let _ = reply.send(line);
-                    }
-                    req => handle_req(req, &mut session, &mut waiters, sh, checkpointing, &store),
-                }
-            }};
-        }
-
-        // Resume: replay the store suffix past the checkpoint to exactly
-        // the pre-shutdown state *before* opening for live traffic (live
-        // attaches stay queued on the control channel meanwhile, so the
-        // replay cannot interleave with — or re-read — fresh appends).
-        match resume {
-            Some(ResumeState {
-                offset,
-                frontier,
-                reader,
-                ..
-            }) => {
-                session.resume_at_position(offset, frontier);
-                match StoreSource::open_at("_resume/store", &reader, offset) {
-                    Ok(src) => {
-                        session.attach_with(src, Lateness::ArrivalOrder);
-                        loop {
-                            let moved = if wiring.is_empty() {
-                                0
-                            } else {
-                                wiring.transfer(&mut session)
-                            };
-                            let round = pump!(session);
-                            summary.events += round.events;
-                            summary.alerts += round.alerts.len() as u64;
-                            if cfg.print_alerts {
-                                for alert in &round.alerts {
-                                    println!("{alert}");
-                                }
-                            }
-                            if round.status != SessionStatus::Active
-                                && moved == 0
-                                && round.events == 0
-                            {
-                                break;
-                            }
-                        }
-                        eprintln!(
-                            "[serve] resumed at offset {offset}, replayed {} stored events",
-                            summary.events
-                        );
-                    }
-                    Err(e) => fatal = Some(format!("resume replay failed: {e}")),
-                }
-            }
-            None => {
-                if persisted > 0 {
-                    // Fresh engine over a non-empty store: continue the
-                    // store's offset space so appended rounds line up.
-                    session.resume_at_position(persisted, Timestamp::from_millis(0));
-                }
-            }
-        }
-
-        let mut degraded: HashSet<String> = HashSet::new();
-        let mut since_checkpoint: u64 = 0;
-        let mut last_observe = Instant::now();
-        let mut drain_deadline: Option<Instant> = None;
-        let mut observed_any = false;
-
-        while fatal.is_none() {
-            // Control plane between rounds.
-            while let Ok(req) = ctrl_rx.try_recv() {
-                dispatch_req!(req);
-            }
-
-            // A register/deregister may have changed the pipeline
-            // topology: settle in-flight alerts on the old wiring, then
-            // rebuild the edge set against the live registry.
-            if wiring.stale(&mut session) {
-                pipeline_quiesce!(session);
-                if let Err(e) = wiring.reconnect(&mut session) {
-                    fatal = Some(format!("pipeline rewire failed: {e}"));
-                    break;
-                }
-            }
-
-            if sh.stopping() && drain_deadline.is_none() {
-                drain_deadline = Some(Instant::now() + cfg.drain_grace);
-            }
-
-            if !wiring.is_empty() {
-                wiring.transfer(&mut session);
-            }
-            let round = pump!(session);
-            summary.events += round.events;
-            summary.alerts += round.alerts.len() as u64;
-            if cfg.print_alerts {
-                for alert in &round.alerts {
-                    println!("{alert}");
-                }
-            }
-            if let Some(e) = store_err.clone() {
-                // Durability is the contract; without it, stop rather than
-                // acknowledge events the store will not remember.
-                fatal = Some(format!("durable store write failed: {e}"));
-                break;
-            }
-
-            since_checkpoint += round.events;
-            if checkpointing && cfg.checkpoint_every > 0 && since_checkpoint >= cfg.checkpoint_every
-            {
-                // The tap already synced everything the engine consumed, so
-                // the checkpoint offset is covered by durable events.
-                let ok = if wiring.is_empty() {
-                    session.checkpoint_now().is_ok()
-                } else {
-                    pipeline_checkpoint!(session).is_ok()
-                };
-                if ok {
-                    since_checkpoint = 0;
-                }
-            }
-
-            if last_observe.elapsed() >= OBSERVE_EVERY || !observed_any {
-                observed_any = true;
-                last_observe = Instant::now();
-                observe(&mut session, sh, &mut degraded);
-            }
-
-            if !waiters.is_empty() {
-                let stats = session.source_stats();
-                let durable = store.is_some() && store_err.is_none();
-                waiters.retain(
-                    |(id, reply)| match stats.iter().find(|(sid, _)| sid == id) {
-                        // `done` alone is not drained: the exhausted source's
-                        // tail can still sit buffered in the K-way merge,
-                        // gated by another source's watermark — and events
-                        // still buffered there have not reached the durable
-                        // tap, so acking them would overstate coverage.
-                        Some((_, ss)) if ss.done && ss.buffered == 0 => {
-                            let _ = reply.send(DrainReport {
-                                stats: ss.clone(),
-                                durable,
-                            });
-                            false
-                        }
-                        Some(_) => true,
-                        // Unknown source: drop the reply; the waiter sees a
-                        // disconnect and reports "not drained".
-                        None => false,
-                    },
+                eprintln!(
+                    "[serve] resumed at offset {}, replayed {} stored events",
+                    checkpoint.offset,
+                    session.processed()
                 );
             }
+            Err(e) => fatal = Some(format!("resume replay failed: {e}")),
+        }
+    }
 
-            if let Some(deadline) = drain_deadline {
-                // Pipeline push sources never report done while the wiring
-                // holds their handles, so "drained" means only those
-                // internal edges are left.
-                let drained = session.live_sources() <= wiring.edge_count() && ctrl_rx.is_empty();
-                if drained || Instant::now() >= deadline {
-                    break;
-                }
+    let mut waiters: Vec<(SourceId, Sender<DrainReport>)> = Vec::new();
+    let mut degraded: HashSet<String> = HashSet::new();
+    let mut last_observe = Instant::now();
+    let mut drain_deadline: Option<Instant> = None;
+    let mut observed_any = false;
+    let mut checkpoint_warned = false;
+
+    while fatal.is_none() {
+        // Control plane between rounds.
+        while let Ok(req) = ctrl_rx.try_recv() {
+            handle_req(req, &mut session, &mut waiters, sh, &cfg, &mut summary);
+        }
+
+        if sh.stopping() && drain_deadline.is_none() {
+            drain_deadline = Some(Instant::now() + cfg.drain_grace);
+        }
+
+        round_anchor.store(sh.clock.now_ns().max(1), Ordering::Relaxed);
+        let round = session.pump_max(ROUND_BUDGET);
+        emit(&mut summary, print, &round.alerts);
+        if let Some(e) = session.store_failure() {
+            // Durability is the contract; without it, stop rather than
+            // acknowledge events the store will not remember.
+            fatal = Some(format!("durable store write failed: {e}"));
+            break;
+        }
+        // The cadence stops on its first failure (a `checkpoint` command
+        // retries and re-arms it): say so once.
+        match session.checkpoint_failure() {
+            Some(e) if !checkpoint_warned => {
+                eprintln!("[serve] checkpointing stopped: {e}");
+                checkpoint_warned = true;
             }
+            Some(_) => {}
+            None => checkpoint_warned = false,
+        }
 
-            if round.status != SessionStatus::Active {
-                // Nothing flowed: park briefly on the control channel
-                // instead of spinning (new events wake us next round).
-                if let Ok(req) = ctrl_rx.recv_timeout(std::time::Duration::from_millis(2)) {
-                    dispatch_req!(req);
-                }
+        if last_observe.elapsed() >= OBSERVE_EVERY || !observed_any {
+            observed_any = true;
+            last_observe = Instant::now();
+            observe(&mut session, sh, &mut degraded);
+        }
+
+        if !waiters.is_empty() {
+            answer_waiters(&session, &mut waiters, false);
+        }
+
+        if let Some(deadline) = drain_deadline {
+            let drained = session.live_sources() == 0 && ctrl_rx.is_empty();
+            if drained || Instant::now() >= deadline {
+                break;
             }
         }
 
-        // Flush remaining waiters with whatever state their source reached.
-        let stats = session.source_stats();
-        let durable = store.is_some() && store_err.is_none();
-        for (id, reply) in waiters.drain(..) {
-            if let Some((_, ss)) = stats.iter().find(|(sid, _)| *sid == id) {
-                let _ = reply.send(DrainReport {
-                    stats: ss.clone(),
-                    durable: durable && ss.done && ss.buffered == 0,
-                });
-            }
-        }
-        observe(&mut session, sh, &mut degraded);
-
-        // Settle the pipeline before sealing: in-flight adapted alerts
-        // must reach their downstream stages (and the base events that
-        // produced them must reach the tap) while the store is writable.
-        if !wiring.is_empty() && fatal.is_none() {
-            pipeline_quiesce!(session);
-            if finish_at_end {
-                // Flush open upstream windows through the stages. The
-                // internal pumps here are untapped, but after the tapped
-                // quiesce above only derived (never-persisted) events
-                // remain to move.
-                let alerts = wiring.finish_stages(&mut session);
-                summary.alerts += alerts.len() as u64;
-                if cfg.print_alerts {
-                    for alert in &alerts {
-                        println!("{alert}");
-                    }
-                }
-            }
-            if let (Some(e), None) = (store_err.clone(), &fatal) {
-                fatal = Some(format!("durable store write failed: {e}"));
-            }
-        }
-
-        if let Some(writer) = store.as_mut() {
-            let sealed = writer.seal().and_then(|_| writer.sync());
-            if let (Err(e), None) = (sealed, &fatal) {
-                fatal = Some(format!("sealing the durable store failed: {e}"));
-            }
-            summary.store_len = Some(writer.len());
-        }
-        if checkpointing && fatal.is_none() {
-            let written = if wiring.is_empty() {
-                session.checkpoint_now().map_err(|e| e.to_string())
-            } else {
-                pipeline_checkpoint!(session).map(|(path, _)| path)
-            };
-            match written {
-                Ok(path) => summary.checkpoint = Some(path),
-                Err(e) => fatal = Some(format!("final checkpoint failed: {e}")),
+        if round.status != SessionStatus::Active {
+            // Nothing flowed: park briefly on the control channel
+            // instead of spinning (new events wake us next round).
+            if let Ok(req) = ctrl_rx.recv_timeout(std::time::Duration::from_millis(2)) {
+                handle_req(req, &mut session, &mut waiters, sh, &cfg, &mut summary);
             }
         }
     }
 
-    if finish_at_end && fatal.is_none() {
-        for alert in engine.finish() {
-            summary.alerts += 1;
-            if cfg.print_alerts {
-                println!("{alert}");
+    answer_waiters(&session, &mut waiters, true);
+    observe(&mut session, sh, &mut degraded);
+
+    // End the stream while the store is writable: a checkpoint (quiescing
+    // the stages) when the run is to be continued — its open windows must
+    // survive into the resumed incarnation — else the final flush.
+    if fatal.is_none() {
+        if cfg.checkpoint_dir.is_some() {
+            match session.checkpoint_now() {
+                Ok(written) => {
+                    emit(&mut summary, print, &written.alerts);
+                    summary.checkpoint = Some(written.path);
+                }
+                Err(e) => fatal = Some(format!("final checkpoint failed: {e}")),
             }
+        } else {
+            let alerts = session.finish();
+            emit(&mut summary, print, &alerts);
         }
+        if let Some(e) = session.store_failure() {
+            fatal = Some(format!("durable store write failed: {e}"));
+        }
+    }
+    summary.events = session.processed();
+    if let Some(mut writer) = session.take_store() {
+        let sealed = writer.seal().and_then(|_| writer.sync());
+        if let (Err(e), None) = (sealed, &fatal) {
+            fatal = Some(format!("sealing the durable store failed: {e}"));
+        }
+        summary.store_len = Some(writer.len());
     }
     // Dropping the engine disconnects subscriber channels; their
     // connection threads notice and exit.
+    drop(session);
     drop(engine);
 
     match fatal {
@@ -894,14 +669,44 @@ fn run_core(
     }
 }
 
+/// Answer the ingest connections waiting for their source to drain — at
+/// shutdown (`last`) every one of them, with whatever state it reached.
+fn answer_waiters(
+    session: &RunSession<'_>,
+    waiters: &mut Vec<(SourceId, Sender<DrainReport>)>,
+    last: bool,
+) {
+    let stats = session.source_stats();
+    let durable = session.store().is_some() && session.store_failure().is_none();
+    waiters.retain(|(id, reply)| {
+        // Unknown source: drop the reply; the waiter sees a disconnect and
+        // reports "not drained".
+        let Some((_, ss)) = stats.iter().find(|(sid, _)| sid == id) else {
+            return false;
+        };
+        // `done` alone is not drained: the exhausted source's tail can
+        // still sit buffered in the K-way merge, gated by another source's
+        // watermark — and events still buffered there have not reached the
+        // durable tap, so acking them would overstate coverage.
+        let drained = ss.done && ss.buffered == 0;
+        if drained || last {
+            let _ = reply.send(DrainReport {
+                stats: ss.clone(),
+                durable: durable && drained,
+            });
+        }
+        !(drained || last)
+    });
+}
+
 /// Handle one control-plane request on the core thread, between rounds.
 fn handle_req(
     req: Req,
     session: &mut RunSession<'_>,
     waiters: &mut Vec<(SourceId, Sender<DrainReport>)>,
     sh: &Shared,
-    checkpointing: bool,
-    store: &Option<StoreWriter>,
+    cfg: &ServeConfig,
+    summary: &mut ServeSummary,
 ) {
     match req {
         Req::Attach {
@@ -931,9 +736,26 @@ fn handle_req(
             };
             let _ = reply.send(result);
         }
-        Req::Control { tenant, cmd, reply } => {
-            let line = control_response(&tenant, cmd, session, sh, checkpointing, store);
+        Req::Control {
+            tenant: _,
+            cmd: ControlCmd::Checkpoint,
+            reply,
+        } if cfg.checkpoint_dir.is_some() => {
+            let line = match session.checkpoint_now() {
+                Ok(written) => {
+                    emit(summary, cfg.print_alerts, &written.alerts);
+                    JsonObj::new()
+                        .bool("ok", true)
+                        .str("path", &written.path.display().to_string())
+                        .u64("offset", written.offset)
+                        .finish()
+                }
+                Err(e) => err_line(&e.to_string()),
+            };
             let _ = reply.send(line);
+        }
+        Req::Control { tenant, cmd, reply } => {
+            let _ = reply.send(control_response(&tenant, cmd, session, sh));
         }
     }
 }
@@ -944,8 +766,6 @@ fn control_response(
     cmd: ControlCmd,
     session: &mut RunSession<'_>,
     sh: &Shared,
-    checkpointing: bool,
-    store: &Option<StoreWriter>,
 ) -> String {
     let prefix = format!("{tenant}/");
     match cmd {
@@ -974,8 +794,7 @@ fn control_response(
             // stage under the tenant prefix, and explicit `from query`
             // references resolve *within* that prefix — bare names reach
             // the tenant's own queries, nothing reaches another tenant's.
-            // The core loop notices the new edges (`PipelineWiring::stale`)
-            // and rewires between rounds.
+            // The session's next round wires the new edges.
             match saql_engine::register_pipeline_scoped(engine, &full, &query, &prefix) {
                 Ok(stages) => {
                     let head = stages
@@ -1027,21 +846,9 @@ fn control_response(
                 .raw("queries", &json_array(items))
                 .finish()
         }
-        ControlCmd::Stats => render_stats(tenant, session, sh, store),
-        ControlCmd::Checkpoint => {
-            if !checkpointing {
-                return err_line("server is running without a checkpoint dir");
-            }
-            let offset = session.offset();
-            match session.checkpoint_now() {
-                Ok(path) => JsonObj::new()
-                    .bool("ok", true)
-                    .str("path", &path.display().to_string())
-                    .u64("offset", offset)
-                    .finish(),
-                Err(e) => err_line(&e.to_string()),
-            }
-        }
+        ControlCmd::Stats => render_stats(tenant, session, sh),
+        // With a checkpoint dir, `handle_req` answers it.
+        ControlCmd::Checkpoint => err_line("server is running without a checkpoint dir"),
         ControlCmd::Shutdown => {
             sh.shutdown.store(true, Ordering::SeqCst);
             JsonObj::new()
@@ -1070,17 +877,14 @@ fn with_query(
 
 /// The `stats` control response: engine position, this tenant's queries,
 /// sources, connections, and quota standing.
-fn render_stats(
-    tenant: &str,
-    session: &mut RunSession<'_>,
-    sh: &Shared,
-    store: &Option<StoreWriter>,
-) -> String {
+fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> String {
     let prefix = format!("{tenant}/");
     let offset = session.offset();
     let frontier = session.frontier().as_millis();
     let live_sources = session.live_sources() as u64;
     let sources = session.source_stats();
+    let durable_events = session.store().map_or(0, StoreWriter::len);
+    let durable = session.store().is_some();
     let engine = session.engine();
 
     let stats_by_name: HashMap<String, saql_engine::query::QueryStats> =
@@ -1164,8 +968,8 @@ fn render_stats(
         .u64("frontier_ms", frontier)
         .u64("live_sources", live_sources)
         .u64("dropped_alerts", engine.dropped_alerts())
-        .u64("durable_events", store.as_ref().map_or(0, StoreWriter::len))
-        .bool("durable", store.is_some())
+        .u64("durable_events", durable_events)
+        .bool("durable", durable)
         .finish();
 
     JsonObj::new()

@@ -45,6 +45,29 @@
 //! Pre-merged in-memory streams still run through the thin wrapper
 //! [`SaqlSystem::run_events`] / [`Engine::run`].
 //!
+//! ## Multi-stage pipelines
+//!
+//! A `|>` query chains stages: each downstream stage consumes its
+//! upstream's alert stream as events. Register it with
+//! [`engine::register_pipeline`]; the run session under every entry point —
+//! [`Engine::run`], a session's `drain`, `saql replay`, `saql serve` —
+//! wires, feeds, checkpoints, and flushes the stages itself:
+//!
+//! ```
+//! use saql::collector::{SimConfig, Simulator};
+//! use saql::engine::register_pipeline;
+//! use saql::{corpus, Engine, EngineConfig};
+//!
+//! let trace = Simulator::generate(&SimConfig::default());
+//! let mut engine = Engine::new(EngineConfig::default());
+//! // Stage 1 (`tiered.s1`) summarizes per-host write bursts; stage 2
+//! // (`tiered`) fires when enough hosts burst together.
+//! register_pipeline(&mut engine, "tiered", corpus::DEMO_TIERED_PIPELINE).unwrap();
+//! let alerts = engine.run(saql::stream::share(trace.events)).unwrap();
+//! assert!(alerts.iter().any(|a| a.query == "tiered.s1"));
+//! assert!(alerts.iter().any(|a| a.query == "tiered"));
+//! ```
+//!
 //! ## Durability & resume
 //!
 //! Traces persist in a segmented WAL-backed store (`sync()` is the durable

@@ -17,10 +17,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use saql::engine::window::WindowSnapshot;
-use saql::engine::{Checkpoint, CheckpointConfig, Engine, EngineConfig};
+use saql::engine::{register_pipeline, Alert, Checkpoint, CheckpointConfig, Engine, EngineConfig};
 use saql::model::event::EventBuilder;
 use saql::model::{Event, NetworkInfo, ProcessInfo, Timestamp};
-use saql::stream::source::StoreSource;
+use saql::stream::merge::Lateness;
+use saql::stream::source::{push_source, StoreSource};
 use saql::stream::store::Selection;
 use saql::stream::{SharedEvent, StoreReader, StoreWriter};
 
@@ -29,6 +30,19 @@ use saql::stream::{SharedEvent, StoreReader, StoreWriter};
 const STATEFUL: &str = "proc p write ip i as evt #time(1 min)\n\
                         state ss { n := count() } group by p\n\
                         return p, ss[0].n";
+
+/// A two-stage `|>` deployment over the same vocabulary: per-process write
+/// counts in 1-minute windows, then how many of those summaries land in
+/// each 3-minute window.
+const STAGED: &str = "proc p write ip i as evt #time(1 min)\n\
+                      state ss { n := count() } group by p\n\
+                      alert ss[0].n >= 1\n\
+                      return p, ss[0].n as amount\n\
+                      |>\n\
+                      from #time(3 min)\n\
+                      state es { n := count() }\n\
+                      alert es[0].n >= 2\n\
+                      return es[0].n as n";
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -307,6 +321,130 @@ proptest! {
             w_run,
             w_resume
         );
+
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+    }
+}
+
+/// An engine with [`STAGED`] deployed.
+fn staged_engine() -> Engine {
+    let mut engine = Engine::new(EngineConfig::default());
+    register_pipeline(&mut engine, "staged", STAGED).unwrap();
+    engine
+}
+
+/// Per-stage alert lines, in emission order.
+fn per_stage(alerts: &[Alert]) -> (Vec<String>, Vec<String>) {
+    let stage = |name: &str| {
+        alerts
+            .iter()
+            .filter(|a| a.query == name)
+            .map(|a| a.to_string())
+            .collect()
+    };
+    (stage("staged.s1"), stage("staged"))
+}
+
+/// Run [`STAGED`] with a cadence checkpoint every `every` base events over
+/// a live feed of `events` — `round` events delivered before each pump
+/// round, as ingest connections deliver them — until the session passes
+/// base offset `crash`, then "crash". Returns the alerts the run had
+/// emitted by its last checkpoint, and the offset it crashed at.
+fn pipelined_run_until_crash(
+    events: &[Event],
+    ckpt_dir: &Path,
+    every: u64,
+    round: usize,
+    crash: u64,
+) -> (Vec<Alert>, u64) {
+    let mut engine = staged_engine();
+    let mut session = engine.session();
+    session.enable_checkpoints(CheckpointConfig {
+        dir: ckpt_dir.to_path_buf(),
+        every_events: every,
+    });
+    let (push, live) = push_source("live", events.len() + 1);
+    session.attach_with(live, Lateness::ArrivalOrder);
+    let mut feed = events.chunks(round);
+    let mut push = Some(push);
+    let mut alerts = Vec::new();
+    let mut covered = 0;
+    while session.offset() < crash {
+        match feed.next() {
+            Some(chunk) => {
+                for event in chunk {
+                    let pushed = push
+                        .as_ref()
+                        .is_some_and(|p| p.push(Arc::new(event.clone())));
+                    assert!(pushed, "the session consumes the live feed");
+                }
+            }
+            None => push = None,
+        }
+        let before = session.last_checkpoint();
+        alerts.extend(session.pump().alerts);
+        if session.last_checkpoint() != before {
+            covered = alerts.len();
+        }
+    }
+    assert_eq!(session.checkpoint_failure(), None);
+    alerts.truncate(covered);
+    (alerts, session.offset())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Cadence checkpoints on a pipelined session: the cadence counts base
+    /// events and each checkpoint quiesces the stages, so crashing at a
+    /// random offset and resuming from the last checkpoint on disk (the
+    /// store suffix replayed, adapters continued) reproduces the
+    /// uninterrupted run, stage by stage and in order.
+    #[test]
+    fn pipelined_cadence_resume_reproduces_uninterrupted_run(
+        seed in any::<u64>(),
+        n in 1usize..40,
+        every in 1u64..8,
+        round in 1usize..6,
+        k_seed in any::<u64>(),
+    ) {
+        let events = stream(seed, n);
+        let store_dir = scratch("pipe-store");
+        let ckpt_dir = scratch("pipe-ckpt");
+        let mut w = StoreWriter::create_segmented(&store_dir).unwrap();
+        w.append(&events).unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let uninterrupted = staged_engine()
+            .run(events.iter().cloned().map(Arc::new))
+            .unwrap();
+
+        let crash = k_seed % (n as u64 + 1);
+        let (mut alerts, crashed_at) =
+            pipelined_run_until_crash(&events, &ckpt_dir, every, round, crash);
+        let reader = StoreReader::open(&store_dir).unwrap();
+        let (mut engine, ckpt) = match Checkpoint::load(&ckpt_dir) {
+            Ok(ckpt) => (
+                Engine::resume_from(ckpt.clone(), EngineConfig::default()).unwrap(),
+                Some(ckpt),
+            ),
+            // Crashed before the first checkpoint: start over.
+            Err(_) => (staged_engine(), None),
+        };
+        let mut session = engine.session();
+        if let Some(ckpt) = &ckpt {
+            prop_assert!(ckpt.offset <= crashed_at, "a checkpoint past the crash");
+            session.resume_at(ckpt);
+        }
+        let offset = ckpt.as_ref().map_or(0, |c| c.offset);
+        session.attach(StoreSource::open_at("store", &reader, offset).unwrap());
+        alerts.extend(session.drain());
+
+        let (r1, r2) = per_stage(&alerts);
+        let (u1, u2) = per_stage(&uninterrupted);
+        prop_assert_eq!(r1, u1, "stage 1 diverges (crash at {}, every {})", crash, every);
+        prop_assert_eq!(r2, u2, "stage 2 diverges (crash at {}, every {})", crash, every);
 
         let _ = std::fs::remove_dir_all(&store_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);

@@ -6,12 +6,14 @@
 //! and resumed into a fresh engine, must reproduce the uninterrupted run
 //! exactly: no stage-2 alert lost, none derived twice.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use saql::engine::pipeline::{register_pipeline, AlertAdapter, PipelineWiring};
-use saql::engine::{Checkpoint, SessionStatus};
+use saql::engine::pipeline::{register_pipeline, AlertAdapter};
+use saql::engine::{Checkpoint, CheckpointConfig, RunSession, SessionStatus};
 use saql::model::event::EventBuilder;
 use saql::model::{NetworkInfo, ProcessInfo};
 use saql::stream::merge::Lateness;
@@ -85,26 +87,41 @@ fn per_stage(alerts: &[Alert]) -> (StageKeys, StageKeys) {
     )
 }
 
+/// Pump `session` to the end of its stream in rounds of at most `round`
+/// events, then finish it; returns every alert.
+fn pump_to_end(session: &mut RunSession<'_>, round: usize) -> Vec<Alert> {
+    let mut alerts = Vec::new();
+    loop {
+        let pumped = session.pump_max(round);
+        alerts.extend(pumped.alerts);
+        if pumped.status == SessionStatus::Done {
+            break;
+        }
+    }
+    alerts.extend(session.finish());
+    alerts
+}
+
 /// Run the pipeline inside one engine over `events`, pumping at most
-/// `round` events between alert transfers, and return all alerts.
+/// `round` events a round, and return all alerts.
 fn run_pipeline(config: EngineConfig, events: Vec<SharedEvent>, round: usize) -> Vec<Alert> {
     let mut engine = Engine::new(config);
     register_pipeline(&mut engine, "tiered", TIERED).expect("registers");
     let mut session = engine.session();
     session.attach_with(IterSource::new("trace", events), Lateness::ArrivalOrder);
-    let mut wiring = PipelineWiring::connect(&mut session).expect("wires");
-    let mut alerts = Vec::new();
-    loop {
-        let pumped = session.pump_max(round);
-        alerts.extend(pumped.alerts);
-        let moved = wiring.transfer(&mut session);
-        if pumped.events == 0 && moved == 0 && pumped.status != SessionStatus::Active {
-            break;
-        }
-    }
-    alerts.extend(wiring.finish_stages(&mut session));
-    alerts.extend(session.drain());
-    alerts
+    pump_to_end(&mut session, round)
+}
+
+/// A fresh scratch directory for one checkpoint.
+fn scratch_dir() -> PathBuf {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "saql-pipediff-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// Hand-chain two engines: stage 1 alone in the first; its ordered alert
@@ -200,30 +217,31 @@ proptest! {
         let uninterrupted = run_pipeline(EngineConfig::default(), events.clone(), 16);
         let cut = (k_seed % (n as u64 + 1)) as usize;
 
+        let dir = scratch_dir();
         let mut alerts: Vec<Alert> = Vec::new();
-        let checkpoint = {
+        {
             let mut engine = Engine::new(EngineConfig::default());
             register_pipeline(&mut engine, "tiered", TIERED).expect("registers");
             let mut session = engine.session();
+            session.enable_checkpoints(CheckpointConfig { dir: dir.clone(), every_events: 0 });
             session.attach_with(
                 IterSource::new("trace", events[..cut].to_vec()),
                 Lateness::ArrivalOrder,
             );
-            let mut wiring = PipelineWiring::connect(&mut session).expect("wires");
             loop {
                 let round = session.pump_max(4);
                 alerts.extend(round.alerts);
-                let moved = wiring.transfer(&mut session);
-                if round.events == 0 && moved == 0 && round.status != SessionStatus::Active {
+                if round.status == SessionStatus::Done {
                     break;
                 }
             }
-            let (ck, more) = wiring.checkpoint(&mut session).expect("checkpoints");
-            alerts.extend(more);
-            prop_assert_eq!(ck.offset, cut as u64, "offset counts base events only");
-            // Through the wire format, as a real restart would read it.
-            Checkpoint::decode(ck.encode()).expect("roundtrips")
-        };
+            let written = session.checkpoint_now().expect("checkpoints");
+            alerts.extend(written.alerts);
+            prop_assert_eq!(written.offset, cut as u64, "offset counts base events only");
+        }
+        // Read back from disk, as a real restart would.
+        let checkpoint = Checkpoint::load(&dir).expect("loads");
+        let _ = std::fs::remove_dir_all(&dir);
 
         let mut engine =
             Engine::resume_from(checkpoint.clone(), EngineConfig::default()).expect("resumes");
@@ -233,18 +251,7 @@ proptest! {
             IterSource::new("trace", events[checkpoint.offset as usize..].to_vec()),
             Lateness::ArrivalOrder,
         );
-        let mut wiring =
-            PipelineWiring::connect_with(&mut session, &checkpoint.adapters).expect("rewires");
-        loop {
-            let round = session.pump_max(4);
-            alerts.extend(round.alerts);
-            let moved = wiring.transfer(&mut session);
-            if round.events == 0 && moved == 0 && round.status != SessionStatus::Active {
-                break;
-            }
-        }
-        alerts.extend(wiring.finish_stages(&mut session));
-        alerts.extend(session.drain());
+        alerts.extend(pump_to_end(&mut session, 4));
 
         let (r1, r2) = per_stage(&alerts);
         let (u1, u2) = per_stage(&uninterrupted);

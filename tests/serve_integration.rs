@@ -8,7 +8,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-use saql::engine::{PipelineWiring, SessionStatus};
 use saql::model::event::{Event, EventBuilder};
 use saql::model::json::encode_event_json;
 use saql::model::{FileInfo, ProcessInfo};
@@ -642,23 +641,9 @@ fn pipeline_trace() -> Vec<Event> {
 fn offline_pipeline_alert_lines(name: &str, source: &str, events: Vec<Event>) -> Vec<String> {
     let mut engine = Engine::new(EngineConfig::default());
     saql::engine::register_pipeline(&mut engine, name, source).expect("pipeline registers");
-    let mut session = engine.session();
-    session.attach_with(
-        saql::stream::source::IterSource::new("trace", saql::stream::share(events)),
-        saql::stream::merge::Lateness::ArrivalOrder,
-    );
-    let mut wiring = PipelineWiring::connect(&mut session).expect("wires");
-    let mut alerts = Vec::new();
-    loop {
-        let round = session.pump_max(64);
-        alerts.extend(round.alerts);
-        let moved = wiring.transfer(&mut session);
-        if round.events == 0 && moved == 0 && round.status != SessionStatus::Active {
-            break;
-        }
-    }
-    alerts.extend(wiring.finish_stages(&mut session));
-    alerts.extend(session.drain());
+    let alerts = engine
+        .run(saql::stream::share(events))
+        .expect("an engine without workers runs");
     alerts.iter().map(saql::engine::render_alert_json).collect()
 }
 
