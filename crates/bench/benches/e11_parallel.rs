@@ -8,10 +8,11 @@
 //! serial on this 16-group workload. The naive scheduler trails everything
 //! (it scans and copies per query).
 //!
-//! **Caveat:** wall-clock speedup requires actual cores. On a single-CPU
-//! host (like the CI container this repo's recorded numbers come from —
-//! `nproc` = 1) every worker count measures flat at roughly serial
-//! throughput, which is the correct physical result. The partition audit
+//! **Caveat:** wall-clock speedup requires actual cores. The recorded
+//! baseline comes from a 2-core box (`nproc` = 2: 1.17x serial at 2
+//! workers, 1.36x at 4, EXPERIMENTS.md); on a single-CPU host every worker
+//! count measures flat at roughly serial throughput, which is the correct
+//! physical result. The partition audit
 //! printed after the timings proves the speedup precondition that *can* be
 //! verified anywhere: each of the 4 shards performs ¼ of the per-event
 //! work, with zero data copies and the alert multiset unchanged.

@@ -9,9 +9,10 @@
 //! query itself: each worker hosts a replica owning a disjoint hash slice
 //! of the ~1M groups, so per-worker observe work drops to ~1/N.
 //!
-//! **Caveat:** wall-clock speedup requires actual cores. On a single-CPU
-//! host (like the CI container this repo's recorded numbers come from —
-//! `nproc` = 1) every worker count measures at or below serial throughput:
+//! **Caveat:** wall-clock speedup requires actual cores. The recorded
+//! baseline comes from a 2-core box (`nproc` = 2: key-partitioned ≈1.1x
+//! serial at 2 workers, EXPERIMENTS.md); on a single-CPU host every worker
+//! count measures at or below serial throughput:
 //! the replicas' broadcast master checks (the price of identical watermark
 //! evolution) are pure overhead when they all share one core. The
 //! partition audit printed after the timings proves the speedup

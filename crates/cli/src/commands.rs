@@ -4,13 +4,15 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use saql_collector::{AttackConfig, SimConfig, Simulator, TraceSource};
-use saql_engine::{Checkpoint, CheckpointConfig, Engine, EngineConfig, RunSession, SessionStatus};
+use saql_engine::{
+    CheckpointConfig, Deployment, DurableLog, Engine, EngineConfig, RunSession, SessionStatus,
+};
 use saql_lang::corpus;
-use saql_model::Timestamp;
+use saql_model::{Duration, Timestamp};
 use saql_stream::replayer::{Replayer, Speed};
 use saql_stream::source::{ChannelSource, EventSource, JsonLinesSource, StoreSource};
 use saql_stream::store::Selection;
-use saql_stream::{StoreReader, StoreWriter};
+use saql_stream::{MergeConfig, StoreReader, StoreWriter};
 
 use crate::args::Flags;
 
@@ -21,12 +23,64 @@ fn open_reader(path: &str) -> Result<StoreReader, String> {
     StoreReader::open(path).map_err(|e| format!("cannot open store {path}: {e}"))
 }
 
-/// Parse `--workers N` into an engine config (0 = serial, the default).
-fn engine_config(flags: &Flags, record_latency: bool) -> Result<EngineConfig, String> {
-    Ok(EngineConfig {
-        record_latency,
-        workers: flags.get_usize("workers", 0)?,
-        ..EngineConfig::default()
+/// A file's stem: the name a multi-stage file deploys under.
+fn stem(file: &str) -> &str {
+    Path::new(file)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or(file)
+}
+
+/// The paper's eight demo queries as `(name, text)` deployment entries.
+fn demo_queries() -> Vec<(String, String)> {
+    corpus::DEMO_QUERIES
+        .iter()
+        .map(|(name, text)| (name.to_string(), text.to_string()))
+        .collect()
+}
+
+/// The run flags `replay` and `serve` share, read into one [`Deployment`]:
+/// `--workers`, `--lateness`, `--demo-queries`, `--query FILE`...,
+/// `--checkpoint-dir`, `--checkpoint-every` and `--resume`. A multi-stage
+/// query file deploys under its stem, so stage names carry no temp paths;
+/// a single-stage one under its stem with `by_stem` (serve), else under
+/// its path (replay) — alert lines and subscriptions carry the name.
+fn deployment(flags: &Flags, by_stem: bool) -> Result<Deployment, String> {
+    let mut queries = if flags.switch("demo-queries") {
+        demo_queries()
+    } else {
+        Vec::new()
+    };
+    for file in flags.get_all("query") {
+        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+        let name = if by_stem || text.contains("|>") {
+            stem(file)
+        } else {
+            file
+        };
+        queries.push((name.to_string(), text));
+    }
+    let every_events = flags.get_u64("checkpoint-every", 4096)?;
+    let checkpoints = flags.get("checkpoint-dir").map(|dir| CheckpointConfig {
+        dir: PathBuf::from(dir),
+        every_events,
+    });
+    let resume = flags.switch("resume");
+    if resume && checkpoints.is_none() {
+        return Err("--resume requires --checkpoint-dir DIR".into());
+    }
+    Ok(Deployment {
+        engine: EngineConfig {
+            workers: flags.get_usize("workers", 0)?,
+            ..EngineConfig::default()
+        },
+        merge: MergeConfig {
+            lateness: Duration::from_millis(flags.get_u64("lateness", 1_000)?),
+            ..MergeConfig::default()
+        },
+        queries,
+        checkpoints,
+        resume,
     })
 }
 
@@ -383,11 +437,7 @@ fn report_sources(session: &RunSession<'_>) -> bool {
 }
 
 /// `saql demo` — the end-to-end demonstration.
-pub fn demo(argv: &[String]) -> i32 {
-    run_demo(argv).unwrap_or_else(|e| fail(&e))
-}
-
-fn run_demo(argv: &[String]) -> Result<i32, String> {
+pub fn demo(argv: &[String]) -> Result<i32, String> {
     let flags = Flags::parse(argv)?;
     let config = sim_config(&flags)?;
 
@@ -406,24 +456,28 @@ fn run_demo(argv: &[String]) -> Result<i32, String> {
         println!("  attack {}: {} .. {}", step.label(), first, last);
     }
 
-    let mut engine = Engine::new(engine_config(&flags, true)?);
     let mut schedule = Schedule::parse(&flags)?;
-    for (name, src) in corpus::DEMO_QUERIES {
-        engine
-            .register(name, src)
-            .map_err(|e| format!("demo query {name}: {e}"))?;
-    }
+    let mut queries = demo_queries();
+    let pipeline = corpus::DEMO_TIERED_PIPELINE_NAME;
     if flags.switch("pipeline") {
-        let (name, text) = (
-            corpus::DEMO_TIERED_PIPELINE_NAME,
-            corpus::DEMO_TIERED_PIPELINE,
-        );
-        let stages = saql_engine::register_pipeline(&mut engine, name, text)
-            .map_err(|e| format!("demo pipeline {name}:\n{}", e.render(text)))?;
+        queries.push((pipeline.to_string(), corpus::DEMO_TIERED_PIPELINE.into()));
+    }
+    let deployment = Deployment {
+        engine: EngineConfig {
+            record_latency: true,
+            workers: flags.get_usize("workers", 0)?,
+            ..EngineConfig::default()
+        },
+        queries,
+        ..Deployment::default()
+    };
+    let mut run = deployment.open("", None).map_err(|e| e.to_string())?;
+    let engine = &run.engine;
+    let stages = engine.query_names().len() - corpus::DEMO_QUERIES.len();
+    if stages > 0 {
         println!(
-            "deployed tiered pipeline `{name}` ({} stages: per-host bursts |> \
-             cross-host correlation)",
-            stages.len()
+            "deployed tiered pipeline `{pipeline}` ({stages} stages: per-host bursts |> \
+             cross-host correlation)"
         );
     }
     println!(
@@ -436,41 +490,29 @@ fn run_demo(argv: &[String]) -> Result<i32, String> {
         }
     );
 
-    let mut session = engine.session();
+    let mut session = run.session();
     session.attach(TraceSource::whole(&trace));
     let alert_count = run_to_end(&mut session, &mut schedule)?;
     drop(session);
 
     println!("\n{alert_count} alert(s) total");
-    print_stats(&engine);
+    print_stats(&run.engine);
     Ok(0)
 }
 
 /// `saql simulate --out DIR` — generate a trace into a new event store.
-pub fn simulate(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let Some(out) = flags.get("out") else {
-        return fail("simulate requires --out DIR");
-    };
-    let config = match sim_config(&flags) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
+pub fn simulate(argv: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(argv)?;
+    let out = flags.get("out").ok_or("simulate requires --out DIR")?;
+    let config = sim_config(&flags)?;
     let trace = Simulator::generate(&config);
-    let mut store = match StoreWriter::create_segmented(out) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("cannot create store {out}: {e}")),
-    };
-    let written = store
+    let mut store = StoreWriter::create_segmented(out)
+        .map_err(|e| format!("cannot create store {out}: {e}"))?;
+    store
         .append(&trace.events)
         .and_then(|_| store.seal())
-        .and_then(|_| store.sync());
-    if let Err(e) = written {
-        return fail(&format!("write failed: {e}"));
-    }
+        .and_then(|_| store.sync())
+        .map_err(|e| format!("write failed: {e}"))?;
     println!(
         "wrote {} events ({} hosts, attack: {}) to {out}",
         trace.events.len(),
@@ -481,7 +523,7 @@ pub fn simulate(argv: &[String]) -> i32 {
         "{}",
         saql_collector::stats::TraceStats::compute(&trace.events).report()
     );
-    0
+    Ok(0)
 }
 
 /// `saql replay` — replay stored (or piped, or simulated) data through
@@ -494,26 +536,17 @@ pub fn simulate(argv: &[String]) -> i32 {
 /// Checkpoints address events by stored-order offset, so a checkpointed or
 /// resumed run takes exactly one `--store DIR` input, streamed in stored
 /// order (no `--follow` pacing, no `--host`/`--from`/`--until` selection).
-pub fn replay(argv: &[String]) -> i32 {
-    run_replay(argv).unwrap_or_else(|e| fail(&e))
-}
-
-fn run_replay(argv: &[String]) -> Result<i32, String> {
+pub fn replay(argv: &[String]) -> Result<i32, String> {
     let flags = Flags::parse(argv)?;
     let selection = selection_from_flags(&flags)?;
     let speed = speed_from_flags(&flags)?;
     let follow = flags.switch("follow");
-    let lateness_ms = flags.get_u64("lateness", 1_000)?;
+    let deployment = deployment(&flags, false)?;
 
-    // Durable-run flags (see the command docs for the offset contract).
-    let ckpt_dir = flags.get("checkpoint-dir");
-    let resume = flags.switch("resume");
-    let ckpt_every = flags.get_u64("checkpoint-every", 4096)?;
-    if resume && ckpt_dir.is_none() {
-        return Err("--resume requires --checkpoint-dir DIR".into());
-    }
-    let durable_run = ckpt_dir.is_some();
-    if durable_run {
+    // Checkpoints address events by stored-order offset (see the command
+    // docs): a checkpointed run's one `--store` is its durable log.
+    let checkpointed = deployment.checkpoints.is_some();
+    if checkpointed {
         if flags.get("store").is_none() || !flags.get_all("source").is_empty() {
             return Err("checkpointed runs take exactly one --store DIR input \
                         (offsets are per-store, not per-merge)"
@@ -530,27 +563,18 @@ fn run_replay(argv: &[String]) -> Result<i32, String> {
                 .into());
         }
     }
-    let checkpoint = match ckpt_dir {
-        Some(dir) if resume => Some(
-            Checkpoint::load(Path::new(dir))
-                .map_err(|e| format!("cannot resume from {dir}: {e}"))?,
-        ),
-        _ => None,
-    };
 
-    // `--store DIR` is the one-store form: replayed through the
-    // sorting replayer, paced by `--speed` — or, on a checkpointed run,
-    // streamed directly in stored order so offsets are replayable.
-    // `--source KIND:...` attaches additional (or alternative) feeds.
+    // `--store DIR` is the one-store form: replayed through the sorting
+    // replayer, paced by `--speed` — or, on a checkpointed run, the durable
+    // log the run streams in stored order. `--source KIND:...` attaches
+    // additional (or alternative) feeds.
+    let mut log = None;
     let mut sources: Vec<Box<dyn EventSource>> = Vec::new();
     if let Some(path) = flags.get("store") {
         let reader = open_reader(path)?;
         let name = format!("replay:{path}");
-        if durable_run {
-            let offset = checkpoint.as_ref().map_or(0, |c| c.offset);
-            let source = StoreSource::open_at(name, &reader, offset)
-                .map_err(|e| format!("cannot read {path}: {e}"))?;
-            sources.push(Box::new(source));
+        if checkpointed {
+            log = Some(DurableLog::Read(name, reader));
         } else {
             let replayer = Replayer::new(reader);
             let source = ChannelSource::replay(name, &replayer, &selection, speed, 4096)
@@ -561,98 +585,49 @@ fn run_replay(argv: &[String]) -> Result<i32, String> {
     for spec in flags.get_all("source") {
         sources.push(source_from_spec(spec, &selection, follow, speed)?);
     }
-    if sources.is_empty() {
+    let attached = sources.len() + usize::from(log.is_some());
+    if attached == 0 {
         return Err("replay requires --store DIR or --source KIND:... (store, jsonl, sim)".into());
     }
 
-    let engine_cfg = engine_config(&flags, false)?;
     let mut schedule = Schedule::parse(&flags)?;
-    let mut engine = match &checkpoint {
-        // The checkpoint carries the query set and its exact state; a
-        // fresh registration would fork the resumed alert stream.
-        Some(_) if flags.switch("demo-queries") || !flags.get_all("query").is_empty() => {
-            return Err("--resume restores the checkpointed query set; \
-                        drop --demo-queries/--query"
-                .into())
-        }
-        Some(ckpt) => Engine::resume_from(ckpt.clone(), engine_cfg)
-            .map_err(|e| format!("cannot resume: {e}"))?,
-        None => Engine::new(engine_cfg),
-    };
-    if flags.switch("demo-queries") {
-        for (name, src) in corpus::DEMO_QUERIES {
-            engine.register(name, src).expect("demo queries compile");
-        }
-    }
-    for file in flags.get_all("query") {
-        let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        // Multi-stage (`|>`) files deploy as pipelines under the file stem,
-        // so auto-generated stage names don't carry temp paths.
-        let name = if src.contains("|>") {
-            Path::new(file)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or(file)
-        } else {
-            file
-        };
-        if let Err(e) = saql_engine::register_pipeline(&mut engine, name, &src) {
-            eprintln!("{}", e.render(&src));
-            return Ok(1);
-        }
-    }
+    let mut run = deployment.open("", log).map_err(|e| e.to_string())?;
+    let engine = &run.engine;
     if engine.query_names().is_empty() && schedule.is_empty() {
         return Err(
             "no queries deployed (use --demo-queries, --query FILE, or --register-at)".into(),
         );
     }
-    match &checkpoint {
-        Some(ckpt) => println!(
-            "resuming {} queries at offset {} ({} group(s))...",
+    match run.resumed_at() {
+        Some(offset) => println!(
+            "resuming {} queries at offset {offset} ({} group(s))...",
             engine.query_names().len(),
-            ckpt.offset,
             engine.group_count()
         ),
         None => println!(
-            "replaying {} source(s) ({} queries, {} group(s))...",
-            sources.len(),
+            "replaying {attached} source(s) ({} queries, {} group(s))...",
             engine.query_names().len(),
             engine.group_count()
         ),
     }
 
-    let mut session = engine.session_with(saql_stream::MergeConfig {
-        lateness: saql_model::Duration::from_millis(lateness_ms),
-        ..saql_stream::MergeConfig::default()
-    });
+    let mut session = run.session();
     for source in sources {
         session.attach(source);
-    }
-    if let Some(ckpt) = &checkpoint {
-        session.resume_at(ckpt);
-    }
-    if let Some(dir) = ckpt_dir {
-        session.enable_checkpoints(CheckpointConfig {
-            dir: PathBuf::from(dir),
-            every_events: ckpt_every,
-        });
     }
     let alerts = run_to_end(&mut session, &mut schedule)?;
     let events = session.processed();
     println!("\nreplayed {events} events, {alerts} alert(s)");
     let mut degraded = report_sources(&session);
-    if let Some(offset) = session.last_checkpoint() {
-        println!(
-            "last checkpoint at offset {offset} in {}",
-            ckpt_dir.unwrap_or("?")
-        );
+    if let (Some(offset), Some(ck)) = (session.last_checkpoint(), &deployment.checkpoints) {
+        println!("last checkpoint at offset {offset} in {}", ck.dir.display());
     }
     if let Some(e) = session.checkpoint_failure() {
         eprintln!("warning: checkpointing stopped: {e}");
         degraded = true;
     }
     drop(session);
-    print_stats(&engine);
+    print_stats(&run.engine);
     // A failed source means the run completed on partial data.
     Ok(i32::from(degraded))
 }
@@ -660,33 +635,22 @@ fn run_replay(argv: &[String]) -> Result<i32, String> {
 /// `saql export --store DIR [--out FILE|-]` — write a stored selection as
 /// JSON-lines events (the interchange format `--source jsonl:` re-ingests),
 /// streaming record by record.
-pub fn export(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let Some(path) = flags.get("store") else {
-        return fail("export requires --store DIR");
-    };
-    let selection = match selection_from_flags(&flags) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let reader = match open_reader(path) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
-    let iter = match reader.iter(&selection) {
-        Ok(it) => it,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
+pub fn export(argv: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(argv)?;
+    let path = flags.get("store").ok_or("export requires --store DIR")?;
+    let selection = selection_from_flags(&flags)?;
+    let reader = open_reader(path)?;
+    let iter = reader
+        .iter(&selection)
+        .map_err(|e| format!("cannot read {path}: {e}"))?;
     let stdout = std::io::stdout();
     let mut writer: Box<dyn Write> = match flags.get("out") {
         None | Some("-") => Box::new(stdout.lock()),
-        Some(out) => match std::fs::File::create(out) {
-            Ok(f) => Box::new(std::io::BufWriter::new(f)),
-            Err(e) => return fail(&format!("cannot create {out}: {e}")),
-        },
+        Some(out) => {
+            let file =
+                std::fs::File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
+            Box::new(std::io::BufWriter::new(file))
+        }
     };
     // Stream straight through the shared JSONL writer, stopping at the
     // first corrupt record.
@@ -698,28 +662,23 @@ pub fn export(argv: &[String]) -> i32 {
             None
         }
     });
-    let n = match saql_stream::source::write_events_jsonl(&mut writer, events) {
-        Ok(n) => n,
-        Err(e) => return fail(&format!("write failed: {e}")),
-    };
+    let n = saql_stream::source::write_events_jsonl(&mut writer, events)
+        .map_err(|e| format!("write failed: {e}"))?;
     drop(writer);
     if let Some(e) = corrupt {
-        return fail(&format!("corrupt store {path}: {e}"));
+        return Err(format!("corrupt store {path}: {e}"));
     }
     eprintln!("exported {n} event(s) from {path}");
-    0
+    Ok(0)
 }
 
 /// `saql explain FILE...` — print the compiled execution plan of query
 /// files: resolved slots, predicate sets, and register-program listings.
 /// The per-query body is deterministic (the plan-dump golden tests diff it).
-pub fn explain(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
+pub fn explain(argv: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(argv)?;
     if flags.positional.is_empty() {
-        return fail("explain requires at least one query file");
+        return Err("explain requires at least one query file".into());
     }
     let mut failures = 0;
     for file in &flags.positional {
@@ -734,10 +693,7 @@ pub fn explain(argv: &[String]) -> i32 {
         // Multi-stage (`|>`) files explain as a pipeline: topology header,
         // then each stage's plan. The pipeline is named after the file
         // stem so stage names (and the golden fixtures) stay path-free.
-        let stem = Path::new(file)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or(file.as_str());
+        let stem = stem(file);
         if matches!(saql_lang::split_stages(stem, &src), Ok(stages) if stages.len() > 1) {
             match saql_engine::pipeline::explain_pipeline(stem, &src) {
                 Ok(text) => {
@@ -762,21 +718,14 @@ pub fn explain(argv: &[String]) -> i32 {
             }
         }
     }
-    if failures > 0 {
-        1
-    } else {
-        0
-    }
+    Ok(i32::from(failures > 0))
 }
 
 /// `saql check FILE...` — validate query files.
-pub fn check(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
+pub fn check(argv: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(argv)?;
     if flags.positional.is_empty() {
-        return fail("check requires at least one query file");
+        return Err("check requires at least one query file".into());
     }
     let mut failures = 0;
     for file in &flags.positional {
@@ -790,10 +739,7 @@ pub fn check(argv: &[String]) -> i32 {
         };
         // Multi-stage (`|>`) files: validate the topology against an empty
         // registry (cycles, dangling `from query` refs), then every stage.
-        let stem = Path::new(file)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or(file.as_str());
+        let stem = stem(file);
         if let Ok(stages) = saql_lang::split_stages(stem, &src) {
             if stages.len() > 1 {
                 let engine = Engine::new(EngineConfig::default());
@@ -842,27 +788,14 @@ pub fn check(argv: &[String]) -> i32 {
             }
         }
     }
-    if failures > 0 {
-        1
-    } else {
-        0
-    }
+    Ok(i32::from(failures > 0))
 }
 
 /// `saql repl` — interactive session.
-pub fn repl(argv: &[String], input: &mut dyn BufRead, out: &mut dyn Write) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let store = match flags.get("store") {
-        Some(path) => match open_reader(path) {
-            Ok(s) => Some(s),
-            Err(e) => return fail(&e),
-        },
-        None => None,
-    };
-    repl_loop(input, out, store)
+pub fn repl(argv: &[String], input: &mut dyn BufRead, out: &mut dyn Write) -> Result<i32, String> {
+    let flags = Flags::parse(argv)?;
+    let store = flags.get("store").map(open_reader).transpose()?;
+    Ok(repl_loop(input, out, store))
 }
 
 /// The REPL proper, I/O-parameterized for tests.
@@ -1077,31 +1010,15 @@ fn print_stats(engine: &Engine) {
     }
 }
 
-fn fail(msg: &str) -> i32 {
-    eprintln!("error: {msg}");
-    2
-}
-
 // ---------------------------------------------------------------------
 // serve / client — the networked serving layer (saql-serve)
 // ---------------------------------------------------------------------
 
 /// `saql serve`: stand the engine up as a resident multi-tenant service.
-pub fn serve(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let cfg = match serve_config(&flags) {
-        Ok(cfg) => cfg,
-        Err(e) => return fail(&e),
-    };
-
+pub fn serve(argv: &[String]) -> Result<i32, String> {
+    let cfg = serve_config(&Flags::parse(argv)?)?;
     saql_serve::install_signal_shutdown();
-    let server = match saql_serve::Server::start(cfg) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+    let server = saql_serve::Server::start(cfg)?;
     eprintln!("[serve] listening on {}", server.addr());
     loop {
         if saql_serve::signalled() {
@@ -1129,34 +1046,18 @@ pub fn serve(argv: &[String]) -> i32 {
                 "[serve] stopped: {} events, {} alerts{store}{ckpt}",
                 summary.events, summary.alerts
             );
-            0
+            Ok(0)
         }
         Err(e) => {
             eprintln!("serve: {e}");
-            1
+            Ok(1)
         }
     }
 }
 
 /// Parse `saql serve` flags into a [`saql_serve::ServeConfig`].
 fn serve_config(flags: &Flags) -> Result<saql_serve::ServeConfig, String> {
-    let engine = engine_config(flags, false)?;
-    let mut initial_queries: Vec<(String, String)> = Vec::new();
-    if flags.switch("demo-queries") {
-        for (name, src) in corpus::DEMO_QUERIES {
-            initial_queries.push((name.to_string(), src.to_string()));
-        }
-    }
-    for file in flags.get_all("query") {
-        let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        let name = Path::new(file)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or(file)
-            .to_string();
-        initial_queries.push((name, src));
-    }
-
+    let deployment = deployment(flags, true)?;
     let quota = saql_serve::TenantQuota {
         max_live_queries: flags.get_usize("max-queries", 64)?,
         events_per_sec: flags.get_u64("events-per-sec", 0)?,
@@ -1166,23 +1067,13 @@ fn serve_config(flags: &Flags) -> Result<saql_serve::ServeConfig, String> {
     for spec in flags.get_all("tenant-quota") {
         tenant_quotas.push(parse_tenant_quota(spec, &quota)?);
     }
-
-    let checkpoint_dir = flags.get("checkpoint-dir").map(PathBuf::from);
-    if flags.switch("resume") && checkpoint_dir.is_none() {
-        return Err("--resume needs --checkpoint-dir".into());
-    }
     Ok(saql_serve::ServeConfig {
         listen: flags.get("listen").unwrap_or("127.0.0.1:7878").to_string(),
-        engine,
-        lateness: saql_model::Duration::from_millis(flags.get_u64("lateness", 1000)?),
+        deployment,
         ingest_buffer: flags.get_usize("ingest-buffer", 4096)?,
         quota,
         tenant_quotas,
         durable_store: flags.get("store").map(PathBuf::from),
-        checkpoint_dir,
-        checkpoint_every: flags.get_u64("checkpoint-every", 4096)?,
-        resume: flags.switch("resume"),
-        initial_queries,
         print_alerts: !flags.switch("quiet"),
         drain_grace: std::time::Duration::from_millis(flags.get_u64("grace", 5000)?),
         ..saql_serve::ServeConfig::default()
@@ -1221,68 +1112,50 @@ fn parse_tenant_quota(
 }
 
 /// `saql client`: talk to a running `saql serve` (ingest / tail / ctl).
-pub fn client(argv: &[String]) -> i32 {
-    let Some(verb) = argv.first().map(String::as_str) else {
-        return fail("client needs a verb: ingest, tail, or ctl");
-    };
-    let flags = match Flags::parse(&argv[1..]) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
+pub fn client(argv: &[String]) -> Result<i32, String> {
+    let verb = argv
+        .first()
+        .ok_or("client needs a verb: ingest, tail, or ctl")?;
+    let flags = Flags::parse(&argv[1..])?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let tenant = flags
         .get("tenant")
         .unwrap_or(saql_serve::DEFAULT_TENANT)
         .to_string();
-    match verb {
+    match verb.as_str() {
         "ingest" => {
             let source = flags.get("source").unwrap_or("cli").to_string();
             let file = flags.get("file").unwrap_or("-");
             let lossless = flags.switch("lossless");
             let arrival = flags.switch("arrival");
-            let result = if file == "-" {
+            let report = if file == "-" {
                 let stdin = std::io::stdin();
                 let mut lock = stdin.lock();
                 saql_serve::ingest_reader(&addr, &tenant, &source, &mut lock, lossless, arrival)
             } else {
                 saql_serve::ingest_file(&addr, &tenant, &source, Path::new(file), lossless, arrival)
-            };
-            match result {
-                Ok(report) => {
-                    println!("{}", report.summary);
-                    0
-                }
-                Err(e) => fail(&e.to_string()),
             }
+            .map_err(|e| e.to_string())?;
+            println!("{}", report.summary);
+            Ok(0)
         }
         "tail" => {
-            let Some(query) = flags.get("query") else {
-                return fail("client tail needs --query NAME");
-            };
+            let query = flags.get("query").ok_or("client tail needs --query NAME")?;
             let max = flags
                 .get("max")
                 .map(|_| flags.get_u64("max", 0).unwrap_or(0));
             let mut out = std::io::stdout();
-            match saql_serve::tail_alerts(&addr, &tenant, query, &mut out, max) {
-                Ok(_) => 0,
-                Err(e) => fail(&e.to_string()),
-            }
+            saql_serve::tail_alerts(&addr, &tenant, query, &mut out, max)
+                .map_err(|e| e.to_string())?;
+            Ok(0)
         }
-        "ctl" => match client_ctl_line(&flags) {
-            Err(e) => fail(&e),
-            Ok(line) => match saql_serve::ctl(&addr, &tenant, &line) {
-                Ok(response) => {
-                    println!("{response}");
-                    if response.contains("\"ok\":false") {
-                        1
-                    } else {
-                        0
-                    }
-                }
-                Err(e) => fail(&e.to_string()),
-            },
-        },
-        other => fail(&format!("unknown client verb `{other}`")),
+        "ctl" => {
+            let line = client_ctl_line(&flags)?;
+            let response = saql_serve::ctl(&addr, &tenant, &line).map_err(|e| e.to_string())?;
+            println!("{response}");
+            Ok(i32::from(response.contains("\"ok\":false")))
+        }
+        other => Err(format!("unknown client verb `{other}`")),
     }
 }
 

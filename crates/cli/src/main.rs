@@ -26,7 +26,7 @@ fn main() {
 }
 
 fn run(argv: &[String]) -> i32 {
-    match argv.first().map(String::as_str) {
+    let result = match argv.first().map(String::as_str) {
         Some("demo") => commands::demo(&argv[1..]),
         Some("simulate") => commands::simulate(&argv[1..]),
         Some("replay") => commands::replay(&argv[1..]),
@@ -42,13 +42,18 @@ fn run(argv: &[String]) -> i32 {
         }
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{}", USAGE);
-            0
+            Ok(0)
         }
         Some(other) => {
             eprintln!("unknown command `{other}`\n\n{USAGE}");
-            2
+            Ok(2)
         }
-    }
+    };
+    // Every command error is a usage or input error: exit 2.
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        2
+    })
 }
 
 const USAGE: &str = "\
@@ -109,8 +114,12 @@ every `--store` / `store:` input reads one):
     --resume                     replay: restore from DIR's checkpoint and
                                  continue from its exact stream offset
 Checkpointed runs take exactly one --store input, streamed in stored
-order; a resumed run re-emits the same alerts the uninterrupted run would
-have produced from the checkpoint on.
+order — the order checkpoint offsets count, so `--lateness` does not
+apply to it and no stored event is dropped as late; a resumed run
+re-emits the same alerts the uninterrupted run would have produced from
+the checkpoint on. A checkpoint past the end of the store is refused.
+`--resume` restores the checkpointed query set: `replay --resume` and
+`serve --resume` both refuse --query / --demo-queries.
 
 SERVING (`saql serve` keeps the engine resident behind a TCP line protocol;
 `saql client` is the matching thin client):

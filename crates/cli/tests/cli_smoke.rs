@@ -3,7 +3,7 @@
 //! hand-rolled flag parser's failure modes as seen from the command line.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 fn saql(args: &[&str]) -> Output {
@@ -587,4 +587,137 @@ fn a_failing_checkpoint_dir_warns_and_finishes_the_run() {
     }
     let _ = std::fs::remove_file(&not_a_dir);
     let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A store of `n` process-start events a second apart, written with
+/// `StoreWriter`; `out_of_order` moves the last event 500 s back in time,
+/// far beyond the default 1 s lateness bound.
+fn write_store(name: &str, n: u64, out_of_order: bool) -> PathBuf {
+    use saql_model::event::EventBuilder;
+    use saql_model::ProcessInfo;
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("saql-cli-smoke-{}-{name}.d", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let events: Vec<_> = (1..=n)
+        .map(|i| {
+            let ts = if out_of_order && i == n {
+                1_000
+            } else {
+                500_000 + i * 1_000
+            };
+            EventBuilder::new(i, "h1", ts)
+                .subject(ProcessInfo::new(1, "cmd.exe", "u"))
+                .starts_process(ProcessInfo::new(2, "notepad.exe", "u"))
+                .build()
+        })
+        .collect();
+    let mut store = saql_stream::StoreWriter::create_segmented(&dir).unwrap();
+    store.append(&events).unwrap();
+    store.sync().unwrap();
+    dir
+}
+
+fn checkpointed_replay(store: &Path, ckpt: &Path, extra: &[&str]) -> Output {
+    let args = [
+        &[
+            "replay",
+            "--store",
+            store.to_str().unwrap(),
+            "--checkpoint-dir",
+            ckpt.to_str().unwrap(),
+            "--checkpoint-every",
+            "1",
+        ][..],
+        extra,
+    ]
+    .concat();
+    saql(&args)
+}
+
+#[test]
+fn a_checkpointed_replay_streams_an_out_of_order_log_in_stored_order() {
+    // Offsets count stored order, so the log must not be re-sorted or
+    // thinned by a lateness bound: every stored event is replayed and the
+    // last checkpoint lands at the store's end.
+    let store = write_store("ooo", 40, true);
+    let ckpt = store.with_extension("ckpt");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let out = checkpointed_replay(&store, &ckpt, &["--demo-queries"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stdout.contains("replayed 40 events"), "{stdout}");
+    assert!(!stdout.contains("dropped late"), "{stdout}");
+    assert!(!stderr.contains("dropped"), "{stderr}");
+    assert!(
+        stdout.contains("last checkpoint at offset 40 in"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+#[test]
+fn resume_refuses_a_checkpoint_past_the_end_of_the_store() {
+    let long = write_store("ckpt-long", 30, false);
+    let short = write_store("ckpt-short", 10, false);
+    let ckpt = long.with_extension("ckpt");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let out = checkpointed_replay(&long, &ckpt, &["--demo-queries"]);
+    assert!(out.status.success(), "{out:?}");
+    let out = saql(&[
+        "replay",
+        "--store",
+        short.to_str().unwrap(),
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
+        "--resume",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("checkpoint offset 30 is ahead of the durable store (10 events)")
+            && stderr.contains("the store and checkpoint dir do not belong together"),
+        "{stderr}"
+    );
+    for dir in [&long, &short, &ckpt] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn serve_refuses_initial_queries_on_resume_like_replay() {
+    use saql_engine::{CheckpointConfig, Deployment};
+    let store = write_store("serve-resume-q", 10, false);
+    let ckpt = store.with_extension("ckpt");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let out = checkpointed_replay(&store, &ckpt, &["--demo-queries"]);
+    assert!(out.status.success(), "{out:?}");
+
+    let replayed = checkpointed_replay(&store, &ckpt, &["--resume", "--demo-queries"]);
+    assert_eq!(replayed.status.code(), Some(2), "{replayed:?}");
+    let replay_err = String::from_utf8_lossy(&replayed.stderr).into_owned();
+
+    let served = saql_serve::Server::start(saql_serve::ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        durable_store: Some(store.clone()),
+        deployment: Deployment {
+            queries: vec![("q".into(), "proc p start proc q as e\nreturn p, q".into())],
+            checkpoints: Some(CheckpointConfig {
+                dir: ckpt.clone(),
+                every_events: 0,
+            }),
+            resume: true,
+            ..Deployment::default()
+        },
+        ..saql_serve::ServeConfig::default()
+    });
+    let err = served.err().expect("serve must refuse queries on resume");
+    assert!(
+        replay_err.contains(&format!("error: {err}")),
+        "{err} / {replay_err}"
+    );
+    assert!(err.contains("checkpointed query set"), "{err}");
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_dir_all(&ckpt);
 }

@@ -159,22 +159,11 @@ impl Engine {
     /// Install an observer called once per alert, in emission order, on the
     /// engine thread, as alerts are routed to subscribers (data-plane
     /// batches, control-plane flushes, and [`finish`](Self::finish) alike).
-    /// At most one hook is live; installing replaces the previous one, and
-    /// `clear_alert_hook` removes it. The hook runs regardless of whether
-    /// any subscription exists — it observes, it cannot veto or mutate.
+    /// At most one hook is live; installing replaces the previous one. The
+    /// hook runs regardless of whether any subscription exists — it
+    /// observes, it cannot veto or mutate.
     pub fn set_alert_hook(&mut self, hook: AlertHook) {
         self.alert_hook = Some(hook);
-    }
-
-    /// Remove the alert observer installed by
-    /// [`set_alert_hook`](Self::set_alert_hook).
-    pub fn clear_alert_hook(&mut self) {
-        self.alert_hook = None;
-    }
-
-    /// An engine running on `workers` threads (`0` = on the caller's).
-    pub fn with_workers(config: EngineConfig, workers: usize) -> Self {
-        Engine::new(EngineConfig { workers, ..config })
     }
 
     /// Worker threads in use (`0` = execution on the caller's thread).
@@ -903,7 +892,10 @@ mod tests {
     fn duplicate_names_rejected_until_deregistered() {
         let src = "proc p start proc q as e\nreturn p";
         for workers in [0usize, 2] {
-            let mut e = Engine::with_workers(EngineConfig::default(), workers);
+            let mut e = Engine::new(EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            });
             let id = e.register("watch", src).unwrap();
             let err = e.register("watch", src).unwrap_err();
             assert!(err.message.contains("already registered"), "{err:?}");
@@ -938,7 +930,10 @@ mod tests {
     #[test]
     fn parallel_control_plane_errors_after_finish_instead_of_panicking() {
         let src = "proc p start proc q as e\nreturn p";
-        let mut e = Engine::with_workers(EngineConfig::default(), 2);
+        let mut e = Engine::new(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        });
         let id = e.register("q", src).unwrap();
         e.run(vec![start(1, 10, "a.exe", "b.exe")]).unwrap(); // run() ends in finish()
         assert!(matches!(e.deregister(id), Err(EngineError::EngineFinished)));
@@ -991,7 +986,10 @@ mod tests {
     #[test]
     fn subscription_delivers_only_that_query() {
         for workers in [0usize, 2] {
-            let mut e = Engine::with_workers(EngineConfig::default(), workers);
+            let mut e = Engine::new(EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            });
             let id_a = e
                 .register(
                     "a",
@@ -1048,7 +1046,10 @@ mod tests {
     #[test]
     fn deregister_flushes_open_windows_through_normal_delivery() {
         for workers in [0usize, 2] {
-            let mut e = Engine::with_workers(EngineConfig::default(), workers);
+            let mut e = Engine::new(EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            });
             let id = e
                 .register(
                     "w",
@@ -1084,7 +1085,10 @@ mod tests {
     #[test]
     fn pause_and_resume_mid_stream_serial_matches_parallel() {
         let run = |workers: usize| -> Vec<String> {
-            let mut e = Engine::with_workers(EngineConfig::default(), workers);
+            let mut e = Engine::new(EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            });
             let id = e
                 .register(
                     "q",
@@ -1160,7 +1164,10 @@ mod tests {
             ),
         ];
         let mut serial = Engine::new(EngineConfig::default());
-        let mut parallel = Engine::with_workers(EngineConfig::default(), 2);
+        let mut parallel = Engine::new(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        });
         assert_eq!(serial.workers(), 0);
         assert_eq!(parallel.workers(), 2);
         for (name, src) in sources {

@@ -38,6 +38,10 @@ pub enum EngineError {
     /// what — a dead shard with lost query state, a snapshot/registry
     /// mismatch, a query that no longer compiles).
     Checkpoint(String),
+    /// A [`Deployment`](crate::Deployment) refused to open (message
+    /// explains why — an initial query that does not compile, queries on
+    /// resume, a checkpoint past the end of its store).
+    Deploy(String),
 }
 
 impl fmt::Display for EngineError {
@@ -71,6 +75,7 @@ impl fmt::Display for EngineError {
                     .join(", ")
             ),
             EngineError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
+            EngineError::Deploy(msg) => f.write_str(msg),
         }
     }
 }

@@ -30,6 +30,8 @@
 //!   [`saql_stream::EventSource`]s fused by a watermarked K-way merge, `|>`
 //!   pipeline stages wired and flushed, cadence checkpoints, and the
 //!   write-ahead store tap;
+//! * **deployments** ([`deployment`]) — the one way a run opens: engine,
+//!   initial queries, checkpoint cadence and resume decided in one place;
 //! * **error reporter** ([`error`]) — collects runtime anomalies (evaluation
 //!   failures, partial-match overflow) without aborting the stream.
 //!
@@ -43,6 +45,7 @@
 pub mod alert;
 pub mod checkpoint;
 pub mod cluster;
+pub mod deployment;
 pub mod engine;
 pub mod error;
 pub mod eval;
@@ -62,6 +65,7 @@ pub mod window;
 
 pub use alert::Alert;
 pub use checkpoint::Checkpoint;
+pub use deployment::{Deployment, DurableLog, Run};
 pub use engine::{Engine, EngineConfig};
 pub use error::{EngineError, ErrorReporter};
 pub use pipeline::{

@@ -286,8 +286,7 @@ pub fn register_pipeline(
     name: &str,
     source: &str,
 ) -> Result<Vec<(Stage, QueryId)>, LangError> {
-    let stages = saql_lang::split_stages(name, source)?;
-    register_stages(engine, stages)
+    register_pipeline_scoped(engine, name, source, "")
 }
 
 /// [`register_pipeline`] with every explicit `from query` reference
@@ -300,7 +299,8 @@ pub fn register_pipeline(
 /// checkpoint resolve identically — and a reference containing `/` is
 /// rejected with a spanned error: registered names never contain `/`
 /// inside a scope, so such a reference could only reach another scope's
-/// queries (a cross-tenant alert-stream leak).
+/// queries (a cross-tenant alert-stream leak). The empty scope confines
+/// nothing: that is [`register_pipeline`].
 pub fn register_pipeline_scoped(
     engine: &mut Engine,
     name: &str,
@@ -308,8 +308,26 @@ pub fn register_pipeline_scoped(
     scope: &str,
 ) -> Result<Vec<(Stage, QueryId)>, LangError> {
     let mut stages = saql_lang::split_stages(name, source)?;
-    scope_stage_inputs(&mut stages, scope)?;
-    register_stages(engine, stages)
+    if !scope.is_empty() {
+        scope_stage_inputs(&mut stages, scope)?;
+    }
+    // Register upstream-first, rolling back on failure so a failed
+    // registration leaves the engine unchanged.
+    let order = validate_stages(&stages, engine)?;
+    let mut registered: Vec<(Stage, QueryId)> = Vec::new();
+    for i in order {
+        let stage = &stages[i];
+        match engine.register(&stage.name, &stage.source) {
+            Ok(id) => registered.push((stage.clone(), id)),
+            Err(e) => {
+                for (_, id) in registered.drain(..).rev() {
+                    let _ = engine.deregister(id);
+                }
+                return Err(e);
+            }
+        }
+    }
+    Ok(registered)
 }
 
 /// Confine each stage's explicit `from query` reference to `scope` (see
@@ -352,32 +370,6 @@ fn scope_stage_inputs(stages: &mut [Stage], scope: &str) -> Result<(), LangError
         stage.input = Some((format!("{scope}{up}"), scoped_span));
     }
     Ok(())
-}
-
-/// Validate a pre-split stage batch and register it upstream-first,
-/// rolling back on failure — the shared tail of [`register_pipeline`] and
-/// [`register_pipeline_scoped`].
-fn register_stages(
-    engine: &mut Engine,
-    stages: Vec<Stage>,
-) -> Result<Vec<(Stage, QueryId)>, LangError> {
-    let order = validate_stages(&stages, engine)?;
-    let mut registered: Vec<(Stage, QueryId)> = Vec::new();
-    for i in order {
-        let stage = &stages[i];
-        match engine.register(&stage.name, &stage.source) {
-            Ok(id) => registered.push((stage.clone(), id)),
-            Err(e) => {
-                // Roll back earlier stages of this batch so a failed
-                // registration leaves the engine unchanged.
-                for (_, id) in registered.drain(..).rev() {
-                    let _ = engine.deregister(id);
-                }
-                return Err(e);
-            }
-        }
-    }
-    Ok(registered)
 }
 
 /// Render the multi-stage execution plan of a pipeline source: the stage

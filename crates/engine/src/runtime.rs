@@ -634,7 +634,10 @@ mod tests {
         serial.finish();
         let expect = serial.stats();
 
-        let mut par = Engine::with_workers(EngineConfig::default(), 3);
+        let mut par = Engine::new(EngineConfig {
+            workers: 3,
+            ..EngineConfig::default()
+        });
         for (name, src) in sources() {
             par.register(name, src).unwrap();
         }
@@ -648,7 +651,10 @@ mod tests {
 
     #[test]
     fn compatible_queries_stay_on_one_shard() {
-        let mut par = Engine::with_workers(EngineConfig::default(), 4);
+        let mut par = Engine::new(EngineConfig {
+            workers: 4,
+            ..EngineConfig::default()
+        });
         for i in 0..8 {
             par.register(
                 &format!("q{i}"),
@@ -665,7 +671,10 @@ mod tests {
 
     #[test]
     fn finish_without_events_flushes_cleanly() {
-        let mut par = Engine::with_workers(EngineConfig::default(), 2);
+        let mut par = Engine::new(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        });
         par.register("q", "proc p start proc q as e\nreturn p")
             .unwrap();
         assert!(par.finish().is_empty());
@@ -692,7 +701,10 @@ mod tests {
 
     #[test]
     fn run_with_sink_counts_all_alerts() {
-        let mut par = Engine::with_workers(EngineConfig::default(), 2);
+        let mut par = Engine::new(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        });
         par.register(
             "q",
             "proc p1[\"%cmd.exe\"] start proc p2 as e\nreturn p1, p2",
@@ -961,7 +973,10 @@ mod tests {
 
     #[test]
     fn query_stats_surface_after_finish() {
-        let mut par = Engine::with_workers(EngineConfig::default(), 3);
+        let mut par = Engine::new(EngineConfig {
+            workers: 3,
+            ..EngineConfig::default()
+        });
         for (name, src) in sources() {
             par.register(name, src).unwrap();
         }

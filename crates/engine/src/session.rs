@@ -24,17 +24,20 @@
 //!   round boundary every N base events; its first failure stops the
 //!   cadence, never the stream.
 //! * **Write-ahead.** With a store installed
-//!   ([`write_ahead`](RunSession::write_ahead)), every round the session
-//!   pumps — rewire, quiesce, checkpoint, and finish rounds included —
-//!   appends and syncs the base events whose offset is not yet on disk
-//!   *before* the engine consumes them. The first failure stops appends
-//!   and vetoes every later checkpoint, so no checkpoint claims an event
-//!   the store lacks.
+//!   ([`DurableLog::WriteAhead`](crate::DurableLog::WriteAhead)), every
+//!   round the session pumps — rewire, quiesce, checkpoint, and finish
+//!   rounds included — appends and syncs the base events whose offset is
+//!   not yet on disk *before* the engine consumes them. The first failure
+//!   stops appends and vetoes every later checkpoint, so no checkpoint
+//!   claims an event the store lacks.
 //! * **End of stream.** [`drain`](RunSession::drain) /
 //!   [`drain_into`](RunSession::drain_into) pump until every base source
 //!   ended, then [`finish`](RunSession::finish): stages flush layer by
 //!   layer, then [`Engine::finish`]. `Engine::run` / `run_with_sink` are a
 //!   one-source [`Lateness::ArrivalOrder`] session drained this way.
+//!
+//! Commands open their session through a [`crate::Deployment`], which
+//! decides resume, the checkpoint cadence and the durable log in one place.
 
 use std::path::PathBuf;
 
@@ -189,8 +192,6 @@ pub struct RunSession<'e> {
     base_offset: u64,
     /// Merge frontier carried over from a resumed checkpoint.
     base_frontier: Timestamp,
-    /// The position came from [`resume_at`](Self::resume_at).
-    resumed: bool,
     checkpoints: Option<CheckpointState>,
     store: Option<WriteAhead>,
     edges: Edges,
@@ -220,7 +221,6 @@ impl Engine {
             base: 0,
             base_offset: 0,
             base_frontier: Timestamp::ZERO,
-            resumed: false,
             checkpoints: None,
             store: None,
             edges: Edges::default(),
@@ -559,26 +559,23 @@ impl<'e> RunSession<'e> {
     /// [`offset`](Self::offset)s, [`frontier`](Self::frontier)s, and
     /// checkpoints continue the original run's numbering, and the pipeline
     /// adapters continue its derived-event ids. Attach the event suffix
-    /// with
-    /// [`StoreSource::open_at`](saql_stream::source::StoreSource::open_at)
-    /// at `checkpoint.offset`.
+    /// from `checkpoint.offset` in stored order —
+    /// [`Deployment::open`](crate::Deployment::open) does all of this.
     pub fn resume_at(&mut self, checkpoint: &Checkpoint) {
         self.base_offset = checkpoint.offset;
         self.base_frontier = checkpoint.frontier;
         self.adapters = checkpoint.adapters.clone();
-        self.resumed = true;
     }
 
     /// Install the write-ahead store (before the first round): from now on
     /// every round appends and syncs the base events whose offset is not
     /// yet on disk before the engine consumes them, so a store offset and
-    /// [`offset`](Self::offset) denote the same position. A session not
-    /// [resumed](Self::resume_at) continues the store's offset space.
-    pub fn write_ahead(&mut self, store: StoreWriter) {
+    /// [`offset`](Self::offset) denote the same position: the session
+    /// continues the store's offset space, unless a later
+    /// [`resume_at`](Self::resume_at) positions it at a checkpoint.
+    pub(crate) fn write_ahead(&mut self, store: StoreWriter) {
         let persisted = store.len();
-        if !self.resumed {
-            self.base_offset = persisted;
-        }
+        self.base_offset = persisted;
         self.store = Some(WriteAhead {
             store,
             persisted,
@@ -746,7 +743,10 @@ mod tests {
     #[test]
     fn multi_source_session_merges_by_event_time() {
         for workers in [0usize, 2] {
-            let mut engine = Engine::with_workers(EngineConfig::default(), workers);
+            let mut engine = Engine::new(EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            });
             engine.register("watch", WATCH).unwrap();
             let mut session = engine.session();
             session.attach(IterSource::new(
@@ -851,7 +851,10 @@ mod tests {
 
     #[test]
     fn idle_rounds_surface_worker_alerts_on_a_quiet_stream() {
-        let mut engine = Engine::with_workers(EngineConfig::default(), 2);
+        let mut engine = Engine::new(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        });
         engine.register("watch", WATCH).unwrap();
         let mut session = engine.session_with(MergeConfig {
             lateness: Duration::ZERO,

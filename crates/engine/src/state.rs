@@ -328,11 +328,6 @@ impl StateMaintainer {
         &self.name
     }
 
-    /// Names of the declared fields, in order.
-    pub fn field_names(&self) -> impl Iterator<Item = &str> {
-        self.fields.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Fold one matching event's evaluated key atoms and field arguments
     /// into the given windows. The caller evaluated both (compiled program
     /// or interpreter); this only groups and folds. Allocation-free for

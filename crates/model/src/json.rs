@@ -230,14 +230,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The field list, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
 }
 
 /// Parse one line as a standalone JSON value (rejecting trailing data) —

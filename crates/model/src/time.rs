@@ -82,10 +82,6 @@ impl Duration {
         self.0
     }
 
-    pub fn is_zero(&self) -> bool {
-        self.0 == 0
-    }
-
     /// Parse a SAQL duration: a number followed by a unit keyword, e.g.
     /// `10 min`, `30 s`, `500 ms`, `2 h`, `1 day`.
     ///

@@ -21,9 +21,13 @@
 //!
 //! ## Durability
 //!
+//! The run itself — engine, initial queries, checkpoint cadence, resume —
+//! opens through the configured [`Deployment`]; serve adds the write-ahead
+//! store, the sockets, tenancy and quotas on top.
+//!
 //! With a durable store configured, every pump round's base events are
 //! appended **and synced** before the engine consumes them (the session's
-//! [`RunSession::write_ahead`] tap), so the store offset equals the
+//! [`DurableLog::WriteAhead`] tap), so the store offset equals the
 //! session offset at every round boundary and any checkpoint the session
 //! writes is covered by synced events. An ingest connection's final
 //! summary line (`"durable":true`) is therefore a real acknowledgement:
@@ -45,15 +49,13 @@ use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use saql_engine::{
-    render_alert_json, Alert, Checkpoint, CheckpointConfig, Engine, EngineConfig, RunSession,
-    SessionStatus,
+    render_alert_json, Alert, Deployment, DurableLog, Engine, Run, RunSession, SessionStatus,
 };
 use saql_model::event::Event;
 use saql_model::json::decode_event_json;
-use saql_model::time::Duration;
-use saql_stream::merge::{Lateness, MergeConfig, SourceId, SourceStats};
-use saql_stream::source::{push_source, ChannelSource, StoreSource};
-use saql_stream::{PushError, StoreReader, StoreWriter};
+use saql_stream::merge::{Lateness, SourceId, SourceStats};
+use saql_stream::source::{push_source, ChannelSource};
+use saql_stream::{PushError, StoreWriter};
 
 use crate::metrics::{Cell, Metrics};
 use crate::protocol::{self, err_line, json_array, ok_line, ControlCmd, Hello, JsonObj};
@@ -94,11 +96,12 @@ pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks a free port — see
     /// [`Server::addr`]).
     pub listen: String,
-    pub engine: EngineConfig,
-    /// Default lateness bound for watermark-merged ingest connections.
-    pub lateness: Duration,
-    /// Events pulled per source per merge poll.
-    pub pull_batch: usize,
+    /// The run: engine and merge settings (the lateness bound is the
+    /// default for watermark-merged ingest connections), initial queries
+    /// (registered under the default tenant), checkpoint cadence (plus a
+    /// final checkpoint at shutdown), and resume — which replays the
+    /// durable store suffix before serving live traffic.
+    pub deployment: Deployment,
     /// Capacity of each ingest connection's event channel.
     pub ingest_buffer: usize,
     /// Quota applied to tenants without an explicit override.
@@ -107,17 +110,6 @@ pub struct ServeConfig {
     pub tenant_quotas: Vec<(String, TenantQuota)>,
     /// Write-ahead event store directory; `None` serves memory-only.
     pub durable_store: Option<PathBuf>,
-    /// Checkpoint directory; enables cadence + shutdown checkpoints.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Cadence: checkpoint after at least this many events (0 = only at
-    /// shutdown / explicit `checkpoint` commands).
-    pub checkpoint_every: u64,
-    /// Resume from the checkpoint in `checkpoint_dir`, replaying the
-    /// durable store suffix before serving live traffic.
-    pub resume: bool,
-    /// Queries registered under the default tenant before serving
-    /// (ignored on resume — the checkpoint carries the registry).
-    pub initial_queries: Vec<(String, String)>,
     /// Print every alert to stdout (the smoke-test surface).
     pub print_alerts: bool,
     /// Time source for quotas and latency metrics.
@@ -130,17 +122,11 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             listen: "127.0.0.1:7878".to_string(),
-            engine: EngineConfig::default(),
-            lateness: Duration::from_secs(1),
-            pull_batch: 256,
+            deployment: Deployment::default(),
             ingest_buffer: 4096,
             quota: TenantQuota::default(),
             tenant_quotas: Vec::new(),
             durable_store: None,
-            checkpoint_dir: None,
-            checkpoint_every: 0,
-            resume: false,
-            initial_queries: Vec::new(),
             print_alerts: false,
             clock: Arc::new(MonotonicClock::new()),
             drain_grace: std::time::Duration::from_secs(5),
@@ -271,13 +257,6 @@ struct DrainReport {
     durable: bool,
 }
 
-/// What a resume needs: the checkpoint's position and the store to replay
-/// the suffix from.
-struct ResumeState {
-    checkpoint: Checkpoint,
-    reader: StoreReader,
-}
-
 // ---------------------------------------------------------------------
 // Server handle
 // ---------------------------------------------------------------------
@@ -299,60 +278,26 @@ impl Server {
         let metrics = Metrics::new();
         let round_anchor = Arc::new(AtomicU64::new(0));
 
-        // Engine: fresh, or restored from the checkpoint.
-        let mut resume_state: Option<ResumeState> = None;
-        let mut engine = if cfg.resume {
-            let dir = cfg
-                .checkpoint_dir
-                .as_ref()
-                .ok_or("resume requires a checkpoint dir")?;
-            let store_path = cfg
-                .durable_store
-                .as_ref()
-                .ok_or("resume requires a durable store")?;
-            let ckpt = Checkpoint::load(&Checkpoint::path_in(dir)).map_err(|e| e.to_string())?;
-            let reader = StoreReader::open(store_path).map_err(|e| e.to_string())?;
-            let engine =
-                Engine::resume_from(ckpt.clone(), cfg.engine).map_err(|e| e.to_string())?;
-            resume_state = Some(ResumeState {
-                checkpoint: ckpt,
-                reader,
-            });
-            engine
-        } else {
-            let mut engine = Engine::new(cfg.engine);
-            for (name, text) in &cfg.initial_queries {
-                let scope = format!("{}/", protocol::DEFAULT_TENANT);
-                let full = format!("{scope}{name}");
-                saql_engine::register_pipeline_scoped(&mut engine, &full, text, &scope)
-                    .map_err(|e| format!("query `{name}`: {}", e.message))?;
-            }
-            engine
-        };
-        install_alert_hook(&mut engine, &metrics, &cfg.clock, &round_anchor);
-
-        // Durable store writer.
-        let store = match &cfg.durable_store {
-            Some(path) => Some(
+        // The write-ahead store is the run's durable log: a resume
+        // replays its suffix (under `_resume/`) before going live.
+        let log = match &cfg.durable_store {
+            Some(path) => Some(DurableLog::WriteAhead(
+                "_resume/store".to_string(),
                 if path.exists() {
                     StoreWriter::open(path)
                 } else {
                     StoreWriter::create_segmented(path)
                 }
                 .map_err(|e| e.to_string())?,
-            ),
+            )),
             None => None,
         };
-        let persisted = store.as_ref().map_or(0, StoreWriter::len);
-        if let Some(ResumeState { checkpoint, .. }) = &resume_state {
-            let offset = checkpoint.offset;
-            if offset > persisted {
-                return Err(format!(
-                    "checkpoint offset {offset} is ahead of the durable store ({persisted} events) — \
-                     the store and checkpoint dir do not belong together"
-                ));
-            }
-        }
+        let scope = format!("{}/", protocol::DEFAULT_TENANT);
+        let mut run = cfg
+            .deployment
+            .open(&scope, log)
+            .map_err(|e| e.to_string())?;
+        install_alert_hook(&mut run.engine, &metrics, &cfg.clock, &round_anchor);
 
         let listener = TcpListener::bind(&cfg.listen).map_err(|e| e.to_string())?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
@@ -387,15 +332,7 @@ impl Server {
             thread::Builder::new()
                 .name("saql-serve-core".into())
                 .spawn(move || {
-                    let out = run_core(
-                        engine,
-                        store,
-                        resume_state,
-                        cfg,
-                        &shared,
-                        ctrl_rx,
-                        round_anchor,
-                    );
+                    let out = run_core(run, cfg, &shared, ctrl_rx, round_anchor);
                     // Whatever stopped the core stops the listener too.
                     shared.shutdown.store(true, Ordering::SeqCst);
                     out
@@ -510,9 +447,7 @@ fn emit(summary: &mut ServeSummary, print: bool, alerts: &[Alert]) {
 }
 
 fn run_core(
-    mut engine: Engine,
-    store: Option<StoreWriter>,
-    resume: Option<ResumeState>,
+    mut run: Run,
     cfg: ServeConfig,
     sh: &Shared,
     ctrl_rx: Receiver<Req>,
@@ -521,47 +456,28 @@ fn run_core(
     let mut summary = ServeSummary::default();
     let mut fatal: Option<String> = None;
     let print = cfg.print_alerts;
-    let mut session = engine.session_with(MergeConfig {
-        lateness: cfg.lateness,
-        pull_batch: cfg.pull_batch,
-    });
-    if let Some(dir) = &cfg.checkpoint_dir {
-        session.enable_checkpoints(CheckpointConfig {
-            dir: dir.clone(),
-            every_events: cfg.checkpoint_every,
-        });
-    }
     // The session appends + syncs each round's base events before the
     // engine consumes them, so every checkpoint it writes is covered.
-    if let Some(store) = store {
-        session.write_ahead(store);
-    }
+    let resumed = run.resumed_at();
+    let mut session = run.session();
 
     // Resume: replay the store suffix past the checkpoint to exactly the
     // pre-shutdown state *before* opening for live traffic (live attaches
     // stay queued on the control channel meanwhile, so the replay cannot
     // interleave with — or re-read — fresh appends).
-    if let Some(ResumeState { checkpoint, reader }) = resume {
-        session.resume_at(&checkpoint);
-        match StoreSource::open_at("_resume/store", &reader, checkpoint.offset) {
-            Ok(src) => {
-                session.attach_with(src, Lateness::ArrivalOrder);
-                loop {
-                    round_anchor.store(sh.clock.now_ns().max(1), Ordering::Relaxed);
-                    let round = session.pump_max(ROUND_BUDGET);
-                    emit(&mut summary, print, &round.alerts);
-                    if round.status == SessionStatus::Done {
-                        break;
-                    }
-                }
-                eprintln!(
-                    "[serve] resumed at offset {}, replayed {} stored events",
-                    checkpoint.offset,
-                    session.processed()
-                );
+    if let Some(offset) = resumed {
+        loop {
+            round_anchor.store(sh.clock.now_ns().max(1), Ordering::Relaxed);
+            let round = session.pump_max(ROUND_BUDGET);
+            emit(&mut summary, print, &round.alerts);
+            if round.status == SessionStatus::Done {
+                break;
             }
-            Err(e) => fatal = Some(format!("resume replay failed: {e}")),
         }
+        eprintln!(
+            "[serve] resumed at offset {offset}, replayed {} stored events",
+            session.processed()
+        );
     }
 
     let mut waiters: Vec<(SourceId, Sender<DrainReport>)> = Vec::new();
@@ -634,7 +550,7 @@ fn run_core(
     // the stages) when the run is to be continued — its open windows must
     // survive into the resumed incarnation — else the final flush.
     if fatal.is_none() {
-        if cfg.checkpoint_dir.is_some() {
+        if cfg.deployment.checkpoints.is_some() {
             match session.checkpoint_now() {
                 Ok(written) => {
                     emit(&mut summary, print, &written.alerts);
@@ -661,7 +577,7 @@ fn run_core(
     // Dropping the engine disconnects subscriber channels; their
     // connection threads notice and exit.
     drop(session);
-    drop(engine);
+    drop(run);
 
     match fatal {
         Some(e) => Err(e),
@@ -740,7 +656,7 @@ fn handle_req(
             tenant: _,
             cmd: ControlCmd::Checkpoint,
             reply,
-        } if cfg.checkpoint_dir.is_some() => {
+        } if cfg.deployment.checkpoints.is_some() => {
             let line = match session.checkpoint_now() {
                 Ok(written) => {
                     emit(summary, cfg.print_alerts, &written.alerts);

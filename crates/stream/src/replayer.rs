@@ -26,13 +26,6 @@ pub enum Speed {
     Compressed { factor: f64 },
 }
 
-impl Speed {
-    /// Real-time replay (compression factor 1).
-    pub fn realtime() -> Self {
-        Speed::Compressed { factor: 1.0 }
-    }
-}
-
 /// Replays events from a store as a stream.
 #[derive(Debug)]
 pub struct Replayer {

@@ -53,7 +53,10 @@ fn main() {
     expected.sort();
 
     // The ingestion path: per-host agent feeds into a parallel engine.
-    let mut engine = Engine::with_workers(EngineConfig::default(), 2);
+    let mut engine = Engine::new(EngineConfig {
+        workers: 2,
+        ..EngineConfig::default()
+    });
     for (name, src) in corpus::DEMO_QUERIES {
         engine.register(name, src).unwrap();
     }

@@ -2,16 +2,19 @@
 # CI recovery smoke for the durable pipeline: a segmented store with a torn
 # WAL tail must open loss-free, and a checkpointed replay — including one
 # killed mid-run — must resume into exactly the alert suffix the
-# uninterrupted run produces. Complements the in-repo crash-injection
-# proptest (tests/durability_crash_injection.rs) by exercising the real
-# binary end to end.
+# uninterrupted run produces; and a store `saql serve` wrote from an
+# out-of-order `--arrival` ingest must replay, checkpointed, in stored
+# order — every event, the last checkpoint at the store's end.
+# Complements the in-repo crash-injection proptest
+# (tests/durability_crash_injection.rs) by exercising the real binary end
+# to end.
 #
 # Usage: scripts/recovery_smoke.sh  (SAQL_BIN overrides the binary path)
 set -euo pipefail
 
 BIN=${SAQL_BIN:-target/release/saql}
 TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
+trap 'kill ${spid:-} 2>/dev/null; rm -rf "$TMP"' EXIT
 
 alerts() { grep '^\[ALERT ' "$1" > "$2" || true; }
 
@@ -66,5 +69,33 @@ else
     # pinned resume exactness.
     echo "   run ended before the first checkpoint; kill variant skipped"
 fi
+
+echo "== serve an out-of-order arrival ingest, then replay its store checkpointed"
+"$BIN" export --store "$TMP/trace.d" --out "$TMP/trace.jsonl" 2>/dev/null
+half=$(($(wc -l < "$TMP/trace.jsonl") / 2))
+# The second half first: every event of the first half arrives far behind
+# the stream's high-water mark.
+{ tail -n +$((half + 1)) "$TMP/trace.jsonl"; head -n "$half" "$TMP/trace.jsonl"; } \
+    > "$TMP/swapped.jsonl"
+"$BIN" serve --listen 127.0.0.1:0 --store "$TMP/served.d" --quiet 2> "$TMP/serve.err" &
+spid=$!
+addr=""
+for _ in $(seq 100); do
+    addr=$(sed -n 's/^\[serve\] listening on //p' "$TMP/serve.err")
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+[ -n "$addr" ] || fail "serve did not start"
+"$BIN" client ingest --addr "$addr" --file "$TMP/swapped.jsonl" --arrival --lossless > /dev/null
+"$BIN" client ctl --addr "$addr" shutdown > /dev/null
+wait "$spid"
+stored=$(wc -l < "$TMP/swapped.jsonl")
+"$BIN" replay --store "$TMP/served.d" --demo-queries \
+    --checkpoint-dir "$TMP/ckpt-served" --checkpoint-every 1 > "$TMP/served.raw"
+grep -q "^replayed $stored events" "$TMP/served.raw" \
+    || fail "the checkpointed replay did not report all $stored stored events"
+! grep -q "dropped late" "$TMP/served.raw" || fail "stored events were dropped as late"
+grep -q "^last checkpoint at offset $stored " "$TMP/served.raw" \
+    || fail "the last checkpoint is not at the store's end ($stored)"
 
 echo "recovery smoke OK"

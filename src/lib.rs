@@ -72,15 +72,15 @@
 //!
 //! Traces persist in a segmented WAL-backed store (`sync()` is the durable
 //! ack; a torn tail is repaired on open), and a running session can
-//! checkpoint the engine's full state at an exact stream offset. Resuming
-//! from the checkpoint and replaying the store suffix reproduces exactly
-//! the alerts the uninterrupted run would have emitted:
+//! checkpoint the engine's full state at an exact stream offset. A
+//! [`engine::Deployment`] opens every run — the CLI's `demo`, `replay` and
+//! `serve` included: fresh, or resumed from its checkpoint with the store
+//! suffix replayed in stored order, which reproduces exactly the alerts the
+//! uninterrupted run would have emitted:
 //!
 //! ```
-//! use saql::engine::{Checkpoint, CheckpointConfig, Engine, EngineConfig};
+//! use saql::engine::{CheckpointConfig, Deployment, DurableLog, Engine, EngineConfig};
 //! use saql::collector::{SimConfig, Simulator};
-//! use saql::stream::source::StoreSource;
-//! use saql::stream::store::Selection;
 //! use saql::stream::{StoreReader, StoreWriter};
 //!
 //! let dir = std::env::temp_dir().join(format!("saql-doc-durable-{}", std::process::id()));
@@ -93,29 +93,30 @@
 //! store.append(&trace.events).unwrap();
 //! store.sync().unwrap();
 //! drop(store);
+//! let log = || DurableLog::Read("trace".into(), StoreReader::open(&store_dir).unwrap());
 //!
 //! // A checkpointed run, "crashed" mid-stream (dropped, never finished).
 //! const COUNT: &str = "proc p write ip i as evt #time(60 s)\n\
 //!     state ss { n := count() } group by p\n\
 //!     return p, ss[0].n";
-//! let reader = StoreReader::open(&store_dir).unwrap();
-//! let mut engine = Engine::new(EngineConfig::default());
-//! engine.register("count-writes", COUNT).unwrap();
-//! let mut session = engine.session();
-//! session.enable_checkpoints(CheckpointConfig { dir: ckpt_dir.clone(), every_events: 0 });
-//! session.attach(StoreSource::open("trace", &reader, &Selection::all()).unwrap());
+//! let deployment = Deployment {
+//!     queries: vec![("count-writes".into(), COUNT.into())],
+//!     checkpoints: Some(CheckpointConfig { dir: ckpt_dir.clone(), every_events: 0 }),
+//!     ..Deployment::default()
+//! };
+//! let mut run = deployment.open("", Some(log())).unwrap();
+//! let mut session = run.session();
 //! let before = session.pump_max(500).alerts;
-//! session.checkpoint_now().unwrap();
+//! let at = session.checkpoint_now().unwrap().offset;
 //! drop(session);
-//! drop(engine);
+//! drop(run);
 //!
-//! // Restore the engine and continue from the checkpoint's exact offset.
-//! let ckpt = Checkpoint::load(&ckpt_dir).unwrap();
-//! let mut engine = Engine::resume_from(ckpt.clone(), EngineConfig::default()).unwrap();
-//! let mut session = engine.session();
-//! session.resume_at(&ckpt);
-//! session.attach(StoreSource::open_at("trace", &reader, ckpt.offset).unwrap());
-//! let after = session.drain();
+//! // Resume: the engine restored, the store replayed from the checkpoint's
+//! // exact offset (the checkpoint carries the query set).
+//! let resumed = Deployment { queries: Vec::new(), resume: true, ..deployment };
+//! let mut run = resumed.open("", Some(log())).unwrap();
+//! assert_eq!(run.resumed_at(), Some(at));
+//! let after = run.session().drain();
 //!
 //! // Crashed prefix + resumed suffix == the uninterrupted run, exactly.
 //! let mut oracle = Engine::new(EngineConfig::default());

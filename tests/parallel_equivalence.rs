@@ -300,7 +300,7 @@ proptest! {
 
         for workers in 1usize..=8 {
             let mut parallel =
-                Engine::with_workers(EngineConfig::default(), workers);
+                Engine::new(EngineConfig { workers, ..EngineConfig::default() });
             for (name, src) in query_set() {
                 parallel.register(name, src).unwrap();
             }

@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
+use saql::engine::{CheckpointConfig, Deployment};
 use saql::model::event::{Event, EventBuilder};
 use saql::model::json::encode_event_json;
 use saql::model::{FileInfo, ProcessInfo};
@@ -514,9 +515,14 @@ fn shutdown_checkpoint_resume_loses_nothing() {
         listen: "127.0.0.1:0".into(),
         print_alerts: false,
         durable_store: Some(store.clone()),
-        checkpoint_dir: Some(ckpt.clone()),
-        checkpoint_every: 64,
-        resume,
+        deployment: Deployment {
+            checkpoints: Some(CheckpointConfig {
+                dir: ckpt.clone(),
+                every_events: 64,
+            }),
+            resume,
+            ..Deployment::default()
+        },
         ..ServeConfig::default()
     };
 
@@ -741,9 +747,14 @@ fn served_pipeline_survives_shutdown_checkpoint_resume() {
         listen: "127.0.0.1:0".into(),
         print_alerts: false,
         durable_store: Some(store.clone()),
-        checkpoint_dir: Some(ckpt.clone()),
-        checkpoint_every: 4,
-        resume,
+        deployment: Deployment {
+            checkpoints: Some(CheckpointConfig {
+                dir: ckpt.clone(),
+                every_events: 4,
+            }),
+            resume,
+            ..Deployment::default()
+        },
         ..ServeConfig::default()
     };
 
