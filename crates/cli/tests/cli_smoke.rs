@@ -685,6 +685,84 @@ fn resume_refuses_a_checkpoint_past_the_end_of_the_store() {
     }
 }
 
+/// Run `saql` with a deadline: a command that should fail at startup must
+/// not be left listening if it does not.
+fn saql_within(args: &[&str], secs: u64) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_saql"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn saql binary");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn a_corrupt_checkpoint_is_refused_not_panicked() {
+    use saql_engine::{Engine, EngineConfig};
+    let store = write_store("corrupt-ckpt", 20, false);
+    let ckpt = store.with_extension("ckpt");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let out = checkpointed_replay(&store, &ckpt, &["--demo-queries"]);
+    assert!(out.status.success(), "{out:?}");
+    let file = ckpt.join("checkpoint.saqlckp");
+    let whole = std::fs::read(&file).unwrap();
+
+    // A rule checkpoint whose partial match sits at a step the recompiled
+    // plan does not have, written through the engine API.
+    let mut engine = Engine::new(EngineConfig::default());
+    engine
+        .register("one-step", "proc p start proc q as e\nreturn p, q")
+        .unwrap();
+    let mut forged = engine.checkpoint(10, saql_model::Timestamp::ZERO).unwrap();
+    let snapshot = forged.rows[0].snapshot.as_mut().unwrap();
+    let matcher = snapshot.matcher.as_mut().unwrap();
+    matcher
+        .partials
+        .push(saql_engine::matcher::PartialSnapshot {
+            seq: 0,
+            next: 7,
+            events: vec![None],
+            bindings: vec![None, None],
+            last_ts: saql_model::Timestamp::ZERO,
+        });
+
+    for (case, damage) in [("truncated", "corrupt checkpoint"), ("forged", "one-step")] {
+        if case == "truncated" {
+            std::fs::write(&file, &whole[..whole.len() - 1]).unwrap();
+        } else {
+            forged.write_atomic(&ckpt).unwrap();
+        }
+        let (s, c) = (store.to_str().unwrap(), ckpt.to_str().unwrap());
+        let resume = ["--store", s, "--checkpoint-dir", c, "--resume"];
+        let serve = ["serve", "--listen", "127.0.0.1:0", "--quiet"];
+        for args in [
+            [&["replay"][..], &resume].concat(),
+            [&serve[..], &resume].concat(),
+        ] {
+            let out = saql_within(&args, 30);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{case} {}: {stderr}", args[0]);
+            assert!(
+                stderr.contains("error: checkpoint error:") && stderr.contains(damage),
+                "{case} {}: {stderr}",
+                args[0]
+            );
+            assert!(!stderr.contains("panicked"), "{case} {}: {stderr}", args[0]);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
 #[test]
 fn serve_refuses_initial_queries_on_resume_like_replay() {
     use saql_engine::{CheckpointConfig, Deployment};

@@ -26,15 +26,40 @@
 //! n_rows, then per registry row:
 //!   status: u8 (0 active / 1 paused / 2 removed)
 //!   name, source: string          retained SAQL text for recompilation
-//!   snapshot (live rows only):    QuerySnapshot blob, see below
-//! n_adapters, then per pipeline edge (v2+):
+//!   snapshot (live rows only):    QuerySnapshot, its fields in order
+//! n_adapters, then per pipeline edge:
 //!   upstream: string, seq         alert→event adapter position
 //! ```
 //!
-//! Floats are stored as their IEEE-754 bit patterns (fixed 8-byte LE), so
-//! accumulator state — including Welford `m2` — round-trips bit-exactly;
-//! signed integers zigzag. Tombstoned rows keep their slots so resumed
-//! [`QueryId`](crate::QueryId)s align with the original run's.
+//! Below the row, every snapshot struct is its fields in the order its
+//! `wire_struct!` line lists them (their declaration order); a sequence is
+//! its count then its elements, an `Option` a 0/1 tag then the value, an
+//! enum a one-byte variant tag then the variant's fields. Floats are stored
+//! as their IEEE-754 bit patterns (fixed 8-byte LE), so accumulator state —
+//! including Welford `m2` — round-trips bit-exactly; signed integers
+//! zigzag. Tombstoned rows keep their slots so resumed
+//! [`QueryId`](crate::QueryId)s align with the original run's. A version-1
+//! file (no adapter table) is refused like any other unknown version.
+//!
+//! ## One codec
+//!
+//! Every type in the file writes and reads itself through one crate-private
+//! trait, `Wire`, implemented once per type in this file — the encoder and
+//! the decoder cannot drift apart, and the format is pinned byte for byte
+//! by golden fixtures (`tests/fixtures/`). The generic sequence decode is
+//! the only place a decoded count sizes an allocation, and its up-front
+//! reservation never exceeds the bytes the input has left, however large
+//! the element type. That bounds the reservation, not the decode: elements
+//! that really are on the wire still grow the `Vec` by `size_of::<T>()`
+//! each, so a crafted file of minimal elements can make one allocation up
+//! to about `2 × size_of::<T>() / (smallest wire size of T)` times its own
+//! length — ~200× for 3-byte tombstone rows (`CheckpointRow` is 320
+//! bytes), ~300× for a run of 1-byte `None` partial-match events
+//! (`Option<Event>` is 152).
+//!
+//! Decoding proves a file well-formed, not that it fits the queries it
+//! names: [`Engine::resume_from`](crate::Engine::resume_from) checks every
+//! restored index against the recompiled plan and refuses a mismatch.
 
 use std::fs::{self, File};
 use std::io::Write;
@@ -42,11 +67,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use saql_model::codec::{
-    self, decode_entity, decode_event, encode_entity, encode_event, get_string, get_u64,
-    put_string, put_u64, DecodeError,
-};
-use saql_model::{AttrValue, Timestamp};
+use saql_model::codec::{self, DecodeError};
+use saql_model::{AttrValue, Duration, Entity, Event, Timestamp};
 
 use crate::error::EngineError;
 use crate::invariant::{InvariantGroupSnapshot, InvariantSnapshot, Phase};
@@ -65,7 +87,8 @@ pub const CHECKPOINT_VERSION: u8 = 2;
 /// File name a checkpoint occupies inside its directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.saqlckp";
 
-/// Lifecycle status of one registry row inside a checkpoint.
+/// Lifecycle status of a registry row — in the engine's registry and in
+/// the checkpoints written from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowStatus {
     Active,
@@ -105,9 +128,9 @@ pub struct Checkpoint {
     /// Pipeline alert→event adapter positions: `(upstream query name,
     /// next adapted-event sequence number)` per live pipeline edge, so a
     /// resumed topology keeps minting the same deterministic derived
-    /// event ids. Empty for engines without pipelines (and for version-1
-    /// checkpoints). The engine itself ignores this field — the pipeline
-    /// wiring layer fills and consumes it.
+    /// event ids. Empty for engines without pipelines. The engine itself
+    /// ignores this field — the pipeline wiring layer fills and consumes
+    /// it.
     pub adapters: Vec<(String, u64)>,
 }
 
@@ -122,33 +145,12 @@ impl Checkpoint {
         let mut buf = BytesMut::with_capacity(256 + self.rows.len() * 256);
         buf.put_slice(CHECKPOINT_MAGIC);
         buf.put_u8(CHECKPOINT_VERSION);
-        put_u64(&mut buf, self.offset);
-        put_u64(&mut buf, self.frontier.as_millis());
-        put_u64(&mut buf, self.config.partial_match_cap as u64);
-        put_u64(&mut buf, self.config.allowed_lateness.as_millis());
+        self.offset.put(&mut buf);
+        self.frontier.put(&mut buf);
+        self.config.put(&mut buf);
         buf.put_u8(0); // reserved (formerly the exec mode)
-        put_u64(&mut buf, self.rows.len() as u64);
-        for row in &self.rows {
-            buf.put_u8(match row.status {
-                RowStatus::Active => 0,
-                RowStatus::Paused => 1,
-                RowStatus::Removed => 2,
-            });
-            put_string(&mut buf, &row.name);
-            put_string(&mut buf, &row.source);
-            if row.status != RowStatus::Removed {
-                let snap = row
-                    .snapshot
-                    .as_ref()
-                    .expect("live checkpoint rows carry state");
-                put_query_snapshot(&mut buf, snap);
-            }
-        }
-        put_u64(&mut buf, self.adapters.len() as u64);
-        for (upstream, seq) in &self.adapters {
-            put_string(&mut buf, upstream);
-            put_u64(&mut buf, *seq);
-        }
+        self.rows.put(&mut buf);
+        self.adapters.put(&mut buf);
         buf.freeze()
     }
 
@@ -198,544 +200,6 @@ impl Checkpoint {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
-
-fn put_i64(buf: &mut BytesMut, v: i64) {
-    // Zigzag: small magnitudes of either sign stay short.
-    put_u64(buf, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn put_f64(buf: &mut BytesMut, v: f64) {
-    // Fixed-width bit pattern: exact round trip, including NaN payloads
-    // and signed zeros (varints would bloat on typical mantissas anyway).
-    buf.put_u64_le(v.to_bits());
-}
-
-fn put_bool(buf: &mut BytesMut, v: bool) {
-    buf.put_u8(v as u8);
-}
-
-fn put_attr(buf: &mut BytesMut, v: &AttrValue) {
-    match v {
-        AttrValue::Int(i) => {
-            buf.put_u8(0);
-            put_i64(buf, *i);
-        }
-        AttrValue::Float(f) => {
-            buf.put_u8(1);
-            put_f64(buf, *f);
-        }
-        AttrValue::Str(s) => {
-            buf.put_u8(2);
-            put_string(buf, s);
-        }
-        AttrValue::Bool(b) => {
-            buf.put_u8(3);
-            put_bool(buf, *b);
-        }
-    }
-}
-
-fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Attr(a) => {
-            buf.put_u8(0);
-            put_attr(buf, a);
-        }
-        Value::Set(set) => {
-            buf.put_u8(1);
-            put_u64(buf, set.len() as u64);
-            for s in set.iter() {
-                put_string(buf, s);
-            }
-        }
-        Value::Missing => buf.put_u8(2),
-    }
-}
-
-fn put_matcher(buf: &mut BytesMut, snap: &MatcherSnapshot) {
-    put_u64(buf, snap.partials.len() as u64);
-    for p in &snap.partials {
-        put_u64(buf, p.seq);
-        put_u64(buf, p.next as u64);
-        put_u64(buf, p.events.len() as u64);
-        for e in &p.events {
-            match e {
-                Some(ev) => {
-                    buf.put_u8(1);
-                    encode_event(buf, ev);
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        put_u64(buf, p.bindings.len() as u64);
-        for b in &p.bindings {
-            match b {
-                Some(ent) => {
-                    buf.put_u8(1);
-                    encode_entity(buf, ent);
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        put_u64(buf, p.last_ts.as_millis());
-    }
-    put_u64(buf, snap.next_seq);
-    put_u64(buf, snap.emitted.len() as u64);
-    for row in &snap.emitted {
-        put_u64(buf, row.len() as u64);
-        for id in row {
-            put_u64(buf, *id);
-        }
-    }
-    put_bool(buf, snap.overflowed);
-}
-
-fn put_window(buf: &mut BytesMut, snap: &WindowSnapshot) {
-    put_u64(buf, snap.watermark.as_millis());
-    put_u64(buf, snap.open.len() as u64);
-    for w in &snap.open {
-        put_u64(buf, *w);
-    }
-    put_u64(buf, snap.closed);
-}
-
-fn put_accum(buf: &mut BytesMut, a: &AccumSnapshot) {
-    match a {
-        AccumSnapshot::Stats {
-            count,
-            sum,
-            min,
-            max,
-            mean,
-            m2,
-        } => {
-            buf.put_u8(0);
-            put_u64(buf, *count);
-            put_f64(buf, *sum);
-            put_f64(buf, *min);
-            put_f64(buf, *max);
-            put_f64(buf, *mean);
-            put_f64(buf, *m2);
-        }
-        AccumSnapshot::Set(items) => {
-            buf.put_u8(1);
-            put_u64(buf, items.len() as u64);
-            for s in items {
-                put_string(buf, s);
-            }
-        }
-        AccumSnapshot::Buffer(vals) => {
-            buf.put_u8(2);
-            put_u64(buf, vals.len() as u64);
-            for v in vals {
-                put_f64(buf, *v);
-            }
-        }
-    }
-}
-
-fn put_key_vals(buf: &mut BytesMut, key_vals: &[AttrValue]) {
-    put_u64(buf, key_vals.len() as u64);
-    for k in key_vals {
-        put_attr(buf, k);
-    }
-}
-
-fn put_state(buf: &mut BytesMut, snap: &StateSnapshot) {
-    put_u64(buf, snap.open.len() as u64);
-    for (window, groups) in &snap.open {
-        put_u64(buf, *window);
-        put_u64(buf, groups.len() as u64);
-        for g in groups {
-            put_key_vals(buf, &g.key_vals);
-            put_u64(buf, g.accums.len() as u64);
-            for a in &g.accums {
-                put_accum(buf, a);
-            }
-        }
-    }
-    put_u64(buf, snap.history.len() as u64);
-    for g in &snap.history {
-        put_key_vals(buf, &g.key_vals);
-        put_u64(buf, g.windows.len() as u64);
-        for (window, values) in &g.windows {
-            put_u64(buf, *window);
-            put_u64(buf, values.len() as u64);
-            for v in values {
-                put_value(buf, v);
-            }
-        }
-    }
-    match snap.first_window {
-        Some(w) => {
-            buf.put_u8(1);
-            put_u64(buf, w);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn put_invariant(buf: &mut BytesMut, snap: &InvariantSnapshot) {
-    put_u64(buf, snap.groups.len() as u64);
-    for g in &snap.groups {
-        put_string(buf, &g.label);
-        put_u64(buf, g.vars.len() as u64);
-        for v in &g.vars {
-            put_value(buf, v);
-        }
-        match g.phase {
-            Phase::Training { seen } => {
-                buf.put_u8(0);
-                put_u64(buf, seen as u64);
-            }
-            Phase::Detecting => buf.put_u8(1),
-        }
-    }
-}
-
-fn put_query_snapshot(buf: &mut BytesMut, snap: &QuerySnapshot) {
-    match &snap.matcher {
-        Some(m) => {
-            buf.put_u8(1);
-            put_matcher(buf, m);
-        }
-        None => buf.put_u8(0),
-    }
-    match &snap.window {
-        Some(w) => {
-            buf.put_u8(1);
-            put_window(buf, w);
-        }
-        None => buf.put_u8(0),
-    }
-    match &snap.state {
-        Some(s) => {
-            buf.put_u8(1);
-            put_state(buf, s);
-        }
-        None => buf.put_u8(0),
-    }
-    match &snap.invariant {
-        Some(i) => {
-            buf.put_u8(1);
-            put_invariant(buf, i);
-        }
-        None => buf.put_u8(0),
-    }
-    put_u64(buf, snap.distinct_seen.len() as u64);
-    for row in &snap.distinct_seen {
-        put_u64(buf, row.len() as u64);
-        for s in row {
-            put_string(buf, s);
-        }
-    }
-    put_u64(buf, snap.stats.events_seen);
-    put_u64(buf, snap.stats.events_matched);
-    put_u64(buf, snap.stats.windows_closed);
-    put_u64(buf, snap.stats.alerts);
-    put_u64(buf, snap.stats.late_events);
-    put_bool(buf, snap.overflow_reported);
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-type R<T> = Result<T, DecodeError>;
-
-fn get_u8(buf: &mut Bytes) -> R<u8> {
-    if !buf.has_remaining() {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_i64(buf: &mut Bytes) -> R<i64> {
-    let z = get_u64(buf)?;
-    Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-}
-
-fn get_f64(buf: &mut Bytes) -> R<f64> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(f64::from_bits(buf.get_u64_le()))
-}
-
-fn get_bool(buf: &mut Bytes) -> R<bool> {
-    match get_u8(buf)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(DecodeError::BadTag("bool", t)),
-    }
-}
-
-/// Read a sequence count, guarded: a corrupt length must not turn into an
-/// OOM `Vec::with_capacity`. Every element is ≥ 1 byte on the wire, so a
-/// count beyond the remaining bytes is a truncation.
-fn get_len(buf: &mut Bytes) -> R<usize> {
-    let n = get_u64(buf)?;
-    if n > buf.remaining() as u64 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(n as usize)
-}
-
-fn get_attr(buf: &mut Bytes) -> R<AttrValue> {
-    match get_u8(buf)? {
-        0 => Ok(AttrValue::Int(get_i64(buf)?)),
-        1 => Ok(AttrValue::Float(get_f64(buf)?)),
-        2 => Ok(AttrValue::Str(get_string(buf)?)),
-        3 => Ok(AttrValue::Bool(get_bool(buf)?)),
-        t => Err(DecodeError::BadTag("attr value", t)),
-    }
-}
-
-fn get_value(buf: &mut Bytes) -> R<Value> {
-    match get_u8(buf)? {
-        0 => Ok(Value::Attr(get_attr(buf)?)),
-        1 => {
-            let n = get_len(buf)?;
-            let mut set = std::collections::BTreeSet::new();
-            for _ in 0..n {
-                set.insert(get_string(buf)?.to_string());
-            }
-            Ok(Value::Set(Arc::new(set)))
-        }
-        2 => Ok(Value::Missing),
-        t => Err(DecodeError::BadTag("value", t)),
-    }
-}
-
-fn get_matcher(buf: &mut Bytes) -> R<MatcherSnapshot> {
-    let n = get_len(buf)?;
-    let mut partials = Vec::with_capacity(n);
-    for _ in 0..n {
-        let seq = get_u64(buf)?;
-        let next = get_u64(buf)? as usize;
-        let n_events = get_len(buf)?;
-        let mut events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            events.push(match get_u8(buf)? {
-                0 => None,
-                1 => Some(decode_event(buf)?),
-                t => return Err(DecodeError::BadTag("event option", t)),
-            });
-        }
-        let n_bindings = get_len(buf)?;
-        let mut bindings = Vec::with_capacity(n_bindings);
-        for _ in 0..n_bindings {
-            bindings.push(match get_u8(buf)? {
-                0 => None,
-                1 => Some(decode_entity(buf)?),
-                t => return Err(DecodeError::BadTag("entity option", t)),
-            });
-        }
-        let last_ts = Timestamp::from_millis(get_u64(buf)?);
-        partials.push(PartialSnapshot {
-            seq,
-            next,
-            events,
-            bindings,
-            last_ts,
-        });
-    }
-    let next_seq = get_u64(buf)?;
-    let n_emitted = get_len(buf)?;
-    let mut emitted = Vec::with_capacity(n_emitted);
-    for _ in 0..n_emitted {
-        let n_ids = get_len(buf)?;
-        let mut row = Vec::with_capacity(n_ids);
-        for _ in 0..n_ids {
-            row.push(get_u64(buf)?);
-        }
-        emitted.push(row);
-    }
-    let overflowed = get_bool(buf)?;
-    Ok(MatcherSnapshot {
-        partials,
-        next_seq,
-        emitted,
-        overflowed,
-    })
-}
-
-fn get_window(buf: &mut Bytes) -> R<WindowSnapshot> {
-    let watermark = Timestamp::from_millis(get_u64(buf)?);
-    let n = get_len(buf)?;
-    let mut open = Vec::with_capacity(n);
-    for _ in 0..n {
-        open.push(get_u64(buf)?);
-    }
-    let closed = get_u64(buf)?;
-    Ok(WindowSnapshot {
-        watermark,
-        open,
-        closed,
-    })
-}
-
-fn get_accum(buf: &mut Bytes) -> R<AccumSnapshot> {
-    match get_u8(buf)? {
-        0 => Ok(AccumSnapshot::Stats {
-            count: get_u64(buf)?,
-            sum: get_f64(buf)?,
-            min: get_f64(buf)?,
-            max: get_f64(buf)?,
-            mean: get_f64(buf)?,
-            m2: get_f64(buf)?,
-        }),
-        1 => {
-            let n = get_len(buf)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(get_string(buf)?.to_string());
-            }
-            Ok(AccumSnapshot::Set(items))
-        }
-        2 => {
-            let n = get_len(buf)?;
-            let mut vals = Vec::with_capacity(n);
-            for _ in 0..n {
-                vals.push(get_f64(buf)?);
-            }
-            Ok(AccumSnapshot::Buffer(vals))
-        }
-        t => Err(DecodeError::BadTag("accumulator", t)),
-    }
-}
-
-fn get_key_vals(buf: &mut Bytes) -> R<Vec<AttrValue>> {
-    let n = get_len(buf)?;
-    let mut key_vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        key_vals.push(get_attr(buf)?);
-    }
-    Ok(key_vals)
-}
-
-fn get_state(buf: &mut Bytes) -> R<StateSnapshot> {
-    let n_open = get_len(buf)?;
-    let mut open = Vec::with_capacity(n_open);
-    for _ in 0..n_open {
-        let window = get_u64(buf)?;
-        let n_groups = get_len(buf)?;
-        let mut groups = Vec::with_capacity(n_groups);
-        for _ in 0..n_groups {
-            let key_vals = get_key_vals(buf)?;
-            let n_accums = get_len(buf)?;
-            let mut accums = Vec::with_capacity(n_accums);
-            for _ in 0..n_accums {
-                accums.push(get_accum(buf)?);
-            }
-            groups.push(GroupAccumSnapshot { key_vals, accums });
-        }
-        open.push((window, groups));
-    }
-    let n_history = get_len(buf)?;
-    let mut history = Vec::with_capacity(n_history);
-    for _ in 0..n_history {
-        let key_vals = get_key_vals(buf)?;
-        let n_windows = get_len(buf)?;
-        let mut windows = Vec::with_capacity(n_windows);
-        for _ in 0..n_windows {
-            let window = get_u64(buf)?;
-            let n_values = get_len(buf)?;
-            let mut values = Vec::with_capacity(n_values);
-            for _ in 0..n_values {
-                values.push(get_value(buf)?);
-            }
-            windows.push((window, values));
-        }
-        history.push(GroupHistorySnapshot { key_vals, windows });
-    }
-    let first_window = match get_u8(buf)? {
-        0 => None,
-        1 => Some(get_u64(buf)?),
-        t => return Err(DecodeError::BadTag("window option", t)),
-    };
-    Ok(StateSnapshot {
-        open,
-        history,
-        first_window,
-    })
-}
-
-fn get_invariant(buf: &mut Bytes) -> R<InvariantSnapshot> {
-    let n = get_len(buf)?;
-    let mut groups = Vec::with_capacity(n);
-    for _ in 0..n {
-        let label = get_string(buf)?.to_string();
-        let n_vars = get_len(buf)?;
-        let mut vars = Vec::with_capacity(n_vars);
-        for _ in 0..n_vars {
-            vars.push(get_value(buf)?);
-        }
-        let phase = match get_u8(buf)? {
-            0 => Phase::Training {
-                seen: get_u64(buf)? as usize,
-            },
-            1 => Phase::Detecting,
-            t => return Err(DecodeError::BadTag("phase", t)),
-        };
-        groups.push(InvariantGroupSnapshot { label, vars, phase });
-    }
-    Ok(InvariantSnapshot { groups })
-}
-
-fn get_query_snapshot(buf: &mut Bytes) -> R<QuerySnapshot> {
-    let matcher = match get_u8(buf)? {
-        0 => None,
-        1 => Some(get_matcher(buf)?),
-        t => return Err(DecodeError::BadTag("matcher option", t)),
-    };
-    let window = match get_u8(buf)? {
-        0 => None,
-        1 => Some(get_window(buf)?),
-        t => return Err(DecodeError::BadTag("window option", t)),
-    };
-    let state = match get_u8(buf)? {
-        0 => None,
-        1 => Some(get_state(buf)?),
-        t => return Err(DecodeError::BadTag("state option", t)),
-    };
-    let invariant = match get_u8(buf)? {
-        0 => None,
-        1 => Some(get_invariant(buf)?),
-        t => return Err(DecodeError::BadTag("invariant option", t)),
-    };
-    let n_distinct = get_len(buf)?;
-    let mut distinct_seen = Vec::with_capacity(n_distinct);
-    for _ in 0..n_distinct {
-        let n = get_len(buf)?;
-        let mut row = Vec::with_capacity(n);
-        for _ in 0..n {
-            row.push(get_string(buf)?.to_string());
-        }
-        distinct_seen.push(row);
-    }
-    let stats = QueryStats {
-        events_seen: get_u64(buf)?,
-        events_matched: get_u64(buf)?,
-        windows_closed: get_u64(buf)?,
-        alerts: get_u64(buf)?,
-        late_events: get_u64(buf)?,
-    };
-    let overflow_reported = get_bool(buf)?;
-    Ok(QuerySnapshot {
-        matcher,
-        window,
-        state,
-        invariant,
-        distinct_seen,
-        stats,
-        overflow_reported,
-    })
-}
-
 fn decode_impl(mut buf: Bytes) -> Result<Checkpoint, String> {
     if buf.remaining() < CHECKPOINT_MAGIC.len() {
         return Err("file shorter than the magic".to_string());
@@ -745,69 +209,29 @@ fn decode_impl(mut buf: Bytes) -> Result<Checkpoint, String> {
         return Err(format!("bad magic {magic:02x?}"));
     }
     buf.advance(CHECKPOINT_MAGIC.len());
-    let version = get_u8(&mut buf).map_err(|e| e.to_string())?;
-    // Version 1 is version 2 without the trailing adapter table.
-    if version != CHECKPOINT_VERSION && version != 1 {
+    let version = u8::get(&mut buf).map_err(|e| e.to_string())?;
+    if version != CHECKPOINT_VERSION {
         return Err(format!(
             "version {version} (this build reads {CHECKPOINT_VERSION})"
         ));
     }
     let body = |buf: &mut Bytes| -> R<Checkpoint> {
-        let offset = get_u64(buf)?;
-        let frontier = Timestamp::from_millis(get_u64(buf)?);
-        let config = QueryConfig {
-            partial_match_cap: get_u64(buf)? as usize,
-            allowed_lateness: saql_model::Duration::from_millis(get_u64(buf)?),
-        };
+        let offset = Wire::get(buf)?;
+        let frontier = Wire::get(buf)?;
+        let config = Wire::get(buf)?;
         // Reserved-zero. A `1` here was written under the interpreted
         // execution mode, which no longer exists to resume into.
-        match get_u8(buf)? {
-            0 => {}
-            t => {
-                return Err(DecodeError::BadTag(
-                    "exec mode (reserved-zero: the interpreted mode was removed)",
-                    t,
-                ))
-            }
-        }
-        let n_rows = get_len(buf)?;
-        let mut rows = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            let status = match get_u8(buf)? {
-                0 => RowStatus::Active,
-                1 => RowStatus::Paused,
-                2 => RowStatus::Removed,
-                t => return Err(DecodeError::BadTag("row status", t)),
-            };
-            let name = get_string(buf)?.to_string();
-            let source = get_string(buf)?.to_string();
-            let snapshot = if status == RowStatus::Removed {
-                None
-            } else {
-                Some(get_query_snapshot(buf)?)
-            };
-            rows.push(CheckpointRow {
-                name,
-                source,
-                status,
-                snapshot,
-            });
-        }
-        let mut adapters = Vec::new();
-        if version >= 2 {
-            let n = get_len(buf)?;
-            for _ in 0..n {
-                let upstream = get_string(buf)?.to_string();
-                let seq = get_u64(buf)?;
-                adapters.push((upstream, seq));
-            }
+        let reserved = u8::get(buf)?;
+        if reserved != 0 {
+            let what = "exec mode (reserved-zero: the interpreted mode was removed)";
+            return Err(DecodeError::BadTag(what, reserved));
         }
         Ok(Checkpoint {
             offset,
             frontier,
             config,
-            rows,
-            adapters,
+            rows: Wire::get(buf)?,
+            adapters: Wire::get(buf)?,
         })
     };
     let ckpt = body(&mut buf).map_err(|e| e.to_string())?;
@@ -817,9 +241,376 @@ fn decode_impl(mut buf: Bytes) -> Result<Checkpoint, String> {
     Ok(ckpt)
 }
 
-// Keep the unused-import lint honest: `codec` itself is referenced for the
-// doc link above.
-const _: u8 = codec::FORMAT_VERSION;
+// ---------------------------------------------------------------------------
+// The codec
+// ---------------------------------------------------------------------------
+
+type R<T> = Result<T, DecodeError>;
+
+/// The one checkpoint codec: a type's bytes, written and read in one place.
+trait Wire: Sized {
+    fn put(&self, buf: &mut BytesMut);
+    fn get(buf: &mut Bytes) -> R<Self>;
+}
+
+/// Raw byte (tags, the version, the reserved byte).
+impl Wire for u8 {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self);
+    }
+    fn get(buf: &mut Bytes) -> R<u8> {
+        let byte = buf.has_remaining().then(|| buf.get_u8());
+        byte.ok_or(DecodeError::Truncated)
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, buf: &mut BytesMut) {
+        codec::put_u64(buf, *self);
+    }
+    fn get(buf: &mut Bytes) -> R<u64> {
+        codec::get_u64(buf)
+    }
+}
+
+impl Wire for usize {
+    fn put(&self, buf: &mut BytesMut) {
+        (*self as u64).put(buf);
+    }
+    fn get(buf: &mut Bytes) -> R<usize> {
+        u64::get(buf).map(|v| v as usize)
+    }
+}
+
+impl Wire for i64 {
+    // Zigzag: small magnitudes of either sign stay short.
+    fn put(&self, buf: &mut BytesMut) {
+        (((self << 1) ^ (self >> 63)) as u64).put(buf);
+    }
+    fn get(buf: &mut Bytes) -> R<i64> {
+        let z = u64::get(buf)?;
+        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
+    }
+}
+
+impl Wire for f64 {
+    // Fixed-width bit pattern: exact round trip, including NaN payloads
+    // and signed zeros (varints would bloat on typical mantissas anyway).
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u64_le(self.to_bits());
+    }
+    fn get(buf: &mut Bytes) -> R<f64> {
+        if buf.remaining() < 8 {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(f64::from_bits(buf.get_u64_le()))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        (*self as u8).put(buf);
+    }
+    fn get(buf: &mut Bytes) -> R<bool> {
+        match u8::get(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(DecodeError::BadTag("bool", t)),
+        }
+    }
+}
+
+impl Wire for Arc<str> {
+    fn put(&self, buf: &mut BytesMut) {
+        codec::put_string(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> R<Arc<str>> {
+        codec::get_string(buf)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, buf: &mut BytesMut) {
+        codec::put_string(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> R<String> {
+        codec::get_string(buf).map(|s| s.to_string())
+    }
+}
+
+impl Wire for Timestamp {
+    fn put(&self, buf: &mut BytesMut) {
+        self.as_millis().put(buf);
+    }
+    fn get(buf: &mut Bytes) -> R<Timestamp> {
+        u64::get(buf).map(Timestamp::from_millis)
+    }
+}
+
+impl Wire for Duration {
+    fn put(&self, buf: &mut BytesMut) {
+        self.as_millis().put(buf);
+    }
+    fn get(buf: &mut Bytes) -> R<Duration> {
+        u64::get(buf).map(Duration::from_millis)
+    }
+}
+
+impl Wire for Event {
+    fn put(&self, buf: &mut BytesMut) {
+        codec::encode_event(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> R<Event> {
+        codec::decode_event(buf)
+    }
+}
+
+impl Wire for Entity {
+    fn put(&self, buf: &mut BytesMut) {
+        codec::encode_entity(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> R<Entity> {
+        codec::decode_entity(buf)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Some(v) => put_tagged(buf, 1, v),
+            None => buf.put_u8(0),
+        }
+    }
+    fn get(buf: &mut Bytes) -> R<Option<T>> {
+        match u8::get(buf)? {
+            0 => Ok(None),
+            1 => T::get(buf).map(Some),
+            t => Err(DecodeError::BadTag("option", t)),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(buf: &mut Bytes) -> R<(A, B)> {
+        Ok((A::get(buf)?, B::get(buf)?))
+    }
+}
+
+/// An enum variant: its one-byte tag, then its payload.
+fn put_tagged(buf: &mut BytesMut, tag: u8, payload: &impl Wire) {
+    buf.put_u8(tag);
+    payload.put(buf);
+}
+
+/// A count, then the items: the layout [`Vec`]'s `get` reads.
+fn put_seq<'a, T: Wire + 'a>(buf: &mut BytesMut, items: impl ExactSizeIterator<Item = &'a T>) {
+    items.len().put(buf);
+    for item in items {
+        item.put(buf);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_seq(buf, self.iter());
+    }
+    /// The only place a decoded count sizes an allocation. Every element is
+    /// at least one byte on the wire, so a count beyond the bytes left is a
+    /// truncation; and the reservation is capped at the bytes left, so a
+    /// forged count cannot reserve more memory than the file holds, however
+    /// large `T` is in memory. (Elements actually decoded grow the `Vec`
+    /// past that; see the module doc.)
+    fn get(buf: &mut Bytes) -> R<Vec<T>> {
+        let n = u64::get(buf)?;
+        if n > buf.remaining() as u64 {
+            return Err(DecodeError::Truncated);
+        }
+        let fits = buf.remaining() / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity((n as usize).min(fits));
+        for _ in 0..n {
+            out.push(T::get(buf)?);
+        }
+        Ok(out)
+    }
+}
+
+impl Wire for AttrValue {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            AttrValue::Int(i) => put_tagged(buf, 0, i),
+            AttrValue::Float(f) => put_tagged(buf, 1, f),
+            AttrValue::Str(s) => put_tagged(buf, 2, s),
+            AttrValue::Bool(b) => put_tagged(buf, 3, b),
+        }
+    }
+    fn get(buf: &mut Bytes) -> R<AttrValue> {
+        match u8::get(buf)? {
+            0 => i64::get(buf).map(AttrValue::Int),
+            1 => f64::get(buf).map(AttrValue::Float),
+            2 => Arc::get(buf).map(AttrValue::Str),
+            3 => bool::get(buf).map(AttrValue::Bool),
+            t => Err(DecodeError::BadTag("attr value", t)),
+        }
+    }
+}
+
+impl Wire for Value {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Value::Attr(a) => put_tagged(buf, 0, a),
+            Value::Set(set) => {
+                buf.put_u8(1);
+                put_seq(buf, set.iter());
+            }
+            Value::Missing => buf.put_u8(2),
+        }
+    }
+    fn get(buf: &mut Bytes) -> R<Value> {
+        match u8::get(buf)? {
+            0 => AttrValue::get(buf).map(Value::Attr),
+            1 => Ok(Value::Set(Arc::new(
+                Vec::<String>::get(buf)?.into_iter().collect(),
+            ))),
+            2 => Ok(Value::Missing),
+            t => Err(DecodeError::BadTag("value", t)),
+        }
+    }
+}
+
+impl Wire for AccumSnapshot {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            AccumSnapshot::Stats {
+                count,
+                sum,
+                min,
+                max,
+                mean,
+                m2,
+            } => {
+                buf.put_u8(0);
+                count.put(buf);
+                for x in [sum, min, max, mean, m2] {
+                    x.put(buf);
+                }
+            }
+            AccumSnapshot::Set(items) => put_tagged(buf, 1, items),
+            AccumSnapshot::Buffer(vals) => put_tagged(buf, 2, vals),
+        }
+    }
+    fn get(buf: &mut Bytes) -> R<AccumSnapshot> {
+        match u8::get(buf)? {
+            0 => Ok(AccumSnapshot::Stats {
+                count: Wire::get(buf)?,
+                sum: Wire::get(buf)?,
+                min: Wire::get(buf)?,
+                max: Wire::get(buf)?,
+                mean: Wire::get(buf)?,
+                m2: Wire::get(buf)?,
+            }),
+            1 => Vec::get(buf).map(AccumSnapshot::Set),
+            2 => Vec::get(buf).map(AccumSnapshot::Buffer),
+            t => Err(DecodeError::BadTag("accumulator", t)),
+        }
+    }
+}
+
+impl Wire for Phase {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Phase::Training { seen } => put_tagged(buf, 0, seen),
+            Phase::Detecting => buf.put_u8(1),
+        }
+    }
+    fn get(buf: &mut Bytes) -> R<Phase> {
+        match u8::get(buf)? {
+            0 => Ok(Phase::Training {
+                seen: Wire::get(buf)?,
+            }),
+            1 => Ok(Phase::Detecting),
+            t => Err(DecodeError::BadTag("phase", t)),
+        }
+    }
+}
+
+impl Wire for RowStatus {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(match self {
+            RowStatus::Active => 0,
+            RowStatus::Paused => 1,
+            RowStatus::Removed => 2,
+        });
+    }
+    fn get(buf: &mut Bytes) -> R<RowStatus> {
+        match u8::get(buf)? {
+            0 => Ok(RowStatus::Active),
+            1 => Ok(RowStatus::Paused),
+            2 => Ok(RowStatus::Removed),
+            t => Err(DecodeError::BadTag("row status", t)),
+        }
+    }
+}
+
+/// A row's snapshot is present iff the row is live — implied by the
+/// status, so it carries no option tag.
+impl Wire for CheckpointRow {
+    fn put(&self, buf: &mut BytesMut) {
+        self.status.put(buf);
+        self.name.put(buf);
+        self.source.put(buf);
+        if self.status != RowStatus::Removed {
+            let snap = self.snapshot.as_ref();
+            snap.expect("live checkpoint rows carry state").put(buf);
+        }
+    }
+    fn get(buf: &mut Bytes) -> R<CheckpointRow> {
+        let status = RowStatus::get(buf)?;
+        Ok(CheckpointRow {
+            name: Wire::get(buf)?,
+            source: Wire::get(buf)?,
+            status,
+            snapshot: match status {
+                RowStatus::Removed => None,
+                _ => Some(Wire::get(buf)?),
+            },
+        })
+    }
+}
+
+/// `Wire` for plain structs: the fields, in the listed order — the list is
+/// the layout (struct literal fields evaluate in source order).
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$field.put(buf);)+
+            }
+            fn get(buf: &mut Bytes) -> R<$ty> {
+                Ok($ty { $($field: Wire::get(buf)?),+ })
+            }
+        }
+    )+};
+}
+
+wire_struct! {
+    QueryConfig { partial_match_cap, allowed_lateness }
+    QuerySnapshot {
+        matcher, window, state, invariant, distinct_seen, stats, overflow_reported
+    }
+    QueryStats { events_seen, events_matched, windows_closed, alerts, late_events }
+    MatcherSnapshot { partials, next_seq, emitted, overflowed }
+    PartialSnapshot { seq, next, events, bindings, last_ts }
+    WindowSnapshot { watermark, open, closed }
+    StateSnapshot { open, history, first_window }
+    GroupAccumSnapshot { key_vals, accums }
+    GroupHistorySnapshot { key_vals, windows }
+    InvariantSnapshot { groups }
+    InvariantGroupSnapshot { label, vars, phase }
+}
 
 #[cfg(test)]
 mod tests {
@@ -957,6 +748,17 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
+    /// `sample_checkpoint()` — every variant, NaN, `-0.0`, negative ints —
+    /// pinned byte for byte: the fixture is its `encode()` as the version-2
+    /// format writes it, and changes only with a `CHECKPOINT_VERSION` bump.
+    #[test]
+    fn sample_checkpoint_encodes_to_its_golden_bytes() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sample.saqlckp");
+        let golden = Bytes::from(fs::read(path).expect("golden checkpoint fixture"));
+        assert_eq!(sample_checkpoint().encode(), golden);
+        assert_eq!(Checkpoint::decode(golden.clone()).unwrap().encode(), golden);
+    }
+
     #[test]
     fn roundtrip_exact() {
         let ckpt = sample_checkpoint();
@@ -1000,11 +802,14 @@ mod tests {
         let mut raw = data.to_vec();
         raw[0] = b'X';
         assert!(Checkpoint::decode(Bytes::from(raw)).is_err());
-        // Unknown version.
-        let mut raw = data.to_vec();
-        raw[8] = 99;
-        let err = Checkpoint::decode(Bytes::from(raw)).unwrap_err();
-        assert!(err.to_string().contains("version 99"), "{err}");
+        // Unknown versions, the retired version 1 among them.
+        for version in [1, 99] {
+            let mut raw = data.to_vec();
+            raw[8] = version;
+            let err = Checkpoint::decode(Bytes::from(raw)).unwrap_err();
+            let expected = format!("version {version} (this build reads 2)");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
         // Trailing garbage.
         let mut raw = data.to_vec();
         raw.push(0);
@@ -1020,10 +825,9 @@ mod tests {
     fn removed_exec_mode_is_refused_by_name() {
         let ckpt = sample_checkpoint();
         let mut head = BytesMut::new();
-        put_u64(&mut head, ckpt.offset);
-        put_u64(&mut head, ckpt.frontier.as_millis());
-        put_u64(&mut head, ckpt.config.partial_match_cap as u64);
-        put_u64(&mut head, ckpt.config.allowed_lateness.as_millis());
+        ckpt.offset.put(&mut head);
+        ckpt.frontier.put(&mut head);
+        ckpt.config.put(&mut head);
         let at = CHECKPOINT_MAGIC.len() + 1 + head.len();
         let mut raw = ckpt.encode().to_vec();
         assert_eq!(raw[at], 0, "reserved byte");
@@ -1038,15 +842,15 @@ mod tests {
         let mut buf = BytesMut::new();
         for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123_456] {
             buf.clear();
-            put_i64(&mut buf, v);
+            v.put(&mut buf);
             let mut data = buf.clone().freeze();
-            assert_eq!(get_i64(&mut data).unwrap(), v);
+            assert_eq!(i64::get(&mut data).unwrap(), v);
         }
         for v in [0.0f64, -0.0, f64::NAN, f64::INFINITY, 1.0e-300, -2.5] {
             buf.clear();
-            put_f64(&mut buf, v);
+            v.put(&mut buf);
             let mut data = buf.clone().freeze();
-            assert_eq!(get_f64(&mut data).unwrap().to_bits(), v.to_bits());
+            assert_eq!(f64::get(&mut data).unwrap().to_bits(), v.to_bits());
         }
     }
 }

@@ -17,6 +17,7 @@ use saql_lang::{LangError, Span};
 use saql_stream::{EventBatch, SharedEvent, DEFAULT_BATCH_SIZE};
 
 use crate::alert::Alert;
+use crate::checkpoint::{Checkpoint, CheckpointRow, RowStatus};
 use crate::error::EngineError;
 use crate::query::{QueryConfig, QueryStats, RunningQuery};
 use crate::runtime::Runtime;
@@ -72,21 +73,13 @@ impl Default for EngineConfig {
     }
 }
 
-/// Lifecycle state of a registered query, tracked by the facade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryStatus {
-    Active,
-    Paused,
-    Removed,
-}
-
 /// One registry row; the row index is the query's [`QueryId`].
 struct QueryEntry {
     name: String,
     /// Retained SAQL source text, so checkpoints can recompile the exact
     /// plan on [`Engine::resume_from`].
     source: String,
-    status: QueryStatus,
+    status: RowStatus,
     /// Upstream query name when this row is a pipeline stage (`from query
     /// NAME`) — deregistration of an upstream with live dependents is
     /// refused.
@@ -240,7 +233,7 @@ impl Engine {
         if self
             .registry
             .iter()
-            .any(|e| e.status != QueryStatus::Removed && e.name == name)
+            .any(|e| e.status != RowStatus::Removed && e.name == name)
         {
             return Err(LangError::semantic(
                 format!(
@@ -271,7 +264,7 @@ impl Engine {
         self.registry.push(QueryEntry {
             name: name.to_string(),
             source: source.to_string(),
-            status: QueryStatus::Active,
+            status: RowStatus::Active,
             input,
         });
         Ok(id)
@@ -291,7 +284,7 @@ impl Engine {
         let dependents: Vec<&str> = self
             .registry
             .iter()
-            .filter(|e| e.status != QueryStatus::Removed && e.input.as_deref() == Some(name))
+            .filter(|e| e.status != RowStatus::Removed && e.input.as_deref() == Some(name))
             .map(|e| e.name.as_str())
             .collect();
         if !dependents.is_empty() {
@@ -302,7 +295,7 @@ impl Engine {
         }
         let flushed = self.control(|runtime, arrived| runtime.remove(id, arrived))?;
         self.absorb(flushed);
-        self.registry[id.index()].status = QueryStatus::Removed;
+        self.registry[id.index()].status = RowStatus::Removed;
         // Everything the query ever emitted is routed now — what it raised
         // before this point arrived ahead of the removal's reply, the flush
         // just above — so its subscribers can see the disconnect.
@@ -337,7 +330,7 @@ impl Engine {
     /// sees no events and no time, and emits nothing. Idempotent.
     pub fn pause(&mut self, id: QueryId) -> Result<(), EngineError> {
         self.query_control(id, ControlMsg::Pause)?;
-        self.registry[id.index()].status = QueryStatus::Paused;
+        self.registry[id.index()].status = RowStatus::Paused;
         Ok(())
     }
 
@@ -346,7 +339,7 @@ impl Engine {
     /// catches up on the next event. Idempotent.
     pub fn resume(&mut self, id: QueryId) -> Result<(), EngineError> {
         self.query_control(id, ControlMsg::Resume)?;
-        self.registry[id.index()].status = QueryStatus::Active;
+        self.registry[id.index()].status = RowStatus::Active;
         Ok(())
     }
 
@@ -387,21 +380,21 @@ impl Engine {
     pub fn contains(&self, id: QueryId) -> bool {
         self.registry
             .get(id.index())
-            .is_some_and(|e| e.status != QueryStatus::Removed)
+            .is_some_and(|e| e.status != RowStatus::Removed)
     }
 
     /// Whether this live query is currently paused.
     pub fn is_paused(&self, id: QueryId) -> bool {
         self.registry
             .get(id.index())
-            .is_some_and(|e| e.status == QueryStatus::Paused)
+            .is_some_and(|e| e.status == RowStatus::Paused)
     }
 
     /// The live query registered under `name`, if any.
     pub fn find(&self, name: &str) -> Option<QueryId> {
         self.registry
             .iter()
-            .position(|e| e.status != QueryStatus::Removed && e.name == name)
+            .position(|e| e.status != RowStatus::Removed && e.name == name)
             .map(QueryId::new)
     }
 
@@ -409,7 +402,7 @@ impl Engine {
     pub fn query_names(&self) -> Vec<String> {
         self.registry
             .iter()
-            .filter(|e| e.status != QueryStatus::Removed)
+            .filter(|e| e.status != RowStatus::Removed)
             .map(|e| e.name.clone())
             .collect()
     }
@@ -418,7 +411,7 @@ impl Engine {
     pub fn name_of(&self, id: QueryId) -> Option<&str> {
         self.registry
             .get(id.index())
-            .filter(|e| e.status != QueryStatus::Removed)
+            .filter(|e| e.status != RowStatus::Removed)
             .map(|e| e.name.as_str())
     }
 
@@ -432,7 +425,7 @@ impl Engine {
     pub fn input_of(&self, id: QueryId) -> Option<&str> {
         self.registry
             .get(id.index())
-            .filter(|e| e.status != QueryStatus::Removed)
+            .filter(|e| e.status != RowStatus::Removed)
             .and_then(|e| e.input.as_deref())
     }
 
@@ -443,7 +436,7 @@ impl Engine {
         self.registry
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.status != QueryStatus::Removed)
+            .filter(|(_, e)| e.status != RowStatus::Removed)
             .filter_map(|(i, e)| {
                 let up = e.input.as_deref()?;
                 Some((QueryId::new(i), self.find(up)?))
@@ -456,7 +449,7 @@ impl Engine {
         self.registry
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.status != QueryStatus::Removed)
+            .filter(|(_, e)| e.status != RowStatus::Removed)
             .map(|(i, _)| QueryId::new(i))
             .collect()
     }
@@ -581,33 +574,24 @@ impl Engine {
         &mut self,
         offset: u64,
         frontier: saql_model::Timestamp,
-    ) -> Result<crate::checkpoint::Checkpoint, EngineError> {
-        use crate::checkpoint::{Checkpoint, CheckpointRow, RowStatus};
+    ) -> Result<Checkpoint, EngineError> {
         let mut by_id = self.control(|runtime, arrived| runtime.snapshots(arrived))?;
         let mut rows = Vec::with_capacity(self.registry.len());
         for (i, entry) in self.registry.iter().enumerate() {
-            let (status, snapshot) = match entry.status {
-                QueryStatus::Removed => (RowStatus::Removed, None),
-                live => {
-                    let snap = by_id.remove(&QueryId::new(i)).ok_or_else(|| {
-                        EngineError::Checkpoint(format!(
-                            "state for query `{}` is missing from the runtime \
-                             (a shard worker died?)",
-                            entry.name
-                        ))
-                    })?;
-                    let status = if live == QueryStatus::Paused {
-                        RowStatus::Paused
-                    } else {
-                        RowStatus::Active
-                    };
-                    (status, Some(snap))
-                }
+            let snapshot = match entry.status {
+                RowStatus::Removed => None,
+                _ => Some(by_id.remove(&QueryId::new(i)).ok_or_else(|| {
+                    EngineError::Checkpoint(format!(
+                        "state for query `{}` is missing from the runtime \
+                         (a shard worker died?)",
+                        entry.name
+                    ))
+                })?),
             };
             rows.push(CheckpointRow {
                 name: entry.name.clone(),
                 source: entry.source.clone(),
-                status,
+                status: entry.status,
                 snapshot,
             });
         }
@@ -634,24 +618,22 @@ impl Engine {
     /// `config.query` is ignored in favor of the checkpoint's (changing
     /// execution semantics mid-resume would fork the alert stream); the
     /// worker count, batch size, and other knobs are free.
+    ///
+    /// A row whose state does not fit its recompiled plan (see
+    /// [`RunningQuery::restore`]) fails the resume with
+    /// [`EngineError::Checkpoint`] naming the query.
     pub fn resume_from(
-        checkpoint: crate::checkpoint::Checkpoint,
+        checkpoint: Checkpoint,
         config: EngineConfig,
     ) -> Result<Engine, EngineError> {
-        use crate::checkpoint::RowStatus;
         let config = EngineConfig {
             query: checkpoint.config,
             ..config
         };
         let mut engine = Engine::new(config);
         for (i, row) in checkpoint.rows.into_iter().enumerate() {
-            let status = match row.status {
-                RowStatus::Removed => QueryStatus::Removed,
-                RowStatus::Paused => QueryStatus::Paused,
-                RowStatus::Active => QueryStatus::Active,
-            };
             let mut input = None;
-            if status != QueryStatus::Removed {
+            if row.status != RowStatus::Removed {
                 let mut query = RunningQuery::compile(&row.name, &row.source, checkpoint.config)
                     .map_err(|e| {
                         EngineError::Checkpoint(format!(
@@ -667,16 +649,16 @@ impl Engine {
                         row.name
                     ))
                 })?;
-                query.restore(snap);
-                if status == QueryStatus::Paused {
-                    query.set_paused(true);
-                }
+                query
+                    .restore(snap)
+                    .map_err(|e| EngineError::Checkpoint(format!("query `{}`: {e}", row.name)))?;
+                query.set_paused(row.status == RowStatus::Paused);
                 engine.control(|runtime, arrived| runtime.add(query, arrived))?;
             }
             engine.registry.push(QueryEntry {
                 name: row.name,
                 source: row.source,
-                status,
+                status: row.status,
                 input,
             });
         }
@@ -848,7 +830,7 @@ impl Engine {
 mod tests {
     use super::*;
     use saql_model::event::EventBuilder;
-    use saql_model::ProcessInfo;
+    use saql_model::{ProcessInfo, Timestamp};
     use std::sync::Arc;
 
     fn start(id: u64, ts: u64, parent: &str, child: &str) -> SharedEvent {
@@ -1213,6 +1195,69 @@ mod tests {
         assert!(text.contains("\"query\":\"q\""), "{text}");
         assert!(text.contains("\"query_id\":0"), "{text}");
         assert!(text.contains("\"p\":\"cmd.exe\""), "{text}");
+    }
+
+    /// Checkpoint a one-query engine after `events`, let `forge` edit the
+    /// query's state, and resume from the result.
+    fn resume_forged(
+        src: &str,
+        events: Vec<SharedEvent>,
+        forge: impl FnOnce(&mut crate::query::QuerySnapshot),
+    ) -> Result<Engine, EngineError> {
+        let mut e = Engine::new(EngineConfig::default());
+        e.register("q", src).unwrap();
+        for event in &events {
+            e.process(event).unwrap();
+        }
+        let mut ckpt = e.checkpoint(events.len() as u64, Timestamp::ZERO).unwrap();
+        forge(ckpt.rows[0].snapshot.as_mut().unwrap());
+        Engine::resume_from(ckpt, EngineConfig::default())
+    }
+
+    fn refused(resumed: Result<Engine, EngineError>) -> String {
+        let err = resumed
+            .err()
+            .expect("the forged checkpoint must be refused");
+        assert!(matches!(err, EngineError::Checkpoint(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("query `q`"), "{msg}");
+        msg
+    }
+
+    #[test]
+    fn resume_refuses_a_partial_match_step_outside_the_plan() {
+        let resumed = resume_forged("proc p start proc q as e\nreturn p", vec![], |snap| {
+            let matcher = snap.matcher.as_mut().unwrap();
+            matcher.partials.push(crate::matcher::PartialSnapshot {
+                seq: 0,
+                next: 7,
+                events: vec![None],
+                bindings: vec![None, None],
+                last_ts: Timestamp::ZERO,
+            });
+        });
+        refused(resumed);
+    }
+
+    #[test]
+    fn resume_refuses_a_short_accumulator_list() {
+        let src = "proc p write ip i as evt #time(1 min)\n\
+                   state ss { n := count()\n total := sum(evt.amount) } group by p\n\
+                   return p, ss[0].total";
+        let write = Arc::new(
+            EventBuilder::new(1, "h", 1_000)
+                .subject(ProcessInfo::new(1, "a.exe", "u"))
+                .sends(saql_model::NetworkInfo::new(
+                    "10.0.0.2", 44000, "1.1.1.1", 443, "tcp",
+                ))
+                .amount(5)
+                .build(),
+        );
+        let resumed = resume_forged(src, vec![write], |snap| {
+            let state = snap.state.as_mut().unwrap();
+            state.open[0].1[0].accums.pop();
+        });
+        refused(resumed);
     }
 
     #[test]

@@ -156,8 +156,18 @@ impl InvariantRuntime {
     }
 
     /// Restore the state captured by [`snapshot`](Self::snapshot) onto a
-    /// freshly compiled runtime for the same block.
-    pub fn restore(&mut self, snap: InvariantSnapshot) {
+    /// freshly compiled runtime for the same block. A group with another
+    /// number of variables than the block's is refused, and the runtime
+    /// left untouched.
+    pub fn restore(&mut self, snap: InvariantSnapshot) -> Result<(), String> {
+        if let Some(g) = snap.groups.iter().find(|g| g.vars.len() != self.n_vars) {
+            return Err(format!(
+                "group `{}` has {} variables for {}",
+                g.label,
+                g.vars.len(),
+                self.n_vars
+            ));
+        }
         self.groups = snap
             .groups
             .into_iter()
@@ -171,6 +181,7 @@ impl InvariantRuntime {
                 )
             })
             .collect();
+        Ok(())
     }
 }
 

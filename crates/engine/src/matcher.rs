@@ -803,7 +803,38 @@ impl MultiMatcher {
     /// freshly compiled matcher for the same query and mode. Sequence
     /// numbers are preserved exactly — never reassigned — so insertion
     /// order, candidate order, and eviction order all survive the restart.
-    pub fn restore(&mut self, snap: MatcherSnapshot) {
+    ///
+    /// A partial that does not fit this matcher's plan — waiting on a step
+    /// it lacks, sized for other steps or variables, or missing an event
+    /// before its step — is refused, and the matcher left untouched.
+    pub fn restore(&mut self, snap: MatcherSnapshot) -> Result<(), String> {
+        let steps = self.order.len();
+        for p in &snap.partials {
+            // Partials wait on steps 1.. (step 0 extends the seed) with
+            // exactly the steps before `next` matched.
+            if p.next == 0 || p.next >= steps {
+                return Err(format!(
+                    "partial match {} waits on step {} of a {steps}-step sequence",
+                    p.seq, p.next
+                ));
+            }
+            if p.events.len() != steps || p.bindings.len() != self.n_slots {
+                return Err(format!(
+                    "partial match {} has {} steps and {} variables, the plan {steps} and {}",
+                    p.seq,
+                    p.events.len(),
+                    p.bindings.len(),
+                    self.n_slots
+                ));
+            }
+            let matched = |(i, e): (usize, &Option<Event>)| e.is_some() == (i < p.next);
+            if !p.events.iter().enumerate().all(matched) {
+                return Err(format!(
+                    "partial match {} at step {} holds other steps' events",
+                    p.seq, p.next
+                ));
+            }
+        }
         for sp in &mut self.partials {
             *sp = StepPartials::default();
         }
@@ -842,6 +873,7 @@ impl MultiMatcher {
         self.next_seq = snap.next_seq;
         self.emitted = snap.emitted.into_iter().collect();
         self.overflowed = snap.overflowed;
+        Ok(())
     }
 
     fn complete(&mut self, p: Partial, out: &mut Vec<FullMatch>) {

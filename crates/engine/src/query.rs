@@ -666,7 +666,9 @@ impl RunningQuery {
                 replica.set_id(self.id);
                 replica.set_paused(self.paused);
                 replica.set_partition(i as u32, n as u32);
-                replica.restore(part);
+                replica
+                    .restore(part)
+                    .expect("a split of this query's own state fits its plan");
                 replica
             })
             .collect()
@@ -701,22 +703,45 @@ impl RunningQuery {
     /// freshly compiled instance of the same query source and config. After
     /// this, feeding the stream suffix from the checkpoint position yields
     /// exactly the alerts the uninterrupted run would have produced.
-    pub fn restore(&mut self, snap: QuerySnapshot) {
+    ///
+    /// State that does not fit this query's plan is refused: a component
+    /// (matcher, window, state, invariant) the plan lacks or lacks in the
+    /// snapshot, or one whose indices the plan does not have — the next
+    /// batch would otherwise index past them.
+    pub fn restore(&mut self, snap: QuerySnapshot) -> Result<(), String> {
+        let components = [
+            ("matcher", self.matcher.is_some(), snap.matcher.is_some()),
+            ("window", self.window.is_some(), snap.window.is_some()),
+            ("state", self.state.is_some(), snap.state.is_some()),
+            (
+                "invariant",
+                self.invariant.is_some(),
+                snap.invariant.is_some(),
+            ),
+        ];
+        if let Some((what, planned, _)) = components.iter().find(|(_, p, s)| p != s) {
+            return Err(if *planned {
+                format!("the checkpoint has no {what} state")
+            } else {
+                format!("the checkpoint has {what} state, the plan no {what}")
+            });
+        }
         if let (Some(m), Some(s)) = (self.matcher.as_mut(), snap.matcher) {
-            m.restore(s);
+            m.restore(s).map_err(|e| format!("matcher: {e}"))?;
         }
         if let (Some(w), Some(s)) = (self.window.as_mut(), snap.window) {
             w.restore(s);
         }
         if let (Some(st), Some(s)) = (self.state.as_mut(), snap.state) {
-            st.restore(s);
+            st.restore(s).map_err(|e| format!("state: {e}"))?;
         }
         if let (Some(inv), Some(s)) = (self.invariant.as_mut(), snap.invariant) {
-            inv.restore(s);
+            inv.restore(s).map_err(|e| format!("invariant: {e}"))?;
         }
         self.distinct_seen = snap.distinct_seen.into_iter().collect();
         self.stats = snap.stats;
         self.overflow_reported = snap.overflow_reported;
+        Ok(())
     }
 
     /// Combined shape mask over all patterns: bit `c` set iff an event with

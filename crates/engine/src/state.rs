@@ -213,21 +213,29 @@ impl FieldAccum {
         }
     }
 
-    fn from_snapshot(snap: AccumSnapshot) -> FieldAccum {
-        match snap {
-            AccumSnapshot::Stats {
-                count,
-                sum,
-                min,
-                max,
-                mean,
-                m2,
-            } => FieldAccum::Stats(saql_analytics::OnlineStats::from_raw_parts(
+    /// Rebuild `agg`'s accumulator from `snap`; `None` when the snapshot
+    /// holds another kind of accumulator than `agg` folds into.
+    fn from_snapshot(agg: AggFunc, snap: AccumSnapshot) -> Option<FieldAccum> {
+        Some(match (FieldAccum::new(agg), snap) {
+            (
+                FieldAccum::Stats(_),
+                AccumSnapshot::Stats {
+                    count,
+                    sum,
+                    min,
+                    max,
+                    mean,
+                    m2,
+                },
+            ) => FieldAccum::Stats(saql_analytics::OnlineStats::from_raw_parts(
                 count, sum, min, max, mean, m2,
             )),
-            AccumSnapshot::Set(items) => FieldAccum::Set(items.into_iter().collect()),
-            AccumSnapshot::Buffer(buf) => FieldAccum::Buffer(buf),
-        }
+            (FieldAccum::Set(_), AccumSnapshot::Set(items)) => {
+                FieldAccum::Set(items.into_iter().collect())
+            }
+            (FieldAccum::Buffer(_), AccumSnapshot::Buffer(buf)) => FieldAccum::Buffer(buf),
+            _ => return None,
+        })
     }
 
     fn finalize(self, agg: AggFunc) -> Value {
@@ -455,37 +463,56 @@ impl StateMaintainer {
     }
 
     /// Restore the state captured by [`snapshot`](Self::snapshot) onto a
-    /// freshly compiled maintainer for the same block.
-    pub fn restore(&mut self, snap: StateSnapshot) {
-        self.open = snap
-            .open
-            .into_iter()
-            .map(|(k, groups)| {
-                let map: GroupMap<GroupAccum> = groups
+    /// freshly compiled maintainer for the same block. An open group's
+    /// accumulators or a history row's values that do not match the
+    /// block's fields, in count or in kind, are refused, and the
+    /// maintainer left untouched.
+    pub fn restore(&mut self, snap: StateSnapshot) -> Result<(), String> {
+        let n = self.fields.len();
+        let mut open = BTreeMap::new();
+        for (k, groups) in snap.open {
+            let mut map = GroupMap::default();
+            for g in groups {
+                if g.accums.len() != n {
+                    return Err(format!(
+                        "a group open in window {k} has {} accumulators for {n} fields",
+                        g.accums.len()
+                    ));
+                }
+                let accums = g
+                    .accums
                     .into_iter()
-                    .map(|g| {
-                        (
-                            key_tuple(&g.key_vals),
-                            GroupAccum {
-                                key_vals: g.key_vals,
-                                accums: g
-                                    .accums
-                                    .into_iter()
-                                    .map(FieldAccum::from_snapshot)
-                                    .collect(),
-                            },
-                        )
+                    .zip(&self.fields)
+                    .map(|(a, (name, agg))| {
+                        FieldAccum::from_snapshot(*agg, a).ok_or_else(|| {
+                            format!("field `{name}` holds another aggregate's state")
+                        })
                     })
-                    .collect();
-                (k, map)
-            })
-            .collect();
+                    .collect::<Result<_, _>>()?;
+                let accum = GroupAccum {
+                    key_vals: g.key_vals,
+                    accums,
+                };
+                map.insert(key_tuple(&accum.key_vals), accum);
+            }
+            open.insert(k, map);
+        }
+        for (k, values) in snap.history.iter().flat_map(|g| &g.windows) {
+            if values.len() != n {
+                return Err(format!(
+                    "a group's history for window {k} has {} values for {n} fields",
+                    values.len()
+                ));
+            }
+        }
+        self.open = open;
         self.history = snap
             .history
             .into_iter()
             .map(|g| (key_tuple(&g.key_vals), g.windows.into_iter().collect()))
             .collect();
         self.first_window = snap.first_window;
+        Ok(())
     }
 
     /// Resolve `name[back].field` by field *name* (the interpreter's view).

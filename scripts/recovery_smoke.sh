@@ -2,7 +2,8 @@
 # CI recovery smoke for the durable pipeline: a segmented store with a torn
 # WAL tail must open loss-free, and a checkpointed replay — including one
 # killed mid-run — must resume into exactly the alert suffix the
-# uninterrupted run produces; and a store `saql serve` wrote from an
+# uninterrupted run produces, while a checkpoint cut short is refused
+# (exit 2, no panic); and a store `saql serve` wrote from an
 # out-of-order `--arrival` ingest must replay, checkpointed, in stored
 # order — every event, the last checkpoint at the store's end.
 # Complements the in-repo crash-injection proptest
@@ -45,6 +46,17 @@ if [ "$n" -gt 0 ]; then
     tail -n "$n" "$TMP/full.alerts" | diff -u - "$TMP/resumed.alerts" \
         || fail "resumed alerts are not the uninterrupted run's suffix"
 fi
+
+echo "== a checkpoint cut by one byte is refused, not panicked on"
+cp -r "$TMP/ckpt-full" "$TMP/ckpt-cut"
+cut="$TMP/ckpt-cut/checkpoint.saqlckp"
+truncate -s $(($(wc -c < "$cut") - 1)) "$cut"
+status=0
+"$BIN" replay --store "$TMP/trace.d" --checkpoint-dir "$TMP/ckpt-cut" --resume \
+    > /dev/null 2> "$TMP/cut.err" || status=$?
+[ "$status" -eq 2 ] || fail "resuming a cut checkpoint exited $status, not 2"
+grep -q "corrupt checkpoint" "$TMP/cut.err" || fail "no corrupt-checkpoint error: $(cat "$TMP/cut.err")"
+! grep -q "panicked" "$TMP/cut.err" || fail "resuming a cut checkpoint panicked"
 
 echo "== kill a checkpointed replay mid-run, then resume"
 "$BIN" replay --store "$TMP/trace.d" --demo-queries \
