@@ -17,8 +17,24 @@
 //!
 //! `object.kind` selects the entity variant: `process` (pid/exe/user),
 //! `file` (name), or `network` (src_ip/src_port/dst_ip/dst_port/protocol).
-//! Decoding accepts any field order and arbitrary whitespace, and rejects —
-//! with a positioned message — anything that does not round-trip.
+//! Decoding accepts any field order and arbitrary whitespace (a duplicate
+//! key: the last one wins), and rejects — with a positioned message —
+//! anything that does not round-trip: unknown fields, a wrong-typed value,
+//! an `op` invalid for the object, an integer out of its field's range
+//! (`pid` is a u32, the ports u16, the rest u64; no sign, fraction or
+//! exponent), trailing data.
+//!
+//! [`decode_event_json`] is one pass over the line that builds only the
+//! [`Event`]: keys are matched as they are read, an escape-free string is
+//! borrowed from the line and only one with a `\` is unescaped (into a
+//! buffer of its own), numbers are parsed in place with checked overflow, and
+//! entity members wait in fixed slots until the object closes, so `kind`
+//! may come last. Each string field then costs one allocation, its
+//! `Arc<str>`. A `\u` escape takes exactly four hex digits; a surrogate
+//! pair is one character and a lone surrogate becomes U+FFFD.
+//!
+//! [`parse_json`] builds a [`JsonValue`] tree for the control protocol; it
+//! shares the tokenizer and the escape rules.
 
 use std::fmt;
 use std::sync::Arc;
@@ -91,13 +107,6 @@ pub fn encode_event_json(out: &mut String, e: &Event) {
     out.push_str("}\n");
 }
 
-/// Render one event as a standalone JSON line.
-pub fn event_to_json(e: &Event) -> String {
-    let mut out = String::with_capacity(192);
-    encode_event_json(&mut out, e);
-    out
-}
-
 fn push_process(out: &mut String, p: &ProcessInfo) {
     out.push('{');
     push_process_fields(out, p);
@@ -139,25 +148,13 @@ pub fn push_json_string(out: &mut String, s: &str) {
 
 /// Parse one JSON event line.
 pub fn decode_event_json(line: &str) -> Result<Event, JsonError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
+    let mut p = Parser { line, pos: 0 };
+    let event = p.event()?;
     p.skip_ws();
-    if p.pos < p.bytes.len() {
+    if p.pos < p.line.len() {
         return Err(p.err("trailing data after the event object"));
     }
-    let fields = match value {
-        JsonValue::Object(fields) => fields,
-        _ => {
-            return Err(JsonError {
-                at: 0,
-                message: "event line must be a JSON object".into(),
-            })
-        }
-    };
-    event_from_fields(fields)
+    Ok(event)
 }
 
 /// A parsed JSON value — the workspace's one hand-rolled JSON reader,
@@ -222,37 +219,30 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The element list, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
 }
 
 /// Parse one line as a standalone JSON value (rejecting trailing data) —
 /// the entry point protocol layers build on.
 pub fn parse_json(line: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { line, pos: 0 };
     let value = p.value()?;
     p.skip_ws();
-    if p.pos < p.bytes.len() {
+    if p.pos < p.line.len() {
         return Err(p.err("trailing data after the JSON value"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    line: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.line.as_bytes()
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
@@ -262,7 +252,7 @@ impl Parser<'_> {
 
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
         {
@@ -272,7 +262,7 @@ impl Parser<'_> {
 
     fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
@@ -289,7 +279,7 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b'"') => Ok(JsonValue::Str(self.text(&mut String::new())?.to_owned())),
             Some(b'0'..=b'9') => Ok(JsonValue::Num(self.number()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -305,7 +295,7 @@ impl Parser<'_> {
 
     fn literal(&mut self, word: &'static str, value: JsonValue) -> Result<JsonValue, JsonError> {
         self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -334,302 +324,348 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
         let mut fields = Vec::new();
+        self.members("value", |p, key| {
+            let key = key.to_owned();
+            fields.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(fields))
+    }
+
+    /// Walk an object's members in order, handing each (unescaped) key to
+    /// `member`, which consumes the value. `what` names the object in the
+    /// error when the value is not an object at all.
+    fn members(
+        &mut self,
+        what: &str,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.peek() != Some(b'{') {
+            return Err(self.wrong_type(what, "an object"));
+        }
+        self.pos += 1;
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(fields));
+            return Ok(());
         }
+        let mut key_buf = String::new();
         loop {
-            let key = self.string()?;
+            let key = self.text(&mut key_buf)?;
             self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
+            member(self, key)?;
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Parse the value that is not of the type `what` needs and report it.
+    fn wrong_type(&mut self, what: &str, want: &str) -> JsonError {
+        match self.value() {
+            Ok(found) => self.err(format!("{what} must be {want}, found {}", found.kind())),
+            Err(e) => e,
+        }
+    }
+
+    /// A string token: borrowed from the line when it has no escapes, else
+    /// unescaped into `buf`.
+    fn text<'s>(&mut self, buf: &'s mut String) -> Result<&'s str, JsonError>
+    where
+        'a: 's,
+    {
         self.expect(b'"')?;
-        let mut out = String::new();
+        buf.clear();
         loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
+            let run = self.pos;
+            while self
+                .bytes()
+                .get(self.pos)
+                .is_some_and(|&b| !matches!(b, b'"' | b'\\') && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            let Some(&b) = self.bytes().get(self.pos) else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                // No escape so far (each one pushes a character): borrow.
+                b'"' if buf.is_empty() => return Ok(&self.line[run..self.pos - 1]),
+                _ => buf.push_str(&self.line[run..self.pos - 1]),
+            }
+            match b {
+                b'"' => return Ok(buf),
                 b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
+                    let Some(&esc) = self.bytes().get(self.pos) else {
                         return Err(self.err("unterminated escape"));
                     };
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates never appear in our own output; map
-                            // unpaired ones to the replacement character.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
+                    buf.push(match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => self.unicode_escape()?,
                         other => return Err(self.err(format!("bad escape `\\{}`", other as char))),
-                    }
+                    });
                 }
-                _ => {
-                    // Re-borrow as UTF-8 from the byte before `pos`: multi-byte
-                    // characters arrive here one leading byte at a time.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len()
-                        && !matches!(self.bytes[end], b'"' | b'\\')
-                        && self.bytes[end] >= 0x20
-                    {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("string is not valid UTF-8"))?;
-                    if chunk.bytes().next().is_some_and(|b| b < 0x20) {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
+    }
+
+    /// The character of a `\uXXXX` escape whose `\u` is consumed: a
+    /// surrogate pair is one character, a lone surrogate U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let high = self.hex4().ok_or_else(|| self.err("bad \\u escape"))?;
+        if (0xD800..0xDC00).contains(&high) && self.bytes()[self.pos..].starts_with(b"\\u") {
+            let resume = self.pos;
+            self.pos += 2;
+            if let Some(low @ 0xDC00..=0xDFFF) = self.hex4() {
+                let c = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(c).unwrap_or('\u{fffd}'));
+            }
+            self.pos = resume;
+        }
+        Ok(char::from_u32(high).unwrap_or('\u{fffd}'))
+    }
+
+    /// Exactly four hex digits (no sign).
+    fn hex4(&mut self) -> Option<u32> {
+        let digits = self.bytes().get(self.pos..self.pos + 4)?;
+        let value = digits
+            .iter()
+            .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))?;
+        self.pos += 4;
+        Some(value)
     }
 
     fn number(&mut self) -> Result<u64, JsonError> {
         self.skip_ws();
         let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
+        let mut n: u64 = 0;
+        while let Some(&b) = self.bytes().get(self.pos).filter(|b| b.is_ascii_digit()) {
+            n = n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add(u64::from(b - b'0')))
+                .ok_or_else(|| self.err("number out of range for u64"))?;
             self.pos += 1;
         }
         if start == self.pos {
             return Err(self.err("expected digits"));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap()
-            .parse()
-            .map_err(|_| self.err("number out of range for u64"))
+        Ok(n)
+    }
+
+    // -----------------------------------------------------------------
+    // The event schema, decoded in the same pass
+    // -----------------------------------------------------------------
+
+    fn event(&mut self) -> Result<Event, JsonError> {
+        let (mut id, mut host, mut ts_ms, mut subject, mut op, mut object) =
+            (None, None, None, None, None, None);
+        let mut amount = 0;
+        self.members("event line", |p, key| {
+            match key {
+                "id" => id = Some(p.num_field(key, u64::MAX)?),
+                "host" => host = Some(p.str_field(key)?),
+                "ts_ms" => ts_ms = Some(p.num_field(key, u64::MAX)?),
+                "amount" => amount = p.num_field(key, u64::MAX)?,
+                "op" => op = Some(p.op()?),
+                "subject" => subject = Some(p.entity("`subject`")?.process()?),
+                "object" => object = Some(p.entity("`object`")?.object()?),
+                other => return Err(p.err(format!("unknown event field `{other}`"))),
+            }
+            Ok(())
+        })?;
+        let (op, object) = (require(op, "op")?, require(object, "object")?);
+        if !op.valid_for(object.entity_type()) {
+            return Err(schema_error(format!(
+                "operation `{op}` is invalid for {} objects",
+                object.entity_type()
+            )));
+        }
+        Ok(Event {
+            id: require(id, "id")?,
+            agent_id: require(host, "host")?,
+            ts: Timestamp::from_millis(require(ts_ms, "ts_ms")?),
+            subject: require(subject, "subject")?,
+            op,
+            object,
+            amount,
+        })
+    }
+
+    /// A number no larger than `max`.
+    fn num_field(&mut self, key: &str, max: u64) -> Result<u64, JsonError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.wrong_type(&format!("field `{key}`"), "a number"));
+        }
+        let n = self.number()?;
+        if n > max {
+            let bits = 64 - max.leading_zeros();
+            return Err(self.err(format!("field `{key}` out of range for u{bits}")));
+        }
+        Ok(n)
+    }
+
+    /// A string field's text, borrowed unless it has escapes.
+    fn str_value<'s>(&mut self, key: &str, buf: &'s mut String) -> Result<&'s str, JsonError>
+    where
+        'a: 's,
+    {
+        if self.peek() != Some(b'"') {
+            return Err(self.wrong_type(&format!("field `{key}`"), "a string"));
+        }
+        self.text(buf)
+    }
+
+    fn str_field(&mut self, key: &str) -> Result<Arc<str>, JsonError> {
+        Ok(Arc::from(self.str_value(key, &mut String::new())?))
+    }
+
+    fn op(&mut self) -> Result<Operation, JsonError> {
+        let mut buf = String::new();
+        let kw = self.str_value("op", &mut buf)?;
+        // `alert` events exist only inside a pipeline: the alert→event
+        // adapter synthesizes them, and downstream stages identify their
+        // upstream purely by `op == alert` + subject identity. Accepting
+        // them from a collector line would let any producer spoof a query's
+        // alert stream (or force-advance a stage's clock), so the JSON
+        // boundary — serve ingest and file/replay sources alike — rejects
+        // them outright.
+        match Operation::from_keyword(kw) {
+            Some(Operation::Alert) => Err(self.err(
+                "operation `alert` is reserved for pipeline-derived events and cannot be ingested",
+            )),
+            Some(op) => Ok(op),
+            None => Err(self.err(format!("unknown operation `{kw}`"))),
+        }
+    }
+
+    /// The members of a `subject` or `object` entity, before `kind` has
+    /// said which of them belong.
+    fn entity(&mut self, what: &str) -> Result<Slots, JsonError> {
+        let mut slots = Slots::default();
+        self.members(what, |p, key| {
+            let Some(i) = ENTITY_KEYS.iter().position(|k| *k == key) else {
+                return Err(p.err(format!("unknown {what} field `{key}`")));
+            };
+            match i {
+                0 => slots.nums[i] = p.num_field(key, u32::MAX.into())?,
+                5 | 7 => slots.nums[i] = p.num_field(key, u16::MAX.into())?,
+                // Only the first string-valued `kind` counts.
+                KIND if p.peek() != Some(b'"') || slots.kind.is_some() => drop(p.value()?),
+                KIND => {
+                    let mut buf = String::new();
+                    let kind = p.text(&mut buf)?;
+                    let known = KINDS.into_iter().find(|k| *k == kind);
+                    slots.kind = Some(known.ok_or_else(|| format!("unknown object kind `{kind}`")));
+                }
+                _ => slots.strs[i] = Some(p.str_field(key)?),
+            }
+            slots.seen |= 1 << i;
+            Ok(())
+        })?;
+        Ok(slots)
     }
 }
 
-fn event_from_fields(fields: Vec<(String, JsonValue)>) -> Result<Event, JsonError> {
-    let mut id = None;
-    let mut host = None;
-    let mut ts_ms = None;
-    let mut subject = None;
-    let mut op = None;
-    let mut object = None;
-    let mut amount = 0u64;
-    for (key, value) in fields {
-        match key.as_str() {
-            "id" => id = Some(num(&key, value)?),
-            "host" => host = Some(string(&key, value)?),
-            "ts_ms" => ts_ms = Some(num(&key, value)?),
-            "amount" => amount = num(&key, value)?,
-            "op" => {
-                let kw = string(&key, value)?;
-                let parsed = Operation::from_keyword(&kw).ok_or_else(|| JsonError {
-                    at: 0,
-                    message: format!("unknown operation `{kw}`"),
-                })?;
-                // `alert` events exist only inside a pipeline: the
-                // alert→event adapter synthesizes them, and downstream
-                // stages identify their upstream purely by `op == alert` +
-                // subject identity. Accepting them from a collector line
-                // would let any producer spoof a query's alert stream (or
-                // force-advance a stage's clock), so the JSON boundary —
-                // serve ingest and file/replay sources alike — rejects
-                // them outright.
-                if parsed == Operation::Alert {
-                    return Err(JsonError {
-                        at: 0,
-                        message: "operation `alert` is reserved for \
-                                  pipeline-derived events and cannot be ingested"
-                            .into(),
-                    });
-                }
-                op = Some(parsed);
+/// Entity members: `pid` is a u32, the ports u16, the rest strings.
+const ENTITY_KEYS: [&str; 10] = [
+    "pid", "exe", "user", "name", "src_ip", "src_port", "dst_ip", "dst_port", "protocol", "kind",
+];
+/// `kind` selects an object's variant and is never a stray member.
+const KIND: usize = 9;
+/// The values `kind` selects a variant by.
+const KINDS: [&str; 3] = ["process", "file", "network"];
+
+/// The [`ENTITY_KEYS`] bits each entity kind takes, all of them required.
+const PROCESS_KEYS: u16 = 0b111;
+const FILE_KEYS: u16 = 0b1000;
+const NETWORK_KEYS: u16 = 0b1_1111_0000;
+
+/// One entity object's members in any order, the last duplicate winning.
+/// They are checked against `kind` once the object closes, so `kind` may
+/// come last. A `subject` is always a process; its `kind` is ignored.
+#[derive(Default)]
+struct Slots {
+    /// Bit `i` set: `ENTITY_KEYS[i]` was present.
+    seen: u16,
+    nums: [u64; 9],
+    strs: [Option<Arc<str>>; 9],
+    /// The first string `kind`: one of [`KINDS`], or the error naming it.
+    kind: Option<Result<&'static str, String>>,
+}
+
+impl Slots {
+    /// Exactly the members `keys` names are present.
+    fn check(&self, keys: u16, kind: &str) -> Result<(), JsonError> {
+        let name = |bits: u16| ENTITY_KEYS[bits.trailing_zeros() as usize];
+        let (stray, missing) = (self.seen & !keys & !(1 << KIND), keys & !self.seen);
+        if stray != 0 {
+            let stray = name(stray);
+            return Err(schema_error(format!("unknown {kind} field `{stray}`")));
+        }
+        if missing != 0 {
+            return require(None::<()>, name(missing));
+        }
+        Ok(())
+    }
+
+    fn str(&mut self, i: usize) -> Arc<str> {
+        self.strs[i].take().unwrap_or_default()
+    }
+
+    fn process(mut self) -> Result<ProcessInfo, JsonError> {
+        self.check(PROCESS_KEYS, "process")?;
+        Ok(ProcessInfo {
+            pid: self.nums[0] as u32,
+            exe_name: self.str(1),
+            user: self.str(2),
+        })
+    }
+
+    fn object(mut self) -> Result<Entity, JsonError> {
+        match self.kind.take() {
+            Some(Ok("process")) => self.process().map(Entity::Process),
+            Some(Ok("file")) => {
+                self.check(FILE_KEYS, "file")?;
+                Ok(Entity::File(FileInfo { name: self.str(3) }))
             }
-            "subject" => subject = Some(process_from(value, "subject")?),
-            "object" => object = Some(entity_from(value)?),
-            other => {
-                return Err(JsonError {
-                    at: 0,
-                    message: format!("unknown event field `{other}`"),
-                })
+            Some(Ok(_)) => {
+                self.check(NETWORK_KEYS, "network")?;
+                Ok(Entity::Network(NetworkInfo {
+                    src_ip: self.str(4),
+                    src_port: self.nums[5] as u16,
+                    dst_ip: self.str(6),
+                    dst_port: self.nums[7] as u16,
+                    protocol: self.str(8),
+                }))
             }
+            Some(Err(unknown)) => Err(schema_error(unknown)),
+            None => Err(schema_error("object entity needs a string `kind` field")),
         }
     }
-    let op = require(op, "op")?;
-    let object = require(object, "object")?;
-    if !op.valid_for(object.entity_type()) {
-        return Err(JsonError {
-            at: 0,
-            message: format!(
-                "operation `{op}` is invalid for {} objects",
-                object.entity_type()
-            ),
-        });
-    }
-    Ok(Event {
-        id: require(id, "id")?,
-        agent_id: Arc::from(require(host, "host")?.as_str()),
-        ts: Timestamp::from_millis(require(ts_ms, "ts_ms")?),
-        subject: require(subject, "subject")?,
-        op,
-        object,
-        amount,
-    })
 }
 
 fn require<T>(value: Option<T>, field: &str) -> Result<T, JsonError> {
-    value.ok_or_else(|| JsonError {
+    value.ok_or_else(|| schema_error(format!("missing required field `{field}`")))
+}
+
+/// A schema violation found after the fact, with no one byte to blame.
+fn schema_error(message: impl Into<String>) -> JsonError {
+    JsonError {
         at: 0,
-        message: format!("missing required field `{field}`"),
-    })
-}
-
-fn num(key: &str, value: JsonValue) -> Result<u64, JsonError> {
-    match value {
-        JsonValue::Num(n) => Ok(n),
-        other => Err(JsonError {
-            at: 0,
-            message: format!("field `{key}` must be a number, found {}", other.kind()),
-        }),
-    }
-}
-
-fn string(key: &str, value: JsonValue) -> Result<String, JsonError> {
-    match value {
-        JsonValue::Str(s) => Ok(s),
-        other => Err(JsonError {
-            at: 0,
-            message: format!("field `{key}` must be a string, found {}", other.kind()),
-        }),
-    }
-}
-
-fn fields_of(value: JsonValue, what: &str) -> Result<Vec<(String, JsonValue)>, JsonError> {
-    match value {
-        JsonValue::Object(fields) => Ok(fields),
-        other => Err(JsonError {
-            at: 0,
-            message: format!("`{what}` must be an object, found {}", other.kind()),
-        }),
-    }
-}
-
-fn process_from(value: JsonValue, what: &str) -> Result<ProcessInfo, JsonError> {
-    let mut pid = None;
-    let mut exe = None;
-    let mut user = None;
-    for (key, value) in fields_of(value, what)? {
-        match key.as_str() {
-            "pid" => pid = Some(num(&key, value)?),
-            "exe" => exe = Some(string(&key, value)?),
-            "user" => user = Some(string(&key, value)?),
-            "kind" => {} // allowed (and checked) on object entities
-            other => {
-                return Err(JsonError {
-                    at: 0,
-                    message: format!("unknown process field `{other}`"),
-                })
-            }
-        }
-    }
-    Ok(ProcessInfo {
-        pid: require(pid, "pid")? as u32,
-        exe_name: Arc::from(require(exe, "exe")?.as_str()),
-        user: Arc::from(require(user, "user")?.as_str()),
-    })
-}
-
-fn entity_from(value: JsonValue) -> Result<Entity, JsonError> {
-    let fields = fields_of(value, "object")?;
-    let kind = fields
-        .iter()
-        .find_map(|(k, v)| match (k.as_str(), v) {
-            ("kind", JsonValue::Str(s)) => Some(s.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| JsonError {
-            at: 0,
-            message: "object entity needs a string `kind` field".into(),
-        })?;
-    match kind.as_str() {
-        "process" => process_from(JsonValue::Object(fields), "object").map(Entity::Process),
-        "file" => {
-            let mut name = None;
-            for (key, value) in fields {
-                match key.as_str() {
-                    "kind" => {}
-                    "name" => name = Some(string(&key, value)?),
-                    other => {
-                        return Err(JsonError {
-                            at: 0,
-                            message: format!("unknown file field `{other}`"),
-                        })
-                    }
-                }
-            }
-            Ok(Entity::File(FileInfo {
-                name: Arc::from(require(name, "name")?.as_str()),
-            }))
-        }
-        "network" => {
-            let mut src_ip = None;
-            let mut src_port = None;
-            let mut dst_ip = None;
-            let mut dst_port = None;
-            let mut protocol = None;
-            for (key, value) in fields {
-                match key.as_str() {
-                    "kind" => {}
-                    "src_ip" => src_ip = Some(string(&key, value)?),
-                    "src_port" => src_port = Some(num(&key, value)?),
-                    "dst_ip" => dst_ip = Some(string(&key, value)?),
-                    "dst_port" => dst_port = Some(num(&key, value)?),
-                    "protocol" => protocol = Some(string(&key, value)?),
-                    other => {
-                        return Err(JsonError {
-                            at: 0,
-                            message: format!("unknown network field `{other}`"),
-                        })
-                    }
-                }
-            }
-            Ok(Entity::Network(NetworkInfo {
-                src_ip: Arc::from(require(src_ip, "src_ip")?.as_str()),
-                src_port: require(src_port, "src_port")? as u16,
-                dst_ip: Arc::from(require(dst_ip, "dst_ip")?.as_str()),
-                dst_port: require(dst_port, "dst_port")? as u16,
-                protocol: Arc::from(require(protocol, "protocol")?.as_str()),
-            }))
-        }
-        other => Err(JsonError {
-            at: 0,
-            message: format!("unknown object kind `{other}`"),
-        }),
+        message: message.into(),
     }
 }
 
@@ -637,6 +673,12 @@ fn entity_from(value: JsonValue) -> Result<Entity, JsonError> {
 mod tests {
     use super::*;
     use crate::event::EventBuilder;
+
+    fn event_to_json(e: &Event) -> String {
+        let mut out = String::new();
+        encode_event_json(&mut out, e);
+        out
+    }
 
     fn samples() -> Vec<Event> {
         vec![
@@ -715,6 +757,70 @@ mod tests {
         }
     }
 
+    fn network_line(pid: &str, src_port: &str, dst_port: &str) -> String {
+        format!(
+            r#"{{"id":1,"host":"h","ts_ms":0,"subject":{{"pid":{pid},"exe":"a","user":"u"}},"op":"connect","object":{{"kind":"network","src_ip":"a","src_port":{src_port},"dst_ip":"b","dst_port":{dst_port},"protocol":"tcp"}}}}"#
+        )
+    }
+
+    #[test]
+    fn integers_must_fit_their_field() {
+        let e = decode_event_json(&network_line("4294967295", "65535", "0")).unwrap();
+        assert_eq!(e.subject.pid, u32::MAX);
+        let Entity::Network(n) = e.object else {
+            panic!("network object expected")
+        };
+        assert_eq!((n.src_port, n.dst_port), (u16::MAX, 0));
+        for (line, needle) in [
+            (
+                network_line("4294967296", "1", "1"),
+                "field `pid` out of range for u32",
+            ),
+            (
+                network_line("1", "65536", "1"),
+                "field `src_port` out of range for u16",
+            ),
+            (
+                network_line("1", "1", "65537"),
+                "field `dst_port` out of range for u16",
+            ),
+            (
+                network_line("18446744073709551616", "1", "1"),
+                "out of range for u64",
+            ),
+        ] {
+            let err = decode_event_json(&line).unwrap_err();
+            assert!(err.message.contains(needle), "{err} (wanted `{needle}`)");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_pair_surrogates() {
+        let host = |escaped: &str| {
+            let line = format!(
+                r#"{{"object":{{"name":"f","kind":"file"}},"id":1,"host":"{escaped}","ts_ms":0,"subject":{{"pid":1,"exe":"a","user":"u"}},"op":"read"}}"#
+            );
+            decode_event_json(&line).map(|e| e.agent_id.to_string())
+        };
+        assert_eq!(host(r"\u0041\u00e9").unwrap(), "Aé");
+        assert_eq!(host(r"\ud83d\ude00").unwrap(), "😀");
+        assert_eq!(host(r"\ud83d").unwrap(), "\u{fffd}", "lone high surrogate");
+        assert_eq!(host(r"\ude00x").unwrap(), "\u{fffd}x", "lone low surrogate");
+        assert_eq!(
+            host(r"\ud83d\u0041").unwrap(),
+            "\u{fffd}A",
+            "high without low"
+        );
+        for bad in [r"\u+041", r"\u-041", r"\u004", r"\u00g1", r"\ud83d\u+e00"] {
+            assert!(host(bad).is_err(), "`{bad}` accepted");
+        }
+        assert_eq!(
+            parse_json(r#""\ud83d\ude00""#).unwrap(),
+            JsonValue::Str("😀".into()),
+            "the protocol parser shares the rules"
+        );
+    }
+
     #[test]
     fn escapes_round_trip() {
         let e = EventBuilder::new(9, "h\nost\t\"x\"", 1)
@@ -731,8 +837,12 @@ mod tests {
         assert_eq!(v.get("cmd").and_then(JsonValue::as_str), Some("register"));
         assert_eq!(v.get("live").and_then(JsonValue::as_bool), Some(true));
         assert_eq!(
-            v.get("ids").and_then(JsonValue::as_array).map(<[_]>::len),
-            Some(3)
+            v.get("ids"),
+            Some(&JsonValue::Array(vec![
+                JsonValue::Num(1),
+                JsonValue::Num(2),
+                JsonValue::Num(3)
+            ]))
         );
         assert_eq!(v.get("none"), Some(&JsonValue::Null));
         assert_eq!(v.get("missing"), None);

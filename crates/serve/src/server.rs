@@ -979,18 +979,20 @@ enum LineRead {
     Stop,
 }
 
-/// Read one line, riding out read-timeout ticks (so blocked reads notice
-/// shutdown) while preserving any partial line already buffered.
+/// Append one line's bytes (its newline included, if it has one) to `buf`,
+/// riding out read-timeout ticks (so blocked reads notice shutdown) while
+/// keeping any partial line already read. On anything but
+/// [`LineRead::Line`], `buf` is left as it was.
 fn read_net_line(
     reader: &mut BufReader<TcpStream>,
-    line: &mut String,
+    buf: &mut Vec<u8>,
     sh: &Shared,
 ) -> io::Result<LineRead> {
-    line.clear();
-    loop {
-        match reader.read_line(line) {
-            Ok(0) => return Ok(LineRead::Eof),
-            Ok(_) => return Ok(LineRead::Line),
+    let start = buf.len();
+    let outcome = loop {
+        match reader.read_until(b'\n', buf) {
+            Ok(_) if buf.len() > start => return Ok(LineRead::Line),
+            Ok(_) => break Ok(LineRead::Eof),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -1000,12 +1002,14 @@ fn read_net_line(
                 ) =>
             {
                 if sh.stopping() {
-                    return Ok(LineRead::Stop);
+                    break Ok(LineRead::Stop);
                 }
             }
-            Err(e) => return Err(e),
+            Err(e) => break Err(e),
         }
-    }
+    };
+    buf.truncate(start);
+    outcome
 }
 
 fn write_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
@@ -1021,11 +1025,12 @@ fn handle_conn(stream: TcpStream, sh: &Shared) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
-    match read_net_line(&mut reader, &mut line, sh) {
+    let mut buf = Vec::new();
+    match read_net_line(&mut reader, &mut buf, sh) {
         Ok(LineRead::Line) => {}
         _ => return,
     }
+    let line = String::from_utf8_lossy(&buf);
     if line.starts_with("GET ") {
         serve_metrics(&mut reader, &mut writer, sh);
         return;
@@ -1059,10 +1064,10 @@ fn handle_conn(stream: TcpStream, sh: &Shared) {
 fn serve_metrics(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, sh: &Shared) {
     // Swallow the request headers (bounded) so the client sees a clean
     // response instead of a reset.
-    let mut line = String::new();
     for _ in 0..64 {
+        let mut line = Vec::new();
         match read_net_line(reader, &mut line, sh) {
-            Ok(LineRead::Line) if line.trim().is_empty() => break,
+            Ok(LineRead::Line) if line.trim_ascii().is_empty() => break,
             Ok(LineRead::Line) => {}
             _ => break,
         }
@@ -1136,8 +1141,9 @@ fn run_ingest(
     //
     //   read loop ──chunks──► decode pool (N) ──chunks──► apply stage
     //
-    // The read loop only pulls lines off the socket and batches the ones
-    // already buffered; the pool runs `decode_event_json` (the measured
+    // The read loop only appends raw lines off the socket to one byte
+    // buffer per chunk, batching the ones already buffered; the pool splits
+    // each chunk, checks UTF-8 and runs `decode_event_json` (the measured
     // single-connection bottleneck) in parallel; the apply stage reorders
     // finished chunks and applies quota/backpressure/accounting strictly
     // in line order — so `decode_errors`, the first-error message, and
@@ -1145,17 +1151,26 @@ fn run_ingest(
     type DecodedChunk = (u64, Vec<(u64, Result<Event, String>)>);
     let closed = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let (job_tx, job_rx) = bounded::<(u64, Vec<(u64, String)>)>(DECODE_BACKLOG);
+        // A job: chunk number, line number of its first line, its lines.
+        let (job_tx, job_rx) = bounded::<(u64, u64, Vec<u8>)>(DECODE_BACKLOG);
         let (done_tx, done_rx) = bounded::<DecodedChunk>(DECODE_BACKLOG);
         for _ in 0..DECODE_WORKERS {
             let job_rx = job_rx.clone();
             let done_tx = done_tx.clone();
             scope.spawn(move || {
-                while let Ok((chunk_no, lines)) = job_rx.recv() {
-                    let decoded = lines
-                        .into_iter()
-                        .map(|(line_no, line)| {
-                            (line_no, decode_event_json(&line).map_err(|e| e.to_string()))
+                while let Ok((chunk_no, first_line, bytes)) = job_rx.recv() {
+                    let lines = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
+                    let decoded = (first_line..)
+                        .zip(lines.split(|&b| b == b'\n'))
+                        .filter_map(|(line_no, line)| {
+                            let decoded = match std::str::from_utf8(line) {
+                                Ok(line) if line.trim().is_empty() => return None,
+                                Ok(line) => {
+                                    decode_event_json(line.trim()).map_err(|e| e.to_string())
+                                }
+                                Err(_) => Err("line is not valid UTF-8".to_string()),
+                            };
+                            Some((line_no, decoded))
                         })
                         .collect();
                     if done_tx.send((chunk_no, decoded)).is_err() {
@@ -1237,32 +1252,30 @@ fn run_ingest(
             }
         });
 
-        let mut line = String::new();
-        let mut line_no: u64 = 0;
-        let mut chunk_no: u64 = 0;
-        let mut chunk: Vec<(u64, String)> = Vec::with_capacity(DECODE_CHUNK);
+        let mut chunk: Vec<u8> = Vec::new();
+        let (mut chunk_no, mut first_line, mut lines): (u64, u64, u64) = (0, 1, 0);
         while !closed.load(Ordering::Relaxed) {
-            match read_net_line(reader, &mut line, sh) {
-                Ok(LineRead::Line) => {}
+            match read_net_line(reader, &mut chunk, sh) {
+                Ok(LineRead::Line) => lines += 1,
                 _ => break,
-            }
-            line_no += 1;
-            let trimmed = line.trim();
-            if !trimmed.is_empty() {
-                chunk.push((line_no, trimmed.to_string()));
             }
             // Flush when full, or as soon as the buffered input drains —
             // never hold decoded work hostage to a quiet socket.
-            if chunk.len() >= DECODE_CHUNK || (reader.buffer().is_empty() && !chunk.is_empty()) {
-                if job_tx.send((chunk_no, std::mem::take(&mut chunk))).is_err() {
+            if lines >= DECODE_CHUNK as u64 || reader.buffer().is_empty() {
+                // A fixed guess of ~256 B a line, so one long line does
+                // not size every later chunk.
+                let fresh = Vec::with_capacity(DECODE_CHUNK * 256);
+                let job = (chunk_no, first_line, std::mem::replace(&mut chunk, fresh));
+                if job_tx.send(job).is_err() {
                     break;
                 }
                 chunk_no += 1;
-                chunk.reserve(DECODE_CHUNK);
+                first_line += lines;
+                lines = 0;
             }
         }
-        if !chunk.is_empty() {
-            let _ = job_tx.send((chunk_no, chunk));
+        if lines > 0 {
+            let _ = job_tx.send((chunk_no, first_line, chunk));
         }
         // Dropping the job channel drains the pipeline: workers exit, the
         // done channel closes, the apply stage applies the tail and
@@ -1314,8 +1327,10 @@ fn run_control(
     if write_line(writer, &ok_line()).is_err() {
         return;
     }
-    let mut line = String::new();
-    while let Ok(LineRead::Line) = read_net_line(reader, &mut line, sh) {
+    let mut buf = Vec::new();
+    while let Ok(LineRead::Line) = read_net_line(reader, &mut buf, sh) {
+        let line = String::from_utf8_lossy(&buf).into_owned();
+        buf.clear();
         if line.trim().is_empty() {
             continue;
         }

@@ -365,12 +365,13 @@ impl EventSource for StoreSource {
 /// Reads events as JSON lines (see [`saql_model::json`]) from any
 /// [`BufRead`] — files, pipes, or stdin; the ingestion mirror of the
 /// engine's `JsonLinesSink`. Undecodable lines are skipped and counted
-/// ([`decode_errors`](Self::decode_errors)), with the first failure kept
-/// for diagnostics; blank lines are ignored.
+/// ([`decode_errors`](Self::decode_errors)) — a line that is not UTF-8
+/// among them — with the first failure kept for diagnostics; blank lines
+/// are ignored.
 pub struct JsonLinesSource<R> {
     name: String,
     reader: R,
-    line: String,
+    line: Vec<u8>,
     lines_read: u64,
     decode_errors: u64,
     first_error: Option<(u64, JsonError)>,
@@ -383,7 +384,7 @@ impl<R: BufRead> JsonLinesSource<R> {
         JsonLinesSource {
             name: name.into(),
             reader,
-            line: String::new(),
+            line: Vec::new(),
             lines_read: 0,
             decode_errors: 0,
             first_error: None,
@@ -415,7 +416,7 @@ impl<R: BufRead> EventSource for JsonLinesSource<R> {
         let mut got = 0;
         while got < max {
             self.line.clear();
-            match self.reader.read_line(&mut self.line) {
+            match self.reader.read_until(b'\n', &mut self.line) {
                 Ok(0) => {
                     self.ended = true;
                     return SourcePoll::End;
@@ -430,11 +431,15 @@ impl<R: BufRead> EventSource for JsonLinesSource<R> {
                 Ok(_) => {}
             }
             self.lines_read += 1;
-            let trimmed = self.line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            match decode_event_json(trimmed) {
+            let decoded = match std::str::from_utf8(&self.line) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => decode_event_json(line.trim()),
+                Err(e) => Err(JsonError {
+                    at: e.valid_up_to(),
+                    message: "line is not valid UTF-8".into(),
+                }),
+            };
+            match decoded {
                 Ok(event) => {
                     out.push(Arc::new(event));
                     got += 1;
@@ -553,6 +558,28 @@ mod tests {
         assert_eq!(source.decode_errors(), 1);
         let (line, _) = source.first_error().unwrap();
         assert_eq!(*line, 3);
+    }
+
+    #[test]
+    fn jsonl_source_counts_a_non_utf8_line_and_reads_on() {
+        let mut bytes = Vec::new();
+        for id in 1..=3 {
+            let mut line = String::new();
+            saql_model::json::encode_event_json(&mut line, &ev(id, "h", id * 10));
+            let mut raw = line.into_bytes();
+            if id == 2 {
+                raw[16] = 0xff; // the `h` of `"host":"h"`
+            }
+            bytes.extend_from_slice(&raw);
+        }
+        let mut source = JsonLinesSource::new("raw", std::io::Cursor::new(bytes));
+        let out = drain(&mut source);
+        assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(source.decode_errors(), 1);
+        let (line, e) = source.first_error().unwrap();
+        assert_eq!(*line, 2);
+        assert!(e.message.contains("not valid UTF-8"), "{e}");
+        assert!(source.failure().unwrap().contains("1 line(s) skipped"));
     }
 
     #[test]

@@ -15,7 +15,7 @@ set -euo pipefail
 
 BIN=${SAQL_BIN:-target/release/saql}
 TMP=$(mktemp -d)
-trap 'kill ${spid:-} 2>/dev/null; rm -rf "$TMP"' EXIT
+trap 'kill ${spid:-} 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 alerts() { grep '^\[ALERT ' "$1" > "$2" || true; }
 

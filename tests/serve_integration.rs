@@ -439,6 +439,85 @@ fn decode_failures_surface_live_in_summary_and_stats() {
 }
 
 #[test]
+fn a_non_utf8_line_is_one_decode_error_not_the_end_of_the_feed() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{Shutdown, TcpStream};
+
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        print_alerts: false,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    // Ten lines; line 3 carries a byte that is not UTF-8. `ingest_reader`
+    // reads text, so the bytes go over a raw socket.
+    let mut body = Vec::new();
+    for i in 0..10 {
+        let mut line = String::new();
+        encode_event_json(&mut line, &event(i, 1000 + i, "host-x"));
+        let mut raw = line.into_bytes();
+        if i == 2 {
+            raw[16] = 0xff; // inside `"host":"host-x"`
+        }
+        body.extend_from_slice(&raw);
+    }
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let hello = r#"{"role":"ingest","tenant":"default","source":"raw","lossless":true}"#;
+    writeln!(stream, "{hello}").unwrap();
+    let mut ack = String::new();
+    reader.read_line(&mut ack).unwrap();
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    stream.write_all(&body).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut summary = String::new();
+    reader.read_line(&mut summary).unwrap();
+    assert!(summary.contains("\"events\":9,"), "{summary}");
+    assert!(summary.contains("\"decode_errors\":1,"), "{summary}");
+    assert!(
+        summary.contains("first at line 3: line is not valid UTF-8"),
+        "{summary}"
+    );
+
+    assert!(ctl(
+        &server.addr().to_string(),
+        "default",
+        r#"{"cmd":"shutdown"}"#
+    )
+    .unwrap()
+    .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
+#[test]
+fn an_oversized_line_is_decoded_and_normal_traffic_follows() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        print_alerts: false,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    // One 4 MiB line (a long file name), then ordinary lines.
+    let long = EventBuilder::new(0, "host-x", 1000)
+        .subject(ProcessInfo::new(7, "writer.exe", "svc"))
+        .writes_file(FileInfo::new("f".repeat(4 << 20)))
+        .build();
+    let rest: Vec<Event> = (1..500).map(|i| event(i, 1000 + i, "host-x")).collect();
+    let mut body = jsonl(&[long]);
+    body.push_str(&jsonl(&rest));
+    let report =
+        ingest_reader(&addr, "default", "long", &mut Cursor::new(body), true, true).unwrap();
+    assert_eq!(report.field("events"), Some(500), "{}", report.summary);
+    assert_eq!(report.field("decode_errors"), Some(0), "{}", report.summary);
+
+    assert!(ctl(&addr, "default", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
+#[test]
 fn pipeline_tenancy_is_sealed_at_both_boundaries() {
     let server = Server::start(ServeConfig {
         listen: "127.0.0.1:0".into(),
