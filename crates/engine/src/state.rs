@@ -310,7 +310,8 @@ pub struct StateMaintainer {
     /// Accumulators for currently open windows: window id → group → accum.
     open: BTreeMap<u64, GroupMap<GroupAccum>>,
     /// Closed-window history: group → recent (window id, field values),
-    /// newest at the back, bounded by `history_len`.
+    /// newest at the back, holding only windows still reachable from the
+    /// next close (so at most `history_len` per group).
     history: GroupMap<VecDeque<(u64, Vec<Value>)>>,
     /// First window id ever observed (warm-up boundary for neutral values).
     first_window: Option<u64>,
@@ -393,14 +394,22 @@ impl StateMaintainer {
             })
             .collect();
         out.sort_by(|a, b| a.label.cmp(&b.label));
+        // Windows close in ascending order and lookups reach back fewer than
+        // `history_len` windows from the one closing, so entries older than
+        // `k + 1 - history_len` can never be read again: drop them, and
+        // every group left with none — else `history` keeps each group the
+        // query has ever seen. (Before the push, so the map never holds the
+        // dropped groups and the closing ones at once.)
+        let oldest = (k + 1).saturating_sub(self.history_len as u64);
+        self.history.retain(|_, hist| {
+            while hist.front().is_some_and(|(wk, _)| *wk < oldest) {
+                hist.pop_front();
+            }
+            !hist.is_empty()
+        });
         for group in &out {
             let hist = self.history.entry(group.key.clone()).or_default();
             hist.push_back((k, group.values.clone()));
-            // Keep enough history to serve `ss[history_len - 1]` even with
-            // sliding windows: entries older than the reachable range drop.
-            while hist.len() > self.history_len {
-                hist.pop_front();
-            }
         }
         out
     }
@@ -875,6 +884,96 @@ mod tests {
         let empty = StateSnapshot::merge(Vec::new());
         assert!(empty.open.is_empty() && empty.history.is_empty());
         assert_eq!(empty.first_window, None);
+    }
+
+    /// The pruned history answers every lookup an unpruned one does, and
+    /// holds no group that closed none of the last `history_len` windows.
+    /// Random groups, events out of order within the lateness bound,
+    /// sliding windows closed by the engine's [`WindowDriver`], `state[1]`
+    /// through `state[4]`; the reference keeps every closed window forever.
+    #[test]
+    fn pruned_history_matches_an_unpruned_reference() {
+        use crate::window::WindowDriver;
+        use saql_lang::ast::WindowSpec;
+        use saql_model::{Duration, Timestamp};
+
+        for h in 1..=4usize {
+            for seed in 1..=6u64 {
+                let src = format!(
+                    "proc p write ip i as evt #time(10 s, 4 s)\nstate[{h}] ss {{\n n := count()\n total := sum(evt.amount)\n}} group by p, i.dstip\nreturn p"
+                );
+                let mut m = StateMaintainer::new(&block(&src));
+                let spec = WindowSpec {
+                    size: Duration::from_secs(10),
+                    slide: Duration::from_secs(4),
+                };
+                let mut clock = WindowDriver::with_lateness(spec, Duration::from_secs(3));
+                let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let mut next = |bound: u64| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng % bound
+                };
+                // The reference: every closed (group, window) forever.
+                let mut closed_log: HashMap<(KeyTuple, u64), Vec<Value>> = HashMap::new();
+                let mut groups_closed: BTreeMap<u64, usize> = BTreeMap::new();
+                let mut first: Option<u64> = None;
+                let mut close = |m: &mut StateMaintainer, k: u64, first: Option<u64>| {
+                    let closed = m.close(k);
+                    groups_closed.insert(k, closed.len());
+                    for g in &closed {
+                        closed_log.insert((g.key.clone(), k), g.values.clone());
+                    }
+                    for g in &closed {
+                        for back in 0..=h {
+                            for f in 0..2 {
+                                let expect = match k.checked_sub(back as u64) {
+                                    _ if back >= h => Value::Missing,
+                                    Some(t) => match closed_log.get(&(g.key.clone(), t)) {
+                                        Some(values) => values[f].clone(),
+                                        None if first.is_some_and(|w| t >= w) => {
+                                            neutral(m.fields[f].1)
+                                        }
+                                        None => Value::Missing,
+                                    },
+                                    None => Value::Missing,
+                                };
+                                let got = m.lookup_idx(&g.key, k, back, f);
+                                assert_eq!(
+                                    format!("{got:?}"),
+                                    format!("{expect:?}"),
+                                    "state[{h}] seed {seed}: {}[{back}] field {f} at {k}",
+                                    g.label
+                                );
+                            }
+                        }
+                    }
+                    let oldest = (k + 1).saturating_sub(h as u64);
+                    let reachable: usize = groups_closed.range(oldest..=k).map(|(_, n)| n).sum();
+                    assert!(
+                        m.history.len() <= reachable,
+                        "state[{h}] seed {seed}: {} groups in history, {reachable} closed in windows {oldest}..={k}",
+                        m.history.len()
+                    );
+                };
+                for i in 0..3_000u64 {
+                    // ~100 ms apart, up to 2.5 s out of order (lateness 3 s).
+                    let ts = Timestamp::from_millis(10_000 + i * 100 - next(2_500));
+                    for k in clock.advance(ts) {
+                        close(&mut m, k, first);
+                    }
+                    let ks = clock.observe(ts);
+                    first = ks.iter().copied().chain(first).min();
+                    let (proc_no, ip_no) = (next(6), next(40));
+                    let key = atoms(&[&format!("p{proc_no}.exe"), &format!("10.0.0.{ip_no}")]);
+                    m.observe(&ks, &key, &[Value::int(1), Value::int(next(1000) as i64)]);
+                }
+                for k in clock.drain() {
+                    close(&mut m, k, first);
+                }
+            }
+        }
     }
 
     #[test]

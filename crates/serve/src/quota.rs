@@ -1,7 +1,7 @@
 //! Per-tenant resource governance: live-query ceilings and an events/sec
 //! token bucket.
 //!
-//! The bucket never blocks anything — callers ask [`TokenBucket::try_take`]
+//! The bucket never blocks anything — callers ask [`TokenBucket::take`]
 //! and *shed* (drop + count) on refusal, so a tenant over its rate can slow
 //! only itself, never the pump loop. Time is injected through [`Clock`]:
 //! the server runs on [`MonotonicClock`]; tests drive [`ManualClock`] so
@@ -127,22 +127,21 @@ impl TokenBucket {
         }
     }
 
-    /// Take one token if available. Refills lazily from elapsed time.
-    pub fn try_take(&mut self, now_ns: u64) -> bool {
+    /// Take up to `n` tokens — one per event — and return how many were
+    /// granted. Refills lazily from elapsed time, so a whole chunk costs
+    /// one clock read and one bucket update.
+    pub fn take(&mut self, now_ns: u64, n: u64) -> u64 {
         if self.rate_per_sec == 0 {
-            return true;
+            return n;
         }
         let elapsed = now_ns.saturating_sub(self.last_ns);
         self.last_ns = now_ns;
         let cap = self.burst as u128 * NS_PER_SEC;
         self.scaled_tokens =
             cap.min(self.scaled_tokens + elapsed as u128 * self.rate_per_sec as u128);
-        if self.scaled_tokens >= NS_PER_SEC {
-            self.scaled_tokens -= NS_PER_SEC;
-            true
-        } else {
-            false
-        }
+        let granted = n.min((self.scaled_tokens / NS_PER_SEC) as u64);
+        self.scaled_tokens -= granted as u128 * NS_PER_SEC;
+        granted
     }
 }
 
@@ -162,9 +161,7 @@ mod tests {
     fn zero_rate_is_unlimited() {
         let clock = ManualClock::new();
         let mut b = TokenBucket::for_quota(&quota(0, 0), clock.now_ns());
-        for _ in 0..10_000 {
-            assert!(b.try_take(clock.now_ns()));
-        }
+        assert_eq!(b.take(clock.now_ns(), 10_000), 10_000);
     }
 
     #[test]
@@ -172,19 +169,17 @@ mod tests {
         let clock = ManualClock::new();
         let mut b = TokenBucket::for_quota(&quota(10, 5), clock.now_ns());
         // Full bucket: exactly the burst passes with no time elapsing.
-        for i in 0..5 {
-            assert!(b.try_take(clock.now_ns()), "burst token {i}");
-        }
-        assert!(!b.try_take(clock.now_ns()), "empty bucket sheds");
+        assert_eq!(b.take(clock.now_ns(), 64), 5, "one chunk gets the burst");
+        assert_eq!(b.take(clock.now_ns(), 1), 0, "empty bucket sheds");
         // 100ms at 10/s refills exactly one token.
         clock.advance_ms(100);
-        assert!(b.try_take(clock.now_ns()));
-        assert!(!b.try_take(clock.now_ns()));
+        assert_eq!(b.take(clock.now_ns(), 1), 1);
+        assert_eq!(b.take(clock.now_ns(), 1), 0);
         // Sub-token progress accumulates instead of being lost.
         clock.advance_ms(50);
-        assert!(!b.try_take(clock.now_ns()));
+        assert_eq!(b.take(clock.now_ns(), 1), 0);
         clock.advance_ms(50);
-        assert!(b.try_take(clock.now_ns()));
+        assert_eq!(b.take(clock.now_ns(), 1), 1);
     }
 
     #[test]
@@ -192,8 +187,7 @@ mod tests {
         let clock = ManualClock::new();
         let mut b = TokenBucket::for_quota(&quota(1000, 3), clock.now_ns());
         clock.advance_ms(60_000); // a minute of refill cannot exceed capacity
-        let granted = (0..100).filter(|_| b.try_take(clock.now_ns())).count();
-        assert_eq!(granted, 3);
+        assert_eq!(b.take(clock.now_ns(), 100), 3);
     }
 
     #[test]

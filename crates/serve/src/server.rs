@@ -1,15 +1,16 @@
 //! The serving core: a TCP listener, per-connection threads, and **one**
-//! pump thread that owns the engine.
+//! core thread that owns the engine.
 //!
 //! ## Threading model
 //!
 //! ```text
 //!   accept thread ──spawns──▶ connection threads
-//!        │                        │ ingest: push_source channel ──┐
-//!        │                        │ control: Req over ctrl chan ──┤
-//!        │                        │ subscribe: Alert receiver ◀───┤
-//!        ▼                        ▼                               ▼
-//!                         core thread: drain ctrl → session pump → repeat
+//!        │                        │ ingest: read loop ─▶ saql-decode (2)
+//!        │                        │   ─▶ saql-apply ─chunk─▶ push_source ──┐
+//!        │                        │ control: Req over ctrl chan ───────────┤
+//!        │                        │ subscribe: Alert receiver ◀────────────┤
+//!        ▼                        ▼                                        ▼
+//!                     core thread: drain ctrl → session pump → park until rung
 //! ```
 //!
 //! The core thread is the only one touching the [`Engine`] / [`RunSession`].
@@ -18,6 +19,21 @@
 //! in lossless mode), control requests queue on a bounded channel drained
 //! between pump rounds, and slow subscribers drop alerts (counted) inside
 //! the engine's routing layer.
+//!
+//! ## Ingest hand-off
+//!
+//! The unit that crosses into the core is the decoded chunk (up to
+//! `DECODE_CHUNK` lines), not the event. An ingest connection's apply
+//! stage takes quota for a whole chunk with one clock read and one bucket
+//! lock, then hands the granted events to its `push_source` under one
+//! channel lock: a lossless connection waits for room, any other sheds the
+//! tail that does not fit. The core drains up to a round's budget per
+//! source under one lock, and when a round finds nothing it *parks* on the
+//! control channel until a request or a chunk's `Req::Wake` arrives. At
+//! most one wake is queued at a time, and the channel notifies only a
+//! parked receiver, so a busy core is never signalled (a futex syscall) per
+//! event or per chunk. The park keeps a bounded timeout for gauges, drain
+//! deadlines and a worker-backed engine's late alerts.
 //!
 //! ## Durability
 //!
@@ -45,7 +61,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use saql_engine::{
@@ -54,8 +70,8 @@ use saql_engine::{
 use saql_model::event::Event;
 use saql_model::json::decode_event_json;
 use saql_stream::merge::{Lateness, SourceId, SourceStats};
-use saql_stream::source::{push_source, ChannelSource};
-use saql_stream::{PushError, StoreWriter};
+use saql_stream::source::{push_source, ChannelSource, PushHandle};
+use saql_stream::{SharedEvent, StoreWriter};
 
 use crate::metrics::{Cell, Metrics};
 use crate::protocol::{self, err_line, json_array, ok_line, ControlCmd, Hello, JsonObj};
@@ -84,8 +100,12 @@ const DECODE_WORKERS: usize = 2;
 /// Decode jobs in flight between the read loop, the pool, and the apply
 /// stage before the reader backs off (TCP backpressure to the producer).
 const DECODE_BACKLOG: usize = 8;
-/// Minimum spacing between observability refreshes (gauges, failure log).
-const OBSERVE_EVERY: std::time::Duration = std::time::Duration::from_millis(100);
+/// Minimum spacing between observability refreshes (gauges, failure log);
+/// also the longest an idle core parks.
+const OBSERVE_EVERY: Duration = Duration::from_millis(100);
+/// The idle park of a worker-backed core: its workers finish alerts after
+/// the round that fed them, and only a round collects them.
+const WORKER_POLL: Duration = Duration::from_millis(2);
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -163,17 +183,25 @@ struct ConnStat {
     done: AtomicBool,
 }
 
+impl ConnStat {
+    fn new(tenant: &str, source: &str) -> ConnStat {
+        ConnStat {
+            tenant: tenant.to_string(),
+            source: source.to_string(),
+            events: AtomicU64::new(0),
+            decode_errors: AtomicU64::new(0),
+            shed_quota: AtomicU64::new(0),
+            shed_buffer: AtomicU64::new(0),
+            done: AtomicBool::new(false),
+        }
+    }
+}
+
 /// One tenant's governance state.
 struct Tenant {
     quota: TenantQuota,
     bucket: Mutex<TokenBucket>,
     shed_quota: AtomicU64,
-}
-
-impl Tenant {
-    fn try_take(&self, clock: &dyn Clock) -> bool {
-        self.bucket.lock().unwrap().try_take(clock.now_ns())
-    }
 }
 
 /// The tenant registry: default quota plus per-name overrides, tenants
@@ -209,6 +237,8 @@ impl Tenants {
 /// State shared by the accept loop, connection threads, and core thread.
 struct Shared {
     ctrl: Sender<Req>,
+    /// A [`Req::Wake`] is queued and not yet handled.
+    rung: AtomicBool,
     metrics: Arc<Metrics>,
     tenants: Tenants,
     conns: Mutex<Vec<Arc<ConnStat>>>,
@@ -222,12 +252,32 @@ impl Shared {
     fn stopping(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
+
+    /// Wake the core for work it cannot see arriving (an ingest chunk, a
+    /// shutdown): queue one [`Req::Wake`] unless one is already on its way.
+    fn ring(&self) {
+        if !self.rung.swap(true, Ordering::SeqCst) && self.ctrl.try_send(Req::Wake).is_err() {
+            // A full queue keeps the core busy anyway; the next ring retries.
+            self.rung.store(false, Ordering::SeqCst);
+        }
+    }
+
+    /// Queue a request for the core thread and wait for the reply; `None`
+    /// once the core is gone.
+    fn ask<T>(&self, req: impl FnOnce(Sender<T>) -> Req) -> Option<T> {
+        let (reply_tx, reply_rx) = bounded(1);
+        // A refused request drops its reply sender: `recv` fails at once.
+        let _ = self.ctrl.send(req(reply_tx));
+        reply_rx.recv().ok()
+    }
 }
 
 /// A request from a connection thread to the core thread. Replies travel
 /// over per-request bounded(1) channels; a dropped reply sender means the
 /// core is gone.
 enum Req {
+    /// There is work to look for: see [`Shared::ring`].
+    Wake,
     Attach {
         source: ChannelSource,
         arrival_order: bool,
@@ -306,6 +356,7 @@ impl Server {
         let (ctrl_tx, ctrl_rx) = bounded::<Req>(1024);
         let shared = Arc::new(Shared {
             ctrl: ctrl_tx,
+            rung: AtomicBool::new(false),
             metrics: Arc::clone(&metrics),
             tenants: Tenants {
                 map: Mutex::new(HashMap::new()),
@@ -361,6 +412,7 @@ impl Server {
     /// the grace period), seal the store, write the final checkpoint.
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.ring();
     }
 
     /// The core thread has exited (shutdown finished or a fatal error).
@@ -389,7 +441,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.request_shutdown();
         if let Some(handle) = self.core.take() {
             let _ = handle.join();
         }
@@ -486,6 +538,8 @@ fn run_core(
     let mut drain_deadline: Option<Instant> = None;
     let mut observed_any = false;
     let mut checkpoint_warned = false;
+    let workers = session.engine().workers() > 0;
+    let park = if workers { WORKER_POLL } else { OBSERVE_EVERY };
 
     while fatal.is_none() {
         // Control plane between rounds.
@@ -535,9 +589,9 @@ fn run_core(
         }
 
         if round.status != SessionStatus::Active {
-            // Nothing flowed: park briefly on the control channel
-            // instead of spinning (new events wake us next round).
-            if let Ok(req) = ctrl_rx.recv_timeout(std::time::Duration::from_millis(2)) {
+            // Nothing flowed: sleep until a request or an ingest chunk's
+            // wake arrives, instead of polling.
+            if let Ok(req) = ctrl_rx.recv_timeout(park) {
                 handle_req(req, &mut session, &mut waiters, sh, &cfg, &mut summary);
             }
         }
@@ -625,6 +679,9 @@ fn handle_req(
     summary: &mut ServeSummary,
 ) {
     match req {
+        // Cleared before the round that follows, so a chunk handed off
+        // from here on queues a fresh wake.
+        Req::Wake => sh.rung.store(false, Ordering::SeqCst),
         Req::Attach {
             source,
             arrival_order,
@@ -1095,162 +1152,85 @@ fn run_ingest(
     let source_name = format!("{tenant}/{source}#{seq}");
     let (push, channel) = push_source(&source_name, sh.ingest_buffer);
 
-    let (reply_tx, reply_rx) = bounded(1);
-    let attach = Req::Attach {
+    let attach = |reply| Req::Attach {
         source: channel,
         arrival_order,
-        reply: reply_tx,
+        reply,
     };
-    if sh.ctrl.send(attach).is_err() {
-        let _ = write_line(writer, &err_line("server is shutting down"));
-        return;
-    }
-    let Ok(source_id) = reply_rx.recv() else {
+    let Some(source_id) = sh.ask(attach) else {
         let _ = write_line(writer, &err_line("server is shutting down"));
         return;
     };
-    let stat = Arc::new(ConnStat {
-        tenant: tenant.clone(),
-        source: source_name.clone(),
-        events: AtomicU64::new(0),
-        decode_errors: AtomicU64::new(0),
-        shed_quota: AtomicU64::new(0),
-        shed_buffer: AtomicU64::new(0),
-        done: AtomicBool::new(false),
-    });
+    let stat = Arc::new(ConnStat::new(&tenant, &source_name));
     sh.conns.lock().unwrap().push(Arc::clone(&stat));
     if write_line(writer, &ok_line()).is_err() {
         return;
     }
 
-    let tenant_label = format!("{{tenant=\"{tenant}\"}}");
-    let accepted = sh
-        .metrics
-        .counter(&format!("saql_ingest_events_total{tenant_label}"));
-    let decode_failed = sh
-        .metrics
-        .counter(&format!("saql_ingest_decode_failures_total{tenant_label}"));
-    let shed_quota = sh.metrics.counter(&format!(
-        "saql_ingest_shed_total{{tenant=\"{tenant}\",reason=\"quota\"}}"
-    ));
-    let shed_buffer = sh.metrics.counter(&format!(
-        "saql_ingest_shed_total{{tenant=\"{tenant}\",reason=\"buffer\"}}"
-    ));
-
     // Three-stage decode pipeline, all scoped to this connection:
     //
-    //   read loop ──chunks──► decode pool (N) ──chunks──► apply stage
+    //   read loop ──chunks──► saql-decode (N) ──chunks──► saql-apply
     //
     // The read loop only appends raw lines off the socket to one byte
     // buffer per chunk, batching the ones already buffered; the pool splits
-    // each chunk, checks UTF-8 and runs `decode_event_json` (the measured
-    // single-connection bottleneck) in parallel; the apply stage reorders
-    // finished chunks and applies quota/backpressure/accounting strictly
-    // in line order — so `decode_errors`, the first-error message, and
-    // per-tenant quota semantics are bit-identical to the old inline loop.
-    type DecodedChunk = (u64, Vec<(u64, Result<Event, String>)>);
+    // each chunk, checks UTF-8 and decodes (the measured single-connection
+    // bottleneck) in parallel; the apply stage reorders finished chunks and
+    // applies quota, hand-off and accounting a chunk at a time in line
+    // order — so `decode_errors` and the first-error message do not depend
+    // on how lines were chunked, nor does quota under a frozen clock.
+    let mut apply = Apply {
+        sh,
+        tenant: &tenant_gov,
+        stat: &stat,
+        push: &push,
+        lossless,
+        counters: IngestCounters::new(&sh.metrics, &tenant),
+        first_decode_err: None,
+    };
     let closed = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // A job: chunk number, line number of its first line, its lines.
         let (job_tx, job_rx) = bounded::<(u64, u64, Vec<u8>)>(DECODE_BACKLOG);
-        let (done_tx, done_rx) = bounded::<DecodedChunk>(DECODE_BACKLOG);
+        let (done_tx, done_rx) = bounded::<(u64, Vec<DecodedLine>)>(DECODE_BACKLOG);
         for _ in 0..DECODE_WORKERS {
             let job_rx = job_rx.clone();
             let done_tx = done_tx.clone();
-            scope.spawn(move || {
+            let decoder = move || {
                 while let Ok((chunk_no, first_line, bytes)) = job_rx.recv() {
-                    let lines = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
-                    let decoded = (first_line..)
-                        .zip(lines.split(|&b| b == b'\n'))
-                        .filter_map(|(line_no, line)| {
-                            let decoded = match std::str::from_utf8(line) {
-                                Ok(line) if line.trim().is_empty() => return None,
-                                Ok(line) => {
-                                    decode_event_json(line.trim()).map_err(|e| e.to_string())
-                                }
-                                Err(_) => Err("line is not valid UTF-8".to_string()),
-                            };
-                            Some((line_no, decoded))
-                        })
-                        .collect();
+                    let decoded = decode_chunk(first_line, &bytes);
                     if done_tx.send((chunk_no, decoded)).is_err() {
                         return; // apply stage gone: connection closing
                     }
                 }
-            });
+            };
+            // Named, so a per-thread CPU table tells the stages apart.
+            thread::Builder::new()
+                .name("saql-decode".into())
+                .spawn_scoped(scope, decoder)
+                .expect("spawns a decoder");
         }
         drop(job_rx);
         drop(done_tx);
 
-        let stat = &stat;
-        let push = &push;
         let closed = &closed;
-        let (accepted, decode_failed, shed_quota, shed_buffer) =
-            (&accepted, &decode_failed, &shed_quota, &shed_buffer);
-        let tenant_gov = &tenant_gov;
-        scope.spawn(move || {
+        let applier = move || {
             let mut pending: HashMap<u64, _> = HashMap::new();
             let mut next_chunk: u64 = 0;
-            let mut first_decode_err: Option<(u64, String)> = None;
             while let Ok((chunk_no, decoded)) = done_rx.recv() {
                 pending.insert(chunk_no, decoded);
                 while let Some(decoded) = pending.remove(&next_chunk) {
                     next_chunk += 1;
-                    for (line_no, item) in decoded {
-                        let event = match item {
-                            Ok(event) => Arc::new(event),
-                            Err(e) => {
-                                stat.decode_errors.fetch_add(1, Ordering::Relaxed);
-                                decode_failed.fetch_add(1, Ordering::Relaxed);
-                                let (first_line, first_msg) =
-                                    first_decode_err.get_or_insert((line_no, e));
-                                // Live degradation surface: the paired
-                                // ChannelSource's failure() — and so the
-                                // session's per-source stats — reports this
-                                // while the stream keeps flowing.
-                                push.report_failure(format!(
-                                    "{} undecodable line(s); first at line {first_line}: {first_msg}",
-                                    stat.decode_errors.load(Ordering::Relaxed)
-                                ));
-                                continue;
-                            }
-                        };
-                        if !tenant_gov.try_take(sh.clock.as_ref()) {
-                            stat.shed_quota.fetch_add(1, Ordering::Relaxed);
-                            shed_quota.fetch_add(1, Ordering::Relaxed);
-                            tenant_gov.shed_quota.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        if lossless {
-                            // Blocks the apply stage only; the pipeline's
-                            // bounded channels stall the read loop and TCP
-                            // backpressure reaches the producer.
-                            if !push.push(event) {
-                                closed.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                            stat.events.fetch_add(1, Ordering::Relaxed);
-                            accepted.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            match push.try_push(event) {
-                                Ok(()) => {
-                                    stat.events.fetch_add(1, Ordering::Relaxed);
-                                    accepted.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(PushError::Full(_)) => {
-                                    stat.shed_buffer.fetch_add(1, Ordering::Relaxed);
-                                    shed_buffer.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(PushError::Closed(_)) => {
-                                    closed.store(true, Ordering::Relaxed);
-                                    return;
-                                }
-                            }
-                        }
+                    if !apply.apply(decoded) {
+                        closed.store(true, Ordering::Relaxed);
+                        return;
                     }
                 }
             }
-        });
+        };
+        thread::Builder::new()
+            .name("saql-apply".into())
+            .spawn_scoped(scope, applier)
+            .expect("spawns the apply stage");
 
         let mut chunk: Vec<u8> = Vec::new();
         let (mut chunk_no, mut first_line, mut lines): (u64, u64, u64) = (0, 1, 0);
@@ -1285,19 +1265,10 @@ fn run_ingest(
     // End the source (all handles dropped) and wait for the engine to
     // drain it, then acknowledge with the final accounting.
     drop(push);
-    let (reply_tx, reply_rx) = bounded(1);
-    let report = if sh
-        .ctrl
-        .send(Req::WaitDrained {
-            id: source_id,
-            reply: reply_tx,
-        })
-        .is_ok()
-    {
-        reply_rx.recv().ok()
-    } else {
-        None
-    };
+    let report = sh.ask(|reply| Req::WaitDrained {
+        id: source_id,
+        reply,
+    });
     stat.done.store(true, Ordering::Relaxed);
 
     let mut summary = JsonObj::new()
@@ -1316,6 +1287,138 @@ fn run_ingest(
         None => summary.bool("durable", false),
     };
     let _ = write_line(writer, &summary.finish());
+}
+
+/// One decoded line: its 1-based number on the connection and the event,
+/// or why it would not decode.
+type DecodedLine = (u64, Result<Event, String>);
+
+/// Split a chunk of raw lines, the first numbered `first_line`, and decode
+/// each; blank lines are skipped.
+fn decode_chunk(first_line: u64, bytes: &[u8]) -> Vec<DecodedLine> {
+    let lines = bytes.strip_suffix(b"\n").unwrap_or(bytes);
+    (first_line..)
+        .zip(lines.split(|&b| b == b'\n'))
+        .filter_map(|(line_no, line)| {
+            let decoded = match std::str::from_utf8(line) {
+                Ok(line) if line.trim().is_empty() => return None,
+                Ok(line) => decode_event_json(line.trim()).map_err(|e| e.to_string()),
+                Err(_) => Err("line is not valid UTF-8".to_string()),
+            };
+            Some((line_no, decoded))
+        })
+        .collect()
+}
+
+/// A tenant's ingest series on the metrics registry.
+struct IngestCounters {
+    accepted: Cell,
+    decode_failed: Cell,
+    shed_quota: Cell,
+    shed_buffer: Cell,
+}
+
+impl IngestCounters {
+    fn new(metrics: &Metrics, tenant: &str) -> IngestCounters {
+        let series = |family: &str, reason: &str| {
+            metrics.counter(&format!(
+                "saql_ingest_{family}{{tenant=\"{tenant}\"{reason}}}"
+            ))
+        };
+        IngestCounters {
+            accepted: series("events_total", ""),
+            decode_failed: series("decode_failures_total", ""),
+            shed_quota: series("shed_total", ",reason=\"quota\""),
+            shed_buffer: series("shed_total", ",reason=\"buffer\""),
+        }
+    }
+}
+
+/// Bump a connection counter and its registry series together.
+fn bump(conn: &AtomicU64, series: &Cell, n: u64) {
+    conn.fetch_add(n, Ordering::Relaxed);
+    series.fetch_add(n, Ordering::Relaxed);
+}
+
+/// The apply stage of one ingest connection: decode accounting, quota and
+/// the hand-off to the core, one decoded chunk at a time in line order.
+struct Apply<'a> {
+    sh: &'a Shared,
+    tenant: &'a Tenant,
+    stat: &'a ConnStat,
+    push: &'a PushHandle,
+    lossless: bool,
+    counters: IngestCounters,
+    first_decode_err: Option<(u64, String)>,
+}
+
+impl Apply<'_> {
+    /// Apply one decoded chunk; `false` once the core is gone.
+    fn apply(&mut self, decoded: Vec<DecodedLine>) -> bool {
+        let lines = decoded.len();
+        let mut events: Vec<SharedEvent> = Vec::with_capacity(lines);
+        for (line_no, item) in decoded {
+            match item {
+                Ok(event) => events.push(Arc::new(event)),
+                Err(e) => {
+                    self.first_decode_err.get_or_insert((line_no, e));
+                }
+            }
+        }
+        let failed = (lines - events.len()) as u64;
+        let (errors, counter) = (&self.stat.decode_errors, &self.counters.decode_failed);
+        if let (1.., Some((line, msg))) = (failed, &self.first_decode_err) {
+            bump(errors, counter, failed);
+            // Live degradation surface: the paired ChannelSource's
+            // failure() — and so the session's per-source stats — reports
+            // this while the stream keeps flowing.
+            let total = errors.load(Ordering::Relaxed);
+            let note = format!("{total} undecodable line(s); first at line {line}: {msg}");
+            self.push.report_failure(note);
+        }
+        // The head of the chunk the bucket grants goes on; the tail sheds.
+        let (now, n) = (self.sh.clock.now_ns(), events.len() as u64);
+        let granted = self.tenant.bucket.lock().unwrap().take(now, n) as usize;
+        let over = (events.len() - granted) as u64;
+        if over > 0 {
+            events.truncate(granted);
+            bump(&self.stat.shed_quota, &self.counters.shed_quota, over);
+            self.tenant.shed_quota.fetch_add(over, Ordering::Relaxed);
+        }
+        events.is_empty() || self.hand_off(events)
+    }
+
+    /// Hand granted events to the core in order and ring it; `false` once
+    /// the core is gone.
+    fn hand_off(&mut self, events: Vec<SharedEvent>) -> bool {
+        let mut chunk = events.into_iter();
+        let mut sent = 0;
+        let open = loop {
+            let before = chunk.len();
+            if !self.push.push_fitting(&mut chunk) {
+                break false;
+            }
+            sent += before - chunk.len();
+            self.sh.ring();
+            let Some(next) = chunk.next() else {
+                break true;
+            };
+            if !self.lossless {
+                let shed = 1 + chunk.len() as u64;
+                bump(&self.stat.shed_buffer, &self.counters.shed_buffer, shed);
+                break true;
+            }
+            // Full: wait for room — the core was just rung, so it drains —
+            // then offer the rest. Blocking here stalls the pipeline's
+            // bounded channels, and TCP backpressure reaches the producer.
+            if !self.push.push(next) {
+                break false;
+            }
+            sent += 1;
+        };
+        bump(&self.stat.events, &self.counters.accepted, sent as u64);
+        open
+    }
 }
 
 fn run_control(
@@ -1337,22 +1440,9 @@ fn run_control(
         let response = match protocol::parse_control(&line) {
             Err(e) => err_line(&e),
             Ok(cmd) => {
-                let (reply_tx, reply_rx) = bounded(1);
-                if sh
-                    .ctrl
-                    .send(Req::Control {
-                        tenant: tenant.clone(),
-                        cmd,
-                        reply: reply_tx,
-                    })
-                    .is_err()
-                {
-                    err_line("server is shutting down")
-                } else {
-                    reply_rx
-                        .recv()
-                        .unwrap_or_else(|_| err_line("server is shutting down"))
-                }
+                let tenant = tenant.clone();
+                sh.ask(|reply| Req::Control { tenant, cmd, reply })
+                    .unwrap_or_else(|| err_line("server is shutting down"))
             }
         };
         if write_line(writer, &response).is_err() {
@@ -1362,26 +1452,18 @@ fn run_control(
 }
 
 fn run_subscribe(writer: &mut TcpStream, sh: &Shared, tenant: String, query: String) {
-    let (reply_tx, reply_rx) = bounded(1);
-    if sh
-        .ctrl
-        .send(Req::Subscribe {
-            tenant,
-            query,
-            reply: reply_tx,
-        })
-        .is_err()
-    {
-        let _ = write_line(writer, &err_line("server is shutting down"));
-        return;
-    }
-    let receiver = match reply_rx.recv() {
-        Ok(Ok(receiver)) => receiver,
-        Ok(Err(e)) => {
+    let subscribe = |reply| Req::Subscribe {
+        tenant,
+        query,
+        reply,
+    };
+    let receiver = match sh.ask(subscribe) {
+        Some(Ok(receiver)) => receiver,
+        Some(Err(e)) => {
             let _ = write_line(writer, &err_line(&e));
             return;
         }
-        Err(_) => {
+        None => {
             let _ = write_line(writer, &err_line("server is shutting down"));
             return;
         }
@@ -1448,5 +1530,200 @@ pub fn signalled() -> bool {
     #[cfg(not(unix))]
     {
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::quota::ManualClock;
+    use saql_model::event::EventBuilder;
+    use saql_model::json::encode_event_json;
+    use saql_model::ProcessInfo;
+    use saql_stream::{EventSource, SourcePoll};
+
+    /// Lines `ids` as an ingest client sends them; the ids in `bad` are
+    /// not JSON.
+    fn lines(ids: std::ops::Range<u64>, bad: &[u64]) -> Vec<u8> {
+        let mut text = String::new();
+        for id in ids {
+            if bad.contains(&id) {
+                text.push_str("not an event\n");
+                continue;
+            }
+            let event = EventBuilder::new(id, "h", 1000 + id)
+                .subject(ProcessInfo::new(1, "a.exe", "u"))
+                .starts_process(ProcessInfo::new(2, "b.exe", "u"))
+                .build();
+            encode_event_json(&mut text, &event);
+        }
+        text.into_bytes()
+    }
+
+    /// One ingest connection's surroundings: a server's shared state with
+    /// no core thread, its control queue held here instead.
+    struct Rig {
+        sh: Shared,
+        ctrl_rx: Receiver<Req>,
+        tenant: Arc<Tenant>,
+        stat: ConnStat,
+    }
+
+    impl Rig {
+        fn new(events_per_sec: u64, burst: u64) -> Rig {
+            let quota = TenantQuota {
+                max_live_queries: 1,
+                events_per_sec,
+                burst,
+            };
+            let clock: Arc<dyn Clock> = ManualClock::new(); // frozen at 0
+            let (ctrl, ctrl_rx) = bounded(16);
+            let sh = Shared {
+                ctrl,
+                rung: AtomicBool::new(false),
+                metrics: Metrics::new(),
+                tenants: Tenants {
+                    map: Mutex::new(HashMap::new()),
+                    default_quota: quota,
+                    overrides: HashMap::new(),
+                    clock: Arc::clone(&clock),
+                },
+                conns: Mutex::new(Vec::new()),
+                shutdown: AtomicBool::new(false),
+                ingest_buffer: 4096,
+                clock,
+                conn_seq: AtomicU64::new(0),
+            };
+            Rig {
+                tenant: sh.tenants.get("t"),
+                sh,
+                ctrl_rx,
+                stat: ConnStat::new("t", "src"),
+            }
+        }
+
+        fn apply<'a>(&'a self, push: &'a PushHandle, lossless: bool) -> Apply<'a> {
+            Apply {
+                sh: &self.sh,
+                tenant: &self.tenant,
+                stat: &self.stat,
+                push,
+                lossless,
+                counters: IngestCounters::new(&self.sh.metrics, "t"),
+                first_decode_err: None,
+            }
+        }
+
+        fn count(&self, series: &str) -> u64 {
+            self.sh.metrics.counter_value(series)
+        }
+    }
+
+    fn drained_ids(source: &mut ChannelSource) -> Vec<u64> {
+        let mut out = Vec::new();
+        while source.poll(&mut out, 1024) == SourcePoll::Ready {}
+        out.iter().map(|e| e.id).collect()
+    }
+
+    #[test]
+    fn one_chunk_takes_quota_once_and_sheds_the_tail() {
+        let rig = Rig::new(10, 5);
+        let (push, mut source) = push_source("t/src#0", 4096);
+        assert!(rig
+            .apply(&push, true)
+            .apply(decode_chunk(1, &lines(0..64, &[]))));
+        assert_eq!(drained_ids(&mut source), vec![0, 1, 2, 3, 4]);
+        assert_eq!(rig.stat.events.load(Ordering::Relaxed), 5);
+        assert_eq!(rig.stat.shed_quota.load(Ordering::Relaxed), 59);
+        assert_eq!(rig.tenant.shed_quota.load(Ordering::Relaxed), 59);
+        let quota_series = "saql_ingest_shed_total{tenant=\"t\",reason=\"quota\"}";
+        assert_eq!(rig.count(quota_series), 59);
+        assert_eq!(rig.count("saql_ingest_events_total{tenant=\"t\"}"), 5);
+    }
+
+    #[test]
+    fn a_full_buffer_sheds_the_chunk_tail_in_order() {
+        let rig = Rig::new(0, 0);
+        let (push, mut source) = push_source("t/src#0", 10);
+        let mut apply = rig.apply(&push, false);
+        assert!(apply.apply(decode_chunk(1, &lines(0..4, &[]))));
+        assert!(apply.apply(decode_chunk(5, &lines(4..24, &[]))));
+        // 4 buffered, room for 6 more: the head of the chunk goes in, the
+        // other 14 shed one by one in the counters.
+        assert_eq!(drained_ids(&mut source), (0..10).collect::<Vec<_>>());
+        assert_eq!(rig.stat.events.load(Ordering::Relaxed), 10);
+        assert_eq!(rig.stat.shed_buffer.load(Ordering::Relaxed), 14);
+        let buffer_series = "saql_ingest_shed_total{tenant=\"t\",reason=\"buffer\"}";
+        assert_eq!(rig.count(buffer_series), 14);
+        // With room again, the next chunk goes in whole.
+        assert!(apply.apply(decode_chunk(25, &lines(24..30, &[]))));
+        assert_eq!(drained_ids(&mut source), (24..30).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_lossless_chunk_larger_than_the_buffer_arrives_whole_and_in_order() {
+        let rig = Rig::new(0, 0);
+        let (push, mut source) = push_source("t/src#0", 3);
+        let consumer = thread::spawn(move || {
+            let mut ids = Vec::new();
+            let mut out = Vec::new();
+            loop {
+                match source.poll(&mut out, 2) {
+                    SourcePoll::End => return ids,
+                    SourcePoll::Ready => ids.extend(out.drain(..).map(|e| e.id)),
+                    SourcePoll::Idle => thread::yield_now(),
+                }
+            }
+        });
+        assert!(rig
+            .apply(&push, true)
+            .apply(decode_chunk(1, &lines(0..64, &[]))));
+        drop(push);
+        assert_eq!(consumer.join().unwrap(), (0..64).collect::<Vec<_>>());
+        assert_eq!(rig.stat.events.load(Ordering::Relaxed), 64);
+        assert_eq!(rig.stat.shed_buffer.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn decode_error_lines_are_numbered_across_chunks() {
+        let rig = Rig::new(0, 0);
+        let (push, mut source) = push_source("t/src#0", 4096);
+        let mut apply = rig.apply(&push, true);
+        // Lines 1-64 clean; line 70 (id 69) and line 100 (id 99) bad.
+        assert!(apply.apply(decode_chunk(1, &lines(0..64, &[]))));
+        assert!(apply.apply(decode_chunk(65, &lines(64..128, &[69, 99]))));
+        assert_eq!(rig.stat.decode_errors.load(Ordering::Relaxed), 2);
+        assert_eq!(rig.stat.events.load(Ordering::Relaxed), 126);
+        let failure = source.failure().unwrap();
+        assert!(
+            failure.contains("2 undecodable line(s); first at line 70:"),
+            "{failure}"
+        );
+        assert_eq!(drained_ids(&mut source).len(), 126);
+    }
+
+    #[test]
+    fn handed_off_chunks_queue_at_most_one_wake() {
+        let rig = Rig::new(0, 0);
+        let (push, _source) = push_source("t/src#0", 4096);
+        let mut apply = rig.apply(&push, true);
+        for first in [1, 11, 21] {
+            assert!(apply.apply(decode_chunk(first, &lines(first - 1..first + 9, &[]))));
+        }
+        assert!(matches!(rig.ctrl_rx.try_recv(), Ok(Req::Wake)));
+        assert!(rig.ctrl_rx.try_recv().is_err(), "one wake for three chunks");
+        // Once the core has handled it, the next chunk queues a fresh one.
+        rig.sh.rung.store(false, Ordering::SeqCst);
+        assert!(apply.apply(decode_chunk(31, &lines(30..40, &[]))));
+        assert!(matches!(rig.ctrl_rx.try_recv(), Ok(Req::Wake)));
+        // A chunk that is shed whole hands nothing off and wakes nobody.
+        let rig = Rig::new(10, 1);
+        let (push, _source) = push_source("t/src#0", 4096);
+        let mut apply = rig.apply(&push, true);
+        assert!(apply.apply(decode_chunk(1, &lines(0..1, &[]))));
+        assert!(rig.ctrl_rx.try_recv().is_ok());
+        rig.sh.rung.store(false, Ordering::SeqCst);
+        assert!(apply.apply(decode_chunk(2, &lines(1..9, &[]))));
+        assert!(rig.ctrl_rx.try_recv().is_err());
     }
 }

@@ -5,7 +5,7 @@
 //! on every consumer observing the *same allocation*, so cloning a stream
 //! item never copies event payloads.
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 
 use crate::SharedEvent;
 
@@ -32,46 +32,20 @@ pub fn event_channel(capacity: usize) -> (EventSender, EventReceiver) {
     (EventSender { tx }, EventReceiver { rx })
 }
 
-/// Why a non-blocking send was rejected. `Full` means the consumer is alive
-/// but behind — shedding or retrying are both sane; `Closed` means every
-/// receiver is gone and no send can ever succeed again. Both hand the
-/// undelivered event back.
-#[derive(Debug)]
-pub enum PushError {
-    /// Channel at capacity.
-    Full(SharedEvent),
-    /// All receivers dropped.
-    Closed(SharedEvent),
-}
-
-impl PushError {
-    /// Recover the undelivered event.
-    pub fn into_event(self) -> SharedEvent {
-        match self {
-            PushError::Full(ev) | PushError::Closed(ev) => ev,
-        }
-    }
-
-    /// `true` when the consuming side is gone for good.
-    pub fn is_closed(&self) -> bool {
-        matches!(self, PushError::Closed(_))
-    }
-}
-
 impl EventSender {
     /// Blocking send; returns `false` if all receivers are gone.
     pub fn send(&self, event: SharedEvent) -> bool {
         self.tx.send(event).is_ok()
     }
 
-    /// Non-blocking send; distinguishes a momentarily full channel from a
-    /// permanently closed one so producers can shed load without mistaking
-    /// backpressure for shutdown.
-    pub fn try_send(&self, event: SharedEvent) -> Result<(), PushError> {
-        self.tx.try_send(event).map_err(|e| match e {
-            TrySendError::Full(ev) => PushError::Full(ev),
-            TrySendError::Disconnected(ev) => PushError::Closed(ev),
-        })
+    /// Non-blocking send of as much of a chunk as fits, under one channel
+    /// lock; what did not fit stays in `events` for the caller to shed.
+    /// `false` once all receivers are gone.
+    pub fn send_fitting(&self, events: &mut impl ExactSizeIterator<Item = SharedEvent>) -> bool {
+        !matches!(
+            self.tx.try_send_from(events),
+            Err(TrySendError::Disconnected(()))
+        )
     }
 }
 
@@ -81,31 +55,15 @@ impl EventReceiver {
         self.rx.recv().ok()
     }
 
-    /// Receive with a timeout; `Ok(None)` when the stream ended, `Err(())`
-    /// on timeout.
-    #[allow(clippy::result_unit_err)] // timeout carries no information
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<SharedEvent>, ()> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(ev) => Ok(Some(ev)),
-            Err(RecvTimeoutError::Disconnected) => Ok(None),
-            Err(RecvTimeoutError::Timeout) => Err(()),
+    /// Move up to `max` buffered events onto `out` under one channel lock
+    /// and return how many moved (`0` while momentarily empty); `None` once
+    /// the stream has ended.
+    pub fn recv_into(&self, out: &mut Vec<SharedEvent>, max: usize) -> Option<usize> {
+        match self.rx.try_recv_into(out, max) {
+            Ok(n) => Some(n),
+            Err(TryRecvError::Empty) => Some(0),
+            Err(TryRecvError::Disconnected) => None,
         }
-    }
-
-    /// Non-blocking receive; `Ok(None)` when the stream ended, `Err(())`
-    /// when the channel is momentarily empty (the pull-source poll path).
-    #[allow(clippy::result_unit_err)] // emptiness carries no information
-    pub fn try_recv(&self) -> Result<Option<SharedEvent>, ()> {
-        match self.rx.try_recv() {
-            Ok(ev) => Ok(Some(ev)),
-            Err(TryRecvError::Disconnected) => Ok(None),
-            Err(TryRecvError::Empty) => Err(()),
-        }
-    }
-
-    /// Number of events currently buffered.
-    pub fn backlog(&self) -> usize {
-        self.rx.len()
     }
 }
 
@@ -148,28 +106,37 @@ mod tests {
     #[test]
     fn zero_capacity_clamps_instead_of_panicking() {
         let (tx, rx) = event_channel(0);
-        assert!(tx.try_send(ev(1)).is_ok(), "clamped channel buffers one");
-        assert!(tx.try_send(ev(2)).is_err(), "clamped capacity is exactly 1");
+        let mut chunk = vec![ev(1), ev(2)].into_iter();
+        assert!(tx.send_fitting(&mut chunk));
+        assert_eq!(chunk.len(), 1, "clamped capacity is exactly 1");
         assert_eq!(rx.recv().map(|e| e.id), Some(1));
     }
 
     #[test]
-    fn try_send_reports_full() {
-        let (tx, _rx) = event_channel(1);
-        assert!(tx.try_send(ev(1)).is_ok());
-        match tx.try_send(ev(2)) {
-            Err(PushError::Full(returned)) => assert_eq!(returned.id, 2),
-            other => panic!("expected Full, got {other:?}"),
-        }
+    fn chunks_go_in_whole_or_as_far_as_they_fit() {
+        let (tx, rx) = event_channel(3);
+        let mut chunk = (1..=5).map(ev).collect::<Vec<_>>().into_iter();
+        assert!(tx.send_fitting(&mut chunk));
+        assert_eq!(chunk.map(|e| e.id).collect::<Vec<_>>(), vec![4, 5]);
+        let mut out = Vec::new();
+        assert_eq!(rx.recv_into(&mut out, 2), Some(2));
+        assert_eq!(rx.recv_into(&mut out, 8), Some(1));
+        assert_eq!(rx.recv_into(&mut out, 8), Some(0), "empty, not ended");
+        assert!(tx.send_fitting(&mut (6..=8).map(ev).collect::<Vec<_>>().into_iter()));
+        drop(tx);
+        assert_eq!(rx.recv_into(&mut out, 8), Some(3));
+        assert_eq!(rx.recv_into(&mut out, 8), None);
+        let ids: Vec<u64> = out.iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![1, 2, 3, 6, 7, 8]);
     }
 
     #[test]
-    fn try_send_distinguishes_closed_from_full() {
+    fn chunk_sends_report_a_closed_channel() {
         let (tx, rx) = event_channel(1);
         drop(rx);
-        let err = tx.try_send(ev(3)).unwrap_err();
-        assert!(err.is_closed());
-        assert_eq!(err.into_event().id, 3);
+        let mut chunk = vec![ev(3)].into_iter();
+        assert!(!tx.send_fitting(&mut chunk));
+        assert_eq!(chunk.len(), 1, "nothing was taken");
     }
 
     #[test]
@@ -191,15 +158,5 @@ mod tests {
         std::thread::spawn(move || tx.send(event)).join().unwrap();
         let got = rx.recv().unwrap();
         assert!(Arc::ptr_eq(&got, &clone));
-    }
-
-    #[test]
-    fn backlog_counts_buffered() {
-        let (tx, rx) = event_channel(8);
-        tx.send(ev(1));
-        tx.send(ev(2));
-        assert_eq!(rx.backlog(), 2);
-        rx.recv();
-        assert_eq!(rx.backlog(), 1);
     }
 }

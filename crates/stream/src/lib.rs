@@ -41,7 +41,6 @@ use saql_model::Event;
 pub type SharedEvent = Arc<Event>;
 
 pub use batch::{batched, BatchView, EventBatch, DEFAULT_BATCH_SIZE};
-pub use channel::PushError;
 pub use durable::{StoreIter, StoreReader, StoreWriter};
 pub use merge::{Lateness, MergeConfig, MergeStatus, SourceId, SourceStats, WatermarkMerge};
 pub use source::{EventSource, SourcePoll};

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use saql_model::json::{decode_event_json, JsonError};
 use saql_model::Timestamp;
 
-use crate::channel::{event_channel, EventReceiver, EventSender, PushError};
+use crate::channel::{event_channel, EventReceiver, EventSender};
 use crate::durable::{StoreIter, StoreReader};
 use crate::replayer::{Replayer, Speed};
 use crate::store::{Selection, StoreError};
@@ -144,12 +144,12 @@ impl PushHandle {
         self.tx.send(event)
     }
 
-    /// Non-blocking push; [`PushError`] says whether the event was shed by
-    /// a full channel (consumer alive, retry or drop as policy dictates) or
-    /// refused because the session is gone. A shed event makes no ordering
-    /// promise.
-    pub fn try_push(&self, event: SharedEvent) -> Result<(), PushError> {
-        self.tx.try_send(event)
+    /// Non-blocking push of as much of a chunk as fits, in order, under
+    /// one channel lock; the tail that did not fit stays in `chunk`, for
+    /// the caller to shed or to [`push`](Self::push) once there is room.
+    /// `false` once the consuming session is gone.
+    pub fn push_fitting(&self, chunk: &mut impl ExactSizeIterator<Item = SharedEvent>) -> bool {
+        self.tx.send_fitting(chunk)
     }
 
     /// Advance the source's watermark without sending data: "nothing
@@ -220,27 +220,20 @@ impl EventSource for ChannelSource {
         if self.ended {
             return SourcePoll::End;
         }
-        let mut got = 0;
-        while got < max {
-            match self.rx.try_recv() {
-                Ok(Some(event)) => {
-                    if let Some(seen) = &mut self.dequeued_ms {
-                        *seen = (*seen).max(event.ts.as_millis());
-                    }
-                    out.push(event);
-                    got += 1;
-                }
-                Ok(None) => {
-                    self.ended = true;
-                    return SourcePoll::End;
-                }
-                Err(()) => break, // empty, producers still connected
+        let start = out.len();
+        match self.rx.recv_into(out, max) {
+            None => {
+                self.ended = true;
+                SourcePoll::End
             }
-        }
-        if got > 0 {
-            SourcePoll::Ready
-        } else {
-            SourcePoll::Idle
+            Some(0) => SourcePoll::Idle,
+            Some(_) => {
+                if let Some(seen) = &mut self.dequeued_ms {
+                    let drained = out[start..].iter().map(|e| e.ts.as_millis());
+                    *seen = drained.fold(*seen, u64::max);
+                }
+                SourcePoll::Ready
+            }
         }
     }
 
@@ -540,6 +533,26 @@ mod tests {
         assert_eq!(source.watermark(), Some(Timestamp::from_millis(900)));
         drop(push);
         assert_eq!(source.poll(&mut out, 4), SourcePoll::End);
+    }
+
+    #[test]
+    fn a_bulk_drain_promises_only_the_max_dequeued_timestamp() {
+        let (push, mut source) = push_source("p", 8);
+        let mut chunk = [300, 100, 200, 500, 400]
+            .into_iter()
+            .map(|ts| Arc::new(ev(ts, "h", ts)))
+            .collect::<Vec<_>>()
+            .into_iter();
+        assert!(push.push_fitting(&mut chunk));
+        let mut out = Vec::new();
+        assert_eq!(source.poll(&mut out, 3), SourcePoll::Ready);
+        assert_eq!(out.len(), 3);
+        // The max of what was dequeued, not the last dequeued nor anything
+        // still queued (500 gates nothing until the merge has pulled it).
+        assert_eq!(source.watermark(), Some(Timestamp::from_millis(300)));
+        assert_eq!(source.poll(&mut out, 8), SourcePoll::Ready);
+        assert_eq!(source.watermark(), Some(Timestamp::from_millis(500)));
+        assert_eq!(source.poll(&mut out, 8), SourcePoll::Idle);
     }
 
     #[test]

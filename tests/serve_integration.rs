@@ -438,6 +438,36 @@ fn decode_failures_surface_live_in_summary_and_stats() {
     server.wait().unwrap();
 }
 
+/// Lines reach the core in chunks of up to 64: a bad line far past the
+/// first chunk is still reported by its line number on the connection.
+#[test]
+fn decode_error_line_numbers_hold_across_chunk_boundaries() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let events: Vec<Event> = (0..300).map(|i| event(i, 1000 + i, "host-x")).collect();
+    let mut body = jsonl(&events[..149]);
+    body.push_str("line 150 is not json\n");
+    body.push_str(&jsonl(&events[149..]));
+    body.push_str("nor is line 302\n");
+    let report =
+        ingest_reader(&addr, "default", "long", &mut Cursor::new(body), true, true).unwrap();
+    assert_eq!(report.field("events"), Some(300), "{}", report.summary);
+    assert_eq!(report.field("decode_errors"), Some(2), "{}", report.summary);
+    assert!(
+        report.summary.contains("first at line 150:"),
+        "{}",
+        report.summary
+    );
+    assert!(ctl(&addr, "default", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
 #[test]
 fn a_non_utf8_line_is_one_decode_error_not_the_end_of_the_feed() {
     use std::io::{BufRead, BufReader, Write};
