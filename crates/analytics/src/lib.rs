@@ -4,8 +4,6 @@
 //!
 //! * [`aggregate`] — single-pass online aggregates (count/sum/min/max/mean/
 //!   variance via Welford's algorithm) used by the engine's state maintainer;
-//! * [`moving`] — simple and exponential moving averages for time-series
-//!   models (the paper's SMA spike-detection query);
 //! * [`robust`] — median, percentiles, MAD and z-scores for robust
 //!   thresholding;
 //! * [`distance`] — Euclidean (`"ed"`) and Manhattan (`"md"`) metrics;
@@ -19,7 +17,6 @@ pub mod dbscan;
 pub mod distance;
 pub mod histogram;
 pub mod kmeans;
-pub mod moving;
 pub mod robust;
 
 pub use aggregate::OnlineStats;
@@ -27,4 +24,3 @@ pub use dbscan::{dbscan, dbscan_with, DbscanLabel, DbscanScratch};
 pub use distance::Metric;
 pub use histogram::Histogram;
 pub use kmeans::{kmeans, KMeansResult};
-pub use moving::{Ema, Sma};

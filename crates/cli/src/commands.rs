@@ -1,6 +1,6 @@
 //! CLI subcommand implementations.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 
 use saql_collector::{AttackConfig, SimConfig, Simulator, TraceSource};
@@ -10,7 +10,7 @@ use saql_engine::{
 use saql_lang::corpus;
 use saql_model::{Duration, Timestamp};
 use saql_stream::replayer::{Replayer, Speed};
-use saql_stream::source::{ChannelSource, EventSource, JsonLinesSource, StoreSource};
+use saql_stream::source::{ChannelSource, EventSource, StoreSource};
 use saql_stream::store::Selection;
 use saql_stream::{MergeConfig, StoreReader, StoreWriter};
 
@@ -289,7 +289,8 @@ fn speed_from_flags(flags: &Flags) -> Result<Speed, String> {
 ///
 /// * `store:DIR` — stream a stored selection (with `--follow`, replay it
 ///   paced through the replayer at `--speed` instead);
-/// * `jsonl:FILE` / `jsonl:-` — read JSON-lines events from a file/stdin;
+/// * `jsonl:FILE` / `jsonl:-` — read JSON-lines events from a file/stdin,
+///   decoded off the session thread by the NDJSON ingest stage;
 /// * `sim:KEY=VAL,...` — generate a deterministic trace live
 ///   (`seed=`, `clients=`, `minutes=`, `no-attack`).
 fn source_from_spec(
@@ -323,17 +324,15 @@ fn source_from_spec(
             }
         }
         "jsonl" => {
-            let reader: Box<dyn BufRead> = if rest == "-" {
-                Box::new(BufReader::new(std::io::stdin()))
+            let reader: Box<dyn Read + Send> = if rest == "-" {
+                Box::new(std::io::stdin())
             } else {
                 let file = std::fs::File::open(rest)
                     .map_err(|e| format!("--source {spec}: cannot open {rest}: {e}"))?;
-                Box::new(BufReader::new(file))
+                Box::new(file)
             };
-            Ok(Box::new(JsonLinesSource::new(
-                format!("jsonl:{rest}"),
-                reader,
-            )))
+            let name = format!("jsonl:{rest}");
+            Ok(Box::new(ChannelSource::jsonl(name, reader, 4096)))
         }
         "sim" => {
             let mut config = default_sim_config();

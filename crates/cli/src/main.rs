@@ -20,6 +20,8 @@ mod args;
 mod commands;
 
 fn main() {
+    // `saql ... | head` ends quietly when `head` exits, like any filter.
+    saql_serve::restore_default_sigpipe();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let code = run(&argv);
     std::process::exit(code);

@@ -799,3 +799,112 @@ fn serve_refuses_initial_queries_on_resume_like_replay() {
     let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_dir_all(&ckpt);
 }
+
+#[test]
+fn jsonl_from_stdin_reproduces_replay_alerts() {
+    let store = simulate_store("stdin");
+    let exported = saql(&["export", "--store", store.to_str().unwrap()]);
+    assert!(exported.status.success(), "{exported:?}");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_saql"))
+        .args(["replay", "--source", "jsonl:-", "--demo-queries"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn saql replay");
+    let mut stdin = child.stdin.take().unwrap();
+    let feed = std::thread::spawn(move || stdin.write_all(&exported.stdout));
+    let via_stdin = child.wait_with_output().unwrap();
+    feed.join().unwrap().unwrap();
+    assert!(via_stdin.status.success(), "{via_stdin:?}");
+    assert!(String::from_utf8_lossy(&via_stdin.stdout).contains("jsonl:-"));
+
+    let spec = format!("store:{}", store.to_str().unwrap());
+    let via_store = saql(&["replay", "--source", &spec, "--demo-queries"]);
+    let expected = alert_lines(&via_store.stdout);
+    assert!(!expected.is_empty(), "attack trace must alert");
+    assert_eq!(alert_lines(&via_stdin.stdout), expected);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn an_out_of_order_jsonl_file_within_lateness_alerts_like_its_store() {
+    // Neighbouring lines swapped wherever their timestamps differ by less
+    // than the 1 s lateness bound: the merge must re-sort them as it would
+    // stored events, so the file may not promise a watermark from what the
+    // merge has dequeued.
+    let store = simulate_store("ooo-jsonl");
+    let exported = saql(&["export", "--store", store.to_str().unwrap()]);
+    assert!(exported.status.success(), "{exported:?}");
+    let text = String::from_utf8(exported.stdout).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let ts = |line: &str| saql_model::json::decode_event_json(line).unwrap().ts;
+    let mut swapped = 0;
+    for i in (0..lines.len() - 1).step_by(2) {
+        let (a, b) = (ts(lines[i]), ts(lines[i + 1]));
+        if a < b && b.delta(a).as_millis() < 500 {
+            lines.swap(i, i + 1);
+            swapped += 1;
+        }
+    }
+    assert!(swapped > 1_000, "only {swapped} swaps");
+    let jsonl = store.with_extension("shuffled.jsonl");
+    std::fs::write(&jsonl, lines.join("\n") + "\n").unwrap();
+
+    let spec = format!("jsonl:{}", jsonl.to_str().unwrap());
+    let shuffled = saql(&["replay", "--source", &spec, "--demo-queries"]);
+    assert!(shuffled.status.success(), "{shuffled:?}");
+    assert!(!String::from_utf8_lossy(&shuffled.stdout).contains("dropped late"));
+    let spec = format!("store:{}", store.to_str().unwrap());
+    let stored = saql(&["replay", "--source", &spec, "--demo-queries"]);
+    let expected = alert_lines(&stored.stdout);
+    assert!(!expected.is_empty(), "attack trace must alert");
+    assert_eq!(alert_lines(&shuffled.stdout), expected);
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_file(&jsonl);
+}
+
+#[test]
+fn a_jsonl_read_error_ends_the_stream_early_with_exit_one() {
+    // A directory opens as a file but fails its first read.
+    let mut dir = std::env::temp_dir();
+    dir.push(format!(
+        "saql-cli-smoke-{}-read-error.d",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = format!("jsonl:{}", dir.to_str().unwrap());
+    let out = saql(&["replay", "--source", &spec, "--demo-queries"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("stream ended early: read error"), "{err}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("replayed 0 events"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_closed_stdout_pipe_ends_the_run_without_a_panic() {
+    // Every event alerts, so the run prints far more than a pipe holds:
+    // it is still printing when the reader goes away after one line.
+    use std::io::{BufRead, BufReader};
+    let store = write_store("sigpipe", 5_000, false);
+    let query = temp_file("sigpipe.saql", "proc p start proc q as e\nreturn p, q, e");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_saql"))
+        .args(["replay", "--store", store.to_str().unwrap()])
+        .args(["--query", query.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn saql replay");
+    let mut first = String::new();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    stdout.read_line(&mut first).unwrap();
+    assert!(first.starts_with("replaying"), "{first}");
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(!out.status.success(), "the run cannot finish printing");
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_file(&query);
+}

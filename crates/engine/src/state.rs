@@ -400,7 +400,7 @@ impl StateMaintainer {
         // every group left with none — else `history` keeps each group the
         // query has ever seen. (Before the push, so the map never holds the
         // dropped groups and the closing ones at once.)
-        let oldest = (k + 1).saturating_sub(self.history_len as u64);
+        let oldest = k.saturating_add(1).saturating_sub(self.history_len as u64);
         self.history.retain(|_, hist| {
             while hist.front().is_some_and(|(wk, _)| *wk < oldest) {
                 hist.pop_front();

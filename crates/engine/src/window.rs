@@ -42,12 +42,14 @@ impl WindowAssigner {
         lo..=hi
     }
 
-    /// `[start, end)` bounds of window `k`.
+    /// `[start, end)` bounds of window `k`, saturating at the end of time
+    /// (an event near `u64::MAX` ms, or a window id from a forged
+    /// checkpoint, must not overflow).
     pub fn bounds(&self, k: u64) -> (Timestamp, Timestamp) {
-        let start = k * self.slide_ms;
+        let start = k.saturating_mul(self.slide_ms);
         (
             Timestamp::from_millis(start),
-            Timestamp::from_millis(start + self.size_ms),
+            Timestamp::from_millis(start.saturating_add(self.size_ms)),
         )
     }
 
@@ -131,9 +133,11 @@ impl WindowDriver {
         &self.assigner
     }
 
-    /// When window `k` closes: its end plus the allowed lateness.
+    /// When window `k` closes: its end plus the allowed lateness
+    /// (saturating, like [`WindowAssigner::bounds`]).
     pub fn close_at(&self, k: u64) -> Timestamp {
-        self.assigner.bounds(k).1 + saql_model::Duration::from_millis(self.lateness_ms)
+        let end = self.assigner.bounds(k).1.as_millis();
+        Timestamp::from_millis(end.saturating_add(self.lateness_ms))
     }
 
     fn due(&self, k: u64) -> bool {

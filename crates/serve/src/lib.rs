@@ -30,4 +30,6 @@ pub use client::{ctl, ingest_file, ingest_reader, tail_alerts, ClientError, Inge
 pub use metrics::Metrics;
 pub use protocol::{ControlCmd, Hello, DEFAULT_TENANT};
 pub use quota::{Clock, ManualClock, MonotonicClock, TenantQuota, TokenBucket};
-pub use server::{install_signal_shutdown, signalled, ServeConfig, ServeSummary, Server};
+pub use server::{
+    install_signal_shutdown, restore_default_sigpipe, signalled, ServeConfig, ServeSummary, Server,
+};

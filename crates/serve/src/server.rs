@@ -5,8 +5,9 @@
 //!
 //! ```text
 //!   accept thread ──spawns──▶ connection threads
-//!        │                        │ ingest: read loop ─▶ saql-decode (2)
-//!        │                        │   ─▶ saql-apply ─chunk─▶ push_source ──┐
+//!        │                        │ ingest: the NDJSON stage (read loop ─▶
+//!        │                        │   saql-decode ─▶ saql-apply) ─chunk─▶
+//!        │                        │   push_source ─────────────────────────┐
 //!        │                        │ control: Req over ctrl chan ───────────┤
 //!        │                        │ subscribe: Alert receiver ◀────────────┤
 //!        ▼                        ▼                                        ▼
@@ -22,10 +23,12 @@
 //!
 //! ## Ingest hand-off
 //!
-//! The unit that crosses into the core is the decoded chunk (up to
-//! `DECODE_CHUNK` lines), not the event. An ingest connection's apply
-//! stage takes quota for a whole chunk with one clock read and one bucket
-//! lock, then hands the granted events to its `push_source` under one
+//! An ingest connection decodes through [`saql_stream::ingest`], the one
+//! NDJSON stage (`replay --source jsonl:` runs on it too), and the unit
+//! that crosses into the core is its decoded chunk, not the event. The
+//! connection's sink, on the stage's apply thread, takes quota for a whole
+//! chunk with one clock read and one bucket lock, then hands the granted
+//! events to its `push_source` under one
 //! channel lock: a lossless connection waits for room, any other sheds the
 //! tail that does not fit. The core drains up to a round's budget per
 //! source under one lock, and when a round finds nothing it *parks* on the
@@ -55,7 +58,7 @@
 //! acknowledging events it can no longer persist.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufRead, BufReader, Write as IoWrite};
+use std::io::{self, BufRead, BufReader, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,8 +70,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use saql_engine::{
     render_alert_json, Alert, Deployment, DurableLog, Engine, Run, RunSession, SessionStatus,
 };
-use saql_model::event::Event;
-use saql_model::json::decode_event_json;
+use saql_stream::ingest::{decode_ndjson, DecodedChunk};
 use saql_stream::merge::{Lateness, SourceId, SourceStats};
 use saql_stream::source::{push_source, ChannelSource, PushHandle};
 use saql_stream::{SharedEvent, StoreWriter};
@@ -84,22 +86,6 @@ const ACCEPT_POLL: std::time::Duration = std::time::Duration::from_millis(25);
 /// Socket read timeout — the granularity at which blocked connection
 /// threads notice shutdown.
 const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(100);
-
-/// Lines per job shipped to the ingest decode pool. Chunks also flush
-/// whenever the connection's read buffer drains, so batching only ever
-/// groups lines that are already in memory — it never delays a quiet
-/// stream waiting for a full chunk.
-const DECODE_CHUNK: usize = 64;
-
-/// Decode worker threads per ingest connection: JSON decode moves off the
-/// read loop (the measured single-connection durable ceiling was
-/// decode-bound), while quota and backpressure accounting stay on one
-/// apply stage in strict line order.
-const DECODE_WORKERS: usize = 2;
-
-/// Decode jobs in flight between the read loop, the pool, and the apply
-/// stage before the reader backs off (TCP backpressure to the producer).
-const DECODE_BACKLOG: usize = 8;
 /// Minimum spacing between observability refreshes (gauges, failure log);
 /// also the longest an idle core parks.
 const OBSERVE_EVERY: Duration = Duration::from_millis(100);
@@ -1028,46 +1014,35 @@ fn run_accept(listener: TcpListener, sh: Arc<Shared>) {
     }
 }
 
-/// What one tolerant line read produced.
-enum LineRead {
-    Line,
-    Eof,
-    /// Shutdown was flagged while waiting.
-    Stop,
+/// A connection's read half. It rides out the read-timeout ticks that let
+/// a blocked read notice shutdown, so a partial line survives them, and
+/// fails once shutdown is flagged.
+struct NetRead<'a> {
+    stream: TcpStream,
+    sh: &'a Shared,
 }
 
-/// Append one line's bytes (its newline included, if it has one) to `buf`,
-/// riding out read-timeout ticks (so blocked reads notice shutdown) while
-/// keeping any partial line already read. On anything but
-/// [`LineRead::Line`], `buf` is left as it was.
-fn read_net_line(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-    sh: &Shared,
-) -> io::Result<LineRead> {
-    let start = buf.len();
-    let outcome = loop {
-        match reader.read_until(b'\n', buf) {
-            Ok(_) if buf.len() > start => return Ok(LineRead::Line),
-            Ok(_) => break Ok(LineRead::Eof),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if sh.stopping() {
-                    break Ok(LineRead::Stop);
+impl Read for NetRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    if self.sh.stopping() {
+                        return Err(io::Error::other("server is shutting down"));
+                    }
                 }
+                read => return read,
             }
-            Err(e) => break Err(e),
         }
-    };
-    buf.truncate(start);
-    outcome
+    }
 }
+
+type NetReader<'a> = BufReader<NetRead<'a>>;
 
 fn write_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
     stream.write_all(line.as_bytes())?;
@@ -1080,12 +1055,14 @@ fn handle_conn(stream: TcpStream, sh: &Shared) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(NetRead {
+        stream: read_half,
+        sh,
+    });
     let mut writer = stream;
     let mut buf = Vec::new();
-    match read_net_line(&mut reader, &mut buf, sh) {
-        Ok(LineRead::Line) => {}
-        _ => return,
+    if !matches!(reader.read_until(b'\n', &mut buf), Ok(1..)) {
+        return;
     }
     let line = String::from_utf8_lossy(&buf);
     if line.starts_with("GET ") {
@@ -1118,14 +1095,13 @@ fn handle_conn(stream: TcpStream, sh: &Shared) {
 }
 
 /// Minimal HTTP/1.0 exposition so `curl addr/metrics` works.
-fn serve_metrics(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, sh: &Shared) {
+fn serve_metrics(reader: &mut NetReader<'_>, writer: &mut TcpStream, sh: &Shared) {
     // Swallow the request headers (bounded) so the client sees a clean
     // response instead of a reset.
     for _ in 0..64 {
         let mut line = Vec::new();
-        match read_net_line(reader, &mut line, sh) {
-            Ok(LineRead::Line) if line.trim_ascii().is_empty() => break,
-            Ok(LineRead::Line) => {}
+        match reader.read_until(b'\n', &mut line) {
+            Ok(1..) if !line.trim_ascii().is_empty() => {}
             _ => break,
         }
     }
@@ -1139,7 +1115,7 @@ fn serve_metrics(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, sh: 
 
 #[allow(clippy::too_many_arguments)]
 fn run_ingest(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut NetReader<'_>,
     writer: &mut TcpStream,
     sh: &Shared,
     tenant: String,
@@ -1167,17 +1143,11 @@ fn run_ingest(
         return;
     }
 
-    // Three-stage decode pipeline, all scoped to this connection:
-    //
-    //   read loop ──chunks──► saql-decode (N) ──chunks──► saql-apply
-    //
-    // The read loop only appends raw lines off the socket to one byte
-    // buffer per chunk, batching the ones already buffered; the pool splits
-    // each chunk, checks UTF-8 and decodes (the measured single-connection
-    // bottleneck) in parallel; the apply stage reorders finished chunks and
+    // The NDJSON stage decodes the socket's lines; this connection's sink
     // applies quota, hand-off and accounting a chunk at a time in line
     // order — so `decode_errors` and the first-error message do not depend
-    // on how lines were chunked, nor does quota under a frozen clock.
+    // on how lines were chunked, nor does quota under a frozen clock. A
+    // read error (shutdown, a reset) ends the input like a close does.
     let mut apply = Apply {
         sh,
         tenant: &tenant_gov,
@@ -1185,83 +1155,8 @@ fn run_ingest(
         push: &push,
         lossless,
         counters: IngestCounters::new(&sh.metrics, &tenant),
-        first_decode_err: None,
     };
-    let closed = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        // A job: chunk number, line number of its first line, its lines.
-        let (job_tx, job_rx) = bounded::<(u64, u64, Vec<u8>)>(DECODE_BACKLOG);
-        let (done_tx, done_rx) = bounded::<(u64, Vec<DecodedLine>)>(DECODE_BACKLOG);
-        for _ in 0..DECODE_WORKERS {
-            let job_rx = job_rx.clone();
-            let done_tx = done_tx.clone();
-            let decoder = move || {
-                while let Ok((chunk_no, first_line, bytes)) = job_rx.recv() {
-                    let decoded = decode_chunk(first_line, &bytes);
-                    if done_tx.send((chunk_no, decoded)).is_err() {
-                        return; // apply stage gone: connection closing
-                    }
-                }
-            };
-            // Named, so a per-thread CPU table tells the stages apart.
-            thread::Builder::new()
-                .name("saql-decode".into())
-                .spawn_scoped(scope, decoder)
-                .expect("spawns a decoder");
-        }
-        drop(job_rx);
-        drop(done_tx);
-
-        let closed = &closed;
-        let applier = move || {
-            let mut pending: HashMap<u64, _> = HashMap::new();
-            let mut next_chunk: u64 = 0;
-            while let Ok((chunk_no, decoded)) = done_rx.recv() {
-                pending.insert(chunk_no, decoded);
-                while let Some(decoded) = pending.remove(&next_chunk) {
-                    next_chunk += 1;
-                    if !apply.apply(decoded) {
-                        closed.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            }
-        };
-        thread::Builder::new()
-            .name("saql-apply".into())
-            .spawn_scoped(scope, applier)
-            .expect("spawns the apply stage");
-
-        let mut chunk: Vec<u8> = Vec::new();
-        let (mut chunk_no, mut first_line, mut lines): (u64, u64, u64) = (0, 1, 0);
-        while !closed.load(Ordering::Relaxed) {
-            match read_net_line(reader, &mut chunk, sh) {
-                Ok(LineRead::Line) => lines += 1,
-                _ => break,
-            }
-            // Flush when full, or as soon as the buffered input drains —
-            // never hold decoded work hostage to a quiet socket.
-            if lines >= DECODE_CHUNK as u64 || reader.buffer().is_empty() {
-                // A fixed guess of ~256 B a line, so one long line does
-                // not size every later chunk.
-                let fresh = Vec::with_capacity(DECODE_CHUNK * 256);
-                let job = (chunk_no, first_line, std::mem::replace(&mut chunk, fresh));
-                if job_tx.send(job).is_err() {
-                    break;
-                }
-                chunk_no += 1;
-                first_line += lines;
-                lines = 0;
-            }
-        }
-        if lines > 0 {
-            let _ = job_tx.send((chunk_no, first_line, chunk));
-        }
-        // Dropping the job channel drains the pipeline: workers exit, the
-        // done channel closes, the apply stage applies the tail and
-        // returns; the scope joins everything.
-        drop(job_tx);
-    });
+    let _ = decode_ndjson(reader, |chunk| apply.apply(chunk));
     // End the source (all handles dropped) and wait for the engine to
     // drain it, then acknowledge with the final accounting.
     drop(push);
@@ -1287,27 +1182,6 @@ fn run_ingest(
         None => summary.bool("durable", false),
     };
     let _ = write_line(writer, &summary.finish());
-}
-
-/// One decoded line: its 1-based number on the connection and the event,
-/// or why it would not decode.
-type DecodedLine = (u64, Result<Event, String>);
-
-/// Split a chunk of raw lines, the first numbered `first_line`, and decode
-/// each; blank lines are skipped.
-fn decode_chunk(first_line: u64, bytes: &[u8]) -> Vec<DecodedLine> {
-    let lines = bytes.strip_suffix(b"\n").unwrap_or(bytes);
-    (first_line..)
-        .zip(lines.split(|&b| b == b'\n'))
-        .filter_map(|(line_no, line)| {
-            let decoded = match std::str::from_utf8(line) {
-                Ok(line) if line.trim().is_empty() => return None,
-                Ok(line) => decode_event_json(line.trim()).map_err(|e| e.to_string()),
-                Err(_) => Err("line is not valid UTF-8".to_string()),
-            };
-            Some((line_no, decoded))
-        })
-        .collect()
 }
 
 /// A tenant's ingest series on the metrics registry.
@@ -1340,8 +1214,9 @@ fn bump(conn: &AtomicU64, series: &Cell, n: u64) {
     series.fetch_add(n, Ordering::Relaxed);
 }
 
-/// The apply stage of one ingest connection: decode accounting, quota and
-/// the hand-off to the core, one decoded chunk at a time in line order.
+/// The sink of one ingest connection's NDJSON stage: decode accounting,
+/// quota and the hand-off to the core, one decoded chunk at a time in line
+/// order.
 struct Apply<'a> {
     sh: &'a Shared,
     tenant: &'a Tenant,
@@ -1349,31 +1224,18 @@ struct Apply<'a> {
     push: &'a PushHandle,
     lossless: bool,
     counters: IngestCounters,
-    first_decode_err: Option<(u64, String)>,
 }
 
 impl Apply<'_> {
     /// Apply one decoded chunk; `false` once the core is gone.
-    fn apply(&mut self, decoded: Vec<DecodedLine>) -> bool {
-        let lines = decoded.len();
-        let mut events: Vec<SharedEvent> = Vec::with_capacity(lines);
-        for (line_no, item) in decoded {
-            match item {
-                Ok(event) => events.push(Arc::new(event)),
-                Err(e) => {
-                    self.first_decode_err.get_or_insert((line_no, e));
-                }
-            }
-        }
-        let failed = (lines - events.len()) as u64;
-        let (errors, counter) = (&self.stat.decode_errors, &self.counters.decode_failed);
-        if let (1.., Some((line, msg))) = (failed, &self.first_decode_err) {
-            bump(errors, counter, failed);
+    fn apply(&mut self, chunk: DecodedChunk) -> bool {
+        let mut events = chunk.events;
+        if let Some(note) = chunk.failure {
+            let counter = &self.counters.decode_failed;
+            bump(&self.stat.decode_errors, counter, chunk.failed);
             // Live degradation surface: the paired ChannelSource's
             // failure() — and so the session's per-source stats — reports
             // this while the stream keeps flowing.
-            let total = errors.load(Ordering::Relaxed);
-            let note = format!("{total} undecodable line(s); first at line {line}: {msg}");
             self.push.report_failure(note);
         }
         // The head of the chunk the bucket grants goes on; the tail sheds.
@@ -1421,17 +1283,12 @@ impl Apply<'_> {
     }
 }
 
-fn run_control(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    sh: &Shared,
-    tenant: String,
-) {
+fn run_control(reader: &mut NetReader<'_>, writer: &mut TcpStream, sh: &Shared, tenant: String) {
     if write_line(writer, &ok_line()).is_err() {
         return;
     }
     let mut buf = Vec::new();
-    while let Ok(LineRead::Line) = read_net_line(reader, &mut buf, sh) {
+    while let Ok(1..) = reader.read_until(b'\n', &mut buf) {
         let line = String::from_utf8_lossy(&buf).into_owned();
         buf.clear();
         if line.trim().is_empty() {
@@ -1495,8 +1352,11 @@ mod sig {
     pub(super) static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
     type Handler = extern "C" fn(i32);
+    /// `SIG_DFL`: the signal's default action.
+    const DEFAULT: usize = 0;
     extern "C" {
-        fn signal(signum: i32, handler: Handler) -> usize;
+        /// `handler` is a [`Handler`] address or [`DEFAULT`].
+        fn signal(signum: i32, handler: usize) -> usize;
     }
     extern "C" fn mark(_sig: i32) {
         SIGNALLED.store(true, Ordering::SeqCst);
@@ -1506,11 +1366,27 @@ mod sig {
         // SIGINT and SIGTERM; the handler only flips an atomic, which the
         // serve loop polls — everything heavier (drain, seal, checkpoint)
         // happens on normal threads.
+        let mark = mark as Handler as usize;
         unsafe {
             signal(2, mark);
             signal(15, mark);
         }
     }
+
+    pub(super) fn default_sigpipe() {
+        unsafe {
+            signal(13, DEFAULT);
+        }
+    }
+}
+
+/// Restore SIGPIPE's default action, which the Rust runtime sets to
+/// "ignore": a command-line process whose stdout reader went away (`saql
+/// ... | head`) then ends quietly instead of panicking on its next print.
+/// No-op off unix.
+pub fn restore_default_sigpipe() {
+    #[cfg(unix)]
+    sig::default_sigpipe();
 }
 
 /// Install SIGINT/SIGTERM handlers that request graceful shutdown; poll
@@ -1538,26 +1414,23 @@ mod tests {
     use super::*;
     use crate::quota::ManualClock;
     use saql_model::event::EventBuilder;
-    use saql_model::json::encode_event_json;
     use saql_model::ProcessInfo;
     use saql_stream::{EventSource, SourcePoll};
 
-    /// Lines `ids` as an ingest client sends them; the ids in `bad` are
-    /// not JSON.
-    fn lines(ids: std::ops::Range<u64>, bad: &[u64]) -> Vec<u8> {
-        let mut text = String::new();
-        for id in ids {
-            if bad.contains(&id) {
-                text.push_str("not an event\n");
-                continue;
-            }
+    /// A decoded chunk of the events `ids`, as the NDJSON stage hands it
+    /// to a connection's sink.
+    fn chunk(ids: std::ops::Range<u64>) -> DecodedChunk {
+        let events = ids.map(|id| {
             let event = EventBuilder::new(id, "h", 1000 + id)
                 .subject(ProcessInfo::new(1, "a.exe", "u"))
                 .starts_process(ProcessInfo::new(2, "b.exe", "u"))
                 .build();
-            encode_event_json(&mut text, &event);
+            Arc::new(event)
+        });
+        DecodedChunk {
+            events: events.collect(),
+            ..DecodedChunk::default()
         }
-        text.into_bytes()
     }
 
     /// One ingest connection's surroundings: a server's shared state with
@@ -1610,7 +1483,6 @@ mod tests {
                 push,
                 lossless,
                 counters: IngestCounters::new(&self.sh.metrics, "t"),
-                first_decode_err: None,
             }
         }
 
@@ -1629,9 +1501,7 @@ mod tests {
     fn one_chunk_takes_quota_once_and_sheds_the_tail() {
         let rig = Rig::new(10, 5);
         let (push, mut source) = push_source("t/src#0", 4096);
-        assert!(rig
-            .apply(&push, true)
-            .apply(decode_chunk(1, &lines(0..64, &[]))));
+        assert!(rig.apply(&push, true).apply(chunk(0..64)));
         assert_eq!(drained_ids(&mut source), vec![0, 1, 2, 3, 4]);
         assert_eq!(rig.stat.events.load(Ordering::Relaxed), 5);
         assert_eq!(rig.stat.shed_quota.load(Ordering::Relaxed), 59);
@@ -1646,8 +1516,8 @@ mod tests {
         let rig = Rig::new(0, 0);
         let (push, mut source) = push_source("t/src#0", 10);
         let mut apply = rig.apply(&push, false);
-        assert!(apply.apply(decode_chunk(1, &lines(0..4, &[]))));
-        assert!(apply.apply(decode_chunk(5, &lines(4..24, &[]))));
+        assert!(apply.apply(chunk(0..4)));
+        assert!(apply.apply(chunk(4..24)));
         // 4 buffered, room for 6 more: the head of the chunk goes in, the
         // other 14 shed one by one in the counters.
         assert_eq!(drained_ids(&mut source), (0..10).collect::<Vec<_>>());
@@ -1656,7 +1526,7 @@ mod tests {
         let buffer_series = "saql_ingest_shed_total{tenant=\"t\",reason=\"buffer\"}";
         assert_eq!(rig.count(buffer_series), 14);
         // With room again, the next chunk goes in whole.
-        assert!(apply.apply(decode_chunk(25, &lines(24..30, &[]))));
+        assert!(apply.apply(chunk(24..30)));
         assert_eq!(drained_ids(&mut source), (24..30).collect::<Vec<_>>());
     }
 
@@ -1675,9 +1545,7 @@ mod tests {
                 }
             }
         });
-        assert!(rig
-            .apply(&push, true)
-            .apply(decode_chunk(1, &lines(0..64, &[]))));
+        assert!(rig.apply(&push, true).apply(chunk(0..64)));
         drop(push);
         assert_eq!(consumer.join().unwrap(), (0..64).collect::<Vec<_>>());
         assert_eq!(rig.stat.events.load(Ordering::Relaxed), 64);
@@ -1685,20 +1553,22 @@ mod tests {
     }
 
     #[test]
-    fn decode_error_lines_are_numbered_across_chunks() {
+    fn decode_failures_are_counted_and_surface_live() {
         let rig = Rig::new(0, 0);
         let (push, mut source) = push_source("t/src#0", 4096);
         let mut apply = rig.apply(&push, true);
-        // Lines 1-64 clean; line 70 (id 69) and line 100 (id 99) bad.
-        assert!(apply.apply(decode_chunk(1, &lines(0..64, &[]))));
-        assert!(apply.apply(decode_chunk(65, &lines(64..128, &[69, 99]))));
+        assert!(apply.apply(chunk(0..64)));
+        let note = "2 undecodable line(s); first at line 70: invalid JSON at byte 0: x";
+        assert!(apply.apply(DecodedChunk {
+            failed: 2,
+            failure: Some(note.to_string()),
+            ..chunk(64..126)
+        }));
         assert_eq!(rig.stat.decode_errors.load(Ordering::Relaxed), 2);
+        let failed_series = "saql_ingest_decode_failures_total{tenant=\"t\"}";
+        assert_eq!(rig.count(failed_series), 2);
         assert_eq!(rig.stat.events.load(Ordering::Relaxed), 126);
-        let failure = source.failure().unwrap();
-        assert!(
-            failure.contains("2 undecodable line(s); first at line 70:"),
-            "{failure}"
-        );
+        assert_eq!(source.failure().as_deref(), Some(note));
         assert_eq!(drained_ids(&mut source).len(), 126);
     }
 
@@ -1708,22 +1578,22 @@ mod tests {
         let (push, _source) = push_source("t/src#0", 4096);
         let mut apply = rig.apply(&push, true);
         for first in [1, 11, 21] {
-            assert!(apply.apply(decode_chunk(first, &lines(first - 1..first + 9, &[]))));
+            assert!(apply.apply(chunk(first - 1..first + 9)));
         }
         assert!(matches!(rig.ctrl_rx.try_recv(), Ok(Req::Wake)));
         assert!(rig.ctrl_rx.try_recv().is_err(), "one wake for three chunks");
         // Once the core has handled it, the next chunk queues a fresh one.
         rig.sh.rung.store(false, Ordering::SeqCst);
-        assert!(apply.apply(decode_chunk(31, &lines(30..40, &[]))));
+        assert!(apply.apply(chunk(30..40)));
         assert!(matches!(rig.ctrl_rx.try_recv(), Ok(Req::Wake)));
         // A chunk that is shed whole hands nothing off and wakes nobody.
         let rig = Rig::new(10, 1);
         let (push, _source) = push_source("t/src#0", 4096);
         let mut apply = rig.apply(&push, true);
-        assert!(apply.apply(decode_chunk(1, &lines(0..1, &[]))));
+        assert!(apply.apply(chunk(0..1)));
         assert!(rig.ctrl_rx.try_recv().is_ok());
         rig.sh.rung.store(false, Ordering::SeqCst);
-        assert!(apply.apply(decode_chunk(2, &lines(1..9, &[]))));
+        assert!(apply.apply(chunk(1..9)));
         assert!(rig.ctrl_rx.try_recv().is_err());
     }
 }

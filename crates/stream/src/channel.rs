@@ -65,6 +65,22 @@ impl EventReceiver {
             Err(TryRecvError::Disconnected) => None,
         }
     }
+
+    /// Move `max` events onto `out`, waiting for them as needed; `false`
+    /// once the stream ended short of `max` (what came is on `out`).
+    pub fn recv_filling(&self, out: &mut Vec<SharedEvent>, max: usize) -> bool {
+        let end = out.len() + max;
+        while out.len() < end {
+            if self.rx.try_recv_into(out, end - out.len()).is_err() {
+                // Empty or ended: wait for the next event, or for the end.
+                let Some(event) = self.recv() else {
+                    return false;
+                };
+                out.push(event);
+            }
+        }
+        true
+    }
 }
 
 impl IntoIterator for EventReceiver {
@@ -128,6 +144,18 @@ mod tests {
         assert_eq!(rx.recv_into(&mut out, 8), None);
         let ids: Vec<u64> = out.iter().map(|e| e.id).collect();
         assert_eq!(ids, vec![1, 2, 3, 6, 7, 8]);
+    }
+
+    #[test]
+    fn a_filling_receive_waits_for_the_whole_count_or_the_end() {
+        let (tx, rx) = event_channel(2);
+        let producer = std::thread::spawn(move || (1..=5).all(|id| tx.send(ev(id))));
+        let mut out = Vec::new();
+        assert!(rx.recv_filling(&mut out, 3));
+        assert!(!rx.recv_filling(&mut out, 3), "short only at the end");
+        assert!(producer.join().unwrap());
+        let ids: Vec<u64> = out.iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

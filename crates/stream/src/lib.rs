@@ -10,9 +10,12 @@
 //! * [`merge`] — k-way, timestamp-ordered merging of per-host agent feeds
 //!   into the single enterprise-wide stream, including the watermarked
 //!   [`merge::WatermarkMerge`] over pull-based sources;
+//! * [`ingest`] — the NDJSON ingest stage: JSON-lines bytes decoded on a
+//!   small worker pool and handed on in line order, the one decoder behind
+//!   serve's ingest connections and `replay --source jsonl:`;
 //! * [`source`] — the [`EventSource`] ingestion contract and its adapters:
-//!   streamed store selections, paced replays, JSON-lines readers, and
-//!   push-handle channels;
+//!   streamed store selections, paced replays, JSON-lines readers (on the
+//!   ingest stage), and push-handle channels;
 //! * [`durable`] — the event store (the databases behind the demo's
 //!   replayer): the [`StoreWriter`]/[`StoreReader`] pair over a directory
 //!   of sealed [`segment`]s plus a WAL tail, with WAL-disciplined appends,
@@ -27,6 +30,7 @@
 pub mod batch;
 pub mod channel;
 pub mod durable;
+pub mod ingest;
 pub mod merge;
 pub mod replayer;
 pub mod segment;

@@ -445,7 +445,8 @@ impl<'a> WatermarkMerge<'a> {
                 let ts = event.ts;
                 if let Lateness::Bounded(bound) = slot.lateness {
                     if let Some(max_ts) = slot.max_ts {
-                        if ts.as_millis() + bound.as_millis() < max_ts.as_millis() {
+                        // Saturating: a far-future event is not late.
+                        if ts.as_millis().saturating_add(bound.as_millis()) < max_ts.as_millis() {
                             slot.dropped_late += 1;
                             continue;
                         }
@@ -695,6 +696,19 @@ mod tests {
         assert_eq!(stats.dropped_late, 1);
         assert_eq!(stats.events, 2);
         assert_eq!(stats.pulled, 3);
+    }
+
+    #[test]
+    fn a_far_future_event_is_not_late() {
+        // `ts + lateness` past u64::MAX once wrapped to a small number, and
+        // the merge dropped the event as late (a debug build panicked).
+        let far = u64::MAX - 615;
+        let feed = vec![ev(1, "h", 1_000), ev(2, "h", far), ev(3, "h", far - 10)];
+        let mut merge = WatermarkMerge::new(MergeConfig::default());
+        let id = merge.attach(Box::new(IterSource::new("far", feed)));
+        let ids: Vec<u64> = merge.collect_remaining().iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![1, 3, 2]);
+        assert_eq!(merge.source_stats()[id.index()].1.dropped_late, 0);
     }
 
     #[test]

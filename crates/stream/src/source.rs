@@ -4,21 +4,22 @@
 //! deployed across an enterprise; this module is that boundary's contract.
 //! An [`EventSource`] is anything the engine can *pull* batches of events
 //! from — a streamed [`StoreReader`] selection, a paced [`Replayer`], a
-//! JSON-lines file or pipe, a push-handle channel fed by another thread —
-//! and the watermarked K-way merge ([`crate::merge::WatermarkMerge`]) fuses
-//! any number of them into one deterministic enterprise-wide stream.
+//! JSON-lines file or pipe decoded by the [`ingest`](crate::ingest) stage,
+//! a push-handle channel fed by another thread — and the watermarked K-way
+//! merge ([`crate::merge::WatermarkMerge`]) fuses any number of them into
+//! one deterministic enterprise-wide stream.
 //!
 //! [`Replayer`]: crate::replayer::Replayer
 
-use std::io::BufRead;
+use std::io::{BufReader, Read};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use saql_model::json::{decode_event_json, JsonError};
 use saql_model::Timestamp;
 
 use crate::channel::{event_channel, EventReceiver, EventSender};
 use crate::durable::{StoreIter, StoreReader};
+use crate::ingest::decode_ndjson;
 use crate::replayer::{Replayer, Speed};
 use crate::store::{Selection, StoreError};
 use crate::SharedEvent;
@@ -132,7 +133,7 @@ impl<I: Iterator<Item = SharedEvent>> EventSource for IterSource<I> {
 pub struct PushHandle {
     tx: EventSender,
     watermark: Arc<AtomicU64>,
-    failure: Arc<std::sync::Mutex<Option<String>>>,
+    failure: Arc<Mutex<Option<String>>>,
 }
 
 impl PushHandle {
@@ -181,7 +182,11 @@ pub struct ChannelSource {
     /// actually pulled: counting events still in the queue would let the
     /// merge release another source's later events ahead of them.
     dequeued_ms: Option<u64>,
-    failure: Arc<std::sync::Mutex<Option<String>>>,
+    failure: Arc<Mutex<Option<String>>>,
+    /// [`ChannelSource::jsonl`] only: a poll waits until it can return
+    /// `max` events or the stream ends — a file is never idle — so the
+    /// merge sees the same polls however fast the decoders run.
+    fill: bool,
     ended: bool,
 }
 
@@ -192,7 +197,8 @@ impl ChannelSource {
             rx,
             watermark: Arc::new(AtomicU64::new(0)),
             dequeued_ms: None,
-            failure: Arc::new(std::sync::Mutex::new(None)),
+            failure: Arc::new(Mutex::new(None)),
+            fill: false,
             ended: false,
         }
     }
@@ -209,7 +215,68 @@ impl ChannelSource {
         let rx = replayer.replay_channel(selection, speed, capacity)?;
         Ok(ChannelSource::new(name, rx))
     }
+
+    /// A source of JSON-lines events (see [`saql_model::json`]) read from
+    /// any reader — a file, a pipe, stdin — on a background thread named
+    /// `saql-jsonl`, which runs the [`ingest`](crate::ingest) stage into a
+    /// channel of `capacity` events. Undecodable lines are skipped and
+    /// surface through [`EventSource::failure`] as the stage words them; a
+    /// read error ends the stream as `stream ended early: read error: …`.
+    ///
+    /// Unlike a [`push_source`], it promises no watermark from what the
+    /// merge has dequeued: a file may be out of order within the lateness
+    /// bound, and the merge re-sorts it exactly as it would the same events
+    /// from a store. And it is never idle: a poll waits for the decoders
+    /// until it has `max` events or the input ended, so a run's rounds —
+    /// and with them a pipeline's interleaving — do not depend on decode
+    /// timing.
+    pub fn jsonl(
+        name: impl Into<String>,
+        reader: impl Read + Send + 'static,
+        capacity: usize,
+    ) -> ChannelSource {
+        let (push, mut source) = push_source(name, capacity);
+        source.dequeued_ms = None;
+        source.fill = true;
+        let feed = move || {
+            let mut reader = BufReader::with_capacity(JSONL_READ_BUFFER, reader);
+            let read = decode_ndjson(&mut reader, |chunk| {
+                if let Some(note) = chunk.failure {
+                    push.report_failure(note);
+                }
+                // What fits goes in under one lock; on a full channel, wait
+                // for room and offer the rest again. `false`: the session
+                // hung up.
+                let mut events = chunk.events.into_iter();
+                while push.push_fitting(&mut events) {
+                    let Some(next) = events.next() else {
+                        return true;
+                    };
+                    if !push.push(next) {
+                        break;
+                    }
+                }
+                false
+            });
+            if let Err(e) = read {
+                push.report_failure(format!("stream ended early: read error: {e}"));
+            }
+            // `push` is the last sender, and the merge reads `failure()`
+            // once the stream ends: only now may it go.
+            drop(push);
+        };
+        std::thread::Builder::new()
+            .name("saql-jsonl".into())
+            .spawn(feed)
+            .expect("spawns the JSON-lines reader");
+        source
+    }
 }
+
+/// Read buffer of a [`ChannelSource::jsonl`] reader: large enough that a
+/// file fills whole [`DECODE_CHUNK`](crate::ingest::DECODE_CHUNK)-line
+/// chunks (the stage also cuts one wherever the buffer drains).
+const JSONL_READ_BUFFER: usize = 64 * 1024;
 
 impl EventSource for ChannelSource {
     fn name(&self) -> &str {
@@ -221,6 +288,14 @@ impl EventSource for ChannelSource {
             return SourcePoll::End;
         }
         let start = out.len();
+        if self.fill {
+            self.ended = !self.rx.recv_filling(out, max);
+            return if self.ended {
+                SourcePoll::End
+            } else {
+                SourcePoll::Ready
+            };
+        }
         match self.rx.recv_into(out, max) {
             None => {
                 self.ended = true;
@@ -309,11 +384,6 @@ impl StoreSource {
             error: None,
         })
     }
-
-    /// The decode/IO error that ended the stream early, if any.
-    pub fn error(&self) -> Option<&StoreError> {
-        self.error.as_ref()
-    }
 }
 
 impl EventSource for StoreSource {
@@ -351,118 +421,8 @@ impl EventSource for StoreSource {
     }
 }
 
-// ---------------------------------------------------------------------
-// JSON-lines source
-// ---------------------------------------------------------------------
-
-/// Reads events as JSON lines (see [`saql_model::json`]) from any
-/// [`BufRead`] — files, pipes, or stdin; the ingestion mirror of the
-/// engine's `JsonLinesSink`. Undecodable lines are skipped and counted
-/// ([`decode_errors`](Self::decode_errors)) — a line that is not UTF-8
-/// among them — with the first failure kept for diagnostics; blank lines
-/// are ignored.
-pub struct JsonLinesSource<R> {
-    name: String,
-    reader: R,
-    line: Vec<u8>,
-    lines_read: u64,
-    decode_errors: u64,
-    first_error: Option<(u64, JsonError)>,
-    read_error: Option<std::io::Error>,
-    ended: bool,
-}
-
-impl<R: BufRead> JsonLinesSource<R> {
-    pub fn new(name: impl Into<String>, reader: R) -> Self {
-        JsonLinesSource {
-            name: name.into(),
-            reader,
-            line: Vec::new(),
-            lines_read: 0,
-            decode_errors: 0,
-            first_error: None,
-            read_error: None,
-            ended: false,
-        }
-    }
-
-    /// Lines that failed to decode (skipped).
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors
-    }
-
-    /// First decode failure as `(line number, error)`, 1-based.
-    pub fn first_error(&self) -> Option<&(u64, JsonError)> {
-        self.first_error.as_ref()
-    }
-}
-
-impl<R: BufRead> EventSource for JsonLinesSource<R> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn poll(&mut self, out: &mut Vec<SharedEvent>, max: usize) -> SourcePoll {
-        if self.ended {
-            return SourcePoll::End;
-        }
-        let mut got = 0;
-        while got < max {
-            self.line.clear();
-            match self.reader.read_until(b'\n', &mut self.line) {
-                Ok(0) => {
-                    self.ended = true;
-                    return SourcePoll::End;
-                }
-                Err(e) => {
-                    // A read failure is not a clean end-of-stream: stop,
-                    // and surface it through `failure()`.
-                    self.read_error = Some(e);
-                    self.ended = true;
-                    return SourcePoll::End;
-                }
-                Ok(_) => {}
-            }
-            self.lines_read += 1;
-            let decoded = match std::str::from_utf8(&self.line) {
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => decode_event_json(line.trim()),
-                Err(e) => Err(JsonError {
-                    at: e.valid_up_to(),
-                    message: "line is not valid UTF-8".into(),
-                }),
-            };
-            match decoded {
-                Ok(event) => {
-                    out.push(Arc::new(event));
-                    got += 1;
-                }
-                Err(e) => {
-                    self.decode_errors += 1;
-                    if self.first_error.is_none() {
-                        self.first_error = Some((self.lines_read, e));
-                    }
-                }
-            }
-        }
-        SourcePoll::Ready
-    }
-
-    fn failure(&self) -> Option<String> {
-        if let Some(e) = &self.read_error {
-            return Some(format!("stream ended early: read error: {e}"));
-        }
-        self.first_error.as_ref().map(|(line, e)| {
-            format!(
-                "{} line(s) skipped; first at line {line}: {e}",
-                self.decode_errors
-            )
-        })
-    }
-}
-
 /// Write events as JSON lines — the producing half of the JSONL
-/// interchange format that [`JsonLinesSource`] re-ingests (accepts owned
+/// interchange format that [`ChannelSource::jsonl`] re-ingests (accepts owned
 /// or borrowed events, so streaming producers need not clone).
 pub fn write_events_jsonl<W: std::io::Write, E: std::borrow::Borrow<saql_model::Event>>(
     writer: &mut W,
@@ -556,56 +516,53 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_source_decodes_skips_and_counts() {
-        let mut text = String::new();
-        for e in [ev(1, "h", 10), ev(2, "h", 20)] {
-            saql_model::json::encode_event_json(&mut text, &e);
-        }
-        text.push_str("not json\n\n");
-        let mut third = String::new();
-        saql_model::json::encode_event_json(&mut third, &ev(3, "h", 30));
-        text.push_str(&third);
-        let mut source = JsonLinesSource::new("jsonl", std::io::Cursor::new(text));
-        let out = drain(&mut source);
-        assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(source.decode_errors(), 1);
-        let (line, _) = source.first_error().unwrap();
-        assert_eq!(*line, 3);
-    }
-
-    #[test]
-    fn jsonl_source_counts_a_non_utf8_line_and_reads_on() {
-        let mut bytes = Vec::new();
-        for id in 1..=3 {
-            let mut line = String::new();
-            saql_model::json::encode_event_json(&mut line, &ev(id, "h", id * 10));
-            let mut raw = line.into_bytes();
-            if id == 2 {
-                raw[16] = 0xff; // the `h` of `"host":"h"`
-            }
-            bytes.extend_from_slice(&raw);
-        }
-        let mut source = JsonLinesSource::new("raw", std::io::Cursor::new(bytes));
-        let out = drain(&mut source);
-        assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(source.decode_errors(), 1);
-        let (line, e) = source.first_error().unwrap();
-        assert_eq!(*line, 2);
-        assert!(e.message.contains("not valid UTF-8"), "{e}");
-        assert!(source.failure().unwrap().contains("1 line(s) skipped"));
-    }
-
-    #[test]
     fn jsonl_round_trips_through_writer() {
         let events = vec![ev(1, "h1", 5), ev(2, "h2", 6)];
         let mut buf = Vec::new();
         assert_eq!(write_events_jsonl(&mut buf, &events).unwrap(), 2);
-        let mut source = JsonLinesSource::new("rt", std::io::Cursor::new(buf));
+        let mut source = ChannelSource::jsonl("rt", std::io::Cursor::new(buf), 8);
         let back = drain(&mut source);
-        assert_eq!(source.decode_errors(), 0);
+        assert_eq!(source.failure(), None);
         assert_eq!(back.len(), 2);
         assert_eq!(*back[0], events[0]);
         assert_eq!(*back[1], events[1]);
+    }
+
+    #[test]
+    fn jsonl_source_reports_skipped_lines_and_promises_no_watermark() {
+        // Out of order, with a bad line: all of it arrives as written, and
+        // nothing dequeued turns into a watermark promise.
+        let mut text = String::new();
+        for e in [ev(1, "h", 300), ev(2, "h", 100)] {
+            saql_model::json::encode_event_json(&mut text, &e);
+        }
+        text.push_str("not json\n");
+        saql_model::json::encode_event_json(&mut text, &ev(3, "h", 200));
+        let mut source = ChannelSource::jsonl("jsonl", std::io::Cursor::new(text), 2);
+        let out = drain(&mut source);
+        assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(source.watermark(), None);
+        let failure = source.failure().unwrap();
+        assert!(
+            failure.starts_with("1 undecodable line(s); first at line 3: invalid JSON"),
+            "{failure}"
+        );
+    }
+
+    #[test]
+    fn a_jsonl_read_error_ends_the_stream_early() {
+        struct Broken;
+        impl Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("unplugged"))
+            }
+        }
+        let mut source = ChannelSource::jsonl("broken", Broken, 8);
+        assert!(drain(&mut source).is_empty());
+        assert_eq!(
+            source.failure().as_deref(),
+            Some("stream ended early: read error: unplugged")
+        );
     }
 
     #[test]
@@ -621,7 +578,7 @@ mod tests {
         let mut source = StoreSource::open("store", &reader, &Selection::host("h1")).unwrap();
         let out = drain(&mut source);
         assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 3]);
-        assert!(source.error().is_none());
+        assert_eq!(source.failure(), None);
         let mut resumed = StoreSource::open_at("store", &reader, 1).unwrap();
         let rest = drain(&mut resumed);
         assert_eq!(rest.iter().map(|e| e.id).collect::<Vec<_>>(), vec![2, 3]);

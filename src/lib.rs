@@ -11,7 +11,7 @@
 //! * [`model`] — system entities, SVO events, attributes, binary codec;
 //! * [`lang`] — the SAQL language: lexer, parser, semantic checker,
 //!   pretty-printer, and the paper's query corpus;
-//! * [`analytics`] — aggregates, moving averages, DBSCAN, k-means;
+//! * [`analytics`] — aggregates, robust statistics, DBSCAN, k-means;
 //! * [`stream`] — event channels, k-way host merge, event store, replayer;
 //! * [`engine`] — multievent matcher, sliding windows, state maintainer,
 //!   invariants, cluster stage, alert evaluator, and the master–dependent

@@ -17,9 +17,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 use saql::engine::Checkpoint;
+use saql::model::event::EventBuilder;
+use saql::model::{Duration, NetworkInfo, ProcessInfo, Timestamp};
 use saql::{Engine, EngineConfig};
 
 thread_local! {
@@ -127,5 +131,35 @@ proptest! {
             data[at] = byte;
         }
         decode_and_resume(data);
+    }
+}
+
+#[test]
+fn a_forged_window_id_resumes_without_overflow() {
+    // Window ids and the lateness restored from a checkpoint are not
+    // trusted: `k * slide + size + lateness` saturates instead of
+    // overflowing, whatever id a forged file names.
+    let query = "proc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n";
+    let event = |id: u64, ts: u64| {
+        Arc::new(
+            EventBuilder::new(id, "h", ts)
+                .subject(ProcessInfo::new(1, "a.exe", "u"))
+                .sends(NetworkInfo::new("10.0.0.2", 44000, "1.1.1.1", 443, "tcp"))
+                .amount(1)
+                .build(),
+        )
+    };
+    let mut engine = Engine::new(EngineConfig::default());
+    engine.register("q", query).unwrap();
+    engine.process(&event(1, 1_000)).unwrap();
+    let mut forged = engine.checkpoint(1, Timestamp::from_millis(1_000)).unwrap();
+    let window = forged.rows[0].snapshot.as_mut().unwrap().window.as_mut();
+    window.unwrap().open = vec![u64::MAX / 2, u64::MAX];
+    forged.config.allowed_lateness = Duration::from_millis(u64::MAX);
+
+    let ckpt = Checkpoint::decode(forged.encode()).unwrap();
+    if let Ok(mut resumed) = Engine::resume_from(ckpt, EngineConfig::default()) {
+        resumed.process(&event(2, 2_000)).unwrap();
+        resumed.finish();
     }
 }

@@ -71,6 +71,27 @@ fn huge_amounts_do_not_overflow_aggregates() {
 }
 
 #[test]
+fn a_timestamp_near_the_end_of_time_still_closes_its_window() {
+    // The window's end (`start + size`), its close time (`+ lateness`) and
+    // the merge's lateness test (`ts + bound`) saturate at u64::MAX ms
+    // instead of overflowing: the far-future event is neither dropped as
+    // late nor a panic, and its window flushes at the end of the stream.
+    let mut engine = Engine::new(EngineConfig::default());
+    engine
+        .register("q", "proc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n")
+        .unwrap();
+    let far = u64::MAX - 615;
+    let events = vec![
+        send(1, 1_000, "h", "a.exe", "1.1.1.1", 1),
+        send(2, far - 300, "h", "a.exe", "1.1.1.1", 1),
+        send(3, far, "h", "a.exe", "1.1.1.1", 1),
+    ];
+    let alerts = engine.run(events).unwrap();
+    let counts: Vec<_> = alerts.iter().map(|a| a.get("ss[0].n")).collect();
+    assert_eq!(counts, vec![Some("1"), Some("2")]);
+}
+
+#[test]
 fn partial_match_cap_degrades_gracefully() {
     // A pathological stream of step-1 events floods the matcher; with a
     // tiny cap it must keep running, flag the overflow, and still detect a
