@@ -48,7 +48,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
             &batches,
             |b, batches| {
                 b.iter(|| {
-                    let mut engine = engine(workers, false, sharded_sources(GROUPS, PER_GROUP));
+                    let mut engine = engine(workers, sharded_sources(GROUPS, PER_GROUP));
                     drive_engine(&mut engine, batches).len()
                 });
             },
@@ -83,7 +83,7 @@ fn partition_audit(events: &[saql_stream::SharedEvent]) {
     let mut serial = scheduler(sharded_queries(GROUPS, PER_GROUP));
     let serial_alerts = drive(&mut serial, &batches(events));
 
-    let mut par = engine(4, false, sharded_sources(GROUPS, PER_GROUP));
+    let mut par = engine(4, sharded_sources(GROUPS, PER_GROUP));
     let par_alerts = drive_engine(&mut par, &batches(events)).len();
 
     let merged = par.scheduler_stats();

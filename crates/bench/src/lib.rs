@@ -56,12 +56,10 @@ pub fn drive(scheduler: &mut Scheduler, batches: &[EventBatch]) -> usize {
 /// registration, like [`scheduler`]'s are before it is built).
 pub fn engine(
     workers: usize,
-    key_partitioning: bool,
     queries: impl IntoIterator<Item = (impl AsRef<str>, impl AsRef<str>)>,
 ) -> Engine {
     let mut engine = Engine::new(EngineConfig {
         workers,
-        key_partitioning,
         ..EngineConfig::default()
     });
     for (name, src) in queries {

@@ -50,14 +50,6 @@ pub struct EngineConfig {
     /// batch reaches every shard exactly as it was handed in. Zero clamps
     /// to one.
     pub batch_size: usize,
-    /// Key-partitioned execution across workers: partitionable queries
-    /// (state keyed purely by group key) are replicated to every worker,
-    /// each replica owning the groups whose key tuple hashes to it — one
-    /// heavy query's work splits ~1/N per worker. Off by default:
-    /// replicated groups run one master check per worker, so merged
-    /// `master_checks` exceed the unpartitioned count. Ignored when
-    /// `workers == 0`.
-    pub key_partitioning: bool,
 }
 
 impl Default for EngineConfig {
@@ -68,7 +60,6 @@ impl Default for EngineConfig {
             workers: 0,
             subscription_backlog: 1024,
             batch_size: DEFAULT_BATCH_SIZE,
-            key_partitioning: false,
         }
     }
 }

@@ -368,28 +368,6 @@ impl QueryPlan {
         plan
     }
 
-    /// The plan-shape half of the partitionability analysis: whether every
-    /// stateful evaluation this plan performs is scoped to a single group,
-    /// so the group population can be hash-sharded across workers with no
-    /// cross-shard state. `Err` names the coupling that forbids it.
-    /// Query-level conditions (kind, distinct, pipeline role)
-    /// are layered on top by `RunningQuery::partition_decision`.
-    pub fn key_partition_safe(&self) -> Result<(), &'static str> {
-        if self.group_keys.is_empty() {
-            return Err("no `group by`: all state lives in one global group");
-        }
-        if self.field_programs.is_empty() {
-            return Err("no keyed state to shard");
-        }
-        if !self.cluster_programs.is_empty() {
-            return Err("cluster stage compares all groups at window close");
-        }
-        if !self.invariant_programs.is_empty() {
-            return Err("invariant models train across the whole window close");
-        }
-        Ok(())
-    }
-
     /// Every program of the plan (for sizing and listings).
     pub fn programs(&self) -> impl Iterator<Item = &Program> {
         self.field_programs

@@ -26,7 +26,7 @@ use crate::matcher::{
     fnv1a, FullMatch, GlobalFilter, MatcherSnapshot, MultiMatcher, PatternMatcher, FNV_SEED,
 };
 use crate::plan::{ExecCtx, QueryPlan};
-use crate::state::{partition_of, ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView};
+use crate::state::{ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView};
 use crate::value::Value;
 use crate::window::{Gate, WindowDriver, WindowSnapshot};
 
@@ -99,21 +99,6 @@ pub struct QueryStats {
     pub late_events: u64,
 }
 
-impl QueryStats {
-    /// Fold one partition replica's counters into this one. Replica row
-    /// slices are disjoint, so the per-event counters sum; window closures
-    /// overlap across replicas (each closes the windows its owned rows
-    /// opened, under one shared clock), so `windows_closed` merges as a
-    /// maximum — a lower bound on the serial count, never a double-count.
-    pub fn absorb_replica(&mut self, part: &QueryStats) {
-        self.events_seen += part.events_seen;
-        self.events_matched += part.events_matched;
-        self.alerts += part.alerts;
-        self.late_events += part.late_events;
-        self.windows_closed = self.windows_closed.max(part.windows_closed);
-    }
-}
-
 /// Full dynamic state of one [`RunningQuery`], exact under
 /// [`RunningQuery::snapshot`] → [`RunningQuery::restore`]. Each component
 /// is present iff the query family uses it (rule queries carry a matcher,
@@ -130,91 +115,6 @@ pub struct QuerySnapshot {
     /// Whether the partial-match overflow was already reported (prevents a
     /// resumed query from double-reporting).
     pub overflow_reported: bool,
-}
-
-/// One slice of a key-partitioned query: this replica owns the groups whose
-/// key tuple hashes to `index` under [`partition_of`]`(key, of)`. Rows whose
-/// group key fails to resolve are owned by replica 0, so the serial run's
-/// single key-resolution error is reported exactly once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partition {
-    /// This replica's slice, `0..of`.
-    pub index: u32,
-    /// Total partition count (the engine's worker count).
-    pub of: u32,
-}
-
-impl QuerySnapshot {
-    /// Split a canonical snapshot into `n` per-partition replica snapshots
-    /// for the key-partitioned runtime. Keyed state splits disjointly by
-    /// the routing hash; the window clock is replicated (every replica sees
-    /// the full stream's time); replica 0 carries the accumulated stats,
-    /// the matcher/invariant components (always `None` for partitionable
-    /// queries, carried defensively), and the distinct-dedup rows.
-    pub fn split(&self, n: usize) -> Vec<QuerySnapshot> {
-        let n = n.max(1);
-        let states: Vec<Option<StateSnapshot>> = match &self.state {
-            Some(s) => s.split(n).into_iter().map(Some).collect(),
-            None => vec![None; n],
-        };
-        states
-            .into_iter()
-            .enumerate()
-            .map(|(i, state)| QuerySnapshot {
-                matcher: (i == 0).then(|| self.matcher.clone()).flatten(),
-                window: self.window.clone(),
-                state,
-                invariant: (i == 0).then(|| self.invariant.clone()).flatten(),
-                distinct_seen: if i == 0 {
-                    self.distinct_seen.clone()
-                } else {
-                    Vec::new()
-                },
-                stats: if i == 0 {
-                    self.stats
-                } else {
-                    QueryStats::default()
-                },
-                overflow_reported: self.overflow_reported,
-            })
-            .collect()
-    }
-
-    /// Merge per-partition replica snapshots back into the canonical form a
-    /// serial run would capture: disjoint keyed state re-gathered and
-    /// key-sorted, the per-replica window views folded (union of open
-    /// windows — each replica opens only the windows its owned rows landed
-    /// in — under the shared broadcast watermark), per-event stats summed
-    /// (each replica saw only its owned rows) and `windows_closed` taken as
-    /// the max. `None` for an empty input.
-    pub fn merge(parts: Vec<QuerySnapshot>) -> Option<QuerySnapshot> {
-        let mut iter = parts.into_iter();
-        let mut out = iter.next()?;
-        let mut states: Vec<StateSnapshot> = out.state.take().into_iter().collect();
-        for part in iter {
-            states.extend(part.state);
-            if out.matcher.is_none() {
-                out.matcher = part.matcher;
-            }
-            match (&mut out.window, part.window) {
-                (Some(w), Some(pw)) => w.absorb_replica(&pw),
-                (w @ None, pw) => *w = pw,
-                _ => {}
-            }
-            if out.invariant.is_none() {
-                out.invariant = part.invariant;
-            }
-            out.distinct_seen.extend(part.distinct_seen);
-            out.stats.absorb_replica(&part.stats);
-            out.overflow_reported |= part.overflow_reported;
-        }
-        if !states.is_empty() {
-            out.state = Some(StateSnapshot::merge(states));
-        }
-        out.distinct_seen.sort();
-        out.distinct_seen.dedup();
-        Some(out)
-    }
 }
 
 /// Per-compatibility-group routing state: which member can want a row.
@@ -422,8 +322,8 @@ struct BatchState {
     /// stateful ones.
     cursor: usize,
     /// Stateful work list, ascending by row: rows the global filter
-    /// accepted, some pattern matched, and (on a partitioned replica) this
-    /// replica owns, bound to the first matching pattern's slots.
+    /// accepted and some pattern matched, bound to the first matching
+    /// pattern's slots.
     rows: Vec<EventRow>,
     /// Row-major group-key atoms, `n_keys` per entry of `rows` (padded when
     /// unresolvable so indexing stays aligned).
@@ -445,13 +345,6 @@ pub struct RunningQuery {
     name: String,
     id: QueryId,
     paused: bool,
-    /// Retained build config, so [`Self::replicas`] can reconstruct
-    /// plan-identical instances for the key-partitioned runtime.
-    config: QueryConfig,
-    /// `Some` when this instance is one replica of a key-partitioned query:
-    /// it owns only the groups hashing to its slice and skips every other
-    /// row before field programs and state folding.
-    partition: Option<Partition>,
     checked: CheckedQuery,
     plan: QueryPlan,
     globals: GlobalFilter,
@@ -517,8 +410,6 @@ impl RunningQuery {
             name: name.into(),
             id: QueryId::UNASSIGNED,
             paused: false,
-            config,
-            partition: None,
             checked,
             plan,
             globals,
@@ -611,67 +502,6 @@ impl RunningQuery {
 
     pub fn stats(&self) -> QueryStats {
         self.stats
-    }
-
-    // ------------------------------------------------------------------
-    // Key-partitioned execution
-    // ------------------------------------------------------------------
-
-    /// The partitionability analysis: whether this query's state is keyed
-    /// *purely* by its group key, so its groups can be hash-sharded across
-    /// workers with no cross-shard coupling. `Err` carries the reason the
-    /// query must stay group-sharded — `saql explain` reports it verbatim.
-    ///
-    /// The plan-shape half of the analysis lives with the plan
-    /// ([`QueryPlan::key_partition_safe`]); this adds the query-level
-    /// conditions the plan cannot see (kind, distinct, pipeline role).
-    pub fn partition_decision(&self) -> Result<(), &'static str> {
-        if self.checked.kind == QueryKind::Rule {
-            return Err("rule queries key partial matches by bindings, not group key");
-        }
-        if self.checked.pipeline_input.is_some() {
-            return Err("pipeline stages run on upstream alert time");
-        }
-        if self.checked.ast.ret.as_ref().is_some_and(|r| r.distinct) {
-            return Err("`return distinct` dedups across all groups");
-        }
-        self.plan.key_partition_safe()
-    }
-
-    /// Mark this instance as one replica of a key-partitioned query (the
-    /// runtime hosts one replica per worker). Only meaningful when
-    /// [`partition_decision`](Self::partition_decision) allows it.
-    pub fn set_partition(&mut self, index: u32, of: u32) {
-        self.partition = Some(Partition { index, of });
-    }
-
-    /// This instance's partition slice, when it is a partitioned replica.
-    pub fn partition(&self) -> Option<Partition> {
-        self.partition
-    }
-
-    /// Build the `n` partitioned replicas of this query: plan-identical
-    /// instances sharing its id, name, and paused state, each restored with
-    /// the disjoint slice of dynamic state its partition owns (so a resumed
-    /// query re-splits exactly) and stamped with its slice.
-    pub fn replicas(&self, n: usize) -> Vec<RunningQuery> {
-        let n = n.max(1);
-        self.snapshot()
-            .split(n)
-            .into_iter()
-            .enumerate()
-            .map(|(i, part)| {
-                let mut replica =
-                    RunningQuery::new(self.name.clone(), self.checked.clone(), self.config);
-                replica.set_id(self.id);
-                replica.set_paused(self.paused);
-                replica.set_partition(i as u32, n as u32);
-                replica
-                    .restore(part)
-                    .expect("a split of this query's own state fits its plan");
-                replica
-            })
-            .collect()
     }
 
     pub fn errors(&self) -> &ErrorReporter {
@@ -792,15 +622,12 @@ impl RunningQuery {
 
     /// Prepare this query for one batch its group [routed](GroupRouter::route):
     /// for stateful queries, precompute everything watermark-independent
-    /// about the rows it will fold — pattern dispatch, group keys,
-    /// ownership on a partitioned replica, and field-program values,
-    /// evaluated column-wise over the survivors only. A query whose filter
-    /// slot received no row has nothing to do.
+    /// about the rows it will fold — pattern dispatch, group keys and
+    /// field-program values, evaluated column-wise over the survivors only.
+    /// A query whose filter slot received no row has nothing to do.
     ///
-    /// Returns the number of rows *delivered* to this query: every selected
-    /// row, except that a key-partitioned replica is delivered only the
-    /// rows it owns — `hash(key) % of` for rows with a resolved key, replica
-    /// 0 for everything else — so deliveries stay disjoint across shards.
+    /// Returns the number of rows *delivered* to this query: every row its
+    /// group selected.
     ///
     /// Call once per batch, after the group selected at least one row and
     /// before any [`Self::process_row`] of that batch.
@@ -810,28 +637,19 @@ impl RunningQuery {
         batch.rows.clear();
         let selected = router.selected() as u64;
         let accepted = router.rows(self.slot);
+        self.stats.events_seen += selected;
         if self.checked.kind == QueryKind::Rule || accepted.is_empty() {
-            let delivered = match self.partition {
-                Some(p) if p.index != 0 => 0,
-                _ => selected,
-            };
-            self.stats.events_seen += delivered;
-            return delivered;
+            return selected;
         }
 
         // Dispatch each accepted row to its first matching pattern and
-        // extract its group key. A partitioned replica keeps only the rows
-        // it owns, so field programs and state folding below pay ~1/N of
-        // the serial work — this early exclusion *is* the data parallelism.
-        // Unresolvable keys are padded so row-major indexing stays aligned;
-        // such rows report instead of observing, and belong to replica 0 so
-        // the serial run's single error is reported exactly once.
+        // extract its group key. Unresolvable keys are padded so row-major
+        // indexing stays aligned; such rows report instead of observing.
         let plan = &self.plan;
         let events = view.events();
         let nk = plan.group_keys.len();
         batch.keys.clear();
         batch.key_ok.clear();
-        let mut unowned = 0u64;
         for (j, &row) in accepted.iter().enumerate() {
             let hit = |&column: &usize| router.flags(self.slot, column)[j];
             let Some(idx) = self.pat_cols.iter().position(hit) else {
@@ -845,17 +663,6 @@ impl RunningQuery {
                 object_slot,
             };
             let ok = extract_keys(plan, &events[row as usize], &bound, &mut self.key_buf);
-            if let Some(p) = self.partition {
-                let owner = if ok {
-                    partition_of(&self.key_buf, p.of as usize) as u32
-                } else {
-                    0
-                };
-                if owner != p.index {
-                    unowned += 1;
-                    continue;
-                }
-            }
             batch.rows.push(bound);
             batch.key_ok.push(ok);
             if ok {
@@ -866,11 +673,6 @@ impl RunningQuery {
                     .extend(std::iter::repeat_with(|| KeyAtom::Int(0)).take(nk));
             }
         }
-        let delivered = match self.partition {
-            Some(p) if p.index != 0 => batch.rows.len() as u64,
-            _ => selected - unowned,
-        };
-        self.stats.events_seen += delivered;
 
         // Field programs, column-wise over the work list, scattered
         // row-major.
@@ -889,7 +691,7 @@ impl RunningQuery {
                 batch.fields[r * nf + f] = v;
             }
         }
-        delivered
+        selected
     }
 
     /// Drive step: process batch row `row`, one of the rows this query's
@@ -1295,19 +1097,6 @@ impl RunningQuery {
                 plan.field_programs.len()
             );
         }
-        match self.partition_decision() {
-            Ok(()) => {
-                let _ = writeln!(
-                    out,
-                    "partitioned: yes (state keyed purely by {} group key(s); \
-                     groups hash-shard across workers)",
-                    plan.group_keys.len()
-                );
-            }
-            Err(why) => {
-                let _ = writeln!(out, "partitioned: no ({why})");
-            }
-        }
         out
     }
 }
@@ -1494,39 +1283,6 @@ mod tests {
         )
     }
 
-    /// Regression: replicas open disjoint window subsets (only the windows
-    /// their owned rows land in), so the merged snapshot must carry the
-    /// *union* of open windows — not whichever replica's view arrives
-    /// first. Taking-first silently dropped the other replicas' pending
-    /// windows, losing their groups' close alerts after a resume.
-    #[test]
-    fn snapshot_merge_unions_replica_open_windows() {
-        use crate::window::WindowSnapshot;
-        let replica = |open: Vec<u64>, closed: u64| QuerySnapshot {
-            matcher: None,
-            window: Some(WindowSnapshot {
-                watermark: saql_model::Timestamp::from_millis(320_000),
-                open,
-                closed,
-            }),
-            state: None,
-            invariant: None,
-            distinct_seen: Vec::new(),
-            stats: QueryStats::default(),
-            overflow_reported: false,
-        };
-        let merged = QuerySnapshot::merge(vec![
-            replica(vec![], 3),
-            replica(vec![5], 2),
-            replica(vec![4, 6], 3),
-        ])
-        .unwrap();
-        let window = merged.window.unwrap();
-        assert_eq!(window.open, vec![4, 5, 6], "union of replica open sets");
-        assert_eq!(window.closed, 3);
-        assert_eq!(window.watermark.as_millis(), 320_000);
-    }
-
     #[test]
     fn rule_query_emits_alert_with_rows() {
         let mut rq = q(r#"proc p1["%cmd.exe"] start proc p2["%osql.exe"] as e1
@@ -1536,6 +1292,19 @@ return distinct p1, p2"#);
         assert_eq!(alerts[0].get("p1"), Some("cmd.exe"));
         assert_eq!(alerts[0].get("p2"), Some("osql.exe"));
         assert!(matches!(alerts[0].origin, AlertOrigin::Match { .. }));
+    }
+
+    /// An unexpanded environment-variable path still ends in `cmd.exe`:
+    /// the pattern's leading `%` is a wildcard, not a literal that the
+    /// text's own `%` can consume.
+    #[test]
+    fn rule_query_matches_an_unexpanded_environment_path() {
+        let mut rq = q(r#"proc p["%cmd.exe"] start proc q as e
+return p, q"#);
+        let exe = r"%windir%\system32\cmd.exe";
+        let alerts = rq.process(&start(1, 10, "db", (1, exe), (2, "osql.exe")));
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].get("p"), Some(exe));
     }
 
     #[test]

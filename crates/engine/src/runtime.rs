@@ -30,21 +30,6 @@
 //!   caller hands in is broadcast as given — there is no second buffer, so
 //!   nothing waits for a batch to fill. Batches carry `Arc<Event>`s, so the
 //!   broadcast clones handles, never payloads.
-//! * **Key-partitioned queries** (opt-in via
-//!   [`EngineConfig::key_partitioning`], worker shards only). A query whose
-//!   state is keyed purely by group key
-//!   ([`RunningQuery::partition_decision`]) is replicated to *every* shard
-//!   instead of being pinned to one; replica `i` owns the rows whose key
-//!   tuple hashes to `i mod workers` and skips the rest before field
-//!   evaluation. Batches still broadcast in full — every replica's window
-//!   clock then evolves exactly as one shard's would, which is what keeps
-//!   the alert multiset independent of the worker count under lateness —
-//!   but the per-row field programs, state observes, and deliveries split
-//!   ~1/N per shard with zero duplicates. Control messages fan out to all
-//!   shards for such queries, and [`Runtime::snapshots`] merges the
-//!   per-replica [`QuerySnapshot`]s back into one canonical snapshot, so
-//!   checkpoints are worker-count independent (resume may re-split at a
-//!   different width).
 //! * **Non-blocking backpressure.** The coordinator never blocks on a full
 //!   shard channel while alerts back up: it drains the merged alert channel
 //!   between send retries, so a worker stalled on a full alert channel
@@ -79,20 +64,11 @@ const ALERT_BACKLOG: usize = 4096;
 /// channel).
 const POLL: Duration = Duration::from_millis(1);
 
-/// Where a live query runs.
-struct Route {
-    /// Its compatibility group.
-    key: String,
-    /// Key-partitioned queries have a replica on every shard; control
-    /// messages fan out instead of going to the group's owner.
-    partitioned: bool,
-}
-
 /// One live compatibility group.
 struct Group {
-    /// The shard hosting the group's unpartitioned members.
+    /// The shard hosting every member.
     owner: usize,
-    /// Live members (a partitioned query counts once).
+    /// Live members.
     members: usize,
 }
 
@@ -106,14 +82,14 @@ struct Pool {
 pub(crate) struct Runtime {
     /// Worker threads; `0` drives the one shard on the caller's thread.
     workers: usize,
-    key_partitioning: bool,
     /// Shards this thread can touch: the inline shard, always; worker
     /// shards once [`finish`](Self::finish) has joined them home. Every
     /// counter is read from here, which is why worker-backed stats surface
     /// after `finish` and inline ones are live.
     home: Vec<Shard>,
     pool: Option<Pool>,
-    routes: HashMap<QueryId, Route>,
+    /// Each live query's compatibility group key.
+    routes: HashMap<QueryId, String>,
     groups: HashMap<String, Group>,
     /// Round-robin cursor for dealing fresh groups to shards.
     next_group: usize,
@@ -125,7 +101,6 @@ impl Runtime {
     pub(crate) fn new(config: &EngineConfig) -> Self {
         let mut runtime = Runtime {
             workers: config.workers,
-            key_partitioning: config.key_partitioning && config.workers > 0,
             home: Vec::new(),
             pool: None,
             routes: HashMap::new(),
@@ -186,8 +161,7 @@ impl Runtime {
     /// Host a compiled query (carrying its control-plane id), before the
     /// first event or mid-stream. A compat key already hosted keeps its
     /// shard, so the newcomer joins the existing group and shares its
-    /// master; a key-partitioned query lands as one replica per shard, each
-    /// restored with its slice of the query's (possibly resumed) state.
+    /// master.
     pub(crate) fn add(
         &mut self,
         query: RunningQuery,
@@ -195,7 +169,6 @@ impl Runtime {
     ) -> Result<(), EngineError> {
         self.live()?;
         let key = query.compat_key().to_string();
-        let partitioned = self.key_partitioning && query.partition_decision().is_ok();
         let shards = self.shards();
         let next_group = &mut self.next_group;
         let group = self.groups.entry(key.clone()).or_insert_with(|| {
@@ -205,16 +178,11 @@ impl Runtime {
         });
         group.members += 1;
         let owner = group.owner;
-        self.routes.insert(query.id(), Route { key, partitioned });
-        let msgs = if partitioned {
-            let replicas = query.replicas(shards).into_iter().enumerate();
-            replicas
-                .map(|(shard, replica)| (shard, ControlMsg::AddQuery(Box::new(replica))))
-                .collect()
-        } else {
-            vec![(owner, ControlMsg::AddQuery(Box::new(query)))]
-        };
-        self.deliver(msgs, arrived);
+        self.routes.insert(query.id(), key);
+        self.deliver(
+            vec![(owner, ControlMsg::AddQuery(Box::new(query)))],
+            arrived,
+        );
         Ok(())
     }
 
@@ -228,11 +196,11 @@ impl Runtime {
         arrived: &mut Vec<Alert>,
     ) -> Result<Vec<Alert>, EngineError> {
         let flushed = self.control(id, ControlMsg::RemoveQuery, arrived)?.alerts;
-        if let Some(route) = self.routes.remove(&id) {
-            if let Some(group) = self.groups.get_mut(&route.key) {
+        if let Some(key) = self.routes.remove(&id) {
+            if let Some(group) = self.groups.get_mut(&key) {
                 group.members -= 1;
                 if group.members == 0 {
-                    self.groups.remove(&route.key);
+                    self.groups.remove(&key);
                 }
             }
         }
@@ -241,9 +209,7 @@ impl Runtime {
 
     /// Apply one per-query control message ([`ControlMsg::Pause`],
     /// [`Resume`](ControlMsg::Resume), [`Flush`](ControlMsg::Flush)) on
-    /// every shard hosting the query: all of them for a key-partitioned
-    /// query (replicas own disjoint groups, so their replies concatenate),
-    /// the owner of its compatibility group otherwise.
+    /// the shard owning the query's compatibility group.
     pub(crate) fn control(
         &mut self,
         id: QueryId,
@@ -251,15 +217,9 @@ impl Runtime {
         arrived: &mut Vec<Alert>,
     ) -> Result<Reply, EngineError> {
         self.live()?;
-        let route = self.routes.get(&id).ok_or(EngineError::UnknownQuery(id))?;
-        let hosts = if route.partitioned {
-            0..self.shards()
-        } else {
-            let owner = self.groups[&route.key].owner;
-            owner..owner + 1
-        };
-        let msgs = hosts.map(|shard| (shard, msg(id))).collect();
-        Ok(self.deliver(msgs, arrived))
+        let key = self.routes.get(&id).ok_or(EngineError::UnknownQuery(id))?;
+        let owner = self.groups[key].owner;
+        Ok(self.deliver(vec![(owner, msg(id))], arrived))
     }
 
     /// Barrier: when this returns, every shard has processed everything
@@ -272,29 +232,14 @@ impl Runtime {
 
     /// Capture every live query's dynamic state at the current stream
     /// position (engine checkpoints): exactly "everything handed in so far
-    /// processed, nothing after", whatever the worker count. A partitioned
-    /// query answers once per shard under the same id; its replica
-    /// snapshots merge back into one, so a checkpoint does not depend on
-    /// the worker count that took it.
+    /// processed, nothing after", whatever the worker count. Each query
+    /// lives on one shard, so it answers exactly once.
     pub(crate) fn snapshots(
         &mut self,
         arrived: &mut Vec<Alert>,
     ) -> Result<HashMap<QueryId, QuerySnapshot>, EngineError> {
-        let mut replicas: HashMap<QueryId, Vec<QuerySnapshot>> = HashMap::new();
-        for (id, snap) in self.broadcast(|| ControlMsg::Snapshot, arrived)?.snapshots {
-            replicas.entry(id).or_default().push(snap);
-        }
-        Ok(replicas
-            .into_iter()
-            .map(|(id, mut parts)| {
-                let snap = if parts.len() == 1 {
-                    parts.remove(0)
-                } else {
-                    QuerySnapshot::merge(parts).expect("nonempty replica set merges")
-                };
-                (id, snap)
-            })
-            .collect())
+        let snaps = self.broadcast(|| ControlMsg::Snapshot, arrived)?.snapshots;
+        Ok(snaps.into_iter().collect())
     }
 
     /// Apply one control message on every shard.
@@ -432,21 +377,11 @@ impl Runtime {
         self.home.iter().flat_map(|s| s.scheduler().queries())
     }
 
-    /// Per-query `(name, stats)`. A partitioned query's replicas (same id,
-    /// one per shard) fold into one row.
+    /// Per-query `(name, stats)`.
     pub(crate) fn query_stats(&self) -> Vec<(String, QueryStats)> {
-        let mut rows: Vec<(String, QueryStats)> = Vec::new();
-        let mut row_of: HashMap<QueryId, usize> = HashMap::new();
-        for q in self.queries() {
-            match row_of.get(&q.id()) {
-                Some(&row) => rows[row].1.absorb_replica(&q.stats()),
-                None => {
-                    row_of.insert(q.id(), rows.len());
-                    rows.push((q.name().to_string(), q.stats()));
-                }
-            }
-        }
-        rows
+        self.queries()
+            .map(|q| (q.name().to_string(), q.stats()))
+            .collect()
     }
 
     /// Total runtime errors across queries, plus dead workers.
@@ -519,7 +454,7 @@ mod tests {
     use crate::query::QueryConfig;
     use crate::scheduler::Scheduler;
     use saql_model::event::EventBuilder;
-    use saql_model::{NetworkInfo, ProcessInfo, Timestamp};
+    use saql_model::{NetworkInfo, ProcessInfo};
     use saql_stream::SharedEvent;
     use std::sync::Arc;
 
@@ -528,11 +463,10 @@ mod tests {
     }
 
     /// A worker-backed engine: the runtime under test behind its facade.
-    fn engine(workers: usize, batch_size: usize, key_partitioning: bool) -> Engine {
+    fn engine(workers: usize, batch_size: usize) -> Engine {
         Engine::new(EngineConfig {
             workers,
             batch_size,
-            key_partitioning,
             ..EngineConfig::default()
         })
     }
@@ -608,7 +542,7 @@ mod tests {
         serial_alerts.extend(serial.finish());
 
         for workers in [1usize, 2, 3, 8] {
-            let mut par = engine(workers, 16, false);
+            let mut par = engine(workers, 16);
             for (name, src) in sources() {
                 par.register(name, src).unwrap();
             }
@@ -685,7 +619,7 @@ mod tests {
 
     #[test]
     fn incremental_process_delivers_everything_by_finish() {
-        let mut par = engine(2, 8, false);
+        let mut par = engine(2, 8);
         par.register(
             "q",
             "proc p1[\"%cmd.exe\"] start proc p2 as e\nreturn p1, p2",
@@ -718,7 +652,7 @@ mod tests {
 
     #[test]
     fn mid_stream_register_joins_existing_group() {
-        let mut par = engine(2, 4, false);
+        let mut par = engine(2, 4);
         par.register(
             "a",
             "proc p1[\"%cmd.exe\"] start proc p2 as e\nreturn p1, p2",
@@ -754,7 +688,7 @@ mod tests {
 
     #[test]
     fn mid_stream_remove_flushes_windows_and_dissolves_group() {
-        let mut par = engine(3, 4, false);
+        let mut par = engine(3, 4);
         let id_w = par
             .register(
                 "w",
@@ -787,7 +721,7 @@ mod tests {
 
     #[test]
     fn mid_stream_pause_resume_skips_exactly_the_paused_span() {
-        let mut par = engine(2, 2, false);
+        let mut par = engine(2, 2);
         let id = par
             .register(
                 "q",
@@ -816,159 +750,6 @@ mod tests {
             "events 2..=5 fell in the pause: {alerts:?}"
         );
         assert!(alerts.iter().all(|a| a.query_id == id));
-    }
-
-    /// A heavy stateful-aggregation stream over `keys` distinct group keys
-    /// — the key-partitioning target workload.
-    fn keyed_events(n: u64, keys: u64) -> Vec<SharedEvent> {
-        (0..n)
-            .map(|i| {
-                send(
-                    i + 1,
-                    i * 700,
-                    &format!("p{}.exe", i % keys),
-                    "10.0.0.9",
-                    40 + (i % 90),
-                )
-            })
-            .collect()
-    }
-
-    const HOT: &str = "proc p write ip i as evt #time(1 min)\nstate ss { amt := sum(evt.amount); n := count() } group by p\nalert ss[0].amt > 120\nreturn p, ss[0].amt, ss[0].n";
-
-    #[test]
-    fn partitioned_matches_serial_multiset_across_worker_counts() {
-        let mut serial = Scheduler::new();
-        serial.add(rq("hot", HOT));
-        let mut serial_alerts = Vec::new();
-        for e in keyed_events(400, 37) {
-            serial_alerts.extend(serial.process(&e));
-        }
-        serial_alerts.extend(serial.finish());
-        let expect = serial.stats();
-        let expect_q = serial.queries().next().unwrap().stats();
-        assert!(!serial_alerts.is_empty(), "workload must alert");
-
-        for workers in [1usize, 2, 3, 8] {
-            let mut par = engine(workers, 16, true);
-            par.register("hot", HOT).unwrap();
-            let par_alerts = par.run(keyed_events(400, 37)).unwrap();
-            assert_eq!(
-                sorted(par_alerts),
-                sorted(serial_alerts.clone()),
-                "alert multiset diverged at {workers} workers"
-            );
-            let got = par.scheduler_stats();
-            // Each row is owned by exactly one replica, so deliveries stay
-            // disjoint and sum to the serial count — the work-partition
-            // audit's "0 duplicated deliveries".
-            assert_eq!(got.deliveries, expect.deliveries);
-            assert_eq!(got.events, expect.events);
-            // The replication cost: one master check per shard per row.
-            assert_eq!(got.master_checks, expect.master_checks * workers as u64);
-            assert_eq!(got.data_copies, 0);
-            if workers > 1 {
-                let busy = par
-                    .shard_stats()
-                    .iter()
-                    .filter(|(_, s)| s.deliveries > 0)
-                    .count();
-                assert!(busy > 1, "work did not spread across shards");
-            }
-            // Replica stats folded back into one row matching serial.
-            let qs = par.query_stats();
-            assert_eq!(qs.len(), 1);
-            assert_eq!(qs[0].1.events_seen, expect_q.events_seen);
-            assert_eq!(qs[0].1.events_matched, expect_q.events_matched);
-            assert_eq!(qs[0].1.alerts, expect_q.alerts);
-            assert_eq!(qs[0].1.windows_closed, expect_q.windows_closed);
-        }
-    }
-
-    #[test]
-    fn partitioned_checkpoint_resumes_at_different_worker_count() {
-        let evs = keyed_events(400, 37);
-        let mut serial = Scheduler::new();
-        serial.add(rq("hot", HOT));
-        let mut expected = Vec::new();
-        for e in &evs {
-            expected.extend(serial.process(e));
-        }
-        expected.extend(serial.finish());
-
-        // First half at 3 workers, checkpoint mid-stream, resume at 5.
-        let mut par = engine(3, 8, true);
-        let id = par.register("hot", HOT).unwrap();
-        let mut got = Vec::new();
-        for e in &evs[..200] {
-            got.extend(par.process(e).unwrap());
-        }
-        let checkpoint = par.checkpoint(200, Timestamp::ZERO).unwrap();
-        assert_eq!(
-            checkpoint.rows.len(),
-            1,
-            "replica snapshots merge to one per query"
-        );
-        assert!(checkpoint.rows[0].snapshot.is_some());
-        // The checkpoint barrier collected every alert raised so far; an
-        // empty batch hands them over. Dropping the old engine then discards
-        // its unflushed windows — the resumed engine owns that state now.
-        got.extend(
-            par.process_batch(&EventBatch::from_events(Vec::new()))
-                .unwrap(),
-        );
-        drop(par);
-
-        let mut par = Engine::resume_from(
-            checkpoint,
-            EngineConfig {
-                workers: 5,
-                batch_size: 8,
-                key_partitioning: true,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(par.contains(id));
-        for e in &evs[200..] {
-            got.extend(par.process(e).unwrap());
-        }
-        got.extend(par.finish());
-        assert_eq!(
-            sorted(got),
-            sorted(expected),
-            "checkpoint at 3 workers + resume at 5 diverged from serial"
-        );
-    }
-
-    #[test]
-    fn partitioned_lifecycle_controls_fan_out() {
-        let mut par = engine(4, 4, true);
-        let id = par.register("hot", HOT).unwrap();
-        let evs = keyed_events(100, 11);
-        for e in &evs[..50] {
-            par.process(e).unwrap();
-        }
-        // In-place flush touches every replica; each owns disjoint groups,
-        // so no group key appears twice in the flushed rows.
-        let flushed = par.flush_query(id).unwrap();
-        assert!(!flushed.is_empty(), "open window per key expected");
-        let mut rows: Vec<String> = flushed.iter().map(|a| a.to_string()).collect();
-        let total = rows.len();
-        rows.sort();
-        rows.dedup();
-        assert_eq!(rows.len(), total, "a replica duplicated a group flush");
-        // Pause/resume/remove route to all shards without wedging.
-        par.pause(id).unwrap();
-        for e in &evs[50..60] {
-            par.process(e).unwrap();
-        }
-        par.resume(id).unwrap();
-        par.deregister(id).unwrap();
-        assert!(!par.contains(id));
-        par.finish();
-        assert_eq!(par.dropped_alerts(), 0);
-        assert_eq!(par.error_count(), 0);
     }
 
     #[test]

@@ -47,11 +47,10 @@ pub struct SchedulerStats {
 
 impl SchedulerStats {
     /// Fold one shard's counters into an engine-wide view. Every shard
-    /// observes the full event stream (batches are broadcast, also in
-    /// key-partitioned mode, so every replica's watermark evolves as one
-    /// scheduler's would), so `events` merges as a maximum; the per-group
-    /// work counters — checks, deliveries, copies — add up across shards
-    /// (group subsets and partitioned row slices are disjoint).
+    /// observes the full event stream (batches are broadcast), so `events`
+    /// merges as a maximum; the per-group work counters — checks,
+    /// deliveries, copies — add up across shards (each group lives on
+    /// exactly one shard).
     pub fn absorb_shard(&mut self, shard: SchedulerStats) {
         self.events = self.events.max(shard.events);
         self.master_checks += shard.master_checks;

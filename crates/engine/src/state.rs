@@ -122,20 +122,6 @@ pub fn key_tuple(values: &[AttrValue]) -> KeyTuple {
     values.iter().map(KeyAtom::of).collect()
 }
 
-/// The partition routing hash: which of `n` shards owns the group named by
-/// this key tuple. The same FNV-1a hash as the group maps, folded over the
-/// atoms in order, so the ownership decision is identical wherever it is
-/// made — replica-side row filtering, checkpoint split, and checkpoint
-/// merge all call this one function. `n = 0` clamps to one shard.
-pub fn partition_of(atoms: &[KeyAtom], n: usize) -> usize {
-    use std::hash::Hash;
-    let mut h = Fnv::default();
-    for atom in atoms {
-        atom.hash(&mut h);
-    }
-    (h.finish() % n.max(1) as u64) as usize
-}
-
 /// The lazy alert label: key values joined by `|` with duplicate displays
 /// collapsed (`group by p` shows `sqlservr.exe`, not `sqlservr.exe|...`).
 pub fn group_label(values: &[AttrValue]) -> String {
@@ -587,76 +573,6 @@ pub struct StateSnapshot {
     pub first_window: Option<u64>,
 }
 
-impl StateSnapshot {
-    /// Split a canonical snapshot into `n` disjoint per-partition snapshots
-    /// for the key-partitioned runtime: every open group and every history
-    /// row lands on exactly the shard [`partition_of`] names for its key
-    /// tuple, and the warm-up boundary is replicated (it is a property of
-    /// stream time, not of any group). Empty per-window group lists are
-    /// dropped so each part is itself canonical.
-    pub fn split(&self, n: usize) -> Vec<StateSnapshot> {
-        let n = n.max(1);
-        let mut parts: Vec<StateSnapshot> = (0..n)
-            .map(|_| StateSnapshot {
-                open: Vec::new(),
-                history: Vec::new(),
-                first_window: self.first_window,
-            })
-            .collect();
-        for (k, groups) in &self.open {
-            let mut per: Vec<Vec<GroupAccumSnapshot>> = vec![Vec::new(); n];
-            for g in groups {
-                per[partition_of(&key_tuple(&g.key_vals), n)].push(g.clone());
-            }
-            for (part, rows) in parts.iter_mut().zip(per) {
-                if !rows.is_empty() {
-                    part.open.push((*k, rows));
-                }
-            }
-        }
-        for g in &self.history {
-            parts[partition_of(&key_tuple(&g.key_vals), n)]
-                .history
-                .push(g.clone());
-        }
-        parts
-    }
-
-    /// Merge disjoint per-partition snapshots back into the canonical form
-    /// [`StateMaintainer::snapshot`] produces — open groups re-gathered per
-    /// window id and key-sorted, history key-sorted — so a checkpoint taken
-    /// from a partitioned run restores bit-identically on a serial (or
-    /// differently sized) engine.
-    pub fn merge(parts: Vec<StateSnapshot>) -> StateSnapshot {
-        let mut open: BTreeMap<u64, Vec<GroupAccumSnapshot>> = BTreeMap::new();
-        let mut history: Vec<GroupHistorySnapshot> = Vec::new();
-        let mut first_window = None;
-        for part in parts {
-            for (k, groups) in part.open {
-                open.entry(k).or_default().extend(groups);
-            }
-            history.extend(part.history);
-            first_window = match (first_window, part.first_window) {
-                (Some(a), Some(b)) => Some(std::cmp::min::<u64>(a, b)),
-                (a, b) => a.or(b),
-            };
-        }
-        let open = open
-            .into_iter()
-            .map(|(k, mut groups)| {
-                groups.sort_by_key(|g| key_tuple(&g.key_vals));
-                (k, groups)
-            })
-            .collect();
-        history.sort_by_key(|g| key_tuple(&g.key_vals));
-        StateSnapshot {
-            open,
-            history,
-            first_window,
-        }
-    }
-}
-
 /// State access for evaluating one group at the close of window `k` —
 /// implements both the interpreter's name-based [`StateLookup`] and the
 /// compiled plans' index-based [`StateSlots`].
@@ -814,76 +730,6 @@ mod tests {
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].label, "<all>");
         assert_eq!(snaps[0].values[0].as_f64(), Some(3.0));
-    }
-
-    #[test]
-    fn partition_of_is_stable_and_in_range() {
-        for n in 1..=8usize {
-            for name in ["a.exe", "b.exe", "sqlservr.exe", "x", "y", "z"] {
-                let a = atoms(&[name]);
-                let owner = partition_of(&a, n);
-                assert!(owner < n);
-                assert_eq!(owner, partition_of(&a, n), "deterministic");
-            }
-        }
-        // The empty tuple (global group) routes somewhere valid too.
-        assert_eq!(partition_of(&[], 1), 0);
-        assert!(partition_of(&[], 4) < 4);
-        // n = 0 clamps rather than dividing by zero.
-        assert_eq!(partition_of(&atoms(&["a"]), 0), 0);
-        // Across many shards the populations spread: at least two owners
-        // appear over a modest key set.
-        let owners: std::collections::HashSet<usize> = (0..64)
-            .map(|k| partition_of(&[KeyAtom::Int(k)], 8))
-            .collect();
-        assert!(owners.len() > 1, "hash must actually spread groups");
-    }
-
-    #[test]
-    fn snapshot_split_merge_roundtrips_canonical_form() {
-        let mut m = StateMaintainer::new(&block(QUERY2_STATE));
-        // A few closed windows of history plus open state across two
-        // windows, spread over enough groups that every part is non-empty.
-        for k in 0..3u64 {
-            for g in 0..16i64 {
-                let name = format!("p{g}.exe");
-                m.observe(
-                    &[k],
-                    &atoms(&[name.as_str()]),
-                    &[Value::int(g * 10 + k as i64)],
-                );
-            }
-            m.close(k);
-        }
-        for g in 0..16i64 {
-            let name = format!("p{g}.exe");
-            m.observe(&[3, 4], &atoms(&[name.as_str()]), &[Value::int(g)]);
-        }
-        let canonical = m.snapshot();
-        for n in [1usize, 2, 3, 8] {
-            let parts = canonical.split(n);
-            assert_eq!(parts.len(), n);
-            // Disjoint: each open group / history row appears exactly once,
-            // on the shard the routing hash names.
-            for (idx, part) in parts.iter().enumerate() {
-                for (_, groups) in &part.open {
-                    assert!(!groups.is_empty(), "empty window rows are dropped");
-                    for g in groups {
-                        assert_eq!(partition_of(&key_tuple(&g.key_vals), n), idx);
-                    }
-                }
-                for g in &part.history {
-                    assert_eq!(partition_of(&key_tuple(&g.key_vals), n), idx);
-                }
-                assert_eq!(part.first_window, canonical.first_window);
-            }
-            let merged = StateSnapshot::merge(parts);
-            assert_eq!(format!("{merged:?}"), format!("{canonical:?}"));
-        }
-        // Merging nothing yields the empty snapshot.
-        let empty = StateSnapshot::merge(Vec::new());
-        assert!(empty.open.is_empty() && empty.history.is_empty());
-        assert_eq!(empty.first_window, None);
     }
 
     /// The pruned history answers every lookup an unpruned one does, and

@@ -241,25 +241,6 @@ pub struct WindowSnapshot {
     pub closed: u64,
 }
 
-impl WindowSnapshot {
-    /// Fold another partitioned replica's view of the same query clock into
-    /// this one. A replica only *opens* the windows its owned rows landed
-    /// in, so the canonical open set is the union; the watermark advances
-    /// identically everywhere (batches broadcast), so max is exact. The
-    /// closed counter is diagnostics — max is the best single-replica
-    /// lower bound (replicas close disjoint window subsets).
-    pub fn absorb_replica(&mut self, part: &WindowSnapshot) {
-        self.watermark = self.watermark.max(part.watermark);
-        for &k in &part.open {
-            if !self.open.contains(&k) {
-                self.open.push(k);
-            }
-        }
-        self.open.sort_unstable();
-        self.closed = self.closed.max(part.closed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,8 +30,11 @@ pub enum DecodeError {
     BadTag(&'static str, u8),
     /// A string field was not valid UTF-8.
     BadUtf8,
-    /// A varint ran past its maximum width.
+    /// A varint ran past its maximum width, or its 10th byte carried bits
+    /// beyond the 64th.
     BadVarint,
+    /// A numeric field's value does not fit the field's type.
+    OutOfRange(&'static str, u64),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -42,6 +45,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadTag(what, v) => write!(f, "invalid {what} tag {v}"),
             DecodeError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             DecodeError::BadVarint => write!(f, "varint too long"),
+            DecodeError::OutOfRange(what, v) => write!(f, "{what} {v} out of range"),
         }
     }
 }
@@ -67,12 +71,24 @@ fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
             return Err(DecodeError::Truncated);
         }
         let byte = buf.get_u8();
+        // The 10th byte holds bit 63 only: anything above would be shifted
+        // out silently (`put_varint(u64::MAX)` writes 0x01 here).
+        if shift == 63 && byte > 1 {
+            return Err(DecodeError::BadVarint);
+        }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
     }
     Err(DecodeError::BadVarint)
+}
+
+/// A varint for a field narrower than `u64`, refused rather than truncated
+/// when the value does not fit.
+fn get_narrow<T: TryFrom<u64>>(buf: &mut Bytes, field: &'static str) -> Result<T, DecodeError> {
+    let v = get_varint(buf)?;
+    T::try_from(v).map_err(|_| DecodeError::OutOfRange(field, v))
 }
 
 fn put_str(buf: &mut BytesMut, s: &str) {
@@ -111,7 +127,7 @@ fn put_process(buf: &mut BytesMut, p: &ProcessInfo) {
 }
 
 fn get_process(buf: &mut Bytes) -> Result<ProcessInfo, DecodeError> {
-    let pid = get_varint(buf)? as u32;
+    let pid = get_narrow(buf, "pid")?;
     let exe_name = get_str(buf)?;
     let user = get_str(buf)?;
     Ok(ProcessInfo {
@@ -157,9 +173,9 @@ fn get_entity(buf: &mut Bytes) -> Result<Entity, DecodeError> {
         })),
         ENTITY_NETWORK => {
             let src_ip = get_str(buf)?;
-            let src_port = get_varint(buf)? as u16;
+            let src_port = get_narrow(buf, "src_port")?;
             let dst_ip = get_str(buf)?;
-            let dst_port = get_varint(buf)? as u16;
+            let dst_port = get_narrow(buf, "dst_port")?;
             let protocol = get_str(buf)?;
             Ok(Entity::Network(NetworkInfo {
                 src_ip,
@@ -367,6 +383,47 @@ mod tests {
             let mut data = buf.clone().freeze();
             assert_eq!(get_varint(&mut data).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn varint_tenth_byte_beyond_bit_63_is_refused() {
+        let mut raw = vec![0xffu8; 9];
+        raw.push(0x02);
+        assert_eq!(
+            get_varint(&mut Bytes::from(raw)),
+            Err(DecodeError::BadVarint)
+        );
+        // The 10th byte `put_varint(u64::MAX)` writes stays accepted.
+        let mut raw = vec![0xffu8; 9];
+        raw.push(0x01);
+        assert_eq!(get_varint(&mut Bytes::from(raw)), Ok(u64::MAX));
+    }
+
+    #[test]
+    fn pid_beyond_u32_is_refused() {
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, (1u64 << 32) + 5);
+        put_str(&mut buf, "cmd.exe");
+        put_str(&mut buf, "u");
+        assert_eq!(
+            get_process(&mut buf.freeze()),
+            Err(DecodeError::OutOfRange("pid", (1 << 32) + 5))
+        );
+    }
+
+    #[test]
+    fn port_beyond_u16_is_refused() {
+        let mut buf = BytesMut::new();
+        buf.put_u8(ENTITY_NETWORK);
+        put_str(&mut buf, "10.0.0.5");
+        put_varint(&mut buf, 50_000);
+        put_str(&mut buf, "172.16.0.129");
+        put_varint(&mut buf, 65_536 + 443);
+        put_str(&mut buf, "tcp");
+        assert_eq!(
+            get_entity(&mut buf.freeze()),
+            Err(DecodeError::OutOfRange("dst_port", 65_536 + 443))
+        );
     }
 
     #[test]

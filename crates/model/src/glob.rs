@@ -12,6 +12,9 @@
 /// * `_` — exactly one character;
 /// * everything else matches itself, ASCII case-insensitively.
 ///
+/// A pattern `%` is always a wildcard, also where the text holds a `%`
+/// (`%cmd.exe` matches the unexpanded `%windir%\system32\cmd.exe`).
+///
 /// The classic two-pointer walk with backtracking to the most recent `%`,
 /// over the two strings' `chars()` in place: O(|text| · |pattern|) worst
 /// case, O(|text|) for patterns with a single `%`, and no allocation — the
@@ -26,11 +29,11 @@ pub fn like_match(pattern: &str, text: &str) -> bool {
         let Some(tc) = t_next.next() else { break };
         let mut p_next = p.clone();
         match p_next.next() {
-            Some(pc) if pc == '_' || eq_ci(pc, tc) => (p, t) = (p_next, t_next),
             Some('%') => {
                 star = Some((p_next.clone(), t.clone()));
                 p = p_next;
             }
+            Some(pc) if pc == '_' || eq_ci(pc, tc) => (p, t) = (p_next, t_next),
             _ => match &mut star {
                 // Grow the region the star covers by one character and retry.
                 Some((star_p, star_t)) => {
@@ -64,31 +67,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The implementation `like_match` replaced (it collected both strings
-    /// into `Vec<char>` on every call), kept as the oracle.
-    fn like_match_indexed(pattern: &str, text: &str) -> bool {
-        let p: Vec<char> = pattern.chars().collect();
-        let t: Vec<char> = text.chars().collect();
-        let (mut pi, mut ti) = (0usize, 0usize);
-        let mut star: Option<usize> = None;
-        let mut star_ti = 0usize;
-        while ti < t.len() {
-            if pi < p.len() && (p[pi] == '_' || eq_ci(p[pi], t[ti])) {
-                pi += 1;
-                ti += 1;
-            } else if pi < p.len() && p[pi] == '%' {
-                star = Some(pi);
-                star_ti = ti;
-                pi += 1;
-            } else if let Some(sp) = star {
-                pi = sp + 1;
-                star_ti += 1;
-                ti = star_ti;
-            } else {
-                return false;
+    /// The definition, read off directly: `%` covers any run (tried at
+    /// every length), `_` exactly one character, anything else itself.
+    /// Exponential in the worst case — fine for the short strings below.
+    fn like_reference(p: &[char], t: &[char]) -> bool {
+        match p.split_first() {
+            None => t.is_empty(),
+            Some(('%', rest)) => (0..=t.len()).any(|i| like_reference(rest, &t[i..])),
+            Some(('_', rest)) => !t.is_empty() && like_reference(rest, &t[1..]),
+            Some((&pc, rest)) => {
+                t.first().is_some_and(|&tc| eq_ci(pc, tc)) && like_reference(rest, &t[1..])
             }
         }
-        p[pi..].iter().all(|&c| c == '%')
     }
 
     proptest! {
@@ -98,13 +88,14 @@ mod tests {
         /// characters, so `%%`, leading/trailing `_`, empty strings and
         /// backtracking across non-ASCII all occur.
         #[test]
-        fn like_match_equals_the_indexed_implementation(
+        fn like_match_equals_the_definition(
             pattern in proptest::string::string_regex("[aAbé%_]{0,8}").unwrap(),
             text in proptest::string::string_regex("[aAbBéÉ%_]{0,10}").unwrap(),
         ) {
+            let (p, t): (Vec<char>, Vec<char>) = (pattern.chars().collect(), text.chars().collect());
             prop_assert_eq!(
                 like_match(&pattern, &text),
-                like_match_indexed(&pattern, &text),
+                like_reference(&p, &t),
                 "pattern={:?} text={:?}", pattern, text
             );
         }
@@ -166,6 +157,18 @@ mod tests {
         // Pattern that forces the star to re-cover repeatedly.
         assert!(like_match("%a%a%a%", "bbabbabba"));
         assert!(!like_match("%a%a%a%a%", "bbabbabba"));
+    }
+
+    #[test]
+    fn pattern_percent_is_a_wildcard_even_against_a_text_percent() {
+        assert!(like_match("a%", "a%b"));
+        assert!(like_match("%a", "%ba"));
+    }
+
+    #[test]
+    fn leading_percent_matches_an_unexpanded_environment_path() {
+        assert!(like_match("%cmd.exe", r"%windir%\system32\cmd.exe"));
+        assert!(like_match("%cmd.exe", r"C:\windows\cmd.exe"));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! The query set spans all the execution paths whose state the shards
 //! carry: plain rules, `distinct` suppression, and stateful windows of
 //! different lengths (so the queries split into several compatibility
-//! groups and actually exercise the partitioner).
+//! groups and the runtime actually deals them across shards). Group
+//! sharding is the engine's only parallel mode.
 
 use proptest::prelude::*;
 
@@ -378,112 +379,6 @@ proptest! {
                 ops
             );
             prop_assert_eq!(parallel.dropped_alerts(), 0);
-        }
-    }
-
-    /// Key-partitioned mode: same streams, same deployment, but
-    /// partitionable queries replicate across shards with each replica
-    /// owning a disjoint slice of groups. The multiset equivalence must
-    /// hold at every worker count — with rules (not partitionable) and
-    /// windows (partitionable) coexisting in the same deployment — and the
-    /// per-row deliveries must stay exactly disjoint: summed across shards
-    /// they equal the serial scheduler's count.
-    #[test]
-    fn partitioned_engine_matches_serial_alert_multiset(steps in arb_steps()) {
-        let events = materialize(&steps);
-
-        let mut serial = Engine::new(EngineConfig::default());
-        for (name, src) in query_set() {
-            serial.register(name, src).unwrap();
-        }
-        let expected = multiset(serial.run(events.clone()).unwrap());
-        let serial_deliveries = serial.scheduler_stats().deliveries;
-
-        for workers in 1usize..=8 {
-            let mut parallel = Engine::new(EngineConfig {
-                workers,
-                batch_size: 7,
-                key_partitioning: true,
-                ..EngineConfig::default()
-            });
-            for (name, src) in query_set() {
-                parallel.register(name, src).unwrap();
-            }
-            let got = multiset(parallel.run(events.clone()).unwrap());
-            prop_assert_eq!(
-                &got,
-                &expected,
-                "partitioned alert multiset diverged at {} workers over {} events",
-                workers,
-                events.len()
-            );
-            prop_assert_eq!(
-                parallel.scheduler_stats().deliveries,
-                serial_deliveries,
-                "deliveries not disjoint at {} workers",
-                workers
-            );
-            prop_assert_eq!(parallel.dropped_alerts(), 0);
-        }
-    }
-
-    /// Lifecycle schedules under key partitioning: adds fan replicas out
-    /// mid-stream, deregister/pause/resume fan control to every shard —
-    /// each still lands at an exact stream position, so the per-query
-    /// multisets must keep matching the serial run.
-    #[test]
-    fn partitioned_lifecycle_schedules_match_serial_alert_multiset(
-        steps in arb_steps(),
-        ops in arb_lifecycle_ops(),
-    ) {
-        let events = materialize(&steps);
-
-        let mut serial = Engine::new(EngineConfig::default());
-        let expected = multiset(run_with_schedule(&mut serial, &events, &ops));
-
-        for workers in [1usize, 2, 5, 8] {
-            let config = EngineConfig {
-                workers,
-                key_partitioning: true,
-                ..EngineConfig::default()
-            };
-            let mut parallel = Engine::new(config);
-            let got = multiset(run_with_schedule(&mut parallel, &events, &ops));
-            prop_assert_eq!(
-                &got,
-                &expected,
-                "partitioned lifecycle multiset diverged at {} workers over {} events, ops {:?}",
-                workers,
-                events.len(),
-                ops
-            );
-            prop_assert_eq!(parallel.dropped_alerts(), 0);
-        }
-    }
-}
-
-/// The partitionability analysis on the deployment the proptests run:
-/// stateful windows shard by key, rules and `distinct` queries do not —
-/// so the partitioned runs above genuinely mix both execution modes.
-#[test]
-fn query_set_splits_into_partitionable_and_not() {
-    use saql::engine::query::{QueryConfig, RunningQuery};
-    let decide = |name: &str, src: &str| {
-        RunningQuery::compile(name, src, QueryConfig::default())
-            .unwrap()
-            .partition_decision()
-            .is_ok()
-    };
-    for (name, src) in query_set() {
-        let partitionable = decide(name, src);
-        match name {
-            "window-sum" | "window-count" | "window-read" => {
-                assert!(partitionable, "{name} should key-partition")
-            }
-            "rule-cmd" | "rule-distinct" => {
-                assert!(!partitionable, "{name} must stay group-sharded")
-            }
-            other => panic!("unclassified query {other}"),
         }
     }
 }
