@@ -10,9 +10,8 @@
 //!
 //! * [`AttrId`] — a dense identifier for every attribute the data model
 //!   exposes, resolved **once** when a query is compiled;
-//! * [`AttrTable`] — the name → id resolution table, built on the existing
-//!   [`Interner`] (one symbol per accepted spelling, a dense symbol-indexed
-//!   id table per namespace);
+//! * [`AttrTable`] — the name → id resolution table (one spelling → id map
+//!   per namespace);
 //! * [`AttrRef`] — a borrowed view of an attribute value
 //!   (`attr_ref(&self, AttrId) -> Option<AttrRef<'_>>` on events and
 //!   entities), so constraint checks compare in place without cloning.
@@ -22,10 +21,10 @@
 //! shared `Arc<str>` handle, never string bytes.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::attr::AttrValue;
-use crate::interner::Interner;
 
 /// A resolved attribute identifier.
 ///
@@ -146,17 +145,14 @@ const SPELLINGS: &[(AttrNs, &str, AttrId)] = &[
     (AttrNs::Network, "proto", AttrId::Protocol),
 ];
 
-/// The deploy-time name → [`AttrId`] resolution table.
-///
-/// Built on the [`Interner`]: every accepted spelling is interned once, and
-/// each namespace keeps a dense symbol-indexed id column. Resolving a name
-/// is one interner lookup plus one array index — and it happens only at
+/// The deploy-time name → [`AttrId`] resolution table: one
+/// spelling → id map per namespace, built from the accepted spellings.
+/// Resolving a name is one hash lookup, and it happens only at
 /// query-compile time; the per-event path deals exclusively in ids.
 #[derive(Debug)]
 pub struct AttrTable {
-    interner: Interner,
-    /// `columns[ns][symbol]` → id, dense by symbol index.
-    columns: [Vec<Option<AttrId>>; 4],
+    /// Indexed by [`AttrTable::column`].
+    columns: [HashMap<&'static str, AttrId>; 4],
 }
 
 impl AttrTable {
@@ -169,19 +165,13 @@ impl AttrTable {
         }
     }
 
-    /// Build the table (interning every accepted spelling).
+    /// Build the table from every accepted spelling.
     pub fn new() -> AttrTable {
-        let mut interner = Interner::new();
-        let mut columns: [Vec<Option<AttrId>>; 4] = Default::default();
+        let mut columns: [HashMap<&'static str, AttrId>; 4] = Default::default();
         for &(ns, spelling, id) in SPELLINGS {
-            let sym = interner.intern(spelling);
-            let col = &mut columns[Self::column(ns)];
-            if col.len() <= sym.0 as usize {
-                col.resize(sym.0 as usize + 1, None);
-            }
-            col[sym.0 as usize] = Some(id);
+            columns[Self::column(ns)].insert(spelling, id);
         }
-        AttrTable { interner, columns }
+        AttrTable { columns }
     }
 
     /// The process-wide table. Resolution state is immutable after
@@ -194,11 +184,7 @@ impl AttrTable {
     /// Resolve a name in a namespace. `None` for unknown names — the
     /// compiled counterpart of the legacy string matchers returning `None`.
     pub fn resolve(&self, ns: AttrNs, name: &str) -> Option<AttrId> {
-        let sym = self.interner.lookup(name)?;
-        self.columns[Self::column(ns)]
-            .get(sym.0 as usize)
-            .copied()
-            .flatten()
+        self.columns[Self::column(ns)].get(name).copied()
     }
 }
 

@@ -14,6 +14,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::entity::{Entity, FileInfo, NetworkInfo, ProcessInfo};
 use crate::event::{Event, Operation};
+use crate::share::share;
 use crate::time::Timestamp;
 
 /// Format version tag written before every record.
@@ -101,10 +102,10 @@ fn get_str(buf: &mut Bytes) -> Result<std::sync::Arc<str>, DecodeError> {
     if buf.remaining() < len {
         return Err(DecodeError::Truncated);
     }
-    // Validate in place and copy once straight into the Arc; an
-    // intermediate `copy_to_bytes` would allocate a second time per field.
+    // Validate in place and share straight from the buffer; an
+    // intermediate `copy_to_bytes` would allocate on every field.
     let s = std::str::from_utf8(&buf.chunk()[..len]).map_err(|_| DecodeError::BadUtf8)?;
-    let out = std::sync::Arc::from(s);
+    let out = share(s);
     buf.advance(len);
     Ok(out)
 }

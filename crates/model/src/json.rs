@@ -29,9 +29,11 @@
 //! borrowed from the line and only one with a `\` is unescaped (into a
 //! buffer of its own), numbers are parsed in place with checked overflow, and
 //! entity members wait in fixed slots until the object closes, so `kind`
-//! may come last. Each string field then costs one allocation, its
-//! `Arc<str>`. A `\u` escape takes exactly four hex digits; a surrogate
-//! pair is one character and a lone surrogate becomes U+FFFD.
+//! may come last. A string field's `Arc<str>` comes from the decoding
+//! thread's string table (`share.rs`), so a string the feed repeats costs
+//! no allocation, and a new one costs one. A `\u` escape takes exactly four
+//! hex digits; a surrogate pair is one character and a lone surrogate
+//! becomes U+FFFD.
 //!
 //! [`parse_json`] builds a [`JsonValue`] tree for the control protocol; it
 //! shares the tokenizer and the escape rules.
@@ -41,6 +43,7 @@ use std::sync::Arc;
 
 use crate::entity::{Entity, FileInfo, NetworkInfo, ProcessInfo};
 use crate::event::{Event, Operation};
+use crate::share::share;
 use crate::time::Timestamp;
 
 /// Error decoding a JSON line.
@@ -529,7 +532,7 @@ impl<'a> Parser<'a> {
     }
 
     fn str_field(&mut self, key: &str) -> Result<Arc<str>, JsonError> {
-        Ok(Arc::from(self.str_value(key, &mut String::new())?))
+        Ok(share(self.str_value(key, &mut String::new())?))
     }
 
     fn op(&mut self) -> Result<Operation, JsonError> {

@@ -13,8 +13,6 @@
 //! * [`Event`] and [`Operation`] — SVO events and their operation kinds;
 //! * [`AttrValue`] — dynamically typed attribute values used by the query
 //!   engine when evaluating constraints and expressions;
-//! * [`Interner`] — a string interner used by data producers to deduplicate
-//!   entity names;
 //! * [`glob`] — SQL-`LIKE` style wildcard matching (`%`, `_`) used by entity
 //!   attribute patterns such as `proc p["%cmd.exe"]`;
 //! * [`time`] — timestamp and duration helpers (`10 min`, `10 s`, …);
@@ -27,13 +25,12 @@ pub mod codec;
 pub mod entity;
 pub mod event;
 pub mod glob;
-pub mod interner;
 pub mod json;
+mod share;
 pub mod time;
 
 pub use attr::AttrValue;
 pub use attr_ref::{AttrId, AttrNs, AttrRef, AttrTable};
 pub use entity::{Entity, EntityType, FileInfo, NetworkInfo, ProcessInfo};
 pub use event::{Event, EventId, Operation};
-pub use interner::{Interner, Symbol};
 pub use time::{Duration, Timestamp};
