@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use saql_collector::workload::{synthetic_stream, WorkloadConfig};
 use saql_model::json::{decode_event_json, encode_event_json};
-use saql_model::{Duration, Entity, Event};
+use saql_model::{Duration, Entity, Event, Timestamp};
 use saql_stream::merge::{MergeConfig, WatermarkMerge};
 use saql_stream::source::IterSource;
 use saql_stream::SharedEvent;
@@ -90,6 +90,32 @@ fn bench_ingest(c: &mut Criterion) {
                 for (i, feed) in feeds.iter().enumerate() {
                     merge.attach(Box::new(IterSource::new(format!("f{i}"), feed.clone())));
                 }
+                merge.collect_remaining().len()
+            });
+        });
+    }
+
+    // One feed at the default lateness, sorted (every event joins the
+    // sorted run) and with every 20th event 500 ms late (the stragglers
+    // take the heap).
+    let sorted = split_feeds(&events, 1).remove(0);
+    let stragglers: Vec<SharedEvent> = sorted
+        .iter()
+        .enumerate()
+        .map(|(i, e)| match i % 20 {
+            19 => {
+                let mut late = (**e).clone();
+                late.ts = Timestamp::from_millis(late.ts.as_millis().saturating_sub(500));
+                Arc::new(late)
+            }
+            _ => Arc::clone(e),
+        })
+        .collect();
+    for (name, feed) in [("sorted", &sorted), ("stragglers", &stragglers)] {
+        group.bench_function(format!("merge-1way-bounded-{name}-50k"), |b| {
+            b.iter(|| {
+                let mut merge = WatermarkMerge::new(MergeConfig::default());
+                merge.attach(Box::new(IterSource::new("feed", feed.clone())));
                 merge.collect_remaining().len()
             });
         });

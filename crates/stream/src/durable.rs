@@ -34,7 +34,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use saql_model::{codec, Event};
+use saql_model::{codec, Event, Timestamp};
 
 use crate::segment::{read_meta, write_segment, SegmentMeta, SegmentRecords};
 use crate::store::{Selection, StoreError};
@@ -375,16 +375,23 @@ impl StoreReader {
         })
     }
 
-    fn iter_over(
-        &self,
-        pending: VecDeque<SegmentMeta>,
-        selection: Selection,
-        skip: u64,
-    ) -> StoreIter {
+    fn iter_over(&self, segments: Vec<SegmentMeta>, selection: Selection, skip: u64) -> StoreIter {
+        let tail_floor = self.tail.iter().map(|e| e.ts.as_millis()).min();
+        let tail_floor = tail_floor.unwrap_or(u64::MAX);
+        // Each pending segment carries the floor from it on: the smallest
+        // header `min_ts` of it and every later segment, and the tail's.
+        let mut floor = tail_floor;
+        let mut pending = VecDeque::with_capacity(segments.len());
+        for meta in segments.into_iter().rev() {
+            floor = floor.min(meta.min_ts.as_millis());
+            pending.push_front((meta, floor));
+        }
         StoreIter {
             pending,
             current: None,
             tail: self.tail.clone().into_iter(),
+            floor,
+            tail_floor,
             failed: false,
             selection,
             skip,
@@ -394,13 +401,13 @@ impl StoreReader {
     /// Stream events matching `selection`, in stored order, pruning
     /// segments by header first.
     pub fn iter(&self, selection: &Selection) -> Result<StoreIter, StoreError> {
-        let pending = self
+        let segments = self
             .segments
             .iter()
             .filter(|m| m.intersects(selection))
             .cloned()
             .collect();
-        Ok(self.iter_over(pending, selection.clone(), 0))
+        Ok(self.iter_over(segments, selection.clone(), 0))
     }
 
     /// Stream every event from global offset `offset` (0-based index in
@@ -409,15 +416,15 @@ impl StoreReader {
     /// re-attaches here.
     pub fn iter_from(&self, offset: u64) -> Result<StoreIter, StoreError> {
         let mut skip = offset;
-        let mut pending = VecDeque::new();
+        let mut segments = Vec::new();
         for meta in &self.segments {
-            if pending.is_empty() && skip >= meta.events as u64 {
+            if segments.is_empty() && skip >= meta.events as u64 {
                 skip -= meta.events as u64;
                 continue;
             }
-            pending.push_back(meta.clone());
+            segments.push(meta.clone());
         }
-        Ok(self.iter_over(pending, Selection::all(), skip))
+        Ok(self.iter_over(segments, Selection::all(), skip))
     }
 
     /// Read every event matching `selection` into memory.
@@ -465,15 +472,31 @@ impl StoreReader {
 /// the global-offset prefix, and surfaces a segment's read failure as the
 /// stream's last item.
 pub struct StoreIter {
-    pending: VecDeque<SegmentMeta>,
+    /// Segments still to open, each with the floor from it on.
+    pending: VecDeque<(SegmentMeta, u64)>,
     current: Option<SegmentRecords>,
     tail: std::vec::IntoIter<Event>,
+    /// See [`floor`](Self::floor), in milliseconds (`u64::MAX`: none).
+    floor: u64,
+    /// The smallest timestamp in the WAL tail.
+    tail_floor: u64,
     failed: bool,
     selection: Selection,
     skip: u64,
 }
 
 impl StoreIter {
+    /// No event this iterator yields from now on is earlier than this:
+    /// the smallest header `min_ts` of the segment being read and of every
+    /// pending one, and after them the WAL tail's smallest timestamp.
+    /// `None` once nothing is left to read. The segment headers are
+    /// untrusted, but every record is checked against its header's range
+    /// as it is decoded, and a record outside it ends the stream: a forged
+    /// header can cut the stream short, not break this promise.
+    pub(crate) fn floor(&self) -> Option<Timestamp> {
+        (self.floor != u64::MAX).then(|| Timestamp::from_millis(self.floor))
+    }
+
     /// The next stored event, before skip and selection.
     fn next_raw(&mut self) -> Option<Result<Event, StoreError>> {
         if self.failed {
@@ -489,15 +512,17 @@ impl StoreIter {
                     None => self.current = None,
                 }
             }
-            match self.pending.pop_front() {
-                Some(meta) => match SegmentRecords::open(&meta.path) {
-                    Ok(records) => self.current = Some(records),
-                    Err(e) => {
-                        self.failed = true;
-                        return Some(Err(e));
-                    }
-                },
-                None => return self.tail.next().map(Ok),
+            let Some((meta, floor)) = self.pending.pop_front() else {
+                self.floor = self.tail_floor;
+                return self.tail.next().map(Ok);
+            };
+            self.floor = floor;
+            match SegmentRecords::open(&meta.path) {
+                Ok(records) => self.current = Some(records),
+                Err(e) => {
+                    self.failed = true;
+                    return Some(Err(e));
+                }
             }
         }
     }

@@ -1,18 +1,21 @@
 //! K-way timestamp-ordered merging of per-source event feeds.
 //!
-//! Two layers live here:
+//! [`WatermarkMerge`] is the ingestion-grade merge over pull-based
+//! [`EventSource`]s: each source carries a *watermark* (a promise that no
+//! future event from it will be earlier), events out of order beyond a
+//! per-source **bounded lateness** are dropped and counted, and the merged
+//! output is released in deterministic `(timestamp, source, seq)` order —
+//! an event leaves the merge only once every other live source's watermark
+//! has passed it, so the enterprise-wide stream order does not depend on
+//! pull timing. This is what [`saql_engine`-side sessions] pump.
 //!
-//! * [`MergedStream`] — the original synchronous merge over already-sorted
-//!   iterators (ties broken by event id, then input index). Still the right
-//!   tool when every feed is fully materialized and strictly ordered.
-//! * [`WatermarkMerge`] — the ingestion-grade merge over pull-based
-//!   [`EventSource`]s: each source carries a *watermark* (a promise that no
-//!   future event from it will be earlier), events out of order beyond a
-//!   per-source **bounded lateness** are dropped and counted, and the merged
-//!   output is released in deterministic `(timestamp, source, seq)` order —
-//!   an event leaves the merge only once every other live source's watermark
-//!   has passed it, so the enterprise-wide stream order does not depend on
-//!   pull timing. This is what [`saql_engine`-side sessions] pump.
+//! A bounded-lateness source re-sorts only what arrives out of order: each
+//! event at or after the back of the source's sorted run is appended to it,
+//! and only a straggler below that back pays for a heap push. Release takes
+//! the smaller `(ts, seq)` of the two fronts. How many events wait there is
+//! set by the watermark: `max_ts − lateness` by default, or a source's own
+//! tighter promise (a [`StoreSource`](crate::source::StoreSource)'s
+//! verified segment floor).
 //!
 //! [`saql_engine`-side sessions]: crate::source::EventSource
 
@@ -23,83 +26,6 @@ use saql_model::{Duration, Timestamp};
 
 use crate::source::{EventSource, SourcePoll};
 use crate::SharedEvent;
-
-// ---------------------------------------------------------------------
-// The original sorted-iterator merge
-// ---------------------------------------------------------------------
-
-struct HeapEntry {
-    event: SharedEvent,
-    source: usize,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the earliest first.
-        (other.event.ts, other.event.id, other.source).cmp(&(
-            self.event.ts,
-            self.event.id,
-            self.source,
-        ))
-    }
-}
-
-/// Merge per-source event iterators (each already sorted by timestamp) into
-/// one globally ordered iterator.
-pub struct MergedStream<I: Iterator<Item = SharedEvent>> {
-    sources: Vec<I>,
-    heap: BinaryHeap<HeapEntry>,
-}
-
-impl<I: Iterator<Item = SharedEvent>> MergedStream<I> {
-    pub fn new(mut sources: Vec<I>) -> Self {
-        let mut heap = BinaryHeap::with_capacity(sources.len());
-        for (i, src) in sources.iter_mut().enumerate() {
-            if let Some(event) = src.next() {
-                heap.push(HeapEntry { event, source: i });
-            }
-        }
-        MergedStream { sources, heap }
-    }
-}
-
-impl<I: Iterator<Item = SharedEvent>> Iterator for MergedStream<I> {
-    type Item = SharedEvent;
-
-    fn next(&mut self) -> Option<SharedEvent> {
-        let HeapEntry { event, source } = self.heap.pop()?;
-        if let Some(next) = self.sources[source].next() {
-            self.heap.push(HeapEntry {
-                event: next,
-                source,
-            });
-        }
-        Some(event)
-    }
-}
-
-/// Convenience: merge vectors of shared events.
-pub fn merge_feeds(feeds: Vec<Vec<SharedEvent>>) -> impl Iterator<Item = SharedEvent> {
-    MergedStream::new(feeds.into_iter().map(|f| f.into_iter()).collect())
-}
-
-// ---------------------------------------------------------------------
-// The watermarked source merge
-// ---------------------------------------------------------------------
 
 /// Handle of a source attached to a [`WatermarkMerge`] (and, by extension,
 /// to an engine run session). Ids are assigned in attach order and never
@@ -211,9 +137,15 @@ struct Buffered {
     event: SharedEvent,
 }
 
+impl Buffered {
+    fn key(&self) -> (Timestamp, u64) {
+        (self.ts, self.seq)
+    }
+}
+
 impl PartialEq for Buffered {
     fn eq(&self, other: &Self) -> bool {
-        (self.ts, self.seq) == (other.ts, other.seq)
+        self.key() == other.key()
     }
 }
 
@@ -228,7 +160,7 @@ impl PartialOrd for Buffered {
 impl Ord for Buffered {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: earliest (ts, seq) at the heap top.
-        (other.ts, other.seq).cmp(&(self.ts, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -239,9 +171,12 @@ struct Slot<'a> {
     /// `None` once detached.
     source: Option<Box<dyn EventSource + 'a>>,
     lateness: Lateness,
-    /// Reordering buffer (`Lateness::Bounded` slots).
+    /// Stragglers of a `Lateness::Bounded` slot: the events that arrived
+    /// below the back of `fifo`.
     heap: BinaryHeap<Buffered>,
-    /// Pass-through buffer (`Lateness::ArrivalOrder` slots).
+    /// An `ArrivalOrder` slot's pass-through buffer. In a `Bounded` slot, a
+    /// sorted run in `(ts, seq)` order: every event at or after its back is
+    /// appended, so an in-order feed never touches `heap`.
     fifo: VecDeque<Buffered>,
     /// Highest event timestamp pulled so far.
     max_ts: Option<Timestamp>,
@@ -293,17 +228,30 @@ impl Slot<'_> {
 
     /// Earliest buffered candidate as a `(ts, seq)` key, if any.
     fn candidate(&self) -> Option<(Timestamp, u64)> {
+        let run = self.fifo.front().map(Buffered::key);
         match self.lateness {
-            Lateness::ArrivalOrder => self.fifo.front().map(|b| (b.ts, b.seq)),
-            Lateness::Bounded(_) => self.heap.peek().map(|b| (b.ts, b.seq)),
+            Lateness::ArrivalOrder => run,
+            Lateness::Bounded(_) => run
+                .into_iter()
+                .chain(self.heap.peek().map(Buffered::key))
+                .min(),
         }
     }
 
     fn pop(&mut self) -> Buffered {
-        match self.lateness {
-            Lateness::ArrivalOrder => self.fifo.pop_front().expect("candidate exists"),
-            Lateness::Bounded(_) => self.heap.pop().expect("candidate exists"),
-        }
+        let from_run = match self.lateness {
+            Lateness::ArrivalOrder => true,
+            Lateness::Bounded(_) => match (self.fifo.front(), self.heap.peek()) {
+                (Some(run), Some(straggler)) => run.key() < straggler.key(),
+                (run, _) => run.is_some(),
+            },
+        };
+        let popped = if from_run {
+            self.fifo.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        popped.expect("candidate exists")
     }
 }
 
@@ -460,8 +408,10 @@ impl<'a> WatermarkMerge<'a> {
                 };
                 slot.next_seq += 1;
                 match slot.lateness {
-                    Lateness::ArrivalOrder => slot.fifo.push_back(buffered),
-                    Lateness::Bounded(_) => slot.heap.push(buffered),
+                    Lateness::Bounded(_) if slot.fifo.back().is_some_and(|run| ts < run.ts) => {
+                        slot.heap.push(buffered)
+                    }
+                    _ => slot.fifo.push_back(buffered),
                 }
             }
         }
@@ -494,15 +444,20 @@ impl<'a> WatermarkMerge<'a> {
             let ts_ms = key.0.as_millis();
             // Releasable once no live source could still produce anything
             // earlier. An ArrivalOrder slot never gates *itself*: its own
-            // order is trusted as given.
+            // order is trusted as given. A Bounded watermark allows a later
+            // event *at* it, which sorts first when its source comes first.
+            // (Not so an ArrivalOrder one: a pipeline stage punctuates at
+            // the frontier, and could never pass a tie held for it.)
             let gated = self.slots.iter().enumerate().any(|(j, s)| {
                 if s.finished() {
                     return false;
                 }
-                if j == slot_idx && matches!(s.lateness, Lateness::ArrivalOrder) {
+                let bounded = matches!(s.lateness, Lateness::Bounded(_));
+                if j == slot_idx && !bounded {
                     return false;
                 }
-                ts_ms > s.watermark_ms()
+                let watermark = s.watermark_ms();
+                ts_ms > watermark || (ts_ms == watermark && j < slot_idx && bounded)
             });
             if gated {
                 break;
@@ -592,48 +547,6 @@ mod tests {
                 .starts_process(ProcessInfo::new(2, "b.exe", "u"))
                 .build(),
         )
-    }
-
-    #[test]
-    fn merges_in_timestamp_order() {
-        let a = vec![ev(1, "h1", 10), ev(3, "h1", 30), ev(5, "h1", 50)];
-        let b = vec![ev(2, "h2", 20), ev(4, "h2", 40)];
-        let ts: Vec<u64> = merge_feeds(vec![a, b]).map(|e| e.ts.as_millis()).collect();
-        assert_eq!(ts, vec![10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn tie_break_by_event_id_is_deterministic() {
-        let a = vec![ev(2, "h1", 100)];
-        let b = vec![ev(1, "h2", 100)];
-        let ids: Vec<u64> = merge_feeds(vec![a.clone(), b.clone()])
-            .map(|e| e.id)
-            .collect();
-        assert_eq!(ids, vec![1, 2]);
-        let ids_swapped: Vec<u64> = merge_feeds(vec![b, a]).map(|e| e.id).collect();
-        assert_eq!(ids_swapped, vec![1, 2]);
-    }
-
-    #[test]
-    fn empty_and_uneven_feeds() {
-        let feeds = vec![vec![], vec![ev(1, "h", 5)], vec![]];
-        let ids: Vec<u64> = merge_feeds(feeds).map(|e| e.id).collect();
-        assert_eq!(ids, vec![1]);
-        assert_eq!(merge_feeds(vec![]).count(), 0);
-    }
-
-    #[test]
-    fn large_merge_is_fully_ordered() {
-        let feeds: Vec<Vec<SharedEvent>> = (0..8)
-            .map(|s| {
-                (0..100)
-                    .map(|i| ev(s * 1000 + i, "h", s * 7 + i * 13))
-                    .collect()
-            })
-            .collect();
-        let merged: Vec<u64> = merge_feeds(feeds).map(|e| e.ts.as_millis()).collect();
-        assert_eq!(merged.len(), 800);
-        assert!(merged.windows(2).all(|w| w[0] <= w[1]));
     }
 
     // -----------------------------------------------------------------
@@ -745,6 +658,24 @@ mod tests {
 
         drop(push);
         assert_eq!(merge.poll(&mut out, usize::MAX), MergeStatus::Done);
+    }
+
+    /// An event at exactly an earlier source's watermark waits: that source
+    /// may still deliver one at the same timestamp, which sorts first.
+    /// (Released at once, source 1's event overtook source 0's second.)
+    #[test]
+    fn a_tie_at_an_earlier_sources_watermark_waits_for_it() {
+        let mut merge = WatermarkMerge::new(MergeConfig {
+            lateness: Duration::ZERO,
+            pull_batch: 1,
+        });
+        merge.attach(Box::new(IterSource::new(
+            "a",
+            vec![ev(1, "h1", 10), ev(2, "h1", 10)],
+        )));
+        merge.attach(Box::new(IterSource::new("b", vec![ev(3, "h2", 10)])));
+        let ids: Vec<u64> = merge.collect_remaining().iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
     }
 
     /// Two push sources with everything enqueued up front, pulled two

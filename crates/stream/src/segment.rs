@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -87,76 +87,90 @@ pub(crate) fn write_segment(path: &Path, events: &[Event]) -> Result<(), StoreEr
     Ok(())
 }
 
-fn read_file(path: &Path) -> Result<Bytes, StoreError> {
-    let mut f = File::open(path)?;
-    let mut raw = Vec::new();
-    f.read_to_end(&mut raw)?;
-    Ok(Bytes::from(raw))
-}
-
 fn corrupt(path: &Path, what: impl std::fmt::Display) -> StoreError {
     StoreError::Corrupt(format!("{}: {what}", path.display()))
 }
 
-fn parse_header(data: &mut Bytes, path: &Path) -> Result<SegmentMeta, StoreError> {
-    if data.remaining() < SEG_MAGIC.len() || &data.chunk()[..SEG_MAGIC.len()] != SEG_MAGIC {
+/// Up to `n` bytes off the front of `r`: fewer only where the file ends.
+/// Grows with what is read, so an untrusted `n` sizes no allocation.
+fn take(r: &mut impl Read, n: u64) -> io::Result<Vec<u8>> {
+    let mut out = Vec::new();
+    r.take(n).read_to_end(&mut out)?;
+    Ok(out)
+}
+
+/// A little-endian unsigned integer.
+fn le(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b))
+}
+
+/// Read the header (fixed fields and host table) off the front of `r`,
+/// leaving `r` at the first record; nothing past the header is read.
+fn read_header(r: &mut impl Read, path: &Path) -> Result<SegmentMeta, StoreError> {
+    // magic | count:u32 | min_ts:u64 | max_ts:u64 | n_hosts:u32
+    let fixed = take(r, 8 + 4 + 8 + 8 + 4)?;
+    if fixed.get(..SEG_MAGIC.len()) != Some(&SEG_MAGIC[..]) {
         return Err(StoreError::BadMagic);
     }
-    data.advance(SEG_MAGIC.len());
-    if data.remaining() < 4 + 8 + 8 + 4 {
+    if fixed.len() < 32 {
         return Err(corrupt(path, "truncated segment header"));
     }
-    let events = data.get_u32_le();
-    let min_ts = Timestamp::from_millis(data.get_u64_le());
-    let max_ts = Timestamp::from_millis(data.get_u64_le());
-    let n_hosts = data.get_u32_le();
     let mut hosts = BTreeSet::new();
-    for _ in 0..n_hosts {
-        if data.remaining() < 4 {
+    for _ in 0..le(&fixed[28..]) {
+        let len = take(r, 4)?;
+        let raw = take(r, le(&len))?;
+        if len.len() < 4 || raw.len() as u64 != le(&len) {
             return Err(corrupt(path, "truncated host table"));
         }
-        let len = data.get_u32_le() as usize;
-        if data.remaining() < len {
-            return Err(corrupt(path, "truncated host table"));
-        }
-        let raw = data.copy_to_bytes(len);
-        let host = std::str::from_utf8(&raw).map_err(|_| corrupt(path, "host is not UTF-8"))?;
-        hosts.insert(host.to_string());
+        let host = String::from_utf8(raw).map_err(|_| corrupt(path, "host is not UTF-8"))?;
+        hosts.insert(host);
     }
     Ok(SegmentMeta {
         path: path.to_path_buf(),
-        events,
-        min_ts,
-        max_ts,
+        events: le(&fixed[8..12]) as u32,
+        min_ts: Timestamp::from_millis(le(&fixed[12..20])),
+        max_ts: Timestamp::from_millis(le(&fixed[20..28])),
         hosts,
     })
 }
 
+/// A segment's header, read without touching its records.
 pub(crate) fn read_meta(path: &Path) -> Result<SegmentMeta, StoreError> {
-    let mut data = read_file(path)?;
-    parse_header(&mut data, path)
+    read_header(&mut BufReader::new(File::open(path)?), path)
 }
 
 /// Streams one segment's records in stored order, decoding each on demand.
-/// The header's event count is untrusted input: it sizes no allocation, and
+/// The header is untrusted input. Its event count sizes no allocation, and
 /// a segment whose records do not add up to exactly that count ends in one
-/// [`StoreError::Corrupt`] naming the file.
+/// [`StoreError::Corrupt`] naming the file. So does a record outside the
+/// header's `[min_ts, max_ts]`: the range is what a
+/// [`StoreIter::floor`](crate::durable::StoreIter::floor) promises, and a
+/// forged one ends the stream before it can break that promise.
 pub(crate) struct SegmentRecords {
     path: PathBuf,
     data: Bytes,
     claimed: u32,
     decoded: u32,
+    min_ts: Timestamp,
+    max_ts: Timestamp,
 }
 
 impl SegmentRecords {
     pub(crate) fn open(path: &Path) -> Result<Self, StoreError> {
-        let mut data = read_file(path)?;
-        let meta = parse_header(&mut data, path)?;
+        let mut raw = Vec::new();
+        File::open(path)?.read_to_end(&mut raw)?;
+        let mut rest = &raw[..];
+        let meta = read_header(&mut rest, path)?;
+        let header_len = raw.len() - rest.len();
+        let mut data = Bytes::from(raw);
+        data.advance(header_len);
         Ok(SegmentRecords {
             path: meta.path,
             data,
             claimed: meta.events,
             decoded: 0,
+            min_ts: meta.min_ts,
+            max_ts: meta.max_ts,
         })
     }
 
@@ -180,6 +194,12 @@ impl Iterator for SegmentRecords {
             };
         }
         match codec::decode_event(&mut self.data) {
+            Ok(event) if !(self.min_ts..=self.max_ts).contains(&event.ts) => self.fail(format!(
+                "record {decoded} at {} ms lies outside the header's range {}..={} ms",
+                event.ts.as_millis(),
+                self.min_ts.as_millis(),
+                self.max_ts.as_millis()
+            )),
             Ok(event) => {
                 self.decoded += 1;
                 Some(Ok(event))
@@ -294,6 +314,41 @@ mod tests {
         for cut in [20, 8 + 4 + 8 + 8 + 4 + 2] {
             std::fs::write(&path, &good[..cut]).unwrap();
             assert!(matches!(read_meta(&path), Err(StoreError::Corrupt(_))));
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A header whose time range excludes a record is what a store's
+    /// watermark floor would trust: the record and everything after it
+    /// must not come out, only an error naming the file.
+    #[test]
+    fn a_record_outside_the_header_time_range_is_corrupt() {
+        let path = tmp_file("range");
+        let events = vec![
+            ev(1, "web", 600),
+            ev(2, "web", 500),
+            ev(3, "web", 900),
+            ev(4, "web", 700),
+        ];
+        write_segment(&path, &events).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        // min_ts forged up past record 1, max_ts forged down below record 2.
+        for (at, forged, clean) in [(12, 550u64, 1), (20, 800, 2)] {
+            let mut raw = good.clone();
+            raw[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            std::fs::write(&path, raw).unwrap();
+            let mut records = SegmentRecords::open(&path).unwrap();
+            for want in &events[..clean] {
+                assert_eq!(&records.next().unwrap().unwrap(), want);
+            }
+            match records.next() {
+                Some(Err(StoreError::Corrupt(msg))) => {
+                    assert!(msg.contains("saql-segment-"), "names the file: {msg}");
+                    assert!(msg.contains("outside the header's range"), "{msg}");
+                }
+                other => panic!("expected Corrupt at record {clean}, got {other:?}"),
+            }
+            assert!(records.next().is_none(), "nothing after the bad record");
         }
         std::fs::remove_file(path).unwrap();
     }

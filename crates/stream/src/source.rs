@@ -414,6 +414,13 @@ impl EventSource for StoreSource {
         SourcePoll::Ready
     }
 
+    /// The store's verified segment floor: on a sorted store the merge
+    /// holds at most the segment being read plus one pull batch, not the
+    /// whole lateness window.
+    fn watermark(&self) -> Option<Timestamp> {
+        self.iter.as_ref().and_then(StoreIter::floor)
+    }
+
     fn failure(&self) -> Option<String> {
         self.error
             .as_ref()
