@@ -11,27 +11,17 @@ use saql_lang::ast::{ClusterMethod, ClusterSpec, Distance};
 
 use crate::eval::ClusterOutcome;
 
-/// Reusable buffers for the cluster stage, held per running query and
-/// recycled across window closes: the DBSCAN working set (visited flags,
-/// BFS queue, neighbour lists, sort order), cluster-size tallies, and the
-/// gathered comparison points themselves.
+/// Buffers for the cluster stage, held per running query: the DBSCAN
+/// working set (visited flags, BFS queue, neighbour lists, sort order) and
+/// cluster-size tallies, recycled across window closes, and the comparison
+/// points of the close at hand.
 #[derive(Debug, Default)]
 pub struct ClusterScratch {
     dbscan: DbscanScratch,
     sizes: Vec<usize>,
     /// Comparison points for the current window close, one per group that
-    /// produced every dimension.
+    /// produced every dimension, in the groups' label order.
     pub points: Vec<Vec<f64>>,
-    /// Indices (into the close's group list) aligned with `points`.
-    pub point_groups: Vec<usize>,
-}
-
-impl ClusterScratch {
-    /// Reset the per-close point buffers (capacity is retained).
-    pub fn begin_close(&mut self) {
-        self.points.clear();
-        self.point_groups.clear();
-    }
 }
 
 /// Convert the language-level distance to the analytics metric.

@@ -155,7 +155,8 @@ impl Program {
                     },
                     Binding::State { back, field } => Op::State {
                         dst,
-                        back: back as u16,
+                        back: u16::try_from(back)
+                            .expect("the checker refuses history indexes past u16::MAX"),
                         field: field as u16,
                     },
                     Binding::GroupKey { slot } => Op::GroupKey {

@@ -25,8 +25,8 @@ use crate::invariant::{InvariantRuntime, InvariantSnapshot};
 use crate::matcher::{
     fnv1a, FullMatch, GlobalFilter, MatcherSnapshot, MultiMatcher, PatternMatcher, FNV_SEED,
 };
-use crate::plan::{ExecCtx, QueryPlan};
-use crate::state::{ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView};
+use crate::plan::{ExecCtx, Op, QueryPlan};
+use crate::state::{group_label, ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView};
 use crate::value::Value;
 use crate::window::{Gate, WindowDriver, WindowSnapshot};
 
@@ -393,7 +393,18 @@ impl RunningQuery {
         let window = checked
             .window
             .map(|w| WindowDriver::with_lateness(w, config.allowed_lateness));
-        let state = checked.ast.states.first().map(StateMaintainer::new);
+        // History only as deep as some program reads: 1 + the deepest
+        // `ss[n]` of the alert, return, invariant and cluster programs.
+        let depth = plan
+            .programs()
+            .flat_map(|p| &p.ops)
+            .filter_map(|op| match op {
+                Op::State { back, .. } => Some(*back as usize + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(1);
+        let state = (checked.ast.states.first()).map(|block| StateMaintainer::new(block, depth));
         let invariant = checked.ast.invariants.first().map(|block| {
             InvariantRuntime::new(
                 block,
@@ -597,17 +608,13 @@ impl RunningQuery {
         }
     }
 
-    /// Advance event time: closes due windows and may emit window alerts.
-    pub fn advance_time(&mut self, ts: Timestamp) -> Vec<Alert> {
-        let Some(driver) = &mut self.window else {
-            return Vec::new();
-        };
-        let due = driver.advance(ts);
-        let mut alerts = Vec::new();
-        for k in due {
-            self.close_window(k, &mut alerts);
+    /// Advance event time: closes due windows, appending their alerts to
+    /// `alerts`.
+    pub fn advance_time(&mut self, ts: Timestamp, alerts: &mut Vec<Alert>) {
+        let due = self.window.as_mut().map(|driver| driver.advance(ts));
+        for k in due.into_iter().flatten() {
+            self.close_window(k, alerts);
         }
-        alerts
     }
 
     // ------------------------------------------------------------------
@@ -771,10 +778,9 @@ impl RunningQuery {
     /// End of stream: close all remaining windows.
     pub fn finish(&mut self) -> Vec<Alert> {
         let mut alerts = Vec::new();
-        if let Some(driver) = &mut self.window {
-            for k in driver.drain() {
-                self.close_window(k, &mut alerts);
-            }
+        let due = self.window.as_mut().map(WindowDriver::drain);
+        for k in due.into_iter().flatten() {
+            self.close_window(k, &mut alerts);
         }
         alerts
     }
@@ -865,20 +871,19 @@ impl RunningQuery {
     // Stateful pipeline
     // ------------------------------------------------------------------
 
+    /// Close window `k`: one pass over its groups in map order. A label is
+    /// rendered only where it is observable — a fired alert, an invariant
+    /// key, a cluster point — and only the fired alerts are sorted by it,
+    /// then pass `distinct` and go out in that order (label order, equal
+    /// labels in map order).
     fn close_window(&mut self, k: u64, alerts: &mut Vec<Alert>) {
         self.stats.windows_closed += 1;
-        let Some(state) = &mut self.state else { return };
-        let closed = state.close(k);
-        if closed.is_empty() {
+        let (Some(state), Some(window)) = (&mut self.state, &self.window) else {
             return;
-        }
+        };
+        let closed = state.close(k);
         let state = &*state;
-        let assigner = self
-            .window
-            .as_ref()
-            .expect("stateful queries have a window")
-            .assigner();
-        let (w_start, w_end) = assigner.bounds(k);
+        let (w_start, w_end) = window.assigner().bounds(k);
 
         let plan = &self.plan;
         let ast = &self.checked.ast;
@@ -887,34 +892,42 @@ impl RunningQuery {
         let mut inv_rt = self.invariant.as_mut();
 
         // Cluster stage: one comparison point per group that produced all
-        // dimensions; outcomes align with `closed` by index. Working
-        // buffers (DBSCAN visited flags/queue/neighbour lists, point
-        // vectors) persist in `cluster_scratch` across closes.
+        // dimensions, placed in label order (the order DBSCAN and k-means
+        // outcomes depend on); outcomes align with `closed` by index. The
+        // DBSCAN working set (visited flags, queue, neighbour lists)
+        // persists in `cluster_scratch` across closes.
         let mut outcomes: Vec<Option<ClusterOutcome>> = vec![None; closed.len()];
         if let Some(spec) = &ast.cluster {
-            cluster_scratch.begin_close();
+            let mut placed: Vec<(String, usize, Vec<f64>)> = Vec::new();
             for (i, group) in closed.iter().enumerate() {
                 let ge = GroupEval::new(plan, state, k, group, None);
                 if let Some(p) = ge.cluster_point(scratch) {
-                    cluster_scratch.point_groups.push(i);
-                    cluster_scratch.points.push(p);
+                    placed.push((group_label(&group.key_vals), i, p));
                 }
             }
+            placed.sort_by(|a, b| a.0.cmp(&b.0));
+            cluster_scratch.points = placed
+                .iter_mut()
+                .map(|(_, _, p)| std::mem::take(p))
+                .collect();
             let labels = run_cluster_with(spec, k, cluster_scratch);
-            for (i, outcome) in cluster_scratch.point_groups.iter().zip(labels) {
+            for ((_, i, _), outcome) in placed.iter().zip(labels) {
                 outcomes[*i] = Some(outcome);
             }
         }
 
-        for (i, group) in closed.iter().enumerate() {
-            let ge = GroupEval::new(plan, state, k, group, outcomes[i]);
+        let mut fired: Vec<(Rows, String)> = Vec::new();
+        for (group, outcome) in closed.iter().zip(outcomes) {
+            let ge = GroupEval::new(plan, state, k, group, outcome);
 
-            // Invariant bookkeeping (training windows never alert).
+            // Invariant bookkeeping (training windows never alert), keyed by
+            // the group's label.
+            let mut label = None;
             let (ready, inv_vars): (bool, Vec<Value>) = match inv_rt.as_deref_mut() {
                 Some(inv) => {
-                    let ready =
-                        inv.on_window(&group.label, &mut |i, vars| ge.stmt(i, vars, scratch));
-                    (ready, inv.vars(&group.label).to_vec())
+                    let key = label.insert(group_label(&group.key_vals));
+                    let ready = inv.on_window(key, &mut |i, vars| ge.stmt(i, vars, scratch));
+                    (ready, inv.vars(key).to_vec())
                 }
                 None => (true, Vec::new()),
             };
@@ -924,14 +937,18 @@ impl RunningQuery {
 
             // Alert condition; a stateful query without one emits every
             // group/window (continuous monitoring).
-            let fired = ge.alert(&inv_vars, scratch).unwrap_or(true);
-            if !fired {
-                if let Some(inv) = inv_rt.as_deref_mut() {
-                    inv.absorb_online(&group.label, &mut |i, vars| ge.stmt(i, vars, scratch));
+            if !ge.alert(&inv_vars, scratch).unwrap_or(true) {
+                if let (Some(inv), Some(key)) = (inv_rt.as_deref_mut(), &label) {
+                    inv.absorb_online(key, &mut |i, vars| ge.stmt(i, vars, scratch));
                 }
                 continue;
             }
-            let rows = ge.ret_rows(&inv_vars, scratch);
+            let label = label.unwrap_or_else(|| group_label(&group.key_vals));
+            fired.push((ge.ret_rows(&label, &inv_vars, scratch), label));
+        }
+
+        fired.sort_by(|a, b| a.1.cmp(&b.1));
+        for (rows, label) in fired {
             if !pass_distinct_in(&mut self.distinct_seen, ast.ret.as_ref(), &rows) {
                 continue;
             }
@@ -943,7 +960,7 @@ impl RunningQuery {
                 origin: AlertOrigin::Window {
                     start: w_start,
                     end: w_end,
-                    group: group.label.clone(),
+                    group: label,
                 },
                 rows,
             });
@@ -1136,11 +1153,13 @@ fn extract_keys(
     true
 }
 
+/// An alert's return rows: `(item label, rendered value)`.
+type Rows = Vec<(String, String)>;
+
 /// Close-time evaluation of one group against the compiled programs.
 struct GroupEval<'a> {
     plan: &'a QueryPlan,
     view: StateView<'a>,
-    group: &'a ClosedGroup,
     cluster: Option<ClusterOutcome>,
 }
 
@@ -1156,10 +1175,9 @@ impl<'a> GroupEval<'a> {
             plan,
             view: StateView {
                 maintainer: state,
-                group: &group.key,
+                group,
                 current_window: k,
             },
-            group,
             cluster,
         }
     }
@@ -1168,7 +1186,7 @@ impl<'a> GroupEval<'a> {
         ExecCtx {
             events: &[],
             entities: &[],
-            group_keys: &self.group.key_vals,
+            group_keys: &self.view.group.key_vals,
             states: &self.view,
             invariants,
             cluster: self.cluster,
@@ -1204,9 +1222,9 @@ impl<'a> GroupEval<'a> {
     }
 
     /// Evaluate the return rows (the group label when no clause exists).
-    fn ret_rows(&self, inv_vars: &[Value], scratch: &mut Vec<Value>) -> Vec<(String, String)> {
+    fn ret_rows(&self, label: &str, inv_vars: &[Value], scratch: &mut Vec<Value>) -> Rows {
         if self.plan.ret.is_empty() {
-            return vec![("group".to_string(), self.group.label.clone())];
+            return vec![("group".to_string(), label.to_string())];
         }
         let ctx = self.ctx(inv_vars);
         self.plan

@@ -138,7 +138,7 @@ impl Group {
                 ..self.gate
             };
             for q in self.attached() {
-                alerts.extend(q.advance_time(gate.now));
+                q.advance_time(gate.now, alerts);
                 gate.watch(q.next_close());
             }
             self.gate = gate;

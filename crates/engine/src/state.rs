@@ -9,15 +9,18 @@
 //!
 //! the maintainer folds each matching event into the accumulators of its
 //! group (here: the subject process) within each window the event belongs
-//! to. When a window closes, the group states are *snapshotted* into a
-//! bounded history (3 windows here) that alert expressions index as
-//! `ss[0].avg_amount` (current), `ss[1]...` (previous), etc.
+//! to. When a window closes, alert expressions read the closing group's
+//! finalized values as `ss[0].avg_amount` and earlier windows as
+//! `ss[1]...`, `ss[2]...` from a bounded history. The history is only as
+//! deep as the query reads: a block whose programs read nothing past
+//! `ss[0]` (every plain `state` block) keeps none at all.
 //!
 //! **Group identity is a value tuple.** On the per-event path groups are
 //! keyed by a [`KeyTuple`] — the hashed tuple of interned key values — not
 //! by a joined display string: no formatting, no string allocation per
 //! event. The human-readable joined label survives only as a *lazy alert
-//! label*, computed once per group when its window closes. (A tuple
+//! label* ([`group_label`]), rendered at close for the groups a query shows
+//! it for: those that fire, key an invariant or place a cluster point. (A tuple
 //! distinguishes `Int(1)` from `"1"`, which the old display-string identity
 //! conflated; key attributes have stable types, so real queries never see
 //! the difference.)
@@ -274,13 +277,12 @@ struct GroupAccum {
     accums: Vec<FieldAccum>,
 }
 
-/// One group at a window close: identity, lazily rendered label, key
-/// values by slot, and finalized field values in declaration order.
+/// One group at a window close: identity, key values by slot, and
+/// finalized field values in declaration order. Its label is rendered on
+/// demand with [`group_label`]`(&key_vals)`.
 #[derive(Debug, Clone)]
 pub struct ClosedGroup {
     pub key: KeyTuple,
-    /// The joined display label (alert origin, invariant keying).
-    pub label: String,
     /// Key values by group-by slot.
     pub key_vals: Vec<AttrValue>,
     /// Field values in block declaration order.
@@ -291,23 +293,33 @@ pub struct ClosedGroup {
 #[derive(Debug)]
 pub struct StateMaintainer {
     name: String,
+    /// The declared `state[N]`: lookups reaching further read `Missing`.
     history_len: usize,
+    /// Closed windows kept per group: the query's read depth (1 + its
+    /// deepest `ss[n]`), or 0 when it reads only `ss[0]`, which a
+    /// [`StateView`] answers from the closing group itself.
+    retained: usize,
     fields: Vec<(String, AggFunc)>,
     /// Accumulators for currently open windows: window id → group → accum.
     open: BTreeMap<u64, GroupMap<GroupAccum>>,
     /// Closed-window history: group → recent (window id, field values),
     /// newest at the back, holding only windows still reachable from the
-    /// next close (so at most `history_len` per group).
+    /// next close (so at most `retained` per group).
     history: GroupMap<VecDeque<(u64, Vec<Value>)>>,
     /// First window id ever observed (warm-up boundary for neutral values).
     first_window: Option<u64>,
 }
 
 impl StateMaintainer {
-    pub fn new(block: &StateBlock) -> Self {
+    /// A maintainer for `block` whose query reads `depth` windows: 1 + the
+    /// deepest `ss[n]` any of its programs reads, at most the declared
+    /// `state[N]`.
+    pub fn new(block: &StateBlock, depth: usize) -> Self {
+        let depth = depth.min(block.history);
         StateMaintainer {
             name: block.name.clone(),
             history_len: block.history,
+            retained: if depth > 1 { depth } else { 0 },
             fields: block
                 .fields
                 .iter()
@@ -331,12 +343,7 @@ impl StateMaintainer {
     /// when a new group appears.
     pub fn observe(&mut self, windows: &[u64], key: &[KeyAtom], folded: &[Value]) {
         for &k in windows {
-            if self.first_window.is_none() || Some(k) < self.first_window {
-                self.first_window = Some(match self.first_window {
-                    Some(f) => f.min(k),
-                    None => k,
-                });
-            }
+            self.first_window = Some(self.first_window.map_or(k, |f| f.min(k)));
             let groups = self.open.entry(k).or_default();
             let accum = match groups.get_mut(key) {
                 Some(accum) => accum,
@@ -357,36 +364,34 @@ impl StateMaintainer {
         }
     }
 
-    /// Close window `k`: snapshot every group that observed events in it,
-    /// push the field values into history, and return the groups sorted by
-    /// their (lazily rendered) labels — the only point where labels exist.
+    /// Close window `k`: finalize every group that observed events in it,
+    /// in map order, and keep their values in history if the query reads
+    /// past `ss[0]`. Renders no label and sorts nothing.
     pub fn close(&mut self, k: u64) -> Vec<ClosedGroup> {
         let groups = self.open.remove(&k).unwrap_or_default();
-        let mut out: Vec<ClosedGroup> = groups
+        let out: Vec<ClosedGroup> = groups
             .into_iter()
-            .map(|(key, accum)| {
-                let values: Vec<Value> = accum
+            .map(|(key, accum)| ClosedGroup {
+                key,
+                values: accum
                     .accums
                     .into_iter()
                     .zip(&self.fields)
                     .map(|(acc, (_, agg))| acc.finalize(*agg))
-                    .collect();
-                ClosedGroup {
-                    label: group_label(&accum.key_vals),
-                    key,
-                    key_vals: accum.key_vals,
-                    values,
-                }
+                    .collect(),
+                key_vals: accum.key_vals,
             })
             .collect();
-        out.sort_by(|a, b| a.label.cmp(&b.label));
+        if self.retained == 0 {
+            return out;
+        }
         // Windows close in ascending order and lookups reach back fewer than
-        // `history_len` windows from the one closing, so entries older than
-        // `k + 1 - history_len` can never be read again: drop them, and
-        // every group left with none — else `history` keeps each group the
-        // query has ever seen. (Before the push, so the map never holds the
+        // `retained` windows from the one closing, so entries older than
+        // `k + 1 - retained` can never be read again: drop them, and every
+        // group left with none — else `history` keeps each group the query
+        // has ever seen. (Before the push, so the map never holds the
         // dropped groups and the closing ones at once.)
-        let oldest = k.saturating_add(1).saturating_sub(self.history_len as u64);
+        let oldest = k.saturating_add(1).saturating_sub(self.retained as u64);
         self.history.retain(|_, hist| {
             while hist.front().is_some_and(|(wk, _)| *wk < oldest) {
                 hist.pop_front();
@@ -408,10 +413,9 @@ impl StateMaintainer {
         let Some(target) = k.checked_sub(back as u64) else {
             return Value::Missing;
         };
-        if let Some(hist) = self.history.get(group) {
-            if let Some((_, values)) = hist.iter().rev().find(|(wk, _)| *wk == target) {
-                return values[field_idx].clone();
-            }
+        let hist = self.history.get(group).into_iter().flatten();
+        if let Some((_, values)) = hist.rev().find(|(wk, _)| *wk == target) {
+            return values[field_idx].clone();
         }
         // Absent window: neutral value once past warm-up.
         match self.first_window {
@@ -500,33 +504,22 @@ impl StateMaintainer {
                 ));
             }
         }
+        // A checkpoint may carry rows this query never reads again (one
+        // written before history followed the read depth): each group keeps
+        // its newest `retained`, which cover every window the next close
+        // can reach.
         self.open = open;
         self.history = snap
             .history
             .into_iter()
-            .map(|g| (key_tuple(&g.key_vals), g.windows.into_iter().collect()))
+            .filter_map(|g| {
+                let skip = g.windows.len().saturating_sub(self.retained);
+                let hist: VecDeque<_> = g.windows.into_iter().skip(skip).collect();
+                (!hist.is_empty()).then(|| (key_tuple(&g.key_vals), hist))
+            })
             .collect();
         self.first_window = snap.first_window;
         Ok(())
-    }
-
-    /// Resolve `name[back].field` by field *name* (the interpreter's view).
-    /// A bare reference (`ss`) with exactly one field refers to it.
-    pub fn lookup(&self, group: &KeyTuple, k: u64, back: usize, field: Option<&str>) -> Value {
-        let field_idx = match field {
-            Some(f) => match self.fields.iter().position(|(n, _)| n == f) {
-                Some(i) => i,
-                None => return Value::Missing,
-            },
-            None => {
-                if self.fields.len() == 1 {
-                    0
-                } else {
-                    return Value::Missing;
-                }
-            }
-        };
-        self.lookup_idx(group, k, back, field_idx)
     }
 }
 
@@ -575,27 +568,42 @@ pub struct StateSnapshot {
 
 /// State access for evaluating one group at the close of window `k` —
 /// implements both the interpreter's name-based [`StateLookup`] and the
-/// compiled plans' index-based [`StateSlots`].
+/// compiled plans' index-based [`StateSlots`], through one lookup:
+/// `ss[0]` is the closing group's own values, `ss[n ≥ 1]` its history.
 pub struct StateView<'a> {
     pub maintainer: &'a StateMaintainer,
-    pub group: &'a KeyTuple,
+    pub group: &'a ClosedGroup,
     pub current_window: u64,
 }
 
-impl StateLookup for StateView<'_> {
-    fn state_value(&self, name: &str, back: usize, field: Option<&str>) -> Value {
-        if name != self.maintainer.name() {
-            return Value::Missing;
+impl StateView<'_> {
+    fn value(&self, back: usize, field: usize) -> Value {
+        let ClosedGroup { key, values, .. } = self.group;
+        match back {
+            0 => values.get(field).cloned().unwrap_or(Value::Missing),
+            _ => (self.maintainer).lookup_idx(key, self.current_window, back, field),
         }
-        self.maintainer
-            .lookup(self.group, self.current_window, back, field)
+    }
+}
+
+impl StateLookup for StateView<'_> {
+    /// A bare reference (`ss`) with exactly one field refers to it.
+    fn state_value(&self, name: &str, back: usize, field: Option<&str>) -> Value {
+        let fields = &self.maintainer.fields;
+        let idx = match field {
+            Some(f) => fields.iter().position(|(n, _)| n == f),
+            None => (fields.len() == 1).then_some(0),
+        };
+        match idx.filter(|_| name == self.maintainer.name()) {
+            Some(i) => self.value(back, i),
+            None => Value::Missing,
+        }
     }
 }
 
 impl StateSlots for StateView<'_> {
     fn field(&self, back: usize, field: usize) -> Value {
-        self.maintainer
-            .lookup_idx(self.group, self.current_window, back, field)
+        self.value(back, field)
     }
 }
 
@@ -616,11 +624,23 @@ mod tests {
         keys(vals).iter().map(KeyAtom::of).collect()
     }
 
+    /// A maintainer keeping the whole declared history.
+    fn maintainer(src: &str) -> StateMaintainer {
+        let b = block(src);
+        StateMaintainer::new(&b, b.history)
+    }
+
+    /// The closed groups in label order (close returns map order).
+    fn by_label(mut groups: Vec<ClosedGroup>) -> Vec<ClosedGroup> {
+        groups.sort_by_key(|g| group_label(&g.key_vals));
+        groups
+    }
+
     const QUERY2_STATE: &str = "proc p write ip i as evt #time(10 min)\nstate[3] ss { avg_amount := avg(evt.amount) } group by p\nreturn p";
 
     #[test]
     fn per_group_average_over_one_window() {
-        let mut m = StateMaintainer::new(&block(QUERY2_STATE));
+        let mut m = maintainer(QUERY2_STATE);
         for amount in [100i64, 200, 300] {
             m.observe(&[0], &atoms(&["sqlservr.exe"]), &[Value::int(amount)]);
         }
@@ -628,48 +648,52 @@ mod tests {
 
         let snaps = m.close(0);
         assert_eq!(snaps.len(), 2);
-        let sql = snaps.iter().find(|g| g.label == "sqlservr.exe").unwrap();
+        let sql = snaps
+            .iter()
+            .find(|g| group_label(&g.key_vals) == "sqlservr.exe")
+            .unwrap();
         assert_eq!(sql.values[0].as_f64(), Some(200.0));
-        let chrome = snaps.iter().find(|g| g.label == "chrome.exe").unwrap();
+        let chrome = snaps
+            .iter()
+            .find(|g| group_label(&g.key_vals) == "chrome.exe")
+            .unwrap();
         assert_eq!(chrome.values[0].as_f64(), Some(50.0));
     }
 
     #[test]
     fn history_lookup_and_warmup() {
-        let mut m = StateMaintainer::new(&block(QUERY2_STATE));
-        let group = key_tuple(&keys(&["sqlservr.exe"]));
+        let mut m = maintainer(QUERY2_STATE);
+        let mut last = Vec::new();
         for k in 0..4u64 {
             m.observe(
                 &[k],
                 &atoms(&["sqlservr.exe"]),
                 &[Value::int(((k + 1) * 100) as i64)],
             );
-            m.close(k);
+            last = m.close(k);
         }
-        // At window 3: ss[0]=400, ss[1]=300, ss[2]=200.
-        assert_eq!(
-            m.lookup(&group, 3, 0, Some("avg_amount")).as_f64(),
-            Some(400.0)
-        );
-        assert_eq!(
-            m.lookup(&group, 3, 1, Some("avg_amount")).as_f64(),
-            Some(300.0)
-        );
-        assert_eq!(
-            m.lookup(&group, 3, 2, Some("avg_amount")).as_f64(),
-            Some(200.0)
-        );
+        let group = &last[0].key;
+        let view = StateView {
+            maintainer: &m,
+            group: &last[0],
+            current_window: 3,
+        };
+        let at = |back| view.state_value("ss", back, Some("avg_amount"));
+        // At window 3: ss[0]=400 (the closing group), ss[1]=300, ss[2]=200.
+        assert_eq!(at(0).as_f64(), Some(400.0));
+        assert_eq!(at(1).as_f64(), Some(300.0));
+        assert_eq!(at(2).as_f64(), Some(200.0));
         // Beyond declared history: Missing (by name or by index).
-        assert!(m.lookup(&group, 3, 3, Some("avg_amount")).is_missing());
-        assert!(m.lookup_idx(&group, 3, 3, 0).is_missing());
-        assert!(m.lookup_idx(&group, 3, 0, 9).is_missing(), "bad field idx");
+        assert!(at(3).is_missing());
+        assert!(m.lookup_idx(group, 3, 3, 0).is_missing());
+        assert!(m.lookup_idx(group, 3, 0, 9).is_missing(), "bad field idx");
         // Before the stream began (window 0 is first): ss[1] at window 0.
-        assert!(m.lookup(&group, 0, 1, Some("avg_amount")).is_missing());
+        assert!(m.lookup_idx(group, 0, 1, 0).is_missing());
     }
 
     #[test]
     fn absent_window_reads_neutral_after_warmup() {
-        let mut m = StateMaintainer::new(&block(QUERY2_STATE));
+        let mut m = maintainer(QUERY2_STATE);
         let group = key_tuple(&keys(&["sqlservr.exe"]));
         m.observe(&[0], &atoms(&["sqlservr.exe"]), &[Value::int(500)]);
         m.close(0);
@@ -677,20 +701,14 @@ mod tests {
         m.observe(&[2], &atoms(&["sqlservr.exe"]), &[Value::int(900)]);
         m.close(2);
         // ss[1] (window 1) is neutral 0.0, not Missing.
-        assert_eq!(
-            m.lookup(&group, 2, 1, Some("avg_amount")).as_f64(),
-            Some(0.0)
-        );
-        assert_eq!(
-            m.lookup(&group, 2, 2, Some("avg_amount")).as_f64(),
-            Some(500.0)
-        );
+        assert_eq!(m.lookup_idx(&group, 2, 1, 0).as_f64(), Some(0.0));
+        assert_eq!(m.lookup_idx(&group, 2, 2, 0).as_f64(), Some(500.0));
     }
 
     #[test]
     fn set_aggregation() {
         let src = "proc p1 start proc p2 as evt #time(10 s)\nstate ss { set_proc := set(p2.exe_name) } group by p1\nreturn p1";
-        let mut m = StateMaintainer::new(&block(src));
+        let mut m = maintainer(src);
         for child in ["php.exe", "rotatelogs.exe", "php.exe"] {
             m.observe(&[0], &atoms(&["apache.exe"]), &[Value::str(child)]);
         }
@@ -701,16 +719,15 @@ mod tests {
 
     #[test]
     fn tuple_identity_and_lazy_label() {
-        let mut m = StateMaintainer::new(&block(QUERY2_STATE));
+        let mut m = maintainer(QUERY2_STATE);
         // Identical values, one group; per-event path never built a label.
         m.observe(&[0], &atoms(&["x.exe"]), &[Value::int(1)]);
         m.observe(&[0], &atoms(&["x.exe"]), &[Value::int(3)]);
         m.observe(&[0], &atoms(&["y.exe"]), &[Value::int(5)]);
-        let snaps = m.close(0);
+        let snaps = by_label(m.close(0));
         assert_eq!(snaps.len(), 2);
-        // Sorted by label.
-        assert_eq!(snaps[0].label, "x.exe");
-        assert_eq!(snaps[1].label, "y.exe");
+        assert_eq!(group_label(&snaps[0].key_vals), "x.exe");
+        assert_eq!(group_label(&snaps[1].key_vals), "y.exe");
         assert_eq!(snaps[0].values[0].as_f64(), Some(2.0));
         // Repeated key values collapse in the label, like the legacy
         // double-spelling join did.
@@ -722,33 +739,35 @@ mod tests {
     #[test]
     fn empty_group_by_uses_global_group() {
         let src = "proc p write ip i as evt #time(10 min)\nstate ss { n := count() }\nreturn p";
-        let mut m = StateMaintainer::new(&block(src));
+        let mut m = maintainer(src);
         for _ in 0..3 {
             m.observe(&[0], &[], &[Value::int(1)]);
         }
         let snaps = m.close(0);
         assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].label, "<all>");
+        assert_eq!(group_label(&snaps[0].key_vals), "<all>");
         assert_eq!(snaps[0].values[0].as_f64(), Some(3.0));
     }
 
-    /// The pruned history answers every lookup an unpruned one does, and
-    /// holds no group that closed none of the last `history_len` windows.
-    /// Random groups, events out of order within the lateness bound,
-    /// sliding windows closed by the engine's [`WindowDriver`], `state[1]`
-    /// through `state[4]`; the reference keeps every closed window forever.
+    /// The pruned history answers every lookup an unpruned one does, up
+    /// to the read depth, and holds no group that closed none of the last
+    /// `depth` windows (none at all at depth 1). Random groups, events out
+    /// of order within the lateness bound, sliding windows closed by the
+    /// engine's [`WindowDriver`], `state[1]` through `state[4]` read at
+    /// every depth up to the declared one; the reference keeps every closed
+    /// window forever.
     #[test]
     fn pruned_history_matches_an_unpruned_reference() {
         use crate::window::WindowDriver;
         use saql_lang::ast::WindowSpec;
         use saql_model::{Duration, Timestamp};
 
-        for h in 1..=4usize {
+        for (h, depth) in (1..=4usize).flat_map(|h| (1..=h).map(move |d| (h, d))) {
             for seed in 1..=6u64 {
                 let src = format!(
                     "proc p write ip i as evt #time(10 s, 4 s)\nstate[{h}] ss {{\n n := count()\n total := sum(evt.amount)\n}} group by p, i.dstip\nreturn p"
                 );
-                let mut m = StateMaintainer::new(&block(&src));
+                let mut m = StateMaintainer::new(&block(&src), depth);
                 let spec = WindowSpec {
                     size: Duration::from_secs(10),
                     slide: Duration::from_secs(4),
@@ -766,13 +785,19 @@ mod tests {
                 let mut groups_closed: BTreeMap<u64, usize> = BTreeMap::new();
                 let mut first: Option<u64> = None;
                 let mut close = |m: &mut StateMaintainer, k: u64, first: Option<u64>| {
-                    let closed = m.close(k);
+                    let closed = by_label(m.close(k));
                     groups_closed.insert(k, closed.len());
                     for g in &closed {
                         closed_log.insert((g.key.clone(), k), g.values.clone());
                     }
                     for g in &closed {
-                        for back in 0..=h {
+                        let view = StateView {
+                            maintainer: m,
+                            group: g,
+                            current_window: k,
+                        };
+                        // Every depth the query reads, and one past `state[h]`.
+                        for back in (0..depth).chain([h]) {
                             for f in 0..2 {
                                 let expect = match k.checked_sub(back as u64) {
                                     _ if back >= h => Value::Missing,
@@ -785,21 +810,26 @@ mod tests {
                                     },
                                     None => Value::Missing,
                                 };
-                                let got = m.lookup_idx(&g.key, k, back, f);
+                                let got = StateSlots::field(&view, back, f);
                                 assert_eq!(
                                     format!("{got:?}"),
                                     format!("{expect:?}"),
-                                    "state[{h}] seed {seed}: {}[{back}] field {f} at {k}",
-                                    g.label
+                                    "state[{h}] depth {depth} seed {seed}: {}[{back}] field {f} at {k}",
+                                    group_label(&g.key_vals)
                                 );
                             }
                         }
                     }
-                    let oldest = (k + 1).saturating_sub(h as u64);
-                    let reachable: usize = groups_closed.range(oldest..=k).map(|(_, n)| n).sum();
+                    let reachable: usize = match depth {
+                        1 => 0,
+                        _ => {
+                            let oldest = (k + 1).saturating_sub(depth as u64);
+                            groups_closed.range(oldest..=k).map(|(_, n)| n).sum()
+                        }
+                    };
                     assert!(
                         m.history.len() <= reachable,
-                        "state[{h}] seed {seed}: {} groups in history, {reachable} closed in windows {oldest}..={k}",
+                        "state[{h}] depth {depth} seed {seed}: {} groups in history, {reachable} reachable at {k}",
                         m.history.len()
                     );
                 };
@@ -824,13 +854,12 @@ mod tests {
 
     #[test]
     fn state_view_implements_both_lookups() {
-        let mut m = StateMaintainer::new(&block(QUERY2_STATE));
+        let mut m = maintainer(QUERY2_STATE);
         m.observe(&[0], &atoms(&["x.exe"]), &[Value::int(42)]);
-        m.close(0);
-        let group = key_tuple(&keys(&["x.exe"]));
+        let closed = m.close(0);
         let view = StateView {
             maintainer: &m,
-            group: &group,
+            group: &closed[0],
             current_window: 0,
         };
         assert_eq!(
@@ -841,5 +870,37 @@ mod tests {
             .state_value("other", 0, Some("avg_amount"))
             .is_missing());
         assert_eq!(StateSlots::field(&view, 0, 0).as_f64(), Some(42.0));
+    }
+
+    /// A block read only at `ss[0]` keeps no history, writes no history
+    /// rows, and drops the rows of a checkpoint that carries them; a deeper
+    /// read keeps each group's newest rows up to its depth.
+    #[test]
+    fn history_follows_the_read_depth_through_checkpoints() {
+        let src = "proc p write ip i as evt #time(10 s)\nstate[3] ss { n := count() } group by p\nreturn p";
+        let mut full = maintainer(src);
+        let mut flat = StateMaintainer::new(&block(src), 1);
+        for k in 0..5u64 {
+            for m in [&mut full, &mut flat] {
+                m.observe(&[k], &atoms(&["x.exe"]), &[Value::int(1)]);
+                m.close(k);
+            }
+        }
+        assert!(flat.history.is_empty());
+        assert!(flat.snapshot().history.is_empty());
+        let carried = full.snapshot();
+        assert_eq!(carried.history[0].windows.len(), 3);
+
+        let mut restored = StateMaintainer::new(&block(src), 1);
+        restored.restore(carried.clone()).unwrap();
+        assert!(restored.snapshot().history.is_empty());
+        let mut restored = StateMaintainer::new(&block(src), 2);
+        restored.restore(carried).unwrap();
+        let kept: Vec<u64> = restored.snapshot().history[0]
+            .windows
+            .iter()
+            .map(|(k, _)| *k)
+            .collect();
+        assert_eq!(kept, vec![3, 4]);
     }
 }

@@ -11,7 +11,7 @@
 //! * stateful constructs (state/invariant/cluster) require a sliding window,
 //!   and at most one window spec may be declared (on any pattern);
 //! * window-history indexing `ss[i]` stays below the declared
-//!   `state[k]` history length;
+//!   `state[k]` history length, and at most 65,535 (`ss[65535]`);
 //! * invariant blocks initialize variables before updating them and require
 //!   a state block to read from;
 //! * `cluster(...)` point expressions reference state fields, and
@@ -24,6 +24,10 @@ use saql_model::EntityType;
 
 use crate::ast::*;
 use crate::error::{LangError, Span};
+
+/// The deepest window-history index a query may read (`ss[65535]`): the
+/// engine's compiled programs carry the index in 16 bits.
+const MAX_HISTORY_INDEX: usize = u16::MAX as usize;
 
 /// Which of the paper's four anomaly-model families a query belongs to.
 /// Determines the engine pipeline stages the query needs.
@@ -517,6 +521,11 @@ impl Checker {
         // State reference `ss[i].field` / `ss.field` / bare `ss` (set states).
         if let Some((history, fields)) = self.state_names.get(&r.base) {
             if let Some(i) = r.index {
+                if i > MAX_HISTORY_INDEX {
+                    let most = MAX_HISTORY_INDEX;
+                    let msg = format!("window history index {i} out of range: at most {most}");
+                    return Err(LangError::semantic(msg, r.span));
+                }
                 if i >= *history {
                     return Err(LangError::semantic(
                         format!(
@@ -660,6 +669,18 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn history_index_past_u16_refused() {
+        let src = |i: usize| {
+            format!("proc p write ip i as evt #time(1 s)\nstate[70000] ss {{ n := count() }} group by p\nalert ss[{i}].n > 0\nreturn p")
+        };
+        assert!(compile(&src(65_535)).is_ok());
+        let text = src(65_536);
+        let err = compile(&text).unwrap_err();
+        assert!(err.message.contains("out of range: at most 65535"), "{err}");
+        assert_eq!(&text[err.span.start..err.span.end], "ss[65536].n", "{err}");
     }
 
     #[test]

@@ -81,8 +81,8 @@ use crate::quota::{Clock, MonotonicClock, TenantQuota, TokenBucket};
 
 /// Events fed per pump round before the control plane gets a turn.
 const ROUND_BUDGET: usize = 65_536;
-/// Accept-loop poll interval while idle.
-const ACCEPT_POLL: std::time::Duration = std::time::Duration::from_millis(25);
+/// Pause after a failed `accept` (an `EMFILE` storm must not spin).
+const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(25);
 /// Socket read timeout — the granularity at which blocked connection
 /// threads notice shutdown.
 const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(100);
@@ -337,7 +337,6 @@ impl Server {
 
         let listener = TcpListener::bind(&cfg.listen).map_err(|e| e.to_string())?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
-        listener.set_nonblocking(true).map_err(|e| e.to_string())?;
 
         let (ctrl_tx, ctrl_rx) = bounded::<Req>(1024);
         let shared = Arc::new(Shared {
@@ -409,19 +408,12 @@ impl Server {
         }
     }
 
-    /// Join the server, blocking until it stops, and return its summary.
+    /// Join the server, blocking until it stops, and return its summary
+    /// (dropping it then joins the accept thread).
     pub fn wait(mut self) -> Result<ServeSummary, String> {
-        let core = self.core.take();
-        let out = match core {
-            Some(handle) => handle
-                .join()
-                .unwrap_or_else(|_| Err("serve core thread panicked".into())),
-            None => Ok(ServeSummary::default()),
-        };
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        out
+        let core = self.core.take().expect("the core is joined once");
+        core.join()
+            .unwrap_or_else(|_| Err("serve core thread panicked".into()))
     }
 }
 
@@ -431,7 +423,19 @@ impl Drop for Server {
         if let Some(handle) = self.core.take() {
             let _ = handle.join();
         }
+        // The accept loop blocks in `accept`: with shutdown flagged, wake
+        // it with one loopback connection to the bound port (of the same
+        // address family when the bind address is unspecified). Refused
+        // once the loop is gone: nothing left to wake.
         if let Some(handle) = self.accept.take() {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = handle.join();
         }
     }
@@ -991,11 +995,15 @@ fn observe(session: &mut RunSession<'_>, sh: &Shared, degraded: &mut HashSet<Str
 // Accept loop and connection handlers
 // ---------------------------------------------------------------------
 
+/// Blocks in `accept`; `Server`'s drop wakes it for shutdown.
 fn run_accept(listener: TcpListener, sh: Arc<Shared>) {
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    while !sh.stopping() {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for accepted in listener.incoming() {
+        if sh.stopping() {
+            break;
+        }
+        match accepted {
+            Ok(stream) => {
                 let sh = Arc::clone(&sh);
                 if let Ok(handle) = thread::Builder::new()
                     .name("saql-serve-conn".into())
@@ -1005,8 +1013,7 @@ fn run_accept(listener: TcpListener, sh: Arc<Shared>) {
                 }
                 handles.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
     for handle in handles {

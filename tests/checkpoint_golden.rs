@@ -3,7 +3,8 @@
 //! seeded simulator trace is checked in as
 //! `crates/engine/tests/fixtures/demo_run.saqlckp`. It must decode and
 //! re-encode to the same bytes, carry every kind of query state, and
-//! resume. (The codec's unit tests pin `sample_checkpoint()` the same way.)
+//! resume where the run it came from left off. (The codec's unit tests pin
+//! `sample_checkpoint()` the same way.)
 //!
 //! The fixture is only ever rewritten on a deliberate format change (a
 //! `CHECKPOINT_VERSION` bump), by the ignored test that made it:
@@ -21,10 +22,46 @@ use saql::engine::query::QuerySnapshot;
 use saql::engine::{register_pipeline, Checkpoint, CheckpointConfig, SessionStatus};
 use saql::stream::merge::Lateness;
 use saql::stream::source::IterSource;
+use saql::stream::SharedEvent;
 use saql::{Engine, EngineConfig};
 
 fn fixture_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/engine/tests/fixtures/demo_run.saqlckp")
+}
+
+/// The fixture's trace and the position of its cut: the first event of the
+/// attack's exfiltration step.
+fn demo_trace() -> (Vec<SharedEvent>, usize) {
+    let trace = Simulator::generate(&SimConfig {
+        seed: 7,
+        clients: 3,
+        duration_ms: 45 * 60_000,
+        ..SimConfig::default()
+    });
+    let (_, exfiltration) = trace
+        .attack_ids
+        .iter()
+        .find(|(step, _)| *step == AttackStep::Exfiltration)
+        .expect("the trace carries the attack");
+    // Ids are dense from 1: the event with id `n` is the n-th.
+    let cut = exfiltration[0] as usize;
+    (trace.shared(), cut)
+}
+
+fn demo_engine() -> Engine {
+    let mut engine = Engine::new(EngineConfig::default());
+    for (name, text) in DEMO_QUERIES {
+        engine.register(name, text).expect("demo query registers");
+    }
+    register_pipeline(&mut engine, DEMO_TIERED_PIPELINE_NAME, DEMO_TIERED_PIPELINE)
+        .expect("pipeline registers");
+    engine
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("saql-ckpt-golden-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// Writes the fixture: the demo deployment run over a seeded 3-client
@@ -33,28 +70,9 @@ fn fixture_path() -> PathBuf {
 #[test]
 #[ignore = "rewrites the golden fixture; run only on a format version bump"]
 fn write_demo_run_fixture() {
-    let trace = Simulator::generate(&SimConfig {
-        seed: 7,
-        clients: 3,
-        duration_ms: 45 * 60_000,
-        ..SimConfig::default()
-    });
-    let events = trace.shared();
-    let (_, exfiltration) = trace
-        .attack_ids
-        .iter()
-        .find(|(step, _)| *step == AttackStep::Exfiltration)
-        .expect("the trace carries the attack");
-    // Ids are dense from 1: the event with id `n` is the n-th.
-    let cut = exfiltration[0] as usize;
-    let mut engine = Engine::new(EngineConfig::default());
-    for (name, text) in DEMO_QUERIES {
-        engine.register(name, text).expect("demo query registers");
-    }
-    register_pipeline(&mut engine, DEMO_TIERED_PIPELINE_NAME, DEMO_TIERED_PIPELINE)
-        .expect("pipeline registers");
-    let dir = std::env::temp_dir().join(format!("saql-ckpt-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let (events, cut) = demo_trace();
+    let mut engine = demo_engine();
+    let dir = scratch_dir("write");
     let mut session = engine.session();
     session.enable_checkpoints(CheckpointConfig {
         dir: dir.clone(),
@@ -107,4 +125,56 @@ fn demo_run_checkpoint_reencodes_to_its_golden_bytes() {
     ));
     assert!(!ckpt.adapters.is_empty() && ckpt.adapters.iter().all(|(_, seq)| *seq > 0));
     Engine::resume_from(ckpt, EngineConfig::default()).expect("the golden checkpoint resumes");
+}
+
+/// The fixture was written before window history followed the read depth,
+/// so its `state` blocks carry history rows no query reads again. Resumed
+/// under today's engine, the rest of the seed-7 trace must raise exactly
+/// the alerts an uninterrupted run raises after the same cut.
+#[test]
+fn the_golden_checkpoint_resumes_into_the_straight_runs_alerts() {
+    let (events, cut) = demo_trace();
+    let shown = |alerts: Vec<saql::engine::Alert>| -> Vec<String> {
+        alerts.iter().map(|a| a.to_string()).collect()
+    };
+
+    // Straight: the fixture's run, checkpointed at the cut as the fixture
+    // was, then fed the rest in the same session.
+    let mut engine = demo_engine();
+    let dir = scratch_dir("straight");
+    let mut session = engine.session();
+    session.enable_checkpoints(CheckpointConfig {
+        dir: dir.clone(),
+        every_events: 0,
+    });
+    session.attach_with(
+        IterSource::new("trace", events[..cut].to_vec()),
+        Lateness::ArrivalOrder,
+    );
+    while session.pump().status != SessionStatus::Done {}
+    session.checkpoint_now().expect("checkpoints");
+    session.attach_with(
+        IterSource::new("rest", events[cut..].to_vec()),
+        Lateness::ArrivalOrder,
+    );
+    let straight = shown(session.drain());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let golden = std::fs::read(fixture_path()).expect("golden checkpoint fixture");
+    let ckpt = Checkpoint::decode(Bytes::from(golden)).expect("decodes");
+    assert_eq!(
+        ckpt.offset, cut as u64,
+        "the fixture was cut at exfiltration"
+    );
+    let mut resumed = Engine::resume_from(ckpt.clone(), EngineConfig::default()).expect("resumes");
+    let mut session = resumed.session();
+    session.resume_at(&ckpt);
+    session.attach_with(
+        IterSource::new("rest", events[cut..].to_vec()),
+        Lateness::ArrivalOrder,
+    );
+    let after_resume = shown(session.drain());
+
+    assert!(!straight.is_empty(), "the rest of the trace raises alerts");
+    assert_eq!(after_resume, straight);
 }

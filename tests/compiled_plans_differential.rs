@@ -30,7 +30,7 @@ use saql::engine::invariant::InvariantRuntime;
 use saql::engine::matcher::{FullMatch, GlobalFilter, MultiMatcher, PatternMatcher};
 use saql::engine::plan::{ExecCtx, Program, QueryPlan};
 use saql::engine::query::QueryConfig;
-use saql::engine::state::{ClosedGroup, KeyAtom, StateMaintainer, StateView};
+use saql::engine::state::{group_label, ClosedGroup, KeyAtom, StateMaintainer, StateView};
 use saql::engine::window::WindowDriver;
 use saql::engine::{Alert, AlertAdapter, Engine, EngineConfig, Value};
 use saql::lang::ast::{Expr, Ref};
@@ -107,7 +107,9 @@ impl Reference {
             matcher: (checked.kind == QueryKind::Rule)
                 .then(|| MultiMatcher::compile(&checked.ast, config.partial_match_cap)),
             window: checked.window.map(WindowDriver::new),
-            state: checked.ast.states.first().map(StateMaintainer::new),
+            // The whole declared history: the reference does not prune to
+            // the read depth.
+            state: (checked.ast.states.first()).map(|b| StateMaintainer::new(b, b.history)),
             invariant: checked.ast.invariants.first().map(|block| {
                 let stmts = resolved.invariant_stmts.iter().map(|s| (s.slot, s.init));
                 InvariantRuntime::new(block, stmts.collect(), resolved.invariant_vars.len())
@@ -323,7 +325,15 @@ impl Reference {
             ..
         } = self;
         let Some(state) = state.as_mut() else { return };
-        let closed = state.close(k);
+        // The pre-late-materialization close: every group's label rendered,
+        // every group sorted by it (stably, so equal labels keep map order)
+        // before anything is evaluated.
+        let mut closed: Vec<(String, ClosedGroup)> = state
+            .close(k)
+            .into_iter()
+            .map(|g| (group_label(&g.key_vals), g))
+            .collect();
+        closed.sort_by(|a, b| a.0.cmp(&b.0));
         let state = &*state;
         let ast = &checked.ast;
         let (start, end) = window.as_ref().expect("windowed").assigner().bounds(k);
@@ -331,7 +341,7 @@ impl Reference {
         let mut outcomes: Vec<Option<ClusterOutcome>> = vec![None; closed.len()];
         if let Some(spec) = &ast.cluster {
             let (mut points, mut owners) = (Vec::new(), Vec::new());
-            for (i, group) in closed.iter().enumerate() {
+            for (i, (_, group)) in closed.iter().enumerate() {
                 let at = GroupCtx::new(plan, state, k, group, &[], None);
                 let point: Option<Vec<f64>> = (plan.cluster_programs.iter().zip(&spec.points))
                     .map(|(prog, expr)| at.both(oracle, prog, expr).as_f64())
@@ -346,7 +356,7 @@ impl Reference {
             }
         }
 
-        for (group, outcome) in closed.iter().zip(outcomes) {
+        for ((label, group), outcome) in closed.iter().zip(outcomes) {
             // Invariant statements: initialisers see nothing, updates see
             // the group with the variables so far.
             let stmt = |oracle: &mut Oracle, i: usize, vars: &[Value]| {
@@ -359,14 +369,14 @@ impl Reference {
                 }
             };
             let ready = match invariant.as_mut() {
-                Some(inv) => inv.on_window(&group.label, &mut |i, vars| stmt(oracle, i, vars)),
+                Some(inv) => inv.on_window(label, &mut |i, vars| stmt(oracle, i, vars)),
                 None => true,
             };
             if !ready {
                 continue;
             }
             let vars: Vec<Value> = match invariant.as_ref() {
-                Some(inv) => inv.vars(&group.label).to_vec(),
+                Some(inv) => inv.vars(label).to_vec(),
                 None => Vec::new(),
             };
             let at = GroupCtx::new(plan, state, k, group, &vars, outcome);
@@ -376,12 +386,12 @@ impl Reference {
             };
             if !fired {
                 if let Some(inv) = invariant.as_mut() {
-                    inv.absorb_online(&group.label, &mut |i, vars| stmt(oracle, i, vars));
+                    inv.absorb_online(label, &mut |i, vars| stmt(oracle, i, vars));
                 }
                 continue;
             }
             let rows: Vec<(String, String)> = match &ast.ret {
-                None => vec![("group".to_string(), group.label.clone())],
+                None => vec![("group".to_string(), label.clone())],
                 Some(ret) => (plan.ret.iter().zip(&ret.items))
                     .map(|((label, prog), item)| {
                         (label.clone(), at.both(oracle, prog, &item.expr).to_string())
@@ -398,7 +408,7 @@ impl Reference {
             let origin = AlertOrigin::Window {
                 start,
                 end,
-                group: group.label.clone(),
+                group: label.clone(),
             };
             self.alerts
                 .push((end.as_millis(), format!("{origin:?}"), rows));
@@ -445,7 +455,7 @@ impl<'a> GroupCtx<'a> {
     ) -> Self {
         let view = StateView {
             maintainer: state,
-            group: &group.key,
+            group,
             current_window: k,
         };
         GroupCtx {
@@ -620,5 +630,33 @@ fn programs_match_tree_walk_on_every_expression_of_every_shipped_query() {
     assert!(
         alerting >= 8,
         "only {alerting} queries alerted: traces too quiet"
+    );
+}
+
+/// `ss[65535]`, the deepest index the checker admits, reads 65,535 windows
+/// back compiled and tree-walked alike (a truncating 16-bit conversion once
+/// ran `ss[65536]` as `ss[0]`).
+#[test]
+fn the_deepest_history_index_reads_the_same_both_ways() {
+    let src = "proc p write ip i as evt #time(1 s)\nstate[65536] ss { n := count() } group by p\nreturn p, ss[65535].n";
+    let checked = saql::lang::compile(src).expect("compiles");
+    let plan = QueryPlan::compile(&checked);
+    let block = &checked.ast.states[0];
+    let mut state = StateMaintainer::new(block, block.history);
+    let key = [KeyAtom::Str("x.exe".into())];
+    for _ in 0..2 {
+        state.observe(&[0], &key, &[Value::int(1)]);
+    }
+    state.close(0);
+    state.observe(&[65_535], &key, &[Value::int(1)]);
+    let closed = state.close(65_535);
+    let mut oracle = Oracle::default();
+    let at = GroupCtx::new(&plan, &state, 65_535, &closed[0], &[], None);
+    let item = &checked.ast.ret.as_ref().expect("a return clause").items[1];
+    let read = at.both(&mut oracle, &plan.ret[1].1, &item.expr);
+    assert_eq!(
+        read.to_string(),
+        "2",
+        "window 0's count, not window 65535's"
     );
 }

@@ -612,6 +612,31 @@ fn pipeline_tenancy_is_sealed_at_both_boundaries() {
     server.wait().unwrap();
 }
 
+/// The accept loop blocks in `accept`: a server that no client ever
+/// connects to, bound to the wildcard address, still stops when asked —
+/// and so does one that is only dropped.
+#[test]
+fn an_idle_wildcard_server_shuts_down() {
+    let start = || {
+        Server::start(ServeConfig {
+            listen: "0.0.0.0:0".into(),
+            print_alerts: false,
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        let server = start();
+        server.request_shutdown();
+        let waited = server.wait().is_ok();
+        drop(start());
+        done_tx.send(waited).unwrap();
+    });
+    let waited = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+    assert_eq!(waited, Ok(true), "wait() and drop return");
+}
+
 #[test]
 fn shutdown_checkpoint_resume_loses_nothing() {
     let root = scratch("resume");
