@@ -5,7 +5,8 @@ use std::path::{Path, PathBuf};
 
 use saql_collector::{AttackConfig, SimConfig, Simulator, TraceSource};
 use saql_engine::{
-    CheckpointConfig, Deployment, DurableLog, Engine, EngineConfig, RunSession, SessionStatus,
+    CheckpointConfig, Control, ControlReply, Deployment, DurableLog, Engine, EngineConfig,
+    RunSession, Scope,
 };
 use saql_lang::corpus;
 use saql_model::{Duration, Timestamp};
@@ -13,6 +14,8 @@ use saql_stream::replayer::{Replayer, Speed};
 use saql_stream::source::{ChannelSource, EventSource, StoreSource};
 use saql_stream::store::Selection;
 use saql_stream::{MergeConfig, StoreReader, StoreWriter};
+
+use saql_serve::Request;
 
 use crate::args::Flags;
 
@@ -84,128 +87,30 @@ fn deployment(flags: &Flags, by_stem: bool) -> Result<Deployment, String> {
     })
 }
 
-/// One staged control-plane operation on the live engine.
-#[derive(Debug)]
-enum StagedOp {
-    Register { name: String, path: String },
-    Deregister { name: String },
-    Pause { name: String },
-    Resume { name: String },
-}
-
-/// Staged query-lifecycle operations parsed from the repeatable
-/// `--register-at N:NAME=FILE`, `--deregister-at N:NAME`,
-/// `--pause-at N:NAME`, and `--resume-at N:NAME` flags. An operation at
-/// position `N` applies once `N` events have been processed (so `0` is
-/// before the first event); ties apply registrations first, then
-/// deregistrations, pauses, and resumes.
-#[derive(Debug, Default)]
-pub struct Schedule {
-    ops: Vec<(u64, StagedOp)>,
-    next: usize,
-}
-
-impl Schedule {
-    pub fn parse(flags: &Flags) -> Result<Schedule, String> {
-        let mut ops: Vec<(u64, StagedOp)> = Vec::new();
-        for spec in flags.get_all("register-at") {
-            let (at, rest) = split_position("register-at", spec)?;
-            let Some((name, path)) = rest.split_once('=') else {
-                return Err(format!("--register-at expects N:NAME=FILE, got `{spec}`"));
+/// The staged lifecycle flags — repeatable `--register-at N:NAME=FILE`,
+/// `--deregister-at N:NAME`, `--pause-at N:NAME` and `--resume-at N:NAME`
+/// — as controls at base-stream positions. An operation at `N` applies
+/// once `N` events have been processed (so `0` is before the first
+/// event); ties apply registrations first, then deregistrations, pauses
+/// and resumes. A FILE is read here, before the run starts.
+fn staged(flags: &Flags) -> Result<Vec<(u64, Control)>, String> {
+    let mut ops = Vec::new();
+    for verb in ["register", "deregister", "pause", "resume"] {
+        let flag = format!("{verb}-at");
+        for spec in flags.get_all(&flag) {
+            let (at, rest) = split_position(&flag, spec)?;
+            let words = match rest.split_once('=') {
+                Some((name, file)) if verb == "register" => vec![verb, name, file],
+                _ => vec![verb, rest],
             };
-            ops.push((
-                at,
-                StagedOp::Register {
-                    name: name.to_string(),
-                    path: path.to_string(),
-                },
-            ));
+            let op = parse_words(&words).expect("a control verb");
+            ops.push((at, op.map_err(|e| format!("--{flag} {spec}: {e}"))?));
         }
-        type OpCtor = fn(String) -> StagedOp;
-        let ctors: [(&str, OpCtor); 3] = [
-            ("deregister-at", |name| StagedOp::Deregister { name }),
-            ("pause-at", |name| StagedOp::Pause { name }),
-            ("resume-at", |name| StagedOp::Resume { name }),
-        ];
-        for (flag, make) in ctors {
-            for spec in flags.get_all(flag) {
-                let (at, name) = split_position(flag, spec)?;
-                ops.push((at, make(name.to_string())));
-            }
-        }
-        // Stable: ties keep the register → deregister → pause → resume
-        // insertion order from above.
-        ops.sort_by_key(|(at, _)| *at);
-        Ok(Schedule { ops, next: 0 })
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Stream position of the next pending operation, if any — lets the
-    /// session pump bound its batch so operations land at exact positions.
-    pub fn next_position(&self) -> Option<u64> {
-        self.ops.get(self.next).map(|(at, _)| *at)
-    }
-
-    /// Apply every operation due once `processed` events have gone through
-    /// the engine. Alerts flushed by a deregistration surface through the
-    /// normal `engine.process`/`engine.finish` returns.
-    pub fn apply_due(&mut self, processed: u64, engine: &mut Engine) -> Result<(), String> {
-        while self
-            .ops
-            .get(self.next)
-            .is_some_and(|(at, _)| *at <= processed)
-        {
-            let (at, op) = &self.ops[self.next];
-            self.next += 1;
-            match op {
-                StagedOp::Register { name, path } => {
-                    let src = std::fs::read_to_string(path)
-                        .map_err(|e| format!("--register-at {name}: cannot read {path}: {e}"))?;
-                    match saql_engine::register_pipeline(engine, name, &src) {
-                        Ok(stages) if stages.len() == 1 => println!(
-                            "[control +{at}] registered `{name}` as {} ({} group(s) now)",
-                            stages[0].1,
-                            engine.group_count()
-                        ),
-                        Ok(stages) => println!(
-                            "[control +{at}] registered pipeline `{name}` \
-                             ({} stages, {} group(s) now)",
-                            stages.len(),
-                            engine.group_count()
-                        ),
-                        Err(e) => return Err(format!("--register-at {name}:\n{}", e.render(&src))),
-                    }
-                }
-                StagedOp::Deregister { name } => {
-                    let id = live_id(engine, "deregister-at", name)?;
-                    let removed = saql_engine::deregister_pipeline(engine, id)
-                        .map_err(|e| format!("--deregister-at {name}: {e}"))?;
-                    println!(
-                        "[control +{at}] deregistered `{}` ({id}); open windows flushed",
-                        removed.join("`, `")
-                    );
-                }
-                StagedOp::Pause { name } => {
-                    let id = live_id(engine, "pause-at", name)?;
-                    engine
-                        .pause(id)
-                        .map_err(|e| format!("--pause-at {name}: {e}"))?;
-                    println!("[control +{at}] paused `{name}` ({id})");
-                }
-                StagedOp::Resume { name } => {
-                    let id = live_id(engine, "resume-at", name)?;
-                    engine
-                        .resume(id)
-                        .map_err(|e| format!("--resume-at {name}: {e}"))?;
-                    println!("[control +{at}] resumed `{name}` ({id})");
-                }
-            }
-        }
-        Ok(())
-    }
+    // Stable: ties keep the register → deregister → pause → resume
+    // order of the loop above.
+    ops.sort_by_key(|(at, _)| *at);
+    Ok(ops)
 }
 
 fn split_position<'a>(flag: &str, spec: &'a str) -> Result<(u64, &'a str), String> {
@@ -218,13 +123,57 @@ fn split_position<'a>(flag: &str, spec: &'a str) -> Result<(u64, &'a str), Strin
     Ok((at, rest))
 }
 
-fn live_id(engine: &Engine, flag: &str, name: &str) -> Result<saql_engine::QueryId, String> {
-    engine.find(name).ok_or_else(|| {
-        format!(
-            "--{flag}: no live query `{name}` (deployed: {})",
-            engine.query_names().join(", ")
-        )
-    })
+/// The text form of an applied control: the repl's reply, and the staged
+/// flags' log line.
+fn render_control(applied: &ControlReply) -> String {
+    match applied {
+        ControlReply::Registered { name, id, stages } => match stages.len() {
+            1 => format!("registered `{name}` as {id}"),
+            n => format!(
+                "registered pipeline `{name}` ({n} stages: {})",
+                stages.join(" |> ")
+            ),
+        },
+        ControlReply::Deregistered { removed, id } => format!(
+            "deregistered `{}` ({id}); open windows flushed",
+            removed.join("`, `")
+        ),
+        ControlReply::Paused { name, id } => format!("paused `{name}` ({id})"),
+        ControlReply::Resumed { name, id } => format!("resumed `{name}` ({id})"),
+        ControlReply::Listed(queries) if queries.is_empty() => "no live queries".to_string(),
+        ControlReply::Listed(queries) => queries
+            .iter()
+            .map(|q| format!("  {}{}", q.name, if q.paused { " [paused]" } else { "" }))
+            .collect::<Vec<_>>()
+            .join("\n"),
+        ControlReply::Checkpointed(written) => format!(
+            "checkpoint at offset {} in {}",
+            written.offset,
+            written.path.display()
+        ),
+    }
+}
+
+/// The word form of a control, `CMD [NAME] [FILE]`, shared by the repl and
+/// `saql client ctl`: `register NAME FILE`, `deregister NAME` (the repl's
+/// `undeploy NAME`), `pause NAME`, `resume NAME`, `list`, `checkpoint`.
+/// `None` when the first word is none of these.
+fn parse_words(words: &[&str]) -> Option<Result<Control, String>> {
+    let (&verb, args) = words.split_first()?;
+    let verb = if verb == "undeploy" {
+        "deregister"
+    } else {
+        verb
+    };
+    let text = match (verb, args.get(1)) {
+        ("register", Some(file)) => match std::fs::read_to_string(file) {
+            Ok(text) => Some(text),
+            Err(e) => return Some(Err(format!("cannot read {file}: {e}"))),
+        },
+        ("register", None) => return Some(Err("`register` needs NAME FILE".to_string())),
+        _ => None,
+    };
+    Control::parse(verb, args.first().map(|name| name.to_string()), text)
 }
 
 /// The CLI's simulator defaults — shared by `demo`/`simulate` flags and
@@ -373,10 +322,11 @@ fn source_from_spec(
 }
 
 /// Drive a session to completion: staged lifecycle operations land at
-/// their exact base-stream positions, alerts print as they fire, and the
-/// session finishes the stream (pipeline stages layer by layer, then the
-/// engine). Returns the alert count.
-fn run_to_end(session: &mut RunSession<'_>, schedule: &mut Schedule) -> Result<u64, String> {
+/// their exact base-stream positions, each logged as `[control +N] ...`,
+/// alerts print as they fire, and the session finishes the stream
+/// (pipeline stages layer by layer, then the engine). Returns the alert
+/// count.
+fn run_to_end(session: &mut RunSession<'_>, staged: Vec<(u64, Control)>) -> Result<u64, String> {
     let mut alerts = 0u64;
     let mut print = |batch: Vec<saql_engine::Alert>| {
         for alert in batch {
@@ -384,27 +334,12 @@ fn run_to_end(session: &mut RunSession<'_>, schedule: &mut Schedule) -> Result<u
             println!("{alert}");
         }
     };
-    // Positions count this session's base events.
-    let start = session.offset();
-    loop {
-        let at = session.offset() - start;
-        schedule.apply_due(at, session.engine())?;
-        // Never pump past the next staged operation.
-        let budget = schedule
-            .next_position()
-            .map_or(usize::MAX, |next| next.saturating_sub(at).max(1) as usize);
-        let round = session.pump_max(budget);
-        let status = round.status;
-        print(round.alerts);
-        match status {
-            SessionStatus::Done => break,
-            SessionStatus::Active => {}
-            SessionStatus::Idle => std::thread::sleep(std::time::Duration::from_millis(2)),
-        }
-    }
-    // Operations staged past the end of the stream apply before the flush.
-    schedule.apply_due(u64::MAX, session.engine())?;
-    print(session.finish());
+    let mut log = |pos, applied: ControlReply| {
+        println!("[control +{pos}] {}", render_control(&applied));
+    };
+    session
+        .run_staged(staged, &mut print, &mut log)
+        .map_err(|(pos, e)| format!("[control +{pos}] {e}"))?;
     Ok(alerts)
 }
 
@@ -455,7 +390,7 @@ pub fn demo(argv: &[String]) -> Result<i32, String> {
         println!("  attack {}: {} .. {}", step.label(), first, last);
     }
 
-    let mut schedule = Schedule::parse(&flags)?;
+    let staged = staged(&flags)?;
     let mut queries = demo_queries();
     let pipeline = corpus::DEMO_TIERED_PIPELINE_NAME;
     if flags.switch("pipeline") {
@@ -491,7 +426,7 @@ pub fn demo(argv: &[String]) -> Result<i32, String> {
 
     let mut session = run.session();
     session.attach(TraceSource::whole(&trace));
-    let alert_count = run_to_end(&mut session, &mut schedule)?;
+    let alert_count = run_to_end(&mut session, staged)?;
     drop(session);
 
     println!("\n{alert_count} alert(s) total");
@@ -589,10 +524,10 @@ pub fn replay(argv: &[String]) -> Result<i32, String> {
         return Err("replay requires --store DIR or --source KIND:... (store, jsonl, sim)".into());
     }
 
-    let mut schedule = Schedule::parse(&flags)?;
+    let staged = staged(&flags)?;
     let mut run = deployment.open("", log).map_err(|e| e.to_string())?;
     let engine = &run.engine;
-    if engine.query_names().is_empty() && schedule.is_empty() {
+    if engine.query_names().is_empty() && staged.is_empty() {
         return Err(
             "no queries deployed (use --demo-queries, --query FILE, or --register-at)".into(),
         );
@@ -614,7 +549,7 @@ pub fn replay(argv: &[String]) -> Result<i32, String> {
     for source in sources {
         session.attach(source);
     }
-    let alerts = run_to_end(&mut session, &mut schedule)?;
+    let alerts = run_to_end(&mut session, staged)?;
     let events = session.processed();
     println!("\nreplayed {events} events, {alerts} alert(s)");
     let mut degraded = report_sources(&session);
@@ -790,62 +725,36 @@ pub fn check(argv: &[String]) -> Result<i32, String> {
     Ok(i32::from(failures > 0))
 }
 
-/// `saql repl` — interactive session.
+/// `saql repl` — interactive session over `input`, answering on `out`.
 pub fn repl(argv: &[String], input: &mut dyn BufRead, out: &mut dyn Write) -> Result<i32, String> {
     let flags = Flags::parse(argv)?;
     let store = flags.get("store").map(open_reader).transpose()?;
-    Ok(repl_loop(input, out, store))
-}
-
-/// The REPL proper, I/O-parameterized for tests.
-pub fn repl_loop(input: &mut dyn BufRead, out: &mut dyn Write, store: Option<StoreReader>) -> i32 {
     let mut engine = Engine::new(EngineConfig::default());
-    let mut sources: Vec<(String, String)> = Vec::new();
     // Monotonic ad-hoc query counter: live-count-based names would collide
     // after an `undeploy` (names free up, but earlier `query-N` may remain).
     let mut adhoc_seq = 0usize;
     let _ = writeln!(
         out,
-        "SAQL interactive session. Type a query (end with a blank line), or:\n  deploy-demo | list | show <name> | undeploy <name> | pause <name> |\n  resume <name> | run | stats | errors | quit"
+        "SAQL interactive session. Type a query (end with a blank line), or:\n  \
+         deploy-demo | register NAME FILE | list | show NAME | undeploy NAME |\n  \
+         pause NAME | resume NAME | run | stats | errors | quit"
     );
     let mut lines = input.lines();
     loop {
         let _ = write!(out, "saql> ");
         let _ = out.flush();
         let Some(Ok(line)) = lines.next() else {
-            return 0;
+            return Ok(0);
         };
-        let trimmed = line.trim().to_string();
-        match trimmed.as_str() {
-            "" => continue,
-            "quit" | "exit" => return 0,
-            "deploy-demo" => {
-                for (name, src) in corpus::DEMO_QUERIES {
-                    match engine.register(name, src) {
-                        Ok(_) => sources.push((name.to_string(), src.to_string())),
-                        Err(e) => {
-                            let _ = writeln!(out, "error: {e}");
-                        }
-                    }
-                }
-                let _ = writeln!(
-                    out,
-                    "deployed {} queries ({} groups)",
-                    engine.query_names().len(),
-                    engine.group_count()
-                );
-            }
-            "list" => {
-                for (name, id) in engine.query_names().iter().zip(engine.query_ids()) {
-                    let flag = if engine.is_paused(id) {
-                        " [paused]"
-                    } else {
-                        ""
-                    };
-                    let _ = writeln!(out, "  {name}{flag}");
-                }
-            }
-            "stats" => {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let ops = match words.as_slice() {
+            [] => continue,
+            ["quit" | "exit"] => return Ok(0),
+            ["deploy-demo"] => demo_queries()
+                .into_iter()
+                .map(|(name, text)| Ok(Control::Register { name, text }))
+                .collect(),
+            ["stats"] => {
                 for (name, s) in engine.query_stats() {
                     let _ = writeln!(
                         out,
@@ -853,8 +762,9 @@ pub fn repl_loop(input: &mut dyn BufRead, out: &mut dyn Write, store: Option<Sto
                         s.events_seen, s.events_matched, s.windows_closed, s.alerts
                     );
                 }
+                continue;
             }
-            "errors" => {
+            ["errors"] => {
                 let recent = engine.recent_errors();
                 if recent.is_empty() {
                     let _ = writeln!(out, "  no runtime errors");
@@ -862,125 +772,78 @@ pub fn repl_loop(input: &mut dyn BufRead, out: &mut dyn Write, store: Option<Sto
                 for e in recent {
                     let _ = writeln!(out, "  {e}");
                 }
+                continue;
             }
-            "run" => match &store {
-                None => {
-                    let _ = writeln!(out, "no store attached (start with --store DIR)");
-                }
-                Some(store) => {
-                    // Re-open so a `run` sees events appended since attach.
-                    let replayer = match Replayer::open(store.path()) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            let _ = writeln!(out, "store error: {e}");
-                            continue;
-                        }
-                    };
-                    match replayer.replay_iter(&Selection::all()) {
-                        Ok(events) => {
-                            let mut n = 0u64;
-                            for event in events {
-                                for alert in engine.process(&event).unwrap_or_default() {
-                                    n += 1;
-                                    let _ = writeln!(out, "{alert}");
-                                }
-                            }
-                            for alert in engine.finish() {
-                                n += 1;
-                                let _ = writeln!(out, "{alert}");
-                            }
-                            let _ = writeln!(out, "{n} alert(s)");
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "replay error: {e}");
-                        }
-                    }
-                }
-            },
-            cmd if cmd.starts_with("undeploy ") => {
-                let name = cmd.trim_start_matches("undeploy ").trim();
-                match engine.find(name) {
-                    Some(id) => match engine.deregister(id) {
-                        Ok(()) => {
-                            sources.retain(|(n, _)| n != name);
-                            let _ = writeln!(out, "undeployed `{name}` (windows flushed)");
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "error: {e}");
-                        }
-                    },
-                    None => {
-                        let _ = writeln!(out, "unknown query `{name}`");
-                    }
-                }
+            ["run"] => {
+                let _ = repl_run(&mut engine, store.as_ref(), out);
+                continue;
             }
-            cmd if cmd.starts_with("pause ") || cmd.starts_with("resume ") => {
-                let resume = cmd.starts_with("resume ");
-                let name = cmd.split_once(' ').map(|(_, n)| n.trim()).unwrap_or("");
-                match engine.find(name) {
-                    Some(id) => {
-                        let result = if resume {
-                            engine.resume(id)
-                        } else {
-                            engine.pause(id)
-                        };
-                        match result {
-                            Ok(()) => {
-                                let verb = if resume { "resumed" } else { "paused" };
-                                let _ = writeln!(out, "{verb} `{name}`");
-                            }
-                            Err(e) => {
-                                let _ = writeln!(out, "error: {e}");
-                            }
-                        }
-                    }
-                    None => {
-                        let _ = writeln!(out, "unknown query `{name}`");
-                    }
+            ["show", name] => {
+                let shown = Scope::UNSCOPED
+                    .find(&engine, name)
+                    .and_then(|id| {
+                        let text = engine.source_of(id).unwrap_or_default();
+                        saql_lang::parse(text).map_err(|e| e.to_string())
+                    })
+                    .map(|q| saql_lang::pretty::print_query(&q));
+                match shown {
+                    Ok(text) => write!(out, "{text}"),
+                    Err(e) => writeln!(out, "error: {e}"),
                 }
+                .ok();
+                continue;
             }
-            cmd if cmd.starts_with("show ") => {
-                let name = cmd.trim_start_matches("show ").trim();
-                match sources.iter().find(|(n, _)| n == name) {
-                    Some((_, src)) => match saql_lang::parse(src) {
-                        Ok(q) => {
-                            let _ = write!(out, "{}", saql_lang::pretty::print_query(&q));
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "error: {e}");
-                        }
-                    },
-                    None => {
-                        let _ = writeln!(out, "unknown query `{name}`");
-                    }
-                }
-            }
-            first_line => {
+            words => vec![parse_words(words).unwrap_or_else(|| {
                 // Multi-line query entry, terminated by a blank line.
-                let mut src = String::from(first_line);
-                src.push('\n');
+                let mut text = format!("{line}\n");
                 for line in lines.by_ref() {
                     let Ok(line) = line else { break };
                     if line.trim().is_empty() {
                         break;
                     }
-                    src.push_str(&line);
-                    src.push('\n');
+                    text.push_str(&line);
+                    text.push('\n');
                 }
                 adhoc_seq += 1;
                 let name = format!("query-{adhoc_seq}");
-                match engine.register(&name, &src) {
-                    Ok(_) => {
-                        sources.push((name.clone(), src));
-                        let _ = writeln!(out, "deployed `{name}`");
-                    }
-                    Err(e) => {
-                        let _ = write!(out, "{}", e.render(&src));
-                    }
-                }
+                Ok(Control::Register { name, text })
+            })],
+        };
+        for op in ops {
+            match op.and_then(|op| engine.session().control(&Scope::UNSCOPED, op)) {
+                Ok(applied) => writeln!(out, "{}", render_control(&applied)),
+                Err(e) => writeln!(out, "error: {}", e.trim_end()),
             }
+            .ok();
         }
     }
+}
+
+/// The repl's `run`: the store, re-opened so events appended since attach
+/// are seen, replayed in time order through a session that drains it.
+fn repl_run(
+    engine: &mut Engine,
+    store: Option<&StoreReader>,
+    out: &mut dyn Write,
+) -> std::io::Result<()> {
+    let Some(store) = store else {
+        return writeln!(out, "no store attached (start with --store DIR)");
+    };
+    let name = format!("repl:{}", store.path().display());
+    let replayed = Replayer::open(store.path()).and_then(|replayer| {
+        ChannelSource::replay(name, &replayer, &Selection::all(), Speed::Unlimited, 4096)
+    });
+    let source = match replayed {
+        Ok(source) => source,
+        Err(e) => return writeln!(out, "replay error: {e}"),
+    };
+    let mut session = engine.session();
+    session.attach(source);
+    let alerts = session.drain();
+    for alert in &alerts {
+        writeln!(out, "{alert}")?;
+    }
+    writeln!(out, "{} alert(s)", alerts.len())
 }
 
 fn print_stats(engine: &Engine) {
@@ -1142,14 +1005,15 @@ pub fn client(argv: &[String]) -> Result<i32, String> {
             let query = flags.get("query").ok_or("client tail needs --query NAME")?;
             let max = flags
                 .get("max")
-                .map(|_| flags.get_u64("max", 0).unwrap_or(0));
+                .map(|_| flags.get_u64("max", 0))
+                .transpose()?;
             let mut out = std::io::stdout();
             saql_serve::tail_alerts(&addr, &tenant, query, &mut out, max)
                 .map_err(|e| e.to_string())?;
             Ok(0)
         }
         "ctl" => {
-            let line = client_ctl_line(&flags)?;
+            let line = ctl_line(&flags.positional)?;
             let response = saql_serve::ctl(&addr, &tenant, &line).map_err(|e| e.to_string())?;
             println!("{response}");
             Ok(i32::from(response.contains("\"ok\":false")))
@@ -1158,32 +1022,25 @@ pub fn client(argv: &[String]) -> Result<i32, String> {
     }
 }
 
-/// Build the control line: raw JSON passthrough, or the
-/// `CMD [NAME] [FILE]` shorthand (`register exfil q.saql`, `stats`, ...).
-fn client_ctl_line(flags: &Flags) -> Result<String, String> {
-    let pos = &flags.positional;
-    let Some(first) = pos.first() else {
+/// The control line `client ctl` sends: raw JSON passed through, or the
+/// word form — a control ([`parse_words`]), `stats` or `shutdown`.
+fn ctl_line(words: &[String]) -> Result<String, String> {
+    let Some(first) = words.first() else {
         return Err("client ctl needs a command (JSON or `CMD [NAME] [FILE]`)".into());
     };
     if first.trim_start().starts_with('{') {
         return Ok(first.clone());
     }
-    let obj = saql_serve::protocol::JsonObj::new().str("cmd", first);
-    match first.as_str() {
-        "list" | "stats" | "checkpoint" | "shutdown" => Ok(obj.finish()),
-        "deregister" | "pause" | "resume" => {
-            let name = pos.get(1).ok_or(format!("`{first}` needs NAME"))?;
-            Ok(obj.str("name", name).finish())
-        }
-        "register" => {
-            let name = pos.get(1).ok_or("`register` needs NAME FILE")?;
-            let file = pos.get(2).ok_or("`register` needs NAME FILE")?;
-            let src =
-                std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-            Ok(obj.str("name", name).str("query", &src).finish())
-        }
-        other => Err(format!("unknown control command `{other}`")),
-    }
+    let words: Vec<&str> = words.iter().map(String::as_str).collect();
+    let request = match words[0] {
+        "stats" => Request::Stats,
+        "shutdown" => Request::Shutdown,
+        cmd => Request::Control(
+            parse_words(&words)
+                .unwrap_or_else(|| Err(format!("unknown control command `{cmd}`")))?,
+        ),
+    };
+    Ok(saql_serve::protocol::request_line(&request))
 }
 
 #[cfg(test)]
@@ -1195,10 +1052,10 @@ mod tests {
     fn repl_deploys_and_lists_demo_queries() {
         let mut input = Cursor::new("deploy-demo\nlist\nquit\n");
         let mut out = Vec::new();
-        let code = repl_loop(&mut input, &mut out, None);
+        let code = repl(&[], &mut input, &mut out).unwrap();
         assert_eq!(code, 0);
         let shown = String::from_utf8(out).unwrap();
-        assert!(shown.contains("deployed 8 queries"), "{shown}");
+        assert_eq!(shown.matches("registered `").count(), 8, "{shown}");
         assert!(shown.contains("c5-exfiltration"), "{shown}");
     }
 
@@ -1208,90 +1065,202 @@ mod tests {
             "proc p1[\"%cmd.exe\"] start proc p2 as e1\nreturn p1, p2\n\nproc p teleport proc q as e\n\nquit\n",
         );
         let mut out = Vec::new();
-        repl_loop(&mut input, &mut out, None);
+        repl(&[], &mut input, &mut out).unwrap();
         let shown = String::from_utf8(out).unwrap();
-        assert!(shown.contains("deployed `query-1`"), "{shown}");
+        assert!(shown.contains("registered `query-1`"), "{shown}");
         assert!(shown.contains("unknown operation `teleport`"), "{shown}");
     }
 
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A query file in the temp dir, unique per test.
+    fn query_file(tag: &str, text: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("saql-cli-{tag}-{}.saql", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
     #[test]
-    fn schedule_parses_and_orders_lifecycle_flags() {
-        let argv: Vec<String> = [
+    fn staged_flags_parse_in_position_order() {
+        let file = query_file("order", "proc p start proc q as e\nreturn p, q");
+        let spec = format!("100:watch={}", file.display());
+        let flags = Flags::parse(&argv(&[
             "--deregister-at",
             "300:watch",
             "--register-at",
-            "100:watch=w.saql",
+            &spec,
             "--pause-at",
             "200:c2-malware-infection",
             "--resume-at",
             "250:c2-malware-infection",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let flags = Flags::parse(&argv).unwrap();
-        let schedule = Schedule::parse(&flags).unwrap();
-        assert!(!schedule.is_empty());
-        let positions: Vec<u64> = schedule.ops.iter().map(|(at, _)| *at).collect();
+        ]))
+        .unwrap();
+        let ops = staged(&flags).unwrap();
+        let positions: Vec<u64> = ops.iter().map(|(at, _)| *at).collect();
         assert_eq!(positions, vec![100, 200, 250, 300]);
         assert!(matches!(
-            &schedule.ops[0].1,
-            StagedOp::Register { name, path } if name == "watch" && path == "w.saql"
+            &ops[0].1,
+            Control::Register { name, text } if name == "watch" && text.starts_with("proc p")
         ));
-        assert!(matches!(&schedule.ops[3].1, StagedOp::Deregister { name } if name == "watch"));
+        assert!(matches!(&ops[3].1, Control::Deregister { name } if name == "watch"));
+        // Ties keep register → deregister → pause → resume.
+        let flags = Flags::parse(&argv(&[
+            "--resume-at",
+            "7:w",
+            "--pause-at",
+            "7:w",
+            "--deregister-at",
+            "7:w",
+            "--register-at",
+            &format!("7:w={}", file.display()),
+        ]))
+        .unwrap();
+        let order: Vec<&str> = staged(&flags)
+            .unwrap()
+            .iter()
+            .map(|(_, op)| match op {
+                Control::Register { .. } => "register",
+                Control::Deregister { .. } => "deregister",
+                Control::Pause { .. } => "pause",
+                Control::Resume { .. } => "resume",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(order, ["register", "deregister", "pause", "resume"]);
+        std::fs::remove_file(file).unwrap();
     }
 
     #[test]
-    fn schedule_rejects_malformed_specs() {
+    fn staged_flags_reject_malformed_specs() {
         let parse = |s: &str| {
             let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
-            Schedule::parse(&Flags::parse(&argv).unwrap())
+            staged(&Flags::parse(&argv).unwrap())
         };
         assert!(parse("--register-at watch=w.saql").is_err(), "missing N:");
         assert!(parse("--register-at 5:watch").is_err(), "missing =FILE");
         assert!(parse("--pause-at ten:watch").is_err(), "non-numeric N");
+        let err = parse("--register-at 5:w=/nonexistent/w.saql").unwrap_err();
+        assert!(err.contains("cannot read"), "read before the run: {err}");
         assert!(parse("--deregister-at 5:w").is_ok());
     }
 
     #[test]
-    fn schedule_applies_ops_against_live_engine() {
-        let mut query_file = std::env::temp_dir();
-        query_file.push(format!("saql-cli-sched-{}.saql", std::process::id()));
-        std::fs::write(&query_file, "proc p start proc q as e\nreturn p, q").unwrap();
-        let argv: Vec<String> = [
-            format!("--register-at 1:late={}", query_file.display()),
-            "--pause-at 2:late".to_string(),
-            "--resume-at 3:late".to_string(),
-            "--deregister-at 4:late".to_string(),
-        ]
-        .iter()
-        .flat_map(|s| s.split(' ').map(String::from))
-        .collect();
-        let mut schedule = Schedule::parse(&Flags::parse(&argv).unwrap()).unwrap();
+    fn staged_ops_apply_at_exact_positions() {
+        // `late` is live for events [1, 4) and paused for [2, 3): of six
+        // `cmd.exe` starts it sees exactly the second and the fourth.
+        let file = query_file("apply", "proc p start proc q as e\nreturn p, q");
+        let flags = Flags::parse(&argv(&[
+            "--register-at",
+            &format!("1:late={}", file.display()),
+            "--pause-at",
+            "2:late",
+            "--resume-at",
+            "3:late",
+            "--deregister-at",
+            "4:late",
+        ]))
+        .unwrap();
+        let staged = staged(&flags).unwrap();
+        std::fs::remove_file(file).unwrap();
+        let starts: Vec<_> = (1..=6u64)
+            .map(|i| {
+                std::sync::Arc::new(
+                    saql_model::event::EventBuilder::new(i, "h", i * 10)
+                        .subject(saql_model::ProcessInfo::new(1, "cmd.exe", "u"))
+                        .starts_process(saql_model::ProcessInfo::new(2, "calc.exe", "u"))
+                        .build(),
+                )
+            })
+            .collect();
         let mut engine = Engine::new(EngineConfig::default());
-        for processed in 0..=5u64 {
-            schedule.apply_due(processed, &mut engine).unwrap();
-            match processed {
-                0 => assert!(engine.find("late").is_none()),
-                1 => assert!(engine.find("late").is_some()),
-                2 => assert!(engine.is_paused(engine.find("late").unwrap())),
-                3 => assert!(!engine.is_paused(engine.find("late").unwrap())),
-                _ => assert!(engine.find("late").is_none(), "deregistered"),
-            }
+        let mut session = engine.session();
+        session.attach(saql_stream::source::IterSource::new("starts", starts));
+        let trace = run_traced(&mut session, staged);
+        let expected = [
+            "[control +1] registered `late`",
+            "alert late @20",
+            "[control +2] paused `late`",
+            "[control +3] resumed `late`",
+            "alert late @40",
+            "[control +4] deregistered `late`",
+        ];
+        assert_eq!(trace.len(), expected.len(), "{trace:#?}");
+        for (line, want) in trace.iter().zip(expected) {
+            assert!(line.starts_with(want), "{line:?} vs {want:?} in {trace:#?}");
         }
-        std::fs::remove_file(query_file).unwrap();
+    }
+
+    /// Run `session` to the end with `staged` controls, returning one line
+    /// per applied control (`[control +N] ...`, as `run_to_end` logs it)
+    /// and per alert (`alert QUERY @TS`), in the order they happened.
+    fn run_traced(session: &mut RunSession<'_>, staged: Vec<(u64, Control)>) -> Vec<String> {
+        let trace = std::cell::RefCell::new(Vec::new());
+        let mut deliver = |batch: Vec<saql_engine::Alert>| {
+            let lines = batch
+                .iter()
+                .map(|a| format!("alert {} @{}", a.query, a.ts.as_millis()));
+            trace.borrow_mut().extend(lines);
+        };
+        let mut applied = |pos, reply: ControlReply| {
+            let line = format!("[control +{pos}] {}", render_control(&reply));
+            trace.borrow_mut().push(line);
+        };
+        session
+            .run_staged(staged, &mut deliver, &mut applied)
+            .unwrap();
+        trace.into_inner()
     }
 
     #[test]
-    fn schedule_fails_on_unknown_query_name() {
-        let argv: Vec<String> = ["--pause-at", "0:ghost"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let mut schedule = Schedule::parse(&Flags::parse(&argv).unwrap()).unwrap();
+    fn staged_ops_fail_on_unknown_query_name() {
+        let flags = Flags::parse(&argv(&["--pause-at", "0:ghost"])).unwrap();
         let mut engine = Engine::new(EngineConfig::default());
-        let err = schedule.apply_due(0, &mut engine).unwrap_err();
-        assert!(err.contains("no live query `ghost`"), "{err}");
+        let mut session = engine.session();
+        session.attach(saql_stream::source::IterSource::new("none", Vec::new()));
+        assert!(run_to_end(&mut session, staged(&flags).unwrap()).is_err());
+    }
+
+    #[test]
+    fn word_and_json_forms_parse_to_the_same_control() {
+        let file = query_file("words", "proc p start proc q as e\nreturn \"p\", q");
+        let text = std::fs::read_to_string(&file).unwrap();
+        let names = ["q", "exfil-2", "a.s1", "quote\"d", "back\\slash"];
+        let mut seed = 0x2545_f491_u64;
+        for _ in 0..200 {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let name = names[(seed >> 33) as usize % names.len()];
+            let cmd = [
+                "register",
+                "deregister",
+                "undeploy",
+                "pause",
+                "resume",
+                "list",
+                "checkpoint",
+            ][(seed >> 45) as usize % 7];
+            let words: Vec<String> = match cmd {
+                "register" => argv(&[cmd, name, &file.display().to_string()]),
+                "list" | "checkpoint" => argv(&[cmd]),
+                _ => argv(&[cmd, name]),
+            };
+            let word_refs: Vec<&str> = words.iter().map(String::as_str).collect();
+            let from_words = parse_words(&word_refs).unwrap().unwrap();
+            let json_cmd = if cmd == "undeploy" { "deregister" } else { cmd };
+            let mut json = saql_serve::protocol::JsonObj::new().str("cmd", json_cmd);
+            if words.len() > 1 {
+                json = json.str("name", name);
+            }
+            if cmd == "register" {
+                json = json.str("query", &text);
+            }
+            let from_json = saql_serve::protocol::parse_control(&json.finish()).unwrap();
+            assert_eq!(from_json, Request::Control(from_words.clone()), "{words:?}");
+            let sent = saql_serve::protocol::parse_control(&ctl_line(&words).unwrap()).unwrap();
+            assert_eq!(sent, Request::Control(from_words), "{words:?}");
+        }
+        std::fs::remove_file(file).unwrap();
     }
 
     #[test]
@@ -1300,19 +1269,19 @@ mod tests {
             "deploy-demo\npause c2-malware-infection\nlist\nresume c2-malware-infection\nundeploy c2-malware-infection\nlist\npause ghost\nquit\n",
         );
         let mut out = Vec::new();
-        let code = repl_loop(&mut input, &mut out, None);
+        let code = repl(&[], &mut input, &mut out).unwrap();
         assert_eq!(code, 0);
         let shown = String::from_utf8(out).unwrap();
         assert!(shown.contains("paused `c2-malware-infection`"), "{shown}");
         assert!(shown.contains("c2-malware-infection [paused]"), "{shown}");
         assert!(shown.contains("resumed `c2-malware-infection`"), "{shown}");
         assert!(
-            shown.contains("undeployed `c2-malware-infection`"),
+            shown.contains("deregistered `c2-malware-infection`"),
             "{shown}"
         );
-        assert!(shown.contains("unknown query `ghost`"), "{shown}");
+        assert!(shown.contains("no live query `ghost`"), "{shown}");
         // After undeploy the second `list` no longer shows the query.
-        let after = shown.split("undeployed").nth(1).unwrap();
+        let after = shown.split("deregistered").nth(1).unwrap();
         assert!(!after.contains("c2-malware-infection [paused]"), "{shown}");
     }
 
@@ -1324,20 +1293,90 @@ mod tests {
             "proc a start proc b as e\nreturn a\n\nproc c start proc d as e\nreturn c\n\nundeploy query-1\nproc x start proc y as e\nreturn y\n\nlist\nquit\n",
         );
         let mut out = Vec::new();
-        repl_loop(&mut input, &mut out, None);
+        repl(&[], &mut input, &mut out).unwrap();
         let shown = String::from_utf8(out).unwrap();
-        assert!(shown.contains("deployed `query-1`"), "{shown}");
-        assert!(shown.contains("deployed `query-2`"), "{shown}");
-        assert!(shown.contains("undeployed `query-1`"), "{shown}");
-        assert!(shown.contains("deployed `query-3`"), "{shown}");
+        assert!(shown.contains("registered `query-1`"), "{shown}");
+        assert!(shown.contains("registered `query-2`"), "{shown}");
+        assert!(shown.contains("deregistered `query-1`"), "{shown}");
+        assert!(shown.contains("registered `query-3`"), "{shown}");
         assert!(!shown.contains("already registered"), "{shown}");
+    }
+
+    /// Per-host write bursts that [`TIERED`]'s two stages both alert on.
+    const TIERED: &str = "proc p write ip i as evt #time(10 s)\n\
+                          state ss { writes := count() } group by evt.agentid\n\
+                          alert ss[0].writes >= 3\n\
+                          return evt.agentid as host, ss[0].writes as amount\n\
+                          |>\n\
+                          from #time(30 s)\n\
+                          state es { hosts := distinct_count(_in.agentid) }\n\
+                          alert es[0].hosts >= 2\n\
+                          return es[0].hosts as hosts";
+
+    /// 300 network writes, round-robin over three hosts, 700 ms apart.
+    fn writes() -> Vec<saql_model::Event> {
+        use saql_model::event::EventBuilder;
+        use saql_model::{NetworkInfo, ProcessInfo};
+        (0..300u64)
+            .map(|i| {
+                EventBuilder::new(i + 1, format!("web-{}", i % 3), 1_000 + i * 700)
+                    .subject(ProcessInfo::new(100, "worker", "svc"))
+                    .sends(NetworkInfo::new("10.0.0.1", 9999, "172.16.0.9", 443, "tcp"))
+                    .amount(1024)
+                    .build()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repl_registers_runs_and_undeploys_a_pipeline() {
+        // The demo's tiered pipeline registers both stages...
+        let mut input = Cursor::new(format!(
+            "{}\nlist\nundeploy query-1\nlist\nquit\n",
+            corpus::DEMO_TIERED_PIPELINE
+        ));
+        let mut out = Vec::new();
+        repl(&[], &mut input, &mut out).unwrap();
+        let shown = String::from_utf8(out).unwrap();
+        assert!(
+            shown.contains("registered pipeline `query-1` (2 stages: query-1.s1 |> query-1)"),
+            "{shown}"
+        );
+        let (deployed, undeployed) = shown.split_once("deregistered").unwrap();
+        assert!(deployed.contains("  query-1.s1\n"), "{shown}");
+        assert!(deployed.contains("  query-1\n"), "{shown}");
+        assert!(
+            undeployed.starts_with(" `query-1`, `query-1.s1`"),
+            "{shown}"
+        );
+        assert!(undeployed.contains("no live queries"), "{shown}");
+
+        // ...and `run` wires the stages: the final stage alerts too.
+        let path = std::env::temp_dir().join(format!("saql-cli-repl-pipe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let mut store = StoreWriter::create_segmented(&path).unwrap();
+        store.append(&writes()).unwrap();
+        store.sync().unwrap();
+        drop(store);
+        let mut input = Cursor::new(format!("{TIERED}\n\nrun\nquit\n"));
+        let mut out = Vec::new();
+        repl(
+            &argv(&["--store", path.to_str().unwrap()]),
+            &mut input,
+            &mut out,
+        )
+        .unwrap();
+        let shown = String::from_utf8(out).unwrap();
+        assert!(shown.contains("[ALERT query-1.s1 @"), "{shown}");
+        assert!(shown.contains("[ALERT query-1 @"), "{shown}");
+        std::fs::remove_dir_all(path).unwrap();
     }
 
     #[test]
     fn repl_run_without_store_explains() {
         let mut input = Cursor::new("run\nquit\n");
         let mut out = Vec::new();
-        repl_loop(&mut input, &mut out, None);
+        repl(&[], &mut input, &mut out).unwrap();
         let shown = String::from_utf8(out).unwrap();
         assert!(shown.contains("no store attached"), "{shown}");
     }
@@ -1364,11 +1403,8 @@ mod tests {
 
         let mut input = Cursor::new("deploy-demo\nrun\nstats\nquit\n");
         let mut out = Vec::new();
-        let code = repl_loop(
-            &mut input,
-            &mut out,
-            Some(StoreReader::open(&path).unwrap()),
-        );
+        let argv = argv(&["--store", path.to_str().unwrap()]);
+        let code = repl(&argv, &mut input, &mut out).unwrap();
         assert_eq!(code, 0);
         let shown = String::from_utf8(out).unwrap();
         assert!(shown.contains("ALERT c5-exfiltration"), "{shown}");
@@ -1381,44 +1417,38 @@ mod tests {
         // Adapted alerts and punctuations flow through the same session;
         // a staged operation at N must still land after exactly N events
         // of the stream — here `q` is paused for events [100, 200).
-        use saql_model::event::EventBuilder;
-        use saql_model::{NetworkInfo, ProcessInfo};
-        use std::sync::Arc;
-        let tiered = "proc p write ip i as evt #time(10 s)\n\
-                      state ss { writes := count() } group by evt.agentid\n\
-                      alert ss[0].writes >= 3\n\
-                      return evt.agentid as host, ss[0].writes as amount\n\
-                      |>\n\
-                      from #time(30 s)\n\
-                      state es { hosts := distinct_count(_in.agentid) }\n\
-                      alert es[0].hosts >= 2\n\
-                      return es[0].hosts as hosts";
-        let events: Vec<saql_stream::SharedEvent> = (0..300u64)
-            .map(|i| {
-                Arc::new(
-                    EventBuilder::new(i + 1, format!("web-{}", i % 3), 1_000 + i * 700)
-                        .subject(ProcessInfo::new(100, "worker", "svc"))
-                        .sends(NetworkInfo::new("10.0.0.1", 9999, "172.16.0.9", 443, "tcp"))
-                        .amount(1024)
-                        .build(),
-                )
-            })
-            .collect();
+        let events: Vec<_> = writes().into_iter().map(std::sync::Arc::new).collect();
         let mut engine = Engine::new(EngineConfig::default());
-        saql_engine::register_pipeline(&mut engine, "tiered", tiered).unwrap();
+        saql_engine::register_pipeline(&mut engine, "tiered", TIERED).unwrap();
         engine
             .register("q", "proc p write ip i as evt\nreturn p, i")
             .unwrap();
-        let argv: Vec<String> = ["--pause-at", "100:q", "--resume-at", "200:q"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let mut schedule = Schedule::parse(&Flags::parse(&argv).unwrap()).unwrap();
+        let flags = Flags::parse(&argv(&["--pause-at", "100:q", "--resume-at", "200:q"])).unwrap();
         let mut session = engine.session();
         session.attach(saql_stream::source::IterSource::new("trace", events));
-        run_to_end(&mut session, &mut schedule).unwrap();
+        let trace = run_traced(&mut session, staged(&flags).unwrap());
         assert!(session.processed() > 300, "the pipeline derived events");
         drop(session);
+        let controls: Vec<&str> = trace
+            .iter()
+            .filter(|line| line.starts_with("[control"))
+            .map(|line| line.split(" (").next().unwrap())
+            .collect();
+        assert_eq!(
+            controls,
+            ["[control +100] paused `q`", "[control +200] resumed `q`"]
+        );
+        // `q` saw exactly the first 100 writes and the last 100.
+        let seen: Vec<String> = trace
+            .iter()
+            .filter_map(|line| line.strip_prefix("alert q @"))
+            .map(String::from)
+            .collect();
+        let expected: Vec<String> = (0..100u64)
+            .chain(200..300)
+            .map(|i| (1_000 + i * 700).to_string())
+            .collect();
+        assert_eq!(seen, expected);
         let stats = engine.query_stats();
         let (_, q) = stats.iter().find(|(name, _)| name == "q").unwrap();
         assert_eq!(q.events_seen, 200);

@@ -12,9 +12,8 @@
 //! * `saql explain FILE...` — print the compiled execution plan (resolved
 //!   slots, predicate sets, register-program listings) of query files;
 //! * `saql repl [--store DIR]` — interactive session: type a query (blank
-//!   line to finish), `run` to stream the store through deployed queries.
-
-use std::io::{BufRead, Write};
+//!   line to finish), `run` to stream the store through deployed queries;
+//!   lifecycle words are the `saql client ctl` ones.
 
 mod args;
 mod commands;
@@ -153,11 +152,11 @@ PIPELINES (multi-stage queries — alerts as an event stream):
     its upstream's *alert stream* as `_in` instead of raw events (e.g.
     per-host burst summaries feeding one enterprise-wide correlation).
     A stage can also name its input explicitly with `from query NAME`.
-    Everywhere a query file is accepted (`replay --query`, `serve
-    --query`, `client ctl register`, `--register-at`), a multi-stage file
-    registers every stage under the file stem: intermediate stages as
-    `stem.s1`, `stem.s2`, ..., the final stage as `stem` — each alerting
-    independently (tail `stem.s1` to watch the intermediate stream).
+    Everywhere a query is accepted (`replay --query`, `serve --query`,
+    `client ctl register`, `--register-at`, `repl`), a multi-stage text
+    registers every stage under its name (a file's stem, the repl's
+    `query-N`): `NAME.s1`, `NAME.s2`, ..., the final stage as `NAME` — each
+    alerting independently (tail `NAME.s1` to watch the intermediate stream).
     Cyclic or dangling `from query` references are rejected at
     registration with spanned errors. `saql explain` prints the topology
     (stage DAG) followed by each stage's compiled plan; `saql check`
@@ -166,6 +165,11 @@ PIPELINES (multi-stage queries — alerts as an event stream):
     travel in the checkpoint — so `--resume` rewires every stage and
     replays exactly. `saql demo --pipeline` deploys a tiered two-stage
     detection alongside the demo queries.
+
+REPL (`saql repl [--store DIR]`): a query ended by a blank line deploys as
+`query-N`; `undeploy` spells `deregister`, the rest are `client ctl`'s words:
+    deploy-demo | register NAME FILE | list | show NAME | undeploy NAME |
+    pause NAME | resume NAME | run | stats | errors | quit
 
 LIFECYCLE (repeatable; staged query control-plane operations, applied live
 mid-stream once N events have been processed — on both backends):
@@ -190,12 +194,3 @@ EXAMPLES:
     saql explain tiered.saql
     saql check my-query.saql
 ";
-
-/// Interactive REPL loop, separated for tests.
-pub fn repl_loop(
-    input: &mut dyn BufRead,
-    out: &mut dyn Write,
-    store: Option<saql_stream::StoreReader>,
-) -> i32 {
-    commands::repl_loop(input, out, store)
-}

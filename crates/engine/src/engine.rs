@@ -227,10 +227,7 @@ impl Engine {
             .any(|e| e.status != RowStatus::Removed && e.name == name)
         {
             return Err(LangError::semantic(
-                format!(
-                    "query name `{name}` is already registered on this engine \
-                     (deregister it first, or pick another name)"
-                ),
+                crate::control::already_registered(name),
                 Span::default(),
             ));
         }
@@ -404,6 +401,14 @@ impl Engine {
             .get(id.index())
             .filter(|e| e.status != RowStatus::Removed)
             .map(|e| e.name.as_str())
+    }
+
+    /// The SAQL text a live query was registered with.
+    pub fn source_of(&self, id: QueryId) -> Option<&str> {
+        self.registry
+            .get(id.index())
+            .filter(|e| e.status != RowStatus::Removed)
+            .map(|e| e.source.as_str())
     }
 
     /// The engine-wide configuration this engine was built with.

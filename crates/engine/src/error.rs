@@ -64,16 +64,9 @@ impl fmt::Display for EngineError {
                 "engine already finished: the parallel workers have shut \
                  down (create a fresh engine to run again)"
             ),
-            EngineError::PipelineDependents { query, dependents } => write!(
-                f,
-                "cannot deregister `{query}`: pipeline stage(s) {} still \
-                 consume its alert stream (deregister them first)",
-                dependents
-                    .iter()
-                    .map(|d| format!("`{d}`"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
+            EngineError::PipelineDependents { query, dependents } => {
+                f.write_str(&crate::control::dependents_refusal(query, dependents))
+            }
             EngineError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             EngineError::Deploy(msg) => f.write_str(msg),
         }

@@ -32,6 +32,10 @@
 //!   write-ahead store tap;
 //! * **deployments** ([`deployment`]) — the one way a run opens: engine,
 //!   initial queries, checkpoint cadence and resume decided in one place;
+//! * **control plane** ([`control`]) — the one vocabulary every surface
+//!   changes a running query set with: a [`Control`] applied in a
+//!   [`Scope`] by [`RunSession::control`], answering a typed
+//!   [`ControlReply`];
 //! * **error reporter** ([`error`]) — collects runtime anomalies (evaluation
 //!   failures, partial-match overflow) without aborting the stream.
 //!
@@ -45,6 +49,7 @@
 pub mod alert;
 pub mod checkpoint;
 pub mod cluster;
+pub mod control;
 pub mod deployment;
 pub mod engine;
 pub mod error;
@@ -65,6 +70,7 @@ pub mod window;
 
 pub use alert::Alert;
 pub use checkpoint::Checkpoint;
+pub use control::{Control, ControlReply, Listed, Scope};
 pub use deployment::{Deployment, DurableLog, Run};
 pub use engine::{Engine, EngineConfig};
 pub use error::{EngineError, ErrorReporter};

@@ -307,7 +307,15 @@ pub fn register_pipeline_scoped(
     source: &str,
     scope: &str,
 ) -> Result<Vec<(Stage, QueryId)>, LangError> {
-    let mut stages = saql_lang::split_stages(name, source)?;
+    register_stages(engine, saql_lang::split_stages(name, source)?, scope)
+}
+
+/// [`register_pipeline_scoped`] for a source already split into stages.
+pub(crate) fn register_stages(
+    engine: &mut Engine,
+    mut stages: Vec<Stage>,
+    scope: &str,
+) -> Result<Vec<(Stage, QueryId)>, LangError> {
     if !scope.is_empty() {
         scope_stage_inputs(&mut stages, scope)?;
     }

@@ -50,6 +50,7 @@ use saql_stream::{EventBatch, SharedEvent, StoreWriter};
 
 use crate::alert::Alert;
 use crate::checkpoint::Checkpoint;
+use crate::control::{Control, ControlReply, Scope};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::pipeline::Edges;
@@ -253,6 +254,8 @@ impl<'e> RunSession<'e> {
     /// The engine under the session — the query control plane stays fully
     /// available mid-pump (register/deregister/pause/resume/subscribe land
     /// at the current stream position; the next round rewires pipelines).
+    /// Serve and the CLI change the query set through
+    /// [`control`](Self::control) instead.
     pub fn engine(&mut self) -> &mut Engine {
         self.engine
     }
@@ -505,7 +508,8 @@ impl<'e> RunSession<'e> {
     /// sleep briefly instead of spinning.
     pub fn drain(mut self) -> Vec<Alert> {
         let mut alerts = Vec::new();
-        self.run_to_end(&mut |batch| alerts.extend(batch));
+        let mut deliver = |batch| alerts.extend(batch);
+        let _ = self.run_staged(Vec::new(), &mut deliver, &mut |_, _| {});
         alerts
     }
 
@@ -513,19 +517,39 @@ impl<'e> RunSession<'e> {
     /// fires, then flushing the sink; returns the alert count.
     pub fn drain_into(mut self, sink: &mut dyn AlertSink) -> u64 {
         let mut n = 0u64;
-        self.run_to_end(&mut |batch| {
+        let mut deliver = |batch: Vec<Alert>| {
             for alert in &batch {
                 n += 1;
                 sink.deliver(alert);
             }
-        });
+        };
+        let _ = self.run_staged(Vec::new(), &mut deliver, &mut |_, _| {});
         sink.flush();
         n
     }
 
-    fn run_to_end(&mut self, deliver: &mut dyn FnMut(Vec<Alert>)) {
+    /// [`drain`](Self::drain) with staged controls: each `(n, op)` applies
+    /// unscoped once this session has fed `n` base events — exactly
+    /// there, as no round pumps past it — and those staged past the end
+    /// apply before the final flush. `deliver` receives the alerts as they
+    /// fire, `applied` each control's position and reply; the first
+    /// refusal ends the run as `(n, message)`.
+    pub fn run_staged(
+        &mut self,
+        staged: Vec<(u64, Control)>,
+        deliver: &mut dyn FnMut(Vec<Alert>),
+        applied: &mut dyn FnMut(u64, ControlReply),
+    ) -> Result<(), (u64, String)> {
+        let unscoped = &Scope::UNSCOPED;
+        let mut due = staged.into_iter().peekable();
+        let start = self.offset();
         loop {
-            let round = self.pump();
+            let at = self.offset() - start;
+            while let Some((pos, op)) = due.next_if(|(pos, _)| *pos <= at) {
+                applied(pos, self.control(unscoped, op).map_err(|e| (pos, e))?);
+            }
+            let next = due.peek().map(|(next, _)| next.saturating_sub(at).max(1));
+            let round = self.pump_max(next.map_or(usize::MAX, |n| n as usize));
             let status = round.status;
             deliver(round.alerts);
             match status {
@@ -534,7 +558,11 @@ impl<'e> RunSession<'e> {
                 SessionStatus::Idle => std::thread::sleep(std::time::Duration::from_millis(1)),
             }
         }
+        for (pos, op) in due {
+            applied(pos, self.control(unscoped, op).map_err(|e| (pos, e))?);
+        }
         deliver(self.finish());
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -670,6 +698,11 @@ impl<'e> RunSession<'e> {
                 }
             }
         }
+    }
+
+    /// Whether checkpoints are enabled on this session.
+    pub(crate) fn checkpointing(&self) -> bool {
+        self.checkpoints.is_some()
     }
 
     /// Stream offset of the last checkpoint written by this session.

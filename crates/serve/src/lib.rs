@@ -28,7 +28,7 @@ pub mod server;
 
 pub use client::{ctl, ingest_file, ingest_reader, tail_alerts, ClientError, IngestReport};
 pub use metrics::Metrics;
-pub use protocol::{ControlCmd, Hello, DEFAULT_TENANT};
+pub use protocol::{Hello, Request, DEFAULT_TENANT};
 pub use quota::{Clock, ManualClock, MonotonicClock, TenantQuota, TokenBucket};
 pub use server::{
     install_signal_shutdown, restore_default_sigpipe, signalled, ServeConfig, ServeSummary, Server,

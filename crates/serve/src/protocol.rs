@@ -19,7 +19,10 @@
 //!   instead of shedding.
 //! * **control** — request/response lines (`cmd`:
 //!   `register`/`deregister`/`pause`/`resume`/`list`/`stats`/`checkpoint`/
-//!   `shutdown`); query names are namespaced per tenant.
+//!   `shutdown`); query names are namespaced per tenant. The lifecycle
+//!   commands parse into a [`saql_engine::Control`] ([`parse_control`])
+//!   and answer its reply as JSON ([`reply_line`]); `stats` and
+//!   `shutdown` are the server's own [`Request`]s.
 //! * **subscribe** — after an `{"ok":true}` ack the server streams the
 //!   named query's alerts as JSONL (the `JsonLinesSink` shape) until the
 //!   query is gone or the client hangs up.
@@ -31,6 +34,7 @@
 //! hand-rolled JSON reader — and all responses are built through the same
 //! escaper the event codec uses.
 
+use saql_engine::{Control, ControlReply};
 use saql_model::json::{parse_json, push_json_string, JsonValue};
 
 /// Tenant used when a hello omits the field.
@@ -57,16 +61,12 @@ pub enum Hello {
     },
 }
 
-/// One control request.
+/// One control-role request: a lifecycle [`Control`], or one of the
+/// server's own commands.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlCmd {
-    Register { name: String, query: String },
-    Deregister { name: String },
-    Pause { name: String },
-    Resume { name: String },
-    List,
+pub enum Request {
+    Control(Control),
     Stats,
-    Checkpoint,
     Shutdown,
 }
 
@@ -109,24 +109,63 @@ pub fn parse_hello(line: &str) -> Result<Hello, String> {
 }
 
 /// Parse one control request line.
-pub fn parse_control(line: &str) -> Result<ControlCmd, String> {
+pub fn parse_control(line: &str) -> Result<Request, String> {
     let v = parse_json(line.trim()).map_err(|e| e.to_string())?;
     let cmd = field_str(&v, "cmd").ok_or("control request needs a string `cmd` field")?;
-    let name = || field_str(&v, "name").ok_or_else(|| format!("`{cmd}` needs `name`"));
     match cmd.as_str() {
-        "register" => Ok(ControlCmd::Register {
-            name: name()?,
-            query: field_str(&v, "query").ok_or("`register` needs `query` (SAQL text)")?,
-        }),
-        "deregister" => Ok(ControlCmd::Deregister { name: name()? }),
-        "pause" => Ok(ControlCmd::Pause { name: name()? }),
-        "resume" => Ok(ControlCmd::Resume { name: name()? }),
-        "list" => Ok(ControlCmd::List),
-        "stats" => Ok(ControlCmd::Stats),
-        "checkpoint" => Ok(ControlCmd::Checkpoint),
-        "shutdown" => Ok(ControlCmd::Shutdown),
-        other => Err(format!("unknown command `{other}`")),
+        "stats" => Ok(Request::Stats),
+        "shutdown" => Ok(Request::Shutdown),
+        _ => Control::parse(&cmd, field_str(&v, "name"), field_str(&v, "query"))
+            .unwrap_or_else(|| Err(format!("unknown command `{cmd}`")))
+            .map(Request::Control),
     }
+}
+
+/// The JSON line of a request: what [`parse_control`] reads back.
+pub fn request_line(request: &Request) -> String {
+    let op = match request {
+        Request::Stats => return JsonObj::new().str("cmd", "stats").finish(),
+        Request::Shutdown => return JsonObj::new().str("cmd", "shutdown").finish(),
+        Request::Control(op) => op,
+    };
+    let line = JsonObj::new().str("cmd", op.verb());
+    match op {
+        Control::Register { name, text } => line.str("name", name).str("query", text),
+        Control::Deregister { name } | Control::Pause { name } | Control::Resume { name } => {
+            line.str("name", name)
+        }
+        Control::List | Control::Checkpoint => line,
+    }
+    .finish()
+}
+
+/// The response line for an applied control. A checkpoint's quiesce
+/// alerts are the caller's to emit.
+pub fn reply_line(reply: &ControlReply) -> String {
+    let ok = JsonObj::new().bool("ok", true);
+    match reply {
+        ControlReply::Registered { name, id, stages } => ok
+            .str("name", name)
+            .u64("id", id.index() as u64)
+            .u64("stages", stages.len() as u64),
+        ControlReply::Deregistered { .. }
+        | ControlReply::Paused { .. }
+        | ControlReply::Resumed { .. } => ok,
+        ControlReply::Listed(queries) => ok.raw(
+            "queries",
+            &json_array(queries.iter().map(|q| {
+                JsonObj::new()
+                    .str("name", &q.name)
+                    .u64("id", q.id.index() as u64)
+                    .bool("paused", q.paused)
+                    .finish()
+            })),
+        ),
+        ControlReply::Checkpointed(written) => ok
+            .str("path", &written.path.display().to_string())
+            .u64("offset", written.offset),
+    }
+    .finish()
 }
 
 // ---------------------------------------------------------------------
@@ -267,14 +306,38 @@ mod tests {
     fn control_commands_parse() {
         assert_eq!(
             parse_control(r#"{"cmd":"register","name":"q","query":"agg ..."}"#),
-            Ok(ControlCmd::Register {
+            Ok(Request::Control(Control::Register {
                 name: "q".into(),
-                query: "agg ...".into()
-            })
+                text: "agg ...".into()
+            }))
         );
-        assert_eq!(parse_control(r#"{"cmd":"list"}"#), Ok(ControlCmd::List));
+        assert_eq!(
+            parse_control(r#"{"cmd":"list"}"#),
+            Ok(Request::Control(Control::List))
+        );
+        assert_eq!(parse_control(r#"{"cmd":"stats"}"#), Ok(Request::Stats));
         assert!(parse_control(r#"{"cmd":"pause"}"#).is_err(), "missing name");
         assert!(parse_control(r#"{"cmd":"evaporate"}"#).is_err());
+    }
+
+    #[test]
+    fn request_lines_parse_back() {
+        let requests = [
+            Request::Control(Control::Register {
+                name: "q".into(),
+                text: "proc p start proc q as e\nreturn \"p\"".into(),
+            }),
+            Request::Control(Control::Deregister { name: "q".into() }),
+            Request::Control(Control::Pause { name: "q".into() }),
+            Request::Control(Control::Resume { name: "q".into() }),
+            Request::Control(Control::List),
+            Request::Control(Control::Checkpoint),
+            Request::Stats,
+            Request::Shutdown,
+        ];
+        for request in requests {
+            assert_eq!(parse_control(&request_line(&request)), Ok(request));
+        }
     }
 
     #[test]

@@ -68,7 +68,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use saql_engine::{
-    render_alert_json, Alert, Deployment, DurableLog, Engine, Run, RunSession, SessionStatus,
+    render_alert_json, Alert, ControlReply, Deployment, DurableLog, Engine, QueryId, Run,
+    RunSession, Scope, SessionStatus,
 };
 use saql_stream::ingest::{decode_ndjson, DecodedChunk};
 use saql_stream::merge::{Lateness, SourceId, SourceStats};
@@ -76,7 +77,7 @@ use saql_stream::source::{push_source, ChannelSource, PushHandle};
 use saql_stream::{SharedEvent, StoreWriter};
 
 use crate::metrics::{Cell, Metrics};
-use crate::protocol::{self, err_line, json_array, ok_line, ControlCmd, Hello, JsonObj};
+use crate::protocol::{self, err_line, json_array, ok_line, Hello, JsonObj, Request};
 use crate::quota::{Clock, MonotonicClock, TenantQuota, TokenBucket};
 
 /// Events fed per pump round before the control plane gets a turn.
@@ -248,6 +249,14 @@ impl Shared {
         }
     }
 
+    /// The control scope of `tenant`: its name prefix and live-query quota.
+    fn scope(&self, tenant: &str) -> Scope {
+        Scope {
+            prefix: format!("{tenant}/"),
+            max_live: self.tenants.get(tenant).quota.max_live_queries,
+        }
+    }
+
     /// Queue a request for the core thread and wait for the reply; `None`
     /// once the core is gone.
     fn ask<T>(&self, req: impl FnOnce(Sender<T>) -> Req) -> Option<T> {
@@ -275,7 +284,7 @@ enum Req {
     },
     Control {
         tenant: String,
-        cmd: ControlCmd,
+        cmd: Request,
         reply: Sender<String>,
     },
     Subscribe {
@@ -691,150 +700,35 @@ fn handle_req(
             query,
             reply,
         } => {
-            let full = format!("{tenant}/{query}");
             let engine = session.engine();
-            let result = match engine.find(&full) {
-                Some(id) => engine.subscribe(id).map_err(|e| e.to_string()),
-                None => Err(format!("no query `{query}` for tenant `{tenant}`")),
-            };
+            let result = sh
+                .scope(&tenant)
+                .find(engine, &query)
+                .and_then(|id| engine.subscribe(id).map_err(|e| e.to_string()));
             let _ = reply.send(result);
         }
-        Req::Control {
-            tenant: _,
-            cmd: ControlCmd::Checkpoint,
-            reply,
-        } if cfg.deployment.checkpoints.is_some() => {
-            let line = match session.checkpoint_now() {
-                Ok(written) => {
-                    emit(summary, cfg.print_alerts, &written.alerts);
+        Req::Control { tenant, cmd, reply } => {
+            let line = match cmd {
+                Request::Stats => render_stats(&tenant, session, sh),
+                Request::Shutdown => {
+                    sh.shutdown.store(true, Ordering::SeqCst);
                     JsonObj::new()
                         .bool("ok", true)
-                        .str("path", &written.path.display().to_string())
-                        .u64("offset", written.offset)
+                        .bool("draining", true)
                         .finish()
                 }
-                Err(e) => err_line(&e.to_string()),
+                Request::Control(op) => match session.control(&sh.scope(&tenant), op) {
+                    Ok(applied) => {
+                        if let ControlReply::Checkpointed(written) = &applied {
+                            emit(summary, cfg.print_alerts, &written.alerts);
+                        }
+                        protocol::reply_line(&applied)
+                    }
+                    Err(e) => err_line(&e),
+                },
             };
             let _ = reply.send(line);
         }
-        Req::Control { tenant, cmd, reply } => {
-            let _ = reply.send(control_response(&tenant, cmd, session, sh));
-        }
-    }
-}
-
-/// Render the response line for one control command.
-fn control_response(
-    tenant: &str,
-    cmd: ControlCmd,
-    session: &mut RunSession<'_>,
-    sh: &Shared,
-) -> String {
-    let prefix = format!("{tenant}/");
-    match cmd {
-        ControlCmd::Register { name, query } => {
-            if name.is_empty() || name.contains('/') {
-                return err_line("query name must be non-empty and must not contain `/`");
-            }
-            let full = format!("{prefix}{name}");
-            let tenant_gov = sh.tenants.get(tenant);
-            let engine = session.engine();
-            if engine.find(&full).is_some() {
-                return err_line(&format!("query `{name}` is already registered"));
-            }
-            let live = engine
-                .query_names()
-                .iter()
-                .filter(|n| n.starts_with(&prefix))
-                .count();
-            if live >= tenant_gov.quota.max_live_queries {
-                return err_line(&format!(
-                    "tenant `{tenant}` is at its live-query quota ({live})"
-                ));
-            }
-            // `register_pipeline_scoped` handles both shapes: a plain query
-            // is a one-stage pipeline. Multi-stage sources register every
-            // stage under the tenant prefix, and explicit `from query`
-            // references resolve *within* that prefix — bare names reach
-            // the tenant's own queries, nothing reaches another tenant's.
-            // The session's next round wires the new edges.
-            match saql_engine::register_pipeline_scoped(engine, &full, &query, &prefix) {
-                Ok(stages) => {
-                    let head = stages
-                        .iter()
-                        .find(|(s, _)| s.name == full)
-                        .map(|(_, id)| *id)
-                        .expect("register_pipeline always registers the named stage");
-                    JsonObj::new()
-                        .bool("ok", true)
-                        .str("name", &name)
-                        .u64("id", head.index() as u64)
-                        .u64("stages", stages.len() as u64)
-                        .finish()
-                }
-                Err(e) => err_line(&e.render(&query)),
-            }
-        }
-        ControlCmd::Deregister { name } => with_query(session, &prefix, &name, |engine, id| {
-            saql_engine::deregister_pipeline(engine, id).map_err(|e| e.to_string())?;
-            Ok(ok_line())
-        }),
-        ControlCmd::Pause { name } => with_query(session, &prefix, &name, |engine, id| {
-            engine.pause(id).map_err(|e| e.to_string())?;
-            Ok(ok_line())
-        }),
-        ControlCmd::Resume { name } => with_query(session, &prefix, &name, |engine, id| {
-            engine.resume(id).map_err(|e| e.to_string())?;
-            Ok(ok_line())
-        }),
-        ControlCmd::List => {
-            let engine = session.engine();
-            let items: Vec<String> = engine
-                .query_names()
-                .into_iter()
-                .filter_map(|full| {
-                    let bare = full.strip_prefix(&prefix)?.to_string();
-                    let id = engine.find(&full)?;
-                    Some(
-                        JsonObj::new()
-                            .str("name", &bare)
-                            .u64("id", id.index() as u64)
-                            .bool("paused", engine.is_paused(id))
-                            .finish(),
-                    )
-                })
-                .collect();
-            JsonObj::new()
-                .bool("ok", true)
-                .raw("queries", &json_array(items))
-                .finish()
-        }
-        ControlCmd::Stats => render_stats(tenant, session, sh),
-        // With a checkpoint dir, `handle_req` answers it.
-        ControlCmd::Checkpoint => err_line("server is running without a checkpoint dir"),
-        ControlCmd::Shutdown => {
-            sh.shutdown.store(true, Ordering::SeqCst);
-            JsonObj::new()
-                .bool("ok", true)
-                .bool("draining", true)
-                .finish()
-        }
-    }
-}
-
-/// Look up `prefix + name` and run `op` on it, rendering the error shapes
-/// uniformly.
-fn with_query(
-    session: &mut RunSession<'_>,
-    prefix: &str,
-    name: &str,
-    op: impl FnOnce(&mut Engine, saql_engine::QueryId) -> Result<String, String>,
-) -> String {
-    let full = format!("{prefix}{name}");
-    let engine = session.engine();
-    match engine.find(&full) {
-        Some(id) => op(engine, id).unwrap_or_else(|e| err_line(&e)),
-        None => err_line(&format!("no query `{name}` in this tenant")),
     }
 }
 
@@ -852,21 +746,17 @@ fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> Stri
 
     let stats_by_name: HashMap<String, saql_engine::query::QueryStats> =
         engine.query_stats().into_iter().collect();
-    let drops_by_id: HashMap<usize, u64> = engine
-        .dropped_alerts_by_query()
-        .into_iter()
-        .map(|(id, n)| (id.index(), n))
-        .collect();
+    let drops: HashMap<QueryId, u64> = engine.dropped_alerts_by_query().into_iter().collect();
     let queries: Vec<String> = engine
-        .query_names()
+        .query_ids()
         .into_iter()
-        .filter_map(|full| {
-            let bare = full.strip_prefix(&prefix)?.to_string();
-            let id = engine.find(&full)?;
-            let qs = stats_by_name.get(&full).copied().unwrap_or_default();
+        .filter_map(|id| {
+            let full = engine.name_of(id)?;
+            let bare = full.strip_prefix(&prefix)?;
+            let qs = stats_by_name.get(full).copied().unwrap_or_default();
             Some(
                 JsonObj::new()
-                    .str("name", &bare)
+                    .str("name", bare)
                     .u64("id", id.index() as u64)
                     .bool("paused", engine.is_paused(id))
                     .u64("events_seen", qs.events_seen)
@@ -874,10 +764,7 @@ fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> Stri
                     .u64("windows_closed", qs.windows_closed)
                     .u64("alerts", qs.alerts)
                     .u64("late_events", qs.late_events)
-                    .u64(
-                        "dropped_alerts",
-                        drops_by_id.get(&id.index()).copied().unwrap_or(0),
-                    )
+                    .u64("dropped_alerts", drops.get(&id).copied().unwrap_or(0))
                     .finish(),
             )
         })
