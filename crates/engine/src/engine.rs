@@ -11,8 +11,8 @@
 //! submitted, tuned, and retired against a stream that never stops.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use saql_lang::{LangError, Span};
 use saql_stream::{EventBatch, SharedEvent, DEFAULT_BATCH_SIZE};
 
@@ -105,7 +105,7 @@ pub struct Engine {
     /// Ids are never reused, so deregistered rows stay as tombstones.
     registry: Vec<QueryEntry>,
     /// Per-query subscription routing table.
-    subscriptions: HashMap<QueryId, Vec<Sender<Alert>>>,
+    subscriptions: HashMap<QueryId, Vec<SyncSender<Alert>>>,
     /// Alerts dropped because a subscription channel was full.
     subscription_drops: u64,
     /// Subscription drops attributed to the emitting query.
@@ -359,7 +359,7 @@ impl Engine {
         // or deliver; reject it rather than hand out a dead channel.
         self.runtime.live()?;
         self.expect_live(id)?;
-        let (tx, rx) = bounded(capacity.max(1));
+        let (tx, rx) = sync_channel(capacity.max(1));
         self.subscriptions.entry(id).or_default().push(tx);
         Ok(rx)
     }

@@ -49,9 +49,9 @@
 //! *whole* pipeline state with nothing stuck in a channel.
 
 use std::collections::HashMap;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
 use saql_lang::{LangError, Stage};
 use saql_model::entity::{Entity, ProcessInfo};
 use saql_model::{AttrId, AttrNs, AttrTable, Duration, Event, Operation, Timestamp};

@@ -40,10 +40,10 @@
 //!   stays operable.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use saql_analytics::Histogram;
 use saql_stream::EventBatch;
 
@@ -74,7 +74,7 @@ struct Group {
 
 /// The worker threads, while the stream is live.
 struct Pool {
-    shard_txs: Vec<Sender<ShardMsg>>,
+    shard_txs: Vec<SyncSender<ShardMsg>>,
     alerts_rx: Receiver<Alert>,
     handles: Vec<JoinHandle<Shard>>,
 }
@@ -112,14 +112,14 @@ impl Runtime {
             runtime.home.push(Shard::new(config.record_latency));
             return runtime;
         }
-        let (alerts_tx, alerts_rx) = bounded::<Alert>(ALERT_BACKLOG);
+        let (alerts_tx, alerts_rx) = sync_channel::<Alert>(ALERT_BACKLOG);
         let mut pool = Pool {
             shard_txs: Vec::with_capacity(config.workers),
             alerts_rx,
             handles: Vec::with_capacity(config.workers),
         };
         for _ in 0..config.workers {
-            let (shard_tx, shard_rx) = bounded::<ShardMsg>(BATCH_BACKLOG);
+            let (shard_tx, shard_rx) = sync_channel::<ShardMsg>(BATCH_BACKLOG);
             let shard = Shard::new(config.record_latency);
             let alerts = alerts_tx.clone();
             pool.handles.push(std::thread::spawn(move || {
@@ -272,7 +272,7 @@ impl Runtime {
             return merged;
         };
         let mut awaited = 0usize;
-        let (reply_tx, reply_rx) = bounded::<Reply>(msgs.len().max(1));
+        let (reply_tx, reply_rx) = sync_channel::<Reply>(msgs.len().max(1));
         for (shard, msg) in msgs {
             let reply_to = msg.awaits_reply().then(|| reply_tx.clone());
             awaited += usize::from(reply_to.is_some());

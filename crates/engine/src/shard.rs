@@ -15,7 +15,8 @@
 //! guarantee that all group state — queries, matchers, window drivers,
 //! invariant models — is [`Send`].
 
-use crossbeam::channel::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, SyncSender};
+
 use saql_stream::EventBatch;
 
 use crate::alert::Alert;
@@ -87,7 +88,7 @@ impl Reply {
 /// processed strictly in arrival order.
 pub(crate) enum ShardMsg {
     Events(EventBatch),
-    Control(ControlMsg, Option<Sender<Reply>>),
+    Control(ControlMsg, Option<SyncSender<Reply>>),
 }
 
 /// One slice of the engine: a scheduler over a subset of groups.
@@ -158,7 +159,7 @@ impl Shard {
 pub(crate) fn run_worker(
     mut shard: Shard,
     messages: Receiver<ShardMsg>,
-    alerts: Sender<Alert>,
+    alerts: SyncSender<Alert>,
 ) -> Shard {
     let forward = |batch: Vec<Alert>| {
         for alert in batch {
@@ -243,15 +244,15 @@ mod tests {
             "proc p start proc q as e\nreturn p, q",
             0,
         ))));
-        let (msg_tx, msg_rx) = crossbeam::channel::bounded::<ShardMsg>(4);
-        let (alerts_tx, alerts_rx) = crossbeam::channel::bounded::<Alert>(64);
+        let (msg_tx, msg_rx) = std::sync::mpsc::sync_channel::<ShardMsg>(4);
+        let (alerts_tx, alerts_rx) = std::sync::mpsc::sync_channel::<Alert>(64);
         let handle = std::thread::spawn(move || run_worker(shard, msg_rx, alerts_tx));
         let sent = msg_tx.send(ShardMsg::Events(EventBatch::from_events(vec![start(
             1, 10, "a.exe", "b.exe",
         )])));
         assert!(sent.is_ok());
         // An awaited control answers on its reply channel, in order.
-        let (reply_tx, reply_rx) = crossbeam::channel::bounded::<Reply>(1);
+        let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel::<Reply>(1);
         let sent = msg_tx.send(ShardMsg::Control(ControlMsg::Snapshot, Some(reply_tx)));
         assert!(sent.is_ok());
         assert_eq!(reply_rx.recv().unwrap().snapshots.len(), 1);

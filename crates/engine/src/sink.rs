@@ -8,8 +8,7 @@
 //! dependency).
 
 use std::io::Write;
-
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use crate::alert::{Alert, AlertOrigin};
 
@@ -38,15 +37,15 @@ impl AlertSink for CollectSink {
 /// Forwards alerts into a bounded channel (blocking when full, dropping
 /// when all receivers hung up).
 pub struct ChannelSink {
-    tx: Sender<Alert>,
+    tx: SyncSender<Alert>,
     pub dropped: u64,
 }
 
 impl ChannelSink {
-    /// Create a sink and its receiving half. A zero capacity clamps to one
-    /// (the vendored crossbeam has no rendezvous channels).
+    /// Create a sink and its receiving half. A zero capacity clamps to one:
+    /// a channel that can never buffer is a misconfiguration.
     pub fn new(capacity: usize) -> (ChannelSink, Receiver<Alert>) {
-        let (tx, rx) = bounded(capacity.max(1));
+        let (tx, rx) = sync_channel(capacity.max(1));
         (ChannelSink { tx, dropped: 0 }, rx)
     }
 }

@@ -27,16 +27,16 @@
 //! NDJSON stage (`replay --source jsonl:` runs on it too), and the unit
 //! that crosses into the core is its decoded chunk, not the event. The
 //! connection's sink, on the stage's apply thread, takes quota for a whole
-//! chunk with one clock read and one bucket lock, then hands the granted
-//! events to its `push_source` under one
-//! channel lock: a lossless connection waits for room, any other sheds the
-//! tail that does not fit. The core drains up to a round's budget per
-//! source under one lock, and when a round finds nothing it *parks* on the
-//! control channel until a request or a chunk's `Req::Wake` arrives. At
-//! most one wake is queued at a time, and the channel notifies only a
-//! parked receiver, so a busy core is never signalled (a futex syscall) per
-//! event or per chunk. The park keeps a bounded timeout for gauges, drain
-//! deadlines and a worker-backed engine's late alerts.
+//! chunk with one clock read and one bucket lock, then offers the granted
+//! events to its `push_source` in order: a lossless connection waits for
+//! room, any other sheds the tail that does not fit. The core takes up to
+//! a round's budget per source without waiting, and when a round finds
+//! nothing it *parks* on the control channel until a request or a chunk's
+//! `Req::Wake` arrives. At most one wake is queued at a time, and the std
+//! channel wakes only a parked receiver, so a busy core is never signalled
+//! (a futex syscall) per event or per chunk. The park keeps a bounded
+//! timeout for gauges, drain deadlines and a worker-backed engine's late
+//! alerts.
 //!
 //! ## Durability
 //!
@@ -62,11 +62,11 @@ use std::io::{self, BufRead, BufReader, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use saql_engine::{
     render_alert_json, Alert, ControlReply, Deployment, DurableLog, Engine, QueryId, Run,
     RunSession, Scope, SessionStatus,
@@ -223,7 +223,7 @@ impl Tenants {
 
 /// State shared by the accept loop, connection threads, and core thread.
 struct Shared {
-    ctrl: Sender<Req>,
+    ctrl: SyncSender<Req>,
     /// A [`Req::Wake`] is queued and not yet handled.
     rung: AtomicBool,
     metrics: Arc<Metrics>,
@@ -259,8 +259,8 @@ impl Shared {
 
     /// Queue a request for the core thread and wait for the reply; `None`
     /// once the core is gone.
-    fn ask<T>(&self, req: impl FnOnce(Sender<T>) -> Req) -> Option<T> {
-        let (reply_tx, reply_rx) = bounded(1);
+    fn ask<T>(&self, req: impl FnOnce(SyncSender<T>) -> Req) -> Option<T> {
+        let (reply_tx, reply_rx) = sync_channel(1);
         // A refused request drops its reply sender: `recv` fails at once.
         let _ = self.ctrl.send(req(reply_tx));
         reply_rx.recv().ok()
@@ -268,7 +268,7 @@ impl Shared {
 }
 
 /// A request from a connection thread to the core thread. Replies travel
-/// over per-request bounded(1) channels; a dropped reply sender means the
+/// over per-request one-slot channels; a dropped reply sender means the
 /// core is gone.
 enum Req {
     /// There is work to look for: see [`Shared::ring`].
@@ -276,21 +276,21 @@ enum Req {
     Attach {
         source: ChannelSource,
         arrival_order: bool,
-        reply: Sender<SourceId>,
+        reply: SyncSender<SourceId>,
     },
     WaitDrained {
         id: SourceId,
-        reply: Sender<DrainReport>,
+        reply: SyncSender<DrainReport>,
     },
     Control {
         tenant: String,
         cmd: Request,
-        reply: Sender<String>,
+        reply: SyncSender<String>,
     },
     Subscribe {
         tenant: String,
         query: String,
-        reply: Sender<Result<Receiver<Alert>, String>>,
+        reply: SyncSender<Result<Receiver<Alert>, String>>,
     },
 }
 
@@ -347,7 +347,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.listen).map_err(|e| e.to_string())?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
 
-        let (ctrl_tx, ctrl_rx) = bounded::<Req>(1024);
+        let (ctrl_tx, ctrl_rx) = sync_channel::<Req>(1024);
         let shared = Arc::new(Shared {
             ctrl: ctrl_tx,
             rung: AtomicBool::new(false),
@@ -531,7 +531,7 @@ fn run_core(
         );
     }
 
-    let mut waiters: Vec<(SourceId, Sender<DrainReport>)> = Vec::new();
+    let mut waiters: Vec<(SourceId, SyncSender<DrainReport>)> = Vec::new();
     let mut degraded: HashSet<String> = HashSet::new();
     let mut last_observe = Instant::now();
     let mut drain_deadline: Option<Instant> = None;
@@ -546,8 +546,13 @@ fn run_core(
             handle_req(req, &mut session, &mut waiters, sh, &cfg, &mut summary);
         }
 
-        if sh.stopping() && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + cfg.drain_grace);
+        // Judged with the control queue just found empty: a request still
+        // queued (an attach, a drain wait) is served before the core stops.
+        if sh.stopping() {
+            let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + cfg.drain_grace);
+            if session.live_sources() == 0 || Instant::now() >= deadline {
+                break;
+            }
         }
 
         round_anchor.store(sh.clock.now_ns().max(1), Ordering::Relaxed);
@@ -578,13 +583,6 @@ fn run_core(
 
         if !waiters.is_empty() {
             answer_waiters(&session, &mut waiters, false);
-        }
-
-        if let Some(deadline) = drain_deadline {
-            let drained = session.live_sources() == 0 && ctrl_rx.is_empty();
-            if drained || Instant::now() >= deadline {
-                break;
-            }
         }
 
         if round.status != SessionStatus::Active {
@@ -642,7 +640,7 @@ fn run_core(
 /// shutdown (`last`) every one of them, with whatever state it reached.
 fn answer_waiters(
     session: &RunSession<'_>,
-    waiters: &mut Vec<(SourceId, Sender<DrainReport>)>,
+    waiters: &mut Vec<(SourceId, SyncSender<DrainReport>)>,
     last: bool,
 ) {
     let stats = session.source_stats();
@@ -672,7 +670,7 @@ fn answer_waiters(
 fn handle_req(
     req: Req,
     session: &mut RunSession<'_>,
-    waiters: &mut Vec<(SourceId, Sender<DrainReport>)>,
+    waiters: &mut Vec<(SourceId, SyncSender<DrainReport>)>,
     sh: &Shared,
     cfg: &ServeConfig,
     summary: &mut ServeSummary,
@@ -1148,30 +1146,23 @@ impl Apply<'_> {
     /// the core is gone.
     fn hand_off(&mut self, events: Vec<SharedEvent>) -> bool {
         let mut chunk = events.into_iter();
-        let mut sent = 0;
-        let open = loop {
-            let before = chunk.len();
-            if !self.push.push_fitting(&mut chunk) {
-                break false;
-            }
-            sent += before - chunk.len();
+        let mut sent = chunk.len();
+        let mut open = self.push.push_fitting(&mut chunk);
+        if open && self.lossless && chunk.len() > 0 {
+            // Full: ring the core, which drains, and wait for room for each
+            // event left. Blocking here stalls the pipeline's bounded
+            // channels, and TCP backpressure reaches the producer.
             self.sh.ring();
-            let Some(next) = chunk.next() else {
-                break true;
-            };
-            if !self.lossless {
-                let shed = 1 + chunk.len() as u64;
-                bump(&self.stat.shed_buffer, &self.counters.shed_buffer, shed);
-                break true;
-            }
-            // Full: wait for room — the core was just rung, so it drains —
-            // then offer the rest. Blocking here stalls the pipeline's
-            // bounded channels, and TCP backpressure reaches the producer.
-            if !self.push.push(next) {
-                break false;
-            }
-            sent += 1;
-        };
+            open = chunk.all(|event| self.push.push(event));
+            sent -= usize::from(!open); // the event the closed core refused
+        }
+        sent -= chunk.len();
+        if open {
+            // Also after a wait: the core may have gone idle meanwhile.
+            self.sh.ring();
+            let shed = chunk.len() as u64;
+            bump(&self.stat.shed_buffer, &self.counters.shed_buffer, shed);
+        }
         bump(&self.stat.events, &self.counters.accepted, sent as u64);
         open
     }
@@ -1222,15 +1213,11 @@ fn run_subscribe(writer: &mut TcpStream, sh: &Shared, tenant: String, query: Str
     if write_line(writer, &ok_line()).is_err() {
         return;
     }
-    loop {
-        match receiver.recv_timeout(std::time::Duration::from_millis(200)) {
-            Ok(alert) => {
-                if write_line(writer, &render_alert_json(&alert)).is_err() {
-                    return;
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+    // Ends when the query is deregistered or the engine drops (the
+    // channel disconnects), or when the subscriber hangs up.
+    while let Ok(alert) = receiver.recv() {
+        if write_line(writer, &render_alert_json(&alert)).is_err() {
+            return;
         }
     }
 }
@@ -1344,7 +1331,7 @@ mod tests {
                 burst,
             };
             let clock: Arc<dyn Clock> = ManualClock::new(); // frozen at 0
-            let (ctrl, ctrl_rx) = bounded(16);
+            let (ctrl, ctrl_rx) = sync_channel(16);
             let sh = Shared {
                 ctrl,
                 rung: AtomicBool::new(false),

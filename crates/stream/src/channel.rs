@@ -5,30 +5,29 @@
 //! on every consumer observing the *same allocation*, so cloning a stream
 //! item never copies event payloads.
 
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 
 use crate::SharedEvent;
 
 /// Producer half of an event channel.
 #[derive(Debug, Clone)]
 pub struct EventSender {
-    tx: Sender<SharedEvent>,
+    tx: SyncSender<SharedEvent>,
 }
 
 /// Consumer half of an event channel. Iterate to drain until all senders
 /// drop.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventReceiver {
     rx: Receiver<SharedEvent>,
 }
 
 /// Create a bounded event channel with room for `capacity` in-flight events.
 ///
-/// A `capacity` of zero clamps to one: the vendored crossbeam stand-in has
-/// no rendezvous channels, and a channel that can never buffer an event is
-/// a misconfiguration, not a feature (it used to panic here).
+/// A `capacity` of zero clamps to one: a channel that can never buffer an
+/// event is a misconfiguration, not a feature.
 pub fn event_channel(capacity: usize) -> (EventSender, EventReceiver) {
-    let (tx, rx) = bounded(capacity.max(1));
+    let (tx, rx) = mpsc::sync_channel(capacity.max(1));
     (EventSender { tx }, EventReceiver { rx })
 }
 
@@ -38,14 +37,23 @@ impl EventSender {
         self.tx.send(event).is_ok()
     }
 
-    /// Non-blocking send of as much of a chunk as fits, under one channel
-    /// lock; what did not fit stays in `events` for the caller to shed.
-    /// `false` once all receivers are gone.
-    pub fn send_fitting(&self, events: &mut impl ExactSizeIterator<Item = SharedEvent>) -> bool {
-        !matches!(
-            self.tx.try_send_from(events),
-            Err(TrySendError::Disconnected(()))
-        )
+    /// Non-blocking send of as much of a chunk as fits, in order; what did
+    /// not fit stays in `events` for the caller to shed. `false` once all
+    /// receivers are gone.
+    pub fn send_fitting(&self, events: &mut std::vec::IntoIter<SharedEvent>) -> bool {
+        while let Some(event) = events.next() {
+            let (refused, open) = match self.tx.try_send(event) {
+                Ok(()) => continue,
+                Err(TrySendError::Full(event)) => (event, true),
+                Err(TrySendError::Disconnected(event)) => (event, false),
+            };
+            // Back at the head of the tail (offering clones instead costs two
+            // refcount updates per event).
+            let tail: Vec<SharedEvent> = std::iter::once(refused).chain(events.by_ref()).collect();
+            *events = tail.into_iter();
+            return open;
+        }
+        true
     }
 }
 
@@ -55,29 +63,28 @@ impl EventReceiver {
         self.rx.recv().ok()
     }
 
-    /// Move up to `max` buffered events onto `out` under one channel lock
-    /// and return how many moved (`0` while momentarily empty); `None` once
+    /// Move up to `max` buffered events onto `out` without waiting and
+    /// return how many moved (`0` while momentarily empty); `None` once
     /// the stream has ended.
     pub fn recv_into(&self, out: &mut Vec<SharedEvent>, max: usize) -> Option<usize> {
-        match self.rx.try_recv_into(out, max) {
-            Ok(n) => Some(n),
-            Err(TryRecvError::Empty) => Some(0),
-            Err(TryRecvError::Disconnected) => None,
+        for n in 0..max {
+            match self.rx.try_recv() {
+                Ok(event) => out.push(event),
+                Err(TryRecvError::Empty) => return Some(n),
+                Err(TryRecvError::Disconnected) => return (n > 0).then_some(n),
+            }
         }
+        Some(max)
     }
 
     /// Move `max` events onto `out`, waiting for them as needed; `false`
     /// once the stream ended short of `max` (what came is on `out`).
     pub fn recv_filling(&self, out: &mut Vec<SharedEvent>, max: usize) -> bool {
-        let end = out.len() + max;
-        while out.len() < end {
-            if self.rx.try_recv_into(out, end - out.len()).is_err() {
-                // Empty or ended: wait for the next event, or for the end.
-                let Some(event) = self.recv() else {
-                    return false;
-                };
-                out.push(event);
-            }
+        for _ in 0..max {
+            let Some(event) = self.recv() else {
+                return false;
+            };
+            out.push(event);
         }
         true
     }
@@ -85,7 +92,7 @@ impl EventReceiver {
 
 impl IntoIterator for EventReceiver {
     type Item = SharedEvent;
-    type IntoIter = crossbeam::channel::IntoIter<SharedEvent>;
+    type IntoIter = mpsc::IntoIter<SharedEvent>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.rx.into_iter()
@@ -176,6 +183,75 @@ mod tests {
         drop(tx2);
         assert_eq!(rx.recv().map(|e| e.id), Some(1));
         assert!(rx.recv().is_none());
+    }
+
+    /// 4 producers mixing chunk and single sends into a channel of
+    /// capacity 1 and 3, one consumer mixing every receive: each event
+    /// arrives exactly once, each producer's in order, and nothing hangs.
+    #[test]
+    fn mixed_chunk_and_single_ops_deliver_exactly_once_under_contention() {
+        const PER_PRODUCER: u64 = 5_000;
+        for capacity in [1, 3] {
+            let (tx, rx) = event_channel(capacity);
+            let producers: Vec<_> = (0..4)
+                .map(|p| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        let (mut next, end) = (p * PER_PRODUCER, (p + 1) * PER_PRODUCER);
+                        for round in 0.. {
+                            if next == end {
+                                break;
+                            }
+                            if round % 2 == 0 {
+                                assert!(tx.send(ev(next)));
+                                next += 1;
+                                continue;
+                            }
+                            // A chunk send; on a full channel, block for the
+                            // next event (the serve ingest protocol).
+                            let n = (1 + round % 7).min(end - next);
+                            let mut chunk: std::vec::IntoIter<SharedEvent> =
+                                (next..next + n).map(ev).collect::<Vec<_>>().into_iter();
+                            assert!(tx.send_fitting(&mut chunk));
+                            if let Some(head) = chunk.next() {
+                                assert!(tx.send(head));
+                            }
+                            next += n - chunk.len() as u64;
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let mut got = Vec::new();
+            for round in 0usize.. {
+                let ended = match round % 3 {
+                    0 => rx.recv_into(&mut got, 1 + round % 5).is_none(),
+                    1 => !rx.recv_filling(&mut got, 1 + round % 4),
+                    _ => rx.recv().map(|e| got.push(e)).is_none(),
+                };
+                if ended {
+                    break;
+                }
+            }
+            for p in producers {
+                p.join().unwrap();
+            }
+            let ids: Vec<u64> = got.iter().map(|e| e.id).collect();
+            for p in 0..4 {
+                let mine: Vec<u64> = ids
+                    .iter()
+                    .copied()
+                    .filter(|id| id / PER_PRODUCER == p)
+                    .collect();
+                assert!(mine.windows(2).all(|w| w[0] < w[1]), "producer {p} order");
+            }
+            let mut all = ids;
+            all.sort_unstable();
+            assert!(
+                all.into_iter().eq(0..4 * PER_PRODUCER),
+                "capacity {capacity}"
+            );
+        }
     }
 
     #[test]

@@ -27,10 +27,10 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread;
 
-use crossbeam::channel::{bounded, Sender};
 use saql_model::json::decode_event_json;
 use saql_model::Event;
 
@@ -83,10 +83,15 @@ pub fn decode_ndjson<R: Read>(
     mut sink: impl FnMut(DecodedChunk) -> bool + Send,
 ) -> io::Result<()> {
     thread::scope(|scope| {
-        let (job_tx, job_rx) = bounded::<Job>(DECODE_BACKLOG);
-        let (done_tx, done_rx) = bounded::<(u64, Decoded)>(DECODE_BACKLOG);
+        let (done_tx, done_rx) = sync_channel::<(u64, Decoded)>(DECODE_BACKLOG);
+        // One job queue per worker, fed round-robin by chunk number and
+        // splitting the backlog; the apply thread puts the chunks back in
+        // order.
+        let mut job_txs = Vec::with_capacity(DECODE_WORKERS);
         for _ in 0..DECODE_WORKERS {
-            let (job_rx, done_tx) = (job_rx.clone(), done_tx.clone());
+            let (job_tx, job_rx) = sync_channel::<Job>(DECODE_BACKLOG / DECODE_WORKERS);
+            job_txs.push(job_tx);
+            let done_tx = done_tx.clone();
             let decoder = move || {
                 while let Ok((chunk_no, first_line, bytes)) = job_rx.recv() {
                     let decoded = decode_chunk(first_line, &bytes);
@@ -101,7 +106,6 @@ pub fn decode_ndjson<R: Read>(
                 .spawn_scoped(scope, decoder)
                 .expect("spawns a decoder");
         }
-        drop(job_rx);
         drop(done_tx);
 
         let applier = move || {
@@ -143,17 +147,18 @@ pub fn decode_ndjson<R: Read>(
             .spawn_scoped(scope, applier)
             .expect("spawns the apply stage");
 
-        // Returning drops the job channel, which drains the stage: the
+        // Returning drops the job channels, which drains the stage: the
         // workers exit, the done channel closes, the apply thread hands
         // over the tail and returns; the scope joins them all.
-        read_chunks(reader, job_tx)
+        read_chunks(reader, &job_txs)
     })
 }
 
 /// The read loop: cut the input into numbered chunks of raw lines.
-fn read_chunks<R: Read>(reader: &mut BufReader<R>, jobs: Sender<Job>) -> io::Result<()> {
+fn read_chunks<R: Read>(reader: &mut BufReader<R>, jobs: &[SyncSender<Job>]) -> io::Result<()> {
     let mut chunk: Vec<u8> = Vec::new();
     let (mut chunk_no, mut first_line, mut lines): (u64, u64, u64) = (0, 1, 0);
+    let send = |job: Job| jobs[job.0 as usize % jobs.len()].send(job).is_ok();
     let outcome = loop {
         let start = chunk.len();
         match reader.read_until(b'\n', &mut chunk) {
@@ -169,7 +174,7 @@ fn read_chunks<R: Read>(reader: &mut BufReader<R>, jobs: Sender<Job>) -> io::Res
             // size every later chunk.
             let fresh = Vec::with_capacity(DECODE_CHUNK * 256);
             let job = (chunk_no, first_line, std::mem::replace(&mut chunk, fresh));
-            if jobs.send(job).is_err() {
+            if !send(job) {
                 return Ok(()); // the sink stopped the stage
             }
             chunk_no += 1;
@@ -178,7 +183,7 @@ fn read_chunks<R: Read>(reader: &mut BufReader<R>, jobs: Sender<Job>) -> io::Res
         }
     };
     if lines > 0 {
-        let _ = jobs.send((chunk_no, first_line, chunk));
+        send((chunk_no, first_line, chunk));
     }
     outcome
 }

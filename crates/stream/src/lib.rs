@@ -3,7 +3,7 @@
 //! Stream infrastructure for SAQL: the *system event stream* the paper's
 //! architecture (Fig. 1) feeds into the anomaly query engine.
 //!
-//! * [`channel`] — bounded multi-producer event channels (crossbeam-backed)
+//! * [`channel`] — bounded multi-producer event channels (`std::sync::mpsc`)
 //!   carrying `Arc<Event>` so concurrent queries share payloads;
 //! * [`batch`] — event batches, the engine's unit of execution and of
 //!   dispatch to its workers (amortizes channel overhead);

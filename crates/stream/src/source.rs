@@ -145,11 +145,11 @@ impl PushHandle {
         self.tx.send(event)
     }
 
-    /// Non-blocking push of as much of a chunk as fits, in order, under
-    /// one channel lock; the tail that did not fit stays in `chunk`, for
-    /// the caller to shed or to [`push`](Self::push) once there is room.
-    /// `false` once the consuming session is gone.
-    pub fn push_fitting(&self, chunk: &mut impl ExactSizeIterator<Item = SharedEvent>) -> bool {
+    /// Non-blocking push of as much of a chunk as fits, in order; the tail
+    /// that did not fit stays in `chunk`, for the caller to shed or to
+    /// [`push`](Self::push) once there is room. `false` once the consuming
+    /// session is gone.
+    pub fn push_fitting(&self, chunk: &mut std::vec::IntoIter<SharedEvent>) -> bool {
         self.tx.send_fitting(chunk)
     }
 
@@ -244,19 +244,9 @@ impl ChannelSource {
                 if let Some(note) = chunk.failure {
                     push.report_failure(note);
                 }
-                // What fits goes in under one lock; on a full channel, wait
-                // for room and offer the rest again. `false`: the session
+                // A file is never shed: wait for room. `false`: the session
                 // hung up.
-                let mut events = chunk.events.into_iter();
-                while push.push_fitting(&mut events) {
-                    let Some(next) = events.next() else {
-                        return true;
-                    };
-                    if !push.push(next) {
-                        break;
-                    }
-                }
-                false
+                chunk.events.into_iter().all(|event| push.push(event))
             });
             if let Err(e) = read {
                 push.report_failure(format!("stream ended early: read error: {e}"));

@@ -3,10 +3,12 @@
 //! deterministic quota shedding under an injected clock, live decode-failure
 //! surfacing, and shutdown → checkpoint → resume exactness.
 
-use std::io::Cursor;
+use std::io::{BufRead, BufReader, Cursor, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
+use std::time::Duration;
 
 use saql::engine::{CheckpointConfig, Deployment};
 use saql::model::event::{Event, EventBuilder};
@@ -609,6 +611,75 @@ fn pipeline_tenancy_is_sealed_at_both_boundaries() {
     assert!(ctl(&addr, "acme", r#"{"cmd":"shutdown"}"#)
         .unwrap()
         .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
+/// Deregistering a windowed query over control delivers its open window's
+/// flush to a subscriber, and then the subscriber's socket reaches EOF.
+#[test]
+fn deregister_flushes_to_the_subscriber_then_closes_its_socket() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        print_alerts: false,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let query = "proc p write file f as evt #time(10 min)\n\
+                 state ss { n := count() } group by p\n\
+                 return p, ss[0].n";
+    let reply = ctl(&addr, "t", &register_line("w", query)).unwrap();
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+
+    // Subscribe by hand: once the hello is acknowledged, the core holds the
+    // subscription. The read timeout turns a socket left open into a
+    // failure instead of a hang.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut sub = BufReader::new(stream.try_clone().unwrap());
+    let hello = protocol::JsonObj::new()
+        .str("role", "subscribe")
+        .str("tenant", "t")
+        .str("query", "w")
+        .finish();
+    writeln!(stream, "{hello}").unwrap();
+    let mut line = String::new();
+    sub.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "{line}");
+
+    // Five writes inside one open window: nothing fires yet.
+    let corpus: Vec<Event> = (0..5).map(|i| event(i, 1000 + i * 10, "h")).collect();
+    let report = ingest_reader(
+        &addr,
+        "t",
+        "feed",
+        &mut Cursor::new(jsonl(&corpus)),
+        true,
+        true,
+    )
+    .unwrap();
+    assert_eq!(report.field("released"), Some(5), "{}", report.summary);
+
+    let reply = ctl(&addr, "t", r#"{"cmd":"deregister","name":"w"}"#).unwrap();
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let mut alerts = Vec::new();
+    loop {
+        line.clear();
+        match sub.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) => alerts.push(line.clone()),
+            Err(e) => panic!("no EOF after the deregister ({e}); got {alerts:?}"),
+        }
+    }
+    assert_eq!(alerts.len(), 1, "{alerts:?}");
+    assert!(alerts[0].contains("\"query\":\"t/w\""), "{alerts:?}");
+    assert!(alerts[0].contains("\"ss[0].n\":\"5\""), "{alerts:?}");
+
+    assert!(ctl(&addr, "t", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"draining\":true"));
     server.wait().unwrap();
 }
 
