@@ -58,11 +58,7 @@ fn bench_store_roundtrip(c: &mut Criterion) {
 
     let encoded = saql_model::codec::encode_batch(&events);
     group.bench_function("codec-decode-50k", |b| {
-        b.iter(|| {
-            saql_model::codec::decode_batch(encoded.clone())
-                .unwrap()
-                .len()
-        });
+        b.iter(|| saql_model::codec::decode_batch(&encoded).unwrap().len());
     });
 
     group.finish();

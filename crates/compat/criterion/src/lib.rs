@@ -49,7 +49,6 @@ pub fn black_box<T>(x: T) -> T {
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     Elements(u64),
-    Bytes(u64),
 }
 
 /// A benchmark's display identity: function name plus optional parameter.
@@ -244,12 +243,8 @@ fn run_one<F: FnMut(&mut Bencher)>(
     let ns = bencher.elapsed_per_iter.as_nanos().max(1);
     let per_sec = throughput.map(|t| match t {
         Throughput::Elements(n) => ("elements", n as f64 / (ns as f64 / 1e9)),
-        Throughput::Bytes(n) => ("bytes", n as f64 / (ns as f64 / 1e9)),
     });
-    let rate = per_sec.map(|(unit, rate)| match unit {
-        "bytes" => format!("  {rate:.0} B/s"),
-        _ => format!("  {rate:.0} elem/s"),
-    });
+    let rate = per_sec.map(|(_, rate)| format!("  {rate:.0} elem/s"));
     println!(
         "bench {label:<48} {ns:>12} ns/iter{}",
         rate.unwrap_or_default()

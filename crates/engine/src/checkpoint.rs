@@ -11,7 +11,8 @@
 //!
 //! ## File format
 //!
-//! One file, `checkpoint.saqlckp`, written tmp + fsync + rename so a crash
+//! One file, `checkpoint.saqlckp`, written through
+//! [`replace_file`] (tmp + fsync + rename + directory fsync) so a crash
 //! mid-write leaves either the previous checkpoint or none — never a torn
 //! one. Layout (all integers varint unless noted, the
 //! [`saql_model::codec`] wire dialect):
@@ -61,14 +62,13 @@
 //! names: [`Engine::resume_from`](crate::Engine::resume_from) checks every
 //! restored index against the recompiled plan and refuses a mismatch.
 
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use saql_model::codec::{self, DecodeError};
 use saql_model::{AttrValue, Duration, Entity, Event, Timestamp};
+use saql_stream::durable::replace_file;
 
 use crate::error::EngineError;
 use crate::invariant::{InvariantGroupSnapshot, InvariantSnapshot, Phase};
@@ -141,47 +141,33 @@ impl Checkpoint {
     }
 
     /// Serialize to the on-disk byte format.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(256 + self.rows.len() * 256);
-        buf.put_slice(CHECKPOINT_MAGIC);
-        buf.put_u8(CHECKPOINT_VERSION);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(256 + self.rows.len() * 256);
+        buf.extend_from_slice(CHECKPOINT_MAGIC);
+        buf.push(CHECKPOINT_VERSION);
         self.offset.put(&mut buf);
         self.frontier.put(&mut buf);
         self.config.put(&mut buf);
-        buf.put_u8(0); // reserved (formerly the exec mode)
+        buf.push(0); // reserved (formerly the exec mode)
         self.rows.put(&mut buf);
         self.adapters.put(&mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Decode a checkpoint from its on-disk bytes.
-    pub fn decode(data: Bytes) -> Result<Checkpoint, EngineError> {
+    pub fn decode(data: &[u8]) -> Result<Checkpoint, EngineError> {
         decode_impl(data).map_err(|e| EngineError::Checkpoint(format!("corrupt checkpoint: {e}")))
     }
 
-    /// Write the checkpoint into `dir` (created if absent) atomically: the
-    /// bytes land in a `.tmp` sibling, are fsynced, and replace
-    /// [`CHECKPOINT_FILE`] via rename. A crash at any point leaves the
-    /// previous checkpoint (or none) intact. Returns the final path.
+    /// Write the checkpoint into `dir` (created if absent) atomically,
+    /// through [`replace_file`]: a crash at any point leaves the previous
+    /// checkpoint (or none) intact. Returns the final path.
     pub fn write_atomic(&self, dir: &Path) -> Result<PathBuf, EngineError> {
         let io =
             |e: std::io::Error| EngineError::Checkpoint(format!("write {}: {e}", dir.display()));
         fs::create_dir_all(dir).map_err(io)?;
-        let tmp = dir.join(".checkpoint.saqlckp.tmp");
         let path = Checkpoint::path_in(dir);
-        let data = self.encode();
-        let mut f = File::create(&tmp).map_err(io)?;
-        f.write_all(&data).map_err(io)?;
-        // The rename below is only atomic-durable if the bytes it exposes
-        // already reached the disk.
-        f.sync_all().map_err(io)?;
-        drop(f);
-        fs::rename(&tmp, &path).map_err(io)?;
-        if let Ok(d) = File::open(dir) {
-            // Persist the rename itself; best-effort (not all platforms
-            // allow fsync on directories).
-            let _ = d.sync_all();
-        }
+        replace_file(&path, &self.encode()).map_err(io)?;
         Ok(path)
     }
 
@@ -196,26 +182,24 @@ impl Checkpoint {
         };
         let data = fs::read(&file)
             .map_err(|e| EngineError::Checkpoint(format!("read {}: {e}", file.display())))?;
-        Checkpoint::decode(Bytes::from(data))
+        Checkpoint::decode(&data)
     }
 }
 
-fn decode_impl(mut buf: Bytes) -> Result<Checkpoint, String> {
-    if buf.remaining() < CHECKPOINT_MAGIC.len() {
+fn decode_impl(data: &[u8]) -> Result<Checkpoint, String> {
+    let Some((magic, mut buf)) = data.split_first_chunk::<8>() else {
         return Err("file shorter than the magic".to_string());
-    }
-    let magic = &buf.chunk()[..CHECKPOINT_MAGIC.len()];
+    };
     if magic != CHECKPOINT_MAGIC {
         return Err(format!("bad magic {magic:02x?}"));
     }
-    buf.advance(CHECKPOINT_MAGIC.len());
     let version = u8::get(&mut buf).map_err(|e| e.to_string())?;
     if version != CHECKPOINT_VERSION {
         return Err(format!(
             "version {version} (this build reads {CHECKPOINT_VERSION})"
         ));
     }
-    let body = |buf: &mut Bytes| -> R<Checkpoint> {
+    let body = |buf: &mut &[u8]| -> R<Checkpoint> {
         let offset = Wire::get(buf)?;
         let frontier = Wire::get(buf)?;
         let config = Wire::get(buf)?;
@@ -235,8 +219,8 @@ fn decode_impl(mut buf: Bytes) -> Result<Checkpoint, String> {
         })
     };
     let ckpt = body(&mut buf).map_err(|e| e.to_string())?;
-    if buf.has_remaining() {
-        return Err(format!("{} trailing bytes", buf.remaining()));
+    if !buf.is_empty() {
+        return Err(format!("{} trailing bytes", buf.len()));
     }
     Ok(ckpt)
 }
@@ -249,45 +233,44 @@ type R<T> = Result<T, DecodeError>;
 
 /// The one checkpoint codec: a type's bytes, written and read in one place.
 trait Wire: Sized {
-    fn put(&self, buf: &mut BytesMut);
-    fn get(buf: &mut Bytes) -> R<Self>;
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(buf: &mut &[u8]) -> R<Self>;
 }
 
 /// Raw byte (tags, the version, the reserved byte).
 impl Wire for u8 {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u8(*self);
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
     }
-    fn get(buf: &mut Bytes) -> R<u8> {
-        let byte = buf.has_remaining().then(|| buf.get_u8());
-        byte.ok_or(DecodeError::Truncated)
+    fn get(buf: &mut &[u8]) -> R<u8> {
+        codec::get_u8(buf)
     }
 }
 
 impl Wire for u64 {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         codec::put_u64(buf, *self);
     }
-    fn get(buf: &mut Bytes) -> R<u64> {
+    fn get(buf: &mut &[u8]) -> R<u64> {
         codec::get_u64(buf)
     }
 }
 
 impl Wire for usize {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (*self as u64).put(buf);
     }
-    fn get(buf: &mut Bytes) -> R<usize> {
+    fn get(buf: &mut &[u8]) -> R<usize> {
         u64::get(buf).map(|v| v as usize)
     }
 }
 
 impl Wire for i64 {
     // Zigzag: small magnitudes of either sign stay short.
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (((self << 1) ^ (self >> 63)) as u64).put(buf);
     }
-    fn get(buf: &mut Bytes) -> R<i64> {
+    fn get(buf: &mut &[u8]) -> R<i64> {
         let z = u64::get(buf)?;
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
@@ -296,22 +279,21 @@ impl Wire for i64 {
 impl Wire for f64 {
     // Fixed-width bit pattern: exact round trip, including NaN payloads
     // and signed zeros (varints would bloat on typical mantissas anyway).
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.to_bits());
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_bits().to_le_bytes());
     }
-    fn get(buf: &mut Bytes) -> R<f64> {
-        if buf.remaining() < 8 {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(f64::from_bits(buf.get_u64_le()))
+    fn get(buf: &mut &[u8]) -> R<f64> {
+        let (&bits, rest) = buf.split_first_chunk::<8>().ok_or(DecodeError::Truncated)?;
+        *buf = rest;
+        Ok(f64::from_bits(u64::from_le_bytes(bits)))
     }
 }
 
 impl Wire for bool {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (*self as u8).put(buf);
     }
-    fn get(buf: &mut Bytes) -> R<bool> {
+    fn get(buf: &mut &[u8]) -> R<bool> {
         match u8::get(buf)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -321,67 +303,67 @@ impl Wire for bool {
 }
 
 impl Wire for Arc<str> {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         codec::put_string(buf, self);
     }
-    fn get(buf: &mut Bytes) -> R<Arc<str>> {
+    fn get(buf: &mut &[u8]) -> R<Arc<str>> {
         codec::get_string(buf)
     }
 }
 
 impl Wire for String {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         codec::put_string(buf, self);
     }
-    fn get(buf: &mut Bytes) -> R<String> {
+    fn get(buf: &mut &[u8]) -> R<String> {
         codec::get_string(buf).map(|s| s.to_string())
     }
 }
 
 impl Wire for Timestamp {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         self.as_millis().put(buf);
     }
-    fn get(buf: &mut Bytes) -> R<Timestamp> {
+    fn get(buf: &mut &[u8]) -> R<Timestamp> {
         u64::get(buf).map(Timestamp::from_millis)
     }
 }
 
 impl Wire for Duration {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         self.as_millis().put(buf);
     }
-    fn get(buf: &mut Bytes) -> R<Duration> {
+    fn get(buf: &mut &[u8]) -> R<Duration> {
         u64::get(buf).map(Duration::from_millis)
     }
 }
 
 impl Wire for Event {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         codec::encode_event(buf, self);
     }
-    fn get(buf: &mut Bytes) -> R<Event> {
+    fn get(buf: &mut &[u8]) -> R<Event> {
         codec::decode_event(buf)
     }
 }
 
 impl Wire for Entity {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         codec::encode_entity(buf, self);
     }
-    fn get(buf: &mut Bytes) -> R<Entity> {
+    fn get(buf: &mut &[u8]) -> R<Entity> {
         codec::decode_entity(buf)
     }
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Some(v) => put_tagged(buf, 1, v),
-            None => buf.put_u8(0),
+            None => buf.push(0),
         }
     }
-    fn get(buf: &mut Bytes) -> R<Option<T>> {
+    fn get(buf: &mut &[u8]) -> R<Option<T>> {
         match u8::get(buf)? {
             0 => Ok(None),
             1 => T::get(buf).map(Some),
@@ -391,23 +373,23 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         self.0.put(buf);
         self.1.put(buf);
     }
-    fn get(buf: &mut Bytes) -> R<(A, B)> {
+    fn get(buf: &mut &[u8]) -> R<(A, B)> {
         Ok((A::get(buf)?, B::get(buf)?))
     }
 }
 
 /// An enum variant: its one-byte tag, then its payload.
-fn put_tagged(buf: &mut BytesMut, tag: u8, payload: &impl Wire) {
-    buf.put_u8(tag);
+fn put_tagged(buf: &mut Vec<u8>, tag: u8, payload: &impl Wire) {
+    buf.push(tag);
     payload.put(buf);
 }
 
 /// A count, then the items: the layout [`Vec`]'s `get` reads.
-fn put_seq<'a, T: Wire + 'a>(buf: &mut BytesMut, items: impl ExactSizeIterator<Item = &'a T>) {
+fn put_seq<'a, T: Wire + 'a>(buf: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
     items.len().put(buf);
     for item in items {
         item.put(buf);
@@ -415,7 +397,7 @@ fn put_seq<'a, T: Wire + 'a>(buf: &mut BytesMut, items: impl ExactSizeIterator<I
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         put_seq(buf, self.iter());
     }
     /// The only place a decoded count sizes an allocation. Every element is
@@ -424,12 +406,12 @@ impl<T: Wire> Wire for Vec<T> {
     /// forged count cannot reserve more memory than the file holds, however
     /// large `T` is in memory. (Elements actually decoded grow the `Vec`
     /// past that; see the module doc.)
-    fn get(buf: &mut Bytes) -> R<Vec<T>> {
+    fn get(buf: &mut &[u8]) -> R<Vec<T>> {
         let n = u64::get(buf)?;
-        if n > buf.remaining() as u64 {
+        if n > buf.len() as u64 {
             return Err(DecodeError::Truncated);
         }
-        let fits = buf.remaining() / std::mem::size_of::<T>().max(1);
+        let fits = buf.len() / std::mem::size_of::<T>().max(1);
         let mut out = Vec::with_capacity((n as usize).min(fits));
         for _ in 0..n {
             out.push(T::get(buf)?);
@@ -439,7 +421,7 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl Wire for AttrValue {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             AttrValue::Int(i) => put_tagged(buf, 0, i),
             AttrValue::Float(f) => put_tagged(buf, 1, f),
@@ -447,7 +429,7 @@ impl Wire for AttrValue {
             AttrValue::Bool(b) => put_tagged(buf, 3, b),
         }
     }
-    fn get(buf: &mut Bytes) -> R<AttrValue> {
+    fn get(buf: &mut &[u8]) -> R<AttrValue> {
         match u8::get(buf)? {
             0 => i64::get(buf).map(AttrValue::Int),
             1 => f64::get(buf).map(AttrValue::Float),
@@ -459,17 +441,17 @@ impl Wire for AttrValue {
 }
 
 impl Wire for Value {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Value::Attr(a) => put_tagged(buf, 0, a),
             Value::Set(set) => {
-                buf.put_u8(1);
+                buf.push(1);
                 put_seq(buf, set.iter());
             }
-            Value::Missing => buf.put_u8(2),
+            Value::Missing => buf.push(2),
         }
     }
-    fn get(buf: &mut Bytes) -> R<Value> {
+    fn get(buf: &mut &[u8]) -> R<Value> {
         match u8::get(buf)? {
             0 => AttrValue::get(buf).map(Value::Attr),
             1 => Ok(Value::Set(Arc::new(
@@ -482,7 +464,7 @@ impl Wire for Value {
 }
 
 impl Wire for AccumSnapshot {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             AccumSnapshot::Stats {
                 count,
@@ -492,7 +474,7 @@ impl Wire for AccumSnapshot {
                 mean,
                 m2,
             } => {
-                buf.put_u8(0);
+                buf.push(0);
                 count.put(buf);
                 for x in [sum, min, max, mean, m2] {
                     x.put(buf);
@@ -502,7 +484,7 @@ impl Wire for AccumSnapshot {
             AccumSnapshot::Buffer(vals) => put_tagged(buf, 2, vals),
         }
     }
-    fn get(buf: &mut Bytes) -> R<AccumSnapshot> {
+    fn get(buf: &mut &[u8]) -> R<AccumSnapshot> {
         match u8::get(buf)? {
             0 => Ok(AccumSnapshot::Stats {
                 count: Wire::get(buf)?,
@@ -520,13 +502,13 @@ impl Wire for AccumSnapshot {
 }
 
 impl Wire for Phase {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Phase::Training { seen } => put_tagged(buf, 0, seen),
-            Phase::Detecting => buf.put_u8(1),
+            Phase::Detecting => buf.push(1),
         }
     }
-    fn get(buf: &mut Bytes) -> R<Phase> {
+    fn get(buf: &mut &[u8]) -> R<Phase> {
         match u8::get(buf)? {
             0 => Ok(Phase::Training {
                 seen: Wire::get(buf)?,
@@ -538,14 +520,14 @@ impl Wire for Phase {
 }
 
 impl Wire for RowStatus {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u8(match self {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(match self {
             RowStatus::Active => 0,
             RowStatus::Paused => 1,
             RowStatus::Removed => 2,
         });
     }
-    fn get(buf: &mut Bytes) -> R<RowStatus> {
+    fn get(buf: &mut &[u8]) -> R<RowStatus> {
         match u8::get(buf)? {
             0 => Ok(RowStatus::Active),
             1 => Ok(RowStatus::Paused),
@@ -558,7 +540,7 @@ impl Wire for RowStatus {
 /// A row's snapshot is present iff the row is live — implied by the
 /// status, so it carries no option tag.
 impl Wire for CheckpointRow {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         self.status.put(buf);
         self.name.put(buf);
         self.source.put(buf);
@@ -567,7 +549,7 @@ impl Wire for CheckpointRow {
             snap.expect("live checkpoint rows carry state").put(buf);
         }
     }
-    fn get(buf: &mut Bytes) -> R<CheckpointRow> {
+    fn get(buf: &mut &[u8]) -> R<CheckpointRow> {
         let status = RowStatus::get(buf)?;
         Ok(CheckpointRow {
             name: Wire::get(buf)?,
@@ -586,10 +568,10 @@ impl Wire for CheckpointRow {
 macro_rules! wire_struct {
     ($($ty:ident { $($field:ident),+ })+) => {$(
         impl Wire for $ty {
-            fn put(&self, buf: &mut BytesMut) {
+            fn put(&self, buf: &mut Vec<u8>) {
                 $(self.$field.put(buf);)+
             }
-            fn get(buf: &mut Bytes) -> R<$ty> {
+            fn get(buf: &mut &[u8]) -> R<$ty> {
                 Ok($ty { $($field: Wire::get(buf)?),+ })
             }
         }
@@ -754,15 +736,15 @@ mod tests {
     #[test]
     fn sample_checkpoint_encodes_to_its_golden_bytes() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sample.saqlckp");
-        let golden = Bytes::from(fs::read(path).expect("golden checkpoint fixture"));
+        let golden = fs::read(path).expect("golden checkpoint fixture");
         assert_eq!(sample_checkpoint().encode(), golden);
-        assert_eq!(Checkpoint::decode(golden.clone()).unwrap().encode(), golden);
+        assert_eq!(Checkpoint::decode(&golden).unwrap().encode(), golden);
     }
 
     #[test]
     fn roundtrip_exact() {
         let ckpt = sample_checkpoint();
-        let back = Checkpoint::decode(ckpt.encode()).unwrap();
+        let back = Checkpoint::decode(&ckpt.encode()).unwrap();
         assert_checkpoints_equal(&ckpt, &back);
     }
 
@@ -774,7 +756,7 @@ mod tests {
         let path = ckpt.write_atomic(&dir).unwrap();
         assert_eq!(path, Checkpoint::path_in(&dir));
         assert!(
-            !dir.join(".checkpoint.saqlckp.tmp").exists(),
+            !dir.join("checkpoint.saqlckp.tmp").exists(),
             "tmp file must be renamed away"
         );
         // Load via the directory and via the file itself.
@@ -794,26 +776,26 @@ mod tests {
         // Every strict prefix fails loudly — no silent partial decode.
         for cut in [0, 4, 8, 9, data.len() / 2, data.len() - 1] {
             assert!(
-                Checkpoint::decode(data.slice(..cut)).is_err(),
+                Checkpoint::decode(&data[..cut]).is_err(),
                 "prefix of {cut} bytes must not decode"
             );
         }
         // Bad magic.
         let mut raw = data.to_vec();
         raw[0] = b'X';
-        assert!(Checkpoint::decode(Bytes::from(raw)).is_err());
+        assert!(Checkpoint::decode(&raw).is_err());
         // Unknown versions, the retired version 1 among them.
         for version in [1, 99] {
             let mut raw = data.to_vec();
             raw[8] = version;
-            let err = Checkpoint::decode(Bytes::from(raw)).unwrap_err();
+            let err = Checkpoint::decode(&raw).unwrap_err();
             let expected = format!("version {version} (this build reads 2)");
             assert!(err.to_string().contains(&expected), "{err}");
         }
         // Trailing garbage.
         let mut raw = data.to_vec();
         raw.push(0);
-        assert!(Checkpoint::decode(Bytes::from(raw)).is_err());
+        assert!(Checkpoint::decode(&raw).is_err());
     }
 
     /// The byte after the config varints used to carry the exec mode (0
@@ -824,32 +806,32 @@ mod tests {
     #[test]
     fn removed_exec_mode_is_refused_by_name() {
         let ckpt = sample_checkpoint();
-        let mut head = BytesMut::new();
+        let mut head = Vec::new();
         ckpt.offset.put(&mut head);
         ckpt.frontier.put(&mut head);
         ckpt.config.put(&mut head);
         let at = CHECKPOINT_MAGIC.len() + 1 + head.len();
-        let mut raw = ckpt.encode().to_vec();
+        let mut raw = ckpt.encode();
         assert_eq!(raw[at], 0, "reserved byte");
         raw[at] = 1;
-        let err = Checkpoint::decode(Bytes::from(raw)).unwrap_err();
+        let err = Checkpoint::decode(&raw).unwrap_err();
         assert!(matches!(err, EngineError::Checkpoint(_)), "{err:?}");
         assert!(err.to_string().contains("interpreted mode"), "{err}");
     }
 
     #[test]
     fn zigzag_and_float_bit_exactness() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123_456] {
             buf.clear();
             v.put(&mut buf);
-            let mut data = buf.clone().freeze();
+            let mut data = &buf[..];
             assert_eq!(i64::get(&mut data).unwrap(), v);
         }
         for v in [0.0f64, -0.0, f64::NAN, f64::INFINITY, 1.0e-300, -2.5] {
             buf.clear();
             v.put(&mut buf);
-            let mut data = buf.clone().freeze();
+            let mut data = &buf[..];
             assert_eq!(f64::get(&mut data).unwrap().to_bits(), v.to_bits());
         }
     }

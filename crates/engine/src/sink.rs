@@ -10,6 +10,8 @@
 use std::io::Write;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
+use saql_model::json::push_json_string;
+
 use crate::alert::{Alert, AlertOrigin};
 
 /// A destination for alerts.
@@ -91,7 +93,7 @@ impl<W: Write> JsonLinesSink<W> {
 pub fn render_alert_json(alert: &Alert) -> String {
     let mut out = String::with_capacity(160);
     out.push_str("{\"query\":");
-    json_string(&mut out, &alert.query);
+    push_json_string(&mut out, &alert.query);
     // Standalone queries carry no id; omit the field rather than emit a
     // sentinel.
     if alert.query_id != crate::query::QueryId::UNASSIGNED {
@@ -117,7 +119,7 @@ pub fn render_alert_json(alert: &Alert) -> String {
             out.push_str(",\"window_end_ms\":");
             out.push_str(&end.as_millis().to_string());
             out.push_str(",\"group\":");
-            json_string(&mut out, group);
+            push_json_string(&mut out, group);
         }
     }
     out.push_str(",\"rows\":{");
@@ -125,31 +127,12 @@ pub fn render_alert_json(alert: &Alert) -> String {
         if i > 0 {
             out.push(',');
         }
-        json_string(&mut out, label);
+        push_json_string(&mut out, label);
         out.push(':');
-        json_string(&mut out, value);
+        push_json_string(&mut out, value);
     }
     out.push_str("}}");
     out
-}
-
-/// Escape a string into a JSON string literal appended to `out`.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl<W: Write> AlertSink for JsonLinesSink<W> {
@@ -268,7 +251,7 @@ mod tests {
     #[test]
     fn json_escapes_control_chars() {
         let mut out = String::new();
-        json_string(&mut out, "a\nb\tc\u{1}");
+        push_json_string(&mut out, "a\nb\tc\u{1}");
         assert_eq!(out, "\"a\\nb\\tc\\u0001\"");
     }
 

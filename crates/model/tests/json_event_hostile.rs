@@ -27,7 +27,7 @@ use saql_model::Timestamp;
 thread_local! {
     /// Largest single allocation (or reallocation) on this thread.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
-    /// Bytes allocated minus bytes freed on this thread.
+    /// Allocated minus freed bytes on this thread.
     static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 

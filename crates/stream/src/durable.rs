@@ -10,13 +10,14 @@
 //!
 //! Append discipline: every appended event first lands in the WAL
 //! (`append` + [`StoreWriter::sync`] = durable ack). When the WAL holds a
-//! full segment it is sealed into a fresh segment file — written to a temp
-//! file, fsynced, renamed — and the WAL is atomically replaced by an empty
-//! one. The WAL header records `base`, the number of events already sealed
-//! when that WAL generation was written, so a crash *between* the segment
-//! rename and the WAL rewrite is recoverable: recovery sees `base < sealed`
-//! and skips the first `sealed - base` WAL events as duplicates of the
-//! freshly sealed segment.
+//! full segment it is sealed into a fresh segment file and the WAL is
+//! replaced by an empty one, each through [`replace_file`] (temp file,
+//! fsync, rename, directory fsync), so the segment's rename is on disk
+//! before the WAL's. The WAL header records `base`, the number of events
+//! already sealed when that WAL generation was written, so a crash
+//! *between* the segment rename and the WAL rewrite is recoverable:
+//! recovery sees `base < sealed` and skips the first `sealed - base` WAL
+//! events as duplicates of the freshly sealed segment.
 //!
 //! Recovery-on-open ([`StoreWriter::open`]) truncates a torn tail: WAL
 //! records are decoded up to the first decode failure and the WAL is
@@ -30,10 +31,9 @@
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use saql_model::{codec, Event, Timestamp};
 
 use crate::segment::{read_meta, write_segment, SegmentMeta, SegmentRecords};
@@ -100,46 +100,63 @@ struct WalScan {
 /// `Ok(None)` means the header itself is torn — recoverable as an empty
 /// WAL. A wrong magic is a hard error: the file is not a WAL.
 fn scan_wal(path: &Path) -> Result<Option<WalScan>, StoreError> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    if raw.len() < WAL_HEADER_LEN {
+    let raw = fs::read(path)?;
+    let Some((header, mut buf)) = raw.split_first_chunk::<WAL_HEADER_LEN>() else {
         return Ok(None);
-    }
-    if &raw[..8] != WAL_MAGIC {
+    };
+    let (magic, base) = header.split_at(WAL_MAGIC.len());
+    if magic != WAL_MAGIC {
         return Err(StoreError::BadMagic);
     }
-    let mut buf = Bytes::from(raw);
-    buf.advance(8);
-    let base = buf.get_u64_le();
+    let base = u64::from_le_bytes(base.try_into().expect("8-byte base"));
     let mut events = Vec::new();
-    while buf.has_remaining() {
-        let mut attempt = buf.clone();
-        match codec::decode_event(&mut attempt) {
-            Ok(event) => {
-                buf = attempt;
-                events.push(event);
-            }
-            // Torn tail: keep the whole-record prefix, drop the rest.
-            Err(_) => break,
-        }
+    while !buf.is_empty() {
+        // Torn tail: keep the whole-record prefix, drop the rest.
+        let Ok(event) = codec::decode_event(&mut buf) else {
+            break;
+        };
+        events.push(event);
     }
     Ok(Some(WalScan { base, events }))
 }
 
-/// Atomically replace the WAL with `base` + `tail` (tmp + fsync + rename).
+/// Replace the file at `path` with `bytes`, atomically and durably: the
+/// bytes land in a `<file>.tmp` sibling and are fsynced, the sibling is
+/// renamed over `path`, and the parent directory is fsynced so the rename
+/// itself persists. A crash at any point leaves the old file or the new
+/// one under `path`, never a torn one; and a later replacement in the same
+/// directory cannot reach the disk before this one. Every file the store
+/// and the engine's checkpoints publish goes through here.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    // The rename is only atomic-durable if the bytes it exposes already
+    // reached the disk.
+    f.sync_all()?;
+    drop(f);
+    fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = File::open(dir) {
+        // Best-effort: not all platforms allow fsync on directories.
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
+/// Atomically replace the WAL with `base` + `tail`.
 fn rewrite_wal(dir: &Path, base: u64, tail: &[Event]) -> Result<(), StoreError> {
-    let tmp = dir.join("wal.saqlwal.tmp");
-    let mut buf = BytesMut::with_capacity(WAL_HEADER_LEN + tail.len() * 96);
-    buf.put_slice(WAL_MAGIC);
-    buf.put_u64_le(base);
+    let mut buf = Vec::with_capacity(WAL_HEADER_LEN + tail.len() * 96);
+    buf.extend_from_slice(WAL_MAGIC);
+    buf.extend_from_slice(&base.to_le_bytes());
     for e in tail {
         codec::encode_event(&mut buf, e);
     }
-    let mut f = File::create(&tmp)?;
-    f.write_all(&buf)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, wal_path(dir))?;
+    replace_file(&wal_path(dir), &buf)?;
     Ok(())
 }
 
@@ -189,7 +206,7 @@ pub struct StoreWriter {
     /// Events in sealed segments.
     sealed: u64,
     next_segment: usize,
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl StoreWriter {
@@ -264,7 +281,7 @@ impl StoreWriter {
             tail,
             sealed,
             next_segment,
-            buf: BytesMut::with_capacity(64 * 1024),
+            buf: Vec::with_capacity(64 * 1024),
         })
     }
 
@@ -306,10 +323,7 @@ impl StoreWriter {
         if self.tail.is_empty() {
             return Ok(());
         }
-        let path = segment_file(&self.dir, self.next_segment);
-        let tmp = path.with_extension("saqlseg.tmp");
-        write_segment(&tmp, &self.tail)?;
-        fs::rename(&tmp, &path)?;
+        write_segment(&segment_file(&self.dir, self.next_segment), &self.tail)?;
         self.next_segment += 1;
         self.sealed += self.tail.len() as u64;
         self.tail.clear();

@@ -17,12 +17,12 @@
 
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use saql_model::{codec, Event, Timestamp};
 
+use crate::durable::replace_file;
 use crate::store::{Selection, StoreError};
 
 const SEG_MAGIC: &[u8; 8] = b"SAQLSEG1";
@@ -66,24 +66,22 @@ pub(crate) fn write_segment(path: &Path, events: &[Event]) -> Result<(), StoreEr
         min_ts = min_ts.min(e.ts.as_millis());
         max_ts = max_ts.max(e.ts.as_millis());
     }
-    let mut buf = BytesMut::with_capacity(events.len() * 96 + 256);
-    buf.put_slice(SEG_MAGIC);
-    buf.put_u32_le(events.len() as u32);
-    buf.put_u64_le(min_ts);
-    buf.put_u64_le(max_ts);
-    buf.put_u32_le(hosts.len() as u32);
+    let mut buf = Vec::with_capacity(events.len() * 96 + 256);
+    buf.extend_from_slice(SEG_MAGIC);
+    buf.extend_from_slice(&(events.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&min_ts.to_le_bytes());
+    buf.extend_from_slice(&max_ts.to_le_bytes());
+    buf.extend_from_slice(&(hosts.len() as u32).to_le_bytes());
     for h in hosts {
-        buf.put_u32_le(h.len() as u32);
-        buf.put_slice(h.as_bytes());
+        buf.extend_from_slice(&(h.len() as u32).to_le_bytes());
+        buf.extend_from_slice(h.as_bytes());
     }
     for e in events {
         codec::encode_event(&mut buf, e);
     }
-    let mut f = File::create(path)?;
-    f.write_all(&buf)?;
-    // Sealed segments are the durability boundary: they must hit disk
-    // before any rename publishes them (see `crate::durable`).
-    f.sync_all()?;
+    // Sealed segments are the durability boundary: a segment appears
+    // under its name whole and on disk, or not at all (see `crate::durable`).
+    replace_file(path, &buf)?;
     Ok(())
 }
 
@@ -148,7 +146,9 @@ pub(crate) fn read_meta(path: &Path) -> Result<SegmentMeta, StoreError> {
 /// forged one ends the stream before it can break that promise.
 pub(crate) struct SegmentRecords {
     path: PathBuf,
-    data: Bytes,
+    /// The whole file; records are decoded from `data[at..]`.
+    data: Vec<u8>,
+    at: usize,
     claimed: u32,
     decoded: u32,
     min_ts: Timestamp,
@@ -157,16 +157,14 @@ pub(crate) struct SegmentRecords {
 
 impl SegmentRecords {
     pub(crate) fn open(path: &Path) -> Result<Self, StoreError> {
-        let mut raw = Vec::new();
-        File::open(path)?.read_to_end(&mut raw)?;
-        let mut rest = &raw[..];
+        let data = std::fs::read(path)?;
+        let mut rest = &data[..];
         let meta = read_header(&mut rest, path)?;
-        let header_len = raw.len() - rest.len();
-        let mut data = Bytes::from(raw);
-        data.advance(header_len);
+        let at = data.len() - rest.len();
         Ok(SegmentRecords {
             path: meta.path,
             data,
+            at,
             claimed: meta.events,
             decoded: 0,
             min_ts: meta.min_ts,
@@ -176,7 +174,8 @@ impl SegmentRecords {
 
     /// The error that ends the stream: nothing is yielded after it.
     fn fail(&mut self, what: String) -> Option<Result<Event, StoreError>> {
-        self.data = Bytes::new();
+        self.data = Vec::new();
+        self.at = 0;
         self.claimed = self.decoded;
         Some(Err(corrupt(&self.path, what)))
     }
@@ -188,12 +187,15 @@ impl Iterator for SegmentRecords {
     fn next(&mut self) -> Option<Self::Item> {
         let (claimed, decoded) = (self.claimed, self.decoded);
         if decoded == claimed {
-            return match self.data.remaining() {
+            return match self.data.len() - self.at {
                 0 => None,
                 left => self.fail(format!("{left} bytes after the header's {claimed} events")),
             };
         }
-        match codec::decode_event(&mut self.data) {
+        let mut rest = &self.data[self.at..];
+        let record = codec::decode_event(&mut rest);
+        self.at = self.data.len() - rest.len();
+        match record {
             Ok(event) if !(self.min_ts..=self.max_ts).contains(&event.ts) => self.fail(format!(
                 "record {decoded} at {} ms lies outside the header's range {}..={} ms",
                 event.ts.as_millis(),

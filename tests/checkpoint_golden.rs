@@ -15,7 +15,6 @@
 
 use std::path::{Path, PathBuf};
 
-use bytes::Bytes;
 use saql::collector::{AttackStep, SimConfig, Simulator};
 use saql::corpus::{DEMO_QUERIES, DEMO_TIERED_PIPELINE, DEMO_TIERED_PIPELINE_NAME};
 use saql::engine::query::QuerySnapshot;
@@ -91,7 +90,7 @@ fn write_demo_run_fixture() {
 #[test]
 fn demo_run_checkpoint_reencodes_to_its_golden_bytes() {
     let golden = std::fs::read(fixture_path()).expect("golden checkpoint fixture");
-    let ckpt = Checkpoint::decode(Bytes::from(golden.clone())).expect("decodes");
+    let ckpt = Checkpoint::decode(&golden).expect("decodes");
     assert!(
         ckpt.encode()[..] == golden[..],
         "the codec no longer writes the version-{} bytes it reads",
@@ -161,7 +160,7 @@ fn the_golden_checkpoint_resumes_into_the_straight_runs_alerts() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let golden = std::fs::read(fixture_path()).expect("golden checkpoint fixture");
-    let ckpt = Checkpoint::decode(Bytes::from(golden)).expect("decodes");
+    let ckpt = Checkpoint::decode(&golden).expect("decodes");
     assert_eq!(
         ckpt.offset, cut as u64,
         "the fixture was cut at exfiltration"

@@ -19,7 +19,6 @@ use std::cell::Cell;
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use saql::engine::Checkpoint;
 use saql::model::event::EventBuilder;
@@ -69,7 +68,7 @@ const DEMO_RUN: &[u8] = include_bytes!("../crates/engine/tests/fixtures/demo_run
 fn decode_and_resume(data: Vec<u8>) -> bool {
     let bound = 8 * data.len() + 64 * 1024;
     LARGEST.with(|largest| largest.set(0));
-    let resumed = Checkpoint::decode(Bytes::from(data))
+    let resumed = Checkpoint::decode(&data)
         .and_then(|ckpt| Engine::resume_from(ckpt, EngineConfig::default()));
     let largest = LARGEST.with(Cell::get);
     assert!(
@@ -157,7 +156,7 @@ fn a_forged_window_id_resumes_without_overflow() {
     window.unwrap().open = vec![u64::MAX / 2, u64::MAX];
     forged.config.allowed_lateness = Duration::from_millis(u64::MAX);
 
-    let ckpt = Checkpoint::decode(forged.encode()).unwrap();
+    let ckpt = Checkpoint::decode(&forged.encode()).unwrap();
     if let Ok(mut resumed) = Engine::resume_from(ckpt, EngineConfig::default()) {
         resumed.process(&event(2, 2_000)).unwrap();
         resumed.finish();

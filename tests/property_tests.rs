@@ -65,12 +65,12 @@ fn arb_event() -> impl Strategy<Value = saql::model::Event> {
 proptest! {
     #[test]
     fn codec_roundtrips_any_event(event in arb_event()) {
-        let mut buf = bytes_mut();
+        let mut buf = Vec::new();
         codec::encode_event(&mut buf, &event);
-        let mut data = buf.freeze();
+        let mut data = &buf[..];
         let back = codec::decode_event(&mut data).expect("decode");
         prop_assert_eq!(back, event);
-        prop_assert!(!bytes::Buf::has_remaining(&data));
+        prop_assert!(data.is_empty());
     }
 
     #[test]
@@ -79,10 +79,6 @@ proptest! {
         let back = codec::decode_batch(data).expect("decode batch");
         prop_assert_eq!(back, events);
     }
-}
-
-fn bytes_mut() -> bytes::BytesMut {
-    bytes::BytesMut::new()
 }
 
 // ---------------------------------------------------------------------
