@@ -27,9 +27,11 @@
 //!   ([`DurableLog::WriteAhead`](crate::DurableLog::WriteAhead)), every
 //!   round the session pumps — rewire, quiesce, checkpoint, and finish
 //!   rounds included — appends and syncs the base events whose offset is
-//!   not yet on disk *before* the engine consumes them. The first failure
-//!   stops appends and vetoes every later checkpoint, so no checkpoint
-//!   claims an event the store lacks.
+//!   not yet on disk *before* the engine consumes them: one append + sync
+//!   per round, and a tapped round drains what is ready, up to the budget
+//!   and the next cadence checkpoint, so one sync covers a backlog. The
+//!   first failure stops appends and vetoes every later checkpoint, so no
+//!   checkpoint claims an event the store lacks.
 //! * **End of stream.** [`drain`](RunSession::drain) /
 //!   [`drain_into`](RunSession::drain_into) pump until every base source
 //!   ended, then [`finish`](RunSession::finish): stages flush layer by
@@ -311,15 +313,36 @@ impl<'e> RunSession<'e> {
         }
     }
 
-    /// One merge-and-process round, write-ahead tap included: no rewiring,
-    /// no transfer, no cadence.
-    fn round(&mut self, max: usize) -> Pump {
-        self.batch.clear();
-        let mut status = match self.merge.poll(&mut self.batch, max) {
+    /// One merge poll, appending at most `max` events to the batch.
+    fn poll(&mut self, max: usize) -> SessionStatus {
+        match self.merge.poll(&mut self.batch, max) {
             MergeStatus::Active => SessionStatus::Active,
             MergeStatus::Idle => SessionStatus::Idle,
             MergeStatus::Done => SessionStatus::Done,
-        };
+        }
+    }
+
+    /// One merge-and-process round, write-ahead tap included: no rewiring,
+    /// no transfer, no cadence.
+    ///
+    /// A tapped round drains what is ready: it polls again while the last
+    /// poll moved events, up to `max` and the next cadence checkpoint, so
+    /// one append + sync covers a backlog. Its status is the last moving
+    /// poll's — the trailing empty poll's `Idle` would park a caller that
+    /// still has work. Untapped rounds poll once.
+    fn round(&mut self, max: usize) -> Pump {
+        self.batch.clear();
+        let mut status = self.poll(max);
+        let room = self.drain_room();
+        let (mut moved, mut base) = (self.batch.len(), base_events(&self.batch));
+        while moved > 0 && base < room && self.batch.len() < max {
+            let from = self.batch.len();
+            let polled = self.poll(max - from);
+            moved = self.batch.len() - from;
+            if moved > 0 {
+                (status, base) = (polled, base + base_events(&self.batch[from..]));
+            }
+        }
         let mut alerts = if self.batch.is_empty() {
             // An idle round still visits the engine, with an empty batch: a
             // worker-backed engine hands over the alerts it has finished
@@ -347,10 +370,7 @@ impl<'e> RunSession<'e> {
                 }
             }
         }
-        let base = self.batch[..fed]
-            .iter()
-            .filter(|e| e.op != Operation::Alert)
-            .count() as u64;
+        let base = base_events(&self.batch[..fed]);
         self.processed += fed as u64;
         self.base += base;
         if let Some(ck) = self.checkpoints.as_mut() {
@@ -363,33 +383,36 @@ impl<'e> RunSession<'e> {
         }
     }
 
+    /// Base events a round may drain past its first poll: up to the next
+    /// cadence checkpoint when tapped, none when untapped or replaying what
+    /// the store already holds.
+    fn drain_room(&self) -> u64 {
+        match &self.store {
+            Some(ahead) if self.offset() >= ahead.persisted => {
+                self.cadence_left().unwrap_or(u64::MAX)
+            }
+            _ => 0,
+        }
+    }
+
     /// The write-ahead tap: append and sync the round's base events whose
-    /// offset is not yet on disk, before the engine sees any of them.
+    /// offset is not yet on disk, before the engine sees any of them — one
+    /// append and one sync, the events passed by reference, not copied.
     /// Derived events never enter the store — a resume re-derives them
     /// from the replayed base stream.
     fn append_ahead(&mut self) {
-        let Some(ahead) = self.store.as_mut() else {
+        let Some(ahead) = self.store.as_mut().filter(|a| a.failure.is_none()) else {
             return;
         };
-        if ahead.failure.is_some() {
-            return;
-        }
-        let mut offset = self.base_offset + self.base;
-        let mut fresh: Vec<Event> = Vec::new();
-        for event in &self.batch {
-            if event.op == Operation::Alert {
-                continue;
-            }
-            if offset >= ahead.persisted {
-                fresh.push(Event::clone(event));
-            }
-            offset += 1;
-        }
+        let offset = self.base_offset + self.base;
+        let on_disk = ahead.persisted.saturating_sub(offset) as usize;
+        let base = self.batch.iter().filter(|e| e.op != Operation::Alert);
+        let fresh: Vec<&Event> = base.skip(on_disk).map(|e| &**e).collect();
         if fresh.is_empty() {
             return;
         }
         match ahead.store.append(&fresh).and_then(|_| ahead.store.sync()) {
-            Ok(()) => ahead.persisted = offset,
+            Ok(()) => ahead.persisted = offset.max(ahead.persisted) + fresh.len() as u64,
             Err(e) => ahead.failure = Some(e.to_string()),
         }
     }
@@ -681,14 +704,17 @@ impl<'e> RunSession<'e> {
         Ok((path, offset))
     }
 
+    /// Base events left before the cadence checkpoint is due; `None` when
+    /// no cadence is armed (none configured, or stopped by a failure).
+    fn cadence_left(&self) -> Option<u64> {
+        let ck = self.checkpoints.as_ref()?;
+        let armed = ck.config.every_events > 0 && ck.failure.is_none();
+        armed.then(|| ck.config.every_events.saturating_sub(ck.since_last))
+    }
+
     /// Take the cadence checkpoint if one is due.
     fn cadence(&mut self, alerts: &mut Vec<Alert>) {
-        let due = self.checkpoints.as_ref().is_some_and(|ck| {
-            ck.config.every_events > 0
-                && ck.since_last >= ck.config.every_events
-                && ck.failure.is_none()
-        });
-        if due {
+        if self.cadence_left() == Some(0) {
             if let Err(e) = self.checkpoint(alerts) {
                 // Remember the first failure instead of failing the pump:
                 // the stream keeps flowing, explicit `checkpoint_now`
@@ -751,6 +777,11 @@ impl<'e> RunSession<'e> {
     pub fn source_stats(&self) -> Vec<(SourceId, SourceStats)> {
         self.merge.source_stats()
     }
+}
+
+/// Base events among `events`: all but pipeline-derived `op = alert` ones.
+fn base_events(events: &[SharedEvent]) -> u64 {
+    events.iter().filter(|e| e.op != Operation::Alert).count() as u64
 }
 
 #[cfg(test)]

@@ -46,9 +46,12 @@
 //!
 //! With a durable store configured, every pump round's base events are
 //! appended **and synced** before the engine consumes them (the session's
-//! [`DurableLog::WriteAhead`] tap), so the store offset equals the
-//! session offset at every round boundary and any checkpoint the session
-//! writes is covered by synced events. An ingest connection's final
+//! [`DurableLog::WriteAhead`] tap): one append + sync per round, and a
+//! tapped round drains what is ready, up to the budget and the next
+//! cadence checkpoint, so under a backlog one fsync covers every waiting
+//! event. The store offset equals the session offset at every round
+//! boundary, and any checkpoint the session writes is covered by synced
+//! events. An ingest connection's final
 //! summary line (`"durable":true`) is therefore a real acknowledgement:
 //! those events survive a crash. On graceful shutdown the server writes one
 //! final checkpoint and seals the store — restart with `resume` and the

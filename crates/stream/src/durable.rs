@@ -9,8 +9,13 @@
 //! opening a regular file is an error.
 //!
 //! Append discipline: every appended event first lands in the WAL
-//! (`append` + [`StoreWriter::sync`] = durable ack). When the WAL holds a
-//! full segment it is sealed into a fresh segment file and the WAL is
+//! (`append` + [`StoreWriter::sync`] = durable ack). A session's
+//! write-ahead tap makes one append + sync per round, and a tapped round
+//! drains what is ready, up to the budget and the next cadence checkpoint,
+//! so one sync covers a backlog. Each event is encoded once: the writer
+//! keeps the unsealed tail as this WAL generation's encoded records plus a
+//! running segment header. When the WAL holds a full segment it is sealed
+//! into a fresh segment file (that header, then those bytes) and the WAL is
 //! replaced by an empty one, each through [`replace_file`] (temp file,
 //! fsync, rename, directory fsync), so the segment's rename is on disk
 //! before the WAL's. The WAL header records `base`, the number of events
@@ -29,6 +34,7 @@
 //! order across all segments plus the WAL — which is what engine
 //! checkpoints record and [`StoreReader::iter_from`] resumes from.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -36,7 +42,7 @@ use std::path::{Path, PathBuf};
 
 use saql_model::{codec, Event, Timestamp};
 
-use crate::segment::{read_meta, write_segment, SegmentMeta, SegmentRecords};
+use crate::segment::{read_meta, SegmentMeta, SegmentRecords, Unsealed};
 use crate::store::{Selection, StoreError};
 
 const WAL_MAGIC: &[u8; 8] = b"SAQLWAL1";
@@ -88,38 +94,6 @@ fn segment_index(path: &Path) -> Option<usize> {
         .ok()
 }
 
-/// Result of scanning one WAL file up to its torn tail.
-struct WalScan {
-    /// Events sealed into segments when this WAL generation was written.
-    base: u64,
-    /// Whole records decoded before the tail (if any) tore.
-    events: Vec<Event>,
-}
-
-/// Scan a WAL file, stopping at the first undecodable record (torn tail).
-/// `Ok(None)` means the header itself is torn — recoverable as an empty
-/// WAL. A wrong magic is a hard error: the file is not a WAL.
-fn scan_wal(path: &Path) -> Result<Option<WalScan>, StoreError> {
-    let raw = fs::read(path)?;
-    let Some((header, mut buf)) = raw.split_first_chunk::<WAL_HEADER_LEN>() else {
-        return Ok(None);
-    };
-    let (magic, base) = header.split_at(WAL_MAGIC.len());
-    if magic != WAL_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let base = u64::from_le_bytes(base.try_into().expect("8-byte base"));
-    let mut events = Vec::new();
-    while !buf.is_empty() {
-        // Torn tail: keep the whole-record prefix, drop the rest.
-        let Ok(event) = codec::decode_event(&mut buf) else {
-            break;
-        };
-        events.push(event);
-    }
-    Ok(Some(WalScan { base, events }))
-}
-
 /// Replace the file at `path` with `bytes`, atomically and durably: the
 /// bytes land in a `<file>.tmp` sibling and are fsynced, the sibling is
 /// renamed over `path`, and the parent directory is fsynced so the rename
@@ -137,10 +111,8 @@ pub fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     f.sync_all()?;
     drop(f);
     fs::rename(&tmp, path)?;
-    let dir = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    let dir = dir.unwrap_or(Path::new("."));
     if let Ok(d) = File::open(dir) {
         // Best-effort: not all platforms allow fsync on directories.
         let _ = d.sync_all();
@@ -148,46 +120,53 @@ pub fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Atomically replace the WAL with `base` + `tail`.
-fn rewrite_wal(dir: &Path, base: u64, tail: &[Event]) -> Result<(), StoreError> {
-    let mut buf = Vec::with_capacity(WAL_HEADER_LEN + tail.len() * 96);
+/// Atomically replace the WAL with `base` + the encoded `records`.
+fn rewrite_wal(dir: &Path, base: u64, records: &[u8]) -> Result<(), StoreError> {
+    let mut buf = Vec::with_capacity(WAL_HEADER_LEN + records.len());
     buf.extend_from_slice(WAL_MAGIC);
     buf.extend_from_slice(&base.to_le_bytes());
-    for e in tail {
-        codec::encode_event(&mut buf, e);
-    }
+    buf.extend_from_slice(records);
     replace_file(&wal_path(dir), &buf)?;
     Ok(())
 }
 
-/// The WAL tail a reader reconstructs: events not yet sealed into segments.
-/// `sealed` is the segment event total; duplicates of a seal that crashed
-/// before its WAL rewrite are skipped via the header `base` (see module
-/// docs).
+/// The WAL tail a reader reconstructs: events not yet sealed into
+/// segments, decoded up to the first undecodable record (a torn tail keeps
+/// its whole-record prefix). A missing WAL, or one whose header itself is
+/// torn, is an empty tail; a wrong magic is a hard error: the file is not a
+/// WAL. `sealed` is the segment event total; duplicates of a seal that
+/// crashed before its WAL rewrite are skipped via the header `base` (see
+/// module docs).
 fn wal_tail(dir: &Path, sealed: u64) -> Result<Vec<Event>, StoreError> {
-    let path = wal_path(dir);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let Some(scan) = scan_wal(&path)? else {
+    let raw = match fs::read(wal_path(dir)) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        raw => raw?,
+    };
+    let Some((header, mut buf)) = raw.split_first_chunk::<WAL_HEADER_LEN>() else {
         return Ok(Vec::new());
     };
-    if scan.base > sealed {
+    let (magic, base) = header.split_at(WAL_MAGIC.len());
+    if magic != WAL_MAGIC {
+        return Err(StoreError::BadMagic);
+    }
+    let base = u64::from_le_bytes(base.try_into().expect("8-byte base"));
+    let mut events = Vec::new();
+    while let Ok(event) = codec::decode_event(&mut buf) {
+        events.push(event);
+    }
+    let Some(skip) = sealed.checked_sub(base) else {
         return Err(StoreError::Corrupt(format!(
-            "WAL base {} exceeds sealed event count {sealed}",
-            scan.base
+            "WAL base {base} exceeds sealed event count {sealed}"
+        )));
+    };
+    if skip > events.len() as u64 {
+        return Err(StoreError::Corrupt(format!(
+            "{skip} sealed events missing from the WAL generation (base {base}, {} WAL records)",
+            events.len()
         )));
     }
-    let skip = (sealed - scan.base) as usize;
-    if skip > scan.events.len() {
-        return Err(StoreError::Corrupt(format!(
-            "{} sealed events missing from the WAL generation (base {}, {} WAL records)",
-            sealed - scan.base,
-            scan.base,
-            scan.events.len()
-        )));
-    }
-    Ok(scan.events[skip..].to_vec())
+    events.drain(..skip as usize);
+    Ok(events)
 }
 
 // ---------------------------------------------------------------------
@@ -201,12 +180,12 @@ pub struct StoreWriter {
     dir: PathBuf,
     segment_events: usize,
     wal: File,
-    /// Unsealed events (the WAL's logical content).
-    tail: Vec<Event>,
+    /// The unsealed tail: this WAL generation's records as encoded, with
+    /// the segment header they will be sealed under.
+    tail: Unsealed,
     /// Events in sealed segments.
     sealed: u64,
     next_segment: usize,
-    buf: Vec<u8>,
 }
 
 impl StoreWriter {
@@ -229,7 +208,7 @@ impl StoreWriter {
                 format!("{} already holds a store", dir.display()),
             )));
         }
-        Self::start(dir, segment_events, Vec::new(), 0, 0)
+        Self::start(dir, segment_events, &[], 0, 0)
     }
 
     /// Open an existing store for appending, recovering on open: a torn
@@ -255,7 +234,7 @@ impl StoreWriter {
         Self::start(
             seen.dir,
             segment_events,
-            seen.tail,
+            &seen.tail,
             seen.sealed,
             next_segment,
         )
@@ -267,12 +246,14 @@ impl StoreWriter {
     fn start(
         dir: PathBuf,
         segment_events: usize,
-        tail: Vec<Event>,
+        events: &[Event],
         sealed: u64,
         next_segment: usize,
     ) -> Result<Self, StoreError> {
         assert!(segment_events > 0, "segments must hold at least one event");
-        rewrite_wal(&dir, sealed, &tail)?;
+        let mut tail = Unsealed::default();
+        events.iter().for_each(|e| tail.push(e));
+        rewrite_wal(&dir, sealed, &tail.records)?;
         let wal = OpenOptions::new().append(true).open(wal_path(&dir))?;
         Ok(StoreWriter {
             dir,
@@ -281,28 +262,27 @@ impl StoreWriter {
             tail,
             sealed,
             next_segment,
-            buf: Vec::with_capacity(64 * 1024),
         })
     }
 
-    /// Append a batch of events, returning the store's new event count.
-    /// Appends are buffered by the OS until [`sync`](Self::sync); sealing
-    /// is automatic each time the WAL holds a full segment. The batch is
-    /// fed in chunks cut at the segment boundary, so the unsealed tail never
-    /// outgrows one segment and the WAL rewrite after a seal is header-only.
-    pub fn append(&mut self, mut events: &[Event]) -> Result<u64, StoreError> {
+    /// Append a batch of events (owned, `Arc`'d or borrowed), returning
+    /// the store's new event count. Each event is encoded once, into the
+    /// unsealed tail, and those bytes are what the WAL and later the sealed
+    /// segment receive. Appends are buffered by the OS until
+    /// [`sync`](Self::sync); sealing is automatic each time the WAL holds a
+    /// full segment. The batch is fed in chunks cut at the segment boundary,
+    /// so the unsealed tail never outgrows one segment and the WAL rewrite
+    /// after a seal is header-only.
+    pub fn append<E: Borrow<Event>>(&mut self, mut events: &[E]) -> Result<u64, StoreError> {
         while !events.is_empty() {
             // A store reopened with a smaller segment size can start with
             // an over-full tail: no room, so the first turn only seals.
-            let room = self.segment_events.saturating_sub(self.tail.len());
+            let room = self.segment_events.saturating_sub(self.tail.events);
             let (chunk, rest) = events.split_at(room.min(events.len()));
-            self.buf.clear();
-            for e in chunk {
-                codec::encode_event(&mut self.buf, e);
-            }
-            self.wal.write_all(&self.buf)?;
-            self.tail.extend_from_slice(chunk);
-            if self.tail.len() >= self.segment_events {
+            let from = self.tail.records.len();
+            chunk.iter().for_each(|e| self.tail.push(e.borrow()));
+            self.wal.write_all(&self.tail.records[from..])?;
+            if self.tail.events >= self.segment_events {
                 self.seal()?;
             }
             events = rest;
@@ -320,13 +300,14 @@ impl StoreWriter {
     /// Seal the WAL tail into a (possibly short) segment. No-op on an
     /// empty tail.
     pub fn seal(&mut self) -> Result<(), StoreError> {
-        if self.tail.is_empty() {
+        if self.tail.events == 0 {
             return Ok(());
         }
-        write_segment(&segment_file(&self.dir, self.next_segment), &self.tail)?;
+        self.tail
+            .write(&segment_file(&self.dir, self.next_segment))?;
         self.next_segment += 1;
-        self.sealed += self.tail.len() as u64;
-        self.tail.clear();
+        self.sealed += self.tail.events as u64;
+        self.tail = Unsealed::default();
         // Crash before this rewrite is safe: recovery skips the WAL head
         // that duplicates the just-sealed segment (header base < sealed).
         rewrite_wal(&self.dir, self.sealed, &[])?;
@@ -336,7 +317,7 @@ impl StoreWriter {
 
     /// Total events in the store (sealed + WAL tail).
     pub fn len(&self) -> u64 {
-        self.sealed + self.tail.len() as u64
+        self.sealed + self.tail.events as u64
     }
 
     /// Whether the store holds no events.
@@ -758,7 +739,9 @@ mod tests {
         w.sync().unwrap();
         // Simulate the crash window: a segment holding the WAL's head
         // exists, but the WAL was never rewritten (its base is stale).
-        write_segment(&segment_file(&dir, 0), &events[..4]).unwrap();
+        let mut head = Unsealed::default();
+        events[..4].iter().for_each(|e| head.push(e));
+        head.write(&segment_file(&dir, 0)).unwrap();
         drop(w);
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.len(), 6, "no duplicates, no losses");
@@ -884,9 +867,17 @@ mod tests {
         let mut w = StoreWriter::create_segmented_with(&at_once, SEG).unwrap();
         assert_eq!(w.append(&events).unwrap(), events.len() as u64);
         w.sync().unwrap();
-        // The tail is fed a segment at a time: it never held the batch.
-        assert_eq!(w.tail.len(), 5);
-        assert!(w.tail.capacity() <= 2 * SEG, "{}", w.tail.capacity());
+        // The tail is fed a segment at a time: its record buffer never
+        // held the batch, at most twice one segment's worth of records.
+        let record_bytes = |e: &Event| {
+            let mut buf = Vec::new();
+            codec::encode_event(&mut buf, e);
+            buf.len()
+        };
+        let largest = events.iter().map(record_bytes).max().unwrap();
+        assert_eq!(w.tail.events, 5);
+        let capacity = w.tail.records.capacity();
+        assert!(capacity <= 2 * SEG * largest, "{capacity}");
         drop(w);
         let stepwise = tmp_dir("span-steps");
         let mut w = StoreWriter::create_segmented_with(&stepwise, SEG).unwrap();

@@ -57,32 +57,51 @@ impl SegmentMeta {
     }
 }
 
-pub(crate) fn write_segment(path: &Path, events: &[Event]) -> Result<(), StoreError> {
-    let mut hosts: BTreeSet<&str> = BTreeSet::new();
-    let mut min_ts = u64::MAX;
-    let mut max_ts = 0u64;
-    for e in events {
-        hosts.insert(&e.agent_id);
-        min_ts = min_ts.min(e.ts.as_millis());
-        max_ts = max_ts.max(e.ts.as_millis());
+/// A segment being built: its records as encoded, and the running header
+/// over them. The store's unsealed WAL tail is one; sealing it writes the
+/// header and those bytes, so no record is encoded twice.
+#[derive(Debug, Default)]
+pub(crate) struct Unsealed {
+    /// The records in `saql_model::codec` format, in append order.
+    pub(crate) records: Vec<u8>,
+    pub(crate) events: usize,
+    /// The records' `(min_ts, max_ts)` in milliseconds.
+    range: Option<(u64, u64)>,
+    hosts: BTreeSet<String>,
+}
+
+impl Unsealed {
+    /// Encode one more record and fold it into the header.
+    pub(crate) fn push(&mut self, e: &Event) {
+        codec::encode_event(&mut self.records, e);
+        self.events += 1;
+        let ts = e.ts.as_millis();
+        let (min, max) = self.range.unwrap_or((ts, ts));
+        self.range = Some((min.min(ts), max.max(ts)));
+        if !self.hosts.contains(&*e.agent_id) {
+            self.hosts.insert(e.agent_id.to_string());
+        }
     }
-    let mut buf = Vec::with_capacity(events.len() * 96 + 256);
-    buf.extend_from_slice(SEG_MAGIC);
-    buf.extend_from_slice(&(events.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&min_ts.to_le_bytes());
-    buf.extend_from_slice(&max_ts.to_le_bytes());
-    buf.extend_from_slice(&(hosts.len() as u32).to_le_bytes());
-    for h in hosts {
-        buf.extend_from_slice(&(h.len() as u32).to_le_bytes());
-        buf.extend_from_slice(h.as_bytes());
+
+    /// Write the header and the records as a sealed segment file.
+    pub(crate) fn write(&self, path: &Path) -> Result<(), StoreError> {
+        let (min_ts, max_ts) = self.range.unwrap_or((u64::MAX, 0));
+        let mut buf = Vec::with_capacity(self.records.len() + 256);
+        buf.extend_from_slice(SEG_MAGIC);
+        buf.extend_from_slice(&(self.events as u32).to_le_bytes());
+        buf.extend_from_slice(&min_ts.to_le_bytes());
+        buf.extend_from_slice(&max_ts.to_le_bytes());
+        buf.extend_from_slice(&(self.hosts.len() as u32).to_le_bytes());
+        for h in &self.hosts {
+            buf.extend_from_slice(&(h.len() as u32).to_le_bytes());
+            buf.extend_from_slice(h.as_bytes());
+        }
+        buf.extend_from_slice(&self.records);
+        // Sealed segments are the durability boundary: a segment appears
+        // under its name whole and on disk, or not at all (see `crate::durable`).
+        replace_file(path, &buf)?;
+        Ok(())
     }
-    for e in events {
-        codec::encode_event(&mut buf, e);
-    }
-    // Sealed segments are the durability boundary: a segment appears
-    // under its name whole and on disk, or not at all (see `crate::durable`).
-    replace_file(path, &buf)?;
-    Ok(())
 }
 
 fn corrupt(path: &Path, what: impl std::fmt::Display) -> StoreError {
@@ -224,6 +243,12 @@ mod tests {
             .subject(ProcessInfo::new(1, "a.exe", "u"))
             .starts_process(ProcessInfo::new(2, "b.exe", "u"))
             .build()
+    }
+
+    fn write_segment(path: &Path, events: &[Event]) -> Result<(), StoreError> {
+        let mut segment = Unsealed::default();
+        events.iter().for_each(|e| segment.push(e));
+        segment.write(path)
     }
 
     fn read_segment_events(path: &Path) -> Result<Vec<Event>, StoreError> {
