@@ -29,9 +29,10 @@ use saql_engine::eval::{
     eval, run_program, run_program_batch, EventRow, Scope, StateLookup, StateSlots,
 };
 use saql_engine::plan::{ExecCtx, QueryPlan};
+use saql_engine::state::KeyAtom;
 use saql_engine::Value;
 use saql_model::event::EventBuilder;
-use saql_model::{AttrValue, Entity, Event, NetworkInfo, ProcessInfo};
+use saql_model::{Entity, Event, NetworkInfo, ProcessInfo};
 use saql_stream::SharedEvent;
 
 const COMPILES: u64 = 100;
@@ -89,7 +90,7 @@ fn bench_eval(c: &mut Criterion) {
     let plan = QueryPlan::compile(&checked);
     let program = plan.alert.as_ref().unwrap();
     let expr = checked.ast.alert.as_ref().unwrap();
-    let key = [AttrValue::str("proc-3.exe")];
+    let key = [KeyAtom::Str("proc-3.exe".into())];
     let by_program = |regs: &mut Vec<Value>| {
         let ctx = ExecCtx {
             group_keys: &key,
@@ -102,7 +103,7 @@ fn bench_eval(c: &mut Criterion) {
         let mut scope = Scope::empty();
         scope.states = &History;
         for spelling in &plan.group_keys[0].spellings {
-            scope.group_keys.insert(spelling.clone(), key[0].clone());
+            scope.group_keys.insert(spelling.clone(), key[0].to_attr());
         }
         eval(black_box(expr), &scope).truthy()
     };

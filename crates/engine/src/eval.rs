@@ -118,7 +118,7 @@ fn load_op(op: &Op, ctx: &ExecCtx<'_>, consts: &[Value]) -> Option<Value> {
         },
         Op::State { back, field, .. } => ctx.states.field(back as usize, field as usize),
         Op::GroupKey { slot, .. } => match ctx.group_keys.get(slot as usize) {
-            Some(v) => Value::Attr(v.clone()),
+            Some(v) => Value::Attr(v.to_attr()),
             None => Value::Missing,
         },
         Op::Invariant { slot, .. } => ctx

@@ -18,9 +18,10 @@ use std::fmt::Write as _;
 use saql_lang::ast::BinOp;
 use saql_lang::resolve::{Binding, ClusterField, ResolvedExpr, ResolvedGroupKey, ResolvedQuery};
 use saql_lang::semantic::CheckedQuery;
-use saql_model::{AttrId, AttrValue, Entity, EntityType, Event};
+use saql_model::{AttrId, Entity, EntityType, Event};
 
 use crate::eval::{ClusterOutcome, StateSlots};
+use crate::state::KeyAtom;
 use crate::value::Value;
 
 /// One instruction of a compiled expression program. `dst` is always a
@@ -282,7 +283,7 @@ pub struct ExecCtx<'a> {
     /// Bound entities by variable slot.
     pub entities: &'a [Option<&'a Entity>],
     /// Group-key values by key slot (window-close contexts).
-    pub group_keys: &'a [AttrValue],
+    pub group_keys: &'a [KeyAtom],
     /// State history by `(back, field)` index.
     pub states: &'a dyn StateSlots,
     /// Invariant variables by slot.
@@ -384,6 +385,7 @@ impl QueryPlan {
 mod tests {
     use super::*;
     use crate::eval::run_program;
+    use saql_model::AttrValue;
 
     fn plan(src: &str) -> QueryPlan {
         QueryPlan::compile(&saql_lang::compile(src).unwrap())

@@ -878,11 +878,11 @@ impl RunningQuery {
     /// labels in map order).
     fn close_window(&mut self, k: u64, alerts: &mut Vec<Alert>) {
         self.stats.windows_closed += 1;
-        let (Some(state), Some(window)) = (&mut self.state, &self.window) else {
+        let (Some(maintainer), Some(window)) = (&mut self.state, &self.window) else {
             return;
         };
-        let closed = state.close(k);
-        let state = &*state;
+        maintainer.close(k);
+        let state = &*maintainer;
         let (w_start, w_end) = window.assigner().bounds(k);
 
         let plan = &self.plan;
@@ -896,13 +896,13 @@ impl RunningQuery {
         // outcomes depend on); outcomes align with `closed` by index. The
         // DBSCAN working set (visited flags, queue, neighbour lists)
         // persists in `cluster_scratch` across closes.
-        let mut outcomes: Vec<Option<ClusterOutcome>> = vec![None; closed.len()];
+        let mut outcomes: Vec<Option<ClusterOutcome>> = vec![None; state.closed().len()];
         if let Some(spec) = &ast.cluster {
             let mut placed: Vec<(String, usize, Vec<f64>)> = Vec::new();
-            for (i, group) in closed.iter().enumerate() {
+            for (i, group) in state.closed().enumerate() {
                 let ge = GroupEval::new(plan, state, k, group, None);
                 if let Some(p) = ge.cluster_point(scratch) {
-                    placed.push((group_label(&group.key_vals), i, p));
+                    placed.push((group_label(group.key), i, p));
                 }
             }
             placed.sort_by(|a, b| a.0.cmp(&b.0));
@@ -917,7 +917,7 @@ impl RunningQuery {
         }
 
         let mut fired: Vec<(Rows, String)> = Vec::new();
-        for (group, outcome) in closed.iter().zip(outcomes) {
+        for (group, outcome) in state.closed().zip(outcomes) {
             let ge = GroupEval::new(plan, state, k, group, outcome);
 
             // Invariant bookkeeping (training windows never alert), keyed by
@@ -925,7 +925,7 @@ impl RunningQuery {
             let mut label = None;
             let (ready, inv_vars): (bool, Vec<Value>) = match inv_rt.as_deref_mut() {
                 Some(inv) => {
-                    let key = label.insert(group_label(&group.key_vals));
+                    let key = label.insert(group_label(group.key));
                     let ready = inv.on_window(key, &mut |i, vars| ge.stmt(i, vars, scratch));
                     (ready, inv.vars(key).to_vec())
                 }
@@ -943,9 +943,10 @@ impl RunningQuery {
                 }
                 continue;
             }
-            let label = label.unwrap_or_else(|| group_label(&group.key_vals));
+            let label = label.unwrap_or_else(|| group_label(group.key));
             fired.push((ge.ret_rows(&label, &inv_vars, scratch), label));
         }
+        maintainer.release();
 
         fired.sort_by(|a, b| a.1.cmp(&b.1));
         for (rows, label) in fired {
@@ -1168,7 +1169,7 @@ impl<'a> GroupEval<'a> {
         plan: &'a QueryPlan,
         state: &'a StateMaintainer,
         k: u64,
-        group: &'a ClosedGroup,
+        group: ClosedGroup<'a>,
         cluster: Option<ClusterOutcome>,
     ) -> GroupEval<'a> {
         GroupEval {
@@ -1186,7 +1187,7 @@ impl<'a> GroupEval<'a> {
         ExecCtx {
             events: &[],
             entities: &[],
-            group_keys: &self.view.group.key_vals,
+            group_keys: self.view.group.key,
             states: &self.view,
             invariants,
             cluster: self.cluster,

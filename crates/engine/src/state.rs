@@ -25,6 +25,17 @@
 //! conflated; key attributes have stable types, so real queries never see
 //! the difference.)
 //!
+//! **Storage is per window, flat, and recycled.** An open window keeps its
+//! groups' accumulators in one column, `fields.len()` per row, behind a
+//! key → row index, so a new (window, group) allocates one boxed key and
+//! nothing else. [`StateMaintainer::close`] finalizes a window into one
+//! reused value buffer, [`StateMaintainer::closed`] lends each group as a
+//! borrowed [`ClosedGroup`] row in map order, and
+//! [`StateMaintainer::release`] clears the window and keeps its storage as
+//! the spare the next new window starts from. Until the release no window
+//! reuses it, so events observed between a close and its release leave
+//! the lent rows alone.
+//!
 //! Key and field *evaluation* lives with the caller ([`crate::query`]),
 //! which runs either compiled programs or the interpreter oracle —
 //! [`StateMaintainer::observe`] is execution-mode agnostic.
@@ -44,33 +55,39 @@ use saql_model::AttrValue;
 use crate::eval::{StateLookup, StateSlots};
 use crate::value::{SetValues, Value};
 
-/// FNV-1a: the group maps are internal analytics state (no untrusted-key
-/// DoS surface), and the per-event path hashes a group key on every fold —
-/// SipHash would be the single largest cost left on it.
-struct Fnv(u64);
+/// The group maps' hasher: it folds whole 8-byte words (a string's tail
+/// word tagged with its length) by multiply-rotate and mixes once at the
+/// end, where FNV-1a paid a multiply per byte. Unkeyed like FNV: the group
+/// maps are internal analytics state (no untrusted-key DoS surface), and
+/// the per-event path hashes a group key on every fold — SipHash would be
+/// the single largest cost left on it.
+#[derive(Default)]
+struct WordHash(u64);
 
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv {
+impl Hasher for WordHash {
+    /// MurmurHash3's finalizer: the table indexes by the low bits, which
+    /// the multiply alone leaves weak.
     fn finish(&self) -> u64 {
-        self.0
+        let h = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
+        let (words, tail) = bytes.as_chunks::<8>();
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        last[7] = tail.len() as u8;
+        for word in words.iter().chain((!tail.is_empty()).then_some(&last)) {
+            self.write_u64(u64::from_le_bytes(*word));
         }
-        self.0 = h;
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
-type GroupMap<V> = HashMap<KeyTuple, V, BuildHasherDefault<Fnv>>;
+type GroupMap<V> = HashMap<KeyTuple, V, BuildHasherDefault<WordHash>>;
 
 /// One hashable component of a group's identity. Strings share the event's
 /// interned `Arc<str>`; floats key by bit pattern (stable identity, no Ord
@@ -85,15 +102,6 @@ pub enum KeyAtom {
 }
 
 impl KeyAtom {
-    pub fn of(v: &AttrValue) -> KeyAtom {
-        match v {
-            AttrValue::Int(i) => KeyAtom::Int(*i),
-            AttrValue::Float(f) => KeyAtom::Float(f.to_bits()),
-            AttrValue::Str(s) => KeyAtom::Str(s.clone()),
-            AttrValue::Bool(b) => KeyAtom::Bool(*b),
-        }
-    }
-
     /// Take ownership of an attribute value (moves the `Arc` handle — the
     /// hot path pays exactly one refcount per key).
     pub fn of_owned(v: AttrValue) -> KeyAtom {
@@ -122,15 +130,15 @@ pub type KeyTuple = Box<[KeyAtom]>;
 
 /// Build the key tuple of a resolved key-value row.
 pub fn key_tuple(values: &[AttrValue]) -> KeyTuple {
-    values.iter().map(KeyAtom::of).collect()
+    values.iter().cloned().map(KeyAtom::of_owned).collect()
 }
 
 /// The lazy alert label: key values joined by `|` with duplicate displays
 /// collapsed (`group by p` shows `sqlservr.exe`, not `sqlservr.exe|...`).
-pub fn group_label(values: &[AttrValue]) -> String {
+pub fn group_label(key: &[KeyAtom]) -> String {
     let mut parts: Vec<String> = Vec::new();
-    for v in values {
-        let s = v.to_string();
+    for atom in key {
+        let s = atom.to_attr().to_string();
         if !parts.contains(&s) {
             parts.push(s);
         }
@@ -227,33 +235,24 @@ impl FieldAccum {
         })
     }
 
-    fn finalize(self, agg: AggFunc) -> Value {
+    /// The field's value; a set moves out, leaving the accumulator to be
+    /// cleared with its window.
+    fn finalize(&mut self, agg: AggFunc) -> Value {
         match (agg, self) {
             (AggFunc::Count, FieldAccum::Stats(s)) => Value::int(s.count() as i64),
             (AggFunc::Sum, FieldAccum::Stats(s)) => Value::float(s.sum()),
             (AggFunc::Avg, FieldAccum::Stats(s)) => Value::float(s.mean()),
             (AggFunc::Stddev, FieldAccum::Stats(s)) => Value::float(s.stddev()),
-            (AggFunc::Min, FieldAccum::Stats(s)) => match s.min() {
-                Some(x) => Value::float(x),
-                None => Value::Missing,
-            },
-            (AggFunc::Max, FieldAccum::Stats(s)) => match s.max() {
-                Some(x) => Value::float(x),
-                None => Value::Missing,
-            },
-            (AggFunc::Set, FieldAccum::Set(s)) => Value::Set(std::sync::Arc::new(s)),
+            (AggFunc::Min, FieldAccum::Stats(s)) => s.min().map_or(Value::Missing, Value::float),
+            (AggFunc::Max, FieldAccum::Stats(s)) => s.max().map_or(Value::Missing, Value::float),
+            (AggFunc::Set, FieldAccum::Set(s)) => Value::Set(Arc::new(std::mem::take(s))),
             (AggFunc::DistinctCount, FieldAccum::Set(s)) => Value::int(s.len() as i64),
             (AggFunc::Median, FieldAccum::Buffer(buf)) => {
-                match saql_analytics::robust::median(&buf) {
-                    Some(m) => Value::float(m),
-                    None => Value::Missing,
-                }
+                saql_analytics::robust::median(buf).map_or(Value::Missing, Value::float)
             }
             (AggFunc::Percentile(q), FieldAccum::Buffer(buf)) => {
-                match saql_analytics::robust::percentile(&buf, q as f64) {
-                    Some(p) => Value::float(p),
-                    None => Value::Missing,
-                }
+                saql_analytics::robust::percentile(buf, q as f64)
+                    .map_or(Value::Missing, Value::float)
             }
             _ => unreachable!("accumulator kind always matches the aggregate"),
         }
@@ -270,23 +269,22 @@ fn neutral(agg: AggFunc) -> Value {
     }
 }
 
-#[derive(Debug, Clone)]
-struct GroupAccum {
-    /// Key values by group-by slot (what the close-time contexts read).
-    key_vals: Vec<AttrValue>,
+/// One window's groups: a key → row index over one flat column of
+/// accumulators, `fields.len()` per row in field declaration order.
+#[derive(Debug, Default)]
+struct OpenWindow {
+    rows: GroupMap<u32>,
     accums: Vec<FieldAccum>,
 }
 
-/// One group at a window close: identity, key values by slot, and
-/// finalized field values in declaration order. Its label is rendered on
-/// demand with [`group_label`]`(&key_vals)`.
-#[derive(Debug, Clone)]
-pub struct ClosedGroup {
-    pub key: KeyTuple,
-    /// Key values by group-by slot.
-    pub key_vals: Vec<AttrValue>,
-    /// Field values in block declaration order.
-    pub values: Vec<Value>,
+/// One group at a window close, lent by [`StateMaintainer::closed`]: its
+/// identity (the key atoms by group-by slot) and its finalized field values
+/// in declaration order. Its label is rendered on demand with
+/// [`group_label`]`(key)`.
+#[derive(Debug, Clone, Copy)]
+pub struct ClosedGroup<'a> {
+    pub key: &'a [KeyAtom],
+    pub values: &'a [Value],
 }
 
 /// The state maintainer for one `state[...]` block.
@@ -300,8 +298,15 @@ pub struct StateMaintainer {
     /// [`StateView`] answers from the closing group itself.
     retained: usize,
     fields: Vec<(String, AggFunc)>,
-    /// Accumulators for currently open windows: window id → group → accum.
-    open: BTreeMap<u64, GroupMap<GroupAccum>>,
+    /// Accumulators of the open windows by window id.
+    open: BTreeMap<u64, OpenWindow>,
+    /// The window [`close`](Self::close) finalized, lent by
+    /// [`closed`](Self::closed) until [`release`](Self::release).
+    closing: OpenWindow,
+    /// `closing`'s finalized values, row-major like its accumulators.
+    values: Vec<Value>,
+    /// A released window's cleared storage: the next new window's.
+    spare: Option<OpenWindow>,
     /// Closed-window history: group → recent (window id, field values),
     /// newest at the back, holding only windows still reachable from the
     /// next close (so at most `retained` per group).
@@ -326,6 +331,9 @@ impl StateMaintainer {
                 .map(|f| (f.name.clone(), f.agg))
                 .collect(),
             open: BTreeMap::new(),
+            closing: OpenWindow::default(),
+            values: Vec::new(),
+            spare: None,
             history: GroupMap::default(),
             first_window: None,
         }
@@ -339,51 +347,45 @@ impl StateMaintainer {
     /// into the given windows. The caller evaluated both (compiled program
     /// or interpreter); this only groups and folds. Allocation-free for
     /// groups that already exist (the common case): lookups hash the key
-    /// *slice*, and a boxed tuple (plus its display values) is built only
-    /// when a new group appears.
+    /// *slice*. A new group boxes its key, the one allocation it makes, and
+    /// appends its accumulators to the window's column.
     pub fn observe(&mut self, windows: &[u64], key: &[KeyAtom], folded: &[Value]) {
+        let n = self.fields.len();
         for &k in windows {
             self.first_window = Some(self.first_window.map_or(k, |f| f.min(k)));
-            let groups = self.open.entry(k).or_default();
-            let accum = match groups.get_mut(key) {
-                Some(accum) => accum,
-                None => groups
-                    .entry(key.to_vec().into_boxed_slice())
-                    .or_insert_with(|| GroupAccum {
-                        key_vals: key.iter().map(KeyAtom::to_attr).collect(),
-                        accums: self
-                            .fields
-                            .iter()
-                            .map(|(_, agg)| FieldAccum::new(*agg))
-                            .collect(),
-                    }),
+            let window =
+                (self.open.entry(k)).or_insert_with(|| self.spare.take().unwrap_or_default());
+            let row = match window.rows.get(key) {
+                Some(&row) => row as usize,
+                None => {
+                    window.rows.insert(key.into(), window.rows.len() as u32);
+                    (window.accums)
+                        .extend(self.fields.iter().map(|(_, agg)| FieldAccum::new(*agg)));
+                    window.rows.len() - 1
+                }
             };
-            for (acc, v) in accum.accums.iter_mut().zip(folded) {
+            for (acc, v) in window.accums[row * n..][..n].iter_mut().zip(folded) {
                 acc.fold(v);
             }
         }
     }
 
-    /// Close window `k`: finalize every group that observed events in it,
-    /// in map order, and keep their values in history if the query reads
-    /// past `ss[0]`. Renders no label and sorts nothing.
-    pub fn close(&mut self, k: u64) -> Vec<ClosedGroup> {
-        let groups = self.open.remove(&k).unwrap_or_default();
-        let out: Vec<ClosedGroup> = groups
-            .into_iter()
-            .map(|(key, accum)| ClosedGroup {
-                key,
-                values: accum
-                    .accums
-                    .into_iter()
-                    .zip(&self.fields)
-                    .map(|(acc, (_, agg))| acc.finalize(*agg))
-                    .collect(),
-                key_vals: accum.key_vals,
-            })
-            .collect();
+    /// Close window `k`: finalize every group that observed events in it
+    /// into one reused buffer, and keep their values in history if the
+    /// query reads past `ss[0]`. Renders no label and sorts nothing. The
+    /// groups are then lent by [`closed`](Self::closed) until
+    /// [`release`](Self::release) (or the next close) recycles the window.
+    pub fn close(&mut self, k: u64) {
+        self.release();
+        self.closing = self.open.remove(&k).unwrap_or_default();
+        let fields = self.fields.iter().map(|(_, agg)| *agg).cycle();
+        let accums = self.closing.accums.iter_mut().zip(fields);
+        self.values.clear();
+        for (acc, agg) in accums {
+            self.values.push(acc.finalize(agg));
+        }
         if self.retained == 0 {
-            return out;
+            return;
         }
         // Windows close in ascending order and lookups reach back fewer than
         // `retained` windows from the one closing, so entries older than
@@ -398,15 +400,38 @@ impl StateMaintainer {
             }
             !hist.is_empty()
         });
-        for group in &out {
-            let hist = self.history.entry(group.key.clone()).or_default();
-            hist.push_back((k, group.values.clone()));
+        let n = self.fields.len();
+        for (key, &row) in &self.closing.rows {
+            let values = self.values[row as usize * n..][..n].to_vec();
+            self.history
+                .entry(key.clone())
+                .or_default()
+                .push_back((k, values));
         }
-        out
+    }
+
+    /// The groups of the window last closed, in map order.
+    pub fn closed(&self) -> impl ExactSizeIterator<Item = ClosedGroup<'_>> {
+        let n = self.fields.len();
+        (self.closing.rows.iter()).map(move |(key, &row)| ClosedGroup {
+            key,
+            values: &self.values[row as usize * n..][..n],
+        })
+    }
+
+    /// Done with the closed groups: the closed window's storage, cleared,
+    /// becomes the spare the next new window starts from. Until then no
+    /// window reuses it.
+    pub fn release(&mut self) {
+        if !self.closing.rows.is_empty() {
+            self.closing.rows.clear();
+            self.closing.accums.clear();
+            self.spare = Some(std::mem::take(&mut self.closing));
+        }
     }
 
     /// Resolve field `field_idx`, `back` windows before `k`, for `group`.
-    pub fn lookup_idx(&self, group: &KeyTuple, k: u64, back: usize, field_idx: usize) -> Value {
+    pub fn lookup_idx(&self, group: &[KeyAtom], k: u64, back: usize, field_idx: usize) -> Value {
         if back >= self.history_len || field_idx >= self.fields.len() {
             return Value::Missing;
         }
@@ -429,17 +454,20 @@ impl StateMaintainer {
     /// are key-sorted so snapshots are deterministic; the block structure
     /// is static and recompiled from the query source.
     pub fn snapshot(&self) -> StateSnapshot {
+        let n = self.fields.len();
         let open = self
             .open
             .iter()
-            .map(|(&k, groups)| {
-                let mut rows: Vec<(&KeyTuple, &GroupAccum)> = groups.iter().collect();
+            .map(|(&k, window)| {
+                let mut rows: Vec<_> = window.rows.iter().collect();
                 rows.sort_by(|a, b| a.0.cmp(b.0));
                 let groups = rows
                     .into_iter()
-                    .map(|(_, g)| GroupAccumSnapshot {
-                        key_vals: g.key_vals.clone(),
-                        accums: g.accums.iter().map(FieldAccum::snapshot).collect(),
+                    .map(|(key, &row)| GroupAccumSnapshot {
+                        key_vals: key.iter().map(KeyAtom::to_attr).collect(),
+                        accums: (window.accums[row as usize * n..][..n].iter())
+                            .map(FieldAccum::snapshot)
+                            .collect(),
                     })
                     .collect();
                 (k, groups)
@@ -470,7 +498,7 @@ impl StateMaintainer {
         let n = self.fields.len();
         let mut open = BTreeMap::new();
         for (k, groups) in snap.open {
-            let mut map = GroupMap::default();
+            let mut window = OpenWindow::default();
             for g in groups {
                 if g.accums.len() != n {
                     return Err(format!(
@@ -487,14 +515,15 @@ impl StateMaintainer {
                             format!("field `{name}` holds another aggregate's state")
                         })
                     })
-                    .collect::<Result<_, _>>()?;
-                let accum = GroupAccum {
-                    key_vals: g.key_vals,
-                    accums,
-                };
-                map.insert(key_tuple(&accum.key_vals), accum);
+                    .collect::<Result<Vec<_>, _>>()?;
+                // A repeated key replaces its row, as a map insert would; a
+                // new one appends (its range is the column's empty end).
+                let next = window.rows.len() as u32;
+                let row = *window.rows.entry(key_tuple(&g.key_vals)).or_insert(next) as usize;
+                let end = window.accums.len().min(row * n + n);
+                window.accums.splice(row * n..end, accums);
             }
-            open.insert(k, map);
+            open.insert(k, window);
         }
         for (k, values) in snap.history.iter().flat_map(|g| &g.windows) {
             if values.len() != n {
@@ -572,13 +601,13 @@ pub struct StateSnapshot {
 /// `ss[0]` is the closing group's own values, `ss[n ≥ 1]` its history.
 pub struct StateView<'a> {
     pub maintainer: &'a StateMaintainer,
-    pub group: &'a ClosedGroup,
+    pub group: ClosedGroup<'a>,
     pub current_window: u64,
 }
 
 impl StateView<'_> {
     fn value(&self, back: usize, field: usize) -> Value {
-        let ClosedGroup { key, values, .. } = self.group;
+        let ClosedGroup { key, values } = self.group;
         match back {
             0 => values.get(field).cloned().unwrap_or(Value::Missing),
             _ => (self.maintainer).lookup_idx(key, self.current_window, back, field),
@@ -621,7 +650,7 @@ mod tests {
     }
 
     fn atoms(vals: &[&str]) -> Vec<KeyAtom> {
-        keys(vals).iter().map(KeyAtom::of).collect()
+        keys(vals).into_iter().map(KeyAtom::of_owned).collect()
     }
 
     /// A maintainer keeping the whole declared history.
@@ -630,9 +659,10 @@ mod tests {
         StateMaintainer::new(&b, b.history)
     }
 
-    /// The closed groups in label order (close returns map order).
-    fn by_label(mut groups: Vec<ClosedGroup>) -> Vec<ClosedGroup> {
-        groups.sort_by_key(|g| group_label(&g.key_vals));
+    /// The closed groups in label order (`closed` lends map order).
+    fn by_label(m: &StateMaintainer) -> Vec<ClosedGroup<'_>> {
+        let mut groups: Vec<_> = m.closed().collect();
+        groups.sort_by_key(|g| group_label(g.key));
         groups
     }
 
@@ -646,16 +676,17 @@ mod tests {
         }
         m.observe(&[0], &atoms(&["chrome.exe"]), &[Value::int(50)]);
 
-        let snaps = m.close(0);
+        m.close(0);
+        let snaps: Vec<_> = m.closed().collect();
         assert_eq!(snaps.len(), 2);
         let sql = snaps
             .iter()
-            .find(|g| group_label(&g.key_vals) == "sqlservr.exe")
+            .find(|g| group_label(g.key) == "sqlservr.exe")
             .unwrap();
         assert_eq!(sql.values[0].as_f64(), Some(200.0));
         let chrome = snaps
             .iter()
-            .find(|g| group_label(&g.key_vals) == "chrome.exe")
+            .find(|g| group_label(g.key) == "chrome.exe")
             .unwrap();
         assert_eq!(chrome.values[0].as_f64(), Some(50.0));
     }
@@ -663,19 +694,19 @@ mod tests {
     #[test]
     fn history_lookup_and_warmup() {
         let mut m = maintainer(QUERY2_STATE);
-        let mut last = Vec::new();
         for k in 0..4u64 {
             m.observe(
                 &[k],
                 &atoms(&["sqlservr.exe"]),
                 &[Value::int(((k + 1) * 100) as i64)],
             );
-            last = m.close(k);
+            m.close(k);
         }
-        let group = &last[0].key;
+        let last: Vec<_> = m.closed().collect();
+        let group = last[0].key;
         let view = StateView {
             maintainer: &m,
-            group: &last[0],
+            group: last[0],
             current_window: 3,
         };
         let at = |back| view.state_value("ss", back, Some("avg_amount"));
@@ -712,7 +743,8 @@ mod tests {
         for child in ["php.exe", "rotatelogs.exe", "php.exe"] {
             m.observe(&[0], &atoms(&["apache.exe"]), &[Value::str(child)]);
         }
-        let snaps = m.close(0);
+        m.close(0);
+        let snaps: Vec<_> = m.closed().collect();
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].values[0].to_string(), "{php.exe, rotatelogs.exe}");
     }
@@ -724,15 +756,16 @@ mod tests {
         m.observe(&[0], &atoms(&["x.exe"]), &[Value::int(1)]);
         m.observe(&[0], &atoms(&["x.exe"]), &[Value::int(3)]);
         m.observe(&[0], &atoms(&["y.exe"]), &[Value::int(5)]);
-        let snaps = by_label(m.close(0));
+        m.close(0);
+        let snaps = by_label(&m);
         assert_eq!(snaps.len(), 2);
-        assert_eq!(group_label(&snaps[0].key_vals), "x.exe");
-        assert_eq!(group_label(&snaps[1].key_vals), "y.exe");
+        assert_eq!(group_label(snaps[0].key), "x.exe");
+        assert_eq!(group_label(snaps[1].key), "y.exe");
         assert_eq!(snaps[0].values[0].as_f64(), Some(2.0));
         // Repeated key values collapse in the label, like the legacy
         // double-spelling join did.
-        assert_eq!(group_label(&keys(&["a", "a"])), "a");
-        assert_eq!(group_label(&keys(&["a", "b"])), "a|b");
+        assert_eq!(group_label(&atoms(&["a", "a"])), "a");
+        assert_eq!(group_label(&atoms(&["a", "b"])), "a|b");
         assert_eq!(group_label(&[]), "<all>");
     }
 
@@ -743,9 +776,10 @@ mod tests {
         for _ in 0..3 {
             m.observe(&[0], &[], &[Value::int(1)]);
         }
-        let snaps = m.close(0);
+        m.close(0);
+        let snaps: Vec<_> = m.closed().collect();
         assert_eq!(snaps.len(), 1);
-        assert_eq!(group_label(&snaps[0].key_vals), "<all>");
+        assert_eq!(group_label(snaps[0].key), "<all>");
         assert_eq!(snaps[0].values[0].as_f64(), Some(3.0));
     }
 
@@ -785,15 +819,17 @@ mod tests {
                 let mut groups_closed: BTreeMap<u64, usize> = BTreeMap::new();
                 let mut first: Option<u64> = None;
                 let mut close = |m: &mut StateMaintainer, k: u64, first: Option<u64>| {
-                    let closed = by_label(m.close(k));
+                    m.close(k);
+                    let m = &*m;
+                    let closed = by_label(m);
                     groups_closed.insert(k, closed.len());
                     for g in &closed {
-                        closed_log.insert((g.key.clone(), k), g.values.clone());
+                        closed_log.insert((g.key.into(), k), g.values.to_vec());
                     }
                     for g in &closed {
                         let view = StateView {
                             maintainer: m,
-                            group: g,
+                            group: *g,
                             current_window: k,
                         };
                         // Every depth the query reads, and one past `state[h]`.
@@ -801,7 +837,7 @@ mod tests {
                             for f in 0..2 {
                                 let expect = match k.checked_sub(back as u64) {
                                     _ if back >= h => Value::Missing,
-                                    Some(t) => match closed_log.get(&(g.key.clone(), t)) {
+                                    Some(t) => match closed_log.get(&(g.key.into(), t)) {
                                         Some(values) => values[f].clone(),
                                         None if first.is_some_and(|w| t >= w) => {
                                             neutral(m.fields[f].1)
@@ -815,7 +851,7 @@ mod tests {
                                     format!("{got:?}"),
                                     format!("{expect:?}"),
                                     "state[{h}] depth {depth} seed {seed}: {}[{back}] field {f} at {k}",
-                                    group_label(&g.key_vals)
+                                    group_label(g.key)
                                 );
                             }
                         }
@@ -852,14 +888,136 @@ mod tests {
         }
     }
 
+    /// Every close lends exactly the groups a plain map reference folded
+    /// into that window, with the same values: keys mixing `Int`, `Str` and
+    /// `Float` atoms, sliding windows closed by the engine's
+    /// [`WindowDriver`] with lateness, a field of every accumulator kind,
+    /// snapshot → restore at random points, and events observed after a
+    /// close and before its release (the lent rows must not change). Windows
+    /// recycle released storage, so a group leaking from an earlier window
+    /// shows as an extra row.
+    #[test]
+    fn closes_match_a_plain_map_reference() {
+        use crate::window::WindowDriver;
+        use saql_lang::ast::WindowSpec;
+        use saql_model::{Duration, Timestamp};
+
+        let src = "proc p write ip i as evt #time(10 s, 4 s)\nstate[2] ss {\n n := count()\n total := sum(evt.amount)\n mean := avg(evt.amount)\n procs := set(p.exe_name)\n kinds := distinct_count(p.exe_name)\n mid := median(evt.amount)\n} group by p, i.dstip\nreturn p";
+        let b = block(src);
+        let aggs: Vec<AggFunc> = b.fields.iter().map(|f| f.agg).collect();
+        for seed in 1..=8u64 {
+            let mut m = StateMaintainer::new(&b, 2);
+            let spec = WindowSpec {
+                size: Duration::from_secs(10),
+                slide: Duration::from_secs(4),
+            };
+            let mut clock = WindowDriver::with_lateness(spec, Duration::from_secs(3));
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = move |bound: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % bound
+            };
+            let mut reference: HashMap<(u64, Vec<KeyAtom>), Vec<FieldAccum>> = HashMap::new();
+            // The rows the last close lent, sorted, while they are lent, and
+            // for how many more events.
+            let (mut lent, mut hold): (Option<Vec<String>>, u64) = (None, 0);
+            let rows = |m: &StateMaintainer| {
+                let mut rows: Vec<String> = m.closed().map(|g| format!("{g:?}")).collect();
+                rows.sort();
+                rows
+            };
+            let close = |m: &mut StateMaintainer, k: u64, reference: &mut HashMap<_, _>| {
+                m.close(k);
+                let due: Vec<(u64, Vec<KeyAtom>)> =
+                    reference.keys().filter(|(w, _)| *w == k).cloned().collect();
+                let mut expect: Vec<String> = due
+                    .into_iter()
+                    .map(|wk| {
+                        let mut accums: Vec<FieldAccum> = reference.remove(&wk).unwrap();
+                        let values: Vec<Value> = (accums.iter_mut().zip(&aggs))
+                            .map(|(a, agg)| a.finalize(*agg))
+                            .collect();
+                        format!(
+                            "{:?}",
+                            ClosedGroup {
+                                key: &wk.1,
+                                values: &values
+                            }
+                        )
+                    })
+                    .collect();
+                expect.sort();
+                assert_eq!(rows(m), expect, "seed {seed}: window {k}");
+                expect
+            };
+            for i in 0..2_000u64 {
+                // ~100 ms apart, up to 2.5 s out of order (lateness 3 s).
+                let ts = Timestamp::from_millis(10_000 + i * 100 - next(2_500));
+                for k in clock.advance(ts) {
+                    lent = Some(close(&mut m, k, &mut reference));
+                    hold = next(5) * 10;
+                }
+                // Release some closes at once; leave others lent for up to
+                // 4 s of observes, which open new windows but must not
+                // touch the lent rows.
+                if lent.is_some() && hold == 0 {
+                    m.release();
+                    lent = None;
+                }
+                hold = hold.saturating_sub(1);
+                let key: Vec<KeyAtom> = (0..1 + next(2))
+                    .map(|_| match next(3) {
+                        0 => KeyAtom::Int(next(8) as i64),
+                        1 => KeyAtom::Str(format!("{}", next(8)).into()),
+                        _ => KeyAtom::Float((next(8) as f64 * 0.5).to_bits()),
+                    })
+                    .collect();
+                let amount = Value::int(next(1_000) as i64);
+                let exe = Value::str(format!("p{}.exe", next(5)));
+                let folded = [
+                    Value::int(1),
+                    amount.clone(),
+                    amount.clone(),
+                    exe.clone(),
+                    exe,
+                    amount,
+                ];
+                let ks = clock.observe(ts);
+                m.observe(&ks, &key, &folded);
+                for &k in &ks {
+                    let accums = reference
+                        .entry((k, key.clone()))
+                        .or_insert_with(|| aggs.iter().map(|a| FieldAccum::new(*a)).collect());
+                    for (acc, v) in accums.iter_mut().zip(&folded) {
+                        acc.fold(v);
+                    }
+                }
+                if let Some(expect) = &lent {
+                    assert_eq!(&rows(&m), expect, "seed {seed}: lent rows changed");
+                } else if next(50) == 0 {
+                    let mut restored = StateMaintainer::new(&b, 2);
+                    restored.restore(m.snapshot()).unwrap();
+                    m = restored;
+                }
+            }
+            for k in clock.drain() {
+                close(&mut m, k, &mut reference);
+                m.release();
+            }
+            assert!(reference.is_empty(), "seed {seed}: groups never closed");
+        }
+    }
+
     #[test]
     fn state_view_implements_both_lookups() {
         let mut m = maintainer(QUERY2_STATE);
         m.observe(&[0], &atoms(&["x.exe"]), &[Value::int(42)]);
-        let closed = m.close(0);
+        m.close(0);
         let view = StateView {
             maintainer: &m,
-            group: &closed[0],
+            group: m.closed().next().unwrap(),
             current_window: 0,
         };
         assert_eq!(

@@ -328,13 +328,11 @@ impl Reference {
         // The pre-late-materialization close: every group's label rendered,
         // every group sorted by it (stably, so equal labels keep map order)
         // before anything is evaluated.
-        let mut closed: Vec<(String, ClosedGroup)> = state
-            .close(k)
-            .into_iter()
-            .map(|g| (group_label(&g.key_vals), g))
-            .collect();
-        closed.sort_by(|a, b| a.0.cmp(&b.0));
+        state.close(k);
         let state = &*state;
+        let mut closed: Vec<(String, ClosedGroup)> =
+            state.closed().map(|g| (group_label(g.key), g)).collect();
+        closed.sort_by(|a, b| a.0.cmp(&b.0));
         let ast = &checked.ast;
         let (start, end) = window.as_ref().expect("windowed").assigner().bounds(k);
 
@@ -342,7 +340,7 @@ impl Reference {
         if let Some(spec) = &ast.cluster {
             let (mut points, mut owners) = (Vec::new(), Vec::new());
             for (i, (_, group)) in closed.iter().enumerate() {
-                let at = GroupCtx::new(plan, state, k, group, &[], None);
+                let at = GroupCtx::new(plan, state, k, *group, &[], None);
                 let point: Option<Vec<f64>> = (plan.cluster_programs.iter().zip(&spec.points))
                     .map(|(prog, expr)| at.both(oracle, prog, expr).as_f64())
                     .collect();
@@ -365,7 +363,7 @@ impl Reference {
                 if *init {
                     oracle.both(prog, &ExecCtx::empty(), expr, &Scope::empty())
                 } else {
-                    GroupCtx::new(plan, state, k, group, vars, outcome).both(oracle, prog, expr)
+                    GroupCtx::new(plan, state, k, *group, vars, outcome).both(oracle, prog, expr)
                 }
             };
             let ready = match invariant.as_mut() {
@@ -379,7 +377,7 @@ impl Reference {
                 Some(inv) => inv.vars(label).to_vec(),
                 None => Vec::new(),
             };
-            let at = GroupCtx::new(plan, state, k, group, &vars, outcome);
+            let at = GroupCtx::new(plan, state, k, *group, &vars, outcome);
             let fired = match (&plan.alert, &ast.alert) {
                 (Some(prog), Some(expr)) => at.both(oracle, prog, expr).truthy(),
                 _ => true,
@@ -439,7 +437,7 @@ fn bind<'a>(
 struct GroupCtx<'a> {
     plan: &'a QueryPlan,
     view: StateView<'a>,
-    group: &'a ClosedGroup,
+    group: ClosedGroup<'a>,
     vars: &'a [Value],
     cluster: Option<ClusterOutcome>,
 }
@@ -449,7 +447,7 @@ impl<'a> GroupCtx<'a> {
         plan: &'a QueryPlan,
         state: &'a StateMaintainer,
         k: u64,
-        group: &'a ClosedGroup,
+        group: ClosedGroup<'a>,
         vars: &'a [Value],
         cluster: Option<ClusterOutcome>,
     ) -> Self {
@@ -471,16 +469,16 @@ impl<'a> GroupCtx<'a> {
         let ctx = ExecCtx {
             events: &[],
             entities: &[],
-            group_keys: &self.group.key_vals,
+            group_keys: self.group.key,
             states: &self.view,
             invariants: self.vars,
             cluster: self.cluster,
         };
         let mut scope = Scope::empty();
         scope.states = &self.view;
-        for (key, value) in self.plan.group_keys.iter().zip(&self.group.key_vals) {
+        for (key, value) in self.plan.group_keys.iter().zip(self.group.key) {
             for spelling in &key.spellings {
-                scope.group_keys.insert(spelling.clone(), value.clone());
+                scope.group_keys.insert(spelling.clone(), value.to_attr());
             }
         }
         let names = self.plan.invariant_vars.iter().cloned();
@@ -649,9 +647,10 @@ fn the_deepest_history_index_reads_the_same_both_ways() {
     }
     state.close(0);
     state.observe(&[65_535], &key, &[Value::int(1)]);
-    let closed = state.close(65_535);
+    state.close(65_535);
+    let closed: Vec<_> = state.closed().collect();
     let mut oracle = Oracle::default();
-    let at = GroupCtx::new(&plan, &state, 65_535, &closed[0], &[], None);
+    let at = GroupCtx::new(&plan, &state, 65_535, closed[0], &[], None);
     let item = &checked.ast.ret.as_ref().expect("a return clause").items[1];
     let read = at.both(&mut oracle, &plan.ret[1].1, &item.expr);
     assert_eq!(
