@@ -10,10 +10,9 @@ use saql_engine::{
 };
 use saql_lang::corpus;
 use saql_model::{Duration, Timestamp};
-use saql_stream::replayer::{Replayer, Speed};
-use saql_stream::source::{ChannelSource, EventSource, StoreSource};
+use saql_stream::source::{ChannelSource, EventSource, Speed, StoreSource, FLOOR_GATED};
 use saql_stream::store::Selection;
-use saql_stream::{MergeConfig, StoreReader, StoreWriter};
+use saql_stream::{Lateness, MergeConfig, StoreReader, StoreWriter};
 
 use saql_serve::Request;
 
@@ -234,10 +233,11 @@ fn speed_from_flags(flags: &Flags) -> Result<Speed, String> {
     }
 }
 
-/// Build one event source from a `--source` spec:
+/// Build one event source from a `--source` spec, with the lateness it
+/// attaches with (`None`: the session's default):
 ///
 /// * `store:DIR` — stream a stored selection (with `--follow`, replay it
-///   paced through the replayer at `--speed` instead);
+///   sorted by its verified floor and paced by `--speed` instead);
 /// * `jsonl:FILE` / `jsonl:-` — read JSON-lines events from a file/stdin,
 ///   decoded off the session thread by the NDJSON ingest stage;
 /// * `sim:KEY=VAL,...` — generate a deterministic trace live
@@ -247,7 +247,7 @@ fn source_from_spec(
     selection: &Selection,
     follow: bool,
     speed: Speed,
-) -> Result<Box<dyn EventSource>, String> {
+) -> Result<(Box<dyn EventSource>, Option<Lateness>), String> {
     let Some((kind, rest)) = spec.split_once(':') else {
         return Err(format!(
             "--source expects KIND:..., got `{spec}` (kinds: store, jsonl, sim)"
@@ -256,21 +256,14 @@ fn source_from_spec(
     match kind {
         "store" => {
             let reader = open_reader(rest).map_err(|e| format!("--source {spec}: {e}"))?;
-            if follow {
-                let source = ChannelSource::replay(
-                    format!("store:{rest}"),
-                    &Replayer::new(reader),
-                    selection,
-                    speed,
-                    4096,
-                )
+            let name = format!("store:{rest}");
+            let source = StoreSource::open(name, &reader, selection)
                 .map_err(|e| format!("--source {spec}: {e}"))?;
-                Ok(Box::new(source))
+            Ok(if follow {
+                (speed.pace(source), Some(FLOOR_GATED))
             } else {
-                let source = StoreSource::open(format!("store:{rest}"), &reader, selection)
-                    .map_err(|e| format!("--source {spec}: {e}"))?;
-                Ok(Box::new(source))
-            }
+                (Box::new(source), None)
+            })
         }
         "jsonl" => {
             let reader: Box<dyn Read + Send> = if rest == "-" {
@@ -281,7 +274,7 @@ fn source_from_spec(
                 Box::new(file)
             };
             let name = format!("jsonl:{rest}");
-            Ok(Box::new(ChannelSource::jsonl(name, reader, 4096)))
+            Ok((Box::new(ChannelSource::jsonl(name, reader, 4096)), None))
         }
         "sim" => {
             let mut config = default_sim_config();
@@ -313,7 +306,7 @@ fn source_from_spec(
                     }
                 }
             }
-            Ok(Box::new(TraceSource::generate(&config)))
+            Ok((Box::new(TraceSource::generate(&config)), None))
         }
         other => Err(format!(
             "--source: unknown kind `{other}` (kinds: store, jsonl, sim)"
@@ -354,7 +347,8 @@ fn report_sources(session: &RunSession<'_>) -> bool {
             line.push_str(&format!(", {} dropped late", s.dropped_late));
             eprintln!(
                 "warning: {id} {} dropped {} event(s) beyond the lateness bound \
-                 (raise --lateness, or use --store/--follow for a full sort)",
+                 (raise --lateness, or read a store with --store or --follow, \
+                 sorted by its verified floor)",
                 s.name, s.dropped_late
             );
         }
@@ -462,7 +456,8 @@ pub fn simulate(argv: &[String]) -> Result<i32, String> {
 
 /// `saql replay` — replay stored (or piped, or simulated) data through
 /// queries: one or more event sources fused by the session's watermarked
-/// merge.
+/// merge. `--store DIR` is one store, sorted by its verified floor, paced
+/// by `--speed`.
 ///
 /// Durability flags: `--checkpoint-dir DIR` writes an engine checkpoint
 /// every `--checkpoint-every N` events (default 4096); `--resume` restarts
@@ -498,22 +493,21 @@ pub fn replay(argv: &[String]) -> Result<i32, String> {
         }
     }
 
-    // `--store DIR` is the one-store form: replayed through the sorting
-    // replayer, paced by `--speed` — or, on a checkpointed run, the durable
-    // log the run streams in stored order. `--source KIND:...` attaches
-    // additional (or alternative) feeds.
+    // `--store DIR` is the one-store form: sorted by its verified floor,
+    // paced by `--speed` — or, on a checkpointed run, the durable log the
+    // run streams in stored order. `--source KIND:...` attaches additional
+    // (or alternative) feeds.
     let mut log = None;
-    let mut sources: Vec<Box<dyn EventSource>> = Vec::new();
+    let mut sources = Vec::new();
     if let Some(path) = flags.get("store") {
         let reader = open_reader(path)?;
         let name = format!("replay:{path}");
         if checkpointed {
             log = Some(DurableLog::Read(name, reader));
         } else {
-            let replayer = Replayer::new(reader);
-            let source = ChannelSource::replay(name, &replayer, &selection, speed, 4096)
+            let source = StoreSource::open(name, &reader, &selection)
                 .map_err(|e| format!("replay failed: {e}"))?;
-            sources.push(Box::new(source));
+            sources.push((speed.pace(source), Some(FLOOR_GATED)));
         }
     }
     for spec in flags.get_all("source") {
@@ -546,8 +540,11 @@ pub fn replay(argv: &[String]) -> Result<i32, String> {
     }
 
     let mut session = run.session();
-    for source in sources {
-        session.attach(source);
+    for (source, lateness) in sources {
+        match lateness {
+            Some(lateness) => session.attach_with(source, lateness),
+            None => session.attach(source),
+        };
     }
     let alerts = run_to_end(&mut session, staged)?;
     let events = session.processed();
@@ -820,7 +817,8 @@ pub fn repl(argv: &[String], input: &mut dyn BufRead, out: &mut dyn Write) -> Re
 }
 
 /// The repl's `run`: the store, re-opened so events appended since attach
-/// are seen, replayed in time order through a session that drains it.
+/// are seen, sorted by its verified floor through a session that drains
+/// it.
 fn repl_run(
     engine: &mut Engine,
     store: Option<&StoreReader>,
@@ -830,15 +828,14 @@ fn repl_run(
         return writeln!(out, "no store attached (start with --store DIR)");
     };
     let name = format!("repl:{}", store.path().display());
-    let replayed = Replayer::open(store.path()).and_then(|replayer| {
-        ChannelSource::replay(name, &replayer, &Selection::all(), Speed::Unlimited, 4096)
-    });
-    let source = match replayed {
+    let opened = StoreReader::open(store.path())
+        .and_then(|reader| StoreSource::open(name, &reader, &Selection::all()));
+    let source = match opened {
         Ok(source) => source,
         Err(e) => return writeln!(out, "replay error: {e}"),
     };
     let mut session = engine.session();
-    session.attach(source);
+    session.attach_with(source, FLOOR_GATED);
     let alerts = session.drain();
     for alert in &alerts {
         writeln!(out, "{alert}")?;

@@ -94,10 +94,10 @@ threads (default 0 = serial execution on one thread).
 
 SOURCES (repeatable; all feeds are fused by a watermarked K-way merge into
 one event-time-ordered stream, so `replay` ingests any mix of):
-    --store DIR                  one store, sorted and paced by --speed
-                                 through the replayer
+    --store DIR                  one store, sorted by its verified floor,
+                                 paced by --speed
     --source store:DIR           stream a store selection record by record
-                                 (with --follow: replay it paced instead)
+                                 (with --follow: sorted and paced as --store)
     --source jsonl:FILE|-        JSON-lines events from a file or stdin
                                  (the format `saql export` writes)
     --source sim:K=V,...         a generated trace, live

@@ -657,6 +657,40 @@ fn a_checkpointed_replay_streams_an_out_of_order_log_in_stored_order() {
     let _ = std::fs::remove_dir_all(&ckpt);
 }
 
+/// The sort contract of each store read, on a store whose last event is
+/// 500 s behind the rest: `replay --store` and `--source store: --follow`
+/// sort the whole store, a plain `--source store:` holds it to the
+/// lateness bound like any feed.
+#[test]
+fn store_reads_sort_fully_or_within_the_lateness_bound() {
+    let store = write_store("sort-contract", 40, true);
+    let path = store.to_str().unwrap();
+    let spec = format!("store:{path}");
+    for args in [
+        &["replay", "--store", path][..],
+        &["replay", "--source", &spec, "--follow"][..],
+    ] {
+        let out = saql(&[args, &["--demo-queries"]].concat());
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stdout.contains("replayed 40 events"), "{args:?}: {stdout}");
+        assert!(!stdout.contains("dropped late"), "{args:?}: {stdout}");
+        assert!(!stderr.contains("dropped"), "{args:?}: {stderr}");
+    }
+    let out = saql(&["replay", "--source", &spec, "--demo-queries"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stdout.contains("replayed 39 events"), "{stdout}");
+    assert!(stdout.contains(": 39 events, 1 dropped late"), "{stdout}");
+    assert!(
+        stderr.contains("warning: src#0 store:") && stderr.contains("dropped 1 event(s)"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 #[test]
 fn resume_refuses_a_checkpoint_past_the_end_of_the_store() {
     let long = write_store("ckpt-long", 30, false);

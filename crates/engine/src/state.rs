@@ -402,11 +402,14 @@ impl StateMaintainer {
         });
         let n = self.fields.len();
         for (key, &row) in &self.closing.rows {
-            let values = self.values[row as usize * n..][..n].to_vec();
-            self.history
-                .entry(key.clone())
-                .or_default()
-                .push_back((k, values));
+            let entry = (k, self.values[row as usize * n..][..n].to_vec());
+            // A group with history already is looked up, not re-keyed: the
+            // key is cloned only for a group's first history row.
+            if let Some(hist) = self.history.get_mut(&key[..]) {
+                hist.push_back(entry);
+            } else {
+                self.history.insert(key.clone(), VecDeque::from([entry]));
+            }
         }
     }
 

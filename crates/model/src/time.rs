@@ -66,7 +66,7 @@ pub struct Duration(u64);
 impl Duration {
     pub const ZERO: Duration = Duration(0);
 
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Duration(ms)
     }
 

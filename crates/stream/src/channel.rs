@@ -1,9 +1,11 @@
 //! Bounded event channels.
 //!
-//! Agents (or the replayer) publish events; the engine consumes them. The
-//! channel carries `Arc<Event>` — the master–dependent-query scheme depends
-//! on every consumer observing the *same allocation*, so cloning a stream
-//! item never copies event payloads.
+//! Producer threads (serve's ingest connections, the JSON-lines reader)
+//! publish events; the session pulls them through a
+//! [`ChannelSource`](crate::source::ChannelSource). The channel carries
+//! `Arc<Event>` — the master–dependent-query scheme depends on every
+//! consumer observing the *same allocation*, so cloning a stream item
+//! never copies event payloads.
 
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 
@@ -15,8 +17,7 @@ pub struct EventSender {
     tx: SyncSender<SharedEvent>,
 }
 
-/// Consumer half of an event channel. Iterate to drain until all senders
-/// drop.
+/// Consumer half of an event channel.
 #[derive(Debug)]
 pub struct EventReceiver {
     rx: Receiver<SharedEvent>,
@@ -58,11 +59,6 @@ impl EventSender {
 }
 
 impl EventReceiver {
-    /// Blocking receive; `None` when the stream has ended.
-    pub fn recv(&self) -> Option<SharedEvent> {
-        self.rx.recv().ok()
-    }
-
     /// Move up to `max` buffered events onto `out` without waiting and
     /// return how many moved (`0` while momentarily empty); `None` once
     /// the stream has ended.
@@ -81,21 +77,12 @@ impl EventReceiver {
     /// once the stream ended short of `max` (what came is on `out`).
     pub fn recv_filling(&self, out: &mut Vec<SharedEvent>, max: usize) -> bool {
         for _ in 0..max {
-            let Some(event) = self.recv() else {
+            let Ok(event) = self.rx.recv() else {
                 return false;
             };
             out.push(event);
         }
         true
-    }
-}
-
-impl IntoIterator for EventReceiver {
-    type Item = SharedEvent;
-    type IntoIter = mpsc::IntoIter<SharedEvent>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.rx.into_iter()
     }
 }
 
@@ -122,7 +109,9 @@ mod tests {
             assert!(tx.send(ev(i)));
         }
         drop(tx);
-        let ids: Vec<u64> = rx.into_iter().map(|e| e.id).collect();
+        let mut out = Vec::new();
+        assert!(!rx.recv_filling(&mut out, 8), "ends short of 8");
+        let ids: Vec<u64> = out.iter().map(|e| e.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 
@@ -132,7 +121,9 @@ mod tests {
         let mut chunk = vec![ev(1), ev(2)].into_iter();
         assert!(tx.send_fitting(&mut chunk));
         assert_eq!(chunk.len(), 1, "clamped capacity is exactly 1");
-        assert_eq!(rx.recv().map(|e| e.id), Some(1));
+        let mut out = Vec::new();
+        assert_eq!(rx.recv_into(&mut out, 8), Some(1));
+        assert_eq!(out[0].id, 1);
     }
 
     #[test]
@@ -175,14 +166,17 @@ mod tests {
     }
 
     #[test]
-    fn recv_none_after_all_senders_drop() {
+    fn the_stream_ends_after_all_senders_drop() {
         let (tx, rx) = event_channel(4);
         let tx2 = tx.clone();
         tx.send(ev(1));
         drop(tx);
         drop(tx2);
-        assert_eq!(rx.recv().map(|e| e.id), Some(1));
-        assert!(rx.recv().is_none());
+        let mut out = Vec::new();
+        assert!(rx.recv_filling(&mut out, 1));
+        assert_eq!(out[0].id, 1);
+        assert!(!rx.recv_filling(&mut out, 1));
+        assert_eq!(rx.recv_into(&mut out, 1), None);
     }
 
     /// 4 producers mixing chunk and single sends into a channel of
@@ -224,10 +218,9 @@ mod tests {
             drop(tx);
             let mut got = Vec::new();
             for round in 0usize.. {
-                let ended = match round % 3 {
+                let ended = match round % 2 {
                     0 => rx.recv_into(&mut got, 1 + round % 5).is_none(),
-                    1 => !rx.recv_filling(&mut got, 1 + round % 4),
-                    _ => rx.recv().map(|e| got.push(e)).is_none(),
+                    _ => !rx.recv_filling(&mut got, 1 + round % 4),
                 };
                 if ended {
                     break;
@@ -260,7 +253,8 @@ mod tests {
         let event = ev(9);
         let clone = event.clone();
         std::thread::spawn(move || tx.send(event)).join().unwrap();
-        let got = rx.recv().unwrap();
-        assert!(Arc::ptr_eq(&got, &clone));
+        let mut got = Vec::new();
+        assert_eq!(rx.recv_into(&mut got, 1), Some(1));
+        assert!(Arc::ptr_eq(&got[0], &clone));
     }
 }

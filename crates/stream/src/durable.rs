@@ -422,11 +422,6 @@ impl StoreReader {
         Ok(self.iter_over(segments, Selection::all(), skip))
     }
 
-    /// Read every event matching `selection` into memory.
-    pub fn read(&self, selection: &Selection) -> Result<Vec<Event>, StoreError> {
-        self.iter(selection)?.collect()
-    }
-
     /// Total stored events, from segment headers plus the WAL tail.
     pub fn len(&self) -> u64 {
         self.sealed + self.tail.len() as u64
@@ -564,11 +559,12 @@ mod tests {
         p
     }
 
+    fn read(reader: &StoreReader, selection: &Selection) -> Result<Vec<Event>, StoreError> {
+        reader.iter(selection)?.collect()
+    }
+
     fn read_all(path: &Path) -> Vec<Event> {
-        StoreReader::open(path)
-            .unwrap()
-            .read(&Selection::all())
-            .unwrap()
+        read(&StoreReader::open(path).unwrap(), &Selection::all()).unwrap()
     }
 
     fn ids(events: &[Event]) -> Vec<u64> {
@@ -631,12 +627,12 @@ mod tests {
             .unwrap();
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.segments().len(), 2);
-        let h1 = reader.read(&Selection::host("h1")).unwrap();
+        let h1 = read(&reader, &Selection::host("h1")).unwrap();
         assert_eq!(ids(&h1), vec![0, 2, 4, 6, 8]);
         let sel =
             Selection::host("h1").between(Timestamp::from_millis(20), Timestamp::from_millis(80));
-        assert_eq!(ids(&reader.read(&sel).unwrap()), vec![2, 4, 6]);
-        assert!(reader.read(&Selection::host("h9")).unwrap().is_empty());
+        assert_eq!(ids(&read(&reader, &sel).unwrap()), vec![2, 4, 6]);
+        assert!(read(&reader, &Selection::host("h9")).unwrap().is_empty());
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -661,7 +657,7 @@ mod tests {
         let reader = StoreReader::open(&dir).unwrap();
         assert!(reader.is_empty());
         assert!(reader.hosts().is_empty());
-        assert!(reader.read(&Selection::all()).unwrap().is_empty());
+        assert!(read(&reader, &Selection::all()).unwrap().is_empty());
         assert_eq!(reader.iter_from(0).unwrap().count(), 0);
         fs::remove_dir_all(dir).unwrap();
     }
@@ -778,7 +774,7 @@ mod tests {
         w.append(&(5..10).map(|i| ev(i, "db", i)).collect::<Vec<_>>())
             .unwrap();
         let reader = StoreReader::open(&dir).unwrap();
-        let got = reader.read(&Selection::host("db")).unwrap();
+        let got = read(&reader, &Selection::host("db")).unwrap();
         assert_eq!(got.len(), 5);
         assert!(got.iter().all(|e| &*e.agent_id == "db"));
         fs::remove_dir_all(dir).unwrap();
@@ -844,7 +840,7 @@ mod tests {
         fs::remove_file(wal_path(&dir)).unwrap();
         for reader in [reader, StoreReader::open(&dir).unwrap()] {
             assert!(matches!(
-                reader.read(&Selection::all()),
+                read(&reader, &Selection::all()),
                 Err(StoreError::Corrupt(_))
             ));
             let mut iter = reader.iter_from(0).unwrap();

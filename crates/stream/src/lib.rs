@@ -14,25 +14,24 @@
 //!   small worker pool and handed on in line order, the one decoder behind
 //!   serve's ingest connections and `replay --source jsonl:`;
 //! * [`source`] — the [`EventSource`] ingestion contract and its adapters:
-//!   streamed store selections, paced replays, JSON-lines readers (on the
-//!   ingest stage), and push-handle channels;
+//!   streamed store selections, JSON-lines readers (on the ingest stage),
+//!   push-handle channels, and [`source::Paced`] pacing. The stream
+//!   replayer (paper Fig. 4) is a store selection attached
+//!   [`source::FLOOR_GATED`], so the merge sorts it by time, and paced to
+//!   a [`source::Speed`];
 //! * [`durable`] — the event store (the databases behind the demo's
 //!   replayer): the [`StoreWriter`]/[`StoreReader`] pair over a directory
 //!   of sealed [`segment`]s plus a WAL tail, with WAL-disciplined appends,
 //!   recovery-on-open that truncates a torn tail, and global-offset reads
 //!   for exact session resume;
 //! * [`store`] — the [`store::Selection`] a store read takes and the
-//!   [`store::StoreError`] store operations fail with;
-//! * [`replayer`] — the stream replayer (paper Fig. 4): select hosts and a
-//!   time range, then replay stored data as a stream at a configurable
-//!   speed.
+//!   [`store::StoreError`] store operations fail with.
 
 pub mod batch;
 pub mod channel;
 pub mod durable;
 pub mod ingest;
 pub mod merge;
-pub mod replayer;
 pub mod segment;
 pub mod source;
 pub mod store;

@@ -3,24 +3,27 @@
 //! The paper's architecture feeds the query engine from monitoring agents
 //! deployed across an enterprise; this module is that boundary's contract.
 //! An [`EventSource`] is anything the engine can *pull* batches of events
-//! from — a streamed [`StoreReader`] selection, a paced [`Replayer`], a
-//! JSON-lines file or pipe decoded by the [`ingest`](crate::ingest) stage,
-//! a push-handle channel fed by another thread — and the watermarked K-way
-//! merge ([`crate::merge::WatermarkMerge`]) fuses any number of them into
-//! one deterministic enterprise-wide stream.
+//! from — a streamed [`StoreReader`] selection, a JSON-lines file or pipe
+//! decoded by the [`ingest`](crate::ingest) stage, a push-handle channel
+//! fed by another thread — and the watermarked K-way merge
+//! ([`crate::merge::WatermarkMerge`]) fuses any number of them into one
+//! deterministic enterprise-wide stream.
 //!
-//! [`Replayer`]: crate::replayer::Replayer
+//! The stream replayer (paper Fig. 4) is a [`StoreSource`] over a host and
+//! time [`Selection`], attached [`FLOOR_GATED`] so the merge sorts it by
+//! time, and wrapped in [`Paced`] to replay it at a [`Speed`].
 
 use std::io::{BufReader, Read};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-use saql_model::Timestamp;
+use saql_model::{Duration, Timestamp};
 
 use crate::channel::{event_channel, EventReceiver, EventSender};
 use crate::durable::{StoreIter, StoreReader};
 use crate::ingest::decode_ndjson;
-use crate::replayer::{Replayer, Speed};
+use crate::merge::Lateness;
 use crate::store::{Selection, StoreError};
 use crate::SharedEvent;
 
@@ -41,8 +44,7 @@ pub enum SourcePoll {
 /// Implementations append up to `max` events per [`poll`](Self::poll) and
 /// signal end-of-stream with [`SourcePoll::End`]. Events should be roughly
 /// timestamp-ordered; the merge layer absorbs disorder up to the source's
-/// configured [`Lateness`](crate::merge::Lateness) bound and drops (and
-/// counts) the rest.
+/// configured [`Lateness`] bound and drops (and counts) the rest.
 pub trait EventSource {
     /// Human-readable name, surfaced in per-source stats.
     fn name(&self) -> &str;
@@ -176,46 +178,22 @@ pub struct ChannelSource {
     rx: EventReceiver,
     /// Explicit punctuation from the paired [`PushHandle`], if any.
     watermark: Arc<AtomicU64>,
-    /// [`push_source`]s only: the highest timestamp *dequeued* so far. A
-    /// push producer feeds in timestamp order, so everything it has handed
-    /// the merge is a watermark promise — but only what the merge has
-    /// actually pulled: counting events still in the queue would let the
-    /// merge release another source's later events ahead of them.
+    /// A [`push_source`]'s highest timestamp *dequeued* so far. A push
+    /// producer feeds in timestamp order, so everything it has handed the
+    /// merge is a watermark promise — but only what the merge has actually
+    /// pulled: counting events still in the queue would let the merge
+    /// release another source's later events ahead of them.
+    ///
+    /// `None` for a [`ChannelSource::jsonl`] file, which promises nothing
+    /// and is never idle: a poll waits until it can return `max` events or
+    /// the stream ends, so the merge sees the same polls however fast the
+    /// decoders run.
     dequeued_ms: Option<u64>,
     failure: Arc<Mutex<Option<String>>>,
-    /// [`ChannelSource::jsonl`] only: a poll waits until it can return
-    /// `max` events or the stream ends — a file is never idle — so the
-    /// merge sees the same polls however fast the decoders run.
-    fill: bool,
     ended: bool,
 }
 
 impl ChannelSource {
-    pub fn new(name: impl Into<String>, rx: EventReceiver) -> Self {
-        ChannelSource {
-            name: name.into(),
-            rx,
-            watermark: Arc::new(AtomicU64::new(0)),
-            dequeued_ms: None,
-            failure: Arc::new(Mutex::new(None)),
-            fill: false,
-            ended: false,
-        }
-    }
-
-    /// A source replaying a stored selection on a background thread at the
-    /// given [`Speed`] — the live "follow" mode of the stream replayer.
-    pub fn replay(
-        name: impl Into<String>,
-        replayer: &Replayer,
-        selection: &Selection,
-        speed: Speed,
-        capacity: usize,
-    ) -> Result<ChannelSource, StoreError> {
-        let rx = replayer.replay_channel(selection, speed, capacity)?;
-        Ok(ChannelSource::new(name, rx))
-    }
-
     /// A source of JSON-lines events (see [`saql_model::json`]) read from
     /// any reader — a file, a pipe, stdin — on a background thread named
     /// `saql-jsonl`, which runs the [`ingest`](crate::ingest) stage into a
@@ -237,7 +215,6 @@ impl ChannelSource {
     ) -> ChannelSource {
         let (push, mut source) = push_source(name, capacity);
         source.dequeued_ms = None;
-        source.fill = true;
         let feed = move || {
             let mut reader = BufReader::with_capacity(JSONL_READ_BUFFER, reader);
             let read = decode_ndjson(&mut reader, |chunk| {
@@ -278,14 +255,15 @@ impl EventSource for ChannelSource {
             return SourcePoll::End;
         }
         let start = out.len();
-        if self.fill {
+        let Some(seen) = &mut self.dequeued_ms else {
+            // A file: wait for `max` events or the end (see `dequeued_ms`).
             self.ended = !self.rx.recv_filling(out, max);
             return if self.ended {
                 SourcePoll::End
             } else {
                 SourcePoll::Ready
             };
-        }
+        };
         match self.rx.recv_into(out, max) {
             None => {
                 self.ended = true;
@@ -293,10 +271,8 @@ impl EventSource for ChannelSource {
             }
             Some(0) => SourcePoll::Idle,
             Some(_) => {
-                if let Some(seen) = &mut self.dequeued_ms {
-                    let drained = out[start..].iter().map(|e| e.ts.as_millis());
-                    *seen = drained.fold(*seen, u64::max);
-                }
+                let drained = out[start..].iter().map(|e| e.ts.as_millis());
+                *seen = drained.fold(*seen, u64::max);
                 SourcePoll::Ready
             }
         }
@@ -319,18 +295,20 @@ impl EventSource for ChannelSource {
 /// into a pull-based session (other threads push, the session pump pulls).
 pub fn push_source(name: impl Into<String>, capacity: usize) -> (PushHandle, ChannelSource) {
     let (tx, rx) = event_channel(capacity);
-    let mut source = ChannelSource::new(name, rx);
-    let watermark = Arc::clone(&source.watermark);
-    source.dequeued_ms = Some(0);
-    let failure = Arc::clone(&source.failure);
-    (
-        PushHandle {
-            tx,
-            watermark,
-            failure,
-        },
-        source,
-    )
+    let push = PushHandle {
+        tx,
+        watermark: Arc::new(AtomicU64::new(0)),
+        failure: Arc::new(Mutex::new(None)),
+    };
+    let source = ChannelSource {
+        name: name.into(),
+        rx,
+        watermark: Arc::clone(&push.watermark),
+        dequeued_ms: Some(0),
+        failure: Arc::clone(&push.failure),
+        ended: false,
+    };
+    (push, source)
 }
 
 // ---------------------------------------------------------------------
@@ -338,8 +316,9 @@ pub fn push_source(name: impl Into<String>, capacity: usize) -> (PushHandle, Cha
 // ---------------------------------------------------------------------
 
 /// Streams a [`StoreReader`] selection in stored order without ever
-/// materializing the store — the streaming replacement for
-/// [`StoreReader::read`] in ingestion paths.
+/// materializing the store. Attached under the default lateness it drops
+/// what is later than the bound, as any feed; attached [`FLOOR_GATED`] it
+/// is the store sorted by time.
 pub struct StoreSource {
     name: String,
     iter: Option<StoreIter>,
@@ -418,6 +397,107 @@ impl EventSource for StoreSource {
     }
 }
 
+/// The lateness of a time-sorted store read: a [`StoreSource`] attached
+/// with it drops nothing (the late test saturates) and its own watermark
+/// saturates to zero, so the merge releases its events on the store's
+/// verified floor alone. The merge then holds one segment plus the span by
+/// which the store is out of order, however large the store.
+pub const FLOOR_GATED: Lateness = Lateness::Bounded(Duration::from_millis(u64::MAX));
+
+// ---------------------------------------------------------------------
+// Pacing
+// ---------------------------------------------------------------------
+
+/// Replay pacing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Speed {
+    /// No pacing: emit as fast as the consumer accepts.
+    Unlimited,
+    /// Replay respecting original inter-event gaps scaled by `factor`
+    /// (2.0 = twice as fast as recorded).
+    Compressed { factor: f64 },
+}
+
+impl Speed {
+    /// `source` at this speed: wrapped in [`Paced`] unless unlimited.
+    pub fn pace<'a, S: EventSource + 'a>(self, source: S) -> Box<dyn EventSource + 'a> {
+        match self {
+            Speed::Unlimited => Box::new(source),
+            Speed::Compressed { factor } => Box::new(Paced::new(source, factor)),
+        }
+    }
+}
+
+/// Paces a source to wall time: an event `d` of trace time after the first
+/// one is handed on `d / factor` after it, and until an event is due the
+/// source is [`Idle`](SourcePoll::Idle). It runs on the polling thread:
+/// a session sleeps through idle rounds.
+pub struct Paced<S> {
+    inner: S,
+    factor: f64,
+    /// Pulled from `inner`, not yet handed on, in pulled order.
+    held: Vec<SharedEvent>,
+    /// The earliest event of the batch `held` was filled with.
+    held_floor: Timestamp,
+    /// Wall time and trace time (ms) of the first event.
+    start: Option<(Instant, u64)>,
+    ended: bool,
+}
+
+impl<S: EventSource> Paced<S> {
+    pub fn new(inner: S, factor: f64) -> Self {
+        Paced {
+            inner,
+            factor,
+            held: Vec::new(),
+            held_floor: Timestamp::ZERO,
+            start: None,
+            ended: false,
+        }
+    }
+}
+
+impl<S: EventSource> EventSource for Paced<S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn poll(&mut self, out: &mut Vec<SharedEvent>, max: usize) -> SourcePoll {
+        if self.held.is_empty() && !self.ended {
+            self.ended = self.inner.poll(&mut self.held, max) == SourcePoll::End;
+            self.held_floor = self.held.iter().map(|e| e.ts).min().unwrap_or_default();
+        }
+        let due = self.held.first().map_or(0, |first| {
+            let now = || (Instant::now(), first.ts.as_millis());
+            let (wall, first_ms) = *self.start.get_or_insert_with(now);
+            let horizon = first_ms as f64 + wall.elapsed().as_secs_f64() * 1e3 * self.factor;
+            let is_due = |e: &&SharedEvent| e.ts.as_millis() as f64 <= horizon;
+            self.held.iter().take(max).take_while(is_due).count()
+        });
+        out.extend(self.held.drain(..due));
+        match (self.held.is_empty() && self.ended, due) {
+            (true, _) => SourcePoll::End,
+            (false, 0) => SourcePoll::Idle,
+            (false, _) => SourcePoll::Ready,
+        }
+    }
+
+    /// Never past an event still held: the smaller of the inner promise
+    /// and the held batch's earliest event.
+    fn watermark(&self) -> Option<Timestamp> {
+        let inner = self.inner.watermark()?;
+        Some(
+            self.held
+                .first()
+                .map_or(inner, |_| inner.min(self.held_floor)),
+        )
+    }
+
+    fn failure(&self) -> Option<String> {
+        self.inner.failure()
+    }
+}
+
 /// Write events as JSON lines — the producing half of the JSONL
 /// interchange format that [`ChannelSource::jsonl`] re-ingests (accepts owned
 /// or borrowed events, so streaming producers need not clone).
@@ -440,6 +520,7 @@ pub fn write_events_jsonl<W: std::io::Write, E: std::borrow::Borrow<saql_model::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::{MergeConfig, MergeStatus, WatermarkMerge};
     use saql_model::event::EventBuilder;
     use saql_model::{Event, ProcessInfo};
 
@@ -562,15 +643,176 @@ mod tests {
         );
     }
 
+    /// A store of `events` in segments of `per_segment`, the rest in the
+    /// WAL tail.
+    fn store_with(tag: &str, events: &[Event], per_segment: usize) -> std::path::PathBuf {
+        let mut path = std::env::temp_dir();
+        path.push(format!("saql-source-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        crate::durable::StoreWriter::create_segmented_with(&path, per_segment)
+            .unwrap()
+            .append(events)
+            .unwrap();
+        path
+    }
+
+    fn ids(events: &[SharedEvent]) -> Vec<u64> {
+        events.iter().map(|e| e.id).collect()
+    }
+
+    /// The stream replayer: a selection of the store, sorted by time.
+    fn replayed(path: &std::path::Path, selection: &Selection, speed: Speed) -> Vec<SharedEvent> {
+        let reader = StoreReader::open(path).unwrap();
+        let source = StoreSource::open("replay", &reader, selection).unwrap();
+        let mut merge = WatermarkMerge::new(MergeConfig::default());
+        merge.attach_with(speed.pace(source), FLOOR_GATED);
+        merge.collect_remaining()
+    }
+
+    #[test]
+    fn replay_sorts_by_timestamp() {
+        // Stored out of order (hosts interleave), two events a segment:
+        // replay must sort across sealed segments.
+        let stored = [ev(2, "h2", 200), ev(1, "h1", 100), ev(3, "h1", 300)];
+        let path = store_with("sort", &stored, 2);
+        let got = replayed(&path, &Selection::all(), Speed::Unlimited);
+        assert_eq!(ids(&got), vec![1, 2, 3]);
+        std::fs::remove_dir_all(path).unwrap();
+    }
+
+    #[test]
+    fn replay_respects_selection() {
+        let stored = [ev(1, "h1", 100), ev(2, "h2", 200), ev(3, "h1", 300)];
+        let path = store_with("select", &stored, 2);
+        let sel =
+            Selection::host("h1").between(Timestamp::from_millis(0), Timestamp::from_millis(250));
+        assert_eq!(ids(&replayed(&path, &sel, Speed::Unlimited)), vec![1]);
+        let none = replayed(&path, &Selection::host("h9"), Speed::Unlimited);
+        assert!(none.is_empty(), "an empty selection is an empty stream");
+        std::fs::remove_dir_all(path).unwrap();
+    }
+
+    #[test]
+    fn unlimited_replay_delivers_all() {
+        let events: Vec<Event> = (0..50).map(|i| ev(i, "h", i * 10)).collect();
+        let path = store_with("all", &events, 2);
+        let got = ids(&replayed(&path, &Selection::all(), Speed::Unlimited));
+        assert_eq!(got.len(), 50);
+        assert!(got.windows(2).all(|w| w[0] < w[1]));
+        std::fs::remove_dir_all(path).unwrap();
+    }
+
+    #[test]
+    fn compressed_replay_paces_emission() {
+        // 3 events spanning 200ms of trace time at 10x compression ≈ 20ms.
+        let events = [ev(1, "h", 0), ev(2, "h", 100), ev(3, "h", 200)];
+        let path = store_with("paced", &events, 2);
+        let start = Instant::now();
+        let got = replayed(&path, &Selection::all(), Speed::Compressed { factor: 10.0 });
+        let elapsed = start.elapsed();
+        assert_eq!(ids(&got), vec![1, 2, 3]);
+        assert!(
+            elapsed >= std::time::Duration::from_millis(15),
+            "too fast: {elapsed:?}"
+        );
+        std::fs::remove_dir_all(path).unwrap();
+    }
+
+    /// Floor gating holds a sorted store's current segment and one pull
+    /// batch, never the store: a source without the floor (the store read
+    /// into memory) buffers it all.
+    #[test]
+    fn a_sorted_store_buffers_one_segment_and_a_pull_batch() {
+        const SEGMENT: usize = 64;
+        const PULL: usize = 16;
+        let events: Vec<Event> = (0..20 * SEGMENT as u64 + 30)
+            .map(|i| ev(i, "h", i / 2 * 10))
+            .collect();
+        let path = store_with("bounded", &events, SEGMENT);
+        let reader = StoreReader::open(&path).unwrap();
+        assert_eq!(reader.segments().len(), 20);
+        let config = MergeConfig {
+            pull_batch: PULL,
+            ..MergeConfig::default()
+        };
+        let peak = |source: Box<dyn EventSource>| {
+            let mut merge = WatermarkMerge::new(config);
+            merge.attach_with(source, FLOOR_GATED);
+            let (mut out, mut peak) = (Vec::new(), 0);
+            while merge.poll(&mut out, usize::MAX) != MergeStatus::Done {
+                peak = peak.max(merge.source_stats()[0].1.buffered);
+            }
+            assert_eq!(ids(&out), ids(&shared(events.clone())));
+            peak
+        };
+        let store = StoreSource::open("store", &reader, &Selection::all()).unwrap();
+        let held = peak(Box::new(store));
+        assert!(held <= SEGMENT + PULL, "held {held} events");
+        let in_memory = peak(Box::new(IterSource::new("mem", shared(events.clone()))));
+        assert!(in_memory > 10 * SEGMENT, "held {in_memory} events");
+        std::fs::remove_dir_all(path).unwrap();
+    }
+
+    #[test]
+    fn a_shuffled_store_comes_out_stably_sorted_by_time() {
+        // Timestamps scattered across 12 segments and the WAL tail, with
+        // ties: the output is the stored order stably sorted by time.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let events: Vec<Event> = (0..400)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                ev(i, "h", state % 200 * 10)
+            })
+            .collect();
+        let path = store_with("shuffled", &events, 32);
+        let reader = StoreReader::open(&path).unwrap();
+        let mut merge = WatermarkMerge::new(MergeConfig::default());
+        let store = StoreSource::open("store", &reader, &Selection::all()).unwrap();
+        merge.attach_with(Box::new(store), FLOOR_GATED);
+        let out = merge.collect_remaining();
+        let mut expected = events.clone();
+        expected.sort_by_key(|e| e.ts);
+        assert_eq!(ids(&out), ids(&shared(expected)));
+        assert_eq!(merge.source_stats()[0].1.dropped_late, 0);
+        std::fs::remove_dir_all(path).unwrap();
+    }
+
+    /// Pacing changes when a store's events arrive, never where they land
+    /// in a merge with another feed: a paced source promises no watermark
+    /// past an event it still holds, even where the store's floor (read
+    /// into the next segment) already has.
+    #[test]
+    fn a_paced_store_merges_like_the_unpaced_one() {
+        let stored: Vec<Event> = (0..20).map(|i| ev(i, "h1", i * 10)).collect();
+        let other: Vec<Event> = (0..20).map(|i| ev(100 + i, "h2", i * 10 + 5)).collect();
+        let path = store_with("paced-merge", &stored, 2);
+        let reader = StoreReader::open(&path).unwrap();
+        // Pull batches of 3 straddle the 2-event segments.
+        let config = MergeConfig {
+            pull_batch: 3,
+            ..MergeConfig::default()
+        };
+        let run = |speed: Speed| {
+            let store = StoreSource::open("store", &reader, &Selection::all()).unwrap();
+            let mut merge = WatermarkMerge::new(config);
+            merge.attach_with(speed.pace(store), FLOOR_GATED);
+            let feed = IterSource::new("other", shared(other.clone()));
+            merge.attach_with(Box::new(feed), Lateness::ArrivalOrder);
+            ids(&merge.collect_remaining())
+        };
+        let unpaced = run(Speed::Unlimited);
+        let expected: Vec<u64> = (0..20).flat_map(|i| [i, 100 + i]).collect();
+        assert_eq!(unpaced, expected);
+        assert_eq!(run(Speed::Compressed { factor: 10.0 }), unpaced);
+        std::fs::remove_dir_all(path).unwrap();
+    }
+
     #[test]
     fn store_source_streams_a_selection() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("saql-source-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        crate::durable::StoreWriter::create_segmented_with(&path, 2)
-            .unwrap()
-            .append(&[ev(1, "h1", 10), ev(2, "h2", 20), ev(3, "h1", 30)])
-            .unwrap();
+        let stored = [ev(1, "h1", 10), ev(2, "h2", 20), ev(3, "h1", 30)];
+        let path = store_with("store", &stored, 2);
         let reader = StoreReader::open(&path).unwrap();
         let mut source = StoreSource::open("store", &reader, &Selection::host("h1")).unwrap();
         let out = drain(&mut source);

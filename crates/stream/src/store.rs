@@ -2,9 +2,11 @@
 //!
 //! The demo stores collected monitoring data "in databases" so the stream
 //! replayer can re-create the attack stream on demand; the store itself is
-//! [`crate::durable`]. [`Selection`] is the host/time-range query its reader
-//! answers (the replayer UI's knobs), [`StoreError`] what opening, reading
-//! and writing can fail with.
+//! [`crate::durable`], and the replayer is a
+//! [`StoreSource`](crate::source::StoreSource) over a selection, sorted by
+//! the store's verified floor. [`Selection`] is the host/time-range query
+//! its reader answers (the replayer UI's knobs), [`StoreError`] what
+//! opening, reading and writing can fail with.
 
 use std::io;
 

@@ -12,7 +12,9 @@
 //! * [`lang`] — the SAQL language: lexer, parser, semantic checker,
 //!   pretty-printer, and the paper's query corpus;
 //! * [`analytics`] — aggregates, robust statistics, DBSCAN, k-means;
-//! * [`stream`] — event channels, k-way host merge, event store, replayer;
+//! * [`stream`] — event channels, k-way host merge, event store, and the
+//!   sources the engine pulls from (the replayer is a store source sorted
+//!   by its verified floor and paced to a speed);
 //! * [`engine`] — multievent matcher, sliding windows, state maintainer,
 //!   invariants, cluster stage, alert evaluator, and the master–dependent
 //!   concurrent query scheduler;

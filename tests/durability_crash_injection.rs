@@ -107,7 +107,11 @@ fn write_and_tear(
     std::fs::write(&wal, &raw[..keep as usize]).unwrap();
 
     let reader = StoreReader::open(dir).unwrap();
-    let recovered = reader.read(&Selection::all()).unwrap();
+    let recovered = reader
+        .iter(&Selection::all())
+        .unwrap()
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
     assert!(
         recovered.len() >= n_acked,
         "lost acked events: {} recovered < {n_acked} synced",
@@ -430,7 +434,7 @@ proptest! {
         prop_assert_eq!(w.len() as usize, recovered.len());
         w.append(sentinel).unwrap();
         drop(w);
-        let back = StoreReader::open(&dir).unwrap().read(&Selection::all()).unwrap();
+        let back = StoreReader::open(&dir).unwrap().iter(&Selection::all()).unwrap().collect::<Result<Vec<_>, _>>().unwrap();
         let mut expected = recovered;
         expected.extend_from_slice(sentinel);
         prop_assert_eq!(back, expected);

@@ -198,7 +198,10 @@ proptest! {
         let stored: Vec<SharedEvent> = drain_checking_watermark(&mut open().unwrap(), max);
         let expected: Vec<Event> = match mode {
             0 => events.clone(),
-            1 => reader.read(&Selection::host(HOSTS[at as usize % 3])).unwrap(),
+            1 => {
+                let selection = Selection::host(HOSTS[at as usize % 3]);
+                reader.iter(&selection).unwrap().collect::<Result<_, _>>().unwrap()
+            }
             _ => events[at.min(events.len() as u64) as usize..].to_vec(),
         };
         prop_assert_eq!(stored.iter().map(|e| e.id).collect::<Vec<_>>(),

@@ -106,7 +106,9 @@ fn via_serve(body: &[u8]) -> (Vec<Event>, u64, Option<String>) {
     server.wait().unwrap();
     let events = StoreReader::open(&store)
         .unwrap()
-        .read(&Selection::all())
+        .iter(&Selection::all())
+        .unwrap()
+        .collect::<Result<Vec<_>, _>>()
         .unwrap();
     let _ = std::fs::remove_dir_all(&store);
     (events, errors.unwrap(), failure)

@@ -259,9 +259,9 @@ proptest! {
         events in proptest::collection::vec(arb_event(), 1..50),
         pick_host in any::<bool>(),
     ) {
-        use saql::stream::replayer::Replayer;
+        use saql::stream::source::{StoreSource, FLOOR_GATED};
         use saql::stream::store::Selection;
-        use saql::stream::StoreWriter;
+        use saql::stream::{MergeConfig, StoreReader, StoreWriter, WatermarkMerge};
         let mut path = std::env::temp_dir();
         path.push(format!("saql-prop-replayer-{}-{}", std::process::id(), events.len()));
         let _ = std::fs::remove_dir_all(&path);
@@ -274,16 +274,20 @@ proptest! {
             Selection::all()
         };
         drop(store);
-        let replayed: Vec<saql::model::Event> = Replayer::open(&path)
-            .unwrap()
-            .replay_iter(&selection)
-            .unwrap()
-            .map(|e| (*e).clone())
-            .collect();
+        // The stream replayer: the selection sorted by its verified floor.
+        let reader = StoreReader::open(&path).unwrap();
+        let mut merge = WatermarkMerge::new(MergeConfig::default());
+        let source = StoreSource::open("replay", &reader, &selection).unwrap();
+        merge.attach_with(Box::new(source), FLOOR_GATED);
+        let replayed = merge.collect_remaining();
         let _ = std::fs::remove_dir_all(&path);
-        // Sorted by (ts, id) and exactly the matching subset.
+        // Sorted by (ts, id) and exactly the matching subset: the stored
+        // order, stably sorted by time.
         prop_assert!(replayed.windows(2).all(|w| (w[0].ts, w[0].id) <= (w[1].ts, w[1].id)));
         let expected = events.iter().filter(|e| selection.matches(e)).count();
         prop_assert_eq!(replayed.len(), expected);
+        let mut sorted: Vec<_> = events.iter().filter(|e| selection.matches(e)).collect();
+        sorted.sort_by_key(|e| e.ts);
+        prop_assert!(replayed.iter().map(|e| &**e).eq(sorted.into_iter()));
     }
 }

@@ -113,7 +113,11 @@ fn segmented_store_prunes_and_detects() {
     );
     let decoded: usize = scanned.iter().map(|m| m.events as usize).sum();
     assert!(decoded < trace.events.len());
-    let events = store.read(&selection).unwrap();
+    let events = store
+        .iter(&selection)
+        .unwrap()
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
     assert!(!events.is_empty());
     assert!(
         events.len() <= decoded,
@@ -165,7 +169,13 @@ fn segmented_reads_agree_with_the_in_memory_trace() {
             .cloned()
             .collect();
         assert!(!expected.is_empty());
-        assert_eq!(seg.read(&selection).unwrap(), expected);
+        assert_eq!(
+            seg.iter(&selection)
+                .unwrap()
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap(),
+            expected
+        );
     }
     std::fs::remove_dir_all(dir).unwrap();
 }

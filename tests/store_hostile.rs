@@ -186,7 +186,14 @@ fn the_undamaged_inputs_read_back_whole() {
     let dir = scratch("whole");
     open_damaged(&dir, WAL, good(WAL));
     let reader = StoreReader::open(&dir).unwrap();
-    assert_eq!(reader.read(&Selection::all()).unwrap(), events());
+    assert_eq!(
+        reader
+            .iter(&Selection::all())
+            .unwrap()
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap(),
+        events()
+    );
     assert_eq!(decode_batch(&fixture().batch).unwrap(), events());
     fs::remove_dir_all(dir).unwrap();
 }
