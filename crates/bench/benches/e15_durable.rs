@@ -69,7 +69,7 @@ fn bench_durable(c: &mut Criterion) {
     group.bench_function("recover-scan-50k", |b| {
         b.iter(|| {
             let reader = StoreReader::open(&torn).unwrap();
-            reader.iter(&Selection::all()).unwrap().count()
+            reader.iter(&Selection::all()).count()
         });
     });
 
@@ -92,7 +92,7 @@ fn bench_durable(c: &mut Criterion) {
         dir: ckpt_dir.clone(),
         every_events: 0,
     });
-    session.attach(StoreSource::open("bench", &reader, &Selection::all()).unwrap());
+    session.attach(StoreSource::open("bench", &reader, &Selection::all()));
     while session.pump().status != SessionStatus::Done {}
     group.bench_function("checkpoint-50k-state", |b| {
         b.iter(|| session.checkpoint_now().unwrap());

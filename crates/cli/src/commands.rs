@@ -257,8 +257,7 @@ fn source_from_spec(
         "store" => {
             let reader = open_reader(rest).map_err(|e| format!("--source {spec}: {e}"))?;
             let name = format!("store:{rest}");
-            let source = StoreSource::open(name, &reader, selection)
-                .map_err(|e| format!("--source {spec}: {e}"))?;
+            let source = StoreSource::open(name, &reader, selection);
             Ok(if follow {
                 (speed.pace(source), Some(FLOOR_GATED))
             } else {
@@ -505,8 +504,7 @@ pub fn replay(argv: &[String]) -> Result<i32, String> {
         if checkpointed {
             log = Some(DurableLog::Read(name, reader));
         } else {
-            let source = StoreSource::open(name, &reader, &selection)
-                .map_err(|e| format!("replay failed: {e}"))?;
+            let source = StoreSource::open(name, &reader, &selection);
             sources.push((speed.pace(source), Some(FLOOR_GATED)));
         }
     }
@@ -571,9 +569,6 @@ pub fn export(argv: &[String]) -> Result<i32, String> {
     let path = flags.get("store").ok_or("export requires --store DIR")?;
     let selection = selection_from_flags(&flags)?;
     let reader = open_reader(path)?;
-    let iter = reader
-        .iter(&selection)
-        .map_err(|e| format!("cannot read {path}: {e}"))?;
     let stdout = std::io::stdout();
     let mut writer: Box<dyn Write> = match flags.get("out") {
         None | Some("-") => Box::new(stdout.lock()),
@@ -586,7 +581,7 @@ pub fn export(argv: &[String]) -> Result<i32, String> {
     // Stream straight through the shared JSONL writer, stopping at the
     // first corrupt record.
     let mut corrupt = None;
-    let events = iter.map_while(|record| match record {
+    let events = reader.iter(&selection).map_while(|record| match record {
         Ok(event) => Some(event),
         Err(e) => {
             corrupt = Some(e);
@@ -828,10 +823,8 @@ fn repl_run(
         return writeln!(out, "no store attached (start with --store DIR)");
     };
     let name = format!("repl:{}", store.path().display());
-    let opened = StoreReader::open(store.path())
-        .and_then(|reader| StoreSource::open(name, &reader, &Selection::all()));
-    let source = match opened {
-        Ok(source) => source,
+    let source = match StoreReader::open(store.path()) {
+        Ok(reader) => StoreSource::open(name, &reader, &Selection::all()),
         Err(e) => return writeln!(out, "replay error: {e}"),
     };
     let mut session = engine.session();

@@ -130,8 +130,9 @@ SERVING (`saql serve` keeps the engine resident behind a TCP line protocol;
     connection order), control (register/deregister/pause/resume/list/
     stats/checkpoint/shutdown; query names are namespaced per tenant), or
     subscribe (stream a query's alerts as JSONL). A first line starting
-    with `GET ` returns the metrics page (curl works): counters, gauges,
-    per-query throughput and delivery-latency histograms, per-source lag.
+    with `GET ` returns the metrics page (curl works), read from the live
+    session on request: engine position, per-source lag, per-query
+    throughput, per-tenant ingest counts and delivery-latency histograms.
     Per-tenant quotas (`--max-queries`, `--events-per-sec`/`--burst`, or
     per-tenant `--tenant-quota`) shed over-rate events — counted, never
     blocking the engine. With `--store` every accepted event is appended

@@ -4,8 +4,9 @@
 //! crate stands the engine up as a *resident service*: a TCP server
 //! ([`Server`]) speaking newline-delimited JSON with three connection
 //! roles (ingest / control / subscribe, see [`protocol`]), per-tenant
-//! resource governance ([`quota`]), a metrics registry with a text
-//! exposition endpoint ([`metrics`]), and graceful shutdown through the
+//! resource governance ([`quota`]), a text exposition endpoint
+//! (`GET /metrics`, rendered on request from the live session, see
+//! [`server`]), and graceful shutdown through the
 //! durability path — a final sealed checkpoint plus a synced event store,
 //! so a restarted server resumes exactly where the acknowledged stream
 //! left off.
@@ -21,13 +22,11 @@
 //! engine's routing layer.
 
 pub mod client;
-pub mod metrics;
 pub mod protocol;
 pub mod quota;
 pub mod server;
 
 pub use client::{ctl, ingest_file, ingest_reader, tail_alerts, ClientError, IngestReport};
-pub use metrics::Metrics;
 pub use protocol::{Hello, Request, DEFAULT_TENANT};
 pub use quota::{Clock, ManualClock, MonotonicClock, TenantQuota, TokenBucket};
 pub use server::{

@@ -35,8 +35,18 @@
 //! `Req::Wake` arrives. At most one wake is queued at a time, and the std
 //! channel wakes only a parked receiver, so a busy core is never signalled
 //! (a futex syscall) per event or per chunk. The park keeps a bounded
-//! timeout for gauges, drain deadlines and a worker-backed engine's late
-//! alerts.
+//! timeout for the degraded-source log, drain deadlines and a
+//! worker-backed engine's late alerts.
+//!
+//! ## Metrics
+//!
+//! `GET /metrics` is rendered on request, on the core thread, like a
+//! `stats` reply, and each number on it is read from the one place it
+//! lives: the session (position, sources, queries), the connection table
+//! (ingest counts, summed per tenant) and the alert hook (delivered alerts
+//! and their latency, the only series the session cannot answer). Nothing
+//! is copied into a registry between requests, so the page and `stats`
+//! always agree, and a deregistered query's series leave the page.
 //!
 //! ## Durability
 //!
@@ -60,7 +70,8 @@
 //! server stops checkpointing, drains, and reports the error rather than
 //! acknowledging events it can no longer persist.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -70,6 +81,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use saql_analytics::Histogram;
+use saql_engine::query::QueryStats;
 use saql_engine::{
     render_alert_json, Alert, ControlReply, Deployment, DurableLog, Engine, QueryId, Run,
     RunSession, Scope, SessionStatus,
@@ -79,7 +92,6 @@ use saql_stream::merge::{Lateness, SourceId, SourceStats};
 use saql_stream::source::{push_source, ChannelSource, PushHandle};
 use saql_stream::{SharedEvent, StoreWriter};
 
-use crate::metrics::{Cell, Metrics};
 use crate::protocol::{self, err_line, json_array, ok_line, Hello, JsonObj, Request};
 use crate::quota::{Clock, MonotonicClock, TenantQuota, TokenBucket};
 
@@ -90,9 +102,13 @@ const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(25)
 /// Socket read timeout — the granularity at which blocked connection
 /// threads notice shutdown.
 const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(100);
-/// Minimum spacing between observability refreshes (gauges, failure log);
-/// also the longest an idle core parks.
+/// Minimum spacing between looks for newly degraded sources; also the
+/// longest an idle core parks.
 const OBSERVE_EVERY: Duration = Duration::from_millis(100);
+/// The longest hello, control or `/metrics` request line read, newline
+/// included: far above any query's `register` line, and it bounds what one
+/// line can make the server buffer.
+pub const MAX_LINE: usize = 1 << 20;
 /// The idle park of a worker-backed core: its workers finish alerts after
 /// the round that fed them, and only a round collects them.
 const WORKER_POLL: Duration = Duration::from_millis(2);
@@ -162,7 +178,8 @@ pub struct ServeSummary {
 // ---------------------------------------------------------------------
 
 /// Per-connection ingest accounting, kept after the connection closes so
-/// `stats` shows the full picture.
+/// `stats` and the metrics page show the full picture.
+#[derive(Default)]
 struct ConnStat {
     tenant: String,
     source: String,
@@ -174,16 +191,15 @@ struct ConnStat {
 }
 
 impl ConnStat {
-    fn new(tenant: &str, source: &str) -> ConnStat {
-        ConnStat {
-            tenant: tenant.to_string(),
-            source: source.to_string(),
-            events: AtomicU64::new(0),
-            decode_errors: AtomicU64::new(0),
-            shed_quota: AtomicU64::new(0),
-            shed_buffer: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-        }
+    /// Events handed to the core, decode errors, quota sheds, buffer sheds.
+    fn counts(&self) -> [u64; 4] {
+        [
+            &self.events,
+            &self.decode_errors,
+            &self.shed_quota,
+            &self.shed_buffer,
+        ]
+        .map(|n| n.load(Ordering::Relaxed))
     }
 }
 
@@ -191,7 +207,6 @@ impl ConnStat {
 struct Tenant {
     quota: TenantQuota,
     bucket: Mutex<TokenBucket>,
-    shed_quota: AtomicU64,
 }
 
 /// The tenant registry: default quota plus per-name overrides, tenants
@@ -217,11 +232,18 @@ impl Tenants {
         let tenant = Arc::new(Tenant {
             quota,
             bucket: Mutex::new(TokenBucket::for_quota(&quota, self.clock.now_ns())),
-            shed_quota: AtomicU64::new(0),
         });
         map.insert(name.to_string(), Arc::clone(&tenant));
         tenant
     }
+}
+
+/// What the alert hook keeps per query: the alerts delivered and their
+/// ingest-to-delivery latency in microseconds.
+#[derive(Default)]
+struct Delivery {
+    alerts: u64,
+    latency_us: Histogram,
 }
 
 /// State shared by the accept loop, connection threads, and core thread.
@@ -229,9 +251,12 @@ struct Shared {
     ctrl: SyncSender<Req>,
     /// A [`Req::Wake`] is queued and not yet handled.
     rung: AtomicBool,
-    metrics: Arc<Metrics>,
     tenants: Tenants,
     conns: Mutex<Vec<Arc<ConnStat>>>,
+    /// The alert hook's series, by full query name.
+    deliveries: Mutex<BTreeMap<String, Delivery>>,
+    /// When the current pump round started (clock ns): the latency anchor.
+    round_anchor: AtomicU64,
     shutdown: AtomicBool,
     ingest_buffer: usize,
     clock: Arc<dyn Clock>,
@@ -258,6 +283,23 @@ impl Shared {
             prefix: format!("{tenant}/"),
             max_live: self.tenants.get(tenant).quota.max_live_queries,
         }
+    }
+
+    /// Each tenant's [`ConnStat::counts`], summed over its connections,
+    /// closed ones included.
+    fn ingest_totals(&self) -> BTreeMap<String, [u64; 4]> {
+        let mut totals = BTreeMap::<String, [u64; 4]>::new();
+        let conns = self
+            .conns
+            .lock()
+            .expect("no connection table holder panics");
+        for conn in conns.iter() {
+            let sums = totals.entry(conn.tenant.clone()).or_default();
+            for (sum, n) in sums.iter_mut().zip(conn.counts()) {
+                *sum += n;
+            }
+        }
+        totals
     }
 
     /// Queue a request for the core thread and wait for the reply; `None`
@@ -295,6 +337,8 @@ enum Req {
         query: String,
         reply: SyncSender<Result<Receiver<Alert>, String>>,
     },
+    /// Render the `/metrics` page.
+    Metrics { reply: SyncSender<String> },
 }
 
 /// Final per-source accounting handed back when an ingest connection's
@@ -323,9 +367,6 @@ pub struct Server {
 
 impl Server {
     pub fn start(cfg: ServeConfig) -> Result<Server, String> {
-        let metrics = Metrics::new();
-        let round_anchor = Arc::new(AtomicU64::new(0));
-
         // The write-ahead store is the run's durable log: a resume
         // replays its suffix (under `_resume/`) before going live.
         let log = match &cfg.durable_store {
@@ -345,7 +386,6 @@ impl Server {
             .deployment
             .open(&scope, log)
             .map_err(|e| e.to_string())?;
-        install_alert_hook(&mut run.engine, &metrics, &cfg.clock, &round_anchor);
 
         let listener = TcpListener::bind(&cfg.listen).map_err(|e| e.to_string())?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
@@ -354,7 +394,6 @@ impl Server {
         let shared = Arc::new(Shared {
             ctrl: ctrl_tx,
             rung: AtomicBool::new(false),
-            metrics: Arc::clone(&metrics),
             tenants: Tenants {
                 map: Mutex::new(HashMap::new()),
                 default_quota: cfg.quota,
@@ -362,11 +401,14 @@ impl Server {
                 clock: Arc::clone(&cfg.clock),
             },
             conns: Mutex::new(Vec::new()),
+            deliveries: Mutex::new(BTreeMap::new()),
+            round_anchor: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             ingest_buffer: cfg.ingest_buffer.max(1),
             clock: Arc::clone(&cfg.clock),
             conn_seq: AtomicU64::new(0),
         });
+        install_alert_hook(&mut run.engine, &shared);
 
         let accept = {
             let shared = Arc::clone(&shared);
@@ -380,7 +422,7 @@ impl Server {
             thread::Builder::new()
                 .name("saql-serve-core".into())
                 .spawn(move || {
-                    let out = run_core(run, cfg, &shared, ctrl_rx, round_anchor);
+                    let out = run_core(run, cfg, &shared, ctrl_rx);
                     // Whatever stopped the core stops the listener too.
                     shared.shutdown.store(true, Ordering::SeqCst);
                     out
@@ -399,10 +441,6 @@ impl Server {
     /// The bound address (resolves `:0` binds).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.shared.metrics)
     }
 
     /// Begin graceful shutdown: stop accepting, drain live sources (within
@@ -453,35 +491,22 @@ impl Drop for Server {
     }
 }
 
-/// Per-alert engine hook: delivered-alert counters and ingest-to-delivery
-/// latency histograms, keyed by query name. The latency anchor is the
-/// timestamp the core thread stamps at the start of each pump round — the
-/// moment the round's events left the merge and entered the engine.
-fn install_alert_hook(
-    engine: &mut Engine,
-    metrics: &Arc<Metrics>,
-    clock: &Arc<dyn Clock>,
-    round_anchor: &Arc<AtomicU64>,
-) {
-    let metrics = Arc::clone(metrics);
-    let clock = Arc::clone(clock);
-    let anchor = Arc::clone(round_anchor);
-    let mut series: HashMap<String, (Cell, String)> = HashMap::new();
+/// Per-alert engine hook: [`Shared::deliveries`]. The latency anchor is
+/// the timestamp the core thread stamps at the start of each pump round —
+/// the moment the round's events left the merge and entered the engine.
+fn install_alert_hook(engine: &mut Engine, sh: &Arc<Shared>) {
+    let sh = Arc::clone(sh);
     engine.set_alert_hook(Box::new(move |alert| {
-        let (counter, latency_series) = series.entry(alert.query.clone()).or_insert_with(|| {
-            (
-                metrics.counter(&format!(
-                    "saql_alerts_delivered_total{{query=\"{}\"}}",
-                    alert.query
-                )),
-                format!("saql_delivery_latency_us{{query=\"{}\"}}", alert.query),
-            )
-        });
-        counter.fetch_add(1, Ordering::Relaxed);
-        let start = anchor.load(Ordering::Relaxed);
+        let mut deliveries = sh.deliveries.lock().expect("no delivery map holder panics");
+        if !deliveries.contains_key(&alert.query) {
+            deliveries.insert(alert.query.clone(), Delivery::default());
+        }
+        let delivery = deliveries.get_mut(&alert.query).expect("inserted above");
+        delivery.alerts += 1;
+        let start = sh.round_anchor.load(Ordering::Relaxed);
         if start > 0 {
-            let us = clock.now_ns().saturating_sub(start) / 1_000;
-            metrics.record(latency_series, us);
+            let us = sh.clock.now_ns().saturating_sub(start) / 1_000;
+            delivery.latency_us.record(us);
         }
     }));
 }
@@ -505,7 +530,6 @@ fn run_core(
     cfg: ServeConfig,
     sh: &Shared,
     ctrl_rx: Receiver<Req>,
-    round_anchor: Arc<AtomicU64>,
 ) -> Result<ServeSummary, String> {
     let mut summary = ServeSummary::default();
     let mut fatal: Option<String> = None;
@@ -521,7 +545,8 @@ fn run_core(
     // interleave with — or re-read — fresh appends).
     if let Some(offset) = resumed {
         loop {
-            round_anchor.store(sh.clock.now_ns().max(1), Ordering::Relaxed);
+            sh.round_anchor
+                .store(sh.clock.now_ns().max(1), Ordering::Relaxed);
             let round = session.pump_max(ROUND_BUDGET);
             emit(&mut summary, print, &round.alerts);
             if round.status == SessionStatus::Done {
@@ -538,7 +563,6 @@ fn run_core(
     let mut degraded: HashSet<String> = HashSet::new();
     let mut last_observe = Instant::now();
     let mut drain_deadline: Option<Instant> = None;
-    let mut observed_any = false;
     let mut checkpoint_warned = false;
     let workers = session.engine().workers() > 0;
     let park = if workers { WORKER_POLL } else { OBSERVE_EVERY };
@@ -558,7 +582,8 @@ fn run_core(
             }
         }
 
-        round_anchor.store(sh.clock.now_ns().max(1), Ordering::Relaxed);
+        sh.round_anchor
+            .store(sh.clock.now_ns().max(1), Ordering::Relaxed);
         let round = session.pump_max(ROUND_BUDGET);
         emit(&mut summary, print, &round.alerts);
         if let Some(e) = session.store_failure() {
@@ -578,10 +603,9 @@ fn run_core(
             None => checkpoint_warned = false,
         }
 
-        if last_observe.elapsed() >= OBSERVE_EVERY || !observed_any {
-            observed_any = true;
+        if last_observe.elapsed() >= OBSERVE_EVERY {
             last_observe = Instant::now();
-            observe(&mut session, sh, &mut degraded);
+            observe(&session, &mut degraded);
         }
 
         if !waiters.is_empty() {
@@ -598,7 +622,7 @@ fn run_core(
     }
 
     answer_waiters(&session, &mut waiters, true);
-    observe(&mut session, sh, &mut degraded);
+    observe(&session, &mut degraded);
 
     // End the stream while the store is writable: a checkpoint (quiescing
     // the stages) when the run is to be continued — its open windows must
@@ -708,6 +732,11 @@ fn handle_req(
                 .and_then(|id| engine.subscribe(id).map_err(|e| e.to_string()));
             let _ = reply.send(result);
         }
+        Req::Metrics { reply } => {
+            let mut page = String::with_capacity(4096);
+            let _ = write_metrics(&mut page, session, sh);
+            let _ = reply.send(page);
+        }
         Req::Control { tenant, cmd, reply } => {
             let line = match cmd {
                 Request::Stats => render_stats(&tenant, session, sh),
@@ -745,8 +774,7 @@ fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> Stri
     let durable = session.store().is_some();
     let engine = session.engine();
 
-    let stats_by_name: HashMap<String, saql_engine::query::QueryStats> =
-        engine.query_stats().into_iter().collect();
+    let stats_by_name: HashMap<String, QueryStats> = engine.query_stats().into_iter().collect();
     let drops: HashMap<QueryId, u64> = engine.dropped_alerts_by_query().into_iter().collect();
     let queries: Vec<String> = engine
         .query_ids()
@@ -808,11 +836,13 @@ fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> Stri
         .collect();
 
     let tenant_gov = sh.tenants.get(tenant);
+    let totals = sh.ingest_totals();
+    let shed = totals.get(tenant).map_or(0, |&[_, _, shed, _]| shed);
     let quota = JsonObj::new()
         .u64("max_live_queries", tenant_gov.quota.max_live_queries as u64)
         .u64("events_per_sec", tenant_gov.quota.events_per_sec)
         .u64("burst", tenant_gov.quota.effective_burst())
-        .u64("shed", tenant_gov.shed_quota.load(Ordering::Relaxed))
+        .u64("shed", shed)
         .finish();
     let engine_obj = JsonObj::new()
         .u64("offset", offset)
@@ -834,48 +864,111 @@ fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> Stri
         .finish()
 }
 
-/// Refresh gauges and surface newly degraded sources (satellite: live
-/// decode-failure visibility — a failed source must not look like a clean
-/// short stream).
-fn observe(session: &mut RunSession<'_>, sh: &Shared, degraded: &mut HashSet<String>) {
-    let m = &sh.metrics;
-    m.set_gauge("saql_engine_offset", session.offset());
-    m.set_gauge("saql_engine_frontier_ms", session.frontier().as_millis());
-    m.set_gauge("saql_engine_live_sources", session.live_sources() as u64);
+/// Quantiles a latency histogram expands to, after `count` and `mean`.
+const LATENCY_STATS: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
+
+/// A family of per-source or per-query series and the field it shows.
+type Series<T> = (&'static str, fn(&T) -> u64);
+
+/// Write the `/metrics` page: a `name{labels} value` line per series, each
+/// family's lines together.
+fn write_metrics(out: &mut String, session: &mut RunSession<'_>, sh: &Shared) -> std::fmt::Result {
+    let position = [
+        ("offset", session.offset()),
+        ("frontier_ms", session.frontier().as_millis()),
+        ("live_sources", session.live_sources() as u64),
+    ];
     let sources = session.source_stats();
-    for (_, ss) in &sources {
-        let label = format!("{{source=\"{}\"}}", ss.name);
-        m.set_gauge(&format!("saql_source_events_total{label}"), ss.events);
-        m.set_gauge(&format!("saql_source_lag_ms{label}"), ss.lag.as_millis());
-        m.set_gauge(
-            &format!("saql_source_watermark_ms{label}"),
-            ss.watermark.as_millis(),
-        );
-        m.set_gauge(
-            &format!("saql_source_dropped_late_total{label}"),
-            ss.dropped_late,
-        );
+    let engine = session.engine();
+    let counts = [
+        ("live_queries", engine.query_names().len() as u64),
+        ("dropped_alerts_total", engine.dropped_alerts()),
+    ];
+    for (name, value) in position.into_iter().chain(counts) {
+        writeln!(out, "saql_engine_{name} {value}")?;
+    }
+
+    let source_series: [Series<SourceStats>; 4] = [
+        ("saql_source_events_total", |s| s.events),
+        ("saql_source_lag_ms", |s| s.lag.as_millis()),
+        ("saql_source_watermark_ms", |s| s.watermark.as_millis()),
+        ("saql_source_dropped_late_total", |s| s.dropped_late),
+    ];
+    for (family, value) in source_series {
+        for (_, ss) in &sources {
+            writeln!(out, "{family}{{source=\"{}\"}} {}", ss.name, value(ss))?;
+        }
+    }
+    let failed = sources
+        .iter()
+        .filter(|(_, ss)| ss.failure.is_some())
+        .count();
+    if failed > 0 {
+        writeln!(out, "saql_source_failures_total {failed}")?;
+    }
+
+    let mut queries = engine.query_stats();
+    queries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+    let query_series: [Series<QueryStats>; 3] = [
+        ("saql_query_events_total", |q| q.events_seen),
+        ("saql_query_alerts_total", |q| q.alerts),
+        ("saql_query_late_events_total", |q| q.late_events),
+    ];
+    for (family, value) in query_series {
+        for (name, qs) in &queries {
+            writeln!(out, "{family}{{query=\"{name}\"}} {}", value(qs))?;
+        }
+    }
+
+    // In `ConnStat::counts` order.
+    let ingest_series = [
+        ("events_total", ""),
+        ("decode_failures_total", ""),
+        ("shed_total", ",reason=\"quota\""),
+        ("shed_total", ",reason=\"buffer\""),
+    ];
+    let totals = sh.ingest_totals();
+    for (i, (family, reason)) in ingest_series.into_iter().enumerate() {
+        for (tenant, counts) in &totals {
+            let series = format!("saql_ingest_{family}{{tenant=\"{tenant}\"{reason}}}");
+            writeln!(out, "{series} {}", counts[i])?;
+        }
+    }
+
+    let deliveries = sh.deliveries.lock().expect("no delivery map holder panics");
+    for (query, Delivery { alerts, .. }) in deliveries.iter() {
+        writeln!(
+            out,
+            "saql_alerts_delivered_total{{query=\"{query}\"}} {alerts}"
+        )?;
+    }
+    for (query, d) in deliveries.iter() {
+        let hist = &d.latency_us;
+        let (Some(mean), Some(max)) = (hist.mean(), hist.max()) else {
+            continue; // no round had started when its alerts were delivered
+        };
+        let series = format!("saql_delivery_latency_us{{query=\"{query}\",stat=");
+        writeln!(out, "{series}\"count\"}} {}", hist.count())?;
+        writeln!(out, "{series}\"mean\"}} {mean:.1}")?;
+        for (stat, q) in LATENCY_STATS {
+            let v = hist.quantile(q).unwrap_or(max);
+            writeln!(out, "{series}\"{stat}\"}} {v}")?;
+        }
+        writeln!(out, "{series}\"max\"}} {max}")?;
+    }
+    Ok(())
+}
+
+/// Surface newly degraded sources (a failed source must not look like a
+/// clean short stream); the page counts them as
+/// `saql_source_failures_total`.
+fn observe(session: &RunSession<'_>, degraded: &mut HashSet<String>) {
+    for (_, ss) in session.source_stats() {
         if let Some(failure) = &ss.failure {
             if degraded.insert(ss.name.clone()) {
-                m.add("saql_source_failures_total", 1);
                 eprintln!("[serve] source {} degraded: {failure}", ss.name);
             }
         }
-    }
-    let engine = session.engine();
-    m.set_gauge("saql_engine_dropped_alerts_total", engine.dropped_alerts());
-    m.set_gauge(
-        "saql_engine_live_queries",
-        engine.query_names().len() as u64,
-    );
-    for (name, qs) in engine.query_stats() {
-        let label = format!("{{query=\"{name}\"}}");
-        m.set_gauge(&format!("saql_query_events_total{label}"), qs.events_seen);
-        m.set_gauge(&format!("saql_query_alerts_total{label}"), qs.alerts);
-        m.set_gauge(
-            &format!("saql_query_late_events_total{label}"),
-            qs.late_events,
-        );
     }
 }
 
@@ -939,9 +1032,26 @@ impl Read for NetRead<'_> {
 
 type NetReader<'a> = BufReader<NetRead<'a>>;
 
+/// Read one line of at most [`MAX_LINE`] bytes into `buf`, cleared first:
+/// `Ok(true)` for a line (the last may lack its newline), `Ok(false)` at
+/// the end of input, an error for a longer line, left unread past the cap.
+fn read_line(reader: &mut NetReader<'_>, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    let n = reader.take(MAX_LINE as u64).read_until(b'\n', buf)?;
+    if n == MAX_LINE && buf.last() != Some(&b'\n') {
+        return Err(io::Error::other(format!("line exceeds {MAX_LINE} bytes")));
+    }
+    Ok(n > 0)
+}
+
 fn write_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")
+}
+
+/// Answer with an `"ok":false` line; the caller then ends the connection.
+fn refuse(stream: &mut TcpStream, error: &str) {
+    let _ = write_line(stream, &err_line(error));
 }
 
 fn handle_conn(stream: TcpStream, sh: &Shared) {
@@ -956,8 +1066,10 @@ fn handle_conn(stream: TcpStream, sh: &Shared) {
     });
     let mut writer = stream;
     let mut buf = Vec::new();
-    if !matches!(reader.read_until(b'\n', &mut buf), Ok(1..)) {
-        return;
+    match read_line(&mut reader, &mut buf) {
+        Ok(true) => {}
+        Ok(false) => return,
+        Err(e) => return refuse(&mut writer, &e.to_string()),
     }
     let line = String::from_utf8_lossy(&buf);
     if line.starts_with("GET ") {
@@ -965,9 +1077,7 @@ fn handle_conn(stream: TcpStream, sh: &Shared) {
         return;
     }
     match protocol::parse_hello(&line) {
-        Err(e) => {
-            let _ = write_line(&mut writer, &err_line(&e));
-        }
+        Err(e) => refuse(&mut writer, &e),
         Ok(Hello::Ingest {
             tenant,
             source,
@@ -993,14 +1103,17 @@ fn handle_conn(stream: TcpStream, sh: &Shared) {
 fn serve_metrics(reader: &mut NetReader<'_>, writer: &mut TcpStream, sh: &Shared) {
     // Swallow the request headers (bounded) so the client sees a clean
     // response instead of a reset.
+    let mut line = Vec::new();
     for _ in 0..64 {
-        let mut line = Vec::new();
-        match reader.read_until(b'\n', &mut line) {
-            Ok(1..) if !line.trim_ascii().is_empty() => {}
+        match read_line(reader, &mut line) {
+            Ok(true) if !line.trim_ascii().is_empty() => {}
             _ => break,
         }
     }
-    let body = sh.metrics.render_text();
+    let Some(body) = sh.ask(|reply| Req::Metrics { reply }) else {
+        let _ = writer.write_all(b"HTTP/1.0 503 Service Unavailable\r\n\r\n");
+        return;
+    };
     let response = format!(
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
@@ -1029,10 +1142,13 @@ fn run_ingest(
         reply,
     };
     let Some(source_id) = sh.ask(attach) else {
-        let _ = write_line(writer, &err_line("server is shutting down"));
-        return;
+        return refuse(writer, "server is shutting down");
     };
-    let stat = Arc::new(ConnStat::new(&tenant, &source_name));
+    let stat = Arc::new(ConnStat {
+        tenant: tenant.clone(),
+        source: source_name,
+        ..ConnStat::default()
+    });
     sh.conns.lock().unwrap().push(Arc::clone(&stat));
     if write_line(writer, &ok_line()).is_err() {
         return;
@@ -1049,7 +1165,6 @@ fn run_ingest(
         stat: &stat,
         push: &push,
         lossless,
-        counters: IngestCounters::new(&sh.metrics, &tenant),
     };
     let _ = decode_ndjson(reader, |chunk| apply.apply(chunk));
     // End the source (all handles dropped) and wait for the engine to
@@ -1079,36 +1194,6 @@ fn run_ingest(
     let _ = write_line(writer, &summary.finish());
 }
 
-/// A tenant's ingest series on the metrics registry.
-struct IngestCounters {
-    accepted: Cell,
-    decode_failed: Cell,
-    shed_quota: Cell,
-    shed_buffer: Cell,
-}
-
-impl IngestCounters {
-    fn new(metrics: &Metrics, tenant: &str) -> IngestCounters {
-        let series = |family: &str, reason: &str| {
-            metrics.counter(&format!(
-                "saql_ingest_{family}{{tenant=\"{tenant}\"{reason}}}"
-            ))
-        };
-        IngestCounters {
-            accepted: series("events_total", ""),
-            decode_failed: series("decode_failures_total", ""),
-            shed_quota: series("shed_total", ",reason=\"quota\""),
-            shed_buffer: series("shed_total", ",reason=\"buffer\""),
-        }
-    }
-}
-
-/// Bump a connection counter and its registry series together.
-fn bump(conn: &AtomicU64, series: &Cell, n: u64) {
-    conn.fetch_add(n, Ordering::Relaxed);
-    series.fetch_add(n, Ordering::Relaxed);
-}
-
 /// The sink of one ingest connection's NDJSON stage: decode accounting,
 /// quota and the hand-off to the core, one decoded chunk at a time in line
 /// order.
@@ -1118,7 +1203,6 @@ struct Apply<'a> {
     stat: &'a ConnStat,
     push: &'a PushHandle,
     lossless: bool,
-    counters: IngestCounters,
 }
 
 impl Apply<'_> {
@@ -1126,8 +1210,8 @@ impl Apply<'_> {
     fn apply(&mut self, chunk: DecodedChunk) -> bool {
         let mut events = chunk.events;
         if let Some(note) = chunk.failure {
-            let counter = &self.counters.decode_failed;
-            bump(&self.stat.decode_errors, counter, chunk.failed);
+            let failed = chunk.failed;
+            self.stat.decode_errors.fetch_add(failed, Ordering::Relaxed);
             // Live degradation surface: the paired ChannelSource's
             // failure() — and so the session's per-source stats — reports
             // this while the stream keeps flowing.
@@ -1139,8 +1223,7 @@ impl Apply<'_> {
         let over = (events.len() - granted) as u64;
         if over > 0 {
             events.truncate(granted);
-            bump(&self.stat.shed_quota, &self.counters.shed_quota, over);
-            self.tenant.shed_quota.fetch_add(over, Ordering::Relaxed);
+            self.stat.shed_quota.fetch_add(over, Ordering::Relaxed);
         }
         events.is_empty() || self.hand_off(events)
     }
@@ -1164,9 +1247,9 @@ impl Apply<'_> {
             // Also after a wait: the core may have gone idle meanwhile.
             self.sh.ring();
             let shed = chunk.len() as u64;
-            bump(&self.stat.shed_buffer, &self.counters.shed_buffer, shed);
+            self.stat.shed_buffer.fetch_add(shed, Ordering::Relaxed);
         }
-        bump(&self.stat.events, &self.counters.accepted, sent as u64);
+        self.stat.events.fetch_add(sent as u64, Ordering::Relaxed);
         open
     }
 }
@@ -1176,9 +1259,13 @@ fn run_control(reader: &mut NetReader<'_>, writer: &mut TcpStream, sh: &Shared, 
         return;
     }
     let mut buf = Vec::new();
-    while let Ok(1..) = reader.read_until(b'\n', &mut buf) {
+    loop {
+        match read_line(reader, &mut buf) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => return refuse(writer, &e.to_string()),
+        }
         let line = String::from_utf8_lossy(&buf).into_owned();
-        buf.clear();
         if line.trim().is_empty() {
             continue;
         }
@@ -1204,14 +1291,8 @@ fn run_subscribe(writer: &mut TcpStream, sh: &Shared, tenant: String, query: Str
     };
     let receiver = match sh.ask(subscribe) {
         Some(Ok(receiver)) => receiver,
-        Some(Err(e)) => {
-            let _ = write_line(writer, &err_line(&e));
-            return;
-        }
-        None => {
-            let _ = write_line(writer, &err_line("server is shutting down"));
-            return;
-        }
+        Some(Err(e)) => return refuse(writer, &e),
+        None => return refuse(writer, "server is shutting down"),
     };
     if write_line(writer, &ok_line()).is_err() {
         return;
@@ -1323,7 +1404,7 @@ mod tests {
         sh: Shared,
         ctrl_rx: Receiver<Req>,
         tenant: Arc<Tenant>,
-        stat: ConnStat,
+        stat: Arc<ConnStat>,
     }
 
     impl Rig {
@@ -1338,7 +1419,6 @@ mod tests {
             let sh = Shared {
                 ctrl,
                 rung: AtomicBool::new(false),
-                metrics: Metrics::new(),
                 tenants: Tenants {
                     map: Mutex::new(HashMap::new()),
                     default_quota: quota,
@@ -1346,16 +1426,23 @@ mod tests {
                     clock: Arc::clone(&clock),
                 },
                 conns: Mutex::new(Vec::new()),
+                deliveries: Mutex::new(BTreeMap::new()),
+                round_anchor: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 ingest_buffer: 4096,
                 clock,
                 conn_seq: AtomicU64::new(0),
             };
+            let stat = Arc::new(ConnStat {
+                tenant: "t".into(),
+                ..ConnStat::default()
+            });
+            sh.conns.lock().unwrap().push(Arc::clone(&stat));
             Rig {
                 tenant: sh.tenants.get("t"),
                 sh,
                 ctrl_rx,
-                stat: ConnStat::new("t", "src"),
+                stat,
             }
         }
 
@@ -1366,12 +1453,13 @@ mod tests {
                 stat: &self.stat,
                 push,
                 lossless,
-                counters: IngestCounters::new(&self.sh.metrics, "t"),
             }
         }
 
-        fn count(&self, series: &str) -> u64 {
-            self.sh.metrics.counter_value(series)
+        /// Tenant `t`'s ingest counts as the page sums them: events,
+        /// decode errors, quota sheds, buffer sheds.
+        fn count(&self) -> [u64; 4] {
+            self.sh.ingest_totals()["t"]
         }
     }
 
@@ -1389,10 +1477,7 @@ mod tests {
         assert_eq!(drained_ids(&mut source), vec![0, 1, 2, 3, 4]);
         assert_eq!(rig.stat.events.load(Ordering::Relaxed), 5);
         assert_eq!(rig.stat.shed_quota.load(Ordering::Relaxed), 59);
-        assert_eq!(rig.tenant.shed_quota.load(Ordering::Relaxed), 59);
-        let quota_series = "saql_ingest_shed_total{tenant=\"t\",reason=\"quota\"}";
-        assert_eq!(rig.count(quota_series), 59);
-        assert_eq!(rig.count("saql_ingest_events_total{tenant=\"t\"}"), 5);
+        assert_eq!(rig.count(), [5, 0, 59, 0]);
     }
 
     #[test]
@@ -1407,8 +1492,7 @@ mod tests {
         assert_eq!(drained_ids(&mut source), (0..10).collect::<Vec<_>>());
         assert_eq!(rig.stat.events.load(Ordering::Relaxed), 10);
         assert_eq!(rig.stat.shed_buffer.load(Ordering::Relaxed), 14);
-        let buffer_series = "saql_ingest_shed_total{tenant=\"t\",reason=\"buffer\"}";
-        assert_eq!(rig.count(buffer_series), 14);
+        assert_eq!(rig.count(), [10, 0, 0, 14]);
         // With room again, the next chunk goes in whole.
         assert!(apply.apply(chunk(24..30)));
         assert_eq!(drained_ids(&mut source), (24..30).collect::<Vec<_>>());
@@ -1449,8 +1533,7 @@ mod tests {
             ..chunk(64..126)
         }));
         assert_eq!(rig.stat.decode_errors.load(Ordering::Relaxed), 2);
-        let failed_series = "saql_ingest_decode_failures_total{tenant=\"t\"}";
-        assert_eq!(rig.count(failed_series), 2);
+        assert_eq!(rig.count()[1], 2);
         assert_eq!(rig.stat.events.load(Ordering::Relaxed), 126);
         assert_eq!(source.failure().as_deref(), Some(note));
         assert_eq!(drained_ids(&mut source).len(), 126);

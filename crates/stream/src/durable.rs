@@ -395,14 +395,14 @@ impl StoreReader {
 
     /// Stream events matching `selection`, in stored order, pruning
     /// segments by header first.
-    pub fn iter(&self, selection: &Selection) -> Result<StoreIter, StoreError> {
+    pub fn iter(&self, selection: &Selection) -> StoreIter {
         let segments = self
             .segments
             .iter()
             .filter(|m| m.intersects(selection))
             .cloned()
             .collect();
-        Ok(self.iter_over(segments, selection.clone(), 0))
+        self.iter_over(segments, selection.clone(), 0)
     }
 
     /// Stream every event from global offset `offset` (0-based index in
@@ -560,7 +560,7 @@ mod tests {
     }
 
     fn read(reader: &StoreReader, selection: &Selection) -> Result<Vec<Event>, StoreError> {
-        reader.iter(selection)?.collect()
+        reader.iter(selection).collect()
     }
 
     fn read_all(path: &Path) -> Vec<Event> {
@@ -806,7 +806,7 @@ mod tests {
         let raw = fs::read(&second).unwrap();
         fs::write(&second, &raw[..raw.len() - 5]).unwrap();
         // Everything before the tear streams out, then the error.
-        let mut iter = reader.iter(&Selection::all()).unwrap();
+        let mut iter = reader.iter(&Selection::all());
         for id in 0..3 {
             assert_eq!(iter.next().unwrap().unwrap().id, id);
         }

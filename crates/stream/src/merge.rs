@@ -326,7 +326,7 @@ impl<'a> WatermarkMerge<'a> {
         if !exists {
             return None;
         }
-        let stats = self.stats_of(id.index());
+        let stats = self.stats_of(id.index(), self.lead_ms());
         let slot = &mut self.slots[id.index()];
         slot.failure = stats.failure.clone();
         slot.source = None;
@@ -475,19 +475,24 @@ impl<'a> WatermarkMerge<'a> {
     /// Stats of every source ever attached, in attach order (detached
     /// sources report their final counters).
     pub fn source_stats(&self) -> Vec<(SourceId, SourceStats)> {
+        let lead = self.lead_ms();
         (0..self.slots.len())
-            .map(|i| (SourceId(i), self.stats_of(i)))
+            .map(|i| (SourceId(i), self.stats_of(i, lead)))
             .collect()
     }
 
-    fn stats_of(&self, index: usize) -> SourceStats {
-        let lead = self
-            .slots
+    /// The highest watermark among live sources: what each one's lag is
+    /// measured against.
+    fn lead_ms(&self) -> u64 {
+        self.slots
             .iter()
             .filter(|s| s.source.is_some() && !s.done)
             .map(|s| s.watermark_ms())
             .max()
-            .unwrap_or(0);
+            .unwrap_or(0)
+    }
+
+    fn stats_of(&self, index: usize, lead: u64) -> SourceStats {
         let slot = &self.slots[index];
         let w = slot.watermark_ms();
         // A finished source's watermark is conceptually +∞; report the

@@ -331,12 +331,12 @@ impl StoreSource {
         name: impl Into<String>,
         reader: &StoreReader,
         selection: &Selection,
-    ) -> Result<StoreSource, StoreError> {
-        Ok(StoreSource {
+    ) -> StoreSource {
+        StoreSource {
             name: name.into(),
-            iter: Some(reader.iter(selection)?),
+            iter: Some(reader.iter(selection)),
             error: None,
-        })
+        }
     }
 
     /// Open a streaming source at a global event offset — the resume path:
@@ -663,7 +663,7 @@ mod tests {
     /// The stream replayer: a selection of the store, sorted by time.
     fn replayed(path: &std::path::Path, selection: &Selection, speed: Speed) -> Vec<SharedEvent> {
         let reader = StoreReader::open(path).unwrap();
-        let source = StoreSource::open("replay", &reader, selection).unwrap();
+        let source = StoreSource::open("replay", &reader, selection);
         let mut merge = WatermarkMerge::new(MergeConfig::default());
         merge.attach_with(speed.pace(source), FLOOR_GATED);
         merge.collect_remaining()
@@ -745,7 +745,7 @@ mod tests {
             assert_eq!(ids(&out), ids(&shared(events.clone())));
             peak
         };
-        let store = StoreSource::open("store", &reader, &Selection::all()).unwrap();
+        let store = StoreSource::open("store", &reader, &Selection::all());
         let held = peak(Box::new(store));
         assert!(held <= SEGMENT + PULL, "held {held} events");
         let in_memory = peak(Box::new(IterSource::new("mem", shared(events.clone()))));
@@ -769,7 +769,7 @@ mod tests {
         let path = store_with("shuffled", &events, 32);
         let reader = StoreReader::open(&path).unwrap();
         let mut merge = WatermarkMerge::new(MergeConfig::default());
-        let store = StoreSource::open("store", &reader, &Selection::all()).unwrap();
+        let store = StoreSource::open("store", &reader, &Selection::all());
         merge.attach_with(Box::new(store), FLOOR_GATED);
         let out = merge.collect_remaining();
         let mut expected = events.clone();
@@ -795,7 +795,7 @@ mod tests {
             ..MergeConfig::default()
         };
         let run = |speed: Speed| {
-            let store = StoreSource::open("store", &reader, &Selection::all()).unwrap();
+            let store = StoreSource::open("store", &reader, &Selection::all());
             let mut merge = WatermarkMerge::new(config);
             merge.attach_with(speed.pace(store), FLOOR_GATED);
             let feed = IterSource::new("other", shared(other.clone()));
@@ -814,7 +814,7 @@ mod tests {
         let stored = [ev(1, "h1", 10), ev(2, "h2", 20), ev(3, "h1", 30)];
         let path = store_with("store", &stored, 2);
         let reader = StoreReader::open(&path).unwrap();
-        let mut source = StoreSource::open("store", &reader, &Selection::host("h1")).unwrap();
+        let mut source = StoreSource::open("store", &reader, &Selection::host("h1"));
         let out = drain(&mut source);
         assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(source.failure(), None);

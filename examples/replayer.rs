@@ -50,7 +50,7 @@ fn main() {
         Timestamp::from_millis(30 * 60_000),
         Timestamp::from_millis(60 * 60_000),
     );
-    let source = StoreSource::open("db-server", &reader, &selection).expect("replay");
+    let source = StoreSource::open("db-server", &reader, &selection);
     let mut session = system.engine().session();
     session.attach_with(source, FLOOR_GATED);
     let mut alerts = Vec::new();
@@ -76,8 +76,7 @@ fn main() {
     // 3. Paced replay: compress one hour of trace into ~1 second of wall
     //    time (how the CLI's `--speed` drives live demos), into an engine
     //    with no queries.
-    let source =
-        StoreSource::open("paced", &reader, &Selection::host("db-server")).expect("paced replay");
+    let source = StoreSource::open("paced", &reader, &Selection::host("db-server"));
     let mut engine = saql::Engine::new(saql::EngineConfig::default());
     let mut session = engine.session();
     session.attach_with(Paced::new(source, 3600.0), FLOOR_GATED);

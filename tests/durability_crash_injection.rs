@@ -109,7 +109,6 @@ fn write_and_tear(
     let reader = StoreReader::open(dir).unwrap();
     let recovered = reader
         .iter(&Selection::all())
-        .unwrap()
         .collect::<Result<Vec<_>, _>>()
         .unwrap();
     assert!(
@@ -173,7 +172,7 @@ fn crash_and_resume(
         dir: ckpt_dir.to_path_buf(),
         every_events: 0, // manual checkpoints only
     });
-    session.attach(StoreSource::open("store", &reader, &Selection::all()).unwrap());
+    session.attach(StoreSource::open("store", &reader, &Selection::all()));
     while session.processed() < k as u64 {
         let round = session.pump_max(k - session.processed() as usize);
         assert!(
@@ -434,7 +433,7 @@ proptest! {
         prop_assert_eq!(w.len() as usize, recovered.len());
         w.append(sentinel).unwrap();
         drop(w);
-        let back = StoreReader::open(&dir).unwrap().iter(&Selection::all()).unwrap().collect::<Result<Vec<_>, _>>().unwrap();
+        let back = StoreReader::open(&dir).unwrap().iter(&Selection::all()).collect::<Result<Vec<_>, _>>().unwrap();
         let mut expected = recovered;
         expected.extend_from_slice(sentinel);
         prop_assert_eq!(back, expected);

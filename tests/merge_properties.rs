@@ -193,14 +193,14 @@ proptest! {
         let open = || match mode {
             0 => StoreSource::open("store", &reader, &Selection::all()),
             1 => StoreSource::open("store", &reader, &Selection::host(HOSTS[at as usize % 3])),
-            _ => StoreSource::open_at("store", &reader, at.min(reader.len())),
+            _ => StoreSource::open_at("store", &reader, at.min(reader.len())).unwrap(),
         };
-        let stored: Vec<SharedEvent> = drain_checking_watermark(&mut open().unwrap(), max);
+        let stored: Vec<SharedEvent> = drain_checking_watermark(&mut open(), max);
         let expected: Vec<Event> = match mode {
             0 => events.clone(),
             1 => {
                 let selection = Selection::host(HOSTS[at as usize % 3]);
-                reader.iter(&selection).unwrap().collect::<Result<_, _>>().unwrap()
+                reader.iter(&selection).collect::<Result<_, _>>().unwrap()
             }
             _ => events[at.min(events.len() as u64) as usize..].to_vec(),
         };
@@ -208,7 +208,7 @@ proptest! {
             expected.iter().map(|e| e.id).collect::<Vec<_>>());
 
         let lateness = MergeConfig::default().lateness.as_millis();
-        let via_store = merged(vec![Box::new(open().unwrap())], lateness, pull_batch);
+        let via_store = merged(vec![Box::new(open())], lateness, pull_batch);
         prop_assert_eq!(via_store, reference(&[stored], lateness));
         std::fs::remove_dir_all(&dir).unwrap();
     }

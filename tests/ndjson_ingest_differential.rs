@@ -107,7 +107,6 @@ fn via_serve(body: &[u8]) -> (Vec<Event>, u64, Option<String>) {
     let events = StoreReader::open(&store)
         .unwrap()
         .iter(&Selection::all())
-        .unwrap()
         .collect::<Result<Vec<_>, _>>()
         .unwrap();
     let _ = std::fs::remove_dir_all(&store);

@@ -277,7 +277,7 @@ proptest! {
         // The stream replayer: the selection sorted by its verified floor.
         let reader = StoreReader::open(&path).unwrap();
         let mut merge = WatermarkMerge::new(MergeConfig::default());
-        let source = StoreSource::open("replay", &reader, &selection).unwrap();
+        let source = StoreSource::open("replay", &reader, &selection);
         merge.attach_with(Box::new(source), FLOOR_GATED);
         let replayed = merge.collect_remaining();
         let _ = std::fs::remove_dir_all(&path);

@@ -42,7 +42,7 @@ fn replay(
     speed: Speed,
 ) -> (u64, Vec<Alert>) {
     let reader = StoreReader::open(path).unwrap();
-    let source = StoreSource::open("replay", &reader, selection).unwrap();
+    let source = StoreSource::open("replay", &reader, selection);
     let mut session = engine.session();
     session.attach_with(speed.pace(source), FLOOR_GATED);
     let mut alerts = Vec::new();

@@ -1,9 +1,10 @@
 //! End-to-end tests of the serving layer (`saql-serve`) over real loopback
 //! sockets: multi-tenant ingest equivalence against the offline engine,
 //! deterministic quota shedding under an injected clock, live decode-failure
-//! surfacing, and shutdown → checkpoint → resume exactness.
+//! surfacing, the metrics page as a view of `stats`, the control path's line
+//! cap, and shutdown → checkpoint → resume exactness.
 
-use std::io::{BufRead, BufReader, Cursor, Write};
+use std::io::{BufRead, BufReader, Cursor, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,8 +13,9 @@ use std::time::Duration;
 
 use saql::engine::{CheckpointConfig, Deployment};
 use saql::model::event::{Event, EventBuilder};
-use saql::model::json::encode_event_json;
+use saql::model::json::{encode_event_json, parse_json, JsonValue};
 use saql::model::{FileInfo, ProcessInfo};
+use saql::serve::server::MAX_LINE;
 use saql::serve::{
     ctl, ingest_reader, protocol, tail_alerts, ManualClock, ServeConfig, Server, TenantQuota,
 };
@@ -81,6 +83,23 @@ fn offline_alert_lines(queries: &[(String, String)], events: Vec<Event>) -> Vec<
 fn sorted(mut v: Vec<String>) -> Vec<String> {
     v.sort();
     v
+}
+
+/// The body of `GET /metrics`.
+fn scrape(addr: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.0 200 OK"), "{head}");
+    body.to_string()
+}
+
+/// The value of one series, `family{labels}`, on a metrics page.
+fn series(page: &str, name: &str) -> Option<u64> {
+    page.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
 }
 
 #[test]
@@ -359,12 +378,13 @@ fn quota_sheds_deterministically_and_never_wedges_the_pump() {
     assert_eq!(report.field("events"), Some(5), "{}", report.summary);
     assert_eq!(report.field("shed_quota"), Some(15), "{}", report.summary);
 
-    // Shed counters surface on the metrics registry and in stats.
+    // Shed counters surface on the metrics page and in stats.
     assert_eq!(
-        server
-            .metrics()
-            .counter_value("saql_ingest_shed_total{tenant=\"acme\",reason=\"quota\"}"),
-        60
+        series(
+            &scrape(&addr),
+            "saql_ingest_shed_total{tenant=\"acme\",reason=\"quota\"}"
+        ),
+        Some(60)
     );
     let stats = ctl(&addr, "acme", r#"{"cmd":"stats"}"#).unwrap();
     assert!(stats.contains("\"shed\":60"), "{stats}");
@@ -428,13 +448,174 @@ fn decode_failures_surface_live_in_summary_and_stats() {
     let stats = ctl(&addr, "default", r#"{"cmd":"stats"}"#).unwrap();
     assert!(stats.contains("undecodable"), "{stats}");
     assert_eq!(
-        server
-            .metrics()
-            .counter_value("saql_ingest_decode_failures_total{tenant=\"default\"}"),
-        2
+        series(
+            &scrape(&addr),
+            "saql_ingest_decode_failures_total{tenant=\"default\"}"
+        ),
+        Some(2)
     );
 
     assert!(ctl(&addr, "default", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
+/// The metrics page is a view of what `stats` and the acks report: a
+/// tenant's ingest series are the sums over its connections, a query's
+/// series are its `stats` entry, and a deregistered query's series leave
+/// the page.
+#[test]
+fn the_metrics_page_and_stats_agree() {
+    let clock = ManualClock::new();
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        quota: TenantQuota {
+            max_live_queries: 2,
+            events_per_sec: 10,
+            burst: 5,
+        },
+        clock: clock.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    assert!(
+        ctl(&addr, "acme", &register_line("q", &rule_query("host-a")))
+            .unwrap()
+            .contains("\"ok\":true")
+    );
+
+    // Frozen clock: the first connection gets the burst and sheds the
+    // rest. A second of refill then lets the second connection's events
+    // through, around its two undecodable lines.
+    let corpus: Vec<Event> = (0..24).map(|i| event(i, 1000 + i * 10, "host-a")).collect();
+    let mut noisy = jsonl(&corpus[20..22]);
+    noisy.push_str("not json\n{\"not\":\"an event\"}\n");
+    noisy.push_str(&jsonl(&corpus[22..]));
+    let mut acks = Vec::new();
+    for (source, body) in [("shed", jsonl(&corpus[..20])), ("noisy", noisy)] {
+        let mut body = Cursor::new(body);
+        acks.push(ingest_reader(&addr, "acme", source, &mut body, true, true).unwrap());
+        clock.advance_ms(1000);
+    }
+    let sum = |field: &str| acks.iter().map(|a| a.field(field).unwrap()).sum::<u64>();
+    assert_eq!(
+        ["events", "decode_errors", "shed_quota", "shed_buffer"].map(sum),
+        [9, 2, 15, 0]
+    );
+
+    let page = scrape(&addr);
+    for (name, field) in [
+        ("saql_ingest_events_total{tenant=\"acme\"}", "events"),
+        (
+            "saql_ingest_decode_failures_total{tenant=\"acme\"}",
+            "decode_errors",
+        ),
+        (
+            "saql_ingest_shed_total{tenant=\"acme\",reason=\"quota\"}",
+            "shed_quota",
+        ),
+        (
+            "saql_ingest_shed_total{tenant=\"acme\",reason=\"buffer\"}",
+            "shed_buffer",
+        ),
+    ] {
+        assert_eq!(series(&page, name), Some(sum(field)), "{name}\n{page}");
+    }
+    let stats = parse_json(&ctl(&addr, "acme", r#"{"cmd":"stats"}"#).unwrap()).unwrap();
+    let field = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64);
+    let engine = stats.get("engine").unwrap();
+    assert_eq!(
+        series(&page, "saql_engine_offset"),
+        field(engine, "offset"),
+        "{page}"
+    );
+    assert_eq!(field(stats.get("quota").unwrap(), "shed"), Some(15));
+    let Some(JsonValue::Array(queries)) = stats.get("queries") else {
+        panic!("no queries in {stats:?}");
+    };
+    assert_eq!(field(&queries[0], "events_seen"), Some(9));
+    let query_series = [
+        ("saql_query_events_total", "events_seen"),
+        ("saql_query_alerts_total", "alerts"),
+        ("saql_alerts_delivered_total", "alerts"),
+    ];
+    for (family, key) in query_series {
+        let name = format!("{family}{{query=\"acme/q\"}}");
+        assert_eq!(
+            series(&page, &name),
+            field(&queries[0], key),
+            "{name}\n{page}"
+        );
+    }
+    let latency = "saql_delivery_latency_us{query=\"acme/q\",stat=\"count\"}";
+    assert_eq!(series(&page, latency), Some(9), "{page}");
+
+    // Deregistered, the query leaves the page; what the alert hook
+    // delivered for it stays.
+    let reply = ctl(&addr, "acme", r#"{"cmd":"deregister","name":"q"}"#).unwrap();
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let page = scrape(&addr);
+    assert!(
+        !page.lines().any(|l| l.starts_with("saql_query_")),
+        "{page}"
+    );
+    let delivered = "saql_alerts_delivered_total{query=\"acme/q\"}";
+    assert_eq!(series(&page, delivered), Some(9), "{page}");
+
+    assert!(ctl(&addr, "acme", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
+/// A hello or a control line longer than [`MAX_LINE`] is refused with an
+/// error line instead of being buffered until a newline comes, and the
+/// server still answers a fresh control connection.
+#[test]
+fn an_over_long_hello_or_control_line_is_refused() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let long = vec![b'x'; MAX_LINE + 1];
+    let open = || {
+        let stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), stream)
+    };
+    let read_line = |reader: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("a reply within the timeout");
+        line
+    };
+
+    let (mut reader, mut hello) = open();
+    hello.write_all(&long).unwrap();
+    let reply = read_line(&mut reader);
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+
+    let (mut reader, mut control) = open();
+    writeln!(control, r#"{{"role":"control","tenant":"t"}}"#).unwrap();
+    assert!(read_line(&mut reader).contains("\"ok\":true"));
+    control.write_all(&long).unwrap();
+    let reply = read_line(&mut reader);
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    assert!(
+        reply.contains(&format!("exceeds {MAX_LINE} bytes")),
+        "{reply}"
+    );
+
+    let list = ctl(&addr, "t", r#"{"cmd":"list"}"#).unwrap();
+    assert!(list.contains("\"ok\":true"), "{list}");
+    assert!(ctl(&addr, "t", r#"{"cmd":"shutdown"}"#)
         .unwrap()
         .contains("\"ok\":true"));
     server.wait().unwrap();

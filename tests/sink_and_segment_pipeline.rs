@@ -115,7 +115,6 @@ fn segmented_store_prunes_and_detects() {
     assert!(decoded < trace.events.len());
     let events = store
         .iter(&selection)
-        .unwrap()
         .collect::<Result<Vec<_>, _>>()
         .unwrap();
     assert!(!events.is_empty());
@@ -170,10 +169,7 @@ fn segmented_reads_agree_with_the_in_memory_trace() {
             .collect();
         assert!(!expected.is_empty());
         assert_eq!(
-            seg.iter(&selection)
-                .unwrap()
-                .collect::<Result<Vec<_>, _>>()
-                .unwrap(),
+            seg.iter(&selection).collect::<Result<Vec<_>, _>>().unwrap(),
             expected
         );
     }

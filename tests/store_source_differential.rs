@@ -90,7 +90,7 @@ fn a_stored_jittered_stream_runs_like_the_same_events_in_memory() {
         "stragglers cross {crossings} segment boundaries"
     );
 
-    let stored = run(StoreSource::open("store", &reader, &Selection::all()).unwrap());
+    let stored = run(StoreSource::open("store", &reader, &Selection::all()));
     let in_memory = run(IterSource::new(
         "iter",
         events.into_iter().map(Arc::new).collect::<Vec<_>>(),
