@@ -161,10 +161,10 @@ PIPELINES (multi-stage queries — alerts as an event stream):
     Cyclic or dangling `from query` references are rejected at
     registration with spanned errors. `saql explain` prints the topology
     (stage DAG) followed by each stage's compiled plan; `saql check`
-    validates all stages. Checkpoints capture the whole topology —
-    in-flight inter-stage alerts are quiesced first and adapter positions
-    travel in the checkpoint — so `--resume` rewires every stage and
-    replays exactly. `saql demo --pipeline` deploys a tiered two-stage
+    validates all stages. Checkpoints capture the whole topology — every
+    round hands its alerts to their stages before it ends, and adapter
+    positions travel in the checkpoint — so `--resume` rewires every stage
+    and replays exactly. `saql demo --pipeline` deploys a tiered two-stage
     detection alongside the demo queries.
 
 REPL (`saql repl [--store DIR]`): a query ended by a blank line deploys as

@@ -125,7 +125,6 @@ pub enum ControlReply {
         id: QueryId,
     },
     Listed(Vec<Listed>),
-    /// The quiesce alerts ride on the reply for the caller to emit.
     Checkpointed(Checkpointed),
 }
 

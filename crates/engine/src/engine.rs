@@ -112,8 +112,8 @@ pub struct Engine {
     subscription_drops_by_query: HashMap<QueryId, u64>,
     /// Alerts produced by control-plane operations (e.g. the window flush
     /// of a deregistered query) waiting to be returned by the next
-    /// [`process`](Self::process)/[`finish`](Self::finish) call. Already
-    /// routed to subscribers.
+    /// [`process`](Self::process)/[`sync`](Self::sync)/[`finish`](Self::finish)
+    /// call. Already routed to subscribers.
     pending: Vec<Alert>,
     /// Facade-level observer invoked for every alert as it is routed —
     /// the metrics tap serving layers hang per-query counters and
@@ -304,14 +304,17 @@ impl Engine {
     }
 
     /// Synchronize with the data plane: when this returns, every event fed
-    /// so far has been fully processed and every alert it produced has been
-    /// routed (to subscribers) and buffered for the next data-plane call.
-    /// Execution on the caller's thread is always synchronous, so this
-    /// costs nothing there; with workers it is a barrier. The pipeline
-    /// wiring syncs before punctuating a derived stream, so a punctuation
-    /// can never outrun an upstream alert still being computed on a worker.
-    pub fn sync(&mut self) -> Result<(), EngineError> {
-        self.control(|runtime, arrived| runtime.sync(arrived))
+    /// so far has been fully processed, and every alert it produced that
+    /// no data-plane call returned yet is routed (to subscribers) and
+    /// returned here — control-plane alerts buffered for the next call
+    /// included. Execution on the caller's thread is always synchronous, so
+    /// this costs nothing there; with workers it is a barrier. A session
+    /// with pipeline stages syncs each round before punctuating them, so a
+    /// punctuation can never outrun an upstream alert still being computed
+    /// on a worker.
+    pub fn sync(&mut self) -> Result<Vec<Alert>, EngineError> {
+        self.control(|runtime, arrived| runtime.sync(arrived))?;
+        Ok(std::mem::take(&mut self.pending))
     }
 
     /// Detach a query from the stream without removing it: while paused it
@@ -345,21 +348,11 @@ impl Engine {
     /// [`dropped_alerts`](Self::dropped_alerts)) rather than stalling the
     /// stream. Dropping the receiver unsubscribes.
     pub fn subscribe(&mut self, id: QueryId) -> Result<Receiver<Alert>, EngineError> {
-        self.subscribe_with_capacity(id, self.config.subscription_backlog)
-    }
-
-    /// [`subscribe`](Self::subscribe) with an explicit channel capacity
-    /// (zero clamps to one).
-    pub fn subscribe_with_capacity(
-        &mut self,
-        id: QueryId,
-        capacity: usize,
-    ) -> Result<Receiver<Alert>, EngineError> {
         // A subscription opened after the workers drained could never close
         // or deliver; reject it rather than hand out a dead channel.
         self.runtime.live()?;
         self.expect_live(id)?;
-        let (tx, rx) = sync_channel(capacity.max(1));
+        let (tx, rx) = sync_channel(self.config.subscription_backlog.max(1));
         self.subscriptions.entry(id).or_default().push(tx);
         Ok(rx)
     }
@@ -1000,11 +993,14 @@ mod tests {
 
     #[test]
     fn full_subscription_drops_and_counts_instead_of_stalling() {
-        let mut e = Engine::new(EngineConfig::default());
+        let mut e = Engine::new(EngineConfig {
+            subscription_backlog: 1,
+            ..EngineConfig::default()
+        });
         let id = e
             .register("q", "proc p start proc q as e\nreturn p, q")
             .unwrap();
-        let inbox = e.subscribe_with_capacity(id, 1).unwrap();
+        let inbox = e.subscribe(id).unwrap();
         e.process(&start(1, 10, "a.exe", "b.exe")).unwrap();
         e.process(&start(2, 20, "a.exe", "b.exe")).unwrap();
         e.process(&start(3, 30, "a.exe", "b.exe")).unwrap();

@@ -6,18 +6,17 @@
 //! can feed an enterprise-wide correlation query — the cross-host,
 //! multi-window attack stories the paper's flat queries cannot express.
 //!
-//! The subsystem composes three primitives that already exist:
+//! The subsystem composes two primitives:
 //!
-//! 1. per-query [`Engine::subscribe`] channels carry a stage's alerts out
-//!    of the engine;
-//! 2. the **alert→event adapter** ([`AlertAdapter`]) turns each alert into
+//! 1. the **alert→event adapter** ([`AlertAdapter`]) turns each alert into
 //!    an ordinary [`Event`] with `op = alert` — the emitting query becomes
 //!    the *subject* (`exe_name` = query name), the alert's group label the
 //!    *object*, and labeled return rows map onto the event schema through
 //!    the global [`saql_model::AttrTable`] (`agentid`- and
 //!    `amount`-labeled rows surface as `_in.agentid` / `_in.amount`);
-//! 3. a `push_source` channel per upstream feeds those derived events back
-//!    into the session's watermarked merge, where every downstream stage
+//! 2. the session's **edge table** (one row per upstream with dependents:
+//!    its id, depth, adapter and last punctuation) hands the adapted
+//!    events straight back to the engine, where every downstream stage
 //!    (compiled with the injected `_in` pattern) picks them up.
 //!
 //! **Time.** A stage's clock ticks only on its own upstream's adapted
@@ -25,38 +24,36 @@
 //! windows close exactly as they would in a dedicated engine fed only the
 //! upstream's alerts — this is what makes pipeline execution equivalent to
 //! hand-chaining two engines. Silent upstreams cannot stall a stage
-//! forever: each transfer round punctuates every edge with a **watermark
-//! event** (`op = alert`, object `user` = the reserved
-//! [`saql_lang::semantic::PIPELINE_WM_USER`] marker) at
-//! the session frontier minus a lateness margin. Punctuations advance the
-//! stage clock but are excluded by the injected `_in` pattern, so they
-//! never count as payload. The margin is `(depth+1) × allowed_lateness`
-//! per edge: an upstream at depth `d` can still emit window alerts up to
-//! `d+1` lateness bounds behind the frontier, and a punctuation must never
-//! outrun an alert that is still coming.
+//! forever: each round punctuates every edge with a **watermark event**
+//! (`op = alert`, object `user` = the reserved
+//! [`saql_lang::semantic::PIPELINE_WM_USER`] marker) at the session
+//! frontier minus a lateness margin. Punctuations advance the stage clock
+//! but are excluded by the injected `_in` pattern, so they never count as
+//! payload. The margin is `(depth+1) × allowed_lateness` per edge: an
+//! upstream at depth `d` can still emit window alerts up to `d+1` lateness
+//! bounds behind the frontier, and a punctuation must never outrun an
+//! alert that is still coming.
 //!
-//! **Who drives it.** A [`RunSession`] owns the wiring: every pump round
-//! rewires when the registry's edge set changed, transfers, and pumps; its
-//! checkpoints quiesce the stages first; its end of stream flushes them
+//! **Who drives it.** A [`RunSession`] owns the edge table: every pump
+//! round rebuilds it when the registry's edge set changed, processes its
+//! base events, then offers the alerts they raised to their stages — in
+//! the same round, pass after pass until a pass derives nothing, so stage
+//! 2's alerts reach stage 3 too. Its end of stream flushes the stages
 //! layer by layer. Callers register stages and pump — nothing more.
 //!
 //! **Checkpoints.** Adapted event ids are deterministic —
 //! `(upstream_id+1) << 40 | seq` with a per-edge counter — and the counter
 //! travels in the engine checkpoint (`Checkpoint::adapters`, format v2),
 //! so a resumed pipeline keeps minting the ids the uninterrupted run would
-//! have. A session checkpoint first runs transfer+pump rounds until no
-//! alert is in flight between stages, which is what makes it capture the
-//! *whole* pipeline state with nothing stuck in a channel.
+//! have. No alert is ever in flight between rounds, so a checkpoint taken
+//! at a round boundary captures the *whole* pipeline state as it stands.
 
 use std::collections::HashMap;
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use saql_lang::{LangError, Stage};
 use saql_model::entity::{Entity, ProcessInfo};
 use saql_model::{AttrId, AttrNs, AttrTable, Duration, Event, Operation, Timestamp};
-use saql_stream::merge::{Lateness, WatermarkMerge};
-use saql_stream::source::{push_source, PushHandle};
 use saql_stream::SharedEvent;
 
 use crate::alert::{Alert, AlertOrigin};
@@ -66,9 +63,6 @@ use crate::query::QueryId;
 use crate::session::RunSession;
 
 pub use saql_lang::semantic::PIPELINE_WM_USER;
-
-/// Default capacity of each per-upstream derived-event channel.
-const EDGE_CAPACITY: usize = 4096;
 
 /// Turns one upstream query's alerts into derived events, deterministically.
 ///
@@ -190,19 +184,6 @@ impl AlertAdapter {
             }),
             amount: 0,
         })
-    }
-
-    /// Advance downstream time through `push` when this upstream is
-    /// silent: raise the derived channel's watermark so it never gates the
-    /// session merge (PR 4's gating rule — a quiet live source otherwise
-    /// holds the frontier), then push a [`punctuation`](Self::punctuation)
-    /// so the downstream stage's *own* clock reaches `ts` and its windows
-    /// close. A session's pipeline transfer calls this every round;
-    /// hand-wired topologies call it directly. Returns `false` once the
-    /// consuming session is gone.
-    pub fn advance_watermark(&self, push: &PushHandle, ts: Timestamp) -> bool {
-        push.advance_watermark(ts);
-        push.push(self.punctuation(ts))
     }
 }
 
@@ -440,28 +421,22 @@ pub fn deregister_pipeline(engine: &mut Engine, id: QueryId) -> Result<Vec<Strin
     Ok(removed)
 }
 
-/// One wired pipeline edge: an upstream query with at least one dependent.
+/// One pipeline edge: an upstream query with at least one dependent.
 struct Edge {
     /// Stage depth of the upstream (0 = reads raw events); sets the
     /// punctuation lateness margin.
     depth: u64,
-    rx: Receiver<Alert>,
-    push: Option<PushHandle>,
     adapter: AlertAdapter,
     last_punct: Option<Timestamp>,
 }
 
-/// A session's wired pipeline topology: one subscription, adapter, and
-/// `pipe:` push channel per live upstream, all dependents of an upstream
-/// sharing its derived stream through the merge. Owned by
-/// [`RunSession`], which rewires it whenever the registry's edge set
+/// A session's pipeline topology: one adapter per live upstream, all
+/// dependents of an upstream sharing its derived events. Owned by
+/// [`RunSession`], which rebuilds it whenever the registry's edge set
 /// changes.
 #[derive(Default)]
 pub(crate) struct Edges {
     edges: Vec<Edge>,
-    /// Set at end of stream: the derived channels are closed and the
-    /// topology is never rewired again.
-    closed: bool,
 }
 
 /// Pipeline depth of a live query (0 = reads raw events), memoized in
@@ -489,60 +464,43 @@ fn upstreams(engine: &Engine) -> Vec<QueryId> {
 }
 
 impl Edges {
-    /// Wire every pipeline edge of `engine`, attaching one derived channel
-    /// per upstream to `merge`. Adapters resume at the position `seqs`
-    /// names for their upstream (first match wins), else at 0.
-    pub(crate) fn connect(
-        engine: &mut Engine,
-        merge: &mut WatermarkMerge<'_>,
-        seqs: &[(String, u64)],
-    ) -> Result<Edges, EngineError> {
+    /// One edge per upstream of `engine`. Adapters resume at the position
+    /// `seqs` names for their upstream (first match wins), else at 0.
+    pub(crate) fn connect(engine: &Engine, seqs: &[(String, u64)]) -> Edges {
         let mut depth: HashMap<QueryId, u64> = HashMap::new();
-        let mut edges = Vec::new();
-        for up_id in upstreams(engine) {
-            let d = depth_of(engine, up_id, &mut depth);
-            let name = engine
-                .name_of(up_id)
-                .ok_or(EngineError::UnknownQuery(up_id))?
-                .to_string();
-            let rx = engine.subscribe_with_capacity(up_id, EDGE_CAPACITY)?;
-            let mut adapter = AlertAdapter::new(&name, up_id);
-            if let Some((_, seq)) = seqs.iter().find(|(n, _)| *n == name) {
-                adapter.set_seq(*seq);
-            }
-            let (push, source) = push_source(format!("pipe:{name}"), EDGE_CAPACITY);
-            merge.attach_with(Box::new(source), Lateness::ArrivalOrder);
-            edges.push(Edge {
-                depth: d,
-                rx,
-                push: Some(push),
-                adapter,
-                last_punct: None,
-            });
-        }
-        Ok(Edges {
-            edges,
-            closed: false,
-        })
+        let edges = upstreams(engine)
+            .into_iter()
+            .filter_map(|up_id| {
+                let name = engine.name_of(up_id)?;
+                let mut adapter = AlertAdapter::new(name, up_id);
+                if let Some((_, seq)) = seqs.iter().find(|(n, _)| n == name) {
+                    adapter.set_seq(*seq);
+                }
+                Some(Edge {
+                    depth: depth_of(engine, up_id, &mut depth),
+                    adapter,
+                    last_punct: None,
+                })
+            })
+            .collect();
+        Edges { edges }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
 
-    /// Derived channels still open — each one is a live merge source.
-    pub(crate) fn open(&self) -> usize {
-        self.edges.iter().filter(|e| e.push.is_some()).count()
+    /// Whether some upstream is itself a stage: its alerts exist only once
+    /// the derived events feeding it have been processed.
+    pub(crate) fn deep(&self) -> bool {
+        self.edges.iter().any(|e| e.depth > 0)
     }
 
-    /// Whether the live registry's edge set no longer matches this wiring
+    /// Whether the live registry's edge set no longer matches this table
     /// (a pipeline was registered or deregistered mid-run). Compares the
     /// upstream id *sets*: replacing a pipeline under the same name keeps
     /// the count but changes the ids, and the registry never reuses one.
     pub(crate) fn stale(&self, engine: &Engine) -> bool {
-        if self.closed {
-            return false;
-        }
         let ups = upstreams(engine);
         ups.len() != self.edges.len()
             || ups
@@ -560,39 +518,38 @@ impl Edges {
             .collect()
     }
 
-    /// Drain every upstream subscription, adapt and push the alerts, then
-    /// punctuate each edge at `frontier` minus its lateness margin. `lead`
-    /// is the watermark every derived channel is raised to first, so none
-    /// of them gates the merge. Returns the derived events pushed.
-    pub(crate) fn transfer(&mut self, frontier: Timestamp, lead: u64, lateness: Duration) -> u64 {
-        let mut pushed = 0u64;
-        for edge in &self.edges {
-            if let Some(push) = edge.push.as_ref() {
-                push.advance_watermark(Timestamp::from_millis(lead));
+    /// The derived events for `alerts`: each alert of an upstream, adapted
+    /// in order, then the punctuation of each edge at `depth` — whose
+    /// upstream's alerts are all in by now — at `frontier` minus its
+    /// lateness margin, if that moved past the edge's last one.
+    pub(crate) fn derive(
+        &mut self,
+        alerts: &[Alert],
+        depth: u64,
+        frontier: Timestamp,
+        lateness: Duration,
+    ) -> Vec<SharedEvent> {
+        let mut derived = Vec::new();
+        for alert in alerts {
+            if let Some(edge) = self
+                .edges
+                .iter_mut()
+                .find(|e| e.adapter.upstream_id() == alert.query_id)
+            {
+                derived.push(edge.adapter.adapt(alert));
             }
         }
-        for edge in &mut self.edges {
-            let Some(push) = edge.push.as_ref() else {
-                continue;
-            };
-            while let Ok(alert) = edge.rx.try_recv() {
-                if push.push(edge.adapter.adapt(&alert)) {
-                    pushed += 1;
-                }
-            }
-            // Punctuate: safe lower bound on anything this upstream can
-            // still emit. `(depth+1)` lateness bounds behind the frontier.
+        for edge in self.edges.iter_mut().filter(|e| e.depth == depth) {
+            // A safe lower bound on anything this upstream can still emit:
+            // `(depth+1)` lateness bounds behind the frontier.
             let margin = lateness.as_millis().saturating_mul(edge.depth + 1);
             let punct = Timestamp::from_millis(frontier.as_millis().saturating_sub(margin));
-            if punct.as_millis() > 0
-                && edge.last_punct.is_none_or(|p| punct > p)
-                && edge.adapter.advance_watermark(push, punct)
-            {
+            if punct.as_millis() > 0 && edge.last_punct.is_none_or(|p| punct > p) {
                 edge.last_punct = Some(punct);
-                pushed += 1;
+                derived.push(edge.adapter.punctuation(punct));
             }
         }
-        pushed
+        derived
     }
 
     /// Every query some dependent consumes, in end-of-stream flush order:
@@ -607,42 +564,32 @@ impl Edges {
         flush.sort_by_key(|(d, id)| (*d, id.index()));
         flush.into_iter().map(|(_, id)| id).collect()
     }
-
-    /// Close the derived channels for good: the merge retires their
-    /// sources once drained, and the topology is never rewired again.
-    pub(crate) fn close(&mut self) {
-        for edge in &mut self.edges {
-            edge.push = None;
-        }
-        self.closed = true;
-    }
 }
 
 /// A hand-driving handle on a session's `|>` stages.
 ///
-/// A [`RunSession`] wires, transfers, quiesces, checkpoints, and flushes
-/// its pipeline stages itself — no caller needs this handle. It remains as
-/// the benchmark ladder's seam; each call forwards to the session.
+/// A [`RunSession`] feeds, checkpoints, and flushes its pipeline stages
+/// itself — no caller needs this handle. It remains as the benchmark
+/// ladder's seam; each call forwards to the session.
 #[derive(Debug)]
 pub struct PipelineWiring;
 
 impl PipelineWiring {
-    /// Wire the session's pipeline edges now instead of at its next pump
+    /// Build the session's edge table now instead of at its next pump
     /// round.
     pub fn connect(session: &mut RunSession) -> Result<PipelineWiring, EngineError> {
-        session.wire()?;
+        session.wire();
         Ok(PipelineWiring)
     }
 
-    /// One transfer round: move upstream alerts into the derived channels
-    /// and punctuate them. Returns the derived events pushed (every pump
-    /// round transfers on its own as well).
-    pub fn transfer(&mut self, session: &mut RunSession) -> u64 {
-        session.transfer()
+    /// Nothing to move: every pump round hands its alerts to their stages
+    /// before it returns. Returns 0.
+    pub fn transfer(&mut self, _session: &mut RunSession) -> u64 {
+        0
     }
 
-    /// Flush the stages layer by layer and close the derived channels (the
-    /// first half of [`RunSession::finish`]).
+    /// Flush the stages layer by layer (the first half of
+    /// [`RunSession::finish`]).
     pub fn finish_stages(&mut self, session: &mut RunSession) -> Vec<Alert> {
         session.finish_stages()
     }
@@ -656,6 +603,7 @@ mod tests {
     use crate::session::SessionStatus;
     use saql_model::event::EventBuilder;
     use saql_model::NetworkInfo;
+    use saql_stream::merge::Lateness;
     use saql_stream::source::IterSource;
 
     fn alert(query: &str, ts: u64, group: &str, rows: Vec<(String, String)>) -> Alert {

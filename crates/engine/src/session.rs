@@ -10,26 +10,28 @@
 //!   order is a deterministic function of the per-source event sequences,
 //!   so engines agree on multi-source runs whatever their worker count.
 //! * **Pipelines.** The engine's `|>` edges ([`crate::pipeline`]): each pump
-//!   round rewires when the registry's edge set changed (quiescing the old
-//!   wiring first), moves upstream alerts into the derived channels, and
-//!   pumps. A session without edges does no pipeline work at all.
+//!   round rebuilds the edge table when the registry's edge set changed,
+//!   processes its base events, then hands the alerts they raised to their
+//!   stages as derived events, cascading until nothing more is derived —
+//!   so no alert is in flight between rounds. With workers, the round
+//!   first waits for them ([`Engine::sync`]), so a punctuation never
+//!   outruns an alert. A session without edges does no pipeline work.
 //! * **Position.** [`offset`](RunSession::offset) counts *base* events —
 //!   everything but pipeline-derived `op = alert` events — from the
 //!   checkpoint a resumed session started at: it is the store offset of
 //!   the next event.
 //! * **Checkpoints.** One path, [`checkpoint_now`](RunSession::checkpoint_now):
-//!   quiesce the stages, snapshot at the base offset with the adapter
-//!   positions stamped in, write atomically. The cadence
+//!   snapshot at the base offset with the adapter positions stamped in,
+//!   write atomically. The cadence
 //!   ([`enable_checkpoints`](RunSession::enable_checkpoints)) calls it at a
 //!   round boundary every N base events; its first failure stops the
 //!   cadence, never the stream.
 //! * **Write-ahead.** With a store installed
 //!   ([`DurableLog::WriteAhead`](crate::DurableLog::WriteAhead)), every
-//!   round the session pumps — rewire, quiesce, checkpoint, and finish
-//!   rounds included — appends and syncs the base events whose offset is
-//!   not yet on disk *before* the engine consumes them: one append + sync
-//!   per round, and a tapped round drains what is ready, up to the budget
-//!   and the next cadence checkpoint, so one sync covers a backlog. The
+//!   round appends and syncs the base events whose offset is not yet on
+//!   disk *before* the engine consumes them: one append + sync per round,
+//!   and a tapped round drains what is ready, up to the budget and the
+//!   next cadence checkpoint, so one sync covers a backlog. The
 //!   first failure stops appends and vetoes every later checkpoint, so no
 //!   checkpoint claims an event the store lacks.
 //! * **End of stream.** [`drain`](RunSession::drain) /
@@ -90,9 +92,6 @@ pub struct Checkpointed {
     pub path: PathBuf,
     /// The base-stream offset it records.
     pub offset: u64,
-    /// Alerts raised while quiescing the pipeline stages before the
-    /// snapshot.
-    pub alerts: Vec<Alert>,
 }
 
 /// The write-ahead store of a session ([`RunSession::write_ahead`]).
@@ -112,8 +111,7 @@ pub enum SessionStatus {
     /// No source had anything to deliver; live feeds are waiting on
     /// external producers. Back off briefly before pumping again.
     Idle,
-    /// Every attached base source reached end-of-stream and drained, and
-    /// no alert is in flight between pipeline stages.
+    /// Every attached source reached end-of-stream and drained.
     Done,
 }
 
@@ -125,8 +123,8 @@ pub struct Pump {
     /// idle rounds included — everything is in once [`Engine::finish`]
     /// ran, which [`RunSession::drain`] does).
     pub alerts: Vec<Alert>,
-    /// Events fed to the engine by the call — rewire and checkpoint
-    /// quiesce rounds and pipeline-derived events included.
+    /// Events fed to the engine by the call, pipeline-derived events
+    /// included.
     pub events: u64,
     /// Session progress after the round.
     pub status: SessionStatus,
@@ -201,10 +199,6 @@ pub struct RunSession<'e> {
     /// Adapter positions from [`resume_at`](Self::resume_at), consumed by
     /// the first wiring.
     adapters: Vec<(String, u64)>,
-    /// Alerts raised outside a round — quiescing for a rewire or for a
-    /// failed [`checkpoint_now`](Self::checkpoint_now); the next round
-    /// returns them.
-    held: Vec<Alert>,
 }
 
 impl Engine {
@@ -228,7 +222,6 @@ impl Engine {
             store: None,
             edges: Edges::default(),
             adapters: Vec::new(),
-            held: Vec::new(),
         }
     }
 }
@@ -255,7 +248,8 @@ impl<'e> RunSession<'e> {
 
     /// The engine under the session — the query control plane stays fully
     /// available mid-pump (register/deregister/pause/resume/subscribe land
-    /// at the current stream position; the next round rewires pipelines).
+    /// at the current stream position; the next round rebuilds the
+    /// pipeline edge table).
     /// Serve and the CLI change the query set through
     /// [`control`](Self::control) instead.
     pub fn engine(&mut self) -> &mut Engine {
@@ -267,12 +261,13 @@ impl<'e> RunSession<'e> {
         self.pump_max(usize::MAX)
     }
 
-    /// One pump round: rewire pipelines if the registry's edge set changed,
-    /// transfer stage alerts, feed at most `max` merged events to the
-    /// engine, and take a due cadence checkpoint. Bounding the budget lets
-    /// callers interleave control-plane changes at exact stream positions
-    /// (see the CLI's staged lifecycle flags); rewire and checkpoint
-    /// quiesce rounds are not bounded by it.
+    /// One pump round: rebuild the pipeline edge table if the registry's
+    /// edge set changed, feed at most `max` merged events to the engine,
+    /// hand the alerts they raised to their pipeline stages, and take a due
+    /// cadence checkpoint. Bounding the budget lets callers interleave
+    /// control-plane changes at exact stream positions (see the CLI's
+    /// staged lifecycle flags); the derived events a round feeds its stages
+    /// are not bounded by it.
     ///
     /// Merged events are fed in [`EventBatch`]es of the engine's execution
     /// batch size ([`Engine::batch_size`] — the one
@@ -284,33 +279,10 @@ impl<'e> RunSession<'e> {
     /// immediately with [`SessionStatus::Done`] — a finished engine can
     /// absorb no more events.
     pub fn pump_max(&mut self, max: usize) -> Pump {
-        let before = self.processed;
-        let wired = self.wire();
-        let mut alerts = std::mem::take(&mut self.held);
-        if wired.is_err() {
-            return Pump {
-                alerts,
-                events: self.processed - before,
-                status: SessionStatus::Done,
-            };
-        }
-        let moved = self.transfer();
+        self.wire();
         let round = self.round(max);
-        alerts.extend(round.alerts);
-        self.cadence(&mut alerts);
-        let events = self.processed - before;
-        // Derived channels never end while wired: the run is over once
-        // every base source has and a full round moved nothing.
-        let quiet = moved == 0 && events == 0 && self.live_sources() == 0;
-        let status = match round.status {
-            SessionStatus::Idle if quiet && !self.edges.is_empty() => SessionStatus::Done,
-            status => status,
-        };
-        Pump {
-            alerts,
-            events,
-            status,
-        }
+        self.cadence();
+        round
     }
 
     /// One merge poll, appending at most `max` events to the batch.
@@ -322,8 +294,8 @@ impl<'e> RunSession<'e> {
         }
     }
 
-    /// One merge-and-process round, write-ahead tap included: no rewiring,
-    /// no transfer, no cadence.
+    /// One merge-and-process round, write-ahead tap and pipeline stages
+    /// included: no rewiring, no cadence.
     ///
     /// A tapped round drains what is ready: it polls again while the last
     /// poll moved events, up to `max` and the next cadence checkpoint, so
@@ -371,14 +343,15 @@ impl<'e> RunSession<'e> {
             }
         }
         let base = base_events(&self.batch[..fed]);
-        self.processed += fed as u64;
         self.base += base;
         if let Some(ck) = self.checkpoints.as_mut() {
             ck.since_last += base;
         }
+        let events = fed as u64 + self.cascade(&mut alerts);
+        self.processed += events;
         Pump {
             alerts,
-            events: fed as u64,
+            events,
             status,
         }
     }
@@ -417,111 +390,86 @@ impl<'e> RunSession<'e> {
         }
     }
 
-    /// Rewire the pipeline edges if the registry's edge set changed,
-    /// settling in-flight alerts on the old wiring first (held for the next
-    /// round) so none is stranded in a dropped subscription.
-    pub(crate) fn wire(&mut self) -> Result<(), EngineError> {
-        if !self.edges.stale(self.engine) {
-            return Ok(());
+    /// Rebuild the pipeline edge table if the registry's edge set changed.
+    /// Surviving upstreams keep their adapter positions; a resumed
+    /// session's first table takes them from the checkpoint.
+    pub(crate) fn wire(&mut self) {
+        if self.edges.stale(self.engine) {
+            let mut seqs = self.edges.adapter_seqs();
+            seqs.append(&mut self.adapters);
+            self.edges = Edges::connect(self.engine, &seqs);
         }
-        if !self.edges.is_empty() {
-            let settled = self.quiesce();
-            self.held.extend(settled);
-        }
-        // Surviving upstreams keep their positions; a resumed session's
-        // first wiring takes them from the checkpoint.
-        let mut seqs = self.edges.adapter_seqs();
-        seqs.append(&mut self.adapters);
-        self.edges = Edges::connect(self.engine, &mut self.merge, &seqs)?;
-        Ok(())
     }
 
-    /// One pipeline transfer: adapt the upstream alerts into the derived
-    /// channels and punctuate them. Returns the derived events pushed.
-    pub(crate) fn transfer(&mut self) -> u64 {
-        if self.edges.open() == 0 {
+    /// Hand every alert in `alerts` to its query's stages: adapt, feed the
+    /// derived events to the engine, and go again on the alerts those
+    /// raise until a pass derives nothing. Pass `d` punctuates the edges
+    /// of depth `d`, once their upstreams' alerts of the round are in.
+    /// Returns the derived events fed.
+    ///
+    /// With workers, a pass first collects the alerts still on them — the
+    /// first pass always, later ones only when a stage feeds a stage — so
+    /// every upstream alert is adapted before the punctuation that would
+    /// outrun it, and none is left in flight when the round ends.
+    fn cascade(&mut self, alerts: &mut Vec<Alert>) -> u64 {
+        if self.edges.is_empty() {
             return 0;
         }
-        // Barrier first (free without workers): the punctuations assert
-        // "every upstream has processed every event up to the frontier",
-        // which is only true once the workers have caught up and their
-        // alerts are routed — otherwise a punctuation could advance a
-        // downstream clock past alerts still being computed.
-        let _ = self.engine.sync();
         let frontier = self.frontier();
         let lateness = self.engine.config().query.allowed_lateness;
-        // A derived channel's events *trail* processing: they can only be
-        // minted from base events the merge already released, so holding
-        // base traffic back for them deadlocks the feedback loop. Promise
-        // the merge the derived channels never gate anything at or below
-        // the lead of the real sources. The promise is deliberately
-        // optimistic — adapted alerts may carry older timestamps — which
-        // is sound because nothing orders against a derived event: stages
-        // clock on their own upstream's events only, and base queries
-        // never match `op = alert` traffic.
-        let lead = self
-            .merge
-            .source_stats()
-            .iter()
-            .map(|(_, s)| s.watermark.as_millis())
-            .max()
-            .unwrap_or(0)
-            .max(frontier.as_millis());
-        self.edges.transfer(frontier, lead, lateness)
-    }
-
-    /// Run transfer+pump rounds until the pipeline is *quiet*: a full
-    /// round moves no alert and feeds no event. Derived channels never
-    /// gate the merge, so a round that feeds nothing proves they are
-    /// empty — the engine's queries then hold the complete pipeline state.
-    fn quiesce(&mut self) -> Vec<Alert> {
-        let mut out = Vec::new();
-        loop {
-            let moved = self.transfer();
-            let round = self.round(usize::MAX);
-            out.extend(round.alerts);
-            if moved == 0 && round.events == 0 {
-                return out;
+        let collect = self.engine.workers() > 0;
+        let (mut from, mut fed) = (0, 0u64);
+        for pass in 0.. {
+            if collect && (pass == 0 || self.edges.deep()) {
+                alerts.extend(self.engine.sync().unwrap_or_default());
+            }
+            let derived = self.edges.derive(&alerts[from..], pass, frontier, lateness);
+            if derived.is_empty() {
+                break;
+            }
+            from = alerts.len();
+            for chunk in derived.chunks(self.engine.batch_size()) {
+                let batch = EventBatch::from_events(chunk.to_vec());
+                match self.engine.process_batch(&batch) {
+                    Ok(fresh) => alerts.extend(fresh),
+                    Err(_) => return fed,
+                }
+                fed += chunk.len() as u64;
             }
         }
+        fed
     }
 
     /// Flush the stages layer by layer — each upstream's final windows
-    /// transfer to its dependents before those flush in turn, exactly like
-    /// hand-chained engines finishing in sequence — then close the derived
-    /// channels for good.
+    /// reach its dependents before those flush in turn, exactly like
+    /// hand-chained engines finishing in sequence.
     pub(crate) fn finish_stages(&mut self) -> Vec<Alert> {
-        if self.edges.open() == 0 {
+        self.wire();
+        if self.edges.is_empty() {
             return Vec::new();
         }
-        let mut out = self.quiesce();
+        let mut out = self.settle();
         for id in Edges::flush_order(self.engine) {
-            // The flushed alerts reach the upstream's subscription; the
-            // quiesce moves them through the adapter and lets dependents
-            // process them (their own windows may close and cascade).
+            // The flushed alerts wait in the engine for the settle.
             if self.engine.flush_query(id).is_ok() {
-                out.extend(self.quiesce());
+                out.extend(self.settle());
             }
         }
-        self.edges.close();
+        out
+    }
+
+    /// Collect what the engine holds back — alerts a control-plane call
+    /// buffered, or a worker has not handed over yet — and cascade them.
+    fn settle(&mut self) -> Vec<Alert> {
+        let mut out = self.engine.sync().unwrap_or_default();
+        self.processed += self.cascade(&mut out);
         out
     }
 
     /// End the stream: flush pipeline stages layer by layer, then the
     /// engine ([`Engine::finish`]). Returns the alerts that raised.
     pub fn finish(&mut self) -> Vec<Alert> {
-        let mut out = std::mem::take(&mut self.held);
-        if !self.edges.is_empty() {
-            out.extend(self.finish_stages());
-            // The closed channels drain; nothing new is derived.
-            loop {
-                let round = self.round(usize::MAX);
-                out.extend(round.alerts);
-                if round.status == SessionStatus::Done || round.events == 0 {
-                    break;
-                }
-            }
-        }
+        let mut out = self.finish_stages();
         out.extend(self.engine.finish());
         out
     }
@@ -654,29 +602,11 @@ impl<'e> RunSession<'e> {
     }
 
     /// Take a checkpoint right now (regardless of cadence) and write it
-    /// atomically into the configured directory: quiesce the pipeline
-    /// stages, snapshot the engine at the base offset, stamp the adapter
-    /// positions. Requires [`enable_checkpoints`](Self::enable_checkpoints);
+    /// atomically into the configured directory: snapshot the engine at
+    /// the base offset and stamp the pipeline adapter positions. Requires [`enable_checkpoints`](Self::enable_checkpoints);
     /// refused after a write-ahead failure; clears any recorded cadence
     /// [`checkpoint_failure`](Self::checkpoint_failure) on success.
     pub fn checkpoint_now(&mut self) -> Result<Checkpointed, EngineError> {
-        let mut alerts = Vec::new();
-        match self.checkpoint(&mut alerts) {
-            Ok((path, offset)) => Ok(Checkpointed {
-                path,
-                offset,
-                alerts,
-            }),
-            Err(e) => {
-                self.held.extend(alerts);
-                Err(e)
-            }
-        }
-    }
-
-    /// The one checkpoint path; quiesce alerts land in `alerts` whether or
-    /// not the checkpoint is written.
-    fn checkpoint(&mut self, alerts: &mut Vec<Alert>) -> Result<(PathBuf, u64), EngineError> {
         let Some(ck) = self.checkpoints.as_ref() else {
             return Err(EngineError::Checkpoint(
                 "checkpoints are not enabled on this session \
@@ -685,9 +615,6 @@ impl<'e> RunSession<'e> {
             ));
         };
         let dir = ck.config.dir.clone();
-        if self.edges.open() > 0 {
-            alerts.extend(self.quiesce());
-        }
         if let Some(e) = self.store_failure() {
             return Err(EngineError::Checkpoint(format!(
                 "durable store write failed: {e}"
@@ -701,7 +628,7 @@ impl<'e> RunSession<'e> {
         ck.since_last = 0;
         ck.last_offset = Some(offset);
         ck.failure = None;
-        Ok((path, offset))
+        Ok(Checkpointed { path, offset })
     }
 
     /// Base events left before the cadence checkpoint is due; `None` when
@@ -713,9 +640,9 @@ impl<'e> RunSession<'e> {
     }
 
     /// Take the cadence checkpoint if one is due.
-    fn cadence(&mut self, alerts: &mut Vec<Alert>) {
+    fn cadence(&mut self) {
         if self.cadence_left() == Some(0) {
-            if let Err(e) = self.checkpoint(alerts) {
+            if let Err(e) = self.checkpoint_now() {
                 // Remember the first failure instead of failing the pump:
                 // the stream keeps flowing, explicit `checkpoint_now`
                 // retries.
@@ -765,15 +692,14 @@ impl<'e> RunSession<'e> {
         self.merge.frontier().max(self.base_frontier)
     }
 
-    /// Sources still attached and not ended, the session's own pipeline
-    /// channels excluded.
+    /// Sources still attached and not ended.
     pub fn live_sources(&self) -> usize {
-        self.merge.live_sources().saturating_sub(self.edges.open())
+        self.merge.live_sources()
     }
 
     /// Per-source progress: events merged, watermark, lag behind the
     /// leading source, and dropped-late counts — in attach order, detached
-    /// sources and the session's `pipe:` channels included.
+    /// sources included.
     pub fn source_stats(&self) -> Vec<(SourceId, SourceStats)> {
         self.merge.source_stats()
     }

@@ -49,8 +49,8 @@ pub(crate) enum ControlMsg {
     /// the pipeline layered drain.
     Flush(QueryId),
     /// Pure barrier: answered once every batch queued before it has been
-    /// processed. The pipeline wiring syncs before punctuating a derived
-    /// stream — a punctuation must not outrun alerts still being computed.
+    /// processed. A session syncs before punctuating its pipeline stages —
+    /// a punctuation must not outrun alerts still being computed.
     Sync,
 }
 

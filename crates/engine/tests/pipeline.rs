@@ -110,12 +110,24 @@ fn run_pipeline(config: EngineConfig) -> Vec<Alert> {
 /// Hand-chain two engines: stage 1 alone in the first; its ordered alert
 /// stream adapted (same adapter code) and fed to stage 2 in the second.
 fn run_hand_chained(config: EngineConfig) -> Vec<Alert> {
-    let (s1, s2) = stage_sources();
+    hand_chained(config, "tiered", TIERED, trace())
+}
+
+/// [`run_hand_chained`] for any two-stage pipeline `text` named `name`,
+/// over `events`.
+fn hand_chained(
+    config: EngineConfig,
+    name: &str,
+    text: &str,
+    events: Vec<SharedEvent>,
+) -> Vec<Alert> {
+    let stages = saql_lang::split_stages(name, text).expect("pipeline splits");
+    let (up_name, s1, s2) = (&stages[0].name, &stages[0].source, &stages[1].source);
     // Engine 1: stage 1 only, fed the raw trace.
     let mut e1 = Engine::new(config);
-    e1.register("tiered.s1", &s1).expect("stage 1 registers");
+    e1.register(up_name, s1).expect("stage 1 registers");
     let mut stage1 = Vec::new();
-    for event in trace() {
+    for event in events {
         stage1.extend(e1.process(&event).expect("processes"));
     }
     stage1.extend(e1.finish());
@@ -125,10 +137,10 @@ fn run_hand_chained(config: EngineConfig) -> Vec<Alert> {
     // it never matches an adapted event, and with no raw traffic it never
     // alerts.
     let mut e2 = Engine::new(config);
-    e2.register("tiered.s1", &s1).expect("upstream registers");
-    let up = e2.find("tiered.s1").expect("registered");
-    e2.register("tiered", &s2).expect("stage 2 registers");
-    let mut adapter = AlertAdapter::new("tiered.s1", up);
+    e2.register(up_name, s1).expect("upstream registers");
+    let up = e2.find(up_name).expect("registered");
+    e2.register(name, s2).expect("stage 2 registers");
+    let mut adapter = AlertAdapter::new(up_name, up);
     let mut out: Vec<Alert> = stage1.clone();
     for alert in &stage1 {
         let derived = adapter.adapt(alert);
@@ -247,12 +259,11 @@ fn stage2_windows_close_in_stream_via_punctuation() {
 }
 
 #[test]
-fn advance_watermark_closes_windows_under_a_silent_upstream() {
-    // A hand-wired topology whose upstream has gone quiet: nothing moves
-    // the derived channel, so stage 2's open window would wait forever.
-    // `AlertAdapter::advance_watermark` is the surfaced fix — it raises
-    // the channel watermark (so the quiet channel never gates the merge)
-    // and punctuates, carrying downstream time forward without an alert.
+fn a_punctuation_closes_windows_under_a_silent_upstream() {
+    // A hand-fed topology whose upstream has gone quiet: no adapted alert
+    // arrives, so stage 2's open window would wait forever. A pushed
+    // `AlertAdapter::punctuation` carries downstream time forward without
+    // an alert.
     let (s1, s2) = stage_sources();
     let mut engine = Engine::new(EngineConfig::default());
     engine
@@ -261,7 +272,7 @@ fn advance_watermark_closes_windows_under_a_silent_upstream() {
     let up = engine.find("tiered.s1").expect("registered");
     engine.register("tiered", &s2).expect("stage 2 registers");
     let mut session = engine.session();
-    let (push, source) = push_source("pipe:tiered.s1", 64);
+    let (push, source) = push_source("upstream", 64);
     session.attach_with(source, Lateness::ArrivalOrder);
     let mut adapter = AlertAdapter::new("tiered.s1", up);
 
@@ -293,7 +304,7 @@ fn advance_watermark_closes_windows_under_a_silent_upstream() {
         "the 30 s window cannot close while the upstream is silent"
     );
 
-    assert!(adapter.advance_watermark(&push, Timestamp::from_millis(60_000)));
+    assert!(push.push(adapter.punctuation(Timestamp::from_millis(60_000))));
     loop {
         let round = session.pump();
         alerts.extend(round.alerts);
@@ -354,7 +365,6 @@ fn pipeline_survives_checkpoint_crash_and_resume() {
         );
         alerts.extend(pump_until_done(&mut session, 4));
         let written = session.checkpoint_now().expect("checkpoints");
-        alerts.extend(written.alerts);
         assert_eq!(
             written.offset, cut as u64,
             "checkpoint offset counts base events only, not derived ones"
@@ -510,9 +520,8 @@ fn scoped_register_confines_explicit_refs_to_the_scope() {
 fn session_rewires_a_same_count_pipeline_replacement() {
     // Replace the pipeline under the same name mid-stream: the edge
     // *count* is unchanged, but the upstream ids are new. The session must
-    // notice and rewire, or the new stage 2 would never see an alert. (A
-    // rewire first quiesces the old wiring over whatever the sources have
-    // delivered by then, so the rest of the trace arrives after it.)
+    // notice and rebuild its edge table, or the new stage 2 would never see
+    // an alert.
     let events = trace();
     let mut engine = Engine::new(EngineConfig::default());
     register_pipeline(&mut engine, "tiered", TIERED).expect("registers");
@@ -537,4 +546,203 @@ fn session_rewires_a_same_count_pipeline_replacement() {
     let stage2: Vec<_> = alerts.iter().filter(|a| a.query == "tiered").collect();
     assert_eq!(stage2.len(), 1, "the replacement pipeline is wired");
     assert!(stage2[0].rows.iter().any(|(l, v)| l == "hosts" && v == "2"));
+}
+
+/// Stage 1 closes one 10 s window over every host at once, each host
+/// alerting; stage 2 counts the alerts.
+const WIDE: &str = "\
+proc p write ip i as evt #time(10 s)
+state ss { n := count() } group by evt.agentid
+alert ss[0].n >= 1
+return evt.agentid as host, ss[0].n as amount
+|>
+from #time(30 s)
+state es { n := count() }
+alert es[0].n >= 1
+return es[0].n as n";
+
+/// One write from each of `hosts` hosts inside the first 10 s, then one
+/// more past it, which closes that window in-stream.
+fn wide_trace(hosts: u64) -> Vec<SharedEvent> {
+    let write = |id: u64, host: String, ts: u64| -> SharedEvent {
+        Arc::new(
+            EventBuilder::new(id, host, ts)
+                .subject(ProcessInfo::new(100, "worker", "svc"))
+                .sends(NetworkInfo::new("10.0.0.1", 9999, "172.16.0.9", 443, "tcp"))
+                .amount(1024)
+                .build(),
+        )
+    };
+    let mut events: Vec<SharedEvent> = (0..hosts)
+        .map(|i| write(i + 1, format!("h-{i}"), 1_000 + i % 8_000))
+        .collect();
+    events.push(write(hosts + 1, "late".into(), 20_000));
+    events
+}
+
+#[test]
+fn one_round_raising_more_alerts_than_any_buffer_feeds_every_one() {
+    // A round whose base events close a window over thousands of groups
+    // raises thousands of upstream alerts at once; all of them reach
+    // stage 2 in that round, whatever their number.
+    for hosts in [4_096u64, 9_000] {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut engine = Engine::new(EngineConfig::default());
+            register_pipeline(&mut engine, "wide", WIDE).expect("registers");
+            let mut session = engine.session();
+            session.attach_with(
+                IterSource::new("trace", wide_trace(hosts)),
+                Lateness::ArrivalOrder,
+            );
+            let alerts = session.drain();
+            let _ = done.send((alerts, engine.dropped_alerts()));
+        });
+        let (alerts, dropped) = result
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{hosts} hosts: the run made no progress in 60 s"));
+        let stage =
+            |name: &str| -> Vec<_> { alerts.iter().filter(|a| a.query == name).map(key).collect() };
+        let (s1, s2) = (stage("wide.s1"), stage("wide"));
+        assert_eq!(s1.len() as u64, hosts + 1, "every host alerts, then `late`");
+        let counted: u64 = s2
+            .iter()
+            .flat_map(|(_, _, _, rows)| rows)
+            .map(|(_, n)| n.parse::<u64>().expect("a count"))
+            .sum();
+        assert_eq!(
+            counted,
+            s1.len() as u64,
+            "{hosts} hosts: stage 2 counts every alert"
+        );
+        assert_eq!(dropped, 0, "{hosts} hosts");
+        let chained = hand_chained(EngineConfig::default(), "wide", WIDE, wide_trace(hosts));
+        let chained_stage = |name: &str| -> Vec<_> {
+            chained
+                .iter()
+                .filter(|a| a.query == name)
+                .map(key)
+                .collect()
+        };
+        assert_eq!(s1, chained_stage("wide.s1"), "{hosts} hosts: stage 1");
+        assert_eq!(s2, chained_stage("wide"), "{hosts} hosts: stage 2");
+    }
+}
+
+/// Three stages: per-host write counts, distinct hosts per 20 s, and a
+/// count of those per minute — stage 2 feeds stage 3.
+const DEEP: &str = "\
+proc p write ip i as evt #time(10 s)
+state ss { writes := count() } group by evt.agentid
+alert ss[0].writes >= 1
+return evt.agentid as host, ss[0].writes as amount
+|>
+from #time(20 s)
+state es { hosts := distinct_count(_in.agentid) }
+alert es[0].hosts >= 1
+return es[0].hosts as amount
+|>
+from #time(60 s)
+state ts { n := count() }
+alert ts[0].n >= 1
+return ts[0].n as n";
+
+/// Ten minutes of writes from five hosts, 300 ms apart.
+fn deep_trace() -> Vec<SharedEvent> {
+    (0..2_000u64)
+        .map(|i| {
+            Arc::new(
+                EventBuilder::new(i + 1, format!("web-{}", i % 5), 1_000 + i * 300)
+                    .subject(ProcessInfo::new(100, "worker", "svc"))
+                    .sends(NetworkInfo::new("10.0.0.1", 9999, "172.16.0.9", 443, "tcp"))
+                    .amount(1024)
+                    .build(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a_stage_fed_by_a_stage_gets_its_alerts_in_the_same_round() {
+    let trace = deep_trace();
+    let run = |workers: usize| -> (Vec<_>, usize) {
+        let mut engine = Engine::new(EngineConfig {
+            workers,
+            ..EngineConfig::default()
+        });
+        register_pipeline(&mut engine, "deep", DEEP).expect("registers");
+        let mut session = engine.session();
+        session.attach_with(
+            IterSource::new("trace", trace.clone()),
+            Lateness::ArrivalOrder,
+        );
+        let mut alerts = pump_until_done(&mut session, 64);
+        let in_stream = alerts.iter().filter(|a| a.query == "deep").count();
+        alerts.extend(session.finish());
+        let mut keys: Vec<_> = alerts.iter().map(key).collect();
+        keys.sort();
+        (keys, in_stream)
+    };
+    let (serial, in_stream) = run(0);
+    assert!(
+        in_stream >= 5,
+        "stage 3 fires while the stream flows: {in_stream}"
+    );
+    for workers in [1usize, 2, 4] {
+        assert_eq!(run(workers).0, serial, "{workers} workers");
+    }
+}
+
+#[test]
+fn a_checkpoint_on_workers_leaves_no_stage_alert_in_flight() {
+    // With workers, a round collects what a stage feeding a stage raised
+    // before it returns, so a checkpoint at a round boundary holds every
+    // stage-2 alert inside stage 3's state.
+    let trace = deep_trace();
+    let sorted = |alerts: &[Alert]| {
+        let mut keys: Vec<_> = alerts.iter().map(key).collect();
+        keys.sort();
+        keys
+    };
+    let mut engine = Engine::new(EngineConfig::default());
+    register_pipeline(&mut engine, "deep", DEEP).expect("registers");
+    let uninterrupted = sorted(&engine.run(trace.clone()).expect("runs"));
+    for cut in [640usize, 1_024, 1_408] {
+        let dir =
+            std::env::temp_dir().join(format!("saql-pipeline-deep-{}-{cut}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut alerts = Vec::new();
+        {
+            let mut engine = Engine::new(EngineConfig {
+                workers: 2,
+                ..EngineConfig::default()
+            });
+            register_pipeline(&mut engine, "deep", DEEP).expect("registers");
+            let mut session = engine.session();
+            session.enable_checkpoints(CheckpointConfig {
+                dir: dir.clone(),
+                every_events: 0,
+            });
+            session.attach_with(
+                IterSource::new("trace", trace[..cut].to_vec()),
+                Lateness::ArrivalOrder,
+            );
+            alerts.extend(pump_until_done(&mut session, 64));
+            session.checkpoint_now().expect("checkpoints");
+            // What the workers raised before the snapshot, then the crash.
+            alerts.extend(session.engine().sync().expect("syncs"));
+        }
+        let checkpoint = Checkpoint::load(&dir).expect("loads");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let mut engine =
+            Engine::resume_from(checkpoint.clone(), EngineConfig::default()).expect("resumes");
+        let mut session = engine.session();
+        session.resume_at(&checkpoint);
+        session.attach_with(
+            IterSource::new("trace", trace[checkpoint.offset as usize..].to_vec()),
+            Lateness::ArrivalOrder,
+        );
+        alerts.extend(session.drain());
+        assert_eq!(sorted(&alerts), uninterrupted, "cut at {cut}");
+    }
 }

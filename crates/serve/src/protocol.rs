@@ -139,8 +139,7 @@ pub fn request_line(request: &Request) -> String {
     .finish()
 }
 
-/// The response line for an applied control. A checkpoint's quiesce
-/// alerts are the caller's to emit.
+/// The response line for an applied control.
 pub fn reply_line(reply: &ControlReply) -> String {
     let ok = JsonObj::new().bool("ok", true);
     match reply {

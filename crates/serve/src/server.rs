@@ -84,10 +84,10 @@ use std::time::{Duration, Instant};
 use saql_analytics::Histogram;
 use saql_engine::query::QueryStats;
 use saql_engine::{
-    render_alert_json, Alert, ControlReply, Deployment, DurableLog, Engine, QueryId, Run,
-    RunSession, Scope, SessionStatus,
+    render_alert_json, Alert, Deployment, DurableLog, Engine, QueryId, Run, RunSession, Scope,
+    SessionStatus,
 };
-use saql_stream::ingest::{decode_ndjson, DecodedChunk};
+use saql_stream::ingest::{decode_ndjson, DecodedChunk, MAX_LINE};
 use saql_stream::merge::{Lateness, SourceId, SourceStats};
 use saql_stream::source::{push_source, ChannelSource, PushHandle};
 use saql_stream::{SharedEvent, StoreWriter};
@@ -105,10 +105,6 @@ const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(100);
 /// Minimum spacing between looks for newly degraded sources; also the
 /// longest an idle core parks.
 const OBSERVE_EVERY: Duration = Duration::from_millis(100);
-/// The longest hello, control or `/metrics` request line read, newline
-/// included: far above any query's `register` line, and it bounds what one
-/// line can make the server buffer.
-pub const MAX_LINE: usize = 1 << 20;
 /// The idle park of a worker-backed core: its workers finish alerts after
 /// the round that fed them, and only a round collects them.
 const WORKER_POLL: Duration = Duration::from_millis(2);
@@ -570,7 +566,7 @@ fn run_core(
     while fatal.is_none() {
         // Control plane between rounds.
         while let Ok(req) = ctrl_rx.try_recv() {
-            handle_req(req, &mut session, &mut waiters, sh, &cfg, &mut summary);
+            handle_req(req, &mut session, &mut waiters, sh);
         }
 
         // Judged with the control queue just found empty: a request still
@@ -616,7 +612,7 @@ fn run_core(
             // Nothing flowed: sleep until a request or an ingest chunk's
             // wake arrives, instead of polling.
             if let Ok(req) = ctrl_rx.recv_timeout(park) {
-                handle_req(req, &mut session, &mut waiters, sh, &cfg, &mut summary);
+                handle_req(req, &mut session, &mut waiters, sh);
             }
         }
     }
@@ -624,16 +620,13 @@ fn run_core(
     answer_waiters(&session, &mut waiters, true);
     observe(&session, &mut degraded);
 
-    // End the stream while the store is writable: a checkpoint (quiescing
-    // the stages) when the run is to be continued — its open windows must
-    // survive into the resumed incarnation — else the final flush.
+    // End the stream while the store is writable: a checkpoint when the
+    // run is to be continued — its open windows must survive into the
+    // resumed incarnation — else the final flush.
     if fatal.is_none() {
         if cfg.deployment.checkpoints.is_some() {
             match session.checkpoint_now() {
-                Ok(written) => {
-                    emit(&mut summary, print, &written.alerts);
-                    summary.checkpoint = Some(written.path);
-                }
+                Ok(written) => summary.checkpoint = Some(written.path),
                 Err(e) => fatal = Some(format!("final checkpoint failed: {e}")),
             }
         } else {
@@ -699,8 +692,6 @@ fn handle_req(
     session: &mut RunSession<'_>,
     waiters: &mut Vec<(SourceId, SyncSender<DrainReport>)>,
     sh: &Shared,
-    cfg: &ServeConfig,
-    summary: &mut ServeSummary,
 ) {
     match req {
         // Cleared before the round that follows, so a chunk handed off
@@ -748,12 +739,7 @@ fn handle_req(
                         .finish()
                 }
                 Request::Control(op) => match session.control(&sh.scope(&tenant), op) {
-                    Ok(applied) => {
-                        if let ControlReply::Checkpointed(written) = &applied {
-                            emit(summary, cfg.print_alerts, &written.alerts);
-                        }
-                        protocol::reply_line(&applied)
-                    }
+                    Ok(applied) => protocol::reply_line(&applied),
                     Err(e) => err_line(&e),
                 },
             };

@@ -21,9 +21,10 @@
 //!
 //! The line rules live here and nowhere else: lines are numbered from 1,
 //! blank lines (whitespace only, a `\r` included) are skipped but keep
-//! their number, a line that is not UTF-8 is one undecodable line, and a
-//! stream's decode failures read `N undecodable line(s); first at line L:
-//! msg`.
+//! their number, a line that is not UTF-8 is one undecodable line, a line
+//! longer than [`MAX_LINE`] is read past without being buffered and is one
+//! undecodable line, and a stream's decode failures read `N undecodable
+//! line(s); first at line L: msg`.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read};
@@ -39,6 +40,12 @@ use crate::SharedEvent;
 /// Lines per chunk shipped to the decode workers.
 pub const DECODE_CHUNK: usize = 64;
 
+/// The longest line read, newline included: far above any event's or
+/// query's line, and it bounds what one line can make a reader buffer.
+/// `saql serve` caps its hello, control and `/metrics` request lines at it
+/// too.
+pub const MAX_LINE: usize = 1 << 20;
+
 /// Decode worker threads per stage: JSON decode moves off the read loop
 /// (a single connection's measured ceiling was decode-bound), while the
 /// sink still sees one chunk at a time in strict line order.
@@ -49,8 +56,9 @@ pub const DECODE_WORKERS: usize = 2;
 const DECODE_BACKLOG: usize = 8;
 
 /// A job for a decode worker: the chunk's number, the number of its first
-/// line, and its raw lines.
-type Job = (u64, u64, Vec<u8>);
+/// line, its raw lines, and the numbers of its over-long lines (each an
+/// empty line in the raw lines).
+type Job = (u64, u64, Vec<u8>, Vec<u64>);
 
 /// What a decode worker returns for a chunk: its events, its failed lines,
 /// and the first one's `line L: msg`.
@@ -93,8 +101,8 @@ pub fn decode_ndjson<R: Read>(
             job_txs.push(job_tx);
             let done_tx = done_tx.clone();
             let decoder = move || {
-                while let Ok((chunk_no, first_line, bytes)) = job_rx.recv() {
-                    let decoded = decode_chunk(first_line, &bytes);
+                while let Ok((chunk_no, first_line, bytes, long)) = job_rx.recv() {
+                    let decoded = decode_chunk(first_line, &bytes, &long);
                     if done_tx.send((chunk_no, decoded)).is_err() {
                         return; // the apply thread stopped
                     }
@@ -157,11 +165,29 @@ pub fn decode_ndjson<R: Read>(
 /// The read loop: cut the input into numbered chunks of raw lines.
 fn read_chunks<R: Read>(reader: &mut BufReader<R>, jobs: &[SyncSender<Job>]) -> io::Result<()> {
     let mut chunk: Vec<u8> = Vec::new();
+    let mut long: Vec<u64> = Vec::new();
     let (mut chunk_no, mut first_line, mut lines): (u64, u64, u64) = (0, 1, 0);
     let send = |job: Job| jobs[job.0 as usize % jobs.len()].send(job).is_ok();
     let outcome = loop {
         let start = chunk.len();
-        match reader.read_until(b'\n', &mut chunk) {
+        let read = match reader
+            .by_ref()
+            .take(MAX_LINE as u64)
+            .read_until(b'\n', &mut chunk)
+        {
+            // Over the cap: read past the rest of the line unbuffered and
+            // leave an empty line in its place.
+            Ok(MAX_LINE) if chunk.last() != Some(&b'\n') => {
+                chunk.truncate(start);
+                reader.skip_until(b'\n').map(|_| {
+                    chunk.push(b'\n');
+                    long.push(first_line + lines);
+                    MAX_LINE
+                })
+            }
+            read => read,
+        };
+        match read {
             Ok(0) => break Ok(()),
             Ok(_) => lines += 1,
             Err(e) => {
@@ -173,8 +199,8 @@ fn read_chunks<R: Read>(reader: &mut BufReader<R>, jobs: &[SyncSender<Job>]) -> 
             // A fixed guess of ~256 B a line, so one long line does not
             // size every later chunk.
             let fresh = Vec::with_capacity(DECODE_CHUNK * 256);
-            let job = (chunk_no, first_line, std::mem::replace(&mut chunk, fresh));
-            if !send(job) {
+            let bytes = std::mem::replace(&mut chunk, fresh);
+            if !send((chunk_no, first_line, bytes, std::mem::take(&mut long))) {
                 return Ok(()); // the sink stopped the stage
             }
             chunk_no += 1;
@@ -183,18 +209,19 @@ fn read_chunks<R: Read>(reader: &mut BufReader<R>, jobs: &[SyncSender<Job>]) -> 
         }
     };
     if lines > 0 {
-        send((chunk_no, first_line, chunk));
+        send((chunk_no, first_line, chunk, long));
     }
     outcome
 }
 
 /// Split a chunk of raw lines, the first numbered `first_line`, and decode
-/// each.
-fn decode_chunk(first_line: u64, bytes: &[u8]) -> Decoded {
+/// each; the lines numbered in `long` were over [`MAX_LINE`].
+fn decode_chunk(first_line: u64, bytes: &[u8], long: &[u64]) -> Decoded {
     let (mut events, mut failed, mut first_error) = (Vec::with_capacity(DECODE_CHUNK), 0, None);
     let lines = bytes.strip_suffix(b"\n").unwrap_or(bytes);
     for (line_no, line) in (first_line..).zip(lines.split(|&b| b == b'\n')) {
         let decoded = match std::str::from_utf8(line) {
+            _ if long.contains(&line_no) => Err(format!("line exceeds {MAX_LINE} bytes")),
             Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => decode_event_json(line.trim()).map_err(|e| e.to_string()),
             Err(_) => Err("line is not valid UTF-8".to_string()),
@@ -368,5 +395,28 @@ mod tests {
         });
         assert!(outcome.is_ok());
         assert_eq!(calls, 1, "no chunk after the sink said stop");
+    }
+
+    #[test]
+    fn an_over_long_line_is_one_failure_and_is_not_buffered() {
+        // Twice the cap without a newline, then three events: the long
+        // line is line 1, no chunk holds it, and reading goes on after it.
+        let input = || {
+            let mut bytes = vec![b'x'; 2 * MAX_LINE];
+            bytes.push(b'\n');
+            bytes.extend_from_slice(&lines(1..4, &[]));
+            Cursor::new(bytes)
+        };
+        let (tx, rx) = sync_channel::<Job>(64);
+        read_chunks(&mut BufReader::new(input()), &[tx]).unwrap();
+        let largest = rx.try_iter().map(|(_, _, bytes, _)| bytes.len()).max();
+        assert!(largest < Some(1024), "a chunk held {largest:?} bytes");
+        let out = run(input(), 8192);
+        assert_eq!(out.ids, vec![1, 2, 3]);
+        assert_eq!(out.failed, 1);
+        assert_eq!(
+            out.failure.as_deref(),
+            Some("1 undecodable line(s); first at line 1: line exceeds 1048576 bytes")
+        );
     }
 }

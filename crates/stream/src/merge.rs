@@ -216,8 +216,8 @@ impl Slot<'_> {
                 ts.as_millis().saturating_sub(bound.as_millis())
             }
         };
-        // A source may know more than its emitted events (paced replayers,
-        // push handles with explicit punctuation): take the larger promise.
+        // A source may know more than its emitted events (floor-gated
+        // stores, push channels, paced replays): take the larger promise.
         let hint = self
             .source
             .as_ref()
@@ -446,8 +446,8 @@ impl<'a> WatermarkMerge<'a> {
             // earlier. An ArrivalOrder slot never gates *itself*: its own
             // order is trusted as given. A Bounded watermark allows a later
             // event *at* it, which sorts first when its source comes first.
-            // (Not so an ArrivalOrder one: a pipeline stage punctuates at
-            // the frontier, and could never pass a tie held for it.)
+            // (Not so an ArrivalOrder one: its watermark is its own latest
+            // event, so a quiet feed would hold the tie for good.)
             let gated = self.slots.iter().enumerate().any(|(j, s)| {
                 if s.finished() {
                     return false;
@@ -656,12 +656,10 @@ mod tests {
         let ids: Vec<u64> = out.iter().map(|e| e.id).collect();
         assert_eq!(ids, vec![1, 3], "ts 500 still gated at watermark 100");
 
-        // Watermark punctuation without data releases the rest.
-        push.advance_watermark(Timestamp::from_millis(1_000));
+        // Ending the live feed releases the rest.
+        drop(push);
         merge.poll(&mut out, usize::MAX);
         assert_eq!(out.last().unwrap().id, 2);
-
-        drop(push);
         assert_eq!(merge.poll(&mut out, usize::MAX), MergeStatus::Done);
     }
 

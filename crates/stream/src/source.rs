@@ -14,7 +14,6 @@
 //! time, and wrapped in [`Paced`] to replay it at a [`Speed`].
 
 use std::io::{BufReader, Read};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -128,13 +127,11 @@ impl<I: Iterator<Item = SharedEvent>> EventSource for IterSource<I> {
 // Channel / push-handle source
 // ---------------------------------------------------------------------
 
-/// Producer half of [`push_source`]: hand events (and watermark
-/// punctuation) to a running session from any thread. Dropping every
-/// handle ends the source.
+/// Producer half of [`push_source`]: hand events to a running session
+/// from any thread. Dropping every handle ends the source.
 #[derive(Clone)]
 pub struct PushHandle {
     tx: EventSender,
-    watermark: Arc<AtomicU64>,
     failure: Arc<Mutex<Option<String>>>,
 }
 
@@ -155,13 +152,6 @@ impl PushHandle {
         self.tx.send_fitting(chunk)
     }
 
-    /// Advance the source's watermark without sending data: "nothing
-    /// earlier than `ts` will follow". Lets a quiet producer stop gating
-    /// the merge frontier.
-    pub fn advance_watermark(&self, ts: Timestamp) {
-        self.watermark.fetch_max(ts.as_millis(), Ordering::Relaxed);
-    }
-
     /// Report (or update) a producer-side degradation — undecodable input
     /// lines, a lost upstream — so it surfaces *live* through the paired
     /// [`ChannelSource`]'s [`EventSource::failure`] and the session's
@@ -176,8 +166,6 @@ impl PushHandle {
 pub struct ChannelSource {
     name: String,
     rx: EventReceiver,
-    /// Explicit punctuation from the paired [`PushHandle`], if any.
-    watermark: Arc<AtomicU64>,
     /// A [`push_source`]'s highest timestamp *dequeued* so far. A push
     /// producer feeds in timestamp order, so everything it has handed the
     /// merge is a watermark promise — but only what the merge has actually
@@ -279,8 +267,7 @@ impl EventSource for ChannelSource {
     }
 
     fn watermark(&self) -> Option<Timestamp> {
-        let punctuated = self.watermark.load(Ordering::Relaxed);
-        match punctuated.max(self.dequeued_ms.unwrap_or(0)) {
+        match self.dequeued_ms.unwrap_or(0) {
             0 => None,
             ms => Some(Timestamp::from_millis(ms)),
         }
@@ -297,13 +284,11 @@ pub fn push_source(name: impl Into<String>, capacity: usize) -> (PushHandle, Cha
     let (tx, rx) = event_channel(capacity);
     let push = PushHandle {
         tx,
-        watermark: Arc::new(AtomicU64::new(0)),
         failure: Arc::new(Mutex::new(None)),
     };
     let source = ChannelSource {
         name: name.into(),
         rx,
-        watermark: Arc::clone(&push.watermark),
         dequeued_ms: Some(0),
         failure: Arc::clone(&push.failure),
         ended: false,
@@ -567,7 +552,8 @@ mod tests {
         assert_eq!(source.poll(&mut out, 4), SourcePoll::Ready);
         assert_eq!(out.len(), 1);
         assert_eq!(source.watermark(), Some(Timestamp::from_millis(250)));
-        push.advance_watermark(Timestamp::from_millis(900));
+        assert!(push.push(Arc::new(ev(2, "h", 900))));
+        assert_eq!(source.poll(&mut out, 4), SourcePoll::Ready);
         assert_eq!(source.watermark(), Some(Timestamp::from_millis(900)));
         drop(push);
         assert_eq!(source.poll(&mut out, 4), SourcePoll::End);

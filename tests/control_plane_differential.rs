@@ -11,10 +11,10 @@
 //! must give the same alert multiset, the same reply to every operation
 //! and the same final `list`.
 //!
-//! Both sides settle the pipeline before each operation with a
-//! `checkpoint` (it quiesces the stages), so an operation lands on the
-//! same state whether or not the server's core had already moved the last
-//! upstream alerts downstream when the request arrived.
+//! Nothing settles the pipeline before an operation: a pump round hands
+//! the alerts it raised to their stages before it returns, so once a
+//! segment's events are in, its stage alerts are too, and an operation
+//! lands on the same state on both sides.
 
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::TcpStream;
@@ -135,17 +135,13 @@ fn reply(result: Result<ControlReply, String>) -> String {
 
 /// Side (a): the schedule through `RunSession::control`, each segment of
 /// events its own arrival-order source pumped to the end of the stream.
-fn in_process(schedule: &[(usize, Control)], events: &[Event], dir: &Path) -> Outcome {
+fn in_process(schedule: &[(usize, Control)], events: &[Event]) -> Outcome {
     let scope = Scope {
         prefix: format!("{TENANT}/"),
         max_live: 64,
     };
     let mut engine = Engine::new(EngineConfig::default());
     let mut session = engine.session();
-    session.enable_checkpoints(CheckpointConfig {
-        dir: dir.to_path_buf(),
-        every_events: 0,
-    });
     let mut alerts = Vec::new();
     let mut feed = |session: &mut saql::engine::RunSession<'_>, segment: &[Event]| {
         let source = IterSource::new("feed", saql::stream::share(segment.to_vec()));
@@ -158,25 +154,15 @@ fn in_process(schedule: &[(usize, Control)], events: &[Event], dir: &Path) -> Ou
             }
         }
     };
-    let checkpoint = |session: &mut saql::engine::RunSession<'_>| match session
-        .control(&scope, Control::Checkpoint)
-    {
-        Ok(ControlReply::Checkpointed(written)) => written.alerts,
-        other => panic!("checkpoint: {other:?}"),
-    };
     let mut replies = Vec::new();
     let mut fed = 0;
-    let mut settled = Vec::new();
     for (at, op) in schedule {
         feed(&mut session, &events[fed..*at]);
         fed = *at;
-        settled.extend(checkpoint(&mut session));
         replies.push(reply(session.control(&scope, op.clone())));
     }
     feed(&mut session, &events[fed..]);
     let list = reply(session.control(&scope, Control::List));
-    settled.extend(checkpoint(&mut session));
-    alerts.extend(settled.iter().map(render_alert_json));
     alerts.sort();
     Outcome {
         alerts,
@@ -212,7 +198,9 @@ fn jsonl(events: &[Event]) -> String {
 }
 
 /// Side (b): the schedule as control lines to a server, each segment of
-/// events one lossless arrival-order ingest connection.
+/// events one lossless arrival-order ingest connection. The server
+/// checkpoints into `dir` at shutdown instead of flushing, so its open
+/// windows stay open like side (a)'s.
 fn served(schedule: &[(usize, Control)], events: &[Event], dir: &Path) -> Outcome {
     let server = Server::start(ServeConfig {
         listen: "127.0.0.1:0".into(),
@@ -246,7 +234,6 @@ fn served(schedule: &[(usize, Control)], events: &[Event], dir: &Path) -> Outcom
     for (at, op) in schedule {
         ingest(&events[fed..*at]);
         fed = *at;
-        assert!(send(Request::Control(Control::Checkpoint)).contains("\"ok\":true"));
         let line = send(Request::Control(op.clone()));
         if let (Control::Register { name, .. }, true) = (op, line.contains("\"ok\":true")) {
             let (_, _, stages) = QUERIES.iter().find(|(q, _, _)| q == name).unwrap();
@@ -271,10 +258,10 @@ fn served(schedule: &[(usize, Control)], events: &[Event], dir: &Path) -> Outcom
 }
 
 /// A fresh checkpoint directory per call (tests run concurrently).
-fn fresh_dir(tag: &str) -> PathBuf {
+fn fresh_dir() -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "saql-control-diff-{tag}-{}-{}",
+        "saql-control-diff-{}-{}",
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
@@ -288,9 +275,9 @@ fn served_control_lines_match_in_process_controls() {
     let mut fired = std::collections::BTreeSet::new();
     for seed in 1..=10u64 {
         let schedule = schedule(seed, events.len());
-        let (a_dir, b_dir) = (fresh_dir("a"), fresh_dir("b"));
-        let direct = in_process(&schedule, &events, &a_dir);
-        let remote = served(&schedule, &events, &b_dir);
+        let dir = fresh_dir();
+        let direct = in_process(&schedule, &events);
+        let remote = served(&schedule, &events, &dir);
         assert_eq!(direct.replies, remote.replies, "seed {seed}: {schedule:?}");
         assert_eq!(direct.list, remote.list, "seed {seed}: {schedule:?}");
         assert_eq!(
@@ -299,12 +286,11 @@ fn served_control_lines_match_in_process_controls() {
             "seed {seed}: {schedule:?}"
         );
         assert_eq!(direct.alerts, remote.alerts, "seed {seed}: {schedule:?}");
+        let _ = std::fs::remove_dir_all(dir);
         for alert in &direct.alerts {
             let query = alert.split('"').nth(3).unwrap_or_default().to_string();
             fired.insert(query);
         }
-        let _ = std::fs::remove_dir_all(a_dir);
-        let _ = std::fs::remove_dir_all(b_dir);
     }
     // The schedules exercised every query shape, the final stage included.
     for query in ["t/rule", "t/win", "t/tier.s1", "t/tier"] {

@@ -2,7 +2,8 @@
 //! source `replay --source jsonl:` builds (`ChannelSource::jsonl`) and to a
 //! `saql serve` ingest connection give the same events, the same number of
 //! undecodable lines and the same `first at line L: msg` — blank lines, a
-//! line that is not UTF-8, CRLF endings and a 4 MiB line included.
+//! line that is not UTF-8, CRLF endings and a line of half the line cap
+//! included.
 
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::{Shutdown, TcpStream};
@@ -12,6 +13,7 @@ use saql::model::event::{Event, EventBuilder};
 use saql::model::json::{encode_event_json, parse_json, JsonValue};
 use saql::model::{FileInfo, ProcessInfo};
 use saql::serve::{ctl, ServeConfig, Server};
+use saql::stream::ingest::MAX_LINE;
 use saql::stream::source::ChannelSource;
 use saql::stream::store::Selection;
 use saql::stream::{EventSource, SourcePoll, StoreReader};
@@ -30,8 +32,8 @@ fn line(e: &Event) -> Vec<u8> {
 }
 
 /// Nine lines: LF and CRLF endings, two blank lines, one that is not
-/// UTF-8, one that is not JSON, a 4 MiB event, and a last line without
-/// a newline.
+/// UTF-8, one that is not JSON, an event of half the line cap, and a
+/// last line without a newline.
 fn input() -> Vec<u8> {
     let mut body = line(&event(1, "/a"));
     let crlf = |mut l: Vec<u8>| {
@@ -46,7 +48,7 @@ fn input() -> Vec<u8> {
     not_utf8[at] = 0xff;
     body.extend(not_utf8);
     body.extend_from_slice(b"{\"id\": not json\n");
-    body.extend(line(&event(4, &"x".repeat(4 << 20))));
+    body.extend(line(&event(4, &"x".repeat(MAX_LINE / 2))));
     body.extend(crlf(line(&event(5, "/e"))));
     let mut last = line(&event(6, "/f"));
     last.pop();

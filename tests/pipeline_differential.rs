@@ -236,7 +236,6 @@ proptest! {
                 }
             }
             let written = session.checkpoint_now().expect("checkpoints");
-            alerts.extend(written.alerts);
             prop_assert_eq!(written.offset, cut as u64, "offset counts base events only");
         }
         // Read back from disk, as a real restart would.

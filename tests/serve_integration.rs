@@ -15,10 +15,10 @@ use saql::engine::{CheckpointConfig, Deployment};
 use saql::model::event::{Event, EventBuilder};
 use saql::model::json::{encode_event_json, parse_json, JsonValue};
 use saql::model::{FileInfo, ProcessInfo};
-use saql::serve::server::MAX_LINE;
 use saql::serve::{
     ctl, ingest_reader, protocol, tail_alerts, ManualClock, ServeConfig, Server, TenantQuota,
 };
+use saql::stream::ingest::MAX_LINE;
 use saql::{Engine, EngineConfig};
 
 /// One write-file event on `host`, with a per-event-unique file path so
@@ -711,10 +711,11 @@ fn an_oversized_line_is_decoded_and_normal_traffic_follows() {
     })
     .unwrap();
     let addr = server.addr().to_string();
-    // One 4 MiB line (a long file name), then ordinary lines.
+    // One line of over half a MiB (a long file name, inside the line cap),
+    // then ordinary lines.
     let long = EventBuilder::new(0, "host-x", 1000)
         .subject(ProcessInfo::new(7, "writer.exe", "svc"))
-        .writes_file(FileInfo::new("f".repeat(4 << 20)))
+        .writes_file(FileInfo::new("f".repeat(MAX_LINE / 2)))
         .build();
     let rest: Vec<Event> = (1..500).map(|i| event(i, 1000 + i, "host-x")).collect();
     let mut body = jsonl(&[long]);
@@ -723,6 +724,41 @@ fn an_oversized_line_is_decoded_and_normal_traffic_follows() {
         ingest_reader(&addr, "default", "long", &mut Cursor::new(body), true, true).unwrap();
     assert_eq!(report.field("events"), Some(500), "{}", report.summary);
     assert_eq!(report.field("decode_errors"), Some(0), "{}", report.summary);
+
+    assert!(ctl(&addr, "default", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
+#[test]
+fn an_ingest_line_over_the_cap_is_one_decode_error() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        print_alerts: false,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    // Twice the cap without a newline, then three ordinary lines.
+    let mut body = "x".repeat(2 * MAX_LINE);
+    body.push('\n');
+    body.push_str(&jsonl(
+        &(1..4)
+            .map(|i| event(i, 1000 + i, "host-x"))
+            .collect::<Vec<_>>(),
+    ));
+    let report =
+        ingest_reader(&addr, "default", "long", &mut Cursor::new(body), true, true).unwrap();
+    assert_eq!(report.field("events"), Some(3), "{}", report.summary);
+    assert_eq!(report.field("decode_errors"), Some(1), "{}", report.summary);
+    assert!(
+        report
+            .summary
+            .contains("first at line 1: line exceeds 1048576 bytes"),
+        "{}",
+        report.summary
+    );
 
     assert!(ctl(&addr, "default", r#"{"cmd":"shutdown"}"#)
         .unwrap()
@@ -1245,4 +1281,57 @@ fn served_pipeline_survives_shutdown_checkpoint_resume() {
     assert_eq!(sorted(served), sorted(offline));
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Stage 1 closes one 10 s window over every writing host at once, each
+/// host alerting; stage 2 counts the alerts.
+const WIDE_PIPELINE: &str = "proc p write file f as evt #time(10 s)\n\
+                             state ss { n := count() } group by evt.agentid\n\
+                             alert ss[0].n >= 1\n\
+                             return evt.agentid as host, ss[0].n as amount\n\
+                             |>\n\
+                             from #time(30 s)\n\
+                             state es { n := count() }\n\
+                             alert es[0].n >= 1\n\
+                             return es[0].n as n";
+
+#[test]
+fn a_round_raising_thousands_of_stage_alerts_still_acks() {
+    // The whole exchange runs on its own thread, so a wedged server fails
+    // the deadline below instead of hanging the test.
+    let (done, finished) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        let server = Server::start(ServeConfig {
+            listen: "127.0.0.1:0".into(),
+            print_alerts: false,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr().to_string();
+        let reply = ctl(&addr, "acme", &register_line("wide", WIDE_PIPELINE)).unwrap();
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+
+        // 4,199 hosts write once inside the first 10 s; the last event
+        // closes that window in-stream, so one round raises 4,199 stage-1
+        // alerts.
+        let mut corpus: Vec<Event> = (0..4_199u64)
+            .map(|i| event(i + 1, 1_000 + i, &format!("h-{i}")))
+            .collect();
+        corpus.push(event(4_200, 20_000, "late"));
+        let body = jsonl(&corpus);
+        let report =
+            ingest_reader(&addr, "acme", "feed", &mut Cursor::new(body), true, true).unwrap();
+        let stats = ctl(&addr, "acme", r#"{"cmd":"stats"}"#).unwrap();
+        assert!(ctl(&addr, "acme", r#"{"cmd":"shutdown"}"#)
+            .unwrap()
+            .contains("\"ok\":true"));
+        server.wait().unwrap();
+        let _ = done.send((report.field("events"), stats));
+    });
+    let (events, stats) = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the ingest ack and the stats reply arrive");
+    assert_eq!(events, Some(4_200));
+    assert!(stats.contains("\"ok\":true"), "{stats}");
+    assert!(stats.contains("\"name\":\"wide\""), "{stats}");
 }
