@@ -96,6 +96,23 @@ fn check_reports_spanned_error_and_exits_one() {
 }
 
 #[test]
+fn check_refuses_a_too_deep_expression_with_a_spanned_error() {
+    // 5,000 nested parentheses once overflowed the parser's stack and
+    // aborted the process (exit 134).
+    let alert = format!("{}1{}", "(".repeat(5_000), ")".repeat(5_000));
+    let path = temp_file(
+        "deep.saql",
+        &format!("proc p write ip i as evt\nalert {alert}"),
+    );
+    let out = saql(&["check", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    let limit = format!("the limit is {} levels", saql_lang::parser::MAX_EXPR_DEPTH);
+    assert!(err.contains(&limit) && err.contains('^'), "{err}");
+}
+
+#[test]
 fn check_without_files_is_a_usage_error() {
     let out = saql(&["check"]);
     assert_eq!(out.status.code(), Some(2));

@@ -3,6 +3,7 @@
 
 use std::fmt;
 
+use saql_model::json::push_json_string;
 use saql_model::Timestamp;
 
 use crate::query::QueryId;
@@ -68,6 +69,54 @@ impl fmt::Display for Alert {
     }
 }
 
+/// Render one alert as a single-line JSON object (no trailing newline): the
+/// record serve's subscribe streams write. The workspace takes no JSON
+/// dependency, and alerts are flat, so this is hand-rolled.
+pub fn render_alert_json(alert: &Alert) -> String {
+    let mut out = String::with_capacity(160);
+    out.push_str("{\"query\":");
+    push_json_string(&mut out, &alert.query);
+    // Standalone queries carry no id; omit the field rather than emit a
+    // sentinel.
+    if alert.query_id != QueryId::UNASSIGNED {
+        out.push_str(",\"query_id\":");
+        out.push_str(&alert.query_id.index().to_string());
+    }
+    out.push_str(",\"ts_ms\":");
+    out.push_str(&alert.ts.as_millis().to_string());
+    match &alert.origin {
+        AlertOrigin::Match { event_ids } => {
+            out.push_str(",\"origin\":\"match\",\"event_ids\":[");
+            for (i, id) in event_ids.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&id.to_string());
+            }
+            out.push(']');
+        }
+        AlertOrigin::Window { start, end, group } => {
+            out.push_str(",\"origin\":\"window\",\"window_start_ms\":");
+            out.push_str(&start.as_millis().to_string());
+            out.push_str(",\"window_end_ms\":");
+            out.push_str(&end.as_millis().to_string());
+            out.push_str(",\"group\":");
+            push_json_string(&mut out, group);
+        }
+    }
+    out.push_str(",\"rows\":{");
+    for (i, (label, value)) in alert.rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_string(&mut out, label);
+        out.push(':');
+        push_json_string(&mut out, value);
+    }
+    out.push_str("}}");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,5 +160,51 @@ mod tests {
             rows: vec![],
         };
         assert!(a.to_string().contains("group=sqlservr.exe"));
+    }
+
+    #[test]
+    fn json_output_shape() {
+        let window = Alert {
+            query: "exfil".into(),
+            query_id: QueryId::UNASSIGNED,
+            ts: Timestamp::from_secs(7),
+            origin: AlertOrigin::Window {
+                start: Timestamp::ZERO,
+                end: Timestamp::from_secs(7),
+                group: "sqlservr.exe".into(),
+            },
+            rows: vec![
+                ("p".into(), "sqlservr.exe".into()),
+                ("amt".into(), "1.5".into()),
+            ],
+        };
+        let match_alert = Alert {
+            query: "rule \"q\"".into(),
+            query_id: QueryId::UNASSIGNED,
+            ts: Timestamp::from_millis(9),
+            origin: AlertOrigin::Match {
+                event_ids: vec![1, 2],
+            },
+            rows: vec![("f".into(), "C:\\dump\\a.bin".into())],
+        };
+        let lines = [render_alert_json(&window), render_alert_json(&match_alert)];
+        assert!(lines.iter().all(|l| !l.contains('\n')));
+        assert!(lines[0].contains("\"origin\":\"window\""), "{}", lines[0]);
+        assert!(
+            lines[0].contains("\"group\":\"sqlservr.exe\""),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[1].contains("\"event_ids\":[1,2]"), "{}", lines[1]);
+        // Quotes and backslashes escape correctly.
+        assert!(lines[1].contains("rule \\\"q\\\""), "{}", lines[1]);
+        assert!(lines[1].contains("C:\\\\dump\\\\a.bin"), "{}", lines[1]);
+    }
+
+    #[test]
+    fn json_escapes_control_chars() {
+        let mut out = String::new();
+        push_json_string(&mut out, "a\nb\tc\u{1}");
+        assert_eq!(out, "\"a\\nb\\tc\\u0001\"");
     }
 }

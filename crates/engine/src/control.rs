@@ -383,6 +383,56 @@ mod tests {
     }
 
     #[test]
+    fn pausing_a_paused_query_is_an_idempotent_success() {
+        use saql_model::event::EventBuilder;
+        use saql_model::ProcessInfo;
+        // One event before the pause, one while paused, one after resume:
+        // the alerts of `pauses` pauses and one resume.
+        let run = |pauses: usize| -> Vec<String> {
+            let mut engine = Engine::new(EngineConfig::default());
+            let mut session = engine.session();
+            let scope = Scope::UNSCOPED;
+            let paused = |session: &mut RunSession<'_>| match session.control(&scope, Control::List)
+            {
+                Ok(ControlReply::Listed(items)) => items
+                    .into_iter()
+                    .map(|q| (q.name, q.paused))
+                    .collect::<Vec<_>>(),
+                other => panic!("list: {other:?}"),
+            };
+            let mut alerts = Vec::new();
+            let mut feed = |session: &mut RunSession<'_>, id: u64| {
+                let event = EventBuilder::new(id, "h", id * 1_000)
+                    .subject(ProcessInfo::new(1, "cmd.exe", "u"))
+                    .starts_process(ProcessInfo::new(2, format!("c{id}.exe"), "u"))
+                    .build();
+                let raised = session.engine().process(&event.into()).unwrap();
+                alerts.extend(raised.iter().map(|a| a.to_string()));
+            };
+            let q = || "q".to_string();
+            let text = "proc p start proc c as e\nreturn p, c".to_string();
+            let op = Control::Register { name: q(), text };
+            session.control(&scope, op).unwrap();
+            feed(&mut session, 1);
+            for _ in 0..pauses {
+                let reply = session.control(&scope, Control::Pause { name: q() });
+                assert!(matches!(&reply, Ok(ControlReply::Paused { name, .. }) if name == "q"));
+            }
+            assert_eq!(paused(&mut session), [(q(), true)]);
+            feed(&mut session, 2);
+            let reply = session.control(&scope, Control::Resume { name: q() });
+            assert!(matches!(&reply, Ok(ControlReply::Resumed { name, .. }) if name == "q"));
+            assert_eq!(paused(&mut session), [(q(), false)]);
+            feed(&mut session, 3);
+            alerts
+        };
+        let once = run(1);
+        assert_eq!(once.len(), 2, "{once:?}");
+        assert!(!once.iter().any(|a| a.contains("c2.exe")), "{once:?}");
+        assert_eq!(run(2), once);
+    }
+
+    #[test]
     fn a_checkpoint_needs_a_checkpoint_dir() {
         let mut engine = Engine::new(EngineConfig::default());
         let mut session = engine.session();

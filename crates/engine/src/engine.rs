@@ -720,27 +720,6 @@ impl Engine {
         Ok(session.drain())
     }
 
-    /// Drive a stream, delivering every alert to `sink` as it fires
-    /// (the SIEM-forwarding path; see [`crate::sink`]). Per-query
-    /// subscribers still receive their copies. Returns the alert count.
-    ///
-    /// Like [`run`](Self::run), a thin wrapper over a single-source
-    /// arrival-order [`session`](Self::session), with the same
-    /// [`EngineError::EngineFinished`] contract.
-    pub fn run_with_sink(
-        &mut self,
-        stream: impl IntoIterator<Item = SharedEvent>,
-        sink: &mut dyn crate::sink::AlertSink,
-    ) -> Result<u64, EngineError> {
-        self.runtime.live()?;
-        let mut session = self.session();
-        session.attach_with(
-            saql_stream::source::IterSource::new("run", stream),
-            saql_stream::Lateness::ArrivalOrder,
-        );
-        Ok(session.drain_into(sink))
-    }
-
     /// Flush end-of-stream state: close remaining windows, and drain and
     /// join the workers if there are any.
     pub fn finish(&mut self) -> Vec<Alert> {
@@ -925,12 +904,6 @@ mod tests {
             e.run(vec![start(3, 30, "a.exe", "b.exe")]),
             Err(EngineError::EngineFinished)
         ));
-        let mut sink = crate::sink::CollectSink::default();
-        assert!(matches!(
-            e.run_with_sink(vec![start(4, 40, "a.exe", "b.exe")], &mut sink),
-            Err(EngineError::EngineFinished)
-        ));
-        assert!(sink.alerts.is_empty());
         // Without workers the engine stays fully operable after finish.
         let mut s = Engine::new(EngineConfig::default());
         let sid = s.register("q", src).unwrap();
@@ -1174,16 +1147,13 @@ mod tests {
     }
 
     #[test]
-    fn run_with_sink_streams_json() {
+    fn run_streams_json() {
         let mut e = Engine::new(EngineConfig::default());
         e.register("q", "proc p start proc q as e\nreturn p, q")
             .unwrap();
-        let mut sink = crate::sink::JsonLinesSink::new(Vec::new());
-        let n = e
-            .run_with_sink(vec![start(1, 10, "cmd.exe", "osql.exe")], &mut sink)
-            .unwrap();
-        assert_eq!(n, 1);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let alerts = e.run(vec![start(1, 10, "cmd.exe", "osql.exe")]).unwrap();
+        assert_eq!(alerts.len(), 1);
+        let text = crate::render_alert_json(&alerts[0]);
         assert!(text.contains("\"query\":\"q\""), "{text}");
         assert!(text.contains("\"query_id\":0"), "{text}");
         assert!(text.contains("\"p\":\"cmd.exe\""), "{text}");

@@ -20,11 +20,10 @@
 use std::collections::HashMap;
 
 use saql_lang::ast::{BinOp, CmpOp, Expr, UnaryOp};
-use saql_lang::resolve::ClusterField;
 use saql_model::{AttrValue, Entity, Event};
 use saql_stream::SharedEvent;
 
-use crate::plan::{ExecCtx, Op, Program};
+use crate::plan::{ClusterField, ExecCtx, Op, Program};
 use crate::value::Value;
 
 /// Cluster outcome of a group, exposed as `cluster.outlier`,

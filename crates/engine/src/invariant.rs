@@ -56,9 +56,9 @@ pub struct InvariantRuntime {
 }
 
 impl InvariantRuntime {
-    /// Build from the block plus its resolved statement rows
-    /// `(variable slot, is-init)` in block order (see
-    /// [`saql_lang::resolve::ResolvedStmt`]).
+    /// Build from the block plus its statement rows `(variable slot,
+    /// is-init)` in block order (see
+    /// [`crate::plan::QueryPlan::invariant_programs`]).
     pub fn new(block: &InvariantBlock, stmts: Vec<(usize, bool)>, n_vars: usize) -> Self {
         InvariantRuntime {
             train_windows: block.train_windows,

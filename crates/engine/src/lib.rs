@@ -63,12 +63,11 @@ mod runtime;
 pub mod scheduler;
 pub mod session;
 mod shard;
-pub mod sink;
 pub mod state;
 pub mod value;
 pub mod window;
 
-pub use alert::Alert;
+pub use alert::{render_alert_json, Alert};
 pub use checkpoint::Checkpoint;
 pub use control::{Control, ControlReply, Listed, Scope};
 pub use deployment::{Deployment, DurableLog, Run};
@@ -80,5 +79,4 @@ pub use pipeline::{
 pub use query::{QueryId, RunningQuery};
 pub use scheduler::Scheduler;
 pub use session::{CheckpointConfig, Checkpointed, Pump, RunSession, SessionStatus};
-pub use sink::render_alert_json;
 pub use value::Value;

@@ -11,12 +11,13 @@
 use std::collections::{HashMap, HashSet};
 
 use saql_lang::ast::{AttrConstraint, CmpOp, EventPattern, GlobalConstraint, Query};
-use saql_lang::resolve::entity_slot_names;
 use saql_model::glob::{is_exact, like_match};
 use saql_model::{
     AttrId, AttrNs, AttrRef, AttrTable, AttrValue, Duration, Entity, Event, ProcessInfo, Timestamp,
 };
 use saql_stream::SharedEvent;
+
+use crate::plan::entity_slot_names;
 
 /// FNV-1a over a byte run (fold more runs by passing the previous result).
 /// Used for the sub-plan fingerprints the scheduler shares columns on:

@@ -2,9 +2,9 @@
 //! multievent matcher, window driver, state maintainer, invariant runtime,
 //! cluster stage, and alert evaluator together.
 //!
-//! Queries compile **once at registration**: names resolve to slots
-//! ([`saql_lang::resolve`]), expressions lower to register programs
-//! ([`crate::plan`]), and attribute constraints bind [`saql_model::AttrId`]s.
+//! Queries compile **once at registration**: names resolve to slots and
+//! expressions lower to register programs in one pass ([`crate::plan`]),
+//! and attribute constraints bind [`saql_model::AttrId`]s.
 //! Execution is batch-at-a-time and routed: per batch a query *prepares*
 //! over the rows its group's master admitted and its global filter's slot
 //! accepted (`GroupRouter`, `RunningQuery::prepare_batch`), then the
@@ -25,7 +25,7 @@ use crate::invariant::{InvariantRuntime, InvariantSnapshot};
 use crate::matcher::{
     fnv1a, FullMatch, GlobalFilter, MatcherSnapshot, MultiMatcher, PatternMatcher, FNV_SEED,
 };
-use crate::plan::{ExecCtx, Op, QueryPlan};
+use crate::plan::{ExecCtx, KeySource, Op, QueryPlan};
 use crate::state::{group_label, ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView};
 use crate::value::Value;
 use crate::window::{Gate, WindowDriver, WindowSnapshot};
@@ -408,13 +408,10 @@ impl RunningQuery {
         let invariant = checked.ast.invariants.first().map(|block| {
             InvariantRuntime::new(
                 block,
-                checked
-                    .resolved
-                    .invariant_stmts
-                    .iter()
-                    .map(|s| (s.slot, s.init))
+                (plan.invariant_programs.iter())
+                    .map(|(slot, init, _)| (*slot, *init))
                     .collect(),
-                checked.resolved.invariant_vars.len(),
+                plan.invariant_vars.len(),
             )
         });
         RunningQuery {
@@ -1039,11 +1036,11 @@ impl RunningQuery {
             let _ = writeln!(out, "group keys:");
             for (i, key) in plan.group_keys.iter().enumerate() {
                 let source = match key.source {
-                    saql_lang::resolve::KeySource::Entity { slot, attr } => format!(
+                    KeySource::Entity { slot, attr } => format!(
                         "entity[{slot}].{}",
                         attr.map(|a| a.name()).unwrap_or("<unresolved>")
                     ),
-                    saql_lang::resolve::KeySource::Event { slot, attr } => format!(
+                    KeySource::Event { slot, attr } => format!(
                         "event[{slot}].{}",
                         attr.map(|a| a.name()).unwrap_or("<unresolved>")
                     ),
@@ -1133,7 +1130,7 @@ fn extract_keys(
     out.clear();
     for key in &plan.group_keys {
         let value = match key.source {
-            saql_lang::resolve::KeySource::Entity { slot, attr } => attr.and_then(|id| {
+            KeySource::Entity { slot, attr } => attr.and_then(|id| {
                 if slot == bound.object_slot {
                     event.object.attr_value(id)
                 } else if slot == bound.subject_slot {
@@ -1142,7 +1139,7 @@ fn extract_keys(
                     None
                 }
             }),
-            saql_lang::resolve::KeySource::Event { slot, attr } => attr
+            KeySource::Event { slot, attr } => attr
                 .filter(|_| slot == bound.ev_slot)
                 .and_then(|id| event.attr_value(id)),
         };

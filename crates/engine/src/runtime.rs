@@ -634,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn run_with_sink_counts_all_alerts() {
+    fn run_counts_all_alerts() {
         let mut par = Engine::new(EngineConfig {
             workers: 2,
             ..EngineConfig::default()
@@ -644,10 +644,8 @@ mod tests {
             "proc p1[\"%cmd.exe\"] start proc p2 as e\nreturn p1, p2",
         )
         .unwrap();
-        let mut sink = crate::sink::CollectSink::default();
-        let n = par.run_with_sink(events(), &mut sink).unwrap();
-        assert_eq!(n, 200);
-        assert_eq!(sink.alerts.len(), 200);
+        let alerts = par.run(events()).unwrap();
+        assert_eq!(alerts.len(), 200);
     }
 
     #[test]

@@ -34,10 +34,9 @@
 //!   next cadence checkpoint, so one sync covers a backlog. The
 //!   first failure stops appends and vetoes every later checkpoint, so no
 //!   checkpoint claims an event the store lacks.
-//! * **End of stream.** [`drain`](RunSession::drain) /
-//!   [`drain_into`](RunSession::drain_into) pump until every base source
-//!   ended, then [`finish`](RunSession::finish): stages flush layer by
-//!   layer, then [`Engine::finish`]. `Engine::run` / `run_with_sink` are a
+//! * **End of stream.** [`drain`](RunSession::drain) pumps until every
+//!   base source ended, then [`finish`](RunSession::finish): stages flush
+//!   layer by layer, then [`Engine::finish`]. `Engine::run` is a
 //!   one-source [`Lateness::ArrivalOrder`] session drained this way.
 //!
 //! Commands open their session through a [`crate::Deployment`], which
@@ -58,7 +57,6 @@ use crate::control::{Control, ControlReply, Scope};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::pipeline::Edges;
-use crate::sink::AlertSink;
 
 /// Cadence and destination for automatic checkpoints
 /// ([`RunSession::enable_checkpoints`]).
@@ -135,8 +133,7 @@ pub struct Pump {
 /// Created by [`Engine::session`]. Attach sources, then either call
 /// [`pump`](Self::pump) yourself (interleaving control-plane calls through
 /// [`engine`](Self::engine) at exact stream positions) or let
-/// [`drain`](Self::drain)/[`drain_into`](Self::drain_into) run the stream
-/// to completion and flush.
+/// [`drain`](Self::drain) run the stream to completion and flush.
 ///
 /// ```
 /// use saql_engine::{Engine, EngineConfig};
@@ -482,21 +479,6 @@ impl<'e> RunSession<'e> {
         let mut deliver = |batch| alerts.extend(batch);
         let _ = self.run_staged(Vec::new(), &mut deliver, &mut |_, _| {});
         alerts
-    }
-
-    /// [`drain`](Self::drain), delivering each alert to `sink` as it
-    /// fires, then flushing the sink; returns the alert count.
-    pub fn drain_into(mut self, sink: &mut dyn AlertSink) -> u64 {
-        let mut n = 0u64;
-        let mut deliver = |batch: Vec<Alert>| {
-            for alert in &batch {
-                n += 1;
-                sink.deliver(alert);
-            }
-        };
-        let _ = self.run_staged(Vec::new(), &mut deliver, &mut |_, _| {});
-        sink.flush();
-        n
     }
 
     /// [`drain`](Self::drain) with staged controls: each `(n, op)` applies

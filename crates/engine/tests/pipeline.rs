@@ -9,7 +9,6 @@ use saql_engine::alert::AlertOrigin;
 use saql_engine::pipeline::{
     deregister_pipeline, register_pipeline, register_pipeline_scoped, AlertAdapter,
 };
-use saql_engine::sink::CollectSink;
 use saql_engine::{
     Alert, Checkpoint, CheckpointConfig, Engine, EngineConfig, EngineError, RunSession,
     SessionStatus,
@@ -220,17 +219,7 @@ fn every_entry_point_runs_a_registered_pipeline() {
     };
     let mut runs: Vec<(&str, Vec<Alert>)> = Vec::new();
     runs.push(("Engine::run", fresh().run(trace()).expect("runs")));
-    let mut sink = CollectSink { alerts: Vec::new() };
-    let n = fresh().run_with_sink(trace(), &mut sink).expect("runs");
-    assert_eq!(n as usize, sink.alerts.len());
-    runs.push(("Engine::run_with_sink", sink.alerts));
     runs.push(("RunSession::drain", attached(&mut fresh())));
-    let mut engine = fresh();
-    let mut session = engine.session();
-    session.attach_with(IterSource::new("trace", trace()), Lateness::ArrivalOrder);
-    let mut sink = CollectSink { alerts: Vec::new() };
-    session.drain_into(&mut sink);
-    runs.push(("RunSession::drain_into", sink.alerts));
     for (entry, alerts) in runs {
         let (p1, p2) = per_stage(&alerts);
         assert_eq!(p1, c1, "{entry}: stage 1 diverged");

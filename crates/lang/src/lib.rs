@@ -18,10 +18,13 @@
 //! The original system generated its parser with ANTLR 4; this reproduction
 //! uses a hand-written lexer and recursive-descent parser (no build-time
 //! codegen, precise spanned errors — the paper's *error reporter* role).
+//! Expressions are bounded in depth ([`parser::MAX_EXPR_DEPTH`]), so query
+//! text from any client is safe to compile on any thread.
 //!
 //! Entry points: [`parse`] (text → [`ast::Query`]) and [`check`]
 //! (AST → [`semantic::CheckedQuery`], the engine's input), or the one-shot
-//! [`compile`].
+//! [`compile`]. This crate stops there: name resolution and lowering to
+//! register programs are one pass in the engine (`saql_engine::plan`).
 
 pub mod ast;
 pub mod corpus;
@@ -29,7 +32,6 @@ pub mod error;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
-pub mod resolve;
 pub mod semantic;
 pub mod token;
 

@@ -8,6 +8,12 @@
 //! Expression precedence, loosest to tightest:
 //! `||` < `&&` < comparisons < `union`/`diff`/`intersect` < `+ -` <
 //! `* / %` < unary `- !` < postfix (`[i]`, `.attr`, calls, `|e|`).
+//!
+//! Expressions are parsed without recursion, on explicit operator and
+//! operand stacks, and bounded in depth ([`MAX_EXPR_DEPTH`]): every later
+//! pass over the tree (checker, plan lowering, printer, `Drop`) recurses
+//! along it, so an unbounded tree could overflow the stack of the thread
+//! that registers the query.
 
 use saql_model::{Duration, EntityType, Operation};
 
@@ -15,10 +21,35 @@ use crate::ast::*;
 use crate::error::{LangError, Span};
 use crate::token::{Tok, Token};
 
+/// The deepest expression the parser accepts. A term is 1 deep; each
+/// parenthesis, `|…|`, call argument list and unary operator adds one, and
+/// a binary node is one deeper than its deeper operand, so a chain of n
+/// terms is n deep. At this depth the whole register path (parse, check,
+/// plan lowering, return labels, `Drop`) fits a 2 MiB thread stack in a
+/// debug build with room to spare.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 /// Parser over a token stream (see [`crate::parse`] for the entry point).
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+}
+
+/// An operator waiting for its right operand, or a bracket waiting for its
+/// closing token, on [`Parser::expr`]'s stack.
+enum Pending {
+    Unary(UnaryOp),
+    /// A binary operator and its binding strength.
+    Binary(BinOp, u8),
+    Paren,
+    Card,
+    /// A call's `(`, with the arguments parsed so far and their depth.
+    Call {
+        name: String,
+        span: Span,
+        args: Vec<Expr>,
+        depth: usize,
+    },
 }
 
 impl Parser {
@@ -754,216 +785,250 @@ impl Parser {
     // ------------------------------------------------------------------
 
     /// Parse an expression (public so alert conditions can be parsed alone).
+    ///
+    /// Precedence climbing on explicit stacks: operands wait on `vals`
+    /// with their depths, operators and open brackets on `ops`, so query
+    /// text of any depth costs the parser no stack. Every entry of `ops`
+    /// is one more level above the operand to come, so `ops` is refused
+    /// past the limit as it grows, before the text ends.
     pub fn expr(&mut self) -> Result<Expr, LangError> {
-        self.or_expr()
-    }
-
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&Tok::PipePipe) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat(&Tok::AmpAmp) {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
-        let lhs = self.set_expr()?;
-        let op = match self.peek() {
-            Tok::EqEq | Tok::Assign => Some(CmpOp::Eq),
-            Tok::NotEq => Some(CmpOp::Ne),
-            Tok::Lt => Some(CmpOp::Lt),
-            Tok::Le => Some(CmpOp::Le),
-            Tok::Gt => Some(CmpOp::Gt),
-            Tok::Ge => Some(CmpOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.set_expr()?;
-            Ok(Expr::Binary {
-                op: BinOp::Cmp(op),
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            })
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn set_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.add_expr()?;
+        let (mut vals, mut ops) = (Vec::new(), Vec::new());
         loop {
-            let op = if self.peek().is_kw("union") {
-                BinOp::Union
-            } else if self.peek().is_kw("diff") {
-                BinOp::Diff
-            } else if self.peek().is_kw("intersect") {
-                BinOp::Intersect
-            } else {
-                return Ok(lhs);
-            };
-            self.bump();
-            let rhs = self.add_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            // An operand: prefix operators and opening brackets wait on
+            // `ops` until a leaf completes it.
+            if let Some(pending) = self.opening() {
+                self.push(&mut ops, pending)?;
+                continue;
+            }
+            vals.push((self.leaf()?, 1));
+            if self.after_operand(&mut vals, &mut ops)? {
+                return Ok(vals.pop().expect("one operand left").0);
+            }
         }
     }
 
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
+    fn push(&self, ops: &mut Vec<Pending>, pending: Pending) -> Result<(), LangError> {
+        self.over(ops.len() + 1)?;
+        ops.push(pending);
+        Ok(())
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, LangError> {
-        match self.peek() {
-            Tok::Minus => {
+    /// The prefix operator or opening bracket at the cursor, consumed.
+    fn opening(&mut self) -> Option<Pending> {
+        let start = self.span();
+        let pending = match self.peek() {
+            Tok::Minus => Pending::Unary(UnaryOp::Neg),
+            Tok::Bang => Pending::Unary(UnaryOp::Not),
+            Tok::LParen => Pending::Paren,
+            Tok::Pipe => Pending::Card,
+            // A call with arguments; `f()` is a leaf.
+            Tok::Ident(name)
+                if self.peek2() == &Tok::LParen
+                    && self.tokens.get(self.pos + 2).map(|t| &t.tok) != Some(&Tok::RParen)
+                    && !matches!(name.as_str(), "true" | "false" | "empty_set") =>
+            {
+                let name = name.clone();
                 self.bump();
-                Ok(Expr::Unary {
-                    op: UnaryOp::Neg,
-                    expr: Box::new(self.unary_expr()?),
-                })
-            }
-            Tok::Bang => {
-                self.bump();
-                Ok(Expr::Unary {
-                    op: UnaryOp::Not,
-                    expr: Box::new(self.unary_expr()?),
-                })
-            }
-            _ => self.primary_expr(),
-        }
-    }
-
-    fn primary_expr(&mut self) -> Result<Expr, LangError> {
-        match self.peek().clone() {
-            Tok::Int(v) => {
-                self.bump();
-                Ok(Expr::Lit(Literal::Int(v)))
-            }
-            Tok::Float(v) => {
-                self.bump();
-                Ok(Expr::Lit(Literal::Float(v)))
-            }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr::Lit(Literal::Str(s)))
-            }
-            Tok::LParen => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect(Tok::RParen)?;
-                Ok(e)
-            }
-            Tok::Pipe => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect(Tok::Pipe)?;
-                Ok(Expr::Card(Box::new(e)))
-            }
-            Tok::Ident(name) => {
-                let start = self.span();
-                self.bump();
-                match name.as_str() {
-                    "true" => return Ok(Expr::Lit(Literal::Bool(true))),
-                    "false" => return Ok(Expr::Lit(Literal::Bool(false))),
-                    "empty_set" => return Ok(Expr::EmptySet),
-                    _ => {}
+                Pending::Call {
+                    name,
+                    span: start,
+                    args: Vec::new(),
+                    depth: 1,
                 }
-                // Call: `avg(evt.amount)`.
-                if self.peek() == &Tok::LParen {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if self.peek() != &Tok::RParen {
-                        args.push(self.expr()?);
-                        while self.eat(&Tok::Comma) {
-                            args.push(self.expr()?);
+            }
+            _ => return None,
+        };
+        self.bump();
+        Some(pending)
+    }
+
+    /// After an operand: apply its prefix operators, then either take a
+    /// binary operator (`false`: an operand follows) or close brackets
+    /// until one does. `true` when the expression ended, its value alone
+    /// on `vals`.
+    fn after_operand(
+        &mut self,
+        vals: &mut Vec<(Expr, usize)>,
+        ops: &mut Vec<Pending>,
+    ) -> Result<bool, LangError> {
+        loop {
+            while let Some(Pending::Unary(op)) = ops.last() {
+                let (expr, depth) = vals.pop().expect("unary operand");
+                let (op, expr) = (*op, Box::new(expr));
+                ops.pop();
+                vals.push((Expr::Unary { op, expr }, self.over(depth)?));
+            }
+            if let Some((op, prec)) = self.binary_op() {
+                // Left-associative; a comparison takes no second comparison
+                // at its level, which ends the expression there.
+                let cmp = matches!(op, BinOp::Cmp(_));
+                let ends = loop {
+                    match ops.last() {
+                        Some(&Pending::Binary(_, p)) if p > prec || (p == prec && !cmp) => {
+                            self.reduce(vals, ops)?
                         }
+                        Some(Pending::Binary(BinOp::Cmp(_), _)) if cmp => break true,
+                        _ => break false,
+                    }
+                };
+                if !ends {
+                    self.bump();
+                    self.push(ops, Pending::Binary(op, prec))?;
+                    return Ok(false);
+                }
+            }
+            // The expression ends here at this nesting level: close it.
+            while let Some(Pending::Binary(..)) = ops.last() {
+                self.reduce(vals, ops)?;
+            }
+            let Some(bracket) = ops.pop() else {
+                return Ok(true);
+            };
+            let (expr, depth) = vals.pop().expect("bracketed operand");
+            let depth = self.over(depth)?;
+            let closed = match bracket {
+                Pending::Paren => {
+                    self.expect(Tok::RParen)?;
+                    expr
+                }
+                Pending::Card => {
+                    self.expect(Tok::Pipe)?;
+                    Expr::Card(Box::new(expr))
+                }
+                Pending::Call {
+                    name,
+                    span,
+                    mut args,
+                    depth: deepest,
+                } => {
+                    args.push(expr);
+                    let depth = deepest.max(depth);
+                    if self.eat(&Tok::Comma) {
+                        ops.push(Pending::Call {
+                            name,
+                            span,
+                            args,
+                            depth,
+                        });
+                        return Ok(false);
                     }
                     self.expect(Tok::RParen)?;
-                    return Ok(Expr::Call {
-                        name,
-                        args,
-                        span: start.to(self.prev_span()),
-                    });
+                    let span = span.to(self.prev_span());
+                    Expr::Call { name, args, span }
                 }
-                // Reference: base, optional `[index]`, optional `.attr`.
-                let index = if self.eat(&Tok::LBracket) {
-                    let (i, _) = self.expect_usize("window history index")?;
-                    self.expect(Tok::RBracket)?;
-                    Some(i)
-                } else {
-                    None
-                };
-                let attr = if self.eat(&Tok::Dot) {
-                    Some(self.expect_ident("attribute name")?.0)
-                } else {
-                    None
-                };
-                Ok(Expr::Ref(Ref {
-                    base: name,
-                    index,
-                    attr,
-                    span: start.to(self.prev_span()),
-                }))
-            }
-            other => Err(LangError::parse(
-                format!("expected expression, found {}", other.describe()),
-                self.span(),
-            )),
+                Pending::Unary(_) | Pending::Binary(..) => unreachable!("reduced above"),
+            };
+            vals.push((closed, depth));
         }
+    }
+
+    /// Apply the binary operator on top of `ops` to the top two operands.
+    fn reduce(
+        &self,
+        vals: &mut Vec<(Expr, usize)>,
+        ops: &mut Vec<Pending>,
+    ) -> Result<(), LangError> {
+        let Some(Pending::Binary(op, _)) = ops.pop() else {
+            unreachable!("a binary operator is on top")
+        };
+        let (rhs, dr) = vals.pop().expect("right operand");
+        let (lhs, dl) = vals.pop().expect("left operand");
+        let depth = self.over(dl.max(dr))?;
+        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+        vals.push((Expr::Binary { op, lhs, rhs }, depth));
+        Ok(())
+    }
+
+    /// `depth + 1`, refused past [`MAX_EXPR_DEPTH`].
+    fn over(&self, depth: usize) -> Result<usize, LangError> {
+        if depth >= MAX_EXPR_DEPTH {
+            return Err(LangError::parse(
+                format!("expression nested too deep (the limit is {MAX_EXPR_DEPTH} levels)"),
+                self.prev_span(),
+            ));
+        }
+        Ok(depth + 1)
+    }
+
+    /// The binary operator at the cursor and its binding strength, loosest
+    /// first (see the module docs).
+    fn binary_op(&self) -> Option<(BinOp, u8)> {
+        let cmp = |op| Some((BinOp::Cmp(op), 3));
+        match self.peek() {
+            Tok::PipePipe => Some((BinOp::Or, 1)),
+            Tok::AmpAmp => Some((BinOp::And, 2)),
+            Tok::EqEq | Tok::Assign => cmp(CmpOp::Eq),
+            Tok::NotEq => cmp(CmpOp::Ne),
+            Tok::Lt => cmp(CmpOp::Lt),
+            Tok::Le => cmp(CmpOp::Le),
+            Tok::Gt => cmp(CmpOp::Gt),
+            Tok::Ge => cmp(CmpOp::Ge),
+            Tok::Ident(kw) => match kw.as_str() {
+                "union" => Some((BinOp::Union, 4)),
+                "diff" => Some((BinOp::Diff, 4)),
+                "intersect" => Some((BinOp::Intersect, 4)),
+                _ => None,
+            },
+            Tok::Plus => Some((BinOp::Add, 5)),
+            Tok::Minus => Some((BinOp::Sub, 5)),
+            Tok::Star => Some((BinOp::Mul, 6)),
+            Tok::Slash => Some((BinOp::Div, 6)),
+            Tok::Percent => Some((BinOp::Mod, 6)),
+            _ => None,
+        }
+    }
+
+    /// A literal, an argument-less call, or a reference (base, optional
+    /// `[index]`, optional `.attr`).
+    fn leaf(&mut self) -> Result<Expr, LangError> {
+        let start = self.span();
+        let leaf = match self.bump().tok {
+            Tok::Int(v) => Expr::Lit(Literal::Int(v)),
+            Tok::Float(v) => Expr::Lit(Literal::Float(v)),
+            Tok::Str(s) => Expr::Lit(Literal::Str(s)),
+            Tok::Ident(name) => match name.as_str() {
+                "true" => Expr::Lit(Literal::Bool(true)),
+                "false" => Expr::Lit(Literal::Bool(false)),
+                "empty_set" => Expr::EmptySet,
+                _ if self.eat(&Tok::LParen) => {
+                    self.expect(Tok::RParen)?;
+                    let span = start.to(self.prev_span());
+                    Expr::Call {
+                        name,
+                        args: Vec::new(),
+                        span,
+                    }
+                }
+                _ => {
+                    let index = if self.eat(&Tok::LBracket) {
+                        let (i, _) = self.expect_usize("window history index")?;
+                        self.expect(Tok::RBracket)?;
+                        Some(i)
+                    } else {
+                        None
+                    };
+                    let attr = if self.eat(&Tok::Dot) {
+                        Some(self.expect_ident("attribute name")?.0)
+                    } else {
+                        None
+                    };
+                    let span = start.to(self.prev_span());
+                    Expr::Ref(Ref {
+                        base: name,
+                        index,
+                        attr,
+                        span,
+                    })
+                }
+            },
+            other => {
+                return Err(LangError::parse(
+                    format!("expected expression, found {}", other.describe()),
+                    start,
+                ))
+            }
+        };
+        Ok(leaf)
     }
 }
 

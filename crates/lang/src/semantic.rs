@@ -55,7 +55,9 @@ impl QueryKind {
 }
 
 /// A semantically validated query plus the derived facts the engine and the
-/// concurrent scheduler need.
+/// concurrent scheduler need. Names are not resolved here: the engine's plan
+/// compiler (`saql_engine::plan::QueryPlan::compile`) resolves and lowers
+/// them in one pass over `ast`, which cannot fail on a checked query.
 #[derive(Debug, Clone)]
 pub struct CheckedQuery {
     pub ast: Query,
@@ -64,16 +66,11 @@ pub struct CheckedQuery {
     pub kind: QueryKind,
     /// Entity variable → type, across all patterns.
     pub vars: HashMap<String, EntityType>,
-    /// Event aliases in pattern order.
-    pub aliases: Vec<String>,
     /// Semantic-compatibility key for the master–dependent-query scheduler:
     /// queries with equal keys match the same *shape* of events (entity
     /// types + operations per pattern, and window), so they can share one
     /// copy of the stream via a master query.
     pub compat_key: String,
-    /// The resolved AST: every name bound to its slot at check time (see
-    /// [`crate::resolve`]). This is what the engine's plan compiler lowers.
-    pub resolved: crate::resolve::ResolvedQuery,
     /// Pipeline input: the upstream query whose alert stream this stage
     /// consumes (`from query NAME`), with the clause span for error
     /// reporting. `None` for base queries reading raw collector events.
@@ -93,14 +90,11 @@ pub fn check(mut ast: Query) -> Result<CheckedQuery, LangError> {
     cx.run(&ast)?;
     let kind = classify(&ast);
     let compat_key = compat_key(&ast);
-    let resolved = crate::resolve::resolve(&ast, &cx.vars);
     Ok(CheckedQuery {
         window: ast.window(),
         kind,
         vars: cx.vars,
-        aliases: cx.aliases,
         compat_key,
-        resolved,
         ast,
         pipeline_input,
     })

@@ -4,7 +4,7 @@
 //! boundary — agents on other platforms, shell pipelines, and test fixtures
 //! speak one JSON object per line. The workspace takes no JSON dependency, so
 //! both directions are hand-rolled against the fixed event schema (the same
-//! policy as the engine's `JsonLinesSink` for alerts).
+//! policy as the engine's `render_alert_json` for alerts).
 //!
 //! One event per line:
 //!

@@ -24,7 +24,7 @@
 //!   and answer its reply as JSON ([`reply_line`]); `stats` and
 //!   `shutdown` are the server's own [`Request`]s.
 //! * **subscribe** — after an `{"ok":true}` ack the server streams the
-//!   named query's alerts as JSONL (the `JsonLinesSink` shape) until the
+//!   named query's alerts as JSONL (`render_alert_json` records) until the
 //!   query is gone or the client hangs up.
 //!
 //! A first line starting with `GET ` is answered as a minimal HTTP text

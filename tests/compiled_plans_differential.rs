@@ -28,13 +28,12 @@ use saql::engine::cluster::run_cluster;
 use saql::engine::eval::{eval, run_program, run_program_batch, ClusterOutcome, EventRow, Scope};
 use saql::engine::invariant::InvariantRuntime;
 use saql::engine::matcher::{FullMatch, GlobalFilter, MultiMatcher, PatternMatcher};
-use saql::engine::plan::{ExecCtx, Program, QueryPlan};
+use saql::engine::plan::{ExecCtx, KeySource, Program, QueryPlan};
 use saql::engine::query::QueryConfig;
 use saql::engine::state::{group_label, ClosedGroup, KeyAtom, StateMaintainer, StateView};
 use saql::engine::window::WindowDriver;
 use saql::engine::{Alert, AlertAdapter, Engine, EngineConfig, Value};
 use saql::lang::ast::{Expr, Ref};
-use saql::lang::resolve::KeySource;
 use saql::lang::semantic::{CheckedQuery, QueryKind};
 use saql::lang::{corpus, split_stages};
 use saql::model::{Entity, Event, Operation};
@@ -95,7 +94,6 @@ impl Reference {
         let plan = QueryPlan::compile(&checked);
         let config = QueryConfig::default();
         let slots: Vec<String> = plan.entity_vars.iter().map(|(v, _)| v.clone()).collect();
-        let resolved = &checked.resolved;
         Reference {
             globals: GlobalFilter::compile(&checked.ast.globals),
             patterns: checked
@@ -111,8 +109,8 @@ impl Reference {
             // the read depth.
             state: (checked.ast.states.first()).map(|b| StateMaintainer::new(b, b.history)),
             invariant: checked.ast.invariants.first().map(|block| {
-                let stmts = resolved.invariant_stmts.iter().map(|s| (s.slot, s.init));
-                InvariantRuntime::new(block, stmts.collect(), resolved.invariant_vars.len())
+                let stmts = plan.invariant_programs.iter().map(|(s, i, _)| (*s, *i));
+                InvariantRuntime::new(block, stmts.collect(), plan.invariant_vars.len())
             }),
             distinct: HashSet::new(),
             oracle: Oracle::default(),

@@ -1,0 +1,199 @@
+//! Query text is hostile input: expression depth is bounded, so no query
+//! text can overflow the stack of the thread that registers it.
+//!
+//! The parser, the checker, plan lowering, the return-label printer and the
+//! AST's `Drop` all recurse along an expression. Without a bound, an
+//! `alert` nested in 700 parentheses overflowed `saql serve`'s core thread
+//! and aborted the process with every tenant on it; no `catch_unwind` can
+//! stop a stack overflow. Each probe below sits in each expression position
+//! of a query (alert, state field, invariant statement, cluster point,
+//! return item) and goes through `saql_lang::compile`, `QueryPlan::compile`
+//! and `RunSession::control(Register)` on a thread whose stack is [`STACK`]:
+//! the probes must come back as a spanned refusal naming the limit, and
+//! text exactly at the limit must register.
+
+use saql::engine::plan::QueryPlan;
+use saql::engine::{Control, ControlReply, Engine, EngineConfig, Scope};
+use saql::lang::parser::MAX_EXPR_DEPTH;
+
+/// Stack of the thread every text runs on. Well below std's 2 MiB default,
+/// and small enough that a parser without the bound overflows on the
+/// 700-level probe in a debug build.
+const STACK: usize = 512 * 1024;
+
+/// Each expression position: a query template whose `{E}` is replaced by
+/// the probe, and the term the probe is built from there.
+const POSITIONS: [(&str, &str, &str); 5] = [
+    (
+        "alert",
+        "proc p write ip i as evt\nalert {E}\nreturn p",
+        "1",
+    ),
+    (
+        "state field",
+        "proc p write ip i as evt #time(10 s)\n\
+         state ss { n := sum({E}) } group by p\nreturn p, ss[0].n",
+        "evt.amount",
+    ),
+    (
+        "invariant statement",
+        "proc p1 start proc p2 as evt #time(10 s)\n\
+         state ss { s := set(p2.exe_name) } group by p1\n\
+         invariant[2][offline] {\n a := empty_set\n a = {E}\n}\n\
+         alert |ss.s diff a| > 0\nreturn p1",
+        "a",
+    ),
+    (
+        "cluster point",
+        "proc p write ip i as evt #time(10 min)\n\
+         state ss { amt := sum(evt.amount) } group by i.dstip\n\
+         cluster(points=all({E}), distance=\"ed\", method=\"DBSCAN(100000, 5)\")\n\
+         alert cluster.outlier\nreturn i.dstip",
+        "ss.amt",
+    ),
+    (
+        "return item",
+        "proc p write ip i as evt\nreturn p, {E}",
+        "i.dstip",
+    ),
+];
+
+/// `term` inside `levels` parentheses: `levels + 1` deep.
+fn parens(term: &str, levels: usize) -> String {
+    format!("{}{term}{}", "(".repeat(levels), ")".repeat(levels))
+}
+
+/// A flat `&&` chain of `terms` terms: `terms` deep.
+fn chain(term: &str, terms: usize) -> String {
+    vec![term; terms].join(" && ")
+}
+
+/// Run `f` on a thread with a [`STACK`]-byte stack.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(STACK)
+        .spawn(f)
+        .expect("spawn probe thread")
+        .join()
+        .expect("probe thread panicked")
+}
+
+/// Register `text` as `q` through the control plane of a fresh session.
+fn register(text: String) -> Result<ControlReply, String> {
+    let mut engine = Engine::new(EngineConfig::default());
+    let mut session = engine.session();
+    let op = Control::Register {
+        name: "q".into(),
+        text,
+    };
+    session.control(&Scope::UNSCOPED, op)
+}
+
+/// `text` is refused on every path with a spanned error naming the limit.
+fn assert_refused(what: &str, text: String) {
+    let limit = format!("the limit is {MAX_EXPR_DEPTH} levels");
+    let (compiled, registered) = on_small_stack(move || {
+        let compiled = saql::lang::compile(&text).map(|_| ());
+        (compiled, register(text).map(|_| ()))
+    });
+    let err = compiled.expect_err(what);
+    assert!(err.message.contains(&limit), "{what}: {err}");
+    assert!(err.span.line > 0, "{what}: unspanned {err:?}");
+    let err = registered.expect_err(what);
+    assert!(err.contains(&limit) && err.contains('^'), "{what}: {err}");
+}
+
+/// `text` compiles, lowers and registers.
+fn assert_accepted(what: &str, text: String) {
+    let outcome = on_small_stack(move || {
+        let checked = saql::lang::compile(&text).map_err(|e| e.to_string())?;
+        let plan = QueryPlan::compile(&checked);
+        register(text)?;
+        Ok::<usize, String>(plan.programs().count())
+    });
+    let programs = outcome.unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(programs > 0, "{what}");
+}
+
+#[test]
+fn deep_and_long_expressions_are_refused_in_every_position() {
+    for (position, template, term) in POSITIONS {
+        let probes = [
+            ("700 parentheses", parens(term, 700)),
+            ("5,000 parentheses", parens(term, 5_000)),
+            ("a 100,000-term chain", chain(term, 100_000)),
+            ("one level past the limit", parens(term, MAX_EXPR_DEPTH)),
+            ("a chain one term too long", chain(term, MAX_EXPR_DEPTH + 1)),
+        ];
+        for (probe, expr) in probes {
+            let what = format!("{probe} in the {position}");
+            assert_refused(&what, template.replace("{E}", &expr));
+        }
+    }
+}
+
+#[test]
+fn expressions_exactly_at_the_limit_register_in_every_position() {
+    for (position, template, term) in POSITIONS {
+        let at_limit = [
+            ("parentheses", parens(term, MAX_EXPR_DEPTH - 1)),
+            ("a chain", chain(term, MAX_EXPR_DEPTH)),
+            (
+                "unary operators",
+                format!("{}{term}", "!".repeat(MAX_EXPR_DEPTH - 1)),
+            ),
+        ];
+        for (shape, expr) in at_limit {
+            let what = format!("{shape} at the limit in the {position}");
+            assert_accepted(&what, template.replace("{E}", &expr));
+        }
+    }
+}
+
+#[test]
+fn every_shipped_query_stays_far_below_the_limit() {
+    // A query whose depth were near the limit would be one edit from a
+    // refusal; the deepest shipped expression is a handful of levels.
+    let family = std::fs::read_dir("benchmark/queries/family").expect("family queries");
+    let mut texts: Vec<String> = family
+        .map(|entry| std::fs::read_to_string(entry.unwrap().path()).unwrap())
+        .collect();
+    texts.extend(saql::corpus::PAPER_QUERIES.map(String::from));
+    texts.extend(saql::corpus::DEMO_QUERIES.map(|(_, src)| src.to_string()));
+    assert_eq!(texts.len(), 20);
+    for text in texts {
+        let stages = saql::lang::split_stages("q", &text).expect("shipped query parses");
+        for stage in stages {
+            let q = saql::lang::parse(&stage.source).unwrap();
+            let fields = q.states.iter().flat_map(|s| &s.fields).map(|f| &f.arg);
+            let stmts = q.invariants.iter().flat_map(|b| &b.stmts).map(|s| &s.expr);
+            let points = q.cluster.iter().flat_map(|c| &c.points);
+            let items = q.ret.iter().flat_map(|r| &r.items).map(|i| &i.expr);
+            let depth = (fields
+                .chain(stmts)
+                .chain(points)
+                .chain(&q.alert)
+                .chain(items))
+            .map(depth_of)
+            .max()
+            .unwrap_or(0);
+            assert!(
+                depth * 8 <= MAX_EXPR_DEPTH,
+                "{depth} deep: {}",
+                stage.source
+            );
+        }
+    }
+}
+
+/// The depth the parser counts for `e`, less its parentheses (which the
+/// tree does not keep): a lower bound of what the parser saw.
+fn depth_of(e: &saql::lang::ast::Expr) -> usize {
+    use saql::lang::ast::Expr;
+    1 + match e {
+        Expr::Unary { expr, .. } | Expr::Card(expr) => depth_of(expr),
+        Expr::Binary { lhs, rhs, .. } => depth_of(lhs).max(depth_of(rhs)),
+        Expr::Call { args, .. } => args.iter().map(depth_of).max().unwrap_or(0),
+        Expr::Lit(_) | Expr::EmptySet | Expr::Ref(_) => 0,
+    }
+}

@@ -1,10 +1,8 @@
-//! End-to-end plumbing around the engine: alert sinks feeding consumer
-//! threads and JSON exports, and the segmented store serving pruned replays
-//! into live queries.
+//! End-to-end plumbing around the engine: JSON alert exports, and the
+//! segmented store serving pruned replays into live queries.
 
 use saql::collector::{AttackConfig, SimConfig, Simulator};
-use saql::engine::sink::{ChannelSink, CollectSink, JsonLinesSink, TeeSink};
-use saql::engine::{Engine, EngineConfig};
+use saql::engine::{render_alert_json, Engine, EngineConfig};
 use saql::model::Timestamp;
 use saql::stream::store::Selection;
 use saql::stream::{StoreReader, StoreWriter};
@@ -22,50 +20,16 @@ fn small_attack_trace() -> saql::collector::Trace {
 }
 
 #[test]
-fn channel_sink_feeds_consumer_thread() {
-    let trace = small_attack_trace();
-    let (mut sink, rx) = ChannelSink::new(256);
-
-    // Consumer: counts c5 alerts on its own thread.
-    let consumer = std::thread::spawn(move || {
-        rx.into_iter()
-            .filter(|a| a.query == "c5-exfiltration")
-            .count()
-    });
-
-    let mut engine = Engine::new(EngineConfig::default());
-    for (name, src) in saql::corpus::DEMO_QUERIES {
-        engine.register(name, src).unwrap();
-    }
-    let delivered = engine.run_with_sink(trace.shared(), &mut sink).unwrap();
-    drop(sink); // close the channel so the consumer finishes
-    let c5_seen = consumer.join().unwrap();
-
-    // The five rule queries plus (at minimum) the SMA and outlier models
-    // fire on this shorter trace; the invariant query is still training at
-    // the 20-minute attack start (it needs 100 ten-second windows).
-    assert!(delivered >= 7, "delivered only {delivered}");
-    assert_eq!(c5_seen, 1);
-}
-
-#[test]
 fn json_lines_export_round_trips_key_fields() {
     let trace = small_attack_trace();
     let mut engine = Engine::new(EngineConfig::default());
     for (name, src) in saql::corpus::DEMO_QUERIES {
         engine.register(name, src).unwrap();
     }
-    let mut json = JsonLinesSink::new(Vec::new());
-    let mut collect = CollectSink::default();
-    {
-        let mut tee = TeeSink {
-            sinks: vec![&mut json, &mut collect],
-        };
-        engine.run_with_sink(trace.shared(), &mut tee).unwrap();
-    }
-    let text = String::from_utf8(json.into_inner()).unwrap();
+    let alerts = engine.run(trace.shared()).unwrap();
+    let text: String = alerts.iter().map(|a| render_alert_json(a) + "\n").collect();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), collect.alerts.len());
+    assert_eq!(lines.len(), alerts.len());
     // Every line is a JSON object naming its query; the exfil line carries
     // the attacker ip.
     for line in &lines {
