@@ -2,7 +2,7 @@
 //!
 //! DESIGN.md calls out the multievent matcher's per-step indexing as a
 //! design choice; this bench quantifies it on sequence-heavy workloads
-//! where many partial matches stay live (the `rule-sequence` row of E3).
+//! where many partial matches stay live (the `rule-sequence` family).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use saql_bench::stream;

@@ -10,8 +10,7 @@ use std::time::Instant;
 
 use saql_baseline::{BaselineAgg, Capability, CepQuery, Filter, GroupBy, MiniCep, NaiveScheduler};
 use saql_bench::{
-    batches, compile_family, drive, family_queries, host_pinned_queries, scheduler, skewed_stream,
-    stream, variant_queries,
+    batches, drive, host_pinned_queries, scheduler, skewed_stream, stream, variant_queries,
 };
 use saql_collector::{AttackConfig, SimConfig, Simulator};
 use saql_engine::{Engine, EngineConfig};
@@ -20,7 +19,6 @@ use saql_lang::semantic::QueryKind;
 
 fn main() {
     table_e2_detection();
-    table_e3_throughput();
     table_e4_concurrent();
     table_e5_baseline();
     table_e5_capabilities();
@@ -81,31 +79,6 @@ fn clean_alerts() -> usize {
         engine.register(name, src).unwrap();
     }
     engine.run(trace.shared()).unwrap().len()
-}
-
-/// E3 — throughput per anomaly-model family.
-fn table_e3_throughput() {
-    println!("== E3: single-query throughput by anomaly-model family ==");
-    let events = stream(200_000, 42);
-    let batches = batches(&events);
-    println!(
-        "{:<16} {:>12} {:>14} {:>8}",
-        "family", "events/s", "ns/event", "alerts"
-    );
-    for (name, _) in family_queries() {
-        let mut q = scheduler([compile_family(name)]);
-        let t0 = Instant::now();
-        let alerts = drive(&mut q, &batches);
-        let dt = t0.elapsed();
-        println!(
-            "{:<16} {:>12.0} {:>14.0} {:>8}",
-            name,
-            events.len() as f64 / dt.as_secs_f64(),
-            dt.as_nanos() as f64 / events.len() as f64,
-            alerts
-        );
-    }
-    println!();
 }
 
 /// E4 — master–dependent vs naive at 1..64 concurrent queries.

@@ -1,4 +1,4 @@
-//! Shared workload builders for the SAQL experiment benches (E3–E9).
+//! Shared workload builders for the SAQL experiment benches (E4–E13).
 //!
 //! Every bench uses these helpers so workloads stay comparable across
 //! experiments: the same event mixes, the same query variants, the same
@@ -13,15 +13,9 @@ use saql_stream::{batched, EventBatch, SharedEvent, DEFAULT_BATCH_SIZE};
 /// A synthetic stream of `n` events with default mix and ~5% matching the
 /// target pattern, spread over trace time so windows regularly close.
 pub fn stream(n: usize, seed: u64) -> Vec<SharedEvent> {
-    stream_over_hosts(n, seed, WorkloadConfig::default().hosts)
-}
-
-/// [`stream`] spread over `hosts` agents (`host-0` … `host-{hosts-1}`).
-pub fn stream_over_hosts(n: usize, seed: u64, hosts: usize) -> Vec<SharedEvent> {
     saql_stream::share(synthetic_stream(&WorkloadConfig {
         seed,
         events: n,
-        hosts,
         mean_gap_ms: 20, // ~50 events/s of trace time
         target_fraction: 0.05,
         ..WorkloadConfig::default()
@@ -207,30 +201,6 @@ pub fn sharded_sources(groups: usize, per_group: usize) -> Vec<(String, String)>
                 10_000 * (m + 1),
             );
             out.push((format!("shard-g{g}-m{m}"), src));
-        }
-    }
-    out
-}
-
-/// `groups × per_group` *selective* stateful queries, shaped like the
-/// ladder's Q-many: groups differ by window length, and every member is
-/// pinned by a global constraint to its own host out of `hosts`, so with
-/// hundreds of hosts each member's predicates match well under 1% of the
-/// rows its group's master admits. The workload on which execution must
-/// not probe more than the admitted-and-accepted rows.
-pub fn selective_queries(groups: usize, per_group: usize, hosts: usize) -> Vec<RunningQuery> {
-    let mut out = Vec::with_capacity(groups * per_group);
-    for g in 0..groups {
-        for m in 0..per_group {
-            let src = format!(
-                "agentid = \"host-{}\"\nproc p write ip i as evt #time({} s)\nstate ss {{ amt := sum(evt.amount) }} group by p\nalert ss[0].amt > 10000\nreturn p, ss[0].amt",
-                (g * per_group + m) % hosts.max(1),
-                30 + g,
-            );
-            out.push(
-                RunningQuery::compile(format!("pinned-g{g}-m{m}"), &src, QueryConfig::default())
-                    .expect("selective workload query compiles"),
-            );
         }
     }
     out

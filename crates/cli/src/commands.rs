@@ -848,9 +848,6 @@ fn print_stats(engine: &Engine) {
             s.master_checks, s.deliveries
         );
     }
-    if engine.dropped_alerts() > 0 {
-        println!("dropped alerts: {}", engine.dropped_alerts());
-    }
     if let Some(latency) = engine.latency() {
         println!("batch latency (ns/event): {}", latency.summary());
     }

@@ -30,8 +30,8 @@ pub struct Alert {
     pub query: String,
     /// Control-plane id of the query that produced the alert
     /// ([`QueryId::UNASSIGNED`] when emitted by a standalone
-    /// [`crate::RunningQuery`]). This is the routing key for per-query
-    /// subscriptions ([`crate::Engine::subscribe`]).
+    /// [`crate::RunningQuery`]). This is the routing key for serve's
+    /// per-query subscriptions.
     pub query_id: QueryId,
     /// Event time at which the alert fired (last matched event, or window
     /// end).

@@ -1,17 +1,15 @@
 //! The engine facade: the query *control plane* over a running stream.
 //!
 //! [`Engine::register`] attaches a SAQL query to a live engine and returns a
-//! [`QueryId`] handle; [`deregister`](Engine::deregister),
-//! [`pause`](Engine::pause)/[`resume`](Engine::resume), and
-//! [`subscribe`](Engine::subscribe) operate on that handle **mid-stream**,
-//! whatever [`EngineConfig::workers`] is: each is one control message to
-//! the engine's runtime, applied in place when the engine runs on the
-//! caller's thread and shipped in-band, at a batch boundary, when it runs on
-//! workers. This is the analyst-session model of the paper: queries are
-//! submitted, tuned, and retired against a stream that never stops.
-
-use std::collections::HashMap;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+//! [`QueryId`] handle; [`deregister`](Engine::deregister) and
+//! [`pause`](Engine::pause)/[`resume`](Engine::resume) operate on that
+//! handle **mid-stream**, whatever [`EngineConfig::workers`] is: each is one
+//! control message to the engine's runtime, applied in place when the
+//! engine runs on the caller's thread and shipped in-band, at a batch
+//! boundary, when it runs on workers. Alerts come back only from the
+//! data-plane calls. This is the analyst-session model of the paper:
+//! queries are submitted, tuned, and retired against a stream that never
+//! stops.
 
 use saql_lang::{LangError, Span};
 use saql_stream::{EventBatch, SharedEvent, DEFAULT_BATCH_SIZE};
@@ -40,10 +38,6 @@ pub struct EngineConfig {
     /// workers, each fed every batch over a bounded channel. Same queries,
     /// same alerts — in emission order at `0`, as a multiset otherwise.
     pub workers: usize,
-    /// Alerts buffered per [`Engine::subscribe`] channel before further
-    /// alerts for that subscriber are dropped (and counted in
-    /// [`Engine::dropped_alerts`]). Zero clamps to one.
-    pub subscription_backlog: usize,
     /// Events per execution batch — the **one knob** governing batch
     /// sizing end to end: the session pump chunks merged events into
     /// [`EventBatch`]es of this size for [`Engine::process_batch`], and a
@@ -58,7 +52,6 @@ impl Default for EngineConfig {
             query: QueryConfig::default(),
             record_latency: false,
             workers: 0,
-            subscription_backlog: 1024,
             batch_size: DEFAULT_BATCH_SIZE,
         }
     }
@@ -104,50 +97,22 @@ pub struct Engine {
     /// Registry of every query ever registered; row index == `QueryId`.
     /// Ids are never reused, so deregistered rows stay as tombstones.
     registry: Vec<QueryEntry>,
-    /// Per-query subscription routing table.
-    subscriptions: HashMap<QueryId, Vec<SyncSender<Alert>>>,
-    /// Alerts dropped because a subscription channel was full.
-    subscription_drops: u64,
-    /// Subscription drops attributed to the emitting query.
-    subscription_drops_by_query: HashMap<QueryId, u64>,
     /// Alerts produced by control-plane operations (e.g. the window flush
     /// of a deregistered query) waiting to be returned by the next
     /// [`process`](Self::process)/[`sync`](Self::sync)/[`finish`](Self::finish)
-    /// call. Already routed to subscribers.
+    /// call.
     pending: Vec<Alert>,
-    /// Facade-level observer invoked for every alert as it is routed —
-    /// the metrics tap serving layers hang per-query counters and
-    /// delivery-latency histograms on. See [`set_alert_hook`](Self::set_alert_hook).
-    alert_hook: Option<AlertHook>,
     config: EngineConfig,
 }
-
-/// Observer installed with [`Engine::set_alert_hook`]: called once per
-/// alert, in emission order, on the engine thread.
-pub type AlertHook = Box<dyn FnMut(&Alert) + Send>;
 
 impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         Engine {
             runtime: Runtime::new(&config),
             registry: Vec::new(),
-            subscriptions: HashMap::new(),
-            subscription_drops: 0,
-            subscription_drops_by_query: HashMap::new(),
             pending: Vec::new(),
-            alert_hook: None,
             config,
         }
-    }
-
-    /// Install an observer called once per alert, in emission order, on the
-    /// engine thread, as alerts are routed to subscribers (data-plane
-    /// batches, control-plane flushes, and [`finish`](Self::finish) alike).
-    /// At most one hook is live; installing replaces the previous one. The
-    /// hook runs regardless of whether any subscription exists — it
-    /// observes, it cannot veto or mutate.
-    pub fn set_alert_hook(&mut self, hook: AlertHook) {
-        self.alert_hook = Some(hook);
     }
 
     /// Worker threads in use (`0` = execution on the caller's thread).
@@ -174,10 +139,9 @@ impl Engine {
     /// Parse, check, and attach a query to the engine — before the first
     /// event or live, mid-stream. Returns the [`QueryId`] handle for the
     /// other control-plane calls ([`deregister`](Self::deregister),
-    /// [`pause`](Self::pause), [`resume`](Self::resume),
-    /// [`subscribe`](Self::subscribe)). Compile errors carry spans
-    /// renderable against `source` (see [`LangError::render`]); registering
-    /// a name that is already live is rejected the same way, so
+    /// [`pause`](Self::pause), [`resume`](Self::resume)). Compile errors
+    /// carry spans renderable against `source` (see [`LangError::render`]);
+    /// registering a name that is already live is rejected the same way, so
     /// [`query_stats`](Self::query_stats) names stay unambiguous.
     ///
     /// A live attach/detach session:
@@ -196,13 +160,12 @@ impl Engine {
     /// );
     /// let mut engine = Engine::new(EngineConfig::default());
     ///
-    /// // Attach a query and subscribe to exactly its alerts.
+    /// // Attach a query: its alerts come back tagged with its id.
     /// let id = engine
     ///     .register("cmd-watch", "proc p1[\"%cmd.exe\"] start proc p2 as e\nreturn p1, p2")
     ///     .unwrap();
-    /// let inbox = engine.subscribe(id).unwrap();
-    /// engine.process(&start(1, 10, "cmd.exe", "osql.exe")).unwrap();
-    /// assert_eq!(inbox.try_recv().unwrap().query, "cmd-watch");
+    /// let alerts = engine.process(&start(1, 10, "cmd.exe", "osql.exe")).unwrap();
+    /// assert_eq!(alerts[0].query_id, id);
     ///
     /// // Live names are exclusive while registered...
     /// assert!(engine.register("cmd-watch", "proc p start proc q as e\nreturn p").is_err());
@@ -261,9 +224,8 @@ impl Engine {
     /// Detach a query from the engine at the current stream position. Its
     /// open windows are flushed — those final alerts surface through the
     /// normal delivery path (the next [`process`](Self::process) /
-    /// [`finish`](Self::finish) return, and any subscribers, whose channels
-    /// then close) — then the query, its stats, and its compatibility-group
-    /// membership are gone. The id is retired, never reused; the name
+    /// [`sync`](Self::sync) / [`finish`](Self::finish) return) — then the
+    /// query, its stats, and its compatibility-group membership are gone. The id is retired, never reused; the name
     /// becomes available again.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), EngineError> {
         self.runtime.live()?;
@@ -284,10 +246,6 @@ impl Engine {
         let flushed = self.control(|runtime, arrived| runtime.remove(id, arrived))?;
         self.absorb(flushed);
         self.registry[id.index()].status = RowStatus::Removed;
-        // Everything the query ever emitted is routed now — what it raised
-        // before this point arrived ahead of the removal's reply, the flush
-        // just above — so its subscribers can see the disconnect.
-        self.subscriptions.remove(&id);
         Ok(())
     }
 
@@ -295,19 +253,17 @@ impl Engine {
     /// without deregistering it — the pipeline layered drain: upstream
     /// stages flush first so their final window alerts can still feed
     /// dependents before *those* flush in turn. The flushed alerts are
-    /// returned, and also routed to subscribers and buffered for the next
-    /// data-plane call like any control-plane alert.
-    pub fn flush_query(&mut self, id: QueryId) -> Result<Vec<Alert>, EngineError> {
+    /// buffered for the next data-plane call like any control-plane alert.
+    pub fn flush_query(&mut self, id: QueryId) -> Result<(), EngineError> {
         let flushed = self.query_control(id, ControlMsg::Flush)?;
-        self.absorb(flushed.clone());
-        Ok(flushed)
+        self.absorb(flushed);
+        Ok(())
     }
 
     /// Synchronize with the data plane: when this returns, every event fed
     /// so far has been fully processed, and every alert it produced that
-    /// no data-plane call returned yet is routed (to subscribers) and
-    /// returned here — control-plane alerts buffered for the next call
-    /// included. Execution on the caller's thread is always synchronous, so
+    /// no data-plane call returned yet is returned here — control-plane
+    /// alerts buffered for the next call included. Execution on the caller's thread is always synchronous, so
     /// this costs nothing there; with workers it is a barrier. A session
     /// with pipeline stages syncs each round before punctuating them, so a
     /// punctuation can never outrun an upstream alert still being computed
@@ -332,29 +288,6 @@ impl Engine {
         self.query_control(id, ControlMsg::Resume)?;
         self.registry[id.index()].status = RowStatus::Active;
         Ok(())
-    }
-
-    /// Open a per-query alert channel: the receiver gets a clone of every
-    /// alert this query emits from now on (including the final window
-    /// flush if the query is later deregistered), and nothing from any
-    /// other query. Alerts still flow through the normal
-    /// [`process`](Self::process)/[`run`](Self::run) returns — subscribers
-    /// are an additional fan-out, the per-user delivery path. The channel
-    /// closes (the receiver disconnects) when its query is deregistered,
-    /// after the flush is delivered.
-    ///
-    /// The channel buffers [`EngineConfig::subscription_backlog`] alerts; a
-    /// full channel drops further alerts for that subscriber (counted in
-    /// [`dropped_alerts`](Self::dropped_alerts)) rather than stalling the
-    /// stream. Dropping the receiver unsubscribes.
-    pub fn subscribe(&mut self, id: QueryId) -> Result<Receiver<Alert>, EngineError> {
-        // A subscription opened after the workers drained could never close
-        // or deliver; reject it rather than hand out a dead channel.
-        self.runtime.live()?;
-        self.expect_live(id)?;
-        let (tx, rx) = sync_channel(self.config.subscription_backlog.max(1));
-        self.subscriptions.entry(id).or_default().push(tx);
-        Ok(rx)
     }
 
     /// Whether this id names a live (active or paused) query.
@@ -500,25 +433,6 @@ impl Engine {
         self.runtime.shard_stats()
     }
 
-    /// Alerts dropped on their way to a consumer: a full per-query
-    /// subscription channel drops (and counts, live) rather than stalling
-    /// the stream.
-    pub fn dropped_alerts(&self) -> u64 {
-        self.subscription_drops
-    }
-
-    /// [`dropped_alerts`](Self::dropped_alerts) attributed to the emitting
-    /// query, `(id, drops)` sorted by id. Queries with no drops are absent.
-    pub fn dropped_alerts_by_query(&self) -> Vec<(QueryId, u64)> {
-        let mut out: Vec<(QueryId, u64)> = self
-            .subscription_drops_by_query
-            .iter()
-            .map(|(id, n)| (*id, *n))
-            .collect();
-        out.sort_by_key(|(id, _)| id.index());
-        out
-    }
-
     /// Per-query execution stats, `(name, stats)` in arbitrary order, for
     /// live queries (deregistered queries leave with their stats).
     pub fn query_stats(&self) -> Vec<(String, QueryStats)> {
@@ -556,9 +470,6 @@ impl Engine {
     /// the same at every worker count. Alerts arriving during the barrier
     /// surface on the next data-plane call, as with any control-plane
     /// operation.
-    ///
-    /// Subscriptions are not part of a checkpoint (channels cannot outlive
-    /// the process); resumed engines start with none.
     pub fn checkpoint(
         &mut self,
         offset: u64,
@@ -682,7 +593,6 @@ impl Engine {
     /// [`finish`](Self::finish) and never fails here.
     pub fn process_batch(&mut self, batch: &EventBatch) -> Result<Vec<Alert>, EngineError> {
         let fresh = self.runtime.process_batch(batch)?;
-        self.route(&fresh);
         Ok(self.drain_pending(fresh))
     }
 
@@ -724,17 +634,11 @@ impl Engine {
     /// join the workers if there are any.
     pub fn finish(&mut self) -> Vec<Alert> {
         let fresh = self.runtime.finish();
-        self.route(&fresh);
         self.drain_pending(fresh)
     }
 
-    /// Buffer control-plane alerts for the next data-plane return, routing
-    /// them to subscribers first.
+    /// Buffer control-plane alerts for the next data-plane return.
     fn absorb(&mut self, alerts: Vec<Alert>) {
-        if alerts.is_empty() {
-            return;
-        }
-        self.route(&alerts);
         self.pending.extend(alerts);
     }
 
@@ -746,51 +650,6 @@ impl Engine {
         let mut alerts = std::mem::take(&mut self.pending);
         alerts.extend(fresh);
         alerts
-    }
-
-    /// Fan alerts out to their queries' subscribers. A full channel drops
-    /// (and counts) rather than stalling the stream; a disconnected
-    /// receiver unsubscribes.
-    fn route(&mut self, alerts: &[Alert]) {
-        if let Some(hook) = self.alert_hook.as_mut() {
-            for alert in alerts {
-                hook(alert);
-            }
-        }
-        if self.subscriptions.is_empty() {
-            return;
-        }
-        let mut dropped = 0u64;
-        let mut pruned = false;
-        for alert in alerts {
-            if let Some(senders) = self.subscriptions.get_mut(&alert.query_id) {
-                let mut lost = 0u64;
-                senders.retain(|tx| match tx.try_send(alert.clone()) {
-                    Ok(()) => true,
-                    Err(TrySendError::Full(_)) => {
-                        lost += 1;
-                        true
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        pruned = true;
-                        false
-                    }
-                });
-                if lost > 0 {
-                    dropped += lost;
-                    *self
-                        .subscription_drops_by_query
-                        .entry(alert.query_id)
-                        .or_insert(0) += lost;
-                }
-            }
-        }
-        if pruned {
-            // Keep the no-subscriber fast path honest: a query whose every
-            // receiver hung up should cost nothing again.
-            self.subscriptions.retain(|_, senders| !senders.is_empty());
-        }
-        self.subscription_drops += dropped;
     }
 }
 
@@ -868,7 +727,6 @@ mod tests {
         ));
         assert!(e.pause(ghost).is_err());
         assert!(e.resume(ghost).is_err());
-        assert!(e.subscribe(ghost).is_err());
         let id = e
             .register("q", "proc p start proc q as e\nreturn p")
             .unwrap();
@@ -889,7 +747,6 @@ mod tests {
         assert!(matches!(e.deregister(id), Err(EngineError::EngineFinished)));
         assert!(matches!(e.pause(id), Err(EngineError::EngineFinished)));
         assert!(matches!(e.resume(id), Err(EngineError::EngineFinished)));
-        assert!(matches!(e.subscribe(id), Err(EngineError::EngineFinished)));
         let err = e.register("late", src).unwrap_err();
         assert!(err.message.contains("already finished"), "{err:?}");
         // Locationless: no caret blaming the (valid) query text.
@@ -928,69 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn subscription_delivers_only_that_query() {
-        for workers in [0usize, 2] {
-            let mut e = Engine::new(EngineConfig {
-                workers,
-                ..EngineConfig::default()
-            });
-            let id_a = e
-                .register(
-                    "a",
-                    "proc p1[\"%cmd.exe\"] start proc p2 as e\nreturn p1, p2",
-                )
-                .unwrap();
-            let id_b = e
-                .register(
-                    "b",
-                    "proc p1 start proc p2[\"%notepad.exe\"] as e\nreturn p1, p2",
-                )
-                .unwrap();
-            let inbox_a = e.subscribe(id_a).unwrap();
-            let inbox_b = e.subscribe(id_b).unwrap();
-            e.run(vec![
-                start(1, 10, "cmd.exe", "osql.exe"),
-                start(2, 20, "explorer.exe", "notepad.exe"),
-                start(3, 30, "cmd.exe", "calc.exe"),
-            ])
-            .unwrap();
-            let got_a: Vec<Alert> = inbox_a.try_iter().collect();
-            let got_b: Vec<Alert> = inbox_b.try_iter().collect();
-            assert_eq!(got_a.len(), 2, "workers={workers}");
-            assert!(got_a.iter().all(|a| a.query_id == id_a && a.query == "a"));
-            assert_eq!(got_b.len(), 1, "workers={workers}");
-            assert_eq!(got_b[0].query_id, id_b);
-            assert_eq!(e.dropped_alerts(), 0);
-        }
-    }
-
-    #[test]
-    fn full_subscription_drops_and_counts_instead_of_stalling() {
-        let mut e = Engine::new(EngineConfig {
-            subscription_backlog: 1,
-            ..EngineConfig::default()
-        });
-        let id = e
-            .register("q", "proc p start proc q as e\nreturn p, q")
-            .unwrap();
-        let inbox = e.subscribe(id).unwrap();
-        e.process(&start(1, 10, "a.exe", "b.exe")).unwrap();
-        e.process(&start(2, 20, "a.exe", "b.exe")).unwrap();
-        e.process(&start(3, 30, "a.exe", "b.exe")).unwrap();
-        assert_eq!(inbox.try_iter().count(), 1, "capacity-1 channel");
-        assert_eq!(e.dropped_alerts(), 2);
-        // A dropped receiver unsubscribes (pruned from the routing table)
-        // without counting further drops.
-        drop(inbox);
-        e.process(&start(4, 40, "a.exe", "b.exe")).unwrap();
-        assert_eq!(e.dropped_alerts(), 2);
-        assert!(
-            e.subscriptions.is_empty(),
-            "disconnected subscriber must be pruned"
-        );
-    }
-
-    #[test]
     fn deregister_flushes_open_windows_through_normal_delivery() {
         for workers in [0usize, 2] {
             let mut e = Engine::new(EngineConfig {
@@ -1003,7 +797,6 @@ mod tests {
                     "proc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n",
                 )
                 .unwrap();
-            let inbox = e.subscribe(id).unwrap();
             let write = Arc::new(
                 EventBuilder::new(1, "h", 1_000)
                     .subject(ProcessInfo::new(1, "x.exe", "u"))
@@ -1015,13 +808,8 @@ mod tests {
             );
             assert!(e.process(&write).unwrap().is_empty(), "window still open");
             e.deregister(id).unwrap();
-            // The flush came back with the removal, on every worker count:
-            // it reached the subscriber before the subscription closed (no
-            // channel lingers, the receiver observes the disconnect)...
-            assert_eq!(inbox.try_iter().count(), 1, "workers={workers}");
-            assert!(e.subscriptions.is_empty(), "subscription closed");
-            assert!(inbox.try_recv().is_err());
-            // ...and surfaces on the next data-plane call.
+            // The flush came back with the removal, on every worker count,
+            // and surfaces on the next data-plane call.
             let alerts = e.process(&start(2, 2_000, "a.exe", "b.exe")).unwrap();
             assert_eq!(alerts.len(), 1, "workers={workers}");
             assert_eq!(alerts[0].query_id, id);
@@ -1143,7 +931,6 @@ mod tests {
             serial.scheduler_stats().master_checks
         );
         assert!(serial.shard_stats().is_empty(), "no worker rows inline");
-        assert_eq!(parallel.dropped_alerts(), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub enum EngineError {
     PartialMatchOverflow { query: String, cap: usize },
     /// A query referenced a name that could not be resolved at runtime.
     UnresolvedName(String),
-    /// A control-plane operation (deregister, pause, resume, subscribe)
+    /// A control-plane operation (deregister, pause, resume)
     /// named a query id that is not live on this engine.
     UnknownQuery(crate::query::QueryId),
     /// A session operation named a source id that is not attached (never

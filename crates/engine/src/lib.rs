@@ -43,8 +43,10 @@
 //! [`scheduler::Scheduler`] for concurrent queries, and the [`Engine`]
 //! facade that wires parsing, scheduling and alert collection together —
 //! including the live query control plane ([`Engine::register`] /
-//! [`Engine::deregister`] / [`Engine::pause`] / [`Engine::subscribe`]),
-//! which attaches and detaches queries mid-stream at every worker count.
+//! [`Engine::deregister`] / [`Engine::pause`]), which attaches and
+//! detaches queries mid-stream at every worker count. Alerts come back
+//! from the data-plane calls that raised them; delivering them further
+//! (serve's subscribers) is the caller's business.
 
 pub mod alert;
 pub mod checkpoint;

@@ -35,7 +35,8 @@ use crate::window::{Gate, WindowDriver, WindowSnapshot};
 /// Ids are assigned at registration ([`crate::Engine::register`]) and stay
 /// valid for the engine's lifetime — they are never reused, even after the
 /// query is deregistered. Every [`Alert`] carries the id of the query that
-/// produced it, which is what makes per-query subscription routing possible.
+/// produced it, which is how a server routes alerts to a query's
+/// subscribers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(usize);
 

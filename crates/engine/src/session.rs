@@ -244,7 +244,7 @@ impl<'e> RunSession<'e> {
     }
 
     /// The engine under the session — the query control plane stays fully
-    /// available mid-pump (register/deregister/pause/resume/subscribe land
+    /// available mid-pump (register/deregister/pause/resume land
     /// at the current stream position; the next round rebuilds the
     /// pipeline edge table).
     /// Serve and the CLI change the query set through

@@ -43,6 +43,10 @@ impl fmt::Display for Span {
     }
 }
 
+/// Bytes of the offending line a rendered error shows either side of its
+/// span; a longer line is cut, and `…` marks each cut.
+const CONTEXT: usize = 80;
+
 /// Phase that produced an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -102,6 +106,10 @@ impl LangError {
     /// 3 | proc p1[ start proc p2
     ///   |         ^
     /// ```
+    ///
+    /// A line longer than the span and 80 bytes either side of it is shown
+    /// cut to that window, so the rendering stays small whatever the
+    /// query's size.
     pub fn render(&self, source: &str) -> String {
         let mut out = format!("{self}\n");
         // Line numbers are 1-based; a zero line (`Span::default()`) means
@@ -116,14 +124,35 @@ impl LangError {
         {
             let ln = self.span.line;
             let gutter = " ".repeat(ln.to_string().len());
-            out.push_str(&format!("{gutter} |\n{ln} | {line_text}\n{gutter} | "));
-            out.push_str(&" ".repeat(self.span.col.saturating_sub(1) as usize));
-            let width = (self.span.end - self.span.start).max(1);
-            out.push_str(&"^".repeat(width.min(line_text.len() + 1)));
+            let (shown, pad, carets) = window(line_text, self.span);
+            out.push_str(&format!("{gutter} |\n{ln} | {shown}\n{gutter} | "));
+            out.push_str(&" ".repeat(pad));
+            out.push_str(&"^".repeat(carets));
             out.push('\n');
         }
         out
     }
+}
+
+/// The part of `line` an error shows for `span`: at most [`CONTEXT`]
+/// bytes either side of it, `…` at each cut, with the caret's offset and
+/// width under it.
+fn window(line: &str, span: Span) -> (String, usize, usize) {
+    let col = (span.col.saturating_sub(1) as usize).min(line.len());
+    let width = (span.end - span.start).max(1);
+    let mut from = col.saturating_sub(CONTEXT);
+    while !line.is_char_boundary(from) {
+        from -= 1;
+    }
+    let mut to = (col + width.min(CONTEXT) + CONTEXT).min(line.len());
+    while !line.is_char_boundary(to) {
+        to += 1;
+    }
+    let head = if from > 0 { "…" } else { "" };
+    let tail = if to < line.len() { "…" } else { "" };
+    let shown = format!("{head}{}{tail}", &line[from..to]);
+    let pad = col - from + usize::from(from > 0);
+    (shown, pad, width.min(to - from + 1))
 }
 
 impl fmt::Display for LangError {
@@ -161,6 +190,29 @@ mod tests {
         assert!(
             shown.lines().last().unwrap().trim_end().ends_with('^'),
             "{shown}"
+        );
+    }
+
+    #[test]
+    fn a_long_line_renders_a_window_around_the_span() {
+        let src = format!("alert {} > x\nreturn p", "a + ".repeat(10_000));
+        let col = 6 + 4 * 5_000 + 3; // a `+` mid-line
+        let err = LangError::parse("unexpected", Span::new(col - 1, col, 1, col as u32));
+        let shown = err.render(&src);
+        assert!(shown.len() < 400, "{} bytes", shown.len());
+        let lines: Vec<&str> = shown.lines().collect();
+        let text = lines[2].strip_prefix("1 | ").unwrap();
+        assert!(text.starts_with('…') && text.ends_with('…'), "{text}");
+        let caret = lines[3].strip_prefix("  | ").unwrap();
+        assert_eq!(caret.trim_start(), "^");
+        let under = text.chars().nth(caret.len() - 1);
+        assert_eq!(under, Some('+'), "{shown}");
+        // The same error on a line that fits shows it whole, as before.
+        let short = "alert a + > x";
+        let err = LangError::parse("unexpected", Span::new(8, 9, 1, 9));
+        assert_eq!(
+            err.render(short),
+            "parse error at 1:9: unexpected\n  |\n1 | alert a + > x\n  |         ^\n"
         );
     }
 

@@ -18,8 +18,9 @@
 //! `push_source` event channel (data plane). Nothing a client does can
 //! block the pump: ingest either sheds on a full buffer (counted) or
 //! blocks its own connection thread; control requests are drained between
-//! pump rounds; subscribers that fall behind drop alerts (counted) in the
-//! engine's routing layer.
+//! pump rounds. The engine only returns alerts: the core delivers each
+//! round's alerts to their queries' subscribers, and a subscriber that
+//! falls behind drops alerts (counted) in its bounded channel.
 
 pub mod client;
 pub mod protocol;

@@ -28,7 +28,7 @@
 //!   query is gone or the client hangs up.
 //!
 //! A first line starting with `GET ` is answered as a minimal HTTP text
-//! exposition of the metrics registry instead (so `curl` works).
+//! exposition of the metrics page instead (so `curl` works).
 //!
 //! Parsing reuses [`saql_model::json::parse_json`] — the workspace's one
 //! hand-rolled JSON reader — and all responses are built through the same
@@ -39,6 +39,11 @@ use saql_model::json::{parse_json, push_json_string, JsonValue};
 
 /// Tenant used when a hello omits the field.
 pub const DEFAULT_TENANT: &str = "default";
+
+/// The longest tenant, source or query name a hello may carry, in bytes:
+/// an ingest connection keeps its names for the server's life, and they
+/// reach every `stats` reply and metrics page.
+pub const MAX_NAME: usize = 256;
 
 /// A connection's declared role.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,8 +79,19 @@ fn field_str(v: &JsonValue, key: &str) -> Option<String> {
     v.get(key).and_then(JsonValue::as_str).map(str::to_string)
 }
 
+/// A hello's `key` name, `default` when absent, refused past [`MAX_NAME`].
+fn name_field(v: &JsonValue, key: &str, default: Option<&str>) -> Result<String, String> {
+    let name = field_str(v, key)
+        .or_else(|| default.map(str::to_string))
+        .ok_or_else(|| format!("hello needs `{key}`"))?;
+    if name.len() > MAX_NAME {
+        return Err(format!("`{key}` exceeds {MAX_NAME} bytes"));
+    }
+    Ok(name)
+}
+
 fn tenant_of(v: &JsonValue) -> Result<String, String> {
-    let tenant = field_str(v, "tenant").unwrap_or_else(|| DEFAULT_TENANT.to_string());
+    let tenant = name_field(v, "tenant", Some(DEFAULT_TENANT))?;
     if tenant.is_empty() || tenant.contains('/') {
         return Err("tenant must be non-empty and must not contain `/`".into());
     }
@@ -89,7 +105,7 @@ pub fn parse_hello(line: &str) -> Result<Hello, String> {
     let tenant = tenant_of(&v)?;
     match role.as_str() {
         "ingest" => Ok(Hello::Ingest {
-            source: field_str(&v, "source").unwrap_or_else(|| "ingest".to_string()),
+            source: name_field(&v, "source", Some("ingest"))?,
             arrival_order: matches!(v.get("order").and_then(JsonValue::as_str), Some("arrival")),
             lossless: v
                 .get("lossless")
@@ -99,7 +115,7 @@ pub fn parse_hello(line: &str) -> Result<Hello, String> {
         }),
         "control" => Ok(Hello::Control { tenant }),
         "subscribe" => Ok(Hello::Subscribe {
-            query: field_str(&v, "query").ok_or("subscribe hello needs `query`")?,
+            query: name_field(&v, "query", None)?,
             tenant,
         }),
         other => Err(format!(

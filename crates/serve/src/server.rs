@@ -11,15 +11,28 @@
 //!        │                        │ control: Req over ctrl chan ───────────┤
 //!        │                        │ subscribe: Alert receiver ◀────────────┤
 //!        ▼                        ▼                                        ▼
-//!                     core thread: drain ctrl → session pump → park until rung
+//!          core thread: drain ctrl → session pump → deliver the round's
+//!                       alerts → park until rung
 //! ```
 //!
 //! The core thread is the only one touching the [`Engine`] / [`RunSession`].
 //! Connection threads never block it: ingest goes through bounded
 //! `push_source` channels (shed-and-count by default, connection-blocking
 //! in lossless mode), control requests queue on a bounded channel drained
-//! between pump rounds, and slow subscribers drop alerts (counted) inside
-//! the engine's routing layer.
+//! between pump rounds, and a subscriber's bounded channel drops the alerts
+//! it has no room for (counted).
+//!
+//! ## Alert delivery
+//!
+//! The engine only returns alerts. The core hands every alert it gets back
+//! — a pump round's, the resume replay's, the final flush's — to its
+//! delivery table once, at the end of that round: it counts and times the
+//! alert per query, prints it with `print_alerts`, and sends a copy to each
+//! subscriber of its query. A deregistered query's flush comes back with
+//! the round after the deregistration; its subscribers are dropped once
+//! that round is delivered, so their sockets close after the flush. At
+//! shutdown the core collects what the engine still holds before the final
+//! checkpoint or flush, so no alert is left undelivered.
 //!
 //! ## Ingest hand-off
 //!
@@ -43,10 +56,12 @@
 //! `GET /metrics` is rendered on request, on the core thread, like a
 //! `stats` reply, and each number on it is read from the one place it
 //! lives: the session (position, sources, queries), the connection table
-//! (ingest counts, summed per tenant) and the alert hook (delivered alerts
-//! and their latency, the only series the session cannot answer). Nothing
-//! is copied into a registry between requests, so the page and `stats`
-//! always agree, and a deregistered query's series leave the page.
+//! (ingest counts, summed per tenant) and the core's delivery table
+//! (delivered and dropped alerts and their latency, the only series the
+//! session cannot answer). Nothing is copied into a registry between
+//! requests, so the page and `stats` always agree, and a deregistered
+//! query's session series leave the page. Label values are escaped as the
+//! text format specifies, so no name can forge a series line.
 //!
 //! ## Durability
 //!
@@ -76,7 +91,7 @@ use std::io::{self, BufRead, BufReader, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -108,6 +123,9 @@ const OBSERVE_EVERY: Duration = Duration::from_millis(100);
 /// The idle park of a worker-backed core: its workers finish alerts after
 /// the round that fed them, and only a round collects them.
 const WORKER_POLL: Duration = Duration::from_millis(2);
+/// Alerts buffered per subscriber; a full channel drops (and counts) the
+/// alerts it has no room for.
+const SUBSCRIPTION_BACKLOG: usize = 1024;
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -234,14 +252,6 @@ impl Tenants {
     }
 }
 
-/// What the alert hook keeps per query: the alerts delivered and their
-/// ingest-to-delivery latency in microseconds.
-#[derive(Default)]
-struct Delivery {
-    alerts: u64,
-    latency_us: Histogram,
-}
-
 /// State shared by the accept loop, connection threads, and core thread.
 struct Shared {
     ctrl: SyncSender<Req>,
@@ -249,10 +259,6 @@ struct Shared {
     rung: AtomicBool,
     tenants: Tenants,
     conns: Mutex<Vec<Arc<ConnStat>>>,
-    /// The alert hook's series, by full query name.
-    deliveries: Mutex<BTreeMap<String, Delivery>>,
-    /// When the current pump round started (clock ns): the latency anchor.
-    round_anchor: AtomicU64,
     shutdown: AtomicBool,
     ingest_buffer: usize,
     clock: Arc<dyn Clock>,
@@ -378,7 +384,7 @@ impl Server {
             None => None,
         };
         let scope = format!("{}/", protocol::DEFAULT_TENANT);
-        let mut run = cfg
+        let run = cfg
             .deployment
             .open(&scope, log)
             .map_err(|e| e.to_string())?;
@@ -397,14 +403,11 @@ impl Server {
                 clock: Arc::clone(&cfg.clock),
             },
             conns: Mutex::new(Vec::new()),
-            deliveries: Mutex::new(BTreeMap::new()),
-            round_anchor: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             ingest_buffer: cfg.ingest_buffer.max(1),
             clock: Arc::clone(&cfg.clock),
             conn_seq: AtomicU64::new(0),
         });
-        install_alert_hook(&mut run.engine, &shared);
 
         let accept = {
             let shared = Arc::clone(&shared);
@@ -487,38 +490,84 @@ impl Drop for Server {
     }
 }
 
-/// Per-alert engine hook: [`Shared::deliveries`]. The latency anchor is
-/// the timestamp the core thread stamps at the start of each pump round —
-/// the moment the round's events left the merge and entered the engine.
-fn install_alert_hook(engine: &mut Engine, sh: &Arc<Shared>) {
-    let sh = Arc::clone(sh);
-    engine.set_alert_hook(Box::new(move |alert| {
-        let mut deliveries = sh.deliveries.lock().expect("no delivery map holder panics");
-        if !deliveries.contains_key(&alert.query) {
-            deliveries.insert(alert.query.clone(), Delivery::default());
-        }
-        let delivery = deliveries.get_mut(&alert.query).expect("inserted above");
-        delivery.alerts += 1;
-        let start = sh.round_anchor.load(Ordering::Relaxed);
-        if start > 0 {
-            let us = sh.clock.now_ns().saturating_sub(start) / 1_000;
-            delivery.latency_us.record(us);
-        }
-    }));
-}
-
 // ---------------------------------------------------------------------
 // Core thread
 // ---------------------------------------------------------------------
 
-/// Count (and, with `print_alerts`, print) alerts the core produced.
-fn emit(summary: &mut ServeSummary, print: bool, alerts: &[Alert]) {
-    summary.alerts += alerts.len() as u64;
-    if print {
-        for alert in alerts {
-            println!("{alert}");
-        }
+/// What was delivered of one query name's alerts: how many, their latency
+/// in microseconds (from the start of the round that raised them to its
+/// end), and how many a full subscriber channel dropped.
+#[derive(Default)]
+struct Delivery {
+    alerts: u64,
+    latency_us: Histogram,
+    dropped: u64,
+}
+
+/// The core's delivery table: every alert the engine returns passes
+/// [`deliver`](Fanout::deliver) once, which counts and times it, prints it
+/// on request and fans it out to its query's subscribers.
+struct Fanout {
+    print: bool,
+    clock: Arc<dyn Clock>,
+    subscribers: HashMap<QueryId, Vec<SyncSender<Alert>>>,
+    /// By full query name; an entry outlives its query.
+    delivered: BTreeMap<String, Delivery>,
+}
+
+impl Fanout {
+    /// A channel for `id`'s alerts, from the next delivery on.
+    fn subscribe(&mut self, id: QueryId) -> Receiver<Alert> {
+        let (tx, rx) = sync_channel(SUBSCRIPTION_BACKLOG);
+        self.subscribers.entry(id).or_default().push(tx);
+        rx
     }
+
+    /// Deliver the alerts of a round that started at clock reading
+    /// `anchor`. A full channel drops (and counts) rather than stall the
+    /// core or the other subscribers, a hung-up one is pruned, and a query
+    /// `engine` no longer holds loses its subscribers once this round —
+    /// the one its flush came back with — is delivered.
+    fn deliver(&mut self, alerts: &[Alert], anchor: u64, engine: &Engine) {
+        let latency_us = self.clock.now_ns().saturating_sub(anchor) / 1_000;
+        for alert in alerts {
+            if !self.delivered.contains_key(&alert.query) {
+                self.delivered
+                    .insert(alert.query.clone(), Delivery::default());
+            }
+            let delivery = self.delivered.get_mut(&alert.query).expect("added");
+            delivery.alerts += 1;
+            delivery.latency_us.record(latency_us);
+            if self.print {
+                println!("{alert}");
+            }
+            if let Some(senders) = self.subscribers.get_mut(&alert.query_id) {
+                senders.retain(|tx| match tx.try_send(alert.clone()) {
+                    Err(TrySendError::Full(_)) => {
+                        delivery.dropped += 1;
+                        true
+                    }
+                    sent => sent.is_ok(),
+                });
+            }
+        }
+        self.subscribers
+            .retain(|id, senders| !senders.is_empty() && engine.contains(*id));
+    }
+
+    /// Alerts delivered, and dropped, in total.
+    fn totals(&self) -> (u64, u64) {
+        let each = self.delivered.values();
+        each.fold((0, 0), |(n, d), q| (n + q.alerts, d + q.dropped))
+    }
+}
+
+/// One pump round, its alerts delivered at its end.
+fn pump(session: &mut RunSession<'_>, fanout: &mut Fanout) -> SessionStatus {
+    let anchor = fanout.clock.now_ns();
+    let round = session.pump_max(ROUND_BUDGET);
+    fanout.deliver(&round.alerts, anchor, session.engine());
+    round.status
 }
 
 fn run_core(
@@ -529,7 +578,12 @@ fn run_core(
 ) -> Result<ServeSummary, String> {
     let mut summary = ServeSummary::default();
     let mut fatal: Option<String> = None;
-    let print = cfg.print_alerts;
+    let mut fanout = Fanout {
+        print: cfg.print_alerts,
+        clock: Arc::clone(&cfg.clock),
+        subscribers: HashMap::new(),
+        delivered: BTreeMap::new(),
+    };
     // The session appends + syncs each round's base events before the
     // engine consumes them, so every checkpoint it writes is covered.
     let resumed = run.resumed_at();
@@ -540,15 +594,7 @@ fn run_core(
     // stay queued on the control channel meanwhile, so the replay cannot
     // interleave with — or re-read — fresh appends).
     if let Some(offset) = resumed {
-        loop {
-            sh.round_anchor
-                .store(sh.clock.now_ns().max(1), Ordering::Relaxed);
-            let round = session.pump_max(ROUND_BUDGET);
-            emit(&mut summary, print, &round.alerts);
-            if round.status == SessionStatus::Done {
-                break;
-            }
-        }
+        while pump(&mut session, &mut fanout) != SessionStatus::Done {}
         eprintln!(
             "[serve] resumed at offset {offset}, replayed {} stored events",
             session.processed()
@@ -566,7 +612,7 @@ fn run_core(
     while fatal.is_none() {
         // Control plane between rounds.
         while let Ok(req) = ctrl_rx.try_recv() {
-            handle_req(req, &mut session, &mut waiters, sh);
+            handle_req(req, &mut session, &mut fanout, &mut waiters, sh);
         }
 
         // Judged with the control queue just found empty: a request still
@@ -578,10 +624,7 @@ fn run_core(
             }
         }
 
-        sh.round_anchor
-            .store(sh.clock.now_ns().max(1), Ordering::Relaxed);
-        let round = session.pump_max(ROUND_BUDGET);
-        emit(&mut summary, print, &round.alerts);
+        let status = pump(&mut session, &mut fanout);
         if let Some(e) = session.store_failure() {
             // Durability is the contract; without it, stop rather than
             // acknowledge events the store will not remember.
@@ -608,11 +651,11 @@ fn run_core(
             answer_waiters(&session, &mut waiters, false);
         }
 
-        if round.status != SessionStatus::Active {
+        if status != SessionStatus::Active {
             // Nothing flowed: sleep until a request or an ingest chunk's
             // wake arrives, instead of polling.
             if let Ok(req) = ctrl_rx.recv_timeout(park) {
-                handle_req(req, &mut session, &mut waiters, sh);
+                handle_req(req, &mut session, &mut fanout, &mut waiters, sh);
             }
         }
     }
@@ -620,6 +663,11 @@ fn run_core(
     answer_waiters(&session, &mut waiters, true);
     observe(&session, &mut degraded);
 
+    // The engine keeps a control-plane alert (a deregistered query's
+    // flush) for its next return, and a worker may still hold some: take
+    // them, so they reach their subscribers before the stream ends.
+    let anchor = fanout.clock.now_ns();
+    let mut last = session.engine().sync().unwrap_or_default();
     // End the stream while the store is writable: a checkpoint when the
     // run is to be continued — its open windows must survive into the
     // resumed incarnation — else the final flush.
@@ -630,14 +678,15 @@ fn run_core(
                 Err(e) => fatal = Some(format!("final checkpoint failed: {e}")),
             }
         } else {
-            let alerts = session.finish();
-            emit(&mut summary, print, &alerts);
+            last.extend(session.finish());
         }
         if let Some(e) = session.store_failure() {
             fatal = Some(format!("durable store write failed: {e}"));
         }
     }
+    fanout.deliver(&last, anchor, session.engine());
     summary.events = session.processed();
+    summary.alerts = fanout.totals().0;
     if let Some(mut writer) = session.take_store() {
         let sealed = writer.seal().and_then(|_| writer.sync());
         if let (Err(e), None) = (sealed, &fatal) {
@@ -645,8 +694,9 @@ fn run_core(
         }
         summary.store_len = Some(writer.len());
     }
-    // Dropping the engine disconnects subscriber channels; their
+    // Dropping the delivery table disconnects subscriber channels; their
     // connection threads notice and exit.
+    drop(fanout);
     drop(session);
     drop(run);
 
@@ -690,6 +740,7 @@ fn answer_waiters(
 fn handle_req(
     req: Req,
     session: &mut RunSession<'_>,
+    fanout: &mut Fanout,
     waiters: &mut Vec<(SourceId, SyncSender<DrainReport>)>,
     sh: &Shared,
 ) {
@@ -716,21 +767,17 @@ fn handle_req(
             query,
             reply,
         } => {
-            let engine = session.engine();
-            let result = sh
-                .scope(&tenant)
-                .find(engine, &query)
-                .and_then(|id| engine.subscribe(id).map_err(|e| e.to_string()));
-            let _ = reply.send(result);
+            let found = sh.scope(&tenant).find(session.engine(), &query);
+            let _ = reply.send(found.map(|id| fanout.subscribe(id)));
         }
         Req::Metrics { reply } => {
             let mut page = String::with_capacity(4096);
-            let _ = write_metrics(&mut page, session, sh);
+            let _ = write_metrics(&mut page, session, fanout, sh);
             let _ = reply.send(page);
         }
         Req::Control { tenant, cmd, reply } => {
             let line = match cmd {
-                Request::Stats => render_stats(&tenant, session, sh),
+                Request::Stats => render_stats(&tenant, session, fanout, sh),
                 Request::Shutdown => {
                     sh.shutdown.store(true, Ordering::SeqCst);
                     JsonObj::new()
@@ -750,7 +797,12 @@ fn handle_req(
 
 /// The `stats` control response: engine position, this tenant's queries,
 /// sources, connections, and quota standing.
-fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> String {
+fn render_stats(
+    tenant: &str,
+    session: &mut RunSession<'_>,
+    fanout: &Fanout,
+    sh: &Shared,
+) -> String {
     let prefix = format!("{tenant}/");
     let offset = session.offset();
     let frontier = session.frontier().as_millis();
@@ -761,7 +813,6 @@ fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> Stri
     let engine = session.engine();
 
     let stats_by_name: HashMap<String, QueryStats> = engine.query_stats().into_iter().collect();
-    let drops: HashMap<QueryId, u64> = engine.dropped_alerts_by_query().into_iter().collect();
     let queries: Vec<String> = engine
         .query_ids()
         .into_iter()
@@ -769,6 +820,7 @@ fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> Stri
             let full = engine.name_of(id)?;
             let bare = full.strip_prefix(&prefix)?;
             let qs = stats_by_name.get(full).copied().unwrap_or_default();
+            let dropped = fanout.delivered.get(full).map_or(0, |d| d.dropped);
             Some(
                 JsonObj::new()
                     .str("name", bare)
@@ -779,7 +831,7 @@ fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> Stri
                     .u64("windows_closed", qs.windows_closed)
                     .u64("alerts", qs.alerts)
                     .u64("late_events", qs.late_events)
-                    .u64("dropped_alerts", drops.get(&id).copied().unwrap_or(0))
+                    .u64("dropped_alerts", dropped)
                     .finish(),
             )
         })
@@ -834,7 +886,7 @@ fn render_stats(tenant: &str, session: &mut RunSession<'_>, sh: &Shared) -> Stri
         .u64("offset", offset)
         .u64("frontier_ms", frontier)
         .u64("live_sources", live_sources)
-        .u64("dropped_alerts", engine.dropped_alerts())
+        .u64("dropped_alerts", fanout.totals().1)
         .u64("durable_events", durable_events)
         .bool("durable", durable)
         .finish();
@@ -856,9 +908,21 @@ const LATENCY_STATS: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0
 /// A family of per-source or per-query series and the field it shows.
 type Series<T> = (&'static str, fn(&T) -> u64);
 
+/// A label value as the text format writes it: `\`, `"` and newline
+/// escaped, so a name cannot end its series line or start another.
+fn label(value: &str) -> String {
+    let value = value.replace('\\', "\\\\").replace('"', "\\\"");
+    value.replace('\n', "\\n")
+}
+
 /// Write the `/metrics` page: a `name{labels} value` line per series, each
 /// family's lines together.
-fn write_metrics(out: &mut String, session: &mut RunSession<'_>, sh: &Shared) -> std::fmt::Result {
+fn write_metrics(
+    out: &mut String,
+    session: &mut RunSession<'_>,
+    fanout: &Fanout,
+    sh: &Shared,
+) -> std::fmt::Result {
     let position = [
         ("offset", session.offset()),
         ("frontier_ms", session.frontier().as_millis()),
@@ -868,7 +932,7 @@ fn write_metrics(out: &mut String, session: &mut RunSession<'_>, sh: &Shared) ->
     let engine = session.engine();
     let counts = [
         ("live_queries", engine.query_names().len() as u64),
-        ("dropped_alerts_total", engine.dropped_alerts()),
+        ("dropped_alerts_total", fanout.totals().1),
     ];
     for (name, value) in position.into_iter().chain(counts) {
         writeln!(out, "saql_engine_{name} {value}")?;
@@ -882,7 +946,8 @@ fn write_metrics(out: &mut String, session: &mut RunSession<'_>, sh: &Shared) ->
     ];
     for (family, value) in source_series {
         for (_, ss) in &sources {
-            writeln!(out, "{family}{{source=\"{}\"}} {}", ss.name, value(ss))?;
+            let source = label(&ss.name);
+            writeln!(out, "{family}{{source=\"{source}\"}} {}", value(ss))?;
         }
     }
     let failed = sources
@@ -902,6 +967,7 @@ fn write_metrics(out: &mut String, session: &mut RunSession<'_>, sh: &Shared) ->
     ];
     for (family, value) in query_series {
         for (name, qs) in &queries {
+            let name = label(name);
             writeln!(out, "{family}{{query=\"{name}\"}} {}", value(qs))?;
         }
     }
@@ -916,23 +982,25 @@ fn write_metrics(out: &mut String, session: &mut RunSession<'_>, sh: &Shared) ->
     let totals = sh.ingest_totals();
     for (i, (family, reason)) in ingest_series.into_iter().enumerate() {
         for (tenant, counts) in &totals {
+            let tenant = label(tenant);
             let series = format!("saql_ingest_{family}{{tenant=\"{tenant}\"{reason}}}");
             writeln!(out, "{series} {}", counts[i])?;
         }
     }
 
-    let deliveries = sh.deliveries.lock().expect("no delivery map holder panics");
-    for (query, Delivery { alerts, .. }) in deliveries.iter() {
+    for (query, Delivery { alerts, .. }) in &fanout.delivered {
+        let query = label(query);
         writeln!(
             out,
             "saql_alerts_delivered_total{{query=\"{query}\"}} {alerts}"
         )?;
     }
-    for (query, d) in deliveries.iter() {
+    for (query, d) in &fanout.delivered {
         let hist = &d.latency_us;
         let (Some(mean), Some(max)) = (hist.mean(), hist.max()) else {
-            continue; // no round had started when its alerts were delivered
+            continue;
         };
+        let query = label(query);
         let series = format!("saql_delivery_latency_us{{query=\"{query}\",stat=");
         writeln!(out, "{series}\"count\"}} {}", hist.count())?;
         writeln!(out, "{series}\"mean\"}} {mean:.1}")?;
@@ -1364,9 +1432,11 @@ pub fn signalled() -> bool {
 mod tests {
     use super::*;
     use crate::quota::ManualClock;
+    use saql_engine::{CheckpointConfig, Control, EngineConfig};
     use saql_model::event::EventBuilder;
-    use saql_model::ProcessInfo;
+    use saql_model::{FileInfo, ProcessInfo};
     use saql_stream::{EventSource, SourcePoll};
+    use std::sync::mpsc::TryRecvError;
 
     /// A decoded chunk of the events `ids`, as the NDJSON stage hands it
     /// to a connection's sink.
@@ -1412,8 +1482,6 @@ mod tests {
                     clock: Arc::clone(&clock),
                 },
                 conns: Mutex::new(Vec::new()),
-                deliveries: Mutex::new(BTreeMap::new()),
-                round_anchor: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 ingest_buffer: 4096,
                 clock,
@@ -1548,5 +1616,145 @@ mod tests {
         rig.sh.rung.store(false, Ordering::SeqCst);
         assert!(apply.apply(chunk(1..9)));
         assert!(rig.ctrl_rx.try_recv().is_err());
+    }
+
+    /// An engine running a rule query `q` and a window query `w` (open
+    /// windows, nothing raised yet), and one alert of `q`'s.
+    fn fanout_rig() -> (Engine, QueryId, QueryId, Alert) {
+        let mut engine = Engine::new(EngineConfig::default());
+        let q = engine
+            .register("q", "proc p start proc c as e\nreturn p, c")
+            .unwrap();
+        let w = engine
+            .register("w", "proc p write file f as evt #time(10 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n")
+            .unwrap();
+        let write = EventBuilder::new(1, "h", 1_000)
+            .subject(ProcessInfo::new(1, "w.exe", "u"))
+            .writes_file(FileInfo::new("/x"))
+            .build();
+        assert!(engine.process(&Arc::new(write)).unwrap().is_empty());
+        let alerts = engine.process(&chunk(2..3).events[0]).unwrap();
+        assert_eq!(alerts.len(), 1);
+        let alert = alerts.into_iter().next().unwrap();
+        (engine, q, w, alert)
+    }
+
+    fn fanout() -> Fanout {
+        Fanout {
+            print: false,
+            clock: ManualClock::new(),
+            subscribers: HashMap::new(),
+            delivered: BTreeMap::new(),
+        }
+    }
+
+    #[test]
+    fn a_subscriber_sees_only_its_querys_alerts() {
+        let (mut engine, q, w, alert) = fanout_rig();
+        let mut fanout = fanout();
+        let (to_q, to_w) = (fanout.subscribe(q), fanout.subscribe(w));
+        fanout.deliver(&[alert.clone(), alert], 0, &engine);
+        let flush = engine.sync().unwrap();
+        assert!(flush.is_empty(), "w's window is still open");
+        engine.deregister(w).unwrap();
+        fanout.deliver(&engine.sync().unwrap(), 0, &engine);
+        let got_q: Vec<Alert> = to_q.try_iter().collect();
+        assert_eq!(got_q.len(), 2);
+        assert!(got_q.iter().all(|a| a.query_id == q));
+        let got_w: Vec<Alert> = to_w.try_iter().collect();
+        assert_eq!(got_w.len(), 1, "w's flush");
+        assert_eq!(got_w[0].query_id, w);
+        assert_eq!(fanout.totals(), (3, 0));
+        assert_eq!(fanout.delivered["q"].alerts, 2);
+        // The round that carried w's flush closed w's subscription.
+        assert!(matches!(to_w.try_recv(), Err(TryRecvError::Disconnected)));
+        assert!(matches!(to_q.try_recv(), Err(TryRecvError::Empty)));
+    }
+
+    #[test]
+    fn a_full_channel_drops_and_counts_without_stalling_the_others() {
+        let (engine, q, _, alert) = fanout_rig();
+        let mut fanout = fanout();
+        let (stuck, reader) = (fanout.subscribe(q), fanout.subscribe(q));
+        let backlog = vec![alert; SUBSCRIPTION_BACKLOG];
+        fanout.deliver(&backlog, 0, &engine);
+        assert_eq!(reader.try_iter().count(), SUBSCRIPTION_BACKLOG);
+        fanout.deliver(&backlog[..3], 0, &engine);
+        assert_eq!(reader.try_iter().count(), 3, "the reader keeps receiving");
+        assert_eq!(fanout.totals().1, 3);
+        assert_eq!(fanout.delivered["q"].dropped, 3);
+        assert_eq!(stuck.try_iter().count(), SUBSCRIPTION_BACKLOG);
+        // A hung-up receiver is pruned, without counting drops; a query
+        // whose every receiver hung up leaves the table.
+        drop(reader);
+        drop(stuck);
+        fanout.deliver(&backlog[..1], 0, &engine);
+        assert_eq!(fanout.totals().1, 3);
+        assert!(fanout.subscribers.is_empty(), "hung-up receivers pruned");
+    }
+
+    #[test]
+    fn a_flush_deregistered_in_the_last_drain_reaches_its_subscriber() {
+        // Subscribe, deregister and shut down in the core's first control
+        // drain, so no round runs between the deregistration and the end
+        // of the stream — with and without a final checkpoint.
+        for checkpointed in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "saql-serve-last-drain-{}-{checkpointed}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let checkpoints = checkpointed.then(|| CheckpointConfig {
+                dir: dir.clone(),
+                every_events: 0,
+            });
+            let query = "proc p write file f as evt #time(10 min)\n\
+                         state ss { n := count() } group by p\nreturn p, ss[0].n";
+            let deployment = Deployment {
+                queries: vec![("w".into(), query.into())],
+                checkpoints,
+                ..Deployment::default()
+            };
+            let mut run = deployment.open("t/", None).unwrap();
+            for id in 0..5 {
+                let write = EventBuilder::new(id, "h", 1_000 + id)
+                    .subject(ProcessInfo::new(1, "w.exe", "u"))
+                    .writes_file(FileInfo::new("/x"))
+                    .build();
+                assert!(run.engine.process(&Arc::new(write)).unwrap().is_empty());
+            }
+            let Rig { sh, ctrl_rx, .. } = Rig::new(0, 0);
+            let (sub_tx, sub_rx) = sync_channel(1);
+            let (ctl_tx, ctl_rx) = sync_channel(2);
+            let control = |cmd| Req::Control {
+                tenant: "t".into(),
+                cmd,
+                reply: ctl_tx.clone(),
+            };
+            sh.ctrl
+                .send(Req::Subscribe {
+                    tenant: "t".into(),
+                    query: "w".into(),
+                    reply: sub_tx,
+                })
+                .unwrap();
+            let deregister = Control::Deregister { name: "w".into() };
+            sh.ctrl.send(control(Request::Control(deregister))).unwrap();
+            sh.ctrl.send(control(Request::Shutdown)).unwrap();
+            let cfg = ServeConfig {
+                deployment,
+                ..ServeConfig::default()
+            };
+            let summary = run_core(run, cfg, &sh, ctrl_rx).unwrap();
+            assert!(ctl_rx.recv().unwrap().contains("\"ok\":true"));
+            assert!(ctl_rx.recv().unwrap().contains("\"draining\":true"));
+            let inbox = sub_rx.recv().unwrap().unwrap();
+            let got: Vec<Alert> = inbox.iter().collect(); // ends: the channel closed
+            assert_eq!(got.len(), 1, "checkpointed={checkpointed}");
+            assert_eq!(got[0].get("ss[0].n"), Some("5"));
+            assert_eq!(summary.alerts, 1);
+            assert_eq!(summary.checkpoint.is_some(), checkpointed);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

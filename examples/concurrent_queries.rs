@@ -140,45 +140,44 @@ fn live_session(events: &[SharedEvent]) {
     });
     let (resident_name, resident_src) = &queries(32)[0];
     let resident = engine.register(resident_name, resident_src).unwrap();
-    let mut alerts = 0usize;
+    let mut alerts = Vec::new();
 
     // First third: only the resident query watches the stream.
     let third = events.len().div_ceil(3);
     for e in &events[..third] {
-        alerts += engine.process(e).unwrap().len();
+        alerts.extend(engine.process(e).unwrap());
     }
 
-    // An analyst attaches a tuned variant mid-stream and subscribes to
-    // exactly its alerts.
+    // An analyst attaches a tuned variant mid-stream; its alerts carry its
+    // id.
     let (probe_name, probe_src) = &queries(32)[2];
     let probe = engine.register(probe_name, probe_src).unwrap();
-    let inbox = engine.subscribe(probe).unwrap();
     println!(
         "attached `{probe_name}` mid-stream as {probe} ({} group(s), {} queries live)",
         engine.group_count(),
         engine.query_names().len()
     );
     for e in &events[third..2 * third] {
-        alerts += engine.process(e).unwrap().len();
+        alerts.extend(engine.process(e).unwrap());
     }
 
     // Tuning pass: freeze the resident query, let the probe run alone,
     // then retire the probe and bring the resident back.
     engine.pause(resident).unwrap();
     for e in &events[2 * third..] {
-        alerts += engine.process(e).unwrap().len();
+        alerts.extend(engine.process(e).unwrap());
     }
     engine.deregister(probe).unwrap();
     engine.resume(resident).unwrap();
-    alerts += engine.finish().len();
+    alerts.extend(engine.finish());
 
-    let subscribed = inbox.try_iter().count();
+    let probed = alerts.iter().filter(|a| a.query_id == probe).count();
     println!(
-        "session total: {alerts} alerts; {subscribed} routed to the `{probe_name}` subscriber"
+        "session total: {} alerts; {probed} raised by `{probe_name}`",
+        alerts.len()
     );
     println!(
-        "dropped alerts: {}; per-shard work: {:?}",
-        engine.dropped_alerts(),
+        "per-shard work: {:?}",
         engine
             .shard_stats()
             .iter()

@@ -160,7 +160,7 @@ impl SaqlSystem {
     }
 
     /// Register one query, returning its control-plane handle (usable with
-    /// [`Engine::deregister`], [`Engine::pause`], [`Engine::subscribe`]).
+    /// [`Engine::deregister`], [`Engine::pause`]).
     pub fn deploy(&mut self, name: &str, source: &str) -> Result<QueryId, saql_lang::LangError> {
         self.engine.register(name, source)
     }

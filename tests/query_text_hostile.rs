@@ -10,7 +10,9 @@
 //! return item) and goes through `saql_lang::compile`, `QueryPlan::compile`
 //! and `RunSession::control(Register)` on a thread whose stack is [`STACK`]:
 //! the probes must come back as a spanned refusal naming the limit, and
-//! text exactly at the limit must register.
+//! text exactly at the limit must register. Seeded mutants of every
+//! shipped query take the same three steps and must come back `Ok` or
+//! `Err`, never as a panic.
 
 use saql::engine::plan::QueryPlan;
 use saql::engine::{Control, ControlReply, Engine, EngineConfig, Scope};
@@ -133,6 +135,25 @@ fn deep_and_long_expressions_are_refused_in_every_position() {
 }
 
 #[test]
+fn a_refusal_shows_a_bounded_window_of_a_long_line() {
+    // A 100,000-term chain is one ~500 KB line: the refusal shows the part
+    // of it around the span, with the caret under it, not the whole line.
+    for (position, template, term) in POSITIONS {
+        let text = template.replace("{E}", &chain(term, 100_000));
+        let err = on_small_stack(move || register(text).map(|_| ())).expect_err(position);
+        assert!(err.len() < 1024, "{position}: {} bytes", err.len());
+        let lines: Vec<&str> = err.lines().collect();
+        let at = lines
+            .iter()
+            .position(|l| l.contains('^'))
+            .unwrap_or_else(|| panic!("{position}: no caret in {err}"));
+        let caret = lines[at].chars().position(|c| c == '^').unwrap();
+        let under = lines[at - 1].chars().nth(caret);
+        assert!(under.is_some_and(|c| c != ' '), "{position}: {err}");
+    }
+}
+
+#[test]
 fn expressions_exactly_at_the_limit_register_in_every_position() {
     for (position, template, term) in POSITIONS {
         let at_limit = [
@@ -196,4 +217,97 @@ fn depth_of(e: &saql::lang::ast::Expr) -> usize {
         Expr::Call { args, .. } => args.iter().map(depth_of).max().unwrap_or(0),
         Expr::Lit(_) | Expr::EmptySet | Expr::Ref(_) => 0,
     }
+}
+
+/// Tokens a mutation inserts: the language's punctuation and keywords,
+/// and bytes a lexer has to refuse.
+const TOKENS: [&str; 24] = [
+    "(", ")", "[", "]", "{", "}", "\"", "&&", "||", "->", "|>", "#time(", "10 s", "state",
+    "group by", "alert", "return", "ss[0].", "ss[1].", ",", ":=", "\n", "é", "0",
+];
+
+/// A deterministic xorshift stream: the same mutants on every run.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n.max(1) as u64) as usize
+    }
+}
+
+/// One to three random edits of `text`: delete, duplicate or move a run
+/// of characters, insert a token, or overwrite a character.
+fn mutate(text: &str, rng: &mut Rng) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    for _ in 0..1 + rng.below(3) {
+        let at = rng.below(chars.len() + 1);
+        let len = (1 + rng.below(12)).min(chars.len() - at.min(chars.len()));
+        match rng.below(5) {
+            0 => {
+                chars.drain(at..at + len);
+            }
+            1 => {
+                let run: Vec<char> = chars[at..at + len].to_vec();
+                let to = rng.below(chars.len() + 1);
+                chars.splice(to..to, run);
+            }
+            2 => {
+                let run: Vec<char> = chars.drain(at..at + len).collect();
+                let to = rng.below(chars.len() + 1);
+                chars.splice(to..to, run);
+            }
+            3 => {
+                let token = TOKENS[rng.below(TOKENS.len())];
+                chars.splice(at..at, token.chars());
+            }
+            _ => {
+                if at < chars.len() {
+                    chars[at] = char::from(b' ' + rng.below(95) as u8);
+                }
+            }
+        }
+    }
+    chars.into_iter().collect()
+}
+
+#[test]
+fn seeded_mutants_of_every_shipped_query_never_panic() {
+    const MUTANTS: usize = 256;
+    let family = std::fs::read_dir("benchmark/queries/family").expect("family queries");
+    let mut texts: Vec<String> = family
+        .map(|entry| std::fs::read_to_string(entry.unwrap().path()).unwrap())
+        .collect();
+    texts.sort();
+    texts.extend(saql::corpus::PAPER_QUERIES.map(String::from));
+    texts.extend(saql::corpus::DEMO_QUERIES.map(|(_, src)| src.to_string()));
+    assert_eq!(texts.len(), 20);
+    let mut registered = 0;
+    for (i, text) in texts.into_iter().enumerate() {
+        let (panicked, ok) = on_small_stack(move || {
+            let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ i as u64);
+            let (mut panicked, mut ok) = (Vec::new(), 0);
+            for _ in 0..MUTANTS {
+                let mutant = mutate(&text, &mut rng);
+                let steps = std::panic::catch_unwind(|| {
+                    if let Ok(checked) = saql::lang::compile(&mutant) {
+                        QueryPlan::compile(&checked);
+                    }
+                    register(mutant.clone()).is_ok()
+                });
+                match steps {
+                    Ok(accepted) => ok += usize::from(accepted),
+                    Err(_) => panicked.push(mutant),
+                }
+            }
+            (panicked, ok)
+        });
+        assert!(panicked.is_empty(), "shipped query {i}: {panicked:#?}");
+        registered += ok;
+    }
+    // Neither every mutant refused nor every one accepted: the edits reach
+    // past the lexer, and they break things.
+    assert!(registered > 0 && registered < 20 * MUTANTS, "{registered}");
 }

@@ -16,7 +16,8 @@ use saql::model::event::{Event, EventBuilder};
 use saql::model::json::{encode_event_json, parse_json, JsonValue};
 use saql::model::{FileInfo, ProcessInfo};
 use saql::serve::{
-    ctl, ingest_reader, protocol, tail_alerts, ManualClock, ServeConfig, Server, TenantQuota,
+    ctl, ingest_reader, protocol, tail_alerts, ClientError, ManualClock, ServeConfig, Server,
+    TenantQuota,
 };
 use saql::stream::ingest::MAX_LINE;
 use saql::{Engine, EngineConfig};
@@ -621,6 +622,117 @@ fn an_over_long_hello_or_control_line_is_refused() {
     server.wait().unwrap();
 }
 
+#[test]
+fn a_hello_name_over_the_cap_is_refused() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let long = "x".repeat(300);
+    match ctl(&addr, &long, r#"{"cmd":"list"}"#) {
+        Err(ClientError::Server(e)) => assert!(e.contains("exceeds 256 bytes"), "{e}"),
+        other => panic!("a 300-byte tenant was not refused: {other:?}"),
+    }
+    let feed = ingest_reader(&addr, "t", &long, &mut Cursor::new(""), true, true);
+    assert!(matches!(feed, Err(ClientError::Server(_))), "{feed:?}");
+    let tail = tail_alerts(&addr, "t", &long, &mut std::io::sink(), None);
+    assert!(matches!(tail, Err(ClientError::Server(_))), "{tail:?}");
+
+    let list = ctl(&addr, "t", r#"{"cmd":"list"}"#).unwrap();
+    assert!(list.contains("\"ok\":true"), "{list}");
+    let stats = ctl(&addr, "t", r#"{"cmd":"stats"}"#).unwrap();
+    assert!(stats.contains("\"connections\":[]"), "{stats}");
+    assert!(ctl(&addr, "t", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
+/// Whether `line` is one `name{labels} value` (or `name value`) series
+/// line of the text format, label values escaped.
+fn is_series_line(line: &str) -> bool {
+    let name_end = line.find(['{', ' ']).unwrap_or(line.len());
+    let name = &line[..name_end];
+    let name_ok = !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_');
+    let mut rest = &line[name_end..];
+    if let Some(labels) = rest.strip_prefix('{') {
+        rest = labels;
+        loop {
+            let Some((key, value)) = rest.split_once("=\"") else {
+                return false;
+            };
+            if key.is_empty() || !key.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') {
+                return false;
+            }
+            let mut chars = value.char_indices();
+            let close = loop {
+                match chars.next() {
+                    Some((_, '\\')) => match chars.next() {
+                        Some((_, '\\' | '"' | 'n')) => {}
+                        _ => return false,
+                    },
+                    Some((at, '"')) => break at,
+                    Some(_) => {}
+                    None => return false,
+                }
+            };
+            rest = &value[close + 1..];
+            if let Some(more) = rest.strip_prefix(',') {
+                rest = more;
+            } else if let Some(end) = rest.strip_prefix('}') {
+                rest = end;
+                break;
+            } else {
+                return false;
+            }
+        }
+    }
+    name_ok
+        && rest
+            .strip_prefix(' ')
+            .is_some_and(|v| v.parse::<f64>().is_ok())
+}
+
+#[test]
+fn a_source_name_cannot_forge_metric_lines() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let reply = ctl(&addr, "t", &register_line("q", &rule_query("h"))).unwrap();
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let corpus: Vec<Event> = (0..3).map(|i| event(i, 1000 + i, "h")).collect();
+    let forged = "x\"} 1\nsaql_engine_offset 999";
+    let mut input = Cursor::new(jsonl(&corpus));
+    let report = ingest_reader(&addr, "t", forged, &mut input, true, true).unwrap();
+    assert_eq!(report.field("released"), Some(3), "{}", report.summary);
+
+    let page = scrape(&addr);
+    for line in page.lines() {
+        assert!(is_series_line(line), "not a series line: {line:?}\n{page}");
+    }
+    let offsets = page
+        .lines()
+        .filter(|l| l.starts_with("saql_engine_offset"))
+        .count();
+    assert_eq!(offsets, 1, "{page}");
+    assert!(
+        page.contains(r#"{source="t/x\"} 1\nsaql_engine_offset 999#"#),
+        "{page}"
+    );
+    assert!(ctl(&addr, "t", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
 /// Lines reach the core in chunks of up to 64: a bad line far past the
 /// first chunk is still reported by its line number on the connection.
 #[test]
@@ -898,6 +1010,77 @@ fn deregister_flushes_to_the_subscriber_then_closes_its_socket() {
         .unwrap()
         .contains("\"draining\":true"));
     server.wait().unwrap();
+}
+
+/// A `deregister` with shutdown right behind it, on one control
+/// connection, of a checkpointing server: the subscriber still receives
+/// the flush, and then its socket closes.
+#[test]
+fn shutdown_right_after_a_deregister_still_delivers_the_flush() {
+    let dir = scratch("dereg-shutdown");
+    let deployment = Deployment {
+        checkpoints: Some(CheckpointConfig {
+            dir: dir.join("ckpt"),
+            every_events: 0,
+        }),
+        ..Deployment::default()
+    };
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        deployment,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let query = "proc p write file f as evt #time(10 min)\n\
+                 state ss { n := count() } group by p\n\
+                 return p, ss[0].n";
+    let reply = ctl(&addr, "t", &register_line("w", query)).unwrap();
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    // Once the hello is acknowledged, the core holds the subscription.
+    let open = |hello: &str| {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        writeln!(stream, "{hello}").unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut ack = String::new();
+        reader.read_line(&mut ack).unwrap();
+        assert!(ack.contains("\"ok\":true"), "{ack}");
+        (reader, stream)
+    };
+    let (mut subscriber, _sub) = open(r#"{"role":"subscribe","tenant":"t","query":"w"}"#);
+    let corpus: Vec<Event> = (0..4).map(|i| event(i, 1000 + i * 10, "h")).collect();
+    let mut input = Cursor::new(jsonl(&corpus));
+    let report = ingest_reader(&addr, "t", "feed", &mut input, true, true).unwrap();
+    assert_eq!(report.field("released"), Some(4), "{}", report.summary);
+
+    // Both requests are on the wire before the first reply is read.
+    let (mut replies, mut control) = open(r#"{"role":"control","tenant":"t"}"#);
+    writeln!(control, r#"{{"cmd":"deregister","name":"w"}}"#).unwrap();
+    writeln!(control, r#"{{"cmd":"shutdown"}}"#).unwrap();
+    let mut line = String::new();
+    for expect in ["\"ok\":true", "\"draining\":true"] {
+        line.clear();
+        replies.read_line(&mut line).unwrap();
+        assert!(line.contains(expect), "{expect}: {line}");
+    }
+    let summary = server.wait().unwrap();
+    assert!(summary.checkpoint.is_some());
+    assert_eq!(summary.alerts, 1);
+    let mut alerts = Vec::new();
+    loop {
+        line.clear();
+        match subscriber.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) => alerts.push(line.clone()),
+            Err(e) => panic!("no EOF after shutdown ({e}); got {alerts:?}"),
+        }
+    }
+    assert_eq!(alerts.len(), 1, "{alerts:?}");
+    assert!(alerts[0].contains("\"ss[0].n\":\"4\""), "{alerts:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The accept loop blocks in `accept`: a server that no client ever
