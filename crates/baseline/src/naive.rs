@@ -75,20 +75,13 @@ impl NaiveScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saql_engine::query::QueryConfig;
     use saql_model::event::EventBuilder;
     use saql_model::ProcessInfo;
 
     #[test]
     fn naive_scheduler_copies_per_query() {
-        let rq = |name: &str| {
-            RunningQuery::compile(
-                name,
-                "proc p start proc q as e\nreturn p",
-                QueryConfig::default(),
-            )
-            .unwrap()
-        };
+        let rq =
+            |name: &str| RunningQuery::compile(name, "proc p start proc q as e\nreturn p").unwrap();
         let batch = EventBatch::from_events(vec![Arc::new(
             EventBuilder::new(1, "h", 10)
                 .subject(ProcessInfo::new(1, "a.exe", "u"))

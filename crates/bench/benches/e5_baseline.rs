@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use saql_baseline::{BaselineAgg, CepQuery, Filter, GroupBy, MiniCep};
 use saql_bench::{batches, drive, scheduler, stream};
-use saql_engine::query::{QueryConfig, RunningQuery};
+use saql_engine::query::RunningQuery;
 use saql_engine::Scheduler;
 
 /// The shared workload, SAQL form.
@@ -33,7 +33,7 @@ fn cep_query() -> CepQuery {
 }
 
 fn saql_scheduler() -> Scheduler {
-    scheduler([RunningQuery::compile("saql", SAQL_QUERY, QueryConfig::default()).unwrap()])
+    scheduler([RunningQuery::compile("saql", SAQL_QUERY).unwrap()])
 }
 
 fn bench_engines(c: &mut Criterion) {

@@ -7,14 +7,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use saql_bench::{batches, drive, scheduler};
 use saql_collector::workload::{synthetic_stream, WorkloadConfig};
-use saql_engine::query::{QueryConfig, RunningQuery};
+use saql_engine::query::RunningQuery;
 
 fn windowed_query(window_s: u64, by_ip: bool) -> RunningQuery {
     let group = if by_ip { "i.dstip" } else { "p" };
     let src = format!(
         "proc p read || write ip i as evt #time({window_s} s)\nstate ss {{ amt := sum(evt.amount) }} group by {group}\nalert ss[0].amt > 10000000\nreturn {group}, ss[0].amt"
     );
-    RunningQuery::compile("windowed", &src, QueryConfig::default()).unwrap()
+    RunningQuery::compile("windowed", &src).unwrap()
 }
 
 fn bench_window_size(c: &mut Criterion) {

@@ -156,12 +156,7 @@ fn table_e5_baseline() {
     let events = stream(200_000, 23);
     let saql_src = "proc p write ip i as evt #time(60 s)\nstate ss { amt := sum(evt.amount) } group by p\nalert ss[0].amt > 500000\nreturn p, ss[0].amt";
 
-    let mut q = scheduler([saql_engine::query::RunningQuery::compile(
-        "saql",
-        saql_src,
-        saql_engine::query::QueryConfig::default(),
-    )
-    .unwrap()]);
+    let mut q = scheduler([saql_engine::query::RunningQuery::compile("saql", saql_src).unwrap()]);
     let batches = batches(&events);
     let t0 = Instant::now();
     let saql_records = drive(&mut q, &batches);

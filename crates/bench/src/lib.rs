@@ -6,7 +6,7 @@
 //! results are recorded in `EXPERIMENTS.md`.
 
 use saql_collector::workload::{synthetic_stream, WorkloadConfig};
-use saql_engine::query::{QueryConfig, RunningQuery};
+use saql_engine::query::RunningQuery;
 use saql_engine::{Alert, Engine, EngineConfig, Scheduler};
 use saql_stream::{batched, EventBatch, SharedEvent, DEFAULT_BATCH_SIZE};
 
@@ -108,7 +108,7 @@ pub fn compile_family(name: &str) -> RunningQuery {
         .into_iter()
         .find(|(n, _)| *n == name)
         .unwrap_or_else(|| panic!("unknown family query `{name}`"));
-    RunningQuery::compile(name, src, QueryConfig::default()).expect("family query compiles")
+    RunningQuery::compile(name, src).expect("family query compiles")
 }
 
 /// `n` shape-compatible rule-query variants (the concurrent-scaling
@@ -120,7 +120,7 @@ pub fn variant_queries(n: usize) -> Vec<RunningQuery> {
                 "proc p1[\"%proc-{}.exe\"] start proc p2 as e\nreturn distinct p1, p2",
                 i % 20
             );
-            RunningQuery::compile(format!("variant-{i}"), &src, QueryConfig::default()).unwrap()
+            RunningQuery::compile(format!("variant-{i}"), &src).unwrap()
         })
         .collect()
 }
@@ -141,7 +141,7 @@ pub fn host_pinned_queries(n: usize) -> Vec<RunningQuery> {
             let src = format!(
                 "agentid = \"host-{host}\"\nproc p write ip i as evt #time(30 s)\nstate ss {{ amt := sum(evt.amount) }} group by p\nalert ss[0].amt > 150000\nreturn p, ss[0].amt"
             );
-            RunningQuery::compile(format!("pinned-{i}"), &src, QueryConfig::default())
+            RunningQuery::compile(format!("pinned-{i}"), &src)
                 .expect("host-pinned workload query compiles")
         })
         .collect()
@@ -183,8 +183,7 @@ pub fn sharded_queries(groups: usize, per_group: usize) -> Vec<RunningQuery> {
     sharded_sources(groups, per_group)
         .into_iter()
         .map(|(name, src)| {
-            RunningQuery::compile(name, &src, QueryConfig::default())
-                .expect("sharded workload query compiles")
+            RunningQuery::compile(name, &src).expect("sharded workload query compiles")
         })
         .collect()
 }

@@ -13,7 +13,7 @@ fn main() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/explain");
     std::fs::create_dir_all(dir).expect("create fixture dir");
     for (name, src) in saql_lang::corpus::DEMO_QUERIES {
-        let query = saql_engine::RunningQuery::compile(name, src, Default::default())
+        let query = saql_engine::RunningQuery::compile(name, src)
             .unwrap_or_else(|e| panic!("demo query {name} failed: {}", e.render(src)));
         let path = format!("{dir}/{name}.txt");
         std::fs::write(&path, query.explain()).expect("write fixture");

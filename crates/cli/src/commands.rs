@@ -393,7 +393,6 @@ pub fn demo(argv: &[String]) -> Result<i32, String> {
         engine: EngineConfig {
             record_latency: true,
             workers: flags.get_usize("workers", 0)?,
-            ..EngineConfig::default()
         },
         queries,
         ..Deployment::default()
@@ -633,7 +632,7 @@ pub fn explain(argv: &[String]) -> Result<i32, String> {
             }
             continue;
         }
-        match saql_engine::RunningQuery::compile(file.as_str(), &src, Default::default()) {
+        match saql_engine::RunningQuery::compile(file.as_str(), &src) {
             Ok(query) => {
                 println!("# {file}");
                 print!("{}", query.explain());

@@ -959,3 +959,92 @@ fn a_closed_stdout_pipe_ends_the_run_without_a_panic() {
     let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_file(&query);
 }
+
+/// `saql serve` never buffers a line without a newline: a 64 MiB hello is
+/// refused and a 64 MiB ingest line is skipped as one decode error, the
+/// lines after it ingested, while the server's peak resident memory
+/// (`VmHWM`) grows by less than two `MAX_LINE`s over a warmed-up server.
+#[test]
+fn newline_free_floods_leave_the_server_peak_memory_flat() {
+    use saql_stream::ingest::MAX_LINE;
+    use std::io::{BufRead, BufReader, Cursor, Read};
+    const FLOOD: u64 = 64 << 20;
+    if !Path::new("/proc/self/status").exists() {
+        eprintln!("skipped: no /proc/<pid>/status to read the server's VmHWM from");
+        return;
+    }
+    let mut child = Command::new(env!("CARGO_BIN_EXE_saql"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--quiet"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn saql serve");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let addr = loop {
+        let mut line = String::new();
+        assert!(stderr.read_line(&mut line).unwrap() > 0, "serve exited");
+        if let Some(addr) = line.trim().strip_prefix("[serve] listening on ") {
+            break addr.to_string();
+        }
+    };
+    std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+    let status = format!("/proc/{}/status", child.id());
+    let peak = || -> u64 {
+        let text = std::fs::read_to_string(&status).unwrap();
+        let kb = text
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .expect("a VmHWM line");
+        kb.trim()
+            .trim_end_matches("kB")
+            .trim()
+            .parse::<u64>()
+            .unwrap()
+            * 1024
+    };
+    let lines = |from: u64| {
+        let mut out = String::new();
+        for id in from..from + 3 {
+            let event = saql_model::event::EventBuilder::new(id, "h", id * 10)
+                .subject(saql_model::ProcessInfo::new(1, "a.exe", "u"))
+                .starts_process(saql_model::ProcessInfo::new(2, "b.exe", "u"))
+                .build();
+            saql_model::json::encode_event_json(&mut out, &event);
+            out.push('\n');
+        }
+        out
+    };
+    let ingest = |source: &str, input: &mut dyn Read| {
+        saql_serve::ingest_reader(&addr, "default", source, input, true, true).unwrap()
+    };
+
+    let warm = ingest("warm", &mut Cursor::new(lines(1)));
+    assert_eq!(warm.field("events"), Some(3), "{}", warm.summary);
+    let before = peak();
+
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        std::io::copy(&mut std::io::repeat(b'x').take(FLOOD), &mut writer).is_ok()
+    });
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    // The server may have reset the connection already.
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    assert!(!flood.join().unwrap(), "the hello went in whole");
+
+    let tail = format!("\n{}", lines(10));
+    let mut body = std::io::repeat(b'x').take(FLOOD).chain(Cursor::new(tail));
+    let report = ingest("flood", &mut body);
+    assert_eq!(report.field("events"), Some(3), "{}", report.summary);
+    assert_eq!(report.field("decode_errors"), Some(1), "{}", report.summary);
+
+    let grown = peak().saturating_sub(before);
+    let _ = saql_serve::ctl(&addr, "default", r#"{"cmd":"shutdown"}"#);
+    let _ = child.wait();
+    assert!(
+        grown < 2 * MAX_LINE as u64,
+        "peak RSS grew {grown} bytes over {before}"
+    );
+}

@@ -21,9 +21,10 @@
 //! "SAQLCKP1"                      magic, 8 bytes
 //! version: u8                     CHECKPOINT_VERSION
 //! offset, frontier_ms             stream position
-//! partial_match_cap, lateness_ms               QueryConfig (plan identity)
-//! reserved: u8 = 0                             (was the exec mode; 1 = the
-//!                                              removed interpreter, rejected)
+//! reserved: 65536, 0              (were the partial-match cap and the
+//!                                 window lateness; others are rejected)
+//! reserved: u8 = 0                (was the exec mode; 1 = the removed
+//!                                 interpreter, rejected)
 //! n_rows, then per registry row:
 //!   status: u8 (0 active / 1 paused / 2 removed)
 //!   name, source: string          retained SAQL text for recompilation
@@ -67,13 +68,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use saql_model::codec::{self, DecodeError};
-use saql_model::{AttrValue, Duration, Entity, Event, Timestamp};
+use saql_model::{AttrValue, Entity, Event, Timestamp};
 use saql_stream::durable::replace_file;
 
 use crate::error::EngineError;
 use crate::invariant::{InvariantGroupSnapshot, InvariantSnapshot, Phase};
-use crate::matcher::{MatcherSnapshot, PartialSnapshot};
-use crate::query::{QueryConfig, QuerySnapshot, QueryStats};
+use crate::matcher::{MatcherSnapshot, PartialSnapshot, PARTIAL_MATCH_CAP};
+use crate::query::{QuerySnapshot, QueryStats};
 use crate::state::{AccumSnapshot, GroupAccumSnapshot, GroupHistorySnapshot, StateSnapshot};
 use crate::value::Value;
 use crate::window::WindowSnapshot;
@@ -86,6 +87,21 @@ pub const CHECKPOINT_VERSION: u8 = 2;
 
 /// File name a checkpoint occupies inside its directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.saqlckp";
+
+/// The two varints after the stream position once held per-query
+/// settings that are constants now. They are written as those constants,
+/// and a file carrying any other value — written under a setting this
+/// build cannot run — is refused, naming it.
+const RESERVED: [(&str, u64); 2] = [
+    (
+        "partial-match cap (reserved: the setting was removed)",
+        PARTIAL_MATCH_CAP as u64,
+    ),
+    (
+        "window lateness (reserved-zero: the setting was removed)",
+        0,
+    ),
+];
 
 /// Lifecycle status of a registry row — in the engine's registry and in
 /// the checkpoints written from it.
@@ -109,10 +125,9 @@ pub struct CheckpointRow {
     pub snapshot: Option<QuerySnapshot>,
 }
 
-/// A frozen engine: stream position, plan-identity config, and every
-/// registry row's state. Produced by
-/// [`Engine::checkpoint`](crate::Engine::checkpoint), consumed by
-/// [`Engine::resume_from`](crate::Engine::resume_from).
+/// A frozen engine: stream position and every registry row's state.
+/// Produced by [`Engine::checkpoint`](crate::Engine::checkpoint), consumed
+/// by [`Engine::resume_from`](crate::Engine::resume_from).
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Position of the next unprocessed event in the durable store: feed
@@ -121,9 +136,6 @@ pub struct Checkpoint {
     /// The session's merge frontier at `offset` (resumed sessions report
     /// time from here).
     pub frontier: Timestamp,
-    /// The [`QueryConfig`] every query was compiled under — plan identity;
-    /// resume recompiles under exactly this config.
-    pub config: QueryConfig,
     pub rows: Vec<CheckpointRow>,
     /// Pipeline alert→event adapter positions: `(upstream query name,
     /// next adapted-event sequence number)` per live pipeline edge, so a
@@ -147,7 +159,9 @@ impl Checkpoint {
         buf.push(CHECKPOINT_VERSION);
         self.offset.put(&mut buf);
         self.frontier.put(&mut buf);
-        self.config.put(&mut buf);
+        for (_, value) in RESERVED {
+            value.put(&mut buf);
+        }
         buf.push(0); // reserved (formerly the exec mode)
         self.rows.put(&mut buf);
         self.adapters.put(&mut buf);
@@ -202,7 +216,12 @@ fn decode_impl(data: &[u8]) -> Result<Checkpoint, String> {
     let body = |buf: &mut &[u8]| -> R<Checkpoint> {
         let offset = Wire::get(buf)?;
         let frontier = Wire::get(buf)?;
-        let config = Wire::get(buf)?;
+        for (what, value) in RESERVED {
+            let got = u64::get(buf)?;
+            if got != value {
+                return Err(DecodeError::OutOfRange(what, got));
+            }
+        }
         // Reserved-zero. A `1` here was written under the interpreted
         // execution mode, which no longer exists to resume into.
         let reserved = u8::get(buf)?;
@@ -213,7 +232,6 @@ fn decode_impl(data: &[u8]) -> Result<Checkpoint, String> {
         Ok(Checkpoint {
             offset,
             frontier,
-            config,
             rows: Wire::get(buf)?,
             adapters: Wire::get(buf)?,
         })
@@ -326,15 +344,6 @@ impl Wire for Timestamp {
     }
     fn get(buf: &mut &[u8]) -> R<Timestamp> {
         u64::get(buf).map(Timestamp::from_millis)
-    }
-}
-
-impl Wire for Duration {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.as_millis().put(buf);
-    }
-    fn get(buf: &mut &[u8]) -> R<Duration> {
-        u64::get(buf).map(Duration::from_millis)
     }
 }
 
@@ -579,7 +588,6 @@ macro_rules! wire_struct {
 }
 
 wire_struct! {
-    QueryConfig { partial_match_cap, allowed_lateness }
     QuerySnapshot {
         matcher, window, state, invariant, distinct_seen, stats, overflow_reported
     }
@@ -688,7 +696,6 @@ mod tests {
         Checkpoint {
             offset: 12_345,
             frontier: Timestamp::from_millis(98_765),
-            config: QueryConfig::default(),
             adapters: vec![("burst".into(), 7)],
             rows: vec![
                 CheckpointRow {
@@ -798,7 +805,16 @@ mod tests {
         assert!(Checkpoint::decode(&raw).is_err());
     }
 
-    /// The byte after the config varints used to carry the exec mode (0
+    /// The sample checkpoint's bytes up to the reserved settings varints:
+    /// magic, version, offset, frontier.
+    fn head_len(ckpt: &Checkpoint) -> usize {
+        let mut head = Vec::new();
+        ckpt.offset.put(&mut head);
+        ckpt.frontier.put(&mut head);
+        CHECKPOINT_MAGIC.len() + 1 + head.len()
+    }
+
+    /// The byte after the settings varints used to carry the exec mode (0
     /// compiled, 1 interpreted). It is reserved-zero now: what this build
     /// writes (0) decodes and resumes; a checkpoint written under the
     /// removed interpreted mode is refused, by name, before
@@ -806,17 +822,48 @@ mod tests {
     #[test]
     fn removed_exec_mode_is_refused_by_name() {
         let ckpt = sample_checkpoint();
-        let mut head = Vec::new();
-        ckpt.offset.put(&mut head);
-        ckpt.frontier.put(&mut head);
-        ckpt.config.put(&mut head);
-        let at = CHECKPOINT_MAGIC.len() + 1 + head.len();
+        // The settings varints: 65,536 takes three bytes, 0 one.
+        let at = head_len(&ckpt) + 4;
         let mut raw = ckpt.encode();
         assert_eq!(raw[at], 0, "reserved byte");
         raw[at] = 1;
         let err = Checkpoint::decode(&raw).unwrap_err();
         assert!(matches!(err, EngineError::Checkpoint(_)), "{err:?}");
         assert!(err.to_string().contains("interpreted mode"), "{err}");
+    }
+
+    /// The partial-match cap and the window lateness were per-query
+    /// settings; every checkpoint wrote them as 65,536 and 0, and those
+    /// bytes are now reserved constants. A file carrying another value was
+    /// written under a setting this build cannot run, so decode refuses it
+    /// by name.
+    #[test]
+    fn removed_settings_are_refused_by_name() {
+        let ckpt = sample_checkpoint();
+        let at = head_len(&ckpt);
+        let raw = ckpt.encode();
+        assert_eq!(raw[at..at + 4], [0x80, 0x80, 0x04, 0x00], "65,536 then 0");
+        let forge = |cap: u64, lateness: u64| {
+            let mut settings = Vec::new();
+            cap.put(&mut settings);
+            lateness.put(&mut settings);
+            let mut forged = raw[..at].to_vec();
+            forged.extend_from_slice(&settings);
+            forged.extend_from_slice(&raw[at + 4..]);
+            Checkpoint::decode(&forged)
+        };
+        assert!(forge(65_536, 0).is_ok());
+        for (cap, lateness, named) in [
+            (8, 0, "partial-match cap"),
+            (65_537, 0, "partial-match cap"),
+            (65_536, 30_000, "window lateness"),
+            (65_536, u64::MAX, "window lateness"),
+        ] {
+            let err = forge(cap, lateness).unwrap_err();
+            assert!(matches!(err, EngineError::Checkpoint(_)), "{err:?}");
+            assert!(err.to_string().contains(named), "{err}");
+            assert!(err.to_string().contains("removed"), "{err}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use saql_stream::{EventBatch, SharedEvent, DEFAULT_BATCH_SIZE};
 use crate::alert::Alert;
 use crate::checkpoint::{Checkpoint, CheckpointRow, RowStatus};
 use crate::error::EngineError;
-use crate::query::{QueryConfig, QueryStats, RunningQuery};
+use crate::query::{QueryStats, RunningQuery};
 use crate::runtime::Runtime;
 use crate::scheduler::SchedulerStats;
 use crate::shard::ControlMsg;
@@ -25,9 +25,8 @@ use crate::shard::ControlMsg;
 pub use crate::query::QueryId;
 
 /// Engine-wide configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
-    pub query: QueryConfig,
     /// Track processing latency: one clock read pair per execution batch,
     /// recorded as that batch's amortised nanoseconds per event, with no
     /// influence on how events execute. Every shard records its own
@@ -38,23 +37,6 @@ pub struct EngineConfig {
     /// workers, each fed every batch over a bounded channel. Same queries,
     /// same alerts — in emission order at `0`, as a multiset otherwise.
     pub workers: usize,
-    /// Events per execution batch — the **one knob** governing batch
-    /// sizing end to end: the session pump chunks merged events into
-    /// [`EventBatch`]es of this size for [`Engine::process_batch`], and a
-    /// batch reaches every shard exactly as it was handed in. Zero clamps
-    /// to one.
-    pub batch_size: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            query: QueryConfig::default(),
-            record_latency: false,
-            workers: 0,
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
-    }
 }
 
 /// One registry row; the row index is the query's [`QueryId`].
@@ -102,7 +84,6 @@ pub struct Engine {
     /// [`process`](Self::process)/[`sync`](Self::sync)/[`finish`](Self::finish)
     /// call.
     pending: Vec<Alert>,
-    config: EngineConfig,
 }
 
 impl Engine {
@@ -111,7 +92,6 @@ impl Engine {
             runtime: Runtime::new(&config),
             registry: Vec::new(),
             pending: Vec::new(),
-            config,
         }
     }
 
@@ -194,7 +174,7 @@ impl Engine {
                 Span::default(),
             ));
         }
-        let mut query = RunningQuery::compile(name, source, self.config.query)?;
+        let mut query = RunningQuery::compile(name, source)?;
         if let Some(up) = query.pipeline_input() {
             if self.find(up).is_none() {
                 let span = query.pipeline_input_span().unwrap_or_default();
@@ -335,11 +315,6 @@ impl Engine {
             .get(id.index())
             .filter(|e| e.status != RowStatus::Removed)
             .map(|e| e.source.as_str())
-    }
-
-    /// The engine-wide configuration this engine was built with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// The upstream a live query consumes (`from query NAME`), if it is a
@@ -498,7 +473,6 @@ impl Engine {
         Ok(Checkpoint {
             offset,
             frontier,
-            config: self.config.query,
             rows,
             // Pipeline adapter positions are session-level state: the
             // wiring layer stamps them before the checkpoint is written.
@@ -507,17 +481,16 @@ impl Engine {
     }
 
     /// Reconstruct an engine from a [`checkpoint`](Self::checkpoint):
-    /// every query is recompiled from its retained source under the
-    /// checkpoint's [`QueryConfig`] (plan identity), its dynamic state is
-    /// restored exactly, and its [`QueryId`] is its original registry
-    /// index (tombstones are replayed so ids align). Feeding the resumed
-    /// engine the event suffix from the checkpoint's `offset` yields the
-    /// same alerts the uninterrupted run would have produced from that
-    /// position — in order at `workers == 0`, as a multiset otherwise.
+    /// every query is recompiled from its retained source, its dynamic
+    /// state is restored exactly, and its [`QueryId`] is its original
+    /// registry index (tombstones are replayed so ids align). Feeding the
+    /// resumed engine the event suffix from the checkpoint's `offset`
+    /// yields the same alerts the uninterrupted run would have produced
+    /// from that position — in order at `workers == 0`, as a multiset
+    /// otherwise.
     ///
-    /// `config.query` is ignored in favor of the checkpoint's (changing
-    /// execution semantics mid-resume would fork the alert stream); the
-    /// worker count, batch size, and other knobs are free.
+    /// `config` is free: the worker count and latency tracking change
+    /// neither the alerts nor the state.
     ///
     /// A row whose state does not fit its recompiled plan (see
     /// [`RunningQuery::restore`]) fails the resume with
@@ -526,21 +499,16 @@ impl Engine {
         checkpoint: Checkpoint,
         config: EngineConfig,
     ) -> Result<Engine, EngineError> {
-        let config = EngineConfig {
-            query: checkpoint.config,
-            ..config
-        };
         let mut engine = Engine::new(config);
         for (i, row) in checkpoint.rows.into_iter().enumerate() {
             let mut input = None;
             if row.status != RowStatus::Removed {
-                let mut query = RunningQuery::compile(&row.name, &row.source, checkpoint.config)
-                    .map_err(|e| {
-                        EngineError::Checkpoint(format!(
-                            "query `{}` no longer compiles: {}",
-                            row.name, e.message
-                        ))
-                    })?;
+                let mut query = RunningQuery::compile(&row.name, &row.source).map_err(|e| {
+                    EngineError::Checkpoint(format!(
+                        "query `{}` no longer compiles: {}",
+                        row.name, e.message
+                    ))
+                })?;
                 input = query.pipeline_input().map(str::to_string);
                 query.set_id(QueryId::new(i));
                 let snap = row.snapshot.ok_or_else(|| {
@@ -596,11 +564,11 @@ impl Engine {
         Ok(self.drain_pending(fresh))
     }
 
-    /// Events per execution batch ([`EngineConfig::batch_size`], clamped to
-    /// at least one) — the chunk size the session pump feeds
-    /// [`process_batch`](Self::process_batch) with.
+    /// Events per execution batch ([`DEFAULT_BATCH_SIZE`]) — the chunk
+    /// size the session pump feeds [`process_batch`](Self::process_batch)
+    /// with. The alerts do not depend on it.
     pub fn batch_size(&self) -> usize {
-        self.config.batch_size.max(1)
+        DEFAULT_BATCH_SIZE
     }
 
     /// Drive an entire stream and flush; returns all alerts — in emission
@@ -856,18 +824,18 @@ mod tests {
         for (workers, samples) in [(0usize, 4u64), (2, 8)] {
             let mut e = Engine::new(EngineConfig {
                 record_latency: true,
-                batch_size: 16,
                 workers,
-                ..Default::default()
             });
             e.register("q", "proc p start proc q as e\nreturn p")
                 .unwrap();
-            e.run(
-                (0..50)
-                    .map(|i| start(i, i * 10, "a.exe", "b.exe"))
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
+            let events: Vec<_> = (0..50)
+                .map(|i| start(i, i * 10, "a.exe", "b.exe"))
+                .collect();
+            for chunk in events.chunks(16) {
+                e.process_batch(&EventBatch::from_events(chunk.to_vec()))
+                    .unwrap();
+            }
+            e.finish();
             let hist = e.latency().expect("tracking enabled");
             assert_eq!(hist.count(), samples, "workers={workers}");
             assert!(hist.quantile(0.5).unwrap() > 0);

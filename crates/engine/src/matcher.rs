@@ -414,6 +414,10 @@ pub enum MatcherMode {
     Scan,
 }
 
+/// Live partial matches a query's matcher keeps: the `cap` every running
+/// query compiles its [`MultiMatcher`] with.
+pub const PARTIAL_MATCH_CAP: usize = 65_536;
+
 /// Multievent matcher with temporal sequencing and attribute joins.
 ///
 /// Partial-match state is bounded by `cap`; when exceeded, the oldest

@@ -27,12 +27,10 @@
 //! forever: each round punctuates every edge with a **watermark event**
 //! (`op = alert`, object `user` = the reserved
 //! [`saql_lang::semantic::PIPELINE_WM_USER`] marker) at the session
-//! frontier minus a lateness margin. Punctuations advance the stage clock
+//! frontier, in the cascade pass of the edge's depth — after its
+//! upstream's alerts of the round. Punctuations advance the stage clock
 //! but are excluded by the injected `_in` pattern, so they never count as
-//! payload. The margin is `(depth+1) × allowed_lateness` per edge: an
-//! upstream at depth `d` can still emit window alerts up to `d+1` lateness
-//! bounds behind the frontier, and a punctuation must never outrun an
-//! alert that is still coming.
+//! payload.
 //!
 //! **Who drives it.** A [`RunSession`] owns the edge table: every pump
 //! round rebuilds it when the registry's edge set changed, processes its
@@ -53,7 +51,7 @@ use std::sync::Arc;
 
 use saql_lang::{LangError, Stage};
 use saql_model::entity::{Entity, ProcessInfo};
-use saql_model::{AttrId, AttrNs, AttrTable, Duration, Event, Operation, Timestamp};
+use saql_model::{AttrId, AttrNs, AttrTable, Event, Operation, Timestamp};
 use saql_stream::SharedEvent;
 
 use crate::alert::{Alert, AlertOrigin};
@@ -379,7 +377,7 @@ pub fn explain_pipeline(name: &str, source: &str) -> Result<String, String> {
         out.push_str(&format!("  {} <- {}\n", s.name, input));
     }
     for s in &stages {
-        let query = crate::RunningQuery::compile(s.name.as_str(), &s.source, Default::default())
+        let query = crate::RunningQuery::compile(s.name.as_str(), &s.source)
             .map_err(|e| format!("stage {}: {}", s.name, e.render(&s.source)))?;
         out.push_str(&format!("\n## stage {}\n", s.name));
         out.push_str(&query.explain());
@@ -423,8 +421,8 @@ pub fn deregister_pipeline(engine: &mut Engine, id: QueryId) -> Result<Vec<Strin
 
 /// One pipeline edge: an upstream query with at least one dependent.
 struct Edge {
-    /// Stage depth of the upstream (0 = reads raw events); sets the
-    /// punctuation lateness margin.
+    /// Stage depth of the upstream (0 = reads raw events): the cascade
+    /// pass that punctuates the edge.
     depth: u64,
     adapter: AlertAdapter,
     last_punct: Option<Timestamp>,
@@ -520,14 +518,13 @@ impl Edges {
 
     /// The derived events for `alerts`: each alert of an upstream, adapted
     /// in order, then the punctuation of each edge at `depth` — whose
-    /// upstream's alerts are all in by now — at `frontier` minus its
-    /// lateness margin, if that moved past the edge's last one.
+    /// upstream's alerts are all in by now — at `frontier`, if that moved
+    /// past the edge's last one.
     pub(crate) fn derive(
         &mut self,
         alerts: &[Alert],
         depth: u64,
         frontier: Timestamp,
-        lateness: Duration,
     ) -> Vec<SharedEvent> {
         let mut derived = Vec::new();
         for alert in alerts {
@@ -540,13 +537,9 @@ impl Edges {
             }
         }
         for edge in self.edges.iter_mut().filter(|e| e.depth == depth) {
-            // A safe lower bound on anything this upstream can still emit:
-            // `(depth+1)` lateness bounds behind the frontier.
-            let margin = lateness.as_millis().saturating_mul(edge.depth + 1);
-            let punct = Timestamp::from_millis(frontier.as_millis().saturating_sub(margin));
-            if punct.as_millis() > 0 && edge.last_punct.is_none_or(|p| punct > p) {
-                edge.last_punct = Some(punct);
-                derived.push(edge.adapter.punctuation(punct));
+            if frontier.as_millis() > 0 && edge.last_punct.is_none_or(|p| frontier > p) {
+                edge.last_punct = Some(frontier);
+                derived.push(edge.adapter.punctuation(frontier));
             }
         }
         derived

@@ -24,6 +24,7 @@ use crate::eval::{run_program, run_program_batch, ClusterOutcome, EventRow};
 use crate::invariant::{InvariantRuntime, InvariantSnapshot};
 use crate::matcher::{
     fnv1a, FullMatch, GlobalFilter, MatcherSnapshot, MultiMatcher, PatternMatcher, FNV_SEED,
+    PARTIAL_MATCH_CAP,
 };
 use crate::plan::{ExecCtx, KeySource, Op, QueryPlan};
 use crate::state::{group_label, ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView};
@@ -62,25 +63,6 @@ impl std::fmt::Display for QueryId {
             write!(f, "q#unassigned")
         } else {
             write!(f, "q#{}", self.0)
-        }
-    }
-}
-
-/// Tuning knobs for a running query.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryConfig {
-    /// Maximum live partial matches for the multievent matcher.
-    pub partial_match_cap: usize,
-    /// Out-of-order tolerance: windows stay open this long past their end
-    /// so skewed agent feeds still land in their windows.
-    pub allowed_lateness: saql_model::Duration,
-}
-
-impl Default for QueryConfig {
-    fn default() -> Self {
-        QueryConfig {
-            partial_match_cap: 65_536,
-            allowed_lateness: saql_model::Duration::ZERO,
         }
     }
 }
@@ -378,7 +360,7 @@ pub struct RunningQuery {
 
 impl RunningQuery {
     /// Build a running instance from a checked query.
-    pub fn new(name: impl Into<String>, checked: CheckedQuery, config: QueryConfig) -> Self {
+    pub fn new(name: impl Into<String>, checked: CheckedQuery) -> Self {
         let plan = QueryPlan::compile(&checked);
         let plan_scratch = plan.scratch_regs;
         let globals = GlobalFilter::compile(&checked.ast.globals);
@@ -390,10 +372,8 @@ impl RunningQuery {
             .map(|p| PatternMatcher::compile(p, &slot_names))
             .collect();
         let matcher = (checked.kind == QueryKind::Rule)
-            .then(|| MultiMatcher::compile(&checked.ast, config.partial_match_cap));
-        let window = checked
-            .window
-            .map(|w| WindowDriver::with_lateness(w, config.allowed_lateness));
+            .then(|| MultiMatcher::compile(&checked.ast, PARTIAL_MATCH_CAP));
+        let window = checked.window.map(WindowDriver::new);
         // History only as deep as some program reads: 1 + the deepest
         // `ss[n]` of the alert, return, invariant and cluster programs.
         let depth = plan
@@ -444,12 +424,8 @@ impl RunningQuery {
     }
 
     /// Compile SAQL text directly into a running query.
-    pub fn compile(
-        name: impl Into<String>,
-        source: &str,
-        config: QueryConfig,
-    ) -> Result<Self, saql_lang::LangError> {
-        Ok(RunningQuery::new(name, saql_lang::compile(source)?, config))
+    pub fn compile(name: impl Into<String>, source: &str) -> Result<Self, saql_lang::LangError> {
+        Ok(RunningQuery::new(name, saql_lang::compile(source)?))
     }
 
     pub fn name(&self) -> &str {
@@ -1254,8 +1230,8 @@ mod tests {
     use saql_model::{NetworkInfo, ProcessInfo};
     use std::sync::Arc;
 
-    fn compile(name: &str, src: &str, config: QueryConfig) -> RunningQuery {
-        RunningQuery::compile(name, src, config).unwrap()
+    fn compile(name: &str, src: &str) -> RunningQuery {
+        RunningQuery::compile(name, src).unwrap()
     }
 
     /// A query driven the way the engine drives it: as the only member of
@@ -1267,7 +1243,7 @@ mod tests {
     }
 
     fn q(src: &str) -> Scheduler {
-        solo(compile("test-query", src, QueryConfig::default()))
+        solo(compile("test-query", src))
     }
 
     fn stats(s: &Scheduler) -> QueryStats {
@@ -1522,48 +1498,6 @@ return i.dstip, ss.amt"#;
     }
 
     #[test]
-    fn allowed_lateness_recovers_out_of_order_events() {
-        let config = QueryConfig {
-            allowed_lateness: saql_model::Duration::from_secs(30),
-            ..QueryConfig::default()
-        };
-        let src = "proc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n";
-        // Event at 10s, then watermark jumps to 70s, then a straggler at 50s.
-        let events = [
-            send(1, 10_000, "h", (1, "x.exe"), "1.1.1.1", 5),
-            send(2, 70_000, "h", (1, "x.exe"), "1.1.1.1", 5),
-            send(3, 50_000, "h", (1, "x.exe"), "1.1.1.1", 5),
-        ];
-        // Without lateness the straggler is dropped.
-        let mut strict = solo(compile("strict", src, QueryConfig::default()));
-        let mut strict_alerts = Vec::new();
-        for e in &events {
-            strict_alerts.extend(strict.process(e));
-        }
-        strict_alerts.extend(strict.finish());
-        assert_eq!(stats(&strict).late_events, 1);
-        let w0 = strict_alerts
-            .iter()
-            .find(|a| a.ts == Timestamp::from_secs(60))
-            .unwrap();
-        assert_eq!(w0.get("ss[0].n"), Some("1"));
-
-        // With 30s lateness the first window is still open at watermark 70s.
-        let mut tolerant = solo(compile("tolerant", src, config));
-        let mut tolerant_alerts = Vec::new();
-        for e in &events {
-            tolerant_alerts.extend(tolerant.process(e));
-        }
-        tolerant_alerts.extend(tolerant.finish());
-        assert_eq!(stats(&tolerant).late_events, 0);
-        let w0 = tolerant_alerts
-            .iter()
-            .find(|a| a.ts == Timestamp::from_secs(60))
-            .unwrap();
-        assert_eq!(w0.get("ss[0].n"), Some("2"));
-    }
-
-    #[test]
     fn stats_track_pipeline() {
         let mut rq = q("agentid = \"db\"\nproc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nalert ss[0].n > 100\nreturn p");
         rq.process(&send(1, 10, "db", (1, "x.exe"), "1.1.1.1", 10));
@@ -1582,7 +1516,6 @@ return i.dstip, ss.amt"#;
             "test-query",
             r#"proc p1["%cmd.exe"] start proc p2["%osql.exe"] as e1
 return p1"#,
-            QueryConfig::default(),
         );
         let admits = |e: &SharedEvent| rq.shape_mask() & (1u64 << e.shape_code()) != 0;
         // Shape (proc start proc) matches even with different names...
@@ -1606,7 +1539,6 @@ proc p write ip i as evt #time(10 min)
 state[3] ss { avg_amount := avg(evt.amount) } group by p
 alert ss[0].avg_amount > 10000
 return p, ss[0].avg_amount"#,
-            QueryConfig::default(),
         );
         let shown = rq.explain();
         assert!(shown.contains("kind: time-series"), "{shown}");

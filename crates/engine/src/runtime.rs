@@ -451,7 +451,6 @@ impl Drop for Runtime {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::query::QueryConfig;
     use crate::scheduler::Scheduler;
     use saql_model::event::EventBuilder;
     use saql_model::{NetworkInfo, ProcessInfo};
@@ -459,14 +458,13 @@ mod tests {
     use std::sync::Arc;
 
     fn rq(name: &str, src: &str) -> RunningQuery {
-        RunningQuery::compile(name, src, QueryConfig::default()).unwrap()
+        RunningQuery::compile(name, src).unwrap()
     }
 
     /// A worker-backed engine: the runtime under test behind its facade.
-    fn engine(workers: usize, batch_size: usize) -> Engine {
+    fn engine(workers: usize) -> Engine {
         Engine::new(EngineConfig {
             workers,
-            batch_size,
             ..EngineConfig::default()
         })
     }
@@ -542,11 +540,17 @@ mod tests {
         serial_alerts.extend(serial.finish());
 
         for workers in [1usize, 2, 3, 8] {
-            let mut par = engine(workers, 16);
+            let mut par = engine(workers);
             for (name, src) in sources() {
                 par.register(name, src).unwrap();
             }
-            let par_alerts = par.run(events()).unwrap();
+            // Batches of 16: many broadcasts, each dealt across the shards.
+            let mut par_alerts = Vec::new();
+            for chunk in events().chunks(16) {
+                let batch = EventBatch::from_events(chunk.to_vec());
+                par_alerts.extend(par.process_batch(&batch).unwrap());
+            }
+            par_alerts.extend(par.finish());
             assert_eq!(
                 sorted(par_alerts),
                 sorted(serial_alerts.clone()),
@@ -618,7 +622,7 @@ mod tests {
 
     #[test]
     fn incremental_process_delivers_everything_by_finish() {
-        let mut par = engine(2, 8);
+        let mut par = engine(2);
         par.register(
             "q",
             "proc p1[\"%cmd.exe\"] start proc p2 as e\nreturn p1, p2",
@@ -649,7 +653,7 @@ mod tests {
 
     #[test]
     fn mid_stream_register_joins_existing_group() {
-        let mut par = engine(2, 4);
+        let mut par = engine(2);
         par.register(
             "a",
             "proc p1[\"%cmd.exe\"] start proc p2 as e\nreturn p1, p2",
@@ -685,7 +689,7 @@ mod tests {
 
     #[test]
     fn mid_stream_remove_flushes_windows_and_dissolves_group() {
-        let mut par = engine(3, 4);
+        let mut par = engine(3);
         let id_w = par
             .register(
                 "w",
@@ -718,7 +722,7 @@ mod tests {
 
     #[test]
     fn mid_stream_pause_resume_skips_exactly_the_paused_span() {
-        let mut par = engine(2, 2);
+        let mut par = engine(2);
         let id = par
             .register(
                 "q",

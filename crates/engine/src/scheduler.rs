@@ -486,13 +486,12 @@ impl Default for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryConfig;
     use saql_model::event::EventBuilder;
     use saql_model::{NetworkInfo, ProcessInfo};
     use std::sync::Arc;
 
     fn rq(name: &str, src: &str) -> RunningQuery {
-        RunningQuery::compile(name, src, QueryConfig::default()).unwrap()
+        RunningQuery::compile(name, src).unwrap()
     }
 
     fn start(id: u64, ts: u64, parent: &str, child: &str) -> SharedEvent {
@@ -662,43 +661,38 @@ mod tests {
         alerts.iter().map(|a| a.to_string()).collect()
     }
 
-    /// The window gate must follow a window that opens *behind* every open
-    /// one: inside the allowed lateness an event lands in an older window,
-    /// whose close time is now the group's deadline.
+    /// The window gate is armed by the first fold of a batch that opens a
+    /// window while none is open, and trips when the group's clock reaches
+    /// that window's end; an event behind a window that already closed is
+    /// late, and is neither folded nor lets the gate drift.
     #[test]
-    fn late_event_opening_an_older_window_lowers_the_gate_deadline() {
-        let lenient = QueryConfig {
-            allowed_lateness: saql_model::Duration::from_secs(5),
-            ..QueryConfig::default()
-        };
+    fn the_first_fold_arms_the_gate_and_a_straggler_is_late() {
         let events = [
-            send(1, 21_000, "x.exe", "1.1.1.1", 5), // opens [20 s, 30 s): due at 35 s
-            send(2, 12_000, "y.exe", "1.1.1.1", 5), // opens [10 s, 20 s): due at 25 s
-            start(3, 26_000, "a.exe", "b.exe"),     // other shape: closes [10 s, 20 s)
+            send(1, 21_000, "x.exe", "1.1.1.1", 5), // opens [20 s, 30 s)
+            send(2, 12_000, "y.exe", "1.1.1.1", 5), // [10 s, 20 s) closed: late
+            start(3, 26_000, "a.exe", "b.exe"),     // other shape: closes nothing
             start(4, 36_000, "a.exe", "b.exe"),     // closes [20 s, 30 s)
         ];
         let scheduler = || {
             let mut s = Scheduler::new();
-            s.add(RunningQuery::compile("w", COUNT_10S, lenient).unwrap());
+            s.add(rq("w", COUNT_10S));
             s
         };
         let mut one_batch = scheduler();
         let batched = one_batch.process_batch(&EventBatch::from_events(events.to_vec()));
-        assert_eq!(batched.len(), 2, "{batched:?}");
-        assert!(batched[0].to_string().contains("y.exe"), "{batched:?}");
-        assert!(batched[1].to_string().contains("x.exe"), "{batched:?}");
+        assert_eq!(batched.len(), 1, "{batched:?}");
+        assert!(batched[0].to_string().contains("x.exe"), "{batched:?}");
+        let late = |s: &Scheduler| s.queries().map(|q| q.stats().late_events).sum::<u64>();
+        assert_eq!(late(&one_batch), 1);
         let mut per_event = scheduler();
         let mut expected = Vec::new();
         for (i, e) in events.iter().enumerate() {
             let alerts = per_event.process(e);
-            assert_eq!(
-                alerts.len(),
-                usize::from(i >= 2),
-                "one close per later event"
-            );
+            assert_eq!(alerts.len(), usize::from(i == 3), "the last event closes");
             expected.extend(alerts);
         }
         assert_eq!(render(&batched), render(&expected));
+        assert_eq!(late(&per_event), 1);
     }
 
     /// A member paused across its window's end keeps the window while the

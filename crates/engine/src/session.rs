@@ -267,9 +267,7 @@ impl<'e> RunSession<'e> {
     /// are not bounded by it.
     ///
     /// Merged events are fed in [`EventBatch`]es of the engine's execution
-    /// batch size ([`Engine::batch_size`] — the one
-    /// [`crate::EngineConfig::batch_size`] knob), so the session pump and
-    /// the vectorized execution path agree on chunking.
+    /// batch size ([`Engine::batch_size`]).
     ///
     /// If the engine was explicitly finished mid-session (via
     /// [`engine`](Self::engine) on a worker-backed engine), the round ends
@@ -413,14 +411,13 @@ impl<'e> RunSession<'e> {
             return 0;
         }
         let frontier = self.frontier();
-        let lateness = self.engine.config().query.allowed_lateness;
         let collect = self.engine.workers() > 0;
         let (mut from, mut fed) = (0, 0u64);
         for pass in 0.. {
             if collect && (pass == 0 || self.edges.deep()) {
                 alerts.extend(self.engine.sync().unwrap_or_default());
             }
-            let derived = self.edges.derive(&alerts[from..], pass, frontier, lateness);
+            let derived = self.edges.derive(&alerts[from..], pass, frontier);
             if derived.is_empty() {
                 break;
             }

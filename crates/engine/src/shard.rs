@@ -196,14 +196,13 @@ const _: fn() = assert_send::<ShardMsg>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryConfig;
     use saql_model::event::EventBuilder;
     use saql_model::ProcessInfo;
     use saql_stream::SharedEvent;
     use std::sync::Arc;
 
     fn rq(name: &str, src: &str, id: usize) -> RunningQuery {
-        let mut q = RunningQuery::compile(name, src, QueryConfig::default()).unwrap();
+        let mut q = RunningQuery::compile(name, src).unwrap();
         q.set_id(QueryId::new(id));
         q
     }

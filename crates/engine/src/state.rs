@@ -789,7 +789,7 @@ mod tests {
     /// The pruned history answers every lookup an unpruned one does, up
     /// to the read depth, and holds no group that closed none of the last
     /// `depth` windows (none at all at depth 1). Random groups, events out
-    /// of order within the lateness bound, sliding windows closed by the
+    /// of order by up to 2.5 s, sliding windows closed by the
     /// engine's [`WindowDriver`], `state[1]` through `state[4]` read at
     /// every depth up to the declared one; the reference keeps every closed
     /// window forever.
@@ -809,7 +809,7 @@ mod tests {
                     size: Duration::from_secs(10),
                     slide: Duration::from_secs(4),
                 };
-                let mut clock = WindowDriver::with_lateness(spec, Duration::from_secs(3));
+                let mut clock = WindowDriver::new(spec);
                 let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 let mut next = |bound: u64| {
                     rng ^= rng << 13;
@@ -873,7 +873,8 @@ mod tests {
                     );
                 };
                 for i in 0..3_000u64 {
-                    // ~100 ms apart, up to 2.5 s out of order (lateness 3 s).
+                    // ~100 ms apart, up to 2.5 s out of order: a straggler
+                    // lands only in the windows still open.
                     let ts = Timestamp::from_millis(10_000 + i * 100 - next(2_500));
                     for k in clock.advance(ts) {
                         close(&mut m, k, first);
@@ -893,8 +894,8 @@ mod tests {
 
     /// Every close lends exactly the groups a plain map reference folded
     /// into that window, with the same values: keys mixing `Int`, `Str` and
-    /// `Float` atoms, sliding windows closed by the engine's
-    /// [`WindowDriver`] with lateness, a field of every accumulator kind,
+    /// `Float` atoms, out-of-order sliding windows closed by the engine's
+    /// [`WindowDriver`], a field of every accumulator kind,
     /// snapshot → restore at random points, and events observed after a
     /// close and before its release (the lent rows must not change). Windows
     /// recycle released storage, so a group leaking from an earlier window
@@ -914,7 +915,7 @@ mod tests {
                 size: Duration::from_secs(10),
                 slide: Duration::from_secs(4),
             };
-            let mut clock = WindowDriver::with_lateness(spec, Duration::from_secs(3));
+            let mut clock = WindowDriver::new(spec);
             let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut next = move |bound: u64| {
                 rng ^= rng << 13;
@@ -956,7 +957,8 @@ mod tests {
                 expect
             };
             for i in 0..2_000u64 {
-                // ~100 ms apart, up to 2.5 s out of order (lateness 3 s).
+                // ~100 ms apart, up to 2.5 s out of order: a straggler
+                // lands only in the windows still open.
                 let ts = Timestamp::from_millis(10_000 + i * 100 - next(2_500));
                 for k in clock.advance(ts) {
                     lent = Some(close(&mut m, k, &mut reference));

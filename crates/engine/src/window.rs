@@ -98,14 +98,12 @@ impl Gate {
 
 /// Tracks open windows and the stream watermark for one query.
 ///
-/// `allowed_lateness` delays window closing: a window closes only once the
-/// watermark passes `window end + lateness`, so events arriving up to that
-/// much out of timestamp order still land in their window (agent feeds from
-/// many hosts merge with bounded skew).
+/// A window closes once the watermark reaches its end; an event for a
+/// closed window is late. Skew between feeds is absorbed before the engine,
+/// by the session's watermarked merge (`saql_stream::MergeConfig::lateness`).
 #[derive(Debug)]
 pub struct WindowDriver {
     assigner: WindowAssigner,
-    lateness_ms: u64,
     watermark: Timestamp,
     /// Windows that observed at least one matching event and have not
     /// closed yet.
@@ -115,14 +113,8 @@ pub struct WindowDriver {
 
 impl WindowDriver {
     pub fn new(spec: WindowSpec) -> Self {
-        Self::with_lateness(spec, saql_model::Duration::ZERO)
-    }
-
-    /// Driver that tolerates events up to `lateness` behind the watermark.
-    pub fn with_lateness(spec: WindowSpec, lateness: saql_model::Duration) -> Self {
         WindowDriver {
             assigner: WindowAssigner::new(spec),
-            lateness_ms: lateness.as_millis(),
             watermark: Timestamp::ZERO,
             open: BTreeSet::new(),
             closed: 0,
@@ -133,15 +125,14 @@ impl WindowDriver {
         &self.assigner
     }
 
-    /// When window `k` closes: its end plus the allowed lateness
-    /// (saturating, like [`WindowAssigner::bounds`]).
+    /// When window `k` closes: its end (saturating, see
+    /// [`WindowAssigner::bounds`]).
     pub fn close_at(&self, k: u64) -> Timestamp {
-        let end = self.assigner.bounds(k).1.as_millis();
-        Timestamp::from_millis(end.saturating_add(self.lateness_ms))
+        self.assigner.bounds(k).1
     }
 
     fn due(&self, k: u64) -> bool {
-        self.close_at(k) <= self.watermark
+        self.assigner.closes_at(k, self.watermark)
     }
 
     /// Close time of the earliest open window, if any: until the watermark
@@ -310,22 +301,6 @@ mod tests {
         d.observe(Timestamp::from_secs(15));
         assert_eq!(d.drain(), vec![0, 1]);
         assert_eq!(d.drain(), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn allowed_lateness_delays_closing_and_accepts_stragglers() {
-        use saql_model::Duration;
-        let mut d = WindowDriver::with_lateness(spec(10, 10), Duration::from_secs(5));
-        d.advance(Timestamp::from_secs(1));
-        d.observe(Timestamp::from_secs(1));
-        // Watermark 12s: window 0 ends at 10s but lateness holds it open.
-        assert!(d.advance(Timestamp::from_secs(12)).is_empty());
-        // An out-of-order event at 8s still lands in window 0.
-        assert_eq!(d.observe(Timestamp::from_secs(8)), vec![0]);
-        // Watermark 15s (= 10s end + 5s lateness): now it closes.
-        assert_eq!(d.advance(Timestamp::from_secs(15)), vec![0]);
-        // Further stragglers for window 0 are rejected.
-        assert!(d.observe(Timestamp::from_secs(9)).is_empty());
     }
 
     #[test]

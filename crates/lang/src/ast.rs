@@ -329,6 +329,19 @@ impl BinOp {
             BinOp::Mod => "%",
         }
     }
+
+    /// Binding strength, loosest (`||`, 1) to tightest (`* / %`, 6): the
+    /// parser's precedence table, which the printer follows too.
+    pub fn precedence(&self) -> u8 {
+        match self {
+            BinOp::Or => 1,
+            BinOp::And => 2,
+            BinOp::Cmp(_) => 3,
+            BinOp::Union | BinOp::Diff | BinOp::Intersect => 4,
+            BinOp::Add | BinOp::Sub => 5,
+            BinOp::Mul | BinOp::Div | BinOp::Mod => 6,
+        }
+    }
 }
 
 /// Unary operators.

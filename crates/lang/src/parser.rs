@@ -950,32 +950,32 @@ impl Parser {
         Ok(depth + 1)
     }
 
-    /// The binary operator at the cursor and its binding strength, loosest
-    /// first (see the module docs).
+    /// The binary operator at the cursor and its binding strength
+    /// ([`BinOp::precedence`]).
     fn binary_op(&self) -> Option<(BinOp, u8)> {
-        let cmp = |op| Some((BinOp::Cmp(op), 3));
-        match self.peek() {
-            Tok::PipePipe => Some((BinOp::Or, 1)),
-            Tok::AmpAmp => Some((BinOp::And, 2)),
-            Tok::EqEq | Tok::Assign => cmp(CmpOp::Eq),
-            Tok::NotEq => cmp(CmpOp::Ne),
-            Tok::Lt => cmp(CmpOp::Lt),
-            Tok::Le => cmp(CmpOp::Le),
-            Tok::Gt => cmp(CmpOp::Gt),
-            Tok::Ge => cmp(CmpOp::Ge),
+        let op = match self.peek() {
+            Tok::PipePipe => BinOp::Or,
+            Tok::AmpAmp => BinOp::And,
+            Tok::EqEq | Tok::Assign => BinOp::Cmp(CmpOp::Eq),
+            Tok::NotEq => BinOp::Cmp(CmpOp::Ne),
+            Tok::Lt => BinOp::Cmp(CmpOp::Lt),
+            Tok::Le => BinOp::Cmp(CmpOp::Le),
+            Tok::Gt => BinOp::Cmp(CmpOp::Gt),
+            Tok::Ge => BinOp::Cmp(CmpOp::Ge),
             Tok::Ident(kw) => match kw.as_str() {
-                "union" => Some((BinOp::Union, 4)),
-                "diff" => Some((BinOp::Diff, 4)),
-                "intersect" => Some((BinOp::Intersect, 4)),
-                _ => None,
+                "union" => BinOp::Union,
+                "diff" => BinOp::Diff,
+                "intersect" => BinOp::Intersect,
+                _ => return None,
             },
-            Tok::Plus => Some((BinOp::Add, 5)),
-            Tok::Minus => Some((BinOp::Sub, 5)),
-            Tok::Star => Some((BinOp::Mul, 6)),
-            Tok::Slash => Some((BinOp::Div, 6)),
-            Tok::Percent => Some((BinOp::Mod, 6)),
-            _ => None,
-        }
+            Tok::Plus => BinOp::Add,
+            Tok::Minus => BinOp::Sub,
+            Tok::Star => BinOp::Mul,
+            Tok::Slash => BinOp::Div,
+            Tok::Percent => BinOp::Mod,
+            _ => return None,
+        };
+        Some((op, op.precedence()))
     }
 
     /// A literal, an argument-less call, or a reference (base, optional

@@ -211,8 +211,13 @@ fn print_literal(l: &Literal) -> String {
     }
 }
 
-/// Render an expression with explicit parentheses around every binary
-/// operation, so precedence never changes under re-parsing.
+/// Render an expression with parentheses only where the parser would
+/// otherwise build a different tree: around a looser-binding operand, the
+/// right operand of a left-associative operator of the same precedence, a
+/// comparison under a comparison (they do not chain), and a binary operand
+/// of a unary operator. The text parsed back is never deeper than the text
+/// the tree was parsed from, so a query at the depth limit prints to one
+/// that still compiles.
 pub fn print_expr(e: &Expr) -> String {
     match e {
         Expr::Lit(l) => print_literal(l),
@@ -232,16 +237,34 @@ pub fn print_expr(e: &Expr) -> String {
                 UnaryOp::Neg => "-",
                 UnaryOp::Not => "!",
             };
-            format!("{sym}({})", print_expr(expr))
+            // Unary operators bind tighter than every binary one.
+            format!("{sym}{}", operand(expr, u8::MAX))
         }
         Expr::Binary { op, lhs, rhs } => {
-            format!("({} {} {})", print_expr(lhs), op.symbol(), print_expr(rhs))
+            let prec = op.precedence();
+            let left = if matches!(op, BinOp::Cmp(_)) {
+                prec + 1
+            } else {
+                prec
+            };
+            let (lhs, rhs) = (operand(lhs, left), operand(rhs, prec + 1));
+            format!("{lhs} {} {rhs}", op.symbol())
         }
         Expr::Card(inner) => format!("|{}|", print_expr(inner)),
         Expr::Call { name, args, .. } => {
             let args = args.iter().map(print_expr).collect::<Vec<_>>().join(", ");
             format!("{name}({args})")
         }
+    }
+}
+
+/// `e` as an operand that must bind at least as tightly as `min`
+/// ([`BinOp::precedence`]): parenthesized when it is a binary operation of
+/// lower precedence.
+fn operand(e: &Expr, min: u8) -> String {
+    match e {
+        Expr::Binary { op, .. } if op.precedence() < min => format!("({})", print_expr(e)),
+        _ => print_expr(e),
     }
 }
 
@@ -286,13 +309,48 @@ mod tests {
         }
     }
 
+    /// `e` with every binary node and unary operand in parentheses: its
+    /// tree shape, whatever parentheses the text had.
+    fn shape(e: &Expr) -> String {
+        match e {
+            Expr::Unary { op, expr } => format!("{op:?}({})", shape(expr)),
+            Expr::Binary { op, lhs, rhs } => {
+                format!("({} {} {})", shape(lhs), op.symbol(), shape(rhs))
+            }
+            Expr::Card(inner) => format!("|{}|", shape(inner)),
+            Expr::Call { name, args, .. } => {
+                let args: Vec<String> = args.iter().map(shape).collect();
+                format!("{name}({})", args.join(", "))
+            }
+            leaf => print_expr(leaf),
+        }
+    }
+
     #[test]
     fn expr_parenthesization_preserves_shape() {
-        let q = parse("alert a + b * c > d && !e").unwrap();
-        let printed = print_expr(q.alert.as_ref().unwrap());
-        let q2 = parse(&format!("alert {printed}")).unwrap();
-        // Spans differ after reprinting; compare canonical text.
-        assert_eq!(printed, print_expr(q2.alert.as_ref().unwrap()));
+        for (src, printed) in [
+            ("a + b * c > d && !e", "a + b * c > d && !e"),
+            ("(a + b) * c", "(a + b) * c"),
+            ("(a - b) - c", "a - b - c"),
+            ("a - (b - c)", "a - (b - c)"),
+            ("a / (b * c) % d", "a / (b * c) % d"),
+            ("((a || b)) && (c || d)", "(a || b) && (c || d)"),
+            ("a || (b && c)", "a || b && c"),
+            ("(a == b) == (c < d)", "(a = b) = (c < d)"),
+            (
+                "(a union b) diff (c intersect d)",
+                "a union b diff (c intersect d)",
+            ),
+            ("|ss.s diff a| > 0", "|ss.s diff a| > 0"),
+            ("-(a + b) * -c", "-(a + b) * -c"),
+            ("!(a && b) || !!(c)", "!(a && b) || !!c"),
+            ("f((a + b), c * d) - (1)", "f(a + b, c * d) - 1"),
+        ] {
+            let e = parse(&format!("alert {src}")).unwrap().alert.unwrap();
+            assert_eq!(print_expr(&e), printed, "{src}");
+            let again = parse(&format!("alert {printed}")).unwrap().alert.unwrap();
+            assert_eq!(shape(&again), shape(&e), "{src}");
+        }
     }
 
     #[test]

@@ -3,8 +3,6 @@
 //! Stream infrastructure for SAQL: the *system event stream* the paper's
 //! architecture (Fig. 1) feeds into the anomaly query engine.
 //!
-//! * [`channel`] — bounded multi-producer event channels (`std::sync::mpsc`)
-//!   carrying `Arc<Event>` so concurrent queries share payloads;
 //! * [`batch`] — event batches, the engine's unit of execution and of
 //!   dispatch to its workers (amortizes channel overhead);
 //! * [`merge`] — k-way, timestamp-ordered merging of per-host agent feeds
@@ -15,7 +13,8 @@
 //!   serve's ingest connections and `replay --source jsonl:`;
 //! * [`source`] — the [`EventSource`] ingestion contract and its adapters:
 //!   streamed store selections, JSON-lines readers (on the ingest stage),
-//!   push-handle channels, and [`source::Paced`] pacing. The stream
+//!   push-handle channels (`std::sync::mpsc`, carrying `Arc<Event>` so
+//!   concurrent queries share payloads), and [`source::Paced`] pacing. The stream
 //!   replayer (paper Fig. 4) is a store selection attached
 //!   [`source::FLOOR_GATED`], so the merge sorts it by time, and paced to
 //!   a [`source::Speed`];
@@ -28,7 +27,6 @@
 //!   [`store::StoreError`] store operations fail with.
 
 pub mod batch;
-pub mod channel;
 pub mod durable;
 pub mod ingest;
 pub mod merge;

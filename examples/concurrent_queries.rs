@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use saql::baseline::NaiveScheduler;
 use saql::collector::workload::{synthetic_stream, WorkloadConfig};
-use saql::engine::query::{QueryConfig, RunningQuery};
+use saql::engine::query::RunningQuery;
 use saql::engine::scheduler::Scheduler;
 use saql::stream::{batched, share, SharedEvent, DEFAULT_BATCH_SIZE};
 use saql::{Engine, EngineConfig};
@@ -62,7 +62,7 @@ fn main() {
     // Master–dependent scheduler.
     let mut shared = Scheduler::new();
     for (name, src) in queries(32) {
-        shared.add(RunningQuery::compile(&name, &src, QueryConfig::default()).unwrap());
+        shared.add(RunningQuery::compile(&name, &src).unwrap());
     }
     println!(
         "master–dependent scheme groups 32 queries into {} group(s):",
@@ -83,7 +83,7 @@ fn main() {
     // Naive per-query execution with per-query copies.
     let mut naive = NaiveScheduler::new();
     for (name, src) in queries(32) {
-        naive.add(RunningQuery::compile(&name, &src, QueryConfig::default()).unwrap());
+        naive.add(RunningQuery::compile(&name, &src).unwrap());
     }
     let t0 = Instant::now();
     let mut naive_alerts = 0usize;

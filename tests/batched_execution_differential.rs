@@ -22,18 +22,17 @@
 //! windows = 8 compatibility groups of 4, most members matching under 1% of
 //! the rows their group admits, over a stream with a 64-event stretch that
 //! holds no process start at all (so at batch size 64 a whole batch admits
-//! zero rows for two groups) — which is what routed prepare exists for. The same deployment also runs over a stream whose events
-//! arrive up to 3 s out of timestamp order, under an allowed lateness that
-//! covers it (an event opens a window *older* than any open one, mid-batch)
-//! and one that does not (events come late).
+//! zero rows for two groups) — which is what routed prepare exists for.
+//! The same deployment also runs over a stream whose events arrive up to
+//! 3 s out of timestamp order, so stragglers behind a closed window come
+//! late (counted in `QueryStats`) mid-batch.
 
 use proptest::prelude::*;
 
-use saql::engine::query::QueryConfig;
 use saql::engine::{Alert, Engine, EngineConfig};
 use saql::lang::corpus::DEMO_QUERIES;
 use saql::model::event::EventBuilder;
-use saql::model::{Duration, FileInfo, NetworkInfo, ProcessInfo, Timestamp};
+use saql::model::{FileInfo, NetworkInfo, ProcessInfo, Timestamp};
 use saql::stream::{batched, SharedEvent};
 use std::sync::Arc;
 
@@ -255,17 +254,11 @@ fn run(
     deployment: &[(String, String)],
     events: &[SharedEvent],
     schedule: &[Op],
-    lateness_ms: u64,
     workers: usize,
     batch_size: usize,
 ) -> Outcome {
     let mut engine = Engine::new(EngineConfig {
-        query: QueryConfig {
-            allowed_lateness: Duration::from_millis(lateness_ms),
-            ..QueryConfig::default()
-        },
         workers,
-        batch_size,
         ..EngineConfig::default()
     });
     let ids: Vec<_> = deployment
@@ -319,11 +312,10 @@ fn assert_batch_size_invariant(
     deployment: &[(String, String)],
     events: &[SharedEvent],
     schedule: &[Op],
-    lateness_ms: u64,
 ) {
-    let reference = run(deployment, events, schedule, lateness_ms, 0, 1);
+    let reference = run(deployment, events, schedule, 0, 1);
     for batch_size in BATCH_SIZES {
-        let got = run(deployment, events, schedule, lateness_ms, 0, batch_size);
+        let got = run(deployment, events, schedule, 0, batch_size);
         prop_assert_eq!(
             &got,
             &reference,
@@ -336,17 +328,10 @@ fn assert_batch_size_invariant(
     let mut expected = reference.alerts;
     expected.sort();
     for workers in 1usize..=8 {
-        // The batch size also sets the shard dispatch unit; vary it with
-        // the worker count.
+        // Each batch is broadcast to the shards as cut; vary its size
+        // with the worker count.
         let batch_size = BATCH_SIZES[workers % BATCH_SIZES.len()];
-        let mut got = run(
-            deployment,
-            events,
-            schedule,
-            lateness_ms,
-            workers,
-            batch_size,
-        );
+        let mut got = run(deployment, events, schedule, workers, batch_size);
         got.alerts.sort();
         prop_assert_eq!(
             &got.alerts,
@@ -370,7 +355,7 @@ proptest! {
         deployment in arb_deployment(),
         schedule in arb_schedule(),
     ) {
-        assert_batch_size_invariant(&deployment, &materialize(&steps, false, 0), &schedule, 0);
+        assert_batch_size_invariant(&deployment, &materialize(&steps, false, 0), &schedule);
     }
 }
 
@@ -384,20 +369,18 @@ proptest! {
         steps in arb_steps(200..400),
         schedule in arb_schedule(),
     ) {
-        assert_batch_size_invariant(&many_deployment(), &materialize(&steps, true, 0), &schedule, 0);
+        assert_batch_size_invariant(&many_deployment(), &materialize(&steps, true, 0), &schedule);
     }
 
-    /// The same deployment over a stream up to 3 s out of order: inside a
-    /// 3 s lateness (no event is late; windows older than every open one
-    /// open mid-batch, which must pull the window gate's deadline back)
-    /// and beyond a 1 s one (late events, counted in `QueryStats`).
+    /// The same deployment over a stream up to 3 s out of order: the
+    /// stragglers behind a closed window come late, counted in
+    /// `QueryStats`, wherever the batches are cut.
     #[test]
     fn out_of_order_streams_are_batch_size_invariant(
         steps in arb_steps(200..400),
         schedule in arb_schedule(),
-        lateness_ms in prop_oneof![Just(3_000u64), Just(1_000u64)],
     ) {
         let events = materialize(&steps, true, 3_000);
-        assert_batch_size_invariant(&many_deployment(), &events, &schedule, lateness_ms);
+        assert_batch_size_invariant(&many_deployment(), &events, &schedule);
     }
 }

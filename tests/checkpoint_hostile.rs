@@ -22,7 +22,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use saql::engine::Checkpoint;
 use saql::model::event::EventBuilder;
-use saql::model::{Duration, NetworkInfo, ProcessInfo, Timestamp};
+use saql::model::{NetworkInfo, ProcessInfo, Timestamp};
 use saql::{Engine, EngineConfig};
 
 thread_local! {
@@ -135,9 +135,9 @@ proptest! {
 
 #[test]
 fn a_forged_window_id_resumes_without_overflow() {
-    // Window ids and the lateness restored from a checkpoint are not
-    // trusted: `k * slide + size + lateness` saturates instead of
-    // overflowing, whatever id a forged file names.
+    // Window ids restored from a checkpoint are not trusted: `k * slide +
+    // size` saturates instead of overflowing, whatever id a forged file
+    // names.
     let query = "proc p write ip i as evt #time(1 min)\nstate ss { n := count() } group by p\nreturn p, ss[0].n";
     let event = |id: u64, ts: u64| {
         Arc::new(
@@ -154,11 +154,40 @@ fn a_forged_window_id_resumes_without_overflow() {
     let mut forged = engine.checkpoint(1, Timestamp::from_millis(1_000)).unwrap();
     let window = forged.rows[0].snapshot.as_mut().unwrap().window.as_mut();
     window.unwrap().open = vec![u64::MAX / 2, u64::MAX];
-    forged.config.allowed_lateness = Duration::from_millis(u64::MAX);
 
     let ckpt = Checkpoint::decode(&forged.encode()).unwrap();
     if let Ok(mut resumed) = Engine::resume_from(ckpt, EngineConfig::default()) {
         resumed.process(&event(2, 2_000)).unwrap();
         resumed.finish();
+    }
+}
+
+#[test]
+fn a_forged_window_lateness_is_refused_at_decode() {
+    // The varint after the partial-match cap once held a per-query window
+    // lateness. Every checkpoint wrote 0 there, and it is reserved-zero
+    // now: a file forging any other value (u64::MAX used to overflow the
+    // close time) is refused at decode, naming the removed setting.
+    let mut engine = Engine::new(EngineConfig::default());
+    engine
+        .register("q", "proc p start proc q as e\nreturn p")
+        .unwrap();
+    let raw = engine
+        .checkpoint(1, Timestamp::from_millis(1_000))
+        .unwrap()
+        .encode();
+    // Magic, version, offset 1 (one byte), frontier 1,000 (two), then the
+    // cap 65,536 (three) and the lateness 0 (one).
+    assert_eq!(raw[12..16], [0x80, 0x80, 0x04, 0x00]);
+    for lateness in [
+        vec![0x01],
+        vec![0xff; 9].into_iter().chain([0x01]).collect(),
+    ] {
+        let mut forged = raw[..15].to_vec();
+        forged.extend(lateness);
+        forged.extend_from_slice(&raw[16..]);
+        let err = Checkpoint::decode(&forged).unwrap_err().to_string();
+        assert!(err.contains("window lateness"), "{err}");
+        assert!(err.contains("removed"), "{err}");
     }
 }

@@ -27,9 +27,10 @@ use saql::engine::alert::AlertOrigin;
 use saql::engine::cluster::run_cluster;
 use saql::engine::eval::{eval, run_program, run_program_batch, ClusterOutcome, EventRow, Scope};
 use saql::engine::invariant::InvariantRuntime;
-use saql::engine::matcher::{FullMatch, GlobalFilter, MultiMatcher, PatternMatcher};
+use saql::engine::matcher::{
+    FullMatch, GlobalFilter, MultiMatcher, PatternMatcher, PARTIAL_MATCH_CAP,
+};
 use saql::engine::plan::{ExecCtx, KeySource, Program, QueryPlan};
-use saql::engine::query::QueryConfig;
 use saql::engine::state::{group_label, ClosedGroup, KeyAtom, StateMaintainer, StateView};
 use saql::engine::window::WindowDriver;
 use saql::engine::{Alert, AlertAdapter, Engine, EngineConfig, Value};
@@ -92,7 +93,6 @@ impl Reference {
     fn new(source: &str) -> Reference {
         let checked = saql::lang::compile(source).expect("shipped query compiles");
         let plan = QueryPlan::compile(&checked);
-        let config = QueryConfig::default();
         let slots: Vec<String> = plan.entity_vars.iter().map(|(v, _)| v.clone()).collect();
         Reference {
             globals: GlobalFilter::compile(&checked.ast.globals),
@@ -103,7 +103,7 @@ impl Reference {
                 .map(|p| PatternMatcher::compile(p, &slots))
                 .collect(),
             matcher: (checked.kind == QueryKind::Rule)
-                .then(|| MultiMatcher::compile(&checked.ast, config.partial_match_cap)),
+                .then(|| MultiMatcher::compile(&checked.ast, PARTIAL_MATCH_CAP)),
             window: checked.window.map(WindowDriver::new),
             // The whole declared history: the reference does not prune to
             // the read depth.

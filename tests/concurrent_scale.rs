@@ -4,7 +4,7 @@
 
 use saql::baseline::NaiveScheduler;
 use saql::collector::workload::{synthetic_stream, WorkloadConfig};
-use saql::engine::query::{QueryConfig, RunningQuery};
+use saql::engine::query::RunningQuery;
 use saql::engine::scheduler::Scheduler;
 use saql::stream::{batched, share, DEFAULT_BATCH_SIZE};
 
@@ -22,7 +22,7 @@ fn variant_queries(n: usize) -> Vec<(String, String)> {
 }
 
 fn running(name: &str, src: &str) -> RunningQuery {
-    RunningQuery::compile(name, src, QueryConfig::default()).unwrap()
+    RunningQuery::compile(name, src).unwrap()
 }
 
 #[test]

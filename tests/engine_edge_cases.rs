@@ -3,12 +3,13 @@
 //! boundaries. None of these may panic or corrupt query state — the engine
 //! runs unattended over untrusted monitoring data.
 
-use saql::engine::query::{QueryConfig, RunningQuery};
+use saql::engine::matcher::PARTIAL_MATCH_CAP;
+use saql::engine::query::RunningQuery;
 use saql::engine::Scheduler;
 use saql::engine::{Engine, EngineConfig};
 use saql::model::event::EventBuilder;
 use saql::model::{FileInfo, NetworkInfo, ProcessInfo};
-use saql::stream::SharedEvent;
+use saql::stream::{batched, SharedEvent};
 use std::sync::Arc;
 
 fn send(id: u64, ts: u64, host: &str, exe: &str, dst: &str, amount: u64) -> SharedEvent {
@@ -93,36 +94,37 @@ fn a_timestamp_near_the_end_of_time_still_closes_its_window() {
 
 #[test]
 fn partial_match_cap_degrades_gracefully() {
-    // A pathological stream of step-1 events floods the matcher; with a
-    // tiny cap it must keep running, flag the overflow, and still detect a
-    // chain whose prefix survived.
+    // A pathological stream of step-1 events floods the matcher past its
+    // partial-match cap: it must keep running, flag the overflow, and still
+    // detect a chain whose prefix survived.
     let src = "proc a[\"%x.exe\"] write file f as e1\nproc b[\"%y.exe\"] read file f as e2\nwith e1 -> e2\nreturn distinct a, b, f";
-    let config = QueryConfig {
-        partial_match_cap: 8,
-        ..QueryConfig::default()
-    };
     let mut q = Scheduler::new();
-    q.add(RunningQuery::compile("capped", src, config).unwrap());
-    for i in 0..100u64 {
-        let e = Arc::new(
-            EventBuilder::new(i, "h", i * 10)
-                .subject(ProcessInfo::new(1, "x.exe", "u"))
-                .writes_file(FileInfo::new(format!("f{i}")))
-                .build(),
-        );
-        assert!(q.process(&e).is_empty());
+    q.add(RunningQuery::compile("capped", src).unwrap());
+    let n = PARTIAL_MATCH_CAP as u64 + 100;
+    let flood: Vec<SharedEvent> = (0..n)
+        .map(|i| {
+            Arc::new(
+                EventBuilder::new(i, "h", i * 10)
+                    .subject(ProcessInfo::new(1, "x.exe", "u"))
+                    .writes_file(FileInfo::new(format!("f{i}")))
+                    .build(),
+            )
+        })
+        .collect();
+    for batch in batched(flood, 1_024) {
+        assert!(q.process_batch(&batch).is_empty());
     }
     let errors = q.queries().next().unwrap().errors().total();
     assert!(errors > 0, "overflow must be reported");
     // A fresh pair still matches end to end.
     let w = Arc::new(
-        EventBuilder::new(200, "h", 5_000)
+        EventBuilder::new(n, "h", n * 10)
             .subject(ProcessInfo::new(1, "x.exe", "u"))
             .writes_file(FileInfo::new("fresh"))
             .build(),
     );
     let r = Arc::new(
-        EventBuilder::new(201, "h", 5_100)
+        EventBuilder::new(n + 1, "h", n * 10 + 100)
             .subject(ProcessInfo::new(2, "y.exe", "u"))
             .reads_file(FileInfo::new("fresh"))
             .build(),
@@ -171,7 +173,7 @@ fn self_spawning_process_pattern() {
     // event whose child equals its parent identity can match.
     let src = "proc p start proc p as e\nreturn p";
     let mut q = Scheduler::new();
-    q.add(RunningQuery::compile("selfjoin", src, QueryConfig::default()).unwrap());
+    q.add(RunningQuery::compile("selfjoin", src).unwrap());
     assert!(q
         .process(&start(1, 10, (5, "a.exe"), (6, "a.exe")))
         .is_empty());

@@ -17,7 +17,7 @@ use saql::model::event::EventBuilder;
 use saql::model::{NetworkInfo, ProcessInfo};
 use saql::stream::merge::MergeConfig;
 use saql::stream::source::IterSource;
-use saql::stream::SharedEvent;
+use saql::stream::{batched, SharedEvent};
 use std::sync::Arc;
 
 /// The fixed deployment every generated stream runs against.
@@ -327,19 +327,19 @@ proptest! {
         let expected = multiset(serial.run(events.clone()).unwrap());
 
         for workers in 1usize..=8 {
-            let mut parallel = Engine::new(
-                // A small batch size forces mid-stream dispatches even on
-                // short generated streams.
-                EngineConfig {
-                    workers,
-                    batch_size: 7,
-                    ..EngineConfig::default()
-                },
-            );
+            let mut parallel =
+                Engine::new(EngineConfig { workers, ..EngineConfig::default() });
             for (name, src) in query_set() {
                 parallel.register(name, src).unwrap();
             }
-            let got = multiset(parallel.run(events.clone()).unwrap());
+            // Batches of 7 force mid-stream dispatches even on short
+            // generated streams.
+            let mut alerts = Vec::new();
+            for batch in batched(events.iter().cloned(), 7) {
+                alerts.extend(parallel.process_batch(&batch).unwrap());
+            }
+            alerts.extend(parallel.finish());
+            let got = multiset(alerts);
             prop_assert_eq!(
                 &got,
                 &expected,

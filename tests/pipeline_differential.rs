@@ -169,8 +169,7 @@ proptest! {
         round in prop_oneof![Just(1usize), Just(7), Just(16), Just(256)],
     ) {
         let events = trace(seed, n);
-        let config = EngineConfig { batch_size: round, ..EngineConfig::default() };
-        let (p1, p2) = per_stage(&run_pipeline(config, events.clone(), round));
+        let (p1, p2) = per_stage(&run_pipeline(EngineConfig::default(), events.clone(), round));
         let (c1, c2) = per_stage(&run_hand_chained(EngineConfig::default(), &events));
         prop_assert_eq!(p1, c1, "stage 1 diverged (seed {seed}, n {n})");
         prop_assert_eq!(p2, c2, "stage 2 diverged (seed {seed}, n {n})");

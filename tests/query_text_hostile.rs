@@ -153,22 +153,63 @@ fn a_refusal_shows_a_bounded_window_of_a_long_line() {
     }
 }
 
+/// The expressions built from `term` exactly at the depth limit.
+fn at_limit(term: &str) -> [(&'static str, String); 3] {
+    [
+        ("parentheses", parens(term, MAX_EXPR_DEPTH - 1)),
+        ("a chain", chain(term, MAX_EXPR_DEPTH)),
+        (
+            "unary operators",
+            format!("{}{term}", "!".repeat(MAX_EXPR_DEPTH - 1)),
+        ),
+    ]
+}
+
 #[test]
 fn expressions_exactly_at_the_limit_register_in_every_position() {
     for (position, template, term) in POSITIONS {
-        let at_limit = [
-            ("parentheses", parens(term, MAX_EXPR_DEPTH - 1)),
-            ("a chain", chain(term, MAX_EXPR_DEPTH)),
-            (
-                "unary operators",
-                format!("{}{term}", "!".repeat(MAX_EXPR_DEPTH - 1)),
-            ),
-        ];
-        for (shape, expr) in at_limit {
+        for (shape, expr) in at_limit(term) {
             let what = format!("{shape} at the limit in the {position}");
             assert_accepted(&what, template.replace("{E}", &expr));
         }
     }
+}
+
+#[test]
+fn expressions_at_the_limit_print_to_text_that_compiles_to_the_same_tree() {
+    // The printer adds parentheses only where the tree needs them, so it
+    // never prints a query deeper than the text it was parsed from.
+    for (position, template, term) in POSITIONS {
+        for (shape, expr) in at_limit(term) {
+            let what = format!("{shape} at the limit in the {position}, printed");
+            let text = template.replace("{E}", &expr);
+            let trees = on_small_stack(move || {
+                let parsed = saql::lang::parse(&text).map_err(|e| e.to_string())?;
+                let printed = saql::lang::pretty::print_query(&parsed);
+                saql::lang::compile(&printed).map_err(|e| e.to_string())?;
+                let reparsed = saql::lang::parse(&printed).map_err(|e| e.to_string())?;
+                Ok::<_, String>((parsed, reparsed))
+            });
+            let (parsed, reparsed) = trees.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(
+                unspanned(&format!("{parsed:?}")),
+                unspanned(&format!("{reparsed:?}")),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// An AST's `{:?}` without its `span: Span { .. }` fields, which differ
+/// between two layouts of one tree.
+fn unspanned(debug: &str) -> String {
+    let (mut out, mut rest) = (String::new(), debug);
+    while let Some(at) = rest.find("span: Span {") {
+        out.push_str(&rest[..at]);
+        rest = &rest[at..];
+        rest = &rest[rest.find('}').expect("a span closes") + 1..];
+    }
+    out + rest
 }
 
 #[test]

@@ -27,10 +27,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use saql::engine::alert::AlertOrigin;
-use saql::engine::query::QueryConfig;
 use saql::engine::{QueryId, RunningQuery, Scheduler};
 use saql::model::event::EventBuilder;
-use saql::model::{Duration, FileInfo, NetworkInfo, ProcessInfo};
+use saql::model::{FileInfo, NetworkInfo, ProcessInfo};
 use saql::stream::{batched, SharedEvent};
 
 const BATCH_SIZES: [usize; 3] = [1, 7, 256];
@@ -87,15 +86,8 @@ fn specs() -> Vec<(String, String)> {
     out
 }
 
-fn config() -> QueryConfig {
-    QueryConfig {
-        allowed_lateness: Duration::from_secs(1),
-        ..QueryConfig::default()
-    }
-}
-
 fn compile(spec: usize, (name, src): &(String, String)) -> RunningQuery {
-    let mut q = RunningQuery::compile(name.clone(), src, config()).unwrap();
+    let mut q = RunningQuery::compile(name.clone(), src).unwrap();
     q.set_id(QueryId::new(spec));
     q
 }
@@ -136,8 +128,8 @@ fn arb_steps(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Step>> {
 }
 
 /// Events over five hosts (half of them spelled in upper case), three
-/// shapes, timestamps up to 4 s out of order — inside and beyond the 1 s
-/// lateness, so windows open behind the clock and many events come late.
+/// shapes, timestamps up to 4 s out of order, so many events land behind
+/// windows that already closed and come late.
 fn materialize(steps: &[Step]) -> Vec<SharedEvent> {
     const PROCS: [&str; 4] = ["cmd.exe", "excel.exe", "sqlservr.exe", "chrome.exe"];
     const FILES: [&str; 4] = ["a.dmp", "b.txt", "c.vbs", "d.html"];

@@ -12,6 +12,7 @@ use std::thread;
 use std::time::Duration;
 
 use saql::engine::{CheckpointConfig, Deployment};
+use saql::lang::parser::MAX_EXPR_DEPTH;
 use saql::model::event::{Event, EventBuilder};
 use saql::model::json::{encode_event_json, parse_json, JsonValue};
 use saql::model::{FileInfo, ProcessInfo};
@@ -644,6 +645,83 @@ fn a_hello_name_over_the_cap_is_refused() {
     assert!(list.contains("\"ok\":true"), "{list}");
     let stats = ctl(&addr, "t", r#"{"cmd":"stats"}"#).unwrap();
     assert!(stats.contains("\"connections\":[]"), "{stats}");
+    assert!(ctl(&addr, "t", r#"{"cmd":"shutdown"}"#)
+        .unwrap()
+        .contains("\"ok\":true"));
+    server.wait().unwrap();
+}
+
+/// Query text is parsed, checked and lowered on `saql-serve-core`, at its
+/// default stack: text nested past the expression-depth limit is refused
+/// naming the limit, text exactly at it registers. A 64 MiB hello without
+/// a newline on another connection is refused after one line's worth, and
+/// the server goes on answering and ingesting.
+#[test]
+fn query_text_at_the_depth_limit_registers_on_the_core_thread() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        print_alerts: false,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let register = |name: &str, expr: &str| {
+        let query = format!("proc p write file f as evt\nalert {expr}\nreturn p");
+        ctl(&addr, "t", &register_line(name, &query)).unwrap()
+    };
+    let deep = format!("{}1{}", "(".repeat(700), ")".repeat(700));
+    let reply = register("deep", &deep);
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    let limit = format!("the limit is {MAX_EXPR_DEPTH} levels");
+    assert!(reply.contains(&limit), "{reply}");
+    let at_limit = [
+        ("chain", vec!["1"; MAX_EXPR_DEPTH].join(" && ")),
+        (
+            "parens",
+            format!(
+                "{}1{}",
+                "(".repeat(MAX_EXPR_DEPTH - 1),
+                ")".repeat(MAX_EXPR_DEPTH - 1)
+            ),
+        ),
+        ("nots", format!("{}1", "!".repeat(MAX_EXPR_DEPTH - 1))),
+    ];
+    for (name, expr) in &at_limit {
+        let reply = register(name, expr);
+        assert!(reply.contains("\"ok\":true"), "{name}: {reply}");
+    }
+
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // The server stops reading once the line passes the cap, so the rest
+    // of the write fails; only the reply matters.
+    let flood = thread::spawn(move || {
+        let piece = vec![b'x'; MAX_LINE];
+        (0..64).all(|_| writer.write_all(&piece).is_ok())
+    });
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    assert!(
+        reply.contains(&format!("exceeds {MAX_LINE} bytes")),
+        "{reply}"
+    );
+    // The server may have reset the connection already.
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    assert!(!flood.join().unwrap(), "64 MiB went in without a newline");
+
+    let list = ctl(&addr, "t", r#"{"cmd":"list"}"#).unwrap();
+    for (name, _) in &at_limit {
+        assert!(list.contains(&format!("\"name\":\"{name}\"")), "{list}");
+    }
+    assert!(!list.contains("\"name\":\"deep\""), "{list}");
+    let events: Vec<Event> = (1..4).map(|i| event(i, 1000 + i, "host-x")).collect();
+    let mut body = Cursor::new(jsonl(&events));
+    let report = ingest_reader(&addr, "t", "after", &mut body, true, true).unwrap();
+    assert_eq!(report.field("events"), Some(3), "{}", report.summary);
     assert!(ctl(&addr, "t", r#"{"cmd":"shutdown"}"#)
         .unwrap()
         .contains("\"ok\":true"));
