@@ -142,12 +142,12 @@ pub struct Pump {
 /// use saql_stream::source::{push_source, IterSource};
 /// use std::sync::Arc;
 ///
-/// let start = |id: u64, host: &str, ts: u64| Arc::new(
+/// let start = |id: u64, host: &str, ts: u64| {
 ///     EventBuilder::new(id, host, ts)
 ///         .subject(ProcessInfo::new(1, "cmd.exe", "u"))
 ///         .starts_process(ProcessInfo::new(2, "osql.exe", "u"))
-///         .build(),
-/// );
+///         .build()
+/// };
 ///
 /// let mut engine = Engine::new(EngineConfig::default());
 /// engine
@@ -159,7 +159,7 @@ pub struct Pump {
 /// let mut session = engine.session();
 /// let stored = session.attach(IterSource::new(
 ///     "agent-stored",
-///     vec![start(1, "h1", 10), start(2, "h1", 30)],
+///     [start(1, "h1", 10), start(2, "h1", 30)].map(Arc::new),
 /// ));
 /// session.attach(live);
 ///
@@ -796,7 +796,7 @@ mod tests {
         });
         let (push, live) = push_source("live", 8);
         let live_id = session.attach(live);
-        push.push(start(1, "h2", 5, "cmd.exe", "l.exe"));
+        push.push(Arc::unwrap_or_clone(start(1, "h2", 5, "cmd.exe", "l.exe")));
         let mut got = 0;
         while got < 1 {
             got += session.pump().alerts.len();
@@ -834,7 +834,13 @@ mod tests {
         // Far fewer events than one execution batch, then silence: only
         // pump rounds from here on — no more events, no sync(), no finish().
         for i in 1..=3u64 {
-            push.push(start(i, "h", i * 10, "cmd.exe", "x.exe"));
+            push.push(Arc::unwrap_or_clone(start(
+                i,
+                "h",
+                i * 10,
+                "cmd.exe",
+                "x.exe",
+            )));
         }
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         let mut alerts = 0;

@@ -14,7 +14,7 @@ use saql_engine::{
     SessionStatus,
 };
 use saql_model::event::EventBuilder;
-use saql_model::{NetworkInfo, ProcessInfo, Timestamp};
+use saql_model::{Event, NetworkInfo, ProcessInfo, Timestamp};
 use saql_stream::merge::Lateness;
 use saql_stream::source::{push_source, IterSource};
 use saql_stream::SharedEvent;
@@ -278,7 +278,7 @@ fn a_punctuation_closes_windows_under_a_silent_upstream() {
             },
             rows: vec![("host".into(), host.into()), ("amount".into(), "4".into())],
         };
-        assert!(push.push(adapter.adapt(&alert)));
+        assert!(push.push(Arc::unwrap_or_clone(adapter.adapt(&alert))));
     }
     let mut alerts = Vec::new();
     loop {
@@ -293,7 +293,9 @@ fn a_punctuation_closes_windows_under_a_silent_upstream() {
         "the 30 s window cannot close while the upstream is silent"
     );
 
-    assert!(push.push(adapter.punctuation(Timestamp::from_millis(60_000))));
+    assert!(push.push(Arc::unwrap_or_clone(
+        adapter.punctuation(Timestamp::from_millis(60_000))
+    )));
     loop {
         let round = session.pump();
         alerts.extend(round.alerts);
@@ -517,7 +519,7 @@ fn session_rewires_a_same_count_pipeline_replacement() {
     let mut session = engine.session();
     let (push, live) = push_source("live", 64);
     session.attach_with(live, Lateness::ArrivalOrder);
-    assert!(push.push(Arc::clone(&events[0])));
+    assert!(push.push(Event::clone(&events[0])));
     let mut alerts = Vec::new();
     while session.offset() < 1 {
         alerts.extend(session.pump().alerts);
@@ -527,7 +529,7 @@ fn session_rewires_a_same_count_pipeline_replacement() {
     register_pipeline(session.engine(), "tiered", TIERED).expect("re-registers");
     alerts.extend(session.pump().alerts);
     for event in &events[1..] {
-        assert!(push.push(Arc::clone(event)));
+        assert!(push.push(Event::clone(event)));
     }
     drop(push);
     alerts.extend(pump_until_done(&mut session, 64));

@@ -51,7 +51,11 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+/// Append one varint-encoded `u64` to `buf` (7-bit little-endian groups,
+/// the same encoding every record field uses). Public so higher layers —
+/// the engine's checkpoint codec, the durable store's WAL — speak one wire
+/// dialect instead of inventing their own.
+pub fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -71,12 +75,13 @@ pub fn get_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
     Ok(byte)
 }
 
-fn get_varint(buf: &mut &[u8]) -> Result<u64, DecodeError> {
+/// Decode one varint `u64` from the front of `buf`, advancing it.
+pub fn get_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
         let byte = get_u8(buf)?;
         // The 10th byte holds bit 63 only: anything above would be shifted
-        // out silently (`put_varint(u64::MAX)` writes 0x01 here).
+        // out silently (`put_u64(u64::MAX)` writes 0x01 here).
         if shift == 63 && byte > 1 {
             return Err(DecodeError::BadVarint);
         }
@@ -91,17 +96,19 @@ fn get_varint(buf: &mut &[u8]) -> Result<u64, DecodeError> {
 /// A varint for a field narrower than `u64`, refused rather than truncated
 /// when the value does not fit.
 fn get_narrow<T: TryFrom<u64>>(buf: &mut &[u8], field: &'static str) -> Result<T, DecodeError> {
-    let v = get_varint(buf)?;
+    let v = get_u64(buf)?;
     T::try_from(v).map_err(|_| DecodeError::OutOfRange(field, v))
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
+/// Append one length-prefixed UTF-8 string to `buf`.
+pub fn put_string(buf: &mut Vec<u8>, s: &str) {
+    put_u64(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut &[u8]) -> Result<std::sync::Arc<str>, DecodeError> {
-    let len = get_varint(buf)? as usize;
+/// Decode one length-prefixed string from the front of `buf`.
+pub fn get_string(buf: &mut &[u8]) -> Result<std::sync::Arc<str>, DecodeError> {
+    let len = get_u64(buf)? as usize;
     if buf.len() < len {
         return Err(DecodeError::Truncated);
     }
@@ -124,15 +131,15 @@ fn op_from_tag(tag: u8) -> Result<Operation, DecodeError> {
 }
 
 fn put_process(buf: &mut Vec<u8>, p: &ProcessInfo) {
-    put_varint(buf, p.pid as u64);
-    put_str(buf, &p.exe_name);
-    put_str(buf, &p.user);
+    put_u64(buf, p.pid as u64);
+    put_string(buf, &p.exe_name);
+    put_string(buf, &p.user);
 }
 
 fn get_process(buf: &mut &[u8]) -> Result<ProcessInfo, DecodeError> {
     let pid = get_narrow(buf, "pid")?;
-    let exe_name = get_str(buf)?;
-    let user = get_str(buf)?;
+    let exe_name = get_string(buf)?;
+    let user = get_string(buf)?;
     Ok(ProcessInfo {
         pid,
         exe_name,
@@ -144,7 +151,8 @@ const ENTITY_PROCESS: u8 = 0;
 const ENTITY_FILE: u8 = 1;
 const ENTITY_NETWORK: u8 = 2;
 
-fn put_entity(buf: &mut Vec<u8>, e: &Entity) {
+/// Append one encoded entity (tag + payload) to `buf`.
+pub fn encode_entity(buf: &mut Vec<u8>, e: &Entity) {
     match e {
         Entity::Process(p) => {
             buf.push(ENTITY_PROCESS);
@@ -152,31 +160,32 @@ fn put_entity(buf: &mut Vec<u8>, e: &Entity) {
         }
         Entity::File(f) => {
             buf.push(ENTITY_FILE);
-            put_str(buf, &f.name);
+            put_string(buf, &f.name);
         }
         Entity::Network(n) => {
             buf.push(ENTITY_NETWORK);
-            put_str(buf, &n.src_ip);
-            put_varint(buf, n.src_port as u64);
-            put_str(buf, &n.dst_ip);
-            put_varint(buf, n.dst_port as u64);
-            put_str(buf, &n.protocol);
+            put_string(buf, &n.src_ip);
+            put_u64(buf, n.src_port as u64);
+            put_string(buf, &n.dst_ip);
+            put_u64(buf, n.dst_port as u64);
+            put_string(buf, &n.protocol);
         }
     }
 }
 
-fn get_entity(buf: &mut &[u8]) -> Result<Entity, DecodeError> {
+/// Decode one entity from the front of `buf`, advancing it.
+pub fn decode_entity(buf: &mut &[u8]) -> Result<Entity, DecodeError> {
     match get_u8(buf)? {
         ENTITY_PROCESS => Ok(Entity::Process(get_process(buf)?)),
         ENTITY_FILE => Ok(Entity::File(FileInfo {
-            name: get_str(buf)?,
+            name: get_string(buf)?,
         })),
         ENTITY_NETWORK => {
-            let src_ip = get_str(buf)?;
+            let src_ip = get_string(buf)?;
             let src_port = get_narrow(buf, "src_port")?;
-            let dst_ip = get_str(buf)?;
+            let dst_ip = get_string(buf)?;
             let dst_port = get_narrow(buf, "dst_port")?;
-            let protocol = get_str(buf)?;
+            let protocol = get_string(buf)?;
             Ok(Entity::Network(NetworkInfo {
                 src_ip,
                 src_port,
@@ -189,49 +198,16 @@ fn get_entity(buf: &mut &[u8]) -> Result<Entity, DecodeError> {
     }
 }
 
-/// Append one varint-encoded `u64` to `buf` (7-bit little-endian groups,
-/// the same encoding every record field uses). Public so higher layers —
-/// the engine's checkpoint codec, the durable store's WAL — speak one wire
-/// dialect instead of inventing their own.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    put_varint(buf, v);
-}
-
-/// Decode one varint `u64` from the front of `buf`, advancing it.
-pub fn get_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
-    get_varint(buf)
-}
-
-/// Append one length-prefixed UTF-8 string to `buf`.
-pub fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_str(buf, s);
-}
-
-/// Decode one length-prefixed string from the front of `buf`.
-pub fn get_string(buf: &mut &[u8]) -> Result<std::sync::Arc<str>, DecodeError> {
-    get_str(buf)
-}
-
-/// Append one encoded entity (tag + payload) to `buf`.
-pub fn encode_entity(buf: &mut Vec<u8>, e: &Entity) {
-    put_entity(buf, e);
-}
-
-/// Decode one entity from the front of `buf`, advancing it.
-pub fn decode_entity(buf: &mut &[u8]) -> Result<Entity, DecodeError> {
-    get_entity(buf)
-}
-
 /// Append one encoded event record to `buf`.
 pub fn encode_event(buf: &mut Vec<u8>, e: &Event) {
     buf.push(FORMAT_VERSION);
-    put_varint(buf, e.id);
-    put_str(buf, &e.agent_id);
-    put_varint(buf, e.ts.as_millis());
+    put_u64(buf, e.id);
+    put_string(buf, &e.agent_id);
+    put_u64(buf, e.ts.as_millis());
     put_process(buf, &e.subject);
     buf.push(op_tag(e.op));
-    put_entity(buf, &e.object);
-    put_varint(buf, e.amount);
+    encode_entity(buf, &e.object);
+    put_u64(buf, e.amount);
 }
 
 /// Decode one event record from the front of `buf`, advancing it.
@@ -240,13 +216,13 @@ pub fn decode_event(buf: &mut &[u8]) -> Result<Event, DecodeError> {
     if version != FORMAT_VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let id = get_varint(buf)?;
-    let agent_id = get_str(buf)?;
-    let ts = Timestamp::from_millis(get_varint(buf)?);
+    let id = get_u64(buf)?;
+    let agent_id = get_string(buf)?;
+    let ts = Timestamp::from_millis(get_u64(buf)?);
     let subject = get_process(buf)?;
     let op = op_from_tag(get_u8(buf)?)?;
-    let object = get_entity(buf)?;
-    let amount = get_varint(buf)?;
+    let object = decode_entity(buf)?;
+    let amount = get_u64(buf)?;
     Ok(Event {
         id,
         agent_id,
@@ -371,9 +347,9 @@ mod tests {
         let mut buf = Vec::new();
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             buf.clear();
-            put_varint(&mut buf, v);
+            put_u64(&mut buf, v);
             let mut data = &buf[..];
-            assert_eq!(get_varint(&mut data).unwrap(), v);
+            assert_eq!(get_u64(&mut data).unwrap(), v);
         }
     }
 
@@ -381,19 +357,19 @@ mod tests {
     fn varint_tenth_byte_beyond_bit_63_is_refused() {
         let mut raw = vec![0xffu8; 9];
         raw.push(0x02);
-        assert_eq!(get_varint(&mut &raw[..]), Err(DecodeError::BadVarint));
-        // The 10th byte `put_varint(u64::MAX)` writes stays accepted.
+        assert_eq!(get_u64(&mut &raw[..]), Err(DecodeError::BadVarint));
+        // The 10th byte `put_u64(u64::MAX)` writes stays accepted.
         let mut raw = vec![0xffu8; 9];
         raw.push(0x01);
-        assert_eq!(get_varint(&mut &raw[..]), Ok(u64::MAX));
+        assert_eq!(get_u64(&mut &raw[..]), Ok(u64::MAX));
     }
 
     #[test]
     fn pid_beyond_u32_is_refused() {
         let mut buf = Vec::new();
-        put_varint(&mut buf, (1u64 << 32) + 5);
-        put_str(&mut buf, "cmd.exe");
-        put_str(&mut buf, "u");
+        put_u64(&mut buf, (1u64 << 32) + 5);
+        put_string(&mut buf, "cmd.exe");
+        put_string(&mut buf, "u");
         assert_eq!(
             get_process(&mut &buf[..]),
             Err(DecodeError::OutOfRange("pid", (1 << 32) + 5))
@@ -404,13 +380,13 @@ mod tests {
     fn port_beyond_u16_is_refused() {
         let mut buf = Vec::new();
         buf.push(ENTITY_NETWORK);
-        put_str(&mut buf, "10.0.0.5");
-        put_varint(&mut buf, 50_000);
-        put_str(&mut buf, "172.16.0.129");
-        put_varint(&mut buf, 65_536 + 443);
-        put_str(&mut buf, "tcp");
+        put_string(&mut buf, "10.0.0.5");
+        put_u64(&mut buf, 50_000);
+        put_string(&mut buf, "172.16.0.129");
+        put_u64(&mut buf, 65_536 + 443);
+        put_string(&mut buf, "tcp");
         assert_eq!(
-            get_entity(&mut &buf[..]),
+            decode_entity(&mut &buf[..]),
             Err(DecodeError::OutOfRange("dst_port", 65_536 + 443))
         );
     }

@@ -386,13 +386,7 @@ impl<'a> Parser<'a> {
         buf.clear();
         loop {
             let run = self.pos;
-            while self
-                .bytes()
-                .get(self.pos)
-                .is_some_and(|&b| !matches!(b, b'"' | b'\\') && b >= 0x20)
-            {
-                self.pos += 1;
-            }
+            self.pos = plain_run(self.bytes(), run);
             let Some(&b) = self.bytes().get(self.pos) else {
                 return Err(self.err("unterminated string"));
             };
@@ -580,6 +574,30 @@ impl<'a> Parser<'a> {
         })?;
         Ok(slots)
     }
+}
+
+/// The end of the run of string bytes from `at` that need no care: the
+/// first `"`, `\\` or control byte, or the end of `bytes`. It tests eight
+/// bytes at a time. `below` flags the bytes of a word that are under `c`:
+/// only a lower byte's borrow can flag a byte falsely, so the lowest flag
+/// is exact. A byte equal to `c` is a zero byte of `word ^ c…c`.
+fn plain_run(bytes: &[u8], mut at: usize) -> usize {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let below = |word: u64, c: u8| word.wrapping_sub(ONES * u64::from(c)) & !word & (ONES << 7);
+    let equal = |word: u64, c: u8| below(word ^ (ONES * u64::from(c)), 1);
+    while let Some(word) = bytes.get(at..at + 8) {
+        let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        let hits = equal(word, b'"') | equal(word, b'\\') | below(word, 0x20);
+        if hits != 0 {
+            return at + hits.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    let special = |&b: &u8| matches!(b, b'"' | b'\\') || b < 0x20;
+    at + bytes[at..]
+        .iter()
+        .position(special)
+        .unwrap_or(bytes.len() - at)
 }
 
 /// Entity members: `pid` is a u32, the ports u16, the rest strings.
@@ -862,5 +880,56 @@ mod tests {
             .unwrap_err()
             .message
             .contains("trailing"));
+    }
+
+    #[test]
+    fn the_word_scan_stops_where_the_byte_scan_does() {
+        // Quotes, backslashes, control bytes, two- to four-byte UTF-8 and
+        // plain ASCII, strung together at random into 0..=40 bytes.
+        const PIECES: [&[u8]; 9] = [
+            b"\"",
+            b"\\",
+            b"\x00",
+            b"\x1f",
+            b"\n",
+            "é".as_bytes(),
+            "–".as_bytes(),
+            "😀".as_bytes(),
+            b"\x7f",
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let bytewise = |bytes: &[u8], mut at: usize| {
+            while bytes
+                .get(at)
+                .is_some_and(|&b| !matches!(b, b'"' | b'\\') && b >= 0x20)
+            {
+                at += 1;
+            }
+            at
+        };
+        for _ in 0..20_000 {
+            let len = next(41) as usize;
+            let mut bytes = Vec::with_capacity(len + 4);
+            while bytes.len() < len {
+                match next(4) {
+                    0 => bytes.extend_from_slice(PIECES[next(PIECES.len() as u64) as usize]),
+                    _ => bytes.push(b' ' + next(95) as u8),
+                }
+            }
+            bytes.truncate(len);
+            for at in 0..=len {
+                assert_eq!(
+                    plain_run(&bytes, at),
+                    bytewise(&bytes, at),
+                    "{bytes:?} from {at}"
+                );
+            }
+        }
     }
 }

@@ -15,7 +15,8 @@
 //! the [`saql_engine::Engine`] and its [`saql_engine::RunSession`] pump
 //! loop; every connection gets a plain blocking thread that talks to the
 //! core through a bounded request channel (control plane) or a bounded
-//! `push_source` event channel (data plane). Nothing a client does can
+//! `push_source` event queue, filled a decoded chunk at a time under one
+//! lock (data plane). Nothing a client does can
 //! block the pump: ingest either sheds on a full buffer (counted) or
 //! blocks its own connection thread; control requests are drained between
 //! pump rounds. The engine only returns alerts: the core delivers each

@@ -6,8 +6,8 @@
 //! ```text
 //!   accept thread ──spawns──▶ connection threads
 //!        │                        │ ingest: the NDJSON stage (read loop ─▶
-//!        │                        │   saql-decode ─▶ saql-apply) ─chunk─▶
-//!        │                        │   push_source ─────────────────────────┐
+//!        │                        │   saql-decode ─▶ saql-apply) ─chunk of
+//!        │                        │   Events─▶ push_source queue ──────────┐
 //!        │                        │ control: Req over ctrl chan ───────────┤
 //!        │                        │ subscribe: Alert receiver ◀────────────┤
 //!        ▼                        ▼                                        ▼
@@ -15,10 +15,12 @@
 //!                       alerts → park until rung
 //! ```
 //!
-//! The core thread is the only one touching the [`Engine`] / [`RunSession`].
-//! Connection threads never block it: ingest goes through bounded
-//! `push_source` channels (shed-and-count by default, connection-blocking
-//! in lossless mode), control requests queue on a bounded channel drained
+//! The core thread is the only one touching the [`Engine`] / [`RunSession`],
+//! and the one that makes each ingested event an `Arc<Event>` (when its
+//! merge polls the push source) and frees it. Connection threads never
+//! block it: ingest goes through bounded `push_source` queues
+//! (shed-and-count by default, connection-blocking in lossless mode),
+//! control requests queue on a bounded channel drained
 //! between pump rounds, and a subscriber's bounded channel drops the alerts
 //! it has no room for (counted).
 //!
@@ -40,10 +42,12 @@
 //! NDJSON stage (`replay --source jsonl:` runs on it too), and the unit
 //! that crosses into the core is its decoded chunk, not the event. The
 //! connection's sink, on the stage's apply thread, takes quota for a whole
-//! chunk with one clock read and one bucket lock, then offers the granted
-//! events to its `push_source` in order: a lossless connection waits for
-//! room, any other sheds the tail that does not fit. The core takes up to
-//! a round's budget per source without waiting, and when a round finds
+//! chunk with one clock read and one bucket lock, then moves the granted
+//! events into its `push_source` queue in order, as many as fit under one
+//! lock: a lossless connection waits for room, woken once per drain of a
+//! full queue, and any other sheds the tail that does not fit. The core
+//! takes up to a round's budget per source without waiting, wrapping each
+//! event in its `Arc` as it takes it, and when a round finds
 //! nothing it *parks* on the control channel until a request or a chunk's
 //! `Req::Wake` arrives. At most one wake is queued at a time, and the std
 //! channel wakes only a parked receiver, so a busy core is never signalled
@@ -105,7 +109,7 @@ use saql_engine::{
 use saql_stream::ingest::{decode_ndjson, DecodedChunk, MAX_LINE};
 use saql_stream::merge::{Lateness, SourceId, SourceStats};
 use saql_stream::source::{push_source, ChannelSource, PushHandle};
-use saql_stream::{SharedEvent, StoreWriter};
+use saql_stream::StoreWriter;
 
 use crate::protocol::{self, err_line, json_array, ok_line, Hello, JsonObj, Request};
 use crate::quota::{Clock, MonotonicClock, TenantQuota, TokenBucket};
@@ -1098,14 +1102,15 @@ fn read_line(reader: &mut NetReader<'_>, buf: &mut Vec<u8>) -> io::Result<bool> 
     Ok(n > 0)
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+fn write_line(stream: &mut TcpStream, mut line: String) -> io::Result<()> {
+    // One write, so a line is one segment under `TCP_NODELAY`.
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 /// Answer with an `"ok":false` line; the caller then ends the connection.
 fn refuse(stream: &mut TcpStream, error: &str) {
-    let _ = write_line(stream, &err_line(error));
+    let _ = write_line(stream, err_line(error));
 }
 
 fn handle_conn(stream: TcpStream, sh: &Shared) {
@@ -1204,7 +1209,7 @@ fn run_ingest(
         ..ConnStat::default()
     });
     sh.conns.lock().unwrap().push(Arc::clone(&stat));
-    if write_line(writer, &ok_line()).is_err() {
+    if write_line(writer, ok_line()).is_err() {
         return;
     }
 
@@ -1245,7 +1250,7 @@ fn run_ingest(
             .opt_str("failure", r.stats.failure.as_deref()),
         None => summary.bool("durable", false),
     };
-    let _ = write_line(writer, &summary.finish());
+    let _ = write_line(writer, summary.finish());
 }
 
 /// The sink of one ingest connection's NDJSON stage: decode accounting,
@@ -1260,56 +1265,52 @@ struct Apply<'a> {
 }
 
 impl Apply<'_> {
-    /// Apply one decoded chunk; `false` once the core is gone.
+    /// Apply one decoded chunk: the head of it that the bucket grants goes
+    /// to the core in order, and the core is rung; `false` once the core is
+    /// gone.
     fn apply(&mut self, chunk: DecodedChunk) -> bool {
         let mut events = chunk.events;
+        self.stat
+            .decode_errors
+            .fetch_add(chunk.failed, Ordering::Relaxed);
         if let Some(note) = chunk.failure {
-            let failed = chunk.failed;
-            self.stat.decode_errors.fetch_add(failed, Ordering::Relaxed);
             // Live degradation surface: the paired ChannelSource's
             // failure() — and so the session's per-source stats — reports
             // this while the stream keeps flowing.
             self.push.report_failure(note);
         }
-        // The head of the chunk the bucket grants goes on; the tail sheds.
         let (now, n) = (self.sh.clock.now_ns(), events.len() as u64);
-        let granted = self.tenant.bucket.lock().unwrap().take(now, n) as usize;
-        let over = (events.len() - granted) as u64;
-        if over > 0 {
-            events.truncate(granted);
-            self.stat.shed_quota.fetch_add(over, Ordering::Relaxed);
+        let granted = self.tenant.bucket.lock().unwrap().take(now, n);
+        self.stat
+            .shed_quota
+            .fetch_add(n - granted, Ordering::Relaxed);
+        events.truncate(granted as usize);
+        if events.is_empty() {
+            return true;
         }
-        events.is_empty() || self.hand_off(events)
-    }
-
-    /// Hand granted events to the core in order and ring it; `false` once
-    /// the core is gone.
-    fn hand_off(&mut self, events: Vec<SharedEvent>) -> bool {
-        let mut chunk = events.into_iter();
-        let mut sent = chunk.len();
-        let mut open = self.push.push_fitting(&mut chunk);
-        if open && self.lossless && chunk.len() > 0 {
-            // Full: ring the core, which drains, and wait for room for each
-            // event left. Blocking here stalls the pipeline's bounded
-            // channels, and TCP backpressure reaches the producer.
+        let mut open = self.push.push_chunk(&mut events, false);
+        if open && self.lossless && !events.is_empty() {
+            // Full: ring the core, which drains, and wait for room for the
+            // rest. Blocking here stalls the pipeline's bounded channels,
+            // and TCP backpressure reaches the producer.
             self.sh.ring();
-            open = chunk.all(|event| self.push.push(event));
-            sent -= usize::from(!open); // the event the closed core refused
+            open = self.push.push_chunk(&mut events, true);
         }
-        sent -= chunk.len();
+        let shed = events.len() as u64;
+        self.stat
+            .events
+            .fetch_add(granted - shed, Ordering::Relaxed);
         if open {
             // Also after a wait: the core may have gone idle meanwhile.
             self.sh.ring();
-            let shed = chunk.len() as u64;
             self.stat.shed_buffer.fetch_add(shed, Ordering::Relaxed);
         }
-        self.stat.events.fetch_add(sent as u64, Ordering::Relaxed);
         open
     }
 }
 
 fn run_control(reader: &mut NetReader<'_>, writer: &mut TcpStream, sh: &Shared, tenant: String) {
-    if write_line(writer, &ok_line()).is_err() {
+    if write_line(writer, ok_line()).is_err() {
         return;
     }
     let mut buf = Vec::new();
@@ -1331,7 +1332,7 @@ fn run_control(reader: &mut NetReader<'_>, writer: &mut TcpStream, sh: &Shared, 
                     .unwrap_or_else(|| err_line("server is shutting down"))
             }
         };
-        if write_line(writer, &response).is_err() {
+        if write_line(writer, response).is_err() {
             break;
         }
     }
@@ -1348,13 +1349,13 @@ fn run_subscribe(writer: &mut TcpStream, sh: &Shared, tenant: String, query: Str
         Some(Err(e)) => return refuse(writer, &e),
         None => return refuse(writer, "server is shutting down"),
     };
-    if write_line(writer, &ok_line()).is_err() {
+    if write_line(writer, ok_line()).is_err() {
         return;
     }
     // Ends when the query is deregistered or the engine drops (the
     // channel disconnects), or when the subscriber hangs up.
     while let Ok(alert) = receiver.recv() {
-        if write_line(writer, &render_alert_json(&alert)).is_err() {
+        if write_line(writer, render_alert_json(&alert)).is_err() {
             return;
         }
     }
@@ -1442,11 +1443,10 @@ mod tests {
     /// to a connection's sink.
     fn chunk(ids: std::ops::Range<u64>) -> DecodedChunk {
         let events = ids.map(|id| {
-            let event = EventBuilder::new(id, "h", 1000 + id)
+            EventBuilder::new(id, "h", 1000 + id)
                 .subject(ProcessInfo::new(1, "a.exe", "u"))
                 .starts_process(ProcessInfo::new(2, "b.exe", "u"))
-                .build();
-            Arc::new(event)
+                .build()
         });
         DecodedChunk {
             events: events.collect(),
@@ -1633,7 +1633,8 @@ mod tests {
             .writes_file(FileInfo::new("/x"))
             .build();
         assert!(engine.process(&Arc::new(write)).unwrap().is_empty());
-        let alerts = engine.process(&chunk(2..3).events[0]).unwrap();
+        let start = chunk(2..3).events.remove(0);
+        let alerts = engine.process(&Arc::new(start)).unwrap();
         assert_eq!(alerts.len(), 1);
         let alert = alerts.into_iter().next().unwrap();
         (engine, q, w, alert)

@@ -3,21 +3,32 @@
 //! paths run on it: a `saql serve` ingest connection (whose sink applies
 //! quota and hands events to the core) and `replay --source jsonl:`
 //! ([`ChannelSource::jsonl`](crate::source::ChannelSource::jsonl), whose
-//! sink fills an event channel).
+//! sink fills a push source's queue).
 //!
 //! ```text
-//!   read loop ──chunks──► saql-decode (DECODE_WORKERS) ──chunks──► saql-apply ─► sink
+//!   read loop ──raw lines + line ends──► saql-decode (DECODE_WORKERS)
+//!       ──Vec<Event> chunks──► saql-apply ─► sink ─► push_source queue
+//!       ─► ChannelSource::poll (the consuming thread makes each Arc<Event>)
 //! ```
 //!
 //! The read loop, on the caller's thread, only appends raw lines to one
-//! byte buffer per chunk of up to [`DECODE_CHUNK`] lines, flushing early
+//! byte buffer per chunk of up to [`DECODE_CHUNK`] lines, noting where
+//! each line ends as `read_until` finds its newline, and flushes early
 //! whenever the reader's buffer drains, so a chunk only ever groups lines
 //! that are already in memory and a quiet stream is never held back
-//! waiting for a full one. The decode workers split each chunk, check
-//! UTF-8 and decode in parallel. The apply thread puts finished chunks
-//! back in order and hands them to the sink one at a time, so what the
-//! sink sees — events, failure counts, the first failure — does not
-//! depend on how the lines were chunked.
+//! waiting for a full one. The decode workers slice each chunk at those
+//! ends (no second newline search), check UTF-8 and decode in parallel.
+//! The apply thread puts finished chunks back in order and hands them to
+//! the sink one at a time, so what the sink sees — events, failure counts,
+//! the first failure — does not depend on how the lines were chunked.
+//!
+//! Events leave the stage as plain [`Event`]s, not `Arc<Event>`s. The
+//! `Arc` is made where it is freed: the thread that polls the
+//! [`push_source`](crate::source::push_source) the sink fills. An `Arc`
+//! allocated on one thread and freed on another cost serve-flood ~10% of
+//! its throughput on 2 cores when the workers made it, and 5–9% when the
+//! apply thread did (likely contended malloc arenas); the decoded strings
+//! already come from the workers' string tables.
 //!
 //! The line rules live here and nowhere else: lines are numbered from 1,
 //! blank lines (whitespace only, a `\r` included) are skipped but keep
@@ -29,13 +40,10 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
 use std::thread;
 
 use saql_model::json::decode_event_json;
 use saql_model::Event;
-
-use crate::SharedEvent;
 
 /// Lines per chunk shipped to the decode workers.
 pub const DECODE_CHUNK: usize = 64;
@@ -56,19 +64,15 @@ pub const DECODE_WORKERS: usize = 2;
 const DECODE_BACKLOG: usize = 8;
 
 /// A job for a decode worker: the chunk's number, the number of its first
-/// line, its raw lines, and the numbers of its over-long lines (each an
-/// empty line in the raw lines).
-type Job = (u64, u64, Vec<u8>, Vec<u64>);
-
-/// What a decode worker returns for a chunk: its events, its failed lines,
-/// and the first one's `line L: msg`.
-type Decoded = (Vec<Event>, u64, Option<String>);
+/// line, its raw lines, and where each line ends in them. An over-long line
+/// ends where it starts: no read yields an empty line.
+type Job = (u64, u64, Vec<u8>, Vec<usize>);
 
 /// One chunk of input, decoded, as the stage hands it to its sink.
 #[derive(Debug, Default)]
 pub struct DecodedChunk {
     /// The chunk's lines that decoded, in line order.
-    pub events: Vec<SharedEvent>,
+    pub events: Vec<Event>,
     /// The chunk's lines that did not decode (blank lines are not counted).
     pub failed: u64,
     /// Set when `failed > 0`: the stream's decode failures so far,
@@ -91,7 +95,7 @@ pub fn decode_ndjson<R: Read>(
     mut sink: impl FnMut(DecodedChunk) -> bool + Send,
 ) -> io::Result<()> {
     thread::scope(|scope| {
-        let (done_tx, done_rx) = sync_channel::<(u64, Decoded)>(DECODE_BACKLOG);
+        let (done_tx, done_rx) = sync_channel::<(u64, DecodedChunk)>(DECODE_BACKLOG);
         // One job queue per worker, fed round-robin by chunk number and
         // splitting the backlog; the apply thread puts the chunks back in
         // order.
@@ -101,8 +105,8 @@ pub fn decode_ndjson<R: Read>(
             job_txs.push(job_tx);
             let done_tx = done_tx.clone();
             let decoder = move || {
-                while let Ok((chunk_no, first_line, bytes, long)) = job_rx.recv() {
-                    let decoded = decode_chunk(first_line, &bytes, &long);
+                while let Ok((chunk_no, first_line, bytes, ends)) = job_rx.recv() {
+                    let decoded = decode_chunk(first_line, &bytes, &ends);
                     if done_tx.send((chunk_no, decoded)).is_err() {
                         return; // the apply thread stopped
                     }
@@ -123,26 +127,15 @@ pub fn decode_ndjson<R: Read>(
             let mut next_chunk: u64 = 0;
             while let Ok((chunk_no, decoded)) = done_rx.recv() {
                 pending.insert(chunk_no, decoded);
-                while let Some((events, failed, first_error)) = pending.remove(&next_chunk) {
+                while let Some(mut chunk) = pending.remove(&next_chunk) {
                     next_chunk += 1;
-                    let failure = first_error.map(|at| {
-                        total += failed;
+                    // A worker notes its chunk's first failure only.
+                    chunk.failure = chunk.failure.map(|at| {
+                        total += chunk.failed;
                         let first = first.get_or_insert(at);
                         format!("{total} undecodable line(s); first at {first}")
                     });
-                    // Shared here, not on the workers: `Arc`s allocated
-                    // there cost serve-flood ~10% of its throughput on 2
-                    // cores (the engine's thread frees them, likely into
-                    // contended malloc arenas). With decoded strings shared
-                    // from the workers' string tables, the `Arc<Event>` is
-                    // the one cross-thread free left, and building it on
-                    // the workers still cost 5–9% in 3 of 4 pairs.
-                    let events = events.into_iter().map(Arc::new).collect();
-                    if !sink(DecodedChunk {
-                        events,
-                        failed,
-                        failure,
-                    }) {
+                    if !sink(chunk) {
                         // Dropping the done channel stops the workers, and
                         // with them the read loop.
                         return;
@@ -164,9 +157,8 @@ pub fn decode_ndjson<R: Read>(
 
 /// The read loop: cut the input into numbered chunks of raw lines.
 fn read_chunks<R: Read>(reader: &mut BufReader<R>, jobs: &[SyncSender<Job>]) -> io::Result<()> {
-    let mut chunk: Vec<u8> = Vec::new();
-    let mut long: Vec<u64> = Vec::new();
-    let (mut chunk_no, mut first_line, mut lines): (u64, u64, u64) = (0, 1, 0);
+    let (mut chunk, mut ends) = (Vec::new(), Vec::with_capacity(DECODE_CHUNK));
+    let (mut chunk_no, mut first_line): (u64, u64) = (0, 1);
     let send = |job: Job| jobs[job.0 as usize % jobs.len()].send(job).is_ok();
     let outcome = loop {
         let start = chunk.len();
@@ -176,52 +168,49 @@ fn read_chunks<R: Read>(reader: &mut BufReader<R>, jobs: &[SyncSender<Job>]) -> 
             .read_until(b'\n', &mut chunk)
         {
             // Over the cap: read past the rest of the line unbuffered and
-            // leave an empty line in its place.
+            // leave a line of no bytes in its place (a read never yields one).
             Ok(MAX_LINE) if chunk.last() != Some(&b'\n') => {
                 chunk.truncate(start);
-                reader.skip_until(b'\n').map(|_| {
-                    chunk.push(b'\n');
-                    long.push(first_line + lines);
-                    MAX_LINE
-                })
+                reader.skip_until(b'\n').map(|_| MAX_LINE)
             }
             read => read,
         };
         match read {
             Ok(0) => break Ok(()),
-            Ok(_) => lines += 1,
+            Ok(_) => ends.push(chunk.len()),
             Err(e) => {
                 chunk.truncate(start); // a partial line is not a line
                 break Err(e);
             }
         }
-        if lines >= DECODE_CHUNK as u64 || reader.buffer().is_empty() {
+        if ends.len() >= DECODE_CHUNK || reader.buffer().is_empty() {
             // A fixed guess of ~256 B a line, so one long line does not
             // size every later chunk.
-            let fresh = Vec::with_capacity(DECODE_CHUNK * 256);
-            let bytes = std::mem::replace(&mut chunk, fresh);
-            if !send((chunk_no, first_line, bytes, std::mem::take(&mut long))) {
+            let bytes = std::mem::replace(&mut chunk, Vec::with_capacity(DECODE_CHUNK * 256));
+            let job = (chunk_no, first_line, bytes, std::mem::take(&mut ends));
+            (chunk_no, first_line) = (chunk_no + 1, first_line + job.3.len() as u64);
+            ends.reserve(DECODE_CHUNK);
+            if !send(job) {
                 return Ok(()); // the sink stopped the stage
             }
-            chunk_no += 1;
-            first_line += lines;
-            lines = 0;
         }
     };
-    if lines > 0 {
-        send((chunk_no, first_line, chunk, long));
+    if !ends.is_empty() {
+        send((chunk_no, first_line, chunk, ends));
     }
     outcome
 }
 
-/// Split a chunk of raw lines, the first numbered `first_line`, and decode
-/// each; the lines numbered in `long` were over [`MAX_LINE`].
-fn decode_chunk(first_line: u64, bytes: &[u8], long: &[u64]) -> Decoded {
-    let (mut events, mut failed, mut first_error) = (Vec::with_capacity(DECODE_CHUNK), 0, None);
-    let lines = bytes.strip_suffix(b"\n").unwrap_or(bytes);
-    for (line_no, line) in (first_line..).zip(lines.split(|&b| b == b'\n')) {
+/// Decode a chunk of raw lines, the first numbered `first_line`, each
+/// ending at its offset in `ends`. The chunk's `failure` is its first
+/// failed line's `line L: msg`.
+fn decode_chunk(first_line: u64, bytes: &[u8], ends: &[usize]) -> DecodedChunk {
+    let (mut events, mut failed, mut failure) = (Vec::with_capacity(ends.len()), 0, None);
+    let mut start = 0;
+    for (line_no, &end) in (first_line..).zip(ends) {
+        let line = &bytes[std::mem::replace(&mut start, end)..end];
         let decoded = match std::str::from_utf8(line) {
-            _ if long.contains(&line_no) => Err(format!("line exceeds {MAX_LINE} bytes")),
+            _ if line.is_empty() => Err(format!("line exceeds {MAX_LINE} bytes")),
             Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => decode_event_json(line.trim()).map_err(|e| e.to_string()),
             Err(_) => Err("line is not valid UTF-8".to_string()),
@@ -230,11 +219,15 @@ fn decode_chunk(first_line: u64, bytes: &[u8], long: &[u64]) -> Decoded {
             Ok(event) => events.push(event),
             Err(e) => {
                 failed += 1;
-                first_error.get_or_insert_with(|| format!("line {line_no}: {e}"));
+                failure.get_or_insert_with(|| format!("line {line_no}: {e}"));
             }
         }
     }
-    (events, failed, first_error)
+    DecodedChunk {
+        events,
+        failed,
+        failure,
+    }
 }
 
 #[cfg(test)]

@@ -649,7 +649,7 @@ mod tests {
         assert!(out.is_empty(), "nothing may pass a silent source");
 
         // An event at ts 100 advances the live watermark to 100.
-        assert!(push.push(ev(3, "h2", 100)));
+        assert!(push.push(Arc::unwrap_or_clone(ev(3, "h2", 100))));
         while out.len() < 2 {
             merge.poll(&mut out, usize::MAX);
         }
@@ -696,9 +696,9 @@ mod tests {
         merge.attach(Box::new(a));
         merge.attach(Box::new(b));
         for ts in [1, 2, 3, 4, 6] {
-            assert!(push_a.push(ev(ts, "h1", ts)));
+            assert!(push_a.push(Arc::unwrap_or_clone(ev(ts, "h1", ts))));
         }
-        assert!(push_b.push(ev(5, "h2", 5)));
+        assert!(push_b.push(Arc::unwrap_or_clone(ev(5, "h2", 5))));
         drop((push_a, push_b));
         let mut out = Vec::new();
         while merge.poll(&mut out, usize::MAX) != MergeStatus::Done {}

@@ -13,12 +13,12 @@
 //! time [`Selection`], attached [`FLOOR_GATED`] so the merge sorts it by
 //! time, and wrapped in [`Paced`] to replay it at a [`Speed`].
 
+use std::collections::VecDeque;
 use std::io::{BufReader, Read};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use saql_model::{Duration, Timestamp};
+use saql_model::{Duration, Event, Timestamp};
 
 use crate::durable::{StoreIter, StoreReader};
 use crate::ingest::decode_ndjson;
@@ -113,11 +113,10 @@ impl<I: Iterator<Item = SharedEvent>> EventSource for IterSource<I> {
     }
 
     fn poll(&mut self, out: &mut Vec<SharedEvent>, max: usize) -> SourcePoll {
-        for _ in 0..max {
-            match self.iter.next() {
-                Some(event) => out.push(event),
-                None => return SourcePoll::End,
-            }
+        let start = out.len();
+        out.extend(self.iter.by_ref().take(max));
+        if out.len() - start < max {
+            return SourcePoll::End;
         }
         SourcePoll::Ready
     }
@@ -129,39 +128,66 @@ impl<I: Iterator<Item = SharedEvent>> EventSource for IterSource<I> {
 
 /// Producer half of [`push_source`]: hand events to a running session
 /// from any thread. Dropping every handle ends the source.
-#[derive(Clone)]
 pub struct PushHandle {
-    tx: SyncSender<SharedEvent>,
-    failure: Arc<Mutex<Option<String>>>,
+    queue: Arc<Queue>,
+}
+
+/// The bounded queue between a [`push_source`]'s handles and its
+/// [`ChannelSource`], and the one condvar both sides wait on. Producers wait
+/// for room, only ever on a full queue, and the consumer for events, only
+/// ever on an empty one, so one side waits at a time. A take from a full
+/// queue rings it (the first take after a producer waits finds the queue
+/// full), as does a push to an empty queue (the same rule for a waiting
+/// consumer), the last handle's drop and the consumer's drop.
+type Queue = (Mutex<Shelf>, Condvar);
+
+/// A push source's queue. It holds plain events: the consumer makes each
+/// one shared as it takes it, so every `Arc<Event>` is allocated and freed
+/// on the consuming thread.
+#[derive(Default)]
+struct Shelf {
+    events: VecDeque<Event>,
+    /// Events the queue holds at most.
+    capacity: usize,
+    /// Live [`PushHandle`]s: none left and no event queued is the end.
+    producers: usize,
+    /// The [`ChannelSource`] is gone.
+    closed: bool,
+    failure: Option<String>,
 }
 
 impl PushHandle {
-    /// Blocking push; `false` once the consuming session is gone. The
-    /// source's watermark follows the event when the merge *dequeues* it
-    /// (see [`ChannelSource`]), not here: an event still sitting in the
-    /// queue must keep gating the other sources.
-    pub fn push(&self, event: SharedEvent) -> bool {
-        self.tx.send(event).is_ok()
+    /// Blocking push of one event; `false` once the consuming session is
+    /// gone. The source's watermark follows the event when the merge
+    /// *dequeues* it (see [`ChannelSource`]), not here: an event still
+    /// sitting in the queue must keep gating the other sources.
+    pub fn push(&self, event: Event) -> bool {
+        self.push_chunk(&mut vec![event], true)
     }
 
-    /// Non-blocking push of as much of a chunk as fits, in order; the tail
-    /// that did not fit stays in `chunk`, for the caller to shed or to
-    /// [`push`](Self::push) once there is room. `false` once the consuming
-    /// session is gone.
-    pub fn push_fitting(&self, chunk: &mut std::vec::IntoIter<SharedEvent>) -> bool {
-        while let Some(event) = chunk.next() {
-            let (refused, open) = match self.tx.try_send(event) {
-                Ok(()) => continue,
-                Err(TrySendError::Full(event)) => (event, true),
-                Err(TrySendError::Disconnected(event)) => (event, false),
-            };
-            // Back at the head of the tail (offering clones instead costs
-            // two refcount updates per event).
-            let tail: Vec<SharedEvent> = std::iter::once(refused).chain(chunk.by_ref()).collect();
-            *chunk = tail.into_iter();
-            return open;
+    /// Move as much of `chunk`'s head as fits into the queue, in order,
+    /// under one lock. With `wait`, wait for room until all of it is in;
+    /// otherwise the tail that did not fit stays in `chunk`, for the caller
+    /// to shed or to push again. `false` once the consuming session is
+    /// gone; what it did not take stays in `chunk`.
+    pub fn push_chunk(&self, chunk: &mut Vec<Event>, wait: bool) -> bool {
+        let (lock, signal) = &*self.queue;
+        let mut shelf = lock.lock().unwrap();
+        loop {
+            if shelf.closed {
+                return false;
+            }
+            let fits = (shelf.capacity - shelf.events.len()).min(chunk.len());
+            shelf.events.extend(chunk.drain(..fits));
+            // Only the consumer waits on an empty queue.
+            if fits > 0 && shelf.events.len() == fits {
+                signal.notify_all();
+            }
+            if chunk.is_empty() || !wait {
+                return true;
+            }
+            shelf = signal.wait(shelf).unwrap();
         }
-        true
     }
 
     /// Report (or update) a producer-side degradation — undecodable input
@@ -170,16 +196,36 @@ impl PushHandle {
     /// per-source stats, the same way pull-source failures do. The stream
     /// keeps flowing; this is visibility, not teardown.
     pub fn report_failure(&self, message: impl Into<String>) {
-        *self.failure.lock().unwrap() = Some(message.into());
+        self.queue.0.lock().unwrap().failure = Some(message.into());
     }
 }
 
-/// A source fed from a bounded event channel. The channel carries
-/// `Arc<Event>`: every consumer observes the *same allocation*, so
-/// handing an event on never copies its payload.
+impl Clone for PushHandle {
+    fn clone(&self) -> Self {
+        let queue = Arc::clone(&self.queue);
+        queue.0.lock().unwrap().producers += 1;
+        PushHandle { queue }
+    }
+}
+
+impl Drop for PushHandle {
+    fn drop(&mut self) {
+        let mut shelf = self.queue.0.lock().unwrap();
+        shelf.producers -= 1;
+        if shelf.producers == 0 {
+            self.queue.1.notify_all();
+        }
+    }
+}
+
+/// The consuming half of [`push_source`]: a source fed from a bounded
+/// queue of events by other threads. A poll takes up to `max` events under
+/// one lock and makes each one an `Arc<Event>` on the polling thread, as
+/// [`StoreSource`] does, so no event is allocated on one thread and freed on
+/// another.
 pub struct ChannelSource {
     name: String,
-    rx: Receiver<SharedEvent>,
+    queue: Arc<Queue>,
     /// A [`push_source`]'s highest timestamp *dequeued* so far. A push
     /// producer feeds in timestamp order, so everything it has handed the
     /// merge is a watermark promise — but only what the merge has actually
@@ -191,15 +237,13 @@ pub struct ChannelSource {
     /// the stream ends, so the merge sees the same polls however fast the
     /// decoders run.
     dequeued_ms: Option<u64>,
-    failure: Arc<Mutex<Option<String>>>,
-    ended: bool,
 }
 
 impl ChannelSource {
     /// A source of JSON-lines events (see [`saql_model::json`]) read from
     /// any reader — a file, a pipe, stdin — on a background thread named
     /// `saql-jsonl`, which runs the [`ingest`](crate::ingest) stage into a
-    /// channel of `capacity` events. Undecodable lines are skipped and
+    /// queue of `capacity` events. Undecodable lines are skipped and
     /// surface through [`EventSource::failure`] as the stage words them; a
     /// read error ends the stream as `stream ended early: read error: …`.
     ///
@@ -219,13 +263,13 @@ impl ChannelSource {
         source.dequeued_ms = None;
         let feed = move || {
             let mut reader = BufReader::with_capacity(JSONL_READ_BUFFER, reader);
-            let read = decode_ndjson(&mut reader, |chunk| {
+            let read = decode_ndjson(&mut reader, |mut chunk| {
                 if let Some(note) = chunk.failure {
                     push.report_failure(note);
                 }
                 // A file is never shed: wait for room. `false`: the session
                 // hung up.
-                chunk.events.into_iter().all(|event| push.push(event))
+                push.push_chunk(&mut chunk.events, true)
             });
             if let Err(e) = read {
                 push.report_failure(format!("stream ended early: read error: {e}"));
@@ -253,73 +297,74 @@ impl EventSource for ChannelSource {
     }
 
     fn poll(&mut self, out: &mut Vec<SharedEvent>, max: usize) -> SourcePoll {
-        if self.ended {
-            return SourcePoll::End;
-        }
-        let start = out.len();
-        let Some(seen) = &mut self.dequeued_ms else {
-            // A file: wait for `max` events or the end (see `dequeued_ms`).
-            out.extend(self.rx.iter().take(max));
-            self.ended = out.len() - start < max;
-            return if self.ended {
-                SourcePoll::End
-            } else {
-                SourcePoll::Ready
-            };
-        };
-        // A push feed: what is queued, up to `max`, without waiting.
-        while out.len() - start < max {
-            match self.rx.try_recv() {
-                Ok(event) => out.push(event),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    self.ended = true;
-                    break;
-                }
+        let ((lock, signal), start) = (&*self.queue, out.len());
+        let mut shelf = lock.lock().unwrap();
+        let ended = loop {
+            let full = shelf.events.len() >= shelf.capacity;
+            let take = (max - (out.len() - start)).min(shelf.events.len());
+            out.extend(shelf.events.drain(..take).map(Arc::new));
+            if full && take > 0 {
+                signal.notify_all();
             }
-        }
-        if out.len() == start {
-            return if self.ended {
-                SourcePoll::End
-            } else {
-                SourcePoll::Idle
-            };
-        }
+            if shelf.producers == 0 && shelf.events.is_empty() {
+                // An ended source keeps no event storage.
+                shelf.events = VecDeque::new();
+                break true;
+            }
+            // A push feed takes what is queued; a file waits for `max` events
+            // or the end (see `dequeued_ms`).
+            if self.dequeued_ms.is_some() || out.len() - start == max {
+                break false;
+            }
+            shelf = signal.wait(shelf).unwrap();
+        };
         let drained = out[start..].iter().map(|e| e.ts.as_millis());
-        *seen = drained.fold(*seen, u64::max);
+        // A push feed ends on a poll that takes nothing; a file's last
+        // events come with its end.
+        match (&mut self.dequeued_ms, ended) {
+            (Some(seen), _) if out.len() > start => *seen = drained.fold(*seen, u64::max),
+            (_, true) => return SourcePoll::End,
+            _ if out.len() == start => return SourcePoll::Idle,
+            _ => {}
+        }
         SourcePoll::Ready
     }
 
     fn watermark(&self) -> Option<Timestamp> {
-        match self.dequeued_ms.unwrap_or(0) {
-            0 => None,
-            ms => Some(Timestamp::from_millis(ms)),
-        }
+        let promised = self.dequeued_ms.filter(|&ms| ms > 0);
+        promised.map(Timestamp::from_millis)
     }
 
     fn failure(&self) -> Option<String> {
-        self.failure.lock().unwrap().clone()
+        self.queue.0.lock().unwrap().failure.clone()
     }
 }
 
-/// A bounded channel source plus its [`PushHandle`]: the push-style entry
-/// into a pull-based session (other threads push, the session pump pulls).
-/// The channel holds `capacity` events; zero clamps to one, since a channel
-/// that can never buffer an event is a misconfiguration.
+impl Drop for ChannelSource {
+    /// Producers stop waiting, and their pushes return `false`.
+    fn drop(&mut self) {
+        self.queue.0.lock().unwrap().closed = true;
+        self.queue.1.notify_all();
+    }
+}
+
+/// A bounded event queue plus its [`PushHandle`]: the push-style entry into
+/// a pull-based session (other threads push, the session pump pulls). The
+/// queue holds `capacity` events; zero clamps to one, since a queue that can
+/// never hold an event is a misconfiguration.
 pub fn push_source(name: impl Into<String>, capacity: usize) -> (PushHandle, ChannelSource) {
-    let (tx, rx) = sync_channel(capacity.max(1));
-    let push = PushHandle {
-        tx,
-        failure: Arc::new(Mutex::new(None)),
+    let shelf = Shelf {
+        capacity: capacity.max(1),
+        producers: 1,
+        ..Shelf::default()
     };
+    let queue = Arc::new((Mutex::new(shelf), Condvar::new()));
     let source = ChannelSource {
         name: name.into(),
-        rx,
+        queue: Arc::clone(&queue),
         dequeued_ms: Some(0),
-        failure: Arc::clone(&push.failure),
-        ended: false,
     };
-    (push, source)
+    (PushHandle { queue }, source)
 }
 
 // ---------------------------------------------------------------------
@@ -378,14 +423,10 @@ impl EventSource for StoreSource {
         for _ in 0..max {
             match iter.next() {
                 Some(Ok(event)) => out.push(Arc::new(event)),
-                Some(Err(e)) => {
+                end => {
                     // A corrupt record poisons everything after it; stop at
                     // the last clean event and surface the error.
-                    self.error = Some(e);
-                    self.iter = None;
-                    return SourcePoll::End;
-                }
-                None => {
+                    self.error = end.and_then(Result::err);
                     self.iter = None;
                     return SourcePoll::End;
                 }
@@ -573,12 +614,12 @@ mod tests {
         let (push, mut source) = push_source("p", 8);
         let mut out = Vec::new();
         assert_eq!(source.poll(&mut out, 4), SourcePoll::Idle);
-        assert!(push.push(Arc::new(ev(1, "h", 250))));
+        assert!(push.push(ev(1, "h", 250)));
         assert_eq!(source.watermark(), None, "still queued: no promise yet");
         assert_eq!(source.poll(&mut out, 4), SourcePoll::Ready);
         assert_eq!(out.len(), 1);
         assert_eq!(source.watermark(), Some(Timestamp::from_millis(250)));
-        assert!(push.push(Arc::new(ev(2, "h", 900))));
+        assert!(push.push(ev(2, "h", 900)));
         assert_eq!(source.poll(&mut out, 4), SourcePoll::Ready);
         assert_eq!(source.watermark(), Some(Timestamp::from_millis(900)));
         drop(push);
@@ -588,12 +629,8 @@ mod tests {
     #[test]
     fn a_bulk_drain_promises_only_the_max_dequeued_timestamp() {
         let (push, mut source) = push_source("p", 8);
-        let mut chunk = [300, 100, 200, 500, 400]
-            .into_iter()
-            .map(|ts| Arc::new(ev(ts, "h", ts)))
-            .collect::<Vec<_>>()
-            .into_iter();
-        assert!(push.push_fitting(&mut chunk));
+        let mut chunk = [300, 100, 200, 500, 400].map(|ts| ev(ts, "h", ts)).to_vec();
+        assert!(push.push_chunk(&mut chunk, false));
         let mut out = Vec::new();
         assert_eq!(source.poll(&mut out, 3), SourcePoll::Ready);
         assert_eq!(out.len(), 3);
@@ -606,8 +643,13 @@ mod tests {
     }
 
     /// A push-handle event with id and timestamp `id`.
-    fn pushed(id: u64) -> SharedEvent {
-        Arc::new(ev(id, "h", id))
+    fn pushed(id: u64) -> Event {
+        ev(id, "h", id)
+    }
+
+    /// `ids` pushed as one chunk.
+    fn chunk_of(ids: std::ops::RangeInclusive<u64>) -> Vec<Event> {
+        ids.map(pushed).collect()
     }
 
     #[test]
@@ -623,8 +665,8 @@ mod tests {
     #[test]
     fn zero_capacity_clamps_instead_of_panicking() {
         let (push, mut source) = push_source("p", 0);
-        let mut chunk = vec![pushed(1), pushed(2)].into_iter();
-        assert!(push.push_fitting(&mut chunk));
+        let mut chunk = chunk_of(1..=2);
+        assert!(push.push_chunk(&mut chunk, false));
         assert_eq!(chunk.len(), 1, "clamped capacity is exactly 1");
         let mut out = Vec::new();
         assert_eq!(source.poll(&mut out, 8), SourcePoll::Ready);
@@ -634,9 +676,9 @@ mod tests {
     #[test]
     fn chunks_go_in_whole_or_as_far_as_they_fit() {
         let (push, mut source) = push_source("p", 3);
-        let mut chunk = (1..=5).map(pushed).collect::<Vec<_>>().into_iter();
-        assert!(push.push_fitting(&mut chunk));
-        assert_eq!(ids(chunk.as_slice()), vec![4, 5], "the unsent tail");
+        let mut chunk = chunk_of(1..=5);
+        assert!(push.push_chunk(&mut chunk, false));
+        assert_eq!(chunk, chunk_of(4..=5), "the unsent tail");
         let mut out = Vec::new();
         assert_eq!(source.poll(&mut out, 2), SourcePoll::Ready);
         assert_eq!(source.poll(&mut out, 8), SourcePoll::Ready);
@@ -645,7 +687,7 @@ mod tests {
             SourcePoll::Idle,
             "empty, not ended"
         );
-        assert!(push.push_fitting(&mut (6..=8).map(pushed).collect::<Vec<_>>().into_iter()));
+        assert!(push.push_chunk(&mut chunk_of(6..=8), false));
         drop(push);
         assert_eq!(source.poll(&mut out, 8), SourcePoll::Ready);
         assert_eq!(source.poll(&mut out, 8), SourcePoll::End);
@@ -656,10 +698,24 @@ mod tests {
     fn pushes_report_a_closed_session() {
         let (push, source) = push_source("p", 1);
         drop(source);
-        let mut chunk = vec![pushed(3)].into_iter();
-        assert!(!push.push_fitting(&mut chunk));
+        let mut chunk = chunk_of(3..=3);
+        assert!(!push.push_chunk(&mut chunk, false));
         assert_eq!(chunk.len(), 1, "nothing was taken");
         assert!(!push.push(pushed(4)));
+    }
+
+    #[test]
+    fn a_producer_waiting_for_room_learns_the_session_closed() {
+        let (push, source) = push_source("p", 1);
+        let producer = std::thread::spawn(move || {
+            let mut chunk = chunk_of(1..=3);
+            (push.push_chunk(&mut chunk, true), chunk.len())
+        });
+        while source.queue.0.lock().unwrap().events.is_empty() {
+            std::thread::yield_now();
+        }
+        drop(source);
+        assert_eq!(producer.join().unwrap(), (false, 2), "the tail stays");
     }
 
     #[test]
@@ -702,14 +758,13 @@ mod tests {
                                 next += 1;
                                 continue;
                             }
-                            // A chunk push; on a full channel, block for the
-                            // next event (the serve ingest protocol).
+                            // A chunk push; on a full queue, block for the
+                            // next event.
                             let n = (1 + round % 7).min(end - next);
-                            let mut chunk: std::vec::IntoIter<SharedEvent> =
-                                (next..next + n).map(pushed).collect::<Vec<_>>().into_iter();
-                            assert!(push.push_fitting(&mut chunk));
-                            if let Some(head) = chunk.next() {
-                                assert!(push.push(head));
+                            let mut chunk = chunk_of(next..=next + n - 1);
+                            assert!(push.push_chunk(&mut chunk, false));
+                            if !chunk.is_empty() {
+                                assert!(push.push(chunk.remove(0)));
                             }
                             next += n - chunk.len() as u64;
                         }
@@ -747,14 +802,30 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_pushes_share_the_allocation() {
+    fn a_cross_thread_push_arrives_equal_and_shared_by_the_consumer_alone() {
         let (push, mut source) = push_source("p", 4);
-        let event = pushed(9);
-        let clone = event.clone();
-        std::thread::spawn(move || push.push(event)).join().unwrap();
+        std::thread::spawn(move || push.push(pushed(9)))
+            .join()
+            .unwrap();
         let mut got = Vec::new();
         assert_eq!(source.poll(&mut got, 1), SourcePoll::Ready);
-        assert!(Arc::ptr_eq(&got[0], &clone));
+        assert_eq!(*got[0], pushed(9));
+        assert_eq!(Arc::strong_count(&got[0]), 1, "made shared by the poll");
+    }
+
+    #[test]
+    fn an_ended_push_source_holds_no_event_storage() {
+        let (push, mut source) = push_source("p", 64);
+        assert!(push.push_chunk(&mut chunk_of(1..=40), false));
+        let capacity = || source.queue.0.lock().unwrap().events.capacity();
+        assert!(capacity() >= 40);
+        drop(push);
+        let mut out = Vec::new();
+        assert_eq!(source.poll(&mut out, 16), SourcePoll::Ready);
+        assert_eq!(source.poll(&mut out, 64), SourcePoll::Ready);
+        assert_eq!(source.poll(&mut out, 64), SourcePoll::End);
+        assert_eq!(ids(&out), (1..=40).collect::<Vec<_>>());
+        assert_eq!(source.queue.0.lock().unwrap().events.capacity(), 0);
     }
 
     #[test]

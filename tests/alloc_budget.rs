@@ -1,16 +1,19 @@
-//! Allocation budget of the engine: steady-state heap allocations per
-//! event, and the bytes they request, for four deployments over one
+//! Allocation budget of the engine and of the JSON-lines decoder:
+//! steady-state heap allocations per event, and the bytes they request,
+//! for four deployments and for `decode_event_json` over one
 //! high-cardinality trace. The rows are pinned in `alloc_budget.ceiling`
 //! next to this file; a row over its ceiling fails. The ceiling only goes
 //! down: a change that allocates less lowers the row it moved.
 //!
-//! Only the engine is counted. The events are built before counting
-//! starts and fed as batches of the engine's own size (what a run session
-//! feeds it), so decoding and the store are not part of the figure. The
-//! trace has the shape of the ladder's `hicard` workload: tens of
-//! executables × thousands of destinations drawn with repetition, so every
-//! 2 s window both revisits groups and creates new ones. A warm-up of two
-//! such windows runs before counting starts.
+//! A deployment row counts only the engine. The events are built before
+//! counting starts and fed as batches of the engine's own size (what a run
+//! session feeds it), so decoding and the store are not part of the
+//! figure. The `jsonl-decode` row counts only `decode_event_json`, called
+//! on this thread over the trace's lines, which are rendered before
+//! counting starts. The trace has the shape of the ladder's `hicard`
+//! workload: tens of executables × thousands of destinations drawn with
+//! repetition, so every 2 s window both revisits groups and creates new
+//! ones. A warm-up of two such windows runs before counting starts.
 //!
 //! ```text
 //! cargo test --test alloc_budget -- --nocapture    # prints the measured rows
@@ -22,6 +25,7 @@ use std::sync::Arc;
 
 use saql::engine::register_pipeline;
 use saql::model::event::EventBuilder;
+use saql::model::json::{decode_event_json, encode_event_json};
 use saql::model::{NetworkInfo, ProcessInfo};
 use saql::stream::{EventBatch, SharedEvent};
 use saql::{Engine, EngineConfig};
@@ -145,6 +149,32 @@ fn per_event(queries: &[&str], events: &[SharedEvent]) -> (f64, f64) {
     )
 }
 
+/// Allocations and bytes per line of `decode_event_json` over the measured
+/// span of the trace's lines.
+fn per_line(events: &[SharedEvent]) -> (f64, f64) {
+    let lines: Vec<String> = (events.iter())
+        .map(|event| {
+            let mut line = String::new();
+            encode_event_json(&mut line, event);
+            line
+        })
+        .collect();
+    let decode = |lines: &[String]| {
+        for line in lines {
+            decode_event_json(line.trim_end()).expect("decodes");
+        }
+    };
+    decode(&lines[..WARM_UP]);
+    let before = COUNTS.with(Cell::get);
+    decode(&lines[WARM_UP..]);
+    let after = COUNTS.with(Cell::get);
+    let n = (lines.len() - WARM_UP) as f64;
+    (
+        (after.0 - before.0) as f64 / n,
+        (after.1 - before.1) as f64 / n,
+    )
+}
+
 #[test]
 fn steady_state_allocations_stay_under_the_ceiling() {
     const FAMILY: [&str; 8] = [
@@ -178,13 +208,15 @@ fn steady_state_allocations_stay_under_the_ceiling() {
     let events = trace();
     let mut over = Vec::new();
     println!(
-        "{:<10} {:>10} {:>10}",
+        "{:<12} {:>10} {:>10}",
         "deployment", "allocs/ev", "bytes/ev"
     );
-    for (name, queries) in deployments {
-        let (allocs, bytes) = per_event(queries, &events);
+    let rows = (deployments.into_iter())
+        .map(|(name, queries)| (name, per_event(queries, &events)))
+        .chain([("jsonl-decode", per_line(&events))]);
+    for (name, (allocs, bytes)) in rows {
+        println!("{name:<12} {allocs:>10.4} {bytes:>10.2}");
         let (max_allocs, max_bytes) = ceiling(name);
-        println!("{name:<10} {allocs:>10.4} {bytes:>10.2}");
         if allocs > max_allocs || bytes > max_bytes {
             over.push(format!(
                 "{name}: {allocs:.3} allocs/ev, {bytes:.1} B/ev over the ceiling's {max_allocs} and {max_bytes}"

@@ -330,9 +330,7 @@ fn pipelined_run_until_crash(
         match feed.next() {
             Some(chunk) => {
                 for event in chunk {
-                    let pushed = push
-                        .as_ref()
-                        .is_some_and(|p| p.push(Arc::new(event.clone())));
+                    let pushed = push.as_ref().is_some_and(|p| p.push(event.clone()));
                     assert!(pushed, "the session consumes the live feed");
                 }
             }

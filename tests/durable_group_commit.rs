@@ -79,7 +79,7 @@ fn a_backlog_moves_in_one_round_and_the_budget_is_exact() {
     let (push, live) = push_source("live", 20_000);
     session.attach_with(live, Lateness::ArrivalOrder);
     for event in starts(10_000) {
-        assert!(push.push(event));
+        assert!(push.push(Arc::unwrap_or_clone(event)));
     }
     let round = session.pump_max(65_536);
     assert_eq!(round.events, 10_000, "the whole backlog in one round");
@@ -88,7 +88,7 @@ fn a_backlog_moves_in_one_round_and_the_budget_is_exact() {
 
     // The drain stops at the budget, so staged controls land exactly.
     for (i, event) in starts(20_000).into_iter().enumerate().skip(10_000) {
-        assert!(push.push(event), "event {i}");
+        assert!(push.push(Arc::unwrap_or_clone(event)), "event {i}");
     }
     let round = session.pump_max(1_000);
     assert_eq!(round.events, 1_000);
@@ -115,7 +115,7 @@ fn an_untapped_round_polls_once() {
     let (push, live) = push_source("live", 10_000);
     session.attach_with(live, Lateness::ArrivalOrder);
     for event in starts(10_000) {
-        assert!(push.push(event));
+        assert!(push.push(Arc::unwrap_or_clone(event)));
     }
     let round = session.pump_max(65_536);
     assert_eq!(round.events, MergeConfig::default().pull_batch as u64);
@@ -137,7 +137,7 @@ fn a_round_that_moved_events_never_reports_idle() {
     let mut total = 0;
     for n in [1usize, 255, 256, 257, 3_000] {
         for event in feed.by_ref().take(n) {
-            assert!(push.push(event));
+            assert!(push.push(Arc::unwrap_or_clone(event)));
         }
         let round = session.pump_max(65_536);
         assert_eq!(round.events, n as u64);
@@ -165,7 +165,7 @@ fn the_cadence_keeps_its_granularity() {
     let (push, live) = push_source("live", 10_000);
     session.attach_with(live, Lateness::ArrivalOrder);
     for event in starts(10_000) {
-        assert!(push.push(event));
+        assert!(push.push(Arc::unwrap_or_clone(event)));
     }
     let mut checkpoints = vec![0];
     while session.offset() < 10_000 {
@@ -318,7 +318,7 @@ fn family_run(
     let mut alerts = Vec::new();
     for chunk in events.chunks(per_pump.unwrap_or(events.len())) {
         for event in chunk {
-            assert!(push.push(Arc::clone(event)));
+            assert!(push.push(Event::clone(event)));
         }
         if per_pump.is_some() {
             alerts.extend(session.pump_max(65_536).alerts);
